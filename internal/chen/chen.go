@@ -245,13 +245,18 @@ func (n *Node) tickLocked() {
 	})
 }
 
-// armLocked schedules the suspicion deadline EA + α for peer p.
+// armLocked schedules the suspicion deadline EA + α for peer p: a pending
+// deadline is moved in place when the runtime can (the estimate mostly moves
+// it later, once per heartbeat).
 func (n *Node) armLocked(p ident.ID, st *peerState) {
-	if st.timer != nil {
-		st.timer.Stop()
-	}
 	deadline := st.expectedArrival(n.cfg.Interval) + n.cfg.Alpha
 	wait := deadline - n.env.Now()
+	if st.timer != nil {
+		if st.timer.Reset(wait) {
+			return
+		}
+		st.timer.Stop()
+	}
 	st.timer = n.env.After(wait, func() {
 		n.mu.Lock()
 		defer n.mu.Unlock()

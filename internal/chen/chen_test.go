@@ -7,6 +7,7 @@ import (
 	"asyncfd/internal/des"
 	"asyncfd/internal/ident"
 	"asyncfd/internal/netsim"
+	"asyncfd/internal/raceflag"
 	"asyncfd/internal/trace"
 )
 
@@ -277,5 +278,43 @@ func TestRestartKeepsSequenceMonotonic(t *testing.T) {
 	c.sim.RunUntil(15 * time.Second)
 	if c.nodes[0].IsSuspected(1) {
 		t.Error("restarted sender never re-trusted: its heartbeats were discarded as stale")
+	}
+}
+
+// TestAllocsHeartbeatDelivery locks the detector's hot path on the
+// simulator: a punctual heartbeat moves the pending suspicion deadline in
+// place (node.Timer.Reset), so once the arrival window is full a delivery
+// allocates nothing — no timer handle, no callback, no kernel event.
+func TestAllocsHeartbeatDelivery(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race runtime allocates")
+	}
+	sim := des.New(1)
+	net := netsim.New(sim, netsim.Config{Delay: netsim.Constant{}})
+	var nd *Node
+	env := net.AddNode(0, proxy{&nd})
+	nd, err := NewNode(env, Config{Self: 0, Peers: ident.SetOf(0, 1), Interval: time.Second, Alpha: 300 * time.Millisecond, WindowSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Boxed ahead of time: the payload is the sender's allocation.
+	hbs := make([]any, 128)
+	for i := range hbs {
+		hbs[i] = Message{From: 1, Seq: uint64(i + 1)}
+	}
+	next := 0
+	beat := func() {
+		sim.RunUntil(sim.Now() + time.Second)
+		nd.Deliver(1, hbs[next])
+		next++
+	}
+	for i := 0; i < 16; i++ { // fill the window, arm the deadline
+		beat()
+	}
+	if allocs := testing.AllocsPerRun(100, beat); allocs != 0 {
+		t.Errorf("a heartbeat re-arming a pending deadline: %v allocations, want 0", allocs)
+	}
+	if nd.IsSuspected(1) || sim.Pending() != 1 {
+		t.Errorf("suspected %v, %d events pending: want the one deadline, never expired", nd.IsSuspected(1), sim.Pending())
 	}
 }

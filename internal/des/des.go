@@ -2,18 +2,26 @@
 //
 // It replaces the paper's simulator testbed: experiments run in virtual time
 // (no real sleeps), driven by a single-threaded event loop with a seeded
-// random source, so every run is exactly reproducible from its seed. All
-// simulated components (network links, protocol timers, fault injectors)
-// schedule closures on the kernel; the kernel executes them in (time, FIFO)
-// order.
+// random source, so every run is exactly reproducible from its seed. The
+// kernel executes events in (time, FIFO) order and knows three kinds of
+// them: a callback (After/At — fault injectors, experiment drivers), a timer
+// owned by a process (AfterOwned — suppressed, but still counted, when the
+// Sink says the owner is down), and a message (Send, or Fanout for a whole
+// broadcast), which the kernel hands to the Sink registered by the network
+// model. Messages and timers are scheduled as data, not closures: the
+// simulator's send → queue → deliver → re-arm path allocates nothing per
+// receiver.
 //
 // The kernel is built for throughput: events live in a slab recycled through
 // a free list (no per-event heap allocation in steady state), same-instant
 // bursts drain through a FIFO ready bucket instead of churning the timing
-// structure, message fan-outs can be scheduled as a single Batch node that
-// occupies one queue slot however many deliveries it carries, and batch item
-// storage is recycled through a kernel-owned free pool so repeated
-// broadcasts stop allocating. Far-horizon ordering itself is pluggable
+// structure, a broadcast is a single Fanout node that occupies one queue
+// slot however many deliveries it carries (its pointer-free items recycled
+// through a kernel-owned pool), and a pending timer is re-armed in place
+// (Timer.Reset) — the new key is recorded on the event and applied when the
+// old one surfaces at the head of the queue, so a timeout that is pushed
+// back once per heartbeat costs the queue one pop and one push per timeout
+// period, not per heartbeat. Far-horizon ordering itself is pluggable
 // (queue.go): a calendar/ladder queue with amortized O(1) push/pop is the
 // default, and the original binary heap is kept as the reference
 // implementation a differential harness checks it against — see QueueKind,
@@ -22,9 +30,12 @@ package des
 
 import (
 	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 	"time"
+
+	"asyncfd/internal/ident"
 )
 
 // Compile-time checks: both queue implementations satisfy the interface.
@@ -33,55 +44,122 @@ var (
 	_ eventQueue = (*ladderQueue)(nil)
 )
 
-// event is one kernel node: either a single closure or a whole batch
-// fan-out. Events live in the simulator's slab, addressed by index and
-// recycled through a free list; gen invalidates stale Timer handles when a
-// slot is reused. For batch nodes, (at, seq) always hold the key of the
-// earliest unfired item.
+// Sink is where the kernel's typed events end up: the network model, which
+// registers itself once with SetSink. It keeps the kernel ignorant of what a
+// handler or a crash is while letting messages and timers be queued as data.
+type Sink interface {
+	// Deliver hands over a message scheduled with Send or Fanout, at its
+	// delivery time.
+	Deliver(from, to ident.ID, payload any)
+	// Alive reports whether a timer's owner may run its callback now.
+	Alive(owner ident.ID) bool
+}
+
+// eventKind says which fields of an event node are in use.
+type eventKind uint8
+
+const (
+	evTimer  eventKind = iota // fn, owned by `to` (ident.Nil: nobody, always runs)
+	evMsg                     // (from, to, payload)
+	evFanout                  // (from, payload) shared by items[head:]
+)
+
+// event is one kernel node: a callback, a message, or a whole fan-out.
+// Events live in the simulator's slab, addressed by index and recycled
+// through a free list; gen invalidates stale Timer handles when a slot is
+// reused. For fan-out nodes, (at, seq) always hold the key of the earliest
+// undelivered item.
 type event struct {
 	at      time.Duration
 	seq     uint64
 	fn      func()
+	payload any
+	items   []fanItem
+	// newAt/newSeq is a pending re-arm (Timer.Reset): the key the timer
+	// really fires under, applied when (at, seq) — the key it is queued
+	// under, never later than the real one — surfaces at the head. newSeq
+	// is zero when there is none: a Reset always draws a later sequence
+	// number than the event's own.
+	newAt   time.Duration
+	newSeq  uint64
+	from    ident.ID
+	to      ident.ID
+	head    int32 // next undelivered fan-out item
 	gen     uint32
+	kind    eventKind
 	stopped bool
-	items   []batchItem // non-nil for batch fan-out nodes
-	head    int         // next unfired batch item
 }
 
-type batchItem struct {
+// fanItem is one receiver of a fan-out node. idx is the receiver's position
+// in the caller's slice — the tiebreak among equal delivery times.
+type fanItem struct {
 	at  time.Duration
-	fn  func()
-	idx int32 // position in the caller's slice; sort tiebreak for equal at
+	to  ident.ID
+	idx int32
 }
 
-// BatchItem is one callback of a batch fan-out (see Simulator.Batch).
-type BatchItem struct {
+// Receiver is one destination of a Fanout.
+type Receiver struct {
 	D  time.Duration // delay from now; negative delays clamp to zero
-	Fn func()
+	To ident.ID
 }
 
 // noEvent marks an empty slab reference.
 const noEvent = int32(-1)
 
-// Timer is a handle to a scheduled event.
+// Timer is a handle to a scheduled callback. Handles are immutable: Stop
+// and Reset act on the kernel's event, so copies of a handle (a detector's
+// checkpoint, say) stay interchangeable.
 type Timer struct {
 	s   *Simulator
 	idx int32
 	gen uint32
 }
 
-// Stop cancels the event if it has not run yet, reporting whether it was
-// still pending.
-func (t *Timer) Stop() bool {
+// pending returns the handle's event if it has neither run nor been stopped.
+func (t *Timer) pending() *event {
 	if t == nil || t.s == nil {
-		return false
+		return nil
 	}
 	e := &t.s.events[t.idx]
 	if e.gen != t.gen || e.stopped {
+		return nil
+	}
+	return e
+}
+
+// Stop cancels the event if it has not run yet, reporting whether it was
+// still pending.
+func (t *Timer) Stop() bool {
+	e := t.pending()
+	if e == nil {
 		return false
 	}
 	e.stopped = true
 	e.fn = nil // release captured state promptly
+	return true
+}
+
+// Reset re-arms a still-pending timer to fire d from now (negative d clamps
+// to zero) with the callback it already has. It reports false, having
+// changed nothing, when the timer has run or was stopped, and when the new
+// time lies before the key the event is queued under — the queue is never
+// searched, so an event can only be pushed back; the caller then does Stop
+// and After. A true Reset fires exactly when Stop followed by After would
+// have: it draws the sequence number After would have drawn. An owner that
+// is down gets false too — the network model arms no timers for it.
+func (t *Timer) Reset(d time.Duration) bool {
+	e := t.pending()
+	if e == nil {
+		return false
+	}
+	s := t.s
+	at := s.clampAt(d)
+	if at < e.at || (e.to != ident.Nil && !s.sink.Alive(e.to)) {
+		return false
+	}
+	e.newAt, e.newSeq = at, s.seq
+	s.seq++
 	return true
 }
 
@@ -96,7 +174,9 @@ type Simulator struct {
 	src     *countingSource // the stream itself, draw-counted for Snapshot
 	halted  bool
 	stepped uint64
-	pending int // scheduled callbacks not yet run or reclaimed
+	pending int // scheduled callbacks and deliveries not yet run or reclaimed
+
+	sink Sink //fdlint:allow clonefields immutable wiring, set once by the network model
 
 	events []event // slab; all event storage, recycled via free
 	free   []int32 // recycled slab slots
@@ -106,10 +186,13 @@ type Simulator struct {
 	queue     eventQueue
 	queueKind QueueKind //fdlint:allow clonefields immutable config, fixed at construction
 
-	// itemFree recycles the slices batch nodes carry their items in, so
-	// steady-state broadcast fan-outs reuse storage instead of allocating.
+	// itemFree recycles the slices fan-out nodes carry their items in, so
+	// steady-state broadcasts reuse storage instead of allocating.
 	//fdlint:allow clonefields recycling pool; restoreEvents rebuilds item storage in place
-	itemFree [][]batchItem
+	itemFree [][]fanItem
+	// keys is Fanout's sort scratch.
+	//fdlint:allow clonefields scratch buffer; contents are dead between Fanout calls
+	keys []uint64
 
 	// fifo is the ready bucket: events scheduled for the current instant,
 	// drained in seq (FIFO) order without touching the heap. Entries are
@@ -117,8 +200,8 @@ type Simulator struct {
 	fifo     []int32
 	fifoHead int
 
-	// front holds at most one batch continuation whose key is the global
-	// minimum (the currently draining same-instant fan-out), letting a
+	// front holds at most one fan-out continuation whose key is the global
+	// minimum (the currently draining same-instant burst), letting a
 	// k-message burst run with zero heap operations after the first pop.
 	front int32
 }
@@ -137,6 +220,16 @@ func New(seed int64, opts ...Option) *Simulator {
 	return s
 }
 
+// SetSink registers the component that receives messages and answers for
+// timer owners. A simulator carries one network; registering a second sink
+// panics, since events already queued would be delivered to the wrong one.
+func (s *Simulator) SetSink(k Sink) {
+	if s.sink != nil {
+		panic("des: a sink is already registered")
+	}
+	s.sink = k
+}
+
 // Queue reports which timing-queue implementation this simulator runs on.
 func (s *Simulator) Queue() QueueKind { return s.queueKind }
 
@@ -150,8 +243,9 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 // Steps returns the number of events executed so far.
 func (s *Simulator) Steps() uint64 { return s.stepped }
 
-// Pending returns the number of callbacks currently scheduled (including
-// stopped-but-unreclaimed ones).
+// Pending returns the number of callbacks and deliveries currently scheduled
+// (including stopped-but-unreclaimed timers). A timer counts once however
+// often it has been Reset.
 func (s *Simulator) Pending() int { return s.pending }
 
 // alloc takes a slab slot from the free list, growing the slab when empty.
@@ -166,28 +260,20 @@ func (s *Simulator) alloc() int32 {
 }
 
 // release recycles a slab slot; the gen bump invalidates outstanding Timers.
-// Batch item slices go back to the kernel-owned free pool (cleared first so
-// captured closures are released promptly).
+// Fan-out item slices go back to the kernel-owned free pool.
 func (s *Simulator) release(i int32) {
 	e := &s.events[i]
-	e.fn = nil
 	if e.items != nil {
-		items := e.items
-		for k := range items {
-			items[k] = batchItem{}
-		}
-		s.itemFree = append(s.itemFree, items[:0])
-		e.items = nil
+		s.itemFree = append(s.itemFree, e.items[:0])
 	}
-	e.head = 0
-	e.stopped = false
-	e.gen++
+	*e = event{gen: e.gen + 1}
 	s.free = append(s.free, i)
 }
 
-// takeItems pops a batch item slice of length n from the free pool, falling
-// back to allocation when the pool is empty or its top entry is too small.
-func (s *Simulator) takeItems(n int) []batchItem {
+// takeItems pops a fan-out item slice of length n from the free pool,
+// falling back to allocation when the pool is empty or its top entry is too
+// small.
+func (s *Simulator) takeItems(n int) []fanItem {
 	if k := len(s.itemFree); k > 0 {
 		b := s.itemFree[k-1]
 		s.itemFree = s.itemFree[:k-1]
@@ -195,86 +281,131 @@ func (s *Simulator) takeItems(n int) []batchItem {
 			return b[:n]
 		}
 	}
-	return make([]batchItem, n)
+	return make([]fanItem, n)
+}
+
+// clampAt turns a delay into an absolute fire time: negative or overflowing
+// delays fire at the current instant.
+func (s *Simulator) clampAt(d time.Duration) time.Duration {
+	if at := s.now + d; d >= 0 && at >= s.now {
+		return at
+	}
+	return s.now
+}
+
+// schedule gives slab slot i, already filled in, its key — fire time at and
+// the next n sequence numbers — and queues it.
+func (s *Simulator) schedule(i int32, at time.Duration, n int) {
+	e := &s.events[i]
+	e.at, e.seq = at, s.seq
+	s.seq += uint64(n)
+	s.pending += n
+	if at == s.now {
+		s.fifo = append(s.fifo, i) // seq is monotonic, so fifo stays sorted
+	} else {
+		s.queue.push(i)
+	}
 }
 
 // After schedules fn to run d from now. Negative delays are clamped to zero:
 // the event runs at the current instant, after already-queued events for
 // that instant.
 func (s *Simulator) After(d time.Duration, fn func()) *Timer {
-	if d < 0 {
-		d = 0
-	}
-	return s.At(s.now+d, fn)
+	return s.AfterOwned(d, ident.Nil, fn)
 }
 
 // At schedules fn at absolute virtual time t (clamped to now).
 func (s *Simulator) At(t time.Duration, fn func()) *Timer {
-	if t < s.now {
-		t = s.now
-	}
+	return s.timerAt(max(t, s.now), ident.Nil, fn)
+}
+
+// AfterOwned is After for a timer that belongs to a process: when it comes
+// due the kernel asks the sink whether owner is alive, and runs fn only if
+// so. A suppressed callback still counts as a step.
+func (s *Simulator) AfterOwned(d time.Duration, owner ident.ID, fn func()) *Timer {
+	return s.timerAt(s.clampAt(d), owner, fn)
+}
+
+func (s *Simulator) timerAt(at time.Duration, owner ident.ID, fn func()) *Timer {
 	i := s.alloc()
 	e := &s.events[i]
-	e.at, e.seq, e.fn = t, s.seq, fn
-	s.seq++
-	s.pending++
-	if t == s.now {
-		s.fifo = append(s.fifo, i) // seq is monotonic, so fifo stays sorted
-	} else {
-		s.queue.push(i)
-	}
+	e.kind, e.fn, e.to = evTimer, fn, owner
+	s.schedule(i, at, 1)
 	return &Timer{s: s, idx: i, gen: e.gen}
 }
 
-// Batch schedules a group of callbacks — typically one message fan-out — as
-// a single kernel node. The node is kept sorted by fire time and always
-// carries the key of its earliest unfired item, so a k-message broadcast
-// costs one slab slot and at most one heap insertion per distinct fire time
+// Send schedules the delivery of one message d from now: the sink's Deliver
+// is called with exactly these arguments. It orders like After.
+func (s *Simulator) Send(d time.Duration, from, to ident.ID, payload any) {
+	i := s.alloc()
+	e := &s.events[i]
+	e.kind, e.from, e.to, e.payload = evMsg, from, to, payload
+	s.schedule(i, s.clampAt(d), 1)
+}
+
+const (
+	// fanKeyIdxBits is how much of a packed fan-out sort key holds the
+	// receiver's position; the delay takes the rest.
+	fanKeyIdxBits = 16
+	fanKeyMaxD    = time.Duration(1) << (63 - fanKeyIdxBits)
+)
+
+// Fanout schedules one message to every receiver — a broadcast — as a single
+// kernel node. The node is kept sorted by delivery time and always carries
+// the key of its earliest undelivered item, so a k-receiver broadcast costs
+// one slab slot and at most one queue insertion per distinct delivery time
 // instead of k, and same-instant bursts drain through the ready bucket with
-// no heap traffic at all. Execution order is exactly that of k individual
-// After calls issued in slice order. The kernel takes ownership of nothing:
-// items is read synchronously and may be reused by the caller.
-func (s *Simulator) Batch(items []BatchItem) {
-	switch len(items) {
+// no queue traffic at all. Delivery order is exactly that of k individual
+// Send calls issued in slice order. recv is read synchronously and may be
+// reused by the caller.
+func (s *Simulator) Fanout(from ident.ID, payload any, recv []Receiver) {
+	switch len(recv) {
 	case 0:
 		return
 	case 1:
-		s.After(items[0].D, items[0].Fn)
+		s.Send(recv[0].D, from, recv[0].To, payload)
 		return
 	}
-	bs := s.takeItems(len(items))
-	for k, it := range items {
-		at := s.now + it.D
-		if it.D < 0 || at < s.now { // negative or overflowing delays clamp to now, as in After
-			at = s.now
+	items := s.takeItems(len(recv))
+	// Ordering by (at, idx) — a total order, since idx is the receiver's
+	// position in recv — is the stable-by-at permutation: equal delivery
+	// times keep slice order, which combined with the block of consecutive
+	// seqs preserves Send-by-Send FIFO semantics. When every delay and the
+	// fan-out width fit, that order is the numeric order of delay<<16|idx,
+	// and sorting plain integers is several times cheaper than sorting items
+	// through a comparator.
+	packed := len(recv) <= 1<<fanKeyIdxBits && s.now <= math.MaxInt64-fanKeyMaxD
+	keys := s.keys[:0]
+	for k, r := range recv {
+		d := max(r.D, 0)
+		if d >= fanKeyMaxD {
+			packed = false
+			break
 		}
-		bs[k] = batchItem{at: at, fn: it.Fn, idx: int32(k)}
+		keys = append(keys, uint64(d)<<fanKeyIdxBits|uint64(k))
 	}
-	// Sorting by (at, idx) — a total order, since idx is the item's position
-	// in the caller's slice — yields exactly the stable-by-at permutation:
-	// equal fire times keep slice order, which combined with the block of
-	// consecutive seqs preserves After-by-After FIFO semantics. The explicit
-	// tiebreak lets this use the unstable pdqsort; a k-receiver broadcast
-	// sorts k items on every send, and first the reflection-based
-	// sort.SliceStable and then symMerge were top entries in large-n sweep
-	// profiles.
-	slices.SortFunc(bs, func(a, b batchItem) int {
-		if a.at != b.at {
-			return cmp.Compare(a.at, b.at)
+	s.keys = keys[:0]
+	if packed {
+		slices.Sort(keys)
+		for j, key := range keys {
+			k := int32(key & (1<<fanKeyIdxBits - 1))
+			items[j] = fanItem{at: s.now + time.Duration(key>>fanKeyIdxBits), to: recv[k].To, idx: k}
 		}
-		return cmp.Compare(a.idx, b.idx)
-	})
+	} else {
+		for k, r := range recv {
+			items[k] = fanItem{at: s.clampAt(r.D), to: r.To, idx: int32(k)}
+		}
+		slices.SortFunc(items, func(a, b fanItem) int {
+			if a.at != b.at {
+				return cmp.Compare(a.at, b.at)
+			}
+			return cmp.Compare(a.idx, b.idx)
+		})
+	}
 	i := s.alloc()
 	e := &s.events[i]
-	e.at, e.seq = bs[0].at, s.seq
-	e.items, e.head = bs, 0
-	s.seq += uint64(len(bs))
-	s.pending += len(bs)
-	if e.at == s.now {
-		s.fifo = append(s.fifo, i)
-	} else {
-		s.queue.push(i)
-	}
+	e.kind, e.from, e.payload, e.items = evFanout, from, payload, items
+	s.schedule(i, items[0].at, len(items))
 }
 
 // less orders slab indices by (at, seq); seqs are unique so there are no ties.
@@ -284,13 +415,6 @@ func (s *Simulator) less(i, j int32) bool {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
-}
-
-func (s *Simulator) fifoPeek() int32 {
-	if s.fifoHead >= len(s.fifo) {
-		return noEvent
-	}
-	return s.fifo[s.fifoHead]
 }
 
 func (s *Simulator) fifoPop() int32 {
@@ -303,81 +427,81 @@ func (s *Simulator) fifoPop() int32 {
 	return i
 }
 
-// reapStoppedHeads reclaims stopped events sitting at the head of the fifo
-// bucket or the timing queue, so pop and peek always see a live minimum.
-func (s *Simulator) reapStoppedHeads() {
-	for {
-		f := s.fifoPeek()
-		if f == noEvent || !s.events[f].stopped {
-			break
-		}
-		s.fifoPop()
+// live reports whether the event can fire under the key it is queued under:
+// it is neither stopped nor waiting to be re-keyed.
+func (e *event) live() bool { return !e.stopped && e.newSeq == 0 }
+
+// requeue disposes of event i, which was just popped from the head of the
+// ready bucket or the timing queue and is not live. A stopped event is
+// reclaimed; a re-armed one takes the key it really fires under and goes
+// back into the timing queue (never the ready bucket: its new sequence
+// number may be smaller than ones already waiting there).
+func (s *Simulator) requeue(i int32) {
+	e := &s.events[i]
+	if e.stopped {
 		s.pending--
-		s.release(f)
+		s.release(i)
+		return
 	}
-	s.queue.reap()
+	e.at, e.seq = e.newAt, e.newSeq
+	e.newAt, e.newSeq = 0, 0
+	s.queue.push(i)
 }
 
-// popMin removes and returns the live event with the smallest (at, seq) key,
-// or noEvent. The front slot, when occupied, is always the global minimum.
-func (s *Simulator) popMin() int32 {
-	if s.front != noEvent {
-		i := s.front
+// popDue removes and returns the live event with the smallest (at, seq) key
+// if it fires at or before limit, or noEvent. The front slot, when occupied,
+// is always the global minimum. Otherwise the heads of the ready bucket and
+// the timing queue are each brought to a live event — both queue kinds
+// dispose of stopped and re-armed heads here, exactly when they surface, so
+// Pending() and the fire order are the same whichever runs — then compared
+// and popped, in one pass.
+func (s *Simulator) popDue(limit time.Duration) int32 {
+	if i := s.front; i != noEvent {
+		if s.events[i].at > limit {
+			return noEvent
+		}
 		s.front = noEvent
 		return i
 	}
-	s.reapStoppedHeads()
-	f := s.fifoPeek()
+	f := noEvent
+	for s.fifoHead < len(s.fifo) {
+		if f = s.fifo[s.fifoHead]; s.events[f].live() {
+			break
+		}
+		s.requeue(s.fifoPop())
+		f = noEvent
+	}
 	q := s.queue.peekMin()
-	if q == noEvent {
-		if f == noEvent {
+	for q != noEvent && !s.events[q].live() {
+		s.requeue(s.queue.popMin())
+		q = s.queue.peekMin()
+	}
+	if f != noEvent && (q == noEvent || s.less(f, q)) {
+		if s.events[f].at > limit {
 			return noEvent
 		}
 		return s.fifoPop()
 	}
-	if f != noEvent && s.less(f, q) {
-		return s.fifoPop()
+	if q == noEvent || s.events[q].at > limit {
+		return noEvent
 	}
 	return s.queue.popMin()
 }
 
-// peekAt reports the fire time of the earliest live event.
-func (s *Simulator) peekAt() (time.Duration, bool) {
-	if s.front != noEvent {
-		return s.events[s.front].at, true
-	}
-	s.reapStoppedHeads()
-	best := s.fifoPeek()
-	if q := s.queue.peekMin(); q != noEvent && (best == noEvent || s.less(q, best)) {
-		best = q
-	}
-	if best == noEvent {
-		return 0, false
-	}
-	return s.events[best].at, true
-}
-
-// Step executes the next pending event, advancing virtual time. It returns
-// false when no events remain or the simulator has been halted.
-func (s *Simulator) Step() bool {
-	if s.halted {
-		return false
-	}
-	i := s.popMin()
-	if i == noEvent {
-		return false
-	}
+// fire executes popped event i, advancing virtual time to it.
+func (s *Simulator) fire(i int32) {
 	e := &s.events[i]
-	if e.items != nil {
-		// Batch node: fire the current item, then re-key the node at its
-		// next item. A same-instant successor parks in the front slot (it
-		// remains the global minimum), skipping the heap entirely.
-		it := e.items[e.head]
+	s.stepped++
+	s.pending--
+	switch e.kind {
+	case evFanout:
+		// Deliver the current item, then re-key the node at its next one. A
+		// same-instant successor parks in the front slot (it remains the
+		// global minimum), skipping the timing queue entirely.
+		it, from, payload := e.items[e.head], e.from, e.payload
 		e.head++
 		s.now = it.at
-		s.stepped++
-		s.pending--
-		if e.head < len(e.items) {
+		if int(e.head) < len(e.items) {
 			e.at = e.items[e.head].at
 			e.seq++
 			if e.at == s.now && s.front == noEvent {
@@ -388,15 +512,33 @@ func (s *Simulator) Step() bool {
 		} else {
 			s.release(i)
 		}
-		it.fn()
-		return true
+		s.sink.Deliver(from, it.to, payload)
+	case evMsg:
+		from, to, payload := e.from, e.to, e.payload
+		s.now = e.at
+		s.release(i)
+		s.sink.Deliver(from, to, payload)
+	default:
+		owner, fn := e.to, e.fn
+		s.now = e.at
+		s.release(i) // consume first: a later Timer.Stop reports false
+		if owner == ident.Nil || s.sink.Alive(owner) {
+			fn()
+		}
 	}
-	at, fn := e.at, e.fn
-	s.release(i) // consume first: a later Timer.Stop reports false
-	s.now = at
-	s.stepped++
-	s.pending--
-	fn()
+}
+
+// Step executes the next pending event, advancing virtual time. It returns
+// false when no events remain or the simulator has been halted.
+func (s *Simulator) Step() bool {
+	if s.halted {
+		return false
+	}
+	i := s.popDue(math.MaxInt64)
+	if i == noEvent {
+		return false
+	}
+	s.fire(i)
 	return true
 }
 
@@ -410,11 +552,11 @@ func (s *Simulator) Run() {
 // t. Events scheduled exactly at t do run.
 func (s *Simulator) RunUntil(t time.Duration) {
 	for !s.halted {
-		at, ok := s.peekAt()
-		if !ok || at > t {
+		i := s.popDue(t)
+		if i == noEvent {
 			break
 		}
-		s.Step()
+		s.fire(i)
 	}
 	if !s.halted && s.now < t {
 		s.now = t

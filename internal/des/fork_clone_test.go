@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"asyncfd/internal/ident"
 )
 
 // fork_clone_test.go pins the structural invariants of Snapshot/Fork cloning
@@ -15,7 +17,7 @@ import (
 
 // queuedIndices collects every slab index the simulator considers pending:
 // the far-horizon queue, the live part of the ready FIFO, and the front
-// batch-continuation slot.
+// fan-out-continuation slot.
 func queuedIndices(s *Simulator) []int32 {
 	var out []int32
 	switch q := s.queue.(type) {
@@ -62,29 +64,32 @@ func structuralFingerprint(s *Simulator) string {
 	fmt.Fprintf(&b, "now=%d seq=%d stepped=%d pending=%d halted=%v\n", s.now, s.seq, s.stepped, s.pending, s.halted)
 	fmt.Fprintf(&b, "free=%v fifo=%v fifoHead=%d front=%d\n", s.free, s.fifo, s.fifoHead, s.front)
 	for i, e := range s.events {
-		fmt.Fprintf(&b, "ev%d at=%d seq=%d gen=%d stopped=%v items=%d head=%d fn=%v\n",
-			i, e.at, e.seq, e.gen, e.stopped, len(e.items), e.head, e.fn != nil)
+		fmt.Fprintf(&b, "ev%d at=%d seq=%d gen=%d stopped=%v kind=%d %d->%d rearm=%d/%d items=%v head=%d fn=%v payload=%v\n",
+			i, e.at, e.seq, e.gen, e.stopped, e.kind, e.from, e.to, e.newAt, e.newSeq, e.items, e.head, e.fn != nil, e.payload != nil)
 	}
 	return b.String()
 }
 
 // loadSim builds a simulator mid-run with every structural feature present:
-// recycled free slots, a part-drained FIFO, stopped entries, batch nodes and
-// far-horizon timers.
+// recycled free slots, a part-drained FIFO, stopped entries, messages and
+// fan-out nodes, far-horizon timers and a timer re-armed but not yet re-keyed.
 func loadSim(kind QueueKind) (s *Simulator, fired *int, stopped int) {
-	s = New(7, WithQueue(kind))
+	s, _ = newSunk(7, WithQueue(kind))
 	fired = new(int)
 	bump := func() { *fired++ }
+	deliver := func(ident.ID) { *fired++ }
 	for i := 0; i < 8; i++ {
 		s.After(time.Duration(i)*time.Millisecond, bump)
 	}
 	far := s.After(time.Hour, bump)
 	s.At(30*time.Second, bump)
-	items := make([]BatchItem, 5)
-	for j := range items {
-		items[j] = BatchItem{D: time.Duration(j%2) * 250 * time.Microsecond, Fn: bump}
+	recv := make([]Receiver, 5)
+	for j := range recv {
+		recv[j] = Receiver{D: time.Duration(j%2) * 250 * time.Microsecond, To: ident.ID(j)}
 	}
-	s.Batch(items)
+	s.Fanout(9, deliver, recv)
+	s.Send(40*time.Millisecond, 9, 1, deliver)
+	s.AfterOwned(20*time.Millisecond, 2, bump).Reset(50 * time.Millisecond)
 	stop := s.After(4500*time.Microsecond, bump)
 	s.RunUntil(2 * time.Millisecond) // recycle a few slots onto the free list
 	// Stopped events stay on Pending()'s count until the kernel reaps them.
@@ -94,13 +99,13 @@ func loadSim(kind QueueKind) (s *Simulator, fired *int, stopped int) {
 		}
 	}
 	s.After(0, bump) // ready-FIFO entry at the current instant
-	s.Batch([]BatchItem{{D: 0, Fn: bump}, {D: time.Millisecond, Fn: bump}})
+	s.Fanout(9, deliver, []Receiver{{D: 0, To: 1}, {D: time.Millisecond, To: 2}})
 	return s, fired, stopped
 }
 
 // TestForkCloneInvariants forks a loaded simulator on both queue kinds and
 // checks, for parent and child alike: the slab invariants hold, child
-// mutations (Stop/After/Batch/Step/RunUntil) never change the parent's
+// mutations (Stop/Reset/After/Fanout/Step/RunUntil) never change the parent's
 // structural fingerprint, and both kernels then drain to the same schedule.
 func TestForkCloneInvariants(t *testing.T) {
 	for _, tc := range []struct {
@@ -125,7 +130,8 @@ func TestForkCloneInvariants(t *testing.T) {
 			// Mutate the child every way the API allows.
 			childExtra := 0
 			tm := child.After(3*time.Millisecond, func() { childExtra++ })
-			child.Batch([]BatchItem{{D: 0, Fn: func() { childExtra++ }}, {D: time.Minute, Fn: func() { childExtra++ }}})
+			child.Fanout(9, func(ident.ID) { childExtra++ }, []Receiver{{D: 0, To: 1}, {D: time.Minute, To: 2}})
+			tm.Reset(time.Millisecond)
 			tm.Stop()
 			child.Step()
 			child.RunUntil(child.Now() + 10*time.Millisecond)

@@ -3,7 +3,6 @@ package des
 import (
 	"fmt"
 	"testing"
-	"time"
 )
 
 // fork_fuzz_test.go is the kernel-level half of the warm-fork differential
@@ -16,91 +15,8 @@ import (
 // itself must not perturb the original run. CI runs the target with a short
 // -fuzztime budget on every push; the committed seed corpus
 // (testdata/fuzz/FuzzForkEquivalence) covers snapshot points amid same-instant
-// ties, stopped timers, far-horizon rungs and batch fan-outs.
-
-// forkHarness interprets op scripts against one simulator while letting the
-// caller checkpoint and roll back the interpreter alongside the kernel.
-type forkHarness struct {
-	s       *Simulator
-	out     *[]string // swappable so a replay records into a fresh trace
-	timers  []*Timer
-	eventID int
-}
-
-// mk returns the next callback. A deterministic subset of callbacks draws
-// from the kernel RNG (the draw value lands in the trace, so a replay with a
-// mis-positioned RNG stream diverges) and schedules nested work.
-func (h *forkHarness) mk() func() {
-	id := h.eventID
-	h.eventID++
-	return func() {
-		line := fmt.Sprintf("%d@%d", id, h.s.Now())
-		if id%3 == 0 {
-			line += fmt.Sprintf("#%d", h.s.Rand().Int63n(1024))
-		}
-		*h.out = append(*h.out, line)
-		if id%7 == 3 && h.eventID < 4096 {
-			h.s.After(time.Duration(id%5)*time.Microsecond, h.mk())
-		}
-	}
-}
-
-func (h *forkHarness) mark() {
-	*h.out = append(*h.out, fmt.Sprintf("%d/%d/%d", h.s.Now(), h.s.Steps(), h.s.Pending()))
-}
-
-// interp runs data through the same opcode map as runQueueScript.
-func (h *forkHarness) interp(data []byte) {
-	pos := 0
-	next := func() byte {
-		if pos >= len(data) {
-			return 0
-		}
-		b := data[pos]
-		pos++
-		return b
-	}
-	next16 := func() time.Duration {
-		return time.Duration(int(next())<<8 | int(next()))
-	}
-	for pos < len(data) && h.eventID < 4096 {
-		switch next() % 8 {
-		case 0, 1:
-			h.s.After(next16()*time.Microsecond, h.mk())
-		case 2:
-			h.timers = append(h.timers, h.s.At(h.s.Now()+next16()*time.Microsecond-32*time.Millisecond, h.mk()))
-		case 3:
-			h.s.After(next16()*time.Millisecond<<(next()%11), h.mk())
-		case 4:
-			if len(h.timers) > 0 {
-				h.timers[int(next())%len(h.timers)].Stop()
-			}
-		case 5:
-			h.s.Step()
-			h.mark()
-		case 6:
-			h.s.RunUntil(h.s.Now() + next16()*time.Microsecond)
-			h.mark()
-		case 7:
-			k := int(next())%6 + 2
-			items := make([]BatchItem, k)
-			for j := 0; j < k; j++ {
-				items[j] = BatchItem{D: time.Duration(next()%8) * 500 * time.Microsecond, Fn: h.mk()}
-			}
-			h.s.Batch(items)
-		}
-		if next()%4 == 0 {
-			h.timers = append(h.timers, h.s.After(next16()*time.Microsecond, h.mk()))
-		}
-	}
-}
-
-// drain steps the simulator dry (capped so a fuzz input can never hang).
-func (h *forkHarness) drain() {
-	for i := 0; i < 1_000_000 && h.s.Step(); i++ {
-	}
-	h.mark()
-}
+// ties, stopped timers, far-horizon rungs, fan-outs and timers re-armed but
+// not yet re-keyed.
 
 // assertForkEquivalence runs prefix+suffix three ways on the given queue:
 // plain (reference), with a snapshot taken between prefix and suffix (must
@@ -110,45 +26,38 @@ func assertForkEquivalence(t *testing.T, kind QueueKind, prefix, suffix []byte) 
 	t.Helper()
 
 	var ref []string
-	h := &forkHarness{s: New(1, WithQueue(kind)), out: &ref}
+	h := newScriptHarness(kind, &ref)
 	h.interp(prefix)
 	h.interp(suffix)
 	h.drain()
 
 	var full []string
-	h = &forkHarness{s: New(1, WithQueue(kind)), out: &full}
+	h = newScriptHarness(kind, &full)
 	h.interp(prefix)
 	snap := h.s.Snapshot()
 	cut := len(full)
-	nTimers, nEvents := len(h.timers), h.eventID
+	// The interpreter's own state rolls back with the kernel: the handles a
+	// re-arm replaced after the snapshot must not outlive the restore.
+	timers, nEvents, down := append([]scriptTimer(nil), h.timers...), h.eventID, h.sink.down.Clone()
 	h.interp(suffix)
 	h.drain()
 
-	if len(full) != len(ref) {
-		t.Fatalf("%v: taking a snapshot perturbed the run: %d trace lines, want %d", kind, len(full), len(ref))
-	}
-	for i := range ref {
-		if full[i] != ref[i] {
-			t.Fatalf("%v: taking a snapshot perturbed the run at line %d: %q, want %q", kind, i, full[i], ref[i])
-		}
+	if d := firstDivergence(full, ref); d != "" {
+		t.Fatalf("%v: taking a snapshot perturbed the run at %s", kind, d)
 	}
 
 	tail := full[cut:]
 	for round := 0; round < 2; round++ {
 		var replay []string
 		h.out = &replay
-		h.timers = h.timers[:nTimers]
+		h.timers = append(h.timers[:0], timers...)
 		h.eventID = nEvents
+		h.sink.down = down.Clone()
 		h.s.Restore(snap)
 		h.interp(suffix)
 		h.drain()
-		if len(replay) != len(tail) {
-			t.Fatalf("%v restore #%d: replay has %d trace lines, want %d", kind, round+1, len(replay), len(tail))
-		}
-		for i := range tail {
-			if replay[i] != tail[i] {
-				t.Fatalf("%v restore #%d: replay diverged at line %d: %q, want %q", kind, round+1, i, replay[i], tail[i])
-			}
+		if d := firstDivergence(replay, tail); d != "" {
+			t.Fatalf("%v restore #%d: replay diverged at %s", kind, round+1, d)
 		}
 	}
 }

@@ -5,32 +5,95 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"asyncfd/internal/ident"
 )
 
 // fuzz_test.go is the kernel-level half of the queue differential harness:
-// a byte-coded script drives an identical workload of After/At/Stop/Step/
-// RunUntil/Batch calls against a heap-backed and a ladder-backed simulator
-// and asserts the two are observationally identical — same fire order, same
-// Now()/Steps()/Pending() at every checkpoint. The committed seed corpus
+// a byte-coded script drives an identical workload of After/At/AfterOwned/
+// Stop/Reset/Send/Fanout/Step/RunUntil calls against a heap-backed and a
+// ladder-backed simulator and asserts the two are observationally identical
+// — same fire order, same Now()/Steps()/Pending() at every checkpoint. The
+// same scripts hold Timer.Reset to its contract: a kernel whose timers are
+// re-armed in place executes the same (time, callback) sequence as one whose
+// timers are stopped and armed anew. The committed seed corpus
 // (testdata/fuzz/FuzzQueueEquivalence) covers the regression-prone shapes:
-// same-instant ties, stopped-head reaping, far-horizon timers and batch
-// fan-outs. CI runs the target with a short -fuzztime budget on every push.
+// same-instant ties, stopped-head reaping, far-horizon timers, fan-outs, and
+// re-arms of fired, stopped, due-now and earlier-moving timers. CI runs the
+// target with a short -fuzztime budget on every push.
 
-// queueScriptTrace is everything observable about one script run.
-type queueScriptTrace struct {
-	fires  []string // "id@now" per executed callback, in order
-	marks  []string // "now/steps/pending" checkpoint after each control op
-	events uint64
-	now    time.Duration
-	pend   int
+// scriptTimer is a timer a script may later stop or re-arm: the handle and
+// what it was armed with.
+type scriptTimer struct {
+	tm    *Timer
+	owner ident.ID
+	fn    func()
 }
 
-// runQueueScript interprets data as an op stream against a fresh simulator
-// on the given queue. The interpretation is fully deterministic in data, so
-// two runs on different queues see byte-for-byte the same workload.
-func runQueueScript(kind QueueKind, data []byte) queueScriptTrace {
-	s := New(1, WithQueue(kind))
-	var tr queueScriptTrace
+// scriptHarness interprets op scripts against one simulator. Its own state
+// (timers, eventID, the sink's down set) can be checkpointed and rolled back
+// alongside the kernel: see fork_fuzz_test.go.
+type scriptHarness struct {
+	s    *Simulator
+	sink *testSink
+	out  *[]string // swappable so a replay records into a fresh trace
+	// stopAfter makes the re-arm op the reference it is checked against:
+	// Stop and After where the harness would otherwise try Reset first. The
+	// two leave different numbers of stopped events to reclaim, so traces
+	// compared across this flag leave Pending() out (withoutPending).
+	stopAfter bool
+	timers    []scriptTimer
+	eventID   int
+}
+
+func newScriptHarness(kind QueueKind, out *[]string) *scriptHarness {
+	s, sink := newSunk(1, WithQueue(kind))
+	return &scriptHarness{s: s, sink: sink, out: out}
+}
+
+// mk returns the next callback. A deterministic subset of callbacks draws
+// from the kernel RNG (the draw value lands in the trace, so a replay with a
+// mis-positioned RNG stream diverges) and schedules nested work (same rule
+// on every kernel compared; the id cap bounds the chain).
+func (h *scriptHarness) mk() func() {
+	id := h.eventID
+	h.eventID++
+	return func() {
+		line := fmt.Sprintf("%d@%d", id, h.s.Now())
+		if id%3 == 0 {
+			line += fmt.Sprintf("#%d", h.s.Rand().Int63n(1024))
+		}
+		*h.out = append(*h.out, line)
+		if id%7 == 3 && h.eventID < 4096 {
+			h.s.After(time.Duration(id%5)*time.Microsecond, h.mk())
+		}
+	}
+}
+
+// mkMsg returns the next message payload: the testSink runs it per delivery.
+func (h *scriptHarness) mkMsg() any {
+	fn := h.mk()
+	return func(to ident.ID) {
+		*h.out = append(*h.out, fmt.Sprintf("to%d", to))
+		fn()
+	}
+}
+
+func (h *scriptHarness) mark() {
+	*h.out = append(*h.out, fmt.Sprintf("%d/%d/%d", h.s.Now(), h.s.Steps(), h.s.Pending()))
+}
+
+func (h *scriptHarness) arm(tm *Timer, owner ident.ID, fn func()) {
+	h.timers = append(h.timers, scriptTimer{tm: tm, owner: owner, fn: fn})
+}
+
+// scriptOps is the size of the op alphabet.
+const scriptOps = 12
+
+// interp runs data as an op stream. The interpretation is fully
+// deterministic in data, so two runs see byte-for-byte the same workload.
+func (h *scriptHarness) interp(data []byte) {
+	s := h.s
 	pos := 0
 	next := func() byte {
 		if pos >= len(data) {
@@ -43,96 +106,130 @@ func runQueueScript(kind QueueKind, data []byte) queueScriptTrace {
 	next16 := func() time.Duration {
 		return time.Duration(int(next())<<8 | int(next()))
 	}
-	var timers []*Timer
-	eventID := 0
-	var mk func() func()
-	mk = func() func() {
-		id := eventID
-		eventID++
-		return func() {
-			tr.fires = append(tr.fires, fmt.Sprintf("%d@%d", id, s.Now()))
-			// A sparse, deterministic fraction of callbacks schedules nested
-			// work (same rule on both queues); the id cap bounds the chain.
-			if id%7 == 3 && eventID < 4096 {
-				s.After(time.Duration(id%5)*time.Microsecond, mk())
-			}
-		}
-	}
-	mark := func() {
-		tr.marks = append(tr.marks, fmt.Sprintf("%d/%d/%d", s.Now(), s.Steps(), s.Pending()))
-	}
-	for pos < len(data) && eventID < 4096 {
-		switch next() % 8 {
+	for pos < len(data) && h.eventID < 4096 {
+		switch next() % scriptOps {
 		case 0, 1: // near-horizon After, µs scale: the dense common case
-			s.After(next16()*time.Microsecond, mk())
+			s.After(next16()*time.Microsecond, h.mk())
 		case 2: // absolute At, including already-passed instants (clamped)
-			timers = append(timers, s.At(s.Now()+next16()*time.Microsecond-32*time.Millisecond, mk()))
+			fn := h.mk()
+			h.arm(s.At(s.Now()+next16()*time.Microsecond-32*time.Millisecond, fn), ident.Nil, fn)
 		case 3: // far-horizon After, up to ~18.6h (65535ms << 10): deep
 			// ladder top-list accumulation and epoch re-spawns
-			s.After(next16()*time.Millisecond<<(next()%11), mk())
+			s.After(next16()*time.Millisecond<<(next()%11), h.mk())
 		case 4: // Stop a previously returned timer
-			if len(timers) > 0 {
-				timers[int(next())%len(timers)].Stop()
+			if len(h.timers) > 0 {
+				h.timers[int(next())%len(h.timers)].tm.Stop()
 			}
 		case 5:
 			s.Step()
-			mark()
+			h.mark()
 		case 6:
 			s.RunUntil(s.Now() + next16()*time.Microsecond)
-			mark()
-		case 7: // batch fan-out with same-instant and spread items
-			k := int(next())%6 + 2
-			items := make([]BatchItem, k)
-			for j := 0; j < k; j++ {
-				items[j] = BatchItem{D: time.Duration(next()%8) * 500 * time.Microsecond, Fn: mk()}
+			h.mark()
+		case 7: // fan-out with same-instant and spread deliveries
+			recv := make([]Receiver, int(next())%6+2)
+			for j := range recv {
+				recv[j] = Receiver{D: time.Duration(next()%8) * 500 * time.Microsecond, To: ident.ID(j)}
 			}
-			s.Batch(items)
+			s.Fanout(9, h.mkMsg(), recv)
+		case 8: // unicast message
+			s.Send(next16()*time.Microsecond, 9, ident.ID(next()%4), h.mkMsg())
+		case 9: // re-arm a timer the way a detector does: whatever state the
+			// timer is in (pending, due now, fired, stopped) and whichever
+			// way the new time lies, the callback next runs d from now
+			if len(h.timers) > 0 {
+				t := &h.timers[int(next())%len(h.timers)]
+				d := next16() * time.Microsecond
+				if h.stopAfter || !t.tm.Reset(d) {
+					t.tm.Stop()
+					t.tm = s.AfterOwned(d, t.owner, t.fn)
+				}
+			}
+		case 10: // a process's timer: suppressed if the owner is down when due
+			fn, owner := h.mk(), ident.ID(next()%4)
+			h.arm(s.AfterOwned(next16()*time.Microsecond, owner, fn), owner, fn)
+		case 11: // crash or recover a timer owner
+			if p := ident.ID(next() % 4); h.sink.down.Has(p) {
+				h.sink.down.Remove(p)
+			} else {
+				h.sink.down.Add(p)
+			}
 		}
-		if next()%4 == 0 { // sprinkle timers eligible for Stop
-			timers = append(timers, s.After(next16()*time.Microsecond, mk()))
-		}
-	}
-	mark()
-	// Drain to completion with a safety cap (the nested-scheduling rule is
-	// subcritical, but a fuzz harness should never be able to hang).
-	for i := 0; i < 1_000_000 && s.Step(); i++ {
-	}
-	tr.events = s.Steps()
-	tr.now = s.Now()
-	tr.pend = s.Pending()
-	return tr
-}
-
-// assertQueueTracesEqual fails t on the first observable divergence.
-func assertQueueTracesEqual(t *testing.T, data []byte) {
-	t.Helper()
-	h := runQueueScript(QueueHeap, data)
-	l := runQueueScript(QueueLadder, data)
-	if h.events != l.events || h.now != l.now || h.pend != l.pend {
-		t.Fatalf("final state diverged: heap steps=%d now=%v pending=%d, ladder steps=%d now=%v pending=%d",
-			h.events, h.now, h.pend, l.events, l.now, l.pend)
-	}
-	if len(h.fires) != len(l.fires) {
-		t.Fatalf("fire counts diverged: heap %d, ladder %d", len(h.fires), len(l.fires))
-	}
-	for i := range h.fires {
-		if h.fires[i] != l.fires[i] {
-			t.Fatalf("fire order diverged at %d: heap %s, ladder %s", i, h.fires[i], l.fires[i])
-		}
-	}
-	if len(h.marks) != len(l.marks) {
-		t.Fatalf("checkpoint counts diverged: heap %d, ladder %d", len(h.marks), len(l.marks))
-	}
-	for i := range h.marks {
-		if h.marks[i] != l.marks[i] {
-			t.Fatalf("checkpoint %d diverged (now/steps/pending): heap %s, ladder %s", i, h.marks[i], l.marks[i])
+		if next()%4 == 0 { // sprinkle timers eligible for Stop and re-arm
+			fn := h.mk()
+			h.arm(s.After(next16()*time.Microsecond, fn), ident.Nil, fn)
 		}
 	}
 }
 
-// FuzzQueueEquivalence drives random interleavings of After/At/Stop/Step/
-// RunUntil/Batch against the heap and ladder queues and asserts identical
-// observable behavior. Seeds mirror the committed corpus.
+// drain steps the simulator dry (the nested-scheduling rule is subcritical,
+// but a fuzz harness should never be able to hang: capped).
+func (h *scriptHarness) drain() {
+	for i := 0; i < 1_000_000 && h.s.Step(); i++ {
+	}
+	h.mark()
+}
+
+// runScript is one whole script on a fresh kernel: everything observable
+// about the run, in order.
+func runScript(kind QueueKind, data []byte, stopAfter bool) []string {
+	var out []string
+	h := newScriptHarness(kind, &out)
+	h.stopAfter = stopAfter
+	h.interp(data)
+	h.mark()
+	h.drain()
+	return out
+}
+
+// firstDivergence returns a description of where two traces part, or "".
+func firstDivergence(a, b []string) string {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return fmt.Sprintf("line %d: %q vs %q", i, a[i], b[i])
+		}
+	}
+	if len(a) != len(b) {
+		return fmt.Sprintf("%d lines vs %d", len(a), len(b))
+	}
+	return ""
+}
+
+// scriptDivergence runs data every way the harness compares and returns the
+// first difference found, or "": heap against ladder, Pending() included,
+// and on each queue re-arming in place against Stop + After.
+func scriptDivergence(data []byte) string {
+	heap, ladder := runScript(QueueHeap, data, false), runScript(QueueLadder, data, false)
+	if d := firstDivergence(heap, ladder); d != "" {
+		return "heap vs ladder diverged at " + d
+	}
+	if d := firstDivergence(withoutPending(heap), withoutPending(runScript(QueueHeap, data, true))); d != "" {
+		return "heap: Reset vs Stop+After diverged at " + d
+	}
+	if d := firstDivergence(withoutPending(ladder), withoutPending(runScript(QueueLadder, data, true))); d != "" {
+		return "ladder: Reset vs Stop+After diverged at " + d
+	}
+	return ""
+}
+
+// withoutPending strips the Pending() field from a trace's checkpoint lines
+// ("now/steps/pending"; fire lines hold no slash).
+func withoutPending(trace []string) []string {
+	out := make([]string, len(trace))
+	for i, line := range trace {
+		var now, steps, pend int64
+		if n, _ := fmt.Sscanf(line, "%d/%d/%d", &now, &steps, &pend); n == 3 {
+			line = fmt.Sprintf("%d/%d", now, steps)
+		}
+		out[i] = line
+	}
+	return out
+}
+
+// FuzzQueueEquivalence drives random interleavings of the op alphabet
+// against the heap and ladder queues, re-arming in place and by Stop +
+// After, and asserts identical observable behavior. Seeds mirror the
+// committed corpus.
 func FuzzQueueEquivalence(f *testing.F) {
 	for _, seed := range queueScriptSeeds() {
 		f.Add(seed)
@@ -141,26 +238,44 @@ func FuzzQueueEquivalence(f *testing.F) {
 		if len(data) > 4096 {
 			data = data[:4096]
 		}
-		assertQueueTracesEqual(t, data)
+		if d := scriptDivergence(data); d != "" {
+			t.Fatal(d)
+		}
 	})
 }
 
-// queueScriptSeeds are hand-built op streams covering the shapes the queue
-// swap is most likely to break on; they are also committed as the fuzz seed
-// corpus under testdata/fuzz/FuzzQueueEquivalence.
+// queueScriptSeeds are hand-built op streams covering the shapes a queue
+// swap or a re-keying bug is most likely to break on; they are also
+// committed as the fuzz seed corpus under testdata/fuzz/FuzzQueueEquivalence.
 func queueScriptSeeds() [][]byte {
 	return [][]byte{
-		// same-instant ties: a burst of zero-delay Afters and batches
+		// same-instant ties: a burst of zero-delay Afters and fan-outs
 		{0, 0, 0, 1, 1, 0, 0, 2, 0, 0, 0, 3, 7, 4, 0, 0, 0, 0, 0, 0, 0, 0, 5, 1},
 		// stopped-head reaping: schedule, stop, step
 		{0, 1, 0, 0, 4, 0, 1, 4, 1, 1, 5, 2, 4, 0, 3, 5, 1, 6, 255, 255, 0},
 		// far-horizon timers interleaved with near ones
 		{3, 255, 255, 3, 0, 0, 16, 1, 3, 127, 0, 2, 6, 8, 0, 0, 3, 1, 1, 1, 5, 0},
-		// batch fan-outs crossing RunUntil boundaries
+		// fan-outs crossing RunUntil boundaries
 		{7, 5, 0, 1, 2, 3, 4, 5, 6, 6, 16, 0, 0, 7, 3, 7, 7, 7, 1, 5, 0, 5, 0},
-		// mixed soup exercising every opcode
+		// mixed soup exercising the first eight opcodes
 		{0, 10, 0, 1, 2, 200, 10, 2, 3, 9, 9, 3, 1, 4, 0, 0, 5, 3, 6, 4, 4, 2,
 			7, 2, 1, 2, 3, 0, 4, 250, 128, 1, 5, 2, 6, 0, 64, 3, 2, 2, 2},
+		// re-arm later, then earlier than the queued key — and than another
+		// event, which it must then precede — then after the timer fired and
+		// after it was stopped; steps in between
+		{0, 0, 60, 1, 10, 1, 0, 100, 1, 9, 0, 0, 200, 1, 9, 0, 0, 50, 1, 9, 0, 0, 10, 1, 6, 1, 0, 1,
+			9, 0, 0, 30, 1, 4, 0, 1, 9, 0, 0, 20, 1, 5, 1, 5, 1},
+		// re-arm a timer due at the current instant, among same-instant
+		// events: the re-keyed event must not jump the ready bucket
+		{10, 2, 0, 0, 1, 0, 0, 0, 1, 9, 0, 0, 0, 1, 0, 0, 0, 1, 9, 0, 0, 0, 1, 5, 1, 5, 1, 5, 1},
+		// unicasts and fan-outs racing timers of owners that crash and
+		// recover between arming and firing
+		{10, 1, 0, 40, 1, 10, 2, 0, 80, 1, 11, 1, 1, 8, 0, 60, 2, 1, 7, 2, 1, 0, 1, 6, 0, 50, 1,
+			11, 1, 1, 9, 0, 0, 90, 1, 11, 2, 1, 9, 1, 0, 10, 1, 6, 1, 0, 1},
+		// many re-arms of one far timer while near work drains: the stale
+		// key surfaces once, long after the first re-arm
+		{2, 255, 255, 1, 9, 0, 255, 0, 1, 0, 0, 9, 1, 6, 0, 64, 1, 9, 0, 255, 255, 1,
+			6, 0, 64, 1, 9, 0, 128, 0, 1, 3, 0, 1, 2, 1, 5, 1, 9, 0, 0, 5, 1},
 	}
 }
 
@@ -170,21 +285,13 @@ func queueScriptSeeds() [][]byte {
 func TestQueueDifferential(t *testing.T) {
 	for i, seed := range queueScriptSeeds() {
 		seed := seed
-		t.Run(fmt.Sprintf("seed%d", i), func(t *testing.T) { assertQueueTracesEqual(t, seed) })
-	}
-	f := func(data []byte) bool {
-		h := runQueueScript(QueueHeap, data)
-		l := runQueueScript(QueueLadder, data)
-		if h.events != l.events || h.now != l.now || h.pend != l.pend || len(h.fires) != len(l.fires) {
-			return false
-		}
-		for i := range h.fires {
-			if h.fires[i] != l.fires[i] {
-				return false
+		t.Run(fmt.Sprintf("seed%d", i), func(t *testing.T) {
+			if d := scriptDivergence(seed); d != "" {
+				t.Fatal(d)
 			}
-		}
-		return true
+		})
 	}
+	f := func(data []byte) bool { return scriptDivergence(data) == "" }
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}

@@ -27,9 +27,9 @@ package des
 //
 // Ordering is exactly the kernel's (at, seq) key: buckets are sorted with
 // Simulator.less when they become the bottom drain, so same-instant FIFO
-// ties — including Batch fan-out blocks and re-keyed batch continuations,
-// whose seqs may be smaller than already-queued events' — resolve
-// identically to the binary heap. The differential harness
+// ties — including fan-out blocks, re-keyed fan-out continuations and
+// re-armed timers, whose seqs may be smaller than already-queued events' —
+// resolve identically to the binary heap. The differential harness
 // (TestQueueDifferential, FuzzQueueEquivalence, the internal/exp sweep
 // test) enforces that equivalence.
 
@@ -144,8 +144,9 @@ func (q *ladderQueue) push(i int32) {
 }
 
 // insertBottom binary-inserts i into the live part of the sorted drain.
-// Full (at, seq) comparison: a re-keyed batch continuation can carry a
-// smaller seq than events already queued at the same instant.
+// Full (at, seq) comparison: a re-keyed fan-out continuation or re-armed
+// timer can carry a smaller seq than events already queued at the same
+// instant.
 //
 // Bottom stays naturally small while rungs exist (only the current bucket's
 // window lands here). The one way it can grow without bound is after
@@ -398,8 +399,6 @@ func (q *ladderQueue) popMin() int32 {
 	}
 	return i
 }
-
-func (q *ladderQueue) reap() { reapHead(q.s, q) }
 
 // clone deep-copies the full ladder state — drain, rungs (with every bucket),
 // top list, frontier and epoch bookkeeping — bound to owner's slab. The spare

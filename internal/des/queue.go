@@ -79,16 +79,16 @@ func WithQueue(k QueueKind) Option {
 // eventQueue orders pending far-horizon events — slab indices keyed by
 // (at, seq) — for the Simulator. Contract:
 //
-//   - push is only ever called with an index whose at is strictly greater
-//     than the simulator's now at call time (same-instant events go to the
+//   - push is called with an index whose at is no earlier than the
+//     simulator's now at call time (fresh same-instant events go to the
 //     ready bucket instead), and an index's key never mutates while queued
-//     (batch nodes re-key only between a pop and the following push);
+//     (fan-out nodes and re-armed timers re-key only between a pop and the
+//     following push);
 //   - popMin/peekMin return the queued index with the smallest (at, seq)
-//     key, or noEvent when empty — stopped events included, so Stop stays
-//     O(1) and reclamation is the head-reaping below;
-//   - reap pops and releases stopped events for as long as one sits at the
-//     head, so peek/pop always expose a live minimum and Pending() converges
-//     identically under every implementation;
+//     key, or noEvent when empty — stopped and re-armed events included, so
+//     Stop and Reset stay O(1); the kernel disposes of them when they
+//     surface at the head (Simulator.popDue), the same way under every
+//     implementation;
 //   - len reports the queued element count (stopped-but-unreclaimed
 //     included), used by invariant checks and tests;
 //   - clone returns a deep copy of the ordering state bound to owner's slab,
@@ -98,7 +98,6 @@ type eventQueue interface {
 	push(i int32)
 	popMin() int32
 	peekMin() int32
-	reap()
 	len() int
 	clone(owner *Simulator) eventQueue
 }
@@ -109,22 +108,6 @@ func newEventQueue(k QueueKind, s *Simulator) eventQueue {
 		return &heapQueue{s: s}
 	}
 	return &ladderQueue{s: s}
-}
-
-// reapHead is the shared head-reaping loop behind eventQueue.reap: both
-// implementations reclaim stopped events exactly when they surface as the
-// queue minimum, so the observable Pending() trajectory is identical
-// whichever queue runs.
-func reapHead(s *Simulator, q eventQueue) {
-	for {
-		i := q.peekMin()
-		if i == noEvent || !s.events[i].stopped {
-			return
-		}
-		q.popMin()
-		s.pending--
-		s.release(i)
-	}
 }
 
 // heapQueue is the binary-heap reference eventQueue: the kernel's original
@@ -187,8 +170,6 @@ func (q *heapQueue) peekMin() int32 {
 	}
 	return q.h[0]
 }
-
-func (q *heapQueue) reap() { reapHead(q.s, q) }
 
 // clone deep-copies the heap array; the sift order is a pure function of the
 // push/pop history, so the copy is byte-for-byte the same structure.

@@ -3,6 +3,8 @@ package des
 import (
 	"testing"
 	"time"
+
+	"asyncfd/internal/ident"
 )
 
 // queue_bench_test.go: heap-vs-ladder microbenchmarks for the kernel's hot
@@ -40,24 +42,24 @@ func BenchmarkQueueDenseHorizon(b *testing.B) {
 	}
 }
 
-// BenchmarkQueueBroadcastFanout measures batched fan-out scheduling plus
-// drain — the netsim broadcast path — under both queues, including the
-// kernel's batch-item slice pool.
+// BenchmarkQueueBroadcastFanout measures fan-out scheduling plus drain — the
+// netsim broadcast path — under both queues, including the kernel's fan-out
+// item slice pool.
 func BenchmarkQueueBroadcastFanout(b *testing.B) {
 	for _, kind := range queueKinds() {
 		kind := kind
 		b.Run(kind.String(), func(b *testing.B) {
 			b.ReportAllocs()
-			items := make([]BatchItem, 64)
-			fn := func() {}
+			recv := make([]Receiver, 64)
+			var deliver any = func(ident.ID) {}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s := New(1, WithQueue(kind))
+				s, _ := newSunk(1, WithQueue(kind))
 				for round := 0; round < 20; round++ {
-					for j := range items {
-						items[j] = BatchItem{D: time.Duration(j%7) * time.Microsecond, Fn: fn}
+					for j := range recv {
+						recv[j] = Receiver{D: time.Duration(j%7) * time.Microsecond, To: ident.ID(j)}
 					}
-					s.Batch(items)
+					s.Fanout(0, deliver, recv)
 					s.Run()
 				}
 			}
@@ -87,6 +89,44 @@ func BenchmarkQueueStopReapChurn(b *testing.B) {
 				timers[k] = s.After(time.Duration(1+s.Rand().Intn(2_000_000)), fn)
 				if i%4 == 0 {
 					s.Step()
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRearm is the des row of the layer ledger (docs/BENCHMARKS.md):
+// the per-peer timeout of the timer-based detectors. A standing population
+// of 16k timeouts of Θ = 2Δ, each pushed back once per Δ as the clock
+// advances — by Stop + After, as before Timer.Reset, or in place. One op is
+// one re-arm plus its share of the queue work the clock's advance brings
+// (reclaiming stopped events, re-keying re-armed ones).
+func BenchmarkRearm(b *testing.B) {
+	const (
+		standing = 1 << 14
+		interval = time.Second
+		timeout  = 2 * interval
+	)
+	for _, reset := range []bool{false, true} {
+		name := "stop+after"
+		if reset {
+			name = "reset"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			s := New(1)
+			fn := func() { b.Fatal("a timeout expired") }
+			timers := make([]*Timer, standing)
+			for k := range timers {
+				timers[k] = s.After(timeout, fn)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.RunUntil(s.Now() + interval/standing)
+				k := i % standing
+				if !reset || !timers[k].Reset(timeout) {
+					timers[k].Stop()
+					timers[k] = s.After(timeout, fn)
 				}
 			}
 		})

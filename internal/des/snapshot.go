@@ -2,25 +2,28 @@ package des
 
 // snapshot.go is the kernel's checkpoint/fork primitive. A Snapshot captures
 // the complete observable state of a Simulator — virtual clock, sequence
-// counter, the event slab (including per-event batch item storage), the free
-// list, the ready bucket and front slot, the timing queue, and the random
-// stream position — so a warmed simulation can be rolled back and re-run, or
-// cloned outright.
+// counter, the event slab (every in-flight message as data: endpoints,
+// payload and per-fan-out item storage; every timer with its pending re-arm,
+// if any), the free list, the ready bucket and front slot, the timing queue,
+// and the random stream position — so a warmed simulation can be rolled back
+// and re-run, or cloned outright.
 //
 // Two verbs, two use cases:
 //
 //   - Snapshot/Restore roll the SAME Simulator back in place. This is the
-//     form the experiment layer uses: scheduled closures capture the live
-//     component objects (detectors, network), so replication must rewind the
-//     kernel those closures are bound to rather than build a second one. A
-//     Snapshot is immutable once taken — Restore deep-copies out of it — so
-//     one warmed checkpoint serves any number of replicates.
+//     form the experiment layer uses: timer callbacks capture the live
+//     component objects (detectors), and messages are delivered to the one
+//     registered Sink, so replication must rewind the kernel those are bound
+//     to rather than build a second one. A Snapshot is immutable once taken —
+//     Restore deep-copies out of it — so one warmed checkpoint serves any
+//     number of replicates.
 //
-//   - Fork deep-copies into a NEW Simulator. Pending closures are shared by
-//     reference, so a fork only makes sense when those closures touch no
-//     state outside the kernel (pure-kernel tests, microbenchmarks) — which
-//     is exactly what the clone-invariant tests exercise: mutating the child
-//     must never perturb the parent's slab, queue, or free list.
+//   - Fork deep-copies into a NEW Simulator. Timer callbacks, message
+//     payloads and the Sink are shared by reference, so a fork only makes
+//     sense when those touch no state outside the kernel (pure-kernel tests,
+//     microbenchmarks) — which is exactly what the clone-invariant tests
+//     exercise: mutating the child must never perturb the parent's slab,
+//     queue, or free list.
 //
 // Determinism contract: after Restore, the simulator replays byte-identically
 // — same fire order, same Now/Steps/Pending trajectory, same Rand() draws —
@@ -30,9 +33,11 @@ package des
 // number of source calls.
 //
 // Caveat: Timer handles created AFTER a snapshot was taken must not be used
-// after restoring it. Restore rewinds slot generations, so such a handle can
-// alias an unrelated event scheduled by the rolled-back run. Handles that
-// existed when the snapshot was taken remain valid across Restore.
+// — stopped or Reset — after restoring it. Restore rewinds slot generations,
+// so such a handle can alias an unrelated event scheduled by the rolled-back
+// run. Handles that existed when the snapshot was taken remain valid across
+// Restore, and a Reset made after the snapshot is rolled back with the rest:
+// the re-arm lives on the event, not in the handle.
 
 import (
 	"math/rand"
@@ -111,13 +116,13 @@ type Snapshot struct {
 
 // cloneEvents deep-copies an event slab. The per-event items slices must be
 // copied too: the live kernel recycles them through its itemFree pool, so a
-// shallow copy would alias storage the next broadcast overwrites.
+// shallow copy would alias storage the next fan-out overwrites.
 func cloneEvents(src []event) []event {
 	out := make([]event, len(src))
 	copy(out, src)
 	for k := range out {
 		if out[k].items != nil {
-			items := make([]batchItem, len(out[k].items))
+			items := make([]fanItem, len(out[k].items))
 			copy(items, out[k].items)
 			out[k].items = items
 		}
@@ -126,7 +131,7 @@ func cloneEvents(src []event) []event {
 }
 
 // Snapshot captures the simulator's complete state. The checkpoint shares
-// nothing mutable with the live kernel: the slab (with batch item storage),
+// nothing mutable with the live kernel: the slab (with fan-out item storage),
 // free list, ready bucket and timing queue are all deep copies.
 func (s *Simulator) Snapshot() *Snapshot {
 	return &Snapshot{
@@ -164,7 +169,7 @@ func (s *Simulator) restoreEvents(src []event) {
 		events[k] = src[k]
 		if n := len(src[k].items); n > 0 {
 			if cap(reuse) < n {
-				reuse = make([]batchItem, n)
+				reuse = make([]fanItem, n)
 			}
 			reuse = reuse[:n]
 			copy(reuse, src[k].items)
@@ -199,10 +204,11 @@ func (s *Simulator) Restore(snap *Snapshot) {
 
 // Fork returns a new, independent Simulator that is a deep copy of this one:
 // same clock, same pending events, same random stream position, same queue
-// kind. Pending closures are shared by reference (closures cannot be deep
-// copied), so Fork is for kernel-level workloads whose events touch only
-// kernel state; component stacks use Snapshot/Restore instead. Mutating
-// either simulator never perturbs the other.
+// kind. Pending callbacks, payloads and the sink are shared by reference
+// (closures cannot be deep copied), so Fork is for kernel-level workloads
+// whose events touch only kernel state; component stacks use
+// Snapshot/Restore instead. Mutating either simulator never perturbs the
+// other.
 func (s *Simulator) Fork() *Simulator {
 	c := &Simulator{
 		now:       s.now,
@@ -211,6 +217,7 @@ func (s *Simulator) Fork() *Simulator {
 		pending:   s.pending,
 		halted:    s.halted,
 		queueKind: s.queueKind,
+		sink:      s.sink,
 		events:    cloneEvents(s.events),
 		free:      append([]int32(nil), s.free...),
 		fifo:      append([]int32(nil), s.fifo...),

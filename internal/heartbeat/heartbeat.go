@@ -177,10 +177,14 @@ func (n *Node) tickLocked() {
 	})
 }
 
-// armLocked (re)arms the expiry timer for peer p.
+// armLocked (re)arms the expiry timer for peer p: a pending one is pushed
+// back in place, which is what every heartbeat from a trusted peer does.
 func (n *Node) armLocked(p ident.ID) {
 	st := n.peers.Get(p)
 	if st.expiry != nil {
+		if st.expiry.Reset(n.cfg.Timeout) {
+			return
+		}
 		st.expiry.Stop()
 	}
 	st.expiry = n.env.After(n.cfg.Timeout, func() {

@@ -7,6 +7,7 @@ import (
 	"asyncfd/internal/des"
 	"asyncfd/internal/ident"
 	"asyncfd/internal/netsim"
+	"asyncfd/internal/raceflag"
 	"asyncfd/internal/trace"
 )
 
@@ -402,5 +403,35 @@ func TestRestartPersistedKeepsSuspicions(t *testing.T) {
 	c.sim.RunUntil(7100 * time.Millisecond)
 	if !c.nodes[0].IsSuspected(1) {
 		t.Error("persisted restart lost the suspicion of the dead p1")
+	}
+}
+
+// TestAllocsHeartbeatDelivery locks the detector's hot path on the
+// simulator: a heartbeat from a trusted peer pushes its pending timeout back
+// in place (node.Timer.Reset), so a delivery allocates nothing — no timer
+// handle, no callback, no kernel event.
+func TestAllocsHeartbeatDelivery(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race runtime allocates")
+	}
+	sim := des.New(1)
+	net := netsim.New(sim, netsim.Config{Delay: netsim.Constant{}})
+	var nd *Node
+	env := net.AddNode(0, proxy{&nd})
+	nd, err := NewNode(env, Config{Self: 0, Peers: ident.SetOf(0, 1), Interval: time.Second, Timeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hb any = Message{From: 1, Seq: 1}
+	nd.Deliver(1, hb) // arms the timeout
+	allocs := testing.AllocsPerRun(100, func() {
+		sim.RunUntil(sim.Now() + time.Second)
+		nd.Deliver(1, hb)
+	})
+	if allocs != 0 {
+		t.Errorf("a heartbeat re-arming a pending timeout: %v allocations, want 0", allocs)
+	}
+	if nd.IsSuspected(1) || sim.Pending() != 1 {
+		t.Errorf("suspected %v, %d events pending: want the one timeout, never expired", nd.IsSuspected(1), sim.Pending())
 	}
 }

@@ -222,9 +222,34 @@ func (l *liveTimer) Stop() bool {
 	return true
 }
 
+// Reset implements node.Timer. Only a timer that time.Timer.Stop still
+// catches is re-armed — its callback then runs later, still owing the
+// WaitGroup its Done. If the callback is already on its way, or the network
+// has closed (Close waits for every pending timer), the answer is false and
+// the caller stops this timer and arms a new one.
+func (l *liveTimer) Reset(d time.Duration) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.consumed {
+		return false
+	}
+	select {
+	case <-l.net.done:
+		return false
+	default:
+	}
+	if !l.t.Stop() {
+		return false
+	}
+	l.t.Reset(d)
+	return true
+}
+
 type stoppedTimer struct{}
 
 func (stoppedTimer) Stop() bool { return false }
+
+func (stoppedTimer) Reset(time.Duration) bool { return false }
 
 // Env binds one identity to the live network. It implements node.Env.
 type Env struct {

@@ -91,6 +91,43 @@ func TestTimerStopAndFire(t *testing.T) {
 	}
 }
 
+// TestTimerReset holds liveTimer to the node.Timer contract: a pending timer
+// is pushed back in place; a fired, stopped or closed-over one reports false.
+func TestTimerReset(t *testing.T) {
+	n := New(Config{})
+	env := n.AddNode(0, node.HandlerFunc(func(ident.ID, any) {}))
+
+	armed := time.Now()
+	fired := make(chan time.Duration, 1)
+	tm := env.After(20*time.Millisecond, func() { fired <- time.Since(armed) })
+	if !tm.Reset(150 * time.Millisecond) {
+		t.Fatal("Reset pending = false")
+	}
+	select {
+	case after := <-fired:
+		if after < 100*time.Millisecond {
+			t.Errorf("fired %v after arming: at its old time, not 150ms after the Reset", after)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("re-armed timer did not fire")
+	}
+	if tm.Reset(time.Millisecond) {
+		t.Error("Reset after fire = true")
+	}
+
+	stopped := env.After(time.Hour, func() { t.Error("must not fire") })
+	stopped.Stop()
+	if stopped.Reset(time.Millisecond) {
+		t.Error("Reset after Stop = true")
+	}
+
+	pending := env.After(50*time.Millisecond, func() {})
+	n.Close()
+	if pending.Reset(time.Hour) {
+		t.Error("Reset on a closed network = true: Close would wait for it")
+	}
+}
+
 func TestCloseCancelsTimers(t *testing.T) {
 	n := New(Config{})
 	env := n.AddNode(0, node.HandlerFunc(func(ident.ID, any) {}))

@@ -1,12 +1,14 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"asyncfd/internal/des"
 	"asyncfd/internal/ident"
 	"asyncfd/internal/node"
+	"asyncfd/internal/raceflag"
 )
 
 type recorder struct {
@@ -20,10 +22,11 @@ func (r *recorder) Deliver(from ident.ID, payload any) {
 	r.from = append(r.from, from)
 }
 
-// TestBroadcastBatchMatchesUnicast checks the batched broadcast path against
-// per-neighbor unicast sends: same rng-driven delays, same delivery times,
-// same per-destination order, same stats.
-func TestBroadcastBatchMatchesUnicast(t *testing.T) {
+// TestBroadcastMatchesUnicast checks the broadcast path — one kernel fan-out
+// node — against per-neighbor unicast sends — one kernel message each: same
+// rng-driven delays, same delivery times, same per-destination order, same
+// stats.
+func TestBroadcastMatchesUnicast(t *testing.T) {
 	build := func() (*des.Simulator, *Network, []*recorder) {
 		sim := des.New(42)
 		net := New(sim, Config{
@@ -59,7 +62,7 @@ func TestBroadcastBatchMatchesUnicast(t *testing.T) {
 	simB.Run()
 
 	if netA.Stats() != netB.Stats() {
-		t.Fatalf("stats diverged: batched %+v vs unicast %+v", netA.Stats(), netB.Stats())
+		t.Fatalf("stats diverged: broadcast %+v vs unicast %+v", netA.Stats(), netB.Stats())
 	}
 	for i := range recsA {
 		a, b := recsA[i], recsB[i]
@@ -75,7 +78,7 @@ func TestBroadcastBatchMatchesUnicast(t *testing.T) {
 	}
 }
 
-// TestBroadcastCrashedSenderSilent ensures the batched path still honors the
+// TestBroadcastCrashedSenderSilent ensures the broadcast path honors the
 // crash-stop model at send time.
 func TestBroadcastCrashedSenderSilent(t *testing.T) {
 	sim := des.New(1)
@@ -91,5 +94,60 @@ func TestBroadcastCrashedSenderSilent(t *testing.T) {
 	}
 	if net.Stats().Sent != 0 {
 		t.Errorf("crashed sender counted %d sends", net.Stats().Sent)
+	}
+}
+
+// meshOf builds a full mesh of n silent processes with the dense-mesh
+// workload's delay model and returns process 0's environment.
+func meshOf(n int) (*des.Simulator, *Network, *Env) {
+	sim := des.New(1)
+	net := New(sim, Config{Delay: Exponential{Min: 500 * time.Microsecond, Mean: 700 * time.Microsecond, Cap: 100 * time.Millisecond}})
+	for i := 0; i < n; i++ {
+		net.AddNode(ident.ID(i), node.HandlerFunc(func(ident.ID, any) {}))
+	}
+	return sim, net, net.Env(0)
+}
+
+// TestAllocsSendPath locks the send path at zero allocations: a broadcast
+// of degree 127 and a unicast are queued as data, so once the kernel's slab
+// and item pool have warmed up neither allocates — not per receiver, not per
+// message. (Boxing the payload is the sender's; it is boxed once here.)
+func TestAllocsSendPath(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race runtime allocates")
+	}
+	sim, net, env := meshOf(128)
+	var payload any = "q"
+	for i := 0; i < 10; i++ { // warm the slab, the item pool and the queue
+		env.Broadcast(payload)
+		net.send(0, 1, payload)
+		sim.Run()
+	}
+	if a := testing.AllocsPerRun(100, func() { env.Broadcast(payload); sim.Run() }); a != 0 {
+		t.Errorf("Broadcast at degree 127, delivered: %v allocations, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { net.send(0, 1, payload); sim.Run() }); a != 0 {
+		t.Errorf("Network.send, delivered: %v allocations, want 0", a)
+	}
+	if sent := net.Stats().Sent; sent != net.Stats().Delivered || sent == 0 {
+		t.Errorf("stats %+v: every message sent must have been delivered", net.Stats())
+	}
+}
+
+// BenchmarkBroadcast is the netsim row of the layer ledger
+// (docs/BENCHMARKS.md): one broadcast admitted, queued and delivered to
+// silent handlers, by degree.
+func BenchmarkBroadcast(b *testing.B) {
+	for _, deg := range []int{8, 127} {
+		b.Run(fmt.Sprintf("deg=%d", deg), func(b *testing.B) {
+			sim, _, env := meshOf(deg + 1)
+			var payload any = "q"
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				env.Broadcast(payload)
+				sim.Run()
+			}
+		})
 	}
 }

@@ -22,6 +22,13 @@
 //   - Broadcast fans out over a precomputed per-node neighbor list, rebuilt
 //     lazily only when the topology epoch changes (AddNode/SetNeighbors).
 //     No full-mesh ident.Set is ever materialized per message.
+//   - Messages and timers are handed to the kernel as data, not closures: a
+//     unicast is one typed event (from, to, payload), a broadcast one fan-out
+//     node holding the shared (from, payload) and a pointer-free item per
+//     admitted receiver, a timer an (owner, callback) pair. The network
+//     registers itself with its simulator as the des.Sink those events come
+//     back to — Deliver at delivery time, Alive when an owned timer comes
+//     due — so the send path allocates nothing per receiver.
 //   - Partition membership is an O(1) array lookup: each Partition event
 //     opens a new epoch whose composite island labels (one int32 per
 //     process, folding in every partition below it on the stack) are
@@ -126,24 +133,37 @@ type Network struct {
 	partitions []partitionLayer
 	stats      Stats
 	// bcast is the broadcast fan-out scratch buffer, reused across
-	// Broadcast calls (Batch reads it synchronously, and the kernel pools
+	// Broadcast calls (Fanout reads it synchronously, and the kernel pools
 	// the per-node item storage itself), so steady-state gossip stops
 	// allocating one slice per broadcast.
 	//fdlint:allow clonefields scratch buffer; contents are dead between Broadcast calls
-	bcast []des.BatchItem
+	bcast []des.Receiver
 }
 
-// New builds a network on sim.
+// New builds a network on sim and registers it as sim's delivery sink: a
+// simulator carries one network.
 func New(sim *des.Simulator, cfg Config) *Network {
 	if cfg.Delay == nil {
 		panic("netsim: Config.Delay is required")
 	}
-	return &Network{
+	n := &Network{
 		sim:       sim,
 		cfg:       cfg,
 		topoEpoch: 1,
 	}
+	sim.SetSink((*sink)(n))
+	return n
 }
+
+// sink is the Network as the kernel sees it (des.Sink), kept off the
+// Network's own method set.
+type sink Network
+
+// Deliver implements des.Sink.
+func (k *sink) Deliver(from, to ident.ID, payload any) { (*Network)(k).deliver(from, to, payload) }
+
+// Alive implements des.Sink: a crashed process fires no timers.
+func (k *sink) Alive(owner ident.ID) bool { return !k.crashed.Has(owner) }
 
 // registered reports whether id has a handler.
 func (n *Network) registered(id ident.ID) bool {
@@ -362,9 +382,9 @@ func (n *Network) Stats() Stats { return n.stats }
 // Snapshot is a checkpoint of the network's mutable state, taken with
 // Network.Snapshot and rolled back with Network.Restore. It pairs with
 // des.Snapshot: the kernel checkpoint holds the in-flight messages (their
-// delivery closures), this one holds liveness, topology, the filter stack,
-// partitions and traffic counters. It shares no mutable storage with the
-// live network.
+// endpoints and payloads), this one holds liveness, topology, the filter
+// stack, partitions and traffic counters. It shares no mutable storage with
+// the live network.
 type Snapshot struct {
 	handlers   []node.Handler
 	crashed    ident.Set
@@ -415,13 +435,14 @@ func (n *Network) Snapshot() *Snapshot {
 	}
 }
 
-// Restore rolls the network back to the checkpoint, in place (the kernel's
-// pending delivery closures captured this Network, so replication rewinds it
-// rather than building a second one). Deep copies go both ways, so the same
-// snapshot restores any number of times. The fan-out cache is invalidated
-// wholesale: rebuilds are lazy, deterministic functions of the restored
-// topology, so behavior is unchanged and stale epoch stamps from the
-// rolled-back run can never validate against post-restore topologies.
+// Restore rolls the network back to the checkpoint, in place (the kernel
+// delivers its pending messages to this Network, its registered sink, so
+// replication rewinds it rather than building a second one). Deep copies go
+// both ways, so the same snapshot restores any number of times. The fan-out
+// cache is invalidated wholesale: rebuilds are lazy, deterministic functions
+// of the restored topology, so behavior is unchanged and stale epoch stamps
+// from the rolled-back run can never validate against post-restore
+// topologies.
 func (n *Network) Restore(snap *Snapshot) {
 	n.handlers = append(n.handlers[:0], snap.handlers...)
 	n.crashed = snap.crashed.Clone()
@@ -449,7 +470,7 @@ func (n *Network) send(from, to ident.ID, payload any) {
 	if !ok {
 		return
 	}
-	n.sim.After(delay, func() { n.deliver(from, to, payload) })
+	n.sim.Send(delay, from, to, payload)
 }
 
 // admit runs the send-time checks shared by unicast and broadcast — stats,
@@ -510,10 +531,12 @@ type Env struct {
 var _ node.Env = (*Env)(nil)
 
 // deadTimer is the handle returned for timers dropped at arm time (armed by
-// an already-crashed process): never pending, Stop always false.
+// an already-crashed process): never pending, Stop and Reset always false.
 type deadTimer struct{}
 
 func (deadTimer) Stop() bool { return false }
+
+func (deadTimer) Reset(time.Duration) bool { return false }
 
 // Self implements node.Env.
 func (e *Env) Self() ident.ID { return e.id }
@@ -526,18 +549,13 @@ func (e *Env) Now() time.Duration { return e.net.sim.Now() }
 // (a crashed process executes nothing that could outlive a recovery), so
 // scheduling it would only queue dead weight in the kernel for the length of
 // the downtime. The callback of a live-armed timer is still suppressed if
-// the process has crashed by the time it fires.
+// the process has crashed by the time it fires: the kernel holds the timer
+// as (owner, callback) and asks the network then.
 func (e *Env) After(d time.Duration, fn func()) node.Timer {
-	net := e.net
-	if net.crashed.Has(e.id) {
+	if e.net.crashed.Has(e.id) {
 		return deadTimer{}
 	}
-	return net.sim.After(d, func() {
-		if net.crashed.Has(e.id) {
-			return
-		}
-		fn()
-	})
+	return e.net.sim.AfterOwned(d, e.id, fn)
 }
 
 // Send implements node.Env.
@@ -546,28 +564,21 @@ func (e *Env) Send(to ident.ID, payload any) { e.net.send(e.id, to, payload) }
 // Broadcast implements node.Env: one message per neighbor, each with an
 // independent delay (models per-link radio/unicast fan-out). The fan-out
 // iterates the sender's precomputed neighbor list — cost proportional to its
-// degree, not to n — and is handed to the kernel as a single batch node: one
-// scheduling operation instead of one heap insertion per neighbor, with
+// degree, not to n — and is handed to the kernel as a single fan-out node:
+// one scheduling operation instead of one queue insertion per neighbor, with
 // delivery order identical to per-neighbor sends.
 func (e *Env) Broadcast(payload any) {
 	n := e.net
 	if n.crashed.Has(e.id) {
 		return
 	}
-	items := n.bcast[:0]
+	recv := n.bcast[:0]
 	from := e.id
 	for _, to := range n.fanoutFor(from) {
-		delay, ok := n.admit(from, to, payload)
-		if !ok {
-			continue
+		if delay, ok := n.admit(from, to, payload); ok {
+			recv = append(recv, des.Receiver{D: delay, To: to})
 		}
-		items = append(items, des.BatchItem{D: delay, Fn: func() { n.deliver(from, to, payload) }})
 	}
-	n.sim.Batch(items)
-	// Batch copied everything it needs; clear the scratch so the payload
-	// and delivery closures are not pinned until the next broadcast.
-	for k := range items {
-		items[k] = des.BatchItem{}
-	}
-	n.bcast = items[:0]
+	n.sim.Fanout(from, payload, recv)
+	n.bcast = recv[:0]
 }

@@ -361,6 +361,57 @@ func TestEnvAfterTimerStop(t *testing.T) {
 	}
 }
 
+// TestTimerArmedBeforeCrash: the kernel holds a process's timer as (owner,
+// callback) and asks the network about the owner when the timer comes due.
+// A callback suppressed that way still counts as a step, and one that comes
+// due after a recovery runs.
+func TestTimerArmedBeforeCrash(t *testing.T) {
+	sim, net, _, envs := newNet(t, 1, 2, Constant{})
+	var fired []time.Duration
+	for _, d := range []time.Duration{2, 4, 6} {
+		envs[1].After(d*time.Millisecond, func() { fired = append(fired, sim.Now()) })
+	}
+	sim.At(3*time.Millisecond, func() { net.Crash(1) })
+	sim.At(5*time.Millisecond, func() { net.Recover(1) })
+	sim.Run()
+	if len(fired) != 2 || fired[0] != 2*time.Millisecond || fired[1] != 6*time.Millisecond {
+		t.Errorf("fired at %v, want [2ms 6ms]: the 4ms timer came due while its owner was down", fired)
+	}
+	if sim.Steps() != 5 {
+		t.Errorf("Steps = %d, want 5: three timers, suppressed one included, and two fault events", sim.Steps())
+	}
+}
+
+// TestEnvTimerReset: a pending timer is re-armed in place, and a re-arm by a
+// crashed process is refused like its After is — Stop + After then drops the
+// timer for good, where re-arming it would have let it fire after a recovery.
+func TestEnvTimerReset(t *testing.T) {
+	sim, net, _, envs := newNet(t, 1, 2, Constant{})
+	var fired []time.Duration
+	tm := envs[1].After(2*time.Millisecond, func() { fired = append(fired, sim.Now()) })
+	sim.At(time.Millisecond, func() {
+		if !tm.Reset(3 * time.Millisecond) {
+			t.Error("Reset of a pending timer = false")
+		}
+	})
+	sim.At(3*time.Millisecond, func() {
+		net.Crash(1)
+		if tm.Reset(5 * time.Millisecond) {
+			t.Error("Reset by a crashed process = true")
+		}
+		if (deadTimer{}).Reset(time.Millisecond) {
+			t.Error("Reset of a dead timer = true")
+		}
+	})
+	sim.Run()
+	if len(fired) != 0 {
+		t.Errorf("fired at %v: due at 4ms, when the owner was down", fired)
+	}
+	if sim.Pending() != 0 {
+		t.Errorf("Pending = %d", sim.Pending())
+	}
+}
+
 func TestDeadTimerDroppedAtArm(t *testing.T) {
 	// Timers armed by an already-crashed process must not reach the kernel
 	// queue: long downtimes otherwise accumulate dead events (queue
@@ -627,19 +678,5 @@ func TestQuickNetworkDeterminism(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkBroadcast32(b *testing.B) {
-	sim := des.New(1)
-	net := New(sim, Config{Delay: Uniform{Min: time.Microsecond, Max: time.Millisecond}})
-	for i := 0; i < 32; i++ {
-		net.AddNode(ident.ID(i), node.HandlerFunc(func(ident.ID, any) {}))
-	}
-	env := net.Env(0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		env.Broadcast("q")
-		sim.Run()
 	}
 }

@@ -42,9 +42,10 @@ func (m *DenseMap[T]) Put(id ident.ID, v T) {
 	var zero T
 	if i := int(id); i >= 0 && i < denseLimit {
 		if i >= len(m.dense) {
-			grown := make([]T, i+1)
-			copy(grown, m.dense)
-			m.dense = grown
+			// len(dense) stays highest id + 1; the capacity grows
+			// geometrically, so filling ids 0..n-1 copies O(n) words. The
+			// array never shrinks, so what lies between len and cap is zero.
+			m.dense = slices.Grow(m.dense, i+1-len(m.dense))[:i+1]
 		}
 		if (m.dense[i] == zero) != (v == zero) {
 			if v == zero {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"asyncfd/internal/ident"
+	"asyncfd/internal/raceflag"
 )
 
 func TestDenseMapDenseAndSparse(t *testing.T) {
@@ -70,5 +71,26 @@ func TestDenseMapForEachOrderAndStop(t *testing.T) {
 	})
 	if n != 2 {
 		t.Fatalf("ForEach ignored early stop: visited %d", n)
+	}
+}
+
+// TestDenseMapGrowsGeometrically locks the cost of building a peer table: n
+// detectors that each index n peers must not copy O(n²) words per detector.
+func TestDenseMapGrowsGeometrically(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race runtime allocates")
+	}
+	v := &struct{}{}
+	allocs := testing.AllocsPerRun(10, func() {
+		var m DenseMap[*struct{}]
+		for id := ident.ID(0); id < 4096; id++ {
+			m.Put(id, v)
+		}
+		if m.Len() != 4096 || len(m.dense) != 4096 {
+			t.Fatalf("Len = %d, len(dense) = %d, want 4096: the array ends at the highest id", m.Len(), len(m.dense))
+		}
+	})
+	if allocs > 20 {
+		t.Errorf("inserting ids 0..4095 in order made %.0f allocations, want ≤ 20", allocs)
 	}
 }

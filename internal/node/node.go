@@ -12,11 +12,22 @@ import (
 	"asyncfd/internal/ident"
 )
 
-// Timer is a cancelable scheduled callback.
+// Timer is a cancelable, re-armable scheduled callback.
 type Timer interface {
 	// Stop cancels the callback if it has not fired, reporting whether it
 	// was still pending.
 	Stop() bool
+	// Reset re-arms a still-pending timer to fire d from now with the
+	// callback it was armed with, and reports whether it did. False means
+	// nothing changed and the caller must Stop and arm a new timer with
+	// After: that is always the answer once the timer has fired or was
+	// stopped, and a runtime may give it for a pending timer too whenever
+	// re-arming in place does not suit it (the simulator's kernel cannot
+	// move a timer earlier than the slot it is queued under). A true Reset
+	// is indistinguishable from Stop followed by After with the same
+	// callback; it exists so that a timeout pushed back on every heartbeat
+	// costs neither a new handle nor a new closure.
+	Reset(d time.Duration) bool
 }
 
 // Env is the world as seen by one process: its identity, a clock, a

@@ -38,6 +38,9 @@ func (f *fakeTimer) Stop() bool {
 	return was
 }
 
+// Reset is the answer that is always legal: the callback already ran.
+func (f *fakeTimer) Reset(time.Duration) bool { return false }
+
 func (e *fakeEnv) Self() ident.ID     { return e.id }
 func (e *fakeEnv) Now() time.Duration { return e.now }
 func (e *fakeEnv) After(d time.Duration, fn func()) Timer {

@@ -17,6 +17,11 @@ func key(observer, subject ident.ID) pairKey {
 	return pairKey(uint64(uint32(observer))<<32 | uint64(uint32(subject)))
 }
 
+// pair unpacks the key.
+func (k pairKey) pair() (observer, subject ident.ID) {
+	return ident.ID(uint32(k >> 32)), ident.ID(uint32(k))
+}
+
 // Judge turns a suspicion trace into QoS metrics with a single accumulator
 // pass. It ingests trace.Events once — either all at once from a recorded
 // log (JudgeFrom) or streamed during the run (it implements fd.SuspicionSink,
@@ -168,43 +173,41 @@ func (j *Judge) DetectionTimes(truth *GroundTruth, subject ident.ID, observers i
 	return acc.result()
 }
 
-// Mistakes scans all (observer, subject) pairs among members and counts
+// Mistakes counts, over all (observer, subject) pairs among members,
 // suspicion episodes of subjects that had not crashed when the episode
-// began.
+// began. It folds over the episodes the trace holds, not over members ×
+// members: most pairs of a large cluster never appear in one.
 func (j *Judge) Mistakes(truth *GroundTruth, members ident.Set, horizon time.Duration) MistakeStats {
 	j.build()
 	var stats MistakeStats
 	var total time.Duration
-	pairs := 0
-	members.ForEach(func(obs ident.ID) bool {
-		members.ForEach(func(subj ident.ID) bool {
-			if obs == subj {
-				return true
+	//fdlint:allow maprange every field accumulated is an integer count, sum or max, so the result is the same in any order, byte for byte
+	for k, episodes := range j.index {
+		obs, subj := k.pair()
+		if obs == subj || !members.Has(obs) || !members.Has(subj) {
+			continue
+		}
+		for _, ep := range episodes {
+			if truth.CrashedBy(subj, ep.start) {
+				continue // true suspicion
 			}
-			pairs++
-			for _, ep := range j.index[key(obs, subj)] {
-				if truth.CrashedBy(subj, ep.start) {
-					continue // true suspicion
+			if ep.end == -1 {
+				// Open at the cut: a mistake only if the subject is up
+				// at the cut (otherwise it became a true detection).
+				if !truth.DownAt(subj, horizon) {
+					stats.Unresolved++
 				}
-				if ep.end == -1 {
-					// Open at the cut: a mistake only if the subject is up
-					// at the cut (otherwise it became a true detection).
-					if !truth.DownAt(subj, horizon) {
-						stats.Unresolved++
-					}
-					continue
-				}
-				stats.Count++
-				d := ep.end - ep.start
-				total += d
-				if d > stats.MaxDuration {
-					stats.MaxDuration = d
-				}
+				continue
 			}
-			return true
-		})
-		return true
-	})
+			stats.Count++
+			d := ep.end - ep.start
+			total += d
+			if d > stats.MaxDuration {
+				stats.MaxDuration = d
+			}
+		}
+	}
+	pairs := members.Len() * (members.Len() - 1)
 	if stats.Count > 0 {
 		stats.AvgDuration = total / time.Duration(stats.Count)
 	}

@@ -57,6 +57,14 @@ func TestJudgeDifferential(t *testing.T) {
 		log := randomTrace(r, n, r.Intn(300))
 		truth := randomTruth(r, n)
 		members := ident.FullSet(n)
+		// Mistakes folds over the pairs the trace holds, not over members:
+		// a pair with an end outside the member set must drop out of it.
+		var some ident.Set
+		for id := 0; id < n; id++ {
+			if r.Intn(2) == 0 {
+				some.Add(ident.ID(id))
+			}
+		}
 
 		streamed := NewJudge()
 		for _, e := range log.Events() {
@@ -79,6 +87,9 @@ func TestJudgeDifferential(t *testing.T) {
 			}
 			if got, want := j.Mistakes(truth, members, horizon), LegacyMistakes(log, truth, members, horizon); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d %s: Mistakes = %+v, legacy %+v", trial, name, got, want)
+			}
+			if got, want := j.Mistakes(truth, some, horizon), LegacyMistakes(log, truth, some, horizon); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d %s: Mistakes among %v = %+v, legacy %+v", trial, name, some, got, want)
 			}
 			if got, want := j.QueryAccuracy(truth, members, horizon), LegacyQueryAccuracy(log, truth, members, horizon); got != want {
 				t.Fatalf("trial %d %s: QueryAccuracy = %v, legacy %v", trial, name, got, want)

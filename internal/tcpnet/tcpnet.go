@@ -515,12 +515,13 @@ func (t *Transport) After(d time.Duration, fn func()) node.Timer {
 			fn()
 		}
 	})
-	return &tcpTimer{t: tm, release: release}
+	return &tcpTimer{t: tm, release: release, done: t.done}
 }
 
 type tcpTimer struct {
 	t       *time.Timer
 	release func()
+	done    <-chan struct{} // the transport's: closed by Close
 }
 
 func (t *tcpTimer) Stop() bool {
@@ -531,9 +532,28 @@ func (t *tcpTimer) Stop() bool {
 	return stopped
 }
 
+// Reset implements node.Timer: a timer that time.Timer.Stop still catches is
+// re-armed, keeping its hold on the WaitGroup for the callback that now runs
+// later. Once the transport has closed (Close waits for every pending timer)
+// or the callback is on its way, the answer is false.
+func (t *tcpTimer) Reset(d time.Duration) bool {
+	select {
+	case <-t.done:
+		return false
+	default:
+	}
+	if !t.t.Stop() {
+		return false
+	}
+	t.t.Reset(d)
+	return true
+}
+
 type deadTimer struct{}
 
 func (deadTimer) Stop() bool { return false }
+
+func (deadTimer) Reset(time.Duration) bool { return false }
 
 // Send implements node.Env: best-effort asynchronous transmission. The call
 // never blocks on the network — frames are queued to the peer's writer

@@ -109,11 +109,30 @@ func TestTimerAndClose(t *testing.T) {
 		t.Fatal("timer did not fire")
 	}
 	tm := a.After(time.Hour, func() { t.Error("must not fire") })
+	if !tm.Reset(2 * time.Hour) {
+		t.Error("Reset pending = false")
+	}
 	if !tm.Stop() {
 		t.Error("Stop pending = false")
 	}
+	if tm.Reset(time.Millisecond) {
+		t.Error("Reset after Stop = true")
+	}
+	rearmed := make(chan struct{})
+	if !a.After(time.Hour, func() { close(rearmed) }).Reset(time.Millisecond) {
+		t.Error("Reset to an earlier time = false")
+	}
+	select {
+	case <-rearmed:
+	case <-time.After(time.Second):
+		t.Fatal("re-armed timer did not fire")
+	}
+	pending := a.After(20*time.Millisecond, func() {})
 	if err := a.Close(); err != nil {
 		t.Errorf("Close: %v", err)
+	}
+	if pending.Reset(time.Hour) {
+		t.Error("Reset on a closed transport = true: Close would wait for it")
 	}
 	if err := a.Close(); err != nil {
 		t.Errorf("second Close: %v", err)

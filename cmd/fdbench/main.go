@@ -8,7 +8,6 @@
 //	fdbench [-exp all|E1..E8|A1|A2|R1|R2|X1|X2|L1|L5|LT|comma-list] [-quick]
 //	        [-config FILE[,FILE...]]
 //	        [-seed N] [-repeat R] [-parallel N] [-ci] [-json FILE]
-//	        [-queue ladder|heap] [-fork on|off]
 //
 // Row kinds: ids E1–E8 are the reconstructed paper-family tables, A1/A2 the
 // ablations, R1/R2 the fault-scenario sweeps (crash-recovery and
@@ -19,41 +18,25 @@
 // n=1024/2048/4096, tractable thanks to netsim's sparse delivery and the
 // streaming qos Judge; quick mode shrinks the large sweeps to one small
 // size like every other table). -exp also accepts a comma-separated list
-// ("L1,L5,LT"), run in the given order with one combined report — the
+// ("L1,L5,LT"), reported in the given order in one combined report — the
 // nightly bench gate uses this.
 //
 // -config runs scenario config files (schema asyncfd-scenario/v1, see
 // internal/scenario and docs/BENCHMARKS.md "Scenario configs") instead of
-// built-in experiments: each file compiles into a cluster, fault schedule
-// and metric set and executes on the same engine the built-ins use, so the
-// tables and -ci rows follow the exact conventions above — a config that
-// mirrors a built-in experiment reproduces it byte-for-byte (the
-// differential tests in internal/exp enforce this). A comma-separated list
-// runs each config in order with one combined report, which is how the CI
-// scenario gate diffs the shipped configs/ library against its committed
+// the registry's experiments: each file compiles into a cluster, fault
+// schedule and metric set and executes on the same engine, so the tables
+// and -ci rows follow the exact conventions above — R1, R2, LT and E7 are
+// themselves such documents, embedded in internal/exp. A comma-separated
+// list reports each config in order in one combined report, which is how the
+// CI scenario gate diffs the shipped configs/ library against its committed
 // baseline. -config and -exp are mutually exclusive; -quick selects each
 // config's "quick" overlay when it has one. The report's experiment ids are
 // the scenarios' names.
 //
-// -queue selects the DES kernel's timing-queue implementation: "ladder"
-// (the calendar/ladder queue, default) or "heap" (the binary-heap
-// reference). The DES_QUEUE environment variable is the escape hatch when
-// the flag is not given. Every experiment is byte-identical under either
-// queue at any -parallel — the differential harness in internal/des and
-// internal/exp enforces it, and CI compares full fdbench runs both ways —
-// so the knob exists for benchmarking and for bisecting kernel issues, not
-// for changing results. See docs/BENCHMARKS.md, "The kernel event queue".
-//
-// -fork selects how replicated seed families are run: "on" (the default)
-// simulates each family's shared warmup prefix once, checkpoints the whole
-// deployment (DES kernel, network, detector state) and restores the
-// checkpoint per extra replicate; "off" re-simulates the prefix for every
-// replicate. The DES_FORK environment variable ("on"/"off", also "1"/"0")
-// is the escape hatch when the flag is not given. Like -queue, this is a
-// pure performance knob: tables and v2 rows are byte-identical either way
-// at any -parallel (the differential harness in internal/exp enforces it,
-// and CI compares full fdbench runs both ways). See docs/BENCHMARKS.md,
-// "Warmup forking".
+// Whatever the source, the run is one list of experiments handed to one
+// engine call. An id may appear in it once: the report's rows are keyed by
+// experiment id, so a repeated id (two configs sharing a name, "-exp E1,E1")
+// is rejected before anything runs.
 //
 // -parallel sizes the worker pool experiment cells run on: 1 = serial
 // (default), N > 1 = that many workers, 0 or negative = one worker per CPU.
@@ -145,10 +128,10 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
-	"asyncfd/internal/des"
 	"asyncfd/internal/exp"
 	"asyncfd/internal/scenario"
 	"asyncfd/internal/stats"
@@ -219,15 +202,13 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("fdbench", flag.ContinueOnError)
 	expID := fs.String("exp", "all", "experiment id (E1..E8, A1, A2, R1, R2, X1, X2, L1, L5, LT), a comma-separated list, or 'all'")
-	configPath := fs.String("config", "", "scenario config file(s) to run instead of built-in experiments (asyncfd-scenario/v1 JSON, comma-separated list allowed); mutually exclusive with -exp")
+	configPath := fs.String("config", "", "scenario config file(s) to run instead of the -exp experiments (asyncfd-scenario/v1 JSON, comma-separated list allowed); mutually exclusive with -exp")
 	quickFlag := fs.Bool("quick", false, "shrink sweeps and horizons")
 	seed := fs.Int64("seed", 1, "base random seed")
 	repeat := fs.Int("repeat", 0, "seed-family size R per cell (0 = default: 1 with -quick, 3 otherwise)")
 	parallel := fs.Int("parallel", 1, "worker pool size; 0 or negative = one worker per CPU")
 	ciFlag := fs.Bool("ci", false, "collect per-cell seed-family distributions; bumps the -json schema to asyncfd-bench/v2 (rows with mean/stderr/ci95/p50/p99 per metric)")
 	jsonPath := fs.String("json", "", "write a bench report (schema asyncfd-bench/v1, or v2 with -ci) to this file; '-' = stdout, tables suppressed")
-	queueFlag := fs.String("queue", "", "DES kernel timing queue: 'ladder' (default) or 'heap'; empty = $DES_QUEUE, then the kernel default. Results are byte-identical either way")
-	forkFlag := fs.String("fork", "", "warm-fork replication: 'on' (default) checkpoints each seed family's warmed prefix and restores it per replicate, 'off' re-simulates the prefix; empty = $DES_FORK, then on. Results are byte-identical either way")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -245,33 +226,6 @@ func run(args []string) error {
 	}
 	if *repeat < 0 {
 		return fmt.Errorf("-repeat must be ≥ 0, got %d", *repeat)
-	}
-	queueName := *queueFlag
-	if queueName == "" {
-		queueName = os.Getenv("DES_QUEUE")
-	}
-	if queueName != "" {
-		kind, ok := des.ParseQueueKind(queueName)
-		if !ok {
-			return fmt.Errorf("unknown queue %q (want 'ladder' or 'heap')", queueName)
-		}
-		des.SetDefaultQueue(kind)
-	}
-	forkName := *forkFlag
-	if forkName == "" {
-		forkName = os.Getenv("DES_FORK")
-	}
-	switch strings.ToLower(forkName) {
-	case "", "on", "1", "true":
-		// The package default (on) stands; an explicit "on" also covers the
-		// case where an earlier SetDefaultFork in this process turned it off.
-		if forkName != "" {
-			exp.SetDefaultFork(true)
-		}
-	case "off", "0", "false":
-		exp.SetDefaultFork(false)
-	default:
-		return fmt.Errorf("unknown -fork value %q (want 'on' or 'off')", forkName)
 	}
 	opts := exp.Options{Seed: *seed, Quick: *quickFlag, Parallel: *parallel, Repeat: *repeat}
 	if *ciFlag {
@@ -292,12 +246,20 @@ func run(args []string) error {
 		report.Repeat = &repeatResolved
 	}
 
-	// Everything below is timed before rendering, so wall_ns measures
-	// simulation work only and is identical whether tables are printed.
-	var results []exp.Result
-	if *configPath != "" {
-		// Scenario configs, run in the given order with one combined report
-		// (the CI scenario gate runs the shipped configs/ library this way).
+	// Every source yields one list of experiments, each id at most once.
+	var entries []exp.NamedExperiment
+	seen := map[string]string{} // lower-cased id → where it came from
+	add := func(e exp.NamedExperiment, source string) error {
+		key := strings.ToLower(e.ID)
+		if prev, dup := seen[key]; dup {
+			return fmt.Errorf("experiment id %q given twice, by %s and by %s", e.ID, prev, source)
+		}
+		seen[key] = source
+		entries = append(entries, e)
+		return nil
+	}
+	switch {
+	case *configPath != "":
 		for _, path := range strings.Split(*configPath, ",") {
 			path = strings.TrimSpace(path)
 			data, err := os.ReadFile(path)
@@ -308,79 +270,37 @@ func run(args []string) error {
 			if err != nil {
 				return fmt.Errorf("%s: %w", path, err)
 			}
-			engineStats := &exp.EngineStats{}
-			eOpts := opts
-			eOpts.Stats = engineStats
-			if opts.Samples != nil {
-				eOpts.Samples = &stats.Collector{}
+			fn := func(o exp.Options) (*exp.Table, error) { return exp.ScenarioTable(sc, o) }
+			if err := add(exp.NamedExperiment{ID: sc.Name, Fn: fn}, path); err != nil {
+				return err
 			}
-			t0 := time.Now()
-			tbl, err := exp.ScenarioTable(sc, eOpts)
-			if err != nil {
-				return fmt.Errorf("%s: scenario %s: %w", path, sc.Name, err)
-			}
-			wall := time.Since(t0)
-			report.WallNS += wall.Nanoseconds()
-			r := exp.Result{
-				ID: sc.Name, Table: tbl, Wall: wall,
-				Events: engineStats.Events.Load(), Runs: engineStats.Runs.Load(),
-			}
-			if eOpts.Samples != nil {
-				r.Rows = eOpts.Samples.Rows()
-			}
-			results = append(results, r)
 		}
-	} else if strings.EqualFold(*expID, "all") {
-		// The pooled sweep: experiment- and cell-level fan-out share one
-		// Workers()-sized gate, so small experiments overlap the big ones.
-		t0 := time.Now()
-		all, err := exp.AllResults(opts)
-		if err != nil {
-			return err
-		}
-		report.WallNS = time.Since(t0).Nanoseconds()
-		results = all
-	} else {
-		// One experiment, or a comma-separated list run in the given order
-		// (the nightly gate runs "-exp L1,L5,LT" for one combined report).
-		for _, id := range strings.Split(*expID, ",") {
+	case strings.EqualFold(*expID, "all"):
+		entries = exp.Experiments()
+	default:
+		registry := exp.Experiments()
+		for i, id := range strings.Split(*expID, ",") {
 			id = strings.TrimSpace(id)
-			found := false
-			for _, e := range exp.Experiments() {
-				if !strings.EqualFold(e.ID, id) {
-					continue
-				}
-				found = true
-				engineStats := &exp.EngineStats{}
-				eOpts := opts
-				eOpts.Stats = engineStats
-				if opts.Samples != nil {
-					// A private collector per experiment keeps each Result's
-					// rows scoped to it, as in the pooled sweep.
-					eOpts.Samples = &stats.Collector{}
-				}
-				t0 := time.Now()
-				tbl, err := e.Fn(eOpts)
-				if err != nil {
-					return fmt.Errorf("experiment %s: %w", e.ID, err)
-				}
-				wall := time.Since(t0)
-				report.WallNS += wall.Nanoseconds()
-				r := exp.Result{
-					ID: e.ID, Table: tbl, Wall: wall,
-					Events: engineStats.Events.Load(), Runs: engineStats.Runs.Load(),
-				}
-				if eOpts.Samples != nil {
-					r.Rows = eOpts.Samples.Rows()
-				}
-				results = append(results, r)
-				break
-			}
-			if !found {
+			k := slices.IndexFunc(registry, func(e exp.NamedExperiment) bool { return strings.EqualFold(e.ID, id) })
+			if k < 0 {
 				return fmt.Errorf("unknown experiment %q", id)
+			}
+			if err := add(registry[k], fmt.Sprintf("-exp item %d (%s)", i+1, id)); err != nil {
+				return err
 			}
 		}
 	}
+
+	// The run is timed before rendering, so wall_ns measures simulation
+	// work only and is identical whether tables are printed. Experiment- and
+	// cell-level fan-out share one Workers()-sized gate, so small
+	// experiments overlap the big ones.
+	t0 := time.Now()
+	results, err := exp.RunResults(entries, opts)
+	if err != nil {
+		return err
+	}
+	report.WallNS = time.Since(t0).Nanoseconds()
 
 	for _, r := range results {
 		report.Experiments = append(report.Experiments, experimentBench{

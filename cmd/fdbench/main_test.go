@@ -20,7 +20,7 @@ func TestRunErrorPaths(t *testing.T) {
 		{"unknown experiment", []string{"-quick", "-exp", "E99"}, "unknown experiment"},
 		{"unknown experiment in a list", []string{"-quick", "-exp", "E2,E99"}, "unknown experiment"},
 		{"negative repeat", []string{"-quick", "-repeat", "-2"}, "-repeat must be"},
-		{"unknown queue", []string{"-quick", "-exp", "E2", "-queue", "wheel"}, "unknown queue"},
+		{"experiment named twice", []string{"-quick", "-exp", "E2,e2"}, `"E2" given twice, by -exp item 1 (E2) and by -exp item 2 (e2)`},
 		{"unwritable json target", []string{"-quick", "-exp", "E2", "-json", filepath.Join(t.TempDir(), "no-such-dir", "out.json")}, "no-such-dir"},
 		{"json target is a directory", []string{"-quick", "-exp", "E2", "-json", t.TempDir()}, "is a directory"},
 	}
@@ -119,6 +119,7 @@ func TestConfigErrorPaths(t *testing.T) {
 	valid := writeScenario(t, minimalScenarioDoc)
 	wrongSchema := writeScenario(t, `{"schema": "asyncfd-scenario/v9"}`)
 	notJSON := writeScenario(t, `not a config`)
+	sameName := writeScenario(t, minimalScenarioDoc)
 	cases := []struct {
 		name string
 		args []string
@@ -130,6 +131,7 @@ func TestConfigErrorPaths(t *testing.T) {
 		{"config and exp conflict", []string{"-quick", "-config", valid, "-exp", "E2"}, "mutually exclusive"},
 		{"unwritable json target", []string{"-quick", "-config", valid, "-json", filepath.Join(t.TempDir(), "no-such-dir", "out.json")}, "no-such-dir"},
 		{"bad file in a list", []string{"-quick", "-config", valid + "," + wrongSchema}, "unknown schema version"},
+		{"two files sharing a name", []string{"-quick", "-config", valid + "," + sameName}, `"cli-demo" given twice, by ` + valid + " and by " + sameName},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -197,29 +199,5 @@ func TestExpCommaList(t *testing.T) {
 		if !ok || len(rows) == 0 {
 			t.Errorf("experiment %v carries no v2 rows in list mode", e["id"])
 		}
-	}
-}
-
-// TestQueueFlagByteIdentical is the CLI face of the differential harness:
-// the same invocation under -queue heap and -queue ladder must produce
-// byte-identical reports (modulo the machine-dependent timing fields, which
-// is why it compares experiments' rows, events and runs).
-func TestQueueFlagByteIdentical(t *testing.T) {
-	fingerprint := func(queue string) string {
-		exps := readExperiments(t, []string{"-quick", "-exp", "E1,E4", "-ci", "-repeat", "2", "-queue", queue})
-		var b strings.Builder
-		for _, e := range exps {
-			raw, err := json.Marshal(map[string]any{"id": e["id"], "events": e["events"], "runs": e["runs"], "rows": e["rows"]})
-			if err != nil {
-				t.Fatal(err)
-			}
-			b.Write(raw)
-			b.WriteByte('\n')
-		}
-		return b.String()
-	}
-	heap, ladder := fingerprint("heap"), fingerprint("ladder")
-	if heap != ladder {
-		t.Errorf("heap and ladder reports differ:\nheap:   %s\nladder: %s", heap, ladder)
 	}
 }

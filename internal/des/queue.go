@@ -40,22 +40,9 @@ func (k QueueKind) String() string {
 	}
 }
 
-// ParseQueueKind maps the names accepted by the DES_QUEUE escape hatch and
-// fdbench's -queue flag ("ladder", "heap") to a QueueKind.
-func ParseQueueKind(s string) (QueueKind, bool) {
-	switch s {
-	case "ladder":
-		return QueueLadder, true
-	case "heap":
-		return QueueHeap, true
-	default:
-		return QueueLadder, false
-	}
-}
-
 // defaultQueue holds the process-wide default QueueKind used by New when no
-// WithQueue option is given. Atomic so tools may flip it before fanning out
-// concurrent simulations (cmd/fdbench honors DES_QUEUE / -queue with it).
+// WithQueue option is given. Atomic so the differential tests may flip it
+// before fanning out concurrent simulations.
 var defaultQueue atomic.Int32 // QueueKind; zero value = QueueLadder
 
 // DefaultQueue reports the process-wide default queue implementation.

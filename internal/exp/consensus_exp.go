@@ -6,12 +6,8 @@ import (
 	"time"
 
 	"asyncfd/internal/consensus"
-	"asyncfd/internal/des"
 	"asyncfd/internal/ident"
-	"asyncfd/internal/netsim"
-	"asyncfd/internal/qos"
 	"asyncfd/internal/stats"
-	"asyncfd/internal/trace"
 )
 
 // fdConsensusDemux routes failure-detector traffic to the detector runtime
@@ -32,131 +28,6 @@ func (d *fdConsensusDemux) Deliver(from ident.ID, payload any) {
 			d.fdNode.Deliver(from, payload)
 		}
 	}
-}
-
-// consensusLatency runs one consensus instance over the given detector kind
-// with the round-1 coordinator crashing right after proposals are issued,
-// and returns the worst decision latency among survivors. The crash forces
-// the consensus to lean on the failure detector, so decision latency tracks
-// detection latency.
-func consensusLatency(opts Options, kind Kind, n, f int, seed int64, delay netsim.DelayModel) (time.Duration, error) {
-	const (
-		warmup  = 3 * time.Second
-		propose = 5 * time.Second
-		horizon = 120 * time.Second
-	)
-	sim := des.New(seed)
-	net := netsim.New(sim, netsim.Config{Delay: delay})
-	log := &trace.Log{}
-
-	demuxes := make([]*fdConsensusDemux, n)
-	decidedAt := make(map[ident.ID]time.Duration)
-	for i := 0; i < n; i++ {
-		id := ident.ID(i)
-		demux := &fdConsensusDemux{}
-		demuxes[i] = demux
-		env := net.AddNode(id, demux)
-		cfg := ClusterConfig{Kind: kind, N: n, F: f, Delay: delay}
-		cfg.fillDefaults()
-		det, run, err := buildNode(env, id, cfg, log)
-		if err != nil {
-			return 0, err
-		}
-		demux.fdNode = run
-		cons, err := consensus.NewNode(env, consensus.Config{
-			Self: id, N: n, F: f, Detector: det,
-			OnDecide: func(consensus.Value) { decidedAt[id] = sim.Now() },
-		})
-		if err != nil {
-			return 0, err
-		}
-		demux.cons = cons
-		// Stagger detector starts: deployments never start in lockstep,
-		// and the async detector's flooding advantage needs phase
-		// diversity.
-		jitter := time.Duration(sim.Rand().Int63n(int64(time.Second)))
-		sim.At(jitter, run.Start)
-	}
-
-	// The round-1 coordinator dies 1ms AFTER proposals are issued, so its
-	// crash is discovered only through the failure detector: every
-	// participant blocks in phase 3 until its detector suspects p0.
-	sim.At(propose+time.Millisecond, func() { net.Crash(0) })
-	for i := 0; i < n; i++ {
-		cons := demuxes[i].cons
-		v := consensus.Value(100 + i)
-		sim.At(propose, func() { cons.Propose(v) })
-	}
-	_ = warmup // detectors start within the first second and are warm by propose time
-	sim.RunUntil(horizon)
-	opts.record(sim)
-
-	var worst time.Duration
-	for i := 1; i < n; i++ {
-		at, ok := decidedAt[ident.ID(i)]
-		if !ok {
-			return 0, fmt.Errorf("consensus over %v: survivor p%d undecided after %v", kind, i, horizon)
-		}
-		if lat := at - propose; lat > worst {
-			worst = lat
-		}
-	}
-	return worst, nil
-}
-
-// E7Consensus is the theory-to-practice bridge: the same Chandra–Toueg ◇S
-// consensus runs over each detector implementation while the first
-// coordinator is crashed. Decision latency is gated by how fast the detector
-// lets participants skip the dead coordinator.
-//
-// E7 is a bespoke consensus simulation outside the Cluster harness: its
-// replicate loop extracts one latency per run from the decision map
-// directly — no qos.Judge, no trace re-scans — so it neither needs the
-// shared-warmup checkpointing of runFamilies (consensus proposals start
-// almost immediately, there is no long common prefix) nor any Judge
-// hoisting.
-func E7Consensus(opts Options) (*Table, error) {
-	n, f := 7, 3
-	if opts.Quick {
-		n, f = 5, 2
-	}
-	t := &Table{
-		ID:      "E7",
-		Title:   "Chandra–Toueg consensus decision latency over each detector",
-		Note:    fmt.Sprintf("n=%d, f=%d; round-1 coordinator crashes right after proposals; latency = worst survivor decision time", n, f),
-		Columns: []string{"detector", "decision latency (worst survivor, avg of runs)"},
-	}
-	kinds := []Kind{KindAsync, KindHeartbeat, KindPhi, KindChen}
-	var jobs []func() (time.Duration, error)
-	for _, kind := range kinds {
-		kind := kind
-		for r := 0; r < opts.runs(); r++ {
-			seed := opts.seed() + int64(r)*101
-			jobs = append(jobs, func() (time.Duration, error) {
-				lat, err := consensusLatency(opts, kind, n, f, seed, defaultDelay())
-				if err != nil {
-					return 0, fmt.Errorf("E7: %w", err)
-				}
-				return lat, nil
-			})
-		}
-	}
-	lats, err := runJobs(opts, jobs)
-	if err != nil {
-		return nil, err
-	}
-	k := 0
-	for _, kind := range kinds {
-		cell := fmt.Sprintf("consensus/%s", kind)
-		var samples []float64
-		for r := 0; r < opts.runs(); r++ {
-			samples = append(samples, qos.Millis(lats[k]))
-			opts.sample(cell, "decision_ms", r, qos.Millis(lats[k]))
-			k++
-		}
-		t.AddRow(kind.String(), famMS(samples))
-	}
-	return t, nil
 }
 
 // Experiments lists every experiment of the reconstructed evaluation in
@@ -223,11 +94,15 @@ func All(opts Options) ([]*Table, error) {
 	return tables, nil
 }
 
-// AllResults is All with a per-experiment breakdown: each entry carries its
-// own wall time and throughput counters (also folded into opts.Stats when
-// set). cmd/fdbench builds its bench JSON from this.
-func AllResults(opts Options) ([]Result, error) {
-	entries := Experiments()
+// AllResults is All with a per-experiment breakdown.
+func AllResults(opts Options) ([]Result, error) { return RunResults(Experiments(), opts) }
+
+// RunResults runs the given experiments with All's pooling and ordering and
+// returns one Result per entry, in entry order: each carries its own wall
+// time and throughput counters (also folded into opts.Stats when set).
+// cmd/fdbench builds its bench JSON from this, whatever the entries' source
+// — the registry, an -exp list or scenario config files.
+func RunResults(entries []NamedExperiment, opts Options) ([]Result, error) {
 	results := make([]Result, len(entries))
 	// Each experiment collects into a private collector so its aggregated
 	// rows land on its own Result entry; the caller's collector receives

@@ -32,11 +32,11 @@ type Options struct {
 	// what turns single-run point estimates into the confidence intervals
 	// of the asyncfd-bench/v2 rows; see docs/BENCHMARKS.md.
 	Repeat int
-	// Fork selects warm-fork replication for seed families: 0 follows the
-	// package default (SetDefaultFork — on unless cmd/fdbench's -fork flag
-	// or DES_FORK turned it off), positive forces forking, negative forces
-	// the serial comparator that re-simulates each replicate's warmup.
-	// Tables and v2 rows are byte-identical whatever the value.
+	// Fork selects how seed families replicate: zero and positive fork the
+	// warmed prefix, negative runs the serial comparator that re-simulates
+	// each replicate's warmup (the reference the differential tests compare
+	// forking against). Tables and v2 rows are byte-identical whatever the
+	// value.
 	Fork int
 	// Stats, when non-nil, accumulates kernel throughput counters across
 	// every simulation the run executes.

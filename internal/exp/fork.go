@@ -13,33 +13,14 @@ package exp
 // fork_diff_test.go hold both paths to that bar.
 
 import (
-	"sync/atomic"
 	"time"
 
 	"asyncfd/internal/qos"
 )
 
-// forkOff is the package-wide default for warm-fork replication, stored
-// inverted so the zero value means "fork on". cmd/fdbench resolves its
-// -fork flag (and the DES_FORK environment escape hatch) into SetDefaultFork
-// before running a sweep.
-var forkOff atomic.Bool
-
-// DefaultFork reports whether warm-fork replication is enabled by default.
-func DefaultFork() bool { return !forkOff.Load() }
-
-// SetDefaultFork sets the package-wide replication mode for Options that do
-// not pin one (Options.Fork == 0).
-func SetDefaultFork(on bool) { forkOff.Store(!on) }
-
-// forkEnabled resolves the run's replication mode: the Options pin when set,
-// the package default otherwise.
-func (o Options) forkEnabled() bool {
-	if o.Fork != 0 {
-		return o.Fork > 0
-	}
-	return DefaultFork()
-}
+// forkEnabled resolves the run's replication mode: warm forking unless
+// Options.Fork pins the serial comparator.
+func (o Options) forkEnabled() bool { return o.Fork >= 0 }
 
 // family is one R-replicate seed family of an experiment cell: a cluster
 // configuration at the family's base seed, the fork horizon its replicates

@@ -13,9 +13,7 @@ import (
 // checkpoint of the family's warmed prefix (the default) must be
 // indistinguishable from re-simulating the prefix per replicate — every v1
 // table byte and every asyncfd-bench/v2 metric row, at any worker-pool size.
-// CI additionally runs the same comparison through the fdbench binary
-// (DES_FORK escape hatch); see .github/workflows/ci.yml. The kernel-level
-// half is FuzzForkEquivalence in internal/des.
+// The kernel-level half is FuzzForkEquivalence in internal/des.
 
 // forkFingerprint renders the entire quick sweep — all experiments' tables
 // plus their v2 rows — into one byte string under the given replication mode
@@ -69,24 +67,5 @@ func TestSweepByteIdenticalAcrossForkModes(t *testing.T) {
 			t.Errorf("%s: sweep output differs from serial/parallel=1 baseline\n%s",
 				tc.name, firstDiffLine(baseline, got))
 		}
-	}
-}
-
-// TestForkDefaultToggle pins the SetDefaultFork plumbing: Options.Fork == 0
-// follows the package default, non-zero overrides it.
-func TestForkDefaultToggle(t *testing.T) {
-	if !DefaultFork() {
-		t.Fatal("warm forking must default to on")
-	}
-	SetDefaultFork(false)
-	defer SetDefaultFork(true)
-	if DefaultFork() {
-		t.Fatal("SetDefaultFork(false) did not stick")
-	}
-	if (Options{}).forkEnabled() {
-		t.Error("Options.Fork=0 must follow the package default")
-	}
-	if !(Options{Fork: 1}).forkEnabled() || (Options{Fork: -1}).forkEnabled() {
-		t.Error("Options.Fork=±1 must override the package default")
 	}
 }

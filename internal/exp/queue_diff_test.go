@@ -13,8 +13,7 @@ import (
 // differential harness: the kernel's calendar/ladder queue (the default)
 // must be indistinguishable from the binary-heap reference across the FULL
 // quick sweep — every v1 table byte and every asyncfd-bench/v2 metric row,
-// at any worker-pool size. CI additionally runs the same comparison through
-// the fdbench binary (DES_QUEUE escape hatch); see .github/workflows/ci.yml.
+// at any worker-pool size.
 
 // sweepFingerprint renders the entire quick sweep — all 17 experiments'
 // tables plus their v2 rows — into one byte string under the given queue

@@ -1,18 +1,19 @@
 package exp
 
 // scenario_config.go executes compiled scenario configurations
-// (internal/scenario, the asyncfd-scenario/v1 DSL) on the exact machinery
-// the built-in experiments run on: the cluster program uses the same
-// warm-fork seed families as R1/R2 (runFamilies), the topology program the
-// same job decomposition as LT, and the consensus program the same bespoke
-// harness as E7 — with the same formatters and the same v2 sample
-// conventions. A config that mirrors a built-in experiment therefore
-// renders the byte-identical table and v2 rows, at any -parallel width,
-// fork on or off; TestConfigMatchesBuiltin holds the engine to that bar.
+// (internal/scenario, the asyncfd-scenario/v1 DSL) on the machinery the Go
+// experiments run on: the cluster program uses the same warm-fork seed
+// families (runFamilies), the topology and consensus programs the same
+// seed-addressed job decomposition (runJobs) — with the same formatters and
+// the same v2 sample conventions. R1, R2, LT and E7 are embedded documents
+// run from here (scenario_exp.go); TestBuiltinScenarioGolden holds their
+// tables to the bytes the hand-written Go versions rendered, at any
+// -parallel width, fork on or off.
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"time"
 
@@ -26,24 +27,18 @@ import (
 	"asyncfd/internal/trace"
 )
 
-// scenarioKinds maps a compiled detector list to cluster kinds. The
-// scenario package validated the names against its DetectorNames list,
-// which mirrors Kind.String().
+// scenarioKinds maps a compiled detector list to cluster kinds by
+// Kind.String(), so the names live in one place. The scenario package
+// validated them against its DetectorNames list, which mirrors it.
 func scenarioKinds(sc *scenario.Scenario) ([]Kind, error) {
+	all := AllKinds()
 	kinds := make([]Kind, len(sc.Cluster.Detectors))
 	for i, name := range sc.Cluster.Detectors {
-		switch name {
-		case "async":
-			kinds[i] = KindAsync
-		case "heartbeat":
-			kinds[i] = KindHeartbeat
-		case "phi-accrual":
-			kinds[i] = KindPhi
-		case "chen-nfde":
-			kinds[i] = KindChen
-		default:
+		k := slices.IndexFunc(all, func(k Kind) bool { return k.String() == name })
+		if k < 0 {
 			return nil, fmt.Errorf("exp: scenario %s: unknown detector %q", sc.Name, name)
 		}
+		kinds[i] = all[k]
 	}
 	return kinds, nil
 }
@@ -269,10 +264,9 @@ func scenarioClusterTable(sc *scenario.Scenario, opts Options) (*Table, error) {
 	return t, nil
 }
 
-// scenarioTopologyTable is LT's sweep driven by config: neighbor-local
+// scenarioTopologyTable is the topology program (LT's sweep): neighbor-local
 // heartbeat detection over the configured topology families and machine
-// sizes, one crash per run. Shape and sampling match LTTopologySweep cell
-// for cell.
+// sizes, one crash per run.
 func scenarioTopologyTable(sc *scenario.Scenario, opts Options) (*Table, error) {
 	t := &Table{
 		ID: sc.Name, Title: sc.Title, Note: sc.Note,
@@ -350,7 +344,7 @@ func scenarioTopologyTable(sc *scenario.Scenario, opts Options) (*Table, error) 
 	return t, nil
 }
 
-// scenarioConsensusLatency is consensusLatency generalized to an arbitrary
+// scenarioConsensusLatency runs one consensus instance under the scenario's
 // fault schedule: Chandra–Toueg consensus over the configured detector
 // kind, proposals at sc.Measure.Propose, the scenario's crash/recover/
 // partition events applied through the detector-restarting recovery hook,
@@ -386,13 +380,14 @@ func scenarioConsensusLatency(sc *scenario.Scenario, opts Options, kind Kind, se
 			return 0, err
 		}
 		demux.cons = cons
-		// Stagger detector starts, matching consensusLatency's convention.
+		// Stagger detector starts: deployments never start in lockstep,
+		// and the async detector's flooding advantage needs phase
+		// diversity.
 		jitter := time.Duration(sim.Rand().Int63n(int64(time.Second)))
 		sim.At(jitter, run.Start)
 	}
 
-	// The scenario's fault schedule replaces E7's hard-coded coordinator
-	// crash; recoveries restart the process's detector runtime.
+	// Recoveries restart the process's detector runtime.
 	sched := sc.Variants[0].Faults
 	sched.ApplyFunc(sim, net, func(id ident.ID, fresh bool) {
 		runners[id].Restart(fresh)
@@ -423,8 +418,8 @@ func scenarioConsensusLatency(sc *scenario.Scenario, opts Options, kind Kind, se
 	return worst, nil
 }
 
-// scenarioConsensusTable is E7's table driven by config: decision latency
-// of the worst never-crashed survivor, per detector kind, under the
+// scenarioConsensusTable is the consensus program (E7's table): decision
+// latency of the worst never-crashed survivor, per detector kind, under the
 // scenario's fault schedule.
 func scenarioConsensusTable(sc *scenario.Scenario, opts Options) (*Table, error) {
 	kinds, err := scenarioKinds(sc)

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"asyncfd/internal/scenario"
@@ -20,69 +21,107 @@ func renderTable(t *testing.T, tbl *Table) string {
 	return buf.String()
 }
 
-func parseScenarioFile(t *testing.T, name string) *scenario.Scenario {
-	t.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", "scenario", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := scenario.Parse(data, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sc
-}
-
-// TestConfigMatchesBuiltin is the differential bar of the scenario
-// subsystem: the committed mirror configs must render byte-identical
-// tables — and collect byte-identical v2 sample rows — to the built-in
-// experiments they transcribe, at every parallelism and in both
-// replication modes. A config drift, an engine drift, or a scheduling
-// nondeterminism all fail here.
-func TestConfigMatchesBuiltin(t *testing.T) {
+// TestBuiltinScenarioGolden is the differential bar of the embedded
+// scenario documents: R1, R2, LT and E7 must render the tables committed
+// under testdata/golden — captured from the hand-written Go experiments
+// these documents replaced (fdbench -exp ID -seed 1 -repeat 3, with and
+// without -quick, at the last commit that had them) — at every parallelism
+// and in both replication modes, collecting the same v2 rows throughout. A
+// document drift, an engine drift, or a scheduling nondeterminism all fail
+// here. LT is held at quick size only: its full size is the nightly gate's.
+func TestBuiltinScenarioGolden(t *testing.T) {
 	cases := []struct {
-		file    string
+		golden  string
 		builtin func(Options) (*Table, error)
+		quick   bool
 	}{
-		{"r1.json", R1CrashRecovery},
-		{"r2.json", R2PartitionHeal},
-		{"lt.json", LTTopologySweep},
+		{"r1_quick.txt", R1CrashRecovery, true},
+		{"r1_full.txt", R1CrashRecovery, false},
+		{"r2_quick.txt", R2PartitionHeal, true},
+		{"r2_full.txt", R2PartitionHeal, false},
+		{"e7_quick.txt", E7Consensus, true},
+		{"e7_full.txt", E7Consensus, false},
+		{"lt_quick.txt", LTTopologySweep, true},
 	}
 	for _, tc := range cases {
 		tc := tc
-		t.Run(tc.file, func(t *testing.T) {
+		t.Run(tc.golden, func(t *testing.T) {
 			t.Parallel()
-			sc := parseScenarioFile(t, tc.file)
-			refCol := &stats.Collector{}
-			refTbl, err := tc.builtin(Options{Quick: true, Samples: refCol})
+			want, err := os.ReadFile(filepath.Join("testdata", "golden", tc.golden))
 			if err != nil {
 				t.Fatal(err)
 			}
-			refRender := renderTable(t, refTbl)
-			refRows := refCol.Rows()
+			var refRows []stats.Row
 			for _, parallel := range []int{1, 8} {
 				for _, fork := range []int{1, -1} {
 					col := &stats.Collector{}
-					got, err := ScenarioTable(sc, Options{
-						Quick: true, Parallel: parallel, Fork: fork, Samples: col,
+					got, err := tc.builtin(Options{
+						Seed: 1, Repeat: 3, Quick: tc.quick, Parallel: parallel, Fork: fork, Samples: col,
 					})
 					if err != nil {
 						t.Fatalf("parallel=%d fork=%d: %v", parallel, fork, err)
 					}
-					if got.ID != refTbl.ID {
-						t.Errorf("parallel=%d fork=%d: table ID %q, want %q", parallel, fork, got.ID, refTbl.ID)
+					if render := renderTable(t, got); render != string(want) {
+						t.Errorf("parallel=%d fork=%d: table differs from golden\n--- got\n%s--- want\n%s",
+							parallel, fork, render, want)
 					}
-					if render := renderTable(t, got); render != refRender {
-						t.Errorf("parallel=%d fork=%d: table differs from builtin\n--- config\n%s--- builtin\n%s",
-							parallel, fork, render, refRender)
+					rows := col.Rows()
+					if len(rows) == 0 {
+						t.Fatalf("parallel=%d fork=%d: no v2 rows collected", parallel, fork)
 					}
-					if rows := col.Rows(); !reflect.DeepEqual(rows, refRows) {
-						t.Errorf("parallel=%d fork=%d: v2 rows differ from builtin\nconfig:  %+v\nbuiltin: %+v",
+					if refRows == nil {
+						refRows = rows
+					} else if !reflect.DeepEqual(rows, refRows) {
+						t.Errorf("parallel=%d fork=%d: v2 rows differ from parallel=1 fork=1\ngot:  %+v\nwant: %+v",
 							parallel, fork, rows, refRows)
 					}
 				}
 			}
 		})
+	}
+}
+
+// TestBuiltinRegistry pins the registry the reports and goldens are keyed
+// by: the same 17 ids in presentation order, each once, and every embedded
+// scenario document parsing in both modes under the name of the registry
+// entry it defines.
+func TestBuiltinRegistry(t *testing.T) {
+	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "A1", "A2", "R1", "R2", "X1", "X2", "L1", "L5", "LT"}
+	var ids []string
+	seen := map[string]bool{}
+	for _, e := range Experiments() {
+		ids = append(ids, e.ID)
+		if seen[e.ID] {
+			t.Errorf("registry lists %s twice", e.ID)
+		}
+		seen[e.ID] = true
+	}
+	if !reflect.DeepEqual(ids, want) {
+		t.Errorf("registry ids = %v, want %v", ids, want)
+	}
+	files, err := builtinScenarios.ReadDir("scenarios")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		data, err := builtinScenarios.ReadFile("scenarios/" + f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := strings.ToUpper(strings.TrimSuffix(f.Name(), ".json"))
+		if !seen[id] {
+			t.Errorf("%s defines no registry entry", f.Name())
+		}
+		for _, quick := range []bool{false, true} {
+			sc, err := scenario.Parse(data, quick)
+			if err != nil {
+				t.Errorf("%s (quick=%v): %v", f.Name(), quick, err)
+				continue
+			}
+			if sc.Name != id {
+				t.Errorf("%s (quick=%v): name %q, want %q", f.Name(), quick, sc.Name, id)
+			}
+		}
 	}
 }
 

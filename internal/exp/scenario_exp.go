@@ -1,20 +1,36 @@
 package exp
 
-// scenario_exp.go holds the fault-scenario sweeps enabled by the generalized
-// fault subsystem (internal/faults.Schedule): crash-recovery restarts and
-// partition/heal windows, measured with the interval-based recovery metrics
-// of internal/qos. Like every other table they decompose into seed-addressed
-// jobs on the shared runner, so parallel output is byte-identical to serial.
+// scenario_exp.go holds the experiments whose definition is an embedded
+// asyncfd-scenario/v1 document (scenarios/*.json): the fault-scenario sweeps
+// R1 and R2, the topology sweep LT and the consensus bridge E7. Each is the
+// document parsed with Options.Quick selecting its "quick" overlay and run
+// by ScenarioTable; the documents' "description" strings say what each table
+// measures and why its schedule is timed the way it is.
 
 import (
+	"embed"
 	"fmt"
-	"strconv"
-	"time"
 
-	"asyncfd/internal/faults"
-	"asyncfd/internal/ident"
-	"asyncfd/internal/qos"
+	"asyncfd/internal/scenario"
 )
+
+//go:embed scenarios/*.json
+var builtinScenarios embed.FS
+
+// runBuiltinScenario runs the embedded document scenarios/<file>.json. The
+// documents ship inside the binary, so a read or parse error is a build
+// defect; TestBuiltinRegistry parses every one in both modes.
+func runBuiltinScenario(file string, opts Options) (*Table, error) {
+	data, err := builtinScenarios.ReadFile("scenarios/" + file + ".json")
+	if err != nil {
+		return nil, fmt.Errorf("exp: embedded scenario: %w", err)
+	}
+	sc, err := scenario.Parse(data, opts.Quick)
+	if err != nil {
+		return nil, fmt.Errorf("exp: embedded scenario %s: %w", file, err)
+	}
+	return ScenarioTable(sc, opts)
+}
 
 // R1CrashRecovery is the crash-recovery sweep: one process crashes, comes
 // back (with fresh or persisted detector state) and crashes again. For every
@@ -22,104 +38,7 @@ import (
 // the trust-restoration time after the restart, the re-detection time of the
 // second crash, and the mistake storm the restart provokes while the process
 // is back up.
-func R1CrashRecovery(opts Options) (*Table, error) {
-	n, f := 8, 2
-	if opts.Quick {
-		n, f = 6, 2
-	}
-	const (
-		crash1    = 10 * time.Second
-		recoverAt = 20 * time.Second
-		crash2    = 35 * time.Second
-		horizon   = 50 * time.Second
-	)
-	victim := ident.ID(n - 1)
-	t := &Table{
-		ID:    "R1",
-		Title: "crash-recovery: detection, trust restoration and re-detection per detector",
-		Note: fmt.Sprintf("n=%d, f=%d; %v crashes at 10s, recovers at 20s (fresh or persisted state), crashes again at 35s; "+
-			"storm = false-suspicion episodes while it is back up", n, f, victim),
-		Columns: []string{"detector", "state", "det#1 avg", "restore avg", "det#2 avg", "det#2 missing", "storm"},
-	}
-	modes := []struct {
-		name  string
-		fresh bool
-	}{{"fresh", true}, {"persisted", false}}
-	type r1cell struct {
-		det1, restore, det2 qos.DetectionStats
-		storm               int
-	}
-	var fams []family[r1cell]
-	for _, kind := range AllKinds() {
-		kind := kind
-		for _, mode := range modes {
-			mode := mode
-			cfg := ClusterConfig{
-				Kind: kind, N: n, F: f,
-				Seed:  opts.seed(),
-				Delay: defaultDelay(),
-			}
-			fams = append(fams, family[r1cell]{
-				warm: 9 * time.Second, // first crash at 10s
-				build: func() (*Cluster, *qos.GroundTruth, error) {
-					c, err := NewCluster(cfg)
-					if err != nil {
-						return nil, nil, fmt.Errorf("R1 %v/%s: %w", kind, mode.name, err)
-					}
-					truth := c.Apply(faults.Schedule{}.
-						CrashAt(victim, crash1).
-						RecoverAt(victim, recoverAt, mode.fresh).
-						CrashAt(victim, crash2))
-					return c, truth, nil
-				},
-				run: func(c *Cluster, truth *qos.GroundTruth) (r1cell, error) {
-					c.RunUntil(horizon)
-					opts.record(c.Sim)
-					observers := c.Members.Clone()
-					observers.Remove(victim)
-					judge := qos.JudgeFrom(c.Log) // one trace pass for all four metrics
-					return r1cell{
-						det1:    judge.RedetectionTimes(truth, victim, observers, 0),
-						restore: judge.TrustRestorationTimes(truth, victim, observers, 0),
-						det2:    judge.RedetectionTimes(truth, victim, observers, 1),
-						storm:   judge.MistakeStorm(truth, c.Members, recoverAt, crash2),
-					}, nil
-				},
-			})
-		}
-	}
-	cells, err := runFamilies(opts, fams)
-	if err != nil {
-		return nil, err
-	}
-	k := 0
-	for _, kind := range AllKinds() {
-		for _, mode := range modes {
-			cellKey := fmt.Sprintf("%s/%s", kind, mode.name)
-			var det2 []qos.DetectionStats
-			var det1Avgs, restoreAvgs, det2Avgs, storms []float64
-			for r := 0; r < opts.runs(); r++ {
-				cell := cells[k]
-				k++
-				det2 = append(det2, cell.det2)
-				det1Avgs = append(det1Avgs, qos.Millis(cell.det1.Avg))
-				restoreAvgs = append(restoreAvgs, qos.Millis(cell.restore.Avg))
-				det2Avgs = append(det2Avgs, qos.Millis(cell.det2.Avg))
-				storms = append(storms, float64(cell.storm))
-				opts.sampleDetection(cellKey, "det1", r, cell.det1)
-				opts.sampleDetection(cellKey, "restore", r, cell.restore)
-				opts.sampleDetection(cellKey, "det2", r, cell.det2)
-				opts.sample(cellKey, "storm", r, float64(cell.storm))
-			}
-			d2 := aggregateDetection(det2)
-			t.AddRow(kind.String(), mode.name,
-				famMS(det1Avgs), famMS(restoreAvgs), famMS(det2Avgs),
-				strconv.Itoa(d2.Missing),
-				famCell("%.1f", "", storms))
-		}
-	}
-	return t, nil
-}
+func R1CrashRecovery(opts Options) (*Table, error) { return runBuiltinScenario("r1", opts) }
 
 // R2PartitionHeal is the partition/heal sweep: a minority island is cut off
 // for a window, then the partition heals. The majority side still reaches
@@ -127,105 +46,17 @@ func R1CrashRecovery(opts Options) (*Table, error) {
 // like the timer-based detectors time the minority out; the table reports
 // the storm size, how long after the heal the last wrongful suspicion is
 // corrected, and whether every run re-converged cleanly.
-func R2PartitionHeal(opts Options) (*Table, error) {
-	n, f := 8, 2
-	if opts.Quick {
-		n, f = 6, 2
-	}
-	const (
-		splitAt = 15 * time.Second
-		healAt  = 30 * time.Second
-		horizon = 60 * time.Second
-	)
-	// Minority island: the last max(1, n/4) processes. The majority keeps
-	// ≥ n−f processes, so async quorums still terminate on that side.
-	minority := make([]ident.ID, 0, n/4)
-	for i := n - n/4; i < n; i++ {
-		minority = append(minority, ident.ID(i))
-	}
-	t := &Table{
-		ID:    "R2",
-		Title: "partition/heal: mistake storm and re-convergence per detector",
-		Note: fmt.Sprintf("n=%d, f=%d; %d-process minority island cut off during [15s,30s); "+
-			"storm = false-suspicion episodes beginning in the window; reconverge = settle time after the heal", n, f, len(minority)),
-		Columns: []string{"detector", "storm", "reconverge avg", "reconverge max", "clean runs"},
-	}
-	type r2cell struct {
-		storm  int
-		settle time.Duration
-		clean  bool
-	}
-	var fams []family[r2cell]
-	for _, kind := range AllKinds() {
-		kind := kind
-		cfg := ClusterConfig{
-			Kind: kind, N: n, F: f,
-			Seed:  opts.seed(),
-			Delay: defaultDelay(),
-			// The minority island cannot reach the quorum while cut off;
-			// rebroadcast lets its stalled queries complete after the
-			// heal instead of blocking forever (the mobility extension's
-			// re-query rule).
-			Rebroadcast: 2 * time.Second,
-		}
-		fams = append(fams, family[r2cell]{
-			warm: 14 * time.Second, // partition at 15s
-			build: func() (*Cluster, *qos.GroundTruth, error) {
-				c, err := NewCluster(cfg)
-				if err != nil {
-					return nil, nil, fmt.Errorf("R2 %v: %w", kind, err)
-				}
-				truth := c.Apply(faults.Schedule{}.
-					PartitionAt(splitAt, minority).
-					HealAt(healAt))
-				return c, truth, nil
-			},
-			run: func(c *Cluster, truth *qos.GroundTruth) (r2cell, error) {
-				c.RunUntil(horizon)
-				opts.record(c.Sim)
-				judge := qos.JudgeFrom(c.Log)
-				settle, clean := judge.Reconvergence(truth, c.Members, healAt)
-				return r2cell{
-					storm:  judge.MistakeStorm(truth, c.Members, splitAt, healAt),
-					settle: settle,
-					clean:  clean,
-				}, nil
-			},
-		})
-	}
-	cells, err := runFamilies(opts, fams)
-	if err != nil {
-		return nil, err
-	}
-	k := 0
-	for _, kind := range AllKinds() {
-		cellKey := kind.String()
-		cleanRuns := 0
-		var settleMax time.Duration
-		var storms, settles []float64
-		for r := 0; r < opts.runs(); r++ {
-			cell := cells[k]
-			k++
-			storms = append(storms, float64(cell.storm))
-			settles = append(settles, qos.Millis(cell.settle))
-			if cell.settle > settleMax {
-				settleMax = cell.settle
-			}
-			if cell.clean {
-				cleanRuns++
-			}
-			opts.sample(cellKey, "storm", r, float64(cell.storm))
-			opts.sample(cellKey, "reconverge_ms", r, qos.Millis(cell.settle))
-			clean := 0.0
-			if cell.clean {
-				clean = 1
-			}
-			opts.sample(cellKey, "clean", r, clean)
-		}
-		t.AddRow(kind.String(),
-			famCell("%.1f", "", storms),
-			famMS(settles), ms(settleMax),
-			fmt.Sprintf("%d/%d", cleanRuns, opts.runs()))
-	}
-	return t, nil
-}
+func R2PartitionHeal(opts Options) (*Table, error) { return runBuiltinScenario("r2", opts) }
+
+// LTTopologySweep measures neighbor-local failure detection at large n over
+// the four topology families: per-neighbor detection time of one crash, and
+// traffic per process per second. The expected shape is the sweep's point —
+// detection time tracks Θ and message cost tracks the connectivity degree,
+// while n grows 4× across the rows without moving either.
+func LTTopologySweep(opts Options) (*Table, error) { return runBuiltinScenario("lt", opts) }
+
+// E7Consensus is the theory-to-practice bridge: the same Chandra–Toueg ◇S
+// consensus runs over each detector implementation while the first
+// coordinator is crashed. Decision latency is gated by how fast the detector
+// lets participants skip the dead coordinator.
+func E7Consensus(opts Options) (*Table, error) { return runBuiltinScenario("e7", opts) }

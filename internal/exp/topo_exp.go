@@ -1,27 +1,25 @@
 package exp
 
-// topo_exp.go holds the LT topology sweep: detection time and message cost
-// at n=1024–4096 over ring / grid / scale-free / MANET communication graphs
-// (internal/topology), the scaling direction of the partial-connectivity
-// follow-up literature. The detector under test is the neighbor-local direct
-// heartbeat (heartbeat.Node with Peers = graph neighbors, netsim neighbor
-// restriction matching): every process monitors only its neighborhood, so
-// per-process cost is driven by connectivity degree, not by n — exactly the
-// property the sweep measures. Cells at this size are tractable because both
-// sides of the pipeline are sparse: netsim's per-node fan-out lists and O(1)
+// topo_exp.go holds what the scenario engine's topology program (LT,
+// scenarios/lt.json) builds its cells from: the ring / grid / scale-free /
+// MANET communication graphs (internal/topology), the scaling direction of
+// the partial-connectivity follow-up literature, and the cluster wired onto
+// them. The detector under test is the neighbor-local direct heartbeat
+// (heartbeat.Node with Peers = graph neighbors, netsim neighbor restriction
+// matching): every process monitors only its neighborhood, so per-process
+// cost is driven by connectivity degree, not by n — exactly the property the
+// sweep measures. Cells at n=1024–4096 are tractable because both sides of
+// the pipeline are sparse: netsim's per-node fan-out lists and O(1)
 // partition labels keep simulation cost degree-proportional, and the qos
 // Judge turns metric extraction into one accumulator pass over the trace
 // instead of an O(n²·E) rescan.
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
 	"time"
 
 	"asyncfd/internal/des"
-	"asyncfd/internal/faults"
 	"asyncfd/internal/heartbeat"
 	"asyncfd/internal/ident"
 	"asyncfd/internal/netsim"
@@ -30,9 +28,6 @@ import (
 	"asyncfd/internal/trace"
 	"asyncfd/internal/wire"
 )
-
-// ltTopologies lists the sweep's graph families in table order.
-var ltTopologies = []string{"ring", "grid", "scale-free", "manet"}
 
 // ltGraph builds one instance of the named topology family on n vertices.
 // Randomized families (scale-free, manet) draw from r; regular families
@@ -61,15 +56,6 @@ func ltGraph(name string, n int, r *rand.Rand) *topology.Graph {
 	default:
 		panic("exp: unknown LT topology " + name)
 	}
-}
-
-// ltNs returns the sweep's machine sizes: 1024/2048/4096 full-size, one
-// small size in Quick mode.
-func ltNs(opts Options) []int {
-	if opts.Quick {
-		return []int{48}
-	}
-	return []int{1024, 2048, 4096}
 }
 
 // topoCluster wires neighbor-local direct heartbeat detectors onto a
@@ -129,90 +115,4 @@ type ltRun struct {
 	det    qos.DetectionStats
 	stats  netsim.Stats
 	avgDeg float64
-}
-
-// LTTopologySweep measures neighbor-local failure detection at large n over
-// the four topology families: per-neighbor detection time of one crash, and
-// traffic per process per second. The expected shape is the sweep's point —
-// detection time tracks Θ and message cost tracks the connectivity degree,
-// while n grows 4× across the rows without moving either.
-func LTTopologySweep(opts Options) (*Table, error) {
-	t := &Table{
-		ID:    "LT",
-		Title: "TOPOLOGY: neighbor-local detection at n=1024–4096 (ring/grid/scale-free/MANET)",
-		Note: "neighbor heartbeat detector (Δ=1s, Θ=2s) on each topology; crash of one process at t=10.4s, " +
-			"detection judged over its graph neighbors; quick: one small size",
-		Columns: []string{"topology", "n", "avg deg", "det avg", "det max", "msgs/proc/s", "bytes/proc/s"},
-	}
-	const (
-		crashAt = 10400 * time.Millisecond
-		horizon = 30 * time.Second
-	)
-	ns := ltNs(opts)
-	var jobs []func() (ltRun, error)
-	for _, topo := range ltTopologies {
-		topo := topo
-		for _, n := range ns {
-			n := n
-			for r := 0; r < opts.runs(); r++ {
-				seed := opts.seed() + int64(r)*101
-				jobs = append(jobs, func() (ltRun, error) {
-					//fdlint:allow rngdiscipline seed-addressed graph construction before the kernel runs; never interleaves with kernel draws
-					g := ltGraph(topo, n, rand.New(rand.NewSource(seed)))
-					degSum := 0
-					for v := 0; v < n; v++ {
-						degSum += g.Degree(ident.ID(v))
-					}
-					c, err := newTopoCluster(g, seed, defaultDelay(), time.Second, 2*time.Second)
-					if err != nil {
-						return ltRun{}, fmt.Errorf("LT %s n=%d: %w", topo, n, err)
-					}
-					victim := ltVictim(g)
-					truth := faults.Schedule{}.CrashAt(victim, crashAt).Apply(c.sim, c.net)
-					c.sim.RunUntil(horizon)
-					opts.record(c.sim)
-					observers := g.Neighbors(victim)
-					return ltRun{
-						det:    qos.JudgeFrom(c.log).DetectionTimes(truth, victim, observers),
-						stats:  c.net.Stats(),
-						avgDeg: float64(degSum) / float64(n),
-					}, nil
-				})
-			}
-		}
-	}
-	results, err := runJobs(opts, jobs)
-	if err != nil {
-		return nil, err
-	}
-	k := 0
-	secs := horizon.Seconds()
-	for _, topo := range ltTopologies {
-		for _, n := range ns {
-			cell := fmt.Sprintf("%s/n=%d", topo, n)
-			var dets []qos.DetectionStats
-			var avgs, degs, msgs, bytes []float64
-			for r := 0; r < opts.runs(); r++ {
-				res := results[k]
-				k++
-				dets = append(dets, res.det)
-				avgs = append(avgs, qos.Millis(res.det.Avg))
-				degs = append(degs, res.avgDeg)
-				m := float64(res.stats.Sent) / float64(n) / secs
-				b := float64(res.stats.Bytes) / float64(n) / secs
-				msgs = append(msgs, m)
-				bytes = append(bytes, b)
-				opts.sampleDetection(cell, "det", r, res.det)
-				opts.sample(cell, "avg_degree", r, res.avgDeg)
-				opts.sample(cell, "msgs_per_proc_s", r, m)
-				opts.sample(cell, "bytes_per_proc_s", r, b)
-			}
-			t.AddRow(topo, strconv.Itoa(n),
-				famCell("%.1f", "", degs),
-				famMS(avgs), ms(aggregateDetection(dets).Max),
-				famCell("%.1f", "", msgs),
-				famCell("%.0f", "", bytes))
-		}
-	}
-	return t, nil
 }

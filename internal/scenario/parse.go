@@ -85,7 +85,6 @@ type rawScenario struct {
 	Note        string          `json:"note,omitempty"`
 	Description string          `json:"description,omitempty"`
 	Repeat      int             `json:"repeat,omitempty"`
-	CI          bool            `json:"ci,omitempty"`
 	Cluster     json.RawMessage `json:"cluster"`
 	Faults      json.RawMessage `json:"faults,omitempty"`
 	Measure     json.RawMessage `json:"measure"`
@@ -208,7 +207,6 @@ func compile(raw *rawScenario) (*Scenario, error) {
 		Note:        raw.Note,
 		Description: raw.Description,
 		Repeat:      raw.Repeat,
-		CI:          raw.CI,
 	}
 	if sc.Name == "" {
 		return nil, errf("name: required")

@@ -18,7 +18,6 @@ const clusterDoc = `{
   "note": "a note",
   "description": "docs",
   "repeat": 3,
-  "ci": true,
   "cluster": {
     "n": 6,
     "f": 2,
@@ -76,7 +75,7 @@ func TestParseClusterScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Name != "r1-like" || sc.Title != "crash-recovery demo" || sc.Repeat != 3 || !sc.CI {
+	if sc.Name != "r1-like" || sc.Title != "crash-recovery demo" || sc.Repeat != 3 {
 		t.Errorf("header fields wrong: %+v", sc)
 	}
 	if sc.Cluster.N != 6 || sc.Cluster.F != 2 {
@@ -320,6 +319,7 @@ func TestParseErrors(t *testing.T) {
 		{"wrong schema", valid(repl(`"asyncfd-scenario/v1"`, `"asyncfd-scenario/v9"`)), "unknown schema version"},
 		{"missing schema", `{"name": "x"}`, "unknown schema version"},
 		{"unknown top field", valid(repl(`"name":`, `"bogus": 1, "name":`)), "bogus"},
+		{"retired ci key", valid(repl(`"name":`, `"ci": true, "name":`)), `unknown field "ci"`},
 		{"missing name", valid(repl(`"name": "r1-like",`, ``)), "name: required"},
 		{"bad name chars", valid(repl(`"name": "r1-like"`, `"name": "r1 like"`)), "name:"},
 		{"missing title", valid(repl(`"title": "crash-recovery demo",`, ``)), "title: required"},

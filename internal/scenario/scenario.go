@@ -254,9 +254,6 @@ type Scenario struct {
 	// Repeat, when positive, is the scenario's default seed-family size; a
 	// caller-pinned Options.Repeat (the -repeat flag) wins over it.
 	Repeat int
-	// CI marks the scenario as intended for v2 sample collection by
-	// default (the -ci flag wins either way).
-	CI bool
 
 	Cluster ClusterSpec
 	// VariantHeader is the header of the variant name column; empty when

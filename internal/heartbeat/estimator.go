@@ -2,18 +2,17 @@ package heartbeat
 
 import "time"
 
-// Estimator is the shard-callable core of the heartbeat detector: the
-// fixed-timeout rule Θ with no Env, goroutine or timer machinery. A shard
-// worker (internal/liveshard) owns one Estimator per monitored peer, feeds
-// it heartbeat arrival times via Observe and polls Suspected on its scan
-// tick. All times are offsets on the caller's clock; the Estimator never
-// reads a clock itself, so it is trivially testable and runs identically
-// under simulated and wall-clock time.
+// Estimator is the fixed-timeout rule Θ for one monitored peer, with no Env,
+// goroutine or timer machinery: the one implementation of the rule, run by
+// the simulator's Node (as its monitor.Rule) and by a shard worker of
+// internal/liveshard, which feeds it heartbeat arrival times via Observe and
+// polls Suspected on its scan tick. All times are offsets on the caller's
+// clock; the Estimator never reads a clock itself, so it is trivially
+// testable and runs identically under simulated and wall-clock time.
 //
 // The zero value is not ready: use NewEstimator, which primes the estimator
 // as if a heartbeat arrived at the given instant (the start of monitoring
-// counts as the last sighting, avoiding instant suspicion — the same
-// bootstrap Node.Start uses).
+// counts as the last sighting, avoiding instant suspicion).
 type Estimator struct {
 	timeout time.Duration
 	last    time.Duration
@@ -41,3 +40,23 @@ func (e *Estimator) Suspected(now time.Duration) bool {
 
 // Last returns the time of the freshest sighting (diagnostics).
 func (e *Estimator) Last() time.Duration { return e.last }
+
+// Prime implements monitor.Rule: monitoring starts with a sighting at now.
+func (e *Estimator) Prime(now time.Duration) time.Duration {
+	e.last = now
+	return now + e.timeout
+}
+
+// Resume implements monitor.Rule: the restart counts as the last sighting
+// of the peer, like Prime, whatever state survived.
+func (e *Estimator) Resume(_ bool, now time.Duration) time.Duration { return e.Prime(now) }
+
+// Beat implements monitor.Rule: any heartbeat is a sighting, whatever its
+// sequence number.
+func (e *Estimator) Beat(_ uint64, now time.Duration, _ bool) (time.Duration, bool) {
+	e.Observe(now)
+	return e.last + e.timeout, true
+}
+
+// CopyTo implements monitor.Rule.
+func (e *Estimator) CopyTo(dst *Estimator) { *dst = *e }

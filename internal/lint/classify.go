@@ -33,6 +33,7 @@ var classTable = map[string]Class{
 	"asyncfd/internal/chen":       Sim,
 	"asyncfd/internal/phiaccrual": Sim,
 	"asyncfd/internal/heartbeat":  Sim,
+	"asyncfd/internal/monitor":    Sim,
 	"asyncfd/internal/core":       Sim,
 	"asyncfd/internal/unknown":    Sim,
 	"asyncfd/internal/leader":     Sim,

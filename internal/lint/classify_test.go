@@ -11,6 +11,8 @@ func TestClassOf(t *testing.T) {
 		{"asyncfd/internal/des/desutil", Sim},
 		{"asyncfd/internal/qos", Sim},
 		{"asyncfd/internal/qos/judge", Sim},
+		// The runtime that decides every timer-based suspicion order.
+		{"asyncfd/internal/monitor", Sim},
 		{"asyncfd/internal/livenet", Live},
 		{"asyncfd/internal/tcpnet", Live},
 		{"asyncfd/cmd/fdlint", Live},

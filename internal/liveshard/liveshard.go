@@ -3,9 +3,10 @@
 // sockets (cmd/fdload drives it at target heartbeat rates).
 //
 // Architecture: peers are hash-partitioned across K estimator workers.
-// Each worker exclusively owns its peers' heartbeat state (a shard-callable
-// estimator per peer — heartbeat.Estimator or phiaccrual.Estimator), so the
-// per-heartbeat hot path takes no locks at all; cross-shard coordination
+// Each worker exclusively owns its peers' heartbeat state (one estimator per
+// peer — heartbeat.Estimator or phiaccrual.Estimator, the same rule objects
+// the simulator nodes run inside internal/monitor), so the per-heartbeat hot
+// path takes no locks at all; cross-shard coordination
 // exists only at the edges (the ingest queues in, the suspicion sink out).
 // Ingest queues are bounded with a drop-oldest policy under overload: a
 // heartbeat that cannot be enqueued evicts the oldest queued event first,
@@ -30,9 +31,11 @@ import (
 )
 
 // PeerEstimator is the per-peer estimation state a shard worker owns.
-// heartbeat.Estimator and phiaccrual.Estimator implement it. Implementations
-// need no internal locking: all calls for one peer come from its shard's
-// worker goroutine.
+// heartbeat.Estimator and phiaccrual.Estimator implement it: the same rule
+// objects the simulator nodes run, so a rule has one implementation on both
+// pipelines. (chen.Estimator needs the heartbeat's sequence number, which an
+// event here does not carry.) Implementations need no internal locking: all
+// calls for one peer come from its shard's worker goroutine.
 type PeerEstimator interface {
 	// Observe records a heartbeat arrival at time at.
 	Observe(at time.Duration)

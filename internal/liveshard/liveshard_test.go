@@ -245,14 +245,11 @@ func TestConcurrentObserve(t *testing.T) {
 	}
 }
 
-// TestDeliverPayloadKinds: the node.Handler entry recognizes every
-// heartbeat-shaped wire payload by its own From field.
+// TestDeliverPayloadKinds: the node.Handler entry recognizes both
+// heartbeat-shaped wire payloads by their own From field.
 func TestDeliverPayloadKinds(t *testing.T) {
 	if id, ok := heartbeatFrom(heartbeat.Message{From: 3}); !ok || id != 3 {
 		t.Error("heartbeat.Message not recognized")
-	}
-	if id, ok := heartbeatFrom(phiaccrual.Message{From: 4}); !ok || id != 4 {
-		t.Error("phiaccrual.Message not recognized")
 	}
 	if id, ok := heartbeatFrom(heartbeat.VectorMessage{From: 5}); !ok || id != 5 {
 		t.Error("heartbeat.VectorMessage not recognized")

@@ -6,11 +6,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"asyncfd/internal/chen"
 	"asyncfd/internal/heartbeat"
 	"asyncfd/internal/ident"
 	"asyncfd/internal/node"
-	"asyncfd/internal/phiaccrual"
 )
 
 // drainBatch bounds how many queued events a worker folds in per wakeup
@@ -111,15 +109,11 @@ func (sh *shard) transition(rec *peerRec, suspected bool) {
 	}
 }
 
-// heartbeatFrom extracts the sending peer from any of the heartbeat-shaped
-// wire payloads.
+// heartbeatFrom extracts the sending peer from either heartbeat-shaped wire
+// payload: the direct heartbeat and the gossip vector.
 func heartbeatFrom(payload any) (ident.ID, bool) {
 	switch m := payload.(type) {
 	case heartbeat.Message:
-		return m.From, true
-	case phiaccrual.Message:
-		return m.From, true
-	case chen.Message:
 		return m.From, true
 	case heartbeat.VectorMessage:
 		return m.From, true

@@ -1,0 +1,106 @@
+package monitor_test
+
+import (
+	"testing"
+
+	"asyncfd/internal/ident"
+	"asyncfd/internal/monitor"
+	"asyncfd/internal/netsim"
+)
+
+// ledgerPeers is the dense-mesh workload's degree: a monitor at n = 128
+// watches 127 peers.
+const ledgerPeers = 127
+
+// ledgerRig is one started monitor (process 0) of ledgerPeers peers on a
+// zero-delay network, with the kind's default windows, warmed until every
+// one of them is full.
+type ledgerRig struct {
+	*cluster
+	nd    detector
+	round uint64
+	msgs  []any
+}
+
+func newLedgerRig(b *testing.B, k kind) *ledgerRig {
+	b.Helper()
+	r := &ledgerRig{cluster: newNet(netsim.Constant{}), msgs: make([]any, ledgerPeers)}
+	r.nd = r.add(b, k, 0, ident.FullSet(ledgerPeers+1), 0)
+	r.nd.Start()
+	for i := 0; i < 256; i++ { // φ keeps 200 samples, NFD-E 100
+		r.advance()
+		r.deliverAll()
+	}
+	return r
+}
+
+// box makes the next round's heartbeats: the payload is the sender's
+// allocation, not the monitor's.
+func (r *ledgerRig) box() {
+	r.round++
+	for p := range r.msgs {
+		r.msgs[p] = monitor.Message{From: ident.ID(p + 1), Seq: r.round}
+	}
+}
+
+// advance moves the clock one heartbeat interval on and boxes a round.
+func (r *ledgerRig) advance() {
+	r.sim.RunUntil(r.sim.Now() + interval)
+	r.box()
+}
+
+func (r *ledgerRig) deliverAll() {
+	for p, m := range r.msgs {
+		r.nd.Deliver(ident.ID(p+1), m)
+	}
+}
+
+// BenchmarkDeliver is the detector-step row of the layer ledger: one
+// heartbeat from a trusted peer into a warmed monitor of 127 peers — peer
+// lookup, the rule's update, the deadline pushed back in place. The clock
+// advance between rounds (the monitor's own beat, φ's polls) is not timed.
+func BenchmarkDeliver(b *testing.B) {
+	for _, k := range kinds {
+		b.Run(k.name, func(b *testing.B) {
+			r := newLedgerRig(b, k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; {
+				b.StopTimer()
+				r.advance()
+				b.StartTimer()
+				for p := 0; p < ledgerPeers && i < b.N; p, i = p+1, i+1 {
+					r.nd.Deliver(ident.ID(p+1), r.msgs[p])
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkScan is the polled half of a polled kind's step: one firing of
+// the poll timer over 127 trusted peers, in the steady-state mix — of φ's
+// four polls per heartbeat interval the first re-fits every window the
+// round's heartbeats touched and the other three find the fit cached. The
+// deliveries themselves are not timed; the monitor's own beat (a broadcast
+// nobody receives) falls into one poll in four.
+func BenchmarkScan(b *testing.B) {
+	for _, k := range kinds {
+		if k.armed != 0 {
+			continue // deadline-driven: nothing polls
+		}
+		b.Run(k.name, func(b *testing.B) {
+			r := newLedgerRig(b, k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; {
+				b.StopTimer()
+				r.box()
+				r.deliverAll()
+				b.StartTimer()
+				for q := 0; q < 4 && i < b.N; q, i = q+1, i+1 {
+					r.sim.RunUntil(r.sim.Now() + interval/4)
+				}
+			}
+		})
+	}
+}

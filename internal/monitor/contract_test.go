@@ -1,0 +1,295 @@
+package monitor_test
+
+import (
+	"testing"
+	"time"
+
+	"asyncfd/internal/chen"
+	"asyncfd/internal/des"
+	"asyncfd/internal/fd"
+	"asyncfd/internal/heartbeat"
+	"asyncfd/internal/ident"
+	"asyncfd/internal/monitor"
+	"asyncfd/internal/netsim"
+	"asyncfd/internal/node"
+	"asyncfd/internal/phiaccrual"
+	"asyncfd/internal/raceflag"
+	"asyncfd/internal/trace"
+)
+
+// The contract of the shared runtime, held over every kind that runs on it.
+// What a kind's rule decides (when a silent peer is suspected, what a
+// restart does to the estimate) is tested in the kind's own package.
+
+const interval = time.Second
+
+// detector is everything the experiment engine asks of a node.
+type detector interface {
+	node.Handler
+	node.Cloneable
+	fd.Detector
+	fd.Restartable
+	Start()
+	Stop()
+}
+
+type kind struct {
+	name string
+	// new builds a node with sample windows of the given size (0: the
+	// kind's default).
+	new func(env node.Env, self ident.ID, peers ident.Set, window int, sink fd.SuspicionSink) (detector, error)
+	// armed is how many kernel events a monitor that was never started
+	// keeps pending for one punctual peer: the deadline, or none if polled.
+	armed int
+}
+
+var kinds = []kind{
+	{"heartbeat", func(env node.Env, self ident.ID, peers ident.Set, _ int, sink fd.SuspicionSink) (detector, error) {
+		return heartbeat.NewNode(env, heartbeat.Config{Self: self, Peers: peers, Interval: interval, Timeout: 2 * interval, Sink: sink})
+	}, 1},
+	{"phi-accrual", func(env node.Env, self ident.ID, peers ident.Set, window int, sink fd.SuspicionSink) (detector, error) {
+		return phiaccrual.NewNode(env, phiaccrual.Config{Self: self, Peers: peers, Interval: interval, WindowSize: window, Sink: sink})
+	}, 0},
+	{"chen-nfde", func(env node.Env, self ident.ID, peers ident.Set, window int, sink fd.SuspicionSink) (detector, error) {
+		return chen.NewNode(env, chen.Config{Self: self, Peers: peers, Interval: interval, Alpha: 300 * time.Millisecond, WindowSize: window, Sink: sink})
+	}, 1},
+}
+
+func forEachKind(t *testing.T, fn func(t *testing.T, k kind)) {
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) { fn(t, k) })
+	}
+}
+
+type cluster struct {
+	sim   *des.Simulator
+	net   *netsim.Network
+	nodes []detector
+	log   *trace.Log
+}
+
+// newNet is a cluster with nobody on it yet.
+func newNet(delay netsim.DelayModel) *cluster {
+	c := &cluster{sim: des.New(1), log: &trace.Log{}}
+	c.net = netsim.New(c.sim, netsim.Config{Delay: delay})
+	return c
+}
+
+// newCluster builds n processes of one kind, each monitoring all the others,
+// and starts them in id order.
+func newCluster(t testing.TB, k kind, n int, delay netsim.DelayModel) *cluster {
+	t.Helper()
+	c := newNet(delay)
+	for i := 0; i < n; i++ {
+		c.nodes = append(c.nodes, c.add(t, k, ident.ID(i), ident.FullSet(n), testWindow))
+	}
+	for _, nd := range c.nodes {
+		nd.Start()
+	}
+	return c
+}
+
+// testWindow fills within a test's warm-up.
+const testWindow = 8
+
+// add puts one process on the network without starting it.
+func (c *cluster) add(t testing.TB, k kind, id ident.ID, peers ident.Set, window int) detector {
+	t.Helper()
+	var nd detector
+	env := c.net.AddNode(id, node.HandlerFunc(func(from ident.ID, payload any) { nd.Deliver(from, payload) }))
+	nd, err := k.new(env, id, peers, window, c.log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nd
+}
+
+// by returns what observer recorded at or after since.
+func (c *cluster) by(observer ident.ID, since time.Duration) []trace.Event {
+	var out []trace.Event
+	for _, e := range c.log.Events() {
+		if e.Observer == observer && e.At >= since {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+func TestStopSilencesSenderAndMonitor(t *testing.T) {
+	forEachKind(t, func(t *testing.T, k kind) {
+		c := newCluster(t, k, 3, netsim.Constant{D: time.Millisecond})
+		c.sim.RunUntil(5500 * time.Millisecond)
+		c.nodes[0].Stop()
+		before := c.net.Stats().Sent
+		c.sim.RunUntil(6500 * time.Millisecond) // one beat of every running node
+		if got := c.net.Stats().Sent - before; got != 2*2 {
+			t.Errorf("%d messages sent in one interval, want 4: two senders, two receivers each", got)
+		}
+		c.net.Crash(1)
+		c.net.Crash(2)
+		c.sim.RunUntil(time.Minute)
+		if got := c.by(0, 0); len(got) != 0 || !c.nodes[0].Suspects().Empty() {
+			t.Errorf("stopped monitor went on judging: events %v, suspects %v", got, c.nodes[0].Suspects())
+		}
+	})
+}
+
+func TestForeignPayloadsAndStrangersIgnored(t *testing.T) {
+	forEachKind(t, func(t *testing.T, k kind) {
+		c := newNet(netsim.Constant{})
+		nd := c.add(t, k, 0, ident.SetOf(0, 1), testWindow)
+		stranger := c.net.AddNode(9, node.HandlerFunc(func(ident.ID, any) {}))
+		nd.Start()
+		stranger.Send(0, monitor.Message{From: 9, Seq: 1})
+		stranger.Send(0, "garbage")
+		nd.Deliver(1, 42)
+		c.sim.RunUntil(500 * time.Millisecond)
+		if c.log.Len() != 0 {
+			t.Errorf("junk moved the oracle:\n%s", c.log)
+		}
+		// Neither a stranger nor the monitor itself is ever judged: only
+		// the silent peer 1 times out.
+		c.sim.RunUntil(time.Minute)
+		if got := nd.Suspects(); !got.Equal(ident.SetOf(1)) || nd.IsSuspected(9) {
+			t.Errorf("suspects %v, want {1}", got)
+		}
+	})
+}
+
+func TestRestartRestores(t *testing.T) {
+	const restartAt = 11 * time.Second
+	forEachKind(t, func(t *testing.T, k kind) {
+		for _, fresh := range []bool{true, false} {
+			c := newCluster(t, k, 4, netsim.Constant{D: time.Millisecond})
+			c.sim.At(2*time.Second, func() { c.net.Crash(2); c.net.Crash(1) })
+			c.sim.At(restartAt, func() {
+				c.net.Crash(0)
+				c.net.Recover(0)
+				c.nodes[0].Restart(fresh)
+			})
+			c.sim.RunUntil(restartAt - 1)
+			if got := c.nodes[0].Suspects(); !got.Equal(ident.SetOf(1, 2)) {
+				t.Fatalf("before the restart p0 suspects %v, want {1,2}", got)
+			}
+			c.sim.RunUntil(restartAt)
+			var restores []ident.ID
+			for _, e := range c.by(0, restartAt) {
+				if !e.Suspected {
+					restores = append(restores, e.Subject)
+				}
+			}
+			if fresh {
+				// The reboot lost the suspicions; the trace must say so,
+				// in ascending id (the events share a timestamp).
+				if len(restores) != 2 || restores[0] != 1 || restores[1] != 2 || !c.nodes[0].Suspects().Empty() {
+					t.Errorf("fresh restart restored %v and suspects %v, want [1 2] and nobody", restores, c.nodes[0].Suspects())
+				}
+			} else if len(restores) != 0 || !c.nodes[0].IsSuspected(1) || !c.nodes[0].IsSuspected(2) {
+				t.Errorf("persisted restart restored %v and suspects %v, want nothing restored and {1,2} kept", restores, c.nodes[0].Suspects())
+			}
+			// Either way the monitor is running again: it beats, and the
+			// dead stay (or are again) suspected while the living p3 is not.
+			sent := c.net.Stats().Sent
+			c.sim.RunUntil(time.Minute)
+			if got := c.nodes[0].Suspects(); !got.Equal(ident.SetOf(1, 2)) {
+				t.Errorf("long after the restart p0 suspects %v, want {1,2}", got)
+			}
+			if c.net.Stats().Sent == sent || c.nodes[3].IsSuspected(0) {
+				t.Error("restarted node is not heartbeating")
+			}
+		}
+	})
+}
+
+// TestSnapshotRestoreReplays: a checkpoint taken mid-run and restored in
+// place replays the same future, as often as it is restored — with the
+// kernel's and the network's, it is what a warm fork is made of.
+func TestSnapshotRestoreReplays(t *testing.T) {
+	forEachKind(t, func(t *testing.T, k kind) {
+		c := newCluster(t, k, 4, netsim.Exponential{Min: time.Millisecond, Mean: 300 * time.Millisecond})
+		c.sim.RunUntil(5 * time.Second)
+		simSnap, netSnap, mark := c.sim.Snapshot(), c.net.Snapshot(), c.log.Mark()
+		nodeSnaps := make([]any, len(c.nodes))
+		for i, nd := range c.nodes {
+			nodeSnaps[i] = nd.Snapshot()
+		}
+		future := func() string {
+			c.sim.At(6*time.Second, func() { c.net.Crash(3) })
+			c.sim.At(20*time.Second, func() {
+				c.net.Recover(3)
+				c.nodes[3].Restart(true)
+			})
+			c.sim.RunUntil(40 * time.Second)
+			return c.log.String()
+		}
+		want := future()
+		if c.log.Len() == mark {
+			t.Fatal("nothing happened after the checkpoint; scenario too weak")
+		}
+		for round := 1; round <= 2; round++ {
+			c.sim.Restore(simSnap)
+			c.net.Restore(netSnap)
+			for i, nd := range c.nodes {
+				nd.Restore(nodeSnaps[i])
+			}
+			c.log.TruncateTo(mark)
+			if got := future(); got != want {
+				t.Fatalf("replay %d diverged:\n%s\nwant:\n%s", round, got, want)
+			}
+		}
+	})
+}
+
+// TestBootstrapDeadlinesFireInIDOrder: peers that never speak run out of
+// grace at the same instant, and the trace lists them by id, not by the
+// order of a map or of the set literal.
+func TestBootstrapDeadlinesFireInIDOrder(t *testing.T) {
+	forEachKind(t, func(t *testing.T, k kind) {
+		c := newNet(netsim.Constant{})
+		c.add(t, k, 0, ident.SetOf(7, 3, 0, 5), testWindow).Start()
+		c.sim.RunUntil(time.Minute)
+		got := c.log.Events()
+		if len(got) != 3 {
+			t.Fatalf("events:\n%s\nwant one suspicion per silent peer", c.log)
+		}
+		for i, want := range []ident.ID{3, 5, 7} {
+			if e := got[i]; e.Subject != want || !e.Suspected || e.At != got[0].At {
+				t.Errorf("event %d = %v, want a suspicion of %v at %v", i, e, want, got[0].At)
+			}
+		}
+	})
+}
+
+// TestAllocsHeartbeatDelivery locks the detector step on the simulator: a
+// punctual heartbeat from a trusted peer, taken into a full window, moves the
+// pending deadline in place (node.Timer.Reset), so a delivery allocates
+// nothing — no sample storage, no timer handle, no callback, no kernel event.
+func TestAllocsHeartbeatDelivery(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race runtime allocates")
+	}
+	forEachKind(t, func(t *testing.T, k kind) {
+		c := newNet(netsim.Constant{})
+		nd := c.add(t, k, 0, ident.SetOf(0, 1), testWindow) // not started: no beat, no poll
+		// Boxed ahead of time: the payload is the sender's allocation.
+		hbs := make([]any, 128)
+		for i := range hbs {
+			hbs[i] = monitor.Message{From: 1, Seq: uint64(i + 1)}
+		}
+		next := 0
+		beat := func() {
+			c.sim.RunUntil(c.sim.Now() + interval)
+			nd.Deliver(1, hbs[next])
+			next++
+		}
+		for i := 0; i < 16; i++ { // fill the window, arm the deadline
+			beat()
+		}
+		if allocs := testing.AllocsPerRun(100, beat); allocs != 0 {
+			t.Errorf("a heartbeat from a trusted peer: %v allocations, want 0", allocs)
+		}
+		if nd.IsSuspected(1) || c.sim.Pending() != k.armed {
+			t.Errorf("suspected %v, %d events pending: want the peer trusted and %d", nd.IsSuspected(1), c.sim.Pending(), k.armed)
+		}
+	})
+}

@@ -1,0 +1,340 @@
+// Package monitor is the one node runtime of the heartbeat family: the
+// timer-based detectors the paper measures its time-free detector against
+// (fixed timeout, φ-accrual, Chen NFD-E) all broadcast a sequence-numbered
+// heartbeat every Δ and keep, per monitored peer, an opinion that a heartbeat
+// refreshes and silence erodes. Node owns everything they share — the sender
+// tick, the peer table, the suspicion flags and their deadline timers or poll,
+// the sink, crash-recovery and the warm-fork checkpoint — and is generic over
+// the per-peer Rule that makes a kind a kind. The rules are the Estimator
+// types of internal/heartbeat, internal/phiaccrual and internal/chen, whose
+// constructors fill this package's Config; nothing here knows which one it
+// runs.
+package monitor
+
+import (
+	"sync"
+	"time"
+
+	"asyncfd/internal/fd"
+	"asyncfd/internal/ident"
+	"asyncfd/internal/node"
+)
+
+// Message is the heartbeat every kind sends.
+type Message struct {
+	From ident.ID
+	Seq  uint64
+}
+
+// Rule is one monitor's opinion of one peer: an automaton over heartbeat
+// arrivals that never reads a clock, arms a timer or holds the suspicion flag
+// itself. R is the rule's state, kept by value in the peer record.
+//
+// Every method that takes in a sighting returns the deadline it leaves
+// behind: the instant from which continued silence means suspicion. A rule
+// with no closed-form deadline (φ) returns 0 and is run with Config.Poll
+// set — the Node then arms no deadlines and asks Suspected on every poll.
+type Rule[R any] interface {
+	*R
+	// Prime begins monitoring at now: the start counts as a sighting, so
+	// nobody is suspected at once.
+	Prime(now time.Duration) (deadline time.Duration)
+	// Resume carries on after the monitor's own crash-recovery at now, with
+	// its state lost (fresh) or persisted.
+	Resume(fresh bool, now time.Duration) (deadline time.Duration)
+	// Beat takes in heartbeat seq arriving at now from a peer the monitor
+	// currently does or does not suspect. ok false means the heartbeat was
+	// dropped and changes nothing.
+	Beat(seq uint64, now time.Duration, suspected bool) (deadline time.Duration, ok bool)
+	// Suspected reports whether silence up to now means suspicion.
+	Suspected(now time.Duration) bool
+	// CopyTo deep-copies the rule into dst, reusing dst's storage.
+	CopyTo(dst *R)
+}
+
+// Config is what a kind's constructor hands the runtime. It is not a user
+// surface: heartbeat.NewNode, phiaccrual.NewNode and chen.NewNode fill it from
+// their own Config.
+type Config struct {
+	// Self is left out of Peers if present.
+	Self  ident.ID
+	Peers ident.Set
+	// Interval is the heartbeat period Δ.
+	Interval time.Duration
+	// Poll, if positive, makes the monitor polled: no deadline timers, and
+	// every peer's Suspected is asked every Poll.
+	Poll time.Duration
+	// SeqRestarts makes a fresh Restart begin the sequence again at 1. A
+	// rule that drops stale sequence numbers needs the counter to survive
+	// as an incarnation number, or peers would discard the restarted sender
+	// forever.
+	SeqRestarts bool
+	// Sink, if set, receives timestamped suspicion transitions.
+	Sink fd.SuspicionSink
+}
+
+// peer is one monitored process. Records are pointer targets that never move,
+// so a pending deadline callback and the checkpoint's Restore see the same
+// one.
+type peer[R any] struct {
+	id        ident.ID
+	rule      R
+	suspected bool
+	deadline  node.Timer
+}
+
+// Node is a heartbeat-family detector node. Safe for concurrent use.
+type Node[R any, PR Rule[R]] struct {
+	mu  sync.Mutex
+	env node.Env //fdlint:allow clonefields immutable wiring, set once at construction
+	cfg Config   //fdlint:allow clonefields immutable config, set once at construction
+	// recs holds the peers in ascending id — the order of every loop below,
+	// because same-instant timers fire in arming order and same-instant
+	// transitions are traced in emission order, and runs of one seed must
+	// produce identical bytes. byID indexes into it.
+	recs    []peer[R]
+	byID    node.DenseMap[*peer[R]] //fdlint:allow clonefields immutable index into recs, built at construction
+	seq     uint64
+	stopped bool
+	beat    node.Timer
+	poll    node.Timer
+}
+
+// New builds a node on env whose every peer starts from a copy of proto.
+func New[R any, PR Rule[R]](env node.Env, cfg Config, proto R) *Node[R, PR] {
+	cfg.Peers = cfg.Peers.Clone()
+	cfg.Peers.Remove(cfg.Self)
+	n := &Node[R, PR]{env: env, cfg: cfg, recs: make([]peer[R], 0, cfg.Peers.Len())}
+	cfg.Peers.ForEach(func(id ident.ID) bool {
+		n.recs = append(n.recs, peer[R]{id: id, rule: proto})
+		return true
+	})
+	for i := range n.recs {
+		n.byID.Put(n.recs[i].id, &n.recs[i])
+	}
+	return n
+}
+
+// Start begins heartbeating and monitoring.
+func (n *Node[R, PR]) Start() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	now := n.env.Now()
+	for i := range n.recs {
+		p := &n.recs[i]
+		n.armLocked(p, PR(&p.rule).Prime(now)-now)
+	}
+	n.tickLocked()
+	n.scanLocked()
+}
+
+// Restart implements fd.Restartable. With fresh state the reboot lost the
+// suspicions, so the oracle output takes every suspected peer back to trusted
+// and the trace must say so; with persisted state they survive until the
+// peers' heartbeats clear them. What the restart means for the estimate is
+// the rule's business.
+func (n *Node[R, PR]) Restart(fresh bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	stopTimer(n.beat)
+	stopTimer(n.poll)
+	n.stopped = false
+	if fresh && n.cfg.SeqRestarts {
+		n.seq = 0
+	}
+	now := n.env.Now()
+	for i := range n.recs {
+		p := &n.recs[i]
+		stopTimer(p.deadline)
+		if fresh && p.suspected {
+			p.suspected = false
+			n.emitLocked(p.id, false)
+		}
+		n.armLocked(p, PR(&p.rule).Resume(fresh, now)-now)
+	}
+	n.tickLocked()
+	n.scanLocked()
+}
+
+// Stop halts heartbeating and monitoring.
+func (n *Node[R, PR]) Stop() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.stopped = true
+	stopTimer(n.beat)
+	stopTimer(n.poll)
+	for i := range n.recs {
+		stopTimer(n.recs[i].deadline)
+	}
+}
+
+func stopTimer(t node.Timer) {
+	if t != nil {
+		t.Stop()
+	}
+}
+
+func (n *Node[R, PR]) tickLocked() {
+	if n.stopped {
+		return
+	}
+	n.seq++
+	n.env.Broadcast(Message{From: n.env.Self(), Seq: n.seq})
+	n.beat = n.env.After(n.cfg.Interval, func() {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		n.tickLocked()
+	})
+}
+
+// scanLocked is the poll of a polled monitor. Trust comes back on a
+// heartbeat, never here: silence only grows.
+func (n *Node[R, PR]) scanLocked() {
+	if n.stopped || n.cfg.Poll <= 0 {
+		return
+	}
+	now := n.env.Now()
+	for i := range n.recs {
+		p := &n.recs[i]
+		if !p.suspected && PR(&p.rule).Suspected(now) {
+			p.suspected = true
+			n.emitLocked(p.id, true)
+		}
+	}
+	n.poll = n.env.After(n.cfg.Poll, func() {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		n.scanLocked()
+	})
+}
+
+// armLocked moves p's suspicion timer to wait from now (a polled monitor
+// has none). A pending one is pushed in place, which is what every
+// heartbeat from a trusted peer does; the timer firing — at the deadline
+// itself, where the rules' own Suspected is still false — is what suspects.
+func (n *Node[R, PR]) armLocked(p *peer[R], wait time.Duration) {
+	if n.cfg.Poll > 0 {
+		return
+	}
+	if p.deadline != nil {
+		if p.deadline.Reset(wait) {
+			return
+		}
+		p.deadline.Stop()
+	}
+	p.deadline = n.env.After(wait, func() {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		if n.stopped || p.suspected {
+			return
+		}
+		p.suspected = true
+		n.emitLocked(p.id, true)
+	})
+}
+
+// Deliver implements node.Handler.
+func (n *Node[R, PR]) Deliver(from ident.ID, payload any) {
+	m, ok := payload.(Message)
+	if !ok {
+		return
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	p := n.byID.Get(from)
+	if p == nil || n.stopped {
+		return
+	}
+	now := n.env.Now()
+	deadline, ok := PR(&p.rule).Beat(m.Seq, now, p.suspected)
+	if !ok {
+		return
+	}
+	if p.suspected {
+		p.suspected = false
+		n.emitLocked(from, false)
+	}
+	n.armLocked(p, deadline-now)
+}
+
+func (n *Node[R, PR]) emitLocked(subject ident.ID, suspected bool) {
+	if n.cfg.Sink != nil {
+		n.cfg.Sink.OnSuspicion(n.env.Now(), n.env.Self(), subject, suspected)
+	}
+}
+
+// snapshot is the node.Cloneable checkpoint: the peer records with their
+// rules deep-copied, the sender's counter and the timer handles. Handles are
+// shared by value with the live node — they are immutable, and the paired
+// kernel snapshot rewinds slot generations so one captured here is pending
+// again after Restore.
+type snapshot[R any] struct {
+	recs    []peer[R]
+	seq     uint64
+	stopped bool
+	beat    node.Timer
+	poll    node.Timer
+}
+
+// Snapshot implements node.Cloneable.
+func (n *Node[R, PR]) Snapshot() any {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	s := &snapshot[R]{recs: make([]peer[R], len(n.recs)), seq: n.seq, stopped: n.stopped, beat: n.beat, poll: n.poll}
+	for i := range n.recs {
+		copyPeer[R, PR](&s.recs[i], &n.recs[i])
+	}
+	return s
+}
+
+// Restore implements node.Cloneable: every live record is rolled back in
+// place, because pending deadline callbacks hold pointers to them.
+func (n *Node[R, PR]) Restore(snap any) {
+	s := snap.(*snapshot[R])
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for i := range s.recs {
+		copyPeer[R, PR](&n.recs[i], &s.recs[i])
+	}
+	n.seq, n.stopped, n.beat, n.poll = s.seq, s.stopped, s.beat, s.poll
+}
+
+func copyPeer[R any, PR Rule[R]](dst, src *peer[R]) {
+	dst.id, dst.suspected, dst.deadline = src.id, src.suspected, src.deadline
+	PR(&src.rule).CopyTo(&dst.rule)
+}
+
+// Suspects implements fd.Detector.
+func (n *Node[R, PR]) Suspects() ident.Set {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	var out ident.Set
+	for i := range n.recs {
+		if n.recs[i].suspected {
+			out.Add(n.recs[i].id)
+		}
+	}
+	return out
+}
+
+// IsSuspected implements fd.Detector.
+func (n *Node[R, PR]) IsSuspected(id ident.ID) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	p := n.byID.Get(id)
+	return p != nil && p.suspected
+}
+
+// Peek runs fn on the rule the node keeps for id, at the node's current
+// time, and reports whether id is monitored. It is how a kind exposes a
+// diagnostic of its rule (φ) without the runtime knowing it.
+func (n *Node[R, PR]) Peek(id ident.ID, fn func(rule PR, now time.Duration)) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	p := n.byID.Get(id)
+	if p == nil {
+		return false
+	}
+	fn(&p.rule, n.env.Now())
+	return true
+}

@@ -71,25 +71,24 @@ func TestEstimatorSuspicionLatchesAndRestores(t *testing.T) {
 	}
 }
 
-// TestEstimatorMatchesNodeFormula pins the estimator's φ to the detector
-// Node's: both paths share phiValue, and identical observation histories
-// must yield identical suspicion levels.
-func TestEstimatorMatchesNodeFormula(t *testing.T) {
+// TestEstimatorOutOfOrderObserve: liveshard stamps a sighting before it
+// queues it, so two producers racing on one peer can hand over arrival times
+// out of order. The older one is no sample and must not rewind the clock.
+func TestEstimatorOutOfOrderObserve(t *testing.T) {
 	e := newTestEstimator(t)
-	// Mirror window state by hand: same pushes as the estimator.
-	var w window
-	w.push((100 * time.Millisecond).Seconds(), 200)
-	last := time.Duration(0)
-	for i := 1; i <= 30; i++ {
-		at := time.Duration(i) * 100 * time.Millisecond
-		e.Observe(at)
-		w.push((at - last).Seconds(), 200)
-		last = at
+	e.Observe(100 * time.Millisecond)
+	e.Observe(200 * time.Millisecond)
+	samples := len(e.win.samples)
+	mean, std := e.win.meanStd()
+	e.Observe(150 * time.Millisecond) // stale
+	if e.last != 200*time.Millisecond {
+		t.Errorf("last = %v after a stale Observe, want 200ms", e.last)
 	}
-	now := 3500 * time.Millisecond
-	mean, std := w.meanStd()
-	want := phiValue(mean, std, (now - last).Seconds(), (100 * time.Millisecond / 20).Seconds())
-	if got := e.Phi(now); got != want {
-		t.Errorf("Phi = %v, want %v (shared formula diverged)", got, want)
+	if m, s := e.win.meanStd(); len(e.win.samples) != samples || m != mean || s != std {
+		t.Errorf("stale Observe entered the window: %d samples (mean %v, std %v), want %d (%v, %v)", len(e.win.samples), m, s, samples, mean, std)
+	}
+	e.Observe(200 * time.Millisecond) // same instant: a sample of 0, as ever
+	if len(e.win.samples) != samples+1 {
+		t.Error("an arrival at the instant of the last one was not sampled")
 	}
 }

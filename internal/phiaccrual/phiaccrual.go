@@ -13,24 +13,22 @@
 // suspected while φ exceeds a threshold. Unlike a fixed timeout the scale
 // adapts to observed delays — but it is still a timing assumption, and heavy
 // delay tails still produce mistakes.
+//
+// This package holds the detector's Config, its per-peer rule (Estimator:
+// the window and the φ threshold) and its constructor; the node runtime is
+// internal/monitor's, shared with the fixed-timeout heartbeat and NFD-E, and
+// polls the rule every CheckInterval.
 package phiaccrual
 
 import (
 	"errors"
-	"math"
-	"sync"
 	"time"
 
 	"asyncfd/internal/fd"
 	"asyncfd/internal/ident"
+	"asyncfd/internal/monitor"
 	"asyncfd/internal/node"
 )
-
-// Message is a heartbeat.
-type Message struct {
-	From ident.ID
-	Seq  uint64
-}
 
 // Config parameterizes a φ-accrual detector.
 type Config struct {
@@ -55,24 +53,6 @@ type Config struct {
 	Sink fd.SuspicionSink
 }
 
-func (c *Config) fillDefaults() {
-	if c.Threshold == 0 {
-		c.Threshold = 8
-	}
-	if c.WindowSize == 0 {
-		c.WindowSize = 200
-	}
-	if c.MinStdDev == 0 {
-		c.MinStdDev = c.Interval / 20
-	}
-	if c.CheckInterval == 0 {
-		c.CheckInterval = c.Interval / 4
-	}
-	if c.CheckInterval <= 0 {
-		c.CheckInterval = time.Millisecond
-	}
-}
-
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if !c.Self.Valid() {
@@ -87,333 +67,36 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// window is a bounded sample set with memoized mean/variance.
-type window struct {
-	samples []float64 // seconds
-	next    int
-	full    bool
-	// stats caches the last meanStd result: the scan timer re-evaluates φ
-	// several times per heartbeat interval, and re-walking an unchanged
-	// window dominated large-n sweeps. push invalidates the cache, so the
-	// returned floats are always the ones the walk would produce — computed
-	// in the same order, just once per window mutation.
-	statsValid bool
-	mean, std  float64
-}
-
-func (w *window) push(v float64, capacity int) {
-	w.statsValid = false
-	if len(w.samples) < capacity {
-		w.samples = append(w.samples, v)
-		return
-	}
-	w.samples[w.next] = v
-	w.next = (w.next + 1) % capacity
-	w.full = true
-}
-
-func (w *window) meanStd() (mean, std float64) {
-	if w.statsValid {
-		return w.mean, w.std
-	}
-	n := float64(len(w.samples))
-	if n == 0 {
-		return 0, 0
-	}
-	var sum float64
-	for _, v := range w.samples {
-		sum += v
-	}
-	mean = sum / n
-	var ss float64
-	for _, v := range w.samples {
-		d := v - mean
-		ss += d * d
-	}
-	std = math.Sqrt(ss / n)
-	w.statsValid, w.mean, w.std = true, mean, std
-	return mean, std
-}
-
-// peerState tracks one monitored process.
-type peerState struct {
-	win       window
-	last      time.Duration // arrival time of last heartbeat
-	suspected bool
-}
-
-// Node is a φ-accrual detector node. Safe for concurrent use.
+// Node is a φ-accrual detector node: the shared runtime polling the φ rule.
+// Safe for concurrent use.
 type Node struct {
-	mu      sync.Mutex
-	env     node.Env //fdlint:allow clonefields immutable wiring, set once at construction
-	cfg     Config   //fdlint:allow clonefields immutable config, set once at construction
-	peers   node.DenseMap[*peerState]
-	seq     uint64
-	stopped bool
-	beat    node.Timer
-	check   node.Timer
+	*monitor.Node[Estimator, *Estimator]
 }
 
-var _ node.Handler = (*Node)(nil)
-var _ fd.Detector = (*Node)(nil)
-var _ fd.Restartable = (*Node)(nil)
-var _ node.Cloneable = (*Node)(nil)
-
-// NewNode builds a φ-accrual detector on env.
+// NewNode builds a φ-accrual detector on env. Monitoring starts as if a
+// heartbeat from every peer arrived at Start, with the window primed with
+// the nominal interval — the standard bootstrap that avoids instant
+// suspicion.
 func NewNode(env node.Env, cfg Config) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.fillDefaults()
-	n := &Node{env: env, cfg: cfg}
-	cfg.Peers.ForEach(func(p ident.ID) bool {
-		if p != cfg.Self {
-			n.peers.Put(p, &peerState{})
-		}
-		return true
-	})
-	return n, nil
-}
-
-// Start begins heartbeating and monitoring. Monitoring starts as if a
-// heartbeat from every peer arrived now, with the window primed with the
-// nominal interval — the standard bootstrap that avoids instant suspicion.
-func (n *Node) Start() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	now := n.env.Now()
-	n.peers.ForEach(func(_ ident.ID, st *peerState) bool {
-		st.last = now
-		st.win.push(n.cfg.Interval.Seconds(), n.cfg.WindowSize)
-		return true
-	})
-	n.tickLocked()
-	n.scanLocked()
-}
-
-// Restart implements fd.Restartable. Fresh state re-runs the Start
-// bootstrap per peer (window primed with the nominal interval, suspicions
-// lost, with the implied restore transitions emitted); persisted state
-// keeps the windows and suspicion flags. Either way the restart counts as a
-// sighting of every peer: the silence clock restarts at the reboot, and the
-// downtime gap must not enter the inter-arrival window as a sample.
-func (n *Node) Restart(fresh bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.beat != nil {
-		n.beat.Stop()
+	rule := &EstimatorConfig{Interval: cfg.Interval, Threshold: cfg.Threshold, WindowSize: cfg.WindowSize, MinStdDev: cfg.MinStdDev}
+	rule.fillDefaults()
+	poll := cfg.CheckInterval
+	if poll == 0 {
+		poll = cfg.Interval / 4
 	}
-	if n.check != nil {
-		n.check.Stop()
+	if poll <= 0 {
+		poll = time.Millisecond
 	}
-	n.stopped = false
-	now := n.env.Now()
-	// Sorted peer order, not map order: the restore events emitted here
-	// all carry the same timestamp, and runs of one seed must produce
-	// identical trace bytes.
-	n.cfg.Peers.ForEach(func(p ident.ID) bool {
-		st := n.peers.Get(p)
-		if st == nil {
-			return true
-		}
-		if fresh {
-			if st.suspected {
-				n.emitLocked(p, false)
-			}
-			*st = peerState{}
-			st.win.push(n.cfg.Interval.Seconds(), n.cfg.WindowSize)
-		}
-		st.last = now
-		return true
-	})
-	n.tickLocked()
-	n.scanLocked()
-}
-
-// Stop halts heartbeating and monitoring.
-func (n *Node) Stop() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.stopped = true
-	if n.beat != nil {
-		n.beat.Stop()
-	}
-	if n.check != nil {
-		n.check.Stop()
-	}
-}
-
-func (n *Node) tickLocked() {
-	if n.stopped {
-		return
-	}
-	n.seq++
-	n.env.Broadcast(Message{From: n.env.Self(), Seq: n.seq})
-	n.beat = n.env.After(n.cfg.Interval, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		n.tickLocked()
-	})
-}
-
-func (n *Node) scanLocked() {
-	if n.stopped {
-		return
-	}
-	now := n.env.Now()
-	// Sorted peer order, not map order: one scan instant can suspect
-	// several peers, and same-seed runs must emit them in identical order.
-	n.cfg.Peers.ForEach(func(p ident.ID) bool {
-		st := n.peers.Get(p)
-		if st == nil {
-			return true
-		}
-		phi := n.phiLocked(st, now)
-		if phi >= n.cfg.Threshold && !st.suspected {
-			st.suspected = true
-			n.emitLocked(p, true)
-		}
-		// Restoration happens on heartbeat arrival, not here: φ only grows
-		// with silence.
-		return true
-	})
-	n.check = n.env.After(n.cfg.CheckInterval, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		n.scanLocked()
-	})
-}
-
-// phiLocked computes the suspicion level of a peer at time now.
-func (n *Node) phiLocked(st *peerState, now time.Duration) float64 {
-	elapsed := (now - st.last).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	mean, std := st.win.meanStd()
-	return phiValue(mean, std, elapsed, n.cfg.MinStdDev.Seconds())
-}
-
-// phiValue is the φ formula shared by the detector Node and the
-// shard-callable Estimator: P_later(t) = 0.5 · erfc((t − µ) / (σ·√2));
-// φ = −log10(P_later), with σ floored at minStd.
-func phiValue(mean, std, elapsed, minStd float64) float64 {
-	if std < minStd {
-		std = minStd
-	}
-	p := 0.5 * math.Erfc((elapsed-mean)/(std*math.Sqrt2))
-	if p <= 0 {
-		return math.Inf(1)
-	}
-	return -math.Log10(p)
+	return &Node{monitor.New[Estimator, *Estimator](env, monitor.Config{
+		Self: cfg.Self, Peers: cfg.Peers, Interval: cfg.Interval, Poll: poll, Sink: cfg.Sink,
+	}, Estimator{cfg: rule})}, nil
 }
 
 // Phi returns the current suspicion level for id (diagnostics/tests).
-func (n *Node) Phi(id ident.ID) float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	st := n.peers.Get(id)
-	if st == nil {
-		return 0
-	}
-	return n.phiLocked(st, n.env.Now())
-}
-
-// Deliver implements node.Handler.
-func (n *Node) Deliver(from ident.ID, payload any) {
-	if _, ok := payload.(Message); !ok {
-		return
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	st := n.peers.Get(from)
-	if st == nil || n.stopped {
-		return
-	}
-	now := n.env.Now()
-	if st.suspected {
-		// The silence that just ended was proven wrong — typically the
-		// peer's downtime. Recording it as an inter-arrival sample would
-		// poison the window (one huge outlier dominates the fitted std for
-		// as long as it stays in the window, stretching detection of the
-		// peer's next crash by orders of magnitude). Restore trust and
-		// restart the silence clock without sampling the gap.
-		st.suspected = false
-		n.emitLocked(from, false)
-	} else {
-		st.win.push((now - st.last).Seconds(), n.cfg.WindowSize)
-	}
-	st.last = now
-}
-
-func (n *Node) emitLocked(subject ident.ID, suspected bool) {
-	if n.cfg.Sink != nil {
-		n.cfg.Sink.OnSuspicion(n.env.Now(), n.env.Self(), subject, suspected)
-	}
-}
-
-// snapshot is the node.Cloneable checkpoint: one deep-copied peerState per
-// peer (the inter-arrival window is the only reference field) plus the
-// sender-side counters and timer handles. Restore writes back into the SAME
-// live *peerState objects so any pending closures keep seeing them.
-type snapshot struct {
-	peers   map[ident.ID]peerState
-	seq     uint64
-	stopped bool
-	beat    node.Timer
-	check   node.Timer
-}
-
-// Snapshot implements node.Cloneable.
-func (n *Node) Snapshot() any {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	peers := make(map[ident.ID]peerState, n.peers.Len())
-	n.peers.ForEach(func(p ident.ID, st *peerState) bool {
-		saved := *st
-		saved.win.samples = append([]float64(nil), st.win.samples...)
-		peers[p] = saved
-		return true
-	})
-	return &snapshot{peers: peers, seq: n.seq, stopped: n.stopped, beat: n.beat, check: n.check}
-}
-
-// Restore implements node.Cloneable.
-func (n *Node) Restore(snap any) {
-	s := snap.(*snapshot)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	//fdlint:allow maprange per-peer in-place writes; each iteration touches only peer p's state
-	for p, saved := range s.peers {
-		st := n.peers.Get(p)
-		samples := append(st.win.samples[:0], saved.win.samples...)
-		*st = saved
-		st.win.samples = samples
-	}
-	n.seq = s.seq
-	n.stopped = s.stopped
-	n.beat = s.beat
-	n.check = s.check
-}
-
-// Suspects implements fd.Detector.
-func (n *Node) Suspects() ident.Set {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	var out ident.Set
-	n.peers.ForEach(func(p ident.ID, st *peerState) bool {
-		if st.suspected {
-			out.Add(p)
-		}
-		return true
-	})
-	return out
-}
-
-// IsSuspected implements fd.Detector.
-func (n *Node) IsSuspected(id ident.ID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	st := n.peers.Get(id)
-	return st != nil && st.suspected
+func (n *Node) Phi(id ident.ID) (phi float64) {
+	n.Peek(id, func(e *Estimator, now time.Duration) { phi = e.Phi(now) })
+	return phi
 }

@@ -30,16 +30,13 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestDefaults(t *testing.T) {
-	c := Config{Self: 0, Interval: time.Second}
+	c := EstimatorConfig{Interval: time.Second}
 	c.fillDefaults()
 	if c.Threshold != 8 || c.WindowSize != 200 {
 		t.Errorf("defaults = %+v", c)
 	}
 	if c.MinStdDev != 50*time.Millisecond {
 		t.Errorf("MinStdDev default = %v, want Interval/20", c.MinStdDev)
-	}
-	if c.CheckInterval != 250*time.Millisecond {
-		t.Errorf("CheckInterval default = %v, want Interval/4", c.CheckInterval)
 	}
 }
 
@@ -169,27 +166,6 @@ func TestPhiOfUnknownPeerZero(t *testing.T) {
 	}
 }
 
-func TestStopSilencesNode(t *testing.T) {
-	c := newCluster(t, 2, netsim.Constant{D: time.Millisecond}, 100*time.Millisecond)
-	c.sim.RunUntil(time.Second)
-	c.nodes[0].Stop()
-	before := c.net.Stats().Sent
-	c.sim.RunUntil(2 * time.Second)
-	after := c.net.Stats().Sent
-	if after-before > 11 { // only node 1's ~10 heartbeats remain
-		t.Errorf("stopped node kept sending: %d msgs", after-before)
-	}
-}
-
-func TestDeliverIgnoresForeign(t *testing.T) {
-	c := newCluster(t, 2, netsim.Constant{D: time.Millisecond}, time.Second)
-	c.nodes[0].Deliver(1, "junk") // must not panic or alter state
-	c.nodes[0].Deliver(9, Message{From: 9, Seq: 1})
-	if c.nodes[0].IsSuspected(9) {
-		t.Error("stranger heartbeat created peer state")
-	}
-}
-
 func TestRestartAndRedetectionUnpoisonedWindow(t *testing.T) {
 	// The downtime gap must not enter the observers' inter-arrival windows:
 	// after p1 recovers and crashes again, detection of the second crash
@@ -221,25 +197,27 @@ func TestRestartAndRedetectionUnpoisonedWindow(t *testing.T) {
 	}
 }
 
-func TestRestartFreshClearsSuspicions(t *testing.T) {
-	c := newCluster(t, 3, netsim.Constant{D: 10 * time.Millisecond}, time.Second)
-	c.sim.At(3*time.Second, func() { c.net.Crash(2) })
-	c.sim.RunUntil(10 * time.Second)
-	if !c.nodes[0].IsSuspected(2) {
-		t.Fatal("crash not detected")
-	}
-	c.sim.At(11*time.Second, func() {
-		c.net.Crash(0)
-		c.net.Recover(0)
-		c.nodes[0].Restart(true)
-	})
-	c.sim.RunUntil(11500 * time.Millisecond)
-	if c.nodes[0].IsSuspected(2) {
-		t.Error("fresh restart kept a suspicion")
-	}
-	// The dead p2 is re-suspected once silence accumulates again.
-	c.sim.RunUntil(30 * time.Second)
-	if !c.nodes[0].IsSuspected(2) {
-		t.Error("restarted monitor never re-detected the dead peer")
+// TestPollInterval: suspicion is raised by the poll, so it falls on a
+// multiple of CheckInterval — a quarter of the heartbeat interval unless set.
+func TestPollInterval(t *testing.T) {
+	for _, tc := range []struct{ check, want time.Duration }{
+		{0, 250 * time.Millisecond},
+		{70 * time.Millisecond, 70 * time.Millisecond},
+	} {
+		sim := des.New(1)
+		net := netsim.New(sim, netsim.Config{Delay: netsim.Constant{}})
+		log := &trace.Log{}
+		var nd *Node
+		env := net.AddNode(0, proxy{&nd})
+		nd, err := NewNode(env, Config{Self: 0, Peers: ident.SetOf(1), Interval: time.Second, CheckInterval: tc.check, Sink: log})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd.Start()
+		sim.RunUntil(time.Minute)
+		at, ok := log.FirstSuspicion(0, 1)
+		if !ok || at%tc.want != 0 || at%(7*250*time.Millisecond) == 0 {
+			t.Errorf("CheckInterval %v: silent peer suspected at %v (ok=%v), want a multiple of %v", tc.check, at, ok, tc.want)
+		}
 	}
 }

@@ -5,7 +5,10 @@
 //
 // The format is a one-byte message kind followed by uvarint-encoded fields;
 // process ids and counters are uvarints, so small clusters pay one byte per
-// id. The format is self-describing enough to decode without a schema and
+// id. There are four kinds: the query and the response of the time-free
+// detector, the heartbeat every timer-based kind sends (heartbeat.Message,
+// whichever rule listens) and the gossip detector's heartbeat vector. The
+// format is self-describing enough to decode without a schema and
 // deliberately has no external dependencies.
 package wire
 
@@ -14,12 +17,10 @@ import (
 	"errors"
 	"fmt"
 
-	"asyncfd/internal/chen"
 	"asyncfd/internal/core"
 	"asyncfd/internal/core/tagset"
 	"asyncfd/internal/heartbeat"
 	"asyncfd/internal/ident"
-	"asyncfd/internal/phiaccrual"
 )
 
 // Message kind tags.
@@ -28,8 +29,6 @@ const (
 	kindResponse  byte = 2
 	kindHeartbeat byte = 3
 	kindVector    byte = 4
-	kindPhi       byte = 5
-	kindChen      byte = 6
 )
 
 // ErrTruncated reports an encoded message shorter than its header promises.
@@ -63,16 +62,6 @@ func AppendEncode(dst []byte, payload any) ([]byte, error) {
 		return buf, nil
 	case heartbeat.Message:
 		buf := append(dst, kindHeartbeat)
-		buf = binary.AppendUvarint(buf, uint64(m.From))
-		buf = binary.AppendUvarint(buf, m.Seq)
-		return buf, nil
-	case phiaccrual.Message:
-		buf := append(dst, kindPhi)
-		buf = binary.AppendUvarint(buf, uint64(m.From))
-		buf = binary.AppendUvarint(buf, m.Seq)
-		return buf, nil
-	case chen.Message:
-		buf := append(dst, kindChen)
 		buf = binary.AppendUvarint(buf, uint64(m.From))
 		buf = binary.AppendUvarint(buf, m.Seq)
 		return buf, nil
@@ -178,26 +167,6 @@ func Decode(data []byte) (any, error) {
 		return r, nil
 	case kindHeartbeat:
 		var m heartbeat.Message
-		var err error
-		if m.From, err = d.id(); err != nil {
-			return nil, err
-		}
-		if m.Seq, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case kindPhi:
-		var m phiaccrual.Message
-		var err error
-		if m.From, err = d.id(); err != nil {
-			return nil, err
-		}
-		if m.Seq, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case kindChen:
-		var m chen.Message
 		var err error
 		if m.From, err = d.id(); err != nil {
 			return nil, err

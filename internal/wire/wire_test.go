@@ -92,6 +92,13 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode([]byte{0x7f}); !errors.Is(err, ErrUnknownKind) {
 		t.Errorf("Decode(unknown kind) err = %v", err)
 	}
+	// Kinds 5 and 6 were second and third spellings of the heartbeat; with
+	// a well-formed heartbeat body behind them they are unknown now.
+	for _, kind := range []byte{0x05, 0x06} {
+		if _, err := Decode([]byte{kind, 7, 1}); !errors.Is(err, ErrUnknownKind) {
+			t.Errorf("Decode(retired kind 0x%02x) err = %v, want ErrUnknownKind", kind, err)
+		}
+	}
 	// Truncate a valid query at every byte boundary.
 	q := core.Query{From: 1, Round: 2, Suspected: []tagset.Entry{{ID: 3, Tag: 999}}}
 	full, err := Encode(q)

@@ -29,6 +29,9 @@ func renderTable(t *testing.T, tbl *Table) string {
 // and in both replication modes, collecting the same v2 rows throughout. A
 // document drift, an engine drift, or a scheduling nondeterminism all fail
 // here. LT is held at quick size only: its full size is the nightly gate's.
+// X1 and X2 are still Go experiments; their goldens (same command, frozen
+// before their clusters moved onto exp.Cluster) hold the builder they share
+// with the documents to the same bar at full size.
 func TestBuiltinScenarioGolden(t *testing.T) {
 	cases := []struct {
 		golden  string
@@ -42,6 +45,10 @@ func TestBuiltinScenarioGolden(t *testing.T) {
 		{"e7_quick.txt", E7Consensus, true},
 		{"e7_full.txt", E7Consensus, false},
 		{"lt_quick.txt", LTTopologySweep, true},
+		{"x1_quick.txt", X1DensityExt, true},
+		{"x1_full.txt", X1DensityExt, false},
+		{"x2_quick.txt", X2MobilityExt, true},
+		{"x2_full.txt", X2MobilityExt, false},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -19,8 +19,9 @@
 //   - internal/des, internal/netsim — deterministic simulation
 //   - internal/livenet, internal/tcpnet — real-time runtimes
 //   - internal/consensus, internal/leader — applications (◇S consensus, Ω)
-//   - internal/unknown, internal/topology — partial-connectivity extension
-//   - internal/exp        — the experiment harness (tables E1–E8, A1–A2, X1–X2)
+//   - internal/topology   — communication graphs for the partial-connectivity extension
+//   - internal/exp        — the simulated cluster and experiment harness (tables
+//     E1–E8, A1–A2, X1–X2); exp.ClusterConfig.Graph runs the extension
 //
 // The facade re-exports the types needed to embed the detector in an
 // application; see examples/ for runnable programs.

@@ -15,31 +15,11 @@ import (
 	"time"
 
 	"asyncfd/internal/consensus"
-	"asyncfd/internal/core"
-	"asyncfd/internal/des"
+	"asyncfd/internal/exp"
+	"asyncfd/internal/faults"
 	"asyncfd/internal/ident"
 	"asyncfd/internal/netsim"
 )
-
-type duo struct {
-	fdNode *core.Node
-	cons   *consensus.Node
-}
-
-type demux struct{ d *duo }
-
-func (x demux) Deliver(from ident.ID, payload any) {
-	switch payload.(type) {
-	case consensus.EstimateMsg, consensus.ProposalMsg, consensus.AckMsg, consensus.DecideMsg:
-		if x.d.cons != nil {
-			x.d.cons.Deliver(from, payload)
-		}
-	default:
-		if x.d.fdNode != nil {
-			x.d.fdNode.Deliver(from, payload)
-		}
-	}
-}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -58,57 +38,50 @@ func run(args []string) error {
 		return err
 	}
 
-	sim := des.New(*seed)
-	net := netsim.New(sim, netsim.Config{
-		Delay: netsim.Uniform{Min: 500 * time.Microsecond, Max: 3 * time.Millisecond},
+	c, err := exp.NewCluster(exp.ClusterConfig{
+		Kind: exp.KindAsync, N: *n, F: *f, Seed: *seed,
+		Delay:       netsim.Uniform{Min: 500 * time.Microsecond, Max: 3 * time.Millisecond},
+		StartJitter: -1,
+		Window:      10 * time.Millisecond,
+		Interval:    50 * time.Millisecond,
 	})
-	duos := make([]duo, *n)
+	if err != nil {
+		return err
+	}
 	type decision struct {
 		id ident.ID
 		v  consensus.Value
 		at time.Duration
 	}
 	var decisions []decision
-
-	for i := 0; i < *n; i++ {
+	nodes := make([]*consensus.Node, *n)
+	for i := range nodes {
 		id := ident.ID(i)
-		env := net.AddNode(id, demux{&duos[i]})
-		fdNode, err := core.NewNode(env, core.NodeConfig{
-			Detector: core.Config{Self: id, N: *n, F: *f},
-			Window:   10 * time.Millisecond,
-			Interval: 50 * time.Millisecond,
-		})
-		if err != nil {
-			return err
-		}
-		cons, err := consensus.NewNode(env, consensus.Config{
-			Self: id, N: *n, F: *f, Detector: fdNode,
+		nodes[i], err = consensus.NewNode(c.Net.Env(id), consensus.Config{
+			Self: id, N: *n, F: *f, Detector: c.Detector(id),
 			OnDecide: func(v consensus.Value) {
-				decisions = append(decisions, decision{id: id, v: v, at: sim.Now()})
+				decisions = append(decisions, decision{id: id, v: v, at: c.Sim.Now()})
 			},
 		})
 		if err != nil {
 			return err
 		}
-		duos[i] = duo{fdNode: fdNode, cons: cons}
-	}
-	for i := range duos {
-		duos[i].fdNode.Start()
+		c.Attach(id, nodes[i])
 	}
 
 	start := 0
 	if *crashCoord {
 		fmt.Println("crashing round-1 coordinator p0 at t=1s")
-		sim.At(time.Second, func() { net.Crash(0) })
+		c.Apply(faults.Schedule{}.CrashAt(0, time.Second))
 		start = 1
 	}
 	for i := start; i < *n; i++ {
 		v := consensus.Value(100 + i)
-		cons := duos[i].cons
-		sim.At(2*time.Second, func() { cons.Propose(v) })
+		cons := nodes[i]
+		c.Sim.At(2*time.Second, func() { cons.Propose(v) })
 		fmt.Printf("p%d proposes %d at t=2s\n", i, v)
 	}
-	sim.RunUntil(2 * time.Minute)
+	c.RunUntil(2 * time.Minute)
 
 	sort.Slice(decisions, func(i, j int) bool { return decisions[i].at < decisions[j].at })
 	fmt.Println("\ndecisions:")

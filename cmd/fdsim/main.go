@@ -70,6 +70,9 @@ func run(args []string) error {
 		return fmt.Errorf("unknown detector kind %q", *kindName)
 	}
 
+	if *crash < -1 || *crash >= *n {
+		return fmt.Errorf("-crash %d: no such process (want -1 for none, or 0..%d)", *crash, *n-1)
+	}
 	if *recoverAt > 0 {
 		if *crash < 0 {
 			return fmt.Errorf("-recover-at needs -crash")

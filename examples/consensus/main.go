@@ -11,27 +11,11 @@ import (
 	"time"
 
 	"asyncfd/internal/consensus"
-	"asyncfd/internal/core"
-	"asyncfd/internal/des"
+	"asyncfd/internal/exp"
+	"asyncfd/internal/faults"
 	"asyncfd/internal/ident"
 	"asyncfd/internal/netsim"
 )
-
-type duo struct {
-	fdNode *core.Node
-	cons   *consensus.Node
-}
-
-type demux struct{ d *duo }
-
-func (x demux) Deliver(from ident.ID, payload any) {
-	switch payload.(type) {
-	case consensus.EstimateMsg, consensus.ProposalMsg, consensus.AckMsg, consensus.DecideMsg:
-		x.d.cons.Deliver(from, payload)
-	default:
-		x.d.fdNode.Deliver(from, payload)
-	}
-}
 
 func main() {
 	if err := run(); err != nil {
@@ -42,51 +26,44 @@ func main() {
 
 func run() error {
 	const n, f = 5, 2
-	sim := des.New(7)
-	net := netsim.New(sim, netsim.Config{
-		Delay: netsim.Uniform{Min: time.Millisecond, Max: 4 * time.Millisecond},
+	c, err := exp.NewCluster(exp.ClusterConfig{
+		Kind: exp.KindAsync, N: n, F: f, Seed: 7,
+		Delay:       netsim.Uniform{Min: time.Millisecond, Max: 4 * time.Millisecond},
+		StartJitter: -1,
+		Window:      10 * time.Millisecond,
+		Interval:    50 * time.Millisecond,
 	})
-
-	duos := make([]duo, n)
-	for i := 0; i < n; i++ {
+	if err != nil {
+		return err
+	}
+	nodes := make([]*consensus.Node, n)
+	for i := range nodes {
 		id := ident.ID(i)
-		env := net.AddNode(id, demux{&duos[i]})
-		fdNode, err := core.NewNode(env, core.NodeConfig{
-			Detector: core.Config{Self: id, N: n, F: f},
-			Window:   10 * time.Millisecond,
-			Interval: 50 * time.Millisecond,
-		})
-		if err != nil {
-			return err
-		}
-		cons, err := consensus.NewNode(env, consensus.Config{
-			Self: id, N: n, F: f, Detector: fdNode,
+		nodes[i], err = consensus.NewNode(c.Net.Env(id), consensus.Config{
+			Self: id, N: n, F: f, Detector: c.Detector(id),
 			OnDecide: func(v consensus.Value) {
-				fmt.Printf("  %v decides %d at t=%v\n", id, v, sim.Now().Round(time.Millisecond))
+				fmt.Printf("  %v decides %d at t=%v\n", id, v, c.Sim.Now().Round(time.Millisecond))
 			},
 		})
 		if err != nil {
 			return err
 		}
-		duos[i] = duo{fdNode: fdNode, cons: cons}
-	}
-	for i := range duos {
-		duos[i].fdNode.Start()
+		c.Attach(id, nodes[i])
 	}
 
 	fmt.Println("p0 (round-1 coordinator) crashes at t=500ms; survivors propose at t=2s")
-	sim.At(500*time.Millisecond, func() { net.Crash(0) })
+	c.Apply(faults.Schedule{}.CrashAt(0, 500*time.Millisecond))
 	for i := 1; i < n; i++ {
 		v := consensus.Value(10 * i)
-		cons := duos[i].cons
+		cons := nodes[i]
 		fmt.Printf("  p%d will propose %d\n", i, v)
-		sim.At(2*time.Second, func() { cons.Propose(v) })
+		c.Sim.At(2*time.Second, func() { cons.Propose(v) })
 	}
 	fmt.Println("decisions:")
-	sim.RunUntil(time.Minute)
+	c.RunUntil(time.Minute)
 
 	for i := 1; i < n; i++ {
-		if _, ok := duos[i].cons.Decided(); !ok {
+		if _, ok := nodes[i].Decided(); !ok {
 			return fmt.Errorf("p%d did not decide", i)
 		}
 	}

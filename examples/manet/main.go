@@ -14,10 +14,11 @@ import (
 	"os"
 	"time"
 
+	"asyncfd/internal/core"
+	"asyncfd/internal/exp"
 	"asyncfd/internal/ident"
 	"asyncfd/internal/netsim"
 	"asyncfd/internal/topology"
-	"asyncfd/internal/unknown"
 )
 
 func main() {
@@ -38,9 +39,10 @@ func run() error {
 		n, g.RangeDensity(), f, g.RangeDensity()-f)
 	fmt.Printf("f-covering ((f+1)-connected): %v\n\n", g.IsFCovering(f))
 
-	c, err := unknown.NewCluster(unknown.ClusterConfig{
-		Graph: g, F: f, Seed: 3,
+	c, err := exp.NewCluster(exp.ClusterConfig{
+		Kind: exp.KindAsync, Graph: g, F: f, Seed: 3,
 		Delay:       netsim.Uniform{Min: 500 * time.Microsecond, Max: 3 * time.Millisecond},
+		StartJitter: -1,
 		Window:      50 * time.Millisecond,
 		Interval:    100 * time.Millisecond,
 		Rebroadcast: 500 * time.Millisecond,
@@ -49,9 +51,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	known := func(id ident.ID) ident.Set { return c.Detector(id).(*core.Node).Known() }
 
 	c.RunUntil(2 * time.Second)
-	fmt.Printf("after 2s, p0 has discovered its range: known = %v\n", c.Node(0).Known())
+	fmt.Printf("after 2s, p0 has discovered its range: known = %v\n", known(0))
 
 	// p0 moves: detaches at 5s, reattaches across the ring at 10s.
 	newRange := ident.SetOf(6, 7, 8, 9, 10, 11)
@@ -67,8 +70,8 @@ func run() error {
 
 	c.RunUntil(90 * time.Second)
 	fmt.Println("\nt=90s: mistakes have flooded and the mobility rule pruned stale members:")
-	fmt.Printf("  p0 known = %v, suspects %v\n", c.Node(0).Known(), c.Detector(0).Suspects())
-	fmt.Printf("  p1 known = %v, suspects %v\n", c.Node(1).Known(), c.Detector(1).Suspects())
+	fmt.Printf("  p0 known = %v, suspects %v\n", known(0), c.Detector(0).Suspects())
+	fmt.Printf("  p1 known = %v, suspects %v\n", known(1), c.Detector(1).Suspects())
 	fmt.Println("  (known sets oscillate by design: evicted members are re-learned from their next queries)")
 
 	falseSusp := 0

@@ -31,6 +31,7 @@ import (
 	"asyncfd/internal/node"
 	"asyncfd/internal/phiaccrual"
 	"asyncfd/internal/qos"
+	"asyncfd/internal/topology"
 	"asyncfd/internal/trace"
 	"asyncfd/internal/wire"
 )
@@ -47,6 +48,11 @@ const (
 	KindPhi
 	// KindChen is the Chen NFD-E baseline.
 	KindChen
+	// KindGossip is the Friedman–Tcharny-style gossip heartbeat, the
+	// timer-based comparator of the partial-connectivity extension (X1/X2):
+	// counters flood across hops, so it detects beyond its neighbourhood.
+	// Not one of the paper's four: AllKinds leaves it out.
+	KindGossip
 )
 
 // String implements fmt.Stringer.
@@ -60,18 +66,21 @@ func (k Kind) String() string {
 		return "phi-accrual"
 	case KindChen:
 		return "chen-nfde"
+	case KindGossip:
+		return "gossip-ft"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
 }
 
-// AllKinds lists every detector implementation in comparison order.
+// AllKinds lists the detector implementations the paper compares, in
+// comparison order.
 func AllKinds() []Kind { return []Kind{KindAsync, KindHeartbeat, KindPhi, KindChen} }
 
 // ClusterConfig describes one simulated detector cluster.
 type ClusterConfig struct {
 	Kind Kind
-	N    int
+	N    int // number of processes; with Graph set, the graph's order
 	F    int
 	Seed int64
 	// Delay is the network latency model (required).
@@ -91,10 +100,31 @@ type ClusterConfig struct {
 	DisableTags bool          // A1 ablation only
 
 	// Timer-based knobs.
-	HBInterval   time.Duration // Δ for heartbeat/phi/chen senders
-	HBTimeout    time.Duration // Θ for heartbeat
+	HBInterval   time.Duration // Δ for heartbeat/phi/chen/gossip senders
+	HBTimeout    time.Duration // Θ for heartbeat and gossip
 	PhiThreshold float64       // φ threshold
 	ChenAlpha    time.Duration // α margin for NFD-E
+
+	// Graph, when set, is the communication topology: every process sends
+	// to, and monitors, exactly its graph neighbourhood. Nil is the paper's
+	// model, the full mesh. With a graph, KindAsync runs the detector in its
+	// extension setting — an unknown, partially connected, possibly mobile
+	// network. That is NOT part of the reproduced DSN 2003 paper (known
+	// membership, full connectivity): it is the direction the paper's future
+	// work points to, published later as INRIA RR-6088 / arXiv cs/0701015.
+	// Processes initially know only themselves, learn their range from
+	// received queries, wait for d−f responses (d = the graph's range
+	// density, which must exceed f+1) and flood suspicions and mistakes
+	// across hops inside queries. The same core.Detector serves both models.
+	// The graph should be f-covering, i.e. (F+1)-connected, for the ◇S
+	// guarantees to hold.
+	Graph *topology.Graph
+	// Mobility enables the extension's known-set eviction rule (KindAsync on
+	// a Graph): a process heard of only through relayed mistakes is pruned,
+	// which ends the ping-pong of suspicions after a RelocateAt. Mobility
+	// scenarios need Rebroadcast > 0, so that a node whose query was lost
+	// while it was away re-queries.
+	Mobility bool
 }
 
 func (c *ClusterConfig) fillDefaults() {
@@ -117,6 +147,7 @@ func (c *ClusterConfig) fillDefaults() {
 
 // runner is implemented by every detector node runtime.
 type runner interface {
+	fd.Detector
 	Start()
 	Stop()
 	Restart(fresh bool) // fd.Restartable: crash-recovery support
@@ -124,43 +155,53 @@ type runner interface {
 	node.Cloneable // warm-fork replication: checkpoint/rollback support
 }
 
-// Cluster is a running simulated detector deployment.
+// Cluster is a running simulated detector deployment — the only one: every
+// experiment, scenario program and simulated main builds its kernel, network,
+// trace log and detector runtimes here.
 type Cluster struct {
 	Sim     *des.Simulator
 	Net     *netsim.Network
 	Log     *trace.Log
-	Members ident.Set
+	Members ident.Set //fdlint:allow clonefields every process id, fixed at construction
 
-	cfg       ClusterConfig            //fdlint:allow clonefields immutable config, set once at construction
-	detectors map[ident.ID]fd.Detector //fdlint:allow clonefields same runtimes as nodes, checkpointed through nodes in Members order
-	nodes     map[ident.ID]runner
+	procs []*process // by id
 }
 
-// handlerCell breaks the construction cycle env↔node.
-type handlerCell struct{ h runner }
+// process is one identity on the network: its detector runtime and, once
+// attached, the protocol layered on it. It is also what breaks the
+// construction cycle env↔node.
+type process struct {
+	run runner
+	app node.Handler
+}
 
-func (c *handlerCell) Deliver(from ident.ID, payload any) {
-	if c.h != nil {
-		c.h.Deliver(from, payload)
+// Deliver hands every payload to both: a detector runtime and an attached
+// protocol each ignore payload types that are not theirs.
+func (p *process) Deliver(from ident.ID, payload any) {
+	p.run.Deliver(from, payload)
+	if p.app != nil {
+		p.app.Deliver(from, payload)
 	}
 }
 
-// NewCluster builds and starts a detector on every process.
+// NewCluster builds a detector on every process and schedules their starts.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	cfg.fillDefaults()
 	if cfg.Delay == nil {
 		return nil, fmt.Errorf("exp: ClusterConfig.Delay is required")
 	}
+	density := 0
+	if cfg.Graph != nil {
+		cfg.N, density = cfg.Graph.Len(), cfg.Graph.RangeDensity()
+	}
 	if cfg.N < 2 {
 		return nil, fmt.Errorf("exp: need N ≥ 2, got %d", cfg.N)
 	}
 	c := &Cluster{
-		Sim:       des.New(cfg.Seed),
-		Log:       &trace.Log{},
-		Members:   ident.FullSet(cfg.N),
-		cfg:       cfg,
-		detectors: make(map[ident.ID]fd.Detector, cfg.N),
-		nodes:     make(map[ident.ID]runner, cfg.N),
+		Sim:     des.New(cfg.Seed),
+		Log:     &trace.Log{},
+		Members: ident.FullSet(cfg.N),
+		procs:   make([]*process, cfg.N),
 	}
 	netCfg := netsim.Config{Delay: cfg.Delay}
 	if cfg.CountBytes {
@@ -168,90 +209,107 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	c.Net = netsim.New(c.Sim, netCfg)
 
-	for i := 0; i < cfg.N; i++ {
+	for i := range c.procs {
 		id := ident.ID(i)
-		cell := &handlerCell{}
-		env := c.Net.AddNode(id, cell)
-		det, run, err := buildNode(env, id, cfg, c.Log)
+		p := &process{}
+		env := c.Net.AddNode(id, p)
+		peers := c.Members
+		if cfg.Graph != nil {
+			peers = cfg.Graph.Neighbors(id)
+			c.Net.SetNeighbors(id, peers)
+		}
+		run, err := buildNode(env, cfg, peers, density, c.Log)
 		if err != nil {
 			return nil, err
 		}
-		cell.h = run
-		c.detectors[id] = det
-		c.nodes[id] = run
+		p.run = run
+		c.procs[i] = p
 	}
-	// Start in identity order (map iteration order would make runs
-	// non-reproducible), each node at its own random phase.
-	for i := 0; i < cfg.N; i++ {
-		n := c.nodes[ident.ID(i)]
+	// Start in identity order, each node at its own random phase.
+	for _, p := range c.procs {
 		var jitter time.Duration
 		if cfg.StartJitter > 0 {
 			jitter = time.Duration(c.Sim.Rand().Int63n(int64(cfg.StartJitter)))
 		}
-		c.Sim.At(jitter, n.Start)
+		c.Sim.At(jitter, p.run.Start)
 	}
 	return c, nil
 }
 
-// buildNode constructs the configured detector kind on env.
-func buildNode(env *netsim.Env, id ident.ID, cfg ClusterConfig, log *trace.Log) (fd.Detector, runner, error) {
+// buildNode constructs the configured detector kind on env, monitoring peers
+// (the process's neighbourhood, or everyone). density is the range density of
+// the cluster's graph, 0 on the full mesh.
+func buildNode(env *netsim.Env, cfg ClusterConfig, peers ident.Set, density int, log *trace.Log) (runner, error) {
+	id := env.Self()
 	switch cfg.Kind {
 	case KindAsync:
-		n, err := core.NewNode(env, core.NodeConfig{
-			Detector: core.Config{
-				Self:        id,
-				Membership:  core.KnownMembership,
-				N:           cfg.N,
-				F:           cfg.F,
-				DisableTags: cfg.DisableTags,
-			},
+		det := core.Config{
+			Self:        id,
+			Membership:  core.KnownMembership,
+			N:           cfg.N,
+			F:           cfg.F,
+			DisableTags: cfg.DisableTags,
+		}
+		if cfg.Graph != nil {
+			det.Membership, det.D, det.Mobility = core.UnknownMembership, density, cfg.Mobility
+		}
+		return core.NewNode(env, core.NodeConfig{
+			Detector:    det,
 			Window:      cfg.Window,
 			Interval:    cfg.Interval,
 			Rebroadcast: cfg.Rebroadcast,
 			Sink:        log,
 		})
-		return n, n, err
 	case KindHeartbeat:
-		n, err := heartbeat.NewNode(env, heartbeat.Config{
+		return heartbeat.NewNode(env, heartbeat.Config{
 			Self:     id,
-			Peers:    ident.FullSet(cfg.N),
+			Peers:    peers,
 			Interval: cfg.HBInterval,
 			Timeout:  cfg.HBTimeout,
 			Sink:     log,
 		})
-		return n, n, err
 	case KindPhi:
-		n, err := phiaccrual.NewNode(env, phiaccrual.Config{
+		return phiaccrual.NewNode(env, phiaccrual.Config{
 			Self:      id,
-			Peers:     ident.FullSet(cfg.N),
+			Peers:     peers,
 			Interval:  cfg.HBInterval,
 			Threshold: cfg.PhiThreshold,
 			Sink:      log,
 		})
-		return n, n, err
 	case KindChen:
-		n, err := chen.NewNode(env, chen.Config{
+		return chen.NewNode(env, chen.Config{
 			Self:     id,
-			Peers:    ident.FullSet(cfg.N),
+			Peers:    peers,
 			Interval: cfg.HBInterval,
 			Alpha:    cfg.ChenAlpha,
 			Sink:     log,
 		})
-		return n, n, err
+	case KindGossip:
+		return heartbeat.NewGossipNode(env, heartbeat.GossipConfig{
+			Self:     id,
+			N:        cfg.N,
+			Interval: cfg.HBInterval,
+			Timeout:  cfg.HBTimeout,
+			Sink:     log,
+		})
 	default:
-		return nil, nil, fmt.Errorf("exp: unknown detector kind %d", cfg.Kind)
+		return nil, fmt.Errorf("exp: unknown detector kind %d", cfg.Kind)
 	}
 }
 
 // Detector returns the oracle of process id.
-func (c *Cluster) Detector(id ident.ID) fd.Detector { return c.detectors[id] }
+func (c *Cluster) Detector(id ident.ID) fd.Detector { return c.procs[id].run }
 
-// Inject delivers a crafted payload directly to a node, bypassing the
-// network — used by the A1 ablation to replay stale protocol messages.
+// Attach layers a protocol on process id: from now on h receives every
+// payload delivered to id, next to the detector runtime. Build h on
+// c.Net.Env(id) and read c.Detector(id) from it — that is how consensus runs
+// over the cluster. Attached handlers are not part of Snapshot.
+func (c *Cluster) Attach(id ident.ID, h node.Handler) { c.procs[id].app = h }
+
+// Inject delivers a crafted payload directly to a node's detector, bypassing
+// the network — used by the A1 ablation to replay stale protocol messages.
 func (c *Cluster) Inject(to, from ident.ID, payload any) {
-	if n, ok := c.nodes[to]; ok {
-		n.Deliver(from, payload)
-	}
+	c.procs[to].run.Deliver(from, payload)
 }
 
 // Apply schedules a fault scenario, returning the ground truth. Recovery
@@ -259,10 +317,50 @@ func (c *Cluster) Inject(to, from ident.ID, payload any) {
 // after the network layer has revived it.
 func (c *Cluster) Apply(s faults.Schedule) *qos.GroundTruth {
 	return s.ApplyFunc(c.Sim, c.Net, func(id ident.ID, fresh bool) {
-		if n, ok := c.nodes[id]; ok {
-			n.Restart(fresh)
+		if int(id) < len(c.procs) {
+			c.procs[id].run.Restart(fresh)
 		}
 	})
+}
+
+// setRange rewrites id's neighbourhood, both directions, now.
+func (c *Cluster) setRange(id ident.ID, neighbors ident.Set) {
+	c.Net.Neighbors(id).ForEach(func(o ident.ID) bool {
+		if !neighbors.Has(o) {
+			nb := c.Net.Neighbors(o)
+			nb.Remove(id)
+			c.Net.SetNeighbors(o, nb)
+		}
+		return true
+	})
+	neighbors.ForEach(func(o ident.ID) bool {
+		nb := c.Net.Neighbors(o)
+		nb.Add(id)
+		c.Net.SetNeighbors(o, nb)
+		return true
+	})
+	c.Net.SetNeighbors(id, neighbors)
+}
+
+// DisconnectAt separates id from a Graph cluster's network during [from, to):
+// a moving node that later reconnects at the same place. While separated it
+// sends and receives nothing (the extension's model: the node stops
+// interacting but keeps its state).
+func (c *Cluster) DisconnectAt(id ident.ID, from, to time.Duration) {
+	var saved ident.Set
+	c.Sim.At(from, func() {
+		saved = c.Net.Neighbors(id)
+		c.setRange(id, ident.Set{})
+	})
+	c.Sim.At(to, func() { c.setRange(id, saved) })
+}
+
+// RelocateAt disconnects id at time from and reattaches it at time to with a
+// brand-new neighbourhood: the full mobility scenario of the extension (the
+// node "moves to another range").
+func (c *Cluster) RelocateAt(id ident.ID, newNeighbors ident.Set, from, to time.Duration) {
+	c.Sim.At(from, func() { c.setRange(id, ident.Set{}) })
+	c.Sim.At(to, func() { c.setRange(id, newNeighbors) })
 }
 
 // RunUntil advances virtual time to t.
@@ -286,13 +384,11 @@ func (c *Cluster) Snapshot() *ClusterSnapshot {
 		sim:   c.Sim.Snapshot(),
 		net:   c.Net.Snapshot(),
 		mark:  c.Log.Mark(),
-		nodes: make([]any, 0, c.Members.Len()),
+		nodes: make([]any, len(c.procs)),
 	}
-	// Identity order, matching Restore: Members iterates sorted.
-	c.Members.ForEach(func(id ident.ID) bool {
-		s.nodes = append(s.nodes, c.nodes[id].Snapshot())
-		return true
-	})
+	for i, p := range c.procs {
+		s.nodes[i] = p.run.Snapshot()
+	}
 	return s
 }
 
@@ -304,10 +400,7 @@ func (c *Cluster) Restore(s *ClusterSnapshot) {
 	c.Sim.Restore(s.sim)
 	c.Net.Restore(s.net)
 	c.Log.TruncateTo(s.mark)
-	i := 0
-	c.Members.ForEach(func(id ident.ID) bool {
-		c.nodes[id].Restore(s.nodes[i])
-		i++
-		return true
-	})
+	for i, p := range c.procs {
+		p.run.Restore(s.nodes[i])
+	}
 }

@@ -1,37 +1,53 @@
-package unknown
+package exp
 
 import (
 	"math/rand"
 	"testing"
 	"time"
 
+	"asyncfd/internal/core"
+	"asyncfd/internal/faults"
+	"asyncfd/internal/heartbeat"
 	"asyncfd/internal/ident"
 	"asyncfd/internal/netsim"
+	"asyncfd/internal/node"
 	"asyncfd/internal/topology"
 )
 
-func defaultConfig(g *topology.Graph, f int) ClusterConfig {
+// The detector in its extension setting (unknown membership, partial
+// connectivity, mobility): KindAsync on ClusterConfig.Graph.
+
+func graphConfig(g *topology.Graph, f int) ClusterConfig {
 	return ClusterConfig{
+		Kind:        KindAsync,
 		Graph:       g,
 		F:           f,
 		Seed:        1,
 		Delay:       netsim.Uniform{Min: 500 * time.Microsecond, Max: 3 * time.Millisecond},
+		StartJitter: -1,
 		Window:      20 * time.Millisecond,
 		Interval:    100 * time.Millisecond,
 		Rebroadcast: 500 * time.Millisecond,
 	}
 }
 
-func TestNewClusterValidation(t *testing.T) {
+// knownBy is the membership p has learned so far.
+func knownBy(c *Cluster, p ident.ID) ident.Set { return c.Detector(p).(*core.Node).Known() }
+
+func TestNewGraphClusterValidation(t *testing.T) {
 	g := topology.Circulant(8, 2) // d = 5
-	if _, err := NewCluster(ClusterConfig{F: 1, Delay: netsim.Constant{}}); err == nil {
-		t.Error("missing graph accepted")
+	if _, err := NewCluster(ClusterConfig{Kind: KindAsync, F: 1, Delay: netsim.Constant{}}); err == nil {
+		t.Error("neither graph nor N accepted")
 	}
-	if _, err := NewCluster(ClusterConfig{Graph: g, F: 1}); err == nil {
+	if _, err := NewCluster(ClusterConfig{Kind: KindAsync, Graph: g, F: 1}); err == nil {
 		t.Error("missing delay accepted")
 	}
-	if _, err := NewCluster(ClusterConfig{Graph: g, F: 4, Delay: netsim.Constant{}}); err == nil {
+	if _, err := NewCluster(ClusterConfig{Kind: KindAsync, Graph: g, F: 4, Delay: netsim.Constant{}}); err == nil {
 		t.Error("d ≤ f+1 accepted")
+	}
+	c, err := NewCluster(ClusterConfig{Kind: KindAsync, Graph: g, N: 3, F: 1, Delay: netsim.Constant{}})
+	if err != nil || c.Members.Len() != 8 {
+		t.Errorf("N is the graph's order: members %v, err %v", c.Members, err)
 	}
 }
 
@@ -39,14 +55,14 @@ func TestMembershipDiscovery(t *testing.T) {
 	// After a few rounds every node's known set must equal its range
 	// (1-hop neighbors + itself): membership is learned, never configured.
 	g := topology.Circulant(10, 2)
-	c, err := NewCluster(defaultConfig(g, 2))
+	c, err := NewCluster(graphConfig(g, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.RunUntil(2 * time.Second)
 	for i := 0; i < 10; i++ {
 		id := ident.ID(i)
-		known := c.Node(id).Known()
+		known := knownBy(c, id)
 		want := g.Neighbors(id)
 		want.Add(id)
 		if !known.Equal(want) {
@@ -60,11 +76,11 @@ func TestCompletenessAcrossHops(t *testing.T) {
 	// correct node, including those multiple hops away (gossip inside
 	// queries).
 	g := topology.Circulant(12, 2) // d = 5
-	c, err := NewCluster(defaultConfig(g, 2))
+	c, err := NewCluster(graphConfig(g, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.CrashAt(0, 3*time.Second)
+	c.Apply(faults.Schedule{}.CrashAt(0, 3*time.Second))
 	c.RunUntil(60 * time.Second)
 	for i := 1; i < 12; i++ {
 		if !c.Detector(ident.ID(i)).IsSuspected(0) {
@@ -83,7 +99,7 @@ func TestCompletenessAcrossHops(t *testing.T) {
 
 func TestDisconnectReconnectSelfCorrects(t *testing.T) {
 	g := topology.Circulant(10, 3) // d = 7
-	cfg := defaultConfig(g, 2)
+	cfg := graphConfig(g, 2)
 	cfg.Mobility = true
 	c, err := NewCluster(cfg)
 	if err != nil {
@@ -110,7 +126,7 @@ func TestRelocateEvictsOldRangeFromKnown(t *testing.T) {
 	// from their known sets (and vice versa), ending the ping-pong of
 	// suspicions.
 	g := topology.Circulant(20, 3) // d = 7
-	cfg := defaultConfig(g, 2)
+	cfg := graphConfig(g, 2)
 	cfg.Mobility = true
 	c, err := NewCluster(cfg)
 	if err != nil {
@@ -127,7 +143,7 @@ func TestRelocateEvictsOldRangeFromKnown(t *testing.T) {
 		}
 	}
 	// The mover's known set must now be its new range.
-	known := c.Node(0).Known()
+	known := knownBy(c, 0)
 	want := newNeighbors.Clone()
 	want.Add(0)
 	if !known.Equal(want) {
@@ -135,7 +151,7 @@ func TestRelocateEvictsOldRangeFromKnown(t *testing.T) {
 	}
 	// Old direct neighbors no longer know the mover.
 	for _, old := range []ident.ID{1, 2, 3, 17, 18, 19} {
-		if c.Node(old).Known().Has(0) {
+		if knownBy(c, old).Has(0) {
 			t.Errorf("old neighbor %v still knows the mover", old)
 		}
 	}
@@ -149,12 +165,12 @@ func TestFCoveringGeneratedTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := defaultConfig(gen, 2)
+	cfg := graphConfig(gen, 2)
 	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.CrashAt(3, 5*time.Second)
+	c.Apply(faults.Schedule{}.CrashAt(3, 5*time.Second))
 	c.RunUntil(90 * time.Second)
 	for i := 0; i < 25; i++ {
 		if i == 3 {
@@ -170,12 +186,12 @@ func randSource(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 func TestCrashRecoveryOnPartialTopology(t *testing.T) {
 	g := topology.Circulant(10, 2) // d = 5
-	c, err := NewCluster(defaultConfig(g, 2))
+	c, err := NewCluster(graphConfig(g, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	victim := ident.ID(0)
-	c.CrashAt(victim, 3*time.Second)
+	c.Apply(faults.Schedule{}.CrashAt(victim, 3*time.Second))
 	c.RunUntil(10 * time.Second)
 	suspecting := 0
 	for i := 1; i < g.Len(); i++ {
@@ -188,14 +204,87 @@ func TestCrashRecoveryOnPartialTopology(t *testing.T) {
 	}
 	// Fresh restart: the node rejoins knowing only itself, re-learns its
 	// range from received queries, and the network re-trusts it.
-	c.RecoverAt(victim, 12*time.Second, true)
+	c.Apply(faults.Schedule{}.RecoverAt(victim, 12*time.Second, true))
 	c.RunUntil(30 * time.Second)
 	for i := 1; i < g.Len(); i++ {
 		if c.Detector(ident.ID(i)).IsSuspected(victim) {
 			t.Errorf("p%d still suspects the recovered p0", i)
 		}
 	}
-	if got := c.Node(victim).Known(); got.Len() < 2 {
+	if got := knownBy(c, victim); got.Len() < 2 {
 		t.Errorf("restarted node re-learned only %v", got)
+	}
+}
+
+// TestClusterSnapshotRestoreReplays: a checkpoint taken mid-run and restored
+// in place replays the same future, as often as it is restored — every kind,
+// on a graph. The checkpoint falls while a crash is being detected, so the
+// runtimes' opinions, raised and pending, are in it; and a move follows it:
+// the neighbour map travels in netsim.Snapshot, so Restore must put the
+// mover back.
+func TestClusterSnapshotRestoreReplays(t *testing.T) {
+	for _, kind := range everyKind {
+		kind := kind
+		t.Run(kind.String(), func(t *testing.T) {
+			g := topology.Circulant(10, 3) // d = 7
+			c, err := NewCluster(ClusterConfig{
+				Kind: kind, Graph: g, F: 2, Seed: 5,
+				Delay:       netsim.Exponential{Min: time.Millisecond, Mean: 300 * time.Millisecond},
+				Rebroadcast: time.Second,
+				Mobility:    true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Apply(faults.Schedule{}.CrashAt(3, 2500*time.Millisecond).RecoverAt(3, 20*time.Second, true))
+			c.RunUntil(5 * time.Second)
+			snap, mark := c.Snapshot(), c.Log.Len()
+			future := func() string {
+				c.RelocateAt(0, ident.SetOf(4, 5, 6), 8*time.Second, 12*time.Second)
+				c.RunUntil(40 * time.Second)
+				return c.Log.String()
+			}
+			want := future()
+			if c.Log.Len() == mark {
+				t.Fatal("nothing happened after the checkpoint; scenario too weak")
+			}
+			for round := 1; round <= 2; round++ {
+				c.Restore(snap)
+				if got := c.Net.Neighbors(0); !got.Equal(g.Neighbors(0)) {
+					t.Fatalf("restore %d left the mover next to %v", round, got)
+				}
+				if got := future(); got != want {
+					t.Fatalf("replay %d diverged:\n%s\nwant:\n%s", round, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestAttachSharesDeliveries: an attached protocol receives what the
+// process's detector receives, and neither is disturbed by the other's
+// payloads.
+func TestAttachSharesDeliveries(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{Kind: KindHeartbeat, N: 3, Seed: 1, Delay: netsim.Constant{D: time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heartbeats, hellos := ident.Set{}, 0
+	c.Attach(1, node.HandlerFunc(func(from ident.ID, payload any) {
+		switch payload.(type) {
+		case heartbeat.Message:
+			heartbeats.Add(from)
+		case string:
+			hellos++
+		}
+	}))
+	c.Net.Env(0).Send(1, "hello")
+	c.Apply(faults.Schedule{}.CrashAt(2, 5*time.Second))
+	c.RunUntil(10 * time.Second)
+	if hellos != 1 || !heartbeats.Equal(ident.SetOf(0, 2)) {
+		t.Errorf("attached handler saw %d hellos and heartbeats from %v, want 1 and {0,2}", hellos, heartbeats)
+	}
+	if got := c.Detector(1).Suspects(); !got.Equal(ident.SetOf(2)) {
+		t.Errorf("p1's detector suspects %v, want only the crashed p2", got)
 	}
 }

@@ -5,30 +5,8 @@ import (
 	"sync"
 	"time"
 
-	"asyncfd/internal/consensus"
-	"asyncfd/internal/ident"
 	"asyncfd/internal/stats"
 )
-
-// fdConsensusDemux routes failure-detector traffic to the detector runtime
-// and consensus traffic to the consensus participant sharing the identity.
-type fdConsensusDemux struct {
-	fdNode runner
-	cons   *consensus.Node
-}
-
-func (d *fdConsensusDemux) Deliver(from ident.ID, payload any) {
-	switch payload.(type) {
-	case consensus.EstimateMsg, consensus.ProposalMsg, consensus.AckMsg, consensus.DecideMsg:
-		if d.cons != nil {
-			d.cons.Deliver(from, payload)
-		}
-	default:
-		if d.fdNode != nil {
-			d.fdNode.Deliver(from, payload)
-		}
-	}
-}
 
 // Experiments lists every experiment of the reconstructed evaluation in
 // presentation order.

@@ -9,6 +9,7 @@ import (
 	"asyncfd/internal/ident"
 	"asyncfd/internal/netsim"
 	"asyncfd/internal/qos"
+	"asyncfd/internal/topology"
 )
 
 var quick = Options{Quick: true}
@@ -19,6 +20,7 @@ func TestKindString(t *testing.T) {
 		KindHeartbeat: "heartbeat",
 		KindPhi:       "phi-accrual",
 		KindChen:      "chen-nfde",
+		KindGossip:    "gossip-ft",
 		Kind(9):       "Kind(9)",
 	}
 	for k, s := range want {
@@ -27,7 +29,7 @@ func TestKindString(t *testing.T) {
 		}
 	}
 	if len(AllKinds()) != 4 {
-		t.Error("AllKinds must list the four implementations")
+		t.Error("AllKinds must list the paper's four implementations")
 	}
 }
 
@@ -59,14 +61,27 @@ func TestNewClusterValidation(t *testing.T) {
 	}
 }
 
+// everyKindConfig is a five-process cluster of kind: the paper's four on the
+// full mesh, the gossip comparator on a ring, where p4's counter reaches p1
+// and p2 only through a relay.
+func everyKindConfig(kind Kind) ClusterConfig {
+	cfg := ClusterConfig{
+		Kind: kind, N: 5, F: 1, Seed: 7,
+		Delay: netsim.Constant{D: time.Millisecond},
+	}
+	if kind == KindGossip {
+		cfg.Graph = topology.Circulant(5, 1)
+	}
+	return cfg
+}
+
+var everyKind = append(AllKinds(), KindGossip)
+
 func TestClusterEachKindDetectsCrash(t *testing.T) {
-	for _, kind := range AllKinds() {
+	for _, kind := range everyKind {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
-			c, err := NewCluster(ClusterConfig{
-				Kind: kind, N: 5, F: 1, Seed: 7,
-				Delay: netsim.Constant{D: time.Millisecond},
-			})
+			c, err := NewCluster(everyKindConfig(kind))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +99,7 @@ func TestClusterEachKindDetectsCrash(t *testing.T) {
 }
 
 func TestClusterEachKindSurvivesCrashRecovery(t *testing.T) {
-	for _, kind := range AllKinds() {
+	for _, kind := range everyKind {
 		kind := kind
 		for _, fresh := range []bool{true, false} {
 			fresh := fresh
@@ -93,10 +108,7 @@ func TestClusterEachKindSurvivesCrashRecovery(t *testing.T) {
 				name = kind.String() + "/fresh"
 			}
 			t.Run(name, func(t *testing.T) {
-				c, err := NewCluster(ClusterConfig{
-					Kind: kind, N: 5, F: 1, Seed: 7,
-					Delay: netsim.Constant{D: time.Millisecond},
-				})
+				c, err := NewCluster(everyKindConfig(kind))
 				if err != nil {
 					t.Fatal(err)
 				}

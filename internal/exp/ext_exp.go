@@ -5,57 +5,29 @@ import (
 	"strconv"
 	"time"
 
-	"asyncfd/internal/des"
 	"asyncfd/internal/faults"
-	"asyncfd/internal/heartbeat"
 	"asyncfd/internal/ident"
-	"asyncfd/internal/netsim"
 	"asyncfd/internal/qos"
 	"asyncfd/internal/topology"
-	"asyncfd/internal/trace"
-	"asyncfd/internal/unknown"
 )
 
-// gossipCluster wires Friedman–Tcharny-style gossip heartbeat detectors onto
-// a partial topology (the extension's timer-based comparator).
-type gossipCluster struct {
-	sim   *des.Simulator
-	net   *netsim.Network
-	log   *trace.Log
-	nodes []*heartbeat.GossipNode
-}
+// extF is the crash bound of both extension tables.
+const extF = 2
 
-type gossipCell struct{ g *heartbeat.GossipNode }
-
-func (c *gossipCell) Deliver(from ident.ID, payload any) {
-	if c.g != nil {
-		c.g.Deliver(from, payload)
+// extConfig is the cluster both extension tables run on g: the asynchronous
+// detector in its unknown-membership form, or the gossip heartbeat
+// comparator with Δ=1s Θ=4s (multi-hop needs a larger Θ). Everyone starts at
+// t=0.
+func extConfig(kind Kind, g *topology.Graph, seed int64) ClusterConfig {
+	return ClusterConfig{
+		Kind: kind, Graph: g, F: extF, Seed: seed,
+		Delay:       defaultDelay(),
+		StartJitter: -1,
+		Window:      250 * time.Millisecond,
+		Interval:    250 * time.Millisecond,
+		HBInterval:  time.Second,
+		HBTimeout:   4 * time.Second,
 	}
-}
-
-func newGossipCluster(g *topology.Graph, seed int64, delay netsim.DelayModel, interval, timeout time.Duration) (*gossipCluster, error) {
-	n := g.Len()
-	c := &gossipCluster{sim: des.New(seed), log: &trace.Log{}}
-	c.net = netsim.New(c.sim, netsim.Config{Delay: delay})
-	c.nodes = make([]*heartbeat.GossipNode, n)
-	for i := 0; i < n; i++ {
-		id := ident.ID(i)
-		cl := &gossipCell{}
-		env := c.net.AddNode(id, cl)
-		gn, err := heartbeat.NewGossipNode(env, heartbeat.GossipConfig{
-			Self: id, N: n, Interval: interval, Timeout: timeout, Sink: c.log,
-		})
-		if err != nil {
-			return nil, err
-		}
-		cl.g = gn
-		c.nodes[i] = gn
-		c.net.SetNeighbors(id, g.Neighbors(id))
-	}
-	for _, gn := range c.nodes {
-		gn.Start()
-	}
-	return c, nil
 }
 
 // X1DensityExt regenerates the shape of the extension report's Figure 2:
@@ -71,7 +43,6 @@ func X1DensityExt(opts Options) (*Table, error) {
 		ks = []int{2, 3}
 	}
 	const (
-		f       = 2
 		crashAt = 10 * time.Second
 		horizon = 60 * time.Second
 	)
@@ -79,13 +50,13 @@ func X1DensityExt(opts Options) (*Table, error) {
 		ID:    "X1",
 		Title: "EXTENSION: detection time vs range density d (partial topology, unknown membership)",
 		Note: fmt.Sprintf("circulant graphs on n=%d, f=%d, crash at t=10s; gossip-FT uses Δ=1s Θ=4s "+
-			"(multi-hop needs a larger Θ); shape of RR-6088 Fig. 2", n, f),
+			"(multi-hop needs a larger Θ); shape of RR-6088 Fig. 2", n, extF),
 		Columns: []string{"d", "async avg", "async max", "gossip-FT avg", "gossip-FT max"},
 	}
 	// Per density, an R-seed family for each variant: the asynchronous
 	// detector on the unknown network, and the gossip heartbeat comparator
 	// on the same topology.
-	variants := []string{"async", "gossip-ft"}
+	variants := []Kind{KindAsync, KindGossip}
 	var jobs []func() (qos.DetectionStats, error)
 	for _, k := range ks {
 		k := k
@@ -95,34 +66,16 @@ func X1DensityExt(opts Options) (*Table, error) {
 			for r := 0; r < opts.runs(); r++ {
 				seed := opts.seed() + int64(r)*101
 				jobs = append(jobs, func() (qos.DetectionStats, error) {
-					g := topology.Circulant(n, k)
-					observers := ident.FullSet(n)
-					observers.Remove(crash)
-					if variant == "async" {
-						uc, err := unknown.NewCluster(unknown.ClusterConfig{
-							Graph: g, F: f, Seed: seed,
-							Delay:    defaultDelay(),
-							Window:   250 * time.Millisecond,
-							Interval: 250 * time.Millisecond,
-						})
-						if err != nil {
-							return qos.DetectionStats{}, fmt.Errorf("X1 async d=%d: %w", 2*k+1, err)
-						}
-						truth := &qos.GroundTruth{}
-						truth.Crash(crash, crashAt)
-						uc.CrashAt(crash, crashAt)
-						uc.RunUntil(horizon)
-						opts.record(uc.Sim)
-						return qos.DetectionTimes(uc.Log, truth, crash, observers), nil
-					}
-					gc, err := newGossipCluster(g, seed, defaultDelay(), time.Second, 4*time.Second)
+					c, err := NewCluster(extConfig(variant, topology.Circulant(n, k), seed))
 					if err != nil {
-						return qos.DetectionStats{}, fmt.Errorf("X1 gossip d=%d: %w", 2*k+1, err)
+						return qos.DetectionStats{}, fmt.Errorf("X1 %v d=%d: %w", variant, 2*k+1, err)
 					}
-					gtruth := faults.Schedule{}.CrashAt(crash, crashAt).Apply(gc.sim, gc.net)
-					gc.sim.RunUntil(horizon)
-					opts.record(gc.sim)
-					return qos.DetectionTimes(gc.log, gtruth, crash, observers), nil
+					truth := c.Apply(faults.Schedule{}.CrashAt(crash, crashAt))
+					c.RunUntil(horizon)
+					opts.record(c.Sim)
+					observers := c.Members.Clone()
+					observers.Remove(crash)
+					return qos.DetectionTimes(c.Log, truth, crash, observers), nil
 				})
 			}
 		}
@@ -135,7 +88,7 @@ func X1DensityExt(opts Options) (*Table, error) {
 	for _, k := range ks {
 		row := []string{strconv.Itoa(2*k + 1)}
 		for _, variant := range variants {
-			cell := fmt.Sprintf("d=%d/%s", 2*k+1, variant)
+			cell := fmt.Sprintf("d=%d/%v", 2*k+1, variant)
 			var avgs []float64
 			var agg []qos.DetectionStats
 			for r := 0; r < opts.runs(); r++ {
@@ -165,7 +118,6 @@ func X2MobilityExt(opts Options) (*Table, error) {
 	}
 	const (
 		k       = 3 // d = 7, as in the report's density-7 mobility run
-		f       = 2
 		away    = 30 * time.Second
 		back    = 60 * time.Second
 		horizon = 150 * time.Second
@@ -182,72 +134,26 @@ func X2MobilityExt(opts Options) (*Table, error) {
 		}
 		return s
 	}
-	asyncRun := func(seed int64) ([]int, error) {
-		truth := &qos.GroundTruth{} // nobody crashes: every suspicion is false
-		g := topology.Circulant(n, k)
-		uc, err := unknown.NewCluster(unknown.ClusterConfig{
-			Graph: g, F: f, Seed: seed,
-			Delay:       defaultDelay(),
-			Window:      250 * time.Millisecond,
-			Interval:    250 * time.Millisecond,
-			Rebroadcast: time.Second,
-			Mobility:    true,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("X2 async: %w", err)
-		}
-		uc.RelocateAt(0, newRange(), away, back)
-		uc.RunUntil(horizon)
-		opts.record(uc.Sim)
-		return qos.FalseSuspicionSeries(uc.Log, truth, times), nil
-	}
-	gossipRun := func(seed int64) ([]int, error) {
-		truth := &qos.GroundTruth{} // nobody crashes: every suspicion is false
-		g := topology.Circulant(n, k)
-		newNeighbors := newRange()
-		gc, err := newGossipCluster(g, seed, defaultDelay(), time.Second, 4*time.Second)
-		if err != nil {
-			return nil, fmt.Errorf("X2 gossip: %w", err)
-		}
-		// Equivalent move for the gossip cluster via a link filter window.
-		moving := false
-		gc.net.AddLinkFilter(func(from, to ident.ID, _ time.Duration) bool {
-			if moving && (from == 0 || to == 0) {
-				return false
-			}
-			return true
-		})
-		gc.sim.At(away, func() { moving = true })
-		gc.sim.At(back, func() {
-			moving = false
-			// Reattach at the new position.
-			newNeighbors.ForEach(func(o ident.ID) bool {
-				nb := gc.net.Neighbors(o)
-				nb.Add(0)
-				gc.net.SetNeighbors(o, nb)
-				return true
-			})
-			g.Neighbors(0).ForEach(func(o ident.ID) bool {
-				if !newNeighbors.Has(o) {
-					nb := gc.net.Neighbors(o)
-					nb.Remove(0)
-					gc.net.SetNeighbors(o, nb)
-				}
-				return true
-			})
-			gc.net.SetNeighbors(0, newNeighbors)
-		})
-		gc.sim.RunUntil(horizon)
-		opts.record(gc.sim)
-		return qos.FalseSuspicionSeries(gc.log, truth, times), nil
-	}
+	variants := []Kind{KindAsync, KindGossip}
 	// One R-seed family per variant; async replicates first, then gossip.
 	var jobs []func() ([]int, error)
-	for _, run := range []func(int64) ([]int, error){asyncRun, gossipRun} {
-		run := run
+	for _, variant := range variants {
+		variant := variant
 		for r := 0; r < opts.runs(); r++ {
 			seed := opts.seed() + int64(r)*101
-			jobs = append(jobs, func() ([]int, error) { return run(seed) })
+			jobs = append(jobs, func() ([]int, error) {
+				cfg := extConfig(variant, topology.Circulant(n, k), seed)
+				cfg.Rebroadcast, cfg.Mobility = time.Second, true
+				c, err := NewCluster(cfg)
+				if err != nil {
+					return nil, fmt.Errorf("X2 %v: %w", variant, err)
+				}
+				c.RelocateAt(0, newRange(), away, back)
+				c.RunUntil(horizon)
+				opts.record(c.Sim)
+				// Nobody crashes: every suspicion is false.
+				return qos.FalseSuspicionSeries(c.Log, &qos.GroundTruth{}, times), nil
+			})
 		}
 	}
 	series, err := runJobs(opts, jobs)
@@ -259,15 +165,14 @@ func X2MobilityExt(opts Options) (*Table, error) {
 		ID:    "X2",
 		Title: "EXTENSION: total false suspicions over time while a node moves to a new range",
 		Note: fmt.Sprintf("n=%d circulant d=7, f=%d; node p0 detaches at 30s, reattaches across the ring at 60s; "+
-			"shape of RR-6088 Fig. 3", n, f),
+			"shape of RR-6088 Fig. 3", n, extF),
 		Columns: []string{"t", "async", "gossip-FT"},
 	}
 	// perTime[variant][timepoint] holds the family's series values.
-	variants := []string{"async", "gossip-ft"}
 	perTime := make([][][]float64, len(variants))
 	idx := 0
 	for v, variant := range variants {
-		cell := fmt.Sprintf("mobility/%s", variant)
+		cell := fmt.Sprintf("mobility/%v", variant)
 		perTime[v] = make([][]float64, len(times))
 		for r := 0; r < opts.runs(); r++ {
 			s := series[idx]

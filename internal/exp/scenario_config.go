@@ -18,13 +18,10 @@ import (
 	"time"
 
 	"asyncfd/internal/consensus"
-	"asyncfd/internal/des"
 	"asyncfd/internal/faults"
 	"asyncfd/internal/ident"
-	"asyncfd/internal/netsim"
 	"asyncfd/internal/qos"
 	"asyncfd/internal/scenario"
-	"asyncfd/internal/trace"
 )
 
 // scenarioKinds maps a compiled detector list to cluster kinds by
@@ -290,18 +287,21 @@ func scenarioTopologyTable(sc *scenario.Scenario, opts Options) (*Table, error) 
 					for v := 0; v < n; v++ {
 						degSum += g.Degree(ident.ID(v))
 					}
-					c, err := newTopoCluster(g, seed, delay, interval, timeout)
+					c, err := NewCluster(ClusterConfig{
+						Kind: KindHeartbeat, Graph: g, Seed: seed, Delay: delay, CountBytes: true,
+						HBInterval: interval, HBTimeout: timeout,
+					})
 					if err != nil {
 						return ltRun{}, fmt.Errorf("scenario %s %s n=%d: %w", sc.Name, topo, n, err)
 					}
 					victim := ltVictim(g)
-					truth := faults.Schedule{}.CrashAt(victim, crashAt).Apply(c.sim, c.net)
-					c.sim.RunUntil(horizon)
-					opts.record(c.sim)
+					truth := c.Apply(faults.Schedule{}.CrashAt(victim, crashAt))
+					c.RunUntil(horizon)
+					opts.record(c.Sim)
 					observers := g.Neighbors(victim)
 					return ltRun{
-						det:    qos.JudgeFrom(c.log).DetectionTimes(truth, victim, observers),
-						stats:  c.net.Stats(),
+						det:    qos.JudgeFrom(c.Log).DetectionTimes(truth, victim, observers),
+						stats:  c.Net.Stats(),
 						avgDeg: float64(degSum) / float64(n),
 					}, nil
 				})
@@ -352,55 +352,30 @@ func scenarioTopologyTable(sc *scenario.Scenario, opts Options) (*Table, error) 
 func scenarioConsensusLatency(sc *scenario.Scenario, opts Options, kind Kind, seed int64) (time.Duration, error) {
 	n, f := sc.Cluster.N, sc.Cluster.F
 	propose, horizon := sc.Measure.Propose, sc.Measure.Horizon
-	sim := des.New(seed)
-	net := netsim.New(sim, netsim.Config{Delay: sc.Cluster.Delay})
-	log := &trace.Log{}
-
-	demuxes := make([]*fdConsensusDemux, n)
-	runners := make([]runner, n)
+	c, err := NewCluster(scenarioClusterConfig(sc, kind, seed))
+	if err != nil {
+		return 0, err
+	}
+	sched := sc.Variants[0].Faults
+	c.Apply(sched)
 	decidedAt := make(map[ident.ID]time.Duration)
 	for i := 0; i < n; i++ {
 		id := ident.ID(i)
-		demux := &fdConsensusDemux{}
-		demuxes[i] = demux
-		env := net.AddNode(id, demux)
-		cfg := scenarioClusterConfig(sc, kind, seed)
-		cfg.fillDefaults()
-		det, run, err := buildNode(env, id, cfg, log)
-		if err != nil {
-			return 0, err
-		}
-		demux.fdNode = run
-		runners[i] = run
-		cons, err := consensus.NewNode(env, consensus.Config{
-			Self: id, N: n, F: f, Detector: det,
-			OnDecide: func(consensus.Value) { decidedAt[id] = sim.Now() },
+		cons, err := consensus.NewNode(c.Net.Env(id), consensus.Config{
+			Self: id, N: n, F: f, Detector: c.Detector(id),
+			OnDecide: func(consensus.Value) { decidedAt[id] = c.Sim.Now() },
 		})
 		if err != nil {
 			return 0, err
 		}
-		demux.cons = cons
-		// Stagger detector starts: deployments never start in lockstep,
-		// and the async detector's flooding advantage needs phase
-		// diversity.
-		jitter := time.Duration(sim.Rand().Int63n(int64(time.Second)))
-		sim.At(jitter, run.Start)
-	}
-
-	// Recoveries restart the process's detector runtime.
-	sched := sc.Variants[0].Faults
-	sched.ApplyFunc(sim, net, func(id ident.ID, fresh bool) {
-		runners[id].Restart(fresh)
-	})
-	crashed := sched.IDs()
-	for i := 0; i < n; i++ {
-		cons := demuxes[i].cons
+		c.Attach(id, cons)
 		v := consensus.Value(100 + i)
-		sim.At(propose, func() { cons.Propose(v) })
+		c.Sim.At(propose, func() { cons.Propose(v) })
 	}
-	sim.RunUntil(horizon)
-	opts.record(sim)
+	c.RunUntil(horizon)
+	opts.record(c.Sim)
 
+	crashed := sched.IDs()
 	var worst time.Duration
 	for i := 0; i < n; i++ {
 		id := ident.ID(i)

@@ -195,3 +195,42 @@ func TestScenarioReplayForkDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestConsensusProgramHonoursStartJitter: the consensus program builds its
+// cluster from the whole cluster section, like the cluster program — it used
+// to start every detector within a hard-coded second. The shipped restart
+// config (which, like e7.json, leaves the jitter at its default) keeps the
+// table it always rendered; stretching the jitter changes it.
+func TestConsensusProgramHonoursStartJitter(t *testing.T) {
+	t.Parallel()
+	doc, err := os.ReadFile(filepath.Join("..", "..", "configs", "e7_coordinator_restart.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	latencies := func(doc string) []string {
+		sc, err := scenario.Parse([]byte(doc), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := ScenarioTable(sc, Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, row := range tbl.Rows {
+			out = append(out, row[1])
+		}
+		return out
+	}
+	want := []string{"386.8ms ±1641.0ms", "1665.1ms ±650.9ms", "2004.4ms ±1115.6ms", "1105.0ms ±464.5ms"}
+	if got := latencies(string(doc)); !reflect.DeepEqual(got, want) {
+		t.Errorf("default jitter: latencies %v, want %v", got, want)
+	}
+	stretched := strings.Replace(string(doc), `"n": 5,`, `"n": 5, "start_jitter_us": 4000000,`, 1)
+	if stretched == string(doc) {
+		t.Fatal("config has no cluster.n to hang the jitter on")
+	}
+	if got := latencies(stretched); reflect.DeepEqual(got, want) {
+		t.Errorf("start_jitter_us 4s: latencies %v unchanged, the field is dropped", got)
+	}
+}

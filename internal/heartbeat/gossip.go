@@ -55,8 +55,8 @@ func (c GossipConfig) Validate() error {
 // transitively. Safe for concurrent use.
 type GossipNode struct {
 	mu        sync.Mutex
-	env       node.Env
-	cfg       GossipConfig
+	env       node.Env     //fdlint:allow clonefields immutable wiring, set once at construction
+	cfg       GossipConfig //fdlint:allow clonefields immutable config, set once at construction
 	vector    []uint64
 	lastRise  []time.Duration
 	suspected ident.Set
@@ -88,6 +88,34 @@ func (g *GossipNode) Start() {
 	now := g.env.Now()
 	for i := range g.lastRise {
 		g.lastRise[i] = now
+	}
+	g.tickLocked()
+}
+
+// Restart implements fd.Restartable: gossiping resumes, and the restart
+// instant counts as the last sighting of every process. With fresh state the
+// reboot lost the suspicions — the trace must say so — and what it knew of
+// the others' counters. Its own counter survives as an incarnation number:
+// peers merge by maximum and would discard a sender that began again at 1.
+func (g *GossipNode) Restart(fresh bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.beat != nil {
+		g.beat.Stop()
+	}
+	g.stopped = false
+	now := g.env.Now()
+	for i := range g.vector {
+		g.lastRise[i] = now
+		id := ident.ID(i)
+		if !fresh || id == g.cfg.Self {
+			continue
+		}
+		g.vector[i] = 0
+		if g.suspected.Has(id) {
+			g.suspected.Remove(id)
+			g.emitLocked(id, false)
+		}
 	}
 	g.tickLocked()
 }
@@ -182,6 +210,41 @@ func (g *GossipNode) IsSuspected(id ident.ID) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.suspected.Has(id)
+}
+
+// gossipSnapshot is the node.Cloneable checkpoint. The timer handle is shared
+// by value with the live node: the paired kernel snapshot rewinds slot
+// generations, so one captured here is pending again after Restore.
+type gossipSnapshot struct {
+	vector    []uint64
+	lastRise  []time.Duration
+	suspected ident.Set
+	stopped   bool
+	beat      node.Timer
+}
+
+// Snapshot implements node.Cloneable.
+func (g *GossipNode) Snapshot() any {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return &gossipSnapshot{
+		vector:    append([]uint64(nil), g.vector...),
+		lastRise:  append([]time.Duration(nil), g.lastRise...),
+		suspected: g.suspected.Clone(),
+		stopped:   g.stopped,
+		beat:      g.beat,
+	}
+}
+
+// Restore implements node.Cloneable.
+func (g *GossipNode) Restore(snap any) {
+	s := snap.(*gossipSnapshot)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	copy(g.vector, s.vector)
+	copy(g.lastRise, s.lastRise)
+	g.suspected = s.suspected.Clone()
+	g.stopped, g.beat = s.stopped, s.beat
 }
 
 // Vector returns a copy of the current heartbeat vector (tests/diagnostics).

@@ -172,8 +172,8 @@ func (c Config) membership() Membership {
 
 // Validate checks structural requirements from the paper's model section.
 func (c Config) Validate() error {
-	if !c.Self.Valid() {
-		return errors.New("core: config: Self must be a valid process id")
+	if !tagset.InRange(c.Self) {
+		return fmt.Errorf("core: config: Self must be a process id in [0, %d), got %v", tagset.Limit, c.Self)
 	}
 	if c.F < 0 {
 		return errors.New("core: config: F must be non-negative")
@@ -188,6 +188,9 @@ func (c Config) Validate() error {
 		}
 		if int(c.Self) >= c.N {
 			return fmt.Errorf("core: config: Self=%v out of range for N=%d", c.Self, c.N)
+		}
+		if c.N > int(tagset.Limit) {
+			return fmt.Errorf("core: config: N=%d exceeds the %d process ids the detector indexes", c.N, tagset.Limit)
 		}
 	case UnknownMembership:
 		if c.D <= c.F+1 {
@@ -296,7 +299,8 @@ func (d *Detector) BeginRound() Query {
 	}
 	d.round++
 	d.roundOpen = true
-	d.recFrom = ident.SetOf(d.self)
+	d.recFrom.Clear()
+	d.recFrom.Add(d.self)
 	return Query{
 		From:      d.self,
 		Round:     d.round,
@@ -306,12 +310,13 @@ func (d *Detector) BeginRound() Query {
 }
 
 // HandleResponse records a RESPONSE. It returns true when the response was
-// counted toward the current query's quorum: responses for stale rounds and
-// duplicates are ignored, and — mirroring the optimization discussed in the
+// counted toward the current query's quorum: responses for stale rounds,
+// duplicates and senders outside the id range the detector indexes
+// (tagset.InRange) are ignored, and — mirroring the optimization discussed in the
 // paper family — responses arriving after the quorum but before EndRound are
 // still counted, which only reduces false suspicions.
 func (d *Detector) HandleResponse(r Response) bool {
-	if !d.roundOpen || r.Round != d.round {
+	if !d.roundOpen || r.Round != d.round || !tagset.InRange(r.From) {
 		return false
 	}
 	if d.recFrom.Has(r.From) {
@@ -390,16 +395,23 @@ func (d *Detector) EndRound() (RoundResult, error) {
 // received suspected set refutes it with a new mistake tagged above the
 // suspicion (lines 23–25). With Mobility enabled, a relayed mistake about a
 // third process evicts that process from the known set (Algorithm 2).
+//
+// Ids come off the wire and index the detector's storage: an entry or a
+// sender whose id is invalid or beyond tagset.Limit is skipped before any
+// lookup — it is information about no process this detector can monitor.
 func (d *Detector) HandleQuery(q Query) Response {
-	if q.From != d.self {
+	if q.From != d.self && tagset.InRange(q.From) {
 		d.known.Add(q.From) // line 20
 	}
 
 	for _, e := range q.Suspected { // lines 21–31
-		if !d.fresher(e) {
+		if !tagset.InRange(e.ID) {
 			continue
 		}
 		if e.ID == d.self {
+			if !d.cfg.DisableTags && !tagset.Fresher(d.suspected, d.mistake, e.ID, e.Tag) {
+				continue
+			}
 			// Lines 23–25: refute; tag strictly above the suspicion.
 			if d.counter < e.Tag+1 {
 				d.counter = e.Tag + 1
@@ -408,20 +420,31 @@ func (d *Detector) HandleQuery(q Query) Response {
 			d.emit(Event{Kind: Restore, Subject: d.self, Tag: d.counter, Source: SelfRefutation})
 			continue
 		}
-		wasSuspected := d.suspected.Has(e.ID)
-		d.suspected.Add(e.ID, e.Tag)
-		d.mistake.Remove(e.ID)
-		if !wasSuspected {
+		var entered bool
+		if d.cfg.DisableTags {
+			entered = d.forceSuspicion(e)
+		} else {
+			entered = tagset.MergeSuspicion(d.suspected, d.mistake, e)
+		}
+		if entered {
 			d.emit(Event{Kind: Suspect, Subject: e.ID, Tag: e.Tag, Source: Gossip})
 		}
 	}
 
 	for _, e := range q.Mistake { // lines 32–37
-		if !d.fresherOrEqual(e) {
+		if !tagset.InRange(e.ID) {
 			continue
 		}
-		d.mistake.Add(e.ID, e.Tag)
-		if d.suspected.Remove(e.ID) {
+		adopted, cleared := true, false
+		if d.cfg.DisableTags {
+			cleared = d.forceMistake(e)
+		} else {
+			adopted, cleared = tagset.MergeMistake(d.suspected, d.mistake, e)
+		}
+		if !adopted {
+			continue
+		}
+		if cleared {
 			d.emit(Event{Kind: Restore, Subject: e.ID, Tag: e.Tag, Source: Gossip})
 		}
 		if d.cfg.Mobility && e.ID != q.From && e.ID != d.self {
@@ -434,18 +457,18 @@ func (d *Detector) HandleQuery(q Query) Response {
 	return Response{From: d.self, Round: q.Round} // line 38
 }
 
-func (d *Detector) fresher(e tagset.Entry) bool {
-	if d.cfg.DisableTags {
-		return true
-	}
-	return tagset.Fresher(d.suspected, d.mistake, e.ID, e.Tag)
+// forceSuspicion and forceMistake are the DisableTags ablation of the merge
+// laws: the entry is adopted whatever the tags say.
+func (d *Detector) forceSuspicion(e tagset.Entry) (entered bool) {
+	entered = !d.suspected.Has(e.ID)
+	d.suspected.Add(e.ID, e.Tag)
+	d.mistake.Remove(e.ID)
+	return entered
 }
 
-func (d *Detector) fresherOrEqual(e tagset.Entry) bool {
-	if d.cfg.DisableTags {
-		return true
-	}
-	return tagset.FresherOrEqual(d.suspected, d.mistake, e.ID, e.Tag)
+func (d *Detector) forceMistake(e tagset.Entry) (cleared bool) {
+	d.mistake.Add(e.ID, e.Tag)
+	return d.suspected.Remove(e.ID)
 }
 
 func (d *Detector) emit(e Event) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -626,18 +627,50 @@ func BenchmarkRound(b *testing.B) {
 	}
 }
 
-func BenchmarkHandleQuery(b *testing.B) {
-	d, err := NewDetector(knownCfg(0, 32, 10))
-	if err != nil {
-		b.Fatal(err)
+// steadyMistakes is the query a settled churn run re-offers every round:
+// every other process in mistake at a tag the receiver already holds.
+func steadyMistakes(n int) Query {
+	q := Query{From: 1, Round: 1}
+	for i := 1; i < n; i++ {
+		q.Mistake = append(q.Mistake, tagset.Entry{ID: ident.ID(i), Tag: tagset.Tag(i)})
 	}
+	return q
+}
+
+// suspicions16 names p2..p17 suspected at tags base+2..base+17.
+func suspicions16(base tagset.Tag) Query {
 	q := Query{From: 1, Round: 1}
 	for i := 2; i < 18; i++ {
-		q.Suspected = append(q.Suspected, tagset.Entry{ID: ident.ID(i), Tag: tagset.Tag(i)})
+		q.Suspected = append(q.Suspected, tagset.Entry{ID: ident.ID(i), Tag: base + tagset.Tag(i)})
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d.HandleQuery(q)
+	return q
+}
+
+// BenchmarkHandleQuery is the T2 row of the layer ledger (docs/BENCHMARKS.md):
+// one received query merged, by what it carries. suspected16 re-offers 16
+// suspicions the detector already holds (every guard says no); mistakes-steady
+// re-offers every other process in mistake at the tag already held — what a
+// settled churn run sends every round (every guard says yes, nothing changes).
+func BenchmarkHandleQuery(b *testing.B) {
+	for _, n := range []int{32, 128} {
+		for _, q := range []struct {
+			name  string
+			query Query
+		}{
+			{"suspected16", suspicions16(0)},
+			{fmt.Sprintf("mistakes%d-steady", n-1), steadyMistakes(n)},
+		} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, q.name), func(b *testing.B) {
+				d, err := NewDetector(knownCfg(0, n, n/3))
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					d.HandleQuery(q.query)
+				}
+			})
+		}
 	}
 }
 

@@ -1,7 +1,10 @@
 package tagset
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -140,12 +143,19 @@ func TestEntryString(t *testing.T) {
 
 // --- Merge-guard semantics (Algorithm 1 lines 22 and 33) ---
 
+// fresherOrEqual is the guard of line 33 read off MergeMistake: whether a
+// mistake ⟨id, incoming⟩ would be adopted, tried on copies of the pair.
+func fresherOrEqual(suspected, mistake *Set, id ident.ID, incoming Tag) bool {
+	adopted, _ := MergeMistake(suspected.Clone(), mistake.Clone(), Entry{ID: id, Tag: incoming})
+	return adopted
+}
+
 func TestFresherUnknownID(t *testing.T) {
 	susp, mist := New(), New()
 	if !Fresher(susp, mist, 4, 0) {
 		t.Error("Fresher for unknown id = false; any info about an unknown id is fresh")
 	}
-	if !FresherOrEqual(susp, mist, 4, 0) {
+	if !fresherOrEqual(susp, mist, 4, 0) {
 		t.Error("FresherOrEqual for unknown id = false")
 	}
 }
@@ -180,7 +190,7 @@ func TestFresherOrEqualTieGoesToMistake(t *testing.T) {
 		{11, true},
 	}
 	for _, tt := range tests {
-		if got := FresherOrEqual(susp, mist, 4, tt.incoming); got != tt.want {
+		if got := fresherOrEqual(susp, mist, 4, tt.incoming); got != tt.want {
 			t.Errorf("FresherOrEqual(incoming=%d) = %v, want %v", tt.incoming, got, tt.want)
 		}
 	}
@@ -195,10 +205,10 @@ func TestFresherAgainstMistakeSet(t *testing.T) {
 	if !Fresher(susp, mist, 4, 11) {
 		t.Error("strictly newer suspicion rejected")
 	}
-	if FresherOrEqual(susp, mist, 4, 9) {
+	if fresherOrEqual(susp, mist, 4, 9) {
 		t.Error("older mistake accepted")
 	}
-	if !FresherOrEqual(susp, mist, 4, 10) {
+	if !fresherOrEqual(susp, mist, 4, 10) {
 		t.Error("equal mistake rejected (mistake should be re-appliable)")
 	}
 }
@@ -224,35 +234,141 @@ func TestCurrentTagBothSets(t *testing.T) {
 
 // --- Property tests ---
 
-func TestQuickModelConformance(t *testing.T) {
+// sameAsOracle reports the first observable difference between s and the
+// map oracle, or "" when every read agrees.
+func sameAsOracle(s *Set, o *mapSet, probe []ident.ID) string {
+	if s.Len() != o.Len() {
+		return fmt.Sprintf("Len = %d, oracle %d", s.Len(), o.Len())
+	}
+	if got, want := s.Entries(), o.Entries(); !slices.Equal(got, want) {
+		return fmt.Sprintf("Entries = %v, oracle %v", got, want)
+	}
+	if got, want := s.IDs(), o.IDs(); !slices.Equal(got, want) {
+		return fmt.Sprintf("IDs = %v, oracle %v", got, want)
+	}
+	if got, want := s.IDSet(), o.IDSet(); !got.Equal(want) {
+		return fmt.Sprintf("IDSet = %v, oracle %v", got, want)
+	}
+	var walked []Entry
+	s.ForEach(func(e Entry) bool { walked = append(walked, e); return true })
+	if !slices.Equal(walked, o.Entries()) {
+		return fmt.Sprintf("ForEach walked %v, oracle %v", walked, o.Entries())
+	}
+	for _, id := range probe {
+		gt, gok := s.Get(id)
+		wt, wok := o.Get(id)
+		if gt != wt || gok != wok || s.Has(id) != o.Has(id) {
+			return fmt.Sprintf("Get(%v) = %d,%v, oracle %d,%v", id, gt, gok, wt, wok)
+		}
+	}
+	return ""
+}
+
+// TestQuickDifferentialVsMapOracle drives the id-indexed Set and the map
+// oracle through the same random operations — every method and both merge
+// laws, over ids on both sides of Limit and invalid ones — and holds every
+// read equal after each step. The oracle is only handed ids the Set accepts:
+// an id outside [0, Limit) must leave the Set as it was. Clones are taken
+// mid-sequence and swapped in, so a clone that shared storage with its
+// origin would diverge from the oracle's.
+func TestQuickDifferentialVsMapOracle(t *testing.T) {
+	ids := []ident.ID{ident.Nil, -7, 0, 1, 2, 3, 31, 63, 64, 65, 127, 500, Limit - 1, Limit, Limit + 1, 1 << 30}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		s := New()
-		model := make(map[ident.ID]Tag)
-		for i := 0; i < 300; i++ {
-			id := ident.ID(r.Intn(40))
-			switch r.Intn(3) {
-			case 0, 1:
-				tag := Tag(r.Intn(100))
-				s.Add(id, tag)
-				model[id] = tag
-			case 2:
-				s.Remove(id)
-				delete(model, id)
+		susp, mist := New(), New()
+		oSusp, oMist := &mapSet{}, &mapSet{}
+		for step := 0; step < 400; step++ {
+			id := ids[r.Intn(len(ids))]
+			tag := Tag(r.Intn(6))
+			s, o := susp, oSusp
+			if r.Intn(2) == 0 {
+				s, o = mist, oMist
 			}
-		}
-		if s.Len() != len(model) {
-			return false
-		}
-		for id, tag := range model {
-			if got, ok := s.Get(id); !ok || got != tag {
+			op := r.Intn(9)
+			switch op {
+			case 0, 1:
+				s.Add(id, tag)
+				if InRange(id) {
+					o.Add(id, tag)
+				}
+			case 2:
+				if s.Remove(id) != o.Remove(id) {
+					t.Logf("seed %d step %d: Remove(%v) disagrees", seed, step, id)
+					return false
+				}
+			case 3:
+				if r.Intn(8) == 0 {
+					s.Clear()
+					o.Clear()
+				}
+			case 4:
+				// Continue on the clones and scribble on the originals: the
+				// clones must not see it.
+				cs, co := s.Clone(), o.Clone()
+				s.Add(1, 99)
+				s.Remove(2)
+				s.Add(Limit-1, 98)
+				if s == susp {
+					susp, oSusp = cs, co
+				} else {
+					mist, oMist = cs, co
+				}
+			case 5, 6:
+				want := InRange(id) && mapMergeSuspicion(oSusp, oMist, Entry{id, tag})
+				if got := MergeSuspicion(susp, mist, Entry{id, tag}); got != want {
+					t.Logf("seed %d step %d: MergeSuspicion(%v,%d) = %v, oracle %v", seed, step, id, tag, got, want)
+					return false
+				}
+			case 7, 8:
+				var wantA, wantC bool
+				if InRange(id) {
+					wantA, wantC = mapMergeMistake(oSusp, oMist, Entry{id, tag})
+				}
+				if a, c := MergeMistake(susp, mist, Entry{id, tag}); a != wantA || c != wantC {
+					t.Logf("seed %d step %d: MergeMistake(%v,%d) = %v,%v, oracle %v,%v", seed, step, id, tag, a, c, wantA, wantC)
+					return false
+				}
+			}
+			if got, want := Fresher(susp, mist, id, tag), mapFresher(oSusp, oMist, id, tag); got != want {
+				t.Logf("seed %d step %d: Fresher(%v,%d) = %v, oracle %v", seed, step, id, tag, got, want)
 				return false
+			}
+			for _, pair := range []struct {
+				s *Set
+				o *mapSet
+			}{{susp, oSusp}, {mist, oMist}} {
+				if diff := sameAsOracle(pair.s, pair.o, ids); diff != "" {
+					t.Logf("seed %d step %d (op %d on %v): %s", seed, step, op, id, diff)
+					return false
+				}
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestOutOfRangeIDsSizeNothing: an id at or above Limit is refused like an
+// invalid one, so the largest id a peer can name does not size the storage.
+func TestOutOfRangeIDsSizeNothing(t *testing.T) {
+	s := New()
+	for _, id := range []ident.ID{Limit, 1 << 30, math.MaxInt32, ident.Nil, math.MinInt32} {
+		s.Add(id, 1)
+		if s.Has(id) || s.Remove(id) {
+			t.Errorf("id %v was stored", id)
+		}
+		if _, ok := s.Get(id); ok {
+			t.Errorf("Get(%v) hit", id)
+		}
+	}
+	if s.Len() != 0 || len(s.tags) != 0 {
+		t.Errorf("refused ids left Len=%d, %d tags", s.Len(), len(s.tags))
+	}
+	s.Add(Limit-1, 7)
+	if got, ok := s.Get(Limit - 1); !ok || got != 7 {
+		t.Errorf("Get(Limit-1) = %d,%v; want 7,true", got, ok)
 	}
 }
 
@@ -273,7 +389,7 @@ func TestQuickFresherMonotone(t *testing.T) {
 		if Fresher(susp, mist, id, Tag(a)) && !Fresher(susp, mist, id, Tag(b)) {
 			return false
 		}
-		if FresherOrEqual(susp, mist, id, Tag(a)) && !FresherOrEqual(susp, mist, id, Tag(b)) {
+		if fresherOrEqual(susp, mist, id, Tag(a)) && !fresherOrEqual(susp, mist, id, Tag(b)) {
 			return false
 		}
 		return true
@@ -283,7 +399,7 @@ func TestQuickFresherMonotone(t *testing.T) {
 	}
 }
 
-func TestQuickFresherImpliesFresherOrEqual(t *testing.T) {
+func TestQuickFresherImpliesfresherOrEqual(t *testing.T) {
 	f := func(hasSusp bool, cur uint16, incoming uint16) bool {
 		susp, mist := New(), New()
 		if hasSusp {
@@ -291,7 +407,7 @@ func TestQuickFresherImpliesFresherOrEqual(t *testing.T) {
 		} else {
 			mist.Add(2, Tag(cur))
 		}
-		if Fresher(susp, mist, 2, Tag(incoming)) && !FresherOrEqual(susp, mist, 2, Tag(incoming)) {
+		if Fresher(susp, mist, 2, Tag(incoming)) && !fresherOrEqual(susp, mist, 2, Tag(incoming)) {
 			return false
 		}
 		return true

@@ -7,7 +7,6 @@ package netsim
 // (asyncfd-scenario/v1) select it with {"model": "trace", ...}.
 
 import (
-	"hash/fnv"
 	"math/rand"
 	"time"
 
@@ -35,8 +34,10 @@ type LossModel interface {
 // trace, yet every decision is a pure function of (series, link, now):
 //
 //   - no RNG draws, ever — a lossy trace cannot desync the simulation's
-//     random stream, and kernel Snapshot/Restore forking needs no replay
-//     cursor state to clone;
+//     random stream;
+//   - no cursor: a send is one hash of the link and one read of the
+//     series' immutable index (trace.DelaySeries.SampleAt), so kernel
+//     Snapshot/Restore forking has no replay state to clone;
 //   - the same series and link always see the same delays, across runs,
 //     across restores, and at any -parallel width.
 //
@@ -50,18 +51,14 @@ type Replay struct {
 // ordered endpoint pair reduced modulo Span. Hashing (not e.g. from+to)
 // keeps the two directions of a link decorrelated.
 func (p Replay) linkPhase(from, to ident.ID) time.Duration {
-	h := fnv.New64a()
-	var buf [8]byte
-	buf[0] = byte(from)
-	buf[1] = byte(from >> 8)
-	buf[2] = byte(from >> 16)
-	buf[3] = byte(from >> 24)
-	buf[4] = byte(to)
-	buf[5] = byte(to >> 8)
-	buf[6] = byte(to >> 16)
-	buf[7] = byte(to >> 24)
-	h.Write(buf[:])
-	return time.Duration(h.Sum64() % uint64(p.Series.Span))
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for _, id := range [2]ident.ID{from, to} {
+		for shift := 0; shift < 32; shift += 8 { // little-endian bytes of the id
+			h = (h ^ uint64(byte(id>>shift))) * prime64
+		}
+	}
+	return time.Duration(h % uint64(p.Series.Span))
 }
 
 // sample returns the trace sample governing a message on (from, to) at now.

@@ -1,7 +1,10 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"testing"
 	"time"
 
@@ -223,4 +226,47 @@ func TestReplayDirectionsDecorrelated(t *testing.T) {
 		}
 	}
 	t.Error("forward and reverse link delays identical over 10s — phases not decorrelated")
+}
+
+// TestLinkPhaseIsFNV1a pins the link phase to what hash/fnv computes over the
+// two ids' little-endian bytes: the inlined loop may not move a single link
+// to another slice of the trace.
+func TestLinkPhaseIsFNV1a(t *testing.T) {
+	p := Replay{Series: &trace.DelaySeries{Span: 20480 * time.Millisecond}}
+	ids := []ident.ID{0, 1, 2, 31, 127, 255, 256, 65535, 1 << 20, math.MaxInt32, ident.Nil}
+	for _, from := range ids {
+		for _, to := range ids {
+			var buf [8]byte
+			binary.LittleEndian.PutUint32(buf[:4], uint32(from))
+			binary.LittleEndian.PutUint32(buf[4:], uint32(to))
+			h := fnv.New64a()
+			h.Write(buf[:])
+			want := time.Duration(h.Sum64() % uint64(p.Series.Span))
+			if got := p.linkPhase(from, to); got != want {
+				t.Errorf("linkPhase(%v, %v) = %v, hash/fnv gives %v", from, to, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkReplayDelayLoss is the trace-model row of the layer ledger
+// (docs/BENCHMARKS.md): what one send pays the delay model under the churn
+// workload's replayed trace — the link's phase and the series lookup.
+func BenchmarkReplayDelayLoss(b *testing.B) {
+	series, err := trace.Synthetic(trace.SyntheticConfig{
+		Seed: 3, Count: 4096, Tick: 5 * time.Millisecond,
+		Base: time.Millisecond, Scale: 2 * time.Millisecond, Alpha: 1.2, Cap: 80 * time.Millisecond, LossRate: 0.02,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := Replay{Series: series}
+	var sink time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, _ := p.DelayLoss(nil, ident.ID(i&31), ident.ID(i>>5&31), time.Duration(i)*time.Millisecond)
+		sink += d
+	}
+	_ = sink
 }

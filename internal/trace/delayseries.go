@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"sync"
 	"time"
 )
 
@@ -38,10 +38,20 @@ type DelaySample struct {
 
 // DelaySeries is a recorded (or synthesized) delay trace. Samples are
 // strictly ascending in At and all fall inside [0, Span); replay wraps the
-// series modulo Span, so a short capture loops over a long simulation.
+// series modulo Span, so a short capture loops over a long simulation. A
+// series is immutable once SampleAt has been called on it.
 type DelaySeries struct {
 	Span    time.Duration
 	Samples []DelaySample
+
+	// SampleAt's bucket index: derived from Span and Samples on first use,
+	// never written again, shared by every reader of the series.
+	indexOnce sync.Once
+	width     time.Duration // bucket b covers offsets [b·width, (b+1)·width)
+	// before[b] counts the samples with At ≤ b·width, for b in
+	// [0, len(Samples)]: the answer for an offset in bucket b lies in
+	// Samples[before[b]-1 : before[b+1]].
+	before []int32
 }
 
 // Validate checks the structural invariants replay relies on. Errors name
@@ -80,22 +90,54 @@ func (s *DelaySeries) Validate() error {
 
 // SampleAt returns the sample governing offset t into the series: the last
 // sample whose At is ≤ t mod Span (wrapping to the final sample for offsets
-// before the first). The lookup is a pure function of (series, t) — no
-// cursor state — so replay is trivially identical across runs and across
-// the simulation Snapshot/Restore fork path.
+// before the first). The lookup is a pure function of (series, t) — an
+// immutable index built once per series, still no cursor — so replay is
+// trivially identical across runs, across the simulation Snapshot/Restore
+// fork path and across workers sharing the series.
+//
+// The index cuts [0, Span) into one equal bucket per sample. A uniformly
+// ticked series has one sample per bucket and resolves in one index read; a
+// clustered one binary-searches only the samples of the offset's bucket,
+// never more than a search of the whole series.
 func (s *DelaySeries) SampleAt(t time.Duration) DelaySample {
+	s.indexOnce.Do(s.buildIndex)
 	off := t % s.Span
 	if off < 0 {
 		off += s.Span
 	}
-	// Binary search for the first sample with At > off; its predecessor
-	// governs. If every sample is later than off the series wraps: the last
-	// sample of the previous cycle is still in force.
-	i := sort.Search(len(s.Samples), func(i int) bool { return s.Samples[i].At > off })
-	if i == 0 {
+	// Find the first sample with At > off; its predecessor governs. Samples
+	// before lo have At ≤ the bucket's start ≤ off, samples from hi on have
+	// At > the bucket's end > off.
+	b := off / s.width
+	lo, hi := int(s.before[b]), int(s.before[b+1])
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.Samples[mid].At > off {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo == 0 {
+		// Every sample is later than off: the series wraps, the last sample
+		// of the previous cycle is still in force.
 		return s.Samples[len(s.Samples)-1]
 	}
-	return s.Samples[i-1]
+	return s.Samples[lo-1]
+}
+
+// buildIndex fills width and before in one pass over the samples.
+func (s *DelaySeries) buildIndex() {
+	n := len(s.Samples)
+	s.width = (s.Span + time.Duration(n) - 1) / time.Duration(n) // ⌈Span/n⌉: n buckets cover [0, Span)
+	s.before = make([]int32, n+1)
+	i := 0
+	for b := range s.before {
+		for i < n && s.Samples[i].At <= time.Duration(b)*s.width {
+			i++
+		}
+		s.before[b] = int32(i)
+	}
 }
 
 // jsonDelaySample is the wire form of one sample (microsecond fields).

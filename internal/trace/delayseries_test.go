@@ -1,7 +1,11 @@
 package trace
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -199,6 +203,168 @@ func TestSyntheticConfigErrors(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q does not contain %q", err, tc.want)
 			}
+		})
+	}
+}
+
+// sampleAtBySearch is SampleAt as it was before the bucket index: a binary
+// search of the whole series. It is the oracle the index is held to.
+func sampleAtBySearch(s *DelaySeries, t time.Duration) DelaySample {
+	off := t % s.Span
+	if off < 0 {
+		off += s.Span
+	}
+	i := sort.Search(len(s.Samples), func(i int) bool { return s.Samples[i].At > off })
+	if i == 0 {
+		return s.Samples[len(s.Samples)-1]
+	}
+	return s.Samples[i-1]
+}
+
+// randomSeries draws n strictly ascending sample offsets in [lo, hi) ⊆
+// [0, span); each sample's RTT is its position, so two lookups agree only if
+// they found the same sample.
+func randomSeries(r *rand.Rand, span time.Duration, n int, lo, hi time.Duration) *DelaySeries {
+	at := make(map[time.Duration]bool, n)
+	for len(at) < n {
+		at[lo+time.Duration(r.Int63n(int64(hi-lo)))] = true
+	}
+	s := &DelaySeries{Span: span}
+	for a := range at {
+		s.Samples = append(s.Samples, DelaySample{At: a})
+	}
+	sort.Slice(s.Samples, func(i, j int) bool { return s.Samples[i].At < s.Samples[j].At })
+	for i := range s.Samples {
+		s.Samples[i].RTT = time.Duration(i)
+	}
+	return s
+}
+
+// TestSampleAtIndexVsSearch holds the bucket index to the binary-search
+// oracle on the shapes that stress it: uniform ticks, a span that is no
+// multiple of the sample count, non-uniform offsets, one sample, every
+// sample inside one bucket (at the front, at the back), as many samples as
+// the span has nanoseconds — probed at every sample's At exactly, one tick
+// either side, before the first sample (wrap), at negative offsets and at
+// and beyond Span.
+func TestSampleAtIndexVsSearch(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	uniform, err := Synthetic(SyntheticConfig{Seed: 3, Count: 4096, Tick: 5 * time.Millisecond, Scale: time.Millisecond, Alpha: 1.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := map[string]*DelaySeries{
+		"uniform4096":       uniform,
+		"uniform-odd-tick":  mustSynthetic(t, SyntheticConfig{Seed: 4, Count: 37, Tick: 7 * time.Microsecond, Scale: time.Millisecond, Alpha: 2}),
+		"span-not-multiple": {Span: 1003, Samples: []DelaySample{{At: 0}, {At: 100, RTT: 1}, {At: 200, RTT: 2}, {At: 1002, RTT: 3}}},
+		"one-sample":        {Span: ms(10), Samples: []DelaySample{{At: ms(4), RTT: 9}}},
+		"one-sample-at-0":   {Span: 1, Samples: []DelaySample{{At: 0, RTT: 9}}},
+		"dense-as-span":     randomSeries(r, 64, 64, 0, 64),
+		"all-in-first":      randomSeries(r, ms(1000), 200, 0, ms(1)),
+		"all-in-last":       randomSeries(r, ms(1000), 200, ms(999), ms(1000)),
+		"late-first-sample": randomSeries(r, ms(1000), 50, ms(400), ms(1000)),
+	}
+	for i := 0; i < 40; i++ {
+		span := time.Duration(1 + r.Int63n(int64(ms(50))))
+		n := 1 + r.Intn(300)
+		if int64(n) > int64(span) {
+			n = int(span)
+		}
+		lo := time.Duration(r.Int63n(int64(span)))
+		hi := lo + 1 + time.Duration(r.Int63n(int64(span-lo)))
+		if int64(hi-lo) < int64(n) {
+			lo, hi = 0, span
+		}
+		series[fmt.Sprintf("random-%d", i)] = randomSeries(r, span, n, lo, hi)
+	}
+	for name, s := range series {
+		if err := s.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		probes := []time.Duration{0, 1, -1, s.Span - 1, s.Span, s.Span + 1, -s.Span, -s.Span - 1, 3*s.Span + s.Span/2, -7*s.Span + 1, MaxDuration, -MaxDuration}
+		for _, smp := range s.Samples {
+			probes = append(probes, smp.At-1, smp.At, smp.At+1, smp.At+s.Span, smp.At-s.Span)
+		}
+		for i := 0; i < 500; i++ {
+			probes = append(probes, time.Duration(r.Int63n(int64(4*s.Span)))-2*s.Span)
+		}
+		for _, at := range probes {
+			if got, want := s.SampleAt(at), sampleAtBySearch(s, at); got != want {
+				t.Fatalf("%s (span %v, %d samples): SampleAt(%v) = %+v, search finds %+v", name, s.Span, len(s.Samples), at, got, want)
+			}
+		}
+	}
+}
+
+func mustSynthetic(t testing.TB, cfg SyntheticConfig) *DelaySeries {
+	t.Helper()
+	s, err := Synthetic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestSampleAtConcurrentFirstUse: a series is shared by every -parallel
+// worker and its index is built by whichever asks first. Run under -race.
+func TestSampleAtConcurrentFirstUse(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	s := randomSeries(r, ms(1000), 500, 0, ms(1000))
+	probes := make([]time.Duration, 64)
+	for i := range probes {
+		probes[i] = time.Duration(r.Int63n(int64(3 * s.Span)))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, at := range probes {
+				if got, want := s.SampleAt(at), sampleAtBySearch(s, at); got != want {
+					t.Errorf("SampleAt(%v) = %+v, search finds %+v", at, got, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// clusteredSeries packs all but 16 of n samples into the first hundredth of
+// the span: what a burst capture looks like, and the index's worst case.
+func clusteredSeries(n int) *DelaySeries {
+	r := rand.New(rand.NewSource(5))
+	span := time.Duration(n) * 5 * time.Millisecond
+	s := randomSeries(r, span, n-16, 0, span/100)
+	for i := 0; i < 16; i++ {
+		s.Samples = append(s.Samples, DelaySample{At: span/100 + time.Duration(i)*(span/17), RTT: time.Duration(n - 16 + i)})
+	}
+	return s
+}
+
+// BenchmarkSampleAt is the replay row of the layer ledger
+// (docs/BENCHMARKS.md): one lookup at a pseudo-random offset, on the churn
+// workload's series shape (4096 uniform ticks) and on a clustered one.
+func BenchmarkSampleAt(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		series *DelaySeries
+	}{
+		{"uniform4096", mustSynthetic(b, SyntheticConfig{Seed: 3, Count: 4096, Tick: 5 * time.Millisecond, Scale: time.Millisecond, Alpha: 1.5})},
+		{"clustered4096", clusteredSeries(4096)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			if err := bc.series.Validate(); err != nil {
+				b.Fatal(err)
+			}
+			var sink time.Duration
+			at := time.Duration(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				at = (at + 7_919_003*time.Microsecond) & (1<<42 - 1) // a prime stride: offsets cover the span
+				sink += bc.series.SampleAt(at).RTT
+			}
+			_ = sink
 		})
 	}
 }

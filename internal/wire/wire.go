@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"asyncfd/internal/core"
 	"asyncfd/internal/core/tagset"
@@ -36,6 +37,10 @@ var ErrTruncated = errors.New("wire: truncated message")
 
 // ErrUnknownKind reports an unrecognized message kind byte.
 var ErrUnknownKind = errors.New("wire: unknown message kind")
+
+// ErrIDRange reports a process id, of a sender or of an entry, that does not
+// fit ident.ID's 31 bits.
+var ErrIDRange = errors.New("wire: process id out of range")
 
 // Encode serializes one of the supported payload types.
 func Encode(payload any) ([]byte, error) {
@@ -101,9 +106,17 @@ func (d *decoder) uvarint() (uint64, error) {
 	return v, nil
 }
 
+// id decodes a process id. Ids are 31-bit; a wider value is refused, not
+// truncated onto some other process.
 func (d *decoder) id() (ident.ID, error) {
 	v, err := d.uvarint()
-	return ident.ID(v), err
+	if err != nil {
+		return ident.Nil, err
+	}
+	if v > math.MaxInt32 {
+		return ident.Nil, fmt.Errorf("%w: %d", ErrIDRange, v)
+	}
+	return ident.ID(v), nil
 }
 
 func (d *decoder) entries() ([]tagset.Entry, error) {

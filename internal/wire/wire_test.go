@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -112,6 +114,59 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// uv is a message body: the uvarints of vs, one after another.
+func uv(kind byte, vs ...uint64) []byte {
+	buf := []byte{kind}
+	for _, v := range vs {
+		buf = binary.AppendUvarint(buf, v)
+	}
+	return buf
+}
+
+// wideIDFrames are well-formed frames whose only fault is a process id past
+// ident.ID's 31 bits. Truncated onto int32 the first is a query about p2 and
+// the second a query from p-2147483648.
+var wideIDFrames = [][]byte{
+	uv(kindQuery, 1, 7, 1, 1<<32+2, 5, 0), // suspected entry id 2³²+2
+	uv(kindQuery, 1<<31, 7, 0, 0),         // From 2³¹
+}
+
+// TestDecodeRejectsWideIDs: an id that does not fit 31 bits is an error in
+// every id-bearing field of every kind — never some other process's id.
+func TestDecodeRejectsWideIDs(t *testing.T) {
+	const maxID = math.MaxInt32
+	tests := []struct {
+		name  string
+		frame []byte
+		ok    bool
+	}{
+		{"query entry 2^32+2", wideIDFrames[0], false},
+		{"query from 2^31", wideIDFrames[1], false},
+		{"query mistake entry 2^31", uv(kindQuery, 1, 7, 0, 1, 1<<31, 5), false},
+		{"query from 2^64-1 (an encoded Nil)", uv(kindQuery, math.MaxUint64, 7, 0, 0), false},
+		{"response from 2^31", uv(kindResponse, 1<<31, 7), false},
+		{"heartbeat from 2^40", uv(kindHeartbeat, 1<<40, 7), false},
+		{"vector from 2^31", uv(kindVector, 1<<31, 1, 9), false},
+		{"query from and entries at 2^31-1", uv(kindQuery, maxID, 7, 1, maxID, 5, 1, maxID, 6), true},
+		{"response from 2^31-1", uv(kindResponse, maxID, 7), true},
+		{"heartbeat from 2^31-1", uv(kindHeartbeat, maxID, 7), true},
+		{"vector from 2^31-1", uv(kindVector, maxID, 1, 9), true},
+	}
+	for _, tt := range tests {
+		msg, err := Decode(tt.frame)
+		switch {
+		case tt.ok && err != nil:
+			t.Errorf("%s: err = %v, want a message", tt.name, err)
+		case !tt.ok && !errors.Is(err, ErrIDRange):
+			t.Errorf("%s: decoded %+v, err = %v; want ErrIDRange", tt.name, msg, err)
+		}
+	}
+	if msg, err := Decode(uv(kindQuery, maxID, 7, 1, maxID, 5, 0)); err != nil ||
+		!reflect.DeepEqual(msg, core.Query{From: maxID, Round: 7, Suspected: []tagset.Entry{{ID: maxID, Tag: 5}}}) {
+		t.Errorf("largest id: decoded %+v, err = %v", msg, err)
+	}
+}
+
 func TestDecodeEntryCountLies(t *testing.T) {
 	// A message claiming a huge entry count must fail cleanly, not allocate.
 	buf := []byte{kindQuery}
@@ -180,6 +235,10 @@ func TestQuickDecodeNeverPanics(t *testing.T) {
 	f := func(data []byte) bool {
 		_, _ = Decode(data) // must not panic on arbitrary input
 		return true
+	}
+	seeds := append([][]byte{{0x05, 7, 1}, {0x06, 7, 1}}, wideIDFrames...)
+	for _, seed := range seeds {
+		f(seed)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

@@ -29,9 +29,11 @@ func renderTable(t *testing.T, tbl *Table) string {
 // and in both replication modes, collecting the same v2 rows throughout. A
 // document drift, an engine drift, or a scheduling nondeterminism all fail
 // here. LT is held at quick size only: its full size is the nightly gate's.
-// X1 and X2 are still Go experiments; their goldens (same command, frozen
-// before their clusters moved onto exp.Cluster) hold the builder they share
-// with the documents to the same bar at full size.
+// The remaining tables are Go experiments; their goldens (same command,
+// frozen at the parent of the change that moved X1/X2 onto exp.Cluster and
+// of the one that put every table body on the cell grid) hold the engine
+// they share with the documents to the same bar. L1 and L5 are held at quick
+// size only, like LT.
 func TestBuiltinScenarioGolden(t *testing.T) {
 	cases := []struct {
 		golden  string
@@ -49,6 +51,26 @@ func TestBuiltinScenarioGolden(t *testing.T) {
 		{"x1_full.txt", X1DensityExt, false},
 		{"x2_quick.txt", X2MobilityExt, true},
 		{"x2_full.txt", X2MobilityExt, false},
+		{"e1_quick.txt", E1DetectionVsN, true},
+		{"e1_full.txt", E1DetectionVsN, false},
+		{"e2_quick.txt", E2DetectionVsF, true},
+		{"e2_full.txt", E2DetectionVsF, false},
+		{"e3_quick.txt", E3Disturbance, true},
+		{"e3_full.txt", E3Disturbance, false},
+		{"e4_quick.txt", E4QoS, true},
+		{"e4_full.txt", E4QoS, false},
+		{"e5_quick.txt", E5MessageCost, true},
+		{"e5_full.txt", E5MessageCost, false},
+		{"e6_quick.txt", E6MPSensitivity, true},
+		{"e6_full.txt", E6MPSensitivity, false},
+		{"e8_quick.txt", E8Propagation, true},
+		{"e8_full.txt", E8Propagation, false},
+		{"a1_quick.txt", A1TagsAblation, true},
+		{"a1_full.txt", A1TagsAblation, false},
+		{"a2_quick.txt", A2WindowAblation, true},
+		{"a2_full.txt", A2WindowAblation, false},
+		{"l1_quick.txt", L1DetectionLargeN, true},
+		{"l5_quick.txt", L5MessageCostLargeN, true},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -1,24 +1,24 @@
-// Command benchdiff compares two asyncfd-bench JSON reports (schema v1 or
-// v2, as written by fdbench -json) and flags regressions, so CI — or a
-// reviewer — can gate a PR on the committed BENCH trajectory instead of
-// eyeballing it.
+// Command benchdiff compares two asyncfd-bench/v2 JSON reports (as written
+// by fdbench -ci -json) and flags regressions, so CI — or a reviewer — can
+// gate a PR on the committed BENCH trajectory instead of eyeballing it.
 //
 // Usage:
 //
-//	benchdiff [-slack F] [-throughput-threshold F] [-quiet] [-update] OLD.json NEW.json
+//	benchdiff [-slack F] [-quiet] [-update] [-budget FILE] OLD.json NEW.json
 //
 // OLD is the baseline (e.g. the committed BENCH_quick_ci.json), NEW the
 // candidate (e.g. a freshly generated report on the same flags). Exit
 // status: 0 when no regression is found, 1 on regression, 2 on usage or
-// input errors — so `benchdiff old new` works directly as a CI gate.
+// input errors — so `benchdiff old new` works directly as a CI gate. A
+// baseline without distribution rows (a report written without -ci) has
+// nothing deterministic to gate on and is an input error.
 //
-// # The interval rule (v2 rows)
+// # The interval rule
 //
-// When either report carries asyncfd-bench/v2 distribution rows, those are
-// the deterministic, machine-independent part, and benchdiff compares them
-// cell by cell: rows are matched on (experiment id, cell, metric) and the
-// candidate's mean is tested against the baseline's 95% confidence
-// interval. A matched metric is a regression when its mean moved OUTSIDE
+// The distribution rows are the deterministic, machine-independent part of
+// a report, and benchdiff compares them cell by cell: rows are matched on
+// (experiment id, cell, metric) and the candidate's mean is tested against
+// the baseline's 95% confidence interval. A matched metric is a regression when its mean moved OUTSIDE
 // [mean−ci95, mean+ci95] of the baseline IN THE WORSE DIRECTION — worse is
 // metric-aware: detection/convergence times, mistake and storm counts and
 // traffic are costs (up = worse), while query_accuracy, holds, clean and
@@ -36,17 +36,9 @@
 // drift at all, "improvement" included, is a behavior change someone must
 // either fix or bless by regenerating the committed baseline.
 //
-// # The throughput rule (v1 reports)
-//
-// When the BASELINE has no rows (plain v1), its only comparable content is
-// engine throughput, which is machine- and load-dependent — so benchdiff
-// applies a plain-percentage threshold instead: events_per_sec,
-// runs_per_sec (higher better) and ns_per_run (lower better) may worsen by
-// up to -throughput-threshold (default 0.25, i.e. 25%) before the exit
-// status flips. This holds even when the candidate is v2 — rows the
-// baseline cannot vouch for must not turn the gate into a no-op. When the
-// baseline has rows, those are the gate and throughput changes are printed
-// as information only.
+// Engine throughput (events_per_sec, runs_per_sec, ns_per_run) is machine-
+// and load-dependent; its changes are printed as information and never
+// gate.
 //
 // Mismatched quick/seed flags between the reports make means incomparable;
 // benchdiff warns on stderr but still runs the comparison.
@@ -57,9 +49,8 @@
 // the form {"budgets": {"det_avg_ms": 2, "mistakes": 1}}. Each regression
 // whose metric still has budget left is downgraded to an informational
 // "budgeted" line and consumes one unit; once a metric's allowance is
-// exhausted, further regressions on it fail the gate as usual. Throughput
-// regressions are budgetable under their field names (events_per_sec,
-// runs_per_sec, ns_per_run). Budgets exist for planned transitions — a PR
+// exhausted, further regressions on it fail the gate as usual. Budgets
+// exist for planned transitions — a PR
 // that knowingly worsens a handful of cells on one metric can land with a
 // small explicit allowance instead of a blanket -update bless — and the
 // budget file is committed next to the baseline so the allowance itself is
@@ -242,40 +233,22 @@ func compareRows(old, cand *benchReport, slack float64) diff {
 	return d
 }
 
-// compareThroughput applies the percentage rule to the v1 throughput
-// fields. gate selects whether a worsening beyond the threshold counts as
-// a regression (v1 inputs) or is informational only (v2 inputs, where the
-// rows gate instead).
-func compareThroughput(old, cand *benchReport, threshold float64, gate bool, out io.Writer) []regression {
+// reportThroughput prints how the machine-dependent throughput fields
+// moved; the rows gate, these never do.
+func reportThroughput(old, cand *benchReport, out io.Writer) {
 	fields := []struct {
-		name         string
-		o, n         float64
-		higherBetter bool
+		name string
+		o, n float64
 	}{
-		{"events_per_sec", old.EventsPerSec, cand.EventsPerSec, true},
-		{"runs_per_sec", old.RunsPerSec, cand.RunsPerSec, true},
-		{"ns_per_run", old.NSPerRun, cand.NSPerRun, false},
+		{"events_per_sec", old.EventsPerSec, cand.EventsPerSec},
+		{"runs_per_sec", old.RunsPerSec, cand.RunsPerSec},
+		{"ns_per_run", old.NSPerRun, cand.NSPerRun},
 	}
-	var regressions []regression
 	for _, f := range fields {
-		if f.o == 0 {
-			continue
-		}
-		rel := (f.n - f.o) / f.o
-		worsening := -rel
-		if !f.higherBetter {
-			worsening = rel
-		}
-		switch {
-		case gate && worsening > threshold:
-			regressions = append(regressions, regression{f.name,
-				fmt.Sprintf("throughput %s: %.4g -> %.4g (%.1f%% worse, threshold %.1f%%)",
-					f.name, f.o, f.n, worsening*100, threshold*100)})
-		case !gate:
-			fmt.Fprintf(out, "info: throughput %s %.4g -> %.4g (%+.1f%%, not gated)\n", f.name, f.o, f.n, rel*100)
+		if f.o != 0 {
+			fmt.Fprintf(out, "info: throughput %s %.4g -> %.4g (%+.1f%%, not gated)\n", f.name, f.o, f.n, (f.n-f.o)/f.o*100)
 		}
 	}
-	return regressions
 }
 
 // budgetFile is the on-disk shape of a -budget allowance file.
@@ -336,8 +309,7 @@ func abs(v float64) float64 {
 func run(args []string, out io.Writer) ([]string, error) {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
 	fs.SetOutput(out)
-	slack := fs.Float64("slack", 0, "extra allowed drift on v2 rows, as a fraction of the baseline mean, added to the ci95 half-width")
-	throughput := fs.Float64("throughput-threshold", 0.25, "allowed relative worsening of v1 throughput fields (0.25 = 25%)")
+	slack := fs.Float64("slack", 0, "extra allowed drift on rows, as a fraction of the baseline mean, added to the ci95 half-width")
 	quiet := fs.Bool("quiet", false, "suppress improvement/addition/info lines; print regressions only")
 	update := fs.Bool("update", false, "after comparing, regenerate the baseline in place: overwrite OLD.json with the candidate's bytes and exit 0 (bless the changes)")
 	budgetPath := fs.String("budget", "", "JSON file of per-metric regression allowances ({\"budgets\": {\"metric\": N}}); the first N regressions on each listed metric are downgraded to informational lines")
@@ -356,6 +328,9 @@ func run(args []string, out io.Writer) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	if !oldRep.hasRows() {
+		return nil, fmt.Errorf("%s: baseline carries no distribution rows to gate on (schema %q; generate it with fdbench -ci)", fs.Arg(0), oldRep.Schema)
+	}
 	newRep, err := loadReport(fs.Arg(1))
 	if err != nil {
 		return nil, err
@@ -371,19 +346,10 @@ func run(args []string, out io.Writer) ([]string, error) {
 			oldRep.Quick, oldRep.Seed, newRep.Quick, newRep.Seed)
 	}
 
-	var d diff
-	if oldRep.hasRows() || newRep.hasRows() {
-		d = compareRows(oldRep, newRep, *slack)
+	d := compareRows(oldRep, newRep, *slack)
+	if !*quiet {
+		reportThroughput(oldRep, newRep, out)
 	}
-	infoSink := out
-	if *quiet {
-		infoSink = io.Discard
-	}
-	// Throughput gates whenever the BASELINE carries no rows — a rowless v1
-	// baseline must not turn the whole comparison into a no-op just because
-	// the candidate happens to be v2 (rows the baseline can't vouch for).
-	d.regressions = append(d.regressions,
-		compareThroughput(oldRep, newRep, *throughput, !oldRep.hasRows(), infoSink)...)
 
 	hard, budgeted := applyBudgets(d.regressions, budgets)
 	for _, r := range hard {

@@ -146,41 +146,24 @@ func TestAddedRowsPass(t *testing.T) {
 	}
 }
 
-// v1Report builds a rowless v1 report with the given throughput.
-func v1Report(eps, rps, nspr float64) *benchReport {
-	return &benchReport{
-		Schema: "asyncfd-bench/v1", Quick: true, Seed: 1,
-		EventsPerSec: eps, RunsPerSec: rps, NSPerRun: nspr,
-		Experiments: []experimentBench{{ID: "E1", Events: 100, Runs: 8}},
+// TestRowlessBaselineIsInputError: a baseline written without -ci has no
+// deterministic content to gate on; benchdiff refuses it (exit 2) rather
+// than pass vacuously or fall back to machine-dependent throughput.
+func TestRowlessBaselineIsInputError(t *testing.T) {
+	dir := t.TempDir()
+	rowless := v2Report(12.5, 0.8)
+	rowless.Experiments[0].Rows = nil
+	old := writeReport(t, dir, "old.json", rowless)
+	cand := writeReport(t, dir, "new.json", v2Report(12.5, 0.8))
+	var out strings.Builder
+	if _, err := run([]string{old, cand}, &out); err == nil || !strings.Contains(err.Error(), "no distribution rows") {
+		t.Errorf("rowless baseline: err = %v, want an input error naming the missing rows", err)
 	}
-}
-
-func TestV1ThroughputThreshold(t *testing.T) {
-	base := v1Report(1e6, 500, 2e6)
-	// 10% slower: inside the default 25% threshold.
-	if regressions, _ := runDiff(t, nil, base, v1Report(0.9e6, 450, 2.2e6)); len(regressions) != 0 {
-		t.Errorf("10%% throughput drop flagged at 25%% threshold: %v", regressions)
-	}
-	// 50% slower on all three fields: outside.
-	regressions, _ := runDiff(t, nil, base, v1Report(0.5e6, 250, 4e6))
-	if len(regressions) != 3 {
-		t.Errorf("50%% drop regressions = %v, want all 3 throughput fields", regressions)
-	}
-	// Tightened threshold catches the 10% drop too.
-	if regressions, _ := runDiff(t, []string{"-throughput-threshold", "0.05"}, base, v1Report(0.9e6, 450, 2.2e6)); len(regressions) != 3 {
-		t.Errorf("5%% threshold missed the 10%% drop: %v", regressions)
-	}
-}
-
-func TestRowlessBaselineStillGatesThroughput(t *testing.T) {
-	// A v1 baseline against a v2 candidate must not disable every rule:
-	// with no baseline rows to vouch for, the throughput threshold gates.
-	old := v1Report(1e6, 500, 2e6)
-	cand := v2Report(12.5, 0.8)
-	cand.EventsPerSec, cand.RunsPerSec, cand.NSPerRun = 0.5e6, 250, 4e6
-	regressions, _ := runDiff(t, nil, old, cand)
-	if len(regressions) != 3 {
-		t.Errorf("v1 baseline vs v2 candidate: regressions = %v, want the 3 throughput fields", regressions)
+	// The other way round the baseline's rows are all missing: a coverage
+	// regression, not an input error.
+	regressions, err := run([]string{cand, old}, &out)
+	if err != nil || len(regressions) != 1 {
+		t.Errorf("rowless candidate: regressions = %v, err = %v, want 1 coverage regression", regressions, err)
 	}
 }
 
@@ -281,16 +264,6 @@ func TestBudgetOtherMetricDoesNotAbsorb(t *testing.T) {
 		v2Report(12.5, 0.8), v2Report(14.0, 0.8))
 	if len(regressions) != 1 {
 		t.Errorf("allowance on an unrelated metric absorbed a det_avg_ms regression: %v", regressions)
-	}
-}
-
-func TestBudgetCoversThroughputFields(t *testing.T) {
-	dir := t.TempDir()
-	budget := writeBudget(t, dir, `{"budgets": {"events_per_sec": 1, "ns_per_run": 1}}`)
-	regressions, _ := runDiff(t, []string{"-budget", budget},
-		v1Report(1e6, 500, 2e6), v1Report(0.5e6, 250, 4e6))
-	if len(regressions) != 1 || !strings.Contains(regressions[0], "runs_per_sec") {
-		t.Errorf("regressions = %v, want only the unbudgeted runs_per_sec", regressions)
 	}
 }
 

@@ -49,15 +49,16 @@
 // otherwise).
 //
 // -json writes a benchmark report to FILE ("-" = stdout, suppressing the
-// tables). Without -ci the report uses schema "asyncfd-bench/v1",
-// unchanged since PR 1 so committed BENCH files stay comparable:
+// tables), schema "asyncfd-bench/v2":
 //
 //	{
-//	  "schema": "asyncfd-bench/v1",   // schema identifier, bumped on change
+//	  "schema": "asyncfd-bench/v2",   // schema identifier, bumped on change
 //	  "go_max_procs": 8,              // runtime.GOMAXPROCS at run time
 //	  "workers": 8,                   // resolved worker-pool size
 //	  "quick": true,                  // quick-mode sweep?
 //	  "seed": 1,                      // base random seed
+//	  "repeat": 5,                    // resolved seed-family size R, always
+//	                                  // present — even when it resolves to 1
 //	  "wall_ns": 123456789,           // sweep wall-clock time, ns; rendering
 //	                                  // and IO are excluded so numbers are
 //	                                  // comparable across output modes
@@ -73,11 +74,10 @@
 //	  ]
 //	}
 //
-// -ci bumps the schema to "asyncfd-bench/v2": everything above plus a
-// top-level "repeat" (the resolved seed-family size R, always present in
-// v2 — even when it resolves to 1) and, on each experiment that records
-// metric samples, a "rows" array of per-cell per-metric distribution
-// summaries over the seed family:
+// -ci collects the per-replicate metric samples and adds, on each
+// experiment that records them, a "rows" array of per-cell per-metric
+// distribution summaries over the seed family (without -ci the report
+// carries throughput only and no "rows"):
 //
 //	{"id": "E1", "wall_ns": ..., "events": ..., "runs": ...,
 //	 "rows": [
@@ -106,20 +106,19 @@
 // reconverge_ms, clean per detector), X1 (det_avg_ms/det_max_ms per
 // density×variant), X2 (peak_false_susp, false_susp_total per mobility
 // variant), and LT (det_avg_ms/det_max_ms, avg_degree, msgs_per_proc_s,
-// bytes_per_proc_s per topology×n). Rows are sorted by cell then metric and are byte-identical at
-// any -parallel value (regression-tested), so v2 reports diff cleanly. A
-// family of R < 2 seeds has stderr = ci95 = 0 — run with -repeat 5 (or
-// more) for meaningful intervals.
+// bytes_per_proc_s per topology×n). Rows are sorted by cell then metric and
+// are byte-identical at any -parallel value (regression-tested), so reports
+// diff cleanly. A family of R < 2 seeds has stderr = ci95 = 0 — run with
+// -repeat 5 (or more) for meaningful intervals.
 //
 // With -repeat 2+, replicated table cells also render their family mean
 // with the Student-t 95% half-width appended ("12.3ms ±0.8ms");
 // unreplicated runs render byte-identically to earlier releases.
 //
 // Committed BENCH_*.json files at the repo root track the engine's
-// trajectory across PRs: BENCH_quick.json (v1, throughput) and
-// BENCH_quick_ci.json (v2 baseline, -quick -repeat 5 -ci; CI regenerates
-// it fresh and gates the diff with cmd/benchdiff). See docs/BENCHMARKS.md
-// for the methodology, the full v1→v2 diff and the regression rule.
+// trajectory across PRs: BENCH_quick_ci.json is the -quick -repeat 5 -ci
+// baseline; CI regenerates it fresh and gates the diff with cmd/benchdiff.
+// See docs/BENCHMARKS.md for the methodology and the regression rule.
 package main
 
 import (
@@ -168,7 +167,7 @@ type experimentBench struct {
 	WallNS int64       `json:"wall_ns"`
 	Events int64       `json:"events"`
 	Runs   int64       `json:"runs"`
-	Rows   []metricRow `json:"rows,omitempty"` // v2 only
+	Rows   []metricRow `json:"rows,omitempty"` // -ci only
 }
 
 type benchReport struct {
@@ -177,12 +176,8 @@ type benchReport struct {
 	Workers    int    `json:"workers"`
 	Quick      bool   `json:"quick"`
 	Seed       int64  `json:"seed"`
-	// Repeat is the resolved seed-family size R. A pointer, not an
-	// omitempty int: v2 documents the field as always present, and the
-	// resolved family size is 1 in quick mode without -repeat — omitempty
-	// would silently drop exactly that documented case. v1 keeps it nil
-	// (absent).
-	Repeat       *int              `json:"repeat,omitempty"`
+	// Repeat is the resolved seed-family size R, always present.
+	Repeat       int               `json:"repeat"`
 	WallNS       int64             `json:"wall_ns"`
 	Events       int64             `json:"events"`
 	Runs         int64             `json:"runs"`
@@ -207,8 +202,8 @@ func run(args []string) error {
 	seed := fs.Int64("seed", 1, "base random seed")
 	repeat := fs.Int("repeat", 0, "seed-family size R per cell (0 = default: 1 with -quick, 3 otherwise)")
 	parallel := fs.Int("parallel", 1, "worker pool size; 0 or negative = one worker per CPU")
-	ciFlag := fs.Bool("ci", false, "collect per-cell seed-family distributions; bumps the -json schema to asyncfd-bench/v2 (rows with mean/stderr/ci95/p50/p99 per metric)")
-	jsonPath := fs.String("json", "", "write a bench report (schema asyncfd-bench/v1, or v2 with -ci) to this file; '-' = stdout, tables suppressed")
+	ciFlag := fs.Bool("ci", false, "collect per-cell seed-family distributions into the -json report's rows (mean/stderr/ci95/p50/p99 per metric)")
+	jsonPath := fs.String("json", "", "write a bench report (schema asyncfd-bench/v2) to this file; '-' = stdout, tables suppressed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -234,16 +229,12 @@ func run(args []string) error {
 
 	jsonOnly := *jsonPath == "-"
 	report := benchReport{
-		Schema:     "asyncfd-bench/v1",
+		Schema:     "asyncfd-bench/v2",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Workers:    opts.Workers(),
 		Quick:      *quickFlag,
 		Seed:       *seed,
-	}
-	if *ciFlag {
-		report.Schema = "asyncfd-bench/v2"
-		repeatResolved := opts.Runs()
-		report.Repeat = &repeatResolved
+		Repeat:     opts.Runs(),
 	}
 
 	// Every source yields one list of experiments, each id at most once.

@@ -40,8 +40,9 @@ func TestRunErrorPaths(t *testing.T) {
 
 // TestV2ReportAlwaysCarriesRepeat is the regression test for the omitempty
 // bug: a -ci run whose seed family resolves to 1 (quick mode, no -repeat)
-// used to drop the documented top-level "repeat" field entirely. v2 must
-// always carry it; v1 must never.
+// used to drop the documented top-level "repeat" field entirely. Every
+// report is asyncfd-bench/v2 and carries it; -ci decides only whether the
+// experiments carry rows.
 func TestV2ReportAlwaysCarriesRepeat(t *testing.T) {
 	readReport := func(args []string) map[string]any {
 		t.Helper()
@@ -72,12 +73,23 @@ func TestV2ReportAlwaysCarriesRepeat(t *testing.T) {
 		t.Errorf("repeat = %v, want 1", rep)
 	}
 
-	v1 := readReport([]string{"-quick", "-exp", "E2"})
-	if v1["schema"] != "asyncfd-bench/v1" {
-		t.Fatalf("schema = %v, want asyncfd-bench/v1", v1["schema"])
+	hasRows := func(doc map[string]any) bool {
+		rows, _ := doc["experiments"].([]any)[0].(map[string]any)["rows"].([]any)
+		return len(rows) > 0
 	}
-	if _, ok := v1["repeat"]; ok {
-		t.Error(`v1 report must not carry a "repeat" field`)
+	if !hasRows(v2) {
+		t.Error("-ci report carries no rows")
+	}
+
+	plain := readReport([]string{"-quick", "-exp", "E2"})
+	if plain["schema"] != "asyncfd-bench/v2" {
+		t.Fatalf("schema without -ci = %v, want asyncfd-bench/v2", plain["schema"])
+	}
+	if plain["repeat"] != float64(1) {
+		t.Errorf("repeat without -ci = %v, want 1", plain["repeat"])
+	}
+	if hasRows(plain) {
+		t.Error("report without -ci carries rows")
 	}
 }
 

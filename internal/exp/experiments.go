@@ -44,9 +44,9 @@ type Options struct {
 	// Samples, when non-nil, collects per-cell per-replicate metric
 	// observations (detection times, mistake rates, …) that aggregate
 	// into the distribution rows of the asyncfd-bench/v2 schema.
-	// Collection is deterministic at any Parallel value: experiments
-	// record samples from their ordered aggregation loops, never from
-	// concurrently executing jobs.
+	// Collection is deterministic at any Parallel value: the cell grid
+	// records samples in cell and replicate order once its jobs have
+	// finished, never from concurrently executing jobs.
 	Samples *stats.Collector
 
 	// gate, when non-nil, is the run-wide concurrency bound shared by every
@@ -77,75 +77,10 @@ func (o Options) runs() int {
 // bench report.
 func (o Options) Runs() int { return o.runs() }
 
-// sample records one seed-family observation when a collector is attached.
-func (o Options) sample(cell, metric string, rep int, v float64) {
-	if o.Samples != nil {
-		o.Samples.Add(cell, metric, rep, v)
-	}
-}
-
-// sampleDetection records a DetectionStats observation's average and
-// maximum under prefix ("det" → "det_avg_ms", "det_max_ms").
-func (o Options) sampleDetection(cell, prefix string, rep int, s qos.DetectionStats) {
-	o.sample(cell, prefix+"_avg_ms", rep, qos.Millis(s.Avg))
-	o.sample(cell, prefix+"_max_ms", rep, qos.Millis(s.Max))
-}
-
 // defaultDelay is the nominal asynchronous network: ~1ms one-hop average
 // with an exponential tail, mirroring the paper family's δ = 1ms setup.
 func defaultDelay() netsim.DelayModel {
 	return netsim.Exponential{Min: 500 * time.Microsecond, Mean: 700 * time.Microsecond, Cap: 100 * time.Millisecond}
-}
-
-// detectionFamily builds the seed family shared by the detection sweeps
-// (E1/L1/E8): crash one process, run to the horizon, measure detection
-// statistics. The warm horizon must precede crashAt. The run closure is
-// already single-pass over the trace — one qos.DetectionTimes call per
-// replicate, no per-metric Judge rebuilds — so there is nothing left to
-// hoist out of the replicate loop here.
-func detectionFamily(opts Options, cfg ClusterConfig, crash ident.ID, crashAt, warm, horizon time.Duration, wrap func(error) error) family[qos.DetectionStats] {
-	return family[qos.DetectionStats]{
-		warm: warm,
-		build: func() (*Cluster, *qos.GroundTruth, error) {
-			c, err := NewCluster(cfg)
-			if err != nil {
-				return nil, nil, wrap(err)
-			}
-			return c, c.Apply(faults.Schedule{}.CrashAt(crash, crashAt)), nil
-		},
-		run: func(c *Cluster, truth *qos.GroundTruth) (qos.DetectionStats, error) {
-			c.RunUntil(horizon)
-			opts.record(c.Sim)
-			observers := c.Members.Clone()
-			observers.Remove(crash)
-			return qos.DetectionTimes(c.Log, truth, crash, observers), nil
-		},
-	}
-}
-
-// aggregateDetection merges per-seed stats: mean of averages, min of
-// minima, max of maxima.
-func aggregateDetection(stats []qos.DetectionStats) qos.DetectionStats {
-	var out qos.DetectionStats
-	if len(stats) == 0 {
-		return out
-	}
-	var avgSum time.Duration
-	first := true
-	for _, s := range stats {
-		avgSum += s.Avg
-		out.Count += s.Count
-		out.Missing += s.Missing
-		if first || s.Min < out.Min {
-			out.Min = s.Min
-		}
-		if first || s.Max > out.Max {
-			out.Max = s.Max
-		}
-		first = false
-	}
-	out.Avg = avgSum / time.Duration(len(stats))
-	return out
 }
 
 // boundedF is the default crash bound of the n-sweeps: ⌊(n−1)/3⌋, at
@@ -158,6 +93,38 @@ func boundedF(n int) int {
 	return f
 }
 
+// crashDetection measures how every other member detected the crash of one
+// process.
+func crashDetection(judge *qos.Judge, members ident.Set, truth *qos.GroundTruth, crash ident.ID) qos.DetectionStats {
+	observers := members.Clone()
+	observers.Remove(crash)
+	return judge.DetectionTimes(truth, crash, observers)
+}
+
+// crashCell is the family cell the detection sweeps (E1/L1/E8) share: n
+// processes under the nominal delay, process n−1 crashing at t=10.4s (mid
+// heartbeat period) after the 10s fork horizon, run to 30s. observe picks
+// what the table keeps of the survivors' detection statistics.
+func crashCell(opts Options, kind Kind, n int, observe func(qos.DetectionStats) obs) cell {
+	crash := ident.ID(n - 1)
+	cfg := ClusterConfig{
+		Kind: kind, N: n, F: boundedF(n),
+		Seed:  opts.seed(),
+		Delay: defaultDelay(),
+	}
+	return cell{
+		key: fmt.Sprintf("n=%d/%s", n, kind),
+		fam: &family{
+			warm:    10 * time.Second,
+			horizon: 30 * time.Second,
+			build:   faulted(cfg, faults.Schedule{}.CrashAt(crash, 10400*time.Millisecond)),
+			measure: func(c *Cluster, truth *qos.GroundTruth) obs {
+				return observe(crashDetection(qos.JudgeFrom(c.Log), c.Members, truth, crash))
+			},
+		},
+	}
+}
+
 // detectionColumns is the column set of the detection-time-vs-n sweeps.
 var detectionColumns = []string{"n", "f",
 	"async avg", "async max",
@@ -168,45 +135,19 @@ var detectionColumns = []string{"n", "f",
 // detectionVsNTable fills t with the detection-time-vs-n sweep shared by
 // E1 and its large-n variant L1: for every n, one process crashes
 // mid-heartbeat-period and every detector kind's R-seed family measures
-// detection stats, sampled per cell into the v2 rows.
+// detection stats.
 func detectionVsNTable(opts Options, t *Table, ns []int) (*Table, error) {
-	var fams []family[qos.DetectionStats]
+	var rows []row
 	for _, n := range ns {
-		n := n
-		f := boundedF(n)
+		r := row{label: []string{strconv.Itoa(n), strconv.Itoa(boundedF(n))}}
 		for _, kind := range AllKinds() {
-			kind := kind
-			cfg := ClusterConfig{
-				Kind: kind, N: n, F: f,
-				Seed:  opts.seed(),
-				Delay: defaultDelay(),
-			}
-			fams = append(fams, detectionFamily(opts, cfg,
-				ident.ID(n-1), 10400*time.Millisecond, 10*time.Second, 30*time.Second,
-				func(err error) error { return fmt.Errorf("%s %v n=%d: %w", t.ID, kind, n, err) }))
+			r.cells = append(r.cells, crashCell(opts, kind, n, func(s qos.DetectionStats) obs {
+				return obs{}.detection("det", s)
+			}))
 		}
+		rows = append(rows, r)
 	}
-	stats, err := runFamilies(opts, fams)
-	if err != nil {
-		return nil, err
-	}
-	k := 0
-	for _, n := range ns {
-		row := []string{strconv.Itoa(n), strconv.Itoa(boundedF(n))}
-		for _, kind := range AllKinds() {
-			cell := fmt.Sprintf("n=%d/%s", n, kind)
-			avgs := make([]float64, 0, opts.runs())
-			for r := 0; r < opts.runs(); r++ {
-				opts.sampleDetection(cell, "det", r, stats[k+r])
-				avgs = append(avgs, qos.Millis(stats[k+r].Avg))
-			}
-			agg := aggregateDetection(stats[k : k+opts.runs()])
-			k += opts.runs()
-			row = append(row, famMS(avgs), ms(agg.Max))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	return runTable(opts, t, rows, func(s series) []string { return s.detection("det") })
 }
 
 // E1DetectionVsN reproduces the headline comparison: failure detection time
@@ -228,6 +169,32 @@ func E1DetectionVsN(opts Options) (*Table, error) {
 	return detectionVsNTable(opts, t, ns)
 }
 
+// crashQoSRow is the row E2 and A2 share: the last process of cfg's cluster
+// crashes at crashAt, and one trace pass per replicate measures detection
+// time, mistake rate λM and query accuracy PA. crashQoSColumns renders it.
+func crashQoSRow(label []string, key string, cfg ClusterConfig, warm, crashAt, horizon time.Duration) row {
+	crash := ident.ID(cfg.N - 1)
+	return row{label: label, cells: []cell{{
+		key: key,
+		fam: &family{
+			warm:    warm,
+			horizon: horizon,
+			build:   faulted(cfg, faults.Schedule{}.CrashAt(crash, crashAt)),
+			measure: func(c *Cluster, truth *qos.GroundTruth) obs {
+				judge := qos.JudgeFrom(c.Log)
+				return obs{}.detection("det", crashDetection(judge, c.Members, truth, crash)).
+					add("mistake_rate", judge.Mistakes(truth, c.Members, horizon).Rate).
+					add("query_accuracy", judge.QueryAccuracy(truth, c.Members, horizon))
+			},
+		},
+	}}}
+}
+
+func crashQoSColumns(s series) []string {
+	return append(s.detection("det"),
+		famCell("%.4f", "", s["mistake_rate"]), famCell("%.3f", "", s["query_accuracy"]))
+}
+
 // E2DetectionVsF sweeps the crash bound f for the time-free detector with no
 // extra collection window: a larger f means a smaller quorum n−f, so rounds
 // terminate earlier — detection gets faster but the f slowest responders of
@@ -246,15 +213,8 @@ func E2DetectionVsF(opts Options) (*Table, error) {
 		n = 8
 		fs = []int{1, 3}
 	}
-	const horizon = 30 * time.Second
-	type e2run struct {
-		stats qos.DetectionStats
-		rate  float64
-		pa    float64
-	}
-	var fams []family[e2run]
+	var rows []row
 	for _, f := range fs {
-		f := f
 		cfg := ClusterConfig{
 			Kind: KindAsync, N: n, F: f,
 			Seed:     opts.seed(),
@@ -262,52 +222,43 @@ func E2DetectionVsF(opts Options) (*Table, error) {
 			Window:   time.Nanosecond, // effectively zero, explicit to skip default
 			Interval: time.Second,
 		}
-		fams = append(fams, family[e2run]{
-			warm: 9 * time.Second, // crash at 10s
-			build: func() (*Cluster, *qos.GroundTruth, error) {
-				c, err := NewCluster(cfg)
-				if err != nil {
-					return nil, nil, fmt.Errorf("E2 f=%d: %w", f, err)
-				}
-				return c, c.Apply(faults.Schedule{}.CrashAt(ident.ID(n-1), 10*time.Second)), nil
-			},
-			run: func(c *Cluster, truth *qos.GroundTruth) (e2run, error) {
-				c.RunUntil(horizon)
-				opts.record(c.Sim)
-				observers := c.Members.Clone()
-				observers.Remove(ident.ID(n - 1))
-				judge := qos.JudgeFrom(c.Log) // one trace pass for all three metrics
-				return e2run{
-					stats: judge.DetectionTimes(truth, ident.ID(n-1), observers),
-					rate:  judge.Mistakes(truth, c.Members, horizon).Rate,
-					pa:    judge.QueryAccuracy(truth, c.Members, horizon),
-				}, nil
-			},
-		})
+		rows = append(rows, crashQoSRow([]string{strconv.Itoa(f), strconv.Itoa(n - f)}, fmt.Sprintf("f=%d", f),
+			cfg, 9*time.Second, 10*time.Second, 30*time.Second))
 	}
-	results, err := runFamilies(opts, fams)
+	return runTable(opts, t, rows, crashQoSColumns)
+}
+
+// secondsLabel is the row label (and unsampled observation name) of one
+// point of a per-second series.
+func secondsLabel(at time.Duration) string { return fmt.Sprintf("%ds", int(at/time.Second)) }
+
+// falseSuspicions records the cluster-wide count of false suspicions at each
+// time as an unsampled observation under the time's row label, and returns
+// the series' peak and total for the caller's sampled summaries.
+func falseSuspicions(c *Cluster, truth *qos.GroundTruth, times []time.Duration) (o obs, peak, total int) {
+	for i, v := range qos.FalseSuspicionSeries(c.Log, truth, times) {
+		o = o.hide(secondsLabel(times[i]), float64(v))
+		peak = max(peak, v)
+		total += v
+	}
+	return o, peak, total
+}
+
+// falseSuspicionTable fills t with the shape E3 and X2 share: one column per
+// cell, one row per time point holding the family mean of falseSuspicions'
+// count (the bare integer when R = 1).
+func falseSuspicionTable(opts Options, t *Table, times []time.Duration, cells []cell) (*Table, error) {
+	res, err := runGrid(opts, cells)
 	if err != nil {
 		return nil, err
 	}
-	k := 0
-	for _, f := range fs {
-		cell := fmt.Sprintf("f=%d", f)
-		var stats []qos.DetectionStats
-		var avgs, rates, pas []float64
-		for r := 0; r < opts.runs(); r++ {
-			res := results[k]
-			k++
-			stats = append(stats, res.stats)
-			avgs = append(avgs, qos.Millis(res.stats.Avg))
-			rates = append(rates, res.rate)
-			pas = append(pas, res.pa)
-			opts.sampleDetection(cell, "det", r, res.stats)
-			opts.sample(cell, "mistake_rate", r, res.rate)
-			opts.sample(cell, "query_accuracy", r, res.pa)
+	for _, at := range times {
+		label := secondsLabel(at)
+		out := []string{label}
+		for _, s := range res {
+			out = append(out, famCount(s[label]))
 		}
-		agg := aggregateDetection(stats)
-		t.AddRow(strconv.Itoa(f), strconv.Itoa(n-f), famMS(avgs), ms(agg.Max),
-			famCell("%.4f", "", rates), famCell("%.3f", "", pas))
+		t.AddRow(out...)
 	}
 	return t, nil
 }
@@ -322,12 +273,7 @@ func E3Disturbance(opts Options) (*Table, error) {
 	if opts.Quick {
 		n = 8
 	}
-	f := n / 4
-	const (
-		start   = 30 * time.Second
-		end     = 40 * time.Second
-		horizon = 60 * time.Second
-	)
+	const horizon = 60 * time.Second
 	t := &Table{
 		ID:      "E3",
 		Title:   "false suspicions over time around a transient slowdown of one process",
@@ -338,78 +284,36 @@ func E3Disturbance(opts Options) (*Table, error) {
 	for s := 25; s <= 55; s++ {
 		times = append(times, time.Duration(s)*time.Second)
 	}
-	kinds := []Kind{KindAsync, KindHeartbeat, KindPhi}
-	type e3run struct {
-		series []int
-		mist   qos.MistakeStats
-	}
-	var fams []family[e3run]
-	for _, kind := range kinds {
-		kind := kind
+	var cells []cell
+	for _, kind := range []Kind{KindAsync, KindHeartbeat, KindPhi} {
 		cfg := ClusterConfig{
-			Kind: kind, N: n, F: f,
+			Kind: kind, N: n, F: n / 4,
 			Seed: opts.seed(),
 			Delay: netsim.Disturbance{
 				Base:   defaultDelay(),
 				Nodes:  ident.SetOf(3),
-				Start:  start,
-				End:    end,
+				Start:  30 * time.Second,
+				End:    40 * time.Second,
 				Factor: 3000,
 			},
 		}
-		fams = append(fams, family[e3run]{
-			warm: 20 * time.Second, // slowdown starts at 30s
-			build: func() (*Cluster, *qos.GroundTruth, error) {
-				c, err := NewCluster(cfg)
-				if err != nil {
-					return nil, nil, fmt.Errorf("E3 %v: %w", kind, err)
-				}
-				return c, nil, nil
-			},
-			run: func(c *Cluster, _ *qos.GroundTruth) (e3run, error) {
-				c.RunUntil(horizon)
-				opts.record(c.Sim)
-				truth := &qos.GroundTruth{}
-				return e3run{
-					series: qos.FalseSuspicionSeries(c.Log, truth, times),
-					mist:   qos.Mistakes(c.Log, truth, c.Members, horizon),
-				}, nil
+		cells = append(cells, cell{
+			key: fmt.Sprintf("slow/%s", kind),
+			fam: &family{
+				warm:    20 * time.Second, // slowdown starts at 30s
+				horizon: horizon,
+				build:   faulted(cfg, nil),
+				measure: func(c *Cluster, truth *qos.GroundTruth) obs {
+					o, peak, _ := falseSuspicions(c, truth, times)
+					mist := qos.Mistakes(c.Log, truth, c.Members, horizon)
+					return o.add("mistakes", float64(mist.Count)).
+						add("mistake_dur_ms", qos.Millis(mist.AvgDuration)).
+						add("peak_false_susp", float64(peak))
+				},
 			},
 		})
 	}
-	results, err := runFamilies(opts, fams)
-	if err != nil {
-		return nil, err
-	}
-	// perTime[kind][timepoint] holds the family's series values; the table
-	// renders the family mean per timepoint (the bare integer when R = 1).
-	perTime := make([][][]float64, len(kinds))
-	k := 0
-	for i, kind := range kinds {
-		cell := fmt.Sprintf("slow/%s", kind)
-		perTime[i] = make([][]float64, len(times))
-		for r := 0; r < opts.runs(); r++ {
-			res := results[k]
-			k++
-			peak := 0
-			for ti, v := range res.series {
-				perTime[i][ti] = append(perTime[i][ti], float64(v))
-				if v > peak {
-					peak = v
-				}
-			}
-			opts.sample(cell, "mistakes", r, float64(res.mist.Count))
-			opts.sample(cell, "mistake_dur_ms", r, qos.Millis(res.mist.AvgDuration))
-			opts.sample(cell, "peak_false_susp", r, float64(peak))
-		}
-	}
-	for ti, at := range times {
-		t.AddRow(fmt.Sprintf("%ds", int(at/time.Second)),
-			famCount(perTime[0][ti]),
-			famCount(perTime[1][ti]),
-			famCount(perTime[2][ti]))
-	}
-	return t, nil
+	return falseSuspicionTable(opts, t, times, cells)
 }
 
 // E4QoS measures the Chen–Toueg–Aguilera QoS triple (mistake rate, mistake
@@ -436,70 +340,52 @@ func E4QoS(opts Options) (*Table, error) {
 		{"exp mean 2ms", netsim.Exponential{Min: 500 * time.Microsecond, Mean: 2 * time.Millisecond, Cap: 10 * time.Second}},
 		{"pareto α=1 2ms", netsim.Pareto{Scale: 2 * time.Millisecond, Alpha: 1.0, Cap: 30 * time.Second}},
 	}
-	type e4cell struct {
-		mist qos.MistakeStats
-		pa   float64
-	}
-	var fams []family[e4cell]
+	var rows []row
 	for _, m := range models {
 		for _, kind := range AllKinds() {
-			kind := kind
 			cfg := ClusterConfig{
 				Kind: kind, N: 10, F: 3,
 				Seed:  opts.seed(),
 				Delay: m.model,
 			}
-			fams = append(fams, family[e4cell]{
-				warm: 5 * time.Second, // estimator windows are primed; mistakes accrue over the whole horizon
-				build: func() (*Cluster, *qos.GroundTruth, error) {
-					c, err := NewCluster(cfg)
-					if err != nil {
-						return nil, nil, fmt.Errorf("E4 %v: %w", kind, err)
-					}
-					return c, nil, nil
+			rows = append(rows, row{label: []string{m.name, kind.String()}, cells: []cell{{
+				key: fmt.Sprintf("%s/%s", m.name, kind),
+				fam: &family{
+					warm:    5 * time.Second, // estimator windows are primed; mistakes accrue over the whole horizon
+					horizon: horizon,
+					build:   faulted(cfg, nil),
+					measure: func(c *Cluster, truth *qos.GroundTruth) obs {
+						judge := qos.JudgeFrom(c.Log)
+						mist := judge.Mistakes(truth, c.Members, horizon)
+						return obs{}.add("mistakes", float64(mist.Count)).
+							add("mistake_rate", mist.Rate).
+							add("mistake_dur_ms", qos.Millis(mist.AvgDuration)).
+							add("query_accuracy", judge.QueryAccuracy(truth, c.Members, horizon))
+					},
 				},
-				run: func(c *Cluster, _ *qos.GroundTruth) (e4cell, error) {
-					c.RunUntil(horizon)
-					opts.record(c.Sim)
-					truth := &qos.GroundTruth{}
-					judge := qos.JudgeFrom(c.Log)
-					return e4cell{
-						mist: judge.Mistakes(truth, c.Members, horizon),
-						pa:   judge.QueryAccuracy(truth, c.Members, horizon),
-					}, nil
-				},
-			})
+			}}})
 		}
 	}
-	cells, err := runFamilies(opts, fams)
-	if err != nil {
-		return nil, err
-	}
-	k := 0
-	for _, m := range models {
-		for _, kind := range AllKinds() {
-			cellKey := fmt.Sprintf("%s/%s", m.name, kind)
-			var counts, rates, durs, pas []float64
-			for r := 0; r < opts.runs(); r++ {
-				cell := cells[k]
-				k++
-				counts = append(counts, float64(cell.mist.Count))
-				rates = append(rates, cell.mist.Rate)
-				durs = append(durs, qos.Millis(cell.mist.AvgDuration))
-				pas = append(pas, cell.pa)
-				opts.sample(cellKey, "mistakes", r, float64(cell.mist.Count))
-				opts.sample(cellKey, "mistake_rate", r, cell.mist.Rate)
-				opts.sample(cellKey, "mistake_dur_ms", r, qos.Millis(cell.mist.AvgDuration))
-				opts.sample(cellKey, "query_accuracy", r, cell.pa)
-			}
-			t.AddRow(m.name, kind.String(),
-				famCell("%.1f", "", counts),
-				famCell("%.5f", "", rates),
-				famMS(durs),
-				famCell("%.3f", "", pas))
+	return runTable(opts, t, rows, func(s series) []string {
+		return []string{
+			famCell("%.1f", "", s["mistakes"]),
+			famCell("%.5f", "", s["mistake_rate"]),
+			s.ms("mistake_dur_ms"),
+			famCell("%.3f", "", s["query_accuracy"]),
 		}
-	}
-	return t, nil
+	})
+}
+
+// traffic records messages and wire bytes per process per second.
+func (o obs) traffic(st netsim.Stats, n int, horizon time.Duration) obs {
+	secs := horizon.Seconds()
+	return o.add("msgs_per_proc_s", float64(st.Sent)/float64(n)/secs).
+		add("bytes_per_proc_s", float64(st.Bytes)/float64(n)/secs)
+}
+
+// traffic renders the column pair of obs.traffic.
+func (s series) traffic() []string {
+	return []string{famCell("%.1f", "", s["msgs_per_proc_s"]), famCell("%.0f", "", s["bytes_per_proc_s"])}
 }
 
 // messageCostTable fills t with the traffic count shared by E5 and its
@@ -511,48 +397,30 @@ func messageCostTable(opts Options, t *Table, ns []int) (*Table, error) {
 	if opts.Quick {
 		horizon = 10 * time.Second
 	}
-	var jobs []func() (netsim.Stats, error)
+	var rows []row
 	for _, n := range ns {
 		for _, kind := range AllKinds() {
-			kind := kind
-			cfg := ClusterConfig{
-				Kind: kind, N: n, F: boundedF(n),
-				Seed:       opts.seed(),
-				Delay:      defaultDelay(),
-				CountBytes: true,
-			}
-			jobs = append(jobs, func() (netsim.Stats, error) {
-				c, err := NewCluster(cfg)
-				if err != nil {
-					return netsim.Stats{}, fmt.Errorf("%s %v: %w", t.ID, kind, err)
-				}
-				c.RunUntil(horizon)
-				opts.record(c.Sim)
-				return c.Net.Stats(), nil
-			})
+			rows = append(rows, row{label: []string{strconv.Itoa(n), kind.String()}, cells: []cell{{
+				key:  fmt.Sprintf("n=%d/%s", n, kind),
+				once: true,
+				job: func(seed int64) (obs, error) {
+					c, err := NewCluster(ClusterConfig{
+						Kind: kind, N: n, F: boundedF(n),
+						Seed:       seed,
+						Delay:      defaultDelay(),
+						CountBytes: true,
+					})
+					if err != nil {
+						return nil, err
+					}
+					c.RunUntil(horizon)
+					opts.record(c.Sim)
+					return obs{}.traffic(c.Net.Stats(), n, horizon), nil
+				},
+			}}})
 		}
 	}
-	cells, err := runJobs(opts, jobs)
-	if err != nil {
-		return nil, err
-	}
-	k := 0
-	secs := horizon.Seconds()
-	for _, n := range ns {
-		for _, kind := range AllKinds() {
-			st := cells[k]
-			k++
-			msgs := float64(st.Sent) / float64(n) / secs
-			bytes := float64(st.Bytes) / float64(n) / secs
-			cell := fmt.Sprintf("n=%d/%s", n, kind)
-			opts.sample(cell, "msgs_per_proc_s", 0, msgs)
-			opts.sample(cell, "bytes_per_proc_s", 0, bytes)
-			t.AddRow(strconv.Itoa(n), kind.String(),
-				fmt.Sprintf("%.1f", msgs),
-				fmt.Sprintf("%.0f", bytes))
-		}
-	}
-	return t, nil
+	return runTable(opts, t, rows, series.traffic)
 }
 
 // E5MessageCost counts traffic: the query–response scheme costs two messages
@@ -583,10 +451,7 @@ func E6MPSensitivity(opts Options) (*Table, error) {
 	if opts.Quick {
 		n, f = 6, 2
 	}
-	const (
-		horizon = 60 * time.Second
-		cut     = 30 * time.Second
-	)
+	const cut = 30 * time.Second
 	t := &Table{
 		ID:      "E6",
 		Title:   "sensitivity to the message-pattern assumption (MP)",
@@ -602,11 +467,7 @@ func E6MPSensitivity(opts Options) (*Table, error) {
 		{"2ms (marginal)", netsim.Constant{D: 2 * time.Millisecond}},
 		{"none (MP off)", nil},
 	}
-	type e6run struct {
-		never       int
-		favoredTail bool
-	}
-	var families []family[e6run]
+	var rows []row
 	for _, b := range biases {
 		var delay netsim.DelayModel = base
 		if b.fast != nil {
@@ -619,62 +480,26 @@ func E6MPSensitivity(opts Options) (*Table, error) {
 			Window:   time.Nanosecond,
 			Interval: 100 * time.Millisecond,
 		}
-		families = append(families, family[e6run]{
-			warm: 5 * time.Second, // the tail cut is at 30s
-			build: func() (*Cluster, *qos.GroundTruth, error) {
-				c, err := NewCluster(cfg)
-				if err != nil {
-					return nil, nil, fmt.Errorf("E6: %w", err)
-				}
-				return c, nil, nil
+		rows = append(rows, row{label: []string{b.name}, cells: []cell{{
+			key: fmt.Sprintf("mp=%s", b.name),
+			fam: &family{
+				warm:    5 * time.Second, // the tail cut is at 30s
+				horizon: 60 * time.Second,
+				build:   faulted(cfg, nil),
+				measure: func(c *Cluster, _ *qos.GroundTruth) obs {
+					// Suspected at the cut, or suspected anew after it.
+					tail := qos.JudgeFrom(c.Log).SuspectedInTail(cut)
+					never := n - tail.Len()
+					return obs{}.add("never_suspected", float64(never)).
+						add("holds", indicator(never > 0)).
+						add("favored_suspected", indicator(tail.Has(0)))
+				},
 			},
-			run: func(c *Cluster, _ *qos.GroundTruth) (e6run, error) {
-				c.RunUntil(horizon)
-				opts.record(c.Sim)
-				// One episode-index pass replaces the pre-fork raw event scan
-				// plus the O(pairs·events) SuspectedAt loop; the condition is
-				// identical (suspected at the cut, or suspected anew after it).
-				tail := qos.JudgeFrom(c.Log).SuspectedInTail(cut)
-				return e6run{
-					never:       n - tail.Len(),
-					favoredTail: tail.Has(0),
-				}, nil
-			},
-		})
+		}}})
 	}
-	results, err := runFamilies(opts, families)
-	if err != nil {
-		return nil, err
-	}
-	k := 0
-	for _, b := range biases {
-		cell := fmt.Sprintf("mp=%s", b.name)
-		holds := 0
-		favoredTail := 0
-		var nevers []float64
-		for r := 0; r < opts.runs(); r++ {
-			res := results[k]
-			k++
-			nevers = append(nevers, float64(res.never))
-			holdsRun, favoredRun := 0.0, 0.0
-			if res.never > 0 {
-				holds++
-				holdsRun = 1
-			}
-			if res.favoredTail {
-				favoredTail++
-				favoredRun = 1
-			}
-			opts.sample(cell, "never_suspected", r, float64(res.never))
-			opts.sample(cell, "holds", r, holdsRun)
-			opts.sample(cell, "favored_suspected", r, favoredRun)
-		}
-		t.AddRow(b.name,
-			fmt.Sprintf("%d/%d", holds, opts.runs()),
-			famCell("%.1f", "", nevers),
-			fmt.Sprintf("%d/%d", favoredTail, opts.runs()))
-	}
-	return t, nil
+	return runTable(opts, t, rows, func(s series) []string {
+		return []string{s.ratio("holds"), famCell("%.1f", "", s["never_suspected"]), s.ratio("favored_suspected")}
+	})
 }
 
 // E8Propagation measures how long a crash takes to become known to *every*
@@ -692,45 +517,19 @@ func E8Propagation(opts Options) (*Table, error) {
 	if opts.Quick {
 		ns = []int{8}
 	}
-	var fams []family[qos.DetectionStats]
+	var rows []row
 	for _, n := range ns {
-		n := n
-		f := (n - 1) / 3
+		r := row{label: []string{strconv.Itoa(n)}}
 		for _, kind := range []Kind{KindAsync, KindHeartbeat} {
-			kind := kind
-			cfg := ClusterConfig{
-				Kind: kind, N: n, F: f,
-				Seed:  opts.seed(),
-				Delay: defaultDelay(),
-			}
-			fams = append(fams, detectionFamily(opts, cfg,
-				ident.ID(n-1), 10400*time.Millisecond, 10*time.Second, 30*time.Second,
-				func(err error) error { return fmt.Errorf("E8 %v: %w", kind, err) }))
+			r.cells = append(r.cells, crashCell(opts, kind, n, func(s qos.DetectionStats) obs {
+				return obs{}.add("spread_ms", qos.Millis(s.Max-s.Min)).add("last_det_ms", qos.Millis(s.Max))
+			}))
 		}
+		rows = append(rows, r)
 	}
-	stats, err := runFamilies(opts, fams)
-	if err != nil {
-		return nil, err
-	}
-	k := 0
-	for _, n := range ns {
-		row := []string{strconv.Itoa(n)}
-		for _, kind := range []Kind{KindAsync, KindHeartbeat} {
-			cell := fmt.Sprintf("n=%d/%s", n, kind)
-			var spreads, maxes []float64
-			for r := 0; r < opts.runs(); r++ {
-				s := stats[k]
-				k++
-				spreads = append(spreads, qos.Millis(s.Max-s.Min))
-				maxes = append(maxes, qos.Millis(s.Max))
-				opts.sample(cell, "spread_ms", r, qos.Millis(s.Max-s.Min))
-				opts.sample(cell, "last_det_ms", r, qos.Millis(s.Max))
-			}
-			row = append(row, famMS(spreads), famMS(maxes))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	return runTable(opts, t, rows, func(s series) []string {
+		return []string{s.ms("spread_ms"), s.ms("last_det_ms")}
+	})
 }
 
 // A1TagsAblation disables the counter-tag recency guards and replays stale
@@ -740,7 +539,6 @@ func E8Propagation(opts Options) (*Table, error) {
 // The tags are exactly what lets accuracy stabilize in the presence of old
 // messages — the asynchronous model allows arbitrarily delayed deliveries.
 func A1TagsAblation(opts Options) (*Table, error) {
-	n, f := 8, 2
 	const (
 		horizon = 90 * time.Second
 		tailCut = 55 * time.Second
@@ -751,17 +549,14 @@ func A1TagsAblation(opts Options) (*Table, error) {
 		Note:    "disturbance of p3 during [20s,25s); ten stale suspicion messages replayed during [60s,65s); tail = [55s,90s]",
 		Columns: []string{"variant", "tail transitions", "suspected pairs at end", "closed mistakes"},
 	}
-	type a1cell struct {
-		tail  int
-		pairs int
-		mist  int
-	}
-	variants := []bool{false, true}
-	var fams []family[a1cell]
-	for _, disable := range variants {
-		disable := disable
-		cfg := ClusterConfig{
-			Kind: KindAsync, N: n, F: f,
+	var rows []row
+	for _, disable := range []bool{false, true} {
+		name, key := "tags on (paper)", "tags=on"
+		if disable {
+			name, key = "tags off (ablated)", "tags=off"
+		}
+		build := faulted(ClusterConfig{
+			Kind: KindAsync, N: 8, F: 2,
 			Seed: opts.seed(),
 			// A constant-delay base keeps the network itself mistake-free,
 			// so every event in the tail is attributable to the replay.
@@ -775,76 +570,56 @@ func A1TagsAblation(opts Options) (*Table, error) {
 			Window:      5 * time.Millisecond,
 			Interval:    200 * time.Millisecond,
 			DisableTags: disable,
-		}
-		fams = append(fams, family[a1cell]{
-			warm: 18 * time.Second, // disturbance at 20s, replay at 60s
-			build: func() (*Cluster, *qos.GroundTruth, error) {
-				c, err := NewCluster(cfg)
-				if err != nil {
-					return nil, nil, fmt.Errorf("A1: %w", err)
-				}
-				// Replay: an "old" query from p2 still carrying the long-refuted
-				// suspicion ⟨p3, 1⟩ arrives at p5, ten times. Tag 1 is far below
-				// the tags of p3's refutations from the disturbance. Scheduled at
-				// build time, so the replay events are part of the checkpoint.
-				stale := core.Query{From: 2, Round: 1, Suspected: []tagset.Entry{{ID: 3, Tag: 1}}}
-				for i := 0; i < 10; i++ {
-					at := 60*time.Second + time.Duration(i)*500*time.Millisecond
-					c.Sim.At(at, func() { c.Inject(5, 2, stale) })
-				}
-				return c, nil, nil
-			},
-			run: func(c *Cluster, _ *qos.GroundTruth) (a1cell, error) {
-				c.RunUntil(horizon)
-				opts.record(c.Sim)
-				tail := 0
-				for _, e := range c.Log.Events() {
-					if e.At >= tailCut {
-						tail++
+		}, nil)
+		rows = append(rows, row{label: []string{name}, cells: []cell{{
+			key: key,
+			fam: &family{
+				warm:    18 * time.Second, // disturbance at 20s, replay at 60s
+				horizon: horizon,
+				build: func() (*Cluster, *qos.GroundTruth, error) {
+					c, truth, err := build()
+					if err != nil {
+						return nil, nil, err
 					}
-				}
-				pairs := 0
-				c.Members.ForEach(func(id ident.ID) bool {
-					pairs += c.Detector(id).Suspects().Len()
-					return true
-				})
-				mist := qos.Mistakes(c.Log, &qos.GroundTruth{}, c.Members, horizon)
-				return a1cell{tail: tail, pairs: pairs, mist: mist.Count}, nil
+					// Replay: an "old" query from p2 still carrying the long-refuted
+					// suspicion ⟨p3, 1⟩ arrives at p5, ten times. Tag 1 is far below
+					// the tags of p3's refutations from the disturbance. Scheduled at
+					// build time, so the replay events are part of the checkpoint.
+					stale := core.Query{From: 2, Round: 1, Suspected: []tagset.Entry{{ID: 3, Tag: 1}}}
+					for i := 0; i < 10; i++ {
+						at := 60*time.Second + time.Duration(i)*500*time.Millisecond
+						c.Sim.At(at, func() { c.Inject(5, 2, stale) })
+					}
+					return c, truth, nil
+				},
+				measure: func(c *Cluster, truth *qos.GroundTruth) obs {
+					tail := 0
+					for _, e := range c.Log.Events() {
+						if e.At >= tailCut {
+							tail++
+						}
+					}
+					pairs := 0
+					c.Members.ForEach(func(id ident.ID) bool {
+						pairs += c.Detector(id).Suspects().Len()
+						return true
+					})
+					return obs{}.add("tail_transitions", float64(tail)).
+						add("suspected_pairs", float64(pairs)).
+						add("mistakes", float64(qos.Mistakes(c.Log, truth, c.Members, horizon).Count))
+				},
 			},
-		})
+		}}})
 	}
-	cells, err := runFamilies(opts, fams)
-	if err != nil {
-		return nil, err
-	}
-	k := 0
-	for _, disable := range variants {
-		name, cell := "tags on (paper)", "tags=on"
-		if disable {
-			name, cell = "tags off (ablated)", "tags=off"
-		}
-		var tails, pairs, mists []float64
-		for r := 0; r < opts.runs(); r++ {
-			res := cells[k]
-			k++
-			tails = append(tails, float64(res.tail))
-			pairs = append(pairs, float64(res.pairs))
-			mists = append(mists, float64(res.mist))
-			opts.sample(cell, "tail_transitions", r, float64(res.tail))
-			opts.sample(cell, "suspected_pairs", r, float64(res.pairs))
-			opts.sample(cell, "mistakes", r, float64(res.mist))
-		}
-		t.AddRow(name, famCount(tails), famCount(pairs), famCount(mists))
-	}
-	return t, nil
+	return runTable(opts, t, rows, func(s series) []string {
+		return []string{famCount(s["tail_transitions"]), famCount(s["suspected_pairs"]), famCount(s["mistakes"])}
+	})
 }
 
 // A2WindowAblation sweeps the extra collection window added after the quorum
 // (the Δ the paper family inserts between lines 7 and 8): longer windows
 // trade detection latency for fewer false suspicions.
 func A2WindowAblation(opts Options) (*Table, error) {
-	n, f := 10, 3
-	const horizon = 50 * time.Second
 	t := &Table{
 		ID:      "A2",
 		Title:   "ablation: response collection window vs detection latency and accuracy",
@@ -855,69 +630,21 @@ func A2WindowAblation(opts Options) (*Table, error) {
 	if opts.Quick {
 		windows = []time.Duration{time.Nanosecond, 10 * time.Millisecond}
 	}
-	type a2cell struct {
-		det  qos.DetectionStats
-		rate float64
-		pa   float64
-	}
-	var fams []family[a2cell]
-	for _, w := range windows {
-		cfg := ClusterConfig{
-			Kind: KindAsync, N: n, F: f,
-			Seed:     opts.seed(),
-			Delay:    netsim.Exponential{Min: 500 * time.Microsecond, Mean: 2 * time.Millisecond, Cap: 500 * time.Millisecond},
-			Window:   w,
-			Interval: 200 * time.Millisecond,
-		}
-		fams = append(fams, family[a2cell]{
-			warm: 18 * time.Second, // crash at 20s
-			build: func() (*Cluster, *qos.GroundTruth, error) {
-				c, err := NewCluster(cfg)
-				if err != nil {
-					return nil, nil, fmt.Errorf("A2: %w", err)
-				}
-				return c, c.Apply(faults.Schedule{}.CrashAt(ident.ID(n-1), 20*time.Second)), nil
-			},
-			run: func(c *Cluster, truth *qos.GroundTruth) (a2cell, error) {
-				c.RunUntil(horizon)
-				opts.record(c.Sim)
-				observers := c.Members.Clone()
-				observers.Remove(ident.ID(n - 1))
-				judge := qos.JudgeFrom(c.Log)
-				return a2cell{
-					det:  judge.DetectionTimes(truth, ident.ID(n-1), observers),
-					rate: judge.Mistakes(truth, c.Members, horizon).Rate,
-					pa:   judge.QueryAccuracy(truth, c.Members, horizon),
-				}, nil
-			},
-		})
-	}
-	cells, err := runFamilies(opts, fams)
-	if err != nil {
-		return nil, err
-	}
-	k := 0
+	var rows []row
 	for _, w := range windows {
 		label := "0"
 		if w > time.Nanosecond {
 			label = ms(w)
 		}
-		cellKey := fmt.Sprintf("window=%s", label)
-		var dets []qos.DetectionStats
-		var avgs, rates, pas []float64
-		for r := 0; r < opts.runs(); r++ {
-			res := cells[k]
-			k++
-			dets = append(dets, res.det)
-			avgs = append(avgs, qos.Millis(res.det.Avg))
-			rates = append(rates, res.rate)
-			pas = append(pas, res.pa)
-			opts.sampleDetection(cellKey, "det", r, res.det)
-			opts.sample(cellKey, "mistake_rate", r, res.rate)
-			opts.sample(cellKey, "query_accuracy", r, res.pa)
+		cfg := ClusterConfig{
+			Kind: KindAsync, N: 10, F: 3,
+			Seed:     opts.seed(),
+			Delay:    netsim.Exponential{Min: 500 * time.Microsecond, Mean: 2 * time.Millisecond, Cap: 500 * time.Millisecond},
+			Window:   w,
+			Interval: 200 * time.Millisecond,
 		}
-		agg := aggregateDetection(dets)
-		t.AddRow(label, famMS(avgs), ms(agg.Max), famCell("%.4f", "", rates), famCell("%.3f", "", pas))
+		rows = append(rows, crashQoSRow([]string{label}, fmt.Sprintf("window=%s", label),
+			cfg, 18*time.Second, 20*time.Second, 50*time.Second))
 	}
-	return t, nil
+	return runTable(opts, t, rows, crashQoSColumns)
 }

@@ -43,6 +43,7 @@ func X1DensityExt(opts Options) (*Table, error) {
 		ks = []int{2, 3}
 	}
 	const (
+		crash   = ident.ID(0)
 		crashAt = 10 * time.Second
 		horizon = 60 * time.Second
 	)
@@ -53,56 +54,30 @@ func X1DensityExt(opts Options) (*Table, error) {
 			"(multi-hop needs a larger Θ); shape of RR-6088 Fig. 2", n, extF),
 		Columns: []string{"d", "async avg", "async max", "gossip-FT avg", "gossip-FT max"},
 	}
-	// Per density, an R-seed family for each variant: the asynchronous
-	// detector on the unknown network, and the gossip heartbeat comparator
-	// on the same topology.
-	variants := []Kind{KindAsync, KindGossip}
-	var jobs []func() (qos.DetectionStats, error)
+	// Per density, a cell for each variant: the asynchronous detector on the
+	// unknown network, and the gossip heartbeat comparator on the same
+	// topology.
+	var rows []row
 	for _, k := range ks {
-		k := k
-		crash := ident.ID(0)
-		for _, variant := range variants {
-			variant := variant
-			for r := 0; r < opts.runs(); r++ {
-				seed := opts.seed() + int64(r)*101
-				jobs = append(jobs, func() (qos.DetectionStats, error) {
+		r := row{label: []string{strconv.Itoa(2*k + 1)}}
+		for _, variant := range []Kind{KindAsync, KindGossip} {
+			r.cells = append(r.cells, cell{
+				key: fmt.Sprintf("d=%d/%v", 2*k+1, variant),
+				job: func(seed int64) (obs, error) {
 					c, err := NewCluster(extConfig(variant, topology.Circulant(n, k), seed))
 					if err != nil {
-						return qos.DetectionStats{}, fmt.Errorf("X1 %v d=%d: %w", variant, 2*k+1, err)
+						return nil, err
 					}
 					truth := c.Apply(faults.Schedule{}.CrashAt(crash, crashAt))
 					c.RunUntil(horizon)
 					opts.record(c.Sim)
-					observers := c.Members.Clone()
-					observers.Remove(crash)
-					return qos.DetectionTimes(c.Log, truth, crash, observers), nil
-				})
-			}
+					return obs{}.detection("det", crashDetection(qos.JudgeFrom(c.Log), c.Members, truth, crash)), nil
+				},
+			})
 		}
+		rows = append(rows, r)
 	}
-	cells, err := runJobs(opts, jobs)
-	if err != nil {
-		return nil, err
-	}
-	idx := 0
-	for _, k := range ks {
-		row := []string{strconv.Itoa(2*k + 1)}
-		for _, variant := range variants {
-			cell := fmt.Sprintf("d=%d/%v", 2*k+1, variant)
-			var avgs []float64
-			var agg []qos.DetectionStats
-			for r := 0; r < opts.runs(); r++ {
-				s := cells[idx]
-				idx++
-				agg = append(agg, s)
-				avgs = append(avgs, qos.Millis(s.Avg))
-				opts.sampleDetection(cell, "det", r, s)
-			}
-			row = append(row, famMS(avgs), ms(aggregateDetection(agg).Max))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	return runTable(opts, t, rows, func(s series) []string { return s.detection("det") })
 }
 
 // X2MobilityExt regenerates the shape of the extension report's Figure 3:
@@ -122,45 +97,6 @@ func X2MobilityExt(opts Options) (*Table, error) {
 		back    = 60 * time.Second
 		horizon = 150 * time.Second
 	)
-	var times []time.Duration
-	for s := 25; s <= 145; s += 2 {
-		times = append(times, time.Duration(s)*time.Second)
-	}
-	// New range on the other side of the ring: d−1 consecutive nodes.
-	newRange := func() ident.Set {
-		var s ident.Set
-		for i := 0; i < 2*k; i++ {
-			s.Add(ident.ID(n/2 - k + i))
-		}
-		return s
-	}
-	variants := []Kind{KindAsync, KindGossip}
-	// One R-seed family per variant; async replicates first, then gossip.
-	var jobs []func() ([]int, error)
-	for _, variant := range variants {
-		variant := variant
-		for r := 0; r < opts.runs(); r++ {
-			seed := opts.seed() + int64(r)*101
-			jobs = append(jobs, func() ([]int, error) {
-				cfg := extConfig(variant, topology.Circulant(n, k), seed)
-				cfg.Rebroadcast, cfg.Mobility = time.Second, true
-				c, err := NewCluster(cfg)
-				if err != nil {
-					return nil, fmt.Errorf("X2 %v: %w", variant, err)
-				}
-				c.RelocateAt(0, newRange(), away, back)
-				c.RunUntil(horizon)
-				opts.record(c.Sim)
-				// Nobody crashes: every suspicion is false.
-				return qos.FalseSuspicionSeries(c.Log, &qos.GroundTruth{}, times), nil
-			})
-		}
-	}
-	series, err := runJobs(opts, jobs)
-	if err != nil {
-		return nil, err
-	}
-
 	t := &Table{
 		ID:    "X2",
 		Title: "EXTENSION: total false suspicions over time while a node moves to a new range",
@@ -168,30 +104,34 @@ func X2MobilityExt(opts Options) (*Table, error) {
 			"shape of RR-6088 Fig. 3", n, extF),
 		Columns: []string{"t", "async", "gossip-FT"},
 	}
-	// perTime[variant][timepoint] holds the family's series values.
-	perTime := make([][][]float64, len(variants))
-	idx := 0
-	for v, variant := range variants {
-		cell := fmt.Sprintf("mobility/%v", variant)
-		perTime[v] = make([][]float64, len(times))
-		for r := 0; r < opts.runs(); r++ {
-			s := series[idx]
-			idx++
-			peak, total := 0, 0
-			for ti, count := range s {
-				perTime[v][ti] = append(perTime[v][ti], float64(count))
-				if count > peak {
-					peak = count
+	var times []time.Duration
+	for s := 25; s <= 145; s += 2 {
+		times = append(times, time.Duration(s)*time.Second)
+	}
+	// New range on the other side of the ring: d−1 consecutive nodes.
+	var newRange ident.Set
+	for i := 0; i < 2*k; i++ {
+		newRange.Add(ident.ID(n/2 - k + i))
+	}
+	var cells []cell
+	for _, variant := range []Kind{KindAsync, KindGossip} {
+		cells = append(cells, cell{
+			key: fmt.Sprintf("mobility/%v", variant),
+			job: func(seed int64) (obs, error) {
+				cfg := extConfig(variant, topology.Circulant(n, k), seed)
+				cfg.Rebroadcast, cfg.Mobility = time.Second, true
+				c, err := NewCluster(cfg)
+				if err != nil {
+					return nil, err
 				}
-				total += count
-			}
-			opts.sample(cell, "peak_false_susp", r, float64(peak))
-			opts.sample(cell, "false_susp_total", r, float64(total))
-		}
+				c.RelocateAt(0, newRange.Clone(), away, back)
+				c.RunUntil(horizon)
+				opts.record(c.Sim)
+				// Nobody crashes: every suspicion is false.
+				o, peak, total := falseSuspicions(c, &qos.GroundTruth{}, times)
+				return o.add("peak_false_susp", float64(peak)).add("false_susp_total", float64(total)), nil
+			},
+		})
 	}
-	for ti, at := range times {
-		t.AddRow(fmt.Sprintf("%ds", int(at/time.Second)),
-			famCount(perTime[0][ti]), famCount(perTime[1][ti]))
-	}
-	return t, nil
+	return falseSuspicionTable(opts, t, times, cells)
 }

@@ -11,7 +11,7 @@ import (
 // fork_diff_test.go is the experiment-level half of the warm-fork
 // differential harness: running every replicated cell by restoring a
 // checkpoint of the family's warmed prefix (the default) must be
-// indistinguishable from re-simulating the prefix per replicate — every v1
+// indistinguishable from re-simulating the prefix per replicate — every
 // table byte and every asyncfd-bench/v2 metric row, at any worker-pool size.
 // The kernel-level half is FuzzForkEquivalence in internal/des.
 

@@ -12,7 +12,7 @@ import (
 // queue_diff_test.go is the experiment-level half of the DES queue
 // differential harness: the kernel's calendar/ladder queue (the default)
 // must be indistinguishable from the binary-heap reference across the FULL
-// quick sweep — every v1 table byte and every asyncfd-bench/v2 metric row,
+// quick sweep — every table byte and every asyncfd-bench/v2 metric row,
 // at any worker-pool size.
 
 // sweepFingerprint renders the entire quick sweep — all 17 experiments'

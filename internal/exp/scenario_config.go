@@ -1,11 +1,10 @@
 package exp
 
 // scenario_config.go executes compiled scenario configurations
-// (internal/scenario, the asyncfd-scenario/v1 DSL) on the machinery the Go
-// experiments run on: the cluster program uses the same warm-fork seed
-// families (runFamilies), the topology and consensus programs the same
-// seed-addressed job decomposition (runJobs) — with the same formatters and
-// the same v2 sample conventions. R1, R2, LT and E7 are embedded documents
+// (internal/scenario, the asyncfd-scenario/v1 DSL) on the cell grid the Go
+// experiments run on (grid.go): the cluster program's cells are warm-fork
+// families, the topology and consensus programs' are seed-addressed jobs —
+// with the same formatters and the same v2 sample conventions. R1, R2, LT and E7 are embedded documents
 // run from here (scenario_exp.go); TestBuiltinScenarioGolden holds their
 // tables to the bytes the hand-written Go versions rendered, at any
 // -parallel width, fork on or off.
@@ -26,14 +25,15 @@ import (
 
 // scenarioKinds maps a compiled detector list to cluster kinds by
 // Kind.String(), so the names live in one place. The scenario package
-// validated them against its DetectorNames list, which mirrors it.
+// validated them against its DetectorNames list, which
+// TestScenarioNameListsMatchEngine holds to AllKinds().
 func scenarioKinds(sc *scenario.Scenario) ([]Kind, error) {
 	all := AllKinds()
 	kinds := make([]Kind, len(sc.Cluster.Detectors))
 	for i, name := range sc.Cluster.Detectors {
 		k := slices.IndexFunc(all, func(k Kind) bool { return k.String() == name })
 		if k < 0 {
-			return nil, fmt.Errorf("exp: scenario %s: unknown detector %q", sc.Name, name)
+			return nil, fmt.Errorf("unknown detector %q", name)
 		}
 		kinds[i] = all[k]
 	}
@@ -70,41 +70,122 @@ func ScenarioTable(sc *scenario.Scenario, opts Options) (*Table, error) {
 	if opts.Repeat == 0 && sc.Repeat > 0 {
 		opts.Repeat = sc.Repeat
 	}
+	var program func(*scenario.Scenario, Options) (*Table, error)
 	switch sc.Measure.Program {
 	case scenario.ProgramCluster:
-		return scenarioClusterTable(sc, opts)
+		program = scenarioClusterTable
 	case scenario.ProgramTopology:
-		return scenarioTopologyTable(sc, opts)
+		program = scenarioTopologyTable
 	case scenario.ProgramConsensus:
-		return scenarioConsensusTable(sc, opts)
+		program = scenarioConsensusTable
 	default:
 		return nil, fmt.Errorf("exp: scenario %s: unknown program %v", sc.Name, sc.Measure.Program)
 	}
+	t, err := program(sc, opts)
+	if err != nil {
+		return nil, fmt.Errorf("exp: scenario %s: %w", sc.Name, err)
+	}
+	return t, nil
 }
 
-// scMeasurement is one replicate's value of one metric; only the fields of
-// the metric's kind are set.
-type scMeasurement struct {
-	det    qos.DetectionStats
-	scalar float64
-	settle time.Duration
-	clean  bool
+// scenarioObserve measures one replicate of a cluster-program cell: every
+// configured metric off one trace pass. A detection-kind metric records
+// name_avg_ms and name_max_ms plus the unsampled name_missing; a storm
+// records name; a reconvergence records name (the settle time, ms) and its
+// 0/1 clean indicator.
+func scenarioObserve(metrics []scenario.Metric, c *Cluster, truth *qos.GroundTruth) obs {
+	judge := qos.JudgeFrom(c.Log)
+	var o obs
+	for _, m := range metrics {
+		switch m.Kind {
+		case scenario.MetricStorm:
+			o = o.add(m.Name, float64(judge.MistakeStorm(truth, c.Members, m.From, m.To)))
+		case scenario.MetricReconvergence:
+			settle, clean := judge.Reconvergence(truth, c.Members, m.After)
+			o = o.add(m.Name, qos.Millis(settle)).add(m.CleanName, indicator(clean))
+		default:
+			observers := ident.SetOf(m.Observers...)
+			if len(m.Observers) == 0 {
+				observers = c.Members.Clone()
+				observers.Remove(m.Victim)
+			}
+			var det qos.DetectionStats
+			switch m.Kind {
+			case scenario.MetricDetection:
+				det = judge.DetectionTimes(truth, m.Victim, observers)
+			case scenario.MetricRedetection:
+				det = judge.RedetectionTimes(truth, m.Victim, observers, m.Episode)
+			case scenario.MetricTrustRestoration:
+				det = judge.TrustRestorationTimes(truth, m.Victim, observers, m.Episode)
+			}
+			o = o.detection(m.Name, det).hide(m.Name+"_missing", float64(det.Missing))
+		}
+	}
+	return o
 }
 
-// scStream accumulates one named sample stream across a cell's replicates
-// for column rendering.
-type scStream struct {
-	dets    []qos.DetectionStats // detection-family streams
-	vals    []float64            // famMS/famCell inputs (ms or scalar)
-	max     time.Duration        // worst settle (duration streams)
-	nonzero int                  // true count (indicator streams)
+// scenarioColumns compiles the column list into the row renderer over
+// scenarioObserve's observations. scenario.Parse has already cross-checked
+// metrics and columns; a Scenario assembled by hand has not, so an unknown
+// kind or a column naming no metric is refused here, before anything runs.
+func scenarioColumns(sc *scenario.Scenario) (func(series) []string, error) {
+	detection, known := map[string]bool{}, map[string]bool{}
+	for _, m := range sc.Measure.Metrics {
+		known[m.Name] = true
+		switch m.Kind {
+		case scenario.MetricDetection, scenario.MetricRedetection, scenario.MetricTrustRestoration:
+			detection[m.Name] = true
+		case scenario.MetricStorm:
+		case scenario.MetricReconvergence:
+			known[m.CleanName] = true
+		default:
+			return nil, fmt.Errorf("unknown metric kind %v", m.Kind)
+		}
+	}
+	renders := make([]func(series) string, len(sc.Measure.Columns))
+	for i, col := range sc.Measure.Columns {
+		name := col.Metric
+		if !known[name] {
+			return nil, fmt.Errorf("column %q references unknown stream %q", col.Header, name)
+		}
+		switch col.Kind {
+		case scenario.ColFamMS:
+			if detection[name] {
+				name += "_avg_ms"
+			}
+			renders[i] = func(s series) string { return s.ms(name) }
+		case scenario.ColMaxMS:
+			if detection[name] {
+				name += "_max_ms"
+			}
+			renders[i] = func(s series) string { return s.maxMS(name) }
+		case scenario.ColMissing:
+			renders[i] = func(s series) string { return strconv.Itoa(int(s.sum(name + "_missing"))) }
+		case scenario.ColFam:
+			renders[i] = func(s series) string { return famCell(col.Format, "", s[name]) }
+		case scenario.ColRatio:
+			renders[i] = func(s series) string { return s.ratio(name) }
+		default:
+			return nil, fmt.Errorf("unknown column kind %v", col.Kind)
+		}
+	}
+	return func(s series) []string {
+		out := make([]string, len(renders))
+		for i, render := range renders {
+			out[i] = render(s)
+		}
+		return out
+	}, nil
 }
 
 // scenarioClusterTable is the general program: detector kinds × fault
 // variants as warm-forked seed families, config-driven metrics and columns.
-// The structure is R1's, generalized.
 func scenarioClusterTable(sc *scenario.Scenario, opts Options) (*Table, error) {
 	kinds, err := scenarioKinds(sc)
+	if err != nil {
+		return nil, err
+	}
+	render, err := scenarioColumns(sc)
 	if err != nil {
 		return nil, err
 	}
@@ -117,148 +198,31 @@ func scenarioClusterTable(sc *scenario.Scenario, opts Options) (*Table, error) {
 	}
 	t := &Table{ID: sc.Name, Title: sc.Title, Note: sc.Note, Columns: columns}
 
-	horizon := sc.Measure.Horizon
-	metrics := sc.Measure.Metrics
-	var fams []family[[]scMeasurement]
-	for _, kind := range kinds {
-		kind := kind
-		for _, v := range sc.Variants {
-			v := v
-			cfg := scenarioClusterConfig(sc, kind, opts.seed())
-			fams = append(fams, family[[]scMeasurement]{
-				warm: sc.Measure.Warm,
-				build: func() (*Cluster, *qos.GroundTruth, error) {
-					c, err := NewCluster(cfg)
-					if err != nil {
-						return nil, nil, fmt.Errorf("scenario %s %v/%s: %w", sc.Name, kind, v.Name, err)
-					}
-					return c, c.Apply(v.Faults), nil
-				},
-				run: func(c *Cluster, truth *qos.GroundTruth) ([]scMeasurement, error) {
-					c.RunUntil(horizon)
-					opts.record(c.Sim)
-					judge := qos.JudgeFrom(c.Log) // one trace pass for every metric
-					out := make([]scMeasurement, len(metrics))
-					for mi, m := range metrics {
-						switch m.Kind {
-						case scenario.MetricDetection, scenario.MetricRedetection, scenario.MetricTrustRestoration:
-							var observers ident.Set
-							if len(m.Observers) > 0 {
-								for _, id := range m.Observers {
-									observers.Add(id)
-								}
-							} else {
-								observers = c.Members.Clone()
-								observers.Remove(m.Victim)
-							}
-							switch m.Kind {
-							case scenario.MetricDetection:
-								out[mi].det = judge.DetectionTimes(truth, m.Victim, observers)
-							case scenario.MetricRedetection:
-								out[mi].det = judge.RedetectionTimes(truth, m.Victim, observers, m.Episode)
-							default:
-								out[mi].det = judge.TrustRestorationTimes(truth, m.Victim, observers, m.Episode)
-							}
-						case scenario.MetricStorm:
-							out[mi].scalar = float64(judge.MistakeStorm(truth, c.Members, m.From, m.To))
-						case scenario.MetricReconvergence:
-							out[mi].settle, out[mi].clean = judge.Reconvergence(truth, c.Members, m.After)
-						default:
-							return nil, fmt.Errorf("scenario %s: unknown metric kind %v", sc.Name, m.Kind)
-						}
-					}
-					return out, nil
-				},
-			})
-		}
-	}
-	cells, err := runFamilies(opts, fams)
-	if err != nil {
-		return nil, err
-	}
-
 	singleUnnamed := len(sc.Variants) == 1 && sc.Variants[0].Name == ""
-	k := 0
+	var rows []row
 	for _, kind := range kinds {
 		for _, v := range sc.Variants {
-			cellKey := kind.String()
+			key, label := kind.String(), []string{kind.String()}
 			if !singleUnnamed {
-				cellKey = fmt.Sprintf("%s/%s", kind, v.Name)
+				key = fmt.Sprintf("%s/%s", kind, v.Name)
 			}
-			streams := map[string]*scStream{}
-			stream := func(name string) *scStream {
-				s, ok := streams[name]
-				if !ok {
-					s = &scStream{}
-					streams[name] = s
-				}
-				return s
-			}
-			for r := 0; r < opts.runs(); r++ {
-				vals := cells[k]
-				k++
-				for mi, m := range metrics {
-					mv := vals[mi]
-					switch m.Kind {
-					case scenario.MetricDetection, scenario.MetricRedetection, scenario.MetricTrustRestoration:
-						s := stream(m.Name)
-						s.dets = append(s.dets, mv.det)
-						s.vals = append(s.vals, qos.Millis(mv.det.Avg))
-						opts.sampleDetection(cellKey, m.Name, r, mv.det)
-					case scenario.MetricStorm:
-						s := stream(m.Name)
-						s.vals = append(s.vals, mv.scalar)
-						opts.sample(cellKey, m.Name, r, mv.scalar)
-					case scenario.MetricReconvergence:
-						s := stream(m.Name)
-						s.vals = append(s.vals, qos.Millis(mv.settle))
-						if mv.settle > s.max {
-							s.max = mv.settle
-						}
-						opts.sample(cellKey, m.Name, r, qos.Millis(mv.settle))
-						cs := stream(m.CleanName)
-						clean := 0.0
-						if mv.clean {
-							cs.nonzero++
-							clean = 1
-						}
-						cs.vals = append(cs.vals, clean)
-						opts.sample(cellKey, m.CleanName, r, clean)
-					}
-				}
-			}
-			row := []string{kind.String()}
 			if sc.VariantHeader != "" {
-				row = append(row, v.Name)
+				label = append(label, v.Name)
 			}
-			for _, col := range sc.Measure.Columns {
-				s := streams[col.Metric]
-				if s == nil {
-					return nil, fmt.Errorf("exp: scenario %s: column %q references unknown stream %q", sc.Name, col.Header, col.Metric)
-				}
-				switch col.Kind {
-				case scenario.ColFamMS:
-					row = append(row, famMS(s.vals))
-				case scenario.ColMaxMS:
-					if len(s.dets) > 0 {
-						row = append(row, ms(aggregateDetection(s.dets).Max))
-					} else {
-						row = append(row, ms(s.max))
-					}
-				case scenario.ColMissing:
-					row = append(row, strconv.Itoa(aggregateDetection(s.dets).Missing))
-				case scenario.ColFam:
-					row = append(row, famCell(col.Format, "", s.vals))
-				case scenario.ColRatio:
-					row = append(row, fmt.Sprintf("%d/%d", s.nonzero, opts.runs()))
-				default:
-					return nil, fmt.Errorf("exp: scenario %s: unknown column kind %v", sc.Name, col.Kind)
-				}
-			}
-			t.AddRow(row...)
+			rows = append(rows, row{label: label, cells: []cell{{
+				key: key,
+				fam: &family{
+					warm:    sc.Measure.Warm,
+					horizon: sc.Measure.Horizon,
+					build:   faulted(scenarioClusterConfig(sc, kind, opts.seed()), v.Faults),
+					measure: func(c *Cluster, truth *qos.GroundTruth) obs {
+						return scenarioObserve(sc.Measure.Metrics, c, truth)
+					},
+				},
+			}}})
 		}
 	}
-	return t, nil
+	return runTable(opts, t, rows, render)
 }
 
 // scenarioTopologyTable is the topology program (LT's sweep): neighbor-local
@@ -269,79 +233,44 @@ func scenarioTopologyTable(sc *scenario.Scenario, opts Options) (*Table, error) 
 		ID: sc.Name, Title: sc.Title, Note: sc.Note,
 		Columns: []string{"topology", "n", "avg deg", "det avg", "det max", "msgs/proc/s", "bytes/proc/s"},
 	}
-	crashAt, horizon := sc.Measure.CrashAt, sc.Measure.Horizon
-	interval, timeout := sc.Measure.Interval, sc.Measure.Timeout
-	delay := sc.Cluster.Delay
-	ns := sc.Measure.Ns
-	var jobs []func() (ltRun, error)
+	horizon := sc.Measure.Horizon
+	var rows []row
 	for _, topo := range sc.Measure.Topologies {
-		topo := topo
-		for _, n := range ns {
-			n := n
-			for r := 0; r < opts.runs(); r++ {
-				seed := opts.seed() + int64(r)*101
-				jobs = append(jobs, func() (ltRun, error) {
+		for _, n := range sc.Measure.Ns {
+			rows = append(rows, row{label: []string{topo, strconv.Itoa(n)}, cells: []cell{{
+				key: fmt.Sprintf("%s/n=%d", topo, n),
+				job: func(seed int64) (obs, error) {
 					//fdlint:allow rngdiscipline seed-addressed graph construction before the kernel runs; never interleaves with kernel draws
-					g := ltGraph(topo, n, rand.New(rand.NewSource(seed)))
+					g, err := ltGraph(topo, n, rand.New(rand.NewSource(seed)))
+					if err != nil {
+						return nil, err
+					}
 					degSum := 0
 					for v := 0; v < n; v++ {
 						degSum += g.Degree(ident.ID(v))
 					}
 					c, err := NewCluster(ClusterConfig{
-						Kind: KindHeartbeat, Graph: g, Seed: seed, Delay: delay, CountBytes: true,
-						HBInterval: interval, HBTimeout: timeout,
+						Kind: KindHeartbeat, Graph: g, Seed: seed, Delay: sc.Cluster.Delay, CountBytes: true,
+						HBInterval: sc.Measure.Interval, HBTimeout: sc.Measure.Timeout,
 					})
 					if err != nil {
-						return ltRun{}, fmt.Errorf("scenario %s %s n=%d: %w", sc.Name, topo, n, err)
+						return nil, err
 					}
 					victim := ltVictim(g)
-					truth := c.Apply(faults.Schedule{}.CrashAt(victim, crashAt))
+					truth := c.Apply(faults.Schedule{}.CrashAt(victim, sc.Measure.CrashAt))
 					c.RunUntil(horizon)
 					opts.record(c.Sim)
-					observers := g.Neighbors(victim)
-					return ltRun{
-						det:    qos.JudgeFrom(c.Log).DetectionTimes(truth, victim, observers),
-						stats:  c.Net.Stats(),
-						avgDeg: float64(degSum) / float64(n),
-					}, nil
-				})
-			}
+					det := qos.JudgeFrom(c.Log).DetectionTimes(truth, victim, g.Neighbors(victim))
+					return obs{}.detection("det", det).
+						add("avg_degree", float64(degSum)/float64(n)).
+						traffic(c.Net.Stats(), n, horizon), nil
+				},
+			}}})
 		}
 	}
-	results, err := runJobs(opts, jobs)
-	if err != nil {
-		return nil, err
-	}
-	k := 0
-	secs := horizon.Seconds()
-	for _, topo := range sc.Measure.Topologies {
-		for _, n := range ns {
-			cell := fmt.Sprintf("%s/n=%d", topo, n)
-			var dets []qos.DetectionStats
-			var avgs, degs, msgs, bytes []float64
-			for r := 0; r < opts.runs(); r++ {
-				res := results[k]
-				k++
-				dets = append(dets, res.det)
-				avgs = append(avgs, qos.Millis(res.det.Avg))
-				degs = append(degs, res.avgDeg)
-				m := float64(res.stats.Sent) / float64(n) / secs
-				b := float64(res.stats.Bytes) / float64(n) / secs
-				msgs = append(msgs, m)
-				bytes = append(bytes, b)
-				opts.sampleDetection(cell, "det", r, res.det)
-				opts.sample(cell, "avg_degree", r, res.avgDeg)
-				opts.sample(cell, "msgs_per_proc_s", r, m)
-				opts.sample(cell, "bytes_per_proc_s", r, b)
-			}
-			t.AddRow(topo, strconv.Itoa(n),
-				famCell("%.1f", "", degs),
-				famMS(avgs), ms(aggregateDetection(dets).Max),
-				famCell("%.1f", "", msgs),
-				famCell("%.0f", "", bytes))
-		}
-	}
-	return t, nil
+	return runTable(opts, t, rows, func(s series) []string {
+		return slices.Concat([]string{famCell("%.1f", "", s["avg_degree"])}, s.detection("det"), s.traffic())
+	})
 }
 
 // scenarioConsensusLatency runs one consensus instance under the scenario's
@@ -405,34 +334,15 @@ func scenarioConsensusTable(sc *scenario.Scenario, opts Options) (*Table, error)
 		ID: sc.Name, Title: sc.Title, Note: sc.Note,
 		Columns: []string{"detector", "decision latency (worst survivor, avg of runs)"},
 	}
-	var jobs []func() (time.Duration, error)
+	var rows []row
 	for _, kind := range kinds {
-		kind := kind
-		for r := 0; r < opts.runs(); r++ {
-			seed := opts.seed() + int64(r)*101
-			jobs = append(jobs, func() (time.Duration, error) {
+		rows = append(rows, row{label: []string{kind.String()}, cells: []cell{{
+			key: fmt.Sprintf("consensus/%s", kind),
+			job: func(seed int64) (obs, error) {
 				lat, err := scenarioConsensusLatency(sc, opts, kind, seed)
-				if err != nil {
-					return 0, fmt.Errorf("scenario %s: %w", sc.Name, err)
-				}
-				return lat, nil
-			})
-		}
+				return obs{}.add("decision_ms", qos.Millis(lat)), err
+			},
+		}}})
 	}
-	lats, err := runJobs(opts, jobs)
-	if err != nil {
-		return nil, err
-	}
-	k := 0
-	for _, kind := range kinds {
-		cell := fmt.Sprintf("consensus/%s", kind)
-		var samples []float64
-		for r := 0; r < opts.runs(); r++ {
-			samples = append(samples, qos.Millis(lats[k]))
-			opts.sample(cell, "decision_ms", r, qos.Millis(lats[k]))
-			k++
-		}
-		t.AddRow(kind.String(), famMS(samples))
-	}
-	return t, nil
+	return runTable(opts, t, rows, func(s series) []string { return []string{s.ms("decision_ms")} })
 }

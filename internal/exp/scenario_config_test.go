@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -254,5 +255,42 @@ func TestConsensusProgramHonoursStartJitter(t *testing.T) {
 	}
 	if got := latencies(stretched); reflect.DeepEqual(got, want) {
 		t.Errorf("start_jitter_us 4s: latencies %v unchanged, the field is dropped", got)
+	}
+}
+
+// TestScenarioNameListsMatchEngine holds internal/scenario's two
+// hand-mirrored name lists to the engine that resolves them: every
+// DetectorNames entry maps through scenarioKinds onto AllKinds() in order,
+// and the parser accepts a topology name exactly when ltGraph builds it — so
+// a compiled scenario cannot name a detector or a graph family the engine
+// lacks.
+func TestScenarioNameListsMatchEngine(t *testing.T) {
+	kinds, err := scenarioKinds(&scenario.Scenario{Cluster: scenario.ClusterSpec{Detectors: scenario.DetectorNames}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(kinds, AllKinds()) {
+		t.Errorf("DetectorNames resolve to %v, want AllKinds() = %v", kinds, AllKinds())
+	}
+
+	doc, err := builtinScenarios.ReadFile("scenarios/lt.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const listed = `["ring", "grid", "scale-free", "manet"]`
+	if !strings.Contains(string(doc), listed) {
+		t.Fatalf("lt.json no longer lists %s", listed)
+	}
+	candidates := []string{"ring", "grid", "scale-free", "manet", // the four lt.json lists
+		"", "Ring", "torus", "star", "tree", "full", "mesh", "circulant", "geometric", "random", "scalefree"}
+	for i, name := range candidates {
+		_, parseErr := scenario.Parse([]byte(strings.ReplaceAll(string(doc), listed, `["`+name+`"]`)), true)
+		_, buildErr := ltGraph(name, 16, rand.New(rand.NewSource(1)))
+		if (parseErr == nil) != (buildErr == nil) {
+			t.Errorf("topology %q: scenario.Parse says %v, ltGraph says %v", name, parseErr, buildErr)
+		}
+		if i < 4 && parseErr != nil {
+			t.Errorf("topology %q, which lt.json uses: %v", name, parseErr)
+		}
 	}
 }

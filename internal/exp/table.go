@@ -85,9 +85,6 @@ func ms(d time.Duration) string {
 	return fmt.Sprintf("%.1fms", float64(d)/float64(time.Millisecond))
 }
 
-// f3 renders a float with three significant decimals.
-func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
-
 // famCell renders one replicated table cell from its seed-family samples:
 // the family mean in the given numeric format (with an optional unit
 // suffix), and — when the family carries a confidence interval (R ≥ 2 with

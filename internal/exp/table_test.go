@@ -157,9 +157,6 @@ func TestMsF3Formatting(t *testing.T) {
 	if got := ms(0); got != "0.0ms" {
 		t.Errorf("ms(0) = %q", got)
 	}
-	if got := f3(0.12345); got != "0.123" {
-		t.Errorf("f3 = %q", got)
-	}
 }
 
 func TestFamCellFormatting(t *testing.T) {

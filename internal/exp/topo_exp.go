@@ -15,22 +15,22 @@ package exp
 // instead of an O(n²·E) rescan.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
 	"asyncfd/internal/ident"
-	"asyncfd/internal/netsim"
-	"asyncfd/internal/qos"
 	"asyncfd/internal/topology"
 )
 
 // ltGraph builds one instance of the named topology family on n vertices.
 // Randomized families (scale-free, manet) draw from r; regular families
-// (ring, grid) ignore it.
-func ltGraph(name string, n int, r *rand.Rand) *topology.Graph {
+// (ring, grid) ignore it. The names are the ones scenario.Parse accepts
+// (TestScenarioNameListsMatchEngine).
+func ltGraph(name string, n int, r *rand.Rand) (*topology.Graph, error) {
 	switch name {
 	case "ring":
-		return topology.Circulant(n, 1)
+		return topology.Circulant(n, 1), nil
 	case "grid":
 		// Squarest torus: rows = largest divisor of n not above √n.
 		rows := 1
@@ -39,17 +39,17 @@ func ltGraph(name string, n int, r *rand.Rand) *topology.Graph {
 				rows = d
 			}
 		}
-		return topology.Grid(rows, n/rows)
+		return topology.Grid(rows, n/rows), nil
 	case "scale-free":
-		return topology.ScaleFree(r, n, 3)
+		return topology.ScaleFree(r, n, 3), nil
 	case "manet":
 		// Radio graph in a 1000×1000 region with the range chosen for an
 		// expected degree of ≈8: deg ≈ n·πr²/A ⇒ r = √(deg·A/(π·n)).
 		const width, height, wantDeg = 1000.0, 1000.0, 8.0
 		radius := math.Sqrt(wantDeg * width * height / (math.Pi * float64(n)))
-		return topology.RandomGeometric(r, n, width, height, radius)
+		return topology.RandomGeometric(r, n, width, height, radius), nil
 	default:
-		panic("exp: unknown LT topology " + name)
+		return nil, fmt.Errorf("unknown topology %q", name)
 	}
 }
 
@@ -64,11 +64,4 @@ func ltVictim(g *topology.Graph) ident.ID {
 		}
 	}
 	return ident.ID(n - 1)
-}
-
-// ltRun is one seed's measurement of a topology cell.
-type ltRun struct {
-	det    qos.DetectionStats
-	stats  netsim.Stats
-	avgDeg float64
 }

@@ -1188,7 +1188,8 @@ func streamName(st streamType) string {
 	}
 }
 
-// knownTopologies mirrors exp's LT graph families.
+// knownTopologies mirrors exp's LT graph families (exp's
+// TestScenarioNameListsMatchEngine).
 var knownTopologies = map[string]bool{"ring": true, "grid": true, "scale-free": true, "manet": true}
 
 func compileTopologyProgram(sc *Scenario, cl *rawCluster, rawF json.RawMessage, m *rawMeasure) error {

@@ -9,8 +9,8 @@
 // Parse compiles a document into the typed Scenario in this package —
 // netsim.DelayModel, faults.Schedule, ident ids — which
 // internal/exp.ScenarioTable then executes on the exact machinery the
-// built-in experiments use (runFamilies/runJobs, the shared formatters, the
-// v2 sample collector). The compilation bar is strict: any input either
+// built-in experiments use (the cell grid, the shared formatters, the v2
+// sample collector). The compilation bar is strict: any input either
 // yields a fully validated scenario or an error naming the offending
 // field path; nothing silently defaults and nothing downstream panics
 // (partition island overlaps, out-of-order crash/recover pairs and friends
@@ -38,7 +38,7 @@ const Schema = "asyncfd-scenario/v1"
 
 // DetectorNames lists the valid cluster.detectors entries, in the canonical
 // presentation order of the built-in sweeps. The names match
-// exp.Kind.String().
+// exp.Kind.String() (exp's TestScenarioNameListsMatchEngine).
 var DetectorNames = []string{"async", "heartbeat", "phi-accrual", "chen-nfde"}
 
 // Program selects the measurement harness a scenario runs on.

@@ -114,6 +114,14 @@ type row struct {
 	DroppedOldest uint64  `json:"ingest_dropped_oldest"`
 	DroppedNewest uint64  `json:"ingest_dropped_newest"`
 
+	verdict
+
+	WallMS int64 `json:"wall_ms"`
+}
+
+// verdict is the live QoS of one run, as the simulator's judge reads it off
+// the monitor's suspicion trace.
+type verdict struct {
 	Killed      int     `json:"killed"`
 	Detected    int     `json:"detected"`
 	Missed      int     `json:"missed"`
@@ -122,8 +130,40 @@ type row struct {
 	// FalseEpisodes counts suspicion episodes of peers that were alive and
 	// heartbeating (closed + still open at the horizon).
 	FalseEpisodes int `json:"false_episodes"`
+}
 
-	WallMS int64 `json:"wall_ms"`
+// judgeRun judges the trace of a run in which peers 0..peers-1 were watched
+// by monitorID and the highest kill of them went silent at the instants
+// truth records: detection latency for the killed cohort, false-suspicion
+// episodes for everyone else.
+func judgeRun(log *trace.Log, truth *qos.GroundTruth, monitorID ident.ID, peers, kill int, horizon time.Duration) verdict {
+	judge := qos.JudgeFrom(log)
+	observers := ident.SetOf(monitorID)
+	v := verdict{Killed: kill}
+	var detSum, detMax time.Duration
+	for i := peers - kill; i < peers; i++ {
+		ds := judge.DetectionTimes(truth, ident.ID(i), observers)
+		if ds.Count > 0 {
+			v.Detected++
+			detSum += ds.Avg
+			if ds.Avg > detMax {
+				detMax = ds.Avg
+			}
+		} else {
+			v.Missed++
+		}
+	}
+	if v.Detected > 0 {
+		v.DetectAvgMS = qos.Millis(detSum / time.Duration(v.Detected))
+		v.DetectMaxMS = qos.Millis(detMax)
+	}
+	// Mistakes counts a pair only when both ends are members, and the one
+	// observer in the trace is the monitor.
+	members := ident.FullSet(peers)
+	members.Add(monitorID)
+	ms := judge.Mistakes(truth, members, horizon)
+	v.FalseEpisodes = ms.Count + ms.Unresolved
+	return v
 }
 
 func run(args []string) error {
@@ -411,10 +451,6 @@ func runOne(cfg config, k int) (row, error) {
 		net.Writes += st.Writes
 	}
 
-	// Live QoS through the simulator's judge: detection latency for the
-	// killed cohort, false-suspicion episodes for everyone else.
-	judge := qos.JudgeFrom(log)
-	observers := ident.SetOf(monitorID)
 	r := row{
 		Shards:        k,
 		Processed:     stats1.Processed - stats0.Processed,
@@ -425,7 +461,7 @@ func runOne(cfg config, k int) (row, error) {
 		Writes:        net.Writes,
 		DroppedOldest: stats1.DroppedOldest,
 		DroppedNewest: stats1.DroppedNewest,
-		Killed:        cfg.kill,
+		verdict:       judgeRun(log, truth, monitorID, cfg.peers, cfg.kill, horizon),
 	}
 	r.HBPerSec = float64(r.Processed) / elapsed.Seconds()
 	if net.Writes > 0 {
@@ -433,30 +469,6 @@ func runOne(cfg config, k int) (row, error) {
 	}
 	r.MaxSendStallMS = float64(stalls.maxNS.Load()) / float64(time.Millisecond)
 	r.StallsOver100ms = stalls.over100.Load()
-
-	var detSum, detMax time.Duration
-	for i := cfg.peers - cfg.kill; i < cfg.peers; i++ {
-		ds := judge.DetectionTimes(truth, ident.ID(i), observers)
-		if ds.Count > 0 {
-			r.Detected++
-			detSum += ds.Avg
-			if ds.Avg > detMax {
-				detMax = ds.Avg
-			}
-		} else {
-			r.Missed++
-		}
-	}
-	if r.Detected > 0 {
-		r.DetectAvgMS = qos.Millis(detSum / time.Duration(r.Detected))
-		r.DetectMaxMS = qos.Millis(detMax)
-	}
-	members := ident.NewSet(cfg.peers)
-	for _, id := range ids {
-		members.Add(id)
-	}
-	ms := judge.Mistakes(truth, members, horizon)
-	r.FalseEpisodes = ms.Count + ms.Unresolved
 
 	r.WallMS = time.Since(wallStart).Milliseconds()
 	logf("done: %.0f hb/s, p99 ingest %dus, %d/%d detected",

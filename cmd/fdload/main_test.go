@@ -6,6 +6,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"asyncfd/internal/ident"
+	"asyncfd/internal/qos"
+	"asyncfd/internal/trace"
 )
 
 // TestRunErrorPaths: bad flag values must surface errors, not bogus runs.
@@ -33,6 +38,37 @@ func TestRunErrorPaths(t *testing.T) {
 				t.Errorf("run(%v) error = %q, want substring %q", tc.args, err, tc.want)
 			}
 		})
+	}
+}
+
+// TestJudgeRunCountsFalseEpisodes: the only observer in a load run's trace is
+// the monitor, whose id lies above the peers'. Its wrongful suspicions of
+// live peers — closed or still open at the horizon — are false episodes; the
+// suspicion of a killed peer is a detection, and one that began before the
+// kill is both.
+func TestJudgeRunCountsFalseEpisodes(t *testing.T) {
+	const (
+		peers   = 6
+		kill    = 2
+		monitor = ident.ID(peers)
+		killAt  = 5 * time.Second
+		horizon = 10 * time.Second
+	)
+	truth := &qos.GroundTruth{}
+	truth.Crash(4, killAt)
+	truth.Crash(5, killAt)
+	log := &trace.Log{}
+	log.OnSuspicion(1*time.Second, monitor, 1, true) // closed false episode
+	log.OnSuspicion(2*time.Second, monitor, 1, false)
+	log.OnSuspicion(3*time.Second, monitor, 4, true) // false, closed before the kill
+	log.OnSuspicion(4*time.Second, monitor, 4, false)
+	log.OnSuspicion(killAt+400*time.Millisecond, monitor, 4, true) // detection
+	log.OnSuspicion(8*time.Second, monitor, 2, true)               // false, open at the horizon
+
+	got := judgeRun(log, truth, monitor, peers, kill, horizon)
+	want := verdict{Killed: 2, Detected: 1, Missed: 1, DetectAvgMS: 400, DetectMaxMS: 400, FalseEpisodes: 3}
+	if got != want {
+		t.Fatalf("judgeRun = %+v, want %+v", got, want)
 	}
 }
 

@@ -94,6 +94,23 @@ func run(args []string) error {
 			return fmt.Errorf("-heal-at %v must be after -partition-at %v", *healAt, *partitionAt)
 		}
 	}
+	// A fault at or past the horizon never happens, yet would enter the
+	// ground truth and be judged as if it had.
+	for _, fault := range []struct {
+		flag string
+		at   time.Duration
+		set  bool
+	}{
+		{"-crash-at", *crashAt, *crash >= 0},
+		{"-recover-at", *recoverAt, *recoverAt > 0},
+		{"-crash2-at", *crash2At, *crash2At > 0},
+		{"-partition-at", *partitionAt, *partitionAt > 0},
+		{"-heal-at", *healAt, *healAt > 0},
+	} {
+		if fault.set && fault.at >= *dur {
+			return fmt.Errorf("%s %v does not precede the horizon (-dur %v)", fault.flag, fault.at, *dur)
+		}
+	}
 
 	cfg := exp.ClusterConfig{
 		Kind: kind, N: *n, F: *f, Seed: *seed,
@@ -155,25 +172,26 @@ func run(args []string) error {
 		}
 		fmt.Println()
 	}
+	judge := qos.JudgeFrom(c.Log)
 	if *crash >= 0 {
 		observers := c.Members.Clone()
 		observers.Remove(victim)
 		if *recoverAt > 0 {
-			det := qos.RedetectionTimes(c.Log, truth, victim, observers, 0)
+			det := judge.RedetectionTimes(truth, victim, observers, 0)
 			fmt.Printf("detection of %v (crash #1): avg=%v min=%v max=%v detected-by=%d missing=%d\n",
 				victim, det.Avg, det.Min, det.Max, det.Count, det.Missing)
-			rst := qos.TrustRestorationTimes(c.Log, truth, victim, observers, 0)
+			rst := judge.TrustRestorationTimes(truth, victim, observers, 0)
 			fmt.Printf("trust restoration after recovery: avg=%v max=%v restored-by=%d never=%d\n",
 				rst.Avg, rst.Max, rst.Count, rst.Missing)
 			if *crash2At > 0 {
-				det2 := qos.RedetectionTimes(c.Log, truth, victim, observers, 1)
+				det2 := judge.RedetectionTimes(truth, victim, observers, 1)
 				fmt.Printf("re-detection (crash #2): avg=%v min=%v max=%v detected-by=%d missing=%d\n",
 					det2.Avg, det2.Min, det2.Max, det2.Count, det2.Missing)
-				storm := qos.MistakeStorm(c.Log, truth, c.Members, *recoverAt, *crash2At)
+				storm := judge.MistakeStorm(truth, c.Members, *recoverAt, *crash2At)
 				fmt.Printf("mistake storm while recovered: %d false-suspicion episodes\n", storm)
 			}
 		} else {
-			det := qos.DetectionTimes(c.Log, truth, victim, observers)
+			det := judge.DetectionTimes(truth, victim, observers)
 			fmt.Printf("detection of %v: avg=%v min=%v max=%v detected-by=%d missing=%d\n",
 				victim, det.Avg, det.Min, det.Max, det.Count, det.Missing)
 		}
@@ -183,16 +201,16 @@ func run(args []string) error {
 		if end <= *partitionAt {
 			end = *dur
 		}
-		storm := qos.MistakeStorm(c.Log, truth, c.Members, *partitionAt, end)
+		storm := judge.MistakeStorm(truth, c.Members, *partitionAt, end)
 		fmt.Printf("partition window [%v,%v) island=%v: %d false-suspicion episodes\n",
 			*partitionAt, end, minority, storm)
 		if *healAt > *partitionAt {
-			settle, clean := qos.Reconvergence(c.Log, truth, c.Members, *healAt)
+			settle, clean := judge.Reconvergence(truth, c.Members, *healAt)
 			fmt.Printf("re-convergence after heal: settle=%v clean=%v\n", settle, clean)
 		}
 	}
-	mist := qos.Mistakes(c.Log, truth, c.Members, *dur)
-	pa := qos.QueryAccuracy(c.Log, truth, c.Members, *dur)
+	mist := judge.Mistakes(truth, c.Members, *dur)
+	pa := judge.QueryAccuracy(truth, c.Members, *dur)
 	fmt.Printf("mistakes: closed=%d unresolved=%d avg-duration=%v rate=%.5f/pair/s\n",
 		mist.Count, mist.Unresolved, mist.AvgDuration, mist.Rate)
 	fmt.Printf("query accuracy PA=%.4f\n", pa)

@@ -49,7 +49,7 @@ func run() error {
 
 		observers := c.Members.Clone()
 		observers.Remove(crash)
-		det := qos.DetectionTimes(c.Log, truth, crash, observers)
+		det := qos.JudgeFrom(c.Log).DetectionTimes(truth, crash, observers)
 		fmt.Printf("%-12s  %-10v  %-10v  %-10v\n",
 			kind, det.Avg.Round(time.Millisecond), det.Min.Round(time.Millisecond), det.Max.Round(time.Millisecond))
 	}

@@ -21,11 +21,10 @@
 // (Timer.Reset) — the new key is recorded on the event and applied when the
 // old one surfaces at the head of the queue, so a timeout that is pushed
 // back once per heartbeat costs the queue one pop and one push per timeout
-// period, not per heartbeat. Far-horizon ordering itself is pluggable
-// (queue.go): a calendar/ladder queue with amortized O(1) push/pop is the
-// default, and the original binary heap is kept as the reference
-// implementation a differential harness checks it against — see QueueKind,
-// WithQueue and SetDefaultQueue.
+// period, not per heartbeat. Far-horizon events are ordered by a
+// calendar/ladder queue with amortized O(1) push/pop (ladder.go); the binary
+// heap it replaced is the oracle of the package's differential tests and
+// exists only there.
 package des
 
 import (
@@ -38,11 +37,7 @@ import (
 	"asyncfd/internal/ident"
 )
 
-// Compile-time checks: both queue implementations satisfy the interface.
-var (
-	_ eventQueue = (*heapQueue)(nil)
-	_ eventQueue = (*ladderQueue)(nil)
-)
+var _ eventQueue = (*ladderQueue)(nil)
 
 // Sink is where the kernel's typed events end up: the network model, which
 // registers itself once with SetSink. It keeps the kernel ignorant of what a
@@ -181,10 +176,9 @@ type Simulator struct {
 	events []event // slab; all event storage, recycled via free
 	free   []int32 // recycled slab slots
 
-	// queue orders far-horizon events by (at, seq); pluggable — see
-	// queue.go (binary-heap reference) and ladder.go (the default).
-	queue     eventQueue
-	queueKind QueueKind //fdlint:allow clonefields immutable config, fixed at construction
+	// queue orders far-horizon events by (at, seq): the ladder queue
+	// (ladder.go) behind the seam queue.go describes.
+	queue eventQueue
 
 	// itemFree recycles the slices fan-out nodes carry their items in, so
 	// steady-state broadcasts reuse storage instead of allocating.
@@ -195,28 +189,23 @@ type Simulator struct {
 	keys []uint64
 
 	// fifo is the ready bucket: events scheduled for the current instant,
-	// drained in seq (FIFO) order without touching the heap. Entries are
-	// sorted by seq by construction.
+	// drained in seq (FIFO) order without touching the timing queue. Entries
+	// are sorted by seq by construction.
 	fifo     []int32
 	fifoHead int
 
 	// front holds at most one fan-out continuation whose key is the global
 	// minimum (the currently draining same-instant burst), letting a
-	// k-message burst run with zero heap operations after the first pop.
+	// k-message burst run with zero queue operations after the first pop.
 	front int32
 }
 
-// New returns a simulator whose random source is seeded with seed. Options
-// tune kernel internals (e.g. WithQueue); event semantics and execution
-// order are identical whatever the options, so runs stay reproducible from
-// the seed alone.
-func New(seed int64, opts ...Option) *Simulator {
-	s := &Simulator{front: noEvent, queueKind: DefaultQueue()}
+// New returns a simulator whose random source is seeded with seed; a run is
+// reproducible from the seed alone.
+func New(seed int64) *Simulator {
+	s := &Simulator{front: noEvent}
 	s.setSource(seed)
-	for _, o := range opts {
-		o(s)
-	}
-	s.queue = newEventQueue(s.queueKind, s)
+	s.queue = &ladderQueue{s: s}
 	return s
 }
 
@@ -229,9 +218,6 @@ func (s *Simulator) SetSink(k Sink) {
 	}
 	s.sink = k
 }
-
-// Queue reports which timing-queue implementation this simulator runs on.
-func (s *Simulator) Queue() QueueKind { return s.queueKind }
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() time.Duration { return s.now }
@@ -451,10 +437,10 @@ func (s *Simulator) requeue(i int32) {
 // popDue removes and returns the live event with the smallest (at, seq) key
 // if it fires at or before limit, or noEvent. The front slot, when occupied,
 // is always the global minimum. Otherwise the heads of the ready bucket and
-// the timing queue are each brought to a live event — both queue kinds
-// dispose of stopped and re-armed heads here, exactly when they surface, so
-// Pending() and the fire order are the same whichever runs — then compared
-// and popped, in one pass.
+// the timing queue are each brought to a live event — stopped and re-armed
+// heads are disposed of here, exactly when they surface, not inside the
+// eventQueue, so Pending() and the fire order do not depend on how the queue
+// is built — then compared and popped, in one pass.
 func (s *Simulator) popDue(limit time.Duration) int32 {
 	if i := s.front; i != noEvent {
 		if s.events[i].at > limit {

@@ -20,8 +20,11 @@ func (k *testSink) Deliver(_, to ident.ID, payload any) { payload.(func(ident.ID
 func (k *testSink) Alive(owner ident.ID) bool { return !k.down.Has(owner) }
 
 // newSunk returns a simulator with a testSink registered.
-func newSunk(seed int64, opts ...Option) (*Simulator, *testSink) {
-	s, k := New(seed, opts...), &testSink{}
+func newSunk(seed int64) (*Simulator, *testSink) { return sunk(New(seed)) }
+
+// sunk registers a testSink with s.
+func sunk(s *Simulator) (*Simulator, *testSink) {
+	k := &testSink{}
 	s.SetSink(k)
 	return s, k
 }

@@ -73,8 +73,8 @@ func structuralFingerprint(s *Simulator) string {
 // loadSim builds a simulator mid-run with every structural feature present:
 // recycled free slots, a part-drained FIFO, stopped entries, messages and
 // fan-out nodes, far-horizon timers and a timer re-armed but not yet re-keyed.
-func loadSim(kind QueueKind) (s *Simulator, fired *int, stopped int) {
-	s, _ = newSunk(7, WithQueue(kind))
+func loadSim(newSim func(seed int64) *Simulator) (s *Simulator, fired *int, stopped int) {
+	s, _ = sunk(newSim(7))
 	fired = new(int)
 	bump := func() { *fired++ }
 	deliver := func(ident.ID) { *fired++ }
@@ -108,17 +108,14 @@ func loadSim(kind QueueKind) (s *Simulator, fired *int, stopped int) {
 // mutations (Stop/Reset/After/Fanout/Step/RunUntil) never change the parent's
 // structural fingerprint, and both kernels then drain to the same schedule.
 func TestForkCloneInvariants(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		kind QueueKind
-	}{
-		{"ladder", QueueLadder},
-		{"heap", QueueHeap},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			parent, parentFired, parentStopped := loadSim(tc.kind)
+	for _, k := range kernels {
+		k := k
+		t.Run(k.name, func(t *testing.T) {
+			parent, parentFired, parentStopped := loadSim(k.new)
 			child := parent.Fork()
+			if p, c := queueName(parent), queueName(child); p != k.name || c != k.name {
+				t.Fatalf("parent runs on the %s queue and its fork on the %s queue, want %s for both", p, c, k.name)
+			}
 			checkSlabInvariants(t, "parent", parent)
 			checkSlabInvariants(t, "child", child)
 
@@ -157,10 +154,10 @@ func TestForkCloneInvariants(t *testing.T) {
 // restores: three replays of the same tail produce identical fire sequences
 // and identical final clocks.
 func TestRestoreRepeatable(t *testing.T) {
-	for _, kind := range []QueueKind{QueueLadder, QueueHeap} {
-		kind := kind
-		t.Run(fmt.Sprint(kind), func(t *testing.T) {
-			s := New(3, WithQueue(kind))
+	for _, k := range kernels {
+		k := k
+		t.Run(k.name, func(t *testing.T) {
+			s := k.new(3)
 			var fires []string
 			for i := 0; i < 6; i++ {
 				i := i

@@ -22,17 +22,17 @@ import (
 // plain (reference), with a snapshot taken between prefix and suffix (must
 // not perturb anything), and replayed from the restored snapshot (must
 // reproduce the post-snapshot trace byte for byte, twice).
-func assertForkEquivalence(t *testing.T, kind QueueKind, prefix, suffix []byte) {
+func assertForkEquivalence(t *testing.T, k kernel, prefix, suffix []byte) {
 	t.Helper()
 
 	var ref []string
-	h := newScriptHarness(kind, &ref)
+	h := newScriptHarness(k.new, &ref)
 	h.interp(prefix)
 	h.interp(suffix)
 	h.drain()
 
 	var full []string
-	h = newScriptHarness(kind, &full)
+	h = newScriptHarness(k.new, &full)
 	h.interp(prefix)
 	snap := h.s.Snapshot()
 	cut := len(full)
@@ -43,7 +43,7 @@ func assertForkEquivalence(t *testing.T, kind QueueKind, prefix, suffix []byte) 
 	h.drain()
 
 	if d := firstDivergence(full, ref); d != "" {
-		t.Fatalf("%v: taking a snapshot perturbed the run at %s", kind, d)
+		t.Fatalf("%s: taking a snapshot perturbed the run at %s", k.name, d)
 	}
 
 	tail := full[cut:]
@@ -54,10 +54,13 @@ func assertForkEquivalence(t *testing.T, kind QueueKind, prefix, suffix []byte) 
 		h.eventID = nEvents
 		h.sink.down = down.Clone()
 		h.s.Restore(snap)
+		if got := queueName(h.s); got != k.name {
+			t.Fatalf("%s restore #%d: kernel came back on the %s queue", k.name, round+1, got)
+		}
 		h.interp(suffix)
 		h.drain()
 		if d := firstDivergence(replay, tail); d != "" {
-			t.Fatalf("%v restore #%d: replay diverged at %s", kind, round+1, d)
+			t.Fatalf("%s restore #%d: replay diverged at %s", k.name, round+1, d)
 		}
 	}
 }
@@ -87,8 +90,9 @@ func FuzzForkEquivalence(f *testing.F) {
 			data = data[:4096]
 		}
 		prefix, suffix := splitScript(data)
-		assertForkEquivalence(t, QueueLadder, prefix, suffix)
-		assertForkEquivalence(t, QueueHeap, prefix, suffix)
+		for _, k := range kernels {
+			assertForkEquivalence(t, k, prefix, suffix)
+		}
 	})
 }
 
@@ -112,8 +116,9 @@ func TestForkDifferential(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", i), func(t *testing.T) {
 			prefix, suffix := splitScript(seed)
-			assertForkEquivalence(t, QueueLadder, prefix, suffix)
-			assertForkEquivalence(t, QueueHeap, prefix, suffix)
+			for _, k := range kernels {
+				assertForkEquivalence(t, k, prefix, suffix)
+			}
 		})
 	}
 }

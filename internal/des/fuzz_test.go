@@ -46,8 +46,8 @@ type scriptHarness struct {
 	eventID   int
 }
 
-func newScriptHarness(kind QueueKind, out *[]string) *scriptHarness {
-	s, sink := newSunk(1, WithQueue(kind))
+func newScriptHarness(newSim func(seed int64) *Simulator, out *[]string) *scriptHarness {
+	s, sink := sunk(newSim(1))
 	return &scriptHarness{s: s, sink: sink, out: out}
 }
 
@@ -172,9 +172,9 @@ func (h *scriptHarness) drain() {
 
 // runScript is one whole script on a fresh kernel: everything observable
 // about the run, in order.
-func runScript(kind QueueKind, data []byte, stopAfter bool) []string {
+func runScript(newSim func(seed int64) *Simulator, data []byte, stopAfter bool) []string {
 	var out []string
-	h := newScriptHarness(kind, &out)
+	h := newScriptHarness(newSim, &out)
 	h.stopAfter = stopAfter
 	h.interp(data)
 	h.mark()
@@ -199,14 +199,14 @@ func firstDivergence(a, b []string) string {
 // first difference found, or "": heap against ladder, Pending() included,
 // and on each queue re-arming in place against Stop + After.
 func scriptDivergence(data []byte) string {
-	heap, ladder := runScript(QueueHeap, data, false), runScript(QueueLadder, data, false)
+	heap, ladder := runScript(newHeapSim, data, false), runScript(New, data, false)
 	if d := firstDivergence(heap, ladder); d != "" {
 		return "heap vs ladder diverged at " + d
 	}
-	if d := firstDivergence(withoutPending(heap), withoutPending(runScript(QueueHeap, data, true))); d != "" {
+	if d := firstDivergence(withoutPending(heap), withoutPending(runScript(newHeapSim, data, true))); d != "" {
 		return "heap: Reset vs Stop+After diverged at " + d
 	}
-	if d := firstDivergence(withoutPending(ladder), withoutPending(runScript(QueueLadder, data, true))); d != "" {
+	if d := firstDivergence(withoutPending(ladder), withoutPending(runScript(New, data, true))); d != "" {
 		return "ladder: Reset vs Stop+After diverged at " + d
 	}
 	return ""

@@ -1,7 +1,7 @@
 package des
 
-// ladder.go is the calendar-queue (ladder) eventQueue: the kernel's default
-// timing structure. The classic DES answer to a binary heap's O(log n)
+// ladder.go is the calendar-queue (ladder) eventQueue: the kernel's timing
+// structure. The classic DES answer to a binary heap's O(log n)
 // push/pop on dense horizons is to spread events over an array of
 // fixed-width time buckets and drain them in bucket order — O(1) amortized
 // when bucket occupancy stays small. The ladder variant keeps that promise
@@ -29,9 +29,9 @@ package des
 // Simulator.less when they become the bottom drain, so same-instant FIFO
 // ties — including fan-out blocks, re-keyed fan-out continuations and
 // re-armed timers, whose seqs may be smaller than already-queued events' —
-// resolve identically to the binary heap. The differential harness
-// (TestQueueDifferential, FuzzQueueEquivalence, the internal/exp sweep
-// test) enforces that equivalence.
+// resolve identically to the binary heap of heap_test.go. The differential
+// harness (TestQueueDifferential, FuzzQueueEquivalence) enforces that
+// equivalence.
 
 import (
 	"cmp"

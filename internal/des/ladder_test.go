@@ -15,7 +15,7 @@ import (
 // rawLadder returns a ladderQueue bound to a host slab plus an add helper
 // that allocates a slab event with the next seq and pushes it.
 func rawLadder() (*Simulator, *ladderQueue, func(at time.Duration) int32) {
-	s := New(1, WithQueue(QueueHeap)) // host slab only; s.queue is unused here
+	s := New(1) // host slab only; s.queue is unused here
 	q := &ladderQueue{s: s}
 	add := func(at time.Duration) int32 {
 		i := s.alloc()
@@ -247,7 +247,7 @@ func TestLadderSlabRelease(t *testing.T) {
 	for _, sc := range scenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			s := New(3, WithQueue(QueueLadder))
+			s := New(3)
 			r := rand.New(rand.NewSource(11))
 			var timers []*Timer
 			for round := 0; round < 40; round++ {

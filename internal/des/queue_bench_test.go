@@ -14,18 +14,16 @@ import (
 // operations beat the heap's O(log n) sifts. Run with
 // `go test -bench 'Queue' -benchmem ./internal/des`.
 
-func queueKinds() []QueueKind { return []QueueKind{QueueHeap, QueueLadder} }
-
 // BenchmarkQueueDenseHorizon measures steady-state push/pop churn with a
 // large standing population of near-term timers: every fired event
 // reschedules itself, so each Step is one pop plus one push against a
 // ~64k-element queue.
 func BenchmarkQueueDenseHorizon(b *testing.B) {
-	for _, kind := range queueKinds() {
-		kind := kind
-		b.Run(kind.String(), func(b *testing.B) {
+	for _, k := range kernels {
+		k := k
+		b.Run(k.name, func(b *testing.B) {
 			b.ReportAllocs()
-			s := New(1, WithQueue(kind))
+			s := k.new(1)
 			const standing = 1 << 16
 			var reschedule func()
 			reschedule = func() {
@@ -46,15 +44,15 @@ func BenchmarkQueueDenseHorizon(b *testing.B) {
 // netsim broadcast path — under both queues, including the kernel's fan-out
 // item slice pool.
 func BenchmarkQueueBroadcastFanout(b *testing.B) {
-	for _, kind := range queueKinds() {
-		kind := kind
-		b.Run(kind.String(), func(b *testing.B) {
+	for _, k := range kernels {
+		k := k
+		b.Run(k.name, func(b *testing.B) {
 			b.ReportAllocs()
 			recv := make([]Receiver, 64)
 			var deliver any = func(ident.ID) {}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s, _ := newSunk(1, WithQueue(kind))
+				s, _ := sunk(k.new(1))
 				for round := 0; round < 20; round++ {
 					for j := range recv {
 						recv[j] = Receiver{D: time.Duration(j%7) * time.Microsecond, To: ident.ID(j)}
@@ -71,11 +69,11 @@ func BenchmarkQueueBroadcastFanout(b *testing.B) {
 // timeout, cancel it, re-arm — so the queue carries a steady mix of live
 // and stopped events and reaps the stopped ones as they surface.
 func BenchmarkQueueStopReapChurn(b *testing.B) {
-	for _, kind := range queueKinds() {
-		kind := kind
-		b.Run(kind.String(), func(b *testing.B) {
+	for _, k := range kernels {
+		k := k
+		b.Run(k.name, func(b *testing.B) {
 			b.ReportAllocs()
-			s := New(1, WithQueue(kind))
+			s := k.new(1)
 			const peers = 1 << 12
 			timers := make([]*Timer, peers)
 			fn := func() {}

@@ -29,10 +29,10 @@ func (l *fireLog) want(t *testing.T, want ...string) {
 }
 
 func forBothQueues(t *testing.T, f func(t *testing.T, l *fireLog)) {
-	for _, kind := range []QueueKind{QueueLadder, QueueHeap} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			s, _ := newSunk(1, WithQueue(kind))
+	for _, k := range kernels {
+		k := k
+		t.Run(k.name, func(t *testing.T) {
+			s, _ := sunk(k.new(1))
 			f(t, &fireLog{s: s})
 		})
 	}

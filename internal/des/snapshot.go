@@ -203,26 +203,25 @@ func (s *Simulator) Restore(snap *Snapshot) {
 }
 
 // Fork returns a new, independent Simulator that is a deep copy of this one:
-// same clock, same pending events, same random stream position, same queue
-// kind. Pending callbacks, payloads and the sink are shared by reference
-// (closures cannot be deep copied), so Fork is for kernel-level workloads
-// whose events touch only kernel state; component stacks use
+// same clock, same pending events, same random stream position, same
+// timing structure. Pending callbacks, payloads and the sink are shared by
+// reference (closures cannot be deep copied), so Fork is for kernel-level
+// workloads whose events touch only kernel state; component stacks use
 // Snapshot/Restore instead. Mutating either simulator never perturbs the
 // other.
 func (s *Simulator) Fork() *Simulator {
 	c := &Simulator{
-		now:       s.now,
-		seq:       s.seq,
-		stepped:   s.stepped,
-		pending:   s.pending,
-		halted:    s.halted,
-		queueKind: s.queueKind,
-		sink:      s.sink,
-		events:    cloneEvents(s.events),
-		free:      append([]int32(nil), s.free...),
-		fifo:      append([]int32(nil), s.fifo...),
-		fifoHead:  s.fifoHead,
-		front:     s.front,
+		now:      s.now,
+		seq:      s.seq,
+		stepped:  s.stepped,
+		pending:  s.pending,
+		halted:   s.halted,
+		sink:     s.sink,
+		events:   cloneEvents(s.events),
+		free:     append([]int32(nil), s.free...),
+		fifo:     append([]int32(nil), s.fifo...),
+		fifoHead: s.fifoHead,
+		front:    s.front,
 	}
 	c.queue = s.queue.clone(c)
 	c.resumeSource(s.seed, s.src.draws)

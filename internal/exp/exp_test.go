@@ -87,7 +87,7 @@ func TestClusterEachKindDetectsCrash(t *testing.T) {
 			}
 			truth := c.Apply(faults.Schedule{}.CrashAt(4, 5*time.Second))
 			c.RunUntil(30 * time.Second)
-			st := qos.DetectionTimes(c.Log, truth, 4, ident.SetOf(0, 1, 2, 3))
+			st := qos.JudgeFrom(c.Log).DetectionTimes(truth, 4, ident.SetOf(0, 1, 2, 3))
 			if st.Count != 4 || st.Missing != 0 {
 				t.Fatalf("detection stats = %+v", st)
 			}
@@ -120,15 +120,16 @@ func TestClusterEachKindSurvivesCrashRecovery(t *testing.T) {
 					CrashAt(victim, 30*time.Second))
 				c.RunUntil(50 * time.Second)
 
-				det1 := qos.RedetectionTimes(c.Log, truth, victim, observers, 0)
+				judge := qos.JudgeFrom(c.Log)
+				det1 := judge.RedetectionTimes(truth, victim, observers, 0)
 				if det1.Count != 4 || det1.Missing != 0 {
 					t.Fatalf("crash #1 detection = %+v", det1)
 				}
-				rst := qos.TrustRestorationTimes(c.Log, truth, victim, observers, 0)
+				rst := judge.TrustRestorationTimes(truth, victim, observers, 0)
 				if rst.Missing != 0 || rst.Count == 0 {
 					t.Fatalf("trust restoration = %+v; observers never re-trusted the restarted process", rst)
 				}
-				det2 := qos.RedetectionTimes(c.Log, truth, victim, observers, 1)
+				det2 := judge.RedetectionTimes(truth, victim, observers, 1)
 				if det2.Count != 4 || det2.Missing != 0 {
 					t.Fatalf("crash #2 re-detection = %+v", det2)
 				}
@@ -156,11 +157,12 @@ func TestClusterPartitionHealAllKindsReconverge(t *testing.T) {
 				PartitionAt(10*time.Second, []ident.ID{5}).
 				HealAt(20 * time.Second))
 			c.RunUntil(45 * time.Second)
-			storm := qos.MistakeStorm(c.Log, truth, c.Members, 10*time.Second, 20*time.Second)
+			judge := qos.JudgeFrom(c.Log)
+			storm := judge.MistakeStorm(truth, c.Members, 10*time.Second, 20*time.Second)
 			if storm == 0 {
 				t.Error("partition produced no false suspicions of the cut-off minority")
 			}
-			settle, clean := qos.Reconvergence(c.Log, truth, c.Members, 20*time.Second)
+			settle, clean := judge.Reconvergence(truth, c.Members, 20*time.Second)
 			if !clean {
 				t.Errorf("cluster did not re-converge after the heal (settle=%v)", settle)
 			}

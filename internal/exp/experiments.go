@@ -305,7 +305,7 @@ func E3Disturbance(opts Options) (*Table, error) {
 				build:   faulted(cfg, nil),
 				measure: func(c *Cluster, truth *qos.GroundTruth) obs {
 					o, peak, _ := falseSuspicions(c, truth, times)
-					mist := qos.Mistakes(c.Log, truth, c.Members, horizon)
+					mist := qos.JudgeFrom(c.Log).Mistakes(truth, c.Members, horizon)
 					return o.add("mistakes", float64(mist.Count)).
 						add("mistake_dur_ms", qos.Millis(mist.AvgDuration)).
 						add("peak_false_susp", float64(peak))
@@ -606,7 +606,7 @@ func A1TagsAblation(opts Options) (*Table, error) {
 					})
 					return obs{}.add("tail_transitions", float64(tail)).
 						add("suspected_pairs", float64(pairs)).
-						add("mistakes", float64(qos.Mistakes(c.Log, truth, c.Members, horizon).Count))
+						add("mistakes", float64(qos.JudgeFrom(c.Log).Mistakes(truth, c.Members, horizon).Count))
 				},
 			},
 		}}})

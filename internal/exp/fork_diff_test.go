@@ -69,3 +69,19 @@ func TestSweepByteIdenticalAcrossForkModes(t *testing.T) {
 		}
 	}
 }
+
+// firstDiffLine locates the first differing line of two fingerprints, so a
+// failure names the experiment/cell instead of dumping two full sweeps.
+func firstDiffLine(a, b string) string {
+	al, bl := bytes.Split([]byte(a), []byte("\n")), bytes.Split([]byte(b), []byte("\n"))
+	n := len(al)
+	if len(bl) < n {
+		n = len(bl)
+	}
+	for i := 0; i < n; i++ {
+		if !bytes.Equal(al[i], bl[i]) {
+			return fmt.Sprintf("first diff at line %d:\n  baseline: %s\n  got:      %s", i+1, al[i], bl[i])
+		}
+	}
+	return fmt.Sprintf("line counts differ: baseline %d, got %d", len(al), len(bl))
+}

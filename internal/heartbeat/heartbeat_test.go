@@ -228,15 +228,8 @@ func TestGossipRestore(t *testing.T) {
 	// Disconnect node 4 from the line for a while; it must be suspected and
 	// then restored once reconnected.
 	sim, net, nodes, _ := lineTopology(t, 5, 500*time.Millisecond, 3*time.Second)
-	blocked := false
-	net.AddLinkFilter(func(from, to ident.ID, _ time.Duration) bool {
-		if blocked && (from == 4 || to == 4) {
-			return false
-		}
-		return true
-	})
-	sim.At(10*time.Second, func() { blocked = true })
-	sim.At(20*time.Second, func() { blocked = false })
+	sim.At(10*time.Second, func() { net.Partition([]ident.ID{4}) })
+	sim.At(20*time.Second, func() { net.Heal() })
 	sim.RunUntil(60 * time.Second)
 	for i := 0; i < 4; i++ {
 		if nodes[i].IsSuspected(4) {

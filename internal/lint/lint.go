@@ -2,8 +2,8 @@
 // simulator's determinism invariants at the source level.
 //
 // Every guarantee this reproduction makes about the paper's QoS tables rests
-// on determinism: byte-identical output across -parallel worker counts, fork
-// modes and queue kinds, and zero stray RNG draws in replay. Those invariants
+// on determinism: byte-identical output across -parallel worker counts and
+// fork modes, and zero stray RNG draws in replay. Those invariants
 // used to be enforced only by after-the-fact differential tests; fdlint checks
 // them at compile time. The analyzers:
 //

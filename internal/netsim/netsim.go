@@ -2,7 +2,7 @@
 // discrete-event kernel. Message delays are drawn per message from a
 // pluggable DelayModel, so messages are arbitrarily reordered — exactly the
 // asynchronous model of the paper. Links are reliable by default (the
-// paper's assumption); a drop rate, a composable stack of link filters and
+// paper's assumption); a drop rate, per-process neighbourhoods and
 // first-class partitions are available for the extension and fault-scenario
 // experiments (partial connectivity, mobility, partition/heal), and crashed
 // processes can be revived for crash-recovery scenarios.
@@ -10,8 +10,8 @@
 // In the repository README's architecture map this is the "asynchronous
 // network model" layer: internal/faults schedules Crash/Recover/Partition/
 // Heal events against it, and every internal/exp cluster sends through it.
-// Scenario-driven connectivity changes use the composable
-// AddLinkFilter/RemoveLinkFilter stack or the first-class Partition/Heal.
+// Scenario-driven connectivity changes are Partition/Heal (who may talk to
+// whom for a while) and SetNeighbors (who is in range of whom).
 //
 // # Sparse delivery
 //
@@ -64,19 +64,8 @@ type Config struct {
 type Stats struct {
 	Sent      int64 // messages handed to the network
 	Delivered int64 // messages delivered to a live process
-	Dropped   int64 // lost to DropRate, the link filter or a partition
+	Dropped   int64 // lost to DropRate, a LossModel or a partition
 	Bytes     int64 // wire bytes sent (only if Config.SizeOf set)
-}
-
-// LinkFilter vetoes transmissions at send time: return false to drop the
-// message. Filters model disconnection and mobility; filters run before the
-// partition check.
-type LinkFilter func(from, to ident.ID, now time.Duration) bool
-
-// linkFilterEntry is one installed filter with its removal token.
-type linkFilterEntry struct {
-	token int
-	f     LinkFilter
 }
 
 // partitionLayer is one epoch of the partition stack. labels[id] is the
@@ -124,10 +113,6 @@ type Network struct {
 	// their epoch stamp is stale.
 	//fdlint:allow clonefields derived cache; Restore invalidates it wholesale and rebuilds lazily
 	fanout []fanoutEntry
-	// filters is the composable veto stack: a message is admitted only if
-	// every installed filter passes.
-	filters   []linkFilterEntry
-	nextToken int
 	// partitions is the LIFO stack of partition epochs; only the top layer
 	// is consulted per message (its labels are composite).
 	partitions []partitionLayer
@@ -274,27 +259,6 @@ func (n *Network) fanoutFor(id ident.ID) []ident.ID {
 	return ids
 }
 
-// AddLinkFilter pushes f onto the veto stack and returns a token for
-// RemoveLinkFilter. Filters compose: a message is transmitted only if every
-// installed filter passes.
-func (n *Network) AddLinkFilter(f LinkFilter) int {
-	n.nextToken++
-	n.filters = append(n.filters, linkFilterEntry{token: n.nextToken, f: f})
-	return n.nextToken
-}
-
-// RemoveLinkFilter removes the filter identified by token, reporting whether
-// it was installed.
-func (n *Network) RemoveLinkFilter(token int) bool {
-	for i, e := range n.filters {
-		if e.token == token {
-			n.filters = append(n.filters[:i], n.filters[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
 // Partition splits the cluster into islands: a message is dropped unless its
 // endpoints belong to the same island. Processes not listed in any island
 // together form one implicit extra island, so Partition([]ident.ID{a, b})
@@ -382,16 +346,13 @@ func (n *Network) Stats() Stats { return n.stats }
 // Snapshot is a checkpoint of the network's mutable state, taken with
 // Network.Snapshot and rolled back with Network.Restore. It pairs with
 // des.Snapshot: the kernel checkpoint holds the in-flight messages (their
-// endpoints and payloads), this one holds liveness, topology, the filter
-// stack, partitions and traffic counters. It shares no mutable storage with
-// the live network.
+// endpoints and payloads), this one holds liveness, topology, partitions and
+// traffic counters. It shares no mutable storage with the live network.
 type Snapshot struct {
 	handlers   []node.Handler
 	crashed    ident.Set
 	neighbors  map[ident.ID]ident.Set
 	topoEpoch  uint64
-	filters    []linkFilterEntry
-	nextToken  int
 	partitions []partitionLayer
 	stats      Stats
 }
@@ -420,16 +381,14 @@ func clonePartitions(src []partitionLayer) []partitionLayer {
 
 // Snapshot captures the network's mutable state. Handler identities are
 // shared by reference (the detector runtimes checkpoint their own state);
-// everything else — crash set, neighborhoods, filter stack, partition
-// layers, counters — is deep-copied.
+// everything else — crash set, neighborhoods, partition layers, counters —
+// is deep-copied.
 func (n *Network) Snapshot() *Snapshot {
 	return &Snapshot{
 		handlers:   append([]node.Handler(nil), n.handlers...),
 		crashed:    n.crashed.Clone(),
 		neighbors:  cloneNeighbors(n.neighbors),
 		topoEpoch:  n.topoEpoch,
-		filters:    append([]linkFilterEntry(nil), n.filters...),
-		nextToken:  n.nextToken,
 		partitions: clonePartitions(n.partitions),
 		stats:      n.stats,
 	}
@@ -449,8 +408,6 @@ func (n *Network) Restore(snap *Snapshot) {
 	n.neighbors = cloneNeighbors(snap.neighbors)
 	n.topoEpoch = snap.topoEpoch
 	n.fanout = make([]fanoutEntry, len(n.handlers))
-	n.filters = append(n.filters[:0], snap.filters...)
-	n.nextToken = snap.nextToken
 	n.partitions = append(n.partitions[:0], clonePartitions(snap.partitions)...)
 	n.stats = snap.stats
 }
@@ -474,19 +431,13 @@ func (n *Network) send(from, to ident.ID, payload any) {
 }
 
 // admit runs the send-time checks shared by unicast and broadcast — stats,
-// link filters, the partition label check, loss — and samples the link delay
-// for an admitted message.
+// the partition label check, loss — and samples the link delay for an
+// admitted message.
 func (n *Network) admit(from, to ident.ID, payload any) (time.Duration, bool) {
 	now := n.sim.Now()
 	n.stats.Sent++
 	if n.cfg.SizeOf != nil {
 		n.stats.Bytes += int64(n.cfg.SizeOf(payload))
-	}
-	for _, e := range n.filters {
-		if !e.f(from, to, now) {
-			n.stats.Dropped++
-			return 0, false
-		}
 	}
 	if k := len(n.partitions); k > 0 {
 		p := &n.partitions[k-1]

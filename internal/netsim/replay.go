@@ -18,7 +18,7 @@ import (
 // message loss themselves (e.g. from recorded loss samples). When the
 // network's delay model implements it, admit() consults DelayLoss INSTEAD of
 // the plain Delay call, in the same position of the admission pipeline
-// (after filters, partitions and DropRate) — so models that don't implement
+// (after partitions and DropRate) — so models that don't implement
 // it keep the exact RNG draw sequence they had before this interface
 // existed.
 type LossModel interface {

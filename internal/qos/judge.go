@@ -2,10 +2,8 @@ package qos
 
 import (
 	"sort"
-	"sync"
 	"time"
 
-	"asyncfd/internal/fd"
 	"asyncfd/internal/ident"
 	"asyncfd/internal/trace"
 )
@@ -22,101 +20,40 @@ func (k pairKey) pair() (observer, subject ident.ID) {
 	return ident.ID(uint32(k >> 32)), ident.ID(uint32(k))
 }
 
-// Judge turns a suspicion trace into QoS metrics with a single accumulator
-// pass. It ingests trace.Events once — either all at once from a recorded
-// log (JudgeFrom) or streamed during the run (it implements fd.SuspicionSink,
-// so it can replace or tee a trace.Log as a detector's sink) — and builds a
-// flat sparse index of suspicion episodes per (observer, subject) pair. Every
-// metric is then a finalizer over that index: one O(E log E) sort amortized
-// over all metrics of a run, instead of the pre-refactor one-sort-plus-
-// O(pairs·E)-rescan per metric call.
-//
-// Metrics may be queried at any time; ingesting further events after a query
-// simply rebuilds the index on the next query. Results are byte-identical to
-// the original per-metric implementations (enforced by the differential
-// tests in this package and internal/exp).
+// Judge is the episode index of one recorded suspicion trace: JudgeFrom reads
+// the log once — one stable O(E log E) sort by time, one fold into a flat
+// sparse map of suspicion episodes per (observer, subject) pair — and every
+// metric is a read-only finalizer over that index. A Judge never changes
+// after JudgeFrom returns, so one may be queried from several goroutines,
+// and a caller that wants several metrics of a run builds one and asks it
+// repeatedly. The sort+rescan implementations the index replaced are the
+// oracle of this package's differential tests (legacy_test.go).
 type Judge struct {
-	mu     sync.Mutex
-	events []trace.Event
-	sorted bool // events are known to be in non-decreasing At order
-	dirty  bool // events changed since the index was built
-
 	// index maps each observed (observer, subject) pair to its suspicion
 	// episodes in time order; open ⇔ last episode has end == -1.
 	index map[pairKey][]episode
 }
 
-var _ fd.SuspicionSink = (*Judge)(nil)
-
-// NewJudge returns an empty Judge ready for streaming ingestion.
-func NewJudge() *Judge {
-	return &Judge{sorted: true}
-}
-
-// JudgeFrom snapshots a recorded log into a new Judge.
+// JudgeFrom builds the Judge of a recorded log. Events recorded after the
+// call are not seen. The log need not be in time order: events are sorted
+// (stably) by At before they are folded into episodes.
 func JudgeFrom(log *trace.Log) *Judge {
-	return &Judge{events: log.Events(), dirty: true}
-}
-
-// OnSuspicion implements fd.SuspicionSink: one suspicion transition streamed
-// in during the run. Safe for concurrent use.
-func (j *Judge) OnSuspicion(at time.Duration, observer, subject ident.ID, suspected bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.sorted && len(j.events) > 0 && at < j.events[len(j.events)-1].At {
-		j.sorted = false
-	}
-	j.events = append(j.events, trace.Event{At: at, Observer: observer, Subject: subject, Suspected: suspected})
-	j.dirty = true
-}
-
-// Ingest appends recorded events (tests, synthetic traces).
-func (j *Judge) Ingest(events ...trace.Event) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	events := log.Events()
+	sort.SliceStable(events, func(a, b int) bool { return events[a].At < events[b].At })
+	index := make(map[pairKey][]episode)
 	for _, e := range events {
-		if j.sorted && len(j.events) > 0 && e.At < j.events[len(j.events)-1].At {
-			j.sorted = false
-		}
-		j.events = append(j.events, e)
-	}
-	j.dirty = true
-}
-
-// build sorts the buffered events (stable, by At — identical to the legacy
-// sortedEvents) and folds them into the per-pair episode index in one pass,
-// replicating the legacy episodes() state machine per pair.
-func (j *Judge) build() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.dirty && j.index != nil {
-		return
-	}
-	if !j.sorted {
-		sort.SliceStable(j.events, func(a, b int) bool { return j.events[a].At < j.events[b].At })
-		j.sorted = true
-	}
-	j.index = make(map[pairKey][]episode)
-	for _, e := range j.events {
 		k := key(e.Observer, e.Subject)
-		eps := j.index[k]
+		eps := index[k]
 		open := len(eps) > 0 && eps[len(eps)-1].end == -1
 		if e.Suspected {
 			if !open {
-				j.index[k] = append(eps, episode{start: e.At, end: -1})
+				index[k] = append(eps, episode{start: e.At, end: -1})
 			}
 		} else if open {
 			eps[len(eps)-1].end = e.At
 		}
 	}
-	j.dirty = false
-}
-
-// pairEpisodes returns the suspicion episodes of (observer, subject) in time
-// order, building the index if needed.
-func (j *Judge) pairEpisodes(observer, subject ident.ID) []episode {
-	j.build()
-	return j.index[key(observer, subject)]
+	return &Judge{index: index}
 }
 
 // SuspectedInTail returns the set of subjects suspected by any observer at or
@@ -126,7 +63,6 @@ func (j *Judge) pairEpisodes(observer, subject ident.ID) []episode {
 // transitions plus probing every pair's state at the cut instant — one pass
 // over the index instead of O(pairs·events) — and backs the E6 tail metric.
 func (j *Judge) SuspectedInTail(cut time.Duration) ident.Set {
-	j.build()
 	var out ident.Set
 	for k, eps := range j.index {
 		subject := ident.ID(uint32(k))
@@ -152,7 +88,6 @@ func (j *Judge) DetectionTimes(truth *GroundTruth, subject ident.ID, observers i
 	if !ok {
 		return DetectionStats{Missing: observers.Len()}
 	}
-	j.build()
 	var acc detAccum
 	observers.ForEach(func(obs ident.ID) bool {
 		if obs == subject {
@@ -178,7 +113,6 @@ func (j *Judge) DetectionTimes(truth *GroundTruth, subject ident.ID, observers i
 // began. It folds over the episodes the trace holds, not over members ×
 // members: most pairs of a large cluster never appear in one.
 func (j *Judge) Mistakes(truth *GroundTruth, members ident.Set, horizon time.Duration) MistakeStats {
-	j.build()
 	var stats MistakeStats
 	var total time.Duration
 	//fdlint:allow maprange every field accumulated is an integer count, sum or max, so the result is the same in any order, byte for byte
@@ -188,7 +122,7 @@ func (j *Judge) Mistakes(truth *GroundTruth, members ident.Set, horizon time.Dur
 			continue
 		}
 		for _, ep := range episodes {
-			if truth.CrashedBy(subj, ep.start) {
+			if truth.DownAt(subj, ep.start) {
 				continue // true suspicion
 			}
 			if ep.end == -1 {
@@ -228,7 +162,6 @@ func (j *Judge) QueryAccuracy(truth *GroundTruth, members ident.Set, horizon tim
 	if horizon <= 0 {
 		return 1
 	}
-	j.build()
 	var wrongful time.Duration
 	pairs := 0
 	members.ForEach(func(obs ident.ID) bool {
@@ -275,7 +208,6 @@ func (j *Judge) RedetectionTimes(truth *GroundTruth, subject ident.ID, observers
 		return DetectionStats{Missing: observers.Len()}
 	}
 	iv := ivs[k]
-	j.build()
 	var acc detAccum
 	observers.ForEach(func(obs ident.ID) bool {
 		if obs == subject {
@@ -316,7 +248,6 @@ func (j *Judge) TrustRestorationTimes(truth *GroundTruth, subject ident.ID, obse
 		return DetectionStats{Missing: observers.Len()}
 	}
 	r := ivs[k].End
-	j.build()
 	var acc detAccum
 	observers.ForEach(func(obs ident.ID) bool {
 		if obs == subject {
@@ -351,7 +282,6 @@ func (j *Judge) TrustRestorationTimes(truth *GroundTruth, subject ident.ID, obse
 // the end of the trace make the result unclean and do not extend the settle
 // time.
 func (j *Judge) Reconvergence(truth *GroundTruth, members ident.Set, from time.Duration) (settle time.Duration, clean bool) {
-	j.build()
 	clean = true
 	members.ForEach(func(obs ident.ID) bool {
 		members.ForEach(func(subj ident.ID) bool {
@@ -388,7 +318,6 @@ func (j *Judge) Reconvergence(truth *GroundTruth, members ident.Set, from time.D
 // [start, end) — the mistake burst a partition window or a restart provokes.
 // An episode is false when its subject is not down at the instant it begins.
 func (j *Judge) MistakeStorm(truth *GroundTruth, members ident.Set, start, end time.Duration) int {
-	j.build()
 	storm := 0
 	members.ForEach(func(obs ident.ID) bool {
 		members.ForEach(func(subj ident.ID) bool {

@@ -46,9 +46,8 @@ func randomTruth(r *rand.Rand, n int) *GroundTruth {
 }
 
 // TestJudgeDifferential proves every Judge finalizer byte-identical to the
-// legacy sort+rescan implementation on randomized traces, both when
-// snapshotting a recorded log and when the same events are streamed in via
-// OnSuspicion (exercising the unsorted ingestion path).
+// legacy sort+rescan implementation on randomized traces. randomTrace
+// records out of time order, so JudgeFrom's sort is exercised too.
 func TestJudgeDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	horizon := 20 * time.Second
@@ -66,65 +65,38 @@ func TestJudgeDifferential(t *testing.T) {
 			}
 		}
 
-		streamed := NewJudge()
-		for _, e := range log.Events() {
-			streamed.OnSuspicion(e.At, e.Observer, e.Subject, e.Suspected)
-		}
-		for name, j := range map[string]*Judge{"snapshot": JudgeFrom(log), "streamed": streamed} {
-			for id := 0; id < n; id++ {
-				subj := ident.ID(id)
-				if got, want := j.DetectionTimes(truth, subj, members), LegacyDetectionTimes(log, truth, subj, members); got != want {
-					t.Fatalf("trial %d %s: DetectionTimes(%v) = %+v, legacy %+v", trial, name, subj, got, want)
+		j := JudgeFrom(log)
+		for id := 0; id < n; id++ {
+			subj := ident.ID(id)
+			if got, want := j.DetectionTimes(truth, subj, members), LegacyDetectionTimes(log, truth, subj, members); got != want {
+				t.Fatalf("trial %d: DetectionTimes(%v) = %+v, legacy %+v", trial, subj, got, want)
+			}
+			for k := 0; k < 3; k++ {
+				if got, want := j.RedetectionTimes(truth, subj, members, k), LegacyRedetectionTimes(log, truth, subj, members, k); got != want {
+					t.Fatalf("trial %d: RedetectionTimes(%v, %d) = %+v, legacy %+v", trial, subj, k, got, want)
 				}
-				for k := 0; k < 3; k++ {
-					if got, want := j.RedetectionTimes(truth, subj, members, k), LegacyRedetectionTimes(log, truth, subj, members, k); got != want {
-						t.Fatalf("trial %d %s: RedetectionTimes(%v, %d) = %+v, legacy %+v", trial, name, subj, k, got, want)
-					}
-					if got, want := j.TrustRestorationTimes(truth, subj, members, k), LegacyTrustRestorationTimes(log, truth, subj, members, k); got != want {
-						t.Fatalf("trial %d %s: TrustRestorationTimes(%v, %d) = %+v, legacy %+v", trial, name, subj, k, got, want)
-					}
+				if got, want := j.TrustRestorationTimes(truth, subj, members, k), LegacyTrustRestorationTimes(log, truth, subj, members, k); got != want {
+					t.Fatalf("trial %d: TrustRestorationTimes(%v, %d) = %+v, legacy %+v", trial, subj, k, got, want)
 				}
 			}
-			if got, want := j.Mistakes(truth, members, horizon), LegacyMistakes(log, truth, members, horizon); !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d %s: Mistakes = %+v, legacy %+v", trial, name, got, want)
-			}
-			if got, want := j.Mistakes(truth, some, horizon), LegacyMistakes(log, truth, some, horizon); !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d %s: Mistakes among %v = %+v, legacy %+v", trial, name, some, got, want)
-			}
-			if got, want := j.QueryAccuracy(truth, members, horizon), LegacyQueryAccuracy(log, truth, members, horizon); got != want {
-				t.Fatalf("trial %d %s: QueryAccuracy = %v, legacy %v", trial, name, got, want)
-			}
-			gs, gc := j.Reconvergence(truth, members, 5*time.Second)
-			ws, wc := LegacyReconvergence(log, truth, members, 5*time.Second)
-			if gs != ws || gc != wc {
-				t.Fatalf("trial %d %s: Reconvergence = (%v, %v), legacy (%v, %v)", trial, name, gs, gc, ws, wc)
-			}
-			if got, want := j.MistakeStorm(truth, members, 2*time.Second, 12*time.Second), LegacyMistakeStorm(log, truth, members, 2*time.Second, 12*time.Second); got != want {
-				t.Fatalf("trial %d %s: MistakeStorm = %d, legacy %d", trial, name, got, want)
-			}
 		}
-	}
-}
-
-// TestJudgeIngestAfterQuery checks the index is rebuilt when events arrive
-// after a metric has already been queried.
-func TestJudgeIngestAfterQuery(t *testing.T) {
-	var g GroundTruth
-	g.Crash(1, 5*time.Second)
-	j := NewJudge()
-	j.OnSuspicion(6*time.Second, 0, 1, true)
-	if st := j.DetectionTimes(&g, 1, ident.SetOf(0)); st.Count != 1 || st.Avg != time.Second {
-		t.Fatalf("first query = %+v", st)
-	}
-	// A (late-recorded) earlier trust transition splits nothing but must be
-	// picked up: the suspicion at 6s stays the permanent episode.
-	j.OnSuspicion(2*time.Second, 0, 1, true)
-	j.OnSuspicion(3*time.Second, 0, 1, false)
-	if st := j.DetectionTimes(&g, 1, ident.SetOf(0)); st.Count != 1 || st.Avg != time.Second {
-		t.Fatalf("after re-ingest = %+v", st)
-	}
-	if st := j.Mistakes(&g, ident.SetOf(0, 1), 10*time.Second); st.Count != 1 || st.AvgDuration != time.Second {
-		t.Fatalf("Mistakes after re-ingest = %+v", st)
+		if got, want := j.Mistakes(truth, members, horizon), LegacyMistakes(log, truth, members, horizon); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: Mistakes = %+v, legacy %+v", trial, got, want)
+		}
+		if got, want := j.Mistakes(truth, some, horizon), LegacyMistakes(log, truth, some, horizon); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: Mistakes among %v = %+v, legacy %+v", trial, some, got, want)
+		}
+		if got, want := j.QueryAccuracy(truth, members, horizon), LegacyQueryAccuracy(log, truth, members, horizon); got != want {
+			t.Fatalf("trial %d: QueryAccuracy = %v, legacy %v", trial, got, want)
+		}
+		gs, gc := j.Reconvergence(truth, members, 5*time.Second)
+		ws, wc := LegacyReconvergence(log, truth, members, 5*time.Second)
+		if gs != ws || gc != wc {
+			t.Fatalf("trial %d: Reconvergence = (%v, %v), legacy (%v, %v)", trial, gs, gc, ws, wc)
+		}
+		if got, want := j.MistakeStorm(truth, members, 2*time.Second, 12*time.Second), LegacyMistakeStorm(log, truth, members, 2*time.Second, 12*time.Second); got != want {
+			t.Fatalf("trial %d: MistakeStorm = %d, legacy %d", trial, got, want)
+		}
 	}
 }
 

@@ -1,11 +1,12 @@
 package qos
 
-// The legacy* functions are the pre-Judge metric implementations: one stable
+// The Legacy* functions are the pre-Judge metric implementations: one stable
 // sort of the whole log plus an O(pairs·E) rescan per metric call. They are
-// kept verbatim as the reference side of the differential tests (this
-// package and internal/exp) that prove the streaming Judge byte-identical,
-// the same way internal/des keeps the binary heap as the ladder queue's
-// reference. They are not called from any production path.
+// the reference side of the differential tests that hold the Judge
+// byte-identical to them — judge_test.go on random traces, scenario_test.go
+// (package qos_test, which sees them because they are exported) on traces
+// recorded from simulated clusters — the same way internal/des keeps the
+// binary heap as the ladder queue's oracle in heap_test.go.
 
 import (
 	"sort"
@@ -86,7 +87,7 @@ func LegacyMistakes(log *trace.Log, truth *GroundTruth, members ident.Set, horiz
 			}
 			pairs++
 			for _, ep := range episodes(events, obs, subj) {
-				if truth.CrashedBy(subj, ep.start) {
+				if truth.DownAt(subj, ep.start) {
 					continue
 				}
 				if ep.end == -1 {

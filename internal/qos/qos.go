@@ -8,15 +8,13 @@
 // partition-window mistake storms. The experiment harness reduces every
 // table of the reconstructed evaluation to these numbers.
 //
-// Metrics are computed by the streaming Judge: it ingests each trace.Event
-// once (snapshot via JudgeFrom, or live during the run as a SuspicionSink)
-// into a flat per-pair episode index, and every metric is a finalizer over
-// that one accumulator pass. The package-level metric functions are thin
-// wrappers that build a Judge per call; callers that need several metrics
-// from one trace — every sampled experiment does — should build one Judge
-// and query it repeatedly, which is what makes judging n=1024–4096 topology
-// cells tractable. Results are byte-identical to the pre-Judge sort+rescan
-// implementations (kept in legacy.go and enforced by differential tests).
+// Metrics are computed by the Judge: JudgeFrom reads a recorded trace.Log
+// once into a flat per-pair episode index, and every metric is a method that
+// reads that index. A caller builds one Judge per trace and asks it for
+// every metric it wants, which is what makes judging n=1024–4096 topology
+// cells tractable. The one-sort-plus-rescan-per-call implementations the
+// index replaced are the oracle of the package's differential tests
+// (legacy_test.go), which hold every metric byte-identical to them.
 //
 // These are the per-run scalar metrics; across an R-seed family
 // (internal/exp Options.Repeat) they become the sampled distributions —
@@ -129,14 +127,6 @@ func (g *GroundTruth) DownAt(id ident.ID, at time.Duration) bool {
 	return false
 }
 
-// CrashedBy reports whether id is down at time at. For crash-stop records
-// this is the historical "had crashed at or before at"; with recoveries it
-// is interval-based, so a suspicion of a crashed-and-recovered process is
-// judged against the process's actual state at that time.
-func (g *GroundTruth) CrashedBy(id ident.ID, at time.Duration) bool {
-	return g.DownAt(id, at)
-}
-
 // Intervals returns a copy of id's downtime intervals in time order.
 func (g *GroundTruth) Intervals(id ident.ID) []Interval {
 	ivs := g.downs[id]
@@ -222,24 +212,6 @@ type MistakeStats struct {
 	Rate float64
 }
 
-// DetectionTimes is the one-shot wrapper over Judge.DetectionTimes; see its
-// documentation for the metric definition.
-func DetectionTimes(log *trace.Log, truth *GroundTruth, subject ident.ID, observers ident.Set) DetectionStats {
-	return JudgeFrom(log).DetectionTimes(truth, subject, observers)
-}
-
-// Mistakes is the one-shot wrapper over Judge.Mistakes; see its
-// documentation for the metric definition.
-func Mistakes(log *trace.Log, truth *GroundTruth, members ident.Set, horizon time.Duration) MistakeStats {
-	return JudgeFrom(log).Mistakes(truth, members, horizon)
-}
-
-// QueryAccuracy is the one-shot wrapper over Judge.QueryAccuracy; see its
-// documentation for the metric definition.
-func QueryAccuracy(log *trace.Log, truth *GroundTruth, members ident.Set, horizon time.Duration) float64 {
-	return JudgeFrom(log).QueryAccuracy(truth, members, horizon)
-}
-
 // FalseSuspicionSeries samples how many (observer, correct-subject) pairs
 // are in a suspected state at each of the given instants — the data behind
 // the "number of false suspicions over time" figure.
@@ -247,29 +219,4 @@ func FalseSuspicionSeries(log *trace.Log, truth *GroundTruth, times []time.Durat
 	return log.SuspicionCountSeries(times, func(subject ident.ID) bool {
 		return !truth.Crashed(subject)
 	})
-}
-
-// RedetectionTimes is the one-shot wrapper over Judge.RedetectionTimes; see
-// its documentation for the metric definition.
-func RedetectionTimes(log *trace.Log, truth *GroundTruth, subject ident.ID, observers ident.Set, k int) DetectionStats {
-	return JudgeFrom(log).RedetectionTimes(truth, subject, observers, k)
-}
-
-// TrustRestorationTimes is the one-shot wrapper over
-// Judge.TrustRestorationTimes; see its documentation for the metric
-// definition.
-func TrustRestorationTimes(log *trace.Log, truth *GroundTruth, subject ident.ID, observers ident.Set, k int) DetectionStats {
-	return JudgeFrom(log).TrustRestorationTimes(truth, subject, observers, k)
-}
-
-// Reconvergence is the one-shot wrapper over Judge.Reconvergence; see its
-// documentation for the metric definition.
-func Reconvergence(log *trace.Log, truth *GroundTruth, members ident.Set, from time.Duration) (settle time.Duration, clean bool) {
-	return JudgeFrom(log).Reconvergence(truth, members, from)
-}
-
-// MistakeStorm is the one-shot wrapper over Judge.MistakeStorm; see its
-// documentation for the metric definition.
-func MistakeStorm(log *trace.Log, truth *GroundTruth, members ident.Set, start, end time.Duration) int {
-	return JudgeFrom(log).MistakeStorm(truth, members, start, end)
 }

@@ -12,7 +12,7 @@ func sec(n int) time.Duration { return time.Duration(n) * time.Second }
 
 func TestGroundTruth(t *testing.T) {
 	var g GroundTruth
-	if g.Crashed(1) || g.CrashedBy(1, sec(10)) {
+	if g.Crashed(1) || g.DownAt(1, sec(10)) {
 		t.Error("zero GroundTruth reports crashes")
 	}
 	g.Crash(1, sec(5))
@@ -22,11 +22,11 @@ func TestGroundTruth(t *testing.T) {
 	if at, ok := g.CrashTime(1); !ok || at != sec(5) {
 		t.Errorf("CrashTime = %v,%v", at, ok)
 	}
-	if g.CrashedBy(1, sec(4)) {
-		t.Error("CrashedBy before crash time = true")
+	if g.DownAt(1, sec(4)) {
+		t.Error("DownAt before crash time = true")
 	}
-	if !g.CrashedBy(1, sec(5)) || !g.CrashedBy(1, sec(6)) {
-		t.Error("CrashedBy at/after crash time = false")
+	if !g.DownAt(1, sec(5)) || !g.DownAt(1, sec(6)) {
+		t.Error("DownAt at/after crash time = false")
 	}
 	set := g.CrashedSet()
 	if set.Len() != 1 || !set.Has(1) {
@@ -58,7 +58,7 @@ func TestGroundTruthIntervals(t *testing.T) {
 		t.Error("Crashed bookkeeping wrong")
 	}
 
-	// CrashedBy at interval boundaries: crash instants are down (inclusive),
+	// DownAt at interval boundaries: crash instants are down (inclusive),
 	// recovery instants are up (exclusive).
 	cases := []struct {
 		at   time.Duration
@@ -68,9 +68,6 @@ func TestGroundTruthIntervals(t *testing.T) {
 		{sec(15), false}, {sec(20), true}, {sec(30), true},
 	}
 	for _, tc := range cases {
-		if got := g.CrashedBy(1, tc.at); got != tc.down {
-			t.Errorf("CrashedBy(1, %v) = %v, want %v", tc.at, got, tc.down)
-		}
 		if got := g.DownAt(1, tc.at); got != tc.down {
 			t.Errorf("DownAt(1, %v) = %v, want %v", tc.at, got, tc.down)
 		}
@@ -117,7 +114,7 @@ func TestMistakesJudgedAgainstIntervals(t *testing.T) {
 	// Episode beginning after the recovery: a mistake again.
 	l.OnSuspicion(sec(12), 0, 1, true)
 	l.OnSuspicion(sec(14), 0, 1, false)
-	st := Mistakes(l, &g, ident.SetOf(0, 1), sec(20))
+	st := JudgeFrom(l).Mistakes(&g, ident.SetOf(0, 1), sec(20))
 	if st.Count != 1 || st.AvgDuration != sec(2) {
 		t.Errorf("stats = %+v, want one 2s post-recovery mistake", st)
 	}
@@ -141,14 +138,14 @@ func TestRedetectionTimes(t *testing.T) {
 	l.OnSuspicion(sec(33), 2, 3, true)
 
 	obs := ident.SetOf(0, 1, 2)
-	st1 := RedetectionTimes(l, &g, 3, obs, 0)
+	st1 := JudgeFrom(l).RedetectionTimes(&g, 3, obs, 0)
 	if st1.Count != 2 || st1.Missing != 1 {
 		t.Fatalf("crash #1 stats = %+v", st1)
 	}
 	if st1.Min != 0 || st1.Max != sec(2) || st1.Avg != sec(1) {
 		t.Errorf("crash #1 stats = %+v", st1)
 	}
-	st2 := RedetectionTimes(l, &g, 3, obs, 1)
+	st2 := JudgeFrom(l).RedetectionTimes(&g, 3, obs, 1)
 	if st2.Count != 2 || st2.Missing != 1 {
 		t.Fatalf("crash #2 stats = %+v", st2)
 	}
@@ -156,7 +153,7 @@ func TestRedetectionTimes(t *testing.T) {
 		t.Errorf("crash #2 stats = %+v", st2)
 	}
 	// Out-of-range interval index: everything missing.
-	if st := RedetectionTimes(l, &g, 3, obs, 5); st.Missing != 3 {
+	if st := JudgeFrom(l).RedetectionTimes(&g, 3, obs, 5); st.Missing != 3 {
 		t.Errorf("out-of-range stats = %+v", st)
 	}
 }
@@ -169,7 +166,7 @@ func TestRedetectionIgnoresPostRecoveryEpisodes(t *testing.T) {
 	// The only episode begins after the recovery: it cannot count as
 	// detection of the closed downtime.
 	l.OnSuspicion(sec(25), 0, 3, true)
-	st := RedetectionTimes(l, &g, 3, ident.SetOf(0), 0)
+	st := JudgeFrom(l).RedetectionTimes(&g, 3, ident.SetOf(0), 0)
 	if st.Count != 0 || st.Missing != 1 {
 		t.Errorf("stats = %+v, want missing", st)
 	}
@@ -190,7 +187,7 @@ func TestTrustRestorationTimes(t *testing.T) {
 	// Observer 2: suspects and never restores → missing.
 	l.OnSuspicion(sec(13), 2, 3, true)
 
-	st := TrustRestorationTimes(l, &g, 3, ident.SetOf(0, 1, 2), 0)
+	st := JudgeFrom(l).TrustRestorationTimes(&g, 3, ident.SetOf(0, 1, 2), 0)
 	if st.Count != 1 || st.Missing != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -200,7 +197,7 @@ func TestTrustRestorationTimes(t *testing.T) {
 	// An open downtime has no recovery to restore trust after.
 	var g2 GroundTruth
 	g2.Crash(3, sec(10))
-	if st := TrustRestorationTimes(l, &g2, 3, ident.SetOf(0), 0); st.Missing != 1 || st.Count != 0 {
+	if st := JudgeFrom(l).TrustRestorationTimes(&g2, 3, ident.SetOf(0), 0); st.Missing != 1 || st.Count != 0 {
 		t.Errorf("open-interval stats = %+v", st)
 	}
 }
@@ -217,14 +214,14 @@ func TestReconvergence(t *testing.T) {
 	// An episode fully over before the heal must not count.
 	l.OnSuspicion(sec(5), 2, 0, true)
 	l.OnSuspicion(sec(6), 2, 0, false)
-	settle, clean := Reconvergence(l, &g, members, sec(20))
+	settle, clean := JudgeFrom(l).Reconvergence(&g, members, sec(20))
 	if !clean || settle != sec(2) {
 		t.Errorf("settle=%v clean=%v, want 2s clean", settle, clean)
 	}
 
 	// A suspicion that never resolves makes the result unclean.
 	l.OnSuspicion(sec(23), 2, 1, true)
-	settle, clean = Reconvergence(l, &g, members, sec(20))
+	settle, clean = JudgeFrom(l).Reconvergence(&g, members, sec(20))
 	if clean {
 		t.Error("clean = true with an unresolved post-heal suspicion")
 	}
@@ -237,7 +234,7 @@ func TestReconvergence(t *testing.T) {
 	g2.Crash(1, sec(25))
 	l2 := &trace.Log{}
 	l2.OnSuspicion(sec(26), 0, 1, true)
-	settle, clean = Reconvergence(l2, &g2, members, sec(20))
+	settle, clean = JudgeFrom(l2).Reconvergence(&g2, members, sec(20))
 	if !clean || settle != 0 {
 		t.Errorf("settle=%v clean=%v, want 0s clean (true detection excluded)", settle, clean)
 	}
@@ -253,7 +250,7 @@ func TestMistakeStorm(t *testing.T) {
 	l.OnSuspicion(sec(13), 0, 2, true) // in the window but subject is down: true suspicion
 	l.OnSuspicion(sec(14), 0, 1, false)
 	l.OnSuspicion(sec(15), 0, 1, true) // at the window end: excluded
-	if storm := MistakeStorm(l, &g, members, sec(10), sec(15)); storm != 1 {
+	if storm := JudgeFrom(l).MistakeStorm(&g, members, sec(10), sec(15)); storm != 1 {
 		t.Errorf("storm = %d, want 1", storm)
 	}
 }
@@ -265,7 +262,7 @@ func TestDetectionTimesBasic(t *testing.T) {
 	// Observer 0 detects at 12s, observer 1 at 11s, observer 2 never.
 	l.OnSuspicion(sec(12), 0, 3, true)
 	l.OnSuspicion(sec(11), 1, 3, true)
-	st := DetectionTimes(l, &g, 3, ident.SetOf(0, 1, 2))
+	st := JudgeFrom(l).DetectionTimes(&g, 3, ident.SetOf(0, 1, 2))
 	if st.Count != 2 || st.Missing != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -283,7 +280,7 @@ func TestDetectionTimesPermanenceRequired(t *testing.T) {
 	l.OnSuspicion(sec(11), 0, 3, true)
 	l.OnSuspicion(sec(12), 0, 3, false)
 	l.OnSuspicion(sec(15), 0, 3, true)
-	st := DetectionTimes(l, &g, 3, ident.SetOf(0))
+	st := JudgeFrom(l).DetectionTimes(&g, 3, ident.SetOf(0))
 	if st.Count != 1 || st.Avg != sec(5) {
 		t.Errorf("stats = %+v, want permanent-episode detection at 5s", st)
 	}
@@ -291,7 +288,7 @@ func TestDetectionTimesPermanenceRequired(t *testing.T) {
 	l2 := &trace.Log{}
 	l2.OnSuspicion(sec(11), 0, 3, true)
 	l2.OnSuspicion(sec(12), 0, 3, false)
-	st2 := DetectionTimes(l2, &g, 3, ident.SetOf(0))
+	st2 := JudgeFrom(l2).DetectionTimes(&g, 3, ident.SetOf(0))
 	if st2.Count != 0 || st2.Missing != 1 {
 		t.Errorf("stats = %+v, want missing", st2)
 	}
@@ -302,7 +299,7 @@ func TestDetectionTimeZeroWhenAlreadySuspected(t *testing.T) {
 	var g GroundTruth
 	g.Crash(3, sec(10))
 	l.OnSuspicion(sec(7), 0, 3, true) // false suspicion that becomes true
-	st := DetectionTimes(l, &g, 3, ident.SetOf(0))
+	st := JudgeFrom(l).DetectionTimes(&g, 3, ident.SetOf(0))
 	if st.Count != 1 || st.Avg != 0 {
 		t.Errorf("stats = %+v, want zero detection time", st)
 	}
@@ -311,7 +308,7 @@ func TestDetectionTimeZeroWhenAlreadySuspected(t *testing.T) {
 func TestDetectionTimesSubjectNeverCrashed(t *testing.T) {
 	l := &trace.Log{}
 	var g GroundTruth
-	st := DetectionTimes(l, &g, 3, ident.SetOf(0, 1))
+	st := JudgeFrom(l).DetectionTimes(&g, 3, ident.SetOf(0, 1))
 	if st.Count != 0 || st.Missing != 2 {
 		t.Errorf("stats = %+v", st)
 	}
@@ -322,7 +319,7 @@ func TestDetectionExcludesSubjectAsObserver(t *testing.T) {
 	var g GroundTruth
 	g.Crash(3, sec(10))
 	l.OnSuspicion(sec(11), 0, 3, true)
-	st := DetectionTimes(l, &g, 3, ident.SetOf(0, 3))
+	st := JudgeFrom(l).DetectionTimes(&g, 3, ident.SetOf(0, 3))
 	if st.Count != 1 || st.Missing != 0 {
 		t.Errorf("stats = %+v; the subject itself must not count as observer", st)
 	}
@@ -339,7 +336,7 @@ func TestMistakes(t *testing.T) {
 	l.OnSuspicion(sec(5), 2, 1, true)
 	l.OnSuspicion(sec(9), 2, 1, false)
 	l.OnSuspicion(sec(8), 0, 2, true)
-	st := Mistakes(l, &g, members, sec(10))
+	st := JudgeFrom(l).Mistakes(&g, members, sec(10))
 	if st.Count != 2 || st.Unresolved != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -359,7 +356,7 @@ func TestMistakesExcludeTrueSuspicions(t *testing.T) {
 	l.OnSuspicion(sec(6), 0, 1, true) // true detection, not a mistake
 	l.OnSuspicion(sec(2), 0, 1, true) // started before crash → mistake even though 1 crashes later
 	l.OnSuspicion(sec(3), 0, 1, false)
-	st := Mistakes(l, &g, ident.SetOf(0, 1), sec(10))
+	st := JudgeFrom(l).Mistakes(&g, ident.SetOf(0, 1), sec(10))
 	if st.Count != 1 {
 		t.Errorf("Count = %d, want 1 (pre-crash episode only)", st.Count)
 	}
@@ -371,13 +368,13 @@ func TestMistakesExcludeTrueSuspicions(t *testing.T) {
 func TestQueryAccuracyPerfect(t *testing.T) {
 	l := &trace.Log{}
 	var g GroundTruth
-	if pa := QueryAccuracy(l, &g, ident.SetOf(0, 1, 2), sec(10)); pa != 1 {
+	if pa := JudgeFrom(l).QueryAccuracy(&g, ident.SetOf(0, 1, 2), sec(10)); pa != 1 {
 		t.Errorf("PA = %v, want 1", pa)
 	}
-	if pa := QueryAccuracy(l, &g, ident.SetOf(0), sec(10)); pa != 1 {
+	if pa := JudgeFrom(l).QueryAccuracy(&g, ident.SetOf(0), sec(10)); pa != 1 {
 		t.Errorf("PA with one member = %v, want 1", pa)
 	}
-	if pa := QueryAccuracy(l, &g, ident.SetOf(0, 1), 0); pa != 1 {
+	if pa := JudgeFrom(l).QueryAccuracy(&g, ident.SetOf(0, 1), 0); pa != 1 {
 		t.Errorf("PA with zero horizon = %v, want 1", pa)
 	}
 }
@@ -389,7 +386,7 @@ func TestQueryAccuracyCountsWrongfulTime(t *testing.T) {
 	// p0 wrongfully suspects p1 for 2 of 10 seconds; 2 ordered pairs.
 	l.OnSuspicion(sec(4), 0, 1, true)
 	l.OnSuspicion(sec(6), 0, 1, false)
-	pa := QueryAccuracy(l, &g, members, sec(10))
+	pa := JudgeFrom(l).QueryAccuracy(&g, members, sec(10))
 	want := 1 - 2.0/(2*10.0)
 	if diff := pa - want; diff > 1e-12 || diff < -1e-12 {
 		t.Errorf("PA = %v, want %v", pa, want)
@@ -401,7 +398,7 @@ func TestQueryAccuracyIgnoresCrashedParties(t *testing.T) {
 	var g GroundTruth
 	g.Crash(1, sec(0))
 	l.OnSuspicion(sec(1), 0, 1, true) // about a crashed subject: not wrongful
-	pa := QueryAccuracy(l, &g, ident.SetOf(0, 1, 2), sec(10))
+	pa := JudgeFrom(l).QueryAccuracy(&g, ident.SetOf(0, 1, 2), sec(10))
 	if pa != 1 {
 		t.Errorf("PA = %v, want 1 (crashed subject excluded)", pa)
 	}
@@ -411,7 +408,7 @@ func TestQueryAccuracyOpenEpisodeClampedToHorizon(t *testing.T) {
 	l := &trace.Log{}
 	var g GroundTruth
 	l.OnSuspicion(sec(8), 0, 1, true) // open until horizon 10 → 2s wrongful
-	pa := QueryAccuracy(l, &g, ident.SetOf(0, 1), sec(10))
+	pa := JudgeFrom(l).QueryAccuracy(&g, ident.SetOf(0, 1), sec(10))
 	want := 1 - 2.0/(2*10.0)
 	if diff := pa - want; diff > 1e-12 || diff < -1e-12 {
 		t.Errorf("PA = %v, want %v", pa, want)
@@ -441,7 +438,7 @@ func TestEpisodesIgnoreDuplicateTransitions(t *testing.T) {
 	l.OnSuspicion(sec(3), 0, 1, false)
 	l.OnSuspicion(sec(4), 0, 1, false) // duplicate restore
 	var g GroundTruth
-	st := Mistakes(l, &g, ident.SetOf(0, 1), sec(10))
+	st := JudgeFrom(l).Mistakes(&g, ident.SetOf(0, 1), sec(10))
 	if st.Count != 1 || st.AvgDuration != sec(2) {
 		t.Errorf("stats = %+v, want one 2s episode", st)
 	}

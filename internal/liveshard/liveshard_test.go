@@ -316,3 +316,84 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 }
+
+// exactPhi wraps the φ estimator a worker owns and holds every scan's answer
+// to the rule evaluated in full: Phi at the scan's instant against the
+// threshold, latched until a sighting the estimator does not ignore. That is
+// what decided before the estimator kept a horizon, so a scan that disagrees
+// is a suspicion moved to another scan.
+type exactPhi struct {
+	inner     *phiaccrual.Estimator
+	threshold float64
+
+	mu                   sync.Mutex
+	last                 time.Duration
+	latched              bool
+	stale, scans, wrongs int
+}
+
+func (x *exactPhi) Observe(at time.Duration) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if at < x.last {
+		x.stale++
+	} else {
+		x.last, x.latched = at, false
+	}
+	x.inner.Observe(at)
+}
+
+func (x *exactPhi) Suspected(now time.Duration) bool {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.latched = x.latched || x.inner.Phi(now) >= x.threshold
+	got := x.inner.Suspected(now)
+	x.scans++
+	if got != x.latched {
+		x.wrongs++
+	}
+	return got
+}
+
+// TestPhiOutOfOrderSightings: two producers racing on one peer hand the
+// worker arrival times out of order. The stale ones are no sightings — they
+// move neither the silence clock nor what the estimator derives from it —
+// so the peer is suspected at the scan at which the full rule first says so.
+func TestPhiOutOfOrderSightings(t *testing.T) {
+	const interval, threshold = 5 * time.Millisecond, 4
+	var peer *exactPhi
+	s, err := New(Config{
+		ScanInterval: time.Millisecond,
+		NewEstimator: func(_ ident.ID, now time.Duration) PeerEstimator {
+			e, err := phiaccrual.NewEstimator(phiaccrual.EstimatorConfig{Interval: interval, Threshold: threshold}, now)
+			if err != nil {
+				panic(err)
+			}
+			peer = &exactPhi{inner: e, threshold: threshold, last: now}
+			return peer
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.AddPeers(0)
+	s.Start()
+	sh := s.shardOf(0)
+	for i := 0; i < 40; i++ {
+		now := s.Now()
+		sh.in <- event{peer: 0, at: now, ingest: now}
+		// The racing producer's sighting: stamped earlier, queued later.
+		sh.in <- event{peer: 0, at: now - interval/2, ingest: now}
+		time.Sleep(interval)
+	}
+	waitFor(t, 10*time.Second, func() bool { return s.IsSuspected(0) })
+	peer.mu.Lock()
+	defer peer.mu.Unlock()
+	if peer.stale < 40 || peer.scans == 0 || !peer.latched {
+		t.Fatalf("%d stale sightings, %d scans, latched %v: scenario too weak", peer.stale, peer.scans, peer.latched)
+	}
+	if peer.wrongs != 0 {
+		t.Errorf("%d of %d scans answered differently from the rule evaluated in full", peer.wrongs, peer.scans)
+	}
+}

@@ -78,11 +78,11 @@ func BenchmarkDeliver(b *testing.B) {
 }
 
 // BenchmarkScan is the polled half of a polled kind's step: one firing of
-// the poll timer over 127 trusted peers, in the steady-state mix — of φ's
-// four polls per heartbeat interval the first re-fits every window the
-// round's heartbeats touched and the other three find the fit cached. The
-// deliveries themselves are not timed; the monitor's own beat (a broadcast
-// nobody receives) falls into one poll in four.
+// the poll timer over 127 trusted peers, in the steady-state mix — φ's four
+// polls per heartbeat interval, every one of them before every peer's
+// horizon, so no poll fits a window: 127 compares, and the poll timer armed
+// again. The deliveries themselves are not timed; the monitor's own beat (a
+// broadcast nobody receives) falls into one poll in four.
 func BenchmarkScan(b *testing.B) {
 	for _, k := range kinds {
 		if k.armed != 0 {

@@ -240,6 +240,65 @@ func TestSnapshotRestoreReplays(t *testing.T) {
 	})
 }
 
+// TestRestoreBetweenSightingAndSuspicion: what a rule keeps between a
+// sighting and the suspicion that follows it (a deadline; φ's horizon and the
+// sums it is made of) is part of the checkpoint. A cluster checkpointed after
+// a crashed peer's last heartbeat, run on until the suspicion has long been
+// raised, and restored — and again between the monitor's own persisted
+// Restart and its next poll, where the restart was the sighting — must trace
+// what a twin that was never restored traces.
+func TestRestoreBetweenSightingAndSuspicion(t *testing.T) {
+	const (
+		crash2    = 5500 * time.Millisecond  // p2's last heartbeat left at 5 s
+		crash1    = 11500 * time.Millisecond // p1's at 11 s
+		restartAt = 12010 * time.Millisecond // p0 resumes: a sighting of p1 by fiat
+		horizon   = 30 * time.Second
+	)
+	forEachKind(t, func(t *testing.T, k kind) {
+		run := func(checkpoints ...time.Duration) *cluster {
+			c := newCluster(t, k, 3, netsim.Constant{D: time.Millisecond})
+			c.sim.At(crash2, func() { c.net.Crash(2) })
+			c.sim.At(crash1, func() { c.net.Crash(1) })
+			c.sim.At(restartAt, func() {
+				c.net.Crash(0)
+				c.net.Recover(0)
+				c.nodes[0].Restart(false)
+			})
+			for _, at := range checkpoints {
+				c.sim.RunUntil(at)
+				simSnap, netSnap, mark := c.sim.Snapshot(), c.net.Snapshot(), c.log.Mark()
+				nodeSnaps := make([]any, len(c.nodes))
+				for i, nd := range c.nodes {
+					nodeSnaps[i] = nd.Snapshot()
+				}
+				c.sim.RunUntil(horizon)
+				if c.log.Len() == mark {
+					t.Fatalf("nothing happened after the checkpoint at %v; scenario too weak", at)
+				}
+				c.sim.Restore(simSnap)
+				c.net.Restore(netSnap)
+				for i, nd := range c.nodes {
+					nd.Restore(nodeSnaps[i])
+				}
+				c.log.TruncateTo(mark)
+			}
+			c.sim.RunUntil(horizon)
+			return c
+		}
+		twin := run()
+		if _, ok := twin.log.FirstSuspicion(0, 2); !ok || len(twin.by(0, restartAt)) == 0 {
+			t.Fatalf("p0 must suspect p2 before its restart and trace something after it:\n%s", twin.log)
+		}
+		first, _ := twin.log.FirstSuspicion(0, 2)
+		if first <= crash2+100*time.Millisecond {
+			t.Fatalf("p0 suspects p2 at %v, before the first checkpoint", first)
+		}
+		if got, want := run(crash2+100*time.Millisecond, restartAt+100*time.Millisecond).log.String(), twin.log.String(); got != want {
+			t.Errorf("restored run diverged:\n%s\nwant:\n%s", got, want)
+		}
+	})
+}
+
 // TestBootstrapDeadlinesFireInIDOrder: peers that never speak run out of
 // grace at the same instant, and the trace lists them by id, not by the
 // order of a map or of the set literal.

@@ -3,6 +3,7 @@ package phiaccrual
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -20,15 +21,24 @@ type EstimatorConfig struct {
 	WindowSize int
 	// MinStdDev floors the fitted standard deviation (default Interval/20).
 	MinStdDev time.Duration
+
+	// z is the horizon's quantile (see quantile), derived from Threshold and
+	// WindowSize by fillDefaults; 0 means the estimators get no horizon.
+	z float64
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. A NaN threshold is never reached and an
+// infinite one never finitely, so both would switch the detector off without
+// saying so; a negative floor is no floor.
 func (c EstimatorConfig) Validate() error {
 	if c.Interval <= 0 {
 		return errors.New("phiaccrual: estimator config: Interval must be positive")
 	}
-	if c.Threshold < 0 || c.WindowSize < 0 {
-		return errors.New("phiaccrual: estimator config: negative Threshold or WindowSize")
+	if !(c.Threshold >= 0) || math.IsInf(c.Threshold, 1) {
+		return errors.New("phiaccrual: estimator config: Threshold must be finite and not negative")
+	}
+	if c.WindowSize < 0 || c.MinStdDev < 0 {
+		return errors.New("phiaccrual: estimator config: negative WindowSize or MinStdDev")
 	}
 	return nil
 }
@@ -43,52 +53,129 @@ func (c *EstimatorConfig) fillDefaults() {
 	if c.MinStdDev == 0 {
 		c.MinStdDev = c.Interval / 20
 	}
+	if c.WindowSize <= maxWindow {
+		c.z = quantile(c.Threshold)
+	}
 }
 
-// window is a bounded sample set with memoized mean/variance.
+// The horizon (see Estimator) is worked out from integer sums of the window's
+// gaps, which hold exactly while the window has at most maxWindow gaps of less
+// than maxGap (39 h) each: Σ gap stays below 2⁶³ and maxWindow·Σ gap² below
+// 2¹²⁶. A wider window gets no horizon, and a wider gap (or the negative one of
+// an overflowed subtraction) suspends it for as long as it stays in the window.
+const (
+	maxWindow = 1 << 16
+	maxGap    = 1 << 47
+)
+
+// window is a bounded ring of inter-arrival gaps with their running sums.
 type window struct {
-	samples []float64 // seconds
+	samples []time.Duration
 	next    int
-	// stats caches the last meanStd result: a monitor re-evaluates φ several
-	// times per heartbeat interval, and re-walking an unchanged window
-	// dominated large-n sweeps. push invalidates the cache, so the returned
-	// floats are always the ones the walk would produce — computed in the
-	// same order, just once per window mutation.
-	statsValid bool
-	mean, std  float64
+	// sum and sqHi:sqLo are Σ gap and Σ gap² over samples, in ns and ns²:
+	// added on push, subtracted on evict. The arithmetic wraps, so the sums
+	// are exact again as soon as the window's true sums fit — which wide == 0
+	// says they do.
+	sum        time.Duration
+	sqHi, sqLo uint64
+	wide       int // samples not in [0, maxGap)
 }
 
-func (w *window) push(v float64, capacity int) {
-	w.statsValid = false
+func (w *window) push(v time.Duration, capacity int) {
 	if len(w.samples) < capacity {
 		w.samples = append(w.samples, v)
-		return
+	} else {
+		old := w.samples[w.next]
+		w.samples[w.next] = v
+		if w.next++; w.next == capacity {
+			w.next = 0
+		}
+		w.sum -= old
+		hi, lo := bits.Mul64(uint64(old), uint64(old))
+		var borrow uint64
+		w.sqLo, borrow = bits.Sub64(w.sqLo, lo, 0)
+		w.sqHi, _ = bits.Sub64(w.sqHi, hi, borrow)
+		if uint64(old) >= maxGap {
+			w.wide--
+		}
 	}
-	w.samples[w.next] = v
-	w.next = (w.next + 1) % capacity
+	w.sum += v
+	hi, lo := bits.Mul64(uint64(v), uint64(v))
+	var carry uint64
+	w.sqLo, carry = bits.Add64(w.sqLo, lo, 0)
+	w.sqHi, _ = bits.Add64(w.sqHi, hi, carry)
+	if uint64(v) >= maxGap {
+		w.wide++
+	}
 }
 
+// meanStd is the rule's fit of the window: a walk over the gaps in ring
+// order, in float seconds. The order and the float type are part of the
+// result's last bits, and every committed table depends on those.
 func (w *window) meanStd() (mean, std float64) {
-	if w.statsValid {
-		return w.mean, w.std
-	}
 	n := float64(len(w.samples))
 	if n == 0 {
 		return 0, 0
 	}
 	var sum float64
 	for _, v := range w.samples {
-		sum += v
+		sum += v.Seconds()
 	}
 	mean = sum / n
 	var ss float64
 	for _, v := range w.samples {
-		d := v - mean
+		d := v.Seconds() - mean
 		ss += d * d
 	}
-	std = math.Sqrt(ss / n)
-	w.statsValid, w.mean, w.std = true, mean, std
-	return mean, std
+	return mean, math.Sqrt(ss / n)
+}
+
+// level is φ at x = (t − µ)/(σ·√2): −log10 of the normal tail 0.5·erfc(x).
+func level(x float64) float64 {
+	p := 0.5 * math.Erfc(x)
+	if p <= 0 {
+		return math.Inf(1)
+	}
+	return -math.Log10(p)
+}
+
+// The horizon's margins. level is increasing in x with slope at least 0.49
+// from x = 0 on, so stepping xGuard back from a point where it reads below
+// the threshold leaves 2⁻²¹ of room for its own error, which for thresholds
+// up to maxLevel is a relative 2⁻³⁰: a million times what math.Erfc and
+// math.Log10 commit. reachGuard shortens the whole reach by a relative 2⁻²⁰
+// and so covers what rounding does to Phi's operands: its walked mean is
+// within a relative 2⁻³⁶ of the exact one (maxWindow + 3 roundings), its
+// walked deviation falls short of the exact one by at most 2⁻³⁶ of the
+// window's root mean square (which is at most mean + deviation, z ≤ 38 times
+// over), and the elapsed time, the quotient and the integer-to-float
+// conversions in reach add a few 2⁻⁵³ more.
+const (
+	xGuard     = 0x1p-20
+	reachGuard = 1 - 0x1p-20
+	// maxLevel: −log10 of the smallest normal float64 is 307.65; past it
+	// erfc underflows and the relative error bound is gone.
+	maxLevel = 307
+)
+
+// quantile returns z > 0, in standard deviations, such that Phi reads below
+// threshold whenever the silence is below µ + z·σ — √2·erfcinv(2·10^−threshold)
+// less xGuard, bisected on level itself so that it holds for the functions Phi
+// calls — or 0 if there is none: level(0) = log10(2) already reaches the
+// threshold, or the threshold is past maxLevel.
+func quantile(threshold float64) float64 {
+	lo, hi := 0.0, 32.0 // erfc(27.3) is 0
+	if level(lo) >= threshold || threshold > maxLevel {
+		return 0
+	}
+	for hi-lo > xGuard {
+		if mid := (lo + hi) / 2; level(mid) < threshold {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return math.Sqrt2 * math.Max(lo-xGuard, 0)
 }
 
 // Estimator is the φ-accrual rule for one monitored peer — the inter-arrival
@@ -103,10 +190,21 @@ func (w *window) meanStd() (mean, std float64) {
 // a sighting with the window primed by the nominal interval (no instant
 // suspicion), and a silence that suspicion proved wrong is not sampled into
 // the window.
+//
+// A monitor polls Suspected several times per heartbeat interval, nearly
+// always to learn that a peer heard from a moment ago is nowhere near the
+// threshold. The horizon answers those polls without fitting the window: an
+// instant, moved in O(1) by every sighting, strictly before which Phi is
+// below the threshold. From the horizon on, Phi decides — so the horizon can
+// delay no suspicion and cause none, only spare the evaluation.
 type Estimator struct {
-	cfg       *EstimatorConfig // shared by every peer of one monitor
-	win       window
-	last      time.Duration // arrival time of the last heartbeat
+	cfg  *EstimatorConfig // shared by every peer of one monitor
+	win  window
+	last time.Duration // arrival time of the last heartbeat
+	// horizon is last + (µ + z·max(σ, MinStdDev))·reachGuard, with µ and σ
+	// exact from the window's integer sums; 0 when there is none, which
+	// sends every poll to Phi.
+	horizon   time.Duration
 	suspected bool
 }
 
@@ -119,6 +217,34 @@ func NewEstimator(cfg EstimatorConfig, now time.Duration) (*Estimator, error) {
 	e := &Estimator{cfg: &cfg}
 	e.Prime(now)
 	return e, nil
+}
+
+// sighted moves the silence clock to at and the horizon with it. Sightings
+// past farthest (146 years; or negative) get none, so that neither the
+// horizon nor, below it, Phi's now − last can overflow; nor does a reach past
+// farthest, or the NaN that an empty window's 0/0 makes.
+func (e *Estimator) sighted(at time.Duration) {
+	const farthest = 1 << 62
+	e.last, e.horizon = at, 0
+	w := &e.win
+	n := uint64(len(w.samples))
+	if e.cfg.z == 0 || w.wide != 0 || uint64(at) >= farthest {
+		return
+	}
+	// n²·variance = n·Σ gap² − (Σ gap)², exactly.
+	hi, lo := bits.Mul64(w.sqLo, n)
+	hi += w.sqHi * n
+	sumHi, sumLo := bits.Mul64(uint64(w.sum), uint64(w.sum))
+	lo, borrow := bits.Sub64(lo, sumLo, 0)
+	hi, _ = bits.Sub64(hi, sumHi, borrow)
+	// The floor usually holds (regular traffic), and then no root is taken.
+	dev := float64(n) * float64(e.cfg.MinStdDev) // n·σ, floored
+	if v := float64(hi)*0x1p64 + float64(lo); v > dev*dev {
+		dev = math.Sqrt(v)
+	}
+	if reach := (float64(w.sum) + e.cfg.z*dev) / float64(n) * reachGuard; reach < farthest {
+		e.horizon = at + time.Duration(reach)
+	}
 }
 
 // Observe records a heartbeat arrival at time at. If the peer was suspected,
@@ -136,9 +262,9 @@ func (e *Estimator) Observe(at time.Duration) {
 	if e.suspected {
 		e.suspected = false
 	} else {
-		e.win.push((at - e.last).Seconds(), e.cfg.WindowSize)
+		e.win.push(at-e.last, e.cfg.WindowSize)
 	}
-	e.last = at
+	e.sighted(at)
 }
 
 // Phi returns the suspicion level at time now:
@@ -153,18 +279,16 @@ func (e *Estimator) Phi(now time.Duration) float64 {
 	if minStd := e.cfg.MinStdDev.Seconds(); std < minStd {
 		std = minStd
 	}
-	p := 0.5 * math.Erfc((elapsed-mean)/(std*math.Sqrt2))
-	if p <= 0 {
-		return math.Inf(1)
-	}
-	return -math.Log10(p)
+	return level((elapsed - mean) / (std * math.Sqrt2))
 }
 
 // Suspected reports (and latches) whether the peer is suspected at time
 // now: φ only grows with silence, so once the threshold is crossed the
-// suspicion holds until a heartbeat restores trust via Observe.
+// suspicion holds until a heartbeat restores trust via Observe. Before the
+// horizon nothing is evaluated; the unsigned compare sends a negative now,
+// whose distance from last could overflow, to Phi as well.
 func (e *Estimator) Suspected(now time.Duration) bool {
-	if !e.suspected && e.Phi(now) >= e.cfg.Threshold {
+	if !e.suspected && uint64(now) >= uint64(e.horizon) && e.Phi(now) >= e.cfg.Threshold {
 		e.suspected = true
 	}
 	return e.suspected
@@ -172,11 +296,15 @@ func (e *Estimator) Suspected(now time.Duration) bool {
 
 // Prime implements monitor.Rule: monitoring starts with a sighting at now
 // and the nominal interval as a sample. The window is not emptied — peers
-// that started earlier may have been heard already, and those gaps stay. φ
-// has no closed-form deadline; the rule is polled.
+// that started earlier may have been heard already, and those gaps stay. No
+// deadline is returned and the rule stays polled although the horizon is
+// nearly one: Phi crosses the threshold between two instants of the clock,
+// but the monitor raises the suspicion at its next poll, and the poll grid —
+// with the order in which one poll emits the suspicions of one instant — is
+// part of every committed trace.
 func (e *Estimator) Prime(now time.Duration) time.Duration {
-	e.win.push(e.cfg.Interval.Seconds(), e.cfg.WindowSize)
-	e.last = now
+	e.win.push(e.cfg.Interval, e.cfg.WindowSize)
+	e.sighted(now)
 	return 0
 }
 
@@ -190,7 +318,7 @@ func (e *Estimator) Resume(fresh bool, now time.Duration) time.Duration {
 		e.suspected = false
 		return e.Prime(now)
 	}
-	e.last = now
+	e.sighted(now)
 	return 0
 }
 
@@ -201,7 +329,8 @@ func (e *Estimator) Beat(_ uint64, now time.Duration, _ bool) (time.Duration, bo
 	return 0, true
 }
 
-// CopyTo implements monitor.Rule (the window is the only reference field).
+// CopyTo implements monitor.Rule (the window's ring is the only reference
+// field; its sums and the horizon travel by value).
 func (e *Estimator) CopyTo(dst *Estimator) {
 	samples := append(dst.win.samples[:0], e.win.samples...)
 	*dst = *e

@@ -1,6 +1,7 @@
 package phiaccrual
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -15,11 +16,29 @@ func newTestEstimator(t *testing.T) *Estimator {
 }
 
 func TestEstimatorConfigValidate(t *testing.T) {
-	if _, err := NewEstimator(EstimatorConfig{}, 0); err == nil {
-		t.Error("zero Interval accepted")
+	for _, good := range []EstimatorConfig{
+		{Interval: time.Second},
+		{Interval: 200 * time.Millisecond, Threshold: 8, WindowSize: 32}, // bench/rig.go's
+		{Interval: 100 * time.Millisecond, Threshold: 8},                 // cmd/fdload's
+		{Interval: time.Second, Threshold: 0.25, WindowSize: 1 << 20, MinStdDev: time.Nanosecond},
+	} {
+		if _, err := NewEstimator(good, 0); err != nil {
+			t.Errorf("%+v rejected: %v", good, err)
+		}
 	}
-	if _, err := NewEstimator(EstimatorConfig{Interval: time.Second, Threshold: -1}, 0); err == nil {
-		t.Error("negative Threshold accepted")
+	for _, bad := range []EstimatorConfig{
+		{},
+		{Interval: -time.Second},
+		{Interval: time.Second, Threshold: -1},
+		{Interval: time.Second, WindowSize: -1},
+		{Interval: time.Second, Threshold: math.NaN()},
+		{Interval: time.Second, Threshold: math.Inf(1)},
+		{Interval: time.Second, Threshold: math.Inf(-1)},
+		{Interval: time.Second, MinStdDev: -1},
+	} {
+		if _, err := NewEstimator(bad, 0); err == nil {
+			t.Errorf("%+v accepted", bad)
+		}
 	}
 }
 

@@ -53,18 +53,21 @@ type Config struct {
 	Sink fd.SuspicionSink
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration; the knobs of the rule are checked by
+// EstimatorConfig.Validate.
 func (c Config) Validate() error {
 	if !c.Self.Valid() {
 		return errors.New("phiaccrual: config: Self must be valid")
 	}
-	if c.Interval <= 0 {
-		return errors.New("phiaccrual: config: Interval must be positive")
+	if c.CheckInterval < 0 {
+		return errors.New("phiaccrual: config: negative CheckInterval")
 	}
-	if c.Threshold < 0 || c.WindowSize < 0 {
-		return errors.New("phiaccrual: config: negative Threshold or WindowSize")
-	}
-	return nil
+	return c.rule().Validate()
+}
+
+// rule is the part of the configuration that concerns the per-peer rule.
+func (c Config) rule() EstimatorConfig {
+	return EstimatorConfig{Interval: c.Interval, Threshold: c.Threshold, WindowSize: c.WindowSize, MinStdDev: c.MinStdDev}
 }
 
 // Node is a φ-accrual detector node: the shared runtime polling the φ rule.
@@ -81,7 +84,7 @@ func NewNode(env node.Env, cfg Config) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rule := &EstimatorConfig{Interval: cfg.Interval, Threshold: cfg.Threshold, WindowSize: cfg.WindowSize, MinStdDev: cfg.MinStdDev}
+	rule := cfg.rule()
 	rule.fillDefaults()
 	poll := cfg.CheckInterval
 	if poll == 0 {
@@ -92,7 +95,7 @@ func NewNode(env node.Env, cfg Config) (*Node, error) {
 	}
 	return &Node{monitor.New[Estimator, *Estimator](env, monitor.Config{
 		Self: cfg.Self, Peers: cfg.Peers, Interval: cfg.Interval, Poll: poll, Sink: cfg.Sink,
-	}, Estimator{cfg: rule})}, nil
+	}, Estimator{cfg: &rule})}, nil
 }
 
 // Phi returns the current suspicion level for id (diagnostics/tests).

@@ -21,6 +21,14 @@ func TestConfigValidate(t *testing.T) {
 		{Self: 0, Interval: 0},
 		{Self: 0, Interval: time.Second, Threshold: -1},
 		{Self: 0, Interval: time.Second, WindowSize: -1},
+		// Each of these switched something off without saying so: a NaN or
+		// infinite threshold is never reached, a negative floor lets σ be 0,
+		// and a negative CheckInterval became a 1 ms poll.
+		{Self: 0, Interval: time.Second, Threshold: math.NaN()},
+		{Self: 0, Interval: time.Second, Threshold: math.Inf(1)},
+		{Self: 0, Interval: time.Second, Threshold: math.Inf(-1)},
+		{Self: 0, Interval: time.Second, MinStdDev: -time.Millisecond},
+		{Self: 0, Interval: time.Second, CheckInterval: -time.Millisecond},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -42,8 +50,8 @@ func TestDefaults(t *testing.T) {
 
 func TestWindowStats(t *testing.T) {
 	var w window
-	for _, v := range []float64{1, 2, 3} {
-		w.push(v, 10)
+	for _, v := range []time.Duration{1, 2, 3} {
+		w.push(v*time.Second, 10)
 	}
 	mean, std := w.meanStd()
 	if mean != 2 {
@@ -53,7 +61,7 @@ func TestWindowStats(t *testing.T) {
 		t.Errorf("std = %v", std)
 	}
 	// Ring behavior: capacity 3, pushing a 4th evicts the oldest.
-	w.push(10, 3)
+	w.push(10*time.Second, 3)
 	mean, _ = w.meanStd()
 	if mean != 5 {
 		t.Errorf("mean after eviction = %v, want (2+3+10)/3", mean)

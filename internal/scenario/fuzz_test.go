@@ -1,9 +1,52 @@
 package scenario
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// shippedDoc is one scenario document committed to the repository.
+type shippedDoc struct {
+	path string
+	data []byte
+}
+
+// committedDocs reads every scenario document the repository ships: the
+// configs/ library, the built-in tables' documents and the benchmark's
+// workloads, in path order within each directory.
+func committedDocs(t testing.TB) []shippedDoc {
+	var docs []shippedDoc
+	for _, pattern := range []string{"../../configs/*.json", "../exp/scenarios/*.json", "../../bench/workloads/*.json"} {
+		paths, err := filepath.Glob(pattern)
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("no documents under %s (err %v)", pattern, err)
+		}
+		for _, path := range paths {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			docs = append(docs, shippedDoc{path, data})
+		}
+	}
+	return docs
+}
+
+// TestCommittedDocumentsCompile compiles every shipped document at full
+// size and under its quick overlay. CI and the committed goldens run the
+// configs/ library in quick mode only; this is what parses its full-size
+// sections.
+func TestCommittedDocumentsCompile(t *testing.T) {
+	for _, doc := range committedDocs(t) {
+		for _, quick := range []bool{false, true} {
+			if _, err := Parse(doc.data, quick); err != nil {
+				t.Errorf("%s (quick=%v): %v", doc.path, quick, err)
+			}
+		}
+	}
+}
 
 // FuzzScenarioConfig holds Parse to its contract: an arbitrary byte string
 // either compiles into a structurally valid scenario or fails with a
@@ -14,9 +57,13 @@ import (
 //
 // The committed corpus (testdata/fuzz/FuzzScenarioConfig) seeds the mutator
 // with documents near the validation boundaries; the in-code seeds below
-// cover every program and the overlay path. CI runs this for a short budget
+// cover every program and the overlay path, and every shipped document is a
+// seed, so mutation starts from the real traffic. CI runs this for a short budget
 // on every push (see .github/workflows).
 func FuzzScenarioConfig(f *testing.F) {
+	for _, doc := range committedDocs(f) {
+		f.Add(doc.data)
+	}
 	f.Add([]byte(clusterDoc))
 	f.Add([]byte(topoDoc))
 	f.Add([]byte(consensusDoc))

@@ -310,11 +310,7 @@ func TestParseErrors(t *testing.T) {
 			return strings.Replace(s, old, new, 1)
 		}
 	}
-	cases := []struct {
-		name string
-		doc  string
-		want string
-	}{
+	cases := []errCase{
 		{"not json", "{", "scenario:"},
 		{"wrong schema", valid(repl(`"asyncfd-scenario/v1"`, `"asyncfd-scenario/v9"`)), "unknown schema version"},
 		{"missing schema", `{"name": "x"}`, "unknown schema version"},
@@ -376,6 +372,7 @@ func TestParseErrors(t *testing.T) {
 			`"events": [{"kind": "crash", "at_us": 5001000, "id": 0}]`,
 			`"events": [{"kind": "crash", "at_us": 5001000, "id": 0}, {"kind": "crash", "at_us": 6000000, "id": 1}, {"kind": "crash", "at_us": 7000000, "id": 2}, {"kind": "crash", "at_us": 8000000, "id": 3}, {"kind": "crash", "at_us": 9000000, "id": 4}]`, 1), "survivor"},
 	}
+	cases = append(cases, ruleCases()...)
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

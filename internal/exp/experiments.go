@@ -32,12 +32,6 @@ type Options struct {
 	// what turns single-run point estimates into the confidence intervals
 	// of the asyncfd-bench/v2 rows; see docs/BENCHMARKS.md.
 	Repeat int
-	// Fork selects how seed families replicate: zero and positive fork the
-	// warmed prefix, negative runs the serial comparator that re-simulates
-	// each replicate's warmup (the reference the differential tests compare
-	// forking against). Tables and v2 rows are byte-identical whatever the
-	// value.
-	Fork int
 	// Stats, when non-nil, accumulates kernel throughput counters across
 	// every simulation the run executes.
 	Stats *EngineStats
@@ -49,6 +43,10 @@ type Options struct {
 	// finished, never from concurrently executing jobs.
 	Samples *stats.Collector
 
+	// serial, which only this package's differential tests set, replaces
+	// warm-forking with the serial comparator that re-simulates each
+	// replicate's warmup. Tables and v2 rows are byte-identical either way.
+	serial bool
 	// gate, when non-nil, is the run-wide concurrency bound shared by every
 	// runJobs call (installed by All so experiment-level and cell-level
 	// fan-out together never exceed Workers() live simulations).

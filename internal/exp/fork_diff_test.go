@@ -23,7 +23,7 @@ func forkFingerprint(t *testing.T, fork, parallel int) string {
 	results, err := AllResults(Options{
 		Quick:    true,
 		Seed:     1,
-		Fork:     fork,
+		serial:   fork < 0,
 		Parallel: parallel,
 		Repeat:   3, // exercise restores: replicates 1 and 2 both roll back
 		Samples:  &stats.Collector{},

@@ -12,7 +12,7 @@ package exp
 //     there do replicates diverge: replicate 0 continues the base-seed stream
 //     untouched, so R=1 is a plain base-seed run, and replicate r ≥ 1 reseeds
 //     the kernel RNG at the horizon. The shared prefix is simulated once,
-//     checkpointed and restored per replicate; Options.Fork < 0 selects the
+//     checkpointed and restored per replicate; Options.serial selects the
 //     serial comparator that rebuilds and re-warms per replicate instead, the
 //     reference the differential tests (fork_diff_test.go, and
 //     FuzzForkEquivalence in internal/des) hold forking byte-identical to;
@@ -192,7 +192,7 @@ func runGrid(opts Options, cells []cell) ([]series, error) {
 		// A job runs step replicates: a forked family all R off one warmed
 		// cluster, everything else one.
 		step := 1
-		if cl.fam != nil && opts.Fork >= 0 {
+		if cl.fam != nil && !opts.serial {
 			step = R
 		}
 		for from := 0; from < R; from += step {

@@ -93,7 +93,7 @@ func TestGridReplicateKinds(t *testing.T) {
 		for _, fork := range []int{1, -1} {
 			name := fmt.Sprintf("parallel=%d fork=%d", parallel, fork)
 			col, eng := &stats.Collector{}, &EngineStats{}
-			opts := Options{Seed: base, Repeat: gridRepeat, Parallel: parallel, Fork: fork, Samples: col, Stats: eng}
+			opts := Options{Seed: base, Repeat: gridRepeat, Parallel: parallel, serial: fork < 0, Samples: col, Stats: eng}
 			got, err := runGrid(opts, gridCells(opts))
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -165,7 +165,7 @@ func TestGridLowestCellErrorWins(t *testing.T) {
 	cells := []cell{failing("job/fine", gridRepeat), failing("job/late", 1), badBuild, failing("job/all", 0)}
 	for _, parallel := range []int{1, 8} {
 		for _, fork := range []int{1, -1} {
-			_, err := runGrid(Options{Seed: 1, Repeat: gridRepeat, Parallel: parallel, Fork: fork}, cells)
+			_, err := runGrid(Options{Seed: 1, Repeat: gridRepeat, Parallel: parallel, serial: fork < 0}, cells)
 			want := fmt.Sprintf("cell job/late: seed %d: boom", 1+replicateStride)
 			if err == nil || err.Error() != want || !errors.Is(err, boom) {
 				t.Errorf("parallel=%d fork=%d: error %v, want %q", parallel, fork, err, want)

@@ -21,6 +21,7 @@ import (
 	"asyncfd/internal/ident"
 	"asyncfd/internal/qos"
 	"asyncfd/internal/scenario"
+	"asyncfd/internal/topology"
 )
 
 // scenarioKinds maps a compiled detector list to cluster kinds by
@@ -236,15 +237,16 @@ func scenarioTopologyTable(sc *scenario.Scenario, opts Options) (*Table, error) 
 	horizon := sc.Measure.Horizon
 	var rows []row
 	for _, topo := range sc.Measure.Topologies {
+		build, err := topology.Family(topo)
+		if err != nil {
+			return nil, err
+		}
 		for _, n := range sc.Measure.Ns {
 			rows = append(rows, row{label: []string{topo, strconv.Itoa(n)}, cells: []cell{{
 				key: fmt.Sprintf("%s/n=%d", topo, n),
 				job: func(seed int64) (obs, error) {
 					//fdlint:allow rngdiscipline seed-addressed graph construction before the kernel runs; never interleaves with kernel draws
-					g, err := ltGraph(topo, n, rand.New(rand.NewSource(seed)))
-					if err != nil {
-						return nil, err
-					}
+					g := build(n, rand.New(rand.NewSource(seed)))
 					degSum := 0
 					for v := 0; v < n; v++ {
 						degSum += g.Degree(ident.ID(v))

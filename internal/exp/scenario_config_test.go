@@ -2,7 +2,6 @@ package exp
 
 import (
 	"bytes"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -86,7 +85,7 @@ func TestBuiltinScenarioGolden(t *testing.T) {
 				for _, fork := range []int{1, -1} {
 					col := &stats.Collector{}
 					got, err := tc.builtin(Options{
-						Seed: 1, Repeat: 3, Quick: tc.quick, Parallel: parallel, Fork: fork, Samples: col,
+						Seed: 1, Repeat: 3, Quick: tc.quick, Parallel: parallel, serial: fork < 0, Samples: col,
 					})
 					if err != nil {
 						t.Fatalf("parallel=%d fork=%d: %v", parallel, fork, err)
@@ -199,7 +198,7 @@ func TestScenarioReplayForkDeterminism(t *testing.T) {
 		{1, -1}, {1, 1}, {8, -1}, {8, 1},
 	} {
 		col := &stats.Collector{}
-		tbl, err := ScenarioTable(sc, Options{Parallel: mode.parallel, Fork: mode.fork, Samples: col})
+		tbl, err := ScenarioTable(sc, Options{Parallel: mode.parallel, serial: mode.fork < 0, Samples: col})
 		if err != nil {
 			t.Fatalf("parallel=%d fork=%d: %v", mode.parallel, mode.fork, err)
 		}
@@ -258,12 +257,11 @@ func TestConsensusProgramHonoursStartJitter(t *testing.T) {
 	}
 }
 
-// TestScenarioNameListsMatchEngine holds internal/scenario's two
-// hand-mirrored name lists to the engine that resolves them: every
-// DetectorNames entry maps through scenarioKinds onto AllKinds() in order,
-// and the parser accepts a topology name exactly when ltGraph builds it — so
-// a compiled scenario cannot name a detector or a graph family the engine
-// lacks.
+// TestScenarioNameListsMatchEngine holds internal/scenario's hand-mirrored
+// detector list to the engine that resolves it: every DetectorNames entry
+// maps through scenarioKinds onto AllKinds() in order, so a compiled
+// scenario cannot name a detector the engine lacks. (Graph families have no
+// mirror to hold: parser and engine both resolve them with topology.Family.)
 func TestScenarioNameListsMatchEngine(t *testing.T) {
 	kinds, err := scenarioKinds(&scenario.Scenario{Cluster: scenario.ClusterSpec{Detectors: scenario.DetectorNames}})
 	if err != nil {
@@ -271,26 +269,5 @@ func TestScenarioNameListsMatchEngine(t *testing.T) {
 	}
 	if !reflect.DeepEqual(kinds, AllKinds()) {
 		t.Errorf("DetectorNames resolve to %v, want AllKinds() = %v", kinds, AllKinds())
-	}
-
-	doc, err := builtinScenarios.ReadFile("scenarios/lt.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const listed = `["ring", "grid", "scale-free", "manet"]`
-	if !strings.Contains(string(doc), listed) {
-		t.Fatalf("lt.json no longer lists %s", listed)
-	}
-	candidates := []string{"ring", "grid", "scale-free", "manet", // the four lt.json lists
-		"", "Ring", "torus", "star", "tree", "full", "mesh", "circulant", "geometric", "random", "scalefree"}
-	for i, name := range candidates {
-		_, parseErr := scenario.Parse([]byte(strings.ReplaceAll(string(doc), listed, `["`+name+`"]`)), true)
-		_, buildErr := ltGraph(name, 16, rand.New(rand.NewSource(1)))
-		if (parseErr == nil) != (buildErr == nil) {
-			t.Errorf("topology %q: scenario.Parse says %v, ltGraph says %v", name, parseErr, buildErr)
-		}
-		if i < 4 && parseErr != nil {
-			t.Errorf("topology %q, which lt.json uses: %v", name, parseErr)
-		}
 	}
 }

@@ -16,8 +16,9 @@ import (
 // "scenario: " prefix (the fuzz harness asserts valid-scenario-or-prefixed-
 // error-never-panic). The analyzer flags errors.New and fmt.Errorf calls in
 // the scenario tree whose format literal does not start with "scenario: ".
-// Concatenations count through their leftmost literal operand, so the errf
-// helper (`fmt.Errorf("scenario: "+format, ...)`) passes; constructors whose
+// Concatenations count through their leftmost literal operand, so the one
+// place the compiler builds an error (cursor.failf's
+// `fmt.Errorf("scenario: "+format, ...)`) passes; constructors whose
 // errors are demonstrably wrapped by a prefixing caller can annotate
 // //fdlint:allow errprefix <reason>.
 var ErrPrefix = &analysis.Analyzer{

@@ -9,26 +9,39 @@ package scenario
 // machinery assumes (disjoint partition islands, alternating crash/recover
 // pairs, in-horizon events, resolvable column references, ...) is checked
 // here rather than left to panic later.
+//
+// Three mechanisms carry the file. A cursor holds the field path and the
+// one error slot every check reports through, so a compile function reads
+// as the schema of its section. A union is the table of one tagged choice
+// (delay.model, events[].kind, ...): adding an alternative is one row plus
+// its struct, and the "required"/"unknown" diagnostics list the table's own
+// tags. optionalFields is the one statement of which program reads which
+// optional field.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"asyncfd/internal/faults"
 	"asyncfd/internal/ident"
 	"asyncfd/internal/netsim"
+	"asyncfd/internal/topology"
 	"asyncfd/internal/trace"
 )
 
 // Compile-time bounds. They exist to keep hostile inputs from ballooning
 // memory during compilation (the fuzz harness parses arbitrary JSON); real
-// configs sit far below all of them.
+// configs sit far below all of them. Durations are bounded by
+// trace.MaxDuration (cursor.dur).
 const (
-	maxDurationUS  = int64(24 * time.Hour / time.Microsecond)
 	maxClusterN    = 1024
 	maxTopologyN   = 8192
 	maxRepeat      = 1024
@@ -44,11 +57,6 @@ const (
 	maxIslandLists = 64
 )
 
-// errf builds a path-prefixed scenario error.
-func errf(format string, args ...any) error {
-	return fmt.Errorf("scenario: "+format, args...)
-}
-
 // strictUnmarshal decodes JSON rejecting unknown fields and trailing data.
 func strictUnmarshal(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -56,23 +64,198 @@ func strictUnmarshal(data []byte, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	if dec.More() {
-		//fdlint:allow errprefix callers wrap decode errors with errf, which adds the prefix
+	if _, err := dec.Token(); err != io.EOF {
+		//fdlint:allow errprefix cursor.strict reports decode errors through failf, which adds the prefix
 		return fmt.Errorf("trailing data after JSON document")
 	}
 	return nil
 }
 
-// usDur converts a microsecond JSON field to a duration, enforcing the
+// ---------------------------------------------------------------------------
+// Error policy: the cursor.
+
+// cursor is a position in the document — the field path diagnostics name —
+// plus the compilation's single error slot. The first failed check wins and
+// later ones are dropped, so compile functions run straight through without
+// returning errors; what they compute after a failure is discarded by Parse.
+// The one obligation that leaves behind: a step that expands its input (a
+// count-driven loop, a generator, a sort) must sit behind ok(), because the
+// values it would run on may be the ones that failed their check.
+type cursor struct {
+	path string
+	err  *error
+}
+
+// at descends into a named field, idx into a list element.
+func (c cursor) at(field string) cursor {
+	if c.path != "" {
+		field = c.path + "." + field
+	}
+	return cursor{field, c.err}
+}
+
+func (c cursor) idx(i int) cursor { return cursor{c.path + "[" + strconv.Itoa(i) + "]", c.err} }
+
+// ok reports whether every check so far, anywhere in the document, passed.
+func (c cursor) ok() bool { return *c.err == nil }
+
+// failf records "scenario: <path>: <message>" unless an error is already held.
+func (c cursor) failf(format string, args ...any) {
+	if !c.ok() {
+		return
+	}
+	if c.path != "" {
+		format = c.path + ": " + format
+	}
+	*c.err = fmt.Errorf("scenario: "+format, args...)
+}
+
+// check fails with the message unless cond holds, and returns cond.
+func (c cursor) check(cond bool, format string, args ...any) bool {
+	if !cond {
+		c.failf(format, args...)
+	}
+	return cond
+}
+
+// strict decodes a section into v; an absent section is "required". It
+// reports whether compilation is still error-free.
+func (c cursor) strict(raw json.RawMessage, v any) bool {
+	if len(raw) == 0 {
+		c.failf("required")
+	} else if err := strictUnmarshal(raw, v); err != nil {
+		c.failf("%v", err)
+	}
+	return c.ok()
+}
+
+// dur converts the microsecond field to a duration, enforcing the
 // non-negative bounded range every duration field shares.
-func usDur(path string, v int64) (time.Duration, error) {
-	if v < 0 {
-		return 0, errf("%s: must be >= 0, got %d", path, v)
+func (c cursor) dur(field string, us int64) time.Duration {
+	c = c.at(field)
+	c.check(us >= 0, "must be >= 0, got %d", us)
+	c.check(us <= int64(trace.MaxDuration/time.Microsecond), "%d exceeds the %v bound", us, trace.MaxDuration)
+	return time.Duration(us) * time.Microsecond
+}
+
+// within checks an integer field against its closed range.
+func (c cursor) within(v, lo, hi int) {
+	c.check(v >= lo && v <= hi, "must be in [%d, %d], got %d", lo, hi, v)
+}
+
+// text checks a string field: present if required, and at most max bytes.
+func (c cursor) text(s string, required bool, max int) {
+	c.check(s != "" || !required, "required")
+	c.check(len(s) <= max, "longer than %d bytes", max)
+}
+
+// id checks one process id against the cluster size.
+func (c cursor) id(id, n int) ident.ID {
+	c.check(id >= 0 && id < n, "process id %d outside [0, n=%d)", id, n)
+	return ident.ID(id)
+}
+
+// ids checks a list of process ids, distinct over everything seen holds
+// (one list, or all islands of a partition); dup words a repeat.
+func (c cursor) ids(list []int, n int, seen map[int]bool, dup string) []ident.ID {
+	out := make([]ident.ID, len(list))
+	for i, id := range list {
+		at := c.idx(i)
+		out[i] = at.id(id, n)
+		at.check(!seen[id], dup, id)
+		seen[id] = true
 	}
-	if v > maxDurationUS {
-		return 0, errf("%s: %d exceeds the 24h bound", path, v)
+	return out
+}
+
+// names checks a list of distinct names, each of which known accepts (by
+// not failing the cursor it is handed).
+func (c cursor) names(list []string, what string, known func(c cursor, name string)) {
+	seen := map[string]bool{}
+	for i, name := range list {
+		at := c.idx(i)
+		known(at, name)
+		at.check(!seen[name], "duplicate %s %q", what, name)
+		seen[name] = true
 	}
-	return time.Duration(v) * time.Microsecond, nil
+}
+
+// orList renders two or more names as "a, b or c".
+func orList(names []string) string {
+	last := len(names) - 1
+	return strings.Join(names[:last], ", ") + " or " + names[last]
+}
+
+// ---------------------------------------------------------------------------
+// Tagged unions.
+
+// union is one tagged choice of the format: what a tag is called in
+// diagnostics, the field that carries it, and the alternatives in the order
+// diagnostics list them.
+type union[A any] struct {
+	what, field string
+	alts        []alt[A]
+}
+
+type alt[A any] struct {
+	tag string
+	is  A
+}
+
+// pick resolves a tag; c is the tag field's own position.
+func (u union[A]) pick(c cursor, tag string) (a A, ok bool) {
+	for _, alt := range u.alts {
+		if alt.tag == tag {
+			return alt.is, true
+		}
+	}
+	tags := make([]string, len(u.alts))
+	for i, alt := range u.alts {
+		tags[i] = alt.tag
+	}
+	if tag == "" {
+		c.failf("required (%s)", orList(tags))
+	} else {
+		c.failf("unknown %s %q (want %s)", u.what, tag, orList(tags))
+	}
+	return a, false
+}
+
+// env is what an alternative may consult beyond its own fields: the cluster
+// size ids are checked against, the horizon, and the metric streams claimed
+// so far.
+type env struct {
+	n       int
+	horizon time.Duration
+	streams map[string]streamType
+}
+
+// decoder compiles one alternative of a union whose values are JSON objects.
+type decoder[T any] func(c cursor, raw json.RawMessage, e *env) T
+
+// compileUnion reads raw's tag loosely (the alternative's strict decode
+// judges every other field), resolves it and runs the alternative.
+func compileUnion[T any](u union[decoder[T]], c cursor, raw json.RawMessage, e *env) (out T) {
+	var probe struct {
+		Kind  string `json:"kind"`
+		Model string `json:"model"`
+	}
+	if len(raw) == 0 {
+		c.failf("required")
+		return out
+	}
+	if err := json.Unmarshal(raw, &probe); err != nil {
+		c.failf("%v", err)
+		return out
+	}
+	tag := probe.Kind
+	if u.field == "model" {
+		tag = probe.Model
+	}
+	if compile, ok := u.pick(c.at(u.field), tag); ok {
+		out = compile(c, raw, e)
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -161,103 +344,41 @@ type rawColumn struct {
 // document's "quick" overlay (section-wise replacement), mirroring the
 // built-in experiments' Options.Quick behavior.
 func Parse(data []byte, quick bool) (*Scenario, error) {
+	var err error
+	root := cursor{err: &err}
 	// Probe the schema field first (loose decode) so a wrong or missing
 	// schema is reported as such, not as an unknown-field error against v1.
 	var probe struct {
 		Schema string `json:"schema"`
 	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, errf("%v", err)
-	}
-	if probe.Schema != Schema {
-		return nil, errf("schema: unknown schema version %q (want %q)", probe.Schema, Schema)
-	}
 	var raw rawScenario
-	if err := strictUnmarshal(data, &raw); err != nil {
-		return nil, errf("%v", err)
-	}
-	if quick && raw.Quick != nil {
-		q := raw.Quick
-		if q.Title != nil {
-			raw.Title = *q.Title
+	var sc *Scenario
+	if perr := json.Unmarshal(data, &probe); perr != nil {
+		root.failf("%v", perr)
+	} else if probe.Schema != Schema {
+		root.at("schema").failf("unknown schema version %q (want %q)", probe.Schema, Schema)
+	} else if root.strict(data, &raw) {
+		if q := raw.Quick; quick && q != nil {
+			if q.Title != nil {
+				raw.Title = *q.Title
+			}
+			if q.Note != nil {
+				raw.Note = *q.Note
+			}
+			if q.Repeat != nil {
+				raw.Repeat = *q.Repeat
+			}
+			if q.Cluster != nil {
+				raw.Cluster = q.Cluster
+			}
+			if q.Faults != nil {
+				raw.Faults = q.Faults
+			}
+			if q.Measure != nil {
+				raw.Measure = q.Measure
+			}
 		}
-		if q.Note != nil {
-			raw.Note = *q.Note
-		}
-		if q.Repeat != nil {
-			raw.Repeat = *q.Repeat
-		}
-		if q.Cluster != nil {
-			raw.Cluster = q.Cluster
-		}
-		if q.Faults != nil {
-			raw.Faults = q.Faults
-		}
-		if q.Measure != nil {
-			raw.Measure = q.Measure
-		}
-	}
-	return compile(&raw)
-}
-
-func compile(raw *rawScenario) (*Scenario, error) {
-	sc := &Scenario{
-		Name:        raw.Name,
-		Title:       raw.Title,
-		Note:        raw.Note,
-		Description: raw.Description,
-		Repeat:      raw.Repeat,
-	}
-	if sc.Name == "" {
-		return nil, errf("name: required")
-	}
-	if len(sc.Name) > maxNameLen {
-		return nil, errf("name: longer than %d bytes", maxNameLen)
-	}
-	for _, r := range sc.Name {
-		if !(r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || r == '-' || r == '_') {
-			return nil, errf("name: %q contains %q; use letters, digits, - and _", sc.Name, r)
-		}
-	}
-	if sc.Title == "" {
-		return nil, errf("title: required")
-	}
-	for _, s := range []struct{ path, v string }{
-		{"title", sc.Title}, {"note", sc.Note}, {"description", sc.Description},
-	} {
-		if len(s.v) > maxStringLen {
-			return nil, errf("%s: longer than %d bytes", s.path, maxStringLen)
-		}
-	}
-	if sc.Repeat < 0 || sc.Repeat > maxRepeat {
-		return nil, errf("repeat: must be in [0, %d], got %d", maxRepeat, sc.Repeat)
-	}
-	if len(raw.Measure) == 0 {
-		return nil, errf("measure: required")
-	}
-	var m rawMeasure
-	if err := strictUnmarshal(raw.Measure, &m); err != nil {
-		return nil, errf("measure: %v", err)
-	}
-	if len(raw.Cluster) == 0 {
-		return nil, errf("cluster: required")
-	}
-	var cl rawCluster
-	if err := strictUnmarshal(raw.Cluster, &cl); err != nil {
-		return nil, errf("cluster: %v", err)
-	}
-	var err error
-	switch m.Program {
-	case "cluster":
-		err = compileClusterProgram(sc, &cl, raw.Faults, &m)
-	case "topology":
-		err = compileTopologyProgram(sc, &cl, raw.Faults, &m)
-	case "consensus":
-		err = compileConsensusProgram(sc, &cl, raw.Faults, &m)
-	case "":
-		err = errf("measure.program: required (cluster, topology or consensus)")
-	default:
-		err = errf("measure.program: unknown program %q (want cluster, topology or consensus)", m.Program)
+		sc = compile(root, &raw)
 	}
 	if err != nil {
 		return nil, err
@@ -265,587 +386,442 @@ func compile(raw *rawScenario) (*Scenario, error) {
 	return sc, nil
 }
 
+// doc is one document under compilation: the root cursor, the scenario
+// being filled in and the decoded sections the programs read.
+type doc struct {
+	cursor
+	sc      *Scenario
+	cluster rawCluster
+	faults  json.RawMessage
+	measure rawMeasure
+}
+
+// program is one alternative of measure.program.
+type program struct {
+	id      Program
+	compile func(*doc)
+}
+
+var programs = union[program]{what: "program", alts: []alt[program]{
+	{"cluster", program{ProgramCluster, (*doc).clusterProgram}},
+	{"topology", program{ProgramTopology, (*doc).topologyProgram}},
+	{"consensus", program{ProgramConsensus, (*doc).consensusProgram}},
+}}
+
+func compile(c cursor, raw *rawScenario) *Scenario {
+	d := &doc{cursor: c, faults: raw.Faults, sc: &Scenario{
+		Name:        raw.Name,
+		Title:       raw.Title,
+		Note:        raw.Note,
+		Description: raw.Description,
+		Repeat:      raw.Repeat,
+	}}
+	name := c.at("name")
+	name.text(raw.Name, true, maxNameLen)
+	for _, r := range raw.Name {
+		letter := r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || r == '-' || r == '_'
+		name.check(letter, "%q contains %q; use letters, digits, - and _", raw.Name, r)
+	}
+	c.at("title").text(raw.Title, true, maxStringLen)
+	c.at("note").text(raw.Note, false, maxStringLen)
+	c.at("description").text(raw.Description, false, maxStringLen)
+	c.at("repeat").within(raw.Repeat, 0, maxRepeat)
+	if !c.at("measure").strict(raw.Measure, &d.measure) || !c.at("cluster").strict(raw.Cluster, &d.cluster) {
+		return nil
+	}
+	prog, ok := programs.pick(c.at("measure").at("program"), d.measure.Program)
+	if !ok {
+		return nil
+	}
+	d.sc.Measure.Program = prog.id
+	for _, f := range optionalFields(&d.cluster, &d.measure) {
+		read := !f.set || slices.Contains(f.readBy, prog.id)
+		c.at(f.section).at(f.name).check(read, "not used by the %v program", prog.id)
+	}
+	prog.compile(d)
+	return d.sc
+}
+
+// optionalField is one field a program may leave unread, and whether the
+// document set it. Setting a field the chosen program ignores is an error:
+// nothing in a config is silently dropped.
+type optionalField struct {
+	section, name string
+	set           bool
+	readBy        []Program
+}
+
+// optionalFields is the applicability table of the cluster and measure
+// sections. (cluster.detectors, cluster.delay and measure.horizon_us are
+// read by every program; faults is judged by compileVariants.)
+func optionalFields(cl *rawCluster, m *rawMeasure) []optionalField {
+	// The topology program builds its own neighbor-heartbeat machines per
+	// graph; of the cluster section only the delay model applies to it.
+	full := []Program{ProgramCluster, ProgramConsensus}
+	cluster, topo, consensus := []Program{ProgramCluster}, []Program{ProgramTopology}, []Program{ProgramConsensus}
+	return []optionalField{
+		{"cluster", "n", cl.N != 0, full},
+		{"cluster", "f", cl.F != 0, full},
+		{"cluster", "window_us", cl.WindowUS != 0, full},
+		{"cluster", "interval_us", cl.IntervalUS != 0, full},
+		{"cluster", "rebroadcast_us", cl.RebroadcastUS != 0, full},
+		{"cluster", "disable_tags", cl.DisableTags, full},
+		{"cluster", "hb_interval_us", cl.HBIntervalUS != 0, full},
+		{"cluster", "hb_timeout_us", cl.HBTimeoutUS != 0, full},
+		{"cluster", "phi_threshold", cl.PhiThreshold != 0, full},
+		{"cluster", "chen_alpha_us", cl.ChenAlphaUS != 0, full},
+		{"cluster", "count_bytes", cl.CountBytes, full},
+		{"cluster", "start_jitter_us", cl.StartJitterUS != 0, full},
+		{"measure", "warm_us", m.WarmUS != 0, cluster},
+		{"measure", "metrics", len(m.Metrics) > 0, cluster},
+		{"measure", "columns", len(m.Columns) > 0, cluster},
+		{"measure", "topologies", len(m.Topologies) > 0, topo},
+		{"measure", "ns", len(m.Ns) > 0, topo},
+		{"measure", "crash_at_us", m.CrashAtUS != 0, topo},
+		{"measure", "interval_us", m.IntervalUS != 0, topo},
+		{"measure", "timeout_us", m.TimeoutUS != 0, topo},
+		{"measure", "propose_us", m.ProposeUS != 0, consensus},
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Cluster section.
 
-// compileClusterSpec compiles the cluster section for the programs that run
-// the full detector cluster (cluster, consensus).
-func compileClusterSpec(cl *rawCluster) (ClusterSpec, error) {
-	var out ClusterSpec
-	if cl.N < 2 || cl.N > maxClusterN {
-		return out, errf("cluster.n: must be in [2, %d], got %d", maxClusterN, cl.N)
+// clusterSpec compiles the cluster section for the programs that run the
+// full detector cluster (cluster, consensus).
+func (d *doc) clusterSpec() ClusterSpec {
+	c, cl := d.at("cluster"), &d.cluster
+	c.at("n").within(cl.N, 2, maxClusterN)
+	c.at("f").check(cl.F >= 0 && cl.F < cl.N, "must be in [0, n), got %d", cl.F)
+	c.at("detectors").check(len(cl.Detectors) > 0, "required")
+	c.at("detectors").names(cl.Detectors, "detector", func(c cursor, name string) {
+		known := slices.Contains(DetectorNames, name)
+		c.check(known, "unknown detector %q (want %s)", name, orList(DetectorNames))
+	})
+	spec := ClusterSpec{
+		N: cl.N, F: cl.F, Detectors: cl.Detectors,
+		Delay:        compileUnion(delayModels, c.at("delay"), cl.Delay, nil),
+		Window:       c.dur("window_us", cl.WindowUS),
+		Interval:     c.dur("interval_us", cl.IntervalUS),
+		Rebroadcast:  c.dur("rebroadcast_us", cl.RebroadcastUS),
+		DisableTags:  cl.DisableTags,
+		HBInterval:   c.dur("hb_interval_us", cl.HBIntervalUS),
+		HBTimeout:    c.dur("hb_timeout_us", cl.HBTimeoutUS),
+		PhiThreshold: cl.PhiThreshold,
+		ChenAlpha:    c.dur("chen_alpha_us", cl.ChenAlphaUS),
+		CountBytes:   cl.CountBytes,
+		StartJitter:  c.dur("start_jitter_us", cl.StartJitterUS),
 	}
-	if cl.F < 0 || cl.F >= cl.N {
-		return out, errf("cluster.f: must be in [0, n), got %d", cl.F)
-	}
-	out.N, out.F = cl.N, cl.F
-	if len(cl.Detectors) == 0 {
-		return out, errf("cluster.detectors: required")
-	}
-	seen := map[string]bool{}
-	for i, d := range cl.Detectors {
-		if !validDetector(d) {
-			return out, errf("cluster.detectors[%d]: unknown detector %q (want one of %v)", i, d, DetectorNames)
-		}
-		if seen[d] {
-			return out, errf("cluster.detectors[%d]: duplicate detector %q", i, d)
-		}
-		seen[d] = true
-	}
-	out.Detectors = cl.Detectors
-	var err error
-	if out.Delay, err = compileDelay("cluster.delay", cl.Delay); err != nil {
-		return out, err
-	}
-	for _, d := range []struct {
-		path string
-		us   int64
-		dst  *time.Duration
-	}{
-		{"cluster.window_us", cl.WindowUS, &out.Window},
-		{"cluster.interval_us", cl.IntervalUS, &out.Interval},
-		{"cluster.rebroadcast_us", cl.RebroadcastUS, &out.Rebroadcast},
-		{"cluster.hb_interval_us", cl.HBIntervalUS, &out.HBInterval},
-		{"cluster.hb_timeout_us", cl.HBTimeoutUS, &out.HBTimeout},
-		{"cluster.chen_alpha_us", cl.ChenAlphaUS, &out.ChenAlpha},
-		{"cluster.start_jitter_us", cl.StartJitterUS, &out.StartJitter},
-	} {
-		if *d.dst, err = usDur(d.path, d.us); err != nil {
-			return out, err
-		}
-	}
-	if cl.PhiThreshold < 0 || cl.PhiThreshold > 100 {
-		return out, errf("cluster.phi_threshold: must be in [0, 100], got %v", cl.PhiThreshold)
-	}
-	out.PhiThreshold = cl.PhiThreshold
-	out.DisableTags = cl.DisableTags
-	out.CountBytes = cl.CountBytes
-	return out, nil
-}
-
-func validDetector(name string) bool {
-	for _, d := range DetectorNames {
-		if d == name {
-			return true
-		}
-	}
-	return false
+	phi := cl.PhiThreshold
+	c.at("phi_threshold").check(phi >= 0 && phi <= 100, "must be in [0, 100], got %v", phi)
+	return spec
 }
 
 // ---------------------------------------------------------------------------
 // Delay models.
 
-func compileDelay(path string, raw json.RawMessage) (netsim.DelayModel, error) {
-	if len(raw) == 0 {
-		return nil, errf("%s: required", path)
-	}
-	var probe struct {
+var delayModels = union[decoder[netsim.DelayModel]]{
+	what: "delay model", field: "model", alts: []alt[decoder[netsim.DelayModel]]{
+		{"constant", constantDelay},
+		{"uniform", uniformDelay},
+		{"exponential", exponentialDelay},
+		{"pareto", paretoDelay},
+		{"trace", traceDelay},
+	}}
+
+func constantDelay(c cursor, raw json.RawMessage, _ *env) netsim.DelayModel {
+	var r struct {
 		Model string `json:"model"`
+		DUS   int64  `json:"d_us"`
 	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
-		return nil, errf("%s: %v", path, err)
+	c.strict(raw, &r)
+	return netsim.Constant{D: c.dur("d_us", r.DUS)}
+}
+
+func uniformDelay(c cursor, raw json.RawMessage, _ *env) netsim.DelayModel {
+	var r struct {
+		Model string `json:"model"`
+		MinUS int64  `json:"min_us"`
+		MaxUS int64  `json:"max_us"`
 	}
-	switch probe.Model {
-	case "constant":
-		var r struct {
-			Model string `json:"model"`
-			DUS   int64  `json:"d_us"`
-		}
-		if err := strictUnmarshal(raw, &r); err != nil {
-			return nil, errf("%s: %v", path, err)
-		}
-		d, err := usDur(path+".d_us", r.DUS)
-		if err != nil {
-			return nil, err
-		}
-		return netsim.Constant{D: d}, nil
-	case "uniform":
-		var r struct {
-			Model string `json:"model"`
-			MinUS int64  `json:"min_us"`
-			MaxUS int64  `json:"max_us"`
-		}
-		if err := strictUnmarshal(raw, &r); err != nil {
-			return nil, errf("%s: %v", path, err)
-		}
-		min, err := usDur(path+".min_us", r.MinUS)
-		if err != nil {
-			return nil, err
-		}
-		max, err := usDur(path+".max_us", r.MaxUS)
-		if err != nil {
-			return nil, err
-		}
-		if max < min {
-			return nil, errf("%s.max_us: %d below min_us", path, r.MaxUS)
-		}
-		return netsim.Uniform{Min: min, Max: max}, nil
-	case "exponential":
-		var r struct {
-			Model  string `json:"model"`
-			MinUS  int64  `json:"min_us"`
-			MeanUS int64  `json:"mean_us"`
-			CapUS  int64  `json:"cap_us"`
-		}
-		if err := strictUnmarshal(raw, &r); err != nil {
-			return nil, errf("%s: %v", path, err)
-		}
-		min, err := usDur(path+".min_us", r.MinUS)
-		if err != nil {
-			return nil, err
-		}
-		mean, err := usDur(path+".mean_us", r.MeanUS)
-		if err != nil {
-			return nil, err
-		}
-		cap, err := usDur(path+".cap_us", r.CapUS)
-		if err != nil {
-			return nil, err
-		}
-		if mean <= 0 {
-			return nil, errf("%s.mean_us: must be positive", path)
-		}
-		return netsim.Exponential{Min: min, Mean: mean, Cap: cap}, nil
-	case "pareto":
-		var r struct {
-			Model   string  `json:"model"`
-			ScaleUS int64   `json:"scale_us"`
-			Alpha   float64 `json:"alpha"`
-			CapUS   int64   `json:"cap_us"`
-		}
-		if err := strictUnmarshal(raw, &r); err != nil {
-			return nil, errf("%s: %v", path, err)
-		}
-		scale, err := usDur(path+".scale_us", r.ScaleUS)
-		if err != nil {
-			return nil, err
-		}
-		cap, err := usDur(path+".cap_us", r.CapUS)
-		if err != nil {
-			return nil, err
-		}
-		if scale <= 0 {
-			return nil, errf("%s.scale_us: must be positive", path)
-		}
-		if r.Alpha <= 0 {
-			return nil, errf("%s.alpha: must be positive, got %v", path, r.Alpha)
-		}
-		return netsim.Pareto{Scale: scale, Alpha: r.Alpha, Cap: cap}, nil
-	case "trace":
-		var r struct {
-			Model     string          `json:"model"`
-			Series    json.RawMessage `json:"series,omitempty"`
-			Synthetic json.RawMessage `json:"synthetic,omitempty"`
-		}
-		if err := strictUnmarshal(raw, &r); err != nil {
-			return nil, errf("%s: %v", path, err)
-		}
-		if (r.Series == nil) == (r.Synthetic == nil) {
-			return nil, errf("%s: exactly one of series and synthetic is required", path)
-		}
-		var series *trace.DelaySeries
-		if r.Series != nil {
-			s, err := trace.ParseDelaySeries(r.Series)
-			if err != nil {
-				return nil, errf("%s.series: %v", path, err)
-			}
-			series = s
-		} else {
-			var s struct {
-				Seed    int64   `json:"seed"`
-				Count   int     `json:"count"`
-				TickUS  int64   `json:"tick_us"`
-				BaseUS  int64   `json:"base_us"`
-				ScaleUS int64   `json:"scale_us"`
-				Alpha   float64 `json:"alpha"`
-				CapUS   int64   `json:"cap_us"`
-				Loss    float64 `json:"loss,omitempty"`
-			}
-			if err := strictUnmarshal(r.Synthetic, &s); err != nil {
-				return nil, errf("%s.synthetic: %v", path, err)
-			}
-			cfg := trace.SyntheticConfig{Seed: s.Seed, Count: s.Count, Alpha: s.Alpha, LossRate: s.Loss}
-			var err error
-			for _, d := range []struct {
-				field string
-				us    int64
-				dst   *time.Duration
-			}{
-				{"tick_us", s.TickUS, &cfg.Tick},
-				{"base_us", s.BaseUS, &cfg.Base},
-				{"scale_us", s.ScaleUS, &cfg.Scale},
-				{"cap_us", s.CapUS, &cfg.Cap},
-			} {
-				if *d.dst, err = usDur(path+".synthetic."+d.field, d.us); err != nil {
-					return nil, err
-				}
-			}
-			gen, err := trace.Synthetic(cfg)
-			if err != nil {
-				return nil, errf("%s.synthetic: %v", path, err)
-			}
-			series = gen
-		}
-		return netsim.Replay{Series: series}, nil
-	case "":
-		return nil, errf("%s.model: required (constant, uniform, exponential, pareto or trace)", path)
-	default:
-		return nil, errf("%s.model: unknown delay model %q", path, probe.Model)
+	c.strict(raw, &r)
+	m := netsim.Uniform{Min: c.dur("min_us", r.MinUS), Max: c.dur("max_us", r.MaxUS)}
+	c.at("max_us").check(m.Max >= m.Min, "%d below min_us", r.MaxUS)
+	return m
+}
+
+func exponentialDelay(c cursor, raw json.RawMessage, _ *env) netsim.DelayModel {
+	var r struct {
+		Model  string `json:"model"`
+		MinUS  int64  `json:"min_us"`
+		MeanUS int64  `json:"mean_us"`
+		CapUS  int64  `json:"cap_us"`
 	}
+	c.strict(raw, &r)
+	min, mean, cap := c.dur("min_us", r.MinUS), c.dur("mean_us", r.MeanUS), c.dur("cap_us", r.CapUS)
+	m := netsim.Exponential{Min: min, Mean: mean, Cap: cap}
+	c.at("mean_us").check(m.Mean > 0, "must be positive")
+	return m
+}
+
+func paretoDelay(c cursor, raw json.RawMessage, _ *env) netsim.DelayModel {
+	var r struct {
+		Model   string  `json:"model"`
+		ScaleUS int64   `json:"scale_us"`
+		Alpha   float64 `json:"alpha"`
+		CapUS   int64   `json:"cap_us"`
+	}
+	c.strict(raw, &r)
+	m := netsim.Pareto{Scale: c.dur("scale_us", r.ScaleUS), Alpha: r.Alpha, Cap: c.dur("cap_us", r.CapUS)}
+	c.at("scale_us").check(m.Scale > 0, "must be positive")
+	c.at("alpha").check(r.Alpha > 0, "must be positive, got %v", r.Alpha)
+	return m
+}
+
+func traceDelay(c cursor, raw json.RawMessage, _ *env) netsim.DelayModel {
+	var r struct {
+		Model     string          `json:"model"`
+		Series    json.RawMessage `json:"series,omitempty"`
+		Synthetic json.RawMessage `json:"synthetic,omitempty"`
+	}
+	c.strict(raw, &r)
+	if !c.check((r.Series == nil) != (r.Synthetic == nil), "exactly one of series and synthetic is required") {
+		return nil
+	}
+	if r.Series != nil {
+		series, err := trace.ParseDelaySeries(r.Series)
+		if err != nil {
+			c.at("series").failf("%v", err)
+		}
+		return netsim.Replay{Series: series}
+	}
+	var s struct {
+		Seed    int64   `json:"seed"`
+		Count   int     `json:"count"`
+		TickUS  int64   `json:"tick_us"`
+		BaseUS  int64   `json:"base_us"`
+		ScaleUS int64   `json:"scale_us"`
+		Alpha   float64 `json:"alpha"`
+		CapUS   int64   `json:"cap_us"`
+		Loss    float64 `json:"loss,omitempty"`
+	}
+	c = c.at("synthetic")
+	c.strict(r.Synthetic, &s)
+	cfg := trace.SyntheticConfig{
+		Seed: s.Seed, Count: s.Count, Alpha: s.Alpha, LossRate: s.Loss,
+		Tick: c.dur("tick_us", s.TickUS), Base: c.dur("base_us", s.BaseUS),
+		Scale: c.dur("scale_us", s.ScaleUS), Cap: c.dur("cap_us", s.CapUS),
+	}
+	if !c.ok() {
+		return nil // Synthetic allocates cfg.Count samples; only a checked config may ask
+	}
+	series, err := trace.Synthetic(cfg)
+	if err != nil {
+		c.failf("%v", err)
+	}
+	return netsim.Replay{Series: series}
 }
 
 // ---------------------------------------------------------------------------
 // Fault schedules.
 
-// compileVariants compiles the faults section into named variants. n bounds
-// the valid process ids; horizon bounds event times. allowFaults=false (the
-// topology program) rejects any events at all.
-func compileVariants(rawMsg json.RawMessage, n int, horizon time.Duration, allowFaults bool) (string, []Variant, error) {
-	f := rawFaults{}
-	if len(rawMsg) != 0 {
-		if err := strictUnmarshal(rawMsg, &f); err != nil {
-			return "", nil, errf("faults: %v", err)
-		}
-	}
-	if len(f.Variants) > 0 && (len(f.Events) > 0 || len(f.Generators) > 0) {
-		return "", nil, errf("faults: use either variants or bare events/generators, not both")
-	}
-	if !allowFaults {
-		if len(f.Variants) > 0 || len(f.Events) > 0 || len(f.Generators) > 0 || f.VariantHeader != "" {
-			return "", nil, errf("faults: the topology program does not take a fault schedule (measure.crash_at_us scripts its crash)")
-		}
-		return "", []Variant{{}}, nil
-	}
+// compileVariants compiles the faults section into named variants. e.n
+// bounds the valid process ids; e.horizon bounds event times.
+func (d *doc) compileVariants(e *env) (header string, variants []Variant) {
+	c, f := d.at("faults"), d.decodeFaults()
 	if len(f.Variants) == 0 {
 		// Bare (or absent) form: one unnamed variant.
-		if f.VariantHeader != "" {
-			return "", nil, errf("faults.variant_header: requires a variants list")
-		}
-		sched, err := compileSchedule("faults", f.Events, f.Generators, n, horizon)
-		if err != nil {
-			return "", nil, err
-		}
-		return "", []Variant{{Faults: sched}}, nil
+		c.at("variant_header").check(f.VariantHeader == "", "requires a variants list")
+		return "", []Variant{{Faults: c.schedule(f.Events, f.Generators, e)}}
 	}
-	if len(f.Variants) > maxVariants {
-		return "", nil, errf("faults.variants: more than %d variants", maxVariants)
-	}
-	if len(f.Variants) > 1 && f.VariantHeader == "" {
-		return "", nil, errf("faults.variant_header: required when multiple variants are listed")
-	}
+	c.at("variants").check(len(f.Variants) <= maxVariants, "more than %d variants", maxVariants)
+	c.at("variant_header").check(len(f.Variants) == 1 || f.VariantHeader != "",
+		"required when multiple variants are listed")
 	names := map[string]bool{}
-	variants := make([]Variant, len(f.Variants))
+	variants = make([]Variant, len(f.Variants))
 	for i, rv := range f.Variants {
-		path := fmt.Sprintf("faults.variants[%d]", i)
-		if rv.Name == "" {
-			return "", nil, errf("%s.name: required", path)
-		}
-		if len(rv.Name) > maxNameLen {
-			return "", nil, errf("%s.name: longer than %d bytes", path, maxNameLen)
-		}
-		if names[rv.Name] {
-			return "", nil, errf("%s.name: duplicate variant %q", path, rv.Name)
-		}
+		v := c.at("variants").idx(i)
+		v.at("name").text(rv.Name, true, maxNameLen)
+		v.at("name").check(!names[rv.Name], "duplicate variant %q", rv.Name)
 		names[rv.Name] = true
-		sched, err := compileSchedule(path, rv.Events, rv.Generators, n, horizon)
-		if err != nil {
-			return "", nil, err
-		}
-		variants[i] = Variant{Name: rv.Name, Faults: sched}
+		variants[i] = Variant{Name: rv.Name, Faults: v.schedule(rv.Events, rv.Generators, e)}
 	}
-	return f.VariantHeader, variants, nil
+	return f.VariantHeader, variants
 }
 
-// compileSchedule compiles one variant's events and generators into a
-// validated faults.Schedule (generators expanded, in listed order after the
-// explicit events).
-func compileSchedule(path string, events, generators []json.RawMessage, n int, horizon time.Duration) (faults.Schedule, error) {
+// decodeFaults decodes the optional faults section.
+func (d *doc) decodeFaults() (f rawFaults) {
+	c := d.at("faults")
+	if len(d.faults) != 0 {
+		c.strict(d.faults, &f)
+	}
+	c.check(len(f.Variants) == 0 || len(f.Events)+len(f.Generators) == 0,
+		"use either variants or bare events/generators, not both")
+	return f
+}
+
+// schedule compiles one variant's events and generators into a validated
+// faults.Schedule (generators expanded, in listed order after the explicit
+// events).
+func (c cursor) schedule(events, generators []json.RawMessage, e *env) faults.Schedule {
 	var sched faults.Schedule
 	for i, raw := range events {
-		ev, err := compileEvent(fmt.Sprintf("%s.events[%d]", path, i), raw, n)
-		if err != nil {
-			return nil, err
-		}
-		sched = append(sched, ev)
+		sched = append(sched, compileUnion(eventKinds, c.at("events").idx(i), raw, e))
 	}
 	for i, raw := range generators {
-		gpath := fmt.Sprintf("%s.generators[%d]", path, i)
-		expanded, err := compileGenerator(gpath, raw, n)
-		if err != nil {
-			return nil, err
-		}
-		sched = append(sched, expanded...)
-		if len(sched) > maxEvents {
-			return nil, errf("%s: schedule exceeds %d events", gpath, maxEvents)
-		}
+		g := c.at("generators").idx(i)
+		sched = append(sched, compileUnion(generatorKinds, g, raw, e)...)
+		g.check(len(sched) <= maxEvents, "schedule exceeds %d events", maxEvents)
 	}
-	if len(sched) > maxEvents {
-		return nil, errf("%s.events: schedule exceeds %d events", path, maxEvents)
+	c.at("events").check(len(sched) <= maxEvents, "schedule exceeds %d events", maxEvents)
+	if c.ok() {
+		c.validateSchedule(sched, e.horizon)
 	}
-	if err := validateSchedule(path, sched, horizon); err != nil {
-		return nil, err
-	}
-	return sched, nil
+	return sched
 }
 
-func compileEvent(path string, raw json.RawMessage, n int) (faults.Event, error) {
-	var probe struct {
+var eventKinds = union[decoder[faults.Event]]{
+	what: "event kind", field: "kind", alts: []alt[decoder[faults.Event]]{
+		{"crash", crashEvent},
+		{"recover", recoverEvent},
+		{"partition", partitionEvent},
+		{"heal", healEvent},
+	}}
+
+func crashEvent(c cursor, raw json.RawMessage, e *env) faults.Event {
+	var r struct {
 		Kind string `json:"kind"`
+		AtUS int64  `json:"at_us"`
+		ID   int    `json:"id"`
 	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
-		return faults.Event{}, errf("%s: %v", path, err)
-	}
-	switch probe.Kind {
-	case "crash":
-		var r struct {
-			Kind string `json:"kind"`
-			AtUS int64  `json:"at_us"`
-			ID   int    `json:"id"`
-		}
-		if err := strictUnmarshal(raw, &r); err != nil {
-			return faults.Event{}, errf("%s: %v", path, err)
-		}
-		at, err := usDur(path+".at_us", r.AtUS)
-		if err != nil {
-			return faults.Event{}, err
-		}
-		if err := validateID(path+".id", r.ID, n); err != nil {
-			return faults.Event{}, err
-		}
-		return faults.Event{At: at, Kind: faults.KindCrash, ID: ident.ID(r.ID)}, nil
-	case "recover":
-		var r struct {
-			Kind  string `json:"kind"`
-			AtUS  int64  `json:"at_us"`
-			ID    int    `json:"id"`
-			Fresh bool   `json:"fresh,omitempty"`
-		}
-		if err := strictUnmarshal(raw, &r); err != nil {
-			return faults.Event{}, errf("%s: %v", path, err)
-		}
-		at, err := usDur(path+".at_us", r.AtUS)
-		if err != nil {
-			return faults.Event{}, err
-		}
-		if err := validateID(path+".id", r.ID, n); err != nil {
-			return faults.Event{}, err
-		}
-		return faults.Event{At: at, Kind: faults.KindRecover, ID: ident.ID(r.ID), FreshState: r.Fresh}, nil
-	case "partition":
-		var r struct {
-			Kind    string  `json:"kind"`
-			AtUS    int64   `json:"at_us"`
-			Islands [][]int `json:"islands"`
-		}
-		if err := strictUnmarshal(raw, &r); err != nil {
-			return faults.Event{}, errf("%s: %v", path, err)
-		}
-		at, err := usDur(path+".at_us", r.AtUS)
-		if err != nil {
-			return faults.Event{}, err
-		}
-		islands, err := compileIslands(path+".islands", r.Islands, n)
-		if err != nil {
-			return faults.Event{}, err
-		}
-		return faults.Event{At: at, Kind: faults.KindPartition, Islands: islands}, nil
-	case "heal":
-		var r struct {
-			Kind string `json:"kind"`
-			AtUS int64  `json:"at_us"`
-		}
-		if err := strictUnmarshal(raw, &r); err != nil {
-			return faults.Event{}, errf("%s: %v", path, err)
-		}
-		at, err := usDur(path+".at_us", r.AtUS)
-		if err != nil {
-			return faults.Event{}, err
-		}
-		return faults.Event{At: at, Kind: faults.KindHeal}, nil
-	case "":
-		return faults.Event{}, errf("%s.kind: required (crash, recover, partition or heal)", path)
-	default:
-		return faults.Event{}, errf("%s.kind: unknown event kind %q", path, probe.Kind)
-	}
+	c.strict(raw, &r)
+	return faults.Event{At: c.dur("at_us", r.AtUS), Kind: faults.KindCrash, ID: c.at("id").id(r.ID, e.n)}
 }
 
-func validateID(path string, id, n int) error {
-	if id < 0 || id >= n {
-		return errf("%s: process id %d outside [0, n=%d)", path, id, n)
+func recoverEvent(c cursor, raw json.RawMessage, e *env) faults.Event {
+	var r struct {
+		Kind  string `json:"kind"`
+		AtUS  int64  `json:"at_us"`
+		ID    int    `json:"id"`
+		Fresh bool   `json:"fresh,omitempty"`
 	}
-	return nil
+	c.strict(raw, &r)
+	at, id := c.dur("at_us", r.AtUS), c.at("id").id(r.ID, e.n)
+	return faults.Event{At: at, Kind: faults.KindRecover, ID: id, FreshState: r.Fresh}
 }
 
-// compileIslands validates one partition event's islands — non-empty, valid
-// ids, no process in two islands (the invariant netsim.Partition panics on).
-func compileIslands(path string, islands [][]int, n int) ([][]ident.ID, error) {
-	if len(islands) == 0 {
-		return nil, errf("%s: at least one island is required", path)
+func partitionEvent(c cursor, raw json.RawMessage, e *env) faults.Event {
+	var r struct {
+		Kind    string  `json:"kind"`
+		AtUS    int64   `json:"at_us"`
+		Islands [][]int `json:"islands"`
 	}
-	if len(islands) > maxIslandLists {
-		return nil, errf("%s: more than %d islands", path, maxIslandLists)
+	c.strict(raw, &r)
+	at, islands := c.dur("at_us", r.AtUS), c.at("islands").islands(r.Islands, e.n)
+	return faults.Event{At: at, Kind: faults.KindPartition, Islands: islands}
+}
+
+func healEvent(c cursor, raw json.RawMessage, _ *env) faults.Event {
+	var r struct {
+		Kind string `json:"kind"`
+		AtUS int64  `json:"at_us"`
 	}
+	c.strict(raw, &r)
+	return faults.Event{At: c.dur("at_us", r.AtUS), Kind: faults.KindHeal}
+}
+
+// islands validates one partition's islands — non-empty, valid ids, no
+// process in two islands (the invariant netsim.Partition panics on).
+func (c cursor) islands(islands [][]int, n int) [][]ident.ID {
+	c.check(len(islands) > 0, "at least one island is required")
+	c.check(len(islands) <= maxIslandLists, "more than %d islands", maxIslandLists)
 	seen := map[int]bool{}
 	out := make([][]ident.ID, len(islands))
 	for i, island := range islands {
-		if len(island) == 0 {
-			return nil, errf("%s[%d]: island must not be empty", path, i)
-		}
-		ids := make([]ident.ID, len(island))
-		for j, id := range island {
-			if err := validateID(fmt.Sprintf("%s[%d][%d]", path, i, j), id, n); err != nil {
-				return nil, err
-			}
-			if seen[id] {
-				return nil, errf("%s[%d][%d]: process %d listed in two islands", path, i, j, id)
-			}
-			seen[id] = true
-			ids[j] = ident.ID(id)
-		}
-		out[i] = ids
+		at := c.idx(i)
+		at.check(len(island) > 0, "island must not be empty")
+		out[i] = at.ids(island, n, seen, "process %d listed in two islands")
 	}
-	return out, nil
+	return out
 }
 
-func compileGenerator(path string, raw json.RawMessage, n int) (faults.Schedule, error) {
-	var probe struct {
-		Kind string `json:"kind"`
+var generatorKinds = union[decoder[faults.Schedule]]{
+	what: "generator kind", field: "kind", alts: []alt[decoder[faults.Schedule]]{
+		{"flap", flapGenerator},
+		{"crash-burst", crashBurstGenerator},
+		{"uniform-crashes", uniformCrashesGenerator},
+	}}
+
+// flapGenerator is a flapping-link train: partition into islands at
+// at + k·period, heal down later, for count cycles.
+func flapGenerator(c cursor, raw json.RawMessage, e *env) faults.Schedule {
+	var r struct {
+		Kind     string  `json:"kind"`
+		Islands  [][]int `json:"islands"`
+		AtUS     int64   `json:"at_us"`
+		DownUS   int64   `json:"down_us"`
+		PeriodUS int64   `json:"period_us"`
+		Count    int     `json:"count"`
 	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
-		return nil, errf("%s: %v", path, err)
+	c.strict(raw, &r)
+	at, down, period := c.dur("at_us", r.AtUS), c.dur("down_us", r.DownUS), c.dur("period_us", r.PeriodUS)
+	c.at("down_us").check(down > 0, "must be positive")
+	c.at("period_us").check(period > down, "must exceed down_us (%d)", r.DownUS)
+	c.at("count").within(r.Count, 1, maxFlapCount)
+	islands := c.at("islands").islands(r.Islands, e.n)
+	if !c.ok() {
+		return nil // the loop below is bounded by nothing but the count check
 	}
-	switch probe.Kind {
-	case "flap":
-		// A flapping-link train: partition into islands at at + k·period,
-		// heal down later, for count cycles.
-		var r struct {
-			Kind     string  `json:"kind"`
-			Islands  [][]int `json:"islands"`
-			AtUS     int64   `json:"at_us"`
-			DownUS   int64   `json:"down_us"`
-			PeriodUS int64   `json:"period_us"`
-			Count    int     `json:"count"`
-		}
-		if err := strictUnmarshal(raw, &r); err != nil {
-			return nil, errf("%s: %v", path, err)
-		}
-		at, err := usDur(path+".at_us", r.AtUS)
-		if err != nil {
-			return nil, err
-		}
-		down, err := usDur(path+".down_us", r.DownUS)
-		if err != nil {
-			return nil, err
-		}
-		period, err := usDur(path+".period_us", r.PeriodUS)
-		if err != nil {
-			return nil, err
-		}
-		if down <= 0 {
-			return nil, errf("%s.down_us: must be positive", path)
-		}
-		if period <= down {
-			return nil, errf("%s.period_us: must exceed down_us (%d)", path, r.DownUS)
-		}
-		if r.Count < 1 || r.Count > maxFlapCount {
-			return nil, errf("%s.count: must be in [1, %d], got %d", path, maxFlapCount, r.Count)
-		}
-		islands, err := compileIslands(path+".islands", r.Islands, n)
-		if err != nil {
-			return nil, err
-		}
-		var out faults.Schedule
-		for k := 0; k < r.Count; k++ {
-			start := at + time.Duration(k)*period
-			out = out.PartitionAt(start, islands...).HealAt(start + down)
-		}
-		return out, nil
-	case "crash-burst":
-		// A correlated crash burst: the listed processes crash in order,
-		// spacing apart.
-		var r struct {
-			Kind      string `json:"kind"`
-			IDs       []int  `json:"ids"`
-			AtUS      int64  `json:"at_us"`
-			SpacingUS int64  `json:"spacing_us"`
-		}
-		if err := strictUnmarshal(raw, &r); err != nil {
-			return nil, errf("%s: %v", path, err)
-		}
-		at, err := usDur(path+".at_us", r.AtUS)
-		if err != nil {
-			return nil, err
-		}
-		spacing, err := usDur(path+".spacing_us", r.SpacingUS)
-		if err != nil {
-			return nil, err
-		}
-		if len(r.IDs) == 0 {
-			return nil, errf("%s.ids: required", path)
-		}
-		seen := map[int]bool{}
-		var out faults.Schedule
-		for j, id := range r.IDs {
-			if err := validateID(fmt.Sprintf("%s.ids[%d]", path, j), id, n); err != nil {
-				return nil, err
-			}
-			if seen[id] {
-				return nil, errf("%s.ids[%d]: duplicate process %d", path, j, id)
-			}
-			seen[id] = true
-			out = out.CrashAt(ident.ID(id), at+time.Duration(j)*spacing)
-		}
-		return out, nil
-	case "uniform-crashes":
-		// The paper family's "faults uniformly inserted" plan, reproducible
-		// from its own seed (faults.Uniform).
-		var r struct {
-			Kind       string `json:"kind"`
-			Seed       int64  `json:"seed"`
-			Count      int    `json:"count"`
-			Candidates []int  `json:"candidates"`
-			StartUS    int64  `json:"start_us"`
-			EndUS      int64  `json:"end_us"`
-		}
-		if err := strictUnmarshal(raw, &r); err != nil {
-			return nil, errf("%s: %v", path, err)
-		}
-		start, err := usDur(path+".start_us", r.StartUS)
-		if err != nil {
-			return nil, err
-		}
-		end, err := usDur(path+".end_us", r.EndUS)
-		if err != nil {
-			return nil, err
-		}
-		if end <= start {
-			return nil, errf("%s.end_us: must exceed start_us", path)
-		}
-		if len(r.Candidates) == 0 {
-			return nil, errf("%s.candidates: required", path)
-		}
-		seen := map[int]bool{}
-		cands := make([]ident.ID, len(r.Candidates))
-		for j, id := range r.Candidates {
-			if err := validateID(fmt.Sprintf("%s.candidates[%d]", path, j), id, n); err != nil {
-				return nil, err
-			}
-			if seen[id] {
-				return nil, errf("%s.candidates[%d]: duplicate process %d", path, j, id)
-			}
-			seen[id] = true
-			cands[j] = ident.ID(id)
-		}
-		if r.Count < 1 || r.Count > len(cands) {
-			return nil, errf("%s.count: must be in [1, len(candidates)=%d], got %d", path, len(cands), r.Count)
-		}
-		//fdlint:allow rngdiscipline deterministic generator expansion at parse time, outside any kernel
-		return faults.Uniform(rand.New(rand.NewSource(r.Seed)), cands, r.Count, start, end), nil
-	case "":
-		return nil, errf("%s.kind: required (flap, crash-burst or uniform-crashes)", path)
-	default:
-		return nil, errf("%s.kind: unknown generator kind %q", path, probe.Kind)
+	var out faults.Schedule
+	for k := 0; k < r.Count; k++ {
+		start := at + time.Duration(k)*period
+		out = out.PartitionAt(start, islands...).HealAt(start + down)
 	}
+	return out
+}
+
+// crashBurstGenerator is a correlated crash burst: the listed processes
+// crash in order, spacing apart.
+func crashBurstGenerator(c cursor, raw json.RawMessage, e *env) faults.Schedule {
+	var r struct {
+		Kind      string `json:"kind"`
+		IDs       []int  `json:"ids"`
+		AtUS      int64  `json:"at_us"`
+		SpacingUS int64  `json:"spacing_us"`
+	}
+	c.strict(raw, &r)
+	at, spacing := c.dur("at_us", r.AtUS), c.dur("spacing_us", r.SpacingUS)
+	c.at("ids").check(len(r.IDs) > 0, "required")
+	var out faults.Schedule
+	for j, id := range c.at("ids").ids(r.IDs, e.n, map[int]bool{}, "duplicate process %d") {
+		out = out.CrashAt(id, at+time.Duration(j)*spacing)
+	}
+	return out
+}
+
+// uniformCrashesGenerator is the paper family's "faults uniformly inserted"
+// plan, reproducible from its own seed (faults.Uniform).
+func uniformCrashesGenerator(c cursor, raw json.RawMessage, e *env) faults.Schedule {
+	var r struct {
+		Kind       string `json:"kind"`
+		Seed       int64  `json:"seed"`
+		Count      int    `json:"count"`
+		Candidates []int  `json:"candidates"`
+		StartUS    int64  `json:"start_us"`
+		EndUS      int64  `json:"end_us"`
+	}
+	c.strict(raw, &r)
+	start, end := c.dur("start_us", r.StartUS), c.dur("end_us", r.EndUS)
+	c.at("end_us").check(end > start, "must exceed start_us")
+	c.at("candidates").check(len(r.Candidates) > 0, "required")
+	cands := c.at("candidates").ids(r.Candidates, e.n, map[int]bool{}, "duplicate process %d")
+	c.at("count").check(r.Count >= 1 && r.Count <= len(cands),
+		"must be in [1, len(candidates)=%d], got %d", len(cands), r.Count)
+	if !c.ok() {
+		return nil // Uniform permutes and allocates by its arguments
+	}
+	//fdlint:allow rngdiscipline deterministic generator expansion at parse time, outside any kernel
+	return faults.Uniform(rand.New(rand.NewSource(r.Seed)), cands, r.Count, start, end)
 }
 
 // validateSchedule enforces, over the time-sorted schedule, the invariants
@@ -853,93 +829,53 @@ func compileGenerator(path string, raw json.RawMessage, n int) (faults.Schedule,
 // before the horizon, each process's crash/recover events strictly
 // alternate starting with a crash (GroundTruth would silently no-op the
 // violations), and every heal matches an active partition.
-func validateSchedule(path string, sched faults.Schedule, horizon time.Duration) error {
+func (c cursor) validateSchedule(sched faults.Schedule, horizon time.Duration) {
 	ordered := append(faults.Schedule(nil), sched...)
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].At < ordered[j].At })
 	down := map[ident.ID]bool{}
 	depth := 0
 	for _, e := range ordered {
-		if e.At >= horizon {
-			return errf("%s: %s of %v at %v does not precede the horizon (%v)", path, e.Kind, e.ID, e.At, horizon)
-		}
+		c.check(e.At < horizon, "%s of %v at %v does not precede the horizon (%v)", e.Kind, e.ID, e.At, horizon)
 		switch e.Kind {
 		case faults.KindCrash:
-			if down[e.ID] {
-				return errf("%s: %v crashes at %v while already down", path, e.ID, e.At)
-			}
+			c.check(!down[e.ID], "%v crashes at %v while already down", e.ID, e.At)
 			down[e.ID] = true
 		case faults.KindRecover:
-			if !down[e.ID] {
-				return errf("%s: %v recovers at %v without a preceding crash", path, e.ID, e.At)
-			}
+			c.check(down[e.ID], "%v recovers at %v without a preceding crash", e.ID, e.At)
 			down[e.ID] = false
 		case faults.KindPartition:
 			depth++
 		case faults.KindHeal:
-			if depth == 0 {
-				return errf("%s: heal at %v without an active partition", path, e.At)
-			}
+			c.check(depth > 0, "heal at %v without an active partition", e.At)
 			depth--
 		}
 	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------
 // Measurement programs.
 
-func compileClusterProgram(sc *Scenario, cl *rawCluster, rawF json.RawMessage, m *rawMeasure) error {
-	spec, err := compileClusterSpec(cl)
-	if err != nil {
-		return err
-	}
-	sc.Cluster = spec
-	sc.Measure.Program = ProgramCluster
-	if err := rejectFields("measure", "the cluster program", map[string]bool{
-		"topologies":  len(m.Topologies) > 0,
-		"ns":          len(m.Ns) > 0,
-		"crash_at_us": m.CrashAtUS != 0,
-		"interval_us": m.IntervalUS != 0,
-		"timeout_us":  m.TimeoutUS != 0,
-		"propose_us":  m.ProposeUS != 0,
-	}); err != nil {
-		return err
-	}
-	if sc.Measure.Warm, err = usDur("measure.warm_us", m.WarmUS); err != nil {
-		return err
-	}
-	if sc.Measure.Horizon, err = usDur("measure.horizon_us", m.HorizonUS); err != nil {
-		return err
-	}
-	if sc.Measure.Horizon <= sc.Measure.Warm {
-		return errf("measure.horizon_us: must exceed warm_us")
-	}
-	sc.VariantHeader, sc.Variants, err = compileVariants(rawF, spec.N, sc.Measure.Horizon, true)
-	if err != nil {
-		return err
-	}
-	streams, err := compileMetrics(sc, m)
-	if err != nil {
-		return err
-	}
-	return compileColumns(sc, m, streams)
-}
+func (d *doc) clusterProgram() {
+	sc, m, ms := d.sc, d.at("measure"), &d.measure
+	sc.Cluster = d.clusterSpec()
+	sc.Measure.Warm = m.dur("warm_us", ms.WarmUS)
+	sc.Measure.Horizon = m.dur("horizon_us", ms.HorizonUS)
+	m.at("horizon_us").check(sc.Measure.Horizon > sc.Measure.Warm, "must exceed warm_us")
+	e := &env{n: sc.Cluster.N, horizon: sc.Measure.Horizon, streams: map[string]streamType{}}
+	sc.VariantHeader, sc.Variants = d.compileVariants(e)
 
-// rejectFields errors on the first listed field that is set but not used by
-// the given program.
-func rejectFields(prefix, program string, set map[string]bool) error {
-	// Deterministic error selection: report the lexicographically first.
-	var bad []string
-	for name, isSet := range set {
-		if isSet {
-			bad = append(bad, name)
-		}
+	metrics := m.at("metrics")
+	metrics.check(len(ms.Metrics) > 0, "required for the cluster program")
+	metrics.check(len(ms.Metrics) <= maxMetrics, "more than %d metrics", maxMetrics)
+	for i, raw := range ms.Metrics {
+		sc.Measure.Metrics = append(sc.Measure.Metrics, compileUnion(metricKinds, metrics.idx(i), raw, e))
 	}
-	if len(bad) == 0 {
-		return nil
+	columns := m.at("columns")
+	columns.check(len(ms.Columns) > 0, "required for the cluster program")
+	columns.check(len(ms.Columns) <= maxColumns, "more than %d columns", maxColumns)
+	for i, rc := range ms.Columns {
+		sc.Measure.Columns = append(sc.Measure.Columns, columns.idx(i).column(rc, e.streams))
 	}
-	sort.Strings(bad)
-	return errf("%s.%s: not used by %s", prefix, bad[0], program)
 }
 
 // streamType is the value type a metric's per-replicate stream carries;
@@ -953,386 +889,177 @@ const (
 	streamBool                            // 0/1 indicator (reconvergence clean)
 )
 
-func compileMetrics(sc *Scenario, m *rawMeasure) (map[string]streamType, error) {
-	if len(m.Metrics) == 0 {
-		return nil, errf("measure.metrics: required for the cluster program")
-	}
-	if len(m.Metrics) > maxMetrics {
-		return nil, errf("measure.metrics: more than %d metrics", maxMetrics)
-	}
-	streams := map[string]streamType{}
-	n := sc.Cluster.N
-	horizon := sc.Measure.Horizon
-	claim := func(path, name string, st streamType) error {
-		if name == "" {
-			return errf("%s: required", path)
-		}
-		if len(name) > maxNameLen {
-			return errf("%s: longer than %d bytes", path, maxNameLen)
-		}
-		if _, dup := streams[name]; dup {
-			return errf("%s: duplicate metric name %q", path, name)
-		}
-		streams[name] = st
-		return nil
-	}
-	for i, raw := range m.Metrics {
-		path := fmt.Sprintf("measure.metrics[%d]", i)
-		var probe struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal(raw, &probe); err != nil {
-			return nil, errf("%s: %v", path, err)
-		}
-		var met Metric
-		switch probe.Kind {
-		case "detection", "redetection", "trust-restoration":
-			var r struct {
-				Kind      string `json:"kind"`
-				Name      string `json:"name"`
-				Victim    int    `json:"victim"`
-				Observers []int  `json:"observers,omitempty"`
-				Episode   int    `json:"episode,omitempty"`
-			}
-			if err := strictUnmarshal(raw, &r); err != nil {
-				return nil, errf("%s: %v", path, err)
-			}
-			if err := claim(path+".name", r.Name, streamDetection); err != nil {
-				return nil, err
-			}
-			if err := validateID(path+".victim", r.Victim, n); err != nil {
-				return nil, err
-			}
-			if r.Episode < 0 || r.Episode > maxEpisode {
-				return nil, errf("%s.episode: must be in [0, %d], got %d", path, maxEpisode, r.Episode)
-			}
-			if probe.Kind == "detection" && r.Episode != 0 {
-				return nil, errf("%s.episode: not used by detection (use redetection)", path)
-			}
-			obs := make([]ident.ID, 0, len(r.Observers))
-			seen := map[int]bool{}
-			for j, id := range r.Observers {
-				if err := validateID(fmt.Sprintf("%s.observers[%d]", path, j), id, n); err != nil {
-					return nil, err
-				}
-				if seen[id] {
-					return nil, errf("%s.observers[%d]: duplicate process %d", path, j, id)
-				}
-				if id == r.Victim {
-					return nil, errf("%s.observers[%d]: the victim cannot observe itself", path, j)
-				}
-				seen[id] = true
-				obs = append(obs, ident.ID(id))
-			}
-			met = Metric{
-				Name:      r.Name,
-				Victim:    ident.ID(r.Victim),
-				Observers: obs,
-				Episode:   r.Episode,
-			}
-			switch probe.Kind {
-			case "detection":
-				met.Kind = MetricDetection
-			case "redetection":
-				met.Kind = MetricRedetection
-			case "trust-restoration":
-				met.Kind = MetricTrustRestoration
-			}
-		case "storm":
-			var r struct {
-				Kind   string `json:"kind"`
-				Name   string `json:"name"`
-				FromUS int64  `json:"from_us"`
-				ToUS   int64  `json:"to_us"`
-			}
-			if err := strictUnmarshal(raw, &r); err != nil {
-				return nil, errf("%s: %v", path, err)
-			}
-			if err := claim(path+".name", r.Name, streamScalar); err != nil {
-				return nil, err
-			}
-			from, err := usDur(path+".from_us", r.FromUS)
-			if err != nil {
-				return nil, err
-			}
-			to, err := usDur(path+".to_us", r.ToUS)
-			if err != nil {
-				return nil, err
-			}
-			if to <= from {
-				return nil, errf("%s.to_us: must exceed from_us", path)
-			}
-			if to > horizon {
-				return nil, errf("%s.to_us: beyond the horizon (%v)", path, horizon)
-			}
-			met = Metric{Name: r.Name, Kind: MetricStorm, From: from, To: to}
-		case "reconvergence":
-			var r struct {
-				Kind      string `json:"kind"`
-				Name      string `json:"name"`
-				AfterUS   int64  `json:"after_us"`
-				CleanName string `json:"clean_name,omitempty"`
-			}
-			if err := strictUnmarshal(raw, &r); err != nil {
-				return nil, errf("%s: %v", path, err)
-			}
-			if err := claim(path+".name", r.Name, streamDuration); err != nil {
-				return nil, err
-			}
-			after, err := usDur(path+".after_us", r.AfterUS)
-			if err != nil {
-				return nil, err
-			}
-			if after >= horizon {
-				return nil, errf("%s.after_us: must precede the horizon (%v)", path, horizon)
-			}
-			clean := r.CleanName
-			if clean == "" {
-				clean = "clean"
-			}
-			if err := claim(path+".clean_name", clean, streamBool); err != nil {
-				return nil, err
-			}
-			met = Metric{Name: r.Name, Kind: MetricReconvergence, After: after, CleanName: clean}
-		case "":
-			return nil, errf("%s.kind: required (detection, redetection, trust-restoration, storm or reconvergence)", path)
-		default:
-			return nil, errf("%s.kind: unknown metric kind %q", path, probe.Kind)
-		}
-		sc.Measure.Metrics = append(sc.Measure.Metrics, met)
-	}
-	return streams, nil
+var streamNames = [...]string{
+	streamDetection: "detection", streamDuration: "duration", streamScalar: "scalar", streamBool: "indicator",
 }
 
-// famFormats whitelists the famCell verbs a ColFam column may use.
-var famFormats = map[string]bool{"%.0f": true, "%.1f": true, "%.2f": true, "%.3f": true}
-
-func compileColumns(sc *Scenario, m *rawMeasure, streams map[string]streamType) error {
-	if len(m.Columns) == 0 {
-		return errf("measure.columns: required for the cluster program")
-	}
-	if len(m.Columns) > maxColumns {
-		return errf("measure.columns: more than %d columns", maxColumns)
-	}
-	for i, rc := range m.Columns {
-		path := fmt.Sprintf("measure.columns[%d]", i)
-		if rc.Header == "" {
-			return errf("%s.header: required", path)
-		}
-		if len(rc.Header) > maxNameLen {
-			return errf("%s.header: longer than %d bytes", path, maxNameLen)
-		}
-		st, ok := streams[rc.Metric]
-		if !ok {
-			return errf("%s.metric: unknown metric %q", path, rc.Metric)
-		}
-		col := Column{Header: rc.Header, Metric: rc.Metric}
-		switch rc.Kind {
-		case "fam_ms":
-			if st != streamDetection && st != streamDuration {
-				return errf("%s.kind: fam_ms needs a detection or reconvergence metric, %q is %s-valued", path, rc.Metric, streamName(st))
-			}
-			col.Kind = ColFamMS
-		case "max_ms":
-			if st != streamDetection && st != streamDuration {
-				return errf("%s.kind: max_ms needs a detection or reconvergence metric, %q is %s-valued", path, rc.Metric, streamName(st))
-			}
-			col.Kind = ColMaxMS
-		case "missing":
-			if st != streamDetection {
-				return errf("%s.kind: missing needs a detection metric, %q is %s-valued", path, rc.Metric, streamName(st))
-			}
-			col.Kind = ColMissing
-		case "fam":
-			if st != streamScalar {
-				return errf("%s.kind: fam needs a scalar metric, %q is %s-valued", path, rc.Metric, streamName(st))
-			}
-			col.Kind = ColFam
-			col.Format = rc.Format
-			if col.Format == "" {
-				col.Format = "%.1f"
-			}
-			if !famFormats[col.Format] {
-				return errf("%s.format: unsupported format %q (want %%.0f, %%.1f, %%.2f or %%.3f)", path, col.Format)
-			}
-		case "ratio":
-			if st != streamBool {
-				return errf("%s.kind: ratio needs a 0/1 indicator metric, %q is %s-valued", path, rc.Metric, streamName(st))
-			}
-			col.Kind = ColRatio
-		case "":
-			return errf("%s.kind: required (fam_ms, max_ms, missing, fam or ratio)", path)
-		default:
-			return errf("%s.kind: unknown column kind %q", path, rc.Kind)
-		}
-		if rc.Format != "" && col.Kind != ColFam {
-			return errf("%s.format: only fam columns take a format", path)
-		}
-		sc.Measure.Columns = append(sc.Measure.Columns, col)
-	}
-	return nil
+// claim registers a metric stream under a fresh name.
+func (e *env) claim(c cursor, name string, st streamType) {
+	c.text(name, true, maxNameLen)
+	_, dup := e.streams[name]
+	c.check(!dup, "duplicate metric name %q", name)
+	e.streams[name] = st
 }
 
-func streamName(st streamType) string {
-	switch st {
-	case streamDetection:
-		return "detection"
-	case streamDuration:
-		return "duration"
-	case streamScalar:
-		return "scalar"
-	case streamBool:
-		return "indicator"
+var metricKinds = union[decoder[Metric]]{
+	what: "metric kind", field: "kind", alts: []alt[decoder[Metric]]{
+		{"detection", detectionMetric(MetricDetection)},
+		{"redetection", detectionMetric(MetricRedetection)},
+		{"trust-restoration", detectionMetric(MetricTrustRestoration)},
+		{"storm", stormMetric},
+		{"reconvergence", reconvergenceMetric},
+	}}
+
+// detectionMetric is the detection family: one shape, three judgments.
+func detectionMetric(kind MetricKind) decoder[Metric] {
+	return func(c cursor, raw json.RawMessage, e *env) Metric {
+		var r struct {
+			Kind      string `json:"kind"`
+			Name      string `json:"name"`
+			Victim    int    `json:"victim"`
+			Observers []int  `json:"observers,omitempty"`
+			Episode   int    `json:"episode,omitempty"`
+		}
+		c.strict(raw, &r)
+		e.claim(c.at("name"), r.Name, streamDetection)
+		met := Metric{Name: r.Name, Kind: kind, Victim: c.at("victim").id(r.Victim, e.n), Episode: r.Episode}
+		c.at("episode").within(r.Episode, 0, maxEpisode)
+		if kind == MetricDetection {
+			c.at("episode").check(r.Episode == 0, "not used by detection (use redetection)")
+		}
+		met.Observers = c.at("observers").ids(r.Observers, e.n, map[int]bool{}, "duplicate process %d")
+		if j := slices.Index(r.Observers, r.Victim); j >= 0 {
+			c.at("observers").idx(j).failf("the victim cannot observe itself")
+		}
+		return met
+	}
+}
+
+func stormMetric(c cursor, raw json.RawMessage, e *env) Metric {
+	var r struct {
+		Kind   string `json:"kind"`
+		Name   string `json:"name"`
+		FromUS int64  `json:"from_us"`
+		ToUS   int64  `json:"to_us"`
+	}
+	c.strict(raw, &r)
+	e.claim(c.at("name"), r.Name, streamScalar)
+	met := Metric{Name: r.Name, Kind: MetricStorm, From: c.dur("from_us", r.FromUS), To: c.dur("to_us", r.ToUS)}
+	c.at("to_us").check(met.To > met.From, "must exceed from_us")
+	c.at("to_us").check(met.To <= e.horizon, "beyond the horizon (%v)", e.horizon)
+	return met
+}
+
+func reconvergenceMetric(c cursor, raw json.RawMessage, e *env) Metric {
+	var r struct {
+		Kind      string `json:"kind"`
+		Name      string `json:"name"`
+		AfterUS   int64  `json:"after_us"`
+		CleanName string `json:"clean_name,omitempty"`
+	}
+	c.strict(raw, &r)
+	e.claim(c.at("name"), r.Name, streamDuration)
+	after := c.dur("after_us", r.AfterUS)
+	c.at("after_us").check(after < e.horizon, "must precede the horizon (%v)", e.horizon)
+	if r.CleanName == "" {
+		r.CleanName = "clean"
+	}
+	e.claim(c.at("clean_name"), r.CleanName, streamBool)
+	return Metric{Name: r.Name, Kind: MetricReconvergence, After: after, CleanName: r.CleanName}
+}
+
+// columnKind is one alternative of columns[].kind: the aggregation and the
+// metric streams it can fold ("needs" words them for the diagnostic).
+type columnKind struct {
+	kind    ColumnKind
+	needs   string
+	streams []streamType
+}
+
+var columnKinds = union[columnKind]{what: "column kind", alts: []alt[columnKind]{
+	{"fam_ms", columnKind{ColFamMS, "a detection or reconvergence", []streamType{streamDetection, streamDuration}}},
+	{"max_ms", columnKind{ColMaxMS, "a detection or reconvergence", []streamType{streamDetection, streamDuration}}},
+	{"missing", columnKind{ColMissing, "a detection", []streamType{streamDetection}}},
+	{"fam", columnKind{ColFam, "a scalar", []streamType{streamScalar}}},
+	{"ratio", columnKind{ColRatio, "a 0/1 indicator", []streamType{streamBool}}},
+}}
+
+// famFormats are the famCell verbs a ColFam column may use.
+var famFormats = []string{"%.0f", "%.1f", "%.2f", "%.3f"}
+
+func (c cursor) column(rc rawColumn, streams map[string]streamType) Column {
+	c.at("header").text(rc.Header, true, maxNameLen)
+	st, known := streams[rc.Metric]
+	c.at("metric").check(known, "unknown metric %q", rc.Metric)
+	ck, _ := columnKinds.pick(c.at("kind"), rc.Kind)
+	c.at("kind").check(slices.Contains(ck.streams, st),
+		"%s needs %s metric, %q is %s-valued", rc.Kind, ck.needs, rc.Metric, streamNames[st])
+	col := Column{Header: rc.Header, Metric: rc.Metric, Kind: ck.kind, Format: rc.Format}
+	switch {
+	case ck.kind != ColFam:
+		c.at("format").check(rc.Format == "", "only fam columns take a format")
+	case rc.Format == "":
+		col.Format = "%.1f"
 	default:
-		return "stream?"
+		c.at("format").check(slices.Contains(famFormats, rc.Format),
+			"unsupported format %q (want %s)", rc.Format, orList(famFormats))
 	}
+	return col
 }
 
-// knownTopologies mirrors exp's LT graph families (exp's
-// TestScenarioNameListsMatchEngine).
-var knownTopologies = map[string]bool{"ring": true, "grid": true, "scale-free": true, "manet": true}
-
-func compileTopologyProgram(sc *Scenario, cl *rawCluster, rawF json.RawMessage, m *rawMeasure) error {
-	// The topology program builds its own neighbor-heartbeat machines per
-	// graph; of the cluster section only the delay model applies.
-	if err := rejectFields("cluster", "the topology program", map[string]bool{
-		"n":               cl.N != 0,
-		"f":               cl.F != 0,
-		"window_us":       cl.WindowUS != 0,
-		"interval_us":     cl.IntervalUS != 0,
-		"rebroadcast_us":  cl.RebroadcastUS != 0,
-		"disable_tags":    cl.DisableTags,
-		"hb_interval_us":  cl.HBIntervalUS != 0,
-		"hb_timeout_us":   cl.HBTimeoutUS != 0,
-		"phi_threshold":   cl.PhiThreshold != 0,
-		"chen_alpha_us":   cl.ChenAlphaUS != 0,
-		"count_bytes":     cl.CountBytes,
-		"start_jitter_us": cl.StartJitterUS != 0,
-	}); err != nil {
-		return err
-	}
-	if len(cl.Detectors) != 1 || cl.Detectors[0] != "heartbeat" {
-		return errf(`cluster.detectors: the topology program runs the neighbor-local heartbeat only (want ["heartbeat"])`)
-	}
-	delay, err := compileDelay("cluster.delay", cl.Delay)
-	if err != nil {
-		return err
-	}
-	sc.Cluster = ClusterSpec{Detectors: cl.Detectors, Delay: delay}
-	sc.Measure.Program = ProgramTopology
-	if err := rejectFields("measure", "the topology program", map[string]bool{
-		"warm_us":    m.WarmUS != 0,
-		"metrics":    len(m.Metrics) > 0,
-		"columns":    len(m.Columns) > 0,
-		"propose_us": m.ProposeUS != 0,
-	}); err != nil {
-		return err
-	}
-	if sc.Measure.Horizon, err = usDur("measure.horizon_us", m.HorizonUS); err != nil {
-		return err
-	}
-	if sc.Measure.Horizon <= 0 {
-		return errf("measure.horizon_us: must be positive")
-	}
-	if len(m.Topologies) == 0 {
-		return errf("measure.topologies: required for the topology program")
-	}
-	seen := map[string]bool{}
-	for i, topo := range m.Topologies {
-		if !knownTopologies[topo] {
-			return errf("measure.topologies[%d]: unknown topology %q (want ring, grid, scale-free or manet)", i, topo)
+func (d *doc) topologyProgram() {
+	sc, c, cl, m, ms := d.sc, d.at("cluster"), &d.cluster, d.at("measure"), &d.measure
+	c.at("detectors").check(len(cl.Detectors) == 1 && cl.Detectors[0] == "heartbeat",
+		`the topology program runs the neighbor-local heartbeat only (want ["heartbeat"])`)
+	sc.Cluster.Detectors, sc.Cluster.Delay = cl.Detectors, compileUnion(delayModels, c.at("delay"), cl.Delay, nil)
+	me := &sc.Measure
+	me.Horizon = m.dur("horizon_us", ms.HorizonUS)
+	m.at("horizon_us").check(me.Horizon > 0, "must be positive")
+	m.at("topologies").check(len(ms.Topologies) > 0, "required for the topology program")
+	m.at("topologies").names(ms.Topologies, "topology", func(c cursor, name string) {
+		if _, err := topology.Family(name); err != nil {
+			c.failf("%v", err)
 		}
-		if seen[topo] {
-			return errf("measure.topologies[%d]: duplicate topology %q", i, topo)
-		}
-		seen[topo] = true
+	})
+	me.Topologies = ms.Topologies
+	m.at("ns").check(len(ms.Ns) > 0, "required for the topology program")
+	m.at("ns").check(len(ms.Ns) <= maxNsEntries, "more than %d sizes", maxNsEntries)
+	for i, n := range ms.Ns {
+		m.at("ns").idx(i).within(n, 4, maxTopologyN)
 	}
-	sc.Measure.Topologies = m.Topologies
-	if len(m.Ns) == 0 {
-		return errf("measure.ns: required for the topology program")
+	me.Ns = ms.Ns
+	me.CrashAt = m.dur("crash_at_us", ms.CrashAtUS)
+	m.at("crash_at_us").check(me.CrashAt > 0 && me.CrashAt < me.Horizon, "must fall inside (0, horizon)")
+	me.Interval, me.Timeout = m.dur("interval_us", ms.IntervalUS), m.dur("timeout_us", ms.TimeoutUS)
+	if me.Interval == 0 {
+		me.Interval = time.Second
 	}
-	if len(m.Ns) > maxNsEntries {
-		return errf("measure.ns: more than %d sizes", maxNsEntries)
+	if me.Timeout == 0 {
+		me.Timeout = 2 * time.Second
 	}
-	for i, n := range m.Ns {
-		if n < 4 || n > maxTopologyN {
-			return errf("measure.ns[%d]: must be in [4, %d], got %d", i, maxTopologyN, n)
-		}
-	}
-	sc.Measure.Ns = m.Ns
-	if sc.Measure.CrashAt, err = usDur("measure.crash_at_us", m.CrashAtUS); err != nil {
-		return err
-	}
-	if sc.Measure.CrashAt <= 0 || sc.Measure.CrashAt >= sc.Measure.Horizon {
-		return errf("measure.crash_at_us: must fall inside (0, horizon)")
-	}
-	if sc.Measure.Interval, err = usDur("measure.interval_us", m.IntervalUS); err != nil {
-		return err
-	}
-	if sc.Measure.Timeout, err = usDur("measure.timeout_us", m.TimeoutUS); err != nil {
-		return err
-	}
-	if sc.Measure.Interval == 0 {
-		sc.Measure.Interval = time.Second
-	}
-	if sc.Measure.Timeout == 0 {
-		sc.Measure.Timeout = 2 * time.Second
-	}
-	if sc.Measure.Timeout <= sc.Measure.Interval {
-		return errf("measure.timeout_us: must exceed interval_us")
-	}
-	_, sc.Variants, err = compileVariants(rawF, 0, sc.Measure.Horizon, false)
-	return err
+	m.at("timeout_us").check(me.Timeout > me.Interval, "must exceed interval_us")
+	f := d.decodeFaults()
+	d.at("faults").check(len(f.Variants)+len(f.Events)+len(f.Generators) == 0 && f.VariantHeader == "",
+		"the topology program does not take a fault schedule (measure.crash_at_us scripts its crash)")
+	sc.Variants = []Variant{{}}
 }
 
-func compileConsensusProgram(sc *Scenario, cl *rawCluster, rawF json.RawMessage, m *rawMeasure) error {
-	spec, err := compileClusterSpec(cl)
-	if err != nil {
-		return err
-	}
-	if spec.F < 1 {
-		return errf("cluster.f: the consensus program needs f >= 1")
-	}
-	if spec.N < 2*spec.F+1 {
-		return errf("cluster.n: the consensus program needs n >= 2f+1 (got n=%d, f=%d)", spec.N, spec.F)
-	}
-	sc.Cluster = spec
-	sc.Measure.Program = ProgramConsensus
-	if err := rejectFields("measure", "the consensus program", map[string]bool{
-		"warm_us":     m.WarmUS != 0,
-		"metrics":     len(m.Metrics) > 0,
-		"columns":     len(m.Columns) > 0,
-		"topologies":  len(m.Topologies) > 0,
-		"ns":          len(m.Ns) > 0,
-		"crash_at_us": m.CrashAtUS != 0,
-		"interval_us": m.IntervalUS != 0,
-		"timeout_us":  m.TimeoutUS != 0,
-	}); err != nil {
-		return err
-	}
-	if sc.Measure.Horizon, err = usDur("measure.horizon_us", m.HorizonUS); err != nil {
-		return err
-	}
-	if sc.Measure.Propose, err = usDur("measure.propose_us", m.ProposeUS); err != nil {
-		return err
-	}
-	if sc.Measure.Propose <= 0 {
-		return errf("measure.propose_us: must be positive")
-	}
-	if sc.Measure.Horizon <= sc.Measure.Propose {
-		return errf("measure.horizon_us: must exceed propose_us")
-	}
-	header, variants, err := compileVariants(rawF, spec.N, sc.Measure.Horizon, true)
-	if err != nil {
-		return err
-	}
-	if len(variants) != 1 || header != "" {
-		return errf("faults.variants: the consensus program takes a single unnamed fault schedule")
+func (d *doc) consensusProgram() {
+	sc, m, ms := d.sc, d.at("measure"), &d.measure
+	sc.Cluster = d.clusterSpec()
+	n, f := sc.Cluster.N, sc.Cluster.F
+	d.at("cluster").at("f").check(f >= 1, "the consensus program needs f >= 1")
+	d.at("cluster").at("n").check(n >= 2*f+1, "the consensus program needs n >= 2f+1 (got n=%d, f=%d)", n, f)
+	sc.Measure.Horizon, sc.Measure.Propose = m.dur("horizon_us", ms.HorizonUS), m.dur("propose_us", ms.ProposeUS)
+	m.at("propose_us").check(sc.Measure.Propose > 0, "must be positive")
+	m.at("horizon_us").check(sc.Measure.Horizon > sc.Measure.Propose, "must exceed propose_us")
+	header, variants := d.compileVariants(&env{n: n, horizon: sc.Measure.Horizon})
+	single := len(variants) == 1 && header == ""
+	if !d.at("faults").at("variants").check(single, "the consensus program takes a single unnamed fault schedule") {
+		return
 	}
 	// At least one process must never crash, or no survivor can decide.
-	if crashed := variants[0].Faults.IDs(); crashed.Len() >= spec.N {
-		return errf("faults: every process crashes; at least one survivor is required")
-	}
+	crashed := variants[0].Faults.IDs().Len()
+	d.at("faults").check(crashed < n, "every process crashes; at least one survivor is required")
 	sc.Variants = variants
-	return nil
 }

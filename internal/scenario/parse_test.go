@@ -401,3 +401,38 @@ func TestParseErrors(t *testing.T) {
 		})
 	}
 }
+
+// TestStrictUnmarshalTrailingData pins the trailing-data rule on the
+// decoder itself (Parse's loose schema probe shields it from whole
+// documents): anything after the one JSON value is an error, including the
+// closing brackets json.Decoder.More stops at.
+func TestStrictUnmarshalTrailingData(t *testing.T) {
+	for _, tail := range []string{"{}", " ]] junk", "}", "]", ",", " 1", "x"} {
+		var v struct {
+			N int `json:"n"`
+		}
+		if err := strictUnmarshal([]byte(`{"n": 1}`+tail), &v); err == nil {
+			t.Errorf("accepted %q after the document", tail)
+		}
+	}
+	var v struct {
+		N int `json:"n"`
+	}
+	if err := strictUnmarshal([]byte(`{"n": 1}`+" \n\t"), &v); err != nil || v.N != 1 {
+		t.Errorf("trailing whitespace: n=%d err=%v", v.N, err)
+	}
+}
+
+// TestFailedCheckStopsExpansion is the obligation the first-error-wins
+// cursor leaves behind: compile functions keep running after a failed check,
+// so a step that expands its input must not run on unchecked values. The
+// flap loop is bounded by nothing but the count check; were it to run here
+// it would never return (testdata/fuzz carries the same document).
+func TestFailedCheckStopsExpansion(t *testing.T) {
+	doc := swap(miniDoc, miniFaults, `{"generators": [{"kind": "flap", "islands": [[0]], "at_us": 1000,
+	  "down_us": 10, "period_us": -20, "count": 4611686018427387904}]}`)
+	_, err := Parse([]byte(doc), false)
+	if err == nil || !strings.Contains(err.Error(), "scenario: faults.generators[0].period_us:") {
+		t.Errorf("err = %v, want the period_us diagnostic", err)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"asyncfd/internal/ident"
 )
@@ -341,6 +342,48 @@ func RandomGeometric(r *rand.Rand, n int, width, height, radius float64) *Graph 
 		positions[i] = Point{X: r.Float64() * width, Y: r.Float64() * height}
 	}
 	return Geometric(positions, radius)
+}
+
+// families are the graph families a scenario document or a sweep can name.
+var families = []struct {
+	name  string
+	build func(n int, r *rand.Rand) *Graph
+}{
+	{"ring", func(n int, _ *rand.Rand) *Graph { return Circulant(n, 1) }},
+	{"grid", func(n int, _ *rand.Rand) *Graph {
+		// Squarest torus: rows = largest divisor of n not above √n.
+		rows := 1
+		for d := 1; d*d <= n; d++ {
+			if n%d == 0 {
+				rows = d
+			}
+		}
+		return Grid(rows, n/rows)
+	}},
+	{"scale-free", func(n int, r *rand.Rand) *Graph { return ScaleFree(r, n, 3) }},
+	{"manet", func(n int, r *rand.Rand) *Graph {
+		// Radio graph in a 1000×1000 region with the range chosen for an
+		// expected degree of ≈8: deg ≈ n·πr²/A ⇒ r = √(deg·A/(π·n)).
+		const width, height, wantDeg = 1000.0, 1000.0, 8.0
+		radius := math.Sqrt(wantDeg * width * height / (math.Pi * float64(n)))
+		return RandomGeometric(r, n, width, height, radius)
+	}},
+}
+
+// Family returns the builder of the named graph family: one instance on n
+// vertices per call. Randomized families (scale-free, manet) draw from r;
+// regular ones (ring, grid) ignore it. An unknown name is an error listing
+// the known ones, so whoever accepts names from outside — the scenario
+// compiler, the LT sweep — resolves them here and nowhere else.
+func Family(name string) (func(n int, r *rand.Rand) *Graph, error) {
+	known := make([]string, len(families))
+	for i, f := range families {
+		if f.name == name {
+			return f.build, nil
+		}
+		known[i] = f.name
+	}
+	return nil, fmt.Errorf("topology: unknown topology %q (want one of %s)", name, strings.Join(known, ", "))
 }
 
 // GenConfig parameterizes the f-covering generator.

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -328,6 +329,36 @@ func TestRandomGeometric(t *testing.T) {
 	for v := 0; v < g.Len(); v++ {
 		if g.Degree(ident.ID(v)) != h.Degree(ident.ID(v)) {
 			t.Fatalf("RandomGeometric not deterministic at vertex %d", v)
+		}
+	}
+}
+
+// TestFamilyBuildsByName pins the by-name builder the scenario compiler and
+// the LT sweep share: the four families exist, build n vertices, keep their
+// shape (ring degree 2, the squarest torus degree 4), are a function of the
+// rand stream alone, and an unknown name is an error that lists them.
+func TestFamilyBuildsByName(t *testing.T) {
+	for _, name := range []string{"ring", "grid", "scale-free", "manet"} {
+		build, err := Family(name)
+		if err != nil {
+			t.Fatalf("Family(%q): %v", name, err)
+		}
+		a, b := build(48, rand.New(rand.NewSource(7))), build(48, rand.New(rand.NewSource(7)))
+		if a.Len() != 48 {
+			t.Errorf("%s: %d vertices, want 48", name, a.Len())
+		}
+		for v := 0; v < 48; v++ {
+			if !a.Neighbors(ident.ID(v)).Equal(b.Neighbors(ident.ID(v))) {
+				t.Fatalf("%s: two builds from one seed differ at vertex %d", name, v)
+			}
+		}
+		if want := map[string]int{"ring": 2, "grid": 4}[name]; want != 0 && a.Degree(5) != want {
+			t.Errorf("%s: degree %d, want %d", name, a.Degree(5), want)
+		}
+	}
+	for _, name := range []string{"", "Ring", "torus", "scalefree"} {
+		if _, err := Family(name); err == nil || !strings.Contains(err.Error(), "ring, grid, scale-free, manet") {
+			t.Errorf("Family(%q) = %v, want an error listing the families", name, err)
 		}
 	}
 }

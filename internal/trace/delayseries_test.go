@@ -102,6 +102,10 @@ func TestParseDelaySeriesErrors(t *testing.T) {
 		{"not ascending", `{"schema":"asyncfd-trace/v1","span_us":10,"samples":[{"at_us":5,"rtt_us":1},{"at_us":5,"rtt_us":2}]}`, "samples[1].at_us"},
 		{"negative rtt", `{"schema":"asyncfd-trace/v1","span_us":10,"samples":[{"at_us":0,"rtt_us":-1}]}`, "samples[0].rtt_us"},
 		{"trailing data", `{"schema":"asyncfd-trace/v1","span_us":10,"samples":[{"at_us":0,"rtt_us":1}]}{}`, "trailing"},
+		// json.Decoder.More is false before a closing bracket, so a trailing
+		// check built on it waves these through.
+		{"trailing bracket", `{"schema":"asyncfd-trace/v1","span_us":1000,"samples":[{"at_us":0,"rtt_us":5}]} ]] junk`, "trailing"},
+		{"trailing brace", `{"schema":"asyncfd-trace/v1","span_us":1000,"samples":[{"at_us":0,"rtt_us":5}]}}`, "trailing"},
 		{"not json", `hello`, "invalid character"},
 	}
 	for _, tc := range cases {

@@ -26,6 +26,11 @@
 // learned from received queries, the quorum is d−f where d is the range
 // density, and an optional mobility rule evicts remote processes from the
 // known set.
+//
+// For warm-fork replication the state machine keeps what the protocol changes
+// in one value (detectorState) and the runtime Node what a run changes in one
+// more (nodeState, which holds the Detector); a checkpoint is a copy of the
+// latter, made by one copyTo in either direction.
 package core
 
 import (
@@ -217,8 +222,15 @@ type RoundResult struct {
 // Detector is the per-process protocol state machine. It is not safe for
 // concurrent use; the driving runtime must serialize calls.
 type Detector struct {
-	cfg       Config
-	self      ident.ID
+	cfg  Config
+	self ident.ID
+	detectorState
+}
+
+// detectorState is everything about a Detector the protocol changes; cfg and
+// self never do. It is one value so that the runtime node's checkpoint
+// (node.Cloneable) copies it whole, in either direction, with copyTo.
+type detectorState struct {
 	counter   tagset.Tag
 	suspected *tagset.Set
 	mistake   *tagset.Set
@@ -229,18 +241,23 @@ type Detector struct {
 	recFrom   ident.Set
 }
 
+// copyTo makes dst a copy of s that shares no set storage with it.
+func (s *detectorState) copyTo(dst *detectorState) {
+	*dst = *s
+	dst.suspected = s.suspected.Clone()
+	dst.mistake = s.mistake.Clone()
+	dst.known = s.known.Clone()
+	dst.recFrom = s.recFrom.Clone()
+}
+
 // NewDetector builds a detector from cfg.
 func NewDetector(cfg Config) (*Detector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg.Membership = cfg.membership()
-	d := &Detector{
-		cfg:       cfg,
-		self:      cfg.Self,
-		suspected: tagset.New(),
-		mistake:   tagset.New(),
-	}
+	d := &Detector{cfg: cfg, self: cfg.Self}
+	d.suspected, d.mistake = tagset.New(), tagset.New()
 	if cfg.Membership == KnownMembership {
 		// All of Π is known from the start (paper's model). Self is
 		// included; it is harmless because self is always in rec_from.
@@ -475,45 +492,6 @@ func (d *Detector) emit(e Event) {
 	if d.cfg.Observer != nil {
 		d.cfg.Observer.FDEvent(e)
 	}
-}
-
-// detectorState is a deep copy of a Detector's mutable state, used by the
-// runtime node's checkpoint (node.Cloneable). cfg/self are immutable and
-// live on the Detector itself.
-type detectorState struct {
-	counter   tagset.Tag
-	suspected *tagset.Set
-	mistake   *tagset.Set
-	known     ident.Set
-	round     uint64
-	roundOpen bool
-	recFrom   ident.Set
-}
-
-// snapshotState captures the detector's mutable state.
-func (d *Detector) snapshotState() detectorState {
-	return detectorState{
-		counter:   d.counter,
-		suspected: d.suspected.Clone(),
-		mistake:   d.mistake.Clone(),
-		known:     d.known.Clone(),
-		round:     d.round,
-		roundOpen: d.roundOpen,
-		recFrom:   d.recFrom.Clone(),
-	}
-}
-
-// restoreState rolls the detector back to a snapshotState, in place (the
-// Observer binding and configuration are untouched). The state is cloned
-// out of the snapshot so it can be restored repeatedly.
-func (d *Detector) restoreState(s detectorState) {
-	d.counter = s.counter
-	d.suspected = s.suspected.Clone()
-	d.mistake = s.mistake.Clone()
-	d.known = s.known.Clone()
-	d.round = s.round
-	d.roundOpen = s.roundOpen
-	d.recFrom = s.recFrom.Clone()
 }
 
 // DebugString renders the full state for traces and test failures.

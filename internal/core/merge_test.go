@@ -221,13 +221,14 @@ func TestQuickT2VsMapOracle(t *testing.T) {
 		}
 		for step := 0; step < 200; step++ {
 			if r.Intn(4) == 0 {
-				snap := d.snapshotState()
+				var snap detectorState
+				d.detectorState.copyTo(&snap)
 				seen := len(obs.events)
 				for rep := 1 + r.Intn(2); rep > 0; rep-- {
 					for k := 1 + r.Intn(4); k > 0; k-- {
 						d.HandleQuery(randomQuery(r))
 					}
-					d.restoreState(snap)
+					snap.copyTo(&d.detectorState)
 				}
 				obs.events = obs.events[:seen]
 			}

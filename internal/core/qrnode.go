@@ -41,14 +41,31 @@ type NodeConfig struct {
 // safe for concurrent use (the live runtime delivers from multiple
 // goroutines; the simulator from one).
 type Node struct {
-	mu      sync.Mutex
-	env     node.Env   //fdlint:allow clonefields immutable wiring, set once at construction
-	cfg     NodeConfig //fdlint:allow clonefields immutable config, set once at construction
-	det     *Detector
+	mu  sync.Mutex
+	env node.Env   //fdlint:allow clonefields immutable wiring, set once at construction
+	cfg NodeConfig //fdlint:allow clonefields immutable config, set once at construction
+	nodeState
+}
+
+// nodeState is everything about a Node a run changes: the protocol state
+// machine, held by value — the nodeObserver binding and every pending
+// round-closure closure reference the Node, never the Detector — and the
+// runtime's timers and round counter. It is the node.Cloneable checkpoint:
+// Snapshot and Restore are copyTo run in the two directions. Timer handles are
+// shared by value with the live node — they are immutable, and the paired
+// kernel snapshot rewinds slot generations so one captured in a checkpoint is
+// pending again after Restore.
+type nodeState struct {
+	det     Detector
 	stopped bool
 	pending node.Timer // end-of-round or next-round timer
 	requery node.Timer // optional rebroadcast timer
 	rounds  uint64
+}
+
+func (s *nodeState) copyTo(dst *nodeState) {
+	*dst = *s
+	s.det.detectorState.copyTo(&dst.det.detectorState)
 }
 
 var _ node.Handler = (*Node)(nil)
@@ -69,7 +86,7 @@ func NewNode(env node.Env, cfg NodeConfig) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n.det = det
+	n.det = *det
 	return n, nil
 }
 
@@ -131,7 +148,7 @@ func (n *Node) Restart(fresh bool) {
 			// Unreachable: the same configuration validated at NewNode.
 			panic(fmt.Sprintf("core: Restart: %v", err))
 		}
-		n.det = det
+		n.det = *det
 	} else if n.det.RoundOpen() {
 		n.det.AbortRound()
 	}
@@ -190,43 +207,22 @@ func (n *Node) Known() ident.Set {
 
 // Detector exposes the underlying state machine for tests and diagnostics.
 // Callers must not mutate it while the node is running.
-func (n *Node) Detector() *Detector { return n.det }
-
-// snapshot is the node.Cloneable checkpoint: the detector state machine's
-// mutable state (deep-copied tag sets) plus the runtime's timers and round
-// counter. Restore rolls the SAME *Detector instance back in place — the
-// nodeObserver binding and any pending round-closure closures reference it.
-type snapshot struct {
-	det     detectorState
-	stopped bool
-	pending node.Timer
-	requery node.Timer
-	rounds  uint64
-}
+func (n *Node) Detector() *Detector { return &n.det }
 
 // Snapshot implements node.Cloneable.
 func (n *Node) Snapshot() any {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return &snapshot{
-		det:     n.det.snapshotState(),
-		stopped: n.stopped,
-		pending: n.pending,
-		requery: n.requery,
-		rounds:  n.rounds,
-	}
+	s := new(nodeState)
+	n.nodeState.copyTo(s)
+	return s
 }
 
 // Restore implements node.Cloneable.
 func (n *Node) Restore(snap any) {
-	s := snap.(*snapshot)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.det.restoreState(s.det)
-	n.stopped = s.stopped
-	n.pending = s.pending
-	n.requery = s.requery
-	n.rounds = s.rounds
+	snap.(*nodeState).copyTo(&n.nodeState)
 }
 
 // Deliver implements node.Handler, dispatching task T2 (queries) and the

@@ -25,6 +25,10 @@
 // calendar/ladder queue with amortized O(1) push/pop (ladder.go); the binary
 // heap it replaced is the oracle of the package's differential tests and
 // exists only there.
+//
+// Everything a run changes lives in one value, state; a checkpoint
+// (Snapshot/Restore, snapshot.go) is a copy of it, made by the one function
+// state.copyTo in either direction.
 package des
 
 import (
@@ -158,20 +162,19 @@ func (t *Timer) Reset(d time.Duration) bool {
 	return true
 }
 
-// Simulator is the event loop. It is strictly single-threaded: all scheduled
-// closures run on the goroutine that calls Step/Run/RunUntil, so simulated
-// components need no locking.
-type Simulator struct {
+// state is everything about a Simulator that a run changes — virtual clock,
+// sequence counter, the event slab (every in-flight message as data: endpoints,
+// payload and per-fan-out item storage; every timer with its pending re-arm,
+// if any), the free list, the ready bucket and front slot, the timing queue and
+// the random stream position — and so everything a checkpoint holds. It exists
+// as one value so that Snapshot and Restore are one copy (state.copyTo) run in
+// the two directions: a field added here is checkpointed by being here.
+type state struct {
 	now     time.Duration
 	seq     uint64
-	rng     *rand.Rand      //fdlint:allow clonefields reconstructed from src's seed and draw count on Restore
-	seed    int64           // seed of the current random stream (see Reseed)
-	src     *countingSource // the stream itself, draw-counted for Snapshot
-	halted  bool
 	stepped uint64
-	pending int // scheduled callbacks and deliveries not yet run or reclaimed
-
-	sink Sink //fdlint:allow clonefields immutable wiring, set once by the network model
+	pending int            // scheduled callbacks and deliveries not yet run or reclaimed
+	stream  countingSource // the random stream: seed, draw count, generator
 
 	events []event // slab; all event storage, recycled via free
 	free   []int32 // recycled slab slots
@@ -179,14 +182,6 @@ type Simulator struct {
 	// queue orders far-horizon events by (at, seq): the ladder queue
 	// (ladder.go) behind the seam queue.go describes.
 	queue eventQueue
-
-	// itemFree recycles the slices fan-out nodes carry their items in, so
-	// steady-state broadcasts reuse storage instead of allocating.
-	//fdlint:allow clonefields recycling pool; restoreEvents rebuilds item storage in place
-	itemFree [][]fanItem
-	// keys is Fanout's sort scratch.
-	//fdlint:allow clonefields scratch buffer; contents are dead between Fanout calls
-	keys []uint64
 
 	// fifo is the ready bucket: events scheduled for the current instant,
 	// drained in seq (FIFO) order without touching the timing queue. Entries
@@ -200,12 +195,31 @@ type Simulator struct {
 	front int32
 }
 
+// Simulator is the event loop. It is strictly single-threaded: all scheduled
+// closures run on the goroutine that calls Step/Run/RunUntil, so simulated
+// components need no locking.
+type Simulator struct {
+	state
+
+	rng  *rand.Rand //fdlint:allow clonefields reads state.stream, which is where the position lives
+	sink Sink       //fdlint:allow clonefields immutable wiring, set once by the network model
+
+	// itemFree recycles the slices fan-out nodes carry their items in, so
+	// steady-state broadcasts reuse storage instead of allocating.
+	//fdlint:allow clonefields recycling pool: spare capacity only, never semantics
+	itemFree [][]fanItem
+	// keys is Fanout's sort scratch.
+	//fdlint:allow clonefields scratch buffer; contents are dead between Fanout calls
+	keys []uint64
+}
+
 // New returns a simulator whose random source is seeded with seed; a run is
 // reproducible from the seed alone.
 func New(seed int64) *Simulator {
-	s := &Simulator{front: noEvent}
-	s.setSource(seed)
-	s.queue = &ladderQueue{s: s}
+	s := &Simulator{state: state{front: noEvent}}
+	s.stream = countingSource{gen: rand.NewSource(seed).(rand.Source64), seed: seed}
+	s.rng = rand.New(&s.stream)
+	s.queue = &ladderQueue{s: &s.state}
 	return s
 }
 
@@ -395,7 +409,7 @@ func (s *Simulator) Fanout(from ident.ID, payload any, recv []Receiver) {
 }
 
 // less orders slab indices by (at, seq); seqs are unique so there are no ties.
-func (s *Simulator) less(i, j int32) bool {
+func (s *state) less(i, j int32) bool {
 	a, b := &s.events[i], &s.events[j]
 	if a.at != b.at {
 		return a.at < b.at
@@ -515,11 +529,8 @@ func (s *Simulator) fire(i int32) {
 }
 
 // Step executes the next pending event, advancing virtual time. It returns
-// false when no events remain or the simulator has been halted.
+// false when no events remain.
 func (s *Simulator) Step() bool {
-	if s.halted {
-		return false
-	}
 	i := s.popDue(math.MaxInt64)
 	if i == noEvent {
 		return false
@@ -528,7 +539,7 @@ func (s *Simulator) Step() bool {
 	return true
 }
 
-// Run executes events until none remain or Halt is called.
+// Run executes events until none remain.
 func (s *Simulator) Run() {
 	for s.Step() {
 	}
@@ -537,24 +548,8 @@ func (s *Simulator) Run() {
 // RunUntil executes events with timestamps ≤ t, then advances the clock to
 // t. Events scheduled exactly at t do run.
 func (s *Simulator) RunUntil(t time.Duration) {
-	for !s.halted {
-		i := s.popDue(t)
-		if i == noEvent {
-			break
-		}
+	for i := s.popDue(t); i != noEvent; i = s.popDue(t) {
 		s.fire(i)
 	}
-	if !s.halted && s.now < t {
-		s.now = t
-	}
+	s.now = max(s.now, t)
 }
-
-// Halt stops the event loop; Step/Run/RunUntil return immediately afterward.
-// Pending events are kept but will not run unless Resume is called.
-func (s *Simulator) Halt() { s.halted = true }
-
-// Resume clears a previous Halt.
-func (s *Simulator) Resume() { s.halted = false }
-
-// Halted reports whether the simulator is halted.
-func (s *Simulator) Halted() bool { return s.halted }

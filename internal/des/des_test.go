@@ -154,37 +154,45 @@ func TestRunUntilBoundaryInclusive(t *testing.T) {
 	}
 }
 
-func TestHaltResume(t *testing.T) {
-	s := New(1)
-	count := 0
-	s.After(time.Millisecond, func() {
-		count++
-		s.Halt()
-	})
-	s.After(2*time.Millisecond, func() { count++ })
-	s.Run()
-	if count != 1 {
-		t.Fatalf("count after Halt = %d, want 1", count)
-	}
-	if !s.Halted() {
-		t.Error("Halted = false")
-	}
-	if s.Step() {
-		t.Error("Step after Halt = true")
-	}
-	s.Resume()
-	s.Run()
-	if count != 2 {
-		t.Errorf("count after Resume+Run = %d, want 2", count)
-	}
-}
-
 func TestRandDeterministic(t *testing.T) {
 	a, b := New(42), New(42)
 	for i := 0; i < 100; i++ {
 		if a.Rand().Int63() != b.Rand().Int63() {
 			t.Fatal("same seed produced different random streams")
 		}
+	}
+}
+
+// TestReseedIsAFreshStream: the stream is reseeded in place (one generator
+// and one *rand.Rand for the kernel's life), and must read exactly as a new
+// kernel's does — straight after draws, and after a Restore that still owes
+// its replay.
+func TestReseedIsAFreshStream(t *testing.T) {
+	s := New(1)
+	r := s.Rand()
+	for i := 0; i < 10; i++ {
+		r.Int63()
+	}
+	snap := s.Snapshot()
+	for round := 0; round < 2; round++ {
+		s.Reseed(7)
+		fresh := New(7)
+		for i := 0; i < 100; i++ {
+			if got, want := r.Float64(), fresh.Rand().Float64(); got != want {
+				t.Fatalf("round %d draw %d after Reseed(7) = %v, a new kernel seeded 7 draws %v", round, i, got, want)
+			}
+		}
+		s.Restore(snap)
+		if s.Rand() != r {
+			t.Fatal("Restore replaced the *rand.Rand callers hold")
+		}
+	}
+	want := New(1)
+	for i := 0; i < 10; i++ {
+		want.Rand().Int63()
+	}
+	if got, want := r.Int63(), want.Rand().Int63(); got != want {
+		t.Fatalf("draw 11 of seed 1 after Restore = %d, want %d", got, want)
 	}
 }
 

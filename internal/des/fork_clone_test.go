@@ -9,11 +9,22 @@ import (
 	"asyncfd/internal/ident"
 )
 
-// fork_clone_test.go pins the structural invariants of Snapshot/Fork cloning
-// that the observational differential (fork_fuzz_test.go) cannot see
-// directly: cloned queues index into the clone's own slab with no index both
+// fork_clone_test.go pins the structural invariants of Snapshot/Restore
+// copying that the observational differential (fork_fuzz_test.go) cannot see
+// directly: copied queues index into the copy's own slab with no index both
 // queued and free, and a forked child is fully detached — no child mutation
 // may perturb the parent's structure.
+
+// forkOf returns a new, independent Simulator that is a deep copy of s: a
+// fresh kernel restored from s's checkpoint, on s's sink. Pending callbacks
+// and payloads are shared by reference, so it only makes sense when those
+// touch no state outside the kernel.
+func forkOf(s *Simulator) *Simulator {
+	c := New(0)
+	c.Restore(s.Snapshot())
+	c.SetSink(s.sink)
+	return c
+}
 
 // queuedIndices collects every slab index the simulator considers pending:
 // the far-horizon queue, the live part of the ready FIFO, and the front
@@ -61,7 +72,8 @@ func checkSlabInvariants(t *testing.T, label string, s *Simulator) {
 // scheduling structures into one comparable string.
 func structuralFingerprint(s *Simulator) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "now=%d seq=%d stepped=%d pending=%d halted=%v\n", s.now, s.seq, s.stepped, s.pending, s.halted)
+	fmt.Fprintf(&b, "now=%d seq=%d stepped=%d pending=%d seed=%d draws=%d\n",
+		s.now, s.seq, s.stepped, s.pending, s.stream.seed, s.stream.draws)
 	fmt.Fprintf(&b, "free=%v fifo=%v fifoHead=%d front=%d\n", s.free, s.fifo, s.fifoHead, s.front)
 	for i, e := range s.events {
 		fmt.Fprintf(&b, "ev%d at=%d seq=%d gen=%d stopped=%v kind=%d %d->%d rearm=%d/%d items=%v head=%d fn=%v payload=%v\n",
@@ -112,7 +124,7 @@ func TestForkCloneInvariants(t *testing.T) {
 		k := k
 		t.Run(k.name, func(t *testing.T) {
 			parent, parentFired, parentStopped := loadSim(k.new)
-			child := parent.Fork()
+			child := forkOf(parent)
 			if p, c := queueName(parent), queueName(child); p != k.name || c != k.name {
 				t.Fatalf("parent runs on the %s queue and its fork on the %s queue, want %s for both", p, c, k.name)
 			}

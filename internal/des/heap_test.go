@@ -25,7 +25,7 @@ var kernels = []kernel{
 // the ladder with itself.
 func newHeapSim(seed int64) *Simulator {
 	s := New(seed)
-	s.queue = &heapQueue{s: s}
+	s.queue = &heapQueue{s: &s.state}
 	if got := queueName(s); got != "heap" {
 		panic("des: heap reference not installed, kernel runs on " + got)
 	}
@@ -50,7 +50,7 @@ var _ eventQueue = (*heapQueue)(nil)
 // heapQueue is the binary-heap reference eventQueue: the kernel's original
 // timing structure, byte-for-byte the same sift logic it always had.
 type heapQueue struct {
-	s *Simulator
+	s *state
 	h []int32
 }
 
@@ -110,7 +110,7 @@ func (q *heapQueue) peekMin() int32 {
 
 // clone deep-copies the heap array; the sift order is a pure function of the
 // push/pop history, so the copy is byte-for-byte the same structure.
-func (q *heapQueue) clone(owner *Simulator) eventQueue {
+func (q *heapQueue) clone(owner *state) eventQueue {
 	return &heapQueue{s: owner, h: append([]int32(nil), q.h...)}
 }
 

@@ -26,7 +26,7 @@ package des
 // one, never behind the drain.
 //
 // Ordering is exactly the kernel's (at, seq) key: buckets are sorted with
-// Simulator.less when they become the bottom drain, so same-instant FIFO
+// state.less when they become the bottom drain, so same-instant FIFO
 // ties — including fan-out blocks, re-keyed fan-out continuations and
 // re-armed timers, whose seqs may be smaller than already-queued events' —
 // resolve identically to the binary heap of heap_test.go. The differential
@@ -92,7 +92,7 @@ func (r *ladderRung) bucketBounds(k int) (lo, hi time.Duration) {
 
 // ladderQueue implements eventQueue. See the file comment for the layout.
 type ladderQueue struct {
-	s    *Simulator
+	s    *state
 	size int
 
 	// bottom is the sorted drain; bottom[bottomHead:] is the live part.
@@ -213,7 +213,7 @@ func (q *ladderQueue) takeSmallTop() {
 // small threshold; slices.SortFunc (no reflection) above it. (at, seq) is
 // a total order — seqs are unique — so the unstable sort's output is the
 // unique sorted permutation either way.
-func sortIndices(s *Simulator, v []int32) {
+func sortIndices(s *state, v []int32) {
 	if len(v) <= 2*ladderSpawnLen {
 		for a := 1; a < len(v); a++ {
 			x := v[a]
@@ -404,7 +404,7 @@ func (q *ladderQueue) popMin() int32 {
 // top list, frontier and epoch bookkeeping — bound to owner's slab. The spare
 // bucket pool is capacity only (its contents are always overwritten before
 // use), so the clone starts with an empty one.
-func (q *ladderQueue) clone(owner *Simulator) eventQueue {
+func (q *ladderQueue) clone(owner *state) eventQueue {
 	c := &ladderQueue{
 		s:          owner,
 		size:       q.size,

@@ -16,7 +16,7 @@ import (
 // that allocates a slab event with the next seq and pushes it.
 func rawLadder() (*Simulator, *ladderQueue, func(at time.Duration) int32) {
 	s := New(1) // host slab only; s.queue is unused here
-	q := &ladderQueue{s: s}
+	q := &ladderQueue{s: &s.state}
 	add := func(at time.Duration) int32 {
 		i := s.alloc()
 		e := &s.events[i]

@@ -30,12 +30,12 @@ package des
 //   - len reports the queued element count (stopped-but-unreclaimed
 //     included), used by invariant checks and tests;
 //   - clone returns a deep copy of the ordering state bound to owner's slab,
-//     sharing no mutable storage with the receiver — the checkpoint half of
-//     Simulator.Snapshot/Fork. Capacity-only pools need not be copied.
+//     sharing no mutable storage with the receiver — the queue's part of
+//     state.copyTo. Capacity-only pools need not be copied.
 type eventQueue interface {
 	push(i int32)
 	popMin() int32
 	peekMin() int32
 	len() int
-	clone(owner *Simulator) eventQueue
+	clone(owner *state) eventQueue
 }

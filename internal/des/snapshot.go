@@ -1,29 +1,18 @@
 package des
 
-// snapshot.go is the kernel's checkpoint/fork primitive. A Snapshot captures
-// the complete observable state of a Simulator — virtual clock, sequence
-// counter, the event slab (every in-flight message as data: endpoints,
-// payload and per-fan-out item storage; every timer with its pending re-arm,
-// if any), the free list, the ready bucket and front slot, the timing queue,
-// and the random stream position — so a warmed simulation can be rolled back
-// and re-run, or cloned outright.
+// snapshot.go is the kernel's checkpoint primitive. A Snapshot is a copy of
+// the Simulator's state value (des.go) — nothing else about a kernel changes
+// during a run — so a warmed simulation can be rolled back and re-run.
 //
-// Two verbs, two use cases:
-//
-//   - Snapshot/Restore roll the SAME Simulator back in place. This is the
-//     form the experiment layer uses: timer callbacks capture the live
-//     component objects (detectors), and messages are delivered to the one
-//     registered Sink, so replication must rewind the kernel those are bound
-//     to rather than build a second one. A Snapshot is immutable once taken —
-//     Restore deep-copies out of it — so one warmed checkpoint serves any
-//     number of replicates.
-//
-//   - Fork deep-copies into a NEW Simulator. Timer callbacks, message
-//     payloads and the Sink are shared by reference, so a fork only makes
-//     sense when those touch no state outside the kernel (pure-kernel tests,
-//     microbenchmarks) — which is exactly what the clone-invariant tests
-//     exercise: mutating the child must never perturb the parent's slab,
-//     queue, or free list.
+// Snapshot/Restore roll the SAME Simulator back in place. This is the form
+// the experiment layer needs: timer callbacks capture the live component
+// objects (detectors), and messages are delivered to the one registered Sink,
+// so replication must rewind the kernel those are bound to rather than build a
+// second one. A Snapshot is immutable once taken — Restore copies out of it —
+// so one warmed checkpoint serves any number of replicates. Both are
+// state.copyTo, which assigns the whole value and then gives the destination
+// its own storage for every field that refers to some: a field added to state
+// cannot be left out of one direction.
 //
 // Determinism contract: after Restore, the simulator replays byte-identically
 // — same fire order, same Now/Steps/Pending trajectory, same Rand() draws —
@@ -39,191 +28,116 @@ package des
 // Restore, and a Reset made after the snapshot is rolled back with the rest:
 // the re-arm lives on the event, not in the handle.
 
-import (
-	"math/rand"
-	"time"
-)
+import "math/rand"
 
-// countingSource wraps the kernel's random source and counts draws, so a
-// snapshot can record the stream position and Restore can replay to it. Both
-// Int63 and Uint64 advance the underlying generator by exactly one step, so
-// a single counter suffices whatever mix of draws the simulation makes.
+// countingSource is the kernel's random stream: a generator, the seed it was
+// last seeded with and the number of draws made since, which together are the
+// stream's position. Both Int63 and Uint64 advance the generator by exactly
+// one step, so a single counter suffices whatever mix of draws the simulation
+// makes.
 //
 // burnLeft defers a restored stream's replay until the stream is actually
-// read: draws is the logical position, and the physical generator lags it by
-// burnLeft steps, caught up on first use. A restored replicate that
-// immediately Reseeds — the warm-fork path — therefore never pays for
-// replaying the warmup's draws at all.
+// read: draws is the logical position, and the generator lags it by burnLeft
+// steps, caught up on first use. A restored replicate that immediately
+// Reseeds — the warm-fork path — therefore never pays for replaying the
+// warmup's draws at all. A checkpoint holds the position only: gen is nil.
 type countingSource struct {
-	src      rand.Source64
+	gen      rand.Source64
+	seed     int64
 	draws    uint64
 	burnLeft uint64
 }
 
-// catchUp advances the physical generator to the logical position.
+// catchUp advances the generator to the logical position.
 func (c *countingSource) catchUp() {
 	for ; c.burnLeft > 0; c.burnLeft-- {
-		c.src.Uint64()
+		c.gen.Uint64()
 	}
 }
 
-func (c *countingSource) Int63() int64 { c.catchUp(); c.draws++; return c.src.Int63() }
+func (c *countingSource) Int63() int64 { c.catchUp(); c.draws++; return c.gen.Int63() }
 
-func (c *countingSource) Uint64() uint64 { c.catchUp(); c.draws++; return c.src.Uint64() }
+func (c *countingSource) Uint64() uint64 { c.catchUp(); c.draws++; return c.gen.Uint64() }
 
-func (c *countingSource) Seed(seed int64) { c.src.Seed(seed); c.draws = 0; c.burnLeft = 0 }
-
-// setSource rebinds the simulator's random stream to a fresh source seeded
-// with seed, at draw position zero.
-func (s *Simulator) setSource(seed int64) {
-	s.seed = seed
-	s.src = &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-	s.rng = rand.New(s.src)
+func (c *countingSource) Seed(seed int64) {
+	c.gen.Seed(seed)
+	c.seed, c.draws, c.burnLeft = seed, 0, 0
 }
 
-// resumeSource rebinds the random stream to seed at logical draw position
-// pos, deferring the physical replay until the stream is next read.
-func (s *Simulator) resumeSource(seed int64, pos uint64) {
-	s.setSource(seed)
-	s.src.draws = pos
-	s.src.burnLeft = pos
+// rebind puts a copied stream on gen, the copy's own generator (nil for a
+// checkpoint), seeded afresh and owing the whole replay.
+func (c *countingSource) rebind(gen rand.Source64) {
+	if gen != nil {
+		gen.Seed(c.seed)
+	}
+	c.gen, c.burnLeft = gen, c.draws
 }
 
 // Reseed replaces the simulator's random stream with a fresh one seeded with
 // seed. This is how a restored replicate diverges from its siblings: restore
 // the warmed checkpoint, then give each replicate its own stride seed —
 // exactly the strided-seed family semantics, applied at the fork point.
-func (s *Simulator) Reseed(seed int64) { s.setSource(seed) }
+func (s *Simulator) Reseed(seed int64) { s.stream.Seed(seed) }
 
 // Snapshot is an immutable checkpoint of a Simulator. Take one with
-// Simulator.Snapshot, roll back to it with Simulator.Restore (any number of
-// times), or spawn an independent kernel with Simulator.Fork.
-type Snapshot struct {
-	now      time.Duration
-	seq      uint64
-	stepped  uint64
-	pending  int
-	halted   bool
-	seed     int64
-	draws    uint64
-	events   []event
-	free     []int32
-	fifo     []int32
-	fifoHead int
-	front    int32
-	queue    eventQueue
-}
+// Simulator.Snapshot and roll back to it with Simulator.Restore, any number
+// of times.
+type Snapshot struct{ st state }
 
-// cloneEvents deep-copies an event slab. The per-event items slices must be
-// copied too: the live kernel recycles them through its itemFree pool, so a
-// shallow copy would alias storage the next fan-out overwrites.
-func cloneEvents(src []event) []event {
-	out := make([]event, len(src))
-	copy(out, src)
-	for k := range out {
-		if out[k].items != nil {
-			items := make([]fanItem, len(out[k].items))
-			copy(items, out[k].items)
-			out[k].items = items
-		}
-	}
-	return out
-}
-
-// Snapshot captures the simulator's complete state. The checkpoint shares
-// nothing mutable with the live kernel: the slab (with fan-out item storage),
-// free list, ready bucket and timing queue are all deep copies.
-func (s *Simulator) Snapshot() *Snapshot {
-	return &Snapshot{
-		now:      s.now,
-		seq:      s.seq,
-		stepped:  s.stepped,
-		pending:  s.pending,
-		halted:   s.halted,
-		seed:     s.seed,
-		draws:    s.src.draws,
-		events:   cloneEvents(s.events),
-		free:     append([]int32(nil), s.free...),
-		fifo:     append([]int32(nil), s.fifo...),
-		fifoHead: s.fifoHead,
-		front:    s.front,
-		queue:    s.queue.clone(s),
-	}
-}
-
-// restoreEvents copies the checkpointed slab into the live one, reusing the
-// live slab's array and its per-event item storage where capacity allows:
+// copyTo makes dst a copy of s that shares no mutable storage with it, reusing
+// what dst already has: the slab's array and its per-event item storage (a
 // Restore runs once per replicate, and reallocating the arena every time
-// dominated fork cost at large n. Reuse is safe because a non-nil items
-// slice is owned by exactly one event header — release returns it to the
-// itemFree pool only after nilling the header.
-func (s *Simulator) restoreEvents(src []event) {
-	events := s.events
-	if cap(events) < len(src) {
-		events = make([]event, len(src))
-	} else {
-		events = events[:len(src)]
+// dominated fork cost at large n), the free list and the ready bucket. The
+// timing queue is cloned bound to dst's slab.
+func (s *state) copyTo(dst *state) {
+	events, free, fifo, gen := dst.events, dst.free, dst.fifo, dst.stream.gen
+	*dst = *s
+	dst.events = copyEvents(events, s.events)
+	dst.free = append(free[:0], s.free...)
+	dst.fifo = append(fifo[:0], s.fifo...)
+	dst.queue = s.queue.clone(dst)
+	dst.stream.rebind(gen)
+}
+
+// copyEvents copies the slab src into dst's storage where capacity allows and
+// returns it. The per-event items slices are copied too — the live kernel
+// recycles them through its itemFree pool, so a shallow copy would alias
+// storage the next fan-out overwrites — into the items dst's events already
+// hold. Reuse is safe because a non-nil items slice is owned by exactly one
+// event header: release returns it to the itemFree pool only after nilling the
+// header.
+func copyEvents(dst, src []event) []event {
+	if cap(dst) < len(src) {
+		dst = make([]event, len(src))
 	}
+	dst = dst[:len(src)]
 	for k := range src {
-		reuse := events[k].items
-		events[k] = src[k]
+		reuse := dst[k].items
+		dst[k] = src[k]
 		if n := len(src[k].items); n > 0 {
 			if cap(reuse) < n {
 				reuse = make([]fanItem, n)
 			}
 			reuse = reuse[:n]
 			copy(reuse, src[k].items)
-			events[k].items = reuse
+			dst[k].items = reuse
 		} else {
-			events[k].items = nil
+			dst[k].items = nil
 		}
 	}
-	s.events = events
+	return dst
 }
 
-// Restore rolls the simulator back to the checkpoint, in place. Everything
-// is deep-copied out of the snapshot, so the same checkpoint can be restored
-// repeatedly; the itemFree pool is left alone (it holds spare capacity only,
-// never semantics). The random stream resumes at the captured position, with
-// the physical replay deferred until the stream is next read — so a restore
-// immediately followed by Reseed pays nothing for the checkpoint's draws.
-func (s *Simulator) Restore(snap *Snapshot) {
-	s.now = snap.now
-	s.seq = snap.seq
-	s.stepped = snap.stepped
-	s.pending = snap.pending
-	s.halted = snap.halted
-	s.restoreEvents(snap.events)
-	s.free = append(s.free[:0], snap.free...)
-	s.fifo = append(s.fifo[:0], snap.fifo...)
-	s.fifoHead = snap.fifoHead
-	s.front = snap.front
-	s.queue = snap.queue.clone(s)
-	s.resumeSource(snap.seed, snap.draws)
+// Snapshot captures the simulator's complete state.
+func (s *Simulator) Snapshot() *Snapshot {
+	snap := new(Snapshot)
+	s.state.copyTo(&snap.st)
+	return snap
 }
 
-// Fork returns a new, independent Simulator that is a deep copy of this one:
-// same clock, same pending events, same random stream position, same
-// timing structure. Pending callbacks, payloads and the sink are shared by
-// reference (closures cannot be deep copied), so Fork is for kernel-level
-// workloads whose events touch only kernel state; component stacks use
-// Snapshot/Restore instead. Mutating either simulator never perturbs the
-// other.
-func (s *Simulator) Fork() *Simulator {
-	c := &Simulator{
-		now:      s.now,
-		seq:      s.seq,
-		stepped:  s.stepped,
-		pending:  s.pending,
-		halted:   s.halted,
-		sink:     s.sink,
-		events:   cloneEvents(s.events),
-		free:     append([]int32(nil), s.free...),
-		fifo:     append([]int32(nil), s.fifo...),
-		fifoHead: s.fifoHead,
-		front:    s.front,
-	}
-	c.queue = s.queue.clone(c)
-	c.resumeSource(s.seed, s.src.draws)
-	return c
-}
+// Restore rolls the simulator back to the checkpoint, in place. The same
+// checkpoint can be restored repeatedly; the itemFree pool is left alone. The
+// random stream resumes at the captured position, with the replay deferred
+// until the stream is next read — so a restore immediately followed by Reseed
+// pays nothing for the checkpoint's draws.
+func (s *Simulator) Restore(snap *Snapshot) { snap.st.copyTo(&s.state) }

@@ -233,8 +233,8 @@ func secondsLabel(at time.Duration) string { return fmt.Sprintf("%ds", int(at/ti
 // falseSuspicions records the cluster-wide count of false suspicions at each
 // time as an unsampled observation under the time's row label, and returns
 // the series' peak and total for the caller's sampled summaries.
-func falseSuspicions(c *Cluster, truth *qos.GroundTruth, times []time.Duration) (o obs, peak, total int) {
-	for i, v := range qos.FalseSuspicionSeries(c.Log, truth, times) {
+func falseSuspicions(j *qos.Judge, truth *qos.GroundTruth, times []time.Duration) (o obs, peak, total int) {
+	for i, v := range j.FalseSuspicionSeries(truth, times) {
 		o = o.hide(secondsLabel(times[i]), float64(v))
 		peak = max(peak, v)
 		total += v
@@ -302,8 +302,9 @@ func E3Disturbance(opts Options) (*Table, error) {
 				horizon: horizon,
 				build:   faulted(cfg, nil),
 				measure: func(c *Cluster, truth *qos.GroundTruth) obs {
-					o, peak, _ := falseSuspicions(c, truth, times)
-					mist := qos.JudgeFrom(c.Log).Mistakes(truth, c.Members, horizon)
+					j := qos.JudgeFrom(c.Log)
+					o, peak, _ := falseSuspicions(j, truth, times)
+					mist := j.Mistakes(truth, c.Members, horizon)
 					return o.add("mistakes", float64(mist.Count)).
 						add("mistake_dur_ms", qos.Millis(mist.AvgDuration)).
 						add("peak_false_susp", float64(peak))

@@ -128,7 +128,7 @@ func X2MobilityExt(opts Options) (*Table, error) {
 				c.RunUntil(horizon)
 				opts.record(c.Sim)
 				// Nobody crashes: every suspicion is false.
-				o, peak, total := falseSuspicions(c, &qos.GroundTruth{}, times)
+				o, peak, total := falseSuspicions(qos.JudgeFrom(c.Log), &qos.GroundTruth{}, times)
 				return o.add("peak_false_susp", float64(peak)).add("false_susp_total", float64(total)), nil
 			},
 		})

@@ -54,14 +54,32 @@ func (c GossipConfig) Validate() error {
 // Θ. Works over partially connected topologies because counters propagate
 // transitively. Safe for concurrent use.
 type GossipNode struct {
-	mu        sync.Mutex
-	env       node.Env     //fdlint:allow clonefields immutable wiring, set once at construction
-	cfg       GossipConfig //fdlint:allow clonefields immutable config, set once at construction
+	mu  sync.Mutex
+	env node.Env     //fdlint:allow clonefields immutable wiring, set once at construction
+	cfg GossipConfig //fdlint:allow clonefields immutable config, set once at construction
+	gossipState
+}
+
+// gossipState is everything about a GossipNode a run changes, and so the
+// node.Cloneable checkpoint: Snapshot and Restore are copyTo run in the two
+// directions. The timer handle is shared by value with the live node: the
+// paired kernel snapshot rewinds slot generations, so one captured in a
+// checkpoint is pending again after Restore.
+type gossipState struct {
 	vector    []uint64
 	lastRise  []time.Duration
 	suspected ident.Set
 	stopped   bool
 	beat      node.Timer
+}
+
+// copyTo makes dst a copy of s that shares no storage with it, reusing dst's.
+func (s *gossipState) copyTo(dst *gossipState) {
+	vector, lastRise := dst.vector, dst.lastRise
+	*dst = *s
+	dst.vector = append(vector[:0], s.vector...)
+	dst.lastRise = append(lastRise[:0], s.lastRise...)
+	dst.suspected = s.suspected.Clone()
 }
 
 var _ node.Handler = (*GossipNode)(nil)
@@ -72,12 +90,9 @@ func NewGossipNode(env node.Env, cfg GossipConfig) (*GossipNode, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &GossipNode{
-		env:      env,
-		cfg:      cfg,
-		vector:   make([]uint64, cfg.N),
-		lastRise: make([]time.Duration, cfg.N),
-	}, nil
+	g := &GossipNode{env: env, cfg: cfg}
+	g.vector, g.lastRise = make([]uint64, cfg.N), make([]time.Duration, cfg.N)
+	return g, nil
 }
 
 // Start begins gossiping. The start instant counts as the last sighting of
@@ -212,39 +227,20 @@ func (g *GossipNode) IsSuspected(id ident.ID) bool {
 	return g.suspected.Has(id)
 }
 
-// gossipSnapshot is the node.Cloneable checkpoint. The timer handle is shared
-// by value with the live node: the paired kernel snapshot rewinds slot
-// generations, so one captured here is pending again after Restore.
-type gossipSnapshot struct {
-	vector    []uint64
-	lastRise  []time.Duration
-	suspected ident.Set
-	stopped   bool
-	beat      node.Timer
-}
-
 // Snapshot implements node.Cloneable.
 func (g *GossipNode) Snapshot() any {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return &gossipSnapshot{
-		vector:    append([]uint64(nil), g.vector...),
-		lastRise:  append([]time.Duration(nil), g.lastRise...),
-		suspected: g.suspected.Clone(),
-		stopped:   g.stopped,
-		beat:      g.beat,
-	}
+	s := new(gossipState)
+	g.gossipState.copyTo(s)
+	return s
 }
 
 // Restore implements node.Cloneable.
 func (g *GossipNode) Restore(snap any) {
-	s := snap.(*gossipSnapshot)
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	copy(g.vector, s.vector)
-	copy(g.lastRise, s.lastRise)
-	g.suspected = s.suspected.Clone()
-	g.stopped, g.beat = s.stopped, s.beat
+	snap.(*gossipState).copyTo(&g.gossipState)
 }
 
 // Vector returns a copy of the current heartbeat vector (tests/diagnostics).

@@ -50,9 +50,6 @@ var classTable = map[string]Class{
 // sources: its countingSource is what makes RNG state snapshotable.
 const rngOwnerPath = "asyncfd/internal/des"
 
-// scenarioPath is the package whose error constructors errprefix sweeps.
-const scenarioPath = "asyncfd/internal/scenario"
-
 // underTree reports whether path is root or a package below it.
 func underTree(path, root string) bool {
 	return path == root || strings.HasPrefix(path, root+"/")

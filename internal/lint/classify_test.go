@@ -50,8 +50,8 @@ func TestParseAllow(t *testing.T) {
 
 func TestAnalyzersRegistered(t *testing.T) {
 	as := Analyzers()
-	if len(as) != 5 {
-		t.Fatalf("Analyzers() returned %d analyzers, want 5", len(as))
+	if len(as) != 4 {
+		t.Fatalf("Analyzers() returned %d analyzers, want 4", len(as))
 	}
 	seen := make(map[string]bool)
 	for _, a := range as {

@@ -7,10 +7,10 @@
 // used to be enforced only by after-the-fact differential tests; fdlint checks
 // them at compile time. The analyzers:
 //
-//   - maprange: flags `range` over a map in simulation packages unless the
-//     loop is provably order-insensitive or its keys are collected and sorted
-//     before use (the PR-3 bug class: phiaccrual/chen iterated peer maps in
-//     map order, so same-seed traces diverged between runs).
+//   - maprange: a `range` over a map in a simulation package must carry an
+//     annotation saying why any order gives the same result (the PR-3 bug
+//     class: phiaccrual/chen iterated peer maps in map order, so same-seed
+//     traces diverged between runs).
 //   - walltime: flags wall-clock calls (time.Now, time.Sleep, ...) and global
 //     math/rand draws in simulation packages, where all time must flow from
 //     des.Kernel/node.Env and all randomness from the seeded draw-counted
@@ -19,8 +19,6 @@
 //     struct, verifies the method references every struct field, so adding a
 //     field without snapshotting it becomes a lint error instead of a
 //     fork-divergence heisenbug (the PR-7 bug class).
-//   - errprefix: internal/scenario error constructors must carry the
-//     documented "scenario: " field-path prefix.
 //   - rngdiscipline: no rand.New/rand.NewSource construction outside
 //     internal/des, whose counting source is what makes snapshots replayable.
 //
@@ -31,7 +29,12 @@
 // classify.go.
 package lint
 
-import "golang.org/x/tools/go/analysis"
+import (
+	"go/ast"
+	"go/types"
+
+	"golang.org/x/tools/go/analysis"
+)
 
 // Analyzers returns the full fdlint suite in reporting order.
 func Analyzers() []*analysis.Analyzer {
@@ -39,7 +42,6 @@ func Analyzers() []*analysis.Analyzer {
 		MapRange,
 		WallTime,
 		CloneFields,
-		ErrPrefix,
 		RNGDiscipline,
 	}
 }
@@ -50,6 +52,15 @@ const (
 	mapRangeName      = "maprange"
 	wallTimeName      = "walltime"
 	cloneFieldsName   = "clonefields"
-	errPrefixName     = "errprefix"
 	rngDisciplineName = "rngdiscipline"
 )
+
+// selectorPkg returns the *types.PkgName if sel.X names an imported package.
+func selectorPkg(pass *analysis.Pass, sel *ast.SelectorExpr) *types.PkgName {
+	id, ok := ast.Unparen(sel.X).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	pkg, _ := pass.TypesInfo.ObjectOf(id).(*types.PkgName)
+	return pkg
+}

@@ -2,192 +2,54 @@
 // (asyncfd/internal/qos/... is Sim in the shared classification table).
 package mrfix
 
-import (
-	"sort"
-
-	"asyncfd/internal/ident"
-)
-
-type peerState struct {
-	seq  uint64
-	next int
-}
+import "asyncfd/internal/ident"
 
 type node struct {
-	peers map[ident.ID]*peerState
-	rng   interface{ Intn(int) int }
+	peers map[ident.ID]uint64
 }
 
-func (n *node) arm(p ident.ID, st *peerState) {}
+func (n *node) arm(p ident.ID, seq uint64) {}
 
 // startUnsorted is the seeded PR-3 regression: phiaccrual/chen iterated the
 // peer map in map order while arming kernel timers, so same-seed traces
 // diverged across runs.
 func (n *node) startUnsorted() {
-	for p, st := range n.peers { // want `order-sensitive`
-		n.arm(p, st)
+	for p, seq := range n.peers { // want `range over map n.peers`
+		n.arm(p, seq)
 	}
 }
 
-// startSorted is the fix shape: collect keys, sort, then iterate.
-func (n *node) startSorted() {
-	ids := make([]ident.ID, 0, len(n.peers))
-	for p := range n.peers {
-		ids = append(ids, p)
-	}
-	ids = ident.SortIDs(ids)
-	for _, p := range ids {
-		n.arm(p, n.peers[p])
-	}
-}
-
-// startSortSlice uses the stdlib sort idiom instead.
-func (n *node) startSortSlice() {
-	ids := make([]uint32, 0, len(n.peers))
-	for p := range n.peers {
-		ids = append(ids, uint32(p))
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, p := range ids {
-		n.arm(ident.ID(p), n.peers[ident.ID(p)])
-	}
-}
-
-// collectNoSort appends map keys but never sorts them.
-func (n *node) collectNoSort() []ident.ID {
-	var ids []ident.ID
-	for p := range n.peers { // want `no later sort`
-		ids = append(ids, p)
-	}
-	return ids
-}
-
-func mapWrites(in map[int]int) map[int]int {
-	out := make(map[int]int, len(in))
-	for k, v := range in {
-		out[k] = v + 1
-	}
-	return out
-}
-
-func intAccumulation(in map[int]int) (n int, sum int) {
+// sum says why any order will do.
+func sum(in map[int]int) (total int) {
+	//fdlint:allow maprange fixture: integer addition commutes
 	for _, v := range in {
-		n++
-		sum += v
+		total += v
 	}
-	return n, sum
-}
-
-// floatAccumulation is order-sensitive: float addition is not associative
-// bit-for-bit, so the sum depends on iteration order.
-func floatAccumulation(in map[int]float64) float64 {
-	var sum float64
-	for _, v := range in { // want `non-integer \+= accumulation`
-		sum += v
-	}
-	return sum
-}
-
-func deletes(m map[int]int, dead map[int]bool) {
-	for k := range dead {
-		delete(m, k)
-	}
-}
-
-func commutativeSet(in map[ident.ID]bool) ident.Set {
-	var out ident.Set
-	for id, up := range in {
-		if !up && !out.Has(id) {
-			out.Add(id)
-		}
-	}
-	return out
-}
-
-type clonable struct{ v int }
-
-func (c *clonable) clone() *clonable { return &clonable{v: c.v} }
-
-// elementLocalCall: calls rooted at the iteration variables are assumed
-// element-local.
-func elementLocalCall(in map[int]*clonable) map[int]*clonable {
-	out := make(map[int]*clonable, len(in))
-	for k, v := range in {
-		out[k] = v.clone()
-	}
-	return out
-}
-
-var counter int
-
-func bump() { counter++ }
-
-// sharedStateCall reaches package state from inside the loop.
-func sharedStateCall(in map[int]int) {
-	for range in { // want `order-sensitive`
-		bump()
-	}
-}
-
-// earlyReturn leaks map order through which key wins.
-func earlyReturn(in map[int]int) int {
-	for k, v := range in { // want `order-sensitive`
-		if v > 10 {
-			return k
-		}
-	}
-	return -1
-}
-
-// drawInLoop is the RNG hazard: each draw advances the shared stream, so
-// iteration order changes every subsequent draw in the run.
-func (n *node) drawInLoop(in map[int]int) map[int]int {
-	out := make(map[int]int, len(in))
-	for k := range in { // want `order-sensitive`
-		out[k] = n.rng.Intn(10)
-	}
-	return out
-}
-
-// allowAnnotated is suppressed by the escape hatch, reason given.
-func allowAnnotated(in map[int]int) int {
-	//fdlint:allow maprange fixture: proven order-insensitive by construction
-	for k, v := range in {
-		if v > 10 {
-			return k
-		}
-	}
-	return -1
-}
-
-// allowTrailing is suppressed by a same-line annotation.
-func allowTrailing(in map[int]int) int {
-	for k, v := range in { //fdlint:allow maprange fixture: proven order-insensitive by construction
-		if v > 10 {
-			return k
-		}
-	}
-	return -1
+	return total
 }
 
 // allowMissingReason is NOT suppressed: the annotation has no justification.
-func allowMissingReason(in map[int]int) int {
+func allowMissingReason(in map[int]int) (total int) {
 	//fdlint:allow maprange
-	for k, v := range in { // want `order-sensitive`
-		if v > 10 {
-			return k
-		}
+	for _, v := range in { // want `say why any order gives the same result`
+		total += v
 	}
-	return -1
+	return total
 }
 
 // allowWrongAnalyzer is NOT suppressed: the annotation names another check.
-func allowWrongAnalyzer(in map[int]int) int {
+func allowWrongAnalyzer(in map[int]int) (total int) {
 	//fdlint:allow walltime not the analyzer reporting here
-	for k, v := range in { // want `order-sensitive`
-		if v > 10 {
-			return k
-		}
+	for _, v := range in { // want `range over map in`
+		total += v
 	}
-	return -1
+	return total
+}
+
+// overSlice is not a map: never the rule's business.
+func overSlice(in []int) (total int) {
+	for _, v := range in {
+		total += v
+	}
+	return total
 }

@@ -55,7 +55,8 @@ type Config struct {
 	// (default 25ms).
 	ScanInterval time.Duration
 	// NewEstimator builds the per-peer estimation state, primed at time
-	// now (required). Called once per peer at Start.
+	// now (required). Called once per peer during Start, one call at a
+	// time, by the worker that will own the peer.
 	NewEstimator func(peer ident.ID, now time.Duration) PeerEstimator
 	// Sink, if set, receives suspicion transitions with worker-side
 	// timestamps. It must be safe for concurrent use (trace.Log is).
@@ -147,8 +148,11 @@ func (s *Service) shardOf(id ident.ID) *shard {
 	return s.shards[(h>>33)%uint64(len(s.shards))]
 }
 
-// Start primes every peer's estimator (the start of monitoring counts as a
-// sighting) and launches the K workers.
+// Start launches the K workers, one after the other: each primes its own
+// peers' estimators (the start of monitoring counts as a sighting) and is
+// already serving them while the next one primes, so an estimator waits for
+// its first heartbeat no longer than its own shard took to build. Start
+// returns once every estimator exists.
 func (s *Service) Start() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -156,15 +160,15 @@ func (s *Service) Start() {
 		panic("liveshard: double Start")
 	}
 	s.started = true
-	now := s.Now()
 	for _, id := range s.peers {
 		sh := s.shardOf(id)
-		sh.peers.Put(id, &peerRec{id: id, est: s.cfg.NewEstimator(id, now)})
 		sh.peerIDs = append(sh.peerIDs, id)
 	}
 	for _, sh := range s.shards {
 		s.wg.Add(1)
-		go sh.run()
+		primed := make(chan struct{})
+		go sh.run(primed)
+		<-primed
 	}
 }
 

@@ -49,6 +49,42 @@ func TestShardPartitioning(t *testing.T) {
 	}
 }
 
+// TestStartPrimesEachEstimatorAtItsOwnConstruction: an estimator's priming
+// time is the clock read when it is built, however long the ones before it
+// took — primed with one reading for all, the last of 50 slow constructions
+// was born ~100 ms old, and a short-fused rule suspected it on the first scan
+// (bench/README.md Finding 7). Calls stay one at a time and are all made by
+// the time Start returns: a NewEstimator may collect what it builds, unlocked.
+func TestStartPrimesEachEstimatorAtItsOwnConstruction(t *testing.T) {
+	const peers, build = 50, 2 * time.Millisecond
+	var svc *Service
+	var built []ident.ID // unlocked on purpose: -race checks the calls are ordered
+	var oldest time.Duration
+	svc, err := New(Config{
+		Shards: 4,
+		NewEstimator: func(id ident.ID, now time.Duration) PeerEstimator {
+			oldest = max(oldest, svc.Now()-now)
+			built = append(built, id)
+			time.Sleep(build)
+			return heartbeat.NewEstimator(time.Second, now)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	for id := ident.ID(0); id < peers; id++ {
+		svc.AddPeers(id)
+	}
+	svc.Start()
+	if len(built) != peers {
+		t.Fatalf("Start returned with %d of %d estimators built", len(built), peers)
+	}
+	if oldest >= build {
+		t.Errorf("an estimator was primed %v before it was built, want under %v", oldest, build)
+	}
+}
+
 // TestSuspicionEndToEnd: silent peers get suspected, resumed heartbeats
 // restore trust, transitions reach the sink.
 func TestSuspicionEndToEnd(t *testing.T) {

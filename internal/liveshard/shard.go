@@ -39,10 +39,18 @@ type shard struct {
 	hist          latencyHist
 }
 
-// run is the worker loop: fold ingested heartbeats into the estimators,
-// sweep for timeouts every ScanInterval, exit on Close.
-func (sh *shard) run() {
+// run is the worker: build the shard's estimators and close primed, then
+// loop — fold ingested heartbeats into the estimators, sweep for timeouts
+// every ScanInterval, exit on Close. Each estimator is primed with the clock
+// read at its own construction: primed with one reading taken before the
+// first was built, the last of many was born already old enough to suspect
+// (bench/README.md Finding 7).
+func (sh *shard) run(primed chan<- struct{}) {
 	defer sh.svc.wg.Done()
+	for _, id := range sh.peerIDs {
+		sh.peers.Put(id, &peerRec{id: id, est: sh.svc.cfg.NewEstimator(id, sh.svc.Now())})
+	}
+	close(primed)
 	ticker := time.NewTicker(sh.svc.cfg.ScanInterval)
 	defer ticker.Stop()
 	for {

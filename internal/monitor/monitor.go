@@ -4,8 +4,9 @@
 // heartbeat every Δ and keep, per monitored peer, an opinion that a heartbeat
 // refreshes and silence erodes. Node owns everything they share — the sender
 // tick, the peer table, the suspicion flags and their deadline timers or poll,
-// the sink, crash-recovery and the warm-fork checkpoint — and is generic over
-// the per-peer Rule that makes a kind a kind. The rules are the Estimator
+// the sink, crash-recovery and the warm-fork checkpoint (one state value, one
+// copyTo run in both directions) — and is generic over the per-peer Rule that
+// makes a kind a kind. The rules are the Estimator
 // types of internal/heartbeat, internal/phiaccrual and internal/chen, whose
 // constructors fill this package's Config; nothing here knows which one it
 // runs.
@@ -85,26 +86,55 @@ type peer[R any] struct {
 
 // Node is a heartbeat-family detector node. Safe for concurrent use.
 type Node[R any, PR Rule[R]] struct {
-	mu  sync.Mutex
-	env node.Env //fdlint:allow clonefields immutable wiring, set once at construction
-	cfg Config   //fdlint:allow clonefields immutable config, set once at construction
+	mu   sync.Mutex
+	env  node.Env                //fdlint:allow clonefields immutable wiring, set once at construction
+	cfg  Config                  //fdlint:allow clonefields immutable config, set once at construction
+	byID node.DenseMap[*peer[R]] //fdlint:allow clonefields immutable index into recs, built at construction
+	state[R, PR]
+}
+
+// state is everything about a Node a run changes, and so the node.Cloneable
+// checkpoint: Snapshot and Restore are copyTo run in the two directions.
+// Timer handles are shared by value with the live node — they are immutable,
+// and the paired kernel snapshot rewinds slot generations so one captured in a
+// checkpoint is pending again after Restore.
+type state[R any, PR Rule[R]] struct {
 	// recs holds the peers in ascending id — the order of every loop below,
 	// because same-instant timers fire in arming order and same-instant
 	// transitions are traced in emission order, and runs of one seed must
-	// produce identical bytes. byID indexes into it.
+	// produce identical bytes. Node.byID indexes into it.
 	recs    []peer[R]
-	byID    node.DenseMap[*peer[R]] //fdlint:allow clonefields immutable index into recs, built at construction
 	seq     uint64
 	stopped bool
 	beat    node.Timer
 	poll    node.Timer
 }
 
+// copyTo makes dst a copy of s whose rules share no storage with s's. Records
+// dst already has are overwritten in place: a live node's pending deadline
+// callbacks hold pointers to them.
+func (s *state[R, PR]) copyTo(dst *state[R, PR]) {
+	recs := dst.recs
+	if len(recs) != len(s.recs) {
+		recs = make([]peer[R], len(s.recs))
+	}
+	*dst = *s
+	dst.recs = recs
+	for i := range recs {
+		p, from := &recs[i], &s.recs[i]
+		rule := p.rule
+		*p = *from
+		p.rule = rule
+		PR(&from.rule).CopyTo(&p.rule)
+	}
+}
+
 // New builds a node on env whose every peer starts from a copy of proto.
 func New[R any, PR Rule[R]](env node.Env, cfg Config, proto R) *Node[R, PR] {
 	cfg.Peers = cfg.Peers.Clone()
 	cfg.Peers.Remove(cfg.Self)
-	n := &Node[R, PR]{env: env, cfg: cfg, recs: make([]peer[R], 0, cfg.Peers.Len())}
+	n := &Node[R, PR]{env: env, cfg: cfg}
+	n.recs = make([]peer[R], 0, cfg.Peers.Len())
 	cfg.Peers.ForEach(func(id ident.ID) bool {
 		n.recs = append(n.recs, peer[R]{id: id, rule: proto})
 		return true
@@ -263,45 +293,20 @@ func (n *Node[R, PR]) emitLocked(subject ident.ID, suspected bool) {
 	}
 }
 
-// snapshot is the node.Cloneable checkpoint: the peer records with their
-// rules deep-copied, the sender's counter and the timer handles. Handles are
-// shared by value with the live node — they are immutable, and the paired
-// kernel snapshot rewinds slot generations so one captured here is pending
-// again after Restore.
-type snapshot[R any] struct {
-	recs    []peer[R]
-	seq     uint64
-	stopped bool
-	beat    node.Timer
-	poll    node.Timer
-}
-
 // Snapshot implements node.Cloneable.
 func (n *Node[R, PR]) Snapshot() any {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	s := &snapshot[R]{recs: make([]peer[R], len(n.recs)), seq: n.seq, stopped: n.stopped, beat: n.beat, poll: n.poll}
-	for i := range n.recs {
-		copyPeer[R, PR](&s.recs[i], &n.recs[i])
-	}
+	s := new(state[R, PR])
+	n.state.copyTo(s)
 	return s
 }
 
-// Restore implements node.Cloneable: every live record is rolled back in
-// place, because pending deadline callbacks hold pointers to them.
+// Restore implements node.Cloneable.
 func (n *Node[R, PR]) Restore(snap any) {
-	s := snap.(*snapshot[R])
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for i := range s.recs {
-		copyPeer[R, PR](&n.recs[i], &s.recs[i])
-	}
-	n.seq, n.stopped, n.beat, n.poll = s.seq, s.stopped, s.beat, s.poll
-}
-
-func copyPeer[R any, PR Rule[R]](dst, src *peer[R]) {
-	dst.id, dst.suspected, dst.deadline = src.id, src.suspected, src.deadline
-	PR(&src.rule).CopyTo(&dst.rule)
+	snap.(*state[R, PR]).copyTo(&n.state)
 }
 
 // Suspects implements fd.Detector.

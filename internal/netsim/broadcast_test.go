@@ -30,8 +30,7 @@ func TestBroadcastMatchesUnicast(t *testing.T) {
 	build := func() (*des.Simulator, *Network, []*recorder) {
 		sim := des.New(42)
 		net := New(sim, Config{
-			Delay:    Exponential{Min: time.Millisecond, Mean: 5 * time.Millisecond, Cap: time.Second},
-			DropRate: 0.2,
+			Delay: lossy{Exponential{Min: time.Millisecond, Mean: 5 * time.Millisecond, Cap: time.Second}, 0.2},
 		})
 		recs := make([]*recorder, 6)
 		for i := range recs {

@@ -2,10 +2,11 @@
 // discrete-event kernel. Message delays are drawn per message from a
 // pluggable DelayModel, so messages are arbitrarily reordered — exactly the
 // asynchronous model of the paper. Links are reliable by default (the
-// paper's assumption); a drop rate, per-process neighbourhoods and
-// first-class partitions are available for the extension and fault-scenario
-// experiments (partial connectivity, mobility, partition/heal), and crashed
-// processes can be revived for crash-recovery scenarios.
+// paper's assumption); a delay model that also decides loss (LossModel),
+// per-process neighbourhoods and first-class partitions are available for the
+// extension and fault-scenario experiments (partial connectivity, mobility,
+// partition/heal), and crashed processes can be revived for crash-recovery
+// scenarios.
 //
 // In the repository README's architecture map this is the "asynchronous
 // network model" layer: internal/faults schedules Crash/Recover/Partition/
@@ -37,6 +38,13 @@
 //   - Timers armed by an already-crashed process are dropped at arm time
 //     (the callback is suppressed at fire time anyway), so long downtimes
 //     no longer fill the kernel queue with dead weight.
+//
+// # Checkpoints
+//
+// What a run changes — registrations, the crash set, neighbourhoods, the
+// partition stack, the counters — is one value, state, and
+// Snapshot/Restore are one copy of it (state.copyTo) in the two directions;
+// the fan-out cache and scratch buffers sit outside it and are rebuilt.
 package netsim
 
 import (
@@ -50,11 +58,10 @@ import (
 
 // Config parameterizes a simulated network.
 type Config struct {
-	// Delay is the latency model; required.
+	// Delay is the latency model; required. One that implements LossModel
+	// also decides which messages are lost; under any other, links are
+	// reliable (the paper's model).
 	Delay DelayModel
-	// DropRate is the probability a message is lost (0 = reliable links,
-	// the paper's model).
-	DropRate float64
 	// SizeOf, if set, returns the wire size of a payload for byte
 	// accounting in Stats.
 	SizeOf func(payload any) int
@@ -64,7 +71,7 @@ type Config struct {
 type Stats struct {
 	Sent      int64 // messages handed to the network
 	Delivered int64 // messages delivered to a live process
-	Dropped   int64 // lost to DropRate, a LossModel or a partition
+	Dropped   int64 // lost to a LossModel or a partition
 	Bytes     int64 // wire bytes sent (only if Config.SizeOf set)
 }
 
@@ -93,11 +100,11 @@ type fanoutEntry struct {
 	ids   []ident.ID
 }
 
-// Network is the simulated medium. All methods must be called from the
-// simulation goroutine (i.e., inside DES events or before the run starts).
-type Network struct {
-	sim *des.Simulator //fdlint:allow clonefields immutable kernel reference
-	cfg Config         //fdlint:allow clonefields immutable config, set once at construction
+// state is everything about a Network that a run changes — who is registered,
+// who is down, who may talk to whom, the traffic counters — and so everything
+// a checkpoint holds: Snapshot and Restore are state.copyTo run in the two
+// directions, and a field added here is checkpointed by being here.
+type state struct {
 	// handlers is a dense slab indexed by ID (nil = unregistered); process
 	// identities are small dense integers, so a slice beats a map on every
 	// delivery lookup.
@@ -109,14 +116,25 @@ type Network struct {
 	// topoEpoch stamps the current topology generation; AddNode and
 	// SetNeighbors bump it, invalidating every cached fan-out list.
 	topoEpoch uint64
-	// fanout caches per-node broadcast fan-out lists, rebuilt lazily when
-	// their epoch stamp is stale.
-	//fdlint:allow clonefields derived cache; Restore invalidates it wholesale and rebuilds lazily
-	fanout []fanoutEntry
 	// partitions is the LIFO stack of partition epochs; only the top layer
 	// is consulted per message (its labels are composite).
 	partitions []partitionLayer
 	stats      Stats
+}
+
+// Network is the simulated medium. All methods must be called from the
+// simulation goroutine (i.e., inside DES events or before the run starts).
+type Network struct {
+	state
+
+	sim *des.Simulator //fdlint:allow clonefields immutable kernel reference
+	cfg Config         //fdlint:allow clonefields immutable config, set once at construction
+	// loss is cfg.Delay when that decides loss too, resolved once.
+	loss LossModel //fdlint:allow clonefields immutable, derived from cfg at construction
+	// fanout caches per-node broadcast fan-out lists, rebuilt lazily when
+	// their epoch stamp is stale.
+	//fdlint:allow clonefields derived cache; Restore invalidates it wholesale and rebuilds lazily
+	fanout []fanoutEntry
 	// bcast is the broadcast fan-out scratch buffer, reused across
 	// Broadcast calls (Fanout reads it synchronously, and the kernel pools
 	// the per-node item storage itself), so steady-state gossip stops
@@ -131,11 +149,8 @@ func New(sim *des.Simulator, cfg Config) *Network {
 	if cfg.Delay == nil {
 		panic("netsim: Config.Delay is required")
 	}
-	n := &Network{
-		sim:       sim,
-		cfg:       cfg,
-		topoEpoch: 1,
-	}
+	n := &Network{state: state{topoEpoch: 1}, sim: sim, cfg: cfg}
+	n.loss, _ = cfg.Delay.(LossModel)
 	sim.SetSink((*sink)(n))
 	return n
 }
@@ -348,68 +363,47 @@ func (n *Network) Stats() Stats { return n.stats }
 // des.Snapshot: the kernel checkpoint holds the in-flight messages (their
 // endpoints and payloads), this one holds liveness, topology, partitions and
 // traffic counters. It shares no mutable storage with the live network.
-type Snapshot struct {
-	handlers   []node.Handler
-	crashed    ident.Set
-	neighbors  map[ident.ID]ident.Set
-	topoEpoch  uint64
-	partitions []partitionLayer
-	stats      Stats
-}
+type Snapshot struct{ st state }
 
-func cloneNeighbors(src map[ident.ID]ident.Set) map[ident.ID]ident.Set {
-	if src == nil {
-		return nil
-	}
-	out := make(map[ident.ID]ident.Set, len(src))
-	for id, s := range src {
-		out[id] = s.Clone()
-	}
-	return out
-}
-
-func clonePartitions(src []partitionLayer) []partitionLayer {
-	if len(src) == 0 {
-		return nil
-	}
-	out := make([]partitionLayer, len(src))
-	for i, p := range src {
-		out[i] = partitionLayer{labels: append([]int32(nil), p.labels...), implicit: p.implicit}
-	}
-	return out
-}
-
-// Snapshot captures the network's mutable state. Handler identities are
+// copyTo makes dst a copy of s that shares no mutable storage with it,
+// reusing dst's handler and partition-stack arrays. Handler identities are
 // shared by reference (the detector runtimes checkpoint their own state);
-// everything else — crash set, neighborhoods, partition layers, counters —
-// is deep-copied.
-func (n *Network) Snapshot() *Snapshot {
-	return &Snapshot{
-		handlers:   append([]node.Handler(nil), n.handlers...),
-		crashed:    n.crashed.Clone(),
-		neighbors:  cloneNeighbors(n.neighbors),
-		topoEpoch:  n.topoEpoch,
-		partitions: clonePartitions(n.partitions),
-		stats:      n.stats,
+// crash set, neighborhoods and partition layers are deep-copied.
+func (s *state) copyTo(dst *state) {
+	handlers, partitions := dst.handlers, dst.partitions[:0]
+	*dst = *s
+	dst.handlers = append(handlers[:0], s.handlers...)
+	dst.crashed = s.crashed.Clone()
+	if s.neighbors != nil {
+		dst.neighbors = make(map[ident.ID]ident.Set, len(s.neighbors))
+		//fdlint:allow maprange one write per distinct key of a fresh map
+		for id, nb := range s.neighbors {
+			dst.neighbors[id] = nb.Clone()
+		}
 	}
+	for _, p := range s.partitions {
+		partitions = append(partitions, partitionLayer{labels: append([]int32(nil), p.labels...), implicit: p.implicit})
+	}
+	dst.partitions = partitions
+}
+
+// Snapshot captures the network's mutable state.
+func (n *Network) Snapshot() *Snapshot {
+	snap := new(Snapshot)
+	n.state.copyTo(&snap.st)
+	return snap
 }
 
 // Restore rolls the network back to the checkpoint, in place (the kernel
 // delivers its pending messages to this Network, its registered sink, so
-// replication rewinds it rather than building a second one). Deep copies go
-// both ways, so the same snapshot restores any number of times. The fan-out
-// cache is invalidated wholesale: rebuilds are lazy, deterministic functions
-// of the restored topology, so behavior is unchanged and stale epoch stamps
-// from the rolled-back run can never validate against post-restore
-// topologies.
+// replication rewinds it rather than building a second one). The same
+// snapshot restores any number of times. The fan-out cache is invalidated
+// wholesale: rebuilds are lazy, deterministic functions of the restored
+// topology, so behavior is unchanged and stale epoch stamps from the
+// rolled-back run can never validate against post-restore topologies.
 func (n *Network) Restore(snap *Snapshot) {
-	n.handlers = append(n.handlers[:0], snap.handlers...)
-	n.crashed = snap.crashed.Clone()
-	n.neighbors = cloneNeighbors(snap.neighbors)
-	n.topoEpoch = snap.topoEpoch
+	snap.st.copyTo(&n.state)
 	n.fanout = make([]fanoutEntry, len(n.handlers))
-	n.partitions = append(n.partitions[:0], clonePartitions(snap.partitions)...)
-	n.stats = snap.stats
 }
 
 // send is the single unicast transmission path. When a neighborhood is
@@ -446,15 +440,11 @@ func (n *Network) admit(from, to ident.ID, payload any) (time.Duration, bool) {
 			return 0, false
 		}
 	}
-	if n.cfg.DropRate > 0 && n.sim.Rand().Float64() < n.cfg.DropRate {
-		n.stats.Dropped++
-		return 0, false
-	}
 	// A LossModel decides loss and delay in one call (e.g. trace replay with
 	// recorded loss samples); plain models keep the historical single Delay
 	// call so their RNG draw sequence is unchanged.
-	if lm, ok := n.cfg.Delay.(LossModel); ok {
-		delay, deliver := lm.DelayLoss(n.sim.Rand(), from, to, now)
+	if n.loss != nil {
+		delay, deliver := n.loss.DelayLoss(n.sim.Rand(), from, to, now)
 		if !deliver {
 			n.stats.Dropped++
 			return 0, false

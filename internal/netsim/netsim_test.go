@@ -120,26 +120,18 @@ func TestCrashMidFlight(t *testing.T) {
 	}
 }
 
-func TestDropRate(t *testing.T) {
-	sim := des.New(7)
-	net := New(sim, Config{Delay: Constant{}, DropRate: 0.5})
-	ib := &inbox{sim: sim}
-	net.AddNode(0, node.HandlerFunc(func(ident.ID, any) {}))
-	net.AddNode(1, ib)
-	env := net.Env(0)
-	const total = 2000
-	for i := 0; i < total; i++ {
-		env.Send(1, i)
+// lossy is the test loss model: a message is lost with probability p, drawn
+// before the delay of the model it wraps.
+type lossy struct {
+	DelayModel
+	p float64
+}
+
+func (l lossy) DelayLoss(r *rand.Rand, from, to ident.ID, now time.Duration) (time.Duration, bool) {
+	if r.Float64() < l.p {
+		return 0, false
 	}
-	sim.Run()
-	st := net.Stats()
-	if st.Dropped == 0 || st.Delivered == 0 {
-		t.Fatalf("stats = %+v, want both drops and deliveries", st)
-	}
-	ratio := float64(st.Dropped) / float64(total)
-	if ratio < 0.4 || ratio > 0.6 {
-		t.Errorf("drop ratio = %.3f, want ≈0.5", ratio)
-	}
+	return l.Delay(r, from, to, now), true
 }
 
 func TestPartitionAndHeal(t *testing.T) {
@@ -396,7 +388,7 @@ func TestDeadTimersDoNotPerturbTrace(t *testing.T) {
 	// delivery times and step count cannot shift.
 	run := func(armDeadTimers bool) ([]time.Duration, uint64) {
 		sim := des.New(42)
-		net := New(sim, Config{Delay: Exponential{Min: time.Millisecond, Mean: 5 * time.Millisecond}, DropRate: 0.1})
+		net := New(sim, Config{Delay: lossy{Exponential{Min: time.Millisecond, Mean: 5 * time.Millisecond}, 0.1}})
 		var tr []time.Duration
 		for i := 0; i < 4; i++ {
 			net.AddNode(ident.ID(i), node.HandlerFunc(func(ident.ID, any) { tr = append(tr, sim.Now()) }))
@@ -605,7 +597,7 @@ func TestQuickNetworkDeterminism(t *testing.T) {
 	// Same seed + same workload ⇒ identical delivery traces.
 	run := func(seed int64) []time.Duration {
 		sim := des.New(seed)
-		net := New(sim, Config{Delay: Exponential{Min: time.Millisecond, Mean: 5 * time.Millisecond}, DropRate: 0.1})
+		net := New(sim, Config{Delay: lossy{Exponential{Min: time.Millisecond, Mean: 5 * time.Millisecond}, 0.1}})
 		var tr []time.Duration
 		for i := 0; i < 5; i++ {
 			net.AddNode(ident.ID(i), node.HandlerFunc(func(ident.ID, any) { tr = append(tr, sim.Now()) }))

@@ -15,12 +15,12 @@ import (
 )
 
 // LossModel is the optional extension of DelayModel for models that decide
-// message loss themselves (e.g. from recorded loss samples). When the
-// network's delay model implements it, admit() consults DelayLoss INSTEAD of
-// the plain Delay call, in the same position of the admission pipeline
-// (after partitions and DropRate) — so models that don't implement
-// it keep the exact RNG draw sequence they had before this interface
-// existed.
+// message loss themselves (e.g. from recorded loss samples) — the one way a
+// link loses a message. When the network's delay model implements it
+// (decided once, in New), admit() consults DelayLoss INSTEAD of the plain
+// Delay call, in the same position of the admission pipeline (after
+// partitions) — so models that don't implement it keep the exact RNG draw
+// sequence they had before this interface existed.
 type LossModel interface {
 	DelayModel
 	// DelayLoss samples the one-way latency of a message and reports

@@ -63,6 +63,13 @@ type Env interface {
 // replication rewinds it rather than building a second one. A snapshot must
 // survive any number of Restores, and timer handles it carries stay valid
 // because the kernel snapshot rewinds slot generations in lockstep.
+//
+// The shape every implementation in this repository has: the runtime keeps
+// what a run changes in one state struct, embedded beside its wiring and
+// config, with one copyTo(dst) that assigns the whole value and then gives
+// dst its own storage for each field that refers to some. Snapshot is
+// copyTo into a new value and Restore is copyTo back out of it, so a field
+// added to the struct cannot be missed by either.
 type Cloneable interface {
 	// Snapshot captures the runtime's mutable state.
 	Snapshot() any

@@ -64,6 +64,7 @@ func JudgeFrom(log *trace.Log) *Judge {
 // over the index instead of O(pairs·events) — and backs the E6 tail metric.
 func (j *Judge) SuspectedInTail(cut time.Duration) ident.Set {
 	var out ident.Set
+	//fdlint:allow maprange the result is a set: adding subjects to it commutes
 	for k, eps := range j.index {
 		subject := ident.ID(uint32(k))
 		if out.Has(subject) {
@@ -73,6 +74,29 @@ func (j *Judge) SuspectedInTail(cut time.Duration) ident.Set {
 			if ep.start >= cut || ep.end == -1 || ep.end > cut {
 				out.Add(subject)
 				break
+			}
+		}
+	}
+	return out
+}
+
+// FalseSuspicionSeries samples how many (observer, correct-subject) pairs are
+// in the suspected state at each of the given instants — the data behind the
+// "number of false suspicions over time" figure. An episode counts at t when
+// it has begun by t and has not ended by it; a subject that crashes at any
+// point is left out.
+func (j *Judge) FalseSuspicionSeries(truth *GroundTruth, times []time.Duration) []int {
+	out := make([]int, len(times))
+	//fdlint:allow maprange every episode adds to integer counts, the same in any order
+	for k, eps := range j.index {
+		if _, subject := k.pair(); truth.Crashed(subject) {
+			continue
+		}
+		for _, ep := range eps {
+			for i, t := range times {
+				if ep.start <= t && (ep.end == -1 || ep.end > t) {
+					out[i]++
+				}
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package qos
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -96,6 +97,16 @@ func TestJudgeDifferential(t *testing.T) {
 		}
 		if got, want := j.MistakeStorm(truth, members, 2*time.Second, 12*time.Second), LegacyMistakeStorm(log, truth, members, 2*time.Second, 12*time.Second); got != want {
 			t.Fatalf("trial %d: MistakeStorm = %d, legacy %d", trial, got, want)
+		}
+		// Sampled where the answer can change — the instant of every event
+		// (episodes begin and end there) — and before and after them all.
+		times := []time.Duration{0, horizon + time.Second}
+		for _, e := range log.Events() {
+			times = append(times, e.At)
+		}
+		slices.Sort(times)
+		if got, want := j.FalseSuspicionSeries(truth, times), LegacyFalseSuspicionSeries(log, truth, times); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: FalseSuspicionSeries = %v, legacy %v", trial, got, want)
 		}
 	}
 }

@@ -282,3 +282,29 @@ func LegacyMistakeStorm(log *trace.Log, truth *GroundTruth, members ident.Set, s
 	})
 	return storm
 }
+
+// LegacyFalseSuspicionSeries is the pre-Judge FalseSuspicionSeries (it was
+// trace.Log.SuspicionCountSeries behind a never-crashed filter): one pass over
+// the time-sorted events carrying the set of pairs currently suspected, read
+// off at each instant of times, which must ascend.
+func LegacyFalseSuspicionSeries(log *trace.Log, truth *GroundTruth, times []time.Duration) []int {
+	events := sortedEvents(log)
+	active := make(map[pairKey]bool)
+	out := make([]int, len(times))
+	idx := 0
+	for i, t := range times {
+		for ; idx < len(events) && events[idx].At <= t; idx++ {
+			e := events[idx]
+			if truth.Crashed(e.Subject) {
+				continue
+			}
+			if e.Suspected {
+				active[key(e.Observer, e.Subject)] = true
+			} else {
+				delete(active, key(e.Observer, e.Subject))
+			}
+		}
+		out[i] = len(active)
+	}
+	return out
+}

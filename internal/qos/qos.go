@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"asyncfd/internal/ident"
-	"asyncfd/internal/trace"
 )
 
 // Millis converts a duration to float64 milliseconds — the unit every
@@ -138,19 +137,6 @@ func (g *GroundTruth) Intervals(id ident.ID) []Interval {
 	return out
 }
 
-// CrashedSet returns the processes currently down at the end of the record
-// (those whose last downtime interval never closed). For crash-stop records
-// this is every process that crashed, as before.
-func (g *GroundTruth) CrashedSet() ident.Set {
-	var s ident.Set
-	for id, ivs := range g.downs {
-		if len(ivs) > 0 && ivs[len(ivs)-1].Open() {
-			s.Add(id)
-		}
-	}
-	return s
-}
-
 // DetectionStats summarizes how fast the observers permanently detected one
 // crash.
 type DetectionStats struct {
@@ -210,13 +196,4 @@ type MistakeStats struct {
 	AvgDuration, MaxDuration time.Duration
 	// Rate is closed episodes per observer-subject pair per second (λ_M).
 	Rate float64
-}
-
-// FalseSuspicionSeries samples how many (observer, correct-subject) pairs
-// are in a suspected state at each of the given instants — the data behind
-// the "number of false suspicions over time" figure.
-func FalseSuspicionSeries(log *trace.Log, truth *GroundTruth, times []time.Duration) []int {
-	return log.SuspicionCountSeries(times, func(subject ident.ID) bool {
-		return !truth.Crashed(subject)
-	})
 }

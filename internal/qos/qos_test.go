@@ -28,10 +28,6 @@ func TestGroundTruth(t *testing.T) {
 	if !g.DownAt(1, sec(5)) || !g.DownAt(1, sec(6)) {
 		t.Error("DownAt at/after crash time = false")
 	}
-	set := g.CrashedSet()
-	if set.Len() != 1 || !set.Has(1) {
-		t.Errorf("CrashedSet = %v", set)
-	}
 }
 
 func TestGroundTruthIntervals(t *testing.T) {
@@ -71,17 +67,6 @@ func TestGroundTruthIntervals(t *testing.T) {
 		if got := g.DownAt(1, tc.at); got != tc.down {
 			t.Errorf("DownAt(1, %v) = %v, want %v", tc.at, got, tc.down)
 		}
-	}
-}
-
-func TestGroundTruthCrashedSetCurrentlyDown(t *testing.T) {
-	var g GroundTruth
-	g.Crash(1, sec(5)) // crash-stop: still down at the end
-	g.Crash(2, sec(6)) // crashes but recovers
-	g.Recover(2, sec(8))
-	set := g.CrashedSet()
-	if !set.Has(1) || set.Has(2) || set.Len() != 1 {
-		t.Errorf("CrashedSet = %v, want only the currently-down {p1}", set)
 	}
 }
 
@@ -421,9 +406,10 @@ func TestFalseSuspicionSeries(t *testing.T) {
 	g.Crash(9, sec(0))
 	l.OnSuspicion(sec(1), 0, 1, true)
 	l.OnSuspicion(sec(2), 0, 9, true) // crashed subject: excluded
+	l.OnSuspicion(sec(2), 2, 1, true) // a second pair, never trusted again
 	l.OnSuspicion(sec(3), 0, 1, false)
-	got := FalseSuspicionSeries(l, &g, []time.Duration{0, sec(1), sec(2), sec(3)})
-	want := []int{0, 1, 1, 0}
+	got := JudgeFrom(l).FalseSuspicionSeries(&g, []time.Duration{0, sec(1), sec(2), sec(3), sec(5)})
+	want := []int{0, 1, 2, 1, 1}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("series = %v, want %v", got, want)

@@ -65,7 +65,6 @@ func strictUnmarshal(data []byte, v any) error {
 		return err
 	}
 	if _, err := dec.Token(); err != io.EOF {
-		//fdlint:allow errprefix cursor.strict reports decode errors through failf, which adds the prefix
 		return fmt.Errorf("trailing data after JSON document")
 	}
 	return nil

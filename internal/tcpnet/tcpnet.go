@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -145,6 +146,9 @@ func New(cfg Config) (*Transport, error) {
 	if cfg.Handler == nil {
 		return nil, errors.New("tcpnet: Config.Handler is required")
 	}
+	if !cfg.Self.Valid() {
+		return nil, fmt.Errorf("tcpnet: Config.Self %d is not a process identity", int32(cfg.Self))
+	}
 	if cfg.SendQueue <= 0 {
 		cfg.SendQueue = DefaultSendQueue
 	}
@@ -268,8 +272,8 @@ func (t *Transport) readLoop(conn net.Conn) {
 		return
 	}
 	from64, n := binary.Uvarint(hello)
-	if n <= 0 {
-		return
+	if n <= 0 || from64 > math.MaxInt32 {
+		return // not an identity: truncated, it would be somebody else's
 	}
 	from := ident.ID(from64)
 	for {

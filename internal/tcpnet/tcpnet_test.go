@@ -3,7 +3,9 @@ package tcpnet
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"asyncfd/internal/core"
 	"asyncfd/internal/heartbeat"
 	"asyncfd/internal/ident"
+	"asyncfd/internal/node"
 	"asyncfd/internal/wire"
 )
 
@@ -43,6 +46,13 @@ func (c *collector) len() int {
 func TestNewRequiresHandler(t *testing.T) {
 	if _, err := New(Config{Self: 0, ListenAddr: "127.0.0.1:0"}); err == nil {
 		t.Error("missing handler accepted")
+	}
+}
+
+func TestNewRefusesInvalidSelf(t *testing.T) {
+	if tr, err := New(Config{Self: ident.Nil, ListenAddr: "127.0.0.1:0", Handler: newCollector()}); err == nil {
+		tr.Close()
+		t.Error("Self = ident.Nil accepted: its hello would be a 64-bit uvarint no peer can take for an identity")
 	}
 }
 
@@ -429,6 +439,61 @@ func TestDuplicateInboundHello(t *testing.T) {
 	}
 	if err := a.Close(); err != nil {
 		t.Errorf("Close: %v", err)
+	}
+}
+
+// TestHelloOutOfRange: a hello that does not fit ident.ID closes the
+// connection. Truncated to 32 bits it would be another process's identity
+// (2³²+2 → p2) or a negative one (2³¹), and every later frame on the
+// connection would be delivered under it. The largest identity still gets in.
+func TestHelloOutOfRange(t *testing.T) {
+	var mu sync.Mutex
+	var senders []ident.ID
+	a, err := New(Config{Self: 0, ListenAddr: "127.0.0.1:0", Handler: node.HandlerFunc(func(from ident.ID, _ any) {
+		mu.Lock()
+		senders = append(senders, from)
+		mu.Unlock()
+	})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	frame, err := wire.Encode(heartbeat.Message{From: 2, Seq: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// greet opens a connection, sends hello and one message, and returns it.
+	greet := func(hello uint64) net.Conn {
+		c, err := net.Dial("tcp", a.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFrame(c, binary.AppendUvarint(nil, hello)); err != nil {
+			t.Fatal(err)
+		}
+		// The endpoint may already have hung up on the hello.
+		_ = writeFrame(c, frame)
+		return c
+	}
+	for _, hello := range []uint64{1<<32 + 2, 1 << 31, math.MaxUint64} {
+		c := greet(hello)
+		c.SetReadDeadline(time.Now().Add(3 * time.Second))
+		if _, err := c.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("hello %d: connection still open (read: %v), want it closed", hello, err)
+		}
+		c.Close()
+	}
+	c := greet(math.MaxInt32)
+	defer c.Close()
+	waitFor(t, 3*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(senders) > 0
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	if len(senders) != 1 || senders[0] != math.MaxInt32 {
+		t.Errorf("deliveries came from %v, want only p%d", senders, math.MaxInt32)
 	}
 }
 

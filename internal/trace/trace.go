@@ -6,7 +6,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -135,34 +134,6 @@ func (l *Log) SuspectedAt(observer, subject ident.ID, at time.Duration) bool {
 		}
 	}
 	return suspected
-}
-
-// SuspicionCountSeries samples, at each instant of times, how many
-// (observer, subject) pairs are in the suspected state, counting only
-// subjects for which include returns true (pass nil to count all). The
-// series is the raw data of the "false suspicions over time" figure.
-func (l *Log) SuspicionCountSeries(times []time.Duration, include func(subject ident.ID) bool) []int {
-	events := l.Events()
-	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
-	type pair struct{ o, s ident.ID }
-	active := make(map[pair]bool)
-	out := make([]int, len(times))
-	idx := 0
-	for i, t := range times {
-		for idx < len(events) && events[idx].At <= t {
-			e := events[idx]
-			if include == nil || include(e.Subject) {
-				if e.Suspected {
-					active[pair{e.Observer, e.Subject}] = true
-				} else {
-					delete(active, pair{e.Observer, e.Subject})
-				}
-			}
-			idx++
-		}
-		out[i] = len(active)
-	}
-	return out
 }
 
 // String renders the whole log, one event per line.

@@ -81,25 +81,6 @@ func TestSuspectedAt(t *testing.T) {
 	}
 }
 
-func TestSuspicionCountSeries(t *testing.T) {
-	l := sampleLog()
-	times := []time.Duration{0, sec(1), sec(2), sec(3), sec(5)}
-	got := l.SuspicionCountSeries(times, nil)
-	want := []int{0, 1, 2, 1, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("series = %v, want %v", got, want)
-		}
-	}
-	// Filter to a subject that never appears.
-	got = l.SuspicionCountSeries(times, func(s ident.ID) bool { return s == 9 })
-	for _, v := range got {
-		if v != 0 {
-			t.Fatalf("filtered series = %v, want zeros", got)
-		}
-	}
-}
-
 func TestAppendAndReset(t *testing.T) {
 	l := &Log{}
 	l.Append(Event{At: sec(1), Observer: 0, Subject: 1, Suspected: true})

@@ -17,22 +17,22 @@
 //   - internal/core       — the protocol state machine and round runtime
 //   - internal/heartbeat, internal/phiaccrual, internal/chen — timer-based baselines
 //   - internal/des, internal/netsim — deterministic simulation
-//   - internal/livenet, internal/tcpnet — real-time runtimes
+//   - internal/tcpnet     — the real-time runtime: the same nodes over TCP sockets
 //   - internal/consensus, internal/leader — applications (◇S consensus, Ω)
 //   - internal/topology   — communication graphs for the partial-connectivity extension
 //   - internal/exp        — the simulated cluster and experiment harness (tables
 //     E1–E8, A1–A2, X1–X2); exp.ClusterConfig.Graph runs the extension
 //
 // The facade re-exports the types needed to embed the detector in an
-// application; see examples/ for runnable programs.
+// application and run it over TCP; examples/quickstart uses nothing else.
 package asyncfd
 
 import (
 	"asyncfd/internal/core"
 	"asyncfd/internal/fd"
 	"asyncfd/internal/ident"
-	"asyncfd/internal/livenet"
 	"asyncfd/internal/node"
+	"asyncfd/internal/tcpnet"
 )
 
 // Core protocol types.
@@ -58,11 +58,12 @@ type (
 	Detector = fd.Detector
 	// SuspicionSink receives timestamped suspicion transitions.
 	SuspicionSink = fd.SuspicionSink
-	// LiveConfig parameterizes the in-process real-time network.
-	LiveConfig = livenet.Config
-	// LiveNetwork is the in-process real-time network used by the
-	// quickstart examples.
-	LiveNetwork = livenet.Network
+	// TransportConfig parameterizes one process's TCP endpoint (identity,
+	// listen address, the Handler its messages are delivered to).
+	TransportConfig = tcpnet.Config
+	// Transport is one process's TCP endpoint, an Env: register the other
+	// processes with AddPeer, Close it to take the process off the network.
+	Transport = tcpnet.Transport
 )
 
 // Membership modes.
@@ -76,11 +77,10 @@ const (
 )
 
 // NewNode builds a detector node on the given environment. This is the main
-// entry point for embedding the detector: provide an Env (for example one
-// obtained from NewLiveNetwork().AddNode, or your own transport
-// implementing Env) and a NodeConfig, then call Start.
+// entry point for embedding the detector: provide an Env (a Transport from
+// NewTransport, or your own implementation) and a NodeConfig, then call Start.
 func NewNode(env Env, cfg NodeConfig) (*Node, error) { return core.NewNode(env, cfg) }
 
-// NewLiveNetwork builds an in-process real-time network (goroutines and
-// channels) for running detector nodes without a simulator.
-func NewLiveNetwork(cfg LiveConfig) *LiveNetwork { return livenet.New(cfg) }
+// NewTransport opens a process's TCP endpoint, listening on
+// cfg.ListenAddr, for running a detector node in real time.
+func NewTransport(cfg TransportConfig) (*Transport, error) { return tcpnet.New(cfg) }

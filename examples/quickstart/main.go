@@ -1,27 +1,32 @@
-// Quickstart: run the time-free failure detector on a live in-process
-// cluster (goroutines + channels, real time), crash one process, and watch
-// the survivors suspect it — no clocks, no timeouts involved in the
-// detection logic itself.
+// Quickstart: run the time-free failure detector on four processes that talk
+// over loopback TCP sockets in real time, crash one, and watch the survivors
+// suspect it — no clocks, no timeouts involved in the detection logic itself.
+// The program checks itself: it exits non-zero unless p0–p2 come to suspect
+// the crashed p3 and, once settled, no survivor suspects another.
 package main
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	"asyncfd"
 )
 
-func main() {
-	const (
-		n = 4 // processes
-		f = 1 // crash bound
-	)
-	net := asyncfd.NewLiveNetwork(asyncfd.LiveConfig{
-		MinDelay: 200 * time.Microsecond,
-		MaxDelay: 2 * time.Millisecond,
-	})
-	defer net.Close()
+const (
+	n       = 4 // processes
+	f       = 1 // crash bound
+	crashed = asyncfd.ID(n - 1)
+)
 
+func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "quickstart:", err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
 	// Suspicion transitions are reported through a sink.
 	sink := sinkFunc(func(at time.Duration, observer, subject asyncfd.ID, suspected bool) {
 		verb := "suspects"
@@ -31,43 +36,83 @@ func main() {
 		fmt.Printf("[%8v] %v %s %v\n", at.Round(time.Millisecond), observer, verb, subject)
 	})
 
+	transports := make([]*asyncfd.Transport, n)
 	nodes := make([]*asyncfd.Node, n)
-	for i := 0; i < n; i++ {
+	for i := range nodes {
 		id := asyncfd.ID(i)
 		cell := &handlerCell{}
-		env := net.AddNode(id, cell)
-		node, err := asyncfd.NewNode(env, asyncfd.NodeConfig{
+		tr, err := asyncfd.NewTransport(asyncfd.TransportConfig{Self: id, ListenAddr: "127.0.0.1:0", Handler: cell})
+		if err != nil {
+			return err
+		}
+		defer tr.Close()
+		node, err := asyncfd.NewNode(tr, asyncfd.NodeConfig{
 			Detector: asyncfd.Config{Self: id, Membership: asyncfd.KnownMembership, N: n, F: f},
 			Window:   10 * time.Millisecond, // extra response collection per round
 			Interval: 25 * time.Millisecond, // pause between query rounds
 			Sink:     sink,
 		})
 		if err != nil {
-			panic(err)
+			return err
 		}
+		defer node.Stop()
 		cell.node = node
-		nodes[i] = node
+		transports[i], nodes[i] = tr, node
+	}
+	for i, tr := range transports {
+		for j, peer := range transports {
+			if i != j {
+				tr.AddPeer(asyncfd.ID(j), peer.Addr())
+			}
+		}
 	}
 	for _, nd := range nodes {
 		nd.Start()
 	}
 
-	fmt.Println("cluster running; all processes answering queries...")
+	fmt.Println("cluster running on loopback sockets; all processes answering queries...")
 	time.Sleep(300 * time.Millisecond)
 
-	fmt.Println("crashing p3...")
-	net.Crash(3)
-	time.Sleep(500 * time.Millisecond)
+	fmt.Printf("crashing %v...\n", crashed)
+	nodes[crashed].Stop()
+	transports[crashed].Close()
 
-	for i := 0; i < 3; i++ {
-		fmt.Printf("%v final suspects: %v\n", asyncfd.ID(i), nodes[i].Suspects())
+	survivors := nodes[:crashed]
+	if err := await("the survivors suspect "+crashed.String(), func(nd *asyncfd.Node) bool {
+		return nd.IsSuspected(crashed)
+	}, survivors); err != nil {
+		return err
 	}
-	for _, nd := range nodes {
-		nd.Stop()
+	// A survivor may suspect another for a round or two; the refutation
+	// flooded in the next queries clears it.
+	time.Sleep(200 * time.Millisecond)
+	if err := await("no survivor suspects another", func(nd *asyncfd.Node) bool {
+		s := nd.Suspects()
+		return s.Len() == 1 && s.Has(crashed)
+	}, survivors); err != nil {
+		return err
 	}
+	for i, nd := range survivors {
+		fmt.Printf("%v final suspects: %v\n", asyncfd.ID(i), nd.Suspects())
+	}
+	return nil
 }
 
-// handlerCell breaks the env↔node construction cycle.
+// await polls until ok holds for every node, or fails after five seconds.
+func await(what string, ok func(*asyncfd.Node) bool, nodes []*asyncfd.Node) error {
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		all := true
+		for _, nd := range nodes {
+			all = all && ok(nd)
+		}
+		if all {
+			return nil
+		}
+	}
+	return fmt.Errorf("not within 5s: %s", what)
+}
+
+// handlerCell breaks the transport↔node construction cycle.
 type handlerCell struct{ node *asyncfd.Node }
 
 func (c *handlerCell) Deliver(from asyncfd.ID, payload any) {

@@ -15,8 +15,8 @@ const (
 	// draw-counted kernel RNG, and map iteration order must never leak into
 	// behavior. maprange and walltime sweep these.
 	Sim
-	// Live packages talk to real clocks, sockets and terminals (livenet,
-	// tcpnet, examples, cmd). Wall-clock time and ad-hoc RNGs are their job;
+	// Live packages talk to real clocks, sockets and terminals (tcpnet,
+	// liveshard, examples, cmd). Wall-clock time and ad-hoc RNGs are their job;
 	// only clonefields applies.
 	Live
 )
@@ -39,7 +39,6 @@ var classTable = map[string]Class{
 	"asyncfd/internal/consensus":  Sim,
 	"asyncfd/internal/faults":     Sim,
 	"asyncfd/internal/topology":   Sim,
-	"asyncfd/internal/livenet":    Live,
 	"asyncfd/internal/liveshard":  Live,
 	"asyncfd/internal/tcpnet":     Live,
 	"asyncfd/examples":            Live,

@@ -13,7 +13,6 @@ func TestClassOf(t *testing.T) {
 		{"asyncfd/internal/qos/judge", Sim},
 		// The runtime that decides every timer-based suspicion order.
 		{"asyncfd/internal/monitor", Sim},
-		{"asyncfd/internal/livenet", Live},
 		{"asyncfd/internal/tcpnet", Live},
 		{"asyncfd/cmd/fdlint", Live},
 		{"asyncfd/examples/quorum", Live},

@@ -5,7 +5,7 @@
 // test's package directory, one directory per fixture package; import paths
 // under asyncfd/ get their classification from the real shared table, so a
 // fixture at testdata/src/asyncfd/internal/qos/... is swept as a simulation
-// package and one under .../livenet/... is exempt. Expected findings are
+// package and one under .../tcpnet/... is exempt. Expected findings are
 // declared in the fixture source with analysistest syntax:
 //
 //	for k := range m { ... } // want `order-sensitive`

@@ -10,6 +10,6 @@ import (
 func TestMapRange(t *testing.T) {
 	linttest.Run(t, lint.MapRange,
 		"asyncfd/internal/qos/mrfix",
-		"asyncfd/internal/livenet/mrfix",
+		"asyncfd/internal/tcpnet/mrfix",
 	)
 }

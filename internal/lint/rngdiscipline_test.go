@@ -11,6 +11,6 @@ func TestRNGDiscipline(t *testing.T) {
 	linttest.Run(t, lint.RNGDiscipline,
 		"asyncfd/internal/exp/rngfix",
 		"asyncfd/internal/des/rngfix",
-		"asyncfd/internal/livenet/rngfix",
+		"asyncfd/internal/tcpnet/rngfix",
 	)
 }

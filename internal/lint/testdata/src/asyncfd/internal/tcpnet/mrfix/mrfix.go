@@ -1,4 +1,4 @@
-// Package mrfix exercises the live-package exemption: asyncfd/internal/livenet
+// Package mrfix exercises the live-package exemption: asyncfd/internal/tcpnet
 // is classified Live, so an order-sensitive map range here is not flagged.
 package mrfix
 

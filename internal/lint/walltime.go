@@ -14,7 +14,7 @@ import (
 // des.Kernel/node.Env (simulated time) and all randomness from the seeded,
 // draw-counted kernel RNG — a single time.Now or rand.Intn makes same-seed
 // runs diverge and breaks snapshot/fork replay, which replays the RNG by
-// draw count. Live packages (livenet, tcpnet, examples, cmd) are exempt by
+// draw count. Live packages (tcpnet, liveshard, examples, cmd) are exempt by
 // the classification table: real clocks are their job.
 var WallTime = &analysis.Analyzer{
 	Name:     wallTimeName,

@@ -10,6 +10,6 @@ import (
 func TestWallTime(t *testing.T) {
 	linttest.Run(t, lint.WallTime,
 		"asyncfd/internal/netsim/wtfix",
-		"asyncfd/internal/livenet/wtfix",
+		"asyncfd/internal/tcpnet/wtfix",
 	)
 }

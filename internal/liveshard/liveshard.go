@@ -23,6 +23,7 @@ package liveshard
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"asyncfd/internal/fd"
@@ -85,9 +86,13 @@ type Service struct {
 	start time.Time
 
 	mu      sync.Mutex
-	peers   []ident.ID // registered pre-Start
 	started bool
 	closed  bool
+
+	// registered holds the peers AddPeers has named: republished by each
+	// call, fixed from Start on, read by Observe without a lock.
+	registered   atomic.Pointer[ident.Set]
+	unregistered atomic.Uint64
 
 	shards []*shard
 	done   chan struct{}
@@ -114,6 +119,7 @@ func New(cfg Config) (*Service, error) {
 		shards: make([]*shard, cfg.Shards),
 		done:   make(chan struct{}),
 	}
+	s.registered.Store(&ident.Set{})
 	for i := range s.shards {
 		s.shards[i] = &shard{
 			svc: s,
@@ -135,7 +141,11 @@ func (s *Service) AddPeers(ids ...ident.ID) {
 	if s.started {
 		panic("liveshard: AddPeers after Start")
 	}
-	s.peers = append(s.peers, ids...)
+	reg := s.registered.Load().Clone()
+	for _, id := range ids {
+		reg.Add(id)
+	}
+	s.registered.Store(&reg)
 }
 
 // Shards returns the worker count K.
@@ -160,10 +170,11 @@ func (s *Service) Start() {
 		panic("liveshard: double Start")
 	}
 	s.started = true
-	for _, id := range s.peers {
+	s.registered.Load().ForEach(func(id ident.ID) bool {
 		sh := s.shardOf(id)
 		sh.peerIDs = append(sh.peerIDs, id)
-	}
+		return true
+	})
 	for _, sh := range s.shards {
 		s.wg.Add(1)
 		primed := make(chan struct{})
@@ -188,9 +199,14 @@ func (s *Service) Close() {
 // Observe ingests a heartbeat sighting for peer at the current service
 // time. It never blocks: under overload the shard's oldest queued event is
 // evicted to make room (drop-oldest), and if the queue is still full — a
-// racing producer won the slot — the new event is dropped. Both drops are
-// counted.
+// racing producer won the slot — the new event is dropped. A peer AddPeers
+// never named is refused before it reaches a queue, where it could evict a
+// registered peer's sighting. All three drops are counted.
 func (s *Service) Observe(peer ident.ID) {
+	if !s.registered.Load().Has(peer) {
+		s.unregistered.Add(1)
+		return
+	}
 	now := s.Now()
 	sh := s.shardOf(peer)
 	ev := event{peer: peer, at: now, ingest: now}

@@ -230,6 +230,59 @@ func TestOverloadDropsOldest(t *testing.T) {
 	}
 }
 
+// stallingEstimator holds the worker inside its first Observe until gate
+// closes, so whatever is offered meanwhile stays in the queue.
+type stallingEstimator struct {
+	entered chan struct{}
+	gate    chan struct{}
+	once    sync.Once
+}
+
+func (e *stallingEstimator) Observe(time.Duration) {
+	e.once.Do(func() {
+		close(e.entered)
+		<-e.gate
+	})
+}
+func (e *stallingEstimator) Suspected(time.Duration) bool { return false }
+
+// TestUnregisteredRefusedBeforeTheQueue: a burst of sightings of ids nobody
+// registered, offered while the queue is full of a registered peer's, used
+// to evict those sightings one for one (counted as DroppedOldest) and then
+// vanish at the worker, counted nowhere. Observe now refuses them up front.
+func TestUnregisteredRefusedBeforeTheQueue(t *testing.T) {
+	const queue, burst = 4, 10
+	est := &stallingEstimator{entered: make(chan struct{}), gate: make(chan struct{})}
+	s, err := New(Config{
+		Shards:       1,
+		QueueLen:     queue,
+		NewEstimator: func(ident.ID, time.Duration) PeerEstimator { return est },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AddPeers(0)
+	s.Start()
+	s.Observe(0)
+	<-est.entered // the worker is held; the queue is empty
+	for i := 0; i < queue; i++ {
+		s.Observe(0)
+	}
+	for id := ident.ID(100); id < 100+burst; id++ {
+		s.Observe(id)
+	}
+	st := s.Stats()
+	close(est.gate)
+	s.Close()
+	if st.DroppedOldest != 0 || st.DroppedNewest != 0 || st.QueueLen != queue {
+		t.Errorf("registered sightings evicted: %d oldest / %d newest dropped, %d of %d queued",
+			st.DroppedOldest, st.DroppedNewest, st.QueueLen, queue)
+	}
+	if st.Unregistered != burst {
+		t.Errorf("Unregistered = %d, want %d", st.Unregistered, burst)
+	}
+}
+
 // TestConcurrentObserve hammers Observe from many goroutines (run under
 // -race in CI) while stats are read concurrently.
 func TestConcurrentObserve(t *testing.T) {

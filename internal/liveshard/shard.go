@@ -78,9 +78,6 @@ func (sh *shard) run(primed chan<- struct{}) {
 // fold applies one heartbeat sighting to its estimator.
 func (sh *shard) fold(ev event) {
 	rec := sh.peers.Get(ev.peer)
-	if rec == nil {
-		return // unknown peer: not registered at Start
-	}
 	rec.est.Observe(ev.at)
 	if rec.suspected {
 		sh.transition(rec, false)
@@ -191,6 +188,9 @@ type Stats struct {
 	// DroppedOldest counts queued events evicted under overload;
 	// DroppedNewest counts arrivals dropped when eviction lost a race.
 	DroppedOldest, DroppedNewest uint64
+	// Unregistered counts sightings of peers AddPeers never named, refused
+	// by Observe.
+	Unregistered uint64
 	// Scans counts completed timeout sweeps across all workers.
 	Scans uint64
 	// QueueLen is the instantaneous total ingest backlog.
@@ -206,7 +206,7 @@ func (st Stats) Dropped() uint64 { return st.DroppedOldest + st.DroppedNewest }
 // Stats aggregates counters across shards. Safe to call concurrently with
 // ingestion.
 func (s *Service) Stats() Stats {
-	st := Stats{Shards: len(s.shards)}
+	st := Stats{Shards: len(s.shards), Unregistered: s.unregistered.Load()}
 	var agg latencyHist
 	for _, sh := range s.shards {
 		st.Processed += sh.processed.Load()

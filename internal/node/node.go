@@ -1,8 +1,8 @@
 // Package node defines the narrow runtime environment a protocol node
 // executes in. The same protocol implementations (query–response detector,
 // heartbeat, φ-accrual, Chen NFD-E, consensus) run unchanged on the
-// deterministic simulator (internal/netsim) and on the real-time
-// goroutine/channel runtime (internal/livenet), because both provide this
+// deterministic simulator (internal/netsim) and on the one real-time
+// runtime, TCP sockets (internal/tcpnet), because both provide this
 // interface.
 package node
 
@@ -34,8 +34,9 @@ type Timer interface {
 // scheduler and an unreliable asynchronous network. Message sending never
 // blocks and never fails synchronously; delivery order and timing are
 // arbitrary. All callbacks (scheduled functions and Deliver) are serialized
-// per process by the runtime, so node implementations need no locking for
-// state touched only from callbacks.
+// per process by the runtime — netsim runs them on the kernel's one
+// goroutine, tcpnet under one mutex per endpoint — so node implementations
+// need no locking for state touched only from callbacks.
 type Env interface {
 	// Self returns this process's identity.
 	Self() ident.ID

@@ -22,7 +22,7 @@ func TestHandlerFuncDelivers(t *testing.T) {
 
 // fakeEnv is a minimal in-test Env: it runs After callbacks synchronously
 // and records traffic. It pins down the Env contract shape the runtimes
-// (netsim, livenet) must provide.
+// (netsim, tcpnet) must provide.
 type fakeEnv struct {
 	id        ident.ID
 	now       time.Duration

@@ -1,9 +1,9 @@
 // Package tcpnet runs the protocol nodes over real TCP sockets: a
 // length-prefixed framing of the wire codec plus a tiny identity handshake.
-// It demonstrates that the same core.Node that runs on the simulator and the
-// in-process live runtime also runs across machines, and it is the socket
-// layer under the sharded live detector service (internal/liveshard,
-// cmd/fdload).
+// It is the one real-time node.Env: the same core.Node that runs on the
+// simulator runs here across processes and machines (examples/quickstart),
+// and it is the socket layer under the sharded live detector service
+// (internal/liveshard, cmd/fdload).
 //
 // The send path is built so that no peer can stall another: every peer has
 // its own bounded outbound queue drained by a per-connection writer
@@ -34,12 +34,13 @@ import (
 // maxFrame bounds incoming frames (1 MiB is far above any detector message).
 const maxFrame = 1 << 20
 
+// dialTimeout bounds one asynchronous dial attempt.
+const dialTimeout = time.Second
+
 // Defaults for the tunable knobs (zero values in Config).
 const (
 	// DefaultSendQueue is the per-peer bound on queued outbound frames.
 	DefaultSendQueue = 128
-	// DefaultDialTimeout bounds one asynchronous dial attempt.
-	DefaultDialTimeout = time.Second
 	// DefaultRedialBackoff is the minimum gap between dial attempts to a
 	// peer whose last dial failed (prevents a dialing storm at every
 	// heartbeat while a peer is down).
@@ -58,17 +59,15 @@ type Config struct {
 	// busy or being dialed; the oldest frame is dropped on overflow
 	// (default DefaultSendQueue).
 	SendQueue int
-	// DialTimeout bounds one async dial attempt (default DefaultDialTimeout).
-	DialTimeout time.Duration
 	// RedialBackoff is the minimum gap between dial attempts to a peer
 	// whose last dial failed (default DefaultRedialBackoff).
 	RedialBackoff time.Duration
-	// ConcurrentDeliver skips the global mutex that serializes
-	// Handler.Deliver across connections. The node.Env contract wants
-	// per-process serialization, so leave this false for protocol nodes;
-	// set it when the handler is internally synchronized (the sharded
-	// detector service is), so one busy inbound link cannot serialize
-	// ingestion from every other link.
+	// ConcurrentDeliver skips the mutex that serializes Handler.Deliver
+	// across connections and with the callbacks scheduled by After. The
+	// node.Env contract wants per-process serialization, so leave this
+	// false for protocol nodes; set it when the handler is internally
+	// synchronized (the sharded detector service is), so one busy inbound
+	// link cannot serialize ingestion from every other link.
 	ConcurrentDeliver bool
 }
 
@@ -122,11 +121,11 @@ type Transport struct {
 	inbound map[net.Conn]struct{} // accepted connections (closed on Close)
 	closed  bool
 
-	deliver sync.Mutex // serializes Handler.Deliver unless ConcurrentDeliver
+	deliver sync.Mutex // serializes Handler.Deliver and timer callbacks unless ConcurrentDeliver
 
 	// dial is the dial function (swapped by tests to simulate slow or
 	// hanging networks).
-	dial func(addr string, timeout time.Duration) (net.Conn, error)
+	dial func(addr string) (net.Conn, error)
 
 	framesSent    atomic.Uint64
 	framesDropped atomic.Uint64
@@ -151,9 +150,6 @@ func New(cfg Config) (*Transport, error) {
 	}
 	if cfg.SendQueue <= 0 {
 		cfg.SendQueue = DefaultSendQueue
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = DefaultDialTimeout
 	}
 	if cfg.RedialBackoff <= 0 {
 		cfg.RedialBackoff = DefaultRedialBackoff
@@ -204,7 +200,9 @@ func (t *Transport) Stats() Stats {
 	}
 }
 
-// Close tears the endpoint down and joins all goroutines.
+// Close tears the endpoint down and joins all goroutines. It must not be
+// called from inside a callback (Deliver or a function scheduled by After):
+// it waits for that callback to return.
 func (t *Transport) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -323,8 +321,8 @@ func readFrameReuse(r io.Reader, buf *[]byte) ([]byte, error) {
 }
 
 // dialTCP is the production dial function.
-func dialTCP(addr string, timeout time.Duration) (net.Conn, error) {
-	return net.DialTimeout("tcp", addr, timeout)
+func dialTCP(addr string) (net.Conn, error) {
+	return net.DialTimeout("tcp", addr, dialTimeout)
 }
 
 // appendFrame appends the length prefix and frame body to dst.
@@ -400,7 +398,7 @@ func (t *Transport) dialPeer(p *peer) {
 	p.mu.Lock()
 	addr := p.addr
 	p.mu.Unlock()
-	c, err := t.dial(addr, t.cfg.DialTimeout)
+	c, err := t.dial(addr)
 	if err == nil {
 		hello := binary.AppendUvarint(nil, uint64(t.cfg.Self))
 		if herr := writeFrame(c, hello); herr != nil {
@@ -501,7 +499,9 @@ func (t *Transport) Self() ident.ID { return t.cfg.Self }
 // Now implements node.Env.
 func (t *Transport) Now() time.Duration { return time.Since(t.start) }
 
-// After implements node.Env.
+// After implements node.Env. The callback runs under the same mutex as
+// Handler.Deliver (unless ConcurrentDeliver), so a node's timers and
+// deliveries never run at once.
 func (t *Transport) After(d time.Duration, fn func()) node.Timer {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -515,9 +515,14 @@ func (t *Transport) After(d time.Duration, fn func()) node.Timer {
 		defer release()
 		select {
 		case <-t.done:
+			return
 		default:
-			fn()
 		}
+		if !t.cfg.ConcurrentDeliver {
+			t.deliver.Lock()
+			defer t.deliver.Unlock()
+		}
+		fn()
 	})
 	return &tcpTimer{t: tm, release: release, done: t.done}
 }

@@ -253,7 +253,7 @@ func TestSendDoesNotBlockOnDial(t *testing.T) {
 	}
 	defer a.Close()
 	dialing := make(chan struct{}, 16)
-	a.dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+	a.dial = func(addr string) (net.Conn, error) {
 		dialing <- struct{}{}
 		time.Sleep(200 * time.Millisecond) // a slow, ultimately dead network
 		return nil, errors.New("unreachable")
@@ -297,7 +297,7 @@ func TestRedialBackoff(t *testing.T) {
 	}
 	defer a.Close()
 	var dials atomic.Int64
-	a.dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+	a.dial = func(addr string) (net.Conn, error) {
 		dials.Add(1)
 		return nil, errors.New("refused")
 	}
@@ -321,7 +321,7 @@ func TestCloseDuringDial(t *testing.T) {
 		t.Fatal(err)
 	}
 	started := make(chan struct{}, 64)
-	a.dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+	a.dial = func(addr string) (net.Conn, error) {
 		started <- struct{}{}
 		time.Sleep(10 * time.Millisecond)
 		return nil, errors.New("unreachable")
@@ -497,6 +497,75 @@ func TestHelloOutOfRange(t *testing.T) {
 	}
 }
 
+// TestTimerSerializedWithDeliver holds the transport to node.Env's promise
+// that a process's callbacks run one at a time: the handler's state below is
+// unsynchronized and touched both by Deliver and by a chain of timer
+// callbacks. Run on their own timer goroutines, the callbacks overlapped
+// deliveries (and -race reported the counter).
+func TestTimerSerializedWithDeliver(t *testing.T) {
+	const msgs, ticks = 200, 200
+	var (
+		inside   atomic.Bool
+		overlaps atomic.Int64
+		count    int // unsynchronized on purpose
+	)
+	touch := func() {
+		if inside.Swap(true) {
+			overlaps.Add(1)
+		}
+		count++
+		time.Sleep(20 * time.Microsecond)
+		inside.Store(false)
+	}
+	delivered := make(chan struct{}, msgs)
+	a, err := New(Config{Self: 0, ListenAddr: "127.0.0.1:0", Handler: node.HandlerFunc(func(ident.ID, any) {
+		touch()
+		delivered <- struct{}{}
+	})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := New(Config{Self: 1, ListenAddr: "127.0.0.1:0", Handler: newCollector()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	b.AddPeer(0, a.Addr())
+
+	ticked := make(chan struct{})
+	var tick func()
+	left := ticks
+	tick = func() {
+		touch()
+		if left--; left == 0 {
+			close(ticked)
+			return
+		}
+		a.After(50*time.Microsecond, tick)
+	}
+	a.After(0, tick)
+	for i := 0; i < msgs; i++ {
+		b.Send(0, heartbeat.Message{From: 1, Seq: uint64(i)})
+		time.Sleep(50 * time.Microsecond)
+	}
+	for i := 0; i < msgs; i++ {
+		select {
+		case <-delivered:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d messages delivered", i, msgs)
+		}
+	}
+	select {
+	case <-ticked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the timer chain stalled")
+	}
+	if n := overlaps.Load(); n != 0 {
+		t.Errorf("a timer callback ran during a delivery %d times", n)
+	}
+}
+
 // TestBroadcastEncodesOnce: a broadcast to many peers performs one encode
 // and the frames reach every peer.
 func TestBroadcastCoalescing(t *testing.T) {
@@ -546,8 +615,8 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 }
 
 // TestFDOverTCP runs the time-free failure detector across real sockets:
-// three processes on localhost; one endpoint is torn down and the survivors
-// must suspect it.
+// three processes on localhost; one endpoint is torn down, the survivors
+// must suspect it and, once settled, only it.
 func TestFDOverTCP(t *testing.T) {
 	const n, f = 3, 1
 	transports := make([]*Transport, n)
@@ -611,6 +680,11 @@ func TestFDOverTCP(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+	// A survivor may suspect another for a round or two; the refutation
+	// flooded in the next queries must clear it.
+	waitFor(t, 5*time.Second, func() bool {
+		return nodes[0].Suspects().Equal(ident.SetOf(2)) && nodes[1].Suspects().Equal(ident.SetOf(2))
+	})
 	nodes[0].Stop()
 	nodes[1].Stop()
 }

@@ -18,7 +18,7 @@
 //   - internal/heartbeat, internal/phiaccrual, internal/chen — timer-based baselines
 //   - internal/des, internal/netsim — deterministic simulation
 //   - internal/tcpnet     — the real-time runtime: the same nodes over TCP sockets
-//   - internal/consensus, internal/leader — applications (◇S consensus, Ω)
+//   - internal/consensus  — an application (◇S consensus)
 //   - internal/topology   — communication graphs for the partial-connectivity extension
 //   - internal/exp        — the simulated cluster and experiment harness (tables
 //     E1–E8, A1–A2, X1–X2); exp.ClusterConfig.Graph runs the extension

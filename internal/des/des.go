@@ -15,16 +15,17 @@
 // The kernel is built for throughput: events live in a slab recycled through
 // a free list (no per-event heap allocation in steady state), same-instant
 // bursts drain through a FIFO ready bucket instead of churning the timing
-// structure, a broadcast is a single Fanout node that occupies one queue
-// slot however many deliveries it carries (its pointer-free items recycled
-// through a kernel-owned pool), and a pending timer is re-armed in place
-// (Timer.Reset) — the new key is recorded on the event and applied when the
-// old one surfaces at the head of the queue, so a timeout that is pushed
-// back once per heartbeat costs the queue one pop and one push per timeout
-// period, not per heartbeat. Far-horizon events are ordered by a
-// calendar/ladder queue with amortized O(1) push/pop (ladder.go); the binary
-// heap it replaced is the oracle of the package's differential tests and
-// exists only there.
+// structure, and a pending timer is re-armed in place (Timer.Reset) — the new
+// key is recorded on the event and applied when the old one surfaces at the
+// head of the queue, so a timeout that is pushed back once per heartbeat
+// costs the queue one pop and one push per timeout period, not per
+// heartbeat. A broadcast is a single Fanout node: its pointer-free items,
+// recycled through a kernel-owned pool, are one sorted run of deliveries, so
+// a broadcast-heavy run is a k-way merge of runs, done by a small binary heap
+// of fan-out nodes keyed inline (state.fan) instead of the timing queue.
+// Timers and unicasts are ordered by a calendar/ladder queue with amortized
+// O(1) push/pop (ladder.go); the binary heap it replaced is the oracle of the
+// package's differential tests and exists only there.
 //
 // Everything a run changes lives in one value, state; a checkpoint
 // (Snapshot/Restore, snapshot.go) is a copy of it, made by the one function
@@ -67,7 +68,7 @@ const (
 // Events live in the simulator's slab, addressed by index and recycled
 // through a free list; gen invalidates stale Timer handles when a slot is
 // reused. For fan-out nodes, (at, seq) always hold the key of the earliest
-// undelivered item.
+// undelivered item, and a fan-out node is never stopped or re-armed.
 type event struct {
 	at      time.Duration
 	seq     uint64
@@ -95,6 +96,21 @@ type fanItem struct {
 	at  time.Duration
 	to  ident.ID
 	idx int32
+}
+
+// fanEntry is a fan-out node in the merge heap, under a copy of its key so
+// that a sift compares entries without reading the slab.
+type fanEntry struct {
+	at  time.Duration
+	seq uint64
+	i   int32
+}
+
+func (a *fanEntry) less(b *fanEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }
 
 // Receiver is one destination of a Fanout.
@@ -165,10 +181,11 @@ func (t *Timer) Reset(d time.Duration) bool {
 // state is everything about a Simulator that a run changes — virtual clock,
 // sequence counter, the event slab (every in-flight message as data: endpoints,
 // payload and per-fan-out item storage; every timer with its pending re-arm,
-// if any), the free list, the ready bucket and front slot, the timing queue and
-// the random stream position — and so everything a checkpoint holds. It exists
-// as one value so that Snapshot and Restore are one copy (state.copyTo) run in
-// the two directions: a field added here is checkpointed by being here.
+// if any), the free list, the ready bucket, the fan-out heap, the timing
+// queue and the random stream position — and so everything a checkpoint
+// holds. It exists as one value so that Snapshot and Restore are one copy
+// (state.copyTo) run in the two directions: a field added here is
+// checkpointed by being here.
 type state struct {
 	now     time.Duration
 	seq     uint64
@@ -179,20 +196,23 @@ type state struct {
 	events []event // slab; all event storage, recycled via free
 	free   []int32 // recycled slab slots
 
-	// queue orders far-horizon events by (at, seq): the ladder queue
-	// (ladder.go) behind the seam queue.go describes.
+	// queue orders far-horizon timers and unicasts by (at, seq): the ladder
+	// queue (ladder.go) behind the seam queue.go describes.
 	queue eventQueue
+
+	// fan is a binary min-heap, by (at, seq), of every fan-out node except
+	// one due at the instant of its Fanout call, which waits in the ready
+	// bucket for its first delivery. Each node is a sorted run of
+	// deliveries, so the heap holds one entry per broadcast in flight
+	// however many deliveries remain, and re-keying a node at its next
+	// receiver is a sift through those entries alone.
+	fan []fanEntry
 
 	// fifo is the ready bucket: events scheduled for the current instant,
 	// drained in seq (FIFO) order without touching the timing queue. Entries
 	// are sorted by seq by construction.
 	fifo     []int32
 	fifoHead int
-
-	// front holds at most one fan-out continuation whose key is the global
-	// minimum (the currently draining same-instant burst), letting a
-	// k-message burst run with zero queue operations after the first pop.
-	front int32
 }
 
 // Simulator is the event loop. It is strictly single-threaded: all scheduled
@@ -208,15 +228,17 @@ type Simulator struct {
 	// steady-state broadcasts reuse storage instead of allocating.
 	//fdlint:allow clonefields recycling pool: spare capacity only, never semantics
 	itemFree [][]fanItem
-	// keys is Fanout's sort scratch.
+	// keys and radix are Fanout's sort scratch.
 	//fdlint:allow clonefields scratch buffer; contents are dead between Fanout calls
 	keys []uint64
+	//fdlint:allow clonefields scratch buffer; contents are dead between Fanout calls
+	radix []uint64
 }
 
 // New returns a simulator whose random source is seeded with seed; a run is
 // reproducible from the seed alone.
 func New(seed int64) *Simulator {
-	s := &Simulator{state: state{front: noEvent}}
+	s := &Simulator{}
 	s.stream = countingSource{gen: rand.NewSource(seed).(rand.Source64), seed: seed}
 	s.rng = rand.New(&s.stream)
 	s.queue = &ladderQueue{s: &s.state}
@@ -294,15 +316,20 @@ func (s *Simulator) clampAt(d time.Duration) time.Duration {
 }
 
 // schedule gives slab slot i, already filled in, its key — fire time at and
-// the next n sequence numbers — and queues it.
+// the next n sequence numbers — and queues it: in the ready bucket if it is
+// due now, else a fan-out node in the fan-out heap and anything else in the
+// timing queue.
 func (s *Simulator) schedule(i int32, at time.Duration, n int) {
 	e := &s.events[i]
 	e.at, e.seq = at, s.seq
 	s.seq += uint64(n)
 	s.pending += n
-	if at == s.now {
+	switch {
+	case at == s.now:
 		s.fifo = append(s.fifo, i) // seq is monotonic, so fifo stays sorted
-	} else {
+	case e.kind == evFanout:
+		s.fanPush(i)
+	default:
 		s.queue.push(i)
 	}
 }
@@ -348,16 +375,19 @@ const (
 	// receiver's position; the delay takes the rest.
 	fanKeyIdxBits = 16
 	fanKeyMaxD    = time.Duration(1) << (63 - fanKeyIdxBits)
+	// fanRadixMin is the fan-out width from which the packed keys are radix
+	// sorted; below it a comparison sort is cheaper than the radix's
+	// per-digit count tables.
+	fanRadixMin = 64
 )
 
 // Fanout schedules one message to every receiver — a broadcast — as a single
 // kernel node. The node is kept sorted by delivery time and always carries
-// the key of its earliest undelivered item, so a k-receiver broadcast costs
-// one slab slot and at most one queue insertion per distinct delivery time
-// instead of k, and same-instant bursts drain through the ready bucket with
-// no queue traffic at all. Delivery order is exactly that of k individual
-// Send calls issued in slice order. recv is read synchronously and may be
-// reused by the caller.
+// the key of its earliest undelivered item: a k-receiver broadcast costs one
+// slab slot and one sort, and each delivery one re-key in the fan-out heap,
+// whose size is the number of broadcasts in flight. Delivery order is
+// exactly that of k individual Send calls issued in slice order. recv is read
+// synchronously and may be reused by the caller.
 func (s *Simulator) Fanout(from ident.ID, payload any, recv []Receiver) {
 	switch len(recv) {
 	case 0:
@@ -371,25 +401,38 @@ func (s *Simulator) Fanout(from ident.ID, payload any, recv []Receiver) {
 	// position in recv — is the stable-by-at permutation: equal delivery
 	// times keep slice order, which combined with the block of consecutive
 	// seqs preserves Send-by-Send FIFO semantics. When every delay and the
-	// fan-out width fit, that order is the numeric order of delay<<16|idx,
-	// and sorting plain integers is several times cheaper than sorting items
-	// through a comparator.
+	// fan-out width fit, that order is the numeric order of
+	// (delay − least delay)<<16 | idx, and sorting plain integers is several
+	// times cheaper than sorting items through a comparator. The keys are
+	// unique, so every correct sort gives the same permutation.
 	packed := len(recv) <= 1<<fanKeyIdxBits && s.now <= math.MaxInt64-fanKeyMaxD
 	keys := s.keys[:0]
+	dmin := fanKeyMaxD
 	for k, r := range recv {
 		d := max(r.D, 0)
 		if d >= fanKeyMaxD {
 			packed = false
 			break
 		}
+		dmin = min(dmin, d)
 		keys = append(keys, uint64(d)<<fanKeyIdxBits|uint64(k))
 	}
 	s.keys = keys[:0]
 	if packed {
-		slices.Sort(keys)
+		var span uint64 // every bit set in some key
+		for j := range keys {
+			keys[j] -= uint64(dmin) << fanKeyIdxBits
+			span |= keys[j]
+		}
+		if len(keys) >= fanRadixMin {
+			keys = s.radixSort(keys, span)
+		} else {
+			slices.Sort(keys)
+		}
+		at0 := s.now + dmin
 		for j, key := range keys {
 			k := int32(key & (1<<fanKeyIdxBits - 1))
-			items[j] = fanItem{at: s.now + time.Duration(key>>fanKeyIdxBits), to: recv[k].To, idx: k}
+			items[j] = fanItem{at: at0 + time.Duration(key>>fanKeyIdxBits), to: recv[k].To, idx: k}
 		}
 	} else {
 		for k, r := range recv {
@@ -406,6 +449,89 @@ func (s *Simulator) Fanout(from ident.ID, payload any, recv []Receiver) {
 	e := &s.events[i]
 	e.kind, e.from, e.payload, e.items = evFanout, from, payload, items
 	s.schedule(i, items[0].at, len(items))
+}
+
+// radixSort sorts keys, none of which has a bit outside span, by a
+// least-significant-digit radix sort over bytes, ping-ponging between keys
+// and the kernel's radix scratch; it returns whichever holds the result. A
+// byte that is zero in span — the unused high bits of the receiver index,
+// say — costs no pass.
+func (s *Simulator) radixSort(keys []uint64, span uint64) []uint64 {
+	if cap(s.radix) < len(keys) {
+		s.radix = make([]uint64, len(keys))
+	}
+	src, dst := keys, s.radix[:len(keys)]
+	for shift := uint(0); span>>shift != 0; shift += 8 {
+		if byte(span>>shift) == 0 {
+			continue
+		}
+		var count [256]int32
+		for _, k := range src {
+			count[byte(k>>shift)]++
+		}
+		var sum int32
+		for b, c := range count {
+			count[b] = sum
+			sum += c
+		}
+		for _, k := range src {
+			b := byte(k >> shift)
+			dst[count[b]] = k
+			count[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+// fanPush adds fan-out node i to the fan-out heap under its current key.
+func (s *state) fanPush(i int32) {
+	x := fanEntry{at: s.events[i].at, seq: s.events[i].seq, i: i}
+	s.fan = append(s.fan, x)
+	h, k := s.fan, len(s.fan)-1
+	for p := (k - 1) / 2; k > 0 && x.less(&h[p]); k, p = p, (p-1)/2 {
+		h[k] = h[p]
+	}
+	h[k] = x
+}
+
+// fanPop removes the fan-out heap's root.
+func (s *state) fanPop() {
+	n := len(s.fan) - 1
+	x := s.fan[n]
+	s.fan = s.fan[:n]
+	if n > 0 {
+		s.fanDown(x)
+	}
+}
+
+// fanDown replaces the fan-out heap's root with x and sifts it into place.
+func (s *state) fanDown(x fanEntry) {
+	h, k := s.fan, 0
+	for c := 1; c < len(h); c = 2*k + 1 {
+		if r := c + 1; r < len(h) {
+			// Which child is less is a coin toss under continuous delays, so
+			// it is added, not branched on; a tie of times is rare.
+			right := h[r].at < h[c].at
+			if h[r].at == h[c].at {
+				right = h[r].seq < h[c].seq
+			}
+			c += b2i(right)
+		}
+		if !h[c].less(&x) {
+			break
+		}
+		h[k], k = h[c], c
+	}
+	h[k] = x
+}
+
+// b2i is 1 for true and 0 for false, compiled to a flag set, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // less orders slab indices by (at, seq); seqs are unique so there are no ties.
@@ -431,7 +557,7 @@ func (s *Simulator) fifoPop() int32 {
 // it is neither stopped nor waiting to be re-keyed.
 func (e *event) live() bool { return !e.stopped && e.newSeq == 0 }
 
-// requeue disposes of event i, which was just popped from the head of the
+// requeue disposes of timer i, which was just popped from the head of the
 // ready bucket or the timing queue and is not live. A stopped event is
 // reclaimed; a re-armed one takes the key it really fires under and goes
 // back into the timing queue (never the ready bucket: its new sequence
@@ -449,20 +575,15 @@ func (s *Simulator) requeue(i int32) {
 }
 
 // popDue removes and returns the live event with the smallest (at, seq) key
-// if it fires at or before limit, or noEvent. The front slot, when occupied,
-// is always the global minimum. Otherwise the heads of the ready bucket and
-// the timing queue are each brought to a live event — stopped and re-armed
+// if it fires at or before limit, or noEvent. The heads of the ready bucket
+// and the timing queue are each brought to a live event — stopped and re-armed
 // heads are disposed of here, exactly when they surface, not inside the
 // eventQueue, so Pending() and the fire order do not depend on how the queue
-// is built — then compared and popped, in one pass.
-func (s *Simulator) popDue(limit time.Duration) int32 {
-	if i := s.front; i != noEvent {
-		if s.events[i].at > limit {
-			return noEvent
-		}
-		s.front = noEvent
-		return i
-	}
+// is built — and the least of them and the fan-out heap's root is taken, in
+// one pass. A fan-out node taken from the root stays there (root is true)
+// for fire to re-key in place: one sift per delivery instead of a pop's and
+// a push's.
+func (s *Simulator) popDue(limit time.Duration) (i int32, root bool) {
 	f := noEvent
 	for s.fifoHead < len(s.fifo) {
 		if f = s.fifo[s.fifoHead]; s.events[f].live() {
@@ -476,40 +597,51 @@ func (s *Simulator) popDue(limit time.Duration) int32 {
 		s.requeue(s.queue.popMin())
 		q = s.queue.peekMin()
 	}
-	if f != noEvent && (q == noEvent || s.less(f, q)) {
-		if s.events[f].at > limit {
-			return noEvent
+	i = f
+	if q != noEvent && (i == noEvent || s.less(q, i)) {
+		i = q
+	}
+	if h := s.fan; len(h) > 0 && (i == noEvent || h[0].less(&fanEntry{at: s.events[i].at, seq: s.events[i].seq})) {
+		if h[0].at > limit {
+			return noEvent, false
 		}
-		return s.fifoPop()
+		return h[0].i, true
 	}
-	if q == noEvent || s.events[q].at > limit {
-		return noEvent
+	switch {
+	case i == noEvent || s.events[i].at > limit:
+		return noEvent, false
+	case i == f:
+		return s.fifoPop(), false
+	default:
+		return s.queue.popMin(), false
 	}
-	return s.queue.popMin()
 }
 
-// fire executes popped event i, advancing virtual time to it.
-func (s *Simulator) fire(i int32) {
+// fire executes event i, which popDue took, advancing virtual time to it.
+func (s *Simulator) fire(i int32, root bool) {
 	e := &s.events[i]
 	s.stepped++
 	s.pending--
 	switch e.kind {
 	case evFanout:
-		// Deliver the current item, then re-key the node at its next one. A
-		// same-instant successor parks in the front slot (it remains the
-		// global minimum), skipping the timing queue entirely.
+		// Deliver the current item, then re-key the node at its next one, in
+		// place if it is at the heap's root: a same-instant successor, still
+		// the least key, stays there after one comparison.
 		it, from, payload := e.items[e.head], e.from, e.payload
 		e.head++
 		s.now = it.at
 		if int(e.head) < len(e.items) {
 			e.at = e.items[e.head].at
 			e.seq++
-			if e.at == s.now && s.front == noEvent {
-				s.front = i
+			if root {
+				s.fanDown(fanEntry{at: e.at, seq: e.seq, i: i})
 			} else {
-				s.queue.push(i)
+				s.fanPush(i)
 			}
 		} else {
+			if root {
+				s.fanPop()
+			}
 			s.release(i)
 		}
 		s.sink.Deliver(from, it.to, payload)
@@ -531,11 +663,11 @@ func (s *Simulator) fire(i int32) {
 // Step executes the next pending event, advancing virtual time. It returns
 // false when no events remain.
 func (s *Simulator) Step() bool {
-	i := s.popDue(math.MaxInt64)
+	i, root := s.popDue(math.MaxInt64)
 	if i == noEvent {
 		return false
 	}
-	s.fire(i)
+	s.fire(i, root)
 	return true
 }
 
@@ -548,8 +680,8 @@ func (s *Simulator) Run() {
 // RunUntil executes events with timestamps ≤ t, then advances the clock to
 // t. Events scheduled exactly at t do run.
 func (s *Simulator) RunUntil(t time.Duration) {
-	for i := s.popDue(t); i != noEvent; i = s.popDue(t) {
-		s.fire(i)
+	for i, root := s.popDue(t); i != noEvent; i, root = s.popDue(t) {
+		s.fire(i, root)
 	}
 	s.now = max(s.now, t)
 }

@@ -27,8 +27,8 @@ func forkOf(s *Simulator) *Simulator {
 }
 
 // queuedIndices collects every slab index the simulator considers pending:
-// the far-horizon queue, the live part of the ready FIFO, and the front
-// fan-out-continuation slot.
+// the far-horizon queue, the fan-out heap and the live part of the ready
+// FIFO.
 func queuedIndices(s *Simulator) []int32 {
 	var out []int32
 	switch q := s.queue.(type) {
@@ -39,15 +39,22 @@ func queuedIndices(s *Simulator) []int32 {
 	default:
 		panic(fmt.Sprintf("unknown queue type %T", s.queue))
 	}
-	out = append(out, s.fifo[s.fifoHead:]...)
-	if s.front != noEvent {
-		out = append(out, s.front)
+	out = append(out, fanIndices(s)...)
+	return append(out, s.fifo[s.fifoHead:]...)
+}
+
+// fanIndices returns the fan-out heap's nodes, in heap order.
+func fanIndices(s *Simulator) []int32 {
+	out := make([]int32, len(s.fan))
+	for k, x := range s.fan {
+		out[k] = x.i
 	}
 	return out
 }
 
 // checkSlabInvariants fails t when a queued slab index is out of range or
-// also sits on the free list.
+// also sits on the free list, or when the fan-out heap is out of heap order
+// or holds an entry whose key is not its fan-out node's.
 func checkSlabInvariants(t *testing.T, label string, s *Simulator) {
 	t.Helper()
 	free := make(map[int32]bool, len(s.free))
@@ -66,6 +73,18 @@ func checkSlabInvariants(t *testing.T, label string, s *Simulator) {
 			t.Errorf("%s: slab index %d is both queued and on the free list", label, idx)
 		}
 	}
+	for k, x := range s.fan {
+		if x.i < 0 || int(x.i) >= len(s.events) {
+			continue // reported above
+		}
+		if e := &s.events[x.i]; e.kind != evFanout || e.at != x.at || e.seq != x.seq {
+			t.Errorf("%s: fan-out heap entry %d is keyed (%v, %d), its event %d is a kind-%d node keyed (%v, %d)",
+				label, k, x.at, x.seq, x.i, e.kind, e.at, e.seq)
+		}
+		if k > 0 && x.less(&s.fan[(k-1)/2]) {
+			t.Errorf("%s: fan-out heap entry %d sorts before its parent", label, k)
+		}
+	}
 }
 
 // structuralFingerprint renders everything reachable from the simulator's
@@ -74,7 +93,7 @@ func structuralFingerprint(s *Simulator) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "now=%d seq=%d stepped=%d pending=%d seed=%d draws=%d\n",
 		s.now, s.seq, s.stepped, s.pending, s.stream.seed, s.stream.draws)
-	fmt.Fprintf(&b, "free=%v fifo=%v fifoHead=%d front=%d\n", s.free, s.fifo, s.fifoHead, s.front)
+	fmt.Fprintf(&b, "free=%v fifo=%v fifoHead=%d fan=%v\n", s.free, s.fifo, s.fifoHead, s.fan)
 	for i, e := range s.events {
 		fmt.Fprintf(&b, "ev%d at=%d seq=%d gen=%d stopped=%v kind=%d %d->%d rearm=%d/%d items=%v head=%d fn=%v payload=%v\n",
 			i, e.at, e.seq, e.gen, e.stopped, e.kind, e.from, e.to, e.newAt, e.newSeq, e.items, e.head, e.fn != nil, e.payload != nil)

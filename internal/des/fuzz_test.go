@@ -20,7 +20,10 @@ import (
 // (testdata/fuzz/FuzzQueueEquivalence) covers the regression-prone shapes:
 // same-instant ties, stopped-head reaping, far-horizon timers, fan-outs, and
 // re-arms of fired, stopped, due-now and earlier-moving timers. CI runs the
-// target with a short -fuzztime budget on every push.
+// target with a short -fuzztime budget on every push. Fan-out nodes merge
+// through the kernel's own heap on both simulators, so the order of their
+// deliveries is held to the Sends they stand for by FuzzFanoutMatchesSend
+// (fanout_test.go) instead.
 
 // scriptTimer is a timer a script may later stop or re-arm: the handle and
 // what it was armed with.

@@ -27,11 +27,12 @@ package des
 //
 // Ordering is exactly the kernel's (at, seq) key: buckets are sorted with
 // state.less when they become the bottom drain, so same-instant FIFO
-// ties — including fan-out blocks, re-keyed fan-out continuations and
-// re-armed timers, whose seqs may be smaller than already-queued events' —
-// resolve identically to the binary heap of heap_test.go. The differential
-// harness (TestQueueDifferential, FuzzQueueEquivalence) enforces that
-// equivalence.
+// ties — including re-armed timers, whose seqs may be smaller than
+// already-queued events' — resolve identically to the binary heap of
+// heap_test.go. The differential harness (TestQueueDifferential,
+// FuzzQueueEquivalence) enforces that equivalence. The ladder holds timers
+// and unicasts only: fan-out nodes merge through the kernel's own heap
+// (state.fan in des.go).
 
 import (
 	"cmp"
@@ -144,9 +145,8 @@ func (q *ladderQueue) push(i int32) {
 }
 
 // insertBottom binary-inserts i into the live part of the sorted drain.
-// Full (at, seq) comparison: a re-keyed fan-out continuation or re-armed
-// timer can carry a smaller seq than events already queued at the same
-// instant.
+// Full (at, seq) comparison: a re-armed timer can carry a smaller seq than
+// events already queued at the same instant.
 //
 // Bottom stays naturally small while rungs exist (only the current bucket's
 // window lands here). The one way it can grow without bound is after

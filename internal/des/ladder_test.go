@@ -218,12 +218,6 @@ func checkSlabInvariant(t *testing.T, s *Simulator) {
 		}
 		seen[i] = true
 	}
-	if s.front != noEvent {
-		if seen[s.front] {
-			t.Fatalf("front index %d also queued", s.front)
-		}
-		seen[s.front] = true
-	}
 	for _, i := range s.free {
 		if seen[i] {
 			t.Fatalf("slab index %d is queued AND on the free list", i)

@@ -1,18 +1,21 @@
 package des
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"asyncfd/internal/ident"
 )
 
-// queue_bench_test.go: heap-vs-ladder microbenchmarks for the kernel's hot
-// paths. The headline is the dense-horizon benchmark — hundreds of
-// thousands of near-term timers in flight, the shape every n=256
-// per-peer-timeout experiment generates — where the ladder's O(1) bucket
-// operations beat the heap's O(log n) sifts. Run with
-// `go test -bench 'Queue' -benchmem ./internal/des`.
+// queue_bench_test.go: microbenchmarks for the kernel's hot paths. The
+// heap-vs-ladder ones (`go test -bench 'Queue' -benchmem ./internal/des`)
+// are headed by the dense-horizon benchmark — hundreds of thousands of
+// near-term timers in flight, the shape every n=256 per-peer-timeout
+// experiment generates — where the ladder's O(1) bucket operations beat the
+// heap's O(log n) sifts. BenchmarkFanoutMesh and BenchmarkRearm are the
+// kernel's rows of the layer ledger.
 
 // BenchmarkQueueDenseHorizon measures steady-state push/pop churn with a
 // large standing population of near-term timers: every fired event
@@ -40,26 +43,53 @@ func BenchmarkQueueDenseHorizon(b *testing.B) {
 	}
 }
 
-// BenchmarkQueueBroadcastFanout measures fan-out scheduling plus drain — the
-// netsim broadcast path — under both queues, including the kernel's fan-out
-// item slice pool.
-func BenchmarkQueueBroadcastFanout(b *testing.B) {
-	for _, k := range kernels {
-		k := k
-		b.Run(k.name, func(b *testing.B) {
-			b.ReportAllocs()
-			recv := make([]Receiver, 64)
-			var deliver any = func(ident.ID) {}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s, _ := sunk(k.new(1))
-				for round := 0; round < 20; round++ {
+// countingSink counts deliveries.
+type countingSink struct{ delivered int }
+
+func (k *countingSink) Deliver(ident.ID, ident.ID, any) { k.delivered++ }
+
+func (k *countingSink) Alive(ident.ID) bool { return true }
+
+// BenchmarkFanoutMesh is the broadcast row of the layer ledger
+// (docs/BENCHMARKS.md): n senders on a full mesh, each fanning out to n−1
+// receivers once per period under the dense-mesh workload's delay model
+// (500 µs + Exp(700 µs)), their phases staggered so that about n fan-out
+// nodes are in flight — the k-way merge a broadcast-heavy run is. The delays
+// come from a table drawn beforehand, so the timed loop is the kernel's:
+// sorting each broadcast's receivers, merging the nodes, delivering. One op
+// is one delivery.
+func BenchmarkFanoutMesh(b *testing.B) {
+	const period = 4 * time.Millisecond
+	for _, n := range []int{32, 128} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			s := New(1)
+			k := &countingSink{}
+			s.SetSink(k)
+			r := rand.New(rand.NewSource(1))
+			delays := make([]time.Duration, 1<<12)
+			for j := range delays {
+				delays[j] = 500*time.Microsecond + time.Duration(r.ExpFloat64()*float64(700*time.Microsecond))
+			}
+			recv := make([]Receiver, n-1)
+			var payload any = "q"
+			next := 0
+			for p := 0; p < n; p++ {
+				var tick func()
+				tick = func() {
 					for j := range recv {
-						recv[j] = Receiver{D: time.Duration(j%7) * time.Microsecond, To: ident.ID(j)}
+						recv[j] = Receiver{D: delays[next%len(delays)], To: ident.ID(j)}
+						next++
 					}
-					s.Fanout(0, deliver, recv)
-					s.Run()
+					s.Fanout(ident.ID(p), payload, recv)
+					s.After(period, tick)
 				}
+				s.After(period*time.Duration(p)/time.Duration(n), tick)
+			}
+			s.RunUntil(20 * period) // warm the slab, the item pool and the heap
+			b.ReportAllocs()
+			b.ResetTimer()
+			for k.delivered = 0; k.delivered < b.N; {
+				s.Step()
 			}
 		})
 	}

@@ -87,14 +87,15 @@ type Snapshot struct{ st state }
 // copyTo makes dst a copy of s that shares no mutable storage with it, reusing
 // what dst already has: the slab's array and its per-event item storage (a
 // Restore runs once per replicate, and reallocating the arena every time
-// dominated fork cost at large n), the free list and the ready bucket. The
-// timing queue is cloned bound to dst's slab.
+// dominated fork cost at large n), the free list, the ready bucket and the
+// fan-out heap. The timing queue is cloned bound to dst's slab.
 func (s *state) copyTo(dst *state) {
-	events, free, fifo, gen := dst.events, dst.free, dst.fifo, dst.stream.gen
+	events, free, fifo, fan, gen := dst.events, dst.free, dst.fifo, dst.fan, dst.stream.gen
 	*dst = *s
 	dst.events = copyEvents(events, s.events)
 	dst.free = append(free[:0], s.free...)
 	dst.fifo = append(fifo[:0], s.fifo...)
+	dst.fan = append(fan[:0], s.fan...)
 	dst.queue = s.queue.clone(dst)
 	dst.stream.rebind(gen)
 }

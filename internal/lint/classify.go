@@ -35,7 +35,6 @@ var classTable = map[string]Class{
 	"asyncfd/internal/heartbeat":  Sim,
 	"asyncfd/internal/monitor":    Sim,
 	"asyncfd/internal/core":       Sim,
-	"asyncfd/internal/leader":     Sim,
 	"asyncfd/internal/consensus":  Sim,
 	"asyncfd/internal/faults":     Sim,
 	"asyncfd/internal/topology":   Sim,

@@ -26,7 +26,9 @@
 //   - Messages and timers are handed to the kernel as data, not closures: a
 //     unicast is one typed event (from, to, payload), a broadcast one fan-out
 //     node holding the shared (from, payload) and a pointer-free item per
-//     admitted receiver, a timer an (owner, callback) pair. The network
+//     admitted receiver, sorted by delivery time once and merged with the
+//     other broadcasts in flight through the kernel's fan-out heap, a timer
+//     an (owner, callback) pair. The network
 //     registers itself with its simulator as the des.Sink those events come
 //     back to — Deliver at delivery time, Alive when an owned timer comes
 //     due — so the send path allocates nothing per receiver.

@@ -14,18 +14,18 @@
 //
 // The kernel is built for throughput: events live in a slab recycled through
 // a free list (no per-event heap allocation in steady state), same-instant
-// bursts drain through a FIFO ready bucket instead of churning the timing
-// structure, and a pending timer is re-armed in place (Timer.Reset) — the new
-// key is recorded on the event and applied when the old one surfaces at the
-// head of the queue, so a timeout that is pushed back once per heartbeat
-// costs the queue one pop and one push per timeout period, not per
+// bursts drain through a FIFO ready bucket, and every other event waits in
+// one binary min-heap keyed inline by (at, seq) (state.heap), so a sift
+// compares entries without reading the slab. A pending timer is re-armed in
+// place (Timer.Reset): the new key is recorded on the event and applied when
+// the old one surfaces at the heap's root, so a timeout that is pushed back
+// once per heartbeat costs the heap one sift per timeout period, not per
 // heartbeat. A broadcast is a single Fanout node: its pointer-free items,
-// recycled through a kernel-owned pool, are one sorted run of deliveries, so
-// a broadcast-heavy run is a k-way merge of runs, done by a small binary heap
-// of fan-out nodes keyed inline (state.fan) instead of the timing queue.
-// Timers and unicasts are ordered by a calendar/ladder queue with amortized
-// O(1) push/pop (ladder.go); the binary heap it replaced is the oracle of the
-// package's differential tests and exists only there.
+// recycled through a kernel-owned pool, are one sorted run of deliveries
+// whose node stays in the heap under the key of its next one, so a
+// broadcast-heavy run is a k-way merge of runs through that same heap. The
+// package's differential tests hold the kernel to a reference scheduler that
+// finds each next event by linear scan.
 //
 // Everything a run changes lives in one value, state; a checkpoint
 // (Snapshot/Restore, snapshot.go) is a copy of it, made by the one function
@@ -41,8 +41,6 @@ import (
 
 	"asyncfd/internal/ident"
 )
-
-var _ eventQueue = (*ladderQueue)(nil)
 
 // Sink is where the kernel's typed events end up: the network model, which
 // registers itself once with SetSink. It keeps the kernel ignorant of what a
@@ -98,15 +96,15 @@ type fanItem struct {
 	idx int32
 }
 
-// fanEntry is a fan-out node in the merge heap, under a copy of its key so
-// that a sift compares entries without reading the slab.
-type fanEntry struct {
+// entry is an event in the kernel's heap, under a copy of its key so that a
+// sift compares entries without reading the slab.
+type entry struct {
 	at  time.Duration
 	seq uint64
 	i   int32
 }
 
-func (a *fanEntry) less(b *fanEntry) bool {
+func (a *entry) less(b *entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -158,7 +156,7 @@ func (t *Timer) Stop() bool {
 // Reset re-arms a still-pending timer to fire d from now (negative d clamps
 // to zero) with the callback it already has. It reports false, having
 // changed nothing, when the timer has run or was stopped, and when the new
-// time lies before the key the event is queued under — the queue is never
+// time lies before the key the event is queued under — the heap is never
 // searched, so an event can only be pushed back; the caller then does Stop
 // and After. A true Reset fires exactly when Stop followed by After would
 // have: it draws the sequence number After would have drawn. An owner that
@@ -181,11 +179,10 @@ func (t *Timer) Reset(d time.Duration) bool {
 // state is everything about a Simulator that a run changes — virtual clock,
 // sequence counter, the event slab (every in-flight message as data: endpoints,
 // payload and per-fan-out item storage; every timer with its pending re-arm,
-// if any), the free list, the ready bucket, the fan-out heap, the timing
-// queue and the random stream position — and so everything a checkpoint
-// holds. It exists as one value so that Snapshot and Restore are one copy
-// (state.copyTo) run in the two directions: a field added here is
-// checkpointed by being here.
+// if any), the free list, the ready bucket, the heap and the random stream
+// position — and so everything a checkpoint holds. It exists as one value so
+// that Snapshot and Restore are one copy (state.copyTo) run in the two
+// directions: a field added here is checkpointed by being here.
 type state struct {
 	now     time.Duration
 	seq     uint64
@@ -196,21 +193,18 @@ type state struct {
 	events []event // slab; all event storage, recycled via free
 	free   []int32 // recycled slab slots
 
-	// queue orders far-horizon timers and unicasts by (at, seq): the ladder
-	// queue (ladder.go) behind the seam queue.go describes.
-	queue eventQueue
-
-	// fan is a binary min-heap, by (at, seq), of every fan-out node except
-	// one due at the instant of its Fanout call, which waits in the ready
-	// bucket for its first delivery. Each node is a sorted run of
-	// deliveries, so the heap holds one entry per broadcast in flight
-	// however many deliveries remain, and re-keying a node at its next
-	// receiver is a sift through those entries alone.
-	fan []fanEntry
+	// heap is a binary min-heap, by (at, seq), of every event that was not
+	// due at the instant it was scheduled: timers, unicasts and fan-out
+	// nodes, plus re-armed timers taken from the ready bucket. Entries are
+	// keyed by the key the event is queued under, which a stopped or
+	// re-armed event keeps until it surfaces at the root. A fan-out node is
+	// a sorted run of deliveries, so it holds one entry however many
+	// deliveries remain, re-keyed at its next receiver.
+	heap []entry
 
 	// fifo is the ready bucket: events scheduled for the current instant,
-	// drained in seq (FIFO) order without touching the timing queue. Entries
-	// are sorted by seq by construction.
+	// drained in seq (FIFO) order without touching the heap. Entries are
+	// sorted by seq by construction.
 	fifo     []int32
 	fifoHead int
 }
@@ -241,7 +235,6 @@ func New(seed int64) *Simulator {
 	s := &Simulator{}
 	s.stream = countingSource{gen: rand.NewSource(seed).(rand.Source64), seed: seed}
 	s.rng = rand.New(&s.stream)
-	s.queue = &ladderQueue{s: &s.state}
 	return s
 }
 
@@ -317,20 +310,16 @@ func (s *Simulator) clampAt(d time.Duration) time.Duration {
 
 // schedule gives slab slot i, already filled in, its key — fire time at and
 // the next n sequence numbers — and queues it: in the ready bucket if it is
-// due now, else a fan-out node in the fan-out heap and anything else in the
-// timing queue.
+// due now, else in the heap.
 func (s *Simulator) schedule(i int32, at time.Duration, n int) {
 	e := &s.events[i]
 	e.at, e.seq = at, s.seq
 	s.seq += uint64(n)
 	s.pending += n
-	switch {
-	case at == s.now:
+	if at == s.now {
 		s.fifo = append(s.fifo, i) // seq is monotonic, so fifo stays sorted
-	case e.kind == evFanout:
-		s.fanPush(i)
-	default:
-		s.queue.push(i)
+	} else {
+		s.push(i)
 	}
 }
 
@@ -384,10 +373,10 @@ const (
 // Fanout schedules one message to every receiver — a broadcast — as a single
 // kernel node. The node is kept sorted by delivery time and always carries
 // the key of its earliest undelivered item: a k-receiver broadcast costs one
-// slab slot and one sort, and each delivery one re-key in the fan-out heap,
-// whose size is the number of broadcasts in flight. Delivery order is
-// exactly that of k individual Send calls issued in slice order. recv is read
-// synchronously and may be reused by the caller.
+// slab slot, one sort and one heap entry, and each delivery one re-key of
+// that entry. Delivery order is exactly that of k individual Send calls
+// issued in slice order. recv is read synchronously and may be reused by the
+// caller.
 func (s *Simulator) Fanout(from ident.ID, payload any, recv []Receiver) {
 	switch len(recv) {
 	case 0:
@@ -484,30 +473,30 @@ func (s *Simulator) radixSort(keys []uint64, span uint64) []uint64 {
 	return src
 }
 
-// fanPush adds fan-out node i to the fan-out heap under its current key.
-func (s *state) fanPush(i int32) {
-	x := fanEntry{at: s.events[i].at, seq: s.events[i].seq, i: i}
-	s.fan = append(s.fan, x)
-	h, k := s.fan, len(s.fan)-1
+// push adds event i to the heap under its current key.
+func (s *state) push(i int32) {
+	x := entry{at: s.events[i].at, seq: s.events[i].seq, i: i}
+	s.heap = append(s.heap, x)
+	h, k := s.heap, len(s.heap)-1
 	for p := (k - 1) / 2; k > 0 && x.less(&h[p]); k, p = p, (p-1)/2 {
 		h[k] = h[p]
 	}
 	h[k] = x
 }
 
-// fanPop removes the fan-out heap's root.
-func (s *state) fanPop() {
-	n := len(s.fan) - 1
-	x := s.fan[n]
-	s.fan = s.fan[:n]
+// pop removes the heap's root.
+func (s *state) pop() {
+	n := len(s.heap) - 1
+	x := s.heap[n]
+	s.heap = s.heap[:n]
 	if n > 0 {
-		s.fanDown(x)
+		s.down(x)
 	}
 }
 
-// fanDown replaces the fan-out heap's root with x and sifts it into place.
-func (s *state) fanDown(x fanEntry) {
-	h, k := s.fan, 0
+// down replaces the heap's root with x and sifts it into place.
+func (s *state) down(x entry) {
+	h, k := s.heap, 0
 	for c := 1; c < len(h); c = 2*k + 1 {
 		if r := c + 1; r < len(h) {
 			// Which child is less is a coin toss under continuous delays, so
@@ -534,15 +523,6 @@ func b2i(b bool) int {
 	return 0
 }
 
-// less orders slab indices by (at, seq); seqs are unique so there are no ties.
-func (s *state) less(i, j int32) bool {
-	a, b := &s.events[i], &s.events[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
 func (s *Simulator) fifoPop() int32 {
 	i := s.fifo[s.fifoHead]
 	s.fifoHead++
@@ -557,64 +537,67 @@ func (s *Simulator) fifoPop() int32 {
 // it is neither stopped nor waiting to be re-keyed.
 func (e *event) live() bool { return !e.stopped && e.newSeq == 0 }
 
-// requeue disposes of timer i, which was just popped from the head of the
-// ready bucket or the timing queue and is not live. A stopped event is
-// reclaimed; a re-armed one takes the key it really fires under and goes
-// back into the timing queue (never the ready bucket: its new sequence
-// number may be smaller than ones already waiting there).
-func (s *Simulator) requeue(i int32) {
+// requeue disposes of timer i, which is not live: the head of the ready
+// bucket, just popped from it, or the heap's root (root is true), still in
+// place. A stopped event is reclaimed. A re-armed one takes the key it
+// really fires under — never earlier than the one it was queued under, so at
+// the root it sifts down in place — and goes into the heap, never back into
+// the ready bucket: its new sequence number may be smaller than ones already
+// waiting there.
+func (s *Simulator) requeue(i int32, root bool) {
 	e := &s.events[i]
 	if e.stopped {
+		if root {
+			s.pop()
+		}
 		s.pending--
 		s.release(i)
 		return
 	}
 	e.at, e.seq = e.newAt, e.newSeq
 	e.newAt, e.newSeq = 0, 0
-	s.queue.push(i)
+	if root {
+		s.down(entry{at: e.at, seq: e.seq, i: i})
+	} else {
+		s.push(i)
+	}
 }
 
-// popDue removes and returns the live event with the smallest (at, seq) key
-// if it fires at or before limit, or noEvent. The heads of the ready bucket
-// and the timing queue are each brought to a live event — stopped and re-armed
-// heads are disposed of here, exactly when they surface, not inside the
-// eventQueue, so Pending() and the fire order do not depend on how the queue
-// is built — and the least of them and the fan-out heap's root is taken, in
-// one pass. A fan-out node taken from the root stays there (root is true)
-// for fire to re-key in place: one sift per delivery instead of a pop's and
-// a push's.
+// popDue returns the live event with the smallest (at, seq) key if it fires
+// at or before limit, or noEvent. The ready bucket's head and the heap's root
+// are each brought to a live event — stopped and re-armed events are disposed
+// of exactly when they surface at one of the two, so Stop and Reset never
+// search — and the lesser of the two is taken. A timer or unicast is removed
+// before it fires; a fan-out node taken from the root stays there (root is
+// true) for fire to re-key in place: one sift per delivery instead of a
+// pop's and a push's.
 func (s *Simulator) popDue(limit time.Duration) (i int32, root bool) {
 	f := noEvent
 	for s.fifoHead < len(s.fifo) {
 		if f = s.fifo[s.fifoHead]; s.events[f].live() {
 			break
 		}
-		s.requeue(s.fifoPop())
+		s.requeue(s.fifoPop(), false)
 		f = noEvent
 	}
-	q := s.queue.peekMin()
-	for q != noEvent && !s.events[q].live() {
-		s.requeue(s.queue.popMin())
-		q = s.queue.peekMin()
+	for len(s.heap) > 0 && !s.events[s.heap[0].i].live() {
+		s.requeue(s.heap[0].i, true)
 	}
-	i = f
-	if q != noEvent && (i == noEvent || s.less(q, i)) {
-		i = q
-	}
-	if h := s.fan; len(h) > 0 && (i == noEvent || h[0].less(&fanEntry{at: s.events[i].at, seq: s.events[i].seq})) {
+	if h := s.heap; len(h) > 0 && (f == noEvent || h[0].less(&entry{at: s.events[f].at, seq: s.events[f].seq})) {
+		i = h[0].i
 		if h[0].at > limit {
 			return noEvent, false
 		}
-		return h[0].i, true
+		if s.events[i].kind == evFanout {
+			return i, true
+		}
+		s.pop()
+		return i, false
 	}
-	switch {
-	case i == noEvent || s.events[i].at > limit:
+	if f == noEvent || s.events[f].at > limit {
 		return noEvent, false
-	case i == f:
-		return s.fifoPop(), false
-	default:
-		return s.queue.popMin(), false
 	}
+	return s.fifoPop(), false
 }
 
 // fire executes event i, which popDue took, advancing virtual time to it.
@@ -634,13 +617,13 @@ func (s *Simulator) fire(i int32, root bool) {
 			e.at = e.items[e.head].at
 			e.seq++
 			if root {
-				s.fanDown(fanEntry{at: e.at, seq: e.seq, i: i})
+				s.down(entry{at: e.at, seq: e.seq, i: i})
 			} else {
-				s.fanPush(i)
+				s.push(i)
 			}
 		} else {
 			if root {
-				s.fanPop()
+				s.pop()
 			}
 			s.release(i)
 		}

@@ -21,11 +21,8 @@ func (k *testSink) Deliver(_, to ident.ID, payload any) { payload.(func(ident.ID
 func (k *testSink) Alive(owner ident.ID) bool { return !k.down.Has(owner) }
 
 // newSunk returns a simulator with a testSink registered.
-func newSunk(seed int64) (*Simulator, *testSink) { return sunk(New(seed)) }
-
-// sunk registers a testSink with s.
-func sunk(s *Simulator) (*Simulator, *testSink) {
-	k := &testSink{}
+func newSunk(seed int64) (*Simulator, *testSink) {
+	s, k := New(seed), &testSink{}
 	s.SetSink(k)
 	return s, k
 }
@@ -158,7 +155,7 @@ func runFanScript(data []byte, split bool) ([]string, string) {
 			s.After(time.Duration(next16())*time.Microsecond, func() {
 				h.out = append(h.out, fmt.Sprintf("t%d@%d", id, s.Now()))
 			})
-		case 2: // a unicast, which goes through the timing queue either way
+		case 2: // a unicast, which goes through the heap either way
 			h.broadcast([]Receiver{{D: time.Duration(next16()) * time.Microsecond, To: ident.ID(next() % 4)}})
 		case 3:
 			s.Step()

@@ -11,7 +11,7 @@ import (
 
 // fork_clone_test.go pins the structural invariants of Snapshot/Restore
 // copying that the observational differential (fork_fuzz_test.go) cannot see
-// directly: copied queues index into the copy's own slab with no index both
+// directly: a copied heap indexes into the copy's own slab with no index both
 // queued and free, and a forked child is fully detached — no child mutation
 // may perturb the parent's structure.
 
@@ -27,63 +27,66 @@ func forkOf(s *Simulator) *Simulator {
 }
 
 // queuedIndices collects every slab index the simulator considers pending:
-// the far-horizon queue, the fan-out heap and the live part of the ready
-// FIFO.
+// the heap's, then the live part of the ready FIFO.
 func queuedIndices(s *Simulator) []int32 {
-	var out []int32
-	switch q := s.queue.(type) {
-	case *heapQueue:
-		out = append(out, q.indices()...)
-	case *ladderQueue:
-		out = append(out, q.indices()...)
-	default:
-		panic(fmt.Sprintf("unknown queue type %T", s.queue))
+	out := make([]int32, 0, len(s.heap)+len(s.fifo)-s.fifoHead)
+	for _, x := range s.heap {
+		out = append(out, x.i)
 	}
-	out = append(out, fanIndices(s)...)
 	return append(out, s.fifo[s.fifoHead:]...)
 }
 
-// fanIndices returns the fan-out heap's nodes, in heap order.
-func fanIndices(s *Simulator) []int32 {
-	out := make([]int32, len(s.fan))
-	for k, x := range s.fan {
-		out[k] = x.i
-	}
-	return out
-}
-
-// checkSlabInvariants fails t when a queued slab index is out of range or
-// also sits on the free list, or when the fan-out heap is out of heap order
-// or holds an entry whose key is not its fan-out node's.
-func checkSlabInvariants(t *testing.T, label string, s *Simulator) {
-	t.Helper()
+// slabViolation returns the first inconsistency of the simulator's
+// scheduling structures, or "": a slab index on the free list twice, or
+// queued out of range, twice, or while free; a heap entry out of heap order
+// or keyed other than its event; or a Pending() count that is not the
+// deliveries and callbacks queued.
+func slabViolation(s *Simulator) string {
 	free := make(map[int32]bool, len(s.free))
 	for _, idx := range s.free {
 		if free[idx] {
-			t.Errorf("%s: slab index %d appears twice on the free list", label, idx)
+			return fmt.Sprintf("slab index %d appears twice on the free list", idx)
 		}
 		free[idx] = true
 	}
+	queued := make(map[int32]bool)
+	pending := 0
 	for _, idx := range queuedIndices(s) {
-		if idx < 0 || int(idx) >= len(s.events) {
-			t.Errorf("%s: queued slab index %d out of range [0,%d)", label, idx, len(s.events))
-			continue
+		switch {
+		case idx < 0 || int(idx) >= len(s.events):
+			return fmt.Sprintf("queued slab index %d out of range [0,%d)", idx, len(s.events))
+		case free[idx]:
+			return fmt.Sprintf("slab index %d is both queued and on the free list", idx)
+		case queued[idx]:
+			return fmt.Sprintf("slab index %d is queued twice", idx)
 		}
-		if free[idx] {
-			t.Errorf("%s: slab index %d is both queued and on the free list", label, idx)
+		queued[idx] = true
+		if e := &s.events[idx]; e.kind == evFanout {
+			pending += len(e.items) - int(e.head)
+		} else {
+			pending++
 		}
 	}
-	for k, x := range s.fan {
-		if x.i < 0 || int(x.i) >= len(s.events) {
-			continue // reported above
+	if pending != s.pending {
+		return fmt.Sprintf("Pending() = %d, but %d deliveries and callbacks are queued", s.pending, pending)
+	}
+	for k, x := range s.heap {
+		if e := &s.events[x.i]; e.at != x.at || e.seq != x.seq {
+			return fmt.Sprintf("heap entry %d is keyed (%v, %d), its event %d, of kind %d, is keyed (%v, %d)",
+				k, x.at, x.seq, x.i, e.kind, e.at, e.seq)
 		}
-		if e := &s.events[x.i]; e.kind != evFanout || e.at != x.at || e.seq != x.seq {
-			t.Errorf("%s: fan-out heap entry %d is keyed (%v, %d), its event %d is a kind-%d node keyed (%v, %d)",
-				label, k, x.at, x.seq, x.i, e.kind, e.at, e.seq)
+		if k > 0 && x.less(&s.heap[(k-1)/2]) {
+			return fmt.Sprintf("heap entry %d sorts before its parent", k)
 		}
-		if k > 0 && x.less(&s.fan[(k-1)/2]) {
-			t.Errorf("%s: fan-out heap entry %d sorts before its parent", label, k)
-		}
+	}
+	return ""
+}
+
+// checkSlabInvariants fails t with the simulator's first slabViolation.
+func checkSlabInvariants(t *testing.T, label string, s *Simulator) {
+	t.Helper()
+	if v := slabViolation(s); v != "" {
+		t.Errorf("%s: %s", label, v)
 	}
 }
 
@@ -93,7 +96,7 @@ func structuralFingerprint(s *Simulator) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "now=%d seq=%d stepped=%d pending=%d seed=%d draws=%d\n",
 		s.now, s.seq, s.stepped, s.pending, s.stream.seed, s.stream.draws)
-	fmt.Fprintf(&b, "free=%v fifo=%v fifoHead=%d fan=%v\n", s.free, s.fifo, s.fifoHead, s.fan)
+	fmt.Fprintf(&b, "free=%v fifo=%v fifoHead=%d heap=%v\n", s.free, s.fifo, s.fifoHead, s.heap)
 	for i, e := range s.events {
 		fmt.Fprintf(&b, "ev%d at=%d seq=%d gen=%d stopped=%v kind=%d %d->%d rearm=%d/%d items=%v head=%d fn=%v payload=%v\n",
 			i, e.at, e.seq, e.gen, e.stopped, e.kind, e.from, e.to, e.newAt, e.newSeq, e.items, e.head, e.fn != nil, e.payload != nil)
@@ -104,8 +107,8 @@ func structuralFingerprint(s *Simulator) string {
 // loadSim builds a simulator mid-run with every structural feature present:
 // recycled free slots, a part-drained FIFO, stopped entries, messages and
 // fan-out nodes, far-horizon timers and a timer re-armed but not yet re-keyed.
-func loadSim(newSim func(seed int64) *Simulator) (s *Simulator, fired *int, stopped int) {
-	s, _ = sunk(newSim(7))
+func loadSim() (s *Simulator, fired *int, stopped int) {
+	s, _ = newSunk(7)
 	fired = new(int)
 	bump := func() { *fired++ }
 	deliver := func(ident.ID) { *fired++ }
@@ -134,85 +137,72 @@ func loadSim(newSim func(seed int64) *Simulator) (s *Simulator, fired *int, stop
 	return s, fired, stopped
 }
 
-// TestForkCloneInvariants forks a loaded simulator on both queue kinds and
-// checks, for parent and child alike: the slab invariants hold, child
-// mutations (Stop/Reset/After/Fanout/Step/RunUntil) never change the parent's
-// structural fingerprint, and both kernels then drain to the same schedule.
+// TestForkCloneInvariants forks a loaded simulator and checks, for parent
+// and child alike: the slab invariants hold, child mutations
+// (Stop/Reset/After/Fanout/Step/RunUntil) never change the parent's
+// structural fingerprint, and the parent then drains its own schedule.
 func TestForkCloneInvariants(t *testing.T) {
-	for _, k := range kernels {
-		k := k
-		t.Run(k.name, func(t *testing.T) {
-			parent, parentFired, parentStopped := loadSim(k.new)
-			child := forkOf(parent)
-			if p, c := queueName(parent), queueName(child); p != k.name || c != k.name {
-				t.Fatalf("parent runs on the %s queue and its fork on the %s queue, want %s for both", p, c, k.name)
-			}
-			checkSlabInvariants(t, "parent", parent)
-			checkSlabInvariants(t, "child", child)
+	parent, parentFired, parentStopped := loadSim()
+	child := forkOf(parent)
+	checkSlabInvariants(t, "parent", parent)
+	checkSlabInvariants(t, "child", child)
 
-			if got, want := structuralFingerprint(child), structuralFingerprint(parent); got != want {
-				t.Fatalf("fork is not structurally identical:\nparent:\n%s\nchild:\n%s", want, got)
-			}
-
-			before := structuralFingerprint(parent)
-			// Mutate the child every way the API allows.
-			childExtra := 0
-			tm := child.After(3*time.Millisecond, func() { childExtra++ })
-			child.Fanout(9, func(ident.ID) { childExtra++ }, []Receiver{{D: 0, To: 1}, {D: time.Minute, To: 2}})
-			tm.Reset(time.Millisecond)
-			tm.Stop()
-			child.Step()
-			child.RunUntil(child.Now() + 10*time.Millisecond)
-			checkSlabInvariants(t, "child after mutation", child)
-			if got := structuralFingerprint(parent); got != before {
-				t.Fatalf("child mutation perturbed the parent:\nbefore:\n%s\nafter:\n%s", before, got)
-			}
-
-			// The parent still drains its original schedule: every pending
-			// callback except the stopped (not yet reaped) ones fires once.
-			pend := parent.Pending()
-			beforeFired := *parentFired
-			parent.RunUntil(2 * time.Hour)
-			if *parentFired != beforeFired+pend-parentStopped {
-				t.Errorf("parent drained %d callbacks, want %d", *parentFired-beforeFired, pend-parentStopped)
-			}
-			checkSlabInvariants(t, "parent drained", parent)
-		})
+	if got, want := structuralFingerprint(child), structuralFingerprint(parent); got != want {
+		t.Fatalf("fork is not structurally identical:\nparent:\n%s\nchild:\n%s", want, got)
 	}
+
+	before := structuralFingerprint(parent)
+	// Mutate the child every way the API allows.
+	childExtra := 0
+	tm := child.After(3*time.Millisecond, func() { childExtra++ })
+	child.Fanout(9, func(ident.ID) { childExtra++ }, []Receiver{{D: 0, To: 1}, {D: time.Minute, To: 2}})
+	tm.Reset(time.Millisecond)
+	tm.Stop()
+	child.Step()
+	child.RunUntil(child.Now() + 10*time.Millisecond)
+	checkSlabInvariants(t, "child after mutation", child)
+	if got := structuralFingerprint(parent); got != before {
+		t.Fatalf("child mutation perturbed the parent:\nbefore:\n%s\nafter:\n%s", before, got)
+	}
+
+	// The parent still drains its original schedule: every pending
+	// callback except the stopped (not yet reaped) ones fires once.
+	pend := parent.Pending()
+	beforeFired := *parentFired
+	parent.RunUntil(2 * time.Hour)
+	if *parentFired != beforeFired+pend-parentStopped {
+		t.Errorf("parent drained %d callbacks, want %d", *parentFired-beforeFired, pend-parentStopped)
+	}
+	checkSlabInvariants(t, "parent drained", parent)
 }
 
 // TestRestoreRepeatable pins that one snapshot supports any number of
 // restores: three replays of the same tail produce identical fire sequences
 // and identical final clocks.
 func TestRestoreRepeatable(t *testing.T) {
-	for _, k := range kernels {
-		k := k
-		t.Run(k.name, func(t *testing.T) {
-			s := k.new(3)
-			var fires []string
-			for i := 0; i < 6; i++ {
-				i := i
-				s.After(time.Duration(i+1)*time.Millisecond, func() {
-					fires = append(fires, fmt.Sprintf("%d@%d#%d", i, s.Now(), s.Rand().Int63n(100)))
-				})
-			}
-			s.RunUntil(2500 * time.Microsecond)
-			snap := s.Snapshot()
-			prefix := len(fires)
-
-			var runs []string
-			for round := 0; round < 3; round++ {
-				s.Restore(snap)
-				fires = fires[:prefix]
-				s.RunUntil(10 * time.Millisecond)
-				runs = append(runs, strings.Join(fires[prefix:], ","))
-			}
-			if runs[0] == "" {
-				t.Fatal("replay fired nothing")
-			}
-			if runs[1] != runs[0] || runs[2] != runs[0] {
-				t.Fatalf("replays diverged: %q / %q / %q", runs[0], runs[1], runs[2])
-			}
+	s := New(3)
+	var fires []string
+	for i := 0; i < 6; i++ {
+		i := i
+		s.After(time.Duration(i+1)*time.Millisecond, func() {
+			fires = append(fires, fmt.Sprintf("%d@%d#%d", i, s.Now(), s.Rand().Int63n(100)))
 		})
+	}
+	s.RunUntil(2500 * time.Microsecond)
+	snap := s.Snapshot()
+	prefix := len(fires)
+
+	var runs []string
+	for round := 0; round < 3; round++ {
+		s.Restore(snap)
+		fires = fires[:prefix]
+		s.RunUntil(10 * time.Millisecond)
+		runs = append(runs, strings.Join(fires[prefix:], ","))
+	}
+	if runs[0] == "" {
+		t.Fatal("replay fired nothing")
+	}
+	if runs[1] != runs[0] || runs[2] != runs[0] {
+		t.Fatalf("replays diverged: %q / %q / %q", runs[0], runs[1], runs[2])
 	}
 }

@@ -15,26 +15,27 @@ import (
 // itself must not perturb the original run. CI runs the target with a short
 // -fuzztime budget on every push; the committed seed corpus
 // (testdata/fuzz/FuzzForkEquivalence) covers snapshot points amid same-instant
-// ties, stopped timers, far-horizon rungs, fan-outs and timers re-armed but
+// ties, stopped timers, far-horizon timers, fan-outs and timers re-armed but
 // not yet re-keyed.
 
-// assertForkEquivalence runs prefix+suffix three ways on the given queue:
-// plain (reference), with a snapshot taken between prefix and suffix (must
-// not perturb anything), and replayed from the restored snapshot (must
-// reproduce the post-snapshot trace byte for byte, twice).
-func assertForkEquivalence(t *testing.T, k kernel, prefix, suffix []byte) {
+// assertForkEquivalence runs prefix+suffix three ways on the kernel: plain
+// (reference), with a snapshot taken between prefix and suffix (must not
+// perturb anything), and replayed from the restored snapshot (must reproduce
+// the post-snapshot trace byte for byte, twice).
+func assertForkEquivalence(t *testing.T, prefix, suffix []byte) {
 	t.Helper()
 
 	var ref []string
-	h := newScriptHarness(k.new, &ref)
+	h := newScriptHarness(onKernel, &ref)
 	h.interp(prefix)
 	h.interp(suffix)
 	h.drain()
 
 	var full []string
-	h = newScriptHarness(k.new, &full)
+	h = newScriptHarness(onKernel, &full)
 	h.interp(prefix)
-	snap := h.s.Snapshot()
+	s := h.s.(kernelSched)
+	snap := s.Snapshot()
 	cut := len(full)
 	// The interpreter's own state rolls back with the kernel: the handles a
 	// re-arm replaced after the snapshot must not outlive the restore.
@@ -43,7 +44,7 @@ func assertForkEquivalence(t *testing.T, k kernel, prefix, suffix []byte) {
 	h.drain()
 
 	if d := firstDivergence(full, ref); d != "" {
-		t.Fatalf("%s: taking a snapshot perturbed the run at %s", k.name, d)
+		t.Fatalf("taking a snapshot perturbed the run at %s", d)
 	}
 
 	tail := full[cut:]
@@ -53,14 +54,11 @@ func assertForkEquivalence(t *testing.T, k kernel, prefix, suffix []byte) {
 		h.timers = append(h.timers[:0], timers...)
 		h.eventID = nEvents
 		h.sink.down = down.Clone()
-		h.s.Restore(snap)
-		if got := queueName(h.s); got != k.name {
-			t.Fatalf("%s restore #%d: kernel came back on the %s queue", k.name, round+1, got)
-		}
+		s.Restore(snap)
 		h.interp(suffix)
 		h.drain()
 		if d := firstDivergence(replay, tail); d != "" {
-			t.Fatalf("%s restore #%d: replay diverged at %s", k.name, round+1, d)
+			t.Fatalf("restore #%d: replay diverged at %s", round+1, d)
 		}
 	}
 }
@@ -79,8 +77,8 @@ func splitScript(data []byte) (prefix, suffix []byte) {
 }
 
 // FuzzForkEquivalence drives random op scripts with a random snapshot point
-// against both queue kinds and asserts the restored replay is byte-identical
-// to the original continuation. Seeds mirror the committed corpus.
+// and asserts the restored replay is byte-identical to the original
+// continuation. Seeds mirror the committed corpus.
 func FuzzForkEquivalence(f *testing.F) {
 	for _, seed := range forkScriptSeeds() {
 		f.Add(seed)
@@ -90,9 +88,7 @@ func FuzzForkEquivalence(f *testing.F) {
 			data = data[:4096]
 		}
 		prefix, suffix := splitScript(data)
-		for _, k := range kernels {
-			assertForkEquivalence(t, k, prefix, suffix)
-		}
+		assertForkEquivalence(t, prefix, suffix)
 	})
 }
 
@@ -116,9 +112,7 @@ func TestForkDifferential(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", i), func(t *testing.T) {
 			prefix, suffix := splitScript(seed)
-			for _, k := range kernels {
-				assertForkEquivalence(t, k, prefix, suffix)
-			}
+			assertForkEquivalence(t, prefix, suffix)
 		})
 	}
 }

@@ -9,35 +9,33 @@ import (
 	"asyncfd/internal/ident"
 )
 
-// fuzz_test.go is the kernel-level half of the queue differential harness:
-// a byte-coded script drives an identical workload of After/At/AfterOwned/
-// Stop/Reset/Send/Fanout/Step/RunUntil calls against a heap-backed and a
-// ladder-backed simulator and asserts the two are observationally identical
-// — same fire order, same Now()/Steps()/Pending() at every checkpoint. The
-// same scripts hold Timer.Reset to its contract: a kernel whose timers are
+// fuzz_test.go is the kernel-level differential harness: a byte-coded script
+// drives an identical workload of After/At/AfterOwned/Stop/Reset/Send/
+// Fanout/Step/RunUntil calls against the kernel and against the reference
+// model (model_test.go) and asserts the two are observationally identical —
+// same fire order, same Now()/Steps() at every checkpoint, at which the
+// kernel's slab, ready bucket and heap must also be consistent. The same
+// scripts hold Timer.Reset to its contract: a kernel whose timers are
 // re-armed in place executes the same (time, callback) sequence as one whose
 // timers are stopped and armed anew. The committed seed corpus
 // (testdata/fuzz/FuzzQueueEquivalence) covers the regression-prone shapes:
 // same-instant ties, stopped-head reaping, far-horizon timers, fan-outs, and
 // re-arms of fired, stopped, due-now and earlier-moving timers. CI runs the
-// target with a short -fuzztime budget on every push. Fan-out nodes merge
-// through the kernel's own heap on both simulators, so the order of their
-// deliveries is held to the Sends they stand for by FuzzFanoutMatchesSend
-// (fanout_test.go) instead.
+// target with a short -fuzztime budget on every push.
 
 // scriptTimer is a timer a script may later stop or re-arm: the handle and
 // what it was armed with.
 type scriptTimer struct {
-	tm    *Timer
+	tm    timer
 	owner ident.ID
 	fn    func()
 }
 
-// scriptHarness interprets op scripts against one simulator. Its own state
+// scriptHarness interprets op scripts against one scheduler. Its own state
 // (timers, eventID, the sink's down set) can be checkpointed and rolled back
 // alongside the kernel: see fork_fuzz_test.go.
 type scriptHarness struct {
-	s    *Simulator
+	s    sched
 	sink *testSink
 	out  *[]string // swappable so a replay records into a fresh trace
 	// stopAfter makes the re-arm op the reference it is checked against:
@@ -49,9 +47,11 @@ type scriptHarness struct {
 	eventID   int
 }
 
-func newScriptHarness(newSim func(seed int64) *Simulator, out *[]string) *scriptHarness {
-	s, sink := sunk(newSim(1))
-	return &scriptHarness{s: s, sink: sink, out: out}
+// newScriptHarness returns a harness on the scheduler build makes (onKernel
+// or onModel).
+func newScriptHarness(build func(*testSink) sched, out *[]string) *scriptHarness {
+	sink := &testSink{}
+	return &scriptHarness{s: build(sink), sink: sink, out: out}
 }
 
 // mk returns the next callback. A deterministic subset of callbacks draws
@@ -68,7 +68,7 @@ func (h *scriptHarness) mk() func() {
 		}
 		*h.out = append(*h.out, line)
 		if id%7 == 3 && h.eventID < 4096 {
-			h.s.After(time.Duration(id%5)*time.Microsecond, h.mk())
+			h.s.after(time.Duration(id%5)*time.Microsecond, ident.Nil, h.mk())
 		}
 	}
 }
@@ -82,11 +82,18 @@ func (h *scriptHarness) mkMsg() any {
 	}
 }
 
+// mark records a checkpoint, and on the kernel the first inconsistency of its
+// scheduling structures, if any, as a line the model's trace cannot have.
 func (h *scriptHarness) mark() {
 	*h.out = append(*h.out, fmt.Sprintf("%d/%d/%d", h.s.Now(), h.s.Steps(), h.s.Pending()))
+	if k, ok := h.s.(kernelSched); ok {
+		if v := slabViolation(k.Simulator); v != "" {
+			*h.out = append(*h.out, "inconsistent: "+v)
+		}
+	}
 }
 
-func (h *scriptHarness) arm(tm *Timer, owner ident.ID, fn func()) {
+func (h *scriptHarness) arm(tm timer, owner ident.ID, fn func()) {
 	h.timers = append(h.timers, scriptTimer{tm: tm, owner: owner, fn: fn})
 }
 
@@ -112,13 +119,13 @@ func (h *scriptHarness) interp(data []byte) {
 	for pos < len(data) && h.eventID < 4096 {
 		switch next() % scriptOps {
 		case 0, 1: // near-horizon After, µs scale: the dense common case
-			s.After(next16()*time.Microsecond, h.mk())
+			s.after(next16()*time.Microsecond, ident.Nil, h.mk())
 		case 2: // absolute At, including already-passed instants (clamped)
 			fn := h.mk()
-			h.arm(s.At(s.Now()+next16()*time.Microsecond-32*time.Millisecond, fn), ident.Nil, fn)
-		case 3: // far-horizon After, up to ~18.6h (65535ms << 10): deep
-			// ladder top-list accumulation and epoch re-spawns
-			s.After(next16()*time.Millisecond<<(next()%11), h.mk())
+			h.arm(s.at(s.Now()+next16()*time.Microsecond-32*time.Millisecond, fn), ident.Nil, fn)
+		case 3: // far-horizon After, up to ~18.6h (65535ms << 10): timers
+			// that sit deep in the heap under the near-term churn
+			s.after(next16()*time.Millisecond<<(next()%11), ident.Nil, h.mk())
 		case 4: // Stop a previously returned timer
 			if len(h.timers) > 0 {
 				h.timers[int(next())%len(h.timers)].tm.Stop()
@@ -145,12 +152,12 @@ func (h *scriptHarness) interp(data []byte) {
 				d := next16() * time.Microsecond
 				if h.stopAfter || !t.tm.Reset(d) {
 					t.tm.Stop()
-					t.tm = s.AfterOwned(d, t.owner, t.fn)
+					t.tm = s.after(d, t.owner, t.fn)
 				}
 			}
 		case 10: // a process's timer: suppressed if the owner is down when due
 			fn, owner := h.mk(), ident.ID(next()%4)
-			h.arm(s.AfterOwned(next16()*time.Microsecond, owner, fn), owner, fn)
+			h.arm(s.after(next16()*time.Microsecond, owner, fn), owner, fn)
 		case 11: // crash or recover a timer owner
 			if p := ident.ID(next() % 4); h.sink.down.Has(p) {
 				h.sink.down.Remove(p)
@@ -160,7 +167,7 @@ func (h *scriptHarness) interp(data []byte) {
 		}
 		if next()%4 == 0 { // sprinkle timers eligible for Stop and re-arm
 			fn := h.mk()
-			h.arm(s.After(next16()*time.Microsecond, fn), ident.Nil, fn)
+			h.arm(s.after(next16()*time.Microsecond, ident.Nil, fn), ident.Nil, fn)
 		}
 	}
 }
@@ -173,11 +180,11 @@ func (h *scriptHarness) drain() {
 	h.mark()
 }
 
-// runScript is one whole script on a fresh kernel: everything observable
+// runScript is one whole script on a fresh scheduler: everything observable
 // about the run, in order.
-func runScript(newSim func(seed int64) *Simulator, data []byte, stopAfter bool) []string {
+func runScript(build func(*testSink) sched, data []byte, stopAfter bool) []string {
 	var out []string
-	h := newScriptHarness(newSim, &out)
+	h := newScriptHarness(build, &out)
 	h.stopAfter = stopAfter
 	h.interp(data)
 	h.mark()
@@ -199,18 +206,16 @@ func firstDivergence(a, b []string) string {
 }
 
 // scriptDivergence runs data every way the harness compares and returns the
-// first difference found, or "": heap against ladder, Pending() included,
-// and on each queue re-arming in place against Stop + After.
+// first difference found, or "": the kernel against the model, and on the
+// kernel re-arming in place against Stop + After. Pending() is left out of
+// both: the kernel counts stopped events until it reclaims them.
 func scriptDivergence(data []byte) string {
-	heap, ladder := runScript(newHeapSim, data, false), runScript(New, data, false)
-	if d := firstDivergence(heap, ladder); d != "" {
-		return "heap vs ladder diverged at " + d
+	kernel := withoutPending(runScript(onKernel, data, false))
+	if d := firstDivergence(kernel, withoutPending(runScript(onModel, data, false))); d != "" {
+		return "kernel vs model diverged at " + d
 	}
-	if d := firstDivergence(withoutPending(heap), withoutPending(runScript(newHeapSim, data, true))); d != "" {
-		return "heap: Reset vs Stop+After diverged at " + d
-	}
-	if d := firstDivergence(withoutPending(ladder), withoutPending(runScript(New, data, true))); d != "" {
-		return "ladder: Reset vs Stop+After diverged at " + d
+	if d := firstDivergence(kernel, withoutPending(runScript(onKernel, data, true))); d != "" {
+		return "Reset vs Stop+After diverged at " + d
 	}
 	return ""
 }
@@ -230,9 +235,9 @@ func withoutPending(trace []string) []string {
 }
 
 // FuzzQueueEquivalence drives random interleavings of the op alphabet
-// against the heap and ladder queues, re-arming in place and by Stop +
-// After, and asserts identical observable behavior. Seeds mirror the
-// committed corpus.
+// against the kernel, re-arming in place and by Stop + After, and against the
+// reference model, and asserts identical observable behavior. Seeds mirror
+// the committed corpus.
 func FuzzQueueEquivalence(f *testing.F) {
 	for _, seed := range queueScriptSeeds() {
 		f.Add(seed)
@@ -247,8 +252,8 @@ func FuzzQueueEquivalence(f *testing.F) {
 	})
 }
 
-// queueScriptSeeds are hand-built op streams covering the shapes a queue
-// swap or a re-keying bug is most likely to break on; they are also
+// queueScriptSeeds are hand-built op streams covering the shapes an ordering
+// or a re-keying bug is most likely to break on; they are also
 // committed as the fuzz seed corpus under testdata/fuzz/FuzzQueueEquivalence.
 func queueScriptSeeds() [][]byte {
 	return [][]byte{

@@ -9,37 +9,30 @@ import (
 	"asyncfd/internal/ident"
 )
 
-// queue_bench_test.go: microbenchmarks for the kernel's hot paths. The
-// heap-vs-ladder ones (`go test -bench 'Queue' -benchmem ./internal/des`)
-// are headed by the dense-horizon benchmark — hundreds of thousands of
-// near-term timers in flight, the shape every n=256 per-peer-timeout
-// experiment generates — where the ladder's O(1) bucket operations beat the
-// heap's O(log n) sifts. BenchmarkFanoutMesh and BenchmarkRearm are the
-// kernel's rows of the layer ledger.
+// queue_bench_test.go: microbenchmarks for the kernel's hot paths, the des
+// rows of the layer ledger (docs/BENCHMARKS.md). The two Queue ones
+// (`go test -bench 'Queue' -benchmem ./internal/des`) stress the heap alone:
+// a standing population of tens of thousands of near-term timers, the shape
+// every n=256 per-peer-timeout experiment generates, and Stop/reap churn.
 
 // BenchmarkQueueDenseHorizon measures steady-state push/pop churn with a
 // large standing population of near-term timers: every fired event
 // reschedules itself, so each Step is one pop plus one push against a
-// ~64k-element queue.
+// ~64k-entry heap.
 func BenchmarkQueueDenseHorizon(b *testing.B) {
-	for _, k := range kernels {
-		k := k
-		b.Run(k.name, func(b *testing.B) {
-			b.ReportAllocs()
-			s := k.new(1)
-			const standing = 1 << 16
-			var reschedule func()
-			reschedule = func() {
-				s.After(time.Duration(1+s.Rand().Intn(10_000_000)), reschedule)
-			}
-			for k := 0; k < standing; k++ {
-				reschedule()
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Step()
-			}
-		})
+	b.ReportAllocs()
+	s := New(1)
+	const standing = 1 << 16
+	var reschedule func()
+	reschedule = func() {
+		s.After(time.Duration(1+s.Rand().Intn(10_000_000)), reschedule)
+	}
+	for k := 0; k < standing; k++ {
+		reschedule()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
 	}
 }
 
@@ -96,30 +89,25 @@ func BenchmarkFanoutMesh(b *testing.B) {
 }
 
 // BenchmarkQueueStopReapChurn measures the per-peer-timeout pattern: arm a
-// timeout, cancel it, re-arm — so the queue carries a steady mix of live
+// timeout, cancel it, re-arm — so the heap carries a steady mix of live
 // and stopped events and reaps the stopped ones as they surface.
 func BenchmarkQueueStopReapChurn(b *testing.B) {
-	for _, k := range kernels {
-		k := k
-		b.Run(k.name, func(b *testing.B) {
-			b.ReportAllocs()
-			s := k.new(1)
-			const peers = 1 << 12
-			timers := make([]*Timer, peers)
-			fn := func() {}
-			for k := range timers {
-				timers[k] = s.After(time.Duration(1+s.Rand().Intn(2_000_000)), fn)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k := i % peers
-				timers[k].Stop()
-				timers[k] = s.After(time.Duration(1+s.Rand().Intn(2_000_000)), fn)
-				if i%4 == 0 {
-					s.Step()
-				}
-			}
-		})
+	b.ReportAllocs()
+	s := New(1)
+	const peers = 1 << 12
+	timers := make([]*Timer, peers)
+	fn := func() {}
+	for k := range timers {
+		timers[k] = s.After(time.Duration(1+s.Rand().Intn(2_000_000)), fn)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % peers
+		timers[k].Stop()
+		timers[k] = s.After(time.Duration(1+s.Rand().Intn(2_000_000)), fn)
+		if i%4 == 0 {
+			s.Step()
+		}
 	}
 }
 
@@ -127,7 +115,7 @@ func BenchmarkQueueStopReapChurn(b *testing.B) {
 // the per-peer timeout of the timer-based detectors. A standing population
 // of 16k timeouts of Θ = 2Δ, each pushed back once per Δ as the clock
 // advances — by Stop + After, as before Timer.Reset, or in place. One op is
-// one re-arm plus its share of the queue work the clock's advance brings
+// one re-arm plus its share of the heap work the clock's advance brings
 // (reclaiming stopped events, re-keying re-armed ones).
 func BenchmarkRearm(b *testing.B) {
 	const (

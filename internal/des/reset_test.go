@@ -28,116 +28,107 @@ func (l *fireLog) want(t *testing.T, want ...string) {
 	}
 }
 
-func forBothQueues(t *testing.T, f func(t *testing.T, l *fireLog)) {
-	for _, k := range kernels {
-		k := k
-		t.Run(k.name, func(t *testing.T) {
-			s, _ := sunk(k.new(1))
-			f(t, &fireLog{s: s})
-		})
-	}
+// newFireLog returns a fire log on a fresh kernel with a testSink.
+func newFireLog() *fireLog {
+	s, _ := newSunk(1)
+	return &fireLog{s: s}
 }
 
 func TestResetPushesBack(t *testing.T) {
-	forBothQueues(t, func(t *testing.T, l *fireLog) {
-		s := l.s
-		tm := s.After(2*ms, l.fn("t"))
-		s.After(3*ms, l.fn("a"))
-		s.RunUntil(ms)
-		if !tm.Reset(4 * ms) { // now due at 5ms
-			t.Fatal("Reset of a pending timer = false")
-		}
-		if s.Pending() != 2 {
-			t.Errorf("Pending = %d, want 2: a re-armed timer counts once", s.Pending())
-		}
-		s.RunUntil(3 * ms)
-		l.want(t, "a@3ms")
-		// Pushed back again, then pulled forward: still no earlier than the
-		// key the event is queued under (5ms by now).
-		if !tm.Reset(5*ms) || !tm.Reset(2*ms) {
-			t.Fatal("Reset to a time at or after the queued key = false")
-		}
-		s.Run()
-		l.want(t, "a@3ms", "t@5ms")
-		if s.Steps() != 2 || s.Pending() != 0 {
-			t.Errorf("Steps = %d, Pending = %d, want 2 and 0", s.Steps(), s.Pending())
-		}
-	})
+	l := newFireLog()
+	s := l.s
+	tm := s.After(2*ms, l.fn("t"))
+	s.After(3*ms, l.fn("a"))
+	s.RunUntil(ms)
+	if !tm.Reset(4 * ms) { // now due at 5ms
+		t.Fatal("Reset of a pending timer = false")
+	}
+	if s.Pending() != 2 {
+		t.Errorf("Pending = %d, want 2: a re-armed timer counts once", s.Pending())
+	}
+	s.RunUntil(3 * ms)
+	l.want(t, "a@3ms")
+	// Pushed back again, then pulled forward: still no earlier than the
+	// key the event is queued under (5ms by now).
+	if !tm.Reset(5*ms) || !tm.Reset(2*ms) {
+		t.Fatal("Reset to a time at or after the queued key = false")
+	}
+	s.Run()
+	l.want(t, "a@3ms", "t@5ms")
+	if s.Steps() != 2 || s.Pending() != 0 {
+		t.Errorf("Steps = %d, Pending = %d, want 2 and 0", s.Steps(), s.Pending())
+	}
 }
 
 func TestResetRefusals(t *testing.T) {
-	forBothQueues(t, func(t *testing.T, l *fireLog) {
-		s := l.s
-		fired := s.After(ms, l.fn("fired"))
-		stopped := s.After(5*ms, l.fn("stopped"))
-		early := s.After(5*ms, l.fn("early"))
-		s.RunUntil(2 * ms)
-		stopped.Stop()
-		if fired.Reset(ms) {
-			t.Error("Reset after the timer fired = true")
-		}
-		if stopped.Reset(ms) {
-			t.Error("Reset after Stop = true")
-		}
-		if early.Reset(2 * ms) { // 4ms < the 5ms it is queued under
-			t.Error("Reset to before the queued key = true")
-		}
-		s.Run()
-		l.want(t, "fired@1ms", "early@5ms") // the refusals changed nothing
-	})
+	l := newFireLog()
+	s := l.s
+	fired := s.After(ms, l.fn("fired"))
+	stopped := s.After(5*ms, l.fn("stopped"))
+	early := s.After(5*ms, l.fn("early"))
+	s.RunUntil(2 * ms)
+	stopped.Stop()
+	if fired.Reset(ms) {
+		t.Error("Reset after the timer fired = true")
+	}
+	if stopped.Reset(ms) {
+		t.Error("Reset after Stop = true")
+	}
+	if early.Reset(2 * ms) { // 4ms < the 5ms it is queued under
+		t.Error("Reset to before the queued key = true")
+	}
+	s.Run()
+	l.want(t, "fired@1ms", "early@5ms") // the refusals changed nothing
 }
 
 func TestStopAfterReset(t *testing.T) {
-	forBothQueues(t, func(t *testing.T, l *fireLog) {
-		tm := l.s.After(ms, l.fn("t"))
-		tm.Reset(2 * ms)
-		if !tm.Stop() || tm.Stop() || tm.Reset(ms) {
-			t.Error("Stop of a re-armed timer must report true once, and end it")
-		}
-		l.s.Run()
-		l.want(t)
-		if l.s.Pending() != 0 {
-			t.Errorf("Pending = %d after the stopped timer surfaced", l.s.Pending())
-		}
-	})
+	l := newFireLog()
+	tm := l.s.After(ms, l.fn("t"))
+	tm.Reset(2 * ms)
+	if !tm.Stop() || tm.Stop() || tm.Reset(ms) {
+		t.Error("Stop of a re-armed timer must report true once, and end it")
+	}
+	l.s.Run()
+	l.want(t)
+	if l.s.Pending() != 0 {
+		t.Errorf("Pending = %d after the stopped timer surfaced", l.s.Pending())
+	}
 }
 
 // TestResetDueNow re-arms a timer sitting in the ready bucket: like Stop +
 // After(0) it goes behind everything already scheduled for the instant.
 func TestResetDueNow(t *testing.T) {
-	forBothQueues(t, func(t *testing.T, l *fireLog) {
-		s := l.s
-		s.After(ms, func() {
-			tm := s.After(0, l.fn("t"))
-			s.After(0, l.fn("a"))
-			if !tm.Reset(0) {
-				t.Error("Reset(0) of a timer due now = false")
-			}
-			s.After(0, l.fn("b"))
-		})
-		s.Run()
-		l.want(t, "a@1ms", "t@1ms", "b@1ms")
+	l := newFireLog()
+	s := l.s
+	s.After(ms, func() {
+		tm := s.After(0, l.fn("t"))
+		s.After(0, l.fn("a"))
+		if !tm.Reset(0) {
+			t.Error("Reset(0) of a timer due now = false")
+		}
+		s.After(0, l.fn("b"))
 	})
+	s.Run()
+	l.want(t, "a@1ms", "t@1ms", "b@1ms")
 }
 
 // TestResetSurvivesRestore: the re-arm is on the event, so a checkpoint
 // taken between Reset and the re-keying replays it, and a Reset made after
 // the checkpoint is rolled back with the rest.
 func TestResetSurvivesRestore(t *testing.T) {
-	forBothQueues(t, func(t *testing.T, l *fireLog) {
-		s := l.s
-		tm := s.After(2*ms, l.fn("t"))
-		s.After(3*ms, l.fn("a"))
-		tm.Reset(4 * ms)
-		snap := s.Snapshot()
-		tm.Reset(6 * ms)
+	l := newFireLog()
+	s := l.s
+	tm := s.After(2*ms, l.fn("t"))
+	s.After(3*ms, l.fn("a"))
+	tm.Reset(4 * ms)
+	snap := s.Snapshot()
+	tm.Reset(6 * ms)
+	s.Run()
+	l.want(t, "a@3ms", "t@6ms")
+	for round := 0; round < 2; round++ {
+		l.got = nil
+		s.Restore(snap)
 		s.Run()
-		l.want(t, "a@3ms", "t@6ms")
-		for round := 0; round < 2; round++ {
-			l.got = nil
-			s.Restore(snap)
-			s.Run()
-			l.want(t, "a@3ms", "t@4ms")
-		}
-	})
+		l.want(t, "a@3ms", "t@4ms")
+	}
 }

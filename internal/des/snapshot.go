@@ -88,15 +88,14 @@ type Snapshot struct{ st state }
 // what dst already has: the slab's array and its per-event item storage (a
 // Restore runs once per replicate, and reallocating the arena every time
 // dominated fork cost at large n), the free list, the ready bucket and the
-// fan-out heap. The timing queue is cloned bound to dst's slab.
+// heap.
 func (s *state) copyTo(dst *state) {
-	events, free, fifo, fan, gen := dst.events, dst.free, dst.fifo, dst.fan, dst.stream.gen
+	events, free, fifo, heap, gen := dst.events, dst.free, dst.fifo, dst.heap, dst.stream.gen
 	*dst = *s
 	dst.events = copyEvents(events, s.events)
 	dst.free = append(free[:0], s.free...)
 	dst.fifo = append(fifo[:0], s.fifo...)
-	dst.fan = append(fan[:0], s.fan...)
-	dst.queue = s.queue.clone(dst)
+	dst.heap = append(heap[:0], s.heap...)
 	dst.stream.rebind(gen)
 }
 

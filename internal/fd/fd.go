@@ -1,11 +1,18 @@
 // Package fd defines the common vocabulary of unreliable failure detectors:
-// the output interface every implementation exposes, the Chandra–Toueg class
-// taxonomy, and the sink through which implementations report suspicion
-// transitions to metrics and traces.
+// the output interface every implementation exposes, and the sink through
+// which implementations report suspicion transitions to metrics and traces.
+//
+// Detectors are classified by the Chandra–Toueg taxonomy, whose classes pair
+// a completeness property with an accuracy property: P (strong
+// completeness, strong accuracy), ◇P (strong completeness, eventual strong
+// accuracy), S (strong completeness, perpetual weak accuracy) and ◇S (strong
+// completeness, eventual weak accuracy). ◇S is the class the paper's
+// time-free protocol implements, and the weakest class with which consensus
+// is solvable given a correct majority; the eventual leader oracle Ω is
+// equivalent to it for that purpose.
 package fd
 
 import (
-	"fmt"
 	"time"
 
 	"asyncfd/internal/ident"
@@ -31,43 +38,6 @@ type Detector interface {
 // sink, so recorded traces stay consistent with the oracle output.
 type Restartable interface {
 	Restart(fresh bool)
-}
-
-// Class names the Chandra–Toueg failure-detector classes relevant here.
-type Class int
-
-const (
-	// ClassP is the perfect detector: strong completeness + strong accuracy.
-	ClassP Class = iota + 1
-	// ClassEventuallyP (◇P): strong completeness + eventual strong accuracy.
-	ClassEventuallyP
-	// ClassS: strong completeness + perpetual weak accuracy.
-	ClassS
-	// ClassEventuallyS (◇S): strong completeness + eventual weak accuracy.
-	// This is the class the paper's protocol implements, and the weakest
-	// class allowing consensus with a correct majority.
-	ClassEventuallyS
-	// ClassOmega (Ω): eventual leader oracle; equivalent to ◇S for
-	// consensus solvability.
-	ClassOmega
-)
-
-// String implements fmt.Stringer.
-func (c Class) String() string {
-	switch c {
-	case ClassP:
-		return "P"
-	case ClassEventuallyP:
-		return "◇P"
-	case ClassS:
-		return "S"
-	case ClassEventuallyS:
-		return "◇S"
-	case ClassOmega:
-		return "Ω"
-	default:
-		return fmt.Sprintf("Class(%d)", int(c))
-	}
 }
 
 // SuspicionSink receives timestamped suspicion transitions from detector

@@ -7,25 +7,6 @@ import (
 	"asyncfd/internal/ident"
 )
 
-func TestClassString(t *testing.T) {
-	tests := []struct {
-		c    Class
-		want string
-	}{
-		{ClassP, "P"},
-		{ClassEventuallyP, "◇P"},
-		{ClassS, "S"},
-		{ClassEventuallyS, "◇S"},
-		{ClassOmega, "Ω"},
-		{Class(42), "Class(42)"},
-	}
-	for _, tt := range tests {
-		if got := tt.c.String(); got != tt.want {
-			t.Errorf("Class(%d).String() = %q, want %q", int(tt.c), got, tt.want)
-		}
-	}
-}
-
 func TestSinkFunc(t *testing.T) {
 	var gotAt time.Duration
 	var gotObs, gotSubj ident.ID

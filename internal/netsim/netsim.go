@@ -27,7 +27,7 @@
 //     unicast is one typed event (from, to, payload), a broadcast one fan-out
 //     node holding the shared (from, payload) and a pointer-free item per
 //     admitted receiver, sorted by delivery time once and merged with the
-//     other broadcasts in flight through the kernel's fan-out heap, a timer
+//     other broadcasts in flight through the kernel's event heap, a timer
 //     an (owner, callback) pair. The network
 //     registers itself with its simulator as the des.Sink those events come
 //     back to — Deliver at delivery time, Alive when an owned timer comes

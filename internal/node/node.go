@@ -23,7 +23,7 @@ type Timer interface {
 	// After: that is always the answer once the timer has fired or was
 	// stopped, and a runtime may give it for a pending timer too whenever
 	// re-arming in place does not suit it (the simulator's kernel cannot
-	// move a timer earlier than the slot it is queued under). A true Reset
+	// move a timer earlier than the key it is queued under). A true Reset
 	// is indistinguishable from Stop followed by After with the same
 	// callback; it exists so that a timeout pushed back on every heartbeat
 	// costs neither a new handle nor a new closure.

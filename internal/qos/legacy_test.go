@@ -5,8 +5,8 @@ package qos
 // the reference side of the differential tests that hold the Judge
 // byte-identical to them — judge_test.go on random traces, scenario_test.go
 // (package qos_test, which sees them because they are exported) on traces
-// recorded from simulated clusters — the same way internal/des keeps the
-// binary heap as the ladder queue's oracle in heap_test.go.
+// recorded from simulated clusters — the same way internal/des keeps a
+// linear-scan reference scheduler as the kernel's oracle in model_test.go.
 
 import (
 	"sort"

@@ -1,6 +1,7 @@
 package tcpnet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -495,6 +496,56 @@ func TestHelloOutOfRange(t *testing.T) {
 	if len(senders) != 1 || senders[0] != math.MaxInt32 {
 		t.Errorf("deliveries came from %v, want only p%d", senders, math.MaxInt32)
 	}
+}
+
+// FuzzReadFrame feeds an arbitrary byte stream to readFrameReuse, through one
+// reused buffer, and reads frames until it errors. It never panics; every
+// frame is the 1 to maxFrame bytes its length prefix announces and equals the
+// stream's bytes at its offset, however the buffer grew or shrank before it; a
+// zero or over-maxFrame prefix is an error before the buffer grows; and a
+// stream that ends inside a prefix or a body is an error. The seeds in
+// testdata/fuzz/FuzzReadFrame are a length lie, truncation in the prefix and
+// in the body, a zero length, maxFrame+1, and two frames where the second is
+// shorter. The maxFrame seed is built here: its megabyte body has no place in
+// testdata.
+func FuzzReadFrame(f *testing.F) {
+	f.Add(appendFrame(nil, make([]byte, maxFrame)))
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		r := bytes.NewReader(stream)
+		var buf []byte
+		for off := 0; ; {
+			grown := cap(buf)
+			frame, err := readFrameReuse(r, &buf)
+			rest := stream[off:]
+			if len(rest) < 4 {
+				if err == nil {
+					t.Fatalf("offset %d: read a %d-byte frame behind a %d-byte prefix", off, len(frame), len(rest))
+				}
+				return
+			}
+			size := binary.BigEndian.Uint32(rest)
+			switch {
+			case size == 0 || size > maxFrame:
+				if err == nil {
+					t.Fatalf("offset %d: read a %d-byte frame under the length %d", off, len(frame), size)
+				}
+				if cap(buf) != grown {
+					t.Fatalf("offset %d: the length %d was refused after the buffer grew from %d to %d bytes", off, size, grown, cap(buf))
+				}
+				return
+			case uint64(size) > uint64(len(rest)-4):
+				if err == nil {
+					t.Fatalf("offset %d: read a %d-byte frame from the %d bytes left", off, size, len(rest)-4)
+				}
+				return
+			case err != nil:
+				t.Fatalf("offset %d: the %d-byte frame was refused: %v", off, size, err)
+			case !bytes.Equal(frame, rest[4:4+size]):
+				t.Fatalf("offset %d: the %d-byte frame read is %d bytes that differ from the stream's", off, size, len(frame))
+			}
+			off += 4 + int(size)
+		}
+	})
 }
 
 // TestTimerSerializedWithDeliver holds the transport to node.Env's promise

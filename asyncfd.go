@@ -63,6 +63,8 @@ type (
 	TransportConfig = tcpnet.Config
 	// Transport is one process's TCP endpoint, an Env: register the other
 	// processes with AddPeer, Close it to take the process off the network.
+	// It serializes its node's callbacks, and the node holds no lock of its
+	// own, so code outside them (Start, Stop, Suspects) runs through Do.
 	Transport = tcpnet.Transport
 )
 
@@ -78,7 +80,8 @@ const (
 
 // NewNode builds a detector node on the given environment. This is the main
 // entry point for embedding the detector: provide an Env (a Transport from
-// NewTransport, or your own implementation) and a NodeConfig, then call Start.
+// NewTransport, or your own implementation) and a NodeConfig, then call Start
+// (on a Transport, through its Do).
 func NewNode(env Env, cfg NodeConfig) (*Node, error) { return core.NewNode(env, cfg) }
 
 // NewTransport opens a process's TCP endpoint, listening on

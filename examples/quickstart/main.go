@@ -2,7 +2,8 @@
 // over loopback TCP sockets in real time, crash one, and watch the survivors
 // suspect it — no clocks, no timeouts involved in the detection logic itself.
 // The program checks itself: it exits non-zero unless p0–p2 come to suspect
-// the crashed p3 and, once settled, no survivor suspects another.
+// the crashed p3 and, once settled, no survivor suspects another. A node holds
+// no lock of its own, so main reaches each one through its transport's Do.
 package main
 
 import (
@@ -55,7 +56,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		defer node.Stop()
+		defer tr.Do(node.Stop)
 		cell.node = node
 		transports[i], nodes[i] = tr, node
 	}
@@ -66,44 +67,45 @@ func run() error {
 			}
 		}
 	}
-	for _, nd := range nodes {
-		nd.Start()
+	for i, tr := range transports {
+		tr.Do(nodes[i].Start)
 	}
 
 	fmt.Println("cluster running on loopback sockets; all processes answering queries...")
 	time.Sleep(300 * time.Millisecond)
 
 	fmt.Printf("crashing %v...\n", crashed)
-	nodes[crashed].Stop()
+	transports[crashed].Do(nodes[crashed].Stop)
 	transports[crashed].Close()
 
-	survivors := nodes[:crashed]
-	if err := await("the survivors suspect "+crashed.String(), func(nd *asyncfd.Node) bool {
-		return nd.IsSuspected(crashed)
-	}, survivors); err != nil {
+	survivors := transports[:crashed]
+	if err := await("the survivors suspect "+crashed.String(), survivors, func(i int) bool {
+		return nodes[i].IsSuspected(crashed)
+	}); err != nil {
 		return err
 	}
 	// A survivor may suspect another for a round or two; the refutation
 	// flooded in the next queries clears it.
 	time.Sleep(200 * time.Millisecond)
-	if err := await("no survivor suspects another", func(nd *asyncfd.Node) bool {
-		s := nd.Suspects()
+	if err := await("no survivor suspects another", survivors, func(i int) bool {
+		s := nodes[i].Suspects()
 		return s.Len() == 1 && s.Has(crashed)
-	}, survivors); err != nil {
+	}); err != nil {
 		return err
 	}
-	for i, nd := range survivors {
-		fmt.Printf("%v final suspects: %v\n", asyncfd.ID(i), nd.Suspects())
+	for i, tr := range survivors {
+		tr.Do(func() { fmt.Printf("%v final suspects: %v\n", asyncfd.ID(i), nodes[i].Suspects()) })
 	}
 	return nil
 }
 
-// await polls until ok holds for every node, or fails after five seconds.
-func await(what string, ok func(*asyncfd.Node) bool, nodes []*asyncfd.Node) error {
+// await polls until ok(i) holds for every process i of transports, each
+// asked through its transport's Do, or fails after five seconds.
+func await(what string, transports []*asyncfd.Transport, ok func(i int) bool) error {
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
 		all := true
-		for _, nd := range nodes {
-			all = all && ok(nd)
+		for i, tr := range transports {
+			tr.Do(func() { all = all && ok(i) })
 		}
 		if all {
 			return nil

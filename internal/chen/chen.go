@@ -54,7 +54,7 @@ func (c Config) Validate() error {
 }
 
 // Node is an NFD-E detector node: the shared runtime over the
-// expected-arrival rule. Safe for concurrent use.
+// expected-arrival rule. Its runtime serializes every call (monitor.Node).
 type Node = monitor.Node[Estimator, *Estimator]
 
 // NewNode builds an NFD-E detector on env. Its heartbeat sequence counter is

@@ -24,7 +24,6 @@ package consensus
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"asyncfd/internal/fd"
@@ -112,9 +111,10 @@ type roundState struct {
 	hasProposal bool
 }
 
-// Node is one consensus participant. Safe for concurrent use.
+// Node is one consensus participant. It holds no lock: like every node, it is
+// called only in its runtime's callback context (node.Env), and so is the
+// detector it consults.
 type Node struct {
-	mu      sync.Mutex
 	env     node.Env
 	cfg     Config
 	started bool
@@ -164,32 +164,21 @@ func (n *Node) state(round uint64) *roundState {
 // Propose starts the protocol with this process's initial value. It must be
 // called exactly once.
 func (n *Node) Propose(v Value) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.started {
 		return
 	}
 	n.started = true
 	n.est = v
 	n.ts = 0
-	n.startRoundLocked(1)
+	n.startRound(1)
 }
 
 // Decided returns the decision, if reached.
 func (n *Node) Decided() (Value, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.decision, n.decided
 }
 
-// Round returns the participant's current round (diagnostics).
-func (n *Node) Round() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.round
-}
-
-func (n *Node) startRoundLocked(r uint64) {
+func (n *Node) startRound(r uint64) {
 	if n.decided {
 		return
 	}
@@ -200,40 +189,38 @@ func (n *Node) startRoundLocked(r uint64) {
 	// Phase 1: estimate to the coordinator.
 	est := EstimateMsg{From: n.cfg.Self, Round: r, Est: n.est, TS: n.ts}
 	if c == n.cfg.Self {
-		n.handleEstimateLocked(est)
+		n.handleEstimate(est)
 	} else {
 		n.env.Send(c, est)
 	}
 
 	// Phase 3 entry: the proposal may already be buffered.
 	if st := n.state(r); st.hasProposal {
-		n.adoptLocked(r, st.proposal)
+		n.adopt(r, st.proposal)
 		return
 	}
-	n.armPollLocked(r)
+	n.armPoll(r)
 }
 
-// armPollLocked schedules the next failure-detector consultation for the
+// armPoll schedules the next failure-detector consultation for the
 // round-r coordinator wait.
-func (n *Node) armPollLocked(r uint64) {
+func (n *Node) armPoll(r uint64) {
 	n.poll = n.env.After(n.cfg.PollInterval, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
 		if n.decided || n.round != r || n.resolved {
 			return
 		}
 		if n.cfg.Detector.IsSuspected(n.coord(r)) {
 			// Phase 3, suspicion branch: give up on this coordinator.
 			n.resolved = true
-			n.startRoundLocked(r + 1)
+			n.startRound(r + 1)
 			return
 		}
-		n.armPollLocked(r)
+		n.armPoll(r)
 	})
 }
 
-// adoptLocked executes the phase-3 adoption branch for round r.
-func (n *Node) adoptLocked(r uint64, v Value) {
+// adopt executes the phase-3 adoption branch for round r.
+func (n *Node) adopt(r uint64, v Value) {
 	n.resolved = true
 	if n.poll != nil {
 		n.poll.Stop()
@@ -243,17 +230,17 @@ func (n *Node) adoptLocked(r uint64, v Value) {
 	n.ts = r
 	ack := AckMsg{From: n.cfg.Self, Round: r}
 	if c := n.coord(r); c == n.cfg.Self {
-		n.handleAckLocked(ack)
+		n.handleAck(ack)
 	} else {
 		n.env.Send(c, ack)
 	}
 	if !n.decided {
-		n.startRoundLocked(r + 1)
+		n.startRound(r + 1)
 	}
 }
 
-// handleEstimateLocked is the coordinator's phase-2 trigger.
-func (n *Node) handleEstimateLocked(m EstimateMsg) {
+// handleEstimate is the coordinator's phase-2 trigger.
+func (n *Node) handleEstimate(m EstimateMsg) {
 	st := n.state(m.Round)
 	st.estimates++
 	if !st.hasBest || m.TS > st.bestTS {
@@ -267,10 +254,10 @@ func (n *Node) handleEstimateLocked(m EstimateMsg) {
 	st.proposed = true
 	prop := ProposalMsg{From: n.cfg.Self, Round: m.Round, Est: st.bestVal}
 	n.env.Broadcast(prop)
-	n.handleProposalLocked(prop) // self-delivery
+	n.handleProposal(prop) // self-delivery
 }
 
-func (n *Node) handleProposalLocked(m ProposalMsg) {
+func (n *Node) handleProposal(m ProposalMsg) {
 	if m.From != n.coord(m.Round) {
 		return // not from the legitimate coordinator of that round
 	}
@@ -278,12 +265,12 @@ func (n *Node) handleProposalLocked(m ProposalMsg) {
 	st.proposal = m.Est
 	st.hasProposal = true
 	if n.round == m.Round && !n.resolved && !n.decided {
-		n.adoptLocked(m.Round, m.Est)
+		n.adopt(m.Round, m.Est)
 	}
 }
 
-// handleAckLocked is the coordinator's phase-4 trigger.
-func (n *Node) handleAckLocked(m AckMsg) {
+// handleAck is the coordinator's phase-4 trigger.
+func (n *Node) handleAck(m AckMsg) {
 	st := n.state(m.Round)
 	if n.coord(m.Round) != n.cfg.Self || !st.proposed {
 		return
@@ -291,11 +278,11 @@ func (n *Node) handleAckLocked(m AckMsg) {
 	st.acks++
 	if st.acks == n.majority() {
 		// The proposal is locked by a majority: decide and R-broadcast.
-		n.decideLocked(st.proposal)
+		n.decide(st.proposal)
 	}
 }
 
-func (n *Node) decideLocked(v Value) {
+func (n *Node) decide(v Value) {
 	if n.decided {
 		return
 	}
@@ -316,16 +303,14 @@ func (n *Node) decideLocked(v Value) {
 // buffered in round state and consulted when the participant reaches the
 // round.
 func (n *Node) Deliver(_ ident.ID, payload any) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	switch m := payload.(type) {
 	case EstimateMsg:
-		n.handleEstimateLocked(m)
+		n.handleEstimate(m)
 	case ProposalMsg:
-		n.handleProposalLocked(m)
+		n.handleProposal(m)
 	case AckMsg:
-		n.handleAckLocked(m)
+		n.handleAck(m)
 	case DecideMsg:
-		n.decideLocked(m.Value)
+		n.decide(m.Value)
 	}
 }

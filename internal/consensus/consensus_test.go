@@ -164,7 +164,7 @@ func (c *consensusCluster) checkAgreementValidity(t *testing.T, proposed []Value
 func (c *consensusCluster) roundsSnapshot() []uint64 {
 	out := make([]uint64, len(c.nodes))
 	for i, nd := range c.nodes {
-		out[i] = nd.Round()
+		out[i] = nd.round
 	}
 	return out
 }

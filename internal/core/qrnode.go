@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"asyncfd/internal/fd"
@@ -37,11 +36,10 @@ type NodeConfig struct {
 }
 
 // Node drives the time-free detector protocol on a runtime environment: it
-// owns the query rounds of task T1 and answers queries per task T2. Node is
-// safe for concurrent use (the live runtime delivers from multiple
-// goroutines; the simulator from one).
+// owns the query rounds of task T1 and answers queries per task T2. Node holds
+// no lock: like every node, it is called only in its runtime's callback
+// context (node.Env), which makes T1 and T2 atomic steps of one process.
 type Node struct {
-	mu  sync.Mutex
 	env node.Env   //fdlint:allow clonefields immutable wiring, set once at construction
 	cfg NodeConfig //fdlint:allow clonefields immutable config, set once at construction
 	nodeState
@@ -91,7 +89,7 @@ func NewNode(env node.Env, cfg NodeConfig) (*Node, error) {
 }
 
 // nodeObserver adapts detector events to the timestamped suspicion sink.
-// It runs with n.mu held (detector calls are always under the lock).
+// It runs inside the Node step that called the detector.
 type nodeObserver Node
 
 // FDEvent implements Observer.
@@ -110,9 +108,7 @@ func (o *nodeObserver) FDEvent(e Event) {
 
 // Start launches the first query round. It must be called exactly once.
 func (n *Node) Start() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.startRoundLocked()
+	n.startRound()
 }
 
 // Restart implements fd.Restartable. A fresh restart rebuilds the protocol
@@ -125,13 +121,11 @@ func (n *Node) Start() {
 // it above any received suspicion tag (task T2), so the restarted process
 // can still clear stale suspicions of itself.
 func (n *Node) Restart(fresh bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.pending != nil {
 		n.pending.Stop()
 		n.pending = nil
 	}
-	n.stopRequeryLocked()
+	n.stopRequery()
 	n.stopped = false
 	if fresh {
 		if n.cfg.Sink != nil {
@@ -152,7 +146,7 @@ func (n *Node) Restart(fresh bool) {
 	} else if n.det.RoundOpen() {
 		n.det.AbortRound()
 	}
-	n.startRoundLocked()
+	n.startRound()
 }
 
 // Stop halts the querying task. In-flight deliveries are still answered (a
@@ -160,59 +154,38 @@ func (n *Node) Restart(fresh bool) {
 // no longer interested in the oracle output); pass-through behavior keeps
 // shutdown of live clusters graceful.
 func (n *Node) Stop() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.stopped = true
 	if n.pending != nil {
 		n.pending.Stop()
 		n.pending = nil
 	}
-	n.stopRequeryLocked()
+	n.stopRequery()
 }
 
-func (n *Node) stopRequeryLocked() {
+func (n *Node) stopRequery() {
 	if n.requery != nil {
 		n.requery.Stop()
 		n.requery = nil
 	}
 }
 
-// Rounds returns the number of completed query rounds.
-func (n *Node) Rounds() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.rounds
-}
-
 // Suspects implements fd.Detector.
 func (n *Node) Suspects() ident.Set {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.det.Suspects()
 }
 
 // IsSuspected implements fd.Detector.
 func (n *Node) IsSuspected(id ident.ID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.det.IsSuspected(id)
 }
 
 // Known returns the current known set (membership discovered so far).
 func (n *Node) Known() ident.Set {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.det.Known()
 }
 
-// Detector exposes the underlying state machine for tests and diagnostics.
-// Callers must not mutate it while the node is running.
-func (n *Node) Detector() *Detector { return &n.det }
-
 // Snapshot implements node.Cloneable.
 func (n *Node) Snapshot() any {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	s := new(nodeState)
 	n.nodeState.copyTo(s)
 	return s
@@ -220,68 +193,58 @@ func (n *Node) Snapshot() any {
 
 // Restore implements node.Cloneable.
 func (n *Node) Restore(snap any) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	snap.(*nodeState).copyTo(&n.nodeState)
 }
 
 // Deliver implements node.Handler, dispatching task T2 (queries) and the
 // response collection of task T1.
 func (n *Node) Deliver(from ident.ID, payload any) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	switch m := payload.(type) {
 	case Query:
 		resp := n.det.HandleQuery(m)
 		n.env.Send(from, resp)
 	case Response:
 		if n.det.HandleResponse(m) {
-			n.maybeCloseRoundLocked()
+			n.maybeCloseRound()
 		}
 	}
 }
 
-func (n *Node) startRoundLocked() {
+func (n *Node) startRound() {
 	if n.stopped {
 		return
 	}
 	n.pending = nil
 	q := n.det.BeginRound()
 	n.env.Broadcast(q)
-	n.armRequeryLocked(q)
-	n.maybeCloseRoundLocked() // quorum of 1 (own response) is possible
+	n.armRequery(q)
+	n.maybeCloseRound() // quorum of 1 (own response) is possible
 }
 
-// armRequeryLocked schedules a rebroadcast of q while its quorum is unmet.
-func (n *Node) armRequeryLocked(q Query) {
+// armRequery schedules a rebroadcast of q while its quorum is unmet.
+func (n *Node) armRequery(q Query) {
 	if n.cfg.Rebroadcast <= 0 {
 		return
 	}
 	n.requery = n.env.After(n.cfg.Rebroadcast, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
 		if n.stopped || !n.det.RoundOpen() || n.det.Round() != q.Round || n.det.QuorumMet() {
 			return
 		}
 		n.env.Broadcast(q)
-		n.armRequeryLocked(q)
+		n.armRequery(q)
 	})
 }
 
-// maybeCloseRoundLocked arms the end-of-round step once the quorum is met.
-func (n *Node) maybeCloseRoundLocked() {
+// maybeCloseRound arms the end-of-round step once the quorum is met.
+func (n *Node) maybeCloseRound() {
 	if n.stopped || !n.det.RoundOpen() || !n.det.QuorumMet() || n.pending != nil {
 		return
 	}
-	n.stopRequeryLocked()
-	n.pending = n.env.After(n.cfg.Window, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		n.finishRoundLocked()
-	})
+	n.stopRequery()
+	n.pending = n.env.After(n.cfg.Window, n.finishRound)
 }
 
-func (n *Node) finishRoundLocked() {
+func (n *Node) finishRound() {
 	if n.stopped {
 		return
 	}
@@ -293,9 +256,7 @@ func (n *Node) finishRoundLocked() {
 	}
 	n.rounds++
 	n.pending = n.env.After(n.cfg.Interval, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
 		n.pending = nil
-		n.startRoundLocked()
+		n.startRound()
 	})
 }

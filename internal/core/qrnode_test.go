@@ -126,7 +126,7 @@ func TestClusterNoFalseSuspicionsWithGenerousWindow(t *testing.T) {
 		t.Errorf("recorded %d suspicion events in a crash-free generous-window run:\n%s", got, c.log)
 	}
 	for _, nd := range c.nodes {
-		if nd.Rounds() == 0 {
+		if nd.rounds == 0 {
 			t.Error("a node completed zero rounds")
 		}
 	}
@@ -180,13 +180,13 @@ func TestClusterDeterminism(t *testing.T) {
 func TestClusterStopHaltsQuerying(t *testing.T) {
 	c := newSimCluster(t, 5, 3, 1, netsim.Constant{D: time.Millisecond}, 0, 10*time.Millisecond)
 	c.run(time.Second)
-	rounds := c.nodes[0].Rounds()
+	rounds := c.nodes[0].rounds
 	if rounds == 0 {
 		t.Fatal("no rounds before Stop")
 	}
 	c.nodes[0].Stop()
 	c.run(2 * time.Second)
-	if got := c.nodes[0].Rounds(); got != rounds {
+	if got := c.nodes[0].rounds; got != rounds {
 		t.Errorf("rounds advanced after Stop: %d -> %d", rounds, got)
 	}
 	// A stopped node keeps answering queries, so others do not suspect it.
@@ -222,7 +222,7 @@ func TestTwoProcessCluster(t *testing.T) {
 	// deadlock in this degenerate configuration.
 	c := newSimCluster(t, 13, 2, 1, netsim.Constant{D: 2 * time.Millisecond}, 5*time.Millisecond, 10*time.Millisecond)
 	c.run(5 * time.Second)
-	if c.nodes[0].Rounds() == 0 || c.nodes[1].Rounds() == 0 {
+	if c.nodes[0].rounds == 0 || c.nodes[1].rounds == 0 {
 		t.Error("two-process cluster made no progress")
 	}
 }
@@ -275,7 +275,7 @@ func TestNodeRestartFreshResetsAndConverges(t *testing.T) {
 	if n := c.nodes[3].Suspects().Len(); n != 0 {
 		t.Errorf("fresh-restarted node kept %d suspicions", n)
 	}
-	if c.nodes[3].Rounds() == 0 {
+	if c.nodes[3].rounds == 0 {
 		t.Error("restarted node never completed a round")
 	}
 }
@@ -286,13 +286,13 @@ func TestNodeRestartPersistedAbandonsInFlightRound(t *testing.T) {
 	// the persisted restart without panicking BeginRound, and rounds resume.
 	var before uint64
 	c.sim.At(2*time.Second, func() { c.net.Crash(3) })
-	c.sim.At(3*time.Second, func() { before = c.nodes[3].Rounds() })
+	c.sim.At(3*time.Second, func() { before = c.nodes[3].rounds })
 	c.sim.At(4*time.Second, func() {
 		c.net.Recover(3)
 		c.nodes[3].Restart(false)
 	})
 	c.sim.RunUntil(10 * time.Second)
-	if after := c.nodes[3].Rounds(); after <= before {
+	if after := c.nodes[3].rounds; after <= before {
 		t.Errorf("rounds did not advance after persisted restart: before=%d after=%d", before, after)
 	}
 	for i, nd := range c.nodes {

@@ -19,8 +19,9 @@ import (
 )
 
 // Detector is the oracle output read by applications (e.g. consensus): the
-// set of processes currently suspected of having crashed. Implementations
-// must make these methods safe for concurrent use.
+// set of processes currently suspected of having crashed. The methods are
+// called in the runtime's callback context (node.Env), or synchronized by the
+// implementation (liveshard.Service is).
 type Detector interface {
 	// Suspects returns a snapshot of the currently suspected processes.
 	Suspects() ident.Set

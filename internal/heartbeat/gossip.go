@@ -2,7 +2,6 @@ package heartbeat
 
 import (
 	"errors"
-	"sync"
 	"time"
 
 	"asyncfd/internal/fd"
@@ -52,9 +51,9 @@ func (c GossipConfig) Validate() error {
 // it increments its own vector entry and broadcasts the vector; on reception
 // it merges entry-wise maxima. A peer is suspected when its entry stalls for
 // Θ. Works over partially connected topologies because counters propagate
-// transitively. Safe for concurrent use.
+// transitively. It holds no lock: like every node, it is called only in its
+// runtime's callback context (node.Env).
 type GossipNode struct {
-	mu  sync.Mutex
 	env node.Env     //fdlint:allow clonefields immutable wiring, set once at construction
 	cfg GossipConfig //fdlint:allow clonefields immutable config, set once at construction
 	gossipState
@@ -98,13 +97,11 @@ func NewGossipNode(env node.Env, cfg GossipConfig) (*GossipNode, error) {
 // Start begins gossiping. The start instant counts as the last sighting of
 // every process.
 func (g *GossipNode) Start() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	now := g.env.Now()
 	for i := range g.lastRise {
 		g.lastRise[i] = now
 	}
-	g.tickLocked()
+	g.tick()
 }
 
 // Restart implements fd.Restartable: gossiping resumes, and the restart
@@ -113,8 +110,6 @@ func (g *GossipNode) Start() {
 // the others' counters. Its own counter survives as an incarnation number:
 // peers merge by maximum and would discard a sender that began again at 1.
 func (g *GossipNode) Restart(fresh bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if g.beat != nil {
 		g.beat.Stop()
 	}
@@ -129,23 +124,21 @@ func (g *GossipNode) Restart(fresh bool) {
 		g.vector[i] = 0
 		if g.suspected.Has(id) {
 			g.suspected.Remove(id)
-			g.emitLocked(id, false)
+			g.emit(id, false)
 		}
 	}
-	g.tickLocked()
+	g.tick()
 }
 
 // Stop halts gossiping and suspicion checks.
 func (g *GossipNode) Stop() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	g.stopped = true
 	if g.beat != nil {
 		g.beat.Stop()
 	}
 }
 
-func (g *GossipNode) tickLocked() {
+func (g *GossipNode) tick() {
 	if g.stopped {
 		return
 	}
@@ -154,16 +147,12 @@ func (g *GossipNode) tickLocked() {
 	out := make([]uint64, len(g.vector))
 	copy(out, g.vector)
 	g.env.Broadcast(VectorMessage{From: g.cfg.Self, Vector: out})
-	g.scanLocked()
-	g.beat = g.env.After(g.cfg.Interval, func() {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		g.tickLocked()
-	})
+	g.scan()
+	g.beat = g.env.After(g.cfg.Interval, g.tick)
 }
 
-// scanLocked applies the timeout rule to every entry.
-func (g *GossipNode) scanLocked() {
+// scan applies the timeout rule to every entry.
+func (g *GossipNode) scan() {
 	now := g.env.Now()
 	for i := range g.vector {
 		id := ident.ID(i)
@@ -173,7 +162,7 @@ func (g *GossipNode) scanLocked() {
 		stale := now-g.lastRise[i] > g.cfg.Timeout
 		if stale && !g.suspected.Has(id) {
 			g.suspected.Add(id)
-			g.emitLocked(id, true)
+			g.emit(id, true)
 		}
 	}
 }
@@ -185,8 +174,6 @@ func (g *GossipNode) Deliver(_ ident.ID, payload any) {
 	if !ok {
 		return
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if g.stopped {
 		return
 	}
@@ -201,13 +188,13 @@ func (g *GossipNode) Deliver(_ ident.ID, payload any) {
 			id := ident.ID(i)
 			if g.suspected.Has(id) {
 				g.suspected.Remove(id)
-				g.emitLocked(id, false)
+				g.emit(id, false)
 			}
 		}
 	}
 }
 
-func (g *GossipNode) emitLocked(subject ident.ID, suspected bool) {
+func (g *GossipNode) emit(subject ident.ID, suspected bool) {
 	if g.cfg.Sink != nil {
 		g.cfg.Sink.OnSuspicion(g.env.Now(), g.cfg.Self, subject, suspected)
 	}
@@ -215,22 +202,16 @@ func (g *GossipNode) emitLocked(subject ident.ID, suspected bool) {
 
 // Suspects implements fd.Detector.
 func (g *GossipNode) Suspects() ident.Set {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return g.suspected.Clone()
 }
 
 // IsSuspected implements fd.Detector.
 func (g *GossipNode) IsSuspected(id ident.ID) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return g.suspected.Has(id)
 }
 
 // Snapshot implements node.Cloneable.
 func (g *GossipNode) Snapshot() any {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	s := new(gossipState)
 	g.gossipState.copyTo(s)
 	return s
@@ -238,16 +219,5 @@ func (g *GossipNode) Snapshot() any {
 
 // Restore implements node.Cloneable.
 func (g *GossipNode) Restore(snap any) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	snap.(*gossipState).copyTo(&g.gossipState)
-}
-
-// Vector returns a copy of the current heartbeat vector (tests/diagnostics).
-func (g *GossipNode) Vector() []uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]uint64, len(g.vector))
-	copy(out, g.vector)
-	return out
 }

@@ -63,7 +63,7 @@ func (c Config) Validate() error {
 }
 
 // Node is the direct all-to-all heartbeat detector: the shared runtime over
-// the fixed-timeout rule. It is safe for concurrent use.
+// the fixed-timeout rule. Its runtime serializes every call (monitor.Node).
 type Node = monitor.Node[Estimator, *Estimator]
 
 // NewNode builds a direct heartbeat detector on env. Its sequence counter

@@ -196,7 +196,7 @@ func TestGossipPropagatesAcrossHops(t *testing.T) {
 		t.Errorf("false suspicions on a stable line: \n%s", log)
 	}
 	// Node 0's counter must have reached node 4 through three hops.
-	v := nodes[4].Vector()
+	v := nodes[4].vector
 	if v[0] == 0 {
 		t.Error("heartbeat counter of node 0 never reached node 4")
 	}
@@ -257,7 +257,7 @@ func TestGossipIgnoresShortAndForeignVectors(t *testing.T) {
 	other.Send(0, VectorMessage{From: 1, Vector: []uint64{0, 1, 2, 3, 4}}) // long vector
 	other.Send(0, 42)                                                      // foreign payload
 	sim.RunUntil(time.Second)
-	v := g.Vector()
+	v := g.vector
 	if v[1] != 7 || v[2] != 2 {
 		t.Errorf("vector merge = %v, want [_,7,2]", v)
 	}

@@ -13,7 +13,6 @@
 package monitor
 
 import (
-	"sync"
 	"time"
 
 	"asyncfd/internal/fd"
@@ -84,9 +83,9 @@ type peer[R any] struct {
 	deadline  node.Timer
 }
 
-// Node is a heartbeat-family detector node. Safe for concurrent use.
+// Node is a heartbeat-family detector node. It holds no lock: like every
+// node, it is called only in its runtime's callback context (node.Env).
 type Node[R any, PR Rule[R]] struct {
-	mu   sync.Mutex
 	env  node.Env                //fdlint:allow clonefields immutable wiring, set once at construction
 	cfg  Config                  //fdlint:allow clonefields immutable config, set once at construction
 	byID node.DenseMap[*peer[R]] //fdlint:allow clonefields immutable index into recs, built at construction
@@ -147,15 +146,13 @@ func New[R any, PR Rule[R]](env node.Env, cfg Config, proto R) *Node[R, PR] {
 
 // Start begins heartbeating and monitoring.
 func (n *Node[R, PR]) Start() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	now := n.env.Now()
 	for i := range n.recs {
 		p := &n.recs[i]
-		n.armLocked(p, PR(&p.rule).Prime(now)-now)
+		n.arm(p, PR(&p.rule).Prime(now)-now)
 	}
-	n.tickLocked()
-	n.scanLocked()
+	n.tick()
+	n.scan()
 }
 
 // Restart implements fd.Restartable. With fresh state the reboot lost the
@@ -164,8 +161,6 @@ func (n *Node[R, PR]) Start() {
 // peers' heartbeats clear them. What the restart means for the estimate is
 // the rule's business.
 func (n *Node[R, PR]) Restart(fresh bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	stopTimer(n.beat)
 	stopTimer(n.poll)
 	n.stopped = false
@@ -178,18 +173,16 @@ func (n *Node[R, PR]) Restart(fresh bool) {
 		stopTimer(p.deadline)
 		if fresh && p.suspected {
 			p.suspected = false
-			n.emitLocked(p.id, false)
+			n.emit(p.id, false)
 		}
-		n.armLocked(p, PR(&p.rule).Resume(fresh, now)-now)
+		n.arm(p, PR(&p.rule).Resume(fresh, now)-now)
 	}
-	n.tickLocked()
-	n.scanLocked()
+	n.tick()
+	n.scan()
 }
 
 // Stop halts heartbeating and monitoring.
 func (n *Node[R, PR]) Stop() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.stopped = true
 	stopTimer(n.beat)
 	stopTimer(n.poll)
@@ -204,22 +197,18 @@ func stopTimer(t node.Timer) {
 	}
 }
 
-func (n *Node[R, PR]) tickLocked() {
+func (n *Node[R, PR]) tick() {
 	if n.stopped {
 		return
 	}
 	n.seq++
 	n.env.Broadcast(Message{From: n.env.Self(), Seq: n.seq})
-	n.beat = n.env.After(n.cfg.Interval, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		n.tickLocked()
-	})
+	n.beat = n.env.After(n.cfg.Interval, n.tick)
 }
 
-// scanLocked is the poll of a polled monitor. Trust comes back on a
-// heartbeat, never here: silence only grows.
-func (n *Node[R, PR]) scanLocked() {
+// scan is the poll of a polled monitor. Trust comes back on a heartbeat,
+// never here: silence only grows.
+func (n *Node[R, PR]) scan() {
 	if n.stopped || n.cfg.Poll <= 0 {
 		return
 	}
@@ -228,21 +217,17 @@ func (n *Node[R, PR]) scanLocked() {
 		p := &n.recs[i]
 		if !p.suspected && PR(&p.rule).Suspected(now) {
 			p.suspected = true
-			n.emitLocked(p.id, true)
+			n.emit(p.id, true)
 		}
 	}
-	n.poll = n.env.After(n.cfg.Poll, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		n.scanLocked()
-	})
+	n.poll = n.env.After(n.cfg.Poll, n.scan)
 }
 
-// armLocked moves p's suspicion timer to wait from now (a polled monitor
-// has none). A pending one is pushed in place, which is what every
-// heartbeat from a trusted peer does; the timer firing — at the deadline
-// itself, where the rules' own Suspected is still false — is what suspects.
-func (n *Node[R, PR]) armLocked(p *peer[R], wait time.Duration) {
+// arm moves p's suspicion timer to wait from now (a polled monitor has none).
+// A pending one is pushed in place, which is what every heartbeat from a
+// trusted peer does; the timer firing — at the deadline itself, where the
+// rules' own Suspected is still false — is what suspects.
+func (n *Node[R, PR]) arm(p *peer[R], wait time.Duration) {
 	if n.cfg.Poll > 0 {
 		return
 	}
@@ -253,13 +238,11 @@ func (n *Node[R, PR]) armLocked(p *peer[R], wait time.Duration) {
 		p.deadline.Stop()
 	}
 	p.deadline = n.env.After(wait, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
 		if n.stopped || p.suspected {
 			return
 		}
 		p.suspected = true
-		n.emitLocked(p.id, true)
+		n.emit(p.id, true)
 	})
 }
 
@@ -269,8 +252,6 @@ func (n *Node[R, PR]) Deliver(from ident.ID, payload any) {
 	if !ok {
 		return
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	p := n.byID.Get(from)
 	if p == nil || n.stopped {
 		return
@@ -282,12 +263,12 @@ func (n *Node[R, PR]) Deliver(from ident.ID, payload any) {
 	}
 	if p.suspected {
 		p.suspected = false
-		n.emitLocked(from, false)
+		n.emit(from, false)
 	}
-	n.armLocked(p, deadline-now)
+	n.arm(p, deadline-now)
 }
 
-func (n *Node[R, PR]) emitLocked(subject ident.ID, suspected bool) {
+func (n *Node[R, PR]) emit(subject ident.ID, suspected bool) {
 	if n.cfg.Sink != nil {
 		n.cfg.Sink.OnSuspicion(n.env.Now(), n.env.Self(), subject, suspected)
 	}
@@ -295,8 +276,6 @@ func (n *Node[R, PR]) emitLocked(subject ident.ID, suspected bool) {
 
 // Snapshot implements node.Cloneable.
 func (n *Node[R, PR]) Snapshot() any {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	s := new(state[R, PR])
 	n.state.copyTo(s)
 	return s
@@ -304,15 +283,11 @@ func (n *Node[R, PR]) Snapshot() any {
 
 // Restore implements node.Cloneable.
 func (n *Node[R, PR]) Restore(snap any) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	snap.(*state[R, PR]).copyTo(&n.state)
 }
 
 // Suspects implements fd.Detector.
 func (n *Node[R, PR]) Suspects() ident.Set {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	var out ident.Set
 	for i := range n.recs {
 		if n.recs[i].suspected {
@@ -324,8 +299,6 @@ func (n *Node[R, PR]) Suspects() ident.Set {
 
 // IsSuspected implements fd.Detector.
 func (n *Node[R, PR]) IsSuspected(id ident.ID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	p := n.byID.Get(id)
 	return p != nil && p.suspected
 }
@@ -334,8 +307,6 @@ func (n *Node[R, PR]) IsSuspected(id ident.ID) bool {
 // time, and reports whether id is monitored. It is how a kind exposes a
 // diagnostic of its rule (φ) without the runtime knowing it.
 func (n *Node[R, PR]) Peek(id ident.ID, fn func(rule PR, now time.Duration)) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	p := n.byID.Get(id)
 	if p == nil {
 		return false

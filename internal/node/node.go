@@ -36,7 +36,9 @@ type Timer interface {
 // arbitrary. All callbacks (scheduled functions and Deliver) are serialized
 // per process by the runtime — netsim runs them on the kernel's one
 // goroutine, tcpnet under one mutex per endpoint — so node implementations
-// need no locking for state touched only from callbacks.
+// hold no lock. Code outside the callbacks (starting, stopping or reading a
+// node) reaches it on the kernel's goroutine in simulation, or through
+// tcpnet.Transport.Do live.
 type Env interface {
 	// Self returns this process's identity.
 	Self() ident.ID

@@ -71,7 +71,7 @@ func (c Config) rule() EstimatorConfig {
 }
 
 // Node is a φ-accrual detector node: the shared runtime polling the φ rule.
-// Safe for concurrent use.
+// Its runtime serializes every call, Phi included (monitor.Node).
 type Node struct {
 	*monitor.Node[Estimator, *Estimator]
 }

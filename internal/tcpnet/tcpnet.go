@@ -3,7 +3,9 @@
 // It is the one real-time node.Env: the same core.Node that runs on the
 // simulator runs here across processes and machines (examples/quickstart),
 // and it is the socket layer under the sharded live detector service
-// (internal/liveshard, cmd/fdload).
+// (internal/liveshard, cmd/fdload). A node holds no lock of its own: the
+// transport serializes its callbacks, and code outside them reaches the node
+// through Transport.Do.
 //
 // The send path is built so that no peer can stall another: every peer has
 // its own bounded outbound queue drained by a per-connection writer
@@ -64,8 +66,9 @@ type Config struct {
 	RedialBackoff time.Duration
 	// ConcurrentDeliver skips the mutex that serializes Handler.Deliver
 	// across connections and with the callbacks scheduled by After. The
-	// node.Env contract wants per-process serialization, so leave this
-	// false for protocol nodes; set it when the handler is internally
+	// node.Env contract wants per-process serialization and the protocol
+	// nodes hold no lock of their own, so a protocol node under this option
+	// is a data race. Set it only when the handler is internally
 	// synchronized (the sharded detector service is), so one busy inbound
 	// link cannot serialize ingestion from every other link.
 	ConcurrentDeliver bool
@@ -121,7 +124,7 @@ type Transport struct {
 	inbound map[net.Conn]struct{} // accepted connections (closed on Close)
 	closed  bool
 
-	deliver sync.Mutex // serializes Handler.Deliver and timer callbacks unless ConcurrentDeliver
+	deliver sync.Mutex // serializes Do, and Handler.Deliver and timer callbacks unless ConcurrentDeliver
 
 	// dial is the dial function (swapped by tests to simulate slow or
 	// hanging networks).
@@ -231,6 +234,17 @@ func (t *Transport) Close() error {
 	t.pending.Wait()
 	t.wg.Wait()
 	return err
+}
+
+// Do runs fn under the mutex that serializes Handler.Deliver and the
+// callbacks scheduled by After. It is how code outside those callbacks (a main
+// starting, stopping or reading its node) reaches a node. It must not be
+// called from inside a callback: the mutex is not reentrant, as with Close.
+// With ConcurrentDeliver set, fn is not ordered against Deliver or timers.
+func (t *Transport) Do(fn func()) {
+	t.deliver.Lock()
+	defer t.deliver.Unlock()
+	fn()
 }
 
 func (t *Transport) acceptLoop() {

@@ -12,10 +12,13 @@ import (
 	"testing"
 	"time"
 
+	"asyncfd/internal/chen"
 	"asyncfd/internal/core"
+	"asyncfd/internal/fd"
 	"asyncfd/internal/heartbeat"
 	"asyncfd/internal/ident"
 	"asyncfd/internal/node"
+	"asyncfd/internal/phiaccrual"
 	"asyncfd/internal/wire"
 )
 
@@ -665,85 +668,117 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 	}
 }
 
-// TestFDOverTCP runs the time-free failure detector across real sockets:
-// three processes on localhost; one endpoint is torn down, the survivors
-// must suspect it and, once settled, only it.
-func TestFDOverTCP(t *testing.T) {
-	const n, f = 3, 1
-	transports := make([]*Transport, n)
-	nodes := make([]*core.Node, n)
-	cells := make([]*cell, n)
-
-	for i := 0; i < n; i++ {
-		cells[i] = &cell{}
-		tr, err := New(Config{Self: ident.ID(i), ListenAddr: "127.0.0.1:0", Handler: cells[i]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		transports[i] = tr
-	}
-	defer func() {
-		for _, tr := range transports {
-			tr.Close()
-		}
-	}()
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				transports[i].AddPeer(ident.ID(j), transports[j].Addr())
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		nd, err := core.NewNode(transports[i], core.NodeConfig{
-			Detector: core.Config{Self: ident.ID(i), N: n, F: f},
-			Window:   20 * time.Millisecond,
-			Interval: 30 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cells[i].n = nd
-		nodes[i] = nd
-	}
-	for _, nd := range nodes {
-		nd.Start()
-	}
-
-	time.Sleep(500 * time.Millisecond) // steady state across real sockets
-	for i := 0; i < 2; i++ {
-		if s := nodes[i].Suspects(); !s.Empty() {
-			t.Logf("transient suspicions at steady state on node %d: %v", i, s)
-		}
-	}
-
-	nodes[2].Stop()
-	transports[2].Close() // process 2 "crashes"
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if nodes[0].IsSuspected(2) && nodes[1].IsSuspected(2) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("survivors did not suspect the dead endpoint: p0=%v p1=%v",
-				nodes[0].Suspects(), nodes[1].Suspects())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	// A survivor may suspect another for a round or two; the refutation
-	// flooded in the next queries must clear it.
-	waitFor(t, 5*time.Second, func() bool {
-		return nodes[0].Suspects().Equal(ident.SetOf(2)) && nodes[1].Suspects().Equal(ident.SetOf(2))
-	})
-	nodes[0].Stop()
-	nodes[1].Stop()
+// fdNode is what TestFDOverTCP drives of each detector kind.
+type fdNode interface {
+	node.Handler
+	fd.Detector
+	Start()
+	Stop()
 }
 
-type cell struct{ n *core.Node }
+// asFD hands a kind's constructor result on as an fdNode.
+func asFD[N fdNode](nd N, err error) (fdNode, error) { return nd, err }
+
+// TestFDOverTCP runs every detector kind across real sockets: three processes
+// on localhost; one crashes (its node stops, then its endpoint is torn down),
+// and the survivors must suspect it and, once settled, only it. The nodes
+// hold no lock, so every Start, Stop and read goes through Transport.Do; one
+// made beside the transport's callbacks is a data race -race reports.
+func TestFDOverTCP(t *testing.T) {
+	const n, crashed = 3, ident.ID(2)
+	const interval = 30 * time.Millisecond
+	all := ident.SetOf(0, 1, 2)
+	kinds := []struct {
+		name  string
+		build func(env node.Env) (fdNode, error)
+	}{
+		{"core", func(env node.Env) (fdNode, error) {
+			return asFD(core.NewNode(env, core.NodeConfig{
+				Detector: core.Config{Self: env.Self(), N: n, F: 1},
+				Window:   20 * time.Millisecond,
+				Interval: interval,
+			}))
+		}},
+		{"heartbeat", func(env node.Env) (fdNode, error) {
+			return asFD(heartbeat.NewNode(env, heartbeat.Config{Self: env.Self(), Peers: all, Interval: interval, Timeout: 10 * interval}))
+		}},
+		{"phiaccrual", func(env node.Env) (fdNode, error) {
+			return asFD(phiaccrual.NewNode(env, phiaccrual.Config{Self: env.Self(), Peers: all, Interval: interval, MinStdDev: interval / 3}))
+		}},
+		{"chen", func(env node.Env) (fdNode, error) {
+			return asFD(chen.NewNode(env, chen.Config{Self: env.Self(), Peers: all, Interval: interval, Alpha: 5 * interval}))
+		}},
+		{"gossip", func(env node.Env) (fdNode, error) {
+			return asFD(heartbeat.NewGossipNode(env, heartbeat.GossipConfig{Self: env.Self(), N: n, Interval: interval, Timeout: 10 * interval}))
+		}},
+	}
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			transports := make([]*Transport, n)
+			nodes := make([]fdNode, n)
+			for i := range transports {
+				c := &cell{}
+				tr, err := New(Config{Self: ident.ID(i), ListenAddr: "127.0.0.1:0", Handler: c})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer tr.Close()
+				if nodes[i], err = k.build(tr); err != nil {
+					t.Fatal(err)
+				}
+				tr.Do(func() { c.h = nodes[i] })
+				transports[i] = tr
+			}
+			for i, tr := range transports {
+				for j, peer := range transports {
+					if i != j {
+						tr.AddPeer(ident.ID(j), peer.Addr())
+					}
+				}
+			}
+			for i, tr := range transports {
+				tr.Do(nodes[i].Start)
+			}
+			suspects := func(i int) (s ident.Set) {
+				transports[i].Do(func() { s = nodes[i].Suspects() })
+				return s
+			}
+			// settle waits until ok holds of both survivors' suspects.
+			settle := func(what string, timeout time.Duration, ok func(ident.Set) bool) {
+				t.Helper()
+				for deadline := time.Now().Add(timeout); !ok(suspects(0)) || !ok(suspects(1)); time.Sleep(10 * time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("not within %v: %s (p0 suspects %v, p1 %v)", timeout, what, suspects(0), suspects(1))
+					}
+				}
+			}
+
+			time.Sleep(300 * time.Millisecond) // steady state across real sockets
+			for i := range crashed {
+				if s := suspects(int(i)); !s.Empty() {
+					t.Logf("transient suspicions at steady state on p%d: %v", i, s)
+				}
+			}
+			transports[crashed].Do(nodes[crashed].Stop)
+			transports[crashed].Close()
+
+			settle("the survivors suspect the crashed endpoint", 10*time.Second, func(s ident.Set) bool { return s.Has(crashed) })
+			// A survivor may suspect another for a while (a round or two of
+			// core, a late heartbeat of a timer kind); the next query or
+			// heartbeat must clear it.
+			settle("the survivors suspect only the crashed endpoint", 5*time.Second, func(s ident.Set) bool { return s.Equal(ident.SetOf(crashed)) })
+			for i := range crashed {
+				transports[i].Do(nodes[i].Stop)
+			}
+		})
+	}
+}
+
+// cell breaks the transport↔node construction cycle.
+type cell struct{ h node.Handler }
 
 func (c *cell) Deliver(from ident.ID, payload any) {
-	if c.n != nil {
-		c.n.Deliver(from, payload)
+	if c.h != nil {
+		c.h.Deliver(from, payload)
 	}
 }

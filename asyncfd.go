@@ -21,7 +21,8 @@
 //   - internal/consensus  — an application (◇S consensus)
 //   - internal/topology   — communication graphs for the partial-connectivity extension
 //   - internal/exp        — the simulated cluster and experiment harness (tables
-//     E1–E8, A1–A2, X1–X2); exp.ClusterConfig.Graph runs the extension
+//     E1–E8, A1–A2, R1–R2, X1–X2, L1/L5 and LT); exp.ClusterConfig.Graph runs
+//     the extension
 //
 // The facade re-exports the types needed to embed the detector in an
 // application and run it over TCP; examples/quickstart uses nothing else.

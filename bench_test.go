@@ -34,11 +34,11 @@ func benchAll(b *testing.B, parallel int) {
 	var events, runs int64
 	for i := 0; i < b.N; i++ {
 		stats := &exp.EngineStats{}
-		tables, err := exp.All(exp.Options{Quick: true, Seed: int64(i + 1), Parallel: parallel, Stats: stats})
+		results, err := exp.RunResults(exp.Experiments(), exp.Options{Quick: true, Seed: int64(i + 1), Parallel: parallel, Stats: stats})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(tables) == 0 {
+		if len(results) == 0 {
 			b.Fatal("no tables")
 		}
 		events += stats.Events.Load()

@@ -207,18 +207,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// RoundResult summarizes the suspicion work done by one EndRound call.
-type RoundResult struct {
-	// Round is the query identifier that just terminated.
-	Round uint64
-	// RecFrom is the set of processes whose responses were counted
-	// (winning responses), own response included.
-	RecFrom ident.Set
-	// NewSuspicions lists the processes suspected by this round's task-T1
-	// scan, with the tags assigned to them.
-	NewSuspicions []tagset.Entry
-}
-
 // Detector is the per-process protocol state machine. It is not safe for
 // concurrent use; the driving runtime must serialize calls.
 type Detector struct {
@@ -269,15 +257,6 @@ func NewDetector(cfg Config) (*Detector, error) {
 	return d, nil
 }
 
-// Self returns this process's identity.
-func (d *Detector) Self() ident.ID { return d.self }
-
-// Config returns the configuration the detector was built with.
-func (d *Detector) Config() Config { return d.cfg }
-
-// Counter returns the current logical round counter (for tests and traces).
-func (d *Detector) Counter() tagset.Tag { return d.counter }
-
 // Round returns the identifier of the most recently begun query.
 func (d *Detector) Round() uint64 { return d.round }
 
@@ -293,15 +272,6 @@ func (d *Detector) Suspects() ident.Set { return d.suspected.IDSet() }
 
 // IsSuspected reports whether id is currently suspected.
 func (d *Detector) IsSuspected(id ident.ID) bool { return d.suspected.Has(id) }
-
-// SuspectedEntries returns the suspected set with tags, sorted by id.
-func (d *Detector) SuspectedEntries() []tagset.Entry { return d.suspected.Entries() }
-
-// MistakeEntries returns the mistake set with tags, sorted by id.
-func (d *Detector) MistakeEntries() []tagset.Entry { return d.mistake.Entries() }
-
-// Quorum returns the number of winning responses each query waits for.
-func (d *Detector) Quorum() int { return d.cfg.Quorum() }
 
 // BeginRound opens a new query (task T1 lines 5–6) and returns the QUERY
 // message to broadcast. The process's own response is accounted for
@@ -354,31 +324,22 @@ func (d *Detector) AbortRound() {
 
 // QuorumMet reports whether the current query has gathered its quorum.
 func (d *Detector) QuorumMet() bool {
-	return d.roundOpen && d.recFrom.Len() >= d.Quorum()
+	return d.roundOpen && d.recFrom.Len() >= d.cfg.Quorum()
 }
-
-// ErrQuorumNotMet is returned by EndRound when the current query has not yet
-// collected enough responses.
-var ErrQuorumNotMet = errors.New("core: quorum not met")
-
-// ErrNoOpenRound is returned by EndRound when no query is in progress.
-var ErrNoOpenRound = errors.New("core: no open round")
 
 // EndRound closes the current query and runs the suspicion scan of task T1
 // (lines 8–16): every known process whose response was not counted becomes
 // suspected, tagged with the current counter; a process whose previous
 // mistake entry is overridden first bumps the counter above the mistake's
-// tag. Finally the counter is incremented.
-func (d *Detector) EndRound() (RoundResult, error) {
-	if !d.roundOpen {
-		return RoundResult{}, ErrNoOpenRound
-	}
+// tag. Finally the counter is incremented. The query must be open and have
+// gathered its quorum (QuorumMet); EndRound panics otherwise, since in the
+// paper task T1 waits for the quorum before it scans, and the runtimes arm
+// the end of a round only once QuorumMet holds.
+func (d *Detector) EndRound() {
 	if !d.QuorumMet() {
-		return RoundResult{}, ErrQuorumNotMet
+		panic("core: EndRound called without an open round that has met its quorum")
 	}
 	d.roundOpen = false
-
-	res := RoundResult{Round: d.round, RecFrom: d.recFrom.Clone()}
 
 	// Deterministic ascending scan of known \ rec_from. Iteration order
 	// matters only for the exact tag values when several mistake entries
@@ -395,13 +356,11 @@ func (d *Detector) EndRound() (RoundResult, error) {
 			d.mistake.Remove(pj)
 		}
 		d.suspected.Add(pj, d.counter)
-		res.NewSuspicions = append(res.NewSuspicions, tagset.Entry{ID: pj, Tag: d.counter})
 		d.emit(Event{Kind: Suspect, Subject: pj, Tag: d.counter, Source: LocalDetection})
 		return true
 	})
 
 	d.counter++ // line 16
-	return res, nil
 }
 
 // HandleQuery is task T2: merge the piggybacked information and produce the
@@ -492,10 +451,4 @@ func (d *Detector) emit(e Event) {
 	if d.cfg.Observer != nil {
 		d.cfg.Observer.FDEvent(e)
 	}
-}
-
-// DebugString renders the full state for traces and test failures.
-func (d *Detector) DebugString() string {
-	return fmt.Sprintf("%v{counter=%d suspected=%v mistake=%v known=%v}",
-		d.self, uint64(d.counter), d.suspected, d.mistake, d.known)
 }

@@ -23,6 +23,12 @@ func knownCfg(self ident.ID, n, f int) Config {
 	return Config{Self: self, Membership: KnownMembership, N: n, F: f}
 }
 
+// dump renders d's whole protocol state, for comparisons and test failures.
+func dump(d *Detector) string {
+	return fmt.Sprintf("%v{counter=%d suspected=%v mistake=%v known=%v}",
+		d.self, uint64(d.counter), d.suspected, d.mistake, d.known)
+}
+
 func TestConfigValidate(t *testing.T) {
 	tests := []struct {
 		name    string
@@ -66,8 +72,8 @@ func TestQuorum(t *testing.T) {
 
 func TestInitialState(t *testing.T) {
 	d := mustDetector(t, knownCfg(1, 4, 1))
-	if d.Counter() != 0 {
-		t.Errorf("initial counter = %d, want 0", d.Counter())
+	if d.counter != 0 {
+		t.Errorf("initial counter = %d, want 0", d.counter)
 	}
 	if !d.Suspects().Empty() {
 		t.Errorf("initial suspects = %v, want empty", d.Suspects())
@@ -142,69 +148,87 @@ func TestHandleResponseFiltering(t *testing.T) {
 	}
 }
 
-func TestEndRoundErrors(t *testing.T) {
+// TestEndRoundPanicsWithoutQuorum: task T1 scans only after its quorum has
+// arrived, so EndRound refuses to run with no round open, and with a round
+// open but short of its quorum — and a refused call changes nothing.
+func TestEndRoundPanicsWithoutQuorum(t *testing.T) {
 	d := mustDetector(t, knownCfg(0, 4, 1))
-	if _, err := d.EndRound(); err != ErrNoOpenRound {
-		t.Errorf("EndRound with no round: err = %v, want ErrNoOpenRound", err)
+	mustPanic := func(when string) {
+		t.Helper()
+		before := dump(d)
+		defer func() {
+			t.Helper()
+			if recover() == nil {
+				t.Errorf("EndRound %s did not panic", when)
+			}
+			if got := dump(d); got != before {
+				t.Errorf("EndRound %s changed the state: %s, want %s", when, got, before)
+			}
+		}()
+		d.EndRound()
 	}
-	d.BeginRound()
-	if _, err := d.EndRound(); err != ErrQuorumNotMet {
-		t.Errorf("EndRound without quorum: err = %v, want ErrQuorumNotMet", err)
+	mustPanic("with no round open")
+	q := d.BeginRound()
+	d.HandleResponse(Response{From: 1, Round: q.Round}) // 2 of the quorum of 3
+	mustPanic("short of the quorum")
+	if !d.RoundOpen() {
+		t.Error("the refused EndRound closed the round")
 	}
+	d.HandleResponse(Response{From: 2, Round: q.Round})
+	d.EndRound()
+	mustPanic("after the round closed")
 }
 
 // runRound drives one full query round for d with responses from the given
 // processes (self is implicit).
-func runRound(t *testing.T, d *Detector, responders ...ident.ID) RoundResult {
+func runRound(t *testing.T, d *Detector, responders ...ident.ID) {
 	t.Helper()
 	q := d.BeginRound()
 	for _, r := range responders {
 		d.HandleResponse(Response{From: r, Round: q.Round})
 	}
-	res, err := d.EndRound()
-	if err != nil {
-		t.Fatalf("EndRound: %v (state %s)", err, d.DebugString())
+	if !d.QuorumMet() {
+		t.Fatalf("round %d short of its quorum (state %s)", q.Round, dump(d))
 	}
-	return res
+	d.EndRound()
 }
 
 func TestLocalSuspicion(t *testing.T) {
 	// n=4, f=1, quorum 3. p0 hears from p1, p2 but not p3 → suspect p3 tag 0.
 	d := mustDetector(t, knownCfg(0, 4, 1))
-	res := runRound(t, d, 1, 2)
-	if len(res.NewSuspicions) != 1 || res.NewSuspicions[0].ID != 3 || res.NewSuspicions[0].Tag != 0 {
-		t.Fatalf("NewSuspicions = %v, want [⟨p3, 0⟩]", res.NewSuspicions)
+	runRound(t, d, 1, 2)
+	if got := fmt.Sprint(d.suspected.Entries()); got != "[⟨p3, 0⟩]" {
+		t.Fatalf("suspected = %s, want [⟨p3, 0⟩]", got)
 	}
-	if !d.IsSuspected(3) {
-		t.Error("p3 not suspected")
+	if d.counter != 1 {
+		t.Errorf("counter = %d, want 1 after round", d.counter)
 	}
-	if d.Counter() != 1 {
-		t.Errorf("counter = %d, want 1 after round", d.Counter())
-	}
-	if res.RecFrom.Len() != 3 || !res.RecFrom.Has(0) {
-		t.Errorf("RecFrom = %v, want {p0,p1,p2}", res.RecFrom)
+	if !d.recFrom.Equal(ident.SetOf(0, 1, 2)) {
+		t.Errorf("recFrom = %v, want {p0,p1,p2}", d.recFrom)
 	}
 }
 
 func TestExtraResponsesReduceSuspicion(t *testing.T) {
 	// All respond (more than quorum counted before EndRound) → nobody suspected.
 	d := mustDetector(t, knownCfg(0, 4, 1))
-	res := runRound(t, d, 1, 2, 3)
-	if len(res.NewSuspicions) != 0 {
-		t.Errorf("NewSuspicions = %v, want none", res.NewSuspicions)
+	runRound(t, d, 1, 2, 3)
+	if d.suspected.Len() != 0 {
+		t.Errorf("suspected = %v, want none", d.suspected)
 	}
 }
 
 func TestRepeatedRoundsDoNotResuspend(t *testing.T) {
-	d := mustDetector(t, knownCfg(0, 4, 1))
+	obs := &recordingObserver{}
+	cfg := knownCfg(0, 4, 1)
+	cfg.Observer = obs
+	d := mustDetector(t, cfg)
 	runRound(t, d, 1, 2)
-	res := runRound(t, d, 1, 2)
-	if len(res.NewSuspicions) != 0 {
-		t.Errorf("second round re-suspected: %v", res.NewSuspicions)
+	runRound(t, d, 1, 2)
+	if len(obs.events) != 1 {
+		t.Errorf("two rounds emitted %v, want the first round's one suspicion", obs.events)
 	}
-	entries := d.SuspectedEntries()
-	if len(entries) != 1 || entries[0].Tag != 0 {
-		t.Errorf("suspected = %v, want [⟨p3, 0⟩] with original tag", entries)
+	if got := fmt.Sprint(d.suspected.Entries()); got != "[⟨p3, 0⟩]" {
+		t.Errorf("suspected = %s, want [⟨p3, 0⟩] with original tag", got)
 	}
 }
 
@@ -217,18 +241,15 @@ func TestSuspicionAfterMistakeBumpsCounter(t *testing.T) {
 	if d.IsSuspected(3) {
 		t.Fatal("mistake should not suspect")
 	}
-	res := runRound(t, d, 1, 2) // p3 silent → suspect
-	if len(res.NewSuspicions) != 1 {
-		t.Fatalf("NewSuspicions = %v", res.NewSuspicions)
+	runRound(t, d, 1, 2) // p3 silent → suspect
+	if got := fmt.Sprint(d.suspected.Entries()); got != "[⟨p3, 8⟩]" {
+		t.Errorf("suspected = %s, want [⟨p3, 8⟩] (mistake tag 7 + 1)", got)
 	}
-	if got := res.NewSuspicions[0].Tag; got != 8 {
-		t.Errorf("suspicion tag = %d, want 8 (mistake tag 7 + 1)", got)
+	if d.mistake.Len() != 0 {
+		t.Errorf("mistake set = %v, want empty after supersession", d.mistake)
 	}
-	if len(d.MistakeEntries()) != 0 {
-		t.Errorf("mistake set = %v, want empty after supersession", d.MistakeEntries())
-	}
-	if d.Counter() != 9 {
-		t.Errorf("counter = %d, want 9 (bumped to 8, then +1)", d.Counter())
+	if d.counter != 9 {
+		t.Errorf("counter = %d, want 9 (bumped to 8, then +1)", d.counter)
 	}
 }
 
@@ -268,13 +289,11 @@ func TestHandleQueryAdoptsFresherSuspicion(t *testing.T) {
 
 func mustGet(t *testing.T, d *Detector, id ident.ID) (tagset.Tag, bool) {
 	t.Helper()
-	for _, e := range d.SuspectedEntries() {
-		if e.ID == id {
-			return e.Tag, true
-		}
+	tag, ok := d.suspected.Get(id)
+	if !ok {
+		t.Fatalf("%v not suspected; state %s", id, dump(d))
 	}
-	t.Fatalf("%v not suspected; state %s", id, d.DebugString())
-	return 0, false
+	return tag, true
 }
 
 func TestSelfRefutation(t *testing.T) {
@@ -283,22 +302,22 @@ func TestSelfRefutation(t *testing.T) {
 	if d.IsSuspected(2) {
 		t.Fatal("process adopted a suspicion about itself")
 	}
-	mist := d.MistakeEntries()
+	mist := d.mistake.Entries()
 	if len(mist) != 1 || mist[0].ID != 2 || mist[0].Tag != 10 {
 		t.Fatalf("mistake = %v, want [⟨p2, 10⟩] (suspicion tag + 1)", mist)
 	}
-	if d.Counter() != 10 {
-		t.Errorf("counter = %d, want 10", d.Counter())
+	if d.counter != 10 {
+		t.Errorf("counter = %d, want 10", d.counter)
 	}
 	// A stale copy of the same suspicion must not trigger a second mistake.
 	d.HandleQuery(Query{From: 3, Suspected: []tagset.Entry{{ID: 2, Tag: 9}}})
-	mist = d.MistakeEntries()
+	mist = d.mistake.Entries()
 	if len(mist) != 1 || mist[0].Tag != 10 {
 		t.Errorf("mistake after stale re-suspicion = %v, want unchanged", mist)
 	}
 	// A fresher suspicion of self triggers a new, higher refutation.
 	d.HandleQuery(Query{From: 3, Suspected: []tagset.Entry{{ID: 2, Tag: 20}}})
-	mist = d.MistakeEntries()
+	mist = d.mistake.Entries()
 	if len(mist) != 1 || mist[0].Tag != 21 {
 		t.Errorf("mistake after fresher re-suspicion = %v, want tag 21", mist)
 	}
@@ -315,8 +334,8 @@ func TestMistakeClearsSuspicion(t *testing.T) {
 	if d.IsSuspected(3) {
 		t.Error("equal-tag mistake did not clear suspicion")
 	}
-	if len(d.MistakeEntries()) != 1 {
-		t.Errorf("mistake set = %v", d.MistakeEntries())
+	if d.mistake.Len() != 1 {
+		t.Errorf("mistake set = %v", d.mistake)
 	}
 }
 
@@ -336,8 +355,8 @@ func TestFresherSuspicionClearsMistake(t *testing.T) {
 	if !d.IsSuspected(3) {
 		t.Error("fresher suspicion not adopted over mistake")
 	}
-	if len(d.MistakeEntries()) != 0 {
-		t.Errorf("mistake set = %v, want empty (line 28)", d.MistakeEntries())
+	if d.mistake.Len() != 0 {
+		t.Errorf("mistake set = %v, want empty (line 28)", d.mistake)
 	}
 }
 
@@ -354,7 +373,7 @@ func TestPaperExampleFigure1(t *testing.T) {
 	n, f := 5, 1
 	mk := func(self ident.ID, counter tagset.Tag) *Detector {
 		d := mustDetector(t, knownCfg(self, n, f))
-		for d.Counter() < counter { // advance counter via empty full rounds
+		for d.counter < counter { // advance counter via empty full rounds
 			runRound(t, d, otherIDs(n, self)...)
 		}
 		return d
@@ -529,10 +548,6 @@ func TestStringers(t *testing.T) {
 	if r.String() != "RESPONSE(from=p1 round=2)" {
 		t.Errorf("Response.String = %q", r.String())
 	}
-	d := mustDetector(t, knownCfg(0, 3, 1))
-	if d.DebugString() == "" {
-		t.Error("DebugString empty")
-	}
 }
 
 // TestQuickInvariants fuzzes a detector with random gossip and rounds and
@@ -548,7 +563,7 @@ func TestQuickInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		prevCounter := d.Counter()
+		prevCounter := d.counter
 		for step := 0; step < 150; step++ {
 			switch r.Intn(3) {
 			case 0: // random gossip
@@ -568,23 +583,18 @@ func TestQuickInvariants(t *testing.T) {
 				}
 				q := d.BeginRound()
 				perm := r.Perm(n - 1)
-				quorumExtra := d.Quorum() - 1 + r.Intn(n-d.Quorum()+1)
+				quorum := d.cfg.Quorum()
+				quorumExtra := quorum - 1 + r.Intn(n-quorum+1)
 				for i := 0; i < quorumExtra && i < len(perm); i++ {
 					d.HandleResponse(Response{From: ident.ID(perm[i] + 1), Round: q.Round})
 				}
-				if d.QuorumMet() {
-					if _, err := d.EndRound(); err != nil {
-						return false
-					}
-				} else {
+				if !d.QuorumMet() {
 					// drain: answer with everyone to close the round
 					for i := 1; i < n; i++ {
 						d.HandleResponse(Response{From: ident.ID(i), Round: q.Round})
 					}
-					if _, err := d.EndRound(); err != nil {
-						return false
-					}
 				}
+				d.EndRound()
 			case 2: // stray responses
 				d.HandleResponse(Response{From: ident.ID(r.Intn(n)), Round: uint64(r.Intn(5))})
 			}
@@ -593,15 +603,15 @@ func TestQuickInvariants(t *testing.T) {
 				return false // invariant 2
 			}
 			susp := d.Suspects()
-			for _, e := range d.MistakeEntries() {
+			for _, e := range d.mistake.Entries() {
 				if susp.Has(e.ID) {
 					return false // invariant 1
 				}
 			}
-			if d.Counter() < prevCounter {
+			if d.counter < prevCounter {
 				return false // invariant 3
 			}
-			prevCounter = d.Counter()
+			prevCounter = d.counter
 		}
 		return true
 	}
@@ -621,9 +631,7 @@ func BenchmarkRound(b *testing.B) {
 		for j := 1; j < 32; j++ {
 			d.HandleResponse(Response{From: ident.ID(j), Round: q.Round})
 		}
-		if _, err := d.EndRound(); err != nil {
-			b.Fatal(err)
-		}
+		d.EndRound()
 	}
 }
 

@@ -85,15 +85,6 @@ func (s *mapSet) Entries() []Entry {
 	return out
 }
 
-// IDs returns the ids present, sorted ascending.
-func (s *mapSet) IDs() []ident.ID {
-	out := make([]ident.ID, 0, len(s.m))
-	for id := range s.m {
-		out = append(out, id)
-	}
-	return ident.SortIDs(out)
-}
-
 // IDSet returns the ids present as a bitset.
 func (s *mapSet) IDSet() ident.Set {
 	var out ident.Set

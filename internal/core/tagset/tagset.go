@@ -104,9 +104,6 @@ func (s *Set) Has(id ident.ID) bool { return s.present.Has(id) }
 // Len returns the number of entries.
 func (s *Set) Len() int { return s.present.Len() }
 
-// Clear removes all entries, keeping capacity.
-func (s *Set) Clear() { s.present.Clear() }
-
 // Clone returns an independent copy.
 func (s *Set) Clone() *Set {
 	return &Set{tags: slices.Clone(s.tags), present: s.present.Clone()}
@@ -122,9 +119,6 @@ func (s *Set) Entries() []Entry {
 	})
 	return out
 }
-
-// IDs returns the ids present, ascending.
-func (s *Set) IDs() []ident.ID { return s.present.IDs() }
 
 // IDSet returns the ids present as a bitset.
 func (s *Set) IDSet() ident.Set { return s.present.Clone() }

@@ -1,8 +1,9 @@
 // Package exp is the experiment harness: it wires simulated clusters of each
 // failure-detector implementation, injects faults and disturbances, and
 // regenerates every table and figure of the (reconstructed) evaluation as
-// printable data tables. One function per experiment; cmd/fdbench and the
-// root bench suite call them.
+// printable data tables. One function per experiment, listed by Experiments;
+// cmd/fdbench and the root bench suite run them through RunResults, and the
+// suite also times each one on its own.
 //
 // The engine is sharded and seed-addressed: every table cell decomposes
 // into independent (configuration, seed, horizon) jobs on a bounded worker
@@ -342,22 +343,11 @@ func (c *Cluster) setRange(id ident.ID, neighbors ident.Set) {
 	c.Net.SetNeighbors(id, neighbors)
 }
 
-// DisconnectAt separates id from a Graph cluster's network during [from, to):
-// a moving node that later reconnects at the same place. While separated it
-// sends and receives nothing (the extension's model: the node stops
-// interacting but keeps its state).
-func (c *Cluster) DisconnectAt(id ident.ID, from, to time.Duration) {
-	var saved ident.Set
-	c.Sim.At(from, func() {
-		saved = c.Net.Neighbors(id)
-		c.setRange(id, ident.Set{})
-	})
-	c.Sim.At(to, func() { c.setRange(id, saved) })
-}
-
 // RelocateAt disconnects id at time from and reattaches it at time to with a
 // brand-new neighbourhood: the full mobility scenario of the extension (the
-// node "moves to another range").
+// node "moves to another range"). While separated it sends and receives
+// nothing but keeps its state; reattaching it to its old neighbourhood is a
+// node that reconnects at the same place.
 func (c *Cluster) RelocateAt(id ident.ID, newNeighbors ident.Set, from, to time.Duration) {
 	c.Sim.At(from, func() { c.setRange(id, ident.Set{}) })
 	c.Sim.At(to, func() { c.setRange(id, newNeighbors) })

@@ -105,7 +105,7 @@ func TestDisconnectReconnectSelfCorrects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.DisconnectAt(0, 5*time.Second, 10*time.Second)
+	c.RelocateAt(0, g.Neighbors(0), 5*time.Second, 10*time.Second) // back where it was
 	c.RunUntil(60 * time.Second)
 
 	// During the absence, someone must have suspected the mover.
@@ -158,12 +158,15 @@ func TestRelocateEvictsOldRangeFromKnown(t *testing.T) {
 }
 
 func TestFCoveringGeneratedTopology(t *testing.T) {
-	// End-to-end on a generated geometric f-covering network.
-	gen, err := topology.GenerateFCovering(randSource(7), topology.GenConfig{
-		N: 25, F: 2, Width: 700, Height: 700, Range: 200,
-	})
+	// End-to-end on a generated f-covering network: the scale-free family
+	// the topology sweeps build, checked (f+1)-connected before it is used.
+	build, err := topology.Family("scale-free")
 	if err != nil {
 		t.Fatal(err)
+	}
+	gen := build(25, rand.New(rand.NewSource(7)))
+	if !gen.IsFCovering(2) {
+		t.Fatal("the generated graph is not 2-covering; pick another seed")
 	}
 	cfg := graphConfig(gen, 2)
 	c, err := NewCluster(cfg)
@@ -181,8 +184,6 @@ func TestFCoveringGeneratedTopology(t *testing.T) {
 		}
 	}
 }
-
-func randSource(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 func TestCrashRecoveryOnPartialTopology(t *testing.T) {
 	g := topology.Circulant(10, 2) // d = 5

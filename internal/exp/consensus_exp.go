@@ -55,29 +55,13 @@ type Result struct {
 	Rows []stats.Row
 }
 
-// All runs every experiment in the reconstructed evaluation, in order. With
-// a parallel Options the experiments fan out concurrently while all their
-// cell jobs share one run-wide Workers()-sized gate, so the number of live
-// simulations never exceeds the pool size. The returned slice is always in
-// presentation order, so output is identical to a serial run.
-func All(opts Options) ([]*Table, error) {
-	results, err := AllResults(opts)
-	if err != nil {
-		return nil, err
-	}
-	tables := make([]*Table, len(results))
-	for i, r := range results {
-		tables[i] = r.Table
-	}
-	return tables, nil
-}
-
-// AllResults is All with a per-experiment breakdown.
-func AllResults(opts Options) ([]Result, error) { return RunResults(Experiments(), opts) }
-
-// RunResults runs the given experiments with All's pooling and ordering and
-// returns one Result per entry, in entry order: each carries its own wall
-// time and throughput counters (also folded into opts.Stats when set).
+// RunResults runs the given experiments — RunResults(Experiments(), opts) is
+// the whole evaluation — and returns one Result per entry, in entry order:
+// each carries its own wall time and throughput counters (also folded into
+// opts.Stats when set). With a parallel Options the experiments fan out
+// concurrently while all their cell jobs share one run-wide Workers()-sized
+// gate, so the number of live simulations never exceeds the pool size; the
+// results stay in entry order, so output is identical to a serial run.
 // cmd/fdbench builds its bench JSON from this, whatever the entries' source
 // — the registry, an -exp list or scenario config files.
 func RunResults(entries []NamedExperiment, opts Options) ([]Result, error) {

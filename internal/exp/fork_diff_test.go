@@ -20,7 +20,7 @@ import (
 // (fork > 0 checkpointed, fork < 0 serial) and worker-pool size.
 func forkFingerprint(t *testing.T, fork, parallel int) string {
 	t.Helper()
-	results, err := AllResults(Options{
+	results, err := RunResults(Experiments(), Options{
 		Quick:    true,
 		Seed:     1,
 		serial:   fork < 0,
@@ -29,7 +29,7 @@ func forkFingerprint(t *testing.T, fork, parallel int) string {
 		Samples:  &stats.Collector{},
 	})
 	if err != nil {
-		t.Fatalf("AllResults(fork=%d, parallel=%d): %v", fork, parallel, err)
+		t.Fatalf("RunResults(fork=%d, parallel=%d): %v", fork, parallel, err)
 	}
 	var buf bytes.Buffer
 	for _, r := range results {

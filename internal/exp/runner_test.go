@@ -13,13 +13,13 @@ import (
 
 func renderAll(t *testing.T, opts Options) string {
 	t.Helper()
-	tables, err := All(opts)
+	results, err := RunResults(Experiments(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	for _, tbl := range tables {
-		if err := tbl.Render(&b); err != nil {
+	for _, r := range results {
+		if err := r.Table.Render(&b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -43,7 +43,7 @@ func TestParallelByteIdenticalToSerial(t *testing.T) {
 // fault-scenario sweeps specifically: crash-recovery restarts and
 // partition/heal windows run through the same seed-addressed job
 // decomposition, so their tables too must render byte-identically at any
-// worker count. (The full-sweep test above also covers them via All; this
+// worker count. (The full-sweep test above also covers them; this
 // isolates a failure to the scenario path.)
 func TestScenarioTablesByteIdenticalToSerial(t *testing.T) {
 	for _, scenario := range []struct {

@@ -105,7 +105,7 @@ func TestSeedFamilyRowShape(t *testing.T) {
 // AND forward every sample to the caller's collector.
 func TestAllResultsCarriesRows(t *testing.T) {
 	col := &stats.Collector{}
-	results, err := AllResults(Options{Quick: true, Parallel: 2, Samples: col})
+	results, err := RunResults(Experiments(), Options{Quick: true, Parallel: 2, Samples: col})
 	if err != nil {
 		t.Fatal(err)
 	}

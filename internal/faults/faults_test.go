@@ -3,6 +3,7 @@ package faults
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -107,27 +108,53 @@ func TestUniformDeterministicAcrossIdenticalSeeds(t *testing.T) {
 	}
 }
 
+// probe tells, by delivery, whether a process is up: a crashed process sends
+// nothing, so a message from it reaches the probe's own node only while it
+// is up. The links have no delay, so the message lands in the same instant.
+type probe struct {
+	sim  *des.Simulator
+	net  *netsim.Network
+	self ident.ID
+	got  []any
+}
+
+// newProbe registers the probe as process self of a zero-delay network.
+func newProbe(sim *des.Simulator, net *netsim.Network, self ident.ID) *probe {
+	p := &probe{sim: sim, net: net, self: self}
+	net.AddNode(self, node.HandlerFunc(func(_ ident.ID, payload any) { p.got = append(p.got, payload) }))
+	return p
+}
+
+// up reports whether id is up now. Call it outside the simulation's events.
+func (p *probe) up(id ident.ID) bool {
+	before := len(p.got)
+	p.net.Env(id).Send(p.self, "probe")
+	p.sim.RunUntil(p.sim.Now())
+	return len(p.got) > before
+}
+
 func TestApplyCrashStop(t *testing.T) {
 	sim := des.New(1)
 	net := netsim.New(sim, netsim.Config{Delay: netsim.Constant{}})
 	net.AddNode(0, node.HandlerFunc(func(ident.ID, any) {}))
 	net.AddNode(1, node.HandlerFunc(func(ident.ID, any) {}))
+	p := newProbe(sim, net, 2)
 
-	p := Schedule{}.CrashAt(1, 5*time.Second)
-	truth := p.Apply(sim, net)
+	s := Schedule{}.CrashAt(1, 5*time.Second)
+	truth := s.Apply(sim, net)
 
 	if at, ok := truth.CrashTime(1); !ok || at != 5*time.Second {
 		t.Errorf("truth = %v,%v", at, ok)
 	}
 	sim.RunUntil(4 * time.Second)
-	if net.Crashed(1) {
+	if !p.up(1) {
 		t.Error("crash applied early")
 	}
 	sim.RunUntil(6 * time.Second)
-	if !net.Crashed(1) {
+	if p.up(1) {
 		t.Error("crash not applied")
 	}
-	if net.Crashed(0) {
+	if !p.up(0) {
 		t.Error("wrong node crashed")
 	}
 }
@@ -137,6 +164,7 @@ func TestApplyRecoverAndHook(t *testing.T) {
 	net := netsim.New(sim, netsim.Config{Delay: netsim.Constant{}})
 	net.AddNode(0, node.HandlerFunc(func(ident.ID, any) {}))
 	net.AddNode(1, node.HandlerFunc(func(ident.ID, any) {}))
+	p := newProbe(sim, net, 2)
 
 	// Appended out of time order on purpose: Apply must sort.
 	s := Schedule{}.
@@ -149,19 +177,21 @@ func TestApplyRecoverAndHook(t *testing.T) {
 	}
 	var calls []call
 	truth := s.ApplyFunc(sim, net, func(id ident.ID, fresh bool) {
-		if net.Crashed(id) {
-			t.Error("hook ran before the network revived the process")
-		}
+		// Sent only if the network has revived id already.
+		net.Env(id).Send(p.self, "from the hook")
 		calls = append(calls, call{id, fresh, sim.Now()})
 	})
 
 	sim.RunUntil(7 * time.Second)
-	if !net.Crashed(1) {
+	if p.up(1) {
 		t.Error("crash not applied")
 	}
 	sim.RunUntil(11 * time.Second)
-	if net.Crashed(1) {
+	if !p.up(1) {
 		t.Error("recovery not applied")
+	}
+	if !slices.Contains(p.got, any("from the hook")) {
+		t.Error("hook ran before the network revived the process")
 	}
 	if len(calls) != 1 || calls[0].id != 1 || !calls[0].fresh || calls[0].at != 10*time.Second {
 		t.Errorf("hook calls = %+v", calls)
@@ -192,8 +222,5 @@ func TestApplyPartitionHealDrivesNetwork(t *testing.T) {
 	sim.RunUntil(3 * time.Second)
 	if len(got) != 2 {
 		t.Fatalf("delivered %d messages, want 2 (partition window must drop one)", len(got))
-	}
-	if net.Partitioned() {
-		t.Error("partition still active after heal")
 	}
 }

@@ -57,13 +57,3 @@ type SinkFunc func(at time.Duration, observer, subject ident.ID, suspected bool)
 func (f SinkFunc) OnSuspicion(at time.Duration, observer, subject ident.ID, suspected bool) {
 	f(at, observer, subject, suspected)
 }
-
-// MultiSink fans a transition out to several sinks.
-type MultiSink []SuspicionSink
-
-// OnSuspicion implements SuspicionSink.
-func (m MultiSink) OnSuspicion(at time.Duration, observer, subject ident.ID, suspected bool) {
-	for _, s := range m {
-		s.OnSuspicion(at, observer, subject, suspected)
-	}
-}

@@ -19,15 +19,3 @@ func TestSinkFunc(t *testing.T) {
 		t.Errorf("SinkFunc forwarded (%v, %v, %v, %v)", gotAt, gotObs, gotSubj, gotSusp)
 	}
 }
-
-func TestMultiSink(t *testing.T) {
-	count := 0
-	mk := SinkFunc(func(time.Duration, ident.ID, ident.ID, bool) { count++ })
-	m := MultiSink{mk, mk, mk}
-	m.OnSuspicion(0, 0, 1, true)
-	if count != 3 {
-		t.Errorf("MultiSink fanned out to %d sinks, want 3", count)
-	}
-	var empty MultiSink
-	empty.OnSuspicion(0, 0, 1, false) // must not panic
-}

@@ -38,9 +38,6 @@ func (e *Estimator) Suspected(now time.Duration) bool {
 	return now-e.last > e.timeout
 }
 
-// Last returns the time of the freshest sighting (diagnostics).
-func (e *Estimator) Last() time.Duration { return e.last }
-
 // Prime implements monitor.Rule: monitoring starts with a sighting at now.
 func (e *Estimator) Prime(now time.Duration) time.Duration {
 	e.last = now

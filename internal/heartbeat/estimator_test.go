@@ -26,8 +26,8 @@ func TestEstimatorOutOfOrderObserve(t *testing.T) {
 	e := NewEstimator(100*time.Millisecond, 0)
 	e.Observe(80 * time.Millisecond)
 	e.Observe(20 * time.Millisecond) // stale: must not rewind
-	if e.Last() != 80*time.Millisecond {
-		t.Errorf("Last = %v after stale Observe, want 80ms", e.Last())
+	if e.last != 80*time.Millisecond {
+		t.Errorf("last sighting = %v after stale Observe, want 80ms", e.last)
 	}
 	if e.Suspected(150 * time.Millisecond) {
 		t.Error("stale Observe rewound the silence clock")

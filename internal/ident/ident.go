@@ -146,26 +146,6 @@ func (s *Set) Union(other Set) {
 	}
 }
 
-// Intersect removes from s every element not in other.
-func (s *Set) Intersect(other Set) {
-	for i := range s.words {
-		if i < len(other.words) {
-			s.words[i] &= other.words[i]
-		} else {
-			s.words[i] = 0
-		}
-	}
-}
-
-// Subtract removes from s every element of other.
-func (s *Set) Subtract(other Set) {
-	for i := range s.words {
-		if i < len(other.words) {
-			s.words[i] &^= other.words[i]
-		}
-	}
-}
-
 // Equal reports whether both sets contain exactly the same elements.
 func (s Set) Equal(other Set) bool {
 	long, short := s.words, other.words
@@ -185,19 +165,6 @@ func (s Set) Equal(other Set) bool {
 	return true
 }
 
-// Contains reports whether every element of other is also in s.
-func (s Set) Contains(other Set) bool {
-	for i, w := range other.words {
-		if w == 0 {
-			continue
-		}
-		if i >= len(s.words) || w&^s.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // ForEach calls fn for each element in ascending order. If fn returns false
 // iteration stops.
 func (s Set) ForEach(fn func(ID) bool) {
@@ -210,16 +177,6 @@ func (s Set) ForEach(fn func(ID) bool) {
 			w &^= 1 << uint(b)
 		}
 	}
-}
-
-// IDs returns the elements in ascending order.
-func (s Set) IDs() []ID {
-	out := make([]ID, 0, s.Len())
-	s.ForEach(func(id ID) bool {
-		out = append(out, id)
-		return true
-	})
-	return out
 }
 
 // String renders the set like {p0, p3, p7}.

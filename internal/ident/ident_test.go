@@ -115,19 +115,12 @@ func TestSetOf(t *testing.T) {
 	if s.Len() != 3 {
 		t.Errorf("SetOf Len = %d, want 3 (duplicates collapse)", s.Len())
 	}
-	want := []ID{1, 4, 9}
-	got := s.IDs()
-	if len(got) != len(want) {
-		t.Fatalf("IDs = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("IDs[%d] = %v, want %v", i, got[i], want[i])
-		}
+	if got := s.String(); got != "{p1, p4, p9}" {
+		t.Errorf("SetOf(4, 1, 4, 9) = %s, want {p1, p4, p9}", got)
 	}
 }
 
-func TestSetUnionIntersectSubtract(t *testing.T) {
+func TestSetUnion(t *testing.T) {
 	a := SetOf(1, 2, 3, 70)
 	b := SetOf(3, 4, 70, 100)
 
@@ -141,26 +134,8 @@ func TestSetUnionIntersectSubtract(t *testing.T) {
 	if u.Len() != 6 {
 		t.Errorf("union Len = %d, want 6", u.Len())
 	}
-
-	i := a.Clone()
-	i.Intersect(b)
-	if i.Len() != 2 || !i.Has(3) || !i.Has(70) {
-		t.Errorf("intersect = %v, want {p3, p70}", i)
-	}
-
-	d := a.Clone()
-	d.Subtract(b)
-	if d.Len() != 2 || !d.Has(1) || !d.Has(2) {
-		t.Errorf("subtract = %v, want {p1, p2}", d)
-	}
-}
-
-func TestSetIntersectShorterOther(t *testing.T) {
-	a := SetOf(1, 200) // two words
-	b := SetOf(1)      // one word
-	a.Intersect(b)
-	if a.Len() != 1 || !a.Has(1) || a.Has(200) {
-		t.Errorf("intersect with shorter set = %v, want {p1}", a)
+	if !a.Equal(SetOf(1, 2, 3, 70)) {
+		t.Errorf("union changed its operand: %v", a)
 	}
 }
 
@@ -182,25 +157,6 @@ func TestSetEqual(t *testing.T) {
 	empty := NewSet(100)
 	if !zero.Equal(empty) || !empty.Equal(zero) {
 		t.Error("empty sets with different capacities reported unequal")
-	}
-}
-
-func TestSetContains(t *testing.T) {
-	a := SetOf(1, 2, 3, 99)
-	if !a.Contains(SetOf(1, 3)) {
-		t.Error("Contains subset = false")
-	}
-	if !a.Contains(Set{}) {
-		t.Error("Contains empty = false")
-	}
-	if a.Contains(SetOf(1, 4)) {
-		t.Error("Contains non-subset = true")
-	}
-	if (Set{}).Contains(SetOf(200)) {
-		t.Error("empty Contains {200} = true")
-	}
-	if !a.Contains(a) {
-		t.Error("Contains self = false")
 	}
 }
 
@@ -332,38 +288,20 @@ func TestQuickUnionCommutative(t *testing.T) {
 }
 
 func TestQuickDeMorgan(t *testing.T) {
-	// |A ∪ B| + |A ∩ B| == |A| + |B|
+	// |A ∪ B| + |A ∩ B| == |A| + |B|, with A ∩ B counted by Has.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a, b := SetOf(randomIDs(r)...), SetOf(randomIDs(r)...)
 		u := a.Clone()
 		u.Union(b)
-		i := a.Clone()
-		i.Intersect(b)
-		return u.Len()+i.Len() == a.Len()+b.Len()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickSubtractDisjoint(t *testing.T) {
-	// (A \ B) ∩ B == ∅ and (A \ B) ∪ (A ∩ B) == A
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a, b := SetOf(randomIDs(r)...), SetOf(randomIDs(r)...)
-		diff := a.Clone()
-		diff.Subtract(b)
-		check := diff.Clone()
-		check.Intersect(b)
-		if !check.Empty() {
-			return false
-		}
-		inter := a.Clone()
-		inter.Intersect(b)
-		recon := diff.Clone()
-		recon.Union(inter)
-		return recon.Equal(a)
+		both := 0
+		a.ForEach(func(id ID) bool {
+			if b.Has(id) {
+				both++
+			}
+			return true
+		})
+		return u.Len()+both == a.Len()+b.Len()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

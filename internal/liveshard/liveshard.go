@@ -148,9 +148,6 @@ func (s *Service) AddPeers(ids ...ident.ID) {
 	s.registered.Store(&reg)
 }
 
-// Shards returns the worker count K.
-func (s *Service) Shards() int { return len(s.shards) }
-
 // shardOf maps a peer to its owning shard: a multiplicative (Fibonacci)
 // hash spreads even dense sequential IDs uniformly across workers.
 func (s *Service) shardOf(id ident.ID) *shard {
@@ -239,6 +236,7 @@ func (s *Service) Deliver(_ ident.ID, payload any) {
 }
 
 var _ node.Handler = (*Service)(nil)
+var _ fd.Detector = (*Service)(nil)
 
 // IsSuspected reports whether peer is currently suspected.
 func (s *Service) IsSuspected(peer ident.ID) bool {

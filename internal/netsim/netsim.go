@@ -221,9 +221,6 @@ func (n *Network) Crash(id ident.ID) { n.crashed.Add(id) }
 // detector runtime's job (fd.Restartable).
 func (n *Network) Recover(id ident.ID) { n.crashed.Remove(id) }
 
-// Crashed reports whether id is currently crashed.
-func (n *Network) Crashed(id ident.ID) bool { return n.crashed.Has(id) }
-
 // SetNeighbors restricts id's outgoing traffic to the given set (used by the
 // partial-connectivity extension). It does not make links symmetric; callers
 // model radio ranges by setting both directions.
@@ -353,9 +350,6 @@ func (n *Network) Heal() bool {
 	n.partitions = n.partitions[:k-1]
 	return true
 }
-
-// Partitioned reports whether any partition is active.
-func (n *Network) Partitioned() bool { return len(n.partitions) > 0 }
 
 // Stats returns a copy of the traffic counters.
 func (n *Network) Stats() Stats { return n.stats }

@@ -103,8 +103,8 @@ func TestCrashStopsEverything(t *testing.T) {
 	if fired {
 		t.Error("crashed node's timer fired")
 	}
-	if !net.Crashed(1) || net.Crashed(0) {
-		t.Error("Crashed() bookkeeping wrong")
+	if !net.crashed.Equal(ident.SetOf(1)) {
+		t.Errorf("crashed = %v, want {p1}", net.crashed)
 	}
 }
 
@@ -138,8 +138,8 @@ func TestPartitionAndHeal(t *testing.T) {
 	sim, net, boxes, envs := newNet(t, 1, 4, Constant{})
 	// Island {0,1}; {2,3} form the implicit rest island.
 	net.Partition([]ident.ID{0, 1})
-	if !net.Partitioned() {
-		t.Error("Partitioned = false with an active partition")
+	if len(net.partitions) != 1 {
+		t.Errorf("%d partitions active, want 1", len(net.partitions))
 	}
 	envs[0].Send(1, "same-island")
 	envs[0].Send(2, "cross")
@@ -158,8 +158,8 @@ func TestPartitionAndHeal(t *testing.T) {
 	if !net.Heal() {
 		t.Error("Heal = false with an active partition")
 	}
-	if net.Partitioned() {
-		t.Error("Partitioned = true after heal")
+	if len(net.partitions) != 0 {
+		t.Errorf("%d partitions active after heal, want 0", len(net.partitions))
 	}
 	envs[0].Send(2, "healed")
 	sim.Run()
@@ -201,8 +201,8 @@ func TestRecoverRevivesProcess(t *testing.T) {
 		t.Error("crashed node received a message")
 	}
 	net.Recover(1)
-	if net.Crashed(1) {
-		t.Error("Crashed = true after Recover")
+	if net.crashed.Has(1) {
+		t.Error("p1 still crashed after Recover")
 	}
 	envs[0].Send(1, "after-recovery")
 	envs[1].Send(0, "from-recovered")

@@ -25,7 +25,6 @@ const denseLimit = 1 << 14
 type DenseMap[T comparable] struct {
 	dense  []T
 	sparse map[ident.ID]T
-	count  int
 }
 
 // Get returns the value stored for id, or T's zero value if none.
@@ -47,22 +46,8 @@ func (m *DenseMap[T]) Put(id ident.ID, v T) {
 			// array never shrinks, so what lies between len and cap is zero.
 			m.dense = slices.Grow(m.dense, i+1-len(m.dense))[:i+1]
 		}
-		if (m.dense[i] == zero) != (v == zero) {
-			if v == zero {
-				m.count--
-			} else {
-				m.count++
-			}
-		}
 		m.dense[i] = v
 		return
-	}
-	if (m.sparse[id] == zero) != (v == zero) {
-		if v == zero {
-			m.count--
-		} else {
-			m.count++
-		}
 	}
 	if v == zero {
 		delete(m.sparse, id)
@@ -72,34 +57,4 @@ func (m *DenseMap[T]) Put(id ident.ID, v T) {
 		m.sparse = make(map[ident.ID]T)
 	}
 	m.sparse[id] = v
-}
-
-// Len returns the number of present entries.
-func (m *DenseMap[T]) Len() int { return m.count }
-
-// ForEach visits every present entry in ascending ID order (deterministic,
-// unlike map iteration) until fn returns false.
-func (m *DenseMap[T]) ForEach(fn func(id ident.ID, v T) bool) {
-	var zero T
-	for i, v := range m.dense {
-		if v == zero {
-			continue
-		}
-		if !fn(ident.ID(i), v) {
-			return
-		}
-	}
-	if len(m.sparse) == 0 {
-		return
-	}
-	ids := make([]ident.ID, 0, len(m.sparse))
-	for id := range m.sparse {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		if !fn(id, m.sparse[id]) {
-			return
-		}
-	}
 }

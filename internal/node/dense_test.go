@@ -14,8 +14,8 @@ func TestDenseMapDenseAndSparse(t *testing.T) {
 	big := &box{2}
 	m.Put(3, small)
 	m.Put(denseLimit+5, big) // lands in the sparse fallback
-	if m.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", m.Len())
+	if len(m.dense) != 4 || len(m.sparse) != 1 {
+		t.Fatalf("len(dense) = %d, len(sparse) = %d, want 4 and 1", len(m.dense), len(m.sparse))
 	}
 	if m.Get(3) != small || m.Get(denseLimit+5) != big {
 		t.Fatal("Get returned wrong values")
@@ -30,47 +30,14 @@ func TestDenseMapOverwriteAndDelete(t *testing.T) {
 	a, b := &struct{}{}, &struct{}{}
 	for _, id := range []ident.ID{7, denseLimit + 1} {
 		m.Put(id, a)
-		m.Put(id, b) // overwrite must not double-count
-		if m.Len() != 1 {
-			t.Fatalf("Len after overwrite of %d = %d, want 1", id, m.Len())
-		}
+		m.Put(id, b)
 		if m.Get(id) != b {
 			t.Fatalf("Get(%d) did not see the overwrite", id)
 		}
 		m.Put(id, nil) // storing the zero value deletes
-		if m.Len() != 0 || m.Get(id) != nil {
-			t.Fatalf("Put(%d, zero) did not delete (Len=%d)", id, m.Len())
+		if m.Get(id) != nil || len(m.sparse) != 0 {
+			t.Fatalf("Put(%d, zero) did not delete (sparse %v)", id, m.sparse)
 		}
-	}
-}
-
-func TestDenseMapForEachOrderAndStop(t *testing.T) {
-	var m DenseMap[*struct{}]
-	v := &struct{}{}
-	for _, id := range []ident.ID{denseLimit + 9, 4, 0, denseLimit + 2, 17} {
-		m.Put(id, v)
-	}
-	var got []ident.ID
-	m.ForEach(func(id ident.ID, _ *struct{}) bool {
-		got = append(got, id)
-		return true
-	})
-	want := []ident.ID{0, 4, 17, denseLimit + 2, denseLimit + 9}
-	if len(got) != len(want) {
-		t.Fatalf("visited %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("visited %v, want ascending %v", got, want)
-		}
-	}
-	n := 0
-	m.ForEach(func(ident.ID, *struct{}) bool {
-		n++
-		return n < 2 // early stop
-	})
-	if n != 2 {
-		t.Fatalf("ForEach ignored early stop: visited %d", n)
 	}
 }
 
@@ -86,8 +53,8 @@ func TestDenseMapGrowsGeometrically(t *testing.T) {
 		for id := ident.ID(0); id < 4096; id++ {
 			m.Put(id, v)
 		}
-		if m.Len() != 4096 || len(m.dense) != 4096 {
-			t.Fatalf("Len = %d, len(dense) = %d, want 4096: the array ends at the highest id", m.Len(), len(m.dense))
+		if len(m.dense) != 4096 {
+			t.Fatalf("len(dense) = %d, want 4096: the array ends at the highest id", len(m.dense))
 		}
 	})
 	if allocs > 20 {

@@ -33,13 +33,6 @@ func (c *Collector) Add(cell, metric string, rep int, value float64) {
 	c.mu.Unlock()
 }
 
-// Len returns the number of samples recorded so far.
-func (c *Collector) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.samples)
-}
-
 // Samples returns a copy of the raw samples recorded so far.
 func (c *Collector) Samples() []Sample {
 	c.mu.Lock()

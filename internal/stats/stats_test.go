@@ -285,8 +285,8 @@ func TestCollectorConcurrentAdd(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		<-done
 	}
-	if c.Len() != 800 {
-		t.Fatalf("Len = %d, want 800", c.Len())
+	if got := len(c.Samples()); got != 800 {
+		t.Fatalf("%d samples, want 800", got)
 	}
 	rows := c.Rows()
 	if len(rows) != 1 || rows[0].N != 800 {

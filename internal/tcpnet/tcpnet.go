@@ -39,15 +39,14 @@ const maxFrame = 1 << 20
 // dialTimeout bounds one asynchronous dial attempt.
 const dialTimeout = time.Second
 
-// Defaults for the tunable knobs (zero values in Config).
-const (
-	// DefaultSendQueue is the per-peer bound on queued outbound frames.
-	DefaultSendQueue = 128
-	// DefaultRedialBackoff is the minimum gap between dial attempts to a
-	// peer whose last dial failed (prevents a dialing storm at every
-	// heartbeat while a peer is down).
-	DefaultRedialBackoff = 250 * time.Millisecond
-)
+// defaultRedialBackoff is the minimum gap between dial attempts to a peer
+// whose last dial failed (prevents a dialing storm at every heartbeat while a
+// peer is down).
+const defaultRedialBackoff = 250 * time.Millisecond
+
+// DefaultSendQueue is the per-peer bound on queued outbound frames (the zero
+// Config.SendQueue).
+const DefaultSendQueue = 128
 
 // Config parameterizes a transport endpoint.
 type Config struct {
@@ -61,9 +60,6 @@ type Config struct {
 	// busy or being dialed; the oldest frame is dropped on overflow
 	// (default DefaultSendQueue).
 	SendQueue int
-	// RedialBackoff is the minimum gap between dial attempts to a peer
-	// whose last dial failed (default DefaultRedialBackoff).
-	RedialBackoff time.Duration
 	// ConcurrentDeliver skips the mutex that serializes Handler.Deliver
 	// across connections and with the callbacks scheduled by After. The
 	// node.Env contract wants per-process serialization and the protocol
@@ -72,6 +68,9 @@ type Config struct {
 	// synchronized (the sharded detector service is), so one busy inbound
 	// link cannot serialize ingestion from every other link.
 	ConcurrentDeliver bool
+
+	// redialBackoff replaces defaultRedialBackoff when positive (tests).
+	redialBackoff time.Duration
 }
 
 // peerState is the connection lifecycle of one registered peer.
@@ -154,8 +153,8 @@ func New(cfg Config) (*Transport, error) {
 	if cfg.SendQueue <= 0 {
 		cfg.SendQueue = DefaultSendQueue
 	}
-	if cfg.RedialBackoff <= 0 {
-		cfg.RedialBackoff = DefaultRedialBackoff
+	if cfg.redialBackoff <= 0 {
+		cfg.redialBackoff = defaultRedialBackoff
 	}
 	ln, err := net.Listen("tcp", cfg.ListenAddr)
 	if err != nil {
@@ -369,7 +368,7 @@ func (t *Transport) enqueue(p *peer, frame []byte) {
 		}
 		p.mu.Unlock()
 	case stateIdle:
-		if !p.lastFail.IsZero() && time.Since(p.lastFail) < t.cfg.RedialBackoff {
+		if !p.lastFail.IsZero() && time.Since(p.lastFail) < t.cfg.redialBackoff {
 			p.mu.Unlock()
 			t.framesDropped.Add(1)
 			return

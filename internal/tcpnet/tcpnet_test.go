@@ -294,7 +294,7 @@ func TestSendDoesNotBlockOnDial(t *testing.T) {
 func TestRedialBackoff(t *testing.T) {
 	a, err := New(Config{
 		Self: 0, ListenAddr: "127.0.0.1:0", Handler: newCollector(),
-		RedialBackoff: time.Hour,
+		redialBackoff: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +356,7 @@ func TestCloseDuringDial(t *testing.T) {
 // out from under them (run under -race in CI).
 func TestWriteAfterDropConn(t *testing.T) {
 	colB := newCollector()
-	a, err := New(Config{Self: 0, ListenAddr: "127.0.0.1:0", Handler: newCollector(), RedialBackoff: time.Millisecond})
+	a, err := New(Config{Self: 0, ListenAddr: "127.0.0.1:0", Handler: newCollector(), redialBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

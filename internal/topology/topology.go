@@ -1,12 +1,11 @@
 // Package topology builds and checks the communication graphs used by the
-// partial-connectivity extension: geometric (radio-range) graphs, the
-// f-covering generator of the extension report, circulant graphs for
-// controlled density sweeps, and vertex-connectivity checks backing the
-// f-covering property (G must be (f+1)-connected, by Menger's theorem).
+// partial-connectivity extension: geometric (radio-range) graphs, circulant
+// graphs for controlled density sweeps, the ring/grid/scale-free/MANET
+// families of the topology sweeps, and vertex-connectivity checks backing
+// the f-covering property (G must be (f+1)-connected, by Menger's theorem).
 package topology
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -30,7 +29,6 @@ func (p Point) Dist(q Point) float64 {
 type Graph struct {
 	n   int
 	adj []ident.Set
-	pos []Point // optional geometric embedding (nil if abstract)
 }
 
 // New returns an edgeless graph on n vertices.
@@ -54,33 +52,11 @@ func (g *Graph) AddEdge(a, b ident.ID) {
 	g.adj[b].Add(a)
 }
 
-// RemoveEdge deletes the undirected edge {a, b} if present.
-func (g *Graph) RemoveEdge(a, b ident.ID) {
-	if !a.Valid() || !b.Valid() || int(a) >= g.n || int(b) >= g.n {
-		return
-	}
-	g.adj[a].Remove(b)
-	g.adj[b].Remove(a)
-}
-
-// HasEdge reports whether {a, b} is an edge.
-func (g *Graph) HasEdge(a, b ident.ID) bool {
-	return a.Valid() && int(a) < g.n && g.adj[a].Has(b)
-}
-
 // Neighbors returns a copy of a's adjacency set.
 func (g *Graph) Neighbors(a ident.ID) ident.Set { return g.adj[a].Clone() }
 
 // Degree returns the number of neighbors of a.
 func (g *Graph) Degree(a ident.ID) int { return g.adj[a].Len() }
-
-// Position returns the geometric embedding of a, if any.
-func (g *Graph) Position(a ident.ID) (Point, bool) {
-	if g.pos == nil || int(a) >= len(g.pos) {
-		return Point{}, false
-	}
-	return g.pos[a], true
-}
 
 // RangeDensity returns d: the size of the smallest range set, i.e. the
 // minimum degree plus one (the range includes the node itself).
@@ -95,44 +71,6 @@ func (g *Graph) RangeDensity() int {
 		}
 	}
 	return min + 1
-}
-
-// Connected reports whether the graph is connected.
-func (g *Graph) Connected() bool { return g.ConnectedExcluding(ident.Set{}) }
-
-// ConnectedExcluding reports whether the graph restricted to vertices not in
-// removed is connected (vacuously true when one or zero vertices remain).
-func (g *Graph) ConnectedExcluding(removed ident.Set) bool {
-	start := ident.Nil
-	remaining := 0
-	for i := 0; i < g.n; i++ {
-		if !removed.Has(ident.ID(i)) {
-			if start == ident.Nil {
-				start = ident.ID(i)
-			}
-			remaining++
-		}
-	}
-	if remaining <= 1 {
-		return true
-	}
-	visited := ident.NewSet(g.n)
-	visited.Add(start)
-	queue := []ident.ID{start}
-	seen := 1
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		g.adj[v].ForEach(func(w ident.ID) bool {
-			if !removed.Has(w) && !visited.Has(w) {
-				visited.Add(w)
-				seen++
-				queue = append(queue, w)
-			}
-			return true
-		})
-	}
-	return seen == remaining
 }
 
 // VertexConnectivityAtLeast reports whether the vertex connectivity κ(G) is
@@ -232,7 +170,6 @@ func (g *Graph) maxVertexDisjointPaths(s, t ident.ID, bound int) int {
 // nodes iff they are within transmission range r of each other.
 func Geometric(positions []Point, r float64) *Graph {
 	g := New(len(positions))
-	g.pos = append([]Point(nil), positions...)
 	for i := range positions {
 		for j := i + 1; j < len(positions); j++ {
 			if positions[i].Dist(positions[j]) <= r {
@@ -333,9 +270,8 @@ func ScaleFree(r *rand.Rand, n, m int) *Graph {
 
 // RandomGeometric builds the MANET-style random radio graph: n nodes placed
 // uniformly in a width × height region, joined when within transmission
-// range radius. Unlike GenerateFCovering it does not retry placements, so
-// the result may be disconnected — callers that need connectivity check and
-// redraw.
+// range radius. It does not retry placements, so the result may be
+// disconnected — callers that need connectivity check and redraw.
 func RandomGeometric(r *rand.Rand, n int, width, height, radius float64) *Graph {
 	positions := make([]Point, n)
 	for i := range positions {
@@ -384,69 +320,4 @@ func Family(name string) (func(n int, r *rand.Rand) *Graph, error) {
 		known[i] = f.name
 	}
 	return nil, fmt.Errorf("topology: unknown topology %q (want one of %s)", name, strings.Join(known, ", "))
-}
-
-// GenConfig parameterizes the f-covering generator.
-type GenConfig struct {
-	// N is the target node count.
-	N int
-	// F is the crash bound the covering must survive.
-	F int
-	// Width and Height bound the region (the extension report uses
-	// 700m × 700m).
-	Width, Height float64
-	// Range is the transmission radius r (the report uses 100m).
-	Range float64
-	// MaxAttempts bounds placement retries per node (default 10000).
-	MaxAttempts int
-}
-
-// GenerateFCovering reproduces the extension report's topology construction:
-// seed a clique of f+2 nodes on a circle of radius r/2 at the region center,
-// then insert nodes at random positions, accepting a position only if it has
-// at least f+1 neighbors in the current graph. The result is connected with
-// minimum degree ≥ f+1 by construction; callers that need the full
-// (f+1)-connectivity guarantee can verify with IsFCovering.
-func GenerateFCovering(r *rand.Rand, cfg GenConfig) (*Graph, error) {
-	if cfg.N < cfg.F+2 {
-		return nil, fmt.Errorf("topology: need N ≥ F+2, got N=%d F=%d", cfg.N, cfg.F)
-	}
-	if cfg.Range <= 0 || cfg.Width <= 0 || cfg.Height <= 0 {
-		return nil, errors.New("topology: Range, Width and Height must be positive")
-	}
-	maxAttempts := cfg.MaxAttempts
-	if maxAttempts == 0 {
-		maxAttempts = 10000
-	}
-	center := Point{X: cfg.Width / 2, Y: cfg.Height / 2}
-	positions := make([]Point, 0, cfg.N)
-	seed := cfg.F + 2
-	for i := 0; i < seed; i++ {
-		angle := 2 * math.Pi * float64(i) / float64(seed)
-		positions = append(positions, Point{
-			X: center.X + cfg.Range/2*math.Cos(angle),
-			Y: center.Y + cfg.Range/2*math.Sin(angle),
-		})
-	}
-	for len(positions) < cfg.N {
-		placed := false
-		for attempt := 0; attempt < maxAttempts; attempt++ {
-			p := Point{X: r.Float64() * cfg.Width, Y: r.Float64() * cfg.Height}
-			neighbors := 0
-			for _, q := range positions {
-				if p.Dist(q) <= cfg.Range {
-					neighbors++
-				}
-			}
-			if neighbors >= cfg.F+1 {
-				positions = append(positions, p)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			return nil, fmt.Errorf("topology: could not place node %d after %d attempts", len(positions), maxAttempts)
-		}
-	}
-	return Geometric(positions, cfg.Range), nil
 }

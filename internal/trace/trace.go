@@ -71,13 +71,6 @@ func (l *Log) Events() []Event {
 	return out
 }
 
-// Reset clears the log.
-func (l *Log) Reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.events = l.events[:0]
-}
-
 // Mark returns the current log length, a checkpoint for TruncateTo. The log
 // is append-only during a run, so (Mark, TruncateTo) rolls it back exactly —
 // the trace half of the simulation snapshot/fork primitive.
@@ -106,34 +99,6 @@ func (l *Log) FirstSuspicion(observer, subject ident.ID) (time.Duration, bool) {
 		}
 	}
 	return 0, false
-}
-
-// LastTransition returns the last event observer recorded about subject, or
-// ok=false if there is none.
-func (l *Log) LastTransition(observer, subject ident.ID) (Event, bool) {
-	events := l.Events()
-	for i := len(events) - 1; i >= 0; i-- {
-		e := events[i]
-		if e.Observer == observer && e.Subject == subject {
-			return e, true
-		}
-	}
-	return Event{}, false
-}
-
-// SuspectedAt replays the log and reports whether observer suspected subject
-// at time at (events at exactly at are included).
-func (l *Log) SuspectedAt(observer, subject ident.ID, at time.Duration) bool {
-	suspected := false
-	for _, e := range l.Events() {
-		if e.At > at {
-			break
-		}
-		if e.Observer == observer && e.Subject == subject {
-			suspected = e.Suspected
-		}
-	}
-	return suspected
 }
 
 // String renders the whole log, one event per line.

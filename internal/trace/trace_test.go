@@ -50,46 +50,21 @@ func TestFirstSuspicion(t *testing.T) {
 	}
 }
 
-func TestLastTransition(t *testing.T) {
-	l := sampleLog()
-	e, ok := l.LastTransition(0, 2)
-	if !ok || e.At != sec(5) || !e.Suspected {
-		t.Errorf("LastTransition = %+v,%v", e, ok)
-	}
-	if _, ok := l.LastTransition(9, 9); ok {
-		t.Error("LastTransition for absent pair = true")
-	}
-}
-
-func TestSuspectedAt(t *testing.T) {
-	l := sampleLog()
-	tests := []struct {
-		at   time.Duration
-		want bool
-	}{
-		{0, false},
-		{sec(1), true}, // inclusive
-		{sec(2), true},
-		{sec(3), false},
-		{sec(4), false},
-		{sec(5), true},
-	}
-	for _, tt := range tests {
-		if got := l.SuspectedAt(0, 2, tt.at); got != tt.want {
-			t.Errorf("SuspectedAt(p0,p2,%v) = %v, want %v", tt.at, got, tt.want)
-		}
-	}
-}
-
+// TestAppendAndReset: Append records an event as OnSuspicion does, and
+// truncating to mark 0 resets the log for reuse.
 func TestAppendAndReset(t *testing.T) {
 	l := &Log{}
 	l.Append(Event{At: sec(1), Observer: 0, Subject: 1, Suspected: true})
 	if l.Len() != 1 {
 		t.Error("Append did not record")
 	}
-	l.Reset()
+	l.TruncateTo(0)
 	if l.Len() != 0 {
-		t.Error("Reset did not clear")
+		t.Error("TruncateTo(0) did not clear")
+	}
+	l.Append(Event{At: sec(2), Observer: 1, Subject: 0})
+	if evs := l.Events(); len(evs) != 1 || evs[0].At != sec(2) {
+		t.Errorf("after reuse: %v", evs)
 	}
 }
 

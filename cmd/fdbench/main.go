@@ -27,9 +27,9 @@
 // schedule and metric set and executes on the same engine, so the tables
 // and -ci rows follow the exact conventions above — R1, R2, LT and E7 are
 // themselves such documents, embedded in internal/exp. A comma-separated
-// list reports each config in order in one combined report, which is how the
-// CI scenario gate diffs the shipped configs/ library against its committed
-// baseline. -config and -exp are mutually exclusive; -quick selects each
+// list reports each config in order in one combined report, which is how
+// BENCH_scenarios.json is written from the shipped configs/ library.
+// -config and -exp are mutually exclusive; -quick selects each
 // config's "quick" overlay when it has one. The report's experiment ids are
 // the scenarios' names.
 //
@@ -40,8 +40,7 @@
 //
 // -parallel sizes the worker pool experiment cells run on: 1 = serial
 // (default), N > 1 = that many workers, 0 or negative = one worker per CPU.
-// Tables and v2 metric rows are byte-identical whatever the pool size; only
-// wall-clock time changes.
+// Tables and the -json report are byte-identical whatever the pool size.
 //
 // -repeat R sets the seed-family size: every replicated cell runs R seeds
 // (base seed plus a fixed per-replicate stride) and tables aggregate across
@@ -49,41 +48,32 @@
 // otherwise).
 //
 // -json writes a benchmark report to FILE ("-" = stdout, suppressing the
-// tables), schema "asyncfd-bench/v2":
+// tables), schema "asyncfd-bench/v2". It holds only what the seed and the
+// flags determine, so one command writes the same bytes on any machine and
+// at any -parallel value:
 //
 //	{
 //	  "schema": "asyncfd-bench/v2",   // schema identifier, bumped on change
-//	  "go_max_procs": 8,              // runtime.GOMAXPROCS at run time
-//	  "workers": 8,                   // resolved worker-pool size
 //	  "quick": true,                  // quick-mode sweep?
 //	  "seed": 1,                      // base random seed
-//	  "repeat": 5,                    // resolved seed-family size R, always
-//	                                  // present — even when it resolves to 1
-//	  "wall_ns": 123456789,           // sweep wall-clock time, ns; rendering
-//	                                  // and IO are excluded so numbers are
-//	                                  // comparable across output modes
-//	  "events": 4210033,              // DES kernel events executed
-//	  "runs": 64,                     // independent simulations completed
-//	  "events_per_sec": 3.4e7,        // events / wall seconds
-//	  "runs_per_sec": 520.1,          // runs / wall seconds
-//	  "ns_per_run": 1922733.5,        // wall_ns / runs
-//	  "experiments": [                // per-experiment breakdown, in order;
-//	    {"id": "E1", "wall_ns": 1,    // under -parallel experiments overlap,
-//	     "events": 2, "runs": 3},     // so their wall_ns need not sum to the
-//	    ...                           // sweep total
+//	  "experiments": [                // one entry per experiment, in order
+//	    {"id": "E1",
+//	     "events": 59715,             // DES kernel events executed
+//	     "runs": 40},                 // independent simulations completed
+//	    ...
 //	  ]
 //	}
 //
 // -ci collects the per-replicate metric samples and adds, on each
 // experiment that records them, a "rows" array of per-cell per-metric
 // distribution summaries over the seed family (without -ci the report
-// carries throughput only and no "rows"):
+// carries no "rows"):
 //
-//	{"id": "E1", "wall_ns": ..., "events": ..., "runs": ...,
+//	{"id": "E1", "events": ..., "runs": ...,
 //	 "rows": [
 //	   {"cell": "n=128/async",     // table cell the family belongs to
 //	    "metric": "det_avg_ms",    // metric name; *_ms = milliseconds
-//	    "n": 5,                    // family size (seeds observed)
+//	    "n": 5,                    // family size the row comes from
 //	    "mean": 2012.4,            // sample mean
 //	    "stderr": 14.2,            // standard error of the mean
 //	    "ci95": 39.4,              // Student-t 95% CI half-width:
@@ -115,21 +105,23 @@
 // with the Student-t 95% half-width appended ("12.3ms ±0.8ms");
 // unreplicated runs render byte-identically to earlier releases.
 //
-// Committed BENCH_*.json files at the repo root track the engine's
-// trajectory across PRs: BENCH_quick_ci.json is the -quick -repeat 5 -ci
-// baseline; CI regenerates it fresh and gates the diff with cmd/benchdiff.
-// See docs/BENCHMARKS.md for the methodology and the regression rule.
+// The BENCH_*.json files at the repo root are such reports:
+// BENCH_quick_ci.json is -quick -repeat 5 -ci, BENCH_scenarios.json the
+// three configs/ documents at -quick -ci -repeat 2, and BENCH_nightly.json
+// -exp L1,L5,LT -repeat 10 -ci. A fresh run must reproduce each byte for
+// byte (TestCommittedGoldens holds the first two, the nightly workflow the
+// third); to bless an intended change, re-run the command into the
+// committed file. See docs/BENCHMARKS.md.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 	"slices"
 	"strings"
-	"time"
 
 	"asyncfd/internal/exp"
 	"asyncfd/internal/scenario"
@@ -164,37 +156,28 @@ func toMetricRows(rows []stats.Row) []metricRow {
 
 type experimentBench struct {
 	ID     string      `json:"id"`
-	WallNS int64       `json:"wall_ns"`
 	Events int64       `json:"events"`
 	Runs   int64       `json:"runs"`
 	Rows   []metricRow `json:"rows,omitempty"` // -ci only
 }
 
 type benchReport struct {
-	Schema     string `json:"schema"`
-	GoMaxProcs int    `json:"go_max_procs"`
-	Workers    int    `json:"workers"`
-	Quick      bool   `json:"quick"`
-	Seed       int64  `json:"seed"`
-	// Repeat is the resolved seed-family size R, always present.
-	Repeat       int               `json:"repeat"`
-	WallNS       int64             `json:"wall_ns"`
-	Events       int64             `json:"events"`
-	Runs         int64             `json:"runs"`
-	EventsPerSec float64           `json:"events_per_sec"`
-	RunsPerSec   float64           `json:"runs_per_sec"`
-	NSPerRun     float64           `json:"ns_per_run"`
-	Experiments  []experimentBench `json:"experiments"`
+	Schema      string            `json:"schema"`
+	Quick       bool              `json:"quick"`
+	Seed        int64             `json:"seed"`
+	Experiments []experimentBench `json:"experiments"`
 }
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "fdbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run executes one fdbench command line, writing tables (or the "-json -"
+// report) to stdout.
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("fdbench", flag.ContinueOnError)
 	expID := fs.String("exp", "all", "experiment id (E1..E8, A1, A2, R1, R2, X1, X2, L1, L5, LT), a comma-separated list, or 'all'")
 	configPath := fs.String("config", "", "scenario config file(s) to run instead of the -exp experiments (asyncfd-scenario/v1 JSON, comma-separated list allowed); mutually exclusive with -exp")
@@ -225,16 +208,6 @@ func run(args []string) error {
 	opts := exp.Options{Seed: *seed, Quick: *quickFlag, Parallel: *parallel, Repeat: *repeat}
 	if *ciFlag {
 		opts.Samples = &stats.Collector{}
-	}
-
-	jsonOnly := *jsonPath == "-"
-	report := benchReport{
-		Schema:     "asyncfd-bench/v2",
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Workers:    opts.Workers(),
-		Quick:      *quickFlag,
-		Seed:       *seed,
-		Repeat:     opts.Runs(),
 	}
 
 	// Every source yields one list of experiments, each id at most once.
@@ -282,27 +255,24 @@ func run(args []string) error {
 		}
 	}
 
-	// The run is timed before rendering, so wall_ns measures simulation
-	// work only and is identical whether tables are printed. Experiment- and
-	// cell-level fan-out share one Workers()-sized gate, so small
+	// Experiment- and cell-level fan-out share one worker gate, so small
 	// experiments overlap the big ones.
-	t0 := time.Now()
 	results, err := exp.RunResults(entries, opts)
 	if err != nil {
 		return err
 	}
-	report.WallNS = time.Since(t0).Nanoseconds()
 
+	jsonOnly := *jsonPath == "-"
+	report := benchReport{Schema: "asyncfd-bench/v2", Quick: *quickFlag, Seed: *seed}
 	for _, r := range results {
 		report.Experiments = append(report.Experiments, experimentBench{
 			ID:     r.ID,
-			WallNS: r.Wall.Nanoseconds(),
 			Events: r.Events,
 			Runs:   r.Runs,
 			Rows:   toMetricRows(r.Rows),
 		})
 		if !jsonOnly {
-			if err := r.Table.Render(os.Stdout); err != nil {
+			if err := r.Table.Render(stdout); err != nil {
 				return err
 			}
 		}
@@ -311,24 +281,13 @@ func run(args []string) error {
 	if *jsonPath == "" {
 		return nil
 	}
-	for _, e := range report.Experiments {
-		report.Events += e.Events
-		report.Runs += e.Runs
-	}
-	if secs := float64(report.WallNS) / 1e9; secs > 0 {
-		report.EventsPerSec = float64(report.Events) / secs
-		report.RunsPerSec = float64(report.Runs) / secs
-	}
-	if report.Runs > 0 {
-		report.NSPerRun = float64(report.WallNS) / float64(report.Runs)
-	}
 	out, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err
 	}
 	out = append(out, '\n')
 	if jsonOnly {
-		_, err = os.Stdout.Write(out)
+		_, err = stdout.Write(out)
 		return err
 	}
 	return os.WriteFile(*jsonPath, out, 0o644)

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,7 +29,7 @@ func TestRunErrorPaths(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			err := run(tc.args)
+			err := run(tc.args, io.Discard)
 			if err == nil {
 				t.Fatalf("run(%v) succeeded, want error containing %q", tc.args, tc.want)
 			}
@@ -35,61 +37,6 @@ func TestRunErrorPaths(t *testing.T) {
 				t.Errorf("run(%v) error = %q, want substring %q", tc.args, err, tc.want)
 			}
 		})
-	}
-}
-
-// TestV2ReportAlwaysCarriesRepeat is the regression test for the omitempty
-// bug: a -ci run whose seed family resolves to 1 (quick mode, no -repeat)
-// used to drop the documented top-level "repeat" field entirely. Every
-// report is asyncfd-bench/v2 and carries it; -ci decides only whether the
-// experiments carry rows.
-func TestV2ReportAlwaysCarriesRepeat(t *testing.T) {
-	readReport := func(args []string) map[string]any {
-		t.Helper()
-		path := filepath.Join(t.TempDir(), "bench.json")
-		if err := run(append(args, "-json", path)); err != nil {
-			t.Fatal(err)
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var doc map[string]any
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			t.Fatal(err)
-		}
-		return doc
-	}
-
-	v2 := readReport([]string{"-quick", "-exp", "E2", "-ci"})
-	if v2["schema"] != "asyncfd-bench/v2" {
-		t.Fatalf("schema = %v, want asyncfd-bench/v2", v2["schema"])
-	}
-	rep, ok := v2["repeat"]
-	if !ok {
-		t.Fatal(`v2 report with resolved family size 1 dropped the "repeat" field`)
-	}
-	if rep != float64(1) {
-		t.Errorf("repeat = %v, want 1", rep)
-	}
-
-	hasRows := func(doc map[string]any) bool {
-		rows, _ := doc["experiments"].([]any)[0].(map[string]any)["rows"].([]any)
-		return len(rows) > 0
-	}
-	if !hasRows(v2) {
-		t.Error("-ci report carries no rows")
-	}
-
-	plain := readReport([]string{"-quick", "-exp", "E2"})
-	if plain["schema"] != "asyncfd-bench/v2" {
-		t.Fatalf("schema without -ci = %v, want asyncfd-bench/v2", plain["schema"])
-	}
-	if plain["repeat"] != float64(1) {
-		t.Errorf("repeat without -ci = %v, want 1", plain["repeat"])
-	}
-	if hasRows(plain) {
-		t.Error("report without -ci carries rows")
 	}
 }
 
@@ -148,7 +95,7 @@ func TestConfigErrorPaths(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			err := run(tc.args)
+			err := run(tc.args, io.Discard)
 			if err == nil {
 				t.Fatalf("run(%v) succeeded, want error containing %q", tc.args, tc.want)
 			}
@@ -182,7 +129,7 @@ func TestConfigRunsScenario(t *testing.T) {
 func readExperiments(t *testing.T, args []string) []map[string]any {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := run(append(args, "-json", path)); err != nil {
+	if err := run(append(args, "-json", path), io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -212,4 +159,63 @@ func TestExpCommaList(t *testing.T) {
 			t.Errorf("experiment %v carries no v2 rows in list mode", e["id"])
 		}
 	}
+}
+
+// TestCommittedGoldens re-runs the commands that wrote the committed
+// BENCH_quick_ci.json and BENCH_scenarios.json and requires the same bytes:
+// any differing byte fails. The goldens are written at -parallel 0 and
+// re-run here at -parallel 1, so this also pins the report's independence
+// from the worker count. To bless an intended change, re-run the command
+// into the committed file (from the repository root):
+//
+//	go run ./cmd/fdbench -quick -repeat 5 -ci -parallel 0 -json BENCH_quick_ci.json
+//	go run ./cmd/fdbench -quick -config configs/flapping_link_train.json,configs/crash_burst_island.json,configs/e7_coordinator_restart.json -ci -repeat 2 -parallel 0 -json BENCH_scenarios.json
+func TestCommittedGoldens(t *testing.T) {
+	var configs []string
+	for _, name := range []string{"flapping_link_train", "crash_burst_island", "e7_coordinator_restart"} {
+		configs = append(configs, filepath.Join("..", "..", "configs", name+".json"))
+	}
+	for _, g := range []struct {
+		golden string
+		args   []string
+	}{
+		{"BENCH_quick_ci.json", []string{"-quick", "-repeat", "5", "-ci"}},
+		{"BENCH_scenarios.json", []string{"-quick", "-config", strings.Join(configs, ","), "-ci", "-repeat", "2"}},
+	} {
+		t.Run(g.golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("..", "..", g.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := run(append(g.args, "-parallel", "1", "-json", "-"), &got); err != nil {
+				t.Fatal(err)
+			}
+			if line, committed, fresh := firstDiff(want, got.Bytes()); line > 0 {
+				t.Errorf("%s:%d differs from a fresh run of %v\ncommitted: %s\nfresh:     %s",
+					g.golden, line, g.args, committed, fresh)
+			}
+		})
+	}
+}
+
+// firstDiff returns the 1-based number of the first line at which got
+// differs from want, with both versions of that line, or 0 when the two are
+// byte-identical.
+func firstDiff(want, got []byte) (int, string, string) {
+	if bytes.Equal(want, got) {
+		return 0, "", ""
+	}
+	w, g := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
+	line := func(lines []string, i int) string {
+		if i < len(lines) {
+			return lines[i]
+		}
+		return "(end of file)"
+	}
+	i := 0
+	for i < len(w) && i < len(g) && w[i] == g[i] {
+		i++
+	}
+	return i + 1, line(w, i), line(g, i)
 }

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"asyncfd/internal/stats"
 )
@@ -38,14 +37,11 @@ type NamedExperiment struct {
 	Fn func(Options) (*Table, error)
 }
 
-// Result is one experiment's outcome in a full sweep, with its share of the
-// engine throughput counters.
+// Result is one experiment's outcome in a full sweep, with the kernel events
+// and simulations it took.
 type Result struct {
-	ID    string
-	Table *Table
-	// Wall is the experiment's elapsed time. Under a parallel Options,
-	// experiments overlap, so Wall times need not sum to the sweep's total.
-	Wall   time.Duration
+	ID     string
+	Table  *Table
 	Events int64 // DES events this experiment executed
 	Runs   int64 // simulation kernels this experiment completed
 	// Rows holds the experiment's aggregated seed-family metric
@@ -57,10 +53,10 @@ type Result struct {
 
 // RunResults runs the given experiments — RunResults(Experiments(), opts) is
 // the whole evaluation — and returns one Result per entry, in entry order:
-// each carries its own wall time and throughput counters (also folded into
-// opts.Stats when set). With a parallel Options the experiments fan out
-// concurrently while all their cell jobs share one run-wide Workers()-sized
-// gate, so the number of live simulations never exceeds the pool size; the
+// each carries its own event and run counts (also folded into opts.Stats
+// when set). With a parallel Options the experiments fan out concurrently
+// while all their cell jobs share one run-wide workers()-sized gate, so the
+// number of live simulations never exceeds the pool size; the
 // results stay in entry order, so output is identical to a serial run.
 // cmd/fdbench builds its bench JSON from this, whatever the entries' source
 // — the registry, an -exp list or scenario config files.
@@ -84,7 +80,6 @@ func RunResults(entries []NamedExperiment, opts Options) ([]Result, error) {
 		if cols != nil {
 			eOpts.Samples = cols[i]
 		}
-		t0 := time.Now() //fdlint:allow walltime observability: wall-clock runtime reported beside results, never feeds simulation
 		tbl, err := e.Fn(eOpts)
 		if err != nil {
 			return fmt.Errorf("experiment %s: %w", e.ID, err)
@@ -92,7 +87,6 @@ func RunResults(entries []NamedExperiment, opts Options) ([]Result, error) {
 		results[i] = Result{
 			ID:     e.ID,
 			Table:  tbl,
-			Wall:   time.Since(t0), //fdlint:allow walltime observability: wall-clock runtime reported beside results, never feeds simulation
 			Events: eng.Events.Load(),
 			Runs:   eng.Runs.Load(),
 		}
@@ -112,7 +106,7 @@ func RunResults(entries []NamedExperiment, opts Options) ([]Result, error) {
 			opts.Samples.AddSamples(col.Samples())
 		}
 	}
-	if opts.Workers() <= 1 {
+	if opts.workers() <= 1 {
 		for i, e := range entries {
 			if err := runOne(i, e); err != nil {
 				return nil, err
@@ -124,7 +118,7 @@ func RunResults(entries []NamedExperiment, opts Options) ([]Result, error) {
 		return results, nil
 	}
 	if opts.gate == nil {
-		opts.gate = make(chan struct{}, opts.Workers())
+		opts.gate = make(chan struct{}, opts.workers())
 	}
 	// One goroutine per experiment; they hold no gate slots themselves, so
 	// the leaf jobs inside can always make progress (no nested-pool

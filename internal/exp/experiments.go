@@ -48,8 +48,8 @@ type Options struct {
 	// replicate's warmup. Tables and v2 rows are byte-identical either way.
 	serial bool
 	// gate, when non-nil, is the run-wide concurrency bound shared by every
-	// runJobs call (installed by All so experiment-level and cell-level
-	// fan-out together never exceed Workers() live simulations).
+	// runJobs call (installed by RunResults so experiment-level and
+	// cell-level fan-out together never exceed workers() live simulations).
 	gate chan struct{}
 }
 
@@ -69,11 +69,6 @@ func (o Options) runs() int {
 	}
 	return 3
 }
-
-// Runs reports the resolved per-cell seed-family size R (Repeat when set,
-// else 1 in Quick mode and 3 otherwise). cmd/fdbench records it in the v2
-// bench report.
-func (o Options) Runs() int { return o.runs() }
 
 // defaultDelay is the nominal asynchronous network: ~1ms one-hop average
 // with an exponential tail, mirroring the paper family's δ = 1ms setup.

@@ -15,9 +15,9 @@ import (
 	"asyncfd/internal/des"
 )
 
-// EngineStats accumulates kernel throughput counters across every
-// simulation an experiment run executes. cmd/fdbench reports them as
-// events/sec and runs/sec in its bench JSON.
+// EngineStats accumulates kernel event and run counts across every
+// simulation an experiment run executes. RunResults reports them per
+// experiment, and cmd/fdbench writes them into its bench JSON.
 type EngineStats struct {
 	Events atomic.Int64 // DES events executed
 	Runs   atomic.Int64 // independent simulation kernels completed
@@ -31,8 +31,8 @@ func (o Options) record(sim *des.Simulator) {
 	}
 }
 
-// Workers resolves Options.Parallel to a concrete pool size.
-func (o Options) Workers() int {
+// workers resolves Options.Parallel to a concrete pool size.
+func (o Options) workers() int {
 	if o.Parallel < 0 {
 		return runtime.GOMAXPROCS(0)
 	}
@@ -43,16 +43,16 @@ func (o Options) Workers() int {
 }
 
 // runJobs executes o's jobs on a bounded pool and returns the results in
-// job index order. The bound is the run's shared gate when one exists (All
-// installs a single Workers()-sized gate so concurrently fanned-out
-// experiments cannot multiply into Workers² live simulations), and a local
-// Workers()-sized pool otherwise. On failure the lowest-index error is
+// job index order. The bound is the run's shared gate when one exists
+// (RunResults installs a single workers()-sized gate so concurrently
+// fanned-out experiments cannot multiply into workers² live simulations),
+// and a local workers()-sized pool otherwise. On failure the lowest-index error is
 // returned, whatever the execution interleaving, so error reporting is as
 // deterministic as the tables. Jobs must be self-contained: each owns its
 // simulation end to end and shares no mutable state with its siblings.
 func runJobs[R any](o Options, jobs []func() (R, error)) ([]R, error) {
 	results := make([]R, len(jobs))
-	workers := o.Workers()
+	workers := o.workers()
 	if o.gate == nil && (workers <= 1 || len(jobs) <= 1) {
 		for i, job := range jobs {
 			r, err := job()

@@ -116,7 +116,7 @@ func TestRunJobsOrderAndErrors(t *testing.T) {
 }
 
 // TestSharedGateBoundsConcurrency checks that a run-wide gate caps live
-// jobs across nested fan-outs (All installs one so experiment-level times
+// jobs across nested fan-outs (RunResults installs one so experiment-level times
 // cell-level parallelism cannot exceed the pool size).
 func TestSharedGateBoundsConcurrency(t *testing.T) {
 	const bound = 2
@@ -144,7 +144,7 @@ func TestSharedGateBoundsConcurrency(t *testing.T) {
 			return 0, err
 		}
 	}
-	// Outer layer mimics All: plain goroutines holding no gate slots.
+	// Outer layer mimics RunResults: plain goroutines holding no gate slots.
 	var wg sync.WaitGroup
 	for _, job := range outer {
 		job := job
@@ -173,13 +173,13 @@ func TestEngineStatsCount(t *testing.T) {
 }
 
 func TestOptionsWorkers(t *testing.T) {
-	if (Options{}).Workers() != 1 {
+	if (Options{}).workers() != 1 {
 		t.Error("zero Parallel must mean serial")
 	}
-	if (Options{Parallel: 6}).Workers() != 6 {
+	if (Options{Parallel: 6}).workers() != 6 {
 		t.Error("explicit worker count not honored")
 	}
-	if (Options{Parallel: -1}).Workers() != runtime.GOMAXPROCS(0) {
+	if (Options{Parallel: -1}).workers() != runtime.GOMAXPROCS(0) {
 		t.Error("negative Parallel must mean GOMAXPROCS")
 	}
 }

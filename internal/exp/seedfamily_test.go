@@ -16,8 +16,8 @@ import (
 func TestRepeatControlsFamilySize(t *testing.T) {
 	var eng EngineStats
 	opts := Options{Quick: true, Repeat: 2, Stats: &eng}
-	if got := opts.Runs(); got != 2 {
-		t.Fatalf("Runs() = %d, want 2", got)
+	if got := opts.runs(); got != 2 {
+		t.Fatalf("runs() = %d, want 2", got)
 	}
 	if _, err := E1DetectionVsN(opts); err != nil {
 		t.Fatal(err)
@@ -26,7 +26,7 @@ func TestRepeatControlsFamilySize(t *testing.T) {
 	if got := eng.Runs.Load(); got != 16 {
 		t.Errorf("Runs = %d, want 16", got)
 	}
-	if (Options{Quick: true}).Runs() != 1 || (Options{}).Runs() != 3 {
+	if (Options{Quick: true}).runs() != 1 || (Options{}).runs() != 3 {
 		t.Error("Repeat=0 must keep the historical defaults (quick 1, full 3)")
 	}
 }

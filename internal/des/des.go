@@ -13,19 +13,26 @@
 // receiver.
 //
 // The kernel is built for throughput: events live in a slab recycled through
-// a free list (no per-event heap allocation in steady state), same-instant
-// bursts drain through a FIFO ready bucket, and every other event waits in
-// one binary min-heap keyed inline by (at, seq) (state.heap), so a sift
-// compares entries without reading the slab. A pending timer is re-armed in
-// place (Timer.Reset): the new key is recorded on the event and applied when
-// the old one surfaces at the heap's root, so a timeout that is pushed back
-// once per heartbeat costs the heap one sift per timeout period, not per
-// heartbeat. A broadcast is a single Fanout node: its pointer-free items,
-// recycled through a kernel-owned pool, are one sorted run of deliveries
-// whose node stays in the heap under the key of its next one, so a
-// broadcast-heavy run is a k-way merge of runs through that same heap. The
-// package's differential tests hold the kernel to a reference scheduler that
-// finds each next event by linear scan.
+// a free list (no per-event heap allocation in steady state), and an event
+// waits in one of three places. Events due at the instant they are scheduled
+// drain through a FIFO ready bucket. A timer due in a slot of the timer wheel
+// (state.wheel) that has not started yet waits in that slot's bucket, an
+// unordered list of slab indices. Everything else — messages, fan-out nodes,
+// timers due in the current slot or beyond the wheel's span, and the contents
+// of each slot as it drains — waits in one binary min-heap keyed inline by
+// (at, seq) (state.heap), so a sift compares entries without reading the
+// slab. The heap alone decides the order in which events fire: a slot is
+// drained into it before any event keyed at or after the slot's start is
+// taken. A pending timer is re-armed in place (Timer.Reset): the new key is
+// recorded on the event and applied where the old one surfaces — when its
+// wheel slot drains, the timer is filed under the new key into a later
+// bucket in O(1), so a timeout that is pushed back once per heartbeat never
+// sifts through the heap until it is about to fire. A broadcast is a single
+// Fanout node: its pointer-free items, recycled through a kernel-owned pool,
+// are one sorted run of deliveries whose node stays in the heap under the key
+// of its next one, so a broadcast-heavy run is a k-way merge of runs through
+// that same heap. The package's differential tests hold the kernel to a
+// reference scheduler that finds each next event by linear scan.
 //
 // Everything a run changes lives in one value, state; a checkpoint
 // (Snapshot/Restore, snapshot.go) is a copy of it, made by the one function
@@ -75,9 +82,10 @@ type event struct {
 	items   []fanItem
 	// newAt/newSeq is a pending re-arm (Timer.Reset): the key the timer
 	// really fires under, applied when (at, seq) — the key it is queued
-	// under, never later than the real one — surfaces at the head. newSeq
-	// is zero when there is none: a Reset always draws a later sequence
-	// number than the event's own.
+	// under, never later than the real one — surfaces: its wheel slot
+	// drains, or it reaches the heap's root or the ready bucket's head.
+	// newSeq is zero when there is none: a Reset always draws a later
+	// sequence number than the event's own.
 	newAt   time.Duration
 	newSeq  uint64
 	from    ident.ID
@@ -154,13 +162,17 @@ func (t *Timer) Stop() bool {
 }
 
 // Reset re-arms a still-pending timer to fire d from now (negative d clamps
-// to zero) with the callback it already has. It reports false, having
-// changed nothing, when the timer has run or was stopped, and when the new
-// time lies before the key the event is queued under — the heap is never
-// searched, so an event can only be pushed back; the caller then does Stop
-// and After. A true Reset fires exactly when Stop followed by After would
-// have: it draws the sequence number After would have drawn. An owner that
-// is down gets false too — the network model arms no timers for it.
+// to zero) with the callback it already has. It costs O(1): the new key is
+// recorded on the event and applied when the old one surfaces, which for a
+// timer waiting in the wheel is when its slot drains, where the timer is
+// filed into the new key's bucket without touching the heap. It reports
+// false, having changed nothing, when the timer has run or was stopped, and
+// when the new time lies before the key the event is queued under — neither
+// the wheel nor the heap is searched, so an event can only be pushed back;
+// the caller then does Stop and After. A true Reset fires exactly when Stop
+// followed by After would have: it draws the sequence number After would
+// have drawn. An owner that is down gets false too — the network model arms
+// no timers for it.
 func (t *Timer) Reset(d time.Duration) bool {
 	e := t.pending()
 	if e == nil {
@@ -179,10 +191,10 @@ func (t *Timer) Reset(d time.Duration) bool {
 // state is everything about a Simulator that a run changes — virtual clock,
 // sequence counter, the event slab (every in-flight message as data: endpoints,
 // payload and per-fan-out item storage; every timer with its pending re-arm,
-// if any), the free list, the ready bucket, the heap and the random stream
-// position — and so everything a checkpoint holds. It exists as one value so
-// that Snapshot and Restore are one copy (state.copyTo) run in the two
-// directions: a field added here is checkpointed by being here.
+// if any), the free list, the ready bucket, the timer wheel, the heap and the
+// random stream position — and so everything a checkpoint holds. It exists
+// as one value so that Snapshot and Restore are one copy (state.copyTo) run
+// in the two directions: a field added here is checkpointed by being here.
 type state struct {
 	now     time.Duration
 	seq     uint64
@@ -193,13 +205,25 @@ type state struct {
 	events []event // slab; all event storage, recycled via free
 	free   []int32 // recycled slab slots
 
+	// wheel is the timer wheel in front of the heap: wheelSlots buckets,
+	// bucket k holding, in no order, the slab indices of the timers keyed in
+	// the one absolute slot (key >> wheelShift) in [cursor,
+	// cursor+wheelSlots) that is k modulo wheelSlots. cursor is the first
+	// slot not yet drained; wheeled counts the timers in all buckets. A
+	// timer stays keyed as it was filed, however often it is re-armed, until
+	// its slot drains (drain).
+	wheel   [][]int32
+	cursor  int64
+	wheeled int
+
 	// heap is a binary min-heap, by (at, seq), of every event that was not
-	// due at the instant it was scheduled: timers, unicasts and fan-out
-	// nodes, plus re-armed timers taken from the ready bucket. Entries are
-	// keyed by the key the event is queued under, which a stopped or
-	// re-armed event keeps until it surfaces at the root. A fan-out node is
-	// a sorted run of deliveries, so it holds one entry however many
-	// deliveries remain, re-keyed at its next receiver.
+	// due at the instant it was scheduled and is not in the wheel: unicasts,
+	// fan-out nodes, timers due in the current slot or beyond the wheel's
+	// span, and the timers of each slot the wheel drains. Entries are keyed
+	// by the key the event is queued under, which a stopped or re-armed
+	// event keeps until it surfaces at the root. A fan-out node is a sorted
+	// run of deliveries, so it holds one entry however many deliveries
+	// remain, re-keyed at its next receiver.
 	heap []entry
 
 	// fifo is the ready bucket: events scheduled for the current instant,
@@ -222,6 +246,10 @@ type Simulator struct {
 	// steady-state broadcasts reuse storage instead of allocating.
 	//fdlint:allow clonefields recycling pool: spare capacity only, never semantics
 	itemFree [][]fanItem
+	// bucketFree recycles the storage of drained wheel buckets, so that a
+	// bucket filled afresh reuses what a drained one grew.
+	//fdlint:allow clonefields recycling pool: spare capacity only, never semantics
+	bucketFree [][]int32
 	// keys and radix are Fanout's sort scratch.
 	//fdlint:allow clonefields scratch buffer; contents are dead between Fanout calls
 	keys []uint64
@@ -233,6 +261,7 @@ type Simulator struct {
 // reproducible from the seed alone.
 func New(seed int64) *Simulator {
 	s := &Simulator{}
+	s.wheel = make([][]int32, wheelSlots)
 	s.stream = countingSource{gen: rand.NewSource(seed).(rand.Source64), seed: seed}
 	s.rng = rand.New(&s.stream)
 	return s
@@ -258,9 +287,10 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 // Steps returns the number of events executed so far.
 func (s *Simulator) Steps() uint64 { return s.stepped }
 
-// Pending returns the number of callbacks and deliveries currently scheduled
-// (including stopped-but-unreclaimed timers). A timer counts once however
-// often it has been Reset.
+// Pending returns the number of callbacks and deliveries currently scheduled,
+// including stopped timers not yet reclaimed: a stopped timer is reclaimed
+// when its wheel slot drains, or when it reaches the heap's root or the
+// ready bucket's head. A timer counts once however often it has been Reset.
 func (s *Simulator) Pending() int { return s.pending }
 
 // alloc takes a slab slot from the free list, growing the slab when empty.
@@ -310,7 +340,7 @@ func (s *Simulator) clampAt(d time.Duration) time.Duration {
 
 // schedule gives slab slot i, already filled in, its key — fire time at and
 // the next n sequence numbers — and queues it: in the ready bucket if it is
-// due now, else in the heap.
+// due now, else in the wheel or the heap.
 func (s *Simulator) schedule(i int32, at time.Duration, n int) {
 	e := &s.events[i]
 	e.at, e.seq = at, s.seq
@@ -319,7 +349,81 @@ func (s *Simulator) schedule(i int32, at time.Duration, n int) {
 	if at == s.now {
 		s.fifo = append(s.fifo, i) // seq is monotonic, so fifo stays sorted
 	} else {
-		s.push(i)
+		s.enqueue(i)
+	}
+}
+
+const (
+	// wheelShift and wheelSlots shape the timer wheel: slots of 2²² ns
+	// (about 4.2 ms), 1024 of them, a span of about 4.3 s. The timers the
+	// workloads arm run from 100 ms windows to 2 s timeouts, so they fall
+	// inside the span, and a timeout pushed back once per heartbeat spends
+	// all but the last slot of its period in a bucket, where each re-arm is
+	// applied in O(1). A slot is short next to those periods, so what the
+	// heap holds of them is about one slot's worth. A timer keyed beyond the
+	// span still goes to the heap.
+	wheelShift = 22
+	wheelSlots = 1 << 10
+)
+
+// enqueue queues event i, keyed and not due now: a timer keyed in a wheel
+// slot that has not been drained, within the span, waits in its bucket;
+// every other event goes into the heap.
+func (s *Simulator) enqueue(i int32) {
+	e := &s.events[i]
+	if e.kind == evTimer {
+		if s.wheeled == 0 {
+			// An empty wheel moves on to the first slot that has not
+			// started, however long the clock ran without it.
+			s.cursor = max(s.cursor, int64(s.now>>wheelShift)+1)
+		}
+		if a := int64(e.at >> wheelShift); a >= s.cursor && a < s.cursor+wheelSlots {
+			b := &s.wheel[a&(wheelSlots-1)]
+			if *b == nil {
+				*b = takeBucket(&s.bucketFree)
+			}
+			*b = append(*b, i)
+			s.wheeled++
+			return
+		}
+	}
+	s.push(i)
+}
+
+// takeBucket pops spare bucket storage from pool; nil when it has none.
+func takeBucket(pool *[][]int32) []int32 {
+	k := len(*pool)
+	if k == 0 {
+		return nil
+	}
+	b := (*pool)[k-1]
+	*pool = (*pool)[:k-1]
+	return b
+}
+
+// drain empties the wheel's first undrained slot and moves the cursor past
+// it. Each timer is disposed of as at any other head (requeue) — a stopped
+// one reclaimed, a re-armed one filed under its new key, into a later bucket
+// while that lies in the span — and any other is pushed into the heap. A
+// timer re-armed into this same bucket, one rotation on, is appended to the
+// bucket being read, over entries already read. A bucket left empty gives its
+// storage to the pool.
+func (s *Simulator) drain() {
+	k := s.cursor & (wheelSlots - 1)
+	s.cursor++
+	b := s.wheel[k]
+	s.wheel[k] = b[:0]
+	s.wheeled -= len(b)
+	for _, i := range b {
+		if s.events[i].live() {
+			s.push(i)
+		} else {
+			s.requeue(i)
+		}
+	}
+	if len(s.wheel[k]) == 0 && b != nil {
+		s.bucketFree = append(s.bucketFree, b[:0])
+		s.wheel[k] = nil
 	}
 }
 
@@ -537,51 +641,61 @@ func (s *Simulator) fifoPop() int32 {
 // it is neither stopped nor waiting to be re-keyed.
 func (e *event) live() bool { return !e.stopped && e.newSeq == 0 }
 
-// requeue disposes of timer i, which is not live: the head of the ready
-// bucket, just popped from it, or the heap's root (root is true), still in
-// place. A stopped event is reclaimed. A re-armed one takes the key it
-// really fires under — never earlier than the one it was queued under, so at
-// the root it sifts down in place — and goes into the heap, never back into
-// the ready bucket: its new sequence number may be smaller than ones already
-// waiting there.
-func (s *Simulator) requeue(i int32, root bool) {
+// requeue disposes of timer i, which is not live and was just taken from
+// where it surfaced: the ready bucket's head, the heap's root or a draining
+// wheel slot. A stopped event is reclaimed. A re-armed one takes the key it
+// really fires under, never earlier than the one it was queued under, and is
+// queued again in the wheel or the heap — never back into the ready bucket:
+// its new sequence number may be smaller than ones already waiting there.
+func (s *Simulator) requeue(i int32) {
 	e := &s.events[i]
 	if e.stopped {
-		if root {
-			s.pop()
-		}
 		s.pending--
 		s.release(i)
 		return
 	}
 	e.at, e.seq = e.newAt, e.newSeq
 	e.newAt, e.newSeq = 0, 0
-	if root {
-		s.down(entry{at: e.at, seq: e.seq, i: i})
-	} else {
-		s.push(i)
-	}
+	s.enqueue(i)
 }
 
 // popDue returns the live event with the smallest (at, seq) key if it fires
 // at or before limit, or noEvent. The ready bucket's head and the heap's root
 // are each brought to a live event — stopped and re-armed events are disposed
-// of exactly when they surface at one of the two, so Stop and Reset never
-// search — and the lesser of the two is taken. A timer or unicast is removed
-// before it fires; a fan-out node taken from the root stays there (root is
-// true) for fire to re-key in place: one sift per delivery instead of a
-// pop's and a push's.
+// of exactly when they surface, so Stop and Reset never search — and then
+// every wheel slot that starts at or before both the lesser of the two and
+// limit is drained into the heap, in slot order, so that every timer still in
+// the wheel fires after the event taken. The lesser of the two heads is
+// taken. A timer or unicast is removed before it fires; a fan-out node taken
+// from the root stays there (root is true) for fire to re-key in place: one
+// sift per delivery instead of a pop's and a push's.
 func (s *Simulator) popDue(limit time.Duration) (i int32, root bool) {
 	f := noEvent
 	for s.fifoHead < len(s.fifo) {
 		if f = s.fifo[s.fifoHead]; s.events[f].live() {
 			break
 		}
-		s.requeue(s.fifoPop(), false)
+		s.requeue(s.fifoPop())
 		f = noEvent
 	}
 	for len(s.heap) > 0 && !s.events[s.heap[0].i].live() {
-		s.requeue(s.heap[0].i, true)
+		i := s.heap[0].i
+		s.pop()
+		s.requeue(i)
+	}
+	bound := limit
+	if f != noEvent {
+		bound = min(bound, s.events[f].at)
+	}
+	for s.wheeled > 0 {
+		// A drain pushes live events only, so the root stays live.
+		if len(s.heap) > 0 {
+			bound = min(bound, s.heap[0].at)
+		}
+		if s.cursor > int64(bound>>wheelShift) {
+			break
+		}
+		s.drain()
 	}
 	if h := s.heap; len(h) > 0 && (f == noEvent || h[0].less(&entry{at: s.events[f].at, seq: s.events[f].seq})) {
 		i = h[0].i

@@ -249,6 +249,20 @@ func TestQuickDeterministicSchedule(t *testing.T) {
 	}
 }
 
+// TestWheelRefillsAfterIdleGap: once the wheel has emptied, a timer armed
+// after the clock ran on without it — an hour, far past the span — waits in
+// the wheel again, not in the heap.
+func TestWheelRefillsAfterIdleGap(t *testing.T) {
+	s := New(1)
+	s.After(10*time.Millisecond, func() {})
+	s.After(time.Hour, func() {}) // beyond the span: the heap
+	s.Run()
+	s.After(10*time.Millisecond, func() {})
+	if s.wheeled != 1 || len(s.heap) != 0 {
+		t.Errorf("a timer armed after the gap: %d in the wheel, %d in the heap; want 1 and 0", s.wheeled, len(s.heap))
+	}
+}
+
 func TestPendingSkipsStopped(t *testing.T) {
 	s := New(1)
 	tm := s.After(time.Millisecond, func() {})

@@ -27,19 +27,26 @@ func forkOf(s *Simulator) *Simulator {
 }
 
 // queuedIndices collects every slab index the simulator considers pending:
-// the heap's, then the live part of the ready FIFO.
+// the heap's, the wheel's bucket by bucket, then the live part of the ready
+// FIFO.
 func queuedIndices(s *Simulator) []int32 {
-	out := make([]int32, 0, len(s.heap)+len(s.fifo)-s.fifoHead)
+	out := make([]int32, 0, len(s.heap)+s.wheeled+len(s.fifo)-s.fifoHead)
 	for _, x := range s.heap {
 		out = append(out, x.i)
+	}
+	for _, b := range s.wheel {
+		out = append(out, b...)
 	}
 	return append(out, s.fifo[s.fifoHead:]...)
 }
 
 // slabViolation returns the first inconsistency of the simulator's
 // scheduling structures, or "": a slab index on the free list twice, or
-// queued out of range, twice, or while free; a heap entry out of heap order
-// or keyed other than its event; or a Pending() count that is not the
+// queued out of range, twice (in a bucket and the heap, say), or while free;
+// a wheel that is not wheelSlots buckets, miscounts its timers, or holds an
+// event that is no timer or is keyed outside the absolute slot its bucket
+// holds in the span from the first undrained slot; a heap entry out of heap
+// order or keyed other than its event; or a Pending() count that is not the
 // deliveries and callbacks queued.
 func slabViolation(s *Simulator) string {
 	free := make(map[int32]bool, len(s.free))
@@ -70,6 +77,23 @@ func slabViolation(s *Simulator) string {
 	if pending != s.pending {
 		return fmt.Sprintf("Pending() = %d, but %d deliveries and callbacks are queued", s.pending, pending)
 	}
+	if len(s.wheel) != wheelSlots {
+		return fmt.Sprintf("the wheel has %d buckets, want %d", len(s.wheel), wheelSlots)
+	}
+	wheeled := 0
+	for k, b := range s.wheel {
+		slot := s.cursor + (int64(k)-s.cursor)&(wheelSlots-1)
+		for _, idx := range b {
+			if e := &s.events[idx]; e.kind != evTimer || int64(e.at>>wheelShift) != slot {
+				return fmt.Sprintf("bucket %d holds event %d, of kind %d, keyed at %v in slot %d; the bucket holds slot %d",
+					k, idx, e.kind, e.at, e.at>>wheelShift, slot)
+			}
+		}
+		wheeled += len(b)
+	}
+	if wheeled != s.wheeled {
+		return fmt.Sprintf("the wheel counts %d timers, its buckets hold %d", s.wheeled, wheeled)
+	}
 	for k, x := range s.heap {
 		if e := &s.events[x.i]; e.at != x.at || e.seq != x.seq {
 			return fmt.Sprintf("heap entry %d is keyed (%v, %d), its event %d, of kind %d, is keyed (%v, %d)",
@@ -97,6 +121,12 @@ func structuralFingerprint(s *Simulator) string {
 	fmt.Fprintf(&b, "now=%d seq=%d stepped=%d pending=%d seed=%d draws=%d\n",
 		s.now, s.seq, s.stepped, s.pending, s.stream.seed, s.stream.draws)
 	fmt.Fprintf(&b, "free=%v fifo=%v fifoHead=%d heap=%v\n", s.free, s.fifo, s.fifoHead, s.heap)
+	fmt.Fprintf(&b, "cursor=%d wheeled=%d\n", s.cursor, s.wheeled)
+	for k, bucket := range s.wheel {
+		if len(bucket) > 0 {
+			fmt.Fprintf(&b, "bucket%d=%v\n", k, bucket)
+		}
+	}
 	for i, e := range s.events {
 		fmt.Fprintf(&b, "ev%d at=%d seq=%d gen=%d stopped=%v kind=%d %d->%d rearm=%d/%d items=%v head=%d fn=%v payload=%v\n",
 			i, e.at, e.seq, e.gen, e.stopped, e.kind, e.from, e.to, e.newAt, e.newSeq, e.items, e.head, e.fn != nil, e.payload != nil)

@@ -14,13 +14,15 @@ import (
 // Fanout/Step/RunUntil calls against the kernel and against the reference
 // model (model_test.go) and asserts the two are observationally identical —
 // same fire order, same Now()/Steps() at every checkpoint, at which the
-// kernel's slab, ready bucket and heap must also be consistent. The same
-// scripts hold Timer.Reset to its contract: a kernel whose timers are
-// re-armed in place executes the same (time, callback) sequence as one whose
-// timers are stopped and armed anew. The committed seed corpus
+// kernel's slab, ready bucket, timer wheel and heap must also be consistent.
+// The same scripts hold Timer.Reset to its contract: a kernel whose timers
+// are re-armed in place executes the same (time, callback) sequence as one
+// whose timers are stopped and armed anew. The committed seed corpus
 // (testdata/fuzz/FuzzQueueEquivalence) covers the regression-prone shapes:
-// same-instant ties, stopped-head reaping, far-horizon timers, fan-outs, and
-// re-arms of fired, stopped, due-now and earlier-moving timers. CI runs the
+// same-instant ties, stopped-head reaping, far-horizon timers, fan-outs,
+// re-arms of fired, stopped, due-now and earlier-moving timers, and the
+// wheel's edges — slot boundaries, RunUntil mid-slot, a re-arm into the
+// bucket being drained, timers beyond the span, an idle gap. CI runs the
 // target with a short -fuzztime budget on every push.
 
 // scriptTimer is a timer a script may later stop or re-arm: the handle and
@@ -117,7 +119,8 @@ func (h *scriptHarness) interp(data []byte) {
 		return time.Duration(int(next())<<8 | int(next()))
 	}
 	for pos < len(data) && h.eventID < 4096 {
-		switch next() % scriptOps {
+		op := next()
+		switch op % scriptOps {
 		case 0, 1: // near-horizon After, µs scale: the dense common case
 			s.after(next16()*time.Microsecond, ident.Nil, h.mk())
 		case 2: // absolute At, including already-passed instants (clamped)
@@ -146,10 +149,12 @@ func (h *scriptHarness) interp(data []byte) {
 			s.Send(next16()*time.Microsecond, 9, ident.ID(next()%4), h.mkMsg())
 		case 9: // re-arm a timer the way a detector does: whatever state the
 			// timer is in (pending, due now, fired, stopped) and whichever
-			// way the new time lies, the callback next runs d from now
+			// way the new time lies, the callback next runs d from now. An op
+			// byte of 9 + 12k doubles d k times: from k = 7 a re-arm can
+			// reach a whole wheel rotation ahead, or beyond the span.
 			if len(h.timers) > 0 {
 				t := &h.timers[int(next())%len(h.timers)]
-				d := next16() * time.Microsecond
+				d := next16() * time.Microsecond << (op / scriptOps)
 				if h.stopAfter || !t.tm.Reset(d) {
 					t.tm.Stop()
 					t.tm = s.after(d, t.owner, t.fn)
@@ -284,6 +289,50 @@ func queueScriptSeeds() [][]byte {
 		// key surfaces once, long after the first re-arm
 		{2, 255, 255, 1, 9, 0, 255, 0, 1, 0, 0, 9, 1, 6, 0, 64, 1, 9, 0, 255, 255, 1,
 			6, 0, 64, 1, 9, 0, 128, 0, 1, 3, 0, 1, 2, 1, 5, 1, 9, 0, 0, 5, 1},
+		// The timer wheel's edges. A slot is 4194.304 µs, so the first slot
+		// boundary a script reaches in whole µs is slot 125's, at 524 288 µs:
+		// eight RunUntils to 524 280 µs, then timers keyed 1 µs before, on,
+		// and either side of slot 126's start; RunUntil stops exactly on the
+		// boundary, then re-arms move a timer across slot 126's start both
+		// ways
+		{6, 255, 255, 1, 6, 255, 255, 1, 6, 255, 255, 1, 6, 255, 255, 1, 6, 255, 255, 1, 6,
+			255, 255, 1, 6, 255, 255, 1, 6, 255, 255, 1, 2, 125, 8, 1, 0, 0, 8, 1, 10, 0, 0, 7, 1,
+			10, 1, 16, 106, 1, 10, 2, 16, 107, 1, 6, 0, 8, 1, 9, 3, 16, 98, 1, 9, 2, 16, 99, 1, 5,
+			1, 5, 1, 5, 1, 6, 255, 255, 1},
+		// RunUntil stopping mid-slot (6000 µs, in slot 1), then a timer keyed
+		// in that drained slot, a heap timer re-armed into the next slot, a
+		// refused re-arm in it, and RunUntil stopping just short of the next
+		// slot's start and then past it
+		{10, 0, 19, 136, 1, 10, 1, 27, 88, 1, 10, 2, 35, 40, 1, 0, 16, 98, 1, 0, 16, 99, 1, 6,
+			23, 112, 1, 0, 3, 232, 1, 9, 1, 11, 184, 1, 9, 2, 9, 196, 1, 6, 9, 84, 1, 6, 0, 1, 1,
+			5, 1, 5, 1, 5, 1, 6, 78, 32, 1},
+		// a re-arm whose new key (4 305 024 µs, slot 1026) lands in the same
+		// bucket one rotation later than the one it waits in (slot 2), applied
+		// while that bucket drains; beside it a re-arm beyond the span, a
+		// stopped timer and an untouched one in the same bucket
+		{10, 0, 39, 16, 1, 10, 0, 42, 248, 1, 0, 41, 4, 1, 10, 1, 46, 224, 1, 93, 0, 131, 97,
+			1, 93, 1, 132, 208, 1, 9, 2, 0, 40, 1, 6, 46, 224, 1, 5, 1, 0, 0, 100, 1, 5, 1, 5, 1,
+			5, 1, 5, 1},
+		// timers beyond the span (4.4 s, from a callback and from a re-arm at
+		// the heap's root) that come into range: once the clock has moved on
+		// 0.53 s, timers keyed just before and after them wait in the wheel
+		{3, 17, 48, 0, 1, 10, 0, 3, 232, 1, 93, 0, 134, 71, 1, 6, 7, 208, 1, 6, 255, 255, 1, 6,
+			255, 255, 1, 6, 255, 255, 1, 6, 255, 255, 1, 6, 255, 255, 1, 6, 255, 255, 1, 6, 255,
+			255, 1, 6, 255, 255, 1, 3, 15, 34, 0, 1, 10, 1, 0, 3, 1, 93, 1, 118, 55, 1, 5, 1, 5,
+			1, 5, 1, 5, 1, 5, 1, 5, 1},
+		// a wheel that empties, an idle gap of 1024 s, and a wheel filled
+		// afresh: new timers and re-arms, refused and a rotation on
+		{10, 0, 19, 136, 1, 10, 1, 35, 40, 1, 0, 78, 32, 1, 9, 0, 117, 48, 1, 6, 255, 255, 1,
+			3, 3, 232, 10, 1, 5, 1, 10, 2, 19, 136, 1, 9, 0, 0, 100, 1, 93, 1, 128, 232, 1, 6,
+			255, 255, 1, 6, 255, 255, 1, 6, 255, 255, 1, 10, 3, 35, 40, 1, 5, 1, 5, 1, 5, 1},
+		// timers in buckets — one re-armed, one stopped, one re-armed a
+		// rotation on — for a checkpoint: the fork seeds cut this script in
+		// the middle, after the first half arms them and before the second
+		// drains their slots
+		{10, 0, 19, 136, 1, 10, 1, 35, 40, 1, 10, 2, 50, 200, 1, 10, 3, 117, 48, 1, 0, 66, 104,
+			1, 9, 0, 78, 32, 1, 4, 2, 1, 93, 3, 131, 97, 1, 9, 1, 35, 40, 1, 6, 50, 200, 1, 10, 1,
+			31, 64, 1, 10, 2, 46, 224, 1, 0, 11, 184, 1, 6, 255, 255, 1, 5, 1, 5, 1, 5, 1, 5, 1,
+			5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1},
 	}
 }
 

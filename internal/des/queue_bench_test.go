@@ -11,14 +11,19 @@ import (
 
 // queue_bench_test.go: microbenchmarks for the kernel's hot paths, the des
 // rows of the layer ledger (docs/BENCHMARKS.md). The two Queue ones
-// (`go test -bench 'Queue' -benchmem ./internal/des`) stress the heap alone:
-// a standing population of tens of thousands of near-term timers, the shape
-// every n=256 per-peer-timeout experiment generates, and Stop/reap churn.
+// (`go test -bench 'Queue' -benchmem ./internal/des`) stress the timer path —
+// wheel and heap — without re-arms: a standing population of tens of
+// thousands of near-term timers, each filed into a bucket and drained into
+// the heap a slot before it fires, and Stop/reap churn, whose stopped timers
+// are reclaimed when their slot drains or at the heap's root. Each is timed
+// from a steady state: the slab, the heap, the buckets and the pool they are
+// recycled through have grown before the timer starts.
 
-// BenchmarkQueueDenseHorizon measures steady-state push/pop churn with a
-// large standing population of near-term timers: every fired event
-// reschedules itself, so each Step is one pop plus one push against a
-// ~64k-entry heap.
+// BenchmarkQueueDenseHorizon measures steady-state churn with a large
+// standing population of near-term timers: every fired event reschedules
+// itself up to 10 ms ahead, so each Step is one pop from the heap, one bucket
+// append (a push, when the new key falls in the current slot), and its share
+// of draining ~27k timers a slot into the heap.
 func BenchmarkQueueDenseHorizon(b *testing.B) {
 	b.ReportAllocs()
 	s := New(1)
@@ -30,6 +35,7 @@ func BenchmarkQueueDenseHorizon(b *testing.B) {
 	for k := 0; k < standing; k++ {
 		reschedule()
 	}
+	s.RunUntil(20 * time.Millisecond) // two horizons: the heap and the buckets at full size
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Step()
@@ -115,8 +121,11 @@ func BenchmarkQueueStopReapChurn(b *testing.B) {
 // the per-peer timeout of the timer-based detectors. A standing population
 // of 16k timeouts of Θ = 2Δ, each pushed back once per Δ as the clock
 // advances — by Stop + After, as before Timer.Reset, or in place. One op is
-// one re-arm plus its share of the heap work the clock's advance brings
-// (reclaiming stopped events, re-keying re-armed ones).
+// one re-arm plus its share of the queue work the clock's advance brings
+// (reclaiming stopped events, re-filing re-armed ones as their slot drains).
+// The first eight Δ are not timed: by then every timeout has been re-armed
+// eight times, and the slab and the wheel's buckets hold what they hold in
+// steady state.
 func BenchmarkRearm(b *testing.B) {
 	const (
 		standing = 1 << 14
@@ -136,14 +145,20 @@ func BenchmarkRearm(b *testing.B) {
 			for k := range timers {
 				timers[k] = s.After(timeout, fn)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			rearm := func(i int) {
 				s.RunUntil(s.Now() + interval/standing)
 				k := i % standing
 				if !reset || !timers[k].Reset(timeout) {
 					timers[k].Stop()
 					timers[k] = s.After(timeout, fn)
 				}
+			}
+			for i := 0; i < 8*standing; i++ {
+				rearm(i)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rearm(i)
 			}
 		})
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"asyncfd/internal/raceflag"
 )
 
 // reset_test.go pins Timer.Reset case by case; the differential harness
@@ -130,5 +132,67 @@ func TestResetSurvivesRestore(t *testing.T) {
 		s.Restore(snap)
 		s.Run()
 		l.want(t, "a@3ms", "t@4ms")
+	}
+}
+
+// TestResetRefiledAtDrain: a timer re-armed while it waits in the wheel is
+// filed under its new key when its slot drains — into the new key's bucket,
+// without passing through the heap.
+func TestResetRefiledAtDrain(t *testing.T) {
+	l := newFireLog()
+	s := l.s
+	tm := s.After(10*ms, l.fn("t")) // slot 2
+	if !tm.Reset(3 * time.Second) {
+		t.Fatal("Reset of a pending timer = false")
+	}
+	s.RunUntil(2 << wheelShift) // slot 2's start: the slot drains
+	if b := s.wheel[(3*time.Second>>wheelShift)&(wheelSlots-1)]; len(s.heap) != 0 || s.wheeled != 1 || len(b) != 1 {
+		t.Fatalf("after the drain: %d in the heap, %d in the wheel, %d in the 3 s bucket; want 0, 1, 1",
+			len(s.heap), s.wheeled, len(b))
+	}
+	s.Run()
+	l.want(t, "t@3s")
+}
+
+// TestAllocsRearmDrain locks the re-arm path of the timer wheel: a pending
+// timeout pushed back in place, and the drain of a slot whose timeouts were
+// all pushed back — each filed under its new key into a later bucket —
+// allocate nothing once the buckets and their pool have grown. None of the
+// re-armed timeouts passes through the heap.
+func TestAllocsRearmDrain(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race runtime allocates")
+	}
+	const (
+		peers   = 1024
+		perSlot = 8 // re-arms per slot: each timeout every 128 slots, about 0.54 s
+		timeout = 2 * time.Second
+		slot    = time.Duration(1) << wheelShift
+	)
+	s := New(1)
+	fn := func() { t.Fatal("a timeout expired") }
+	timers := make([]*Timer, peers)
+	for k := range timers {
+		timers[k] = s.After(timeout, fn)
+	}
+	next := 0
+	step := func() {
+		for j := 0; j < perSlot; j++ {
+			if !timers[next%peers].Reset(timeout) {
+				t.Fatal("Reset of a pending timeout = false")
+			}
+			next++
+		}
+		s.RunUntil(s.Now() + slot)
+	}
+	for i := 0; i < 2*wheelSlots; i++ { // two rotations
+		step()
+	}
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("%d re-arms and a slot's drain: %v allocations, want 0", perSlot, allocs)
+	}
+	if s.Pending() != peers || s.wheeled != peers || len(s.heap) != 0 {
+		t.Errorf("Pending %d, %d in the wheel, %d in the heap: want every one of %d timeouts in the wheel",
+			s.Pending(), s.wheeled, len(s.heap), peers)
 	}
 }

@@ -87,16 +87,35 @@ type Snapshot struct{ st state }
 // copyTo makes dst a copy of s that shares no mutable storage with it, reusing
 // what dst already has: the slab's array and its per-event item storage (a
 // Restore runs once per replicate, and reallocating the arena every time
-// dominated fork cost at large n), the free list, the ready bucket and the
-// heap.
-func (s *state) copyTo(dst *state) {
-	events, free, fifo, heap, gen := dst.events, dst.free, dst.fifo, dst.heap, dst.stream.gen
+// dominated fork cost at large n), the free list, the ready bucket, the
+// wheel's buckets and the heap. spare is the pool a bucket that dst has no
+// storage for takes some from: the restored simulator's, or nil for a
+// checkpoint, whose buckets are sized to what they hold.
+func (s *state) copyTo(dst *state, spare *[][]int32) {
+	events, free, fifo, wheel, heap, gen := dst.events, dst.free, dst.fifo, dst.wheel, dst.heap, dst.stream.gen
 	*dst = *s
 	dst.events = copyEvents(events, s.events)
 	dst.free = append(free[:0], s.free...)
 	dst.fifo = append(fifo[:0], s.fifo...)
+	dst.wheel = copyWheel(wheel, s.wheel, spare)
 	dst.heap = append(heap[:0], s.heap...)
 	dst.stream.rebind(gen)
+}
+
+// copyWheel copies the buckets src into dst's, reusing each bucket's storage
+// or taking some from spare (nil: exactly sized), and returns dst.
+func copyWheel(dst, src [][]int32, spare *[][]int32) [][]int32 {
+	if len(dst) != len(src) {
+		dst = make([][]int32, len(src))
+	}
+	for k, b := range src {
+		d := dst[k]
+		if d == nil && len(b) > 0 && spare != nil {
+			d = takeBucket(spare)
+		}
+		dst[k] = append(d[:0], b...)
+	}
+	return dst
 }
 
 // copyEvents copies the slab src into dst's storage where capacity allows and
@@ -131,13 +150,14 @@ func copyEvents(dst, src []event) []event {
 // Snapshot captures the simulator's complete state.
 func (s *Simulator) Snapshot() *Snapshot {
 	snap := new(Snapshot)
-	s.state.copyTo(&snap.st)
+	s.state.copyTo(&snap.st, nil)
 	return snap
 }
 
 // Restore rolls the simulator back to the checkpoint, in place. The same
-// checkpoint can be restored repeatedly; the itemFree pool is left alone. The
+// checkpoint can be restored repeatedly; the itemFree pool is left alone, and
+// a wheel bucket the simulator has no storage for takes it from bucketFree. The
 // random stream resumes at the captured position, with the replay deferred
 // until the stream is next read — so a restore immediately followed by Reseed
 // pays nothing for the checkpoint's draws.
-func (s *Simulator) Restore(snap *Snapshot) { snap.st.copyTo(&s.state) }
+func (s *Simulator) Restore(snap *Snapshot) { snap.st.copyTo(&s.state, &s.bucketFree) }

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"asyncfd/internal/consensus"
@@ -182,13 +183,63 @@ func scenarioColumns(sc *scenario.Scenario) (func(series) []string, error) {
 // scenarioClusterTable is the general program: detector kinds × fault
 // variants as warm-forked seed families, config-driven metrics and columns.
 func scenarioClusterTable(sc *scenario.Scenario, opts Options) (*Table, error) {
-	kinds, err := scenarioKinds(sc)
+	t, rows, render, err := scenarioClusterRows(sc, opts)
 	if err != nil {
 		return nil, err
 	}
+	return runTable(opts, t, rows, render)
+}
+
+// ScenarioCell runs one cell of a cluster-program scenario as a single
+// replicate. key is the cell's v2 key ("async", "heartbeat/fresh"); "" is
+// the first cell. It returns the scenario's table holding that cell's row,
+// the row ScenarioTable renders for it at Repeat 1, with the finished
+// cluster and the ground truth of its fault schedule.
+func ScenarioCell(sc *scenario.Scenario, key string, opts Options) (*Table, *Cluster, *qos.GroundTruth, error) {
+	if sc.Measure.Program != scenario.ProgramCluster {
+		return nil, nil, nil, fmt.Errorf("exp: scenario %s: the %v program has no single cell to run", sc.Name, sc.Measure.Program)
+	}
+	t, rows, render, err := scenarioClusterRows(sc, opts)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("exp: scenario %s: %w", sc.Name, err)
+	}
+	keys := make([]string, len(rows))
+	for i, r := range rows {
+		keys[i] = r.cells[0].key
+	}
+	i := 0
+	if key != "" {
+		i = slices.Index(keys, key)
+	}
+	if i < 0 {
+		return nil, nil, nil, fmt.Errorf("exp: scenario %s: no cell %q (cells: %s)", sc.Name, key, strings.Join(keys, ", "))
+	}
+	var c *Cluster
+	var truth *qos.GroundTruth
+	fam := rows[i].cells[0].fam
+	measure := fam.measure
+	fam.measure = func(got *Cluster, gt *qos.GroundTruth) obs {
+		c, truth = got, gt
+		return measure(got, gt)
+	}
+	opts.Repeat = 1
+	if _, err := runTable(opts, t, rows[i:i+1], render); err != nil {
+		return nil, nil, nil, fmt.Errorf("exp: scenario %s: %w", sc.Name, err)
+	}
+	return t, c, truth, nil
+}
+
+// scenarioClusterRows builds the cluster program's empty table and its
+// rows, one single-cell row per detector kind × fault variant, keyed
+// "kind" or, when the scenario names its variants, "kind/variant".
+func scenarioClusterRows(sc *scenario.Scenario, opts Options) (*Table, []row, func(series) []string, error) {
+	kinds, err := scenarioKinds(sc)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	render, err := scenarioColumns(sc)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	columns := []string{"detector"}
 	if sc.VariantHeader != "" {
@@ -223,7 +274,7 @@ func scenarioClusterTable(sc *scenario.Scenario, opts Options) (*Table, error) {
 			}}})
 		}
 	}
-	return runTable(opts, t, rows, render)
+	return t, rows, render, nil
 }
 
 // scenarioTopologyTable is the topology program (LT's sweep): neighbor-local

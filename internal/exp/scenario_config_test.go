@@ -257,6 +257,88 @@ func TestConsensusProgramHonoursStartJitter(t *testing.T) {
 	}
 }
 
+// TestScenarioCellMatchesTable: every cell ScenarioCell runs alone renders
+// the row ScenarioTable renders for it at Repeat 1, cell for cell, for the
+// R1 and R2 documents and two shipped configs, at two seeds and both sizes
+// (a document without a quick overlay runs its full size twice). The
+// cluster it hands back has run to the horizon.
+func TestScenarioCellMatchesTable(t *testing.T) {
+	t.Parallel()
+	for _, path := range []string{
+		filepath.Join("scenarios", "r1.json"),
+		filepath.Join("scenarios", "r2.json"),
+		filepath.Join("..", "..", "configs", "flapping_link_train.json"),
+		filepath.Join("..", "..", "configs", "crash_burst_island.json"),
+	} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, quick := range []bool{false, true} {
+			sc, err := scenario.Parse(data, quick)
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			for _, seed := range []int64{1, 7} {
+				opts := Options{Seed: seed, Repeat: 1}
+				table, err := ScenarioTable(sc, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, rows, _, err := scenarioClusterRows(sc, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, r := range rows {
+					key := r.cells[0].key
+					cell, c, truth, err := ScenarioCell(sc, key, Options{Seed: seed})
+					if err != nil {
+						t.Fatalf("%s quick=%v seed %d cell %s: %v", path, quick, seed, key, err)
+					}
+					if !reflect.DeepEqual(cell.Rows, table.Rows[i:i+1]) {
+						t.Errorf("%s quick=%v seed %d cell %s: row %q, table row %q", path, quick, seed, key, cell.Rows, table.Rows[i])
+					}
+					if truth == nil || c.Sim.Now() != sc.Measure.Horizon {
+						t.Errorf("%s cell %s: cluster at %v, truth %v; want the horizon %v", path, key, c.Sim.Now(), truth, sc.Measure.Horizon)
+					}
+				}
+				first, _, _, err := ScenarioCell(sc, "", Options{Seed: seed})
+				if err != nil || !reflect.DeepEqual(first.Rows, table.Rows[:1]) {
+					t.Errorf("%s: the empty key ran %v (err %v), want the first row %q", path, first, err, table.Rows[0])
+				}
+			}
+		}
+	}
+}
+
+// TestScenarioCellRefuses: a key naming no cell is refused with the list
+// of cells, and a program without cells of its own is refused by name.
+func TestScenarioCellRefuses(t *testing.T) {
+	t.Parallel()
+	parse := func(file string) *scenario.Scenario {
+		data, err := builtinScenarios.ReadFile("scenarios/" + file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := scenario.Parse(data, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc
+	}
+	for _, tc := range []struct{ file, key, want string }{
+		{"r1.json", "async", "cells: async/fresh, async/persisted, heartbeat/fresh"},
+		{"r2.json", "async/fresh", `no cell "async/fresh" (cells: async, heartbeat, phi-accrual, chen-nfde)`},
+		{"lt.json", "", "the topology program"},
+		{"e7.json", "", "the consensus program"},
+	} {
+		_, _, _, err := ScenarioCell(parse(tc.file), tc.key, Options{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s -cell %q: error %v, want it to contain %q", tc.file, tc.key, err, tc.want)
+		}
+	}
+}
+
 // TestScenarioNameListsMatchEngine holds internal/scenario's hand-mirrored
 // detector list to the engine that resolves it: every DetectorNames entry
 // maps through scenarioKinds onto AllKinds() in order, so a compiled

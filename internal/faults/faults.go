@@ -7,8 +7,9 @@
 // In the terminology of the repository README's architecture map, this is
 // the fault-injection layer between the network model (internal/netsim,
 // which executes the events) and the QoS judge (internal/qos, whose
-// GroundTruth this package populates). The R1/R2 sweeps of internal/exp
-// and the cmd/fdsim scenario flags are thin wrappers over a Schedule.
+// GroundTruth this package populates). internal/scenario compiles and
+// validates every Schedule a document describes; the R1/R2 sweeps,
+// fdbench -config and fdsim all run what it compiles.
 package faults
 
 import (

@@ -730,7 +730,8 @@ func healEvent(c cursor, raw json.RawMessage, _ *env) faults.Event {
 }
 
 // islands validates one partition's islands — non-empty, valid ids, no
-// process in two islands (the invariant netsim.Partition panics on).
+// process in two islands (the invariant netsim.Partition panics on), and a
+// cut: one island of all n processes drops no message.
 func (c cursor) islands(islands [][]int, n int) [][]ident.ID {
 	c.check(len(islands) > 0, "at least one island is required")
 	c.check(len(islands) <= maxIslandLists, "more than %d islands", maxIslandLists)
@@ -741,6 +742,7 @@ func (c cursor) islands(islands [][]int, n int) [][]ident.ID {
 		at.check(len(island) > 0, "island must not be empty")
 		out[i] = at.ids(island, n, seen, "process %d listed in two islands")
 	}
+	c.check(len(islands) != 1 || len(islands[0]) < n, "one island of all n=%d processes cuts no one", n)
 	return out
 }
 

@@ -436,3 +436,13 @@ func TestFailedCheckStopsExpansion(t *testing.T) {
 		t.Errorf("err = %v, want the period_us diagnostic", err)
 	}
 }
+
+// TestIslandsCoveringEveryProcessCut: a partition whose islands together
+// list all n processes still cuts them apart; only one island of all n
+// (TestParseErrors' "cuts no one" cases) drops nothing.
+func TestIslandsCoveringEveryProcessCut(t *testing.T) {
+	doc := swap(miniDoc, miniEvents, `[{"kind": "partition", "at_us": 1, "islands": [[0, 1], [2, 3]]}]`)
+	if _, err := Parse([]byte(doc), false); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -158,6 +158,7 @@ func ruleCases() []errCase {
 	events("crash negative time", `[{"kind": "crash", "at_us": -1, "id": 3}]`, "faults.events[0].at_us")
 	events("crash time past 24h", `[{"kind": "crash", "at_us": `+day+`, "id": 3}]`, "faults.events[0].at_us")
 	events("crash negative id", `[{"kind": "crash", "at_us": 1000000, "id": -1}]`, "faults.events[0].id")
+	events("crash at horizon", `[{"kind": "crash", "at_us": 10000000, "id": 3}]`, "faults")
 	const crash = `{"kind": "crash", "at_us": 1000000, "id": 3}, `
 	events("recover unknown field", `[`+crash+`{"kind": "recover", "at_us": 2000000, "id": 3, "x": 1}]`, "faults.events[1]")
 	events("recover negative time", `[`+crash+`{"kind": "recover", "at_us": -1, "id": 3}]`, "faults.events[1].at_us")
@@ -167,6 +168,7 @@ func ruleCases() []errCase {
 	events("partition without islands", `[{"kind": "partition", "at_us": 1}]`, "faults.events[0].islands")
 	events("partition island id out of range", `[{"kind": "partition", "at_us": 1, "islands": [[0, 4]]}]`, "faults.events[0].islands[0][1]")
 	events("partition island id twice", `[{"kind": "partition", "at_us": 1, "islands": [[0], [1, 0]]}]`, "faults.events[0].islands[1][1]")
+	events("partition cuts no one", `[{"kind": "partition", "at_us": 1, "islands": [[0, 1, 2, 3]]}]`, "faults.events[0].islands")
 	cases = append(cases, errCase{"event partition too many islands",
 		swap(swap(miniDoc, `"n": 4`, `"n": 70`), miniEvents, `[{"kind": "partition", "at_us": 1, "islands": `+
 			list(65, func(i int) string { return fmt.Sprintf("[%d]", i) })+`}]`), "scenario: faults.events[0].islands:"})
@@ -188,6 +190,7 @@ func ruleCases() []errCase {
 	gen("flap count too large", swap(flap, `"count": 2`, `"count": 1025`), gpath+".count")
 	gen("flap without islands", swap(flap, `"islands": [[0]], `, ``), gpath+".islands")
 	gen("flap island overlap", swap(flap, `[[0]]`, `[[0], [0]]`), gpath+".islands[1][0]")
+	gen("flap cuts no one", swap(flap, `[[0]]`, `[[3, 2, 1, 0]]`), gpath+".islands")
 	const burst = `{"kind": "crash-burst", "ids": [1, 2], "at_us": 2000000, "spacing_us": 1000}`
 	gen("burst unknown field", swap(burst, `"ids"`, `"x": 1, "ids"`), gpath)
 	gen("burst negative start", swap(burst, `"at_us": 2000000`, `"at_us": -1`), gpath+".at_us")

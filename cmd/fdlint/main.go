@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	fdlint [-only analyzer,...] [packages ...]
+//	fdlint [-list] [packages ...]
 //
 // With no package arguments it lints ./... — every package of the asyncfd
 // module, excluding test files and vendored dependencies. Findings print one
@@ -29,9 +29,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"io"
@@ -66,7 +64,6 @@ type listPkg struct {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fdlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := fs.Bool("list", false, "print the analyzer suite and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -77,21 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%s: %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-	if *only != "" {
-		byName := make(map[string]*analysis.Analyzer)
-		for _, a := range analyzers {
-			byName[a.Name] = a
-		}
-		analyzers = analyzers[:0]
-		for _, name := range strings.Split(*only, ",") {
-			a := byName[strings.TrimSpace(name)]
-			if a == nil {
-				fmt.Fprintf(stderr, "fdlint: unknown analyzer %q\n", name)
-				return 2
-			}
-			analyzers = append(analyzers, a)
-		}
 	}
 	patterns := fs.Args()
 	if len(patterns) == 0 {
@@ -219,33 +201,18 @@ func (e *exportImporter) Import(path string) (*types.Package, error) {
 	return e.gc.Import(path)
 }
 
-// checkPackage parses and type-checks one target package from source, then
-// runs the analyzer suite over it.
+// checkPackage type-checks one target package from source, then runs the
+// analyzer suite over it.
 func checkPackage(fset *token.FileSet, imp types.Importer, p *listPkg,
 	analyzers []*analysis.Analyzer) ([]lint.Diag, error) {
 
-	files := make([]*ast.File, 0, len(p.GoFiles))
-	for _, name := range p.GoFiles {
-		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil,
-			parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
+	files := make([]string, len(p.GoFiles))
+	for i, name := range p.GoFiles {
+		files[i] = filepath.Join(p.Dir, name)
 	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Instances:  make(map[*ast.Ident]types.Instance),
-	}
-	conf := types.Config{Importer: imp}
-	pkg, err := conf.Check(p.ImportPath, fset, files, info)
+	checked, err := lint.Check(fset, imp, p.ImportPath, files)
 	if err != nil {
-		return nil, fmt.Errorf("type-checking: %v", err)
+		return nil, err
 	}
-	return lint.RunAnalyzers(fset, files, pkg, info, analyzers)
+	return lint.RunAnalyzers(checked, analyzers)
 }

@@ -75,7 +75,7 @@ func TestInitialState(t *testing.T) {
 	if d.counter != 0 {
 		t.Errorf("initial counter = %d, want 0", d.counter)
 	}
-	if !d.Suspects().Empty() {
+	if d.Suspects().Len() != 0 {
 		t.Errorf("initial suspects = %v, want empty", d.Suspects())
 	}
 	if got := d.Known(); got.Len() != 4 {

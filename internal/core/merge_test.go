@@ -76,7 +76,7 @@ func TestHostileIDsSizeNothing(t *testing.T) {
 	if counted {
 		t.Error("a response from an id the detector cannot index counted toward the quorum")
 	}
-	if !d.Known().Equal(ident.SetOf(0)) || !d.Suspects().Empty() || d.mistake.Len() != 0 {
+	if !d.Known().Equal(ident.SetOf(0)) || d.Suspects().Len() != 0 || d.mistake.Len() != 0 {
 		t.Errorf("hostile ids changed the state: %s", dump(d))
 	}
 

@@ -160,12 +160,12 @@ type runner interface {
 // experiment, scenario program and simulated main builds its kernel, network,
 // trace log and detector runtimes here.
 type Cluster struct {
-	Sim     *des.Simulator
-	Net     *netsim.Network
-	Log     *trace.Log
-	Members ident.Set //fdlint:allow clonefields every process id, fixed at construction
+	Sim     *des.Simulator  //fdlint:allow clonefields checkpointed by its own Snapshot, which Cluster.Snapshot calls
+	Net     *netsim.Network //fdlint:allow clonefields checkpointed by its own Snapshot, which Cluster.Snapshot calls
+	Log     *trace.Log      //fdlint:allow clonefields checkpointed by Mark/TruncateTo, which Cluster.Snapshot/Restore call
+	Members ident.Set       //fdlint:allow clonefields every process id, fixed at construction
 
-	procs []*process // by id
+	procs []*process //fdlint:allow clonefields by id; each runtime is checkpointed by its own Snapshot, which Cluster.Snapshot calls
 }
 
 // process is one identity on the network: its detector runtime and, once

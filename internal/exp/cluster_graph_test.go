@@ -91,7 +91,7 @@ func TestCompletenessAcrossHops(t *testing.T) {
 	for i := 1; i < 12; i++ {
 		s := c.Detector(ident.ID(i)).Suspects()
 		s.Remove(0)
-		if !s.Empty() {
+		if s.Len() != 0 {
 			t.Errorf("node %d holds false suspicions %v", i, s)
 		}
 	}
@@ -114,7 +114,7 @@ func TestDisconnectReconnectSelfCorrects(t *testing.T) {
 	}
 	// Long after reconnection, no suspicions remain in either direction.
 	for i := 0; i < 10; i++ {
-		if s := c.Detector(ident.ID(i)).Suspects(); !s.Empty() {
+		if s := c.Detector(ident.ID(i)).Suspects(); s.Len() != 0 {
 			t.Errorf("node %d still suspects %v after reconnection", i, s)
 		}
 	}
@@ -138,7 +138,7 @@ func TestRelocateEvictsOldRangeFromKnown(t *testing.T) {
 
 	// No lingering suspicions anywhere.
 	for i := 0; i < 20; i++ {
-		if s := c.Detector(ident.ID(i)).Suspects(); !s.Empty() {
+		if s := c.Detector(ident.ID(i)).Suspects(); s.Len() != 0 {
 			t.Errorf("node %d still suspects %v long after the move", i, s)
 		}
 	}

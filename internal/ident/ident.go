@@ -114,16 +114,6 @@ func (s Set) Len() int {
 	return n
 }
 
-// Empty reports whether the set has no elements.
-func (s Set) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Clear removes all elements, keeping capacity.
 func (s *Set) Clear() {
 	for i := range s.words {

@@ -37,9 +37,6 @@ func TestIDValid(t *testing.T) {
 
 func TestSetZeroValue(t *testing.T) {
 	var s Set
-	if !s.Empty() {
-		t.Fatal("zero Set is not empty")
-	}
 	if s.Has(0) {
 		t.Fatal("zero Set reports element 0")
 	}
@@ -85,7 +82,7 @@ func TestSetAddRemoveHas(t *testing.T) {
 func TestSetAddNilNoop(t *testing.T) {
 	var s Set
 	s.Add(Nil)
-	if !s.Empty() {
+	if s.Len() != 0 {
 		t.Error("Add(Nil) inserted an element")
 	}
 	if s.Has(Nil) {
@@ -186,7 +183,7 @@ func TestSetForEachOrderAndStop(t *testing.T) {
 func TestSetClear(t *testing.T) {
 	s := SetOf(1, 2, 3)
 	s.Clear()
-	if !s.Empty() {
+	if s.Len() != 0 {
 		t.Error("Clear left elements")
 	}
 	s.Add(2)

@@ -73,38 +73,31 @@ func indexFor(pass *analysis.Pass) allowIndex {
 }
 
 // allowed reports whether an //fdlint:allow annotation for the named analyzer
-// (with a non-empty reason) covers node: on the node's first line, on the line
-// directly above it, or — for declarations and struct fields — anywhere in
-// the attached doc or trailing comment group.
+// (with a non-empty reason) covers node. A struct field is covered by its own
+// doc or trailing comment only, never by the trailing comment of the field
+// above it; any other node by an annotation on its first line or on the line
+// directly above it.
 func allowed(pass *analysis.Pass, node ast.Node, analyzer string) bool {
-	var groups []*ast.CommentGroup
-	switch n := node.(type) {
-	case *ast.FuncDecl:
-		groups = append(groups, n.Doc)
-	case *ast.GenDecl:
-		groups = append(groups, n.Doc)
-	case *ast.Field:
-		groups = append(groups, n.Doc, n.Comment)
-	case *ast.TypeSpec:
-		groups = append(groups, n.Doc, n.Comment)
-	}
-	for _, g := range groups {
-		if g == nil {
-			continue
-		}
-		for _, c := range g.List {
-			if note, ok := parseAllow(c.Text); ok && note.analyzer == analyzer && note.reason != "" {
-				return true
+	var notes []allowNote
+	if f, ok := node.(*ast.Field); ok {
+		for _, g := range []*ast.CommentGroup{f.Doc, f.Comment} {
+			if g == nil {
+				continue
+			}
+			for _, c := range g.List {
+				if note, ok := parseAllow(c.Text); ok {
+					notes = append(notes, note)
+				}
 			}
 		}
+	} else {
+		p := pass.Fset.Position(node.Pos())
+		byLine := indexFor(pass)[p.Filename]
+		notes = append(append(notes, byLine[p.Line]...), byLine[p.Line-1]...)
 	}
-	idx := indexFor(pass)
-	p := pass.Fset.Position(node.Pos())
-	for _, line := range []int{p.Line, p.Line - 1} {
-		for _, note := range idx[p.Filename][line] {
-			if note.analyzer == analyzer && note.reason != "" {
-				return true
-			}
+	for _, note := range notes {
+		if note.analyzer == analyzer && note.reason != "" {
+			return true
 		}
 	}
 	return false

@@ -4,263 +4,81 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
+	"golang.org/x/tools/go/analysis/passes/inspect"
+	"golang.org/x/tools/go/ast/inspector"
 )
 
-// CloneFields verifies checkpoint exhaustiveness: every Snapshot/Clone method
-// on a locally defined struct must reference every field of that struct
-// (copylocks-style), so adding a field to netsim.Network or a detector
-// runtime without snapshotting it becomes a lint error instead of a
-// fork-divergence heisenbug discovered by a differential test three PRs
-// later. A field counts as referenced when the method (or another method of
-// the same type it calls) mentions it, or when the method copies the whole
-// receiver (`cp := *n`). Deliberately uncaptured fields — immutable config,
-// derived caches rebuilt on Restore — carry a per-field annotation:
+// CloneFields is the rule "a struct that declares its own Snapshot embeds at
+// most one struct, its run state, and every other field says why it is not
+// checkpointed". Each layer the warm-fork engine checkpoints keeps what a run
+// changes in one embedded value (des.state, netsim.state, core.nodeState, ...)
+// that one copyTo assigns whole in both directions, so a field added there
+// cannot be left out of a snapshot. What sits beside it is wiring, config, a
+// derived cache or scratch, and carries the reason at the field:
 //
 //	fanout []fanoutEntry //fdlint:allow clonefields derived cache, rebuilt lazily
 //
-// which documents the decision at the field, where the next person adding a
-// neighbor field will see it. A method-level annotation suppresses the whole
-// check and should be rare.
+// The rule proves nothing about Snapshot's body: FuzzForkEquivalence and
+// TestSweepByteIdenticalAcrossForkModes are the proof, and this shape is what
+// makes them sufficient. Blank padding fields are exempt, and a type whose
+// Snapshot is only promoted from an embedded field is not checked.
 var CloneFields = &analysis.Analyzer{
-	Name: cloneFieldsName,
-	Doc:  "verifies Snapshot/Clone methods reference every field of their receiver struct",
-	Run:  runCloneFields,
+	Name:     cloneFieldsName,
+	Doc:      "requires a struct declaring Snapshot to embed one run-state struct and give a reasoned //fdlint:allow for every other field",
+	Requires: []*analysis.Analyzer{inspect.Analyzer},
+	Run:      runCloneFields,
 }
 
 func runCloneFields(pass *analysis.Pass) (any, error) {
-	methods := collectMethods(pass)
-	structs := collectStructDecls(pass)
-	for _, fn := range pass.Files {
-		for _, decl := range fn.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || fd.Recv == nil {
-				continue
-			}
-			if fd.Name.Name != "Snapshot" && fd.Name.Name != "Clone" {
-				continue
-			}
-			if fd.Type.Params.NumFields() != 0 || fd.Type.Results.NumFields() == 0 {
-				continue
-			}
-			named := receiverNamed(pass, fd)
-			if named == nil || named.Obj().Pkg() != pass.Pkg {
-				continue
-			}
-			st, ok := named.Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
-			if allowed(pass, fd, cloneFieldsName) {
-				continue
-			}
-			refs := &refWalker{
-				pass:    pass,
-				methods: methods[named.Obj()],
-				fields:  make(map[*types.Var]bool),
-				visited: make(map[*ast.FuncDecl]bool),
-			}
-			refs.walkMethod(fd)
-			var missing []string
-			fieldDecls := structs[named.Obj()]
-			for i := 0; i < st.NumFields(); i++ {
-				f := st.Field(i)
-				if f.Name() == "_" || refs.whole || refs.fields[f] {
-					continue
-				}
-				if fld := fieldDecls[f.Name()]; fld != nil && allowed(pass, fld, cloneFieldsName) {
-					continue
-				}
-				missing = append(missing, f.Name())
-			}
-			if len(missing) == 0 {
-				continue
-			}
-			sort.Strings(missing)
+	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
+	ins.Preorder([]ast.Node{(*ast.TypeSpec)(nil)}, func(n ast.Node) {
+		ts := n.(*ast.TypeSpec)
+		if bad := outsideRunState(pass, ts); len(bad) > 0 {
 			pass.Report(analysis.Diagnostic{
-				Pos: fd.Name.Pos(),
+				Pos: ts.Name.Pos(),
 				Message: fmt.Sprintf(
-					"%s.%s does not reference field(s) %s: snapshot every mutable field, or annotate the field //fdlint:allow clonefields <reason>",
-					named.Obj().Name(), fd.Name.Name, strings.Join(missing, ", ")),
+					"%s declares Snapshot, but field(s) %s sit outside its one embedded run-state struct: move them into it, or annotate each //fdlint:allow clonefields <reason>",
+					ts.Name.Name, strings.Join(bad, ", ")),
 			})
 		}
-	}
+	})
 	return nil, nil
 }
 
-// collectMethods indexes every method declaration in the package by its
-// receiver's named-type object.
-func collectMethods(pass *analysis.Pass) map[types.Object]map[string]*ast.FuncDecl {
-	out := make(map[types.Object]map[string]*ast.FuncDecl)
-	for _, fn := range pass.Files {
-		for _, decl := range fn.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Body == nil {
-				continue
-			}
-			named := receiverNamed(pass, fd)
-			if named == nil {
-				continue
-			}
-			m := out[named.Obj()]
-			if m == nil {
-				m = make(map[string]*ast.FuncDecl)
-				out[named.Obj()] = m
-			}
-			m[fd.Name.Name] = fd
-		}
-	}
-	return out
-}
-
-// collectStructDecls indexes, per named-type object, the syntax of each
-// struct field, for per-field //fdlint:allow annotations.
-func collectStructDecls(pass *analysis.Pass) map[types.Object]map[string]*ast.Field {
-	out := make(map[types.Object]map[string]*ast.Field)
-	for _, fn := range pass.Files {
-		for _, decl := range fn.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				stExpr, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				obj := pass.TypesInfo.Defs[ts.Name]
-				if obj == nil {
-					continue
-				}
-				fields := make(map[string]*ast.Field)
-				for _, f := range stExpr.Fields.List {
-					if len(f.Names) == 0 {
-						// Embedded: keyed by the type's base name.
-						name := types.ExprString(f.Type)
-						if i := strings.LastIndexAny(name, ".*["); i >= 0 && i+1 < len(name) {
-							name = name[i+1:]
-						}
-						name = strings.TrimSuffix(name, "]")
-						fields[name] = f
-						continue
-					}
-					for _, id := range f.Names {
-						fields[id.Name] = f
-					}
-				}
-				out[obj] = fields
-			}
-		}
-	}
-	return out
-}
-
-// receiverNamed resolves a method's receiver base type to its *types.Named.
-func receiverNamed(pass *analysis.Pass, fd *ast.FuncDecl) *types.Named {
-	if len(fd.Recv.List) != 1 {
+// outsideRunState returns the fields of ts that break the rule, or nil when
+// ts is not a struct declaring its own Snapshot. The first embedded struct is
+// the run state.
+func outsideRunState(pass *analysis.Pass, ts *ast.TypeSpec) []string {
+	stx, ok := ts.Type.(*ast.StructType)
+	obj := pass.TypesInfo.Defs[ts.Name]
+	if !ok || obj == nil {
 		return nil
 	}
-	t := pass.TypesInfo.TypeOf(fd.Recv.List[0].Type)
-	if t == nil {
+	// A declared method is found at depth 0; a promoted one is deeper.
+	snap := types.NewMethodSet(types.NewPointer(obj.Type())).Lookup(pass.Pkg, "Snapshot")
+	if snap == nil || len(snap.Index()) != 1 {
 		return nil
 	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	switch t := t.(type) {
-	case *types.Named:
-		return t
-	}
-	return nil
-}
-
-// receiverObj returns the receiver variable of a method decl, if named.
-func receiverObj(pass *analysis.Pass, fd *ast.FuncDecl) types.Object {
-	if len(fd.Recv.List) != 1 || len(fd.Recv.List[0].Names) != 1 {
-		return nil
-	}
-	return pass.TypesInfo.Defs[fd.Recv.List[0].Names[0]]
-}
-
-// refWalker accumulates the receiver fields a method references, following
-// calls to sibling methods of the same type (one package deep).
-type refWalker struct {
-	pass    *analysis.Pass
-	methods map[string]*ast.FuncDecl
-	fields  map[*types.Var]bool
-	visited map[*ast.FuncDecl]bool
-	whole   bool // method copies the whole receiver (*r or value-receiver r)
-}
-
-// valueReceiverCopied marks the walk whole when one of exprs is the bare
-// receiver of a value-receiver method (using it as a value copies the
-// struct).
-func (w *refWalker) valueReceiverCopied(recv types.Object, exprs []ast.Expr) bool {
-	if recv == nil {
-		return false
-	}
-	if _, isPtr := recv.Type().(*types.Pointer); isPtr {
-		return false
-	}
-	for _, e := range exprs {
-		if id, ok := ast.Unparen(e).(*ast.Ident); ok && w.pass.TypesInfo.ObjectOf(id) == recv {
-			w.whole = true
-			return true
-		}
-	}
-	return false
-}
-
-func (w *refWalker) walkMethod(fd *ast.FuncDecl) {
-	if w.visited[fd] || w.whole {
-		return
-	}
-	w.visited[fd] = true
-	recv := receiverObj(w.pass, fd)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if w.whole {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.Ident:
-			if obj, ok := w.pass.TypesInfo.Uses[n].(*types.Var); ok && obj.IsField() {
-				w.fields[obj] = true
-			}
-		case *ast.StarExpr:
-			// *r as a value: the whole receiver is copied.
-			if id, ok := ast.Unparen(n.X).(*ast.Ident); ok && recv != nil &&
-				w.pass.TypesInfo.ObjectOf(id) == recv {
-				w.whole = true
-				return false
-			}
-		case *ast.AssignStmt:
-			// cp := r on a value receiver copies every field.
-			if w.valueReceiverCopied(recv, n.Rhs) {
-				return false
-			}
-		case *ast.ReturnStmt:
-			// return r on a value receiver copies every field.
-			if w.valueReceiverCopied(recv, n.Results) {
-				return false
-			}
-		case *ast.CallExpr:
-			// Follow r.sibling(...) into the sibling method's body.
-			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
-				if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && recv != nil &&
-					w.pass.TypesInfo.ObjectOf(id) == recv {
-					if sib := w.methods[sel.Sel.Name]; sib != nil {
-						w.walkMethod(sib)
-					}
+	var bad []string
+	state := false
+	for _, f := range stx.Fields.List {
+		_, isStruct := pass.TypesInfo.TypeOf(f.Type).Underlying().(*types.Struct)
+		switch {
+		case f.Names == nil && isStruct && !state:
+			state = true
+		case allowed(pass, f, cloneFieldsName):
+		case f.Names == nil:
+			bad = append(bad, types.ExprString(f.Type))
+		default:
+			for _, id := range f.Names {
+				if id.Name != "_" {
+					bad = append(bad, id.Name)
 				}
 			}
 		}
-		return true
-	})
+	}
+	return bad
 }

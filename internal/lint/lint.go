@@ -15,17 +15,17 @@
 //     math/rand draws in simulation packages, where all time must flow from
 //     des.Kernel/node.Env and all randomness from the seeded draw-counted
 //     kernel RNG.
-//   - clonefields: for every Snapshot/Clone method on a locally defined
-//     struct, verifies the method references every struct field, so adding a
-//     field without snapshotting it becomes a lint error instead of a
-//     fork-divergence heisenbug (the PR-7 bug class).
+//   - clonefields: a struct that declares its own Snapshot embeds at most one
+//     struct, its run state, which Snapshot and Restore copy whole, and every
+//     other field says why it is not checkpointed, so a field a run changes
+//     cannot sit outside a warm-fork checkpoint unremarked.
 //   - rngdiscipline: no rand.New/rand.NewSource construction outside
 //     internal/des, whose counting source is what makes snapshots replayable.
 //
 // Each analyzer honors a `//fdlint:allow <analyzer> <reason>` annotation on
-// the flagged line, the line above it, or the doc comment of the enclosing
-// declaration; the reason is mandatory — an annotation without one does not
-// suppress. Package scope is decided by the shared classification table in
+// the flagged line or the line above it (clonefields: in the field's own doc
+// or trailing comment); the reason is mandatory — an annotation without one
+// does not suppress. Package scope is decided by the shared classification table in
 // classify.go.
 package lint
 

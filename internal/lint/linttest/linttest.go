@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
@@ -69,18 +68,12 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgPaths ...string) {
 		if err != nil {
 			t.Fatalf("loading fixture %s: %v", path, err)
 		}
-		diags, err := lint.RunAnalyzers(l.fset, p.files, p.pkg, p.info, []*analysis.Analyzer{a})
+		diags, err := lint.RunAnalyzers(p, []*analysis.Analyzer{a})
 		if err != nil {
 			t.Fatalf("running %s on %s: %v", a.Name, path, err)
 		}
-		checkWants(t, l.fset, path, p.files, diags)
+		checkWants(t, l.fset, path, p.Files, diags)
 	}
-}
-
-type loaded struct {
-	pkg   *types.Package
-	files []*ast.File
-	info  *types.Info
 }
 
 // loader type-checks fixture packages, resolving fixture imports from the
@@ -89,14 +82,14 @@ type loader struct {
 	fset *token.FileSet
 	root string
 	std  types.Importer
-	pkgs map[string]*loaded
+	pkgs map[string]*lint.Package
 }
 
 func newLoader(root string) *loader {
 	l := &loader{
 		fset: token.NewFileSet(),
 		root: root,
-		pkgs: make(map[string]*loaded),
+		pkgs: make(map[string]*lint.Package),
 	}
 	l.std = importer.ForCompiler(l.fset, "source", nil)
 	return l
@@ -109,7 +102,7 @@ func (l *loader) Import(path string) (*types.Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		return p.pkg, nil
+		return p.Types, nil
 	}
 	return l.std.Import(path)
 }
@@ -119,7 +112,7 @@ func dirExists(dir string) bool {
 	return err == nil && st.IsDir()
 }
 
-func (l *loader) load(path string) (*loaded, error) {
+func (l *loader) load(path string) (*lint.Package, error) {
 	if p, ok := l.pkgs[path]; ok {
 		return p, nil
 	}
@@ -128,36 +121,19 @@ func (l *loader) load(path string) (*loaded, error) {
 	if err != nil {
 		return nil, err
 	}
-	var files []*ast.File
+	var files []string
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+			files = append(files, filepath.Join(dir, e.Name()))
 		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil,
-			parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
 	}
 	if len(files) == 0 {
 		return nil, fmt.Errorf("no Go files in %s", dir)
 	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Instances:  make(map[*ast.Ident]types.Instance),
-	}
-	conf := types.Config{Importer: l}
-	pkg, err := conf.Check(path, l.fset, files, info)
+	p, err := lint.Check(l.fset, l, path, files)
 	if err != nil {
 		return nil, err
 	}
-	p := &loaded{pkg: pkg, files: files, info: info}
 	l.pkgs[path] = p
 	return p, nil
 }

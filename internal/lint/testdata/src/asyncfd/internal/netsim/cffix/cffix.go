@@ -1,85 +1,105 @@
-// Package cffix seeds clonefields fixtures: Snapshot/Clone methods that miss
-// receiver fields, plus the shapes the analyzer accepts (whole-copy, sibling
-// methods, per-field and per-method annotations).
+// Package cffix seeds clonefields fixtures: structs that declare Snapshot and
+// keep a field outside their one embedded run-state struct without a reason,
+// plus the shapes the rule accepts or does not look at.
 package cffix
 
+// state is a run-state struct: Snapshot and Restore copy it whole.
 type state struct {
 	seq   uint64
 	inbox []int
-	cache map[int]int //fdlint:allow clonefields derived cache, rebuilt lazily on Restore
 }
 
-func (s *state) Snapshot() *state { // want `state\.Snapshot does not reference field\(s\) inbox`
-	return &state{seq: s.seq}
+func (s *state) copyTo(dst *state) {
+	dst.seq = s.seq
+	dst.inbox = append(dst.inbox[:0], s.inbox...)
 }
 
-type full struct {
-	seq   uint64
-	inbox []int
+// network is the accepted shape: one embedded state, and every other field
+// says why it is not checkpointed.
+type network struct {
+	state
+
+	cfg int //fdlint:allow clonefields immutable config, set once at construction
+	// scratch is dead between calls.
+	//fdlint:allow clonefields scratch buffer; contents are dead between calls
+	scratch []int
 }
 
-func (f *full) Snapshot() *full {
-	cp := &full{seq: f.seq}
-	cp.inbox = append([]int(nil), f.inbox...)
-	return cp
+func (n *network) Snapshot() any {
+	var s state
+	n.state.copyTo(&s)
+	return &s
 }
 
-// Clone copies the whole receiver: every field is captured by *f.
-func (f *full) Clone() full { return *f }
+// leaky holds a mutable counter beside its run state. The annotation on the
+// line above drops is cfg's, and covers cfg only.
+type leaky struct { // want `leaky declares Snapshot, but field\(s\) drops sit outside its one embedded run-state struct`
+	state
 
-type scalar struct{ a, b int }
-
-// Clone on a value receiver: returning the bare receiver copies the struct.
-func (s scalar) Clone() scalar { return s }
-
-type layered struct {
-	head int
-	tail []int
+	cfg   int //fdlint:allow clonefields immutable config, set once at construction
+	drops int
 }
 
-// Snapshot delegates tail to a sibling method; the analyzer follows the call.
-func (l *layered) Snapshot() *layered {
-	cp := &layered{head: l.head}
-	l.copyTail(cp)
-	return cp
+func (l *leaky) Snapshot() any { return l.state }
+
+// sloppy's annotation has no reason, so it does not count.
+type sloppy struct { // want `sloppy declares Snapshot, but field\(s\) cfg sit outside`
+	state
+
+	cfg int //fdlint:allow clonefields
 }
 
-func (l *layered) copyTail(dst *layered) {
-	dst.tail = append([]int(nil), l.tail...)
+func (s *sloppy) Snapshot() any { return s.state }
+
+type extra struct{ hits int }
+
+// twoStates embeds a second struct: only the first is the run state.
+type twoStates struct { // want `twoStates declares Snapshot, but field\(s\) extra sit outside`
+	state
+	extra
 }
 
-type ephemeral struct {
-	live    int
-	scratch []byte
+func (t *twoStates) Snapshot() any { return t.state }
+
+// wide has no run-state struct, and each field of a multi-name line is named.
+type wide struct { // want `wide declares Snapshot, but field\(s\) a, b, c sit outside`
+	a, b int
+	c    int
 }
 
-//fdlint:allow clonefields scratch is dead between calls; method-level hatch
-func (e *ephemeral) Snapshot() *ephemeral {
-	return &ephemeral{live: e.live}
+func (w wide) Snapshot() any { return w }
+
+// genState and genNode are generic, as monitor.Node is: still checked.
+type genState[R any] struct{ rules []R }
+
+type genNode[R any] struct { // want `genNode declares Snapshot, but field\(s\) last sit outside`
+	env  int //fdlint:allow clonefields immutable wiring, set once at construction
+	last R
+	genState[R]
 }
 
-type sloppy struct {
-	kept    int
-	dropped int //fdlint:allow clonefields
+func (g *genNode[R]) Snapshot() any { return g.genState }
+
+// wrapper's Snapshot is only promoted from the embedded pointer; the
+// runtime it wraps is what declares one, so wrapper is not checked.
+type wrapper struct {
+	*network
+	label string
 }
 
-// Snapshot is still flagged: the field annotation above has no reason.
-func (s *sloppy) Snapshot() *sloppy { // want `sloppy\.Snapshot does not reference field\(s\) dropped`
-	return &sloppy{kept: s.kept}
-}
-
-type wide struct {
-	a, b, c int
-}
-
-func (w *wide) Snapshot() *wide { // want `wide\.Snapshot does not reference field\(s\) b, c`
-	return &wide{a: w.a}
-}
-
+// padded ignores the blank padding field.
 type padded struct {
 	_ [8]byte
-	n int
+	state
 }
 
-// Snapshot ignores the blank padding field.
-func (p *padded) Snapshot() *padded { return &padded{n: p.n} }
+func (p *padded) Snapshot() any { return p.state }
+
+// plain declares no Snapshot, so what it holds is not the rule's business.
+type plain struct {
+	state
+	hits int
+}
+
+var _ = wrapper{}
+var _ = plain{}

@@ -128,7 +128,7 @@ func TestStopSilencesSenderAndMonitor(t *testing.T) {
 		c.net.Crash(1)
 		c.net.Crash(2)
 		c.sim.RunUntil(time.Minute)
-		if got := c.by(0, 0); len(got) != 0 || !c.nodes[0].Suspects().Empty() {
+		if got := c.by(0, 0); len(got) != 0 || c.nodes[0].Suspects().Len() != 0 {
 			t.Errorf("stopped monitor went on judging: events %v, suspects %v", got, c.nodes[0].Suspects())
 		}
 	})
@@ -181,7 +181,7 @@ func TestRestartRestores(t *testing.T) {
 			if fresh {
 				// The reboot lost the suspicions; the trace must say so,
 				// in ascending id (the events share a timestamp).
-				if len(restores) != 2 || restores[0] != 1 || restores[1] != 2 || !c.nodes[0].Suspects().Empty() {
+				if len(restores) != 2 || restores[0] != 1 || restores[1] != 2 || c.nodes[0].Suspects().Len() != 0 {
 					t.Errorf("fresh restart restored %v and suspects %v, want [1 2] and nobody", restores, c.nodes[0].Suspects())
 				}
 			} else if len(restores) != 0 || !c.nodes[0].IsSuspected(1) || !c.nodes[0].IsSuspected(2) {

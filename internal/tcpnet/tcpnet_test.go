@@ -755,7 +755,7 @@ func TestFDOverTCP(t *testing.T) {
 
 			time.Sleep(300 * time.Millisecond) // steady state across real sockets
 			for i := range crashed {
-				if s := suspects(int(i)); !s.Empty() {
+				if s := suspects(int(i)); s.Len() != 0 {
 					t.Logf("transient suspicions at steady state on p%d: %v", i, s)
 				}
 			}

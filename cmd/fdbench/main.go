@@ -182,7 +182,7 @@ func run(args []string, stdout io.Writer) error {
 	expID := fs.String("exp", "all", "experiment id (E1..E8, A1, A2, R1, R2, X1, X2, L1, L5, LT), a comma-separated list, or 'all'")
 	configPath := fs.String("config", "", "scenario config file(s) to run instead of the -exp experiments (asyncfd-scenario/v1 JSON, comma-separated list allowed); mutually exclusive with -exp")
 	quickFlag := fs.Bool("quick", false, "shrink sweeps and horizons")
-	seed := fs.Int64("seed", 1, "base random seed")
+	seed := fs.Int64("seed", 1, "base random seed (non-zero)")
 	repeat := fs.Int("repeat", 0, "seed-family size R per cell (0 = default: 1 with -quick, 3 otherwise)")
 	parallel := fs.Int("parallel", 1, "worker pool size; 0 or negative = one worker per CPU")
 	ciFlag := fs.Bool("ci", false, "collect per-cell seed-family distributions into the -json report's rows (mean/stderr/ci95/p50/p99 per metric)")
@@ -204,6 +204,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *repeat < 0 {
 		return fmt.Errorf("-repeat must be ≥ 0, got %d", *repeat)
+	}
+	if *seed == 0 {
+		return fmt.Errorf("-seed must not be 0: the engine reads seed 0 as unset and would run seed 1")
 	}
 	opts := exp.Options{Seed: *seed, Quick: *quickFlag, Parallel: *parallel, Repeat: *repeat}
 	if *ciFlag {

@@ -22,6 +22,7 @@ func TestRunErrorPaths(t *testing.T) {
 		{"unknown experiment", []string{"-quick", "-exp", "E99"}, "unknown experiment"},
 		{"unknown experiment in a list", []string{"-quick", "-exp", "E2,E99"}, "unknown experiment"},
 		{"negative repeat", []string{"-quick", "-repeat", "-2"}, "-repeat must be"},
+		{"zero seed", []string{"-quick", "-exp", "E2", "-seed", "0"}, "-seed must not be 0"},
 		{"experiment named twice", []string{"-quick", "-exp", "E2,e2"}, `"E2" given twice, by -exp item 1 (E2) and by -exp item 2 (e2)`},
 		{"unwritable json target", []string{"-quick", "-exp", "E2", "-json", filepath.Join(t.TempDir(), "no-such-dir", "out.json")}, "no-such-dir"},
 		{"json target is a directory", []string{"-quick", "-exp", "E2", "-json", t.TempDir()}, "is a directory"},

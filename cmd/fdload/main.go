@@ -191,6 +191,12 @@ func run(args []string) error {
 	if cfg.kill < 0 || cfg.kill >= cfg.peers {
 		return errors.New("-kill must be in [0, peers)")
 	}
+	if cfg.interval <= 0 {
+		return errors.New("-interval must be > 0")
+	}
+	if cfg.dur <= 0 {
+		return errors.New("-dur must be > 0")
+	}
 	if cfg.estimator != "heartbeat" && cfg.estimator != "phi" {
 		return fmt.Errorf("unknown -estimator %q (want heartbeat or phi)", cfg.estimator)
 	}

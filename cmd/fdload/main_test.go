@@ -23,6 +23,10 @@ func TestRunErrorPaths(t *testing.T) {
 		{"zero peers", []string{"-peers", "0"}, "-peers"},
 		{"zero senders", []string{"-senders", "0"}, "-senders"},
 		{"kill >= peers", []string{"-peers", "10", "-kill", "10"}, "-kill"},
+		{"zero interval", []string{"-interval", "0"}, "-interval"},
+		{"negative interval", []string{"-interval", "-5ms"}, "-interval"},
+		{"zero duration", []string{"-dur", "0"}, "-dur"},
+		{"negative duration", []string{"-dur", "-1s"}, "-dur"},
 		{"bad shards", []string{"-shards", "1,zero"}, "-shards"},
 		{"empty shards", []string{"-shards", ","}, "-shards"},
 		{"unknown estimator", []string{"-estimator", "oracle"}, "estimator"},

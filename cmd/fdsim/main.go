@@ -38,13 +38,16 @@ func run(args []string, stdout io.Writer) error {
 	configPath := fs.String("config", "", "scenario document to run (asyncfd-scenario/v1 JSON, cluster program)")
 	key := fs.String("cell", "", "cell to run: detector or detector/variant, as keyed in fdbench's v2 report (default: the first)")
 	quick := fs.Bool("quick", false, "select the document's quick overlay")
-	seed := fs.Int64("seed", 1, "random seed")
+	seed := fs.Int64("seed", 1, "random seed (non-zero)")
 	showTrace := fs.Bool("trace", true, "print the suspicion event timeline")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *configPath == "" {
 		return fmt.Errorf("-config is required")
+	}
+	if *seed == 0 {
+		return fmt.Errorf("-seed must not be 0: the engine reads seed 0 as unset and would run seed 1")
 	}
 	data, err := os.ReadFile(*configPath)
 	if err != nil {

@@ -80,6 +80,7 @@ func TestRunErrorPaths(t *testing.T) {
 		want  string
 	}{
 		{"missing config", nil, []string{"-quick"}, "-config is required"},
+		{"zero seed", nil, []string{"-config", filepath.Join("..", "..", "internal", "exp", "scenarios", "r2.json"), "-seed", "0"}, "-seed must not be 0"},
 		{"unknown cell", nil, []string{"-config", filepath.Join("..", "..", "internal", "exp", "scenarios", "r2.json"), "-cell", "oracle"},
 			`no cell "oracle" (cells: async, heartbeat, phi-accrual, chen-nfde)`},
 		{"consensus program", nil, []string{"-config", filepath.Join("..", "..", "configs", "e7_coordinator_restart.json")}, "the consensus program"},

@@ -14,16 +14,17 @@
 //
 // The kernel is built for throughput: events live in a slab recycled through
 // a free list (no per-event heap allocation in steady state), and an event
-// waits in one of three places. Events due at the instant they are scheduled
-// drain through a FIFO ready bucket. A timer due in a slot of the timer wheel
+// waits in one of two places. A timer due in a slot of the timer wheel
 // (state.wheel) that has not started yet waits in that slot's bucket, an
 // unordered list of slab indices. Everything else — messages, fan-out nodes,
 // timers due in the current slot or beyond the wheel's span, and the contents
 // of each slot as it drains — waits in one binary min-heap keyed inline by
 // (at, seq) (state.heap), so a sift compares entries without reading the
-// slab. The heap alone decides the order in which events fire: a slot is
-// drained into it before any event keyed at or after the slot's start is
-// taken. A pending timer is re-armed in place (Timer.Reset): the new key is
+// slab. Every event fires from the heap's root, so the heap alone decides the
+// order: a slot is drained into it before any event keyed at or after the
+// slot's start is taken, and an event due at the instant it is scheduled
+// carries the newest sequence number, so it fires after the events already
+// due then. A pending timer is re-armed in place (Timer.Reset): the new key is
 // recorded on the event and applied where the old one surfaces — when its
 // wheel slot drains, the timer is filed under the new key into a later
 // bucket in O(1), so a timeout that is pushed back once per heartbeat never
@@ -83,7 +84,7 @@ type event struct {
 	// newAt/newSeq is a pending re-arm (Timer.Reset): the key the timer
 	// really fires under, applied when (at, seq) — the key it is queued
 	// under, never later than the real one — surfaces: its wheel slot
-	// drains, or it reaches the heap's root or the ready bucket's head.
+	// drains, or it reaches the heap's root.
 	// newSeq is zero when there is none: a Reset always draws a later
 	// sequence number than the event's own.
 	newAt   time.Duration
@@ -191,10 +192,10 @@ func (t *Timer) Reset(d time.Duration) bool {
 // state is everything about a Simulator that a run changes — virtual clock,
 // sequence counter, the event slab (every in-flight message as data: endpoints,
 // payload and per-fan-out item storage; every timer with its pending re-arm,
-// if any), the free list, the ready bucket, the timer wheel, the heap and the
-// random stream position — and so everything a checkpoint holds. It exists
-// as one value so that Snapshot and Restore are one copy (state.copyTo) run
-// in the two directions: a field added here is checkpointed by being here.
+// if any), the free list, the timer wheel, the heap and the random stream
+// position — and so everything a checkpoint holds. It exists as one value so
+// that Snapshot and Restore are one copy (state.copyTo) run in the two
+// directions: a field added here is checkpointed by being here.
 type state struct {
 	now     time.Duration
 	seq     uint64
@@ -216,21 +217,15 @@ type state struct {
 	cursor  int64
 	wheeled int
 
-	// heap is a binary min-heap, by (at, seq), of every event that was not
-	// due at the instant it was scheduled and is not in the wheel: unicasts,
-	// fan-out nodes, timers due in the current slot or beyond the wheel's
-	// span, and the timers of each slot the wheel drains. Entries are keyed
-	// by the key the event is queued under, which a stopped or re-armed
-	// event keeps until it surfaces at the root. A fan-out node is a sorted
-	// run of deliveries, so it holds one entry however many deliveries
-	// remain, re-keyed at its next receiver.
+	// heap is a binary min-heap, by (at, seq), of every event that is not in
+	// the wheel: unicasts, fan-out nodes, timers due in the current slot or
+	// beyond the wheel's span, and the timers of each slot the wheel drains.
+	// Every event fires from its root. Entries are keyed by the key the
+	// event is queued under, which a stopped or re-armed event keeps until
+	// it surfaces at the root. A fan-out node is a sorted run of deliveries,
+	// so it holds one entry however many deliveries remain, re-keyed at its
+	// next receiver.
 	heap []entry
-
-	// fifo is the ready bucket: events scheduled for the current instant,
-	// drained in seq (FIFO) order without touching the heap. Entries are
-	// sorted by seq by construction.
-	fifo     []int32
-	fifoHead int
 }
 
 // Simulator is the event loop. It is strictly single-threaded: all scheduled
@@ -289,8 +284,8 @@ func (s *Simulator) Steps() uint64 { return s.stepped }
 
 // Pending returns the number of callbacks and deliveries currently scheduled,
 // including stopped timers not yet reclaimed: a stopped timer is reclaimed
-// when its wheel slot drains, or when it reaches the heap's root or the
-// ready bucket's head. A timer counts once however often it has been Reset.
+// when its wheel slot drains, or when it reaches the heap's root. A timer
+// counts once however often it has been Reset.
 func (s *Simulator) Pending() int { return s.pending }
 
 // alloc takes a slab slot from the free list, growing the slab when empty.
@@ -339,18 +334,13 @@ func (s *Simulator) clampAt(d time.Duration) time.Duration {
 }
 
 // schedule gives slab slot i, already filled in, its key — fire time at and
-// the next n sequence numbers — and queues it: in the ready bucket if it is
-// due now, else in the wheel or the heap.
+// the next n sequence numbers — and queues it in the wheel or the heap.
 func (s *Simulator) schedule(i int32, at time.Duration, n int) {
 	e := &s.events[i]
 	e.at, e.seq = at, s.seq
 	s.seq += uint64(n)
 	s.pending += n
-	if at == s.now {
-		s.fifo = append(s.fifo, i) // seq is monotonic, so fifo stays sorted
-	} else {
-		s.enqueue(i)
-	}
+	s.enqueue(i)
 }
 
 const (
@@ -366,9 +356,10 @@ const (
 	wheelSlots = 1 << 10
 )
 
-// enqueue queues event i, keyed and not due now: a timer keyed in a wheel
-// slot that has not been drained, within the span, waits in its bucket;
-// every other event goes into the heap.
+// enqueue queues event i, keyed: a timer keyed in a wheel slot that has not
+// been drained, within the span, waits in its bucket; every other event goes
+// into the heap. The slot of the current instant has always been drained, so
+// an event due now goes into the heap.
 func (s *Simulator) enqueue(i int32) {
 	e := &s.events[i]
 	if e.kind == evTimer {
@@ -627,26 +618,15 @@ func b2i(b bool) int {
 	return 0
 }
 
-func (s *Simulator) fifoPop() int32 {
-	i := s.fifo[s.fifoHead]
-	s.fifoHead++
-	if s.fifoHead == len(s.fifo) {
-		s.fifo = s.fifo[:0]
-		s.fifoHead = 0
-	}
-	return i
-}
-
 // live reports whether the event can fire under the key it is queued under:
 // it is neither stopped nor waiting to be re-keyed.
 func (e *event) live() bool { return !e.stopped && e.newSeq == 0 }
 
 // requeue disposes of timer i, which is not live and was just taken from
-// where it surfaced: the ready bucket's head, the heap's root or a draining
-// wheel slot. A stopped event is reclaimed. A re-armed one takes the key it
-// really fires under, never earlier than the one it was queued under, and is
-// queued again in the wheel or the heap — never back into the ready bucket:
-// its new sequence number may be smaller than ones already waiting there.
+// where it surfaced: the heap's root or a draining wheel slot. A stopped
+// event is reclaimed. A re-armed one takes the key it really fires under,
+// never earlier than the one it was queued under, and is queued again in the
+// wheel or the heap.
 func (s *Simulator) requeue(i int32) {
 	e := &s.events[i]
 	if e.stopped {
@@ -660,33 +640,21 @@ func (s *Simulator) requeue(i int32) {
 }
 
 // popDue returns the live event with the smallest (at, seq) key if it fires
-// at or before limit, or noEvent. The ready bucket's head and the heap's root
-// are each brought to a live event — stopped and re-armed events are disposed
-// of exactly when they surface, so Stop and Reset never search — and then
-// every wheel slot that starts at or before both the lesser of the two and
-// limit is drained into the heap, in slot order, so that every timer still in
-// the wheel fires after the event taken. The lesser of the two heads is
-// taken. A timer or unicast is removed before it fires; a fan-out node taken
-// from the root stays there (root is true) for fire to re-key in place: one
-// sift per delivery instead of a pop's and a push's.
-func (s *Simulator) popDue(limit time.Duration) (i int32, root bool) {
-	f := noEvent
-	for s.fifoHead < len(s.fifo) {
-		if f = s.fifo[s.fifoHead]; s.events[f].live() {
-			break
-		}
-		s.requeue(s.fifoPop())
-		f = noEvent
-	}
+// at or before limit, or noEvent. The heap's root is brought to a live event —
+// stopped and re-armed events are disposed of exactly when they surface, so
+// Stop and Reset never search — and then every wheel slot that starts at or
+// before both the root and limit is drained into the heap, in slot order, so
+// that every timer still in the wheel fires after the event taken. That event
+// is the root. A timer or unicast is popped before it fires; a fan-out node
+// stays at the root for fire to re-key in place: one sift per delivery
+// instead of a pop's and a push's.
+func (s *Simulator) popDue(limit time.Duration) int32 {
 	for len(s.heap) > 0 && !s.events[s.heap[0].i].live() {
 		i := s.heap[0].i
 		s.pop()
 		s.requeue(i)
 	}
 	bound := limit
-	if f != noEvent {
-		bound = min(bound, s.events[f].at)
-	}
 	for s.wheeled > 0 {
 		// A drain pushes live events only, so the root stays live.
 		if len(s.heap) > 0 {
@@ -697,48 +665,35 @@ func (s *Simulator) popDue(limit time.Duration) (i int32, root bool) {
 		}
 		s.drain()
 	}
-	if h := s.heap; len(h) > 0 && (f == noEvent || h[0].less(&entry{at: s.events[f].at, seq: s.events[f].seq})) {
-		i = h[0].i
-		if h[0].at > limit {
-			return noEvent, false
-		}
-		if s.events[i].kind == evFanout {
-			return i, true
-		}
+	if len(s.heap) == 0 || s.heap[0].at > limit {
+		return noEvent
+	}
+	i := s.heap[0].i
+	if s.events[i].kind != evFanout {
 		s.pop()
-		return i, false
 	}
-	if f == noEvent || s.events[f].at > limit {
-		return noEvent, false
-	}
-	return s.fifoPop(), false
+	return i
 }
 
 // fire executes event i, which popDue took, advancing virtual time to it.
-func (s *Simulator) fire(i int32, root bool) {
+func (s *Simulator) fire(i int32) {
 	e := &s.events[i]
 	s.stepped++
 	s.pending--
 	switch e.kind {
 	case evFanout:
-		// Deliver the current item, then re-key the node at its next one, in
-		// place if it is at the heap's root: a same-instant successor, still
-		// the least key, stays there after one comparison.
+		// Deliver the current item, then re-key the node, still at the heap's
+		// root, at its next one: a same-instant successor, still the least
+		// key, stays there after one comparison. The last item pops it.
 		it, from, payload := e.items[e.head], e.from, e.payload
 		e.head++
 		s.now = it.at
 		if int(e.head) < len(e.items) {
 			e.at = e.items[e.head].at
 			e.seq++
-			if root {
-				s.down(entry{at: e.at, seq: e.seq, i: i})
-			} else {
-				s.push(i)
-			}
+			s.down(entry{at: e.at, seq: e.seq, i: i})
 		} else {
-			if root {
-				s.pop()
-			}
+			s.pop()
 			s.release(i)
 		}
 		s.sink.Deliver(from, it.to, payload)
@@ -760,11 +715,11 @@ func (s *Simulator) fire(i int32, root bool) {
 // Step executes the next pending event, advancing virtual time. It returns
 // false when no events remain.
 func (s *Simulator) Step() bool {
-	i, root := s.popDue(math.MaxInt64)
+	i := s.popDue(math.MaxInt64)
 	if i == noEvent {
 		return false
 	}
-	s.fire(i, root)
+	s.fire(i)
 	return true
 }
 
@@ -777,8 +732,8 @@ func (s *Simulator) Run() {
 // RunUntil executes events with timestamps ≤ t, then advances the clock to
 // t. Events scheduled exactly at t do run.
 func (s *Simulator) RunUntil(t time.Duration) {
-	for i, root := s.popDue(t); i != noEvent; i, root = s.popDue(t) {
-		s.fire(i, root)
+	for i := s.popDue(t); i != noEvent; i = s.popDue(t) {
+		s.fire(i)
 	}
 	s.now = max(s.now, t)
 }

@@ -43,14 +43,25 @@ func TestEventOrdering(t *testing.T) {
 	}
 }
 
+// TestSameInstantFIFO: events due at one instant fire in the order they were
+// scheduled, and one scheduled for the instant while it runs fires after
+// every event already due then.
 func TestSameInstantFIFO(t *testing.T) {
 	s := New(1)
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.After(5*time.Millisecond, func() { got = append(got, i) })
+		s.After(5*time.Millisecond, func() {
+			got = append(got, i)
+			if i < 3 {
+				s.After(0, func() { got = append(got, 10+i) })
+			}
+		})
 	}
 	s.Run()
+	if len(got) != 13 {
+		t.Fatalf("fired %d events, want 13", len(got))
+	}
 	for i := range got {
 		if got[i] != i {
 			t.Fatalf("same-instant order = %v, want FIFO", got)

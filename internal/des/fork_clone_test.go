@@ -27,17 +27,16 @@ func forkOf(s *Simulator) *Simulator {
 }
 
 // queuedIndices collects every slab index the simulator considers pending:
-// the heap's, the wheel's bucket by bucket, then the live part of the ready
-// FIFO.
+// the heap's, then the wheel's bucket by bucket.
 func queuedIndices(s *Simulator) []int32 {
-	out := make([]int32, 0, len(s.heap)+s.wheeled+len(s.fifo)-s.fifoHead)
+	out := make([]int32, 0, len(s.heap)+s.wheeled)
 	for _, x := range s.heap {
 		out = append(out, x.i)
 	}
 	for _, b := range s.wheel {
 		out = append(out, b...)
 	}
-	return append(out, s.fifo[s.fifoHead:]...)
+	return out
 }
 
 // slabViolation returns the first inconsistency of the simulator's
@@ -120,7 +119,7 @@ func structuralFingerprint(s *Simulator) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "now=%d seq=%d stepped=%d pending=%d seed=%d draws=%d\n",
 		s.now, s.seq, s.stepped, s.pending, s.stream.seed, s.stream.draws)
-	fmt.Fprintf(&b, "free=%v fifo=%v fifoHead=%d heap=%v\n", s.free, s.fifo, s.fifoHead, s.heap)
+	fmt.Fprintf(&b, "free=%v heap=%v\n", s.free, s.heap)
 	fmt.Fprintf(&b, "cursor=%d wheeled=%d\n", s.cursor, s.wheeled)
 	for k, bucket := range s.wheel {
 		if len(bucket) > 0 {
@@ -135,8 +134,8 @@ func structuralFingerprint(s *Simulator) string {
 }
 
 // loadSim builds a simulator mid-run with every structural feature present:
-// recycled free slots, a part-drained FIFO, stopped entries, messages and
-// fan-out nodes, far-horizon timers and a timer re-armed but not yet re-keyed.
+// recycled free slots, events due at the current instant, stopped entries,
+// messages and fan-out nodes, far-horizon timers and a timer re-armed but not yet re-keyed.
 func loadSim() (s *Simulator, fired *int, stopped int) {
 	s, _ = newSunk(7)
 	fired = new(int)
@@ -162,7 +161,7 @@ func loadSim() (s *Simulator, fired *int, stopped int) {
 			stopped++
 		}
 	}
-	s.After(0, bump) // ready-FIFO entry at the current instant
+	s.After(0, bump) // due at the current instant
 	s.Fanout(9, deliver, []Receiver{{D: 0, To: 1}, {D: time.Millisecond, To: 2}})
 	return s, fired, stopped
 }

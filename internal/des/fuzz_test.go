@@ -14,7 +14,7 @@ import (
 // Fanout/Step/RunUntil calls against the kernel and against the reference
 // model (model_test.go) and asserts the two are observationally identical —
 // same fire order, same Now()/Steps() at every checkpoint, at which the
-// kernel's slab, ready bucket, timer wheel and heap must also be consistent.
+// kernel's slab, timer wheel and heap must also be consistent.
 // The same scripts hold Timer.Reset to its contract: a kernel whose timers
 // are re-armed in place executes the same (time, callback) sequence as one
 // whose timers are stopped and armed anew. The committed seed corpus
@@ -279,7 +279,8 @@ func queueScriptSeeds() [][]byte {
 		{0, 0, 60, 1, 10, 1, 0, 100, 1, 9, 0, 0, 200, 1, 9, 0, 0, 50, 1, 9, 0, 0, 10, 1, 6, 1, 0, 1,
 			9, 0, 0, 30, 1, 4, 0, 1, 9, 0, 0, 20, 1, 5, 1, 5, 1},
 		// re-arm a timer due at the current instant, among same-instant
-		// events: the re-keyed event must not jump the ready bucket
+		// events: the re-keyed event must fire after the events already due
+		// then, and before those scheduled after the re-arm
 		{10, 2, 0, 0, 1, 0, 0, 0, 1, 9, 0, 0, 0, 1, 0, 0, 0, 1, 9, 0, 0, 0, 1, 5, 1, 5, 1, 5, 1},
 		// unicasts and fan-outs racing timers of owners that crash and
 		// recover between arming and firing

@@ -56,7 +56,7 @@ func onModel(sink *testSink) sched {
 // model is the reference scheduler: every pending event in one slice, and
 // each step fires the one with the least (at, seq), found by linear scan. A
 // Fanout is the k Sends it stands for and a Reset is Stop + After, so none of
-// the kernel's ready bucket, heap, fan-out nodes or lazy re-keying is in it.
+// the kernel's timer wheel, heap, fan-out nodes or lazy re-keying is in it.
 // It draws sequence numbers and random numbers as the kernel does, so the two
 // run a script to the same fire order, Now() and Steps(). Its Pending()
 // counts live events only: it has no stopped events to reclaim.

@@ -97,7 +97,7 @@ func TestStopAfterReset(t *testing.T) {
 	}
 }
 
-// TestResetDueNow re-arms a timer sitting in the ready bucket: like Stop +
+// TestResetDueNow re-arms a timer due at the current instant: like Stop +
 // After(0) it goes behind everything already scheduled for the instant.
 func TestResetDueNow(t *testing.T) {
 	l := newFireLog()

@@ -87,16 +87,15 @@ type Snapshot struct{ st state }
 // copyTo makes dst a copy of s that shares no mutable storage with it, reusing
 // what dst already has: the slab's array and its per-event item storage (a
 // Restore runs once per replicate, and reallocating the arena every time
-// dominated fork cost at large n), the free list, the ready bucket, the
-// wheel's buckets and the heap. spare is the pool a bucket that dst has no
-// storage for takes some from: the restored simulator's, or nil for a
-// checkpoint, whose buckets are sized to what they hold.
+// dominated fork cost at large n), the free list, the wheel's buckets and
+// the heap. spare is the pool a bucket that dst has no storage for takes some
+// from: the restored simulator's, or nil for a checkpoint, whose buckets are
+// sized to what they hold.
 func (s *state) copyTo(dst *state, spare *[][]int32) {
-	events, free, fifo, wheel, heap, gen := dst.events, dst.free, dst.fifo, dst.wheel, dst.heap, dst.stream.gen
+	events, free, wheel, heap, gen := dst.events, dst.free, dst.wheel, dst.heap, dst.stream.gen
 	*dst = *s
 	dst.events = copyEvents(events, s.events)
 	dst.free = append(free[:0], s.free...)
-	dst.fifo = append(fifo[:0], s.fifo...)
 	dst.wheel = copyWheel(wheel, s.wheel, spare)
 	dst.heap = append(heap[:0], s.heap...)
 	dst.stream.rebind(gen)

@@ -36,23 +36,26 @@ type detector interface {
 type kind struct {
 	name string
 	// new builds a node with sample windows of the given size (0: the
-	// kind's default).
+	// kind's default; φ's node always has the default).
 	new func(env node.Env, self ident.ID, peers ident.Set, window int, sink fd.SuspicionSink) (detector, error)
 	// armed is how many kernel events a monitor that was never started
 	// keeps pending for one punctual peer: the deadline, or none if polled.
 	armed int
+	// fill is how many samples the node's window holds when built with
+	// testWindow: φ's node keeps its default of 200.
+	fill int
 }
 
 var kinds = []kind{
 	{"heartbeat", func(env node.Env, self ident.ID, peers ident.Set, _ int, sink fd.SuspicionSink) (detector, error) {
 		return heartbeat.NewNode(env, heartbeat.Config{Self: self, Peers: peers, Interval: interval, Timeout: 2 * interval, Sink: sink})
-	}, 1},
-	{"phi-accrual", func(env node.Env, self ident.ID, peers ident.Set, window int, sink fd.SuspicionSink) (detector, error) {
-		return phiaccrual.NewNode(env, phiaccrual.Config{Self: self, Peers: peers, Interval: interval, WindowSize: window, Sink: sink})
-	}, 0},
+	}, 1, testWindow},
+	{"phi-accrual", func(env node.Env, self ident.ID, peers ident.Set, _ int, sink fd.SuspicionSink) (detector, error) {
+		return phiaccrual.NewNode(env, phiaccrual.Config{Self: self, Peers: peers, Interval: interval, Sink: sink})
+	}, 0, 200},
 	{"chen-nfde", func(env node.Env, self ident.ID, peers ident.Set, window int, sink fd.SuspicionSink) (detector, error) {
 		return chen.NewNode(env, chen.Config{Self: self, Peers: peers, Interval: interval, Alpha: 300 * time.Millisecond, WindowSize: window, Sink: sink})
-	}, 1},
+	}, 1, testWindow},
 }
 
 func forEachKind(t *testing.T, fn func(t *testing.T, k kind)) {
@@ -330,8 +333,11 @@ func TestAllocsHeartbeatDelivery(t *testing.T) {
 	forEachKind(t, func(t *testing.T, k kind) {
 		c := newNet(netsim.Constant{})
 		nd := c.add(t, k, 0, ident.SetOf(0, 1), testWindow) // not started: no beat, no poll
+		// Fill the window and arm the deadline.
+		warm := max(16, k.fill)
 		// Boxed ahead of time: the payload is the sender's allocation.
-		hbs := make([]any, 128)
+		// AllocsPerRun makes one more call than it measures.
+		hbs := make([]any, warm+1+100)
 		for i := range hbs {
 			hbs[i] = monitor.Message{From: 1, Seq: uint64(i + 1)}
 		}
@@ -341,7 +347,7 @@ func TestAllocsHeartbeatDelivery(t *testing.T) {
 			nd.Deliver(1, hbs[next])
 			next++
 		}
-		for i := 0; i < 16; i++ { // fill the window, arm the deadline
+		for i := 0; i < warm; i++ {
 			beat()
 		}
 		if allocs := testing.AllocsPerRun(100, beat); allocs != 0 {

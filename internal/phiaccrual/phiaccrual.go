@@ -17,7 +17,9 @@
 // This package holds the detector's Config, its per-peer rule (Estimator:
 // the window and the φ threshold) and its constructor; the node runtime is
 // internal/monitor's, shared with the fixed-timeout heartbeat and NFD-E, and
-// polls the rule every CheckInterval.
+// polls the rule every quarter interval. A node's rule keeps the default
+// window (200 samples) and floor (Interval/20); an Estimator built directly
+// can set both.
 package phiaccrual
 
 import (
@@ -41,14 +43,6 @@ type Config struct {
 	// Threshold is the suspicion level above which a peer is suspected.
 	// The conventional default is 8 (used when zero).
 	Threshold float64
-	// WindowSize bounds the inter-arrival sample window (default 200).
-	WindowSize int
-	// MinStdDev floors the fitted standard deviation to keep φ finite on
-	// perfectly regular traffic (default Interval/20).
-	MinStdDev time.Duration
-	// CheckInterval is how often suspicion levels are re-evaluated
-	// (default Interval/4).
-	CheckInterval time.Duration
 	// Sink, if set, receives timestamped suspicion transitions.
 	Sink fd.SuspicionSink
 }
@@ -59,15 +53,12 @@ func (c Config) Validate() error {
 	if !c.Self.Valid() {
 		return errors.New("phiaccrual: config: Self must be valid")
 	}
-	if c.CheckInterval < 0 {
-		return errors.New("phiaccrual: config: negative CheckInterval")
-	}
 	return c.rule().Validate()
 }
 
 // rule is the part of the configuration that concerns the per-peer rule.
 func (c Config) rule() EstimatorConfig {
-	return EstimatorConfig{Interval: c.Interval, Threshold: c.Threshold, WindowSize: c.WindowSize, MinStdDev: c.MinStdDev}
+	return EstimatorConfig{Interval: c.Interval, Threshold: c.Threshold}
 }
 
 // Node is a φ-accrual detector node: the shared runtime polling the φ rule.
@@ -86,10 +77,7 @@ func NewNode(env node.Env, cfg Config) (*Node, error) {
 	}
 	rule := cfg.rule()
 	rule.fillDefaults()
-	poll := cfg.CheckInterval
-	if poll == 0 {
-		poll = cfg.Interval / 4
-	}
+	poll := cfg.Interval / 4
 	if poll <= 0 {
 		poll = time.Millisecond
 	}

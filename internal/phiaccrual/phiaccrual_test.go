@@ -20,15 +20,11 @@ func TestConfigValidate(t *testing.T) {
 		{Self: ident.Nil, Interval: time.Second},
 		{Self: 0, Interval: 0},
 		{Self: 0, Interval: time.Second, Threshold: -1},
-		{Self: 0, Interval: time.Second, WindowSize: -1},
-		// Each of these switched something off without saying so: a NaN or
-		// infinite threshold is never reached, a negative floor lets σ be 0,
-		// and a negative CheckInterval became a 1 ms poll.
+		// A NaN or infinite threshold is never reached: each switched
+		// detection off without saying so.
 		{Self: 0, Interval: time.Second, Threshold: math.NaN()},
 		{Self: 0, Interval: time.Second, Threshold: math.Inf(1)},
 		{Self: 0, Interval: time.Second, Threshold: math.Inf(-1)},
-		{Self: 0, Interval: time.Second, MinStdDev: -time.Millisecond},
-		{Self: 0, Interval: time.Second, CheckInterval: -time.Millisecond},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -206,26 +202,23 @@ func TestRestartAndRedetectionUnpoisonedWindow(t *testing.T) {
 }
 
 // TestPollInterval: suspicion is raised by the poll, so it falls on a
-// multiple of CheckInterval — a quarter of the heartbeat interval unless set.
+// multiple of a quarter of the heartbeat interval, here between two whole
+// intervals.
 func TestPollInterval(t *testing.T) {
-	for _, tc := range []struct{ check, want time.Duration }{
-		{0, 250 * time.Millisecond},
-		{70 * time.Millisecond, 70 * time.Millisecond},
-	} {
-		sim := des.New(1)
-		net := netsim.New(sim, netsim.Config{Delay: netsim.Constant{}})
-		log := &trace.Log{}
-		var nd *Node
-		env := net.AddNode(0, proxy{&nd})
-		nd, err := NewNode(env, Config{Self: 0, Peers: ident.SetOf(1), Interval: time.Second, CheckInterval: tc.check, Sink: log})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nd.Start()
-		sim.RunUntil(time.Minute)
-		at, ok := log.FirstSuspicion(0, 1)
-		if !ok || at%tc.want != 0 || at%(7*250*time.Millisecond) == 0 {
-			t.Errorf("CheckInterval %v: silent peer suspected at %v (ok=%v), want a multiple of %v", tc.check, at, ok, tc.want)
-		}
+	const poll = 250 * time.Millisecond
+	sim := des.New(1)
+	net := netsim.New(sim, netsim.Config{Delay: netsim.Constant{}})
+	log := &trace.Log{}
+	var nd *Node
+	env := net.AddNode(0, proxy{&nd})
+	nd, err := NewNode(env, Config{Self: 0, Peers: ident.SetOf(1), Interval: time.Second, Sink: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd.Start()
+	sim.RunUntil(time.Minute)
+	at, ok := log.FirstSuspicion(0, 1)
+	if !ok || at%poll != 0 || at%time.Second == 0 {
+		t.Errorf("silent peer suspected at %v (ok=%v), want a multiple of %v between whole seconds", at, ok, poll)
 	}
 }

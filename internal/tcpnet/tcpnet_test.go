@@ -703,7 +703,10 @@ func TestFDOverTCP(t *testing.T) {
 			return asFD(heartbeat.NewNode(env, heartbeat.Config{Self: env.Self(), Peers: all, Interval: interval, Timeout: 10 * interval}))
 		}},
 		{"phiaccrual", func(env node.Env) (fdNode, error) {
-			return asFD(phiaccrual.NewNode(env, phiaccrual.Config{Self: env.Self(), Peers: all, Interval: interval, MinStdDev: interval / 3}))
+			// φ's standard-deviation floor is Interval/20: at 200 ms it is
+			// 10 ms, wide enough that a stall of the loopback scheduler
+			// (under -race, on a loaded machine) is no suspicion.
+			return asFD(phiaccrual.NewNode(env, phiaccrual.Config{Self: env.Self(), Peers: all, Interval: 200 * time.Millisecond}))
 		}},
 		{"chen", func(env node.Env) (fdNode, error) {
 			return asFD(chen.NewNode(env, chen.Config{Self: env.Self(), Peers: all, Interval: interval, Alpha: 5 * interval}))

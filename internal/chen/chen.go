@@ -5,8 +5,13 @@
 // when the clock passes EA + α. It is the classic adaptive *expected-arrival*
 // detector, complementing the φ-accrual comparator.
 //
+// EA for heartbeat m+1, where m is the highest sequence number heard, is the
+// mean over the window of each sample's lag A_i − Δ·s_i behind the sender's
+// schedule, plus Δ·(m+1). The window holds those lags, one per heartbeat (the
+// last 100 of them), and their running sum.
+//
 // This package holds the detector's Config, its per-peer rule (Estimator:
-// the arrival window and EA + α) and its constructor; the node runtime is
+// the lag window and EA + α) and its constructor; the node runtime is
 // internal/monitor's, shared with the fixed-timeout heartbeat and φ-accrual.
 package chen
 
@@ -30,8 +35,6 @@ type Config struct {
 	Interval time.Duration
 	// Alpha is the safety margin added to the expected arrival time.
 	Alpha time.Duration
-	// WindowSize bounds the arrival sample window (default 100).
-	WindowSize int
 	// Sink, if set, receives timestamped suspicion transitions.
 	Sink fd.SuspicionSink
 }
@@ -47,9 +50,6 @@ func (c Config) Validate() error {
 	if c.Alpha <= 0 {
 		return errors.New("chen: config: Alpha must be positive")
 	}
-	if c.WindowSize < 0 {
-		return errors.New("chen: config: negative WindowSize")
-	}
 	return nil
 }
 
@@ -64,10 +64,7 @@ func NewNode(env node.Env, cfg Config) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.WindowSize == 0 {
-		cfg.WindowSize = 100
-	}
 	return monitor.New[Estimator, *Estimator](env, monitor.Config{
 		Self: cfg.Self, Peers: cfg.Peers, Interval: cfg.Interval, Sink: cfg.Sink,
-	}, Estimator{cfg: &cfg}), nil
+	}, Estimator{p: &params{interval: cfg.Interval, alpha: cfg.Alpha, window: windowSize}}), nil
 }

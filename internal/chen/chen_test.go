@@ -19,7 +19,6 @@ func TestConfigValidate(t *testing.T) {
 		{Self: ident.Nil, Interval: time.Second, Alpha: time.Second},
 		{Self: 0, Interval: 0, Alpha: time.Second},
 		{Self: 0, Interval: time.Second, Alpha: 0},
-		{Self: 0, Interval: time.Second, Alpha: time.Second, WindowSize: -1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

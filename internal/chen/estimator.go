@@ -2,29 +2,37 @@ package chen
 
 import "time"
 
-// sample is one heartbeat observation.
-type sample struct {
-	seq     uint64
-	arrival time.Duration
+// windowSize is how many heartbeats a node's expected-arrival estimate
+// averages over.
+const windowSize = 100
+
+// params is what every peer's Estimator of one monitor reads.
+type params struct {
+	interval, alpha time.Duration
+	window          int // ring capacity: windowSize in a node
 }
 
-// Estimator is the NFD-E rule for one monitored peer — a window of
-// (sequence number, arrival time) pairs and the expected arrival EA of the
-// next heartbeat — with no Env, goroutine or timer machinery. It is the
-// monitor.Rule the simulator's Node runs. Unlike the Θ and φ rules it needs
-// the heartbeat's sequence number, which is why internal/liveshard (whose
-// ingest carries arrival times only) cannot run it yet.
+// Estimator is the NFD-E rule for one monitored peer — a window of recent
+// heartbeats and the expected arrival EA of the next one — with no Env,
+// goroutine or timer machinery. It is the monitor.Rule the simulator's Node
+// runs. Unlike the Θ and φ rules it needs the heartbeat's sequence number,
+// which is why internal/liveshard (whose ingest carries arrival times only)
+// cannot run it yet.
+//
+// Heartbeat s arriving at A is kept as the one value EA reads of it, its lag
+// A − Δ·s behind the sender's schedule: one 8-byte ring slot per sample and
+// one running sum. The record is ordered so that next and bootstrap share a
+// word.
 type Estimator struct {
-	cfg     *Config  // shared by every peer of one monitor
-	samples []sample // ring, bounded by WindowSize
-	next    int
-	maxSeq  uint64
-	// sumArrival/sumSeq are the running window sums Σ arrival and Σ seq,
-	// maintained by push so expectedArrival is O(1) instead of re-walking
-	// the window on every heartbeat. Integer arithmetic, so the incremental
-	// sums equal the walked ones exactly.
-	sumArrival time.Duration
-	sumSeq     uint64
+	p      *params         // shared by every peer of one monitor
+	lags   []time.Duration // ring of A − Δ·s, bounded by p.window
+	maxSeq uint64
+	// sum is Σ lags, maintained by push so expectedArrival is O(1) instead
+	// of re-walking the window on every heartbeat. Integer arithmetic, so
+	// the incremental sum equals the walked one exactly (modulo 2⁶⁴, as
+	// every int64 sum here is).
+	sum  time.Duration
+	next int32
 	// bootstrap marks a window holding only the synthetic restart sample;
 	// the first real heartbeat replaces it wholesale, because mixing the
 	// restart-era sample with post-restart sequence numbers would corrupt
@@ -32,49 +40,43 @@ type Estimator struct {
 	bootstrap bool
 }
 
-func (e *Estimator) push(s sample) {
-	if capacity := e.cfg.WindowSize; len(e.samples) < capacity {
-		e.samples = append(e.samples, s)
+// push takes heartbeat seq arriving at arrival into the window.
+func (e *Estimator) push(seq uint64, arrival time.Duration) {
+	lag := arrival - time.Duration(seq)*e.p.interval
+	if len(e.lags) < e.p.window {
+		e.lags = append(e.lags, lag)
 	} else {
-		old := e.samples[e.next]
-		e.sumArrival -= old.arrival
-		e.sumSeq -= old.seq
-		e.samples[e.next] = s
-		e.next = (e.next + 1) % capacity
+		e.sum -= e.lags[e.next]
+		e.lags[e.next] = lag
+		if e.next++; int(e.next) == e.p.window {
+			e.next = 0
+		}
 	}
-	e.sumArrival += s.arrival
-	e.sumSeq += s.seq
-	if s.seq > e.maxSeq {
-		e.maxSeq = s.seq
+	e.sum += lag
+	if seq > e.maxSeq {
+		e.maxSeq = seq
 	}
 }
 
-// rebase empties the window (and its running sums) so the next push starts a
+// rebase empties the window (and its running sum) so the next push starts a
 // fresh estimation era.
 func (e *Estimator) rebase() {
-	e.samples = e.samples[:0]
+	e.lags = e.lags[:0]
 	e.next = 0
-	e.sumArrival = 0
-	e.sumSeq = 0
+	e.sum = 0
 }
 
-// expectedArrival estimates EA for heartbeat maxSeq+1: the average of
-// (A_i − Δ·seq_i) over the window, plus Δ·(maxSeq+1). The window sums are
-// maintained incrementally by push; Σ(A_i − Δ·seq_i) = ΣA_i − Δ·Σseq_i
-// exactly in integer arithmetic, so this matches the walked sum byte for
-// byte at O(1) per heartbeat.
+// expectedArrival estimates EA for heartbeat maxSeq+1: the mean lag over the
+// window, plus Δ·(maxSeq+1).
 func (e *Estimator) expectedArrival() time.Duration {
-	if len(e.samples) == 0 {
+	if len(e.lags) == 0 {
 		return 0
 	}
-	interval := e.cfg.Interval
-	sum := e.sumArrival - time.Duration(e.sumSeq)*interval
-	base := sum / time.Duration(len(e.samples))
-	return base + time.Duration(e.maxSeq+1)*interval
+	return e.sum/time.Duration(len(e.lags)) + time.Duration(e.maxSeq+1)*e.p.interval
 }
 
 // deadline is EA + α: the instant from which the next heartbeat is overdue.
-func (e *Estimator) deadline() time.Duration { return e.expectedArrival() + e.cfg.Alpha }
+func (e *Estimator) deadline() time.Duration { return e.expectedArrival() + e.p.alpha }
 
 // Suspected implements monitor.Rule: the clock has passed EA + α.
 func (e *Estimator) Suspected(now time.Duration) bool { return now > e.deadline() }
@@ -84,7 +86,7 @@ func (e *Estimator) Suspected(now time.Duration) bool { return now > e.deadline(
 // started earlier may have been heard already — and the first real
 // heartbeats join it in turn.
 func (e *Estimator) Prime(now time.Duration) time.Duration {
-	e.push(sample{seq: 0, arrival: now})
+	e.push(0, now)
 	return e.deadline()
 }
 
@@ -118,13 +120,13 @@ func (e *Estimator) Beat(seq uint64, now time.Duration, suspected bool) (time.Du
 		e.rebase()
 		e.bootstrap = false
 	}
-	e.push(sample{seq: seq, arrival: now})
+	e.push(seq, now)
 	return e.deadline(), true
 }
 
 // CopyTo implements monitor.Rule (the window is the only reference field).
 func (e *Estimator) CopyTo(dst *Estimator) {
-	samples := append(dst.samples[:0], e.samples...)
+	lags := append(dst.lags[:0], e.lags...)
 	*dst = *e
-	dst.samples = samples
+	dst.lags = lags
 }

@@ -1,6 +1,7 @@
 package monitor_test
 
 import (
+	"runtime"
 	"testing"
 
 	"asyncfd/internal/ident"
@@ -25,7 +26,7 @@ type ledgerRig struct {
 func newLedgerRig(b *testing.B, k kind) *ledgerRig {
 	b.Helper()
 	r := &ledgerRig{cluster: newNet(netsim.Constant{}), msgs: make([]any, ledgerPeers)}
-	r.nd = r.add(b, k, 0, ident.FullSet(ledgerPeers+1), 0)
+	r.nd = r.add(b, k, 0, ident.FullSet(ledgerPeers+1))
 	r.nd.Start()
 	for i := 0; i < 256; i++ { // φ keeps 200 samples, NFD-E 100
 		r.advance()
@@ -103,4 +104,35 @@ func BenchmarkScan(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkFootprint is the memory row of the layer ledger: the live heap a
+// monitored peer costs (B/peer), taken after a GC over the warmed rig of 127
+// peers plus one checkpoint of it — the peer records, the rules' full
+// windows and the checkpoint's copy of both, with the rig's fixed share (the
+// kernel, the network, the node) spread over the peers. One op builds, warms
+// and checkpoints one rig; the metric is the last op's.
+func BenchmarkFootprint(b *testing.B) {
+	for _, k := range kinds {
+		b.Run(k.name, func(b *testing.B) {
+			var perPeer float64
+			for i := 0; i < b.N; i++ {
+				before := liveHeap()
+				r := newLedgerRig(b, k)
+				snap := r.nd.Snapshot()
+				perPeer = float64(liveHeap()-before) / ledgerPeers
+				runtime.KeepAlive(r)
+				runtime.KeepAlive(snap)
+			}
+			b.ReportMetric(perPeer, "B/peer")
+		})
+	}
+}
+
+// liveHeap is the bytes of heap objects that survive a GC.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

@@ -35,27 +35,26 @@ type detector interface {
 
 type kind struct {
 	name string
-	// new builds a node with sample windows of the given size (0: the
-	// kind's default; φ's node always has the default).
-	new func(env node.Env, self ident.ID, peers ident.Set, window int, sink fd.SuspicionSink) (detector, error)
+	// new builds a node; every kind keeps its default sample window.
+	new func(env node.Env, self ident.ID, peers ident.Set, sink fd.SuspicionSink) (detector, error)
 	// armed is how many kernel events a monitor that was never started
 	// keeps pending for one punctual peer: the deadline, or none if polled.
 	armed int
-	// fill is how many samples the node's window holds when built with
-	// testWindow: φ's node keeps its default of 200.
+	// fill is how many samples the node's window holds: none for the fixed
+	// timeout, 200 for φ, 100 for NFD-E.
 	fill int
 }
 
 var kinds = []kind{
-	{"heartbeat", func(env node.Env, self ident.ID, peers ident.Set, _ int, sink fd.SuspicionSink) (detector, error) {
+	{"heartbeat", func(env node.Env, self ident.ID, peers ident.Set, sink fd.SuspicionSink) (detector, error) {
 		return heartbeat.NewNode(env, heartbeat.Config{Self: self, Peers: peers, Interval: interval, Timeout: 2 * interval, Sink: sink})
-	}, 1, testWindow},
-	{"phi-accrual", func(env node.Env, self ident.ID, peers ident.Set, _ int, sink fd.SuspicionSink) (detector, error) {
+	}, 1, 0},
+	{"phi-accrual", func(env node.Env, self ident.ID, peers ident.Set, sink fd.SuspicionSink) (detector, error) {
 		return phiaccrual.NewNode(env, phiaccrual.Config{Self: self, Peers: peers, Interval: interval, Sink: sink})
 	}, 0, 200},
-	{"chen-nfde", func(env node.Env, self ident.ID, peers ident.Set, window int, sink fd.SuspicionSink) (detector, error) {
-		return chen.NewNode(env, chen.Config{Self: self, Peers: peers, Interval: interval, Alpha: 300 * time.Millisecond, WindowSize: window, Sink: sink})
-	}, 1, testWindow},
+	{"chen-nfde", func(env node.Env, self ident.ID, peers ident.Set, sink fd.SuspicionSink) (detector, error) {
+		return chen.NewNode(env, chen.Config{Self: self, Peers: peers, Interval: interval, Alpha: 300 * time.Millisecond, Sink: sink})
+	}, 1, 100},
 }
 
 func forEachKind(t *testing.T, fn func(t *testing.T, k kind)) {
@@ -84,7 +83,7 @@ func newCluster(t testing.TB, k kind, n int, delay netsim.DelayModel) *cluster {
 	t.Helper()
 	c := newNet(delay)
 	for i := 0; i < n; i++ {
-		c.nodes = append(c.nodes, c.add(t, k, ident.ID(i), ident.FullSet(n), testWindow))
+		c.nodes = append(c.nodes, c.add(t, k, ident.ID(i), ident.FullSet(n)))
 	}
 	for _, nd := range c.nodes {
 		nd.Start()
@@ -92,15 +91,12 @@ func newCluster(t testing.TB, k kind, n int, delay netsim.DelayModel) *cluster {
 	return c
 }
 
-// testWindow fills within a test's warm-up.
-const testWindow = 8
-
 // add puts one process on the network without starting it.
-func (c *cluster) add(t testing.TB, k kind, id ident.ID, peers ident.Set, window int) detector {
+func (c *cluster) add(t testing.TB, k kind, id ident.ID, peers ident.Set) detector {
 	t.Helper()
 	var nd detector
 	env := c.net.AddNode(id, node.HandlerFunc(func(from ident.ID, payload any) { nd.Deliver(from, payload) }))
-	nd, err := k.new(env, id, peers, window, c.log)
+	nd, err := k.new(env, id, peers, c.log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +136,7 @@ func TestStopSilencesSenderAndMonitor(t *testing.T) {
 func TestForeignPayloadsAndStrangersIgnored(t *testing.T) {
 	forEachKind(t, func(t *testing.T, k kind) {
 		c := newNet(netsim.Constant{})
-		nd := c.add(t, k, 0, ident.SetOf(0, 1), testWindow)
+		nd := c.add(t, k, 0, ident.SetOf(0, 1))
 		stranger := c.net.AddNode(9, node.HandlerFunc(func(ident.ID, any) {}))
 		nd.Start()
 		stranger.Send(0, monitor.Message{From: 9, Seq: 1})
@@ -308,7 +304,7 @@ func TestRestoreBetweenSightingAndSuspicion(t *testing.T) {
 func TestBootstrapDeadlinesFireInIDOrder(t *testing.T) {
 	forEachKind(t, func(t *testing.T, k kind) {
 		c := newNet(netsim.Constant{})
-		c.add(t, k, 0, ident.SetOf(7, 3, 0, 5), testWindow).Start()
+		c.add(t, k, 0, ident.SetOf(7, 3, 0, 5)).Start()
 		c.sim.RunUntil(time.Minute)
 		got := c.log.Events()
 		if len(got) != 3 {
@@ -332,7 +328,7 @@ func TestAllocsHeartbeatDelivery(t *testing.T) {
 	}
 	forEachKind(t, func(t *testing.T, k kind) {
 		c := newNet(netsim.Constant{})
-		nd := c.add(t, k, 0, ident.SetOf(0, 1), testWindow) // not started: no beat, no poll
+		nd := c.add(t, k, 0, ident.SetOf(0, 1)) // not started: no beat, no poll
 		// Fill the window and arm the deadline.
 		warm := max(16, k.fill)
 		// Boxed ahead of time: the payload is the sender's allocation.

@@ -75,12 +75,13 @@ type Config struct {
 
 // peer is one monitored process. Records are pointer targets that never move,
 // so a pending deadline callback and the checkpoint's Restore see the same
-// one.
+// one. The id and the flag come last, to share a word: one record per
+// (observer, subject) pair is the bulk of a run's detector state.
 type peer[R any] struct {
-	id        ident.ID
 	rule      R
-	suspected bool
 	deadline  node.Timer
+	id        ident.ID
+	suspected bool
 }
 
 // Node is a heartbeat-family detector node. It holds no lock: like every

@@ -12,6 +12,7 @@ import (
 	"asyncfd/internal/netsim"
 	"asyncfd/internal/qos"
 	"asyncfd/internal/stats"
+	"asyncfd/internal/trace"
 )
 
 // Options tunes an experiment run.
@@ -588,11 +589,12 @@ func A1TagsAblation(opts Options) (*Table, error) {
 				},
 				measure: func(c *Cluster, truth *qos.GroundTruth) obs {
 					tail := 0
-					for _, e := range c.Log.Events() {
+					c.Log.Each(func(e trace.Event) bool {
 						if e.At >= tailCut {
 							tail++
 						}
-					}
+						return true
+					})
 					pairs := 0
 					c.Members.ForEach(func(id ident.ID) bool {
 						pairs += c.Detector(id).Suspects().Len()

@@ -1,7 +1,6 @@
 package qos
 
 import (
-	"sort"
 	"time"
 
 	"asyncfd/internal/ident"
@@ -20,12 +19,12 @@ func (k pairKey) pair() (observer, subject ident.ID) {
 	return ident.ID(uint32(k >> 32)), ident.ID(uint32(k))
 }
 
-// Judge is the episode index of one recorded suspicion trace: JudgeFrom reads
-// the log once — one stable O(E log E) sort by time, one fold into a flat
-// sparse map of suspicion episodes per (observer, subject) pair — and every
-// metric is a read-only finalizer over that index. A Judge never changes
-// after JudgeFrom returns, so one may be queried from several goroutines,
-// and a caller that wants several metrics of a run builds one and asks it
+// Judge is the episode index of one recorded suspicion trace: JudgeFrom
+// folds the log, in the time order it keeps, into a flat sparse map of
+// suspicion episodes per (observer, subject) pair, and every metric is a
+// read-only finalizer over that index. A Judge never changes after
+// JudgeFrom returns, so one may be queried from several goroutines, and a
+// caller that wants several metrics of a run builds one and asks it
 // repeatedly. The sort+rescan implementations the index replaced are the
 // oracle of this package's differential tests (legacy_test.go).
 type Judge struct {
@@ -34,14 +33,12 @@ type Judge struct {
 	index map[pairKey][]episode
 }
 
-// JudgeFrom builds the Judge of a recorded log. Events recorded after the
-// call are not seen. The log need not be in time order: events are sorted
-// (stably) by At before they are folded into episodes.
+// JudgeFrom builds the Judge of a recorded log, folding it in place in one
+// pass: the log is in time order, ties in recording order, however it was
+// recorded. Events recorded after the call are not seen.
 func JudgeFrom(log *trace.Log) *Judge {
-	events := log.Events()
-	sort.SliceStable(events, func(a, b int) bool { return events[a].At < events[b].At })
 	index := make(map[pairKey][]episode)
-	for _, e := range events {
+	log.Each(func(e trace.Event) bool {
 		k := key(e.Observer, e.Subject)
 		eps := index[k]
 		open := len(eps) > 0 && eps[len(eps)-1].end == -1
@@ -52,7 +49,8 @@ func JudgeFrom(log *trace.Log) *Judge {
 		} else if open {
 			eps[len(eps)-1].end = e.At
 		}
-	}
+		return true
+	})
 	return &Judge{index: index}
 }
 

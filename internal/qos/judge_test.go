@@ -48,7 +48,8 @@ func randomTruth(r *rand.Rand, n int) *GroundTruth {
 
 // TestJudgeDifferential proves every Judge finalizer byte-identical to the
 // legacy sort+rescan implementation on randomized traces. randomTrace
-// records out of time order, so JudgeFrom's sort is exercised too.
+// records out of time order, so the log's insert of an earlier event is
+// exercised too.
 func TestJudgeDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	horizon := 20 * time.Second

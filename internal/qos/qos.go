@@ -8,11 +8,11 @@
 // partition-window mistake storms. The experiment harness reduces every
 // table of the reconstructed evaluation to these numbers.
 //
-// Metrics are computed by the Judge: JudgeFrom reads a recorded trace.Log
-// once into a flat per-pair episode index, and every metric is a method that
-// reads that index. A caller builds one Judge per trace and asks it for
-// every metric it wants, which is what makes judging n=1024–4096 topology
-// cells tractable. The one-sort-plus-rescan-per-call implementations the
+// Metrics are computed by the Judge: JudgeFrom folds a recorded trace.Log,
+// in place and in the time order the log keeps, into a flat per-pair
+// episode index, and every metric is a method that reads that index. A
+// caller builds one Judge per trace and asks it for every metric it wants,
+// which is what makes judging n=1024–4096 topology cells tractable. The one-sort-plus-rescan-per-call implementations the
 // index replaced are the oracle of the package's differential tests
 // (legacy_test.go), which hold every metric byte-identical to them.
 //

@@ -16,7 +16,7 @@
 // n=128/256) and LT the topology sweep (neighbor-local detection and
 // per-process traffic on ring/grid/scale-free/MANET graphs at
 // n=1024/2048/4096, tractable thanks to netsim's sparse delivery and the
-// one-pass qos Judge; quick mode shrinks the large sweeps to one small
+// one-pass qos.Fold; quick mode shrinks the large sweeps to one small
 // size like every other table). -exp also accepts a comma-separated list
 // ("L1,L5,LT"), reported in the given order in one combined report — the
 // nightly bench gate uses this.

@@ -2,7 +2,7 @@
 // (internal/liveshard behind internal/tcpnet) at scale over real localhost
 // sockets and reports what the hot path actually achieved: sustained
 // heartbeats/sec, ingest-to-estimate latency quantiles, send-path stall
-// bounds, and live QoS (detection time and mistakes, via the same qos.Judge
+// bounds, and live QoS (detection time and mistakes, via the same qos.Fold
 // the simulator uses) for a cohort of peers killed mid-run.
 //
 // Usage:
@@ -137,12 +137,23 @@ type verdict struct {
 // truth records: detection latency for the killed cohort, false-suspicion
 // episodes for everyone else.
 func judgeRun(log *trace.Log, truth *qos.GroundTruth, monitorID ident.ID, peers, kill int, horizon time.Duration) verdict {
-	judge := qos.JudgeFrom(log)
 	observers := ident.SetOf(monitorID)
+	killed := make([]*qos.Detection, kill)
+	folded := make([]qos.Metric, 0, kill+1)
+	for i := range killed {
+		killed[i] = qos.NewDetectionTimes(truth, ident.ID(peers-kill+i), observers)
+		folded = append(folded, killed[i])
+	}
+	// Mistakes counts a pair only when both ends are members, and the one
+	// observer in the trace is the monitor.
+	members := ident.FullSet(peers)
+	members.Add(monitorID)
+	mistakes := qos.NewMistakes(truth, members, horizon)
+	qos.Fold(log, append(folded, mistakes)...)
 	v := verdict{Killed: kill}
 	var detSum, detMax time.Duration
-	for i := peers - kill; i < peers; i++ {
-		ds := judge.DetectionTimes(truth, ident.ID(i), observers)
+	for _, det := range killed {
+		ds := det.Result()
 		if ds.Count > 0 {
 			v.Detected++
 			detSum += ds.Avg
@@ -157,11 +168,7 @@ func judgeRun(log *trace.Log, truth *qos.GroundTruth, monitorID ident.ID, peers,
 		v.DetectAvgMS = qos.Millis(detSum / time.Duration(v.Detected))
 		v.DetectMaxMS = qos.Millis(detMax)
 	}
-	// Mistakes counts a pair only when both ends are members, and the one
-	// observer in the trace is the monitor.
-	members := ident.FullSet(peers)
-	members.Add(monitorID)
-	ms := judge.Mistakes(truth, members, horizon)
+	ms := mistakes.Result()
 	v.FalseEpisodes = ms.Count + ms.Unresolved
 	return v
 }

@@ -78,12 +78,13 @@ func run(args []string, stdout io.Writer) error {
 	if err := t.Render(stdout); err != nil {
 		return err
 	}
-	judge := qos.JudgeFrom(c.Log)
-	mist := judge.Mistakes(truth, c.Members, horizon)
-	pa := judge.QueryAccuracy(truth, c.Members, horizon)
+	m := qos.NewMistakes(truth, c.Members, horizon)
+	pa := qos.NewQueryAccuracy(truth, c.Members, horizon)
+	qos.Fold(c.Log, m, pa)
+	mist := m.Result()
 	fmt.Fprintf(stdout, "mistakes: closed=%d unresolved=%d avg-duration=%v rate=%.5f/pair/s\n",
 		mist.Count, mist.Unresolved, mist.AvgDuration, mist.Rate)
-	fmt.Fprintf(stdout, "query accuracy PA=%.4f\n", pa)
+	fmt.Fprintf(stdout, "query accuracy PA=%.4f\n", pa.Result())
 	st := c.Net.Stats()
 	fmt.Fprintf(stdout, "traffic: sent=%d delivered=%d dropped=%d\n", st.Sent, st.Delivered, st.Dropped)
 	return nil

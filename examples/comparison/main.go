@@ -49,7 +49,9 @@ func run() error {
 
 		observers := c.Members.Clone()
 		observers.Remove(crash)
-		det := qos.JudgeFrom(c.Log).DetectionTimes(truth, crash, observers)
+		d := qos.NewDetectionTimes(truth, crash, observers)
+		qos.Fold(c.Log, d)
+		det := d.Result()
 		fmt.Printf("%-12s  %-10v  %-10v  %-10v\n",
 			kind, det.Avg.Round(time.Millisecond), det.Min.Round(time.Millisecond), det.Max.Round(time.Millisecond))
 	}

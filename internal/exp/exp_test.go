@@ -87,8 +87,9 @@ func TestClusterEachKindDetectsCrash(t *testing.T) {
 			}
 			truth := c.Apply(faults.Schedule{}.CrashAt(4, 5*time.Second))
 			c.RunUntil(30 * time.Second)
-			st := qos.JudgeFrom(c.Log).DetectionTimes(truth, 4, ident.SetOf(0, 1, 2, 3))
-			if st.Count != 4 || st.Missing != 0 {
+			det := qos.NewDetectionTimes(truth, 4, ident.SetOf(0, 1, 2, 3))
+			qos.Fold(c.Log, det)
+			if st := det.Result(); st.Count != 4 || st.Missing != 0 {
 				t.Fatalf("detection stats = %+v", st)
 			}
 			if !c.Detector(0).IsSuspected(4) {
@@ -120,16 +121,19 @@ func TestClusterEachKindSurvivesCrashRecovery(t *testing.T) {
 					CrashAt(victim, 30*time.Second))
 				c.RunUntil(50 * time.Second)
 
-				judge := qos.JudgeFrom(c.Log)
-				det1 := judge.RedetectionTimes(truth, victim, observers, 0)
+				redet1 := qos.NewRedetectionTimes(truth, victim, observers, 0)
+				restore := qos.NewTrustRestorationTimes(truth, victim, observers, 0)
+				redet2 := qos.NewRedetectionTimes(truth, victim, observers, 1)
+				qos.Fold(c.Log, redet1, restore, redet2)
+				det1 := redet1.Result()
 				if det1.Count != 4 || det1.Missing != 0 {
 					t.Fatalf("crash #1 detection = %+v", det1)
 				}
-				rst := judge.TrustRestorationTimes(truth, victim, observers, 0)
+				rst := restore.Result()
 				if rst.Missing != 0 || rst.Count == 0 {
 					t.Fatalf("trust restoration = %+v; observers never re-trusted the restarted process", rst)
 				}
-				det2 := judge.RedetectionTimes(truth, victim, observers, 1)
+				det2 := redet2.Result()
 				if det2.Count != 4 || det2.Missing != 0 {
 					t.Fatalf("crash #2 re-detection = %+v", det2)
 				}
@@ -157,12 +161,13 @@ func TestClusterPartitionHealAllKindsReconverge(t *testing.T) {
 				PartitionAt(10*time.Second, []ident.ID{5}).
 				HealAt(20 * time.Second))
 			c.RunUntil(45 * time.Second)
-			judge := qos.JudgeFrom(c.Log)
-			storm := judge.MistakeStorm(truth, c.Members, 10*time.Second, 20*time.Second)
-			if storm == 0 {
+			mistakes := qos.NewMistakeStorm(truth, c.Members, 10*time.Second, 20*time.Second)
+			reconvergence := qos.NewReconvergence(truth, c.Members, 20*time.Second)
+			qos.Fold(c.Log, mistakes, reconvergence)
+			if mistakes.Result() == 0 {
 				t.Error("partition produced no false suspicions of the cut-off minority")
 			}
-			settle, clean := judge.Reconvergence(truth, c.Members, 20*time.Second)
+			settle, clean := reconvergence.Result()
 			if !clean {
 				t.Errorf("cluster did not re-converge after the heal (settle=%v)", settle)
 			}

@@ -89,10 +89,10 @@ func boundedF(n int) int {
 
 // crashDetection measures how every other member detected the crash of one
 // process.
-func crashDetection(judge *qos.Judge, members ident.Set, truth *qos.GroundTruth, crash ident.ID) qos.DetectionStats {
+func crashDetection(members ident.Set, truth *qos.GroundTruth, crash ident.ID) *qos.Detection {
 	observers := members.Clone()
 	observers.Remove(crash)
-	return judge.DetectionTimes(truth, crash, observers)
+	return qos.NewDetectionTimes(truth, crash, observers)
 }
 
 // crashCell is the family cell the detection sweeps (E1/L1/E8) share: n
@@ -113,7 +113,9 @@ func crashCell(opts Options, kind Kind, n int, observe func(qos.DetectionStats) 
 			horizon: 30 * time.Second,
 			build:   faulted(cfg, faults.Schedule{}.CrashAt(crash, 10400*time.Millisecond)),
 			measure: func(c *Cluster, truth *qos.GroundTruth) obs {
-				return observe(crashDetection(qos.JudgeFrom(c.Log), c.Members, truth, crash))
+				det := crashDetection(c.Members, truth, crash)
+				qos.Fold(c.Log, det)
+				return observe(det.Result())
 			},
 		},
 	}
@@ -175,10 +177,13 @@ func crashQoSRow(label []string, key string, cfg ClusterConfig, warm, crashAt, h
 			horizon: horizon,
 			build:   faulted(cfg, faults.Schedule{}.CrashAt(crash, crashAt)),
 			measure: func(c *Cluster, truth *qos.GroundTruth) obs {
-				judge := qos.JudgeFrom(c.Log)
-				return obs{}.detection("det", crashDetection(judge, c.Members, truth, crash)).
-					add("mistake_rate", judge.Mistakes(truth, c.Members, horizon).Rate).
-					add("query_accuracy", judge.QueryAccuracy(truth, c.Members, horizon))
+				det := crashDetection(c.Members, truth, crash)
+				mist := qos.NewMistakes(truth, c.Members, horizon)
+				pa := qos.NewQueryAccuracy(truth, c.Members, horizon)
+				qos.Fold(c.Log, det, mist, pa)
+				return obs{}.detection("det", det.Result()).
+					add("mistake_rate", mist.Result().Rate).
+					add("query_accuracy", pa.Result())
 			},
 		},
 	}}}
@@ -227,10 +232,11 @@ func E2DetectionVsF(opts Options) (*Table, error) {
 func secondsLabel(at time.Duration) string { return fmt.Sprintf("%ds", int(at/time.Second)) }
 
 // falseSuspicions records the cluster-wide count of false suspicions at each
-// time as an unsampled observation under the time's row label, and returns
-// the series' peak and total for the caller's sampled summaries.
-func falseSuspicions(j *qos.Judge, truth *qos.GroundTruth, times []time.Duration) (o obs, peak, total int) {
-	for i, v := range j.FalseSuspicionSeries(truth, times) {
+// time, a folded qos.FalseSuspicionSeries, as an unsampled observation under
+// the time's row label, and returns the series' peak and total for the
+// caller's sampled summaries.
+func falseSuspicions(series *qos.FalseSuspicionSeries, times []time.Duration) (o obs, peak, total int) {
+	for i, v := range series.Result() {
 		o = o.hide(secondsLabel(times[i]), float64(v))
 		peak = max(peak, v)
 		total += v
@@ -298,9 +304,11 @@ func E3Disturbance(opts Options) (*Table, error) {
 				horizon: horizon,
 				build:   faulted(cfg, nil),
 				measure: func(c *Cluster, truth *qos.GroundTruth) obs {
-					j := qos.JudgeFrom(c.Log)
-					o, peak, _ := falseSuspicions(j, truth, times)
-					mist := j.Mistakes(truth, c.Members, horizon)
+					series := qos.NewFalseSuspicionSeries(truth, times)
+					m := qos.NewMistakes(truth, c.Members, horizon)
+					qos.Fold(c.Log, series, m)
+					o, peak, _ := falseSuspicions(series, times)
+					mist := m.Result()
 					return o.add("mistakes", float64(mist.Count)).
 						add("mistake_dur_ms", qos.Millis(mist.AvgDuration)).
 						add("peak_false_susp", float64(peak))
@@ -350,12 +358,14 @@ func E4QoS(opts Options) (*Table, error) {
 					horizon: horizon,
 					build:   faulted(cfg, nil),
 					measure: func(c *Cluster, truth *qos.GroundTruth) obs {
-						judge := qos.JudgeFrom(c.Log)
-						mist := judge.Mistakes(truth, c.Members, horizon)
+						m := qos.NewMistakes(truth, c.Members, horizon)
+						pa := qos.NewQueryAccuracy(truth, c.Members, horizon)
+						qos.Fold(c.Log, m, pa)
+						mist := m.Result()
 						return obs{}.add("mistakes", float64(mist.Count)).
 							add("mistake_rate", mist.Rate).
 							add("mistake_dur_ms", qos.Millis(mist.AvgDuration)).
-							add("query_accuracy", judge.QueryAccuracy(truth, c.Members, horizon))
+							add("query_accuracy", pa.Result())
 					},
 				},
 			}}})
@@ -483,7 +493,9 @@ func E6MPSensitivity(opts Options) (*Table, error) {
 				build:   faulted(cfg, nil),
 				measure: func(c *Cluster, _ *qos.GroundTruth) obs {
 					// Suspected at the cut, or suspected anew after it.
-					tail := qos.JudgeFrom(c.Log).SuspectedInTail(cut)
+					s := qos.NewSuspectedInTail(cut)
+					qos.Fold(c.Log, s)
+					tail := s.Result()
 					never := n - tail.Len()
 					return obs{}.add("never_suspected", float64(never)).
 						add("holds", indicator(never > 0)).
@@ -600,9 +612,11 @@ func A1TagsAblation(opts Options) (*Table, error) {
 						pairs += c.Detector(id).Suspects().Len()
 						return true
 					})
+					mist := qos.NewMistakes(truth, c.Members, horizon)
+					qos.Fold(c.Log, mist)
 					return obs{}.add("tail_transitions", float64(tail)).
 						add("suspected_pairs", float64(pairs)).
-						add("mistakes", float64(qos.JudgeFrom(c.Log).Mistakes(truth, c.Members, horizon).Count))
+						add("mistakes", float64(mist.Result().Count))
 				},
 			},
 		}}})

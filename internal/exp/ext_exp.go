@@ -71,7 +71,9 @@ func X1DensityExt(opts Options) (*Table, error) {
 					truth := c.Apply(faults.Schedule{}.CrashAt(crash, crashAt))
 					c.RunUntil(horizon)
 					opts.record(c.Sim)
-					return obs{}.detection("det", crashDetection(qos.JudgeFrom(c.Log), c.Members, truth, crash)), nil
+					det := crashDetection(c.Members, truth, crash)
+					qos.Fold(c.Log, det)
+					return obs{}.detection("det", det.Result()), nil
 				},
 			})
 		}
@@ -128,7 +130,9 @@ func X2MobilityExt(opts Options) (*Table, error) {
 				c.RunUntil(horizon)
 				opts.record(c.Sim)
 				// Nobody crashes: every suspicion is false.
-				o, peak, total := falseSuspicions(qos.JudgeFrom(c.Log), &qos.GroundTruth{}, times)
+				series := qos.NewFalseSuspicionSeries(&qos.GroundTruth{}, times)
+				qos.Fold(c.Log, series)
+				o, peak, total := falseSuspicions(series, times)
 				return o.add("peak_false_susp", float64(peak)).add("false_susp_total", float64(total)), nil
 			},
 		})

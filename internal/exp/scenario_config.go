@@ -91,35 +91,45 @@ func ScenarioTable(sc *scenario.Scenario, opts Options) (*Table, error) {
 }
 
 // scenarioObserve measures one replicate of a cluster-program cell: every
-// configured metric off one trace pass. A detection-kind metric records
-// name_avg_ms and name_max_ms plus the unsampled name_missing; a storm
-// records name; a reconvergence records name (the settle time, ms) and its
-// 0/1 clean indicator.
+// configured metric off one fold of the trace. A detection-kind metric
+// records name_avg_ms and name_max_ms plus the unsampled name_missing; a
+// storm records name; a reconvergence records name (the settle time, ms)
+// and its 0/1 clean indicator.
 func scenarioObserve(metrics []scenario.Metric, c *Cluster, truth *qos.GroundTruth) obs {
-	judge := qos.JudgeFrom(c.Log)
-	var o obs
-	for _, m := range metrics {
+	folded := make([]qos.Metric, len(metrics))
+	for i, m := range metrics {
 		switch m.Kind {
 		case scenario.MetricStorm:
-			o = o.add(m.Name, float64(judge.MistakeStorm(truth, c.Members, m.From, m.To)))
+			folded[i] = qos.NewMistakeStorm(truth, c.Members, m.From, m.To)
 		case scenario.MetricReconvergence:
-			settle, clean := judge.Reconvergence(truth, c.Members, m.After)
-			o = o.add(m.Name, qos.Millis(settle)).add(m.CleanName, indicator(clean))
+			folded[i] = qos.NewReconvergence(truth, c.Members, m.After)
 		default:
 			observers := ident.SetOf(m.Observers...)
 			if len(m.Observers) == 0 {
 				observers = c.Members.Clone()
 				observers.Remove(m.Victim)
 			}
-			var det qos.DetectionStats
 			switch m.Kind {
 			case scenario.MetricDetection:
-				det = judge.DetectionTimes(truth, m.Victim, observers)
+				folded[i] = qos.NewDetectionTimes(truth, m.Victim, observers)
 			case scenario.MetricRedetection:
-				det = judge.RedetectionTimes(truth, m.Victim, observers, m.Episode)
+				folded[i] = qos.NewRedetectionTimes(truth, m.Victim, observers, m.Episode)
 			case scenario.MetricTrustRestoration:
-				det = judge.TrustRestorationTimes(truth, m.Victim, observers, m.Episode)
+				folded[i] = qos.NewTrustRestorationTimes(truth, m.Victim, observers, m.Episode)
 			}
+		}
+	}
+	qos.Fold(c.Log, folded...)
+	var o obs
+	for i, m := range metrics {
+		switch f := folded[i].(type) {
+		case *qos.MistakeStorm:
+			o = o.add(m.Name, float64(f.Result()))
+		case *qos.Reconvergence:
+			settle, clean := f.Result()
+			o = o.add(m.Name, qos.Millis(settle)).add(m.CleanName, indicator(clean))
+		case *qos.Detection:
+			det := f.Result()
 			o = o.detection(m.Name, det).hide(m.Name+"_missing", float64(det.Missing))
 		}
 	}
@@ -313,8 +323,9 @@ func scenarioTopologyTable(sc *scenario.Scenario, opts Options) (*Table, error) 
 					truth := c.Apply(faults.Schedule{}.CrashAt(victim, sc.Measure.CrashAt))
 					c.RunUntil(horizon)
 					opts.record(c.Sim)
-					det := qos.JudgeFrom(c.Log).DetectionTimes(truth, victim, g.Neighbors(victim))
-					return obs{}.detection("det", det).
+					det := qos.NewDetectionTimes(truth, victim, g.Neighbors(victim))
+					qos.Fold(c.Log, det)
+					return obs{}.detection("det", det.Result()).
 						add("avg_degree", float64(degSum)/float64(n)).
 						traffic(c.Net.Stats(), n, horizon), nil
 				},

@@ -10,9 +10,9 @@ package exp
 // cost is driven by connectivity degree, not by n — exactly the property the
 // sweep measures. Cells at n=1024–4096 are tractable because both sides of
 // the pipeline are sparse: netsim's per-node fan-out lists and O(1)
-// partition labels keep simulation cost degree-proportional, and the qos
-// Judge turns metric extraction into one accumulator pass over the trace
-// instead of an O(n²·E) rescan.
+// partition labels keep simulation cost degree-proportional, and qos.Fold
+// turns metric extraction into one accumulator pass over the trace instead
+// of an O(n²·E) rescan.
 
 import (
 	"asyncfd/internal/ident"

@@ -1,9 +1,8 @@
 package qos
 
 import (
+	"fmt"
 	"math/rand"
-	"reflect"
-	"slices"
 	"testing"
 	"time"
 
@@ -46,10 +45,11 @@ func randomTruth(r *rand.Rand, n int) *GroundTruth {
 	return &g
 }
 
-// TestJudgeDifferential proves every Judge finalizer byte-identical to the
-// legacy sort+rescan implementation on randomized traces. randomTrace
-// records out of time order, so the log's insert of an earlier event is
-// exercised too.
+// TestJudgeDifferential proves every metric byte-identical to the legacy
+// sort+rescan implementation on randomized traces, folded alone, inside one
+// fold of all nine metrics, and through the Judge where it has a method.
+// randomTrace records out of time order, so the log's insert of an earlier
+// event is exercised too.
 func TestJudgeDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	horizon := 20 * time.Second
@@ -57,7 +57,6 @@ func TestJudgeDifferential(t *testing.T) {
 		n := 2 + r.Intn(6)
 		log := randomTrace(r, n, r.Intn(300))
 		truth := randomTruth(r, n)
-		members := ident.FullSet(n)
 		// Mistakes folds over the pairs the trace holds, not over members:
 		// a pair with an end outside the member set must drop out of it.
 		var some ident.Set
@@ -66,49 +65,8 @@ func TestJudgeDifferential(t *testing.T) {
 				some.Add(ident.ID(id))
 			}
 		}
-
-		j := JudgeFrom(log)
-		for id := 0; id < n; id++ {
-			subj := ident.ID(id)
-			if got, want := j.DetectionTimes(truth, subj, members), LegacyDetectionTimes(log, truth, subj, members); got != want {
-				t.Fatalf("trial %d: DetectionTimes(%v) = %+v, legacy %+v", trial, subj, got, want)
-			}
-			for k := 0; k < 3; k++ {
-				if got, want := j.RedetectionTimes(truth, subj, members, k), LegacyRedetectionTimes(log, truth, subj, members, k); got != want {
-					t.Fatalf("trial %d: RedetectionTimes(%v, %d) = %+v, legacy %+v", trial, subj, k, got, want)
-				}
-				if got, want := j.TrustRestorationTimes(truth, subj, members, k), LegacyTrustRestorationTimes(log, truth, subj, members, k); got != want {
-					t.Fatalf("trial %d: TrustRestorationTimes(%v, %d) = %+v, legacy %+v", trial, subj, k, got, want)
-				}
-			}
-		}
-		if got, want := j.Mistakes(truth, members, horizon), LegacyMistakes(log, truth, members, horizon); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: Mistakes = %+v, legacy %+v", trial, got, want)
-		}
-		if got, want := j.Mistakes(truth, some, horizon), LegacyMistakes(log, truth, some, horizon); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: Mistakes among %v = %+v, legacy %+v", trial, some, got, want)
-		}
-		if got, want := j.QueryAccuracy(truth, members, horizon), LegacyQueryAccuracy(log, truth, members, horizon); got != want {
-			t.Fatalf("trial %d: QueryAccuracy = %v, legacy %v", trial, got, want)
-		}
-		gs, gc := j.Reconvergence(truth, members, 5*time.Second)
-		ws, wc := LegacyReconvergence(log, truth, members, 5*time.Second)
-		if gs != ws || gc != wc {
-			t.Fatalf("trial %d: Reconvergence = (%v, %v), legacy (%v, %v)", trial, gs, gc, ws, wc)
-		}
-		if got, want := j.MistakeStorm(truth, members, 2*time.Second, 12*time.Second), LegacyMistakeStorm(log, truth, members, 2*time.Second, 12*time.Second); got != want {
-			t.Fatalf("trial %d: MistakeStorm = %d, legacy %d", trial, got, want)
-		}
-		// Sampled where the answer can change — the instant of every event
-		// (episodes begin and end there) — and before and after them all.
-		times := []time.Duration{0, horizon + time.Second}
-		for _, e := range log.Events() {
-			times = append(times, e.At)
-		}
-		slices.Sort(times)
-		if got, want := j.FalseSuspicionSeries(truth, times), LegacyFalseSuspicionSeries(log, truth, times); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: FalseSuspicionSeries = %v, legacy %v", trial, got, want)
-		}
+		w := window{horizon: horizon, from: 5 * time.Second, stormFrom: 2 * time.Second, stormTo: 12 * time.Second, cut: 10 * time.Second}
+		checkFold(t, fmt.Sprintf("trial %d", trial), log, oracleCases(log, truth, n, some, w))
 	}
 }
 

@@ -2,8 +2,9 @@ package qos
 
 // The Legacy* functions are the pre-Judge metric implementations: one stable
 // sort of the whole log plus an O(pairs·E) rescan per metric call. They are
-// the reference side of the differential tests that hold the Judge
-// byte-identical to them — judge_test.go on random traces, scenario_test.go
+// the reference side of the differential tests that hold Fold and the Judge
+// byte-identical to them — judge_test.go on random traces, fold_test.go on
+// fuzzed scripts, scenario_test.go
 // (package qos_test, which sees them because they are exported) on traces
 // recorded from simulated clusters — the same way internal/des keeps a
 // linear-scan reference scheduler as the kernel's oracle in model_test.go.
@@ -16,8 +17,14 @@ import (
 	"asyncfd/internal/trace"
 )
 
+// episode is a [start, end) interval during which observer suspected
+// subject; end = -1 marks an episode still open at the end of the trace.
+type episode struct {
+	start, end time.Duration
+}
+
 // episodes reconstructs the suspicion intervals of (observer, subject) by
-// scanning the full event slice — the rescan the Judge's index replaces.
+// scanning the full event slice — the rescan Fold replaces.
 func episodes(events []trace.Event, observer, subject ident.ID) []episode {
 	var out []episode
 	open := -1
@@ -305,6 +312,29 @@ func LegacyFalseSuspicionSeries(log *trace.Log, truth *GroundTruth, times []time
 			}
 		}
 		out[i] = len(active)
+	}
+	return out
+}
+
+// LegacySuspectedInTail is the pre-fold SuspectedInTail rebuilt on the
+// rescan: every pair the log holds, its episodes reconstructed from the
+// sorted events, a subject kept when one of them begins at or after the
+// cut, spans it, or never closes.
+func LegacySuspectedInTail(log *trace.Log, cut time.Duration) ident.Set {
+	events := sortedEvents(log)
+	var out ident.Set
+	seen := make(map[pairKey]bool)
+	for _, e := range events {
+		if seen[key(e.Observer, e.Subject)] {
+			continue
+		}
+		seen[key(e.Observer, e.Subject)] = true
+		for _, ep := range episodes(events, e.Observer, e.Subject) {
+			if ep.start >= cut || ep.end == -1 || ep.end > cut {
+				out.Add(e.Subject)
+				break
+			}
+		}
 	}
 	return out
 }

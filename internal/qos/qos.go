@@ -8,13 +8,18 @@
 // partition-window mistake storms. The experiment harness reduces every
 // table of the reconstructed evaluation to these numbers.
 //
-// Metrics are computed by the Judge: JudgeFrom folds a recorded trace.Log,
-// in place and in the time order the log keeps, into a flat per-pair
-// episode index, and every metric is a method that reads that index. A
-// caller builds one Judge per trace and asks it for every metric it wants,
-// which is what makes judging n=1024–4096 topology cells tractable. The one-sort-plus-rescan-per-call implementations the
-// index replaced are the oracle of the package's differential tests
-// (legacy_test.go), which hold every metric byte-identical to them.
+// Metrics are computed by one fold: Fold walks a recorded trace.Log once,
+// in the time order the log keeps, and hands each suspicion episode to
+// every Metric it was given as the episode closes. It keeps one open-episode
+// start per (observer, subject) pair and stores no episode, so judging costs
+// memory in the pairs a trace names, not in its transitions, and time in one
+// pass however many metrics are asked — what keeps judging the n=1024–4096
+// topology cells small. A caller builds every metric it wants of a run
+// (NewMistakes, NewDetectionTimes, ...) and folds the trace once.
+// Judge asks for one metric per fold. The one-sort-plus-rescan-per-call
+// implementations the fold replaced are the oracle of the package's
+// differential tests (legacy_test.go), which hold every metric
+// byte-identical to them.
 //
 // These are the per-run scalar metrics; across an R-seed family
 // (internal/exp Options.Repeat) they become the sampled distributions —
@@ -150,9 +155,8 @@ type DetectionStats struct {
 }
 
 // detAccum folds per-observer detection durations into a DetectionStats,
-// maintaining count/sum/min/max; stats() finalizes the average. It is the
-// shared accumulator of DetectionTimes, RedetectionTimes and
-// TrustRestorationTimes.
+// maintaining count/sum/min/max; result() finalizes the average. It is the
+// accumulator of every Detection.
 type detAccum struct {
 	stats DetectionStats
 	total time.Duration
@@ -176,12 +180,6 @@ func (a *detAccum) result() DetectionStats {
 		a.stats.Avg = a.total / time.Duration(a.stats.Count)
 	}
 	return a.stats
-}
-
-// episode is a [start, end) interval during which observer suspected
-// subject; end = -1 marks an episode still open at the end of the trace.
-type episode struct {
-	start, end time.Duration
 }
 
 // MistakeStats summarizes false suspicions of correct (or not-yet-crashed)

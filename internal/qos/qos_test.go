@@ -10,6 +10,20 @@ import (
 
 func sec(n int) time.Duration { return time.Duration(n) * time.Second }
 
+// queryAccuracy folds l for P_A alone.
+func queryAccuracy(l *trace.Log, truth *GroundTruth, members ident.Set, horizon time.Duration) float64 {
+	pa := NewQueryAccuracy(truth, members, horizon)
+	Fold(l, pa)
+	return pa.Result()
+}
+
+// falseSuspicionSeries folds l for the false-suspicion series alone.
+func falseSuspicionSeries(l *trace.Log, truth *GroundTruth, times []time.Duration) []int {
+	series := NewFalseSuspicionSeries(truth, times)
+	Fold(l, series)
+	return series.Result()
+}
+
 func TestGroundTruth(t *testing.T) {
 	var g GroundTruth
 	if g.Crashed(1) || g.DownAt(1, sec(10)) {
@@ -353,13 +367,13 @@ func TestMistakesExcludeTrueSuspicions(t *testing.T) {
 func TestQueryAccuracyPerfect(t *testing.T) {
 	l := &trace.Log{}
 	var g GroundTruth
-	if pa := JudgeFrom(l).QueryAccuracy(&g, ident.SetOf(0, 1, 2), sec(10)); pa != 1 {
+	if pa := queryAccuracy(l, &g, ident.SetOf(0, 1, 2), sec(10)); pa != 1 {
 		t.Errorf("PA = %v, want 1", pa)
 	}
-	if pa := JudgeFrom(l).QueryAccuracy(&g, ident.SetOf(0), sec(10)); pa != 1 {
+	if pa := queryAccuracy(l, &g, ident.SetOf(0), sec(10)); pa != 1 {
 		t.Errorf("PA with one member = %v, want 1", pa)
 	}
-	if pa := JudgeFrom(l).QueryAccuracy(&g, ident.SetOf(0, 1), 0); pa != 1 {
+	if pa := queryAccuracy(l, &g, ident.SetOf(0, 1), 0); pa != 1 {
 		t.Errorf("PA with zero horizon = %v, want 1", pa)
 	}
 }
@@ -371,7 +385,7 @@ func TestQueryAccuracyCountsWrongfulTime(t *testing.T) {
 	// p0 wrongfully suspects p1 for 2 of 10 seconds; 2 ordered pairs.
 	l.OnSuspicion(sec(4), 0, 1, true)
 	l.OnSuspicion(sec(6), 0, 1, false)
-	pa := JudgeFrom(l).QueryAccuracy(&g, members, sec(10))
+	pa := queryAccuracy(l, &g, members, sec(10))
 	want := 1 - 2.0/(2*10.0)
 	if diff := pa - want; diff > 1e-12 || diff < -1e-12 {
 		t.Errorf("PA = %v, want %v", pa, want)
@@ -383,7 +397,7 @@ func TestQueryAccuracyIgnoresCrashedParties(t *testing.T) {
 	var g GroundTruth
 	g.Crash(1, sec(0))
 	l.OnSuspicion(sec(1), 0, 1, true) // about a crashed subject: not wrongful
-	pa := JudgeFrom(l).QueryAccuracy(&g, ident.SetOf(0, 1, 2), sec(10))
+	pa := queryAccuracy(l, &g, ident.SetOf(0, 1, 2), sec(10))
 	if pa != 1 {
 		t.Errorf("PA = %v, want 1 (crashed subject excluded)", pa)
 	}
@@ -393,7 +407,7 @@ func TestQueryAccuracyOpenEpisodeClampedToHorizon(t *testing.T) {
 	l := &trace.Log{}
 	var g GroundTruth
 	l.OnSuspicion(sec(8), 0, 1, true) // open until horizon 10 → 2s wrongful
-	pa := JudgeFrom(l).QueryAccuracy(&g, ident.SetOf(0, 1), sec(10))
+	pa := queryAccuracy(l, &g, ident.SetOf(0, 1), sec(10))
 	want := 1 - 2.0/(2*10.0)
 	if diff := pa - want; diff > 1e-12 || diff < -1e-12 {
 		t.Errorf("PA = %v, want %v", pa, want)
@@ -408,7 +422,7 @@ func TestFalseSuspicionSeries(t *testing.T) {
 	l.OnSuspicion(sec(2), 0, 9, true) // crashed subject: excluded
 	l.OnSuspicion(sec(2), 2, 1, true) // a second pair, never trusted again
 	l.OnSuspicion(sec(3), 0, 1, false)
-	got := JudgeFrom(l).FalseSuspicionSeries(&g, []time.Duration{0, sec(1), sec(2), sec(3), sec(5)})
+	got := falseSuspicionSeries(l, &g, []time.Duration{0, sec(1), sec(2), sec(3), sec(5)})
 	want := []int{0, 1, 2, 1, 1}
 	for i := range want {
 		if got[i] != want[i] {

@@ -1,6 +1,6 @@
 package qos_test
 
-// scenario_test.go holds the Judge to the legacy sort+rescan reference on
+// scenario_test.go holds the fold to the legacy sort+rescan reference on
 // traces recorded from real simulated clusters (crash-recovery,
 // partition/heal, transient disturbance), where judge_test.go uses random
 // ones. It is an external test because the clusters come from internal/exp,
@@ -102,48 +102,51 @@ func recordScenarios(t *testing.T) []recording {
 }
 
 // TestQoSJudgeDifferentialOnScenarioTraces proves every metric identical
-// between the legacy reference and the Judge on each recorded scenario
-// trace.
+// between the legacy reference and one fold of them all on each recorded
+// scenario trace.
 func TestQoSJudgeDifferentialOnScenarioTraces(t *testing.T) {
 	for _, rec := range recordScenarios(t) {
 		rec := rec
 		t.Run(rec.name, func(t *testing.T) {
 			log, truth, members, victim := rec.log, rec.truth, rec.members, rec.victim
-			judge := qos.JudgeFrom(log)
 			observers := members.Clone()
 			observers.Remove(victim)
+
+			det := qos.NewDetectionTimes(truth, victim, observers)
+			mist := qos.NewMistakes(truth, members, rec.horizon)
+			pa := qos.NewQueryAccuracy(truth, members, rec.horizon)
+			settle := qos.NewReconvergence(truth, members, rec.windowTo)
+			storm := qos.NewMistakeStorm(truth, members, rec.windowFrom, rec.windowTo)
+			folded := []qos.Metric{det, mist, pa, settle, storm}
+			var redet, trust []*qos.Detection
+			for k := 0; k <= 2; k++ {
+				redet = append(redet, qos.NewRedetectionTimes(truth, victim, observers, k))
+				trust = append(trust, qos.NewTrustRestorationTimes(truth, victim, observers, k))
+				folded = append(folded, redet[k], trust[k])
+			}
+			qos.Fold(log, folded...)
 
 			check := func(metric string, want, got any) {
 				t.Helper()
 				if !reflect.DeepEqual(want, got) {
-					t.Errorf("%s: Judge %#v != legacy %#v", metric, got, want)
+					t.Errorf("%s: fold %#v != legacy %#v", metric, got, want)
 				}
 			}
-
-			check("DetectionTimes",
-				qos.LegacyDetectionTimes(log, truth, victim, observers),
-				judge.DetectionTimes(truth, victim, observers))
-			check("Mistakes",
-				qos.LegacyMistakes(log, truth, members, rec.horizon),
-				judge.Mistakes(truth, members, rec.horizon))
-			check("QueryAccuracy",
-				qos.LegacyQueryAccuracy(log, truth, members, rec.horizon),
-				judge.QueryAccuracy(truth, members, rec.horizon))
+			check("DetectionTimes", qos.LegacyDetectionTimes(log, truth, victim, observers), det.Result())
+			check("Mistakes", qos.LegacyMistakes(log, truth, members, rec.horizon), mist.Result())
+			check("QueryAccuracy", qos.LegacyQueryAccuracy(log, truth, members, rec.horizon), pa.Result())
 			for k := 0; k <= 2; k++ {
 				check(fmt.Sprintf("RedetectionTimes(k=%d)", k),
-					qos.LegacyRedetectionTimes(log, truth, victim, observers, k),
-					judge.RedetectionTimes(truth, victim, observers, k))
+					qos.LegacyRedetectionTimes(log, truth, victim, observers, k), redet[k].Result())
 				check(fmt.Sprintf("TrustRestorationTimes(k=%d)", k),
-					qos.LegacyTrustRestorationTimes(log, truth, victim, observers, k),
-					judge.TrustRestorationTimes(truth, victim, observers, k))
+					qos.LegacyTrustRestorationTimes(log, truth, victim, observers, k), trust[k].Result())
 			}
 			wantSettle, wantClean := qos.LegacyReconvergence(log, truth, members, rec.windowTo)
-			gotSettle, gotClean := judge.Reconvergence(truth, members, rec.windowTo)
+			gotSettle, gotClean := settle.Result()
 			check("Reconvergence.settle", wantSettle, gotSettle)
 			check("Reconvergence.clean", wantClean, gotClean)
 			check("MistakeStorm",
-				qos.LegacyMistakeStorm(log, truth, members, rec.windowFrom, rec.windowTo),
-				judge.MistakeStorm(truth, members, rec.windowFrom, rec.windowTo))
+				qos.LegacyMistakeStorm(log, truth, members, rec.windowFrom, rec.windowTo), storm.Result())
 		})
 	}
 }

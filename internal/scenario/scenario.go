@@ -79,18 +79,18 @@ func (p Program) String() string {
 type MetricKind int
 
 const (
-	// MetricDetection is qos.Judge.DetectionTimes of the victim's first
+	// MetricDetection is qos.NewDetectionTimes of the victim's first
 	// crash over the observers.
 	MetricDetection MetricKind = iota + 1
-	// MetricRedetection is qos.Judge.RedetectionTimes of downtime episode
+	// MetricRedetection is qos.NewRedetectionTimes of downtime episode
 	// Episode (0 = first crash).
 	MetricRedetection
-	// MetricTrustRestoration is qos.Judge.TrustRestorationTimes after
+	// MetricTrustRestoration is qos.NewTrustRestorationTimes after
 	// recovery Episode.
 	MetricTrustRestoration
-	// MetricStorm is qos.Judge.MistakeStorm over [From, To).
+	// MetricStorm is qos.NewMistakeStorm over [From, To).
 	MetricStorm
-	// MetricReconvergence is qos.Judge.Reconvergence from After; it yields
+	// MetricReconvergence is qos.NewReconvergence from After; it yields
 	// the settle duration under the metric's name and a 0/1 clean indicator
 	// under CleanName.
 	MetricReconvergence

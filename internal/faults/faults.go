@@ -96,9 +96,12 @@ func (s Schedule) HealAt(at time.Duration) Schedule {
 }
 
 // Uniform schedules count crashes of distinct processes drawn from
-// candidates, spread uniformly over [start, end) — the paper family's
-// "faults uniformly inserted during an experiment" setup. A non-positive
-// count or an empty candidate slice yields an empty schedule.
+// candidates, evenly spaced over [start, end] with both ends included — the
+// paper family's "faults uniformly inserted during an experiment" setup. With
+// count > 1 the first crash lands at start and the last exactly at end (so
+// end must precede any horizon the schedule is checked against); a single
+// crash lands at the midpoint. A non-positive count or an empty candidate
+// slice yields an empty schedule.
 func Uniform(r *rand.Rand, candidates []ident.ID, count int, start, end time.Duration) Schedule {
 	if count <= 0 || len(candidates) == 0 {
 		return Schedule{}

@@ -107,10 +107,22 @@ func meshOf(n int) (*des.Simulator, *Network, *Env) {
 	return sim, net, net.Env(0)
 }
 
+// halve installs one partition layer on net cutting {0, ..., n/2-1} off
+// from the rest of an n-process mesh.
+func halve(net *Network, n int) {
+	island := make([]ident.ID, n/2)
+	for i := range island {
+		island[i] = ident.ID(i)
+	}
+	net.Partition(island)
+}
+
 // TestAllocsSendPath locks the send path at zero allocations: a broadcast
 // of degree 127 and a unicast are queued as data, so once the kernel's slab
 // and item pool have warmed up neither allocates — not per receiver, not per
-// message. (Boxing the payload is the sender's; it is boxed once here.)
+// message. (Boxing the payload is the sender's; it is boxed once here.) The
+// admission checks — a partition layer, a neighbourhood — allocate nothing
+// either, and the messages they cut are counted as dropped.
 func TestAllocsSendPath(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race runtime allocates")
@@ -131,22 +143,65 @@ func TestAllocsSendPath(t *testing.T) {
 	if sent := net.Stats().Sent; sent != net.Stats().Delivered || sent == 0 {
 		t.Errorf("stats %+v: every message sent must have been delivered", net.Stats())
 	}
+
+	// One partition layer, {0..63} | {64..127}, and a neighbourhood
+	// restricting 0 to the odd ids: each broadcast reaches 32 processes on
+	// its island and is cut towards 32 on the other.
+	sim, net, env = meshOf(128)
+	halve(net, 128)
+	var odd ident.Set
+	for id := ident.ID(1); id < 128; id += 2 {
+		odd.Add(id)
+	}
+	net.SetNeighbors(0, odd)
+	calls := 0
+	cases := []struct {
+		name string
+		fn   func()
+	}{
+		{"Broadcast, one layer and a neighbourhood", func() { env.Broadcast(payload) }},
+		{"Network.send within an island", func() { net.send(0, 1, payload) }},
+		{"Network.send across islands", func() { net.send(0, 65, payload) }},
+	}
+	for i := 0; i < 10; i++ {
+		for _, c := range cases {
+			c.fn()
+			sim.Run()
+		}
+	}
+	for _, c := range cases {
+		if a := testing.AllocsPerRun(100, func() { c.fn(); sim.Run(); calls++ }); a != 0 {
+			t.Errorf("%s: %v allocations, want 0", c.name, a)
+		}
+	}
+	// Each case ran 10 times to warm up, then calls/3 times under AllocsPerRun.
+	rounds := int64(10 + calls/len(cases))
+	want := Stats{Sent: rounds * 66, Delivered: rounds * 33, Dropped: rounds * 33}
+	if got := net.Stats(); got != want {
+		t.Errorf("stats %+v, want %+v", got, want)
+	}
 }
 
 // BenchmarkBroadcast is the netsim row of the layer ledger
 // (docs/BENCHMARKS.md): one broadcast admitted, queued and delivered to
-// silent handlers, by degree.
+// silent handlers, by degree; "partitioned" is degree 127 under one
+// partition layer that cuts the 64 highest ids off the sender's island.
 func BenchmarkBroadcast(b *testing.B) {
-	for _, deg := range []int{8, 127} {
-		b.Run(fmt.Sprintf("deg=%d", deg), func(b *testing.B) {
-			sim, _, env := meshOf(deg + 1)
-			var payload any = "q"
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				env.Broadcast(payload)
-				sim.Run()
-			}
-		})
+	run := func(b *testing.B, deg int, partitioned bool) {
+		sim, net, env := meshOf(deg + 1)
+		if partitioned {
+			halve(net, deg+1)
+		}
+		var payload any = "q"
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			env.Broadcast(payload)
+			sim.Run()
+		}
 	}
+	for _, deg := range []int{8, 127} {
+		b.Run(fmt.Sprintf("deg=%d", deg), func(b *testing.B) { run(b, deg, false) })
+	}
+	b.Run("partitioned", func(b *testing.B) { run(b, 127, true) })
 }

@@ -32,11 +32,10 @@
 //     registers itself with its simulator as the des.Sink those events come
 //     back to — Deliver at delivery time, Alive when an owned timer comes
 //     due — so the send path allocates nothing per receiver.
-//   - Partition membership is an O(1) array lookup: each Partition event
-//     opens a new epoch whose composite island labels (one int32 per
-//     process, folding in every partition below it on the stack) are
-//     computed once, so admitting a message compares two integers instead
-//     of walking a closure stack.
+//   - Who may talk to whom is kept in plain arrays indexed by process id:
+//     each partition layer is one island number per process, and admitting
+//     a message compares its two ends' numbers layer by layer, one
+//     comparison per active partition.
 //   - Timers armed by an already-crashed process are dropped at arm time
 //     (the callback is suppressed at fire time anyway), so long downtimes
 //     no longer fill the kernel queue with dead weight.
@@ -44,9 +43,10 @@
 // # Checkpoints
 //
 // What a run changes — registrations, the crash set, neighbourhoods, the
-// partition stack, the counters — is one value, state, and
-// Snapshot/Restore are one copy of it (state.copyTo) in the two directions;
-// the fan-out cache and scratch buffers sit outside it and are rebuilt.
+// partition stack, the counters — is one value, state, made of slices and
+// sets indexed by process id; Snapshot/Restore are one copy of it
+// (state.copyTo) in the two directions, slice by slice, and it holds no map.
+// The fan-out cache and scratch buffers sit outside it and are rebuilt.
 package netsim
 
 import (
@@ -77,22 +77,14 @@ type Stats struct {
 	Bytes     int64 // wire bytes sent (only if Config.SizeOf set)
 }
 
-// partitionLayer is one epoch of the partition stack. labels[id] is the
-// composite island label of process id: it folds in the island assignment of
-// every partition at or below this layer, so two processes may communicate
-// iff their labels in the TOP layer are equal — one O(1) comparison per
-// message however deep the stack. Processes outside the labels array (ids
-// unknown when the layer was built) share the implicit label.
-type partitionLayer struct {
-	labels   []int32
-	implicit int32
-}
-
-func (p *partitionLayer) label(id ident.ID) int32 {
-	if id >= 0 && int(id) < len(p.labels) {
-		return p.labels[id]
+// island returns id's island number in one partition layer: 1 + the index of
+// the island that lists it, or 0 for a process the partition did not list
+// (ids past the layer's end and negative ids included).
+func island(layer []int32, id ident.ID) int32 {
+	if id >= 0 && int(id) < len(layer) {
+		return layer[id]
 	}
-	return p.implicit
+	return 0
 }
 
 // fanoutEntry is one node's cached broadcast fan-out list (ascending ID
@@ -112,15 +104,19 @@ type state struct {
 	// delivery lookup.
 	handlers []node.Handler
 	crashed  ident.Set
-	// neighbors, when non-nil for an id, restricts that id's broadcasts
-	// and sends to the given set (extension topologies). nil = full mesh.
-	neighbors map[ident.ID]ident.Set
+	// restricted holds the ids with a neighbourhood; neighbors[id] is that
+	// neighbourhood, to which id's broadcasts and sends are restricted
+	// (extension topologies). An id outside restricted is in the full
+	// mesh; one in it with an empty set reaches no one.
+	restricted ident.Set
+	neighbors  []ident.Set
 	// topoEpoch stamps the current topology generation; AddNode and
 	// SetNeighbors bump it, invalidating every cached fan-out list.
 	topoEpoch uint64
-	// partitions is the LIFO stack of partition epochs; only the top layer
-	// is consulted per message (its labels are composite).
-	partitions []partitionLayer
+	// partitions is the LIFO stack of partition layers, each one island
+	// number per process id (see island); a message passes iff every layer
+	// puts its two ends on the same island.
+	partitions [][]int32
 	stats      Stats
 }
 
@@ -223,20 +219,22 @@ func (n *Network) Recover(id ident.ID) { n.crashed.Remove(id) }
 
 // SetNeighbors restricts id's outgoing traffic to the given set (used by the
 // partial-connectivity extension). It does not make links symmetric; callers
-// model radio ranges by setting both directions.
+// model radio ranges by setting both directions. An empty set silences id's
+// sends and broadcasts, unlike the full mesh every id starts in.
 func (n *Network) SetNeighbors(id ident.ID, neighbors ident.Set) {
-	if n.neighbors == nil {
-		n.neighbors = make(map[ident.ID]ident.Set)
+	for int(id) >= len(n.neighbors) {
+		n.neighbors = append(n.neighbors, ident.Set{})
 	}
 	n.neighbors[id] = neighbors.Clone()
+	n.restricted.Add(id)
 	n.topoEpoch++
 }
 
 // Neighbors returns the broadcast set for id: its configured neighborhood,
 // or every other registered node in the default full mesh.
 func (n *Network) Neighbors(id ident.ID) ident.Set {
-	if nb, ok := n.neighbors[id]; ok {
-		out := nb.Clone()
+	if n.restricted.Has(id) {
+		out := n.neighbors[id].Clone()
 		out.Remove(id)
 		return out
 	}
@@ -255,8 +253,8 @@ func (n *Network) fanoutFor(id ident.ID) []ident.ID {
 		return fe.ids
 	}
 	ids := fe.ids[:0]
-	if nb, ok := n.neighbors[id]; ok {
-		nb.ForEach(func(to ident.ID) bool {
+	if n.restricted.Has(id) {
+		n.neighbors[id].ForEach(func(to ident.ID) bool {
 			if to != id {
 				ids = append(ids, to)
 			}
@@ -280,63 +278,27 @@ func (n *Network) fanoutFor(id ident.ID) []ident.ID {
 // second Partition further constrains the first — and Heal removes the most
 // recent one. Listing a process in two islands (or twice at all) panics: it
 // is a programming error in scenario setup, and silently letting the last
-// listing win would corrupt the island semantics.
+// listing win would corrupt the island semantics. A panicking call installs
+// nothing.
 //
-// Each call opens a new partition epoch: composite island labels folding in
-// every active layer are computed once here, so the per-message check is a
-// single array lookup per endpoint (see partitionLayer).
+// Each call pushes one layer: the island number of every listed process
+// (see island), written once here.
 func (n *Network) Partition(islands ...[]ident.ID) {
-	member := make(map[ident.ID]int32)
-	size := len(n.handlers)
-	for i, island := range islands {
-		for _, id := range island {
+	var layer []int32
+	for i, ids := range islands {
+		for _, id := range ids {
 			if !id.Valid() {
 				continue
 			}
-			if _, dup := member[id]; dup {
+			for int(id) >= len(layer) {
+				layer = append(layer, 0)
+			}
+			if layer[id] != 0 {
 				panic(fmt.Sprintf("netsim: process %v listed in two islands", id))
 			}
-			member[id] = int32(i + 1) // 0 is the implicit island of unlisted processes
-			if int(id) >= size {
-				size = int(id) + 1
-			}
+			layer[id] = int32(i + 1)
 		}
 	}
-	var prev *partitionLayer
-	if k := len(n.partitions); k > 0 {
-		prev = &n.partitions[k-1]
-		if len(prev.labels) > size {
-			size = len(prev.labels)
-		}
-	}
-	prevLabel := func(id ident.ID) int32 {
-		if prev != nil {
-			return prev.label(id)
-		}
-		return 0
-	}
-	prevImplicit := int32(0)
-	if prev != nil {
-		prevImplicit = prev.implicit
-	}
-	// Composite label = dense renumbering of the (label below, island here)
-	// pair, so equality in this layer ⇔ equality in every layer.
-	type combo struct{ below, island int32 }
-	dict := make(map[combo]int32)
-	next := int32(0)
-	assign := func(c combo) int32 {
-		if v, ok := dict[c]; ok {
-			return v
-		}
-		dict[c] = next
-		next++
-		return dict[c]
-	}
-	layer := partitionLayer{labels: make([]int32, size)}
-	for i := 0; i < size; i++ {
-		layer.labels[i] = assign(combo{prevLabel(ident.ID(i)), member[ident.ID(i)]})
-	}
-	layer.implicit = assign(combo{prevImplicit, 0})
 	n.partitions = append(n.partitions, layer)
 }
 
@@ -362,25 +324,22 @@ func (n *Network) Stats() Stats { return n.stats }
 type Snapshot struct{ st state }
 
 // copyTo makes dst a copy of s that shares no mutable storage with it,
-// reusing dst's handler and partition-stack arrays. Handler identities are
-// shared by reference (the detector runtimes checkpoint their own state);
-// crash set, neighborhoods and partition layers are deep-copied.
+// reusing dst's handler, neighbourhood and partition-stack arrays. Handler
+// identities are shared by reference (the detector runtimes checkpoint their
+// own state); crash set, neighbourhoods and partition layers are deep-copied.
 func (s *state) copyTo(dst *state) {
-	handlers, partitions := dst.handlers, dst.partitions[:0]
+	handlers, neighbors, partitions := dst.handlers, dst.neighbors[:0], dst.partitions[:0]
 	*dst = *s
 	dst.handlers = append(handlers[:0], s.handlers...)
 	dst.crashed = s.crashed.Clone()
-	if s.neighbors != nil {
-		dst.neighbors = make(map[ident.ID]ident.Set, len(s.neighbors))
-		//fdlint:allow maprange one write per distinct key of a fresh map
-		for id, nb := range s.neighbors {
-			dst.neighbors[id] = nb.Clone()
-		}
+	dst.restricted = s.restricted.Clone()
+	for _, nb := range s.neighbors {
+		neighbors = append(neighbors, nb.Clone())
 	}
-	for _, p := range s.partitions {
-		partitions = append(partitions, partitionLayer{labels: append([]int32(nil), p.labels...), implicit: p.implicit})
+	for _, layer := range s.partitions {
+		partitions = append(partitions, append([]int32(nil), layer...))
 	}
-	dst.partitions = partitions
+	dst.neighbors, dst.partitions = neighbors, partitions
 }
 
 // Snapshot captures the network's mutable state.
@@ -410,7 +369,7 @@ func (n *Network) send(from, to ident.ID, payload any) {
 	if n.crashed.Has(from) || from == to {
 		return
 	}
-	if nb, ok := n.neighbors[from]; ok && !nb.Has(to) {
+	if n.restricted.Has(from) && !n.neighbors[from].Has(to) {
 		return
 	}
 	delay, ok := n.admit(from, to, payload)
@@ -421,17 +380,16 @@ func (n *Network) send(from, to ident.ID, payload any) {
 }
 
 // admit runs the send-time checks shared by unicast and broadcast — stats,
-// the partition label check, loss — and samples the link delay for an
-// admitted message.
+// the island check in each partition layer, loss — and samples the link
+// delay for an admitted message.
 func (n *Network) admit(from, to ident.ID, payload any) (time.Duration, bool) {
 	now := n.sim.Now()
 	n.stats.Sent++
 	if n.cfg.SizeOf != nil {
 		n.stats.Bytes += int64(n.cfg.SizeOf(payload))
 	}
-	if k := len(n.partitions); k > 0 {
-		p := &n.partitions[k-1]
-		if p.label(from) != p.label(to) {
+	for _, layer := range n.partitions {
+		if island(layer, from) != island(layer, to) {
 			n.stats.Dropped++
 			return 0, false
 		}

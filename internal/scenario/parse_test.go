@@ -293,8 +293,11 @@ func TestParseUniformCrashesGenerator(t *testing.T) {
 			t.Errorf("event %d differs across parses: %+v vs %+v", i, fa[i], fb[i])
 		}
 	}
-	if fa[0].At != 10*time.Second || fa[2].At != 40*time.Second {
-		t.Errorf("crash spread wrong: first %v last %v", fa[0].At, fa[2].At)
+	// Evenly spaced over [start_us, end_us], both ends included.
+	for i, want := range []time.Duration{10 * time.Second, 25 * time.Second, 40 * time.Second} {
+		if fa[i].At != want {
+			t.Errorf("crash %d at %v, want %v", i, fa[i].At, want)
+		}
 	}
 }
 

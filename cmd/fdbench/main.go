@@ -44,8 +44,8 @@
 //
 // -repeat R sets the seed-family size: every replicated cell runs R seeds
 // (base seed plus a fixed per-replicate stride) and tables aggregate across
-// the family. 0 keeps the default family (1 seed in -quick mode, 3
-// otherwise).
+// the family. 0 keeps the default family: a -config document's own
+// "repeat" when it sets one, else 1 seed in -quick mode and 3 otherwise.
 //
 // -json writes a benchmark report to FILE ("-" = stdout, suppressing the
 // tables), schema "asyncfd-bench/v2". It holds only what the seed and the
@@ -183,7 +183,7 @@ func run(args []string, stdout io.Writer) error {
 	configPath := fs.String("config", "", "scenario config file(s) to run instead of the -exp experiments (asyncfd-scenario/v1 JSON, comma-separated list allowed); mutually exclusive with -exp")
 	quickFlag := fs.Bool("quick", false, "shrink sweeps and horizons")
 	seed := fs.Int64("seed", 1, "base random seed (non-zero)")
-	repeat := fs.Int("repeat", 0, "seed-family size R per cell (0 = default: 1 with -quick, 3 otherwise)")
+	repeat := fs.Int("repeat", 0, "seed-family size R per cell (0 = default: a -config document's \"repeat\" if set, else 1 with -quick, 3 otherwise)")
 	parallel := fs.Int("parallel", 1, "worker pool size; 0 or negative = one worker per CPU")
 	ciFlag := fs.Bool("ci", false, "collect per-cell seed-family distributions into the -json report's rows (mean/stderr/ci95/p50/p99 per metric)")
 	jsonPath := fs.String("json", "", "write a bench report (schema asyncfd-bench/v2) to this file; '-' = stdout, tables suppressed")

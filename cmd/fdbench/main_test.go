@@ -125,6 +125,30 @@ func TestConfigRunsScenario(t *testing.T) {
 	}
 }
 
+// TestRepeatZeroKeepsDocumentRepeat: at -repeat 0 a -config document's own
+// "repeat" sizes the seed family; a non-zero -repeat overrides it.
+func TestRepeatZeroKeepsDocumentRepeat(t *testing.T) {
+	path := writeScenario(t, strings.Replace(minimalScenarioDoc, `"name": "cli-demo",`, `"name": "cli-demo", "repeat": 2,`, 1))
+	for _, tc := range []struct {
+		args  []string
+		wantN float64
+	}{
+		{[]string{"-quick", "-config", path, "-ci"}, 2},
+		{[]string{"-quick", "-config", path, "-ci", "-repeat", "3"}, 3},
+	} {
+		exps := readExperiments(t, tc.args)
+		rows, _ := exps[0]["rows"].([]any)
+		if len(rows) == 0 {
+			t.Fatalf("%v: no v2 rows", tc.args)
+		}
+		for _, r := range rows {
+			if row, _ := r.(map[string]any); row["n"] != tc.wantN {
+				t.Errorf("%v: row %v has n = %v, want %v", tc.args, row["cell"], row["n"], tc.wantN)
+			}
+		}
+	}
+}
+
 // readExperiments runs fdbench with args plus a -json target and returns
 // the report's experiment entries.
 func readExperiments(t *testing.T, args []string) []map[string]any {

@@ -41,16 +41,21 @@ type Options struct {
 	// into the distribution rows of the asyncfd-bench/v2 schema.
 	// Collection is deterministic at any Parallel value: the cell grid
 	// records samples in cell and replicate order once its jobs have
-	// finished, never from concurrently executing jobs.
+	// finished, never from concurrently executing jobs. For RunResults it
+	// is a switch: each experiment records into a collector of its own,
+	// whose rows land on that experiment's Result, and this one stays
+	// empty.
 	Samples *stats.Collector
 
 	// serial, which only this package's differential tests set, replaces
 	// warm-forking with the serial comparator that re-simulates each
 	// replicate's warmup. Tables and v2 rows are byte-identical either way.
 	serial bool
-	// gate, when non-nil, is the run-wide concurrency bound shared by every
-	// runJobs call (installed by RunResults so experiment-level and
-	// cell-level fan-out together never exceed workers() live simulations).
+	// gate, when non-nil, is the run-wide bound every runJobs call takes
+	// its slots from. RunResults gives the Options its experiments see one
+	// of workers() slots, so all their cell jobs together never exceed
+	// workers() live simulations; without one, each runJobs call makes its
+	// own.
 	gate chan struct{}
 }
 

@@ -1,14 +1,13 @@
 package exp
 
 import (
-	"sync"
-	"sync/atomic"
-	"time"
-
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func renderAll(t *testing.T, opts Options) string {
@@ -115,9 +114,31 @@ func TestRunJobsOrderAndErrors(t *testing.T) {
 	}
 }
 
+// trackedJobs returns n jobs that each count themselves live in live for a
+// millisecond and raise peak to the highest count seen.
+func trackedJobs(n int, live, peak *atomic.Int64) []func() (int, error) {
+	jobs := make([]func() (int, error), n)
+	for j := range jobs {
+		jobs[j] = func() (int, error) {
+			now := live.Add(1)
+			for {
+				p := peak.Load()
+				if now <= p || peak.CompareAndSwap(p, now) {
+					break
+				}
+			}
+			time.Sleep(time.Millisecond)
+			live.Add(-1)
+			return 0, nil
+		}
+	}
+	return jobs
+}
+
 // TestSharedGateBoundsConcurrency checks that a run-wide gate caps live
-// jobs across nested fan-outs (RunResults installs one so experiment-level times
-// cell-level parallelism cannot exceed the pool size).
+// jobs across nested fan-outs. The outer layer runs as RunResults runs its
+// experiments: through runJobs with a slot for every outer job, while the
+// inner jobs take their slots from the shared gate.
 func TestSharedGateBoundsConcurrency(t *testing.T) {
 	const bound = 2
 	opts := Options{Parallel: 64, gate: make(chan struct{}, bound)}
@@ -125,35 +146,57 @@ func TestSharedGateBoundsConcurrency(t *testing.T) {
 	outer := make([]func() (int, error), 4)
 	for i := range outer {
 		outer[i] = func() (int, error) {
-			inner := make([]func() (int, error), 8)
-			for j := range inner {
-				inner[j] = func() (int, error) {
-					n := live.Add(1)
-					for {
-						p := peak.Load()
-						if n <= p || peak.CompareAndSwap(p, n) {
-							break
-						}
-					}
-					time.Sleep(time.Millisecond)
-					live.Add(-1)
-					return 0, nil
-				}
-			}
-			_, err := runJobs(opts, inner)
+			_, err := runJobs(opts, trackedJobs(8, &live, &peak))
 			return 0, err
 		}
 	}
-	// Outer layer mimics RunResults: plain goroutines holding no gate slots.
-	var wg sync.WaitGroup
-	for _, job := range outer {
-		job := job
-		wg.Add(1)
-		go func() { defer wg.Done(); _, _ = job() }()
+	if _, err := runJobs(Options{Parallel: len(outer)}, outer); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
 	if p := peak.Load(); p > bound {
 		t.Errorf("peak concurrent jobs = %d, want ≤ %d", p, bound)
+	}
+}
+
+// TestRunResultsBoundsLiveJobs drives the pool through RunResults itself:
+// synthetic experiments fan inner jobs out through runJobs on the Options
+// they receive. Live inner jobs stay within the worker count, the Results
+// come back in entry order, and the lowest-index experiment's error wins.
+func TestRunResultsBoundsLiveJobs(t *testing.T) {
+	first, second := errors.New("first"), errors.New("second")
+	for _, workers := range []int{1, 2} {
+		var live, peak atomic.Int64
+		var fail [6]error
+		entries := make([]NamedExperiment, len(fail))
+		for i := range entries {
+			id := fmt.Sprintf("X%d", i)
+			entries[i] = NamedExperiment{ID: id, Fn: func(o Options) (*Table, error) {
+				if _, err := runJobs(o, trackedJobs(4, &live, &peak)); err != nil {
+					return nil, err
+				}
+				return &Table{ID: id}, fail[i]
+			}}
+		}
+		results, err := RunResults(entries, Options{Parallel: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(results) != len(entries) {
+			t.Fatalf("workers=%d: %d results, want %d", workers, len(results), len(entries))
+		}
+		if p := peak.Load(); p > int64(workers) {
+			t.Errorf("workers=%d: peak live jobs = %d, want ≤ %d", workers, p, workers)
+		}
+		for i, r := range results {
+			if r.ID != entries[i].ID || r.Table.ID != entries[i].ID {
+				t.Errorf("workers=%d: result %d is %s, want %s", workers, i, r.ID, entries[i].ID)
+			}
+		}
+
+		fail[4], fail[2] = second, first
+		if _, err := RunResults(entries, Options{Parallel: workers}); !errors.Is(err, first) {
+			t.Errorf("workers=%d: err = %v, want the lowest-index experiment's %v", workers, err, first)
+		}
 	}
 }
 

@@ -42,14 +42,6 @@ func (c *Collector) Samples() []Sample {
 	return out
 }
 
-// AddSamples appends pre-recorded samples, e.g. to merge a sub-run's
-// collector into a run-wide one.
-func (c *Collector) AddSamples(samples []Sample) {
-	c.mu.Lock()
-	c.samples = append(c.samples, samples...)
-	c.mu.Unlock()
-}
-
 // Row is the aggregate of one (cell, metric) seed family.
 type Row struct {
 	Cell   string

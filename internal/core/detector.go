@@ -12,8 +12,9 @@
 //     suspect every known process whose response was not among them.
 //   - Task T2 (HandleQuery): merge the suspicion/mistake information
 //     piggybacked on a received query, using counter tags for recency
-//     (mistakes win ties); refute any suspicion of oneself by generating a
-//     mistake with a strictly larger tag; answer with RESPONSE.
+//     (mistakes win ties), one read of the id's slot in the detector's
+//     tagset.Table per entry; refute any suspicion of oneself by generating
+//     a mistake with a strictly larger tag; answer with RESPONSE.
 //
 // Under the paper's message-pattern assumption MP (eventually some correct
 // process's responses are always "winning" for f+1 processes), the emitted
@@ -219,10 +220,9 @@ type Detector struct {
 // self never do. It is one value so that the runtime node's checkpoint
 // (node.Cloneable) copies it whole, in either direction, with copyTo.
 type detectorState struct {
-	counter   tagset.Tag
-	suspected *tagset.Set
-	mistake   *tagset.Set
-	known     ident.Set
+	counter tagset.Tag
+	tags    tagset.Table // suspected_i and mistake_i
+	known   ident.Set
 
 	round     uint64
 	roundOpen bool
@@ -232,8 +232,7 @@ type detectorState struct {
 // copyTo makes dst a copy of s that shares no set storage with it.
 func (s *detectorState) copyTo(dst *detectorState) {
 	*dst = *s
-	dst.suspected = s.suspected.Clone()
-	dst.mistake = s.mistake.Clone()
+	dst.tags = s.tags.Clone()
 	dst.known = s.known.Clone()
 	dst.recFrom = s.recFrom.Clone()
 }
@@ -245,7 +244,6 @@ func NewDetector(cfg Config) (*Detector, error) {
 	}
 	cfg.Membership = cfg.membership()
 	d := &Detector{cfg: cfg, self: cfg.Self}
-	d.suspected, d.mistake = tagset.New(), tagset.New()
 	if cfg.Membership == KnownMembership {
 		// All of Π is known from the start (paper's model). Self is
 		// included; it is harmless because self is always in rec_from.
@@ -268,10 +266,13 @@ func (d *Detector) Known() ident.Set { return d.known.Clone() }
 
 // Suspects returns the current suspicion output as a bitset copy. This is
 // the failure-detector output read by upper layers (e.g. consensus).
-func (d *Detector) Suspects() ident.Set { return d.suspected.IDSet() }
+func (d *Detector) Suspects() ident.Set { return d.tags.IDs(tagset.Suspected) }
 
 // IsSuspected reports whether id is currently suspected.
-func (d *Detector) IsSuspected(id ident.ID) bool { return d.suspected.Has(id) }
+func (d *Detector) IsSuspected(id ident.ID) bool {
+	_, st := d.tags.Get(id)
+	return st == tagset.Suspected
+}
 
 // BeginRound opens a new query (task T1 lines 5–6) and returns the QUERY
 // message to broadcast. The process's own response is accounted for
@@ -288,12 +289,9 @@ func (d *Detector) BeginRound() Query {
 	d.roundOpen = true
 	d.recFrom.Clear()
 	d.recFrom.Add(d.self)
-	return Query{
-		From:      d.self,
-		Round:     d.round,
-		Suspected: d.suspected.Entries(),
-		Mistake:   d.mistake.Entries(),
-	}
+	q := Query{From: d.self, Round: d.round}
+	q.Suspected, q.Mistake = d.tags.Entries()
+	return q
 }
 
 // HandleResponse records a RESPONSE. It returns true when the response was
@@ -345,17 +343,17 @@ func (d *Detector) EndRound() {
 	// matters only for the exact tag values when several mistake entries
 	// bump the counter mid-scan; ascending order makes runs reproducible.
 	d.known.ForEach(func(pj ident.ID) bool {
-		if d.recFrom.Has(pj) || d.suspected.Has(pj) {
+		if d.recFrom.Has(pj) {
 			return true
 		}
-		if mtag, ok := d.mistake.Get(pj); ok {
-			// Lines 10–13: supersede the old mistake.
-			if d.counter < mtag+1 {
-				d.counter = mtag + 1
-			}
-			d.mistake.Remove(pj)
+		tag, st := d.tags.Get(pj)
+		if st == tagset.Suspected {
+			return true
 		}
-		d.suspected.Add(pj, d.counter)
+		if st == tagset.Mistake && d.counter < tag+1 {
+			d.counter = tag + 1 // lines 10–13: supersede the old mistake
+		}
+		d.tags.Put(pj, d.counter, tagset.Suspected)
 		d.emit(Event{Kind: Suspect, Subject: pj, Tag: d.counter, Source: LocalDetection})
 		return true
 	})
@@ -365,12 +363,13 @@ func (d *Detector) EndRound() {
 
 // HandleQuery is task T2: merge the piggybacked information and produce the
 // RESPONSE to send back to the querier. Merging follows the recency guards
-// exactly: a suspicion is adopted only if strictly fresher than anything
-// known about the subject (line 22); a mistake is adopted when fresher or
-// equally fresh (line 33) — mistakes win ties. A process seeing itself in a
-// received suspected set refutes it with a new mistake tagged above the
-// suspicion (lines 23–25). With Mobility enabled, a relayed mistake about a
-// third process evicts that process from the known set (Algorithm 2).
+// exactly, each one read of the subject's slot (tagset.Table.Compare): a
+// suspicion is adopted only if strictly fresher than anything known about the
+// subject (line 22); a mistake is adopted when fresher or equally fresh (line
+// 33) — mistakes win ties. A process seeing itself in a received suspected
+// set refutes it with a new mistake tagged above the suspicion (lines 23–25).
+// With Mobility enabled, a relayed mistake about a third process evicts that
+// process from the known set (Algorithm 2).
 //
 // Ids come off the wire and index the detector's storage: an entry or a
 // sender whose id is invalid or beyond tagset.Limit is skipped before any
@@ -379,72 +378,53 @@ func (d *Detector) HandleQuery(q Query) Response {
 	if q.From != d.self && tagset.InRange(q.From) {
 		d.known.Add(q.From) // line 20
 	}
-
-	for _, e := range q.Suspected { // lines 21–31
-		if !tagset.InRange(e.ID) {
-			continue
-		}
-		if e.ID == d.self {
-			if !d.cfg.DisableTags && !tagset.Fresher(d.suspected, d.mistake, e.ID, e.Tag) {
-				continue
-			}
-			// Lines 23–25: refute; tag strictly above the suspicion.
-			if d.counter < e.Tag+1 {
-				d.counter = e.Tag + 1
-			}
-			d.mistake.Add(d.self, d.counter)
-			d.emit(Event{Kind: Restore, Subject: d.self, Tag: d.counter, Source: SelfRefutation})
-			continue
-		}
-		var entered bool
-		if d.cfg.DisableTags {
-			entered = d.forceSuspicion(e)
-		} else {
-			entered = tagset.MergeSuspicion(d.suspected, d.mistake, e)
-		}
-		if entered {
-			d.emit(Event{Kind: Suspect, Subject: e.ID, Tag: e.Tag, Source: Gossip})
+	for _, e := range q.Suspected { // lines 21–31; the ablation skips line 22's guard
+		if tagset.InRange(e.ID) && (d.cfg.DisableTags || d.tags.Compare(e, tagset.Suspected) > 0) {
+			d.adoptSuspicion(e)
 		}
 	}
-
 	for _, e := range q.Mistake { // lines 32–37
 		if !tagset.InRange(e.ID) {
 			continue
 		}
-		adopted, cleared := true, false
-		if d.cfg.DisableTags {
-			cleared = d.forceMistake(e)
-		} else {
-			adopted, cleared = tagset.MergeMistake(d.suspected, d.mistake, e)
-		}
-		if !adopted {
-			continue
-		}
-		if cleared {
-			d.emit(Event{Kind: Restore, Subject: e.ID, Tag: e.Tag, Source: Gossip})
-		}
-		if d.cfg.Mobility && e.ID != q.From && e.ID != d.self {
-			// Algorithm 2 lines 36–38: px raised a mistake that reached us
-			// through pj ≠ px, so px presumably lives in a remote range.
-			d.known.Remove(e.ID)
+		switch c := d.tags.Compare(e, tagset.Mistake); {
+		case c < 0 && !d.cfg.DisableTags: // line 33's guard; the ablation skips it
+		case c == 0 && !d.cfg.Mobility: // held already: adopting it changes nothing
+		default:
+			d.adoptMistake(e, q.From)
 		}
 	}
-
 	return Response{From: d.self, Round: q.Round} // line 38
 }
 
-// forceSuspicion and forceMistake are the DisableTags ablation of the merge
-// laws: the entry is adopted whatever the tags say.
-func (d *Detector) forceSuspicion(e tagset.Entry) (entered bool) {
-	entered = !d.suspected.Has(e.ID)
-	d.suspected.Add(e.ID, e.Tag)
-	d.mistake.Remove(e.ID)
-	return entered
+// adoptSuspicion is lines 23–28 for a suspicion line 22 let through: a
+// process seeing itself suspected refutes it with a mistake tagged strictly
+// above the suspicion; any other subject moves into suspected.
+func (d *Detector) adoptSuspicion(e tagset.Entry) {
+	if e.ID == d.self {
+		if d.counter < e.Tag+1 {
+			d.counter = e.Tag + 1
+		}
+		d.tags.Put(d.self, d.counter, tagset.Mistake)
+		d.emit(Event{Kind: Restore, Subject: d.self, Tag: d.counter, Source: SelfRefutation})
+		return
+	}
+	if d.tags.Put(e.ID, e.Tag, tagset.Suspected) != tagset.Suspected {
+		d.emit(Event{Kind: Suspect, Subject: e.ID, Tag: e.Tag, Source: Gossip})
+	}
 }
 
-func (d *Detector) forceMistake(e tagset.Entry) (cleared bool) {
-	d.mistake.Add(e.ID, e.Tag)
-	return d.suspected.Remove(e.ID)
+// adoptMistake is lines 34–37 for a mistake line 33 let through: its subject
+// moves into mistake. With Mobility, a mistake about px that reached us
+// through pj ≠ px evicts px from the known set, since px presumably lives in
+// a remote range (Algorithm 2 lines 36–38).
+func (d *Detector) adoptMistake(e tagset.Entry, from ident.ID) {
+	if d.tags.Put(e.ID, e.Tag, tagset.Mistake) == tagset.Suspected {
+		d.emit(Event{Kind: Restore, Subject: e.ID, Tag: e.Tag, Source: Gossip})
+	}
+	if d.cfg.Mobility && e.ID != from && e.ID != d.self {
+		d.known.Remove(e.ID)
+	}
 }
 
 func (d *Detector) emit(e Event) {

@@ -76,7 +76,7 @@ func TestHostileIDsSizeNothing(t *testing.T) {
 	if counted {
 		t.Error("a response from an id the detector cannot index counted toward the quorum")
 	}
-	if !d.Known().Equal(ident.SetOf(0)) || d.Suspects().Len() != 0 || d.mistake.Len() != 0 {
+	if !d.Known().Equal(ident.SetOf(0)) || d.Suspects().Len() != 0 || len(mistakes(d)) != 0 {
 		t.Errorf("hostile ids changed the state: %s", dump(d))
 	}
 
@@ -233,7 +233,7 @@ func TestQuickT2VsMapOracle(t *testing.T) {
 			q := randomQuery(r)
 			d.HandleQuery(q)
 			ref.handleQuery(q)
-			got := fmt.Sprint(d.counter, d.suspected.Entries(), d.mistake.Entries(), d.known, obs.events)
+			got := fmt.Sprint(d.counter, suspected(d), mistakes(d), d.known, obs.events)
 			want := fmt.Sprint(ref.counter, sortedEntries(ref.suspected), sortedEntries(ref.mistk), ref.known, ref.events)
 			if got != want {
 				t.Logf("seed %d step %d after %+v:\n got %s\nwant %s", seed, step, q, got, want)
@@ -314,7 +314,7 @@ func TestAllocsEndRound(t *testing.T) {
 	if a := testing.AllocsPerRun(100, round); a != 0 {
 		t.Errorf("a full-quorum round at n=%d: %v allocations, want 0", n, a)
 	}
-	if d.suspected.Len() != 0 || d.RoundOpen() {
-		t.Errorf("after full rounds: suspected %v, round open %v; want none, false", d.suspected, d.RoundOpen())
+	if len(suspected(d)) != 0 || d.RoundOpen() {
+		t.Errorf("after full rounds: suspected %v, round open %v; want none, false", suspected(d), d.RoundOpen())
 	}
 }

@@ -6,9 +6,10 @@ import (
 	"asyncfd/internal/ident"
 )
 
-// mapSet is the map-backed Set that was the production store until the
-// id-indexed Set replaced it, kept verbatim as the oracle the differential
-// tests hold the new store to.
+// mapSet is the map-backed set that was the production store of each of
+// suspected_i and mistake_i until an id-indexed set replaced it (since
+// replaced by the Table), kept verbatim as the oracle the differential tests
+// hold the Table to.
 type mapSet struct {
 	m map[ident.ID]Tag
 }

@@ -7,37 +7,39 @@
 // generated. The counter is a recency tag: when two pieces of information
 // about the same process meet, the one with the larger tag wins, and — per
 // the paper — a *mistake* (refutation) wins a tie against a *suspicion*.
-// These merge laws (MergeSuspicion, MergeMistake) are what prevents stale
-// suspicions from circulating forever in the flooding scheme.
+// These merge laws are what prevents stale suspicions from circulating
+// forever in the flooding scheme; Compare is the order they read.
 //
-// Process ids are small dense integers, so a Set is storage indexed by id —
-// one tag per id plus a presence bit — that grows as ids are learned. Task
-// T2, which runs once per entry of every received QUERY, therefore never
-// hashes, and iteration is in ascending id order without sorting. An id can
-// arrive off a socket and must not size an allocation: ids at or above Limit
-// are refused exactly like invalid ones.
+// The protocol keeps an id in at most one of the two sets, so a Table stores
+// the pair as one slot per id: the id's tag and its State, absent, suspected
+// or mistake. An id in both sets cannot be represented. Process ids are small
+// dense integers, so the slots are indexed by id and grow as ids are learned.
+// Task T2, which runs once per entry of every received QUERY, therefore reads
+// one slot per entry and writes it only when the entry changes it, and
+// iteration is in ascending id order without sorting. An id can arrive off a
+// socket and must not size an allocation: ids at or above Limit are refused
+// exactly like invalid ones.
 package tagset
 
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"asyncfd/internal/ident"
 )
 
-// Limit bounds the ids a Set stores: ids in [0, Limit) index its storage
-// directly, every other id is refused (Add is a no-op, lookups miss). It
+// Limit bounds the ids a Table stores: ids in [0, Limit) index its slots
+// directly, every other id is refused (Put is a no-op, lookups miss). It
 // equals the dense range of node.DenseMap, far above any cluster the harness
-// builds, and caps a Set at 130 KiB whatever ids a peer sends.
+// builds, and caps a Table at 256 KiB whatever ids a peer sends.
 const Limit ident.ID = 1 << 14
 
-// InRange reports whether a Set can hold id: valid and below Limit.
+// InRange reports whether a Table can hold id: valid and below Limit.
 func InRange(id ident.ID) bool { return uint32(id) < uint32(Limit) }
 
 // Tag is the logical counter stamped on each piece of suspicion/mistake
 // information. Tags only grow; they are never compared across processes
-// except through the merge rules below.
+// except through the merge rules.
 type Tag uint64
 
 // Entry is one ⟨id, tag⟩ pair.
@@ -51,167 +53,123 @@ func (e Entry) String() string {
 	return fmt.Sprintf("⟨%v, %d⟩", e.ID, uint64(e.Tag))
 }
 
-// Set is a set of ⟨id, tag⟩ pairs with at most one entry per id. The zero
-// value is an empty set ready for use. Set is not safe for concurrent use.
-type Set struct {
-	// tags[id] is id's tag while present holds id and garbage otherwise;
-	// len(tags) exceeds every id present.
-	tags    []Tag
-	present ident.Set
+// State says which of the two sets holds an id.
+type State uint8
+
+const (
+	// Absent: in neither set.
+	Absent State = iota
+	// Suspected: in suspected_i.
+	Suspected
+	// Mistake: in mistake_i.
+	Mistake
+)
+
+// slot is what a Table records about one id.
+type slot struct {
+	tag   Tag
+	state State
 }
 
-// New returns an empty set. Equivalent to the zero value; provided for
-// symmetry with sized constructors elsewhere.
-func New() *Set { return &Set{} }
+// Table is the pair suspected_i / mistake_i, one slot per id. The zero value
+// is an empty table ready for use. Table is not safe for concurrent use.
+type Table struct {
+	// slots[id] holds id's tag and state; len(slots) exceeds every id that
+	// is not Absent.
+	slots []slot
+	// count[s] is the number of ids in state s, for s ≠ Absent.
+	count [Mistake + 1]int
+}
 
-// Add implements the paper's Add(set, ⟨id, counter⟩): it inserts ⟨id, tag⟩,
-// replacing any existing entry for id regardless of its tag. Callers are
-// responsible for recency checks; MergeSuspicion and MergeMistake are the
-// guarded variants task T2 uses. Adding an id that is not InRange is a no-op.
-func (s *Set) Add(id ident.ID, tag Tag) {
+// Get returns what the table records about id: its tag and state. An id never
+// put, or not InRange, is Absent.
+func (t *Table) Get(id ident.ID) (Tag, State) {
+	i := int(id)
+	if uint(i) >= uint(len(t.slots)) {
+		return 0, Absent
+	}
+	s := t.slots[i]
+	return s.tag, s.state
+}
+
+// Compare orders the information ⟨e.ID, e.Tag⟩ in state st against what the
+// table records about e.ID, and returns −1, 0 or +1 as it is older, the same
+// or fresher. Information is ordered by tag and, at equal tags, a mistake
+// above a suspicion: mistakes win ties. Anything is fresher than an Absent
+// id, and an id that is not InRange is Absent. Every transition of tasks T1
+// and T2 only raises an id in this order, so one read decides each merge
+// law: line 22 adopts a suspicion only if Compare says +1, line 33 a mistake
+// if it says 0 or +1.
+func (t *Table) Compare(e Entry, st State) int {
+	i := int(e.ID)
+	if uint(i) >= uint(len(t.slots)) {
+		return 1
+	}
+	switch s := t.slots[i]; {
+	case s.state == Absent || s.tag < e.Tag:
+		return 1
+	case s.tag > e.Tag:
+		return -1
+	default:
+		return int(st) - int(s.state)
+	}
+}
+
+// Put implements the paper's Add(set, ⟨id, counter⟩) for the set st names,
+// with the removal from the other set: it records ⟨id, tag⟩ in state st,
+// replacing what id held regardless of its tag, and returns the state it
+// replaced; st Absent takes id out of both. Callers are responsible for
+// recency checks (Compare). Putting an id that is not InRange is a no-op.
+func (t *Table) Put(id ident.ID, tag Tag, st State) (prev State) {
 	if !InRange(id) {
-		return
+		return Absent
 	}
-	if i := int(id); i >= len(s.tags) {
-		// The capacity grows geometrically, so learning ids 0..n-1 one at a
-		// time copies O(n) tags.
-		s.tags = slices.Grow(s.tags, i+1-len(s.tags))[:i+1]
+	if n := int(id) + 1 - len(t.slots); n > 0 {
+		// append grows the capacity geometrically, so learning ids 0..n-1
+		// one at a time copies O(n) slots.
+		t.slots = append(t.slots, make([]slot, n)...)
 	}
-	s.tags[id] = tag
-	s.present.Add(id)
+	prev = t.slots[id].state
+	t.count[prev]--
+	t.count[st]++
+	t.slots[id] = slot{tag: tag, state: st}
+	return prev
 }
-
-// Remove deletes the entry for id, reporting whether one was present.
-func (s *Set) Remove(id ident.ID) bool {
-	if !s.present.Has(id) {
-		return false
-	}
-	s.present.Remove(id)
-	return true
-}
-
-// Get returns the tag associated with id.
-func (s *Set) Get(id ident.ID) (Tag, bool) {
-	if !s.present.Has(id) {
-		return 0, false
-	}
-	return s.tags[id], true
-}
-
-// Has reports whether id has an entry.
-func (s *Set) Has(id ident.ID) bool { return s.present.Has(id) }
-
-// Len returns the number of entries.
-func (s *Set) Len() int { return s.present.Len() }
 
 // Clone returns an independent copy.
-func (s *Set) Clone() *Set {
-	return &Set{tags: slices.Clone(s.tags), present: s.present.Clone()}
+func (t *Table) Clone() Table {
+	return Table{slots: slices.Clone(t.slots), count: t.count}
 }
 
-// Entries returns the entries in ascending id order (deterministic order for
-// messages and tests).
-func (s *Set) Entries() []Entry {
-	out := make([]Entry, 0, s.Len())
-	s.ForEach(func(e Entry) bool {
-		out = append(out, e)
-		return true
-	})
+// Entries returns the suspected and the mistake entries, each in ascending id
+// order (deterministic order for messages and tests), in one pass.
+func (t *Table) Entries() (suspected, mistake []Entry) {
+	suspected = make([]Entry, 0, t.count[Suspected])
+	mistake = make([]Entry, 0, t.count[Mistake])
+	for i, s := range t.slots {
+		switch s.state {
+		case Suspected:
+			suspected = append(suspected, Entry{ID: ident.ID(i), Tag: s.tag})
+		case Mistake:
+			mistake = append(mistake, Entry{ID: ident.ID(i), Tag: s.tag})
+		}
+	}
+	return suspected, mistake
+}
+
+// IDs returns the ids in state st as a bitset.
+func (t *Table) IDs(st State) ident.Set {
+	var out ident.Set
+	for i, s := range t.slots {
+		if s.state == st {
+			out.Add(ident.ID(i))
+		}
+	}
 	return out
 }
 
-// IDSet returns the ids present as a bitset.
-func (s *Set) IDSet() ident.Set { return s.present.Clone() }
-
-// ForEach visits entries in ascending id order. If fn returns false the
-// iteration stops.
-func (s *Set) ForEach(fn func(Entry) bool) {
-	s.present.ForEach(func(id ident.ID) bool {
-		return fn(Entry{ID: id, Tag: s.tags[id]})
-	})
-}
-
-// String renders the set with entries in ascending id order.
-func (s *Set) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, e := range s.Entries() {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(e.String())
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// The merge laws below work on the pair suspected_i / mistake_i. The protocol
-// keeps an id in at most one of the two; if an invariant violation ever put
-// it in both, the larger tag governs.
-
-// Fresher reports whether information tagged incoming about id is strictly
-// more recent than whatever suspected and mistake currently record about id.
-// This is the guard of Algorithm 1 line 22 (suspicion loop): the receiver
-// takes a suspicion into account only if the id is unknown to both sets or
-// the known tag is strictly smaller.
-func Fresher(suspected, mistake *Set, id ident.ID, incoming Tag) bool {
-	if t, ok := suspected.Get(id); ok && t >= incoming {
-		return false
-	}
-	if t, ok := mistake.Get(id); ok && t >= incoming {
-		return false
-	}
-	return true
-}
-
-// MergeSuspicion is Algorithm 1 lines 22 and 27–28: the suspicion e is
-// adopted only if strictly fresher than anything recorded about e.ID (the
-// Fresher guard), and then moves e.ID into suspected under e.Tag, superseding
-// any mistake. It reports whether e.ID entered the suspected set: false when
-// e was not adopted, and when e.ID was suspected already and only its tag
-// rose. An e.ID that is not InRange is never adopted.
-func MergeSuspicion(suspected, mistake *Set, e Entry) (entered bool) {
-	if !InRange(e.ID) {
-		return false
-	}
-	st, wasSuspected := suspected.Get(e.ID)
-	if wasSuspected && st >= e.Tag {
-		return false
-	}
-	mt, mistaken := mistake.Get(e.ID)
-	if mistaken && mt >= e.Tag {
-		return false
-	}
-	suspected.Add(e.ID, e.Tag)
-	if mistaken {
-		mistake.Remove(e.ID)
-	}
-	return !wasSuspected
-}
-
-// MergeMistake is Algorithm 1 lines 33–35: the mistake e is adopted when
-// fresher than or as fresh as anything recorded about e.ID — a mistake wins
-// the tie against a suspicion, and an equal mistake is re-applicable — and
-// then moves e.ID into mistake under e.Tag. It reports whether e was adopted
-// and, if so, whether e.ID left the suspected set. An e.ID that is not
-// InRange is never adopted.
-func MergeMistake(suspected, mistake *Set, e Entry) (adopted, cleared bool) {
-	if !InRange(e.ID) {
-		return false, false
-	}
-	mt, mistaken := mistake.Get(e.ID)
-	if mistaken && mt > e.Tag {
-		return false, false
-	}
-	st, wasSuspected := suspected.Get(e.ID)
-	if wasSuspected && st > e.Tag {
-		return false, false
-	}
-	if !mistaken || mt != e.Tag { // a settled run re-offers the tag already held: nothing to store
-		mistake.Add(e.ID, e.Tag)
-	}
-	if wasSuspected {
-		suspected.Remove(e.ID)
-	}
-	return true, wasSuspected
+// String renders both sets with entries in ascending id order.
+func (t *Table) String() string {
+	suspected, mistake := t.Entries()
+	return fmt.Sprintf("suspected %v mistake %v", suspected, mistake)
 }

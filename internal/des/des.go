@@ -460,7 +460,7 @@ const (
 	fanKeyIdxBits = 16
 	fanKeyMaxD    = time.Duration(1) << (63 - fanKeyIdxBits)
 	// fanRadixMin is the fan-out width from which the packed keys are radix
-	// sorted; below it a comparison sort is cheaper than the radix's
+	// sorted; below it an insertion sort is cheaper than the radix's
 	// per-digit count tables.
 	fanRadixMin = 64
 )
@@ -511,7 +511,7 @@ func (s *Simulator) Fanout(from ident.ID, payload any, recv []Receiver) {
 		if len(keys) >= fanRadixMin {
 			keys = s.radixSort(keys, span)
 		} else {
-			slices.Sort(keys)
+			insertionSort(keys)
 		}
 		at0 := s.now + dmin
 		for j, key := range keys {
@@ -533,6 +533,19 @@ func (s *Simulator) Fanout(from ident.ID, payload any, recv []Receiver) {
 	e := &s.events[i]
 	e.kind, e.from, e.payload, e.items = evFanout, from, payload, items
 	s.schedule(i, items[0].at, len(items))
+}
+
+// insertionSort sorts keys in place. On the few dozen keys of a fan-out
+// below fanRadixMin it beats slices.Sort, which pays for its partitioning
+// on every call.
+func insertionSort(keys []uint64) {
+	for i := 1; i < len(keys); i++ {
+		k, j := keys[i], i
+		for ; j > 0 && keys[j-1] > k; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = k
+	}
 }
 
 // radixSort sorts keys, none of which has a bit outside span, by a

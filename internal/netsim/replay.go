@@ -3,7 +3,8 @@ package netsim
 // replay.go is the recorded-trace delay model: instead of drawing latencies
 // from a parametric distribution, Replay plays back a trace.DelaySeries —
 // timestamped RTT/loss samples captured from a real network or generated by
-// trace.Synthetic — deterministically per link. Scenario configs
+// trace.Synthetic — deterministically per link: a send costs one hash of
+// the link and one packed read of the series' index. Scenario configs
 // (asyncfd-scenario/v1) select it with {"model": "trace", ...}.
 
 import (
@@ -36,8 +37,9 @@ type LossModel interface {
 //   - no RNG draws, ever — a lossy trace cannot desync the simulation's
 //     random stream;
 //   - no cursor: a send is one hash of the link and one read of the
-//     series' immutable index (trace.DelaySeries.SampleAt), so kernel
-//     Snapshot/Restore forking has no replay state to clone;
+//     series' immutable index (trace.DelaySeries.OneWay: one packed delay
+//     per bucket of the span), so kernel Snapshot/Restore forking has no
+//     replay state to clone;
 //   - the same series and link always see the same delays, across runs,
 //     across restores, and at any -parallel width.
 //
@@ -61,22 +63,17 @@ func (p Replay) linkPhase(from, to ident.ID) time.Duration {
 	return time.Duration(h % uint64(p.Series.Span))
 }
 
-// sample returns the trace sample governing a message on (from, to) at now.
-func (p Replay) sample(from, to ident.ID, now time.Duration) trace.DelaySample {
-	return p.Series.SampleAt(now + p.linkPhase(from, to))
-}
-
 // Delay implements DelayModel. The *rand.Rand is deliberately unused: see
 // the type comment. Loss samples are ignored on this path; the network
 // consults DelayLoss instead when the model is installed as Config.Delay.
 func (p Replay) Delay(_ *rand.Rand, from, to ident.ID, now time.Duration) time.Duration {
-	return p.sample(from, to, now).RTT / 2
+	d, _ := p.Series.OneWay(now + p.linkPhase(from, to))
+	return d
 }
 
 // DelayLoss implements LossModel.
 func (p Replay) DelayLoss(_ *rand.Rand, from, to ident.ID, now time.Duration) (time.Duration, bool) {
-	s := p.sample(from, to, now)
-	return s.RTT / 2, !s.Loss
+	return p.Series.OneWay(now + p.linkPhase(from, to))
 }
 
 // Compile-time interface checks.

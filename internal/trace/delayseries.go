@@ -4,9 +4,11 @@ package trace
 // subsystem: a DelaySeries is a timestamped sequence of RTT/loss samples —
 // captured from a real network or generated synthetically — that
 // internal/netsim's Replay delay model plays back deterministically per
-// link instead of drawing from a parametric distribution. The JSON form
-// ("asyncfd-trace/v1") can be embedded inline in an asyncfd-scenario/v1
-// config; see docs/BENCHMARKS.md, "Scenario configs".
+// link instead of drawing from a parametric distribution. Replay asks
+// OneWay, which answers from an index built once per series: one packed
+// delay per bucket of the span, searched only where a sample falls inside
+// a bucket. The JSON form ("asyncfd-trace/v1") can be embedded inline in an
+// asyncfd-scenario/v1 config; see docs/BENCHMARKS.md, "Scenario configs".
 
 import (
 	"bytes"
@@ -40,20 +42,28 @@ type DelaySample struct {
 // DelaySeries is a recorded (or synthesized) delay trace. Samples are
 // strictly ascending in At and all fall inside [0, Span); replay wraps the
 // series modulo Span, so a short capture loops over a long simulation. A
-// series is immutable once SampleAt has been called on it.
+// series is immutable once OneWay has been called on it.
 type DelaySeries struct {
 	Span    time.Duration
 	Samples []DelaySample
 
-	// SampleAt's bucket index: derived from Span and Samples on first use,
-	// never written again, shared by every reader of the series.
+	// The bucket index: derived from Span and Samples on first use, never
+	// written again, shared by every reader of the series.
 	indexOnce sync.Once
 	width     time.Duration // bucket b covers offsets [b·width, (b+1)·width)
 	// before[b] counts the samples with At ≤ b·width, for b in
 	// [0, len(Samples)]: the answer for an offset in bucket b lies in
 	// Samples[before[b]-1 : before[b+1]].
 	before []int32
+	// oneWay[b] is OneWay's answer for every offset in bucket b, packed:
+	// the governing sample's RTT/2, or −RTT/2−1 when it is a loss. It is
+	// split when a sample falls strictly inside the bucket, so that the
+	// answer changes within it.
+	oneWay []int64
 }
+
+// split marks a bucket whose answer sampleAt must search for.
+const split = math.MinInt64
 
 // Validate checks the structural invariants replay relies on. Errors name
 // the offending field path in the JSON form.
@@ -89,23 +99,40 @@ func (s *DelaySeries) Validate() error {
 	return nil
 }
 
-// SampleAt returns the sample governing offset t into the series: the last
-// sample whose At is ≤ t mod Span (wrapping to the final sample for offsets
-// before the first). The lookup is a pure function of (series, t) — an
-// immutable index built once per series, still no cursor — so replay is
+// OneWay returns the one-way delay of a message sent at offset t into the
+// series, half the governing sample's RTT, and whether the message is
+// delivered: false when that sample is a loss. The governing sample is the
+// last one whose At is ≤ t mod Span, wrapping to the final sample for
+// offsets before the first. The answer is a pure function of (series, t) —
+// an immutable index built once per series, no cursor — so replay is
 // trivially identical across runs, across the simulation Snapshot/Restore
 // fork path and across workers sharing the series.
 //
-// The index cuts [0, Span) into one equal bucket per sample. A uniformly
-// ticked series has one sample per bucket and resolves in one index read; a
-// clustered one binary-searches only the samples of the offset's bucket,
-// never more than a search of the whole series.
-func (s *DelaySeries) SampleAt(t time.Duration) DelaySample {
+// The index cuts [0, Span) into one equal bucket per sample and keeps each
+// bucket's answer packed in one int64, so a uniformly ticked series, which
+// has its samples on bucket starts, answers with one 8-byte read. Only a
+// bucket with a sample strictly inside it searches, and then only the
+// samples of that bucket.
+func (s *DelaySeries) OneWay(t time.Duration) (d time.Duration, delivered bool) {
 	s.indexOnce.Do(s.buildIndex)
 	off := t % s.Span
 	if off < 0 {
 		off += s.Span
 	}
+	v := s.oneWay[off/s.width]
+	switch {
+	case v == split:
+		smp := s.sampleAt(off)
+		return smp.RTT / 2, !smp.Loss
+	case v < 0:
+		return time.Duration(-v - 1), false
+	}
+	return time.Duration(v), true
+}
+
+// sampleAt returns the sample governing off ∈ [0, Span): it binary-searches
+// the samples of off's bucket. The index must be built.
+func (s *DelaySeries) sampleAt(off time.Duration) DelaySample {
 	// Find the first sample with At > off; its predecessor governs. Samples
 	// before lo have At ≤ the bucket's start ≤ off, samples from hi on have
 	// At > the bucket's end > off.
@@ -127,7 +154,8 @@ func (s *DelaySeries) SampleAt(t time.Duration) DelaySample {
 	return s.Samples[lo-1]
 }
 
-// buildIndex fills width and before in one pass over the samples.
+// buildIndex fills width and before in one pass over the samples, then
+// oneWay from them.
 func (s *DelaySeries) buildIndex() {
 	n := len(s.Samples)
 	s.width = (s.Span + time.Duration(n) - 1) / time.Duration(n) // ⌈Span/n⌉: n buckets cover [0, Span)
@@ -138,6 +166,19 @@ func (s *DelaySeries) buildIndex() {
 			i++
 		}
 		s.before[b] = int32(i)
+	}
+	s.oneWay = make([]int64, n)
+	for b := range s.oneWay {
+		start := time.Duration(b) * s.width
+		if i := s.before[b]; int(i) < n && s.Samples[i].At < start+s.width {
+			s.oneWay[b] = split
+			continue
+		}
+		smp := s.sampleAt(start)
+		s.oneWay[b] = int64(smp.RTT / 2)
+		if smp.Loss {
+			s.oneWay[b] = -int64(smp.RTT/2) - 1
+		}
 	}
 }
 

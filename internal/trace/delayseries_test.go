@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -20,6 +21,26 @@ func testSeries() *DelaySeries {
 			{At: ms(10), RTT: ms(4), Loss: true},
 			{At: ms(50), RTT: ms(8)},
 		},
+	}
+}
+
+// sampleAtIndexed is the sample governing offset t, found through the bucket
+// index as OneWay finds it when a bucket is split.
+func sampleAtIndexed(s *DelaySeries, t time.Duration) DelaySample {
+	s.indexOnce.Do(s.buildIndex)
+	off := t % s.Span
+	if off < 0 {
+		off += s.Span
+	}
+	return s.sampleAt(off)
+}
+
+// checkOneWay fails unless OneWay(t) is the delay and delivery that the
+// sample want gives.
+func checkOneWay(t testing.TB, s *DelaySeries, at time.Duration, want DelaySample) {
+	t.Helper()
+	if d, ok := s.OneWay(at); d != want.RTT/2 || ok != !want.Loss {
+		t.Fatalf("OneWay(%v) = %v,%v; the governing sample %+v gives %v,%v", at, d, ok, want, want.RTT/2, !want.Loss)
 	}
 }
 
@@ -41,11 +62,12 @@ func TestSampleAtLookup(t *testing.T) {
 		{ms(250), ms(8), false}, // 250 mod 100 = 50
 	}
 	for _, tc := range cases {
-		got := s.SampleAt(tc.t)
+		got := sampleAtIndexed(s, tc.t)
 		if got.RTT != tc.rtt || got.Loss != tc.loss {
-			t.Errorf("SampleAt(%v) = {rtt %v loss %v}, want {rtt %v loss %v}",
+			t.Errorf("sampleAt(%v) = {rtt %v loss %v}, want {rtt %v loss %v}",
 				tc.t, got.RTT, got.Loss, tc.rtt, tc.loss)
 		}
+		checkOneWay(t, s, tc.t, got)
 	}
 }
 
@@ -62,9 +84,10 @@ func TestSampleAtWrapBeforeFirstSample(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.SampleAt(ms(5)); got.RTT != ms(7) {
-		t.Errorf("SampleAt before first sample = rtt %v, want wrap to %v", got.RTT, ms(7))
+	if got := sampleAtIndexed(s, ms(5)); got.RTT != ms(7) {
+		t.Errorf("sampleAt before first sample = rtt %v, want wrap to %v", got.RTT, ms(7))
 	}
+	checkOneWay(t, s, ms(5), DelaySample{RTT: ms(7)})
 }
 
 func TestEncodeParseRoundTrip(t *testing.T) {
@@ -211,7 +234,7 @@ func TestSyntheticConfigErrors(t *testing.T) {
 	}
 }
 
-// sampleAtBySearch is SampleAt as it was before the bucket index: a binary
+// sampleAtBySearch is the lookup as it was before the bucket index: a binary
 // search of the whole series. It is the oracle the index is held to.
 func sampleAtBySearch(s *DelaySeries, t time.Duration) DelaySample {
 	off := t % s.Span
@@ -227,7 +250,7 @@ func sampleAtBySearch(s *DelaySeries, t time.Duration) DelaySample {
 
 // randomSeries draws n strictly ascending sample offsets in [lo, hi) ⊆
 // [0, span); each sample's RTT is its position, so two lookups agree only if
-// they found the same sample.
+// they found the same sample, and about one sample in five is a loss.
 func randomSeries(r *rand.Rand, span time.Duration, n int, lo, hi time.Duration) *DelaySeries {
 	at := make(map[time.Duration]bool, n)
 	for len(at) < n {
@@ -240,17 +263,20 @@ func randomSeries(r *rand.Rand, span time.Duration, n int, lo, hi time.Duration)
 	sort.Slice(s.Samples, func(i, j int) bool { return s.Samples[i].At < s.Samples[j].At })
 	for i := range s.Samples {
 		s.Samples[i].RTT = time.Duration(i)
+		s.Samples[i].Loss = r.Intn(5) == 0
 	}
 	return s
 }
 
-// TestSampleAtIndexVsSearch holds the bucket index to the binary-search
-// oracle on the shapes that stress it: uniform ticks, a span that is no
-// multiple of the sample count, non-uniform offsets, one sample, every
-// sample inside one bucket (at the front, at the back), as many samples as
-// the span has nanoseconds — probed at every sample's At exactly, one tick
-// either side, before the first sample (wrap), at negative offsets and at
-// and beyond Span.
+// TestSampleAtIndexVsSearch holds the bucket index, and OneWay's packed
+// read, to the binary-search oracle on the shapes that stress it: uniform
+// ticks, a span that is no multiple of the sample count, non-uniform
+// offsets, a clustered capture, one sample, every sample inside one bucket
+// (at the front, at the back), as many samples as the span has nanoseconds,
+// loss samples and RTTs at MaxDuration — probed at every sample's At
+// exactly, one tick either side, before the first sample (wrap), at
+// negative offsets and at and beyond Span. A uniformly ticked series must
+// not search at all: none of its buckets is split.
 func TestSampleAtIndexVsSearch(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	uniform, err := Synthetic(SyntheticConfig{Seed: 3, Count: 4096, Tick: 5 * time.Millisecond, Scale: time.Millisecond, Alpha: 1.5})
@@ -267,6 +293,12 @@ func TestSampleAtIndexVsSearch(t *testing.T) {
 		"all-in-first":      randomSeries(r, ms(1000), 200, 0, ms(1)),
 		"all-in-last":       randomSeries(r, ms(1000), 200, ms(999), ms(1000)),
 		"late-first-sample": randomSeries(r, ms(1000), 50, ms(400), ms(1000)),
+		"clustered":         clusteredSeries(512),
+		"uniform-lossy":     mustSynthetic(t, SyntheticConfig{Seed: 5, Count: 1000, Tick: time.Millisecond, Scale: time.Millisecond, Alpha: 1.2, Cap: ms(80), LossRate: 0.3}),
+		"uniform-max-rtt":   mustSynthetic(t, SyntheticConfig{Seed: 6, Count: 64, Tick: time.Second, Base: MaxDuration, Alpha: 1, LossRate: 0.5}),
+		"max-rtt": {Span: ms(10), Samples: []DelaySample{
+			{At: 0, RTT: MaxDuration, Loss: true}, {At: ms(2), RTT: MaxDuration}, {At: ms(4), RTT: MaxDuration - 1, Loss: true}, {At: ms(7), RTT: 3},
+		}},
 	}
 	for i := 0; i < 40; i++ {
 		span := time.Duration(1 + r.Int63n(int64(ms(50))))
@@ -293,9 +325,14 @@ func TestSampleAtIndexVsSearch(t *testing.T) {
 			probes = append(probes, time.Duration(r.Int63n(int64(4*s.Span)))-2*s.Span)
 		}
 		for _, at := range probes {
-			if got, want := s.SampleAt(at), sampleAtBySearch(s, at); got != want {
-				t.Fatalf("%s (span %v, %d samples): SampleAt(%v) = %+v, search finds %+v", name, s.Span, len(s.Samples), at, got, want)
+			want := sampleAtBySearch(s, at)
+			if got := sampleAtIndexed(s, at); got != want {
+				t.Fatalf("%s (span %v, %d samples): sampleAt(%v) = %+v, search finds %+v", name, s.Span, len(s.Samples), at, got, want)
 			}
+			checkOneWay(t, s, at, want)
+		}
+		if strings.HasPrefix(name, "uniform") && slices.Contains(s.oneWay, split) {
+			t.Errorf("%s: a uniformly ticked series has a split bucket", name)
 		}
 	}
 }
@@ -324,8 +361,9 @@ func TestSampleAtConcurrentFirstUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, at := range probes {
-				if got, want := s.SampleAt(at), sampleAtBySearch(s, at); got != want {
-					t.Errorf("SampleAt(%v) = %+v, search finds %+v", at, got, want)
+				want := sampleAtBySearch(s, at)
+				if d, ok := s.OneWay(at); d != want.RTT/2 || ok != !want.Loss {
+					t.Errorf("OneWay(%v) = %v,%v, search finds %+v", at, d, ok, want)
 				}
 			}
 		}()
@@ -346,8 +384,9 @@ func clusteredSeries(n int) *DelaySeries {
 }
 
 // BenchmarkSampleAt is the replay row of the layer ledger
-// (docs/BENCHMARKS.md): one lookup at a pseudo-random offset, on the churn
-// workload's series shape (4096 uniform ticks) and on a clustered one.
+// (docs/BENCHMARKS.md): one lookup (OneWay) at a pseudo-random offset, on
+// the churn workload's series shape (4096 uniform ticks) and on a clustered
+// one.
 func BenchmarkSampleAt(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
@@ -366,7 +405,8 @@ func BenchmarkSampleAt(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				at = (at + 7_919_003*time.Microsecond) & (1<<42 - 1) // a prime stride: offsets cover the span
-				sink += bc.series.SampleAt(at).RTT
+				d, _ := bc.series.OneWay(at)
+				sink += d
 			}
 			_ = sink
 		})

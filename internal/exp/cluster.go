@@ -37,42 +37,25 @@ import (
 	"asyncfd/internal/wire"
 )
 
-// Kind selects a failure-detector implementation.
-type Kind int
+// Kind selects a failure-detector implementation; its value is the name a
+// scenario's cluster.detectors lists and the tables print.
+type Kind string
 
 const (
 	// KindAsync is the paper's time-free query–response detector.
-	KindAsync Kind = iota + 1
+	KindAsync Kind = "async"
 	// KindHeartbeat is the fixed-timeout heartbeat baseline.
-	KindHeartbeat
+	KindHeartbeat Kind = "heartbeat"
 	// KindPhi is the φ-accrual baseline.
-	KindPhi
+	KindPhi Kind = "phi-accrual"
 	// KindChen is the Chen NFD-E baseline.
-	KindChen
+	KindChen Kind = "chen-nfde"
 	// KindGossip is the Friedman–Tcharny-style gossip heartbeat, the
 	// timer-based comparator of the partial-connectivity extension (X1/X2):
 	// counters flood across hops, so it detects beyond its neighbourhood.
 	// Not one of the paper's four: AllKinds leaves it out.
-	KindGossip
+	KindGossip Kind = "gossip-ft"
 )
-
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	switch k {
-	case KindAsync:
-		return "async"
-	case KindHeartbeat:
-		return "heartbeat"
-	case KindPhi:
-		return "phi-accrual"
-	case KindChen:
-		return "chen-nfde"
-	case KindGossip:
-		return "gossip-ft"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
 
 // AllKinds lists the detector implementations the paper compares, in
 // comparison order.
@@ -294,7 +277,7 @@ func buildNode(env *netsim.Env, cfg ClusterConfig, peers ident.Set, density int,
 			Sink:     log,
 		})
 	default:
-		return nil, fmt.Errorf("exp: unknown detector kind %d", cfg.Kind)
+		return nil, fmt.Errorf("exp: unknown detector kind %q", cfg.Kind)
 	}
 }
 

@@ -226,7 +226,7 @@ func TestCrashRecoveryOnPartialTopology(t *testing.T) {
 func TestClusterSnapshotRestoreReplays(t *testing.T) {
 	for _, kind := range everyKind {
 		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
+		t.Run(string(kind), func(t *testing.T) {
 			g := topology.Circulant(10, 3) // d = 7
 			c, err := NewCluster(ClusterConfig{
 				Kind: kind, Graph: g, F: 2, Seed: 5,

@@ -15,19 +15,6 @@ import (
 var quick = Options{Quick: true}
 
 func TestKindString(t *testing.T) {
-	want := map[Kind]string{
-		KindAsync:     "async",
-		KindHeartbeat: "heartbeat",
-		KindPhi:       "phi-accrual",
-		KindChen:      "chen-nfde",
-		KindGossip:    "gossip-ft",
-		Kind(9):       "Kind(9)",
-	}
-	for k, s := range want {
-		if k.String() != s {
-			t.Errorf("Kind(%d).String() = %q, want %q", int(k), k.String(), s)
-		}
-	}
 	if len(AllKinds()) != 4 {
 		t.Error("AllKinds must list the paper's four implementations")
 	}
@@ -56,7 +43,7 @@ func TestNewClusterValidation(t *testing.T) {
 	if _, err := NewCluster(ClusterConfig{Kind: KindAsync, N: 1, F: 0, Delay: netsim.Constant{}}); err == nil {
 		t.Error("N=1 accepted")
 	}
-	if _, err := NewCluster(ClusterConfig{Kind: Kind(9), N: 4, F: 1, Delay: netsim.Constant{}}); err == nil {
+	if _, err := NewCluster(ClusterConfig{Kind: Kind("no-such-kind"), N: 4, F: 1, Delay: netsim.Constant{}}); err == nil {
 		t.Error("unknown kind accepted")
 	}
 }
@@ -80,7 +67,7 @@ var everyKind = append(AllKinds(), KindGossip)
 func TestClusterEachKindDetectsCrash(t *testing.T) {
 	for _, kind := range everyKind {
 		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
+		t.Run(string(kind), func(t *testing.T) {
 			c, err := NewCluster(everyKindConfig(kind))
 			if err != nil {
 				t.Fatal(err)
@@ -104,9 +91,9 @@ func TestClusterEachKindSurvivesCrashRecovery(t *testing.T) {
 		kind := kind
 		for _, fresh := range []bool{true, false} {
 			fresh := fresh
-			name := kind.String() + "/persisted"
+			name := string(kind) + "/persisted"
 			if fresh {
-				name = kind.String() + "/fresh"
+				name = string(kind) + "/fresh"
 			}
 			t.Run(name, func(t *testing.T) {
 				c, err := NewCluster(everyKindConfig(kind))
@@ -148,7 +135,7 @@ func TestClusterEachKindSurvivesCrashRecovery(t *testing.T) {
 func TestClusterPartitionHealAllKindsReconverge(t *testing.T) {
 	for _, kind := range AllKinds() {
 		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
+		t.Run(string(kind), func(t *testing.T) {
 			c, err := NewCluster(ClusterConfig{
 				Kind: kind, N: 6, F: 2, Seed: 3,
 				Delay:       netsim.Constant{D: time.Millisecond},

@@ -356,7 +356,7 @@ func E4QoS(opts Options) (*Table, error) {
 				Seed:  opts.seed(),
 				Delay: m.model,
 			}
-			rows = append(rows, row{label: []string{m.name, kind.String()}, cells: []cell{{
+			rows = append(rows, row{label: []string{m.name, string(kind)}, cells: []cell{{
 				key: fmt.Sprintf("%s/%s", m.name, kind),
 				fam: &family{
 					warm:    5 * time.Second, // estimator windows are primed; mistakes accrue over the whole horizon
@@ -410,7 +410,7 @@ func messageCostTable(opts Options, t *Table, ns []int) (*Table, error) {
 	var rows []row
 	for _, n := range ns {
 		for _, kind := range AllKinds() {
-			rows = append(rows, row{label: []string{strconv.Itoa(n), kind.String()}, cells: []cell{{
+			rows = append(rows, row{label: []string{strconv.Itoa(n), string(kind)}, cells: []cell{{
 				key:  fmt.Sprintf("n=%d/%s", n, kind),
 				once: true,
 				job: func(seed int64) (obs, error) {

@@ -25,19 +25,16 @@ import (
 	"asyncfd/internal/topology"
 )
 
-// scenarioKinds maps a compiled detector list to cluster kinds by
-// Kind.String(), so the names live in one place. The scenario package
-// validated them against its DetectorNames list, which
-// TestScenarioNameListsMatchEngine holds to AllKinds().
+// scenarioKinds converts a compiled detector list to cluster kinds. The
+// scenario package validated the names against its DetectorNames list,
+// which TestScenarioNameListsMatchEngine holds to AllKinds().
 func scenarioKinds(sc *scenario.Scenario) ([]Kind, error) {
-	all := AllKinds()
 	kinds := make([]Kind, len(sc.Cluster.Detectors))
 	for i, name := range sc.Cluster.Detectors {
-		k := slices.IndexFunc(all, func(k Kind) bool { return k.String() == name })
-		if k < 0 {
+		kinds[i] = Kind(name)
+		if !slices.Contains(AllKinds(), kinds[i]) {
 			return nil, fmt.Errorf("unknown detector %q", name)
 		}
-		kinds[i] = all[k]
 	}
 	return kinds, nil
 }
@@ -47,10 +44,8 @@ func scenarioClusterConfig(sc *scenario.Scenario, kind Kind, seed int64) Cluster
 	cl := sc.Cluster
 	return ClusterConfig{
 		Kind: kind, N: cl.N, F: cl.F,
-		Seed:  seed,
-		Delay: cl.Delay,
-
-		CountBytes:  cl.CountBytes,
+		Seed:        seed,
+		Delay:       cl.Delay,
 		StartJitter: cl.StartJitter,
 
 		Window:      cl.Window,
@@ -264,7 +259,7 @@ func scenarioClusterRows(sc *scenario.Scenario, opts Options) (*Table, []row, fu
 	var rows []row
 	for _, kind := range kinds {
 		for _, v := range sc.Variants {
-			key, label := kind.String(), []string{kind.String()}
+			key, label := string(kind), []string{string(kind)}
 			if !singleUnnamed {
 				key = fmt.Sprintf("%s/%s", kind, v.Name)
 			}
@@ -400,7 +395,7 @@ func scenarioConsensusTable(sc *scenario.Scenario, opts Options) (*Table, error)
 	}
 	var rows []row
 	for _, kind := range kinds {
-		rows = append(rows, row{label: []string{kind.String()}, cells: []cell{{
+		rows = append(rows, row{label: []string{string(kind)}, cells: []cell{{
 			key: fmt.Sprintf("consensus/%s", kind),
 			job: func(seed int64) (obs, error) {
 				lat, err := scenarioConsensusLatency(sc, opts, kind, seed)

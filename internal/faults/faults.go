@@ -23,35 +23,20 @@ import (
 	"asyncfd/internal/qos"
 )
 
-// EventKind enumerates the fault-scenario event types.
-type EventKind int
+// EventKind names a fault-scenario event type by its
+// asyncfd-scenario/v1 events[].kind tag.
+type EventKind string
 
 const (
 	// KindCrash stops a process (crash-stop unless a later Recover revives it).
-	KindCrash EventKind = iota + 1
+	KindCrash EventKind = "crash"
 	// KindRecover revives a crashed process.
-	KindRecover
+	KindRecover EventKind = "recover"
 	// KindPartition splits the network into islands.
-	KindPartition
+	KindPartition EventKind = "partition"
 	// KindHeal removes the most recent partition.
-	KindHeal
+	KindHeal EventKind = "heal"
 )
-
-// String implements fmt.Stringer.
-func (k EventKind) String() string {
-	switch k {
-	case KindCrash:
-		return "crash"
-	case KindRecover:
-		return "recover"
-	case KindPartition:
-		return "partition"
-	case KindHeal:
-		return "heal"
-	default:
-		return "event?"
-	}
-}
 
 // Event is one scheduled fault-scenario step.
 type Event struct {

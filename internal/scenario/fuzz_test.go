@@ -3,6 +3,7 @@ package scenario
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -94,7 +95,7 @@ func FuzzScenarioConfig(f *testing.F) {
 			if sc.Name == "" || sc.Title == "" {
 				t.Fatalf("quick=%v: accepted scenario without name/title: %+v", quick, sc)
 			}
-			if sc.Measure.Program < ProgramCluster || sc.Measure.Program > ProgramConsensus {
+			if !slices.Contains([]Program{ProgramCluster, ProgramTopology, ProgramConsensus}, sc.Measure.Program) {
 				t.Fatalf("quick=%v: accepted scenario with program %v", quick, sc.Measure.Program)
 			}
 			if sc.Cluster.Delay == nil {

@@ -298,7 +298,6 @@ type rawCluster struct {
 	HBTimeoutUS   int64           `json:"hb_timeout_us,omitempty"`
 	PhiThreshold  float64         `json:"phi_threshold,omitempty"`
 	ChenAlphaUS   int64           `json:"chen_alpha_us,omitempty"`
-	CountBytes    bool            `json:"count_bytes,omitempty"`
 	StartJitterUS int64           `json:"start_jitter_us,omitempty"`
 }
 
@@ -395,16 +394,10 @@ type doc struct {
 	measure rawMeasure
 }
 
-// program is one alternative of measure.program.
-type program struct {
-	id      Program
-	compile func(*doc)
-}
-
-var programs = union[program]{what: "program", alts: []alt[program]{
-	{"cluster", program{ProgramCluster, (*doc).clusterProgram}},
-	{"topology", program{ProgramTopology, (*doc).topologyProgram}},
-	{"consensus", program{ProgramConsensus, (*doc).consensusProgram}},
+var programs = union[func(*doc)]{what: "program", alts: []alt[func(*doc)]{
+	{string(ProgramCluster), (*doc).clusterProgram},
+	{string(ProgramTopology), (*doc).topologyProgram},
+	{string(ProgramConsensus), (*doc).consensusProgram},
 }}
 
 func compile(c cursor, raw *rawScenario) *Scenario {
@@ -428,16 +421,17 @@ func compile(c cursor, raw *rawScenario) *Scenario {
 	if !c.at("measure").strict(raw.Measure, &d.measure) || !c.at("cluster").strict(raw.Cluster, &d.cluster) {
 		return nil
 	}
-	prog, ok := programs.pick(c.at("measure").at("program"), d.measure.Program)
+	compileProgram, ok := programs.pick(c.at("measure").at("program"), d.measure.Program)
 	if !ok {
 		return nil
 	}
-	d.sc.Measure.Program = prog.id
+	prog := Program(d.measure.Program)
+	d.sc.Measure.Program = prog
 	for _, f := range optionalFields(&d.cluster, &d.measure) {
-		read := !f.set || slices.Contains(f.readBy, prog.id)
-		c.at(f.section).at(f.name).check(read, "not used by the %v program", prog.id)
+		read := !f.set || slices.Contains(f.readBy, prog)
+		c.at(f.section).at(f.name).check(read, "not used by the %v program", prog)
 	}
-	prog.compile(d)
+	compileProgram(d)
 	return d.sc
 }
 
@@ -469,7 +463,6 @@ func optionalFields(cl *rawCluster, m *rawMeasure) []optionalField {
 		{"cluster", "hb_timeout_us", cl.HBTimeoutUS != 0, full},
 		{"cluster", "phi_threshold", cl.PhiThreshold != 0, full},
 		{"cluster", "chen_alpha_us", cl.ChenAlphaUS != 0, full},
-		{"cluster", "count_bytes", cl.CountBytes, full},
 		{"cluster", "start_jitter_us", cl.StartJitterUS != 0, full},
 		{"measure", "warm_us", m.WarmUS != 0, cluster},
 		{"measure", "metrics", len(m.Metrics) > 0, cluster},
@@ -508,7 +501,6 @@ func (d *doc) clusterSpec() ClusterSpec {
 		HBTimeout:    c.dur("hb_timeout_us", cl.HBTimeoutUS),
 		PhiThreshold: cl.PhiThreshold,
 		ChenAlpha:    c.dur("chen_alpha_us", cl.ChenAlphaUS),
-		CountBytes:   cl.CountBytes,
 		StartJitter:  c.dur("start_jitter_us", cl.StartJitterUS),
 	}
 	phi := cl.PhiThreshold
@@ -681,10 +673,10 @@ func (c cursor) schedule(events, generators []json.RawMessage, e *env) faults.Sc
 
 var eventKinds = union[decoder[faults.Event]]{
 	what: "event kind", field: "kind", alts: []alt[decoder[faults.Event]]{
-		{"crash", crashEvent},
-		{"recover", recoverEvent},
-		{"partition", partitionEvent},
-		{"heal", healEvent},
+		{string(faults.KindCrash), crashEvent},
+		{string(faults.KindRecover), recoverEvent},
+		{string(faults.KindPartition), partitionEvent},
+		{string(faults.KindHeal), healEvent},
 	}}
 
 func crashEvent(c cursor, raw json.RawMessage, e *env) faults.Event {
@@ -881,18 +873,14 @@ func (d *doc) clusterProgram() {
 
 // streamType is the value type a metric's per-replicate stream carries;
 // columns must aggregate compatible streams.
-type streamType int
+type streamType string
 
 const (
-	streamDetection streamType = iota + 1 // qos.DetectionStats
-	streamDuration                        // time.Duration (reconvergence settle)
-	streamScalar                          // float64 (storm count)
-	streamBool                            // 0/1 indicator (reconvergence clean)
+	streamDetection streamType = "detection" // qos.DetectionStats
+	streamDuration  streamType = "duration"  // time.Duration (reconvergence settle)
+	streamScalar    streamType = "scalar"    // float64 (storm count)
+	streamBool      streamType = "indicator" // 0/1 indicator (reconvergence clean)
 )
-
-var streamNames = [...]string{
-	streamDetection: "detection", streamDuration: "duration", streamScalar: "scalar", streamBool: "indicator",
-}
 
 // claim registers a metric stream under a fresh name.
 func (e *env) claim(c cursor, name string, st streamType) {
@@ -904,11 +892,11 @@ func (e *env) claim(c cursor, name string, st streamType) {
 
 var metricKinds = union[decoder[Metric]]{
 	what: "metric kind", field: "kind", alts: []alt[decoder[Metric]]{
-		{"detection", detectionMetric(MetricDetection)},
-		{"redetection", detectionMetric(MetricRedetection)},
-		{"trust-restoration", detectionMetric(MetricTrustRestoration)},
-		{"storm", stormMetric},
-		{"reconvergence", reconvergenceMetric},
+		{string(MetricDetection), detectionMetric(MetricDetection)},
+		{string(MetricRedetection), detectionMetric(MetricRedetection)},
+		{string(MetricTrustRestoration), detectionMetric(MetricTrustRestoration)},
+		{string(MetricStorm), stormMetric},
+		{string(MetricReconvergence), reconvergenceMetric},
 	}}
 
 // detectionMetric is the detection family: one shape, three judgments.
@@ -969,20 +957,19 @@ func reconvergenceMetric(c cursor, raw json.RawMessage, e *env) Metric {
 	return Metric{Name: r.Name, Kind: MetricReconvergence, After: after, CleanName: r.CleanName}
 }
 
-// columnKind is one alternative of columns[].kind: the aggregation and the
-// metric streams it can fold ("needs" words them for the diagnostic).
+// columnKind is one alternative of columns[].kind: the metric streams the
+// aggregation can fold ("needs" words them for the diagnostic).
 type columnKind struct {
-	kind    ColumnKind
 	needs   string
 	streams []streamType
 }
 
 var columnKinds = union[columnKind]{what: "column kind", alts: []alt[columnKind]{
-	{"fam_ms", columnKind{ColFamMS, "a detection or reconvergence", []streamType{streamDetection, streamDuration}}},
-	{"max_ms", columnKind{ColMaxMS, "a detection or reconvergence", []streamType{streamDetection, streamDuration}}},
-	{"missing", columnKind{ColMissing, "a detection", []streamType{streamDetection}}},
-	{"fam", columnKind{ColFam, "a scalar", []streamType{streamScalar}}},
-	{"ratio", columnKind{ColRatio, "a 0/1 indicator", []streamType{streamBool}}},
+	{string(ColFamMS), columnKind{"a detection or reconvergence", []streamType{streamDetection, streamDuration}}},
+	{string(ColMaxMS), columnKind{"a detection or reconvergence", []streamType{streamDetection, streamDuration}}},
+	{string(ColMissing), columnKind{"a detection", []streamType{streamDetection}}},
+	{string(ColFam), columnKind{"a scalar", []streamType{streamScalar}}},
+	{string(ColRatio), columnKind{"a 0/1 indicator", []streamType{streamBool}}},
 }}
 
 // famFormats are the famCell verbs a ColFam column may use.
@@ -994,10 +981,10 @@ func (c cursor) column(rc rawColumn, streams map[string]streamType) Column {
 	c.at("metric").check(known, "unknown metric %q", rc.Metric)
 	ck, _ := columnKinds.pick(c.at("kind"), rc.Kind)
 	c.at("kind").check(slices.Contains(ck.streams, st),
-		"%s needs %s metric, %q is %s-valued", rc.Kind, ck.needs, rc.Metric, streamNames[st])
-	col := Column{Header: rc.Header, Metric: rc.Metric, Kind: ck.kind, Format: rc.Format}
+		"%s needs %s metric, %q is %s-valued", rc.Kind, ck.needs, rc.Metric, st)
+	col := Column{Header: rc.Header, Metric: rc.Metric, Kind: ColumnKind(rc.Kind), Format: rc.Format}
 	switch {
-	case ck.kind != ColFam:
+	case col.Kind != ColFam:
 		c.at("format").check(rc.Format == "", "only fam columns take a format")
 	case rc.Format == "":
 		col.Format = "%.1f"

@@ -449,3 +449,85 @@ func TestIslandsCoveringEveryProcessCut(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCompiledKindIsItsTag compiles, for every alternative of the programs,
+// events, metrics and columns unions, a minimal document that uses it, and
+// checks that the compiled kind is the alternative's own tag: a union row
+// that pairs a tag with another kind's decoder fails here. An alternative
+// added without a document here fails too.
+func TestCompiledKindIsItsTag(t *testing.T) {
+	parse := func(t *testing.T, doc string) *Scenario {
+		t.Helper()
+		sc, err := Parse([]byte(doc), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc
+	}
+	programDocs := map[string]string{"cluster": miniDoc, "topology": topoDoc, "consensus": consensusDoc}
+	for _, alt := range programs.alts {
+		t.Run("program "+alt.tag, func(t *testing.T) {
+			if got := parse(t, programDocs[alt.tag]).Measure.Program; got != Program(alt.tag) {
+				t.Errorf("compiled program %q", got)
+			}
+		})
+	}
+	// The event of the alternative comes last in its list.
+	const crash, part = `{"kind": "crash", "at_us": 1000000, "id": 3}`, `{"kind": "partition", "at_us": 1, "islands": [[0]]}`
+	eventLists := map[string]string{
+		"crash":     `[` + crash + `]`,
+		"recover":   `[` + crash + `, {"kind": "recover", "at_us": 2000000, "id": 3}]`,
+		"partition": `[` + part + `]`,
+		"heal":      `[` + part + `, {"kind": "heal", "at_us": 2}]`,
+	}
+	for _, alt := range eventKinds.alts {
+		t.Run("event "+alt.tag, func(t *testing.T) {
+			list, ok := eventLists[alt.tag]
+			if !ok {
+				t.Fatal("no event list")
+			}
+			sched := parse(t, swap(miniDoc, miniEvents, list)).Variants[0].Faults
+			if got := sched[len(sched)-1].Kind; got != faults.EventKind(alt.tag) {
+				t.Errorf("compiled event kind %q", got)
+			}
+		})
+	}
+	// The alternative's metric is named "probe", next to miniDoc's own.
+	probes := map[string]string{
+		"detection":         `{"kind": "detection", "name": "probe", "victim": 3}`,
+		"redetection":       `{"kind": "redetection", "name": "probe", "victim": 3}`,
+		"trust-restoration": `{"kind": "trust-restoration", "name": "probe", "victim": 3}`,
+		"storm":             `{"kind": "storm", "name": "probe", "from_us": 0, "to_us": 1}`,
+		"reconvergence":     `{"kind": "reconvergence", "name": "probe", "after_us": 1, "clean_name": "probe_clean"}`,
+	}
+	for _, alt := range metricKinds.alts {
+		t.Run("metric "+alt.tag, func(t *testing.T) {
+			probe, ok := probes[alt.tag]
+			if !ok {
+				t.Fatal("no metric")
+			}
+			for _, m := range parse(t, swap(miniDoc, miniDet, miniDet+", "+probe)).Measure.Metrics {
+				if m.Name == "probe" && m.Kind != MetricKind(alt.tag) {
+					t.Errorf("compiled metric kind %q", m.Kind)
+				}
+			}
+		})
+	}
+	// The alternative's column is headed "probe" and folds a metric of
+	// miniDoc's that the kind accepts.
+	folds := map[string]string{"fam_ms": "det", "max_ms": "settle", "missing": "det", "fam": "s", "ratio": "clean"}
+	for _, alt := range columnKinds.alts {
+		t.Run("column "+alt.tag, func(t *testing.T) {
+			metric, ok := folds[alt.tag]
+			if !ok {
+				t.Fatal("no metric to fold")
+			}
+			probe := `{"header": "probe", "metric": "` + metric + `", "kind": "` + alt.tag + `"}`
+			for _, c := range parse(t, swap(miniDoc, miniColumn, miniColumn+", "+probe)).Measure.Columns {
+				if c.Header == "probe" && c.Kind != ColumnKind(alt.tag) {
+					t.Errorf("compiled column kind %q", c.Kind)
+				}
+			}
+		})
+	}
+}

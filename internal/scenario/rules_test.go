@@ -265,8 +265,7 @@ func ruleCases() []errCase {
 	// then its own.
 	topo := func(name, old, new, path string) { add("topology "+name, topoDoc, old, new, path) }
 	for _, f := range []set{{"f", `1`}, {"window_us", `1`}, {"interval_us", `1`}, {"rebroadcast_us", `1`}, {"disable_tags", `true`},
-		{"hb_interval_us", `1`}, {"hb_timeout_us", `1`}, {"phi_threshold", `1`}, {"chen_alpha_us", `1`}, {"count_bytes", `true`},
-		{"start_jitter_us", `1`}} {
+		{"hb_interval_us", `1`}, {"hb_timeout_us", `1`}, {"phi_threshold", `1`}, {"chen_alpha_us", `1`}, {"start_jitter_us", `1`}} {
 		topo("rejects cluster "+f.field, `"detectors": ["heartbeat"],`, `"detectors": ["heartbeat"], "`+f.field+`": `+f.value+`,`, "cluster."+f.field)
 	}
 	for _, f := range []set{{"warm_us", `1`}, {"propose_us", `1`}, {"metrics", `[` + miniStorm + `]`}, {"columns", miniColumns}} {

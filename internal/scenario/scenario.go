@@ -37,82 +37,51 @@ import (
 const Schema = "asyncfd-scenario/v1"
 
 // DetectorNames lists the valid cluster.detectors entries, in the canonical
-// presentation order of the built-in sweeps. The names match
-// exp.Kind.String() (exp's TestScenarioNameListsMatchEngine).
+// presentation order of the built-in sweeps. They are exp.AllKinds() as
+// strings (exp's TestScenarioNameListsMatchEngine).
 var DetectorNames = []string{"async", "heartbeat", "phi-accrual", "chen-nfde"}
 
-// Program selects the measurement harness a scenario runs on.
-type Program int
+// Program selects the measurement harness a scenario runs on; its value
+// is the measure.program tag.
+type Program string
 
 const (
 	// ProgramCluster is the general harness: the full detector Cluster with
 	// a per-variant fault schedule, configurable qos metrics and columns
 	// (the harness behind E-series, R1 and R2).
-	ProgramCluster Program = iota + 1
+	ProgramCluster Program = "cluster"
 	// ProgramTopology is the fixed-shape large-n sweep: neighbor-local
 	// heartbeat detection over ring/grid/scale-free/MANET graphs, one crash,
 	// detection + traffic columns (the LT harness).
-	ProgramTopology
+	ProgramTopology Program = "topology"
 	// ProgramConsensus is the fixed-shape theory bridge: Chandra–Toueg
 	// consensus over each detector with a scripted fault schedule, worst
 	// survivor decision latency (the E7 harness, generalized to arbitrary
 	// schedules).
-	ProgramConsensus
+	ProgramConsensus Program = "consensus"
 )
 
-// String implements fmt.Stringer.
-func (p Program) String() string {
-	switch p {
-	case ProgramCluster:
-		return "cluster"
-	case ProgramTopology:
-		return "topology"
-	case ProgramConsensus:
-		return "consensus"
-	default:
-		return "program?"
-	}
-}
-
-// MetricKind enumerates the qos measurements the cluster program extracts
-// per replicate.
-type MetricKind int
+// MetricKind names a qos measurement the cluster program extracts per
+// replicate; its value is the metrics[].kind tag.
+type MetricKind string
 
 const (
 	// MetricDetection is qos.NewDetectionTimes of the victim's first
 	// crash over the observers.
-	MetricDetection MetricKind = iota + 1
+	MetricDetection MetricKind = "detection"
 	// MetricRedetection is qos.NewRedetectionTimes of downtime episode
 	// Episode (0 = first crash).
-	MetricRedetection
+	MetricRedetection MetricKind = "redetection"
 	// MetricTrustRestoration is qos.NewTrustRestorationTimes after
 	// recovery Episode.
-	MetricTrustRestoration
+	MetricTrustRestoration MetricKind = "trust-restoration"
 	// MetricStorm is qos.NewMistakeStorm over [From, To).
-	MetricStorm
+	MetricStorm MetricKind = "storm"
 	// MetricReconvergence is qos.NewReconvergence from After; it yields
 	// the settle duration under the metric's name and a 0/1 clean indicator
 	// under CleanName.
-	MetricReconvergence
+	MetricReconvergence MetricKind = "reconvergence"
 )
-
-// String implements fmt.Stringer.
-func (k MetricKind) String() string {
-	switch k {
-	case MetricDetection:
-		return "detection"
-	case MetricRedetection:
-		return "redetection"
-	case MetricTrustRestoration:
-		return "trust-restoration"
-	case MetricStorm:
-		return "storm"
-	case MetricReconvergence:
-		return "reconvergence"
-	default:
-		return "metric?"
-	}
-}
 
 // Metric is one compiled per-replicate measurement of the cluster program.
 type Metric struct {
@@ -136,46 +105,28 @@ type Metric struct {
 	CleanName string
 }
 
-// ColumnKind enumerates the aggregations a table column applies to its
-// metric's replicate values.
-type ColumnKind int
+// ColumnKind names the aggregation a table column applies to its metric's
+// replicate values; its value is the columns[].kind tag.
+type ColumnKind string
 
 const (
 	// ColFamMS renders mean ±ci95 in milliseconds (famMS): over the
 	// per-replicate averages of a detection-family metric, or the
 	// per-replicate settle durations of a reconvergence metric.
-	ColFamMS ColumnKind = iota + 1
+	ColFamMS ColumnKind = "fam_ms"
 	// ColMaxMS renders the worst observation across the family in
 	// milliseconds: max of maxima for detection-family metrics, max settle
 	// for reconvergence.
-	ColMaxMS
+	ColMaxMS ColumnKind = "max_ms"
 	// ColMissing renders the total missed detections across the family
 	// (detection-family metrics only).
-	ColMissing
+	ColMissing ColumnKind = "missing"
 	// ColFam renders mean ±ci95 of a scalar metric under Format.
-	ColFam
+	ColFam ColumnKind = "fam"
 	// ColRatio renders "k/R": the number of replicates whose 0/1 indicator
 	// was nonzero, over the family size.
-	ColRatio
+	ColRatio ColumnKind = "ratio"
 )
-
-// String implements fmt.Stringer.
-func (k ColumnKind) String() string {
-	switch k {
-	case ColFamMS:
-		return "fam_ms"
-	case ColMaxMS:
-		return "max_ms"
-	case ColMissing:
-		return "missing"
-	case ColFam:
-		return "fam"
-	case ColRatio:
-		return "ratio"
-	default:
-		return "column?"
-	}
-}
 
 // Column is one compiled table column of the cluster program.
 type Column struct {
@@ -207,8 +158,10 @@ type ClusterSpec struct {
 	HBTimeout    time.Duration
 	PhiThreshold float64
 	ChenAlpha    time.Duration
-	CountBytes   bool
-	StartJitter  time.Duration
+	// CountBytes is false in every parsed scenario: the format has no
+	// such field.
+	CountBytes  bool
+	StartJitter time.Duration
 }
 
 // Variant is one fault variant of a scenario: the cluster program runs the

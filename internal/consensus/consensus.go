@@ -74,9 +74,6 @@ type Config struct {
 	F int
 	// Detector is the unreliable failure detector consulted in phase 3.
 	Detector fd.Detector
-	// PollInterval is how often the detector is re-consulted while waiting
-	// for a coordinator (default 5ms).
-	PollInterval time.Duration
 	// OnDecide, if set, is invoked exactly once with the decided value.
 	OnDecide func(Value)
 }
@@ -139,9 +136,6 @@ func NewNode(env node.Env, cfg Config) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 5 * time.Millisecond
-	}
 	return &Node{env: env, cfg: cfg, rounds: make(map[uint64]*roundState)}, nil
 }
 
@@ -202,10 +196,14 @@ func (n *Node) startRound(r uint64) {
 	n.armPoll(r)
 }
 
+// pollInterval is how often the detector is re-consulted while waiting for a
+// coordinator.
+const pollInterval = 5 * time.Millisecond
+
 // armPoll schedules the next failure-detector consultation for the
 // round-r coordinator wait.
 func (n *Node) armPoll(r uint64) {
-	n.poll = n.env.After(n.cfg.PollInterval, func() {
+	n.poll = n.env.After(pollInterval, func() {
 		if n.decided || n.round != r || n.resolved {
 			return
 		}

@@ -66,14 +66,12 @@ func (c Config) Validate() error {
 // the fixed-timeout rule. Its runtime serializes every call (monitor.Node).
 type Node = monitor.Node[Estimator, *Estimator]
 
-// NewNode builds a direct heartbeat detector on env. Its sequence counter
-// starts again at 1 when the node restarts with fresh state: the Θ rule
-// counts any heartbeat as a sighting, so it has no incarnation to keep.
+// NewNode builds a direct heartbeat detector on env.
 func NewNode(env node.Env, cfg Config) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return monitor.New[Estimator, *Estimator](env, monitor.Config{
-		Self: cfg.Self, Peers: cfg.Peers, Interval: cfg.Interval, SeqRestarts: true, Sink: cfg.Sink,
+		Self: cfg.Self, Peers: cfg.Peers, Interval: cfg.Interval, Sink: cfg.Sink,
 	}, Estimator{timeout: cfg.Timeout}), nil
 }

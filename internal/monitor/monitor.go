@@ -64,11 +64,6 @@ type Config struct {
 	// Poll, if positive, makes the monitor polled: no deadline timers, and
 	// every peer's Suspected is asked every Poll.
 	Poll time.Duration
-	// SeqRestarts makes a fresh Restart begin the sequence again at 1. A
-	// rule that drops stale sequence numbers needs the counter to survive
-	// as an incarnation number, or peers would discard the restarted sender
-	// forever.
-	SeqRestarts bool
 	// Sink, if set, receives timestamped suspicion transitions.
 	Sink fd.SuspicionSink
 }
@@ -103,7 +98,10 @@ type state[R any, PR Rule[R]] struct {
 	// because same-instant timers fire in arming order and same-instant
 	// transitions are traced in emission order, and runs of one seed must
 	// produce identical bytes. Node.byID indexes into it.
-	recs    []peer[R]
+	recs []peer[R]
+	// seq is the last heartbeat sent. A fresh Restart keeps it: a rule that
+	// drops stale sequence numbers (NFD-E) would otherwise discard the
+	// restarted sender, so it doubles as an incarnation number.
 	seq     uint64
 	stopped bool
 	beat    node.Timer
@@ -165,9 +163,6 @@ func (n *Node[R, PR]) Restart(fresh bool) {
 	stopTimer(n.beat)
 	stopTimer(n.poll)
 	n.stopped = false
-	if fresh && n.cfg.SeqRestarts {
-		n.seq = 0
-	}
 	now := n.env.Now()
 	for i := range n.recs {
 		p := &n.recs[i]

@@ -109,6 +109,9 @@ type Stats struct {
 	// Writes counts kernel Write calls (FramesSent/Writes is the achieved
 	// coalescing factor).
 	Writes uint64
+	// FramesRejected counts inbound frames wire.Decode refused. The
+	// connection stays open; the frame is not delivered.
+	FramesRejected uint64
 }
 
 // Transport is one process's endpoint. It implements node.Env.
@@ -129,11 +132,12 @@ type Transport struct {
 	// hanging networks).
 	dial func(addr string) (net.Conn, error)
 
-	framesSent    atomic.Uint64
-	framesDropped atomic.Uint64
-	dials         atomic.Uint64
-	dialFails     atomic.Uint64
-	writes        atomic.Uint64
+	framesSent     atomic.Uint64
+	framesDropped  atomic.Uint64
+	dials          atomic.Uint64
+	dialFails      atomic.Uint64
+	writes         atomic.Uint64
+	framesRejected atomic.Uint64
 
 	done    chan struct{}
 	wg      sync.WaitGroup
@@ -191,14 +195,15 @@ func (t *Transport) AddPeer(id ident.ID, addr string) {
 	t.peers[id] = &peer{id: id, addr: addr, wake: make(chan struct{}, 1)}
 }
 
-// Stats returns cumulative send-path counters.
+// Stats returns cumulative transport counters.
 func (t *Transport) Stats() Stats {
 	return Stats{
-		FramesSent:    t.framesSent.Load(),
-		FramesDropped: t.framesDropped.Load(),
-		Dials:         t.dials.Load(),
-		DialFails:     t.dialFails.Load(),
-		Writes:        t.writes.Load(),
+		FramesSent:     t.framesSent.Load(),
+		FramesDropped:  t.framesDropped.Load(),
+		Dials:          t.dials.Load(),
+		DialFails:      t.dialFails.Load(),
+		Writes:         t.writes.Load(),
+		FramesRejected: t.framesRejected.Load(),
 	}
 }
 
@@ -266,8 +271,10 @@ func (t *Transport) acceptLoop() {
 	}
 }
 
-// readLoop consumes the hello frame then dispatches messages. The frame
-// buffer is reused across reads: wire.Decode copies everything it returns.
+// readLoop consumes the hello frame then dispatches messages. The hello must
+// be exactly one uvarint that fits ident.ID, or the connection is closed. The
+// frame buffer is reused across reads: wire.Decode copies everything it
+// returns.
 func (t *Transport) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -279,12 +286,12 @@ func (t *Transport) readLoop(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 32<<10)
 	var buf []byte
 	hello, err := readFrameReuse(br, &buf)
-	if err != nil || len(hello) == 0 {
+	if err != nil {
 		return
 	}
 	from64, n := binary.Uvarint(hello)
-	if n <= 0 || from64 > math.MaxInt32 {
-		return // not an identity: truncated, it would be somebody else's
+	if n != len(hello) || from64 > math.MaxInt32 {
+		return // not an identity: truncated, trailed, or somebody else's
 	}
 	from := ident.ID(from64)
 	for {
@@ -294,7 +301,8 @@ func (t *Transport) readLoop(conn net.Conn) {
 		}
 		payload, err := wire.Decode(frame)
 		if err != nil {
-			continue // tolerate garbage; asynchronous links may be attacked
+			t.framesRejected.Add(1) // asynchronous links may be attacked
+			continue
 		}
 		select {
 		case <-t.done:

@@ -501,6 +501,92 @@ func TestHelloOutOfRange(t *testing.T) {
 	}
 }
 
+// TestFramesRejectedCounted: a frame wire.Decode refuses is counted in
+// Stats.FramesRejected and not delivered, and the connection carries on: the
+// valid heartbeat behind three refused frames still arrives.
+func TestFramesRejectedCounted(t *testing.T) {
+	col := newCollector()
+	a, err := New(Config{Self: 0, ListenAddr: "127.0.0.1:0", Handler: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	valid, err := wire.Encode(heartbeat.Message{From: 7, Seq: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := net.Dial("tcp", a.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	frames := [][]byte{
+		binary.AppendUvarint(nil, 7),             // hello
+		{0x7f},                                   // unknown kind
+		append(append([]byte(nil), valid...), 0), // a heartbeat with a byte after it
+		binary.AppendUvarint(binary.AppendUvarint([]byte{3}, 1<<31), 1), // a heartbeat from an id past 31 bits
+		valid,
+	}
+	for _, f := range frames {
+		if err := writeFrame(c, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 3*time.Second, func() bool { return col.len() > 0 })
+	if s := a.Stats(); s.FramesRejected != 3 || col.len() != 1 {
+		t.Errorf("FramesRejected = %d with %d deliveries, want 3 and 1", s.FramesRejected, col.len())
+	}
+}
+
+// FuzzHello feeds an arbitrary first frame, then one valid heartbeat frame,
+// to readLoop over net.Pipe. The heartbeat is delivered, as coming from the
+// hello's id, exactly when the hello is one uvarint of at most math.MaxInt32
+// and nothing else; otherwise nothing is delivered and readLoop closes the
+// connection on its own. It never panics. The seeds in
+// testdata/fuzz/FuzzHello are the three hellos TestHelloOutOfRange refuses, a
+// truncated uvarint (0x80), 2³¹−1, and 7 with a byte after it.
+func FuzzHello(f *testing.F) {
+	frame, err := wire.Encode(heartbeat.Message{From: 2, Seq: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, hello []byte) {
+		var from []ident.ID // written by readLoop only, read after it exits
+		tr := &Transport{
+			cfg:     Config{Handler: node.HandlerFunc(func(id ident.ID, _ any) { from = append(from, id) })},
+			inbound: make(map[net.Conn]struct{}),
+			done:    make(chan struct{}),
+		}
+		client, server := net.Pipe()
+		defer client.Close()
+		exited := make(chan struct{})
+		tr.wg.Add(1)
+		go func() {
+			tr.readLoop(server)
+			close(exited)
+		}()
+		id, n := binary.Uvarint(hello)
+		identity := n > 0 && n == len(hello) && id <= math.MaxInt32
+		// The endpoint may hang up on the hello before either write is read.
+		_ = writeFrame(client, hello)
+		_ = writeFrame(client, frame)
+		if identity {
+			client.Close() // readLoop delivers the heartbeat, then reads EOF
+		}
+		select {
+		case <-exited:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("hello %x: the connection is still open", hello)
+		}
+		switch {
+		case identity && (len(from) != 1 || uint64(from[0]) != id):
+			t.Fatalf("hello %x (p%d): deliveries came from %v", hello, id, from)
+		case !identity && len(from) != 0:
+			t.Fatalf("hello %x is no identity, yet %d frames were delivered from %v", hello, len(from), from)
+		}
+	})
+}
+
 // FuzzReadFrame feeds an arbitrary byte stream to readFrameReuse, through one
 // reused buffer, and reads frames until it errors. It never panics; every
 // frame is the 1 to maxFrame bytes its length prefix announces and equals the

@@ -17,6 +17,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"time"
 )
@@ -51,10 +52,6 @@ type DelaySeries struct {
 	// written again, shared by every reader of the series.
 	indexOnce sync.Once
 	width     time.Duration // bucket b covers offsets [b·width, (b+1)·width)
-	// before[b] counts the samples with At ≤ b·width, for b in
-	// [0, len(Samples)]: the answer for an offset in bucket b lies in
-	// Samples[before[b]-1 : before[b+1]].
-	before []int32
 	// oneWay[b] is OneWay's answer for every offset in bucket b, packed:
 	// the governing sample's RTT/2, or −RTT/2−1 when it is a loss. It is
 	// split when a sample falls strictly inside the bucket, so that the
@@ -111,8 +108,7 @@ func (s *DelaySeries) Validate() error {
 // The index cuts [0, Span) into one equal bucket per sample and keeps each
 // bucket's answer packed in one int64, so a uniformly ticked series, which
 // has its samples on bucket starts, answers with one 8-byte read. Only a
-// bucket with a sample strictly inside it searches, and then only the
-// samples of that bucket.
+// bucket with a sample strictly inside it searches.
 func (s *DelaySeries) OneWay(t time.Duration) (d time.Duration, delivered bool) {
 	s.indexOnce.Do(s.buildIndex)
 	off := t % s.Span
@@ -130,51 +126,35 @@ func (s *DelaySeries) OneWay(t time.Duration) (d time.Duration, delivered bool) 
 	return time.Duration(v), true
 }
 
-// sampleAt returns the sample governing off ∈ [0, Span): it binary-searches
-// the samples of off's bucket. The index must be built.
+// sampleAt returns the sample governing off ∈ [0, Span), found by binary
+// search of the whole series: the predecessor of the first sample with
+// At > off.
 func (s *DelaySeries) sampleAt(off time.Duration) DelaySample {
-	// Find the first sample with At > off; its predecessor governs. Samples
-	// before lo have At ≤ the bucket's start ≤ off, samples from hi on have
-	// At > the bucket's end > off.
-	b := off / s.width
-	lo, hi := int(s.before[b]), int(s.before[b+1])
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.Samples[mid].At > off {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if lo == 0 {
+	i := sort.Search(len(s.Samples), func(i int) bool { return s.Samples[i].At > off })
+	if i == 0 {
 		// Every sample is later than off: the series wraps, the last sample
 		// of the previous cycle is still in force.
 		return s.Samples[len(s.Samples)-1]
 	}
-	return s.Samples[lo-1]
+	return s.Samples[i-1]
 }
 
-// buildIndex fills width and before in one pass over the samples, then
-// oneWay from them.
+// buildIndex fills width, marks the split buckets in one pass over the
+// samples, and packs every other bucket's answer.
 func (s *DelaySeries) buildIndex() {
 	n := len(s.Samples)
 	s.width = (s.Span + time.Duration(n) - 1) / time.Duration(n) // ⌈Span/n⌉: n buckets cover [0, Span)
-	s.before = make([]int32, n+1)
-	i := 0
-	for b := range s.before {
-		for i < n && s.Samples[i].At <= time.Duration(b)*s.width {
-			i++
-		}
-		s.before[b] = int32(i)
-	}
 	s.oneWay = make([]int64, n)
-	for b := range s.oneWay {
-		start := time.Duration(b) * s.width
-		if i := s.before[b]; int(i) < n && s.Samples[i].At < start+s.width {
-			s.oneWay[b] = split
+	for _, smp := range s.Samples {
+		if smp.At%s.width != 0 {
+			s.oneWay[smp.At/s.width] = split
+		}
+	}
+	for b, v := range s.oneWay {
+		if v == split {
 			continue
 		}
-		smp := s.sampleAt(start)
+		smp := s.sampleAt(time.Duration(b) * s.width)
 		s.oneWay[b] = int64(smp.RTT / 2)
 		if smp.Loss {
 			s.oneWay[b] = -int64(smp.RTT/2) - 1

@@ -24,10 +24,9 @@ func testSeries() *DelaySeries {
 	}
 }
 
-// sampleAtIndexed is the sample governing offset t, found through the bucket
-// index as OneWay finds it when a bucket is split.
+// sampleAtIndexed is the sample governing offset t as OneWay finds it when
+// t's bucket is split: sampleAt, once t is folded into [0, Span).
 func sampleAtIndexed(s *DelaySeries, t time.Duration) DelaySample {
-	s.indexOnce.Do(s.buildIndex)
 	off := t % s.Span
 	if off < 0 {
 		off += s.Span

@@ -10,6 +10,13 @@
 // whichever rule listens) and the gossip detector's heartbeat vector. The
 // format is self-describing enough to decode without a schema and
 // deliberately has no external dependencies.
+//
+// Decode is the socket edge and fails closed: a frame that ends inside a
+// field, carries a process id wider than 31 bits, announces a list its bytes
+// cannot hold, has an unknown kind or has bytes left after its message is an
+// error, never a partial message or one about some other process. The
+// decoder keeps its first error and reads zeros after it, so each kind is
+// one composite literal checked once.
 package wire
 
 import (
@@ -41,6 +48,9 @@ var ErrUnknownKind = errors.New("wire: unknown message kind")
 // ErrIDRange reports a process id, of a sender or of an entry, that does not
 // fit ident.ID's 31 bits.
 var ErrIDRange = errors.New("wire: process id out of range")
+
+// ErrTrailing reports bytes left over after a complete message.
+var ErrTrailing = errors.New("wire: trailing bytes after message")
 
 // Encode serializes one of the supported payload types.
 func Encode(payload any) ([]byte, error) {
@@ -92,125 +102,98 @@ func appendEntries(buf []byte, entries []tagset.Entry) []byte {
 	return buf
 }
 
-// decoder walks an encoded buffer.
+// decoder walks an encoded buffer. The first read that fails leaves its
+// error in err; every read after it returns zero and consumes nothing, so a
+// message is read field by field and checked once.
 type decoder struct {
 	buf []byte
+	err error
 }
 
-func (d *decoder) uvarint() (uint64, error) {
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
 	v, n := binary.Uvarint(d.buf)
 	if n <= 0 {
-		return 0, ErrTruncated
+		d.err = ErrTruncated
+		return 0
 	}
 	d.buf = d.buf[n:]
-	return v, nil
+	return v
 }
 
 // id decodes a process id. Ids are 31-bit; a wider value is refused, not
 // truncated onto some other process.
-func (d *decoder) id() (ident.ID, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return ident.Nil, err
-	}
+func (d *decoder) id() ident.ID {
+	v := d.uvarint()
 	if v > math.MaxInt32 {
-		return ident.Nil, fmt.Errorf("%w: %d", ErrIDRange, v)
+		d.err = fmt.Errorf("%w: %d", ErrIDRange, v)
+		return ident.Nil
 	}
-	return ident.ID(v), nil
+	return ident.ID(v)
 }
 
-func (d *decoder) entries() ([]tagset.Entry, error) {
-	count, err := d.uvarint()
-	if err != nil {
-		return nil, err
+// count decodes a list length. Every element takes at least one byte, so a
+// count the rest of the buffer cannot hold is refused before it allocates.
+func (d *decoder) count() int {
+	n := d.uvarint()
+	if n > uint64(len(d.buf)) {
+		d.err = ErrTruncated
+		return 0
 	}
-	if count == 0 {
-		return nil, nil
-	}
-	if count > uint64(len(d.buf)) { // each entry is ≥ 2 bytes; cheap sanity cap
-		return nil, ErrTruncated
-	}
-	out := make([]tagset.Entry, 0, count)
-	for i := uint64(0); i < count; i++ {
-		id, err := d.id()
-		if err != nil {
-			return nil, err
-		}
-		tag, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tagset.Entry{ID: id, Tag: tagset.Tag(tag)})
-	}
-	return out, nil
+	return int(n)
 }
 
-// Decode parses a message produced by Encode.
+func (d *decoder) entries() []tagset.Entry {
+	n := d.count()
+	if n == 0 {
+		return nil
+	}
+	out := make([]tagset.Entry, n)
+	for i := range out {
+		out[i] = tagset.Entry{ID: d.id(), Tag: tagset.Tag(d.uvarint())}
+	}
+	return out
+}
+
+func (d *decoder) vector() []uint64 {
+	out := make([]uint64, d.count())
+	for i := range out {
+		out[i] = d.uvarint()
+	}
+	return out
+}
+
+// Decode parses a message produced by Encode. A frame with bytes left after
+// its message is refused (ErrTrailing): Encode never writes one.
 func Decode(data []byte) (any, error) {
 	if len(data) == 0 {
 		return nil, ErrTruncated
 	}
 	d := &decoder{buf: data[1:]}
+	var msg any
+	// Go evaluates the calls in a composite literal left to right, so each
+	// message's fields are read in wire order.
 	switch data[0] {
 	case kindQuery:
-		var q core.Query
-		var err error
-		if q.From, err = d.id(); err != nil {
-			return nil, err
-		}
-		if q.Round, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		if q.Suspected, err = d.entries(); err != nil {
-			return nil, err
-		}
-		if q.Mistake, err = d.entries(); err != nil {
-			return nil, err
-		}
-		return q, nil
+		msg = core.Query{From: d.id(), Round: d.uvarint(), Suspected: d.entries(), Mistake: d.entries()}
 	case kindResponse:
-		var r core.Response
-		var err error
-		if r.From, err = d.id(); err != nil {
-			return nil, err
-		}
-		if r.Round, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		return r, nil
+		msg = core.Response{From: d.id(), Round: d.uvarint()}
 	case kindHeartbeat:
-		var m heartbeat.Message
-		var err error
-		if m.From, err = d.id(); err != nil {
-			return nil, err
-		}
-		if m.Seq, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		msg = heartbeat.Message{From: d.id(), Seq: d.uvarint()}
 	case kindVector:
-		var m heartbeat.VectorMessage
-		var err error
-		if m.From, err = d.id(); err != nil {
-			return nil, err
-		}
-		count, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if count > uint64(len(d.buf)) {
-			return nil, ErrTruncated
-		}
-		m.Vector = make([]uint64, count)
-		for i := range m.Vector {
-			if m.Vector[i], err = d.uvarint(); err != nil {
-				return nil, err
-			}
-		}
-		return m, nil
+		msg = heartbeat.VectorMessage{From: d.id(), Vector: d.vector()}
 	default:
 		return nil, fmt.Errorf("%w: 0x%02x", ErrUnknownKind, data[0])
 	}
+	if d.err == nil && len(d.buf) > 0 {
+		d.err = ErrTrailing
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	return msg, nil
 }
 
 // Size returns the encoded size of payload, or 0 for unsupported types

@@ -231,13 +231,53 @@ func TestQuickQueryRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzDecode: Decode never panics, and a frame it accepts is a message —
-// re-encoded through AppendEncode it decodes to an equal value. The seeds in
-// testdata/fuzz/FuzzDecode are one valid frame per kind, the retired kinds 5
-// and 6, the wide-id frames and an entry count that lies.
+// TestDecodeRejectsTrailing: a frame is one message. Bytes after a complete
+// message of any kind are refused, not ignored; Encode never writes them.
+func TestDecodeRejectsTrailing(t *testing.T) {
+	payloads := []any{
+		core.Query{From: 3, Round: 9, Suspected: []tagset.Entry{{ID: 1, Tag: 4}}},
+		core.Response{From: 2, Round: 9},
+		heartbeat.Message{From: 5, Seq: 77},
+		heartbeat.VectorMessage{From: 1, Vector: []uint64{9, 0, 300}},
+	}
+	for _, p := range payloads {
+		frame, err := Encode(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tail := range [][]byte{{0}, {0xff, 0xff}, frame} {
+			if msg, err := Decode(append(frame[:len(frame):len(frame)], tail...)); !errors.Is(err, ErrTrailing) {
+				t.Errorf("%T with %x appended: decoded %+v, err = %v; want ErrTrailing", p, tail, msg, err)
+			}
+		}
+	}
+}
+
+// FuzzDecode holds Decode to the decoder it replaced (referenceDecode, in
+// reference_test.go) and to the codec. Where the reference errs, Decode
+// returns the same error text; where it leaves bytes over, Decode returns
+// ErrTrailing; otherwise Decode returns the same message. A message Decode
+// accepts re-encodes through AppendEncode to a frame that decodes to an
+// equal value. Decode never panics. The seeds in testdata/fuzz/FuzzDecode are
+// one valid frame per kind, the retired kinds 5 and 6, the wide-id frames,
+// entry and vector counts that lie (2⁶² elements: allocated, they would panic)
+// and valid frames with bytes after them.
 func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		msg, err := Decode(frame)
+		want, left, wantErr := referenceDecode(frame)
+		switch {
+		case wantErr != nil:
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("Decode(%x) = %+v, %v; the reference errs %v", frame, msg, err, wantErr)
+			}
+		case left > 0:
+			if !errors.Is(err, ErrTrailing) {
+				t.Fatalf("Decode(%x) = %+v, %v; the reference leaves %d bytes, want ErrTrailing", frame, msg, err, left)
+			}
+		case err != nil || !reflect.DeepEqual(msg, want):
+			t.Fatalf("Decode(%x) = %+v, %v; the reference decodes %+v", frame, msg, err, want)
+		}
 		if err != nil {
 			return
 		}

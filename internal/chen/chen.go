@@ -8,7 +8,9 @@
 // EA for heartbeat m+1, where m is the highest sequence number heard, is the
 // mean over the window of each sample's lag A_i − Δ·s_i behind the sender's
 // schedule, plus Δ·(m+1). The window holds those lags, one per heartbeat (the
-// last 100 of them), and their running sum.
+// last 100 of them), in a ring.Ring — four bytes a lag while the lags stay
+// within ±2³¹ ns of the window's first, eight from the first one that does
+// not until the window is rebased — and their running sum.
 //
 // This package holds the detector's Config, its per-peer rule (Estimator:
 // the lag window and EA + α) and its constructor; the node runtime is

@@ -1,6 +1,10 @@
 package chen
 
-import "time"
+import (
+	"time"
+
+	"asyncfd/internal/ring"
+)
 
 // windowSize is how many heartbeats a node's expected-arrival estimate
 // averages over.
@@ -20,19 +24,18 @@ type params struct {
 // cannot run it yet.
 //
 // Heartbeat s arriving at A is kept as the one value EA reads of it, its lag
-// A − Δ·s behind the sender's schedule: one 8-byte ring slot per sample and
-// one running sum. The record is ordered so that next and bootstrap share a
-// word.
+// A − Δ·s behind the sender's schedule: one ring.Ring sample (four bytes
+// while the lags stay within ±2³¹ ns of the window's first) and one running
+// sum.
 type Estimator struct {
-	p      *params         // shared by every peer of one monitor
-	lags   []time.Duration // ring of A − Δ·s, bounded by p.window
+	p      *params   // shared by every peer of one monitor
+	lags   ring.Ring // A − Δ·s, bounded by p.window
 	maxSeq uint64
 	// sum is Σ lags, maintained by push so expectedArrival is O(1) instead
 	// of re-walking the window on every heartbeat. Integer arithmetic, so
 	// the incremental sum equals the walked one exactly (modulo 2⁶⁴, as
 	// every int64 sum here is).
-	sum  time.Duration
-	next int32
+	sum time.Duration
 	// bootstrap marks a window holding only the synthetic restart sample;
 	// the first real heartbeat replaces it wholesale, because mixing the
 	// restart-era sample with post-restart sequence numbers would corrupt
@@ -40,39 +43,27 @@ type Estimator struct {
 	bootstrap bool
 }
 
-// push takes heartbeat seq arriving at arrival into the window.
-func (e *Estimator) push(seq uint64, arrival time.Duration) {
-	lag := arrival - time.Duration(seq)*e.p.interval
-	if len(e.lags) < e.p.window {
-		e.lags = append(e.lags, lag)
-	} else {
-		e.sum -= e.lags[e.next]
-		e.lags[e.next] = lag
-		if e.next++; int(e.next) == e.p.window {
-			e.next = 0
-		}
-	}
-	e.sum += lag
-	if seq > e.maxSeq {
-		e.maxSeq = seq
-	}
+// push takes a heartbeat's lag into the window. maxSeq is the caller's: Beat
+// takes only a seq above it, and Prime's 0 never is.
+func (e *Estimator) push(lag time.Duration) {
+	e.sum += lag - e.lags.Push(lag, e.p.window) // less the evicted lag, if any
 }
 
 // rebase empties the window (and its running sum) so the next push starts a
 // fresh estimation era.
 func (e *Estimator) rebase() {
-	e.lags = e.lags[:0]
-	e.next = 0
+	e.lags.Reset()
 	e.sum = 0
 }
 
 // expectedArrival estimates EA for heartbeat maxSeq+1: the mean lag over the
 // window, plus Δ·(maxSeq+1).
 func (e *Estimator) expectedArrival() time.Duration {
-	if len(e.lags) == 0 {
+	n := e.lags.Len()
+	if n == 0 {
 		return 0
 	}
-	return e.sum/time.Duration(len(e.lags)) + time.Duration(e.maxSeq+1)*e.p.interval
+	return e.sum/time.Duration(n) + time.Duration(e.maxSeq+1)*e.p.interval
 }
 
 // deadline is EA + α: the instant from which the next heartbeat is overdue.
@@ -86,7 +77,7 @@ func (e *Estimator) Suspected(now time.Duration) bool { return now > e.deadline(
 // started earlier may have been heard already — and the first real
 // heartbeats join it in turn.
 func (e *Estimator) Prime(now time.Duration) time.Duration {
-	e.push(0, now)
+	e.push(now) // heartbeat 0 lags by its arrival
 	return e.deadline()
 }
 
@@ -120,13 +111,15 @@ func (e *Estimator) Beat(seq uint64, now time.Duration, suspected bool) (time.Du
 		e.rebase()
 		e.bootstrap = false
 	}
-	e.push(seq, now)
+	e.push(now - time.Duration(seq)*e.p.interval)
+	e.maxSeq = seq
 	return e.deadline(), true
 }
 
 // CopyTo implements monitor.Rule (the window is the only reference field).
 func (e *Estimator) CopyTo(dst *Estimator) {
-	lags := append(dst.lags[:0], e.lags...)
+	lags := dst.lags
 	*dst = *e
 	dst.lags = lags
+	e.lags.CopyTo(&dst.lags)
 }

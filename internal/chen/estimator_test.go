@@ -16,7 +16,7 @@ func TestExpectedArrival(t *testing.T) {
 	e := newTestEstimator(100)
 	// Heartbeats 1,2,3 arrived exactly on schedule with 10ms transit.
 	for seq := uint64(1); seq <= 3; seq++ {
-		e.push(seq, time.Duration(seq)*time.Second+10*time.Millisecond)
+		e.Beat(seq, time.Duration(seq)*time.Second+10*time.Millisecond, false)
 	}
 	want := 4*time.Second + 10*time.Millisecond
 	if ea := e.expectedArrival(); ea != want {
@@ -34,21 +34,21 @@ func TestExpectedArrival(t *testing.T) {
 func TestEstimatorRing(t *testing.T) {
 	e := newTestEstimator(3)
 	for seq := uint64(1); seq <= 5; seq++ {
-		e.push(seq, time.Duration(seq)*(time.Second+time.Millisecond))
-		if len(e.lags) > 3 {
-			t.Fatalf("window len = %d, want at most 3", len(e.lags))
+		e.Beat(seq, time.Duration(seq)*(time.Second+time.Millisecond), false)
+		if e.lags.Len() > 3 {
+			t.Fatalf("window len = %d, want at most 3", e.lags.Len())
 		}
 		// The running sum holds exactly what the ring holds.
 		var walked time.Duration
-		for _, lag := range e.lags {
-			walked += lag
+		for i := range e.lags.Len() {
+			walked += e.lags.At(i)
 		}
 		if e.sum != walked {
 			t.Errorf("after heartbeat %d: running sum %v, walk of the ring %v", seq, e.sum, walked)
 		}
 	}
-	if len(e.lags) != 3 || e.maxSeq != 5 {
-		t.Errorf("window len = %d, maxSeq = %d; want 3 and 5", len(e.lags), e.maxSeq)
+	if e.lags.Len() != 3 || e.maxSeq != 5 {
+		t.Errorf("window len = %d, maxSeq = %d; want 3 and 5", e.lags.Len(), e.maxSeq)
 	}
 	// Heartbeats 3, 4, 5 lag 3, 4 and 5 ms behind Δ·s: EA is Δ·6 + 4 ms.
 	if want := 6*time.Second + 4*time.Millisecond; e.expectedArrival() != want {
@@ -57,14 +57,16 @@ func TestEstimatorRing(t *testing.T) {
 }
 
 // TestEstimatorSize pins the record a monitor keeps per peer on a 64-bit
-// platform: the params pointer, the ring's slice header, maxSeq, the sum, and
-// next and bootstrap in one word.
+// platform: the params pointer, the ring (its slice header, base, cursor and
+// width flag, 40 bytes), maxSeq, the sum, and bootstrap in a word of its own.
+// The ring's 16 bytes over a bare slice header buy four-byte samples: 400
+// bytes off a full window of 100.
 func TestEstimatorSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the layout is pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(Estimator{}); got != 56 {
-		t.Errorf("Estimator is %d bytes, want 56", got)
+	if got := unsafe.Sizeof(Estimator{}); got != 72 {
+		t.Errorf("Estimator is %d bytes, want 72", got)
 	}
 }
 
@@ -80,8 +82,8 @@ func TestStaleHeartbeatIgnored(t *testing.T) {
 			t.Errorf("stale heartbeat %d taken in", seq)
 		}
 	}
-	if e.maxSeq != 5 || len(e.lags) != 2 { // bootstrap sample + seq 5
-		t.Errorf("maxSeq = %d, samples = %d after stale heartbeats, want 5 and 2", e.maxSeq, len(e.lags))
+	if e.maxSeq != 5 || e.lags.Len() != 2 { // bootstrap sample + seq 5
+		t.Errorf("maxSeq = %d, samples = %d after stale heartbeats, want 5 and 2", e.maxSeq, e.lags.Len())
 	}
 	if e.deadline() != deadline {
 		t.Errorf("deadline moved from %v to %v by stale heartbeats", deadline, e.deadline())
@@ -95,8 +97,8 @@ func TestBeatRebases(t *testing.T) {
 	e.Prime(0)
 	e.Beat(1, time.Second, false)
 	e.Beat(2, 2*time.Second, false)
-	if _, ok := e.Beat(3, time.Minute, true); !ok || len(e.lags) != 1 {
-		t.Fatalf("heartbeat from a suspected peer left %d samples, want the window rebased on it alone", len(e.lags))
+	if _, ok := e.Beat(3, time.Minute, true); !ok || e.lags.Len() != 1 {
+		t.Fatalf("heartbeat from a suspected peer left %d samples, want the window rebased on it alone", e.lags.Len())
 	}
 	if got, want := e.deadline(), time.Minute+time.Second+200*time.Millisecond; got != want {
 		t.Errorf("deadline after rebase = %v, want arrival + Δ + α = %v", got, want)
@@ -104,11 +106,11 @@ func TestBeatRebases(t *testing.T) {
 	if got, want := e.Resume(true, 2*time.Minute), 2*time.Minute+time.Second+200*time.Millisecond; got != want {
 		t.Errorf("fresh restart grants until %v, want restart + Δ + α = %v", got, want)
 	}
-	if _, ok := e.Beat(1, 2*time.Minute+time.Second, false); !ok || len(e.lags) != 1 || e.maxSeq != 1 {
-		t.Errorf("first heartbeat after a fresh restart: ok=%v, %d samples, maxSeq %d; want it to replace the bootstrap sample", ok, len(e.lags), e.maxSeq)
+	if _, ok := e.Beat(1, 2*time.Minute+time.Second, false); !ok || e.lags.Len() != 1 || e.maxSeq != 1 {
+		t.Errorf("first heartbeat after a fresh restart: ok=%v, %d samples, maxSeq %d; want it to replace the bootstrap sample", ok, e.lags.Len(), e.maxSeq)
 	}
 	stale := e.deadline()
-	if got := e.Resume(false, time.Hour); got != stale || len(e.lags) != 1 {
+	if got := e.Resume(false, time.Hour); got != stale || e.lags.Len() != 1 {
 		t.Errorf("persisted restart moved the deadline %v → %v; want the stale window kept", stale, got)
 	}
 }
@@ -155,9 +157,9 @@ func (w *twin) beat(t testing.TB, seq uint64, now time.Duration, suspected bool)
 // it, at now and at an instant drawn from rng.
 func (w *twin) check(t testing.TB, now time.Duration, rng *rand.Rand) {
 	t.Helper()
-	if len(w.e.lags) != len(w.r.samples) || w.e.maxSeq != w.r.maxSeq || w.e.bootstrap != w.r.bootstrap {
+	if w.e.lags.Len() != len(w.r.samples) || w.e.maxSeq != w.r.maxSeq || w.e.bootstrap != w.r.bootstrap {
 		t.Fatalf("window %d samples, maxSeq %d, bootstrap %v; reference %d, %d, %v",
-			len(w.e.lags), w.e.maxSeq, w.e.bootstrap, len(w.r.samples), w.r.maxSeq, w.r.bootstrap)
+			w.e.lags.Len(), w.e.maxSeq, w.e.bootstrap, len(w.r.samples), w.r.maxSeq, w.r.bootstrap)
 	}
 	d := w.r.deadline()
 	if got := w.e.deadline(); got != d {

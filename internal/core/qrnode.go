@@ -42,6 +42,10 @@ type NodeConfig struct {
 type Node struct {
 	env node.Env   //fdlint:allow clonefields immutable wiring, set once at construction
 	cfg NodeConfig //fdlint:allow clonefields immutable config, set once at construction
+	// finishFn and nextFn are finishRound and nextRound, bound once so that
+	// arming a round's two timers makes no method value.
+	finishFn func() //fdlint:allow clonefields immutable binding, set once at construction
+	nextFn   func() //fdlint:allow clonefields immutable binding, set once at construction
 	nodeState
 }
 
@@ -78,6 +82,7 @@ func NewNode(env node.Env, cfg NodeConfig) (*Node, error) {
 		return nil, fmt.Errorf("core: env identity %v != detector identity %v", env.Self(), cfg.Detector.Self)
 	}
 	n := &Node{env: env, cfg: cfg}
+	n.finishFn, n.nextFn = n.finishRound, n.nextRound
 	detCfg := cfg.Detector
 	detCfg.Observer = (*nodeObserver)(n)
 	det, err := NewDetector(detCfg)
@@ -241,7 +246,7 @@ func (n *Node) maybeCloseRound() {
 		return
 	}
 	n.stopRequery()
-	n.pending = n.env.After(n.cfg.Window, n.finishRound)
+	n.pending = n.env.After(n.cfg.Window, n.finishFn)
 }
 
 func (n *Node) finishRound() {
@@ -250,8 +255,11 @@ func (n *Node) finishRound() {
 	}
 	n.det.EndRound() // the round was open with its quorum met when this was armed
 	n.rounds++
-	n.pending = n.env.After(n.cfg.Interval, func() {
-		n.pending = nil
-		n.startRound()
-	})
+	n.pending = n.env.After(n.cfg.Interval, n.nextFn)
+}
+
+// nextRound ends the pause after a round: the next query goes out.
+func (n *Node) nextRound() {
+	n.pending = nil
+	n.startRound()
 }

@@ -7,6 +7,7 @@ import (
 	"asyncfd/internal/des"
 	"asyncfd/internal/ident"
 	"asyncfd/internal/netsim"
+	"asyncfd/internal/raceflag"
 	"asyncfd/internal/trace"
 )
 
@@ -229,6 +230,29 @@ func TestTwoProcessCluster(t *testing.T) {
 	c.run(5 * time.Second)
 	if c.nodes[0].rounds == 0 || c.nodes[1].rounds == 0 {
 		t.Error("two-process cluster made no progress")
+	}
+}
+
+// TestAllocsNodeRound locks the runtime's share of a round: at n=2, f=1 each
+// process runs one round per 15 ms (its own response is the quorum), and a
+// round allocates its query's box, the box of its response to the other's
+// query, and the handles of its two timers (end of round, next round) — no
+// closure, since finishRound and nextRound are bound once, at construction.
+func TestAllocsNodeRound(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race runtime allocates")
+	}
+	c := newSimCluster(t, 1, 2, 1, netsim.Constant{D: time.Millisecond}, 5*time.Millisecond, 10*time.Millisecond)
+	c.run(time.Second)
+	rounds := c.nodes[0].rounds + c.nodes[1].rounds
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, func() { c.run(c.sim.Now() + 15*time.Millisecond) })
+	// AllocsPerRun makes one more call than it measures.
+	if got := c.nodes[0].rounds + c.nodes[1].rounds - rounds; got != 2*(runs+1) {
+		t.Fatalf("%d rounds in %d periods of 15 ms, want two a period", got, runs+1)
+	}
+	if allocs != 8 {
+		t.Errorf("two rounds: %v allocations, want 8", allocs)
 	}
 }
 

@@ -12,11 +12,19 @@
 // simulator's send → queue → deliver → re-arm path allocates nothing per
 // receiver.
 //
-// The kernel is built for throughput: events live in a slab recycled through
-// a free list (no per-event heap allocation in steady state), and an event
-// waits in one of two places. A timer due in a slot of the timer wheel
-// (state.wheel) that has not started yet waits in that slot's bucket, an
-// unordered list of slab indices. Everything else — messages, fan-out nodes,
+// The kernel is built for throughput. Events live in a slab recycled through
+// a free list, one 64-byte node — a cache line — each: the node's key, the
+// key of a pending re-arm, the payload (a timer's callback is carried there,
+// as a func()), the endpoints, the slot's generation, the kind and the stop
+// flag. A re-arm, a surfacing and a fire each read that one line. A fan-out's
+// deliveries are kept beside the slab, in its slot's entry of a side table
+// (state.fans), which only fan-outs read. In steady state a message and a
+// fan-out allocate nothing, and neither does a Reset; arming a timer still
+// allocates its 16-byte *Timer handle.
+//
+// An event waits in one of two places. A timer due in a slot of the timer
+// wheel (state.wheel) that has not started yet waits in that slot's bucket,
+// an unordered list of slab indices. Everything else — messages, fan-out nodes,
 // timers due in the current slot or beyond the wheel's span, and the contents
 // of each slot as it drains — waits in one binary min-heap keyed inline by
 // (at, seq) (state.heap), so a sift compares entries without reading the
@@ -65,22 +73,24 @@ type Sink interface {
 type eventKind uint8
 
 const (
-	evTimer  eventKind = iota // fn, owned by `to` (ident.Nil: nobody, always runs)
+	evTimer  eventKind = iota // payload is the callback, a func(); owned by `to` (ident.Nil: nobody, always runs)
 	evMsg                     // (from, to, payload)
-	evFanout                  // (from, payload) shared by items[head:]
+	evFanout                  // (from, payload) shared by the slot's fan items[head:]
 )
 
 // event is one kernel node: a callback, a message, or a whole fan-out.
 // Events live in the simulator's slab, addressed by index and recycled
 // through a free list; gen invalidates stale Timer handles when a slot is
 // reused. For fan-out nodes, (at, seq) always hold the key of the earliest
-// undelivered item, and a fan-out node is never stopped or re-armed.
+// undelivered item, and a fan-out node is never stopped or re-armed. An
+// event is 64 bytes, one cache line on the platforms that have them: what a
+// re-arm, a surfacing and a fire read of it is here, and a fan-out's items
+// are in the slot's fan, beside the slab.
 type event struct {
-	at      time.Duration
-	seq     uint64
-	fn      func()
+	at  time.Duration
+	seq uint64
+	// payload is a message's payload, or a timer's callback as a func().
 	payload any
-	items   []fanItem
 	// newAt/newSeq is a pending re-arm (Timer.Reset): the key the timer
 	// really fires under, applied when (at, seq) — the key it is queued
 	// under, never later than the real one — surfaces: its wheel slot
@@ -91,10 +101,17 @@ type event struct {
 	newSeq  uint64
 	from    ident.ID
 	to      ident.ID
-	head    int32 // next undelivered fan-out item
 	gen     uint32
 	kind    eventKind
 	stopped bool
+}
+
+// fan is a fan-out node's deliveries: the side-table entry (state.fans) of
+// the slab slot the node holds. items are sorted by (at, idx); head is the
+// next undelivered one.
+type fan struct {
+	items []fanItem
+	head  int32
 }
 
 // fanItem is one receiver of a fan-out node. idx is the receiver's position
@@ -158,7 +175,7 @@ func (t *Timer) Stop() bool {
 		return false
 	}
 	e.stopped = true
-	e.fn = nil // release captured state promptly
+	e.payload = nil // release captured state promptly
 	return true
 }
 
@@ -190,10 +207,10 @@ func (t *Timer) Reset(d time.Duration) bool {
 }
 
 // state is everything about a Simulator that a run changes — virtual clock,
-// sequence counter, the event slab (every in-flight message as data: endpoints,
-// payload and per-fan-out item storage; every timer with its pending re-arm,
-// if any), the free list, the timer wheel, the heap and the random stream
-// position — and so everything a checkpoint holds. It exists as one value so
+// sequence counter, the event slab (every in-flight message as data: endpoints
+// and payload; every timer with its callback and pending re-arm, if any), the
+// fan-out side table, the free list, the timer wheel, the heap and the random
+// stream position — and so everything a checkpoint holds. It exists as one value so
 // that Snapshot and Restore are one copy (state.copyTo) run in the two
 // directions: a field added here is checkpointed by being here.
 type state struct {
@@ -205,6 +222,11 @@ type state struct {
 
 	events []event // slab; all event storage, recycled via free
 	free   []int32 // recycled slab slots
+	// fans is the slab's side table: fans[i] holds the deliveries of the
+	// fan-out node in slot i, and is empty for any other slot. It grows only
+	// as far as the highest slot a fan-out has held, so a slot's fan is read
+	// by fan-outs alone.
+	fans []fan
 
 	// wheel is the timer wheel in front of the heap: wheelSlots buckets,
 	// bucket k holding, in no order, the slab indices of the timers keyed in
@@ -300,11 +322,13 @@ func (s *Simulator) alloc() int32 {
 }
 
 // release recycles a slab slot; the gen bump invalidates outstanding Timers.
-// Fan-out item slices go back to the kernel-owned free pool.
+// A fan-out's item slice goes back to the kernel-owned free pool.
 func (s *Simulator) release(i int32) {
 	e := &s.events[i]
-	if e.items != nil {
-		s.itemFree = append(s.itemFree, e.items[:0])
+	if e.kind == evFanout {
+		f := &s.fans[i]
+		s.itemFree = append(s.itemFree, f.items[:0])
+		*f = fan{}
 	}
 	*e = event{gen: e.gen + 1}
 	s.free = append(s.free, i)
@@ -440,7 +464,7 @@ func (s *Simulator) AfterOwned(d time.Duration, owner ident.ID, fn func()) *Time
 func (s *Simulator) timerAt(at time.Duration, owner ident.ID, fn func()) *Timer {
 	i := s.alloc()
 	e := &s.events[i]
-	e.kind, e.fn, e.to = evTimer, fn, owner
+	e.kind, e.payload, e.to = evTimer, fn, owner
 	s.schedule(i, at, 1)
 	return &Timer{s: s, idx: i, gen: e.gen}
 }
@@ -530,8 +554,12 @@ func (s *Simulator) Fanout(from ident.ID, payload any, recv []Receiver) {
 		})
 	}
 	i := s.alloc()
+	if n := int(i) + 1; n > len(s.fans) {
+		s.fans = append(s.fans, make([]fan, n-len(s.fans))...)
+	}
+	s.fans[i].items = items
 	e := &s.events[i]
-	e.kind, e.from, e.payload, e.items = evFanout, from, payload, items
+	e.kind, e.from, e.payload = evFanout, from, payload
 	s.schedule(i, items[0].at, len(items))
 }
 
@@ -698,11 +726,12 @@ func (s *Simulator) fire(i int32) {
 		// Deliver the current item, then re-key the node, still at the heap's
 		// root, at its next one: a same-instant successor, still the least
 		// key, stays there after one comparison. The last item pops it.
-		it, from, payload := e.items[e.head], e.from, e.payload
-		e.head++
+		f := &s.fans[i]
+		it, from, payload := f.items[f.head], e.from, e.payload
+		f.head++
 		s.now = it.at
-		if int(e.head) < len(e.items) {
-			e.at = e.items[e.head].at
+		if int(f.head) < len(f.items) {
+			e.at = f.items[f.head].at
 			e.seq++
 			s.down(entry{at: e.at, seq: e.seq, i: i})
 		} else {
@@ -716,7 +745,7 @@ func (s *Simulator) fire(i int32) {
 		s.release(i)
 		s.sink.Deliver(from, to, payload)
 	default:
-		owner, fn := e.to, e.fn
+		owner, fn := e.to, e.payload.(func())
 		s.now = e.at
 		s.release(i) // consume first: a later Timer.Stop reports false
 		if owner == ident.Nil || s.sink.Alive(owner) {

@@ -5,7 +5,19 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
+
+// TestEventSize pins the slab's element at one 64-byte cache line on a 64-bit
+// platform: a re-arm, a surfacing and a fire each read one line of it.
+func TestEventSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the layout is pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(event{}); got != 64 {
+		t.Errorf("event is %d bytes, want 64", got)
+	}
+}
 
 func TestEmptySimulator(t *testing.T) {
 	s := New(1)

@@ -68,13 +68,21 @@ func slabViolation(s *Simulator) string {
 		}
 		queued[idx] = true
 		if e := &s.events[idx]; e.kind == evFanout {
-			pending += len(e.items) - int(e.head)
+			pending += len(s.fans[idx].items) - int(s.fans[idx].head)
 		} else {
 			pending++
 		}
 	}
 	if pending != s.pending {
 		return fmt.Sprintf("Pending() = %d, but %d deliveries and callbacks are queued", s.pending, pending)
+	}
+	if len(s.fans) > len(s.events) {
+		return fmt.Sprintf("the fan table has %d entries for %d slab slots", len(s.fans), len(s.events))
+	}
+	for idx, f := range s.fans {
+		if s.events[idx].kind != evFanout && (f.items != nil || f.head != 0) {
+			return fmt.Sprintf("slot %d, of kind %d, has a fan of %d items", idx, s.events[idx].kind, len(f.items))
+		}
 	}
 	if len(s.wheel) != wheelSlots {
 		return fmt.Sprintf("the wheel has %d buckets, want %d", len(s.wheel), wheelSlots)
@@ -127,8 +135,11 @@ func structuralFingerprint(s *Simulator) string {
 		}
 	}
 	for i, e := range s.events {
-		fmt.Fprintf(&b, "ev%d at=%d seq=%d gen=%d stopped=%v kind=%d %d->%d rearm=%d/%d items=%v head=%d fn=%v payload=%v\n",
-			i, e.at, e.seq, e.gen, e.stopped, e.kind, e.from, e.to, e.newAt, e.newSeq, e.items, e.head, e.fn != nil, e.payload != nil)
+		fmt.Fprintf(&b, "ev%d at=%d seq=%d gen=%d stopped=%v kind=%d %d->%d rearm=%d/%d payload=%v\n",
+			i, e.at, e.seq, e.gen, e.stopped, e.kind, e.from, e.to, e.newAt, e.newSeq, e.payload != nil)
+		if e.kind == evFanout {
+			fmt.Fprintf(&b, "  items=%v head=%d\n", s.fans[i].items, s.fans[i].head)
+		}
 	}
 	return b.String()
 }

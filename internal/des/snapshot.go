@@ -85,16 +85,17 @@ func (s *Simulator) Reseed(seed int64) { s.stream.Seed(seed) }
 type Snapshot struct{ st state }
 
 // copyTo makes dst a copy of s that shares no mutable storage with it, reusing
-// what dst already has: the slab's array and its per-event item storage (a
-// Restore runs once per replicate, and reallocating the arena every time
-// dominated fork cost at large n), the free list, the wheel's buckets and
+// what dst already has: the slab's array, the fan-out side table and its item
+// storage (a Restore runs once per replicate, and reallocating the arena every
+// time dominated fork cost at large n), the free list, the wheel's buckets and
 // the heap. spare is the pool a bucket that dst has no storage for takes some
 // from: the restored simulator's, or nil for a checkpoint, whose buckets are
 // sized to what they hold.
 func (s *state) copyTo(dst *state, spare *[][]int32) {
-	events, free, wheel, heap, gen := dst.events, dst.free, dst.wheel, dst.heap, dst.stream.gen
+	events, fans, free, wheel, heap, gen := dst.events, dst.fans, dst.free, dst.wheel, dst.heap, dst.stream.gen
 	*dst = *s
-	dst.events = copyEvents(events, s.events)
+	dst.events = append(events[:0], s.events...)
+	dst.fans = copyFans(fans, s.fans)
 	dst.free = append(free[:0], s.free...)
 	dst.wheel = copyWheel(wheel, s.wheel, spare)
 	dst.heap = append(heap[:0], s.heap...)
@@ -117,16 +118,16 @@ func copyWheel(dst, src [][]int32, spare *[][]int32) [][]int32 {
 	return dst
 }
 
-// copyEvents copies the slab src into dst's storage where capacity allows and
-// returns it. The per-event items slices are copied too — the live kernel
+// copyFans copies the side table src into dst's storage where capacity
+// allows and returns it. The item slices are copied too — the live kernel
 // recycles them through its itemFree pool, so a shallow copy would alias
-// storage the next fan-out overwrites — into the items dst's events already
+// storage the next fan-out overwrites — into the items dst's entries already
 // hold. Reuse is safe because a non-nil items slice is owned by exactly one
-// event header: release returns it to the itemFree pool only after nilling the
-// header.
-func copyEvents(dst, src []event) []event {
+// entry: release returns it to the itemFree pool only after emptying the
+// entry.
+func copyFans(dst, src []fan) []fan {
 	if cap(dst) < len(src) {
-		dst = make([]event, len(src))
+		dst = make([]fan, len(src))
 	}
 	dst = dst[:len(src)]
 	for k := range src {

@@ -354,3 +354,45 @@ func TestAllocsHeartbeatDelivery(t *testing.T) {
 		}
 	})
 }
+
+// TestAllocsTickAndPoll locks the monitor's own timers: over one heartbeat
+// interval a tick allocates the heartbeat's box and its timer handle (the
+// kernel hands out a *des.Timer per arm), and each of φ's four polls (Δ/4
+// apart) its timer handle alone. Neither re-arm makes a method value: tick
+// and scan are bound once, at construction.
+func TestAllocsTickAndPoll(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race runtime allocates")
+	}
+	forEachKind(t, func(t *testing.T, k kind) {
+		c := newNet(netsim.Constant{})
+		nd := c.add(t, k, 0, ident.SetOf(0, 1))
+		nd.Start()
+		hbs := make([]any, k.fill+16+101)
+		for i := range hbs {
+			hbs[i] = monitor.Message{From: 1, Seq: uint64(i + 1)}
+		}
+		next := 0
+		// One interval: one tick, the polls of a polled kind, and a
+		// heartbeat that keeps the peer trusted (which allocates nothing:
+		// TestAllocsHeartbeatDelivery).
+		interval1 := func() {
+			c.sim.RunUntil(c.sim.Now() + interval)
+			nd.Deliver(1, hbs[next])
+			next++
+		}
+		for i := 0; i < k.fill+16; i++ {
+			interval1()
+		}
+		polls := 0
+		if k.armed == 0 {
+			polls = 4
+		}
+		if allocs := testing.AllocsPerRun(100, interval1); allocs != float64(2+polls) {
+			t.Errorf("one interval, one tick and %d polls: %v allocations, want %d", polls, allocs, 2+polls)
+		}
+		if nd.IsSuspected(1) {
+			t.Error("the punctual peer is suspected")
+		}
+	})
+}

@@ -85,6 +85,10 @@ type Node[R any, PR Rule[R]] struct {
 	env  node.Env                //fdlint:allow clonefields immutable wiring, set once at construction
 	cfg  Config                  //fdlint:allow clonefields immutable config, set once at construction
 	byID node.DenseMap[*peer[R]] //fdlint:allow clonefields immutable index into recs, built at construction
+	// tickFn and scanFn are tick and scan, bound once so that re-arming the
+	// beat and the poll makes no method value.
+	tickFn func() //fdlint:allow clonefields immutable binding, set once at construction
+	scanFn func() //fdlint:allow clonefields immutable binding, set once at construction
 	state[R, PR]
 }
 
@@ -140,6 +144,7 @@ func New[R any, PR Rule[R]](env node.Env, cfg Config, proto R) *Node[R, PR] {
 	for i := range n.recs {
 		n.byID.Put(n.recs[i].id, &n.recs[i])
 	}
+	n.tickFn, n.scanFn = n.tick, n.scan
 	return n
 }
 
@@ -199,7 +204,7 @@ func (n *Node[R, PR]) tick() {
 	}
 	n.seq++
 	n.env.Broadcast(Message{From: n.env.Self(), Seq: n.seq})
-	n.beat = n.env.After(n.cfg.Interval, n.tick)
+	n.beat = n.env.After(n.cfg.Interval, n.tickFn)
 }
 
 // scan is the poll of a polled monitor. Trust comes back on a heartbeat,
@@ -216,7 +221,7 @@ func (n *Node[R, PR]) scan() {
 			n.emit(p.id, true)
 		}
 	}
-	n.poll = n.env.After(n.cfg.Poll, n.scan)
+	n.poll = n.env.After(n.cfg.Poll, n.scanFn)
 }
 
 // arm moves p's suspicion timer to wait from now (a polled monitor has none).

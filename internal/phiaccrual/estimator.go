@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/bits"
 	"time"
+
+	"asyncfd/internal/ring"
 )
 
 // EstimatorConfig parameterizes the φ rule for one monitored pair. The
@@ -68,10 +70,10 @@ const (
 	maxGap    = 1 << 47
 )
 
-// window is a bounded ring of inter-arrival gaps with their running sums.
+// window is the inter-arrival gaps — a ring.Ring, four bytes a gap while the
+// gaps stay within ±2³¹ ns of the window's first — with their running sums.
 type window struct {
-	samples []time.Duration
-	next    int
+	samples ring.Ring
 	// sum and sqHi:sqLo are Σ gap and Σ gap² over samples, in ns and ns²:
 	// added on push, subtracted on evict. The arithmetic wraps, so the sums
 	// are exact again as soon as the window's true sums fit — which wide == 0
@@ -82,25 +84,18 @@ type window struct {
 }
 
 func (w *window) push(v time.Duration, capacity int) {
-	if len(w.samples) < capacity {
-		w.samples = append(w.samples, v)
-	} else {
-		old := w.samples[w.next]
-		w.samples[w.next] = v
-		if w.next++; w.next == capacity {
-			w.next = 0
-		}
-		w.sum -= old
-		hi, lo := bits.Mul64(uint64(old), uint64(old))
-		var borrow uint64
-		w.sqLo, borrow = bits.Sub64(w.sqLo, lo, 0)
-		w.sqHi, _ = bits.Sub64(w.sqHi, hi, borrow)
-		if uint64(old) >= maxGap {
-			w.wide--
-		}
+	// The evicted gap, or 0 when the window had room: a 0 changes no sum.
+	old := w.samples.Push(v, capacity)
+	w.sum -= old
+	hi, lo := bits.Mul64(uint64(old), uint64(old))
+	var borrow uint64
+	w.sqLo, borrow = bits.Sub64(w.sqLo, lo, 0)
+	w.sqHi, _ = bits.Sub64(w.sqHi, hi, borrow)
+	if uint64(old) >= maxGap {
+		w.wide--
 	}
 	w.sum += v
-	hi, lo := bits.Mul64(uint64(v), uint64(v))
+	hi, lo = bits.Mul64(uint64(v), uint64(v))
 	var carry uint64
 	w.sqLo, carry = bits.Add64(w.sqLo, lo, 0)
 	w.sqHi, _ = bits.Add64(w.sqHi, hi, carry)
@@ -109,25 +104,41 @@ func (w *window) push(v time.Duration, capacity int) {
 	}
 }
 
-// meanStd is the rule's fit of the window: a walk over the gaps in ring
-// order, in float seconds. The order and the float type are part of the
-// result's last bits, and every committed table depends on those.
+// meanStd is the rule's fit of the window: a walk over the gaps in storage
+// order, index 0 to Len−1, in float seconds. The order and the float type are
+// part of the result's last bits, and every committed table depends on those.
+// A narrow window is walked through its offsets: At's test of the width on
+// every gap made a poll past the horizon about a quarter slower.
 func (w *window) meanStd() (mean, std float64) {
-	n := float64(len(w.samples))
+	n := w.samples.Len()
 	if n == 0 {
 		return 0, 0
 	}
+	base, offs, narrow := w.samples.Narrow()
 	var sum float64
-	for _, v := range w.samples {
-		sum += v.Seconds()
+	if narrow {
+		for _, off := range offs {
+			sum += (base + time.Duration(off)).Seconds()
+		}
+	} else {
+		for i := range n {
+			sum += w.samples.At(i).Seconds()
+		}
 	}
-	mean = sum / n
+	mean = sum / float64(n)
 	var ss float64
-	for _, v := range w.samples {
-		d := v.Seconds() - mean
-		ss += d * d
+	if narrow {
+		for _, off := range offs {
+			d := (base + time.Duration(off)).Seconds() - mean
+			ss += d * d
+		}
+	} else {
+		for i := range n {
+			d := w.samples.At(i).Seconds() - mean
+			ss += d * d
+		}
 	}
-	return mean, math.Sqrt(ss / n)
+	return mean, math.Sqrt(ss / float64(n))
 }
 
 // level is φ at x = (t − µ)/(σ·√2): −log10 of the normal tail 0.5·erfc(x).
@@ -227,13 +238,13 @@ func (e *Estimator) sighted(at time.Duration) {
 	const farthest = 1 << 62
 	e.last, e.horizon = at, 0
 	w := &e.win
-	n := uint64(len(w.samples))
+	n := w.samples.Len()
 	if e.cfg.z == 0 || w.wide != 0 || uint64(at) >= farthest {
 		return
 	}
 	// n²·variance = n·Σ gap² − (Σ gap)², exactly.
-	hi, lo := bits.Mul64(w.sqLo, n)
-	hi += w.sqHi * n
+	hi, lo := bits.Mul64(w.sqLo, uint64(n))
+	hi += w.sqHi * uint64(n)
 	sumHi, sumLo := bits.Mul64(uint64(w.sum), uint64(w.sum))
 	lo, borrow := bits.Sub64(lo, sumLo, 0)
 	hi, _ = bits.Sub64(hi, sumHi, borrow)
@@ -314,7 +325,8 @@ func (e *Estimator) Prime(now time.Duration) time.Duration {
 // and the downtime gap must not enter the window as a sample.
 func (e *Estimator) Resume(fresh bool, now time.Duration) time.Duration {
 	if fresh {
-		e.win = window{samples: e.win.samples[:0]}
+		e.win.samples.Reset()
+		e.win = window{samples: e.win.samples}
 		e.suspected = false
 		return e.Prime(now)
 	}
@@ -332,7 +344,8 @@ func (e *Estimator) Beat(_ uint64, now time.Duration, _ bool) (time.Duration, bo
 // CopyTo implements monitor.Rule (the window's ring is the only reference
 // field; its sums and the horizon travel by value).
 func (e *Estimator) CopyTo(dst *Estimator) {
-	samples := append(dst.win.samples[:0], e.win.samples...)
+	samples := dst.win.samples
 	*dst = *e
 	dst.win.samples = samples
+	e.win.samples.CopyTo(&dst.win.samples)
 }

@@ -4,7 +4,23 @@ import (
 	"math"
 	"testing"
 	"time"
+	"unsafe"
 )
+
+// TestEstimatorSize pins the record a φ monitor keeps per peer on a 64-bit
+// platform: the config pointer; the window — the ring (its slice header, base,
+// cursor and width flag, 40 bytes), Σ gap, Σ gap² in two words and the count
+// of gaps the sums cannot hold; last and horizon; and the latch in a word of
+// its own. The ring's 16 bytes over a bare slice header buy four-byte gaps:
+// 800 bytes off a full window of 200.
+func TestEstimatorSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the layout is pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Estimator{}); got != 104 {
+		t.Errorf("Estimator is %d bytes, want 104", got)
+	}
+}
 
 func newTestEstimator(t *testing.T) *Estimator {
 	t.Helper()
@@ -97,17 +113,17 @@ func TestEstimatorOutOfOrderObserve(t *testing.T) {
 	e := newTestEstimator(t)
 	e.Observe(100 * time.Millisecond)
 	e.Observe(200 * time.Millisecond)
-	samples := len(e.win.samples)
+	samples := e.win.samples.Len()
 	mean, std := e.win.meanStd()
 	e.Observe(150 * time.Millisecond) // stale
 	if e.last != 200*time.Millisecond {
 		t.Errorf("last = %v after a stale Observe, want 200ms", e.last)
 	}
-	if m, s := e.win.meanStd(); len(e.win.samples) != samples || m != mean || s != std {
-		t.Errorf("stale Observe entered the window: %d samples (mean %v, std %v), want %d (%v, %v)", len(e.win.samples), m, s, samples, mean, std)
+	if m, s := e.win.meanStd(); e.win.samples.Len() != samples || m != mean || s != std {
+		t.Errorf("stale Observe entered the window: %d samples (mean %v, std %v), want %d (%v, %v)", e.win.samples.Len(), m, s, samples, mean, std)
 	}
 	e.Observe(200 * time.Millisecond) // same instant: a sample of 0, as ever
-	if len(e.win.samples) != samples+1 {
+	if e.win.samples.Len() != samples+1 {
 		t.Error("an arrival at the instant of the last one was not sampled")
 	}
 }

@@ -213,7 +213,7 @@ func TestHorizonBeforeCrossing(t *testing.T) {
 		w := randomState(t, rng)
 		h := w.e.horizon
 		if h == 0 {
-			t.Fatalf("state %d: no horizon (threshold %v, %d samples, %d wide)", i, w.cfg.Threshold, len(w.e.win.samples), w.e.win.wide)
+			t.Fatalf("state %d: no horizon (threshold %v, %d samples, %d wide)", i, w.cfg.Threshold, w.e.win.samples.Len(), w.e.win.wide)
 		}
 		w.horizonHolds(t)
 		at, ok := w.crossing()

@@ -107,36 +107,20 @@ func (w *window) push(v time.Duration, capacity int) {
 // meanStd is the rule's fit of the window: a walk over the gaps in storage
 // order, index 0 to Len−1, in float seconds. The order and the float type are
 // part of the result's last bits, and every committed table depends on those.
-// A narrow window is walked through its offsets: At's test of the width on
-// every gap made a poll past the horizon about a quarter slower.
 func (w *window) meanStd() (mean, std float64) {
 	n := w.samples.Len()
 	if n == 0 {
 		return 0, 0
 	}
-	base, offs, narrow := w.samples.Narrow()
 	var sum float64
-	if narrow {
-		for _, off := range offs {
-			sum += (base + time.Duration(off)).Seconds()
-		}
-	} else {
-		for i := range n {
-			sum += w.samples.At(i).Seconds()
-		}
+	for i := range n {
+		sum += w.samples.At(i).Seconds()
 	}
 	mean = sum / float64(n)
 	var ss float64
-	if narrow {
-		for _, off := range offs {
-			d := (base + time.Duration(off)).Seconds() - mean
-			ss += d * d
-		}
-	} else {
-		for i := range n {
-			d := w.samples.At(i).Seconds() - mean
-			ss += d * d
-		}
+	for i := range n {
+		d := w.samples.At(i).Seconds() - mean
+		ss += d * d
 	}
 	return mean, math.Sqrt(ss / float64(n))
 }

@@ -47,14 +47,6 @@ func (r *Ring) At(i int) time.Duration {
 	return r.base + time.Duration(r.s[i])
 }
 
-// Narrow returns the ring's storage while every sample is held in four bytes:
-// sample i is base + time.Duration(offsets[i]), in storage order. A walk over
-// offsets skips At's per-sample test of the width; ok is false when the ring
-// is wide, and then At is the way to read it.
-func (r *Ring) Narrow() (base time.Duration, offsets []int32, ok bool) {
-	return r.base, r.s, !r.wide
-}
-
 // Push adds v, evicting the oldest sample when the ring already holds
 // capacity of them, and returns the sample it evicted: 0 when the ring had
 // room, which is what a running sum subtracts for no sample.

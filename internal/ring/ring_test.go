@@ -55,18 +55,6 @@ func check(t testing.TB, step int, r *Ring, o *sliceRing) {
 			t.Fatalf("step %d: At(%d) = %d, want %d", step, i, got, want)
 		}
 	}
-	base, offs, narrow := r.Narrow()
-	if narrow == o.wide {
-		t.Fatalf("step %d: Narrow says narrow %v, the ring is wide %v", step, narrow, o.wide)
-	}
-	if !narrow {
-		return
-	}
-	for i, off := range offs {
-		if got := base + time.Duration(off); got != o.s[i] {
-			t.Fatalf("step %d: Narrow's sample %d is %d, want %d", step, i, got, o.s[i])
-		}
-	}
 }
 
 // runScript interprets data as a capacity (one byte) and a list of two-byte
@@ -128,28 +116,4 @@ func runScript(t testing.TB, data []byte) {
 // (testdata/fuzz/FuzzRingMatchesSlice) is replayed by plain go test.
 func FuzzRingMatchesSlice(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { runScript(t, data) })
-}
-
-// TestWidenKeepsEverySample: a full narrow ring that takes one sample 2³¹ ns
-// past its base reads every older sample back unchanged, evicts the oldest,
-// and is narrow again after Reset.
-func TestWidenKeepsEverySample(t *testing.T) {
-	var r Ring
-	for i := range 5 {
-		r.Push(time.Duration(i+1)*time.Millisecond, 5) // base 1 ms
-	}
-	if old := r.Push(time.Millisecond+1<<31, 5); !r.wide || old != time.Millisecond {
-		t.Fatalf("wide %v, evicted %v; want wide, evicting the base sample 1ms", r.wide, old)
-	}
-	want := []time.Duration{time.Millisecond + 1<<31, 2 * time.Millisecond, 3 * time.Millisecond, 4 * time.Millisecond, 5 * time.Millisecond}
-	for i, v := range want {
-		if got := r.At(i); got != v {
-			t.Errorf("At(%d) = %d, want %d", i, got, v)
-		}
-	}
-	r.Reset()
-	r.Push(time.Hour, 5)
-	if r.wide || r.Len() != 1 || r.At(0) != time.Hour {
-		t.Errorf("after Reset and one push: wide %v, %d samples, At(0) = %v; want narrow, 1, 1h0m0s", r.wide, r.Len(), r.At(0))
-	}
 }

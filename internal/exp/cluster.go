@@ -269,9 +269,11 @@ func buildNode(env *netsim.Env, cfg ClusterConfig, peers ident.Set, density int,
 			Sink:     log,
 		})
 	case KindGossip:
-		return heartbeat.NewGossipNode(env, heartbeat.GossipConfig{
+		// Gossip carries and watches every process's counter, not only
+		// its neighbours'.
+		return heartbeat.NewGossipNode(env, heartbeat.Config{
 			Self:     id,
-			N:        cfg.N,
+			Peers:    ident.FullSet(cfg.N),
 			Interval: cfg.HBInterval,
 			Timeout:  cfg.HBTimeout,
 			Sink:     log,

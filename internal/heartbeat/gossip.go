@@ -1,11 +1,10 @@
 package heartbeat
 
 import (
-	"errors"
-	"time"
+	"slices"
 
-	"asyncfd/internal/fd"
 	"asyncfd/internal/ident"
+	"asyncfd/internal/monitor"
 	"asyncfd/internal/node"
 )
 
@@ -16,208 +15,117 @@ type VectorMessage struct {
 	Vector []uint64
 }
 
-// GossipConfig parameterizes a Friedman–Tcharny-style gossip detector.
-type GossipConfig struct {
-	// Self is this process's identity.
-	Self ident.ID
-	// N is the total number of processes (the vector length); the gossip
-	// variant assumes the number of nodes is known, as in the original.
-	N int
-	// Interval is the gossip period Δ.
-	Interval time.Duration
-	// Timeout is the suspicion timeout Θ: a process whose counter has not
-	// increased for Θ is suspected. Θ must account for multi-hop
-	// propagation.
-	Timeout time.Duration
-	// Sink, if set, receives timestamped suspicion transitions.
-	Sink fd.SuspicionSink
-}
-
-// Validate checks the configuration.
-func (c GossipConfig) Validate() error {
-	if !c.Self.Valid() || int(c.Self) >= c.N {
-		return errors.New("heartbeat: gossip config: Self out of range")
-	}
-	if c.N < 2 {
-		return errors.New("heartbeat: gossip config: N must be ≥ 2")
-	}
-	if c.Interval <= 0 || c.Timeout <= 0 {
-		return errors.New("heartbeat: gossip config: Interval and Timeout must be positive")
-	}
-	return nil
-}
-
-// GossipNode floods heartbeat counters through neighbor broadcasts: every Δ
-// it increments its own vector entry and broadcasts the vector; on reception
-// it merges entry-wise maxima. A peer is suspected when its entry stalls for
-// Θ. Works over partially connected topologies because counters propagate
-// transitively. It holds no lock: like every node, it is called only in its
-// runtime's callback context (node.Env).
+// GossipNode is the Friedman–Tcharny-style detector for partially connected
+// systems: the fixed-timeout rule on the heartbeat family's runtime, polled
+// every Δ, behind a relay that floods heartbeat counters. Every Δ it
+// broadcasts to its neighbours its vector, with its own entry set to the
+// heartbeat's sequence number; on reception it merges entry-wise maxima, and
+// an entry that rose is a sighting of its process. A process is suspected
+// when its entry stalls for Θ, which must therefore cover multi-hop
+// propagation. The tick, the poll, the suspicion flags, Start, Suspects and
+// the runtime's half of Restart, Stop and the checkpoint are monitor.Node's.
 type GossipNode struct {
-	env node.Env     //fdlint:allow clonefields immutable wiring, set once at construction
-	cfg GossipConfig //fdlint:allow clonefields immutable config, set once at construction
+	*Node //fdlint:allow clonefields the runtime, checkpointed by its own Snapshot inside GossipNode's
 	gossipState
 }
 
-// gossipState is everything about a GossipNode a run changes, and so the
-// node.Cloneable checkpoint: Snapshot and Restore are copyTo run in the two
-// directions. The timer handle is shared by value with the live node: the
-// paired kernel snapshot rewinds slot generations, so one captured in a
-// checkpoint is pending again after Restore.
+// gossipState is the relay's half of the node.Cloneable checkpoint.
 type gossipState struct {
-	vector    []uint64
-	lastRise  []time.Duration
-	suspected ident.Set
-	stopped   bool
-	beat      node.Timer
+	// vector holds one counter per process. The own entry is the runtime's
+	// last heartbeat sequence number, which a fresh Restart keeps: peers
+	// merge by maximum and would discard a sender that began again at 1.
+	vector []uint64
+	// stopped is the runtime's own flag, mirrored: a stopped node merges
+	// nothing.
+	stopped bool
 }
 
 // copyTo makes dst a copy of s that shares no storage with it, reusing dst's.
 func (s *gossipState) copyTo(dst *gossipState) {
-	vector, lastRise := dst.vector, dst.lastRise
+	vector := dst.vector
 	*dst = *s
 	dst.vector = append(vector[:0], s.vector...)
-	dst.lastRise = append(lastRise[:0], s.lastRise...)
-	dst.suspected = s.suspected.Clone()
 }
 
-var _ node.Handler = (*GossipNode)(nil)
-var _ fd.Detector = (*GossipNode)(nil)
+// gossipEnv is the network as the runtime sees it: its heartbeat leaves as
+// the vector.
+type gossipEnv struct {
+	node.Env
+	g *GossipNode
+}
 
-// NewGossipNode builds a gossip heartbeat detector on env.
-func NewGossipNode(env node.Env, cfg GossipConfig) (*GossipNode, error) {
+func (e gossipEnv) Broadcast(payload any) {
+	m := payload.(Message)
+	e.g.vector[m.From] = m.Seq
+	e.Env.Broadcast(VectorMessage{From: m.From, Vector: slices.Clone(e.g.vector)})
+}
+
+// NewGossipNode builds a gossip detector on env. cfg.Peers is every process
+// whose counter it carries and watches, neighbour or not.
+func NewGossipNode(env node.Env, cfg Config) (*GossipNode, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	g := &GossipNode{env: env, cfg: cfg}
-	g.vector, g.lastRise = make([]uint64, cfg.N), make([]time.Duration, cfg.N)
+	size := int(cfg.Self) + 1
+	cfg.Peers.ForEach(func(id ident.ID) bool {
+		size = max(size, int(id)+1)
+		return true
+	})
+	g := &GossipNode{gossipState: gossipState{vector: make([]uint64, size)}}
+	g.Node = monitor.New[Estimator, *Estimator](gossipEnv{env, g}, monitor.Config{
+		Self: cfg.Self, Peers: cfg.Peers, Interval: cfg.Interval, Poll: cfg.Interval, Sink: cfg.Sink,
+	}, Estimator{timeout: cfg.Timeout})
 	return g, nil
 }
 
-// Start begins gossiping. The start instant counts as the last sighting of
-// every process.
-func (g *GossipNode) Start() {
-	now := g.env.Now()
-	for i := range g.lastRise {
-		g.lastRise[i] = now
-	}
-	g.tick()
-}
-
-// Restart implements fd.Restartable: gossiping resumes, and the restart
-// instant counts as the last sighting of every process. With fresh state the
-// reboot lost the suspicions — the trace must say so — and what it knew of
-// the others' counters. Its own counter survives as an incarnation number:
-// peers merge by maximum and would discard a sender that began again at 1.
-func (g *GossipNode) Restart(fresh bool) {
-	if g.beat != nil {
-		g.beat.Stop()
-	}
-	g.stopped = false
-	now := g.env.Now()
-	for i := range g.vector {
-		g.lastRise[i] = now
-		id := ident.ID(i)
-		if !fresh || id == g.cfg.Self {
-			continue
-		}
-		g.vector[i] = 0
-		if g.suspected.Has(id) {
-			g.suspected.Remove(id)
-			g.emit(id, false)
-		}
-	}
-	g.tick()
-}
-
-// Stop halts gossiping and suspicion checks.
-func (g *GossipNode) Stop() {
-	g.stopped = true
-	if g.beat != nil {
-		g.beat.Stop()
-	}
-}
-
-func (g *GossipNode) tick() {
-	if g.stopped {
-		return
-	}
-	g.vector[g.cfg.Self]++
-	g.lastRise[g.cfg.Self] = g.env.Now()
-	out := make([]uint64, len(g.vector))
-	copy(out, g.vector)
-	g.env.Broadcast(VectorMessage{From: g.cfg.Self, Vector: out})
-	g.scan()
-	g.beat = g.env.After(g.cfg.Interval, g.tick)
-}
-
-// scan applies the timeout rule to every entry.
-func (g *GossipNode) scan() {
-	now := g.env.Now()
-	for i := range g.vector {
-		id := ident.ID(i)
-		if id == g.cfg.Self {
-			continue
-		}
-		stale := now-g.lastRise[i] > g.cfg.Timeout
-		if stale && !g.suspected.Has(id) {
-			g.suspected.Add(id)
-			g.emit(id, true)
-		}
-	}
-}
-
-// Deliver implements node.Handler: entry-wise max merge; a rising entry is a
-// fresh sighting of that process.
+// Deliver implements node.Handler: the entry-wise max merge. Each entry that
+// rose is handed to the runtime as a heartbeat of its process.
 func (g *GossipNode) Deliver(_ ident.ID, payload any) {
 	m, ok := payload.(VectorMessage)
-	if !ok {
+	if !ok || g.stopped {
 		return
 	}
-	if g.stopped {
-		return
-	}
-	now := g.env.Now()
-	for i, v := range m.Vector {
-		if i >= len(g.vector) {
-			break
-		}
+	for i, v := range m.Vector[:min(len(m.Vector), len(g.vector))] {
 		if v > g.vector[i] {
 			g.vector[i] = v
-			g.lastRise[i] = now
-			id := ident.ID(i)
-			if g.suspected.Has(id) {
-				g.suspected.Remove(id)
-				g.emit(id, false)
-			}
+			g.Node.Deliver(ident.ID(i), Message{From: ident.ID(i), Seq: v})
 		}
 	}
 }
 
-func (g *GossipNode) emit(subject ident.ID, suspected bool) {
-	if g.cfg.Sink != nil {
-		g.cfg.Sink.OnSuspicion(g.env.Now(), g.cfg.Self, subject, suspected)
+// Restart implements fd.Restartable. With fresh state the reboot lost what it
+// knew of the others' counters; its own entry is rewritten by the heartbeat
+// the runtime sends at once.
+func (g *GossipNode) Restart(fresh bool) {
+	if fresh {
+		clear(g.vector)
 	}
+	g.stopped = false
+	g.Node.Restart(fresh)
 }
 
-// Suspects implements fd.Detector.
-func (g *GossipNode) Suspects() ident.Set {
-	return g.suspected.Clone()
+// Stop halts gossiping, merging and suspicion checks.
+func (g *GossipNode) Stop() {
+	g.stopped = true
+	g.Node.Stop()
 }
 
-// IsSuspected implements fd.Detector.
-func (g *GossipNode) IsSuspected(id ident.ID) bool {
-	return g.suspected.Has(id)
+// gossipSnapshot is a GossipNode checkpoint: the runtime's and the relay's.
+type gossipSnapshot struct {
+	node  any
+	relay gossipState
 }
 
 // Snapshot implements node.Cloneable.
 func (g *GossipNode) Snapshot() any {
-	s := new(gossipState)
-	g.gossipState.copyTo(s)
+	s := &gossipSnapshot{node: g.Node.Snapshot()}
+	g.gossipState.copyTo(&s.relay)
 	return s
 }
 
 // Restore implements node.Cloneable.
 func (g *GossipNode) Restore(snap any) {
-	snap.(*gossipState).copyTo(&g.gossipState)
+	s := snap.(*gossipSnapshot)
+	g.Node.Restore(s.node)
+	s.relay.copyTo(&g.gossipState)
 }

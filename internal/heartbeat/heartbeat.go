@@ -3,17 +3,18 @@
 // heartbeat every Δ; a monitor suspects a peer when no heartbeat arrives for
 // Θ, and revokes the suspicion when one finally does.
 //
-// Two variants are provided:
+// Two variants are provided, both on internal/monitor's node runtime (shared
+// with φ-accrual and NFD-E) over this package's per-peer rule, Estimator: Θ
+// after the last sighting.
 //
 //   - Node: the direct all-to-all detector for fully connected systems
 //     (Chandra–Toueg-style, the default comparator in experiments E1–E7).
-//     This package holds its Config, its per-peer rule (Estimator: Θ after
-//     the last sighting) and its constructor; the node runtime is
-//     internal/monitor's, shared with φ-accrual and NFD-E.
 //   - GossipNode: the Friedman–Tcharny-style vector detector for partially
-//     connected systems — heartbeat counters are flooded through neighbor
-//     broadcasts, so liveness information crosses multiple hops (used by the
-//     extension experiments X1/X2).
+//     connected systems (the extension experiments X1/X2): the same rule,
+//     polled every Δ over every process, behind a relay that floods
+//     heartbeat counters through neighbour broadcasts, so liveness
+//     information crosses multiple hops. The relay's vector and its max-merge
+//     are all the code it has of its own.
 //
 // Both variants need the timing assumption the time-free detector avoids: Θ
 // must dominate the (unknown) end-to-end delay, or false suspicions never
@@ -34,11 +35,12 @@ import (
 // family sends, whatever rule listens.
 type Message = monitor.Message
 
-// Config parameterizes a direct heartbeat detector.
+// Config parameterizes a heartbeat detector, direct or gossip.
 type Config struct {
 	// Self is this process's identity.
 	Self ident.ID
-	// Peers are the monitored processes (Self is ignored if present).
+	// Peers are the monitored processes (Self is ignored if present); a
+	// gossip node carries the counter of each.
 	Peers ident.Set
 	// Interval is the heartbeat period Δ.
 	Interval time.Duration

@@ -27,24 +27,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestGossipConfigValidate(t *testing.T) {
-	good := GossipConfig{Self: 0, N: 3, Interval: time.Second, Timeout: 2 * time.Second}
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid gossip config rejected: %v", err)
-	}
-	bad := []GossipConfig{
-		{Self: 5, N: 3, Interval: time.Second, Timeout: time.Second},
-		{Self: 0, N: 1, Interval: time.Second, Timeout: time.Second},
-		{Self: 0, N: 3, Interval: 0, Timeout: time.Second},
-		{Self: 0, N: 3, Interval: time.Second, Timeout: 0},
-	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("bad gossip config %d accepted", i)
-		}
-	}
-}
-
 type hbCluster struct {
 	sim   *des.Simulator
 	net   *netsim.Network
@@ -159,7 +141,7 @@ func lineTopology(t *testing.T, n int, interval, timeout time.Duration) (*des.Si
 		var g *GossipNode
 		env := net.AddNode(id, gproxy{&g})
 		var err error
-		g, err = NewGossipNode(env, GossipConfig{Self: id, N: n, Interval: interval, Timeout: timeout, Sink: log})
+		g, err = NewGossipNode(env, Config{Self: id, Peers: ident.FullSet(n), Interval: interval, Timeout: timeout, Sink: log})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +230,7 @@ func TestGossipIgnoresShortAndForeignVectors(t *testing.T) {
 	env := net.AddNode(0, gproxy{&g})
 	other := net.AddNode(1, gproxy{new(*GossipNode)})
 	var err error
-	g, err = NewGossipNode(env, GossipConfig{Self: 0, N: 3, Interval: time.Second, Timeout: 5 * time.Second})
+	g, err = NewGossipNode(env, Config{Self: 0, Peers: ident.FullSet(3), Interval: time.Second, Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

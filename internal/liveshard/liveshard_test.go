@@ -334,14 +334,11 @@ func TestConcurrentObserve(t *testing.T) {
 	}
 }
 
-// TestDeliverPayloadKinds: the node.Handler entry recognizes both
-// heartbeat-shaped wire payloads by their own From field.
+// TestDeliverPayloadKinds: the node.Handler entry recognizes the direct
+// heartbeat by its own From field.
 func TestDeliverPayloadKinds(t *testing.T) {
 	if id, ok := heartbeatFrom(heartbeat.Message{From: 3}); !ok || id != 3 {
 		t.Error("heartbeat.Message not recognized")
-	}
-	if id, ok := heartbeatFrom(heartbeat.VectorMessage{From: 5}); !ok || id != 5 {
-		t.Error("heartbeat.VectorMessage not recognized")
 	}
 	if _, ok := heartbeatFrom("garbage"); ok {
 		t.Error("garbage payload recognized")

@@ -114,17 +114,12 @@ func (sh *shard) transition(rec *peerRec, suspected bool) {
 	}
 }
 
-// heartbeatFrom extracts the sending peer from either heartbeat-shaped wire
-// payload: the direct heartbeat and the gossip vector.
+// heartbeatFrom extracts the sending peer from a direct heartbeat. A gossip
+// vector is not one: it carries a counter for every process, not a sighting
+// of its sender alone.
 func heartbeatFrom(payload any) (ident.ID, bool) {
-	switch m := payload.(type) {
-	case heartbeat.Message:
-		return m.From, true
-	case heartbeat.VectorMessage:
-		return m.From, true
-	default:
-		return ident.Nil, false
-	}
+	m, ok := payload.(heartbeat.Message)
+	return m.From, ok
 }
 
 // latencyHist is a lock-free power-of-two histogram of ingest-to-estimate

@@ -9,7 +9,9 @@
 // makes a kind a kind. The rules are the Estimator
 // types of internal/heartbeat, internal/phiaccrual and internal/chen, whose
 // constructors fill this package's Config; nothing here knows which one it
-// runs.
+// runs. The gossip detector (heartbeat.GossipNode) is one more user: the
+// fixed-timeout rule, polled, behind a relay that sends the heartbeat as a
+// vector of counters and hands the runtime each counter that rose.
 package monitor
 
 import (

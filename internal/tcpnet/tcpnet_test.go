@@ -798,7 +798,7 @@ func TestFDOverTCP(t *testing.T) {
 			return asFD(chen.NewNode(env, chen.Config{Self: env.Self(), Peers: all, Interval: interval, Alpha: 5 * interval}))
 		}},
 		{"gossip", func(env node.Env) (fdNode, error) {
-			return asFD(heartbeat.NewGossipNode(env, heartbeat.GossipConfig{Self: env.Self(), N: n, Interval: interval, Timeout: 10 * interval}))
+			return asFD(heartbeat.NewGossipNode(env, heartbeat.Config{Self: env.Self(), Peers: all, Interval: interval, Timeout: 10 * interval}))
 		}},
 	}
 	for _, k := range kinds {

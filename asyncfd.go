@@ -50,8 +50,8 @@ type (
 	NodeConfig = core.NodeConfig
 	// Node is the runnable detector bound to an environment.
 	Node = core.Node
-	// Env is the runtime environment a node executes in (identity, timers,
-	// asynchronous network).
+	// Env is the runtime environment a node executes in (identity, timers
+	// and deadline tables, asynchronous network).
 	Env = node.Env
 	// Handler consumes messages delivered to a process.
 	Handler = node.Handler

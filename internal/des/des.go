@@ -3,45 +3,48 @@
 // It replaces the paper's simulator testbed: experiments run in virtual time
 // (no real sleeps), driven by a single-threaded event loop with a seeded
 // random source, so every run is exactly reproducible from its seed. The
-// kernel executes events in (time, FIFO) order and knows three kinds of
+// kernel executes events in (time, FIFO) order and knows four kinds of
 // them: a callback (After/At — fault injectors, experiment drivers), a timer
 // owned by a process (AfterOwned — suppressed, but still counted, when the
-// Sink says the owner is down), and a message (Send, or Fanout for a whole
+// Sink says the owner is down), a process's deadline table (Deadlines: many
+// timeouts behind one event), and a message (Send, or Fanout for a whole
 // broadcast), which the kernel hands to the Sink registered by the network
-// model. Messages and timers are scheduled as data, not closures: the
-// simulator's send → queue → deliver → re-arm path allocates nothing per
-// receiver.
+// model. Messages and deadlines are scheduled as data, not closures: the
+// simulator's send → queue → deliver → re-arm path allocates nothing.
 //
 // The kernel is built for throughput. Events live in a slab recycled through
 // a free list, one 64-byte node — a cache line — each: the node's key, the
-// key of a pending re-arm, the payload (a timer's callback is carried there,
-// as a func()), the endpoints, the slot's generation, the kind and the stop
-// flag. A re-arm, a surfacing and a fire each read that one line. A fan-out's
+// key of a pending re-key, the payload (a timer's callback is carried there,
+// as a func()), the endpoints, the slot's generation, the kind and two
+// flags. A surfacing and a fire each read that one line. A fan-out's
 // deliveries are kept beside the slab, in its slot's entry of a side table
-// (state.fans), which only fan-outs read. In steady state a message and a
-// fan-out allocate nothing, and neither does a Reset; arming a timer still
-// allocates its 16-byte *Timer handle.
+// (state.fans), which only fan-outs read. In steady state a message, a
+// fan-out and a deadline allocate nothing; arming a timer still allocates
+// its 16-byte *Timer handle.
 //
-// An event waits in one of two places. A timer due in a slot of the timer
-// wheel (state.wheel) that has not started yet waits in that slot's bucket,
-// an unordered list of slab indices. Everything else — messages, fan-out nodes,
-// timers due in the current slot or beyond the wheel's span, and the contents
-// of each slot as it drains — waits in one binary min-heap keyed inline by
-// (at, seq) (state.heap), so a sift compares entries without reading the
-// slab. Every event fires from the heap's root, so the heap alone decides the
-// order: a slot is drained into it before any event keyed at or after the
-// slot's start is taken, and an event due at the instant it is scheduled
-// carries the newest sequence number, so it fires after the events already
-// due then. A pending timer is re-armed in place (Timer.Reset): the new key is
-// recorded on the event and applied where the old one surfaces — when its
-// wheel slot drains, the timer is filed under the new key into a later
-// bucket in O(1), so a timeout that is pushed back once per heartbeat never
-// sifts through the heap until it is about to fire. A broadcast is a single
-// Fanout node: its pointer-free items, recycled through a kernel-owned pool,
-// are one sorted run of deliveries whose node stays in the heap under the key
-// of its next one, so a broadcast-heavy run is a k-way merge of runs through
-// that same heap. The package's differential tests hold the kernel to a
-// reference scheduler that finds each next event by linear scan.
+// Every event waits in one binary min-heap keyed inline by (at, seq)
+// (state.heap), so a sift compares entries without reading the slab, and
+// fires from its root: the heap alone decides the order. An event due at the
+// instant it is scheduled carries the newest sequence number, so it fires
+// after the events already due then. A broadcast is a single Fanout node:
+// its pointer-free items, recycled through a kernel-owned pool, are one
+// sorted run of deliveries whose node stays in the heap under the key of its
+// next one, so a broadcast-heavy run is a k-way merge of runs through that
+// same heap.
+//
+// A deadline table (Deadlines) is the timeouts of one process — a
+// heartbeat monitor's one per peer, its beat and its poll — as one indexed
+// min-heap of per-slot (at, seq) keys (state.tables), and one kernel event
+// that rides the table's least key. Set and Clear behave exactly like Stop
+// and After on a timer per slot: a Set draws the sequence number After would
+// have drawn, an expiry is one step, suppressed but counted while the owner
+// is down, and a Set while the owner is down draws nothing and leaves the
+// slot clear. A slot pushed back, which is what every heartbeat does to its
+// sender's deadline, costs a sift in the table; the table's event is re-keyed
+// lazily (event.newAt/newSeq), when its old key surfaces at the root, and
+// only a Set below the key it is queued under moves it in the kernel's heap.
+// The package's differential tests hold the kernel to a reference scheduler
+// that finds each next event by linear scan and runs each slot as a timer.
 //
 // Everything a run changes lives in one value, state; a checkpoint
 // (Snapshot/Restore, snapshot.go) is a copy of it, made by the one function
@@ -60,12 +63,14 @@ import (
 
 // Sink is where the kernel's typed events end up: the network model, which
 // registers itself once with SetSink. It keeps the kernel ignorant of what a
-// handler or a crash is while letting messages and timers be queued as data.
+// handler or a crash is while letting messages and deadlines be queued as
+// data.
 type Sink interface {
 	// Deliver hands over a message scheduled with Send or Fanout, at its
 	// delivery time.
 	Deliver(from, to ident.ID, payload any)
-	// Alive reports whether a timer's owner may run its callback now.
+	// Alive reports whether a timer's or a deadline table's owner may run
+	// its callback now.
 	Alive(owner ident.ID) bool
 }
 
@@ -76,27 +81,26 @@ const (
 	evTimer  eventKind = iota // payload is the callback, a func(); owned by `to` (ident.Nil: nobody, always runs)
 	evMsg                     // (from, to, payload)
 	evFanout                  // (from, payload) shared by the slot's fan items[head:]
+	evTable                   // a deadline table's least slot: from is the table (its index in state.tables), to its owner
 )
 
-// event is one kernel node: a callback, a message, or a whole fan-out.
-// Events live in the simulator's slab, addressed by index and recycled
-// through a free list; gen invalidates stale Timer handles when a slot is
-// reused. For fan-out nodes, (at, seq) always hold the key of the earliest
-// undelivered item, and a fan-out node is never stopped or re-armed. An
-// event is 64 bytes, one cache line on the platforms that have them: what a
-// re-arm, a surfacing and a fire read of it is here, and a fan-out's items
-// are in the slot's fan, beside the slab.
+// event is one kernel node: a callback, a message, a whole fan-out, or the
+// next expiry of a deadline table. Events live in the simulator's slab,
+// addressed by index and recycled through a free list; gen invalidates stale
+// Timer handles when a slot is reused. For fan-out nodes, (at, seq) always
+// hold the key of the earliest undelivered item, and a fan-out node is never
+// stopped or re-keyed. An event is 64 bytes, one cache line on the platforms
+// that have them: what a surfacing and a fire read of it is here, and a
+// fan-out's items are in the slot's fan, beside the slab.
 type event struct {
 	at  time.Duration
 	seq uint64
 	// payload is a message's payload, or a timer's callback as a func().
 	payload any
-	// newAt/newSeq is a pending re-arm (Timer.Reset): the key the timer
-	// really fires under, applied when (at, seq) — the key it is queued
-	// under, never later than the real one — surfaces: its wheel slot
-	// drains, or it reaches the heap's root.
-	// newSeq is zero when there is none: a Reset always draws a later
-	// sequence number than the event's own.
+	// newAt/newSeq, when rekey is set, is the key a table's event really
+	// fires under — its table's least key — applied when (at, seq), the key
+	// it is queued under and never later than the real one, surfaces at the
+	// heap's root.
 	newAt   time.Duration
 	newSeq  uint64
 	from    ident.ID
@@ -104,6 +108,7 @@ type event struct {
 	gen     uint32
 	kind    eventKind
 	stopped bool
+	rekey   bool
 }
 
 // fan is a fan-out node's deliveries: the side-table entry (state.fans) of
@@ -147,31 +152,22 @@ type Receiver struct {
 const noEvent = int32(-1)
 
 // Timer is a handle to a scheduled callback. Handles are immutable: Stop
-// and Reset act on the kernel's event, so copies of a handle (a detector's
-// checkpoint, say) stay interchangeable.
+// acts on the kernel's event, so copies of a handle (a checkpoint's, say)
+// stay interchangeable.
 type Timer struct {
 	s   *Simulator
 	idx int32
 	gen uint32
 }
 
-// pending returns the handle's event if it has neither run nor been stopped.
-func (t *Timer) pending() *event {
-	if t == nil || t.s == nil {
-		return nil
-	}
-	e := &t.s.events[t.idx]
-	if e.gen != t.gen || e.stopped {
-		return nil
-	}
-	return e
-}
-
 // Stop cancels the event if it has not run yet, reporting whether it was
 // still pending.
 func (t *Timer) Stop() bool {
-	e := t.pending()
-	if e == nil {
+	if t == nil || t.s == nil {
+		return false
+	}
+	e := &t.s.events[t.idx]
+	if e.gen != t.gen || e.stopped {
 		return false
 	}
 	e.stopped = true
@@ -179,45 +175,18 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
-// Reset re-arms a still-pending timer to fire d from now (negative d clamps
-// to zero) with the callback it already has. It costs O(1): the new key is
-// recorded on the event and applied when the old one surfaces, which for a
-// timer waiting in the wheel is when its slot drains, where the timer is
-// filed into the new key's bucket without touching the heap. It reports
-// false, having changed nothing, when the timer has run or was stopped, and
-// when the new time lies before the key the event is queued under — neither
-// the wheel nor the heap is searched, so an event can only be pushed back;
-// the caller then does Stop and After. A true Reset fires exactly when Stop
-// followed by After would have: it draws the sequence number After would
-// have drawn. An owner that is down gets false too — the network model arms
-// no timers for it.
-func (t *Timer) Reset(d time.Duration) bool {
-	e := t.pending()
-	if e == nil {
-		return false
-	}
-	s := t.s
-	at := s.clampAt(d)
-	if at < e.at || (e.to != ident.Nil && !s.sink.Alive(e.to)) {
-		return false
-	}
-	e.newAt, e.newSeq = at, s.seq
-	s.seq++
-	return true
-}
-
 // state is everything about a Simulator that a run changes — virtual clock,
 // sequence counter, the event slab (every in-flight message as data: endpoints
-// and payload; every timer with its callback and pending re-arm, if any), the
-// fan-out side table, the free list, the timer wheel, the heap and the random
-// stream position — and so everything a checkpoint holds. It exists as one value so
-// that Snapshot and Restore are one copy (state.copyTo) run in the two
-// directions: a field added here is checkpointed by being here.
+// and payload; every timer with its callback), the fan-out side table, the
+// free list, the deadline tables, the heap and the random stream position —
+// and so everything a checkpoint holds. It exists as one value so that
+// Snapshot and Restore are one copy (state.copyTo) run in the two directions:
+// a field added here is checkpointed by being here.
 type state struct {
 	now     time.Duration
 	seq     uint64
 	stepped uint64
-	pending int            // scheduled callbacks and deliveries not yet run or reclaimed
+	pending int            // scheduled callbacks, deliveries and set deadline slots not yet run or reclaimed
 	stream  countingSource // the random stream: seed, draw count, generator
 
 	events []event // slab; all event storage, recycled via free
@@ -227,26 +196,16 @@ type state struct {
 	// as far as the highest slot a fan-out has held, so a slot's fan is read
 	// by fan-outs alone.
 	fans []fan
+	// tables holds every deadline table, addressed by its Deadlines handle.
+	tables []table
 
-	// wheel is the timer wheel in front of the heap: wheelSlots buckets,
-	// bucket k holding, in no order, the slab indices of the timers keyed in
-	// the one absolute slot (key >> wheelShift) in [cursor,
-	// cursor+wheelSlots) that is k modulo wheelSlots. cursor is the first
-	// slot not yet drained; wheeled counts the timers in all buckets. A
-	// timer stays keyed as it was filed, however often it is re-armed, until
-	// its slot drains (drain).
-	wheel   [][]int32
-	cursor  int64
-	wheeled int
-
-	// heap is a binary min-heap, by (at, seq), of every event that is not in
-	// the wheel: unicasts, fan-out nodes, timers due in the current slot or
-	// beyond the wheel's span, and the timers of each slot the wheel drains.
-	// Every event fires from its root. Entries are keyed by the key the
-	// event is queued under, which a stopped or re-armed event keeps until
-	// it surfaces at the root. A fan-out node is a sorted run of deliveries,
+	// heap is a binary min-heap, by (at, seq), of every queued event. Every
+	// event fires from its root. Entries are keyed by the key the event is
+	// queued under, which a stopped or re-keyed event keeps until it
+	// surfaces at the root. A fan-out node is a sorted run of deliveries,
 	// so it holds one entry however many deliveries remain, re-keyed at its
-	// next receiver.
+	// next receiver; a deadline table holds one entry however many slots are
+	// set.
 	heap []entry
 }
 
@@ -263,10 +222,6 @@ type Simulator struct {
 	// steady-state broadcasts reuse storage instead of allocating.
 	//fdlint:allow clonefields recycling pool: spare capacity only, never semantics
 	itemFree [][]fanItem
-	// bucketFree recycles the storage of drained wheel buckets, so that a
-	// bucket filled afresh reuses what a drained one grew.
-	//fdlint:allow clonefields recycling pool: spare capacity only, never semantics
-	bucketFree [][]int32
 	// keys and radix are Fanout's sort scratch.
 	//fdlint:allow clonefields scratch buffer; contents are dead between Fanout calls
 	keys []uint64
@@ -278,7 +233,6 @@ type Simulator struct {
 // reproducible from the seed alone.
 func New(seed int64) *Simulator {
 	s := &Simulator{}
-	s.wheel = make([][]int32, wheelSlots)
 	s.stream = countingSource{gen: rand.NewSource(seed).(rand.Source64), seed: seed}
 	s.rng = rand.New(&s.stream)
 	return s
@@ -305,9 +259,9 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 func (s *Simulator) Steps() uint64 { return s.stepped }
 
 // Pending returns the number of callbacks and deliveries currently scheduled,
-// including stopped timers not yet reclaimed: a stopped timer is reclaimed
-// when its wheel slot drains, or when it reaches the heap's root. A timer
-// counts once however often it has been Reset.
+// including stopped timers not yet reclaimed (a stopped timer is reclaimed
+// when it reaches the heap's root), plus the deadline slots that are set. A
+// slot counts once however often it is Set.
 func (s *Simulator) Pending() int { return s.pending }
 
 // alloc takes a slab slot from the free list, growing the slab when empty.
@@ -358,88 +312,13 @@ func (s *Simulator) clampAt(d time.Duration) time.Duration {
 }
 
 // schedule gives slab slot i, already filled in, its key — fire time at and
-// the next n sequence numbers — and queues it in the wheel or the heap.
+// the next n sequence numbers — and queues it in the heap.
 func (s *Simulator) schedule(i int32, at time.Duration, n int) {
 	e := &s.events[i]
 	e.at, e.seq = at, s.seq
 	s.seq += uint64(n)
 	s.pending += n
-	s.enqueue(i)
-}
-
-const (
-	// wheelShift and wheelSlots shape the timer wheel: slots of 2²² ns
-	// (about 4.2 ms), 1024 of them, a span of about 4.3 s. The timers the
-	// workloads arm run from 100 ms windows to 2 s timeouts, so they fall
-	// inside the span, and a timeout pushed back once per heartbeat spends
-	// all but the last slot of its period in a bucket, where each re-arm is
-	// applied in O(1). A slot is short next to those periods, so what the
-	// heap holds of them is about one slot's worth. A timer keyed beyond the
-	// span still goes to the heap.
-	wheelShift = 22
-	wheelSlots = 1 << 10
-)
-
-// enqueue queues event i, keyed: a timer keyed in a wheel slot that has not
-// been drained, within the span, waits in its bucket; every other event goes
-// into the heap. The slot of the current instant has always been drained, so
-// an event due now goes into the heap.
-func (s *Simulator) enqueue(i int32) {
-	e := &s.events[i]
-	if e.kind == evTimer {
-		if s.wheeled == 0 {
-			// An empty wheel moves on to the first slot that has not
-			// started, however long the clock ran without it.
-			s.cursor = max(s.cursor, int64(s.now>>wheelShift)+1)
-		}
-		if a := int64(e.at >> wheelShift); a >= s.cursor && a < s.cursor+wheelSlots {
-			b := &s.wheel[a&(wheelSlots-1)]
-			if *b == nil {
-				*b = takeBucket(&s.bucketFree)
-			}
-			*b = append(*b, i)
-			s.wheeled++
-			return
-		}
-	}
 	s.push(i)
-}
-
-// takeBucket pops spare bucket storage from pool; nil when it has none.
-func takeBucket(pool *[][]int32) []int32 {
-	k := len(*pool)
-	if k == 0 {
-		return nil
-	}
-	b := (*pool)[k-1]
-	*pool = (*pool)[:k-1]
-	return b
-}
-
-// drain empties the wheel's first undrained slot and moves the cursor past
-// it. Each timer is disposed of as at any other head (requeue) — a stopped
-// one reclaimed, a re-armed one filed under its new key, into a later bucket
-// while that lies in the span — and any other is pushed into the heap. A
-// timer re-armed into this same bucket, one rotation on, is appended to the
-// bucket being read, over entries already read. A bucket left empty gives its
-// storage to the pool.
-func (s *Simulator) drain() {
-	k := s.cursor & (wheelSlots - 1)
-	s.cursor++
-	b := s.wheel[k]
-	s.wheel[k] = b[:0]
-	s.wheeled -= len(b)
-	for _, i := range b {
-		if s.events[i].live() {
-			s.push(i)
-		} else {
-			s.requeue(i)
-		}
-	}
-	if len(s.wheel[k]) == 0 && b != nil {
-		s.bucketFree = append(s.bucketFree, b[:0])
-		s.wheel[k] = nil
-	}
 }
 
 // After schedules fn to run d from now. Negative delays are clamped to zero:
@@ -659,58 +538,35 @@ func b2i(b bool) int {
 	return 0
 }
 
-// live reports whether the event can fire under the key it is queued under:
-// it is neither stopped nor waiting to be re-keyed.
-func (e *event) live() bool { return !e.stopped && e.newSeq == 0 }
-
-// requeue disposes of timer i, which is not live and was just taken from
-// where it surfaced: the heap's root or a draining wheel slot. A stopped
-// event is reclaimed. A re-armed one takes the key it really fires under,
-// never earlier than the one it was queued under, and is queued again in the
-// wheel or the heap.
-func (s *Simulator) requeue(i int32) {
-	e := &s.events[i]
-	if e.stopped {
-		s.pending--
-		s.release(i)
-		return
-	}
-	e.at, e.seq = e.newAt, e.newSeq
-	e.newAt, e.newSeq = 0, 0
-	s.enqueue(i)
-}
-
 // popDue returns the live event with the smallest (at, seq) key if it fires
-// at or before limit, or noEvent. The heap's root is brought to a live event —
-// stopped and re-armed events are disposed of exactly when they surface, so
-// Stop and Reset never search — and then every wheel slot that starts at or
-// before both the root and limit is drained into the heap, in slot order, so
-// that every timer still in the wheel fires after the event taken. That event
-// is the root. A timer or unicast is popped before it fires; a fan-out node
-// stays at the root for fire to re-key in place: one sift per delivery
-// instead of a pop's and a push's.
+// at or before limit, or noEvent. The heap's root is brought to a live event
+// first: a stopped event is reclaimed and a table's re-keyed event takes the
+// key it really fires under, sifted down in place, exactly when it surfaces,
+// so neither Stop nor Set searches the heap. A timer or unicast is popped
+// before it fires; a fan-out node or a table's event stays at the root for
+// fire to re-key in place.
 func (s *Simulator) popDue(limit time.Duration) int32 {
-	for len(s.heap) > 0 && !s.events[s.heap[0].i].live() {
+	for len(s.heap) > 0 {
 		i := s.heap[0].i
-		s.pop()
-		s.requeue(i)
-	}
-	bound := limit
-	for s.wheeled > 0 {
-		// A drain pushes live events only, so the root stays live.
-		if len(s.heap) > 0 {
-			bound = min(bound, s.heap[0].at)
-		}
-		if s.cursor > int64(bound>>wheelShift) {
+		e := &s.events[i]
+		if e.stopped {
+			s.pop()
+			if e.kind != evTable { // a table's event is no callback of its own
+				s.pending--
+			}
+			s.release(i)
+		} else if e.rekey {
+			e.at, e.seq, e.rekey = e.newAt, e.newSeq, false
+			s.down(entry{at: e.at, seq: e.seq, i: i})
+		} else {
 			break
 		}
-		s.drain()
 	}
 	if len(s.heap) == 0 || s.heap[0].at > limit {
 		return noEvent
 	}
 	i := s.heap[0].i
-	if s.events[i].kind != evFanout {
+	if k := s.events[i].kind; k != evFanout && k != evTable {
 		s.pop()
 	}
 	return i
@@ -744,6 +600,9 @@ func (s *Simulator) fire(i int32) {
 		s.now = e.at
 		s.release(i)
 		s.sink.Deliver(from, to, payload)
+	case evTable:
+		s.now = e.at
+		s.expire(i)
 	default:
 		owner, fn := e.to, e.payload.(func())
 		s.now = e.at

@@ -9,7 +9,7 @@ import (
 )
 
 // TestEventSize pins the slab's element at one 64-byte cache line on a 64-bit
-// platform: a re-arm, a surfacing and a fire each read one line of it.
+// platform: a surfacing and a fire each read one line of it.
 func TestEventSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the layout is pinned for 64-bit platforms")
@@ -269,20 +269,6 @@ func TestQuickDeterministicSchedule(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestWheelRefillsAfterIdleGap: once the wheel has emptied, a timer armed
-// after the clock ran on without it — an hour, far past the span — waits in
-// the wheel again, not in the heap.
-func TestWheelRefillsAfterIdleGap(t *testing.T) {
-	s := New(1)
-	s.After(10*time.Millisecond, func() {})
-	s.After(time.Hour, func() {}) // beyond the span: the heap
-	s.Run()
-	s.After(10*time.Millisecond, func() {})
-	if s.wheeled != 1 || len(s.heap) != 0 {
-		t.Errorf("a timer armed after the gap: %d in the wheel, %d in the heap; want 1 and 0", s.wheeled, len(s.heap))
 	}
 }
 

@@ -427,8 +427,8 @@ func TestStaleTimerAfterReuse(t *testing.T) {
 	s.Run()
 	ran := false
 	s.After(0, func() { ran = true }) // reuses the freed slot
-	if tm.Stop() || tm.Reset(time.Millisecond) {
-		t.Error("stale Timer.Stop or Reset = true")
+	if tm.Stop() {
+		t.Error("stale Timer.Stop = true")
 	}
 	s.Run()
 	if !ran {

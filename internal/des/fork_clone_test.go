@@ -27,26 +27,23 @@ func forkOf(s *Simulator) *Simulator {
 }
 
 // queuedIndices collects every slab index the simulator considers pending:
-// the heap's, then the wheel's bucket by bucket.
+// the heap's.
 func queuedIndices(s *Simulator) []int32 {
-	out := make([]int32, 0, len(s.heap)+s.wheeled)
+	out := make([]int32, 0, len(s.heap))
 	for _, x := range s.heap {
 		out = append(out, x.i)
-	}
-	for _, b := range s.wheel {
-		out = append(out, b...)
 	}
 	return out
 }
 
 // slabViolation returns the first inconsistency of the simulator's
 // scheduling structures, or "": a slab index on the free list twice, or
-// queued out of range, twice (in a bucket and the heap, say), or while free;
-// a wheel that is not wheelSlots buckets, miscounts its timers, or holds an
-// event that is no timer or is keyed outside the absolute slot its bucket
-// holds in the span from the first undrained slot; a heap entry out of heap
-// order or keyed other than its event; or a Pending() count that is not the
-// deliveries and callbacks queued.
+// queued out of range, twice or while free; a heap entry out of heap order
+// or keyed other than its event; a deadline table whose slot heap is out of
+// order or disagrees with its positions, or whose event is not queued live
+// under a key no later than its least slot's (or is queued while no slot is
+// set); or a Pending() count that is not the deliveries, callbacks and set
+// slots queued.
 func slabViolation(s *Simulator) string {
 	free := make(map[int32]bool, len(s.free))
 	for _, idx := range s.free {
@@ -67,14 +64,57 @@ func slabViolation(s *Simulator) string {
 			return fmt.Sprintf("slab index %d is queued twice", idx)
 		}
 		queued[idx] = true
-		if e := &s.events[idx]; e.kind == evFanout {
+		switch e := &s.events[idx]; e.kind {
+		case evFanout:
 			pending += len(s.fans[idx].items) - int(s.fans[idx].head)
-		} else {
+		case evTable:
+			if !e.stopped && s.tables[e.from].ev != idx {
+				return fmt.Sprintf("event %d is live but not the event of its table %d", idx, e.from)
+			}
+		default:
 			pending++
 		}
 	}
+	for k := range s.tables {
+		tb := &s.tables[k]
+		pending += len(tb.heap)
+		set := 0
+		for slot, j := range tb.pos {
+			if j < 0 {
+				continue
+			}
+			set++
+			if int(j) >= len(tb.heap) || tb.heap[j].i != int32(slot) {
+				return fmt.Sprintf("table %d: slot %d is at %d, which holds another", k, slot, j)
+			}
+		}
+		if set != len(tb.heap) {
+			return fmt.Sprintf("table %d: %d slots set, its heap holds %d", k, set, len(tb.heap))
+		}
+		for j := 1; j < len(tb.heap); j++ {
+			if tb.heap[j].less(&tb.heap[(j-1)/2]) {
+				return fmt.Sprintf("table %d: entry %d sorts before its parent", k, j)
+			}
+		}
+		switch {
+		case len(tb.heap) == 0 && tb.ev != noEvent:
+			return fmt.Sprintf("table %d has no slot set but event %d", k, tb.ev)
+		case len(tb.heap) == 0:
+		case tb.ev == noEvent || !queued[tb.ev] || s.events[tb.ev].stopped:
+			return fmt.Sprintf("table %d has slots set but no live queued event (%d)", k, tb.ev)
+		default:
+			e, least := &s.events[tb.ev], tb.heap[0]
+			if least.less(&entry{at: e.at, seq: e.seq}) {
+				return fmt.Sprintf("table %d: event queued at (%v, %d), after its least slot (%v, %d)", k, e.at, e.seq, least.at, least.seq)
+			}
+			if e.rekey != (least.at != e.at || least.seq != e.seq) || e.rekey && (e.newAt != least.at || e.newSeq != least.seq) {
+				return fmt.Sprintf("table %d: event keyed (%v, %d), re-key %v to (%v, %d), least slot (%v, %d)",
+					k, e.at, e.seq, e.rekey, e.newAt, e.newSeq, least.at, least.seq)
+			}
+		}
+	}
 	if pending != s.pending {
-		return fmt.Sprintf("Pending() = %d, but %d deliveries and callbacks are queued", s.pending, pending)
+		return fmt.Sprintf("Pending() = %d, but %d deliveries, callbacks and slots are queued", s.pending, pending)
 	}
 	if len(s.fans) > len(s.events) {
 		return fmt.Sprintf("the fan table has %d entries for %d slab slots", len(s.fans), len(s.events))
@@ -83,23 +123,6 @@ func slabViolation(s *Simulator) string {
 		if s.events[idx].kind != evFanout && (f.items != nil || f.head != 0) {
 			return fmt.Sprintf("slot %d, of kind %d, has a fan of %d items", idx, s.events[idx].kind, len(f.items))
 		}
-	}
-	if len(s.wheel) != wheelSlots {
-		return fmt.Sprintf("the wheel has %d buckets, want %d", len(s.wheel), wheelSlots)
-	}
-	wheeled := 0
-	for k, b := range s.wheel {
-		slot := s.cursor + (int64(k)-s.cursor)&(wheelSlots-1)
-		for _, idx := range b {
-			if e := &s.events[idx]; e.kind != evTimer || int64(e.at>>wheelShift) != slot {
-				return fmt.Sprintf("bucket %d holds event %d, of kind %d, keyed at %v in slot %d; the bucket holds slot %d",
-					k, idx, e.kind, e.at, e.at>>wheelShift, slot)
-			}
-		}
-		wheeled += len(b)
-	}
-	if wheeled != s.wheeled {
-		return fmt.Sprintf("the wheel counts %d timers, its buckets hold %d", s.wheeled, wheeled)
 	}
 	for k, x := range s.heap {
 		if e := &s.events[x.i]; e.at != x.at || e.seq != x.seq {
@@ -128,15 +151,12 @@ func structuralFingerprint(s *Simulator) string {
 	fmt.Fprintf(&b, "now=%d seq=%d stepped=%d pending=%d seed=%d draws=%d\n",
 		s.now, s.seq, s.stepped, s.pending, s.stream.seed, s.stream.draws)
 	fmt.Fprintf(&b, "free=%v heap=%v\n", s.free, s.heap)
-	fmt.Fprintf(&b, "cursor=%d wheeled=%d\n", s.cursor, s.wheeled)
-	for k, bucket := range s.wheel {
-		if len(bucket) > 0 {
-			fmt.Fprintf(&b, "bucket%d=%v\n", k, bucket)
-		}
+	for k, tb := range s.tables {
+		fmt.Fprintf(&b, "table%d owner=%d ev=%d heap=%v pos=%v\n", k, tb.owner, tb.ev, tb.heap, tb.pos)
 	}
 	for i, e := range s.events {
-		fmt.Fprintf(&b, "ev%d at=%d seq=%d gen=%d stopped=%v kind=%d %d->%d rearm=%d/%d payload=%v\n",
-			i, e.at, e.seq, e.gen, e.stopped, e.kind, e.from, e.to, e.newAt, e.newSeq, e.payload != nil)
+		fmt.Fprintf(&b, "ev%d at=%d seq=%d gen=%d stopped=%v kind=%d %d->%d rekey=%v %d/%d payload=%v\n",
+			i, e.at, e.seq, e.gen, e.stopped, e.kind, e.from, e.to, e.rekey, e.newAt, e.newSeq, e.payload != nil)
 		if e.kind == evFanout {
 			fmt.Fprintf(&b, "  items=%v head=%d\n", s.fans[i].items, s.fans[i].head)
 		}
@@ -146,7 +166,8 @@ func structuralFingerprint(s *Simulator) string {
 
 // loadSim builds a simulator mid-run with every structural feature present:
 // recycled free slots, events due at the current instant, stopped entries,
-// messages and fan-out nodes, far-horizon timers and a timer re-armed but not yet re-keyed.
+// messages and fan-out nodes, far-horizon timers, and a deadline table whose
+// event waits to be re-keyed beside one it abandoned.
 func loadSim() (s *Simulator, fired *int, stopped int) {
 	s, _ = newSunk(7)
 	fired = new(int)
@@ -163,7 +184,10 @@ func loadSim() (s *Simulator, fired *int, stopped int) {
 	}
 	s.Fanout(9, deliver, recv)
 	s.Send(40*time.Millisecond, 9, 1, deliver)
-	s.AfterOwned(20*time.Millisecond, 2, bump).Reset(50 * time.Millisecond)
+	table := s.Deadlines(2, 3, func(int) { *fired++ })
+	table.Set(0, 20*time.Millisecond)
+	table.Set(1, 30*time.Millisecond)
+	table.Set(0, 50*time.Millisecond) // pushed back: re-keyed where it surfaces
 	stop := s.After(4500*time.Microsecond, bump)
 	s.RunUntil(2 * time.Millisecond) // recycle a few slots onto the free list
 	// Stopped events stay on Pending()'s count until the kernel reaps them.
@@ -172,14 +196,15 @@ func loadSim() (s *Simulator, fired *int, stopped int) {
 			stopped++
 		}
 	}
-	s.After(0, bump) // due at the current instant
+	s.After(0, bump)               // due at the current instant
+	table.Set(2, time.Millisecond) // before the table's queued key, not at the root: abandoned
 	s.Fanout(9, deliver, []Receiver{{D: 0, To: 1}, {D: time.Millisecond, To: 2}})
 	return s, fired, stopped
 }
 
 // TestForkCloneInvariants forks a loaded simulator and checks, for parent
 // and child alike: the slab invariants hold, child mutations
-// (Stop/Reset/After/Fanout/Step/RunUntil) never change the parent's
+// (Stop/After/Fanout/Set/Clear/Step/RunUntil) never change the parent's
 // structural fingerprint, and the parent then drains its own schedule.
 func TestForkCloneInvariants(t *testing.T) {
 	parent, parentFired, parentStopped := loadSim()
@@ -196,8 +221,10 @@ func TestForkCloneInvariants(t *testing.T) {
 	childExtra := 0
 	tm := child.After(3*time.Millisecond, func() { childExtra++ })
 	child.Fanout(9, func(ident.ID) { childExtra++ }, []Receiver{{D: 0, To: 1}, {D: time.Minute, To: 2}})
-	tm.Reset(time.Millisecond)
 	tm.Stop()
+	child.tables[0].fire = func(int) { childExtra++ }
+	(&Deadlines{s: child, t: 0}).Set(2, 0)
+	(&Deadlines{s: child, t: 0}).Clear(1)
 	child.Step()
 	child.RunUntil(child.Now() + 10*time.Millisecond)
 	checkSlabInvariants(t, "child after mutation", child)

@@ -15,9 +15,8 @@ import (
 // itself must not perturb the original run. CI runs the target with a short
 // -fuzztime budget on every push; the committed seed corpus
 // (testdata/fuzz/FuzzForkEquivalence) covers snapshot points amid same-instant
-// ties, stopped timers, far-horizon timers, fan-outs, timers re-armed but
-// not yet re-keyed, and timers waiting in the wheel's buckets, restored after
-// their slots drained.
+// ties, stopped timers, far-horizon timers, fan-outs, re-armed timers, and
+// deadline tables with slots set, pushed back and not yet re-keyed.
 
 // assertForkEquivalence runs prefix+suffix three ways on the kernel: plain
 // (reference), with a snapshot taken between prefix and suffix (must not

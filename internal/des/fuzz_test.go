@@ -10,20 +10,20 @@ import (
 )
 
 // fuzz_test.go is the kernel-level differential harness: a byte-coded script
-// drives an identical workload of After/At/AfterOwned/Stop/Reset/Send/
-// Fanout/Step/RunUntil calls against the kernel and against the reference
-// model (model_test.go) and asserts the two are observationally identical —
-// same fire order, same Now()/Steps() at every checkpoint, at which the
-// kernel's slab, timer wheel and heap must also be consistent.
-// The same scripts hold Timer.Reset to its contract: a kernel whose timers
-// are re-armed in place executes the same (time, callback) sequence as one
-// whose timers are stopped and armed anew. The committed seed corpus
-// (testdata/fuzz/FuzzQueueEquivalence) covers the regression-prone shapes:
-// same-instant ties, stopped-head reaping, far-horizon timers, fan-outs,
-// re-arms of fired, stopped, due-now and earlier-moving timers, and the
-// wheel's edges — slot boundaries, RunUntil mid-slot, a re-arm into the
-// bucket being drained, timers beyond the span, an idle gap. CI runs the
-// target with a short -fuzztime budget on every push.
+// drives an identical workload of After/At/AfterOwned/Stop/Send/Fanout/
+// Step/RunUntil calls and deadline-table Sets and Clears against the kernel
+// and against the reference model (model_test.go), where a table is a timer
+// per slot driven by Stop + After, and asserts the two are observationally
+// identical — same fire order, same Now()/Steps() at every checkpoint, at
+// which the kernel's slab, tables and heap must also be consistent. The
+// committed seed corpus (testdata/fuzz/FuzzQueueEquivalence) covers the
+// regression-prone shapes: same-instant ties, stopped-head reaping,
+// far-horizon timers, fan-outs, re-arms of fired, stopped, due-now and
+// earlier-moving timers, RunUntil stopping between events, an idle gap; and
+// for the tables, slots and a message tied at one instant, a Set below the
+// key the table's event is queued under, a Clear of the least slot, expiries
+// and Sets while the owner is down, and a callback that sets its own table.
+// CI runs the target with a short -fuzztime budget on every push.
 
 // scriptTimer is a timer a script may later stop or re-arm: the handle and
 // what it was armed with.
@@ -35,25 +35,50 @@ type scriptTimer struct {
 
 // scriptHarness interprets op scripts against one scheduler. Its own state
 // (timers, eventID, the sink's down set) can be checkpointed and rolled back
-// alongside the kernel: see fork_fuzz_test.go.
+// alongside the kernel: see fork_fuzz_test.go. Its deadline tables are made
+// with it, before any op, and need no rolling back: their slots are the
+// scheduler's state.
 type scriptHarness struct {
-	s    sched
-	sink *testSink
-	out  *[]string // swappable so a replay records into a fresh trace
-	// stopAfter makes the re-arm op the reference it is checked against:
-	// Stop and After where the harness would otherwise try Reset first. The
-	// two leave different numbers of stopped events to reclaim, so traces
-	// compared across this flag leave Pending() out (withoutPending).
-	stopAfter bool
-	timers    []scriptTimer
-	eventID   int
+	s       sched
+	sink    *testSink
+	out     *[]string // swappable so a replay records into a fresh trace
+	timers  []scriptTimer
+	tables  []deadlines
+	eventID int
 }
+
+// Each harness has scriptTables deadline tables of scriptSlots slots; table k
+// is owned by process k+1, which op 11 crashes and recovers.
+const (
+	scriptTables = 2
+	scriptSlots  = 4
+)
 
 // newScriptHarness returns a harness on the scheduler build makes (onKernel
 // or onModel).
 func newScriptHarness(build func(*testSink) sched, out *[]string) *scriptHarness {
 	sink := &testSink{}
-	return &scriptHarness{s: build(sink), sink: sink, out: out}
+	h := &scriptHarness{s: build(sink), sink: sink, out: out}
+	for k := 0; k < scriptTables; k++ {
+		h.tables = append(h.tables, h.s.deadlines(ident.ID(k+1), scriptSlots, h.expire(k)))
+	}
+	return h
+}
+
+// expire returns table k's callback. It records the slot and the instant,
+// draws from the kernel RNG on even slots, and the last slot sets the
+// table's first again: a callback that sets its own table.
+func (h *scriptHarness) expire(k int) func(slot int) {
+	return func(slot int) {
+		line := fmt.Sprintf("T%d.%d@%d", k, slot, h.s.Now())
+		if slot%2 == 0 {
+			line += fmt.Sprintf("#%d", h.s.Rand().Int63n(1024))
+		}
+		*h.out = append(*h.out, line)
+		if slot == scriptSlots-1 {
+			h.tables[k].Set(0, time.Duration(h.s.Now()%7)*time.Microsecond)
+		}
+	}
 }
 
 // mk returns the next callback. A deterministic subset of callbacks draws
@@ -100,7 +125,7 @@ func (h *scriptHarness) arm(tm timer, owner ident.ID, fn func()) {
 }
 
 // scriptOps is the size of the op alphabet.
-const scriptOps = 12
+const scriptOps = 14
 
 // interp runs data as an op stream. The interpretation is fully
 // deterministic in data, so two runs see byte-for-byte the same workload.
@@ -147,18 +172,15 @@ func (h *scriptHarness) interp(data []byte) {
 			s.Fanout(9, h.mkMsg(), recv)
 		case 8: // unicast message
 			s.Send(next16()*time.Microsecond, 9, ident.ID(next()%4), h.mkMsg())
-		case 9: // re-arm a timer the way a detector does: whatever state the
-			// timer is in (pending, due now, fired, stopped) and whichever
-			// way the new time lies, the callback next runs d from now. An op
-			// byte of 9 + 12k doubles d k times: from k = 7 a re-arm can
-			// reach a whole wheel rotation ahead, or beyond the span.
+		case 9: // re-arm a timer by Stop + After: whatever state the timer is
+			// in (pending, due now, fired, stopped) and whichever way the new
+			// time lies, the callback next runs d from now. An op byte of
+			// 9 + 14k doubles d k times.
 			if len(h.timers) > 0 {
 				t := &h.timers[int(next())%len(h.timers)]
 				d := next16() * time.Microsecond << (op / scriptOps)
-				if h.stopAfter || !t.tm.Reset(d) {
-					t.tm.Stop()
-					t.tm = s.after(d, t.owner, t.fn)
-				}
+				t.tm.Stop()
+				t.tm = s.after(d, t.owner, t.fn)
 			}
 		case 10: // a process's timer: suppressed if the owner is down when due
 			fn, owner := h.mk(), ident.ID(next()%4)
@@ -169,6 +191,12 @@ func (h *scriptHarness) interp(data []byte) {
 			} else {
 				h.sink.down.Add(p)
 			}
+		case 12: // set a table's slot, d from now; an op byte of 12 + 14k
+			// doubles d k times
+			tb, slot := h.tables[int(next())%scriptTables], int(next())%scriptSlots
+			tb.Set(slot, next16()*time.Microsecond<<(op/scriptOps))
+		case 13: // clear a table's slot
+			h.tables[int(next())%scriptTables].Clear(int(next()) % scriptSlots)
 		}
 		if next()%4 == 0 { // sprinkle timers eligible for Stop and re-arm
 			fn := h.mk()
@@ -187,10 +215,9 @@ func (h *scriptHarness) drain() {
 
 // runScript is one whole script on a fresh scheduler: everything observable
 // about the run, in order.
-func runScript(build func(*testSink) sched, data []byte, stopAfter bool) []string {
+func runScript(build func(*testSink) sched, data []byte) []string {
 	var out []string
 	h := newScriptHarness(build, &out)
-	h.stopAfter = stopAfter
 	h.interp(data)
 	h.mark()
 	h.drain()
@@ -210,17 +237,13 @@ func firstDivergence(a, b []string) string {
 	return ""
 }
 
-// scriptDivergence runs data every way the harness compares and returns the
-// first difference found, or "": the kernel against the model, and on the
-// kernel re-arming in place against Stop + After. Pending() is left out of
-// both: the kernel counts stopped events until it reclaims them.
+// scriptDivergence runs data on the kernel and on the model and returns the
+// first difference found, or "". Pending() is left out: the kernel counts
+// stopped timers until it reclaims them.
 func scriptDivergence(data []byte) string {
-	kernel := withoutPending(runScript(onKernel, data, false))
-	if d := firstDivergence(kernel, withoutPending(runScript(onModel, data, false))); d != "" {
+	kernel := withoutPending(runScript(onKernel, data))
+	if d := firstDivergence(kernel, withoutPending(runScript(onModel, data))); d != "" {
 		return "kernel vs model diverged at " + d
-	}
-	if d := firstDivergence(kernel, withoutPending(runScript(onKernel, data, true))); d != "" {
-		return "Reset vs Stop+After diverged at " + d
 	}
 	return ""
 }
@@ -240,9 +263,8 @@ func withoutPending(trace []string) []string {
 }
 
 // FuzzQueueEquivalence drives random interleavings of the op alphabet
-// against the kernel, re-arming in place and by Stop + After, and against the
-// reference model, and asserts identical observable behavior. Seeds mirror
-// the committed corpus.
+// against the kernel and against the reference model, and asserts identical
+// observable behavior. Seeds mirror the committed corpus.
 func FuzzQueueEquivalence(f *testing.F) {
 	for _, seed := range queueScriptSeeds() {
 		f.Add(seed)
@@ -290,50 +312,80 @@ func queueScriptSeeds() [][]byte {
 		// key surfaces once, long after the first re-arm
 		{2, 255, 255, 1, 9, 0, 255, 0, 1, 0, 0, 9, 1, 6, 0, 64, 1, 9, 0, 255, 255, 1,
 			6, 0, 64, 1, 9, 0, 128, 0, 1, 3, 0, 1, 2, 1, 5, 1, 9, 0, 0, 5, 1},
-		// The timer wheel's edges. A slot is 4194.304 µs, so the first slot
-		// boundary a script reaches in whole µs is slot 125's, at 524 288 µs:
-		// eight RunUntils to 524 280 µs, then timers keyed 1 µs before, on,
-		// and either side of slot 126's start; RunUntil stops exactly on the
-		// boundary, then re-arms move a timer across slot 126's start both
-		// ways
+		// eight RunUntils to 524 280 µs, then timers keyed 1 µs apart around
+		// 528 482 µs; RunUntil stops exactly on one of them, then re-arms
+		// move a timer across it both ways
 		{6, 255, 255, 1, 6, 255, 255, 1, 6, 255, 255, 1, 6, 255, 255, 1, 6, 255, 255, 1, 6,
 			255, 255, 1, 6, 255, 255, 1, 6, 255, 255, 1, 2, 125, 8, 1, 0, 0, 8, 1, 10, 0, 0, 7, 1,
 			10, 1, 16, 106, 1, 10, 2, 16, 107, 1, 6, 0, 8, 1, 9, 3, 16, 98, 1, 9, 2, 16, 99, 1, 5,
 			1, 5, 1, 5, 1, 6, 255, 255, 1},
-		// RunUntil stopping mid-slot (6000 µs, in slot 1), then a timer keyed
-		// in that drained slot, a heap timer re-armed into the next slot, a
-		// refused re-arm in it, and RunUntil stopping just short of the next
-		// slot's start and then past it
+		// RunUntil stopping between events (6000 µs), then a timer keyed
+		// just after it, re-arms later and earlier, and RunUntil stopping
+		// just short of the next timer and then past it
 		{10, 0, 19, 136, 1, 10, 1, 27, 88, 1, 10, 2, 35, 40, 1, 0, 16, 98, 1, 0, 16, 99, 1, 6,
 			23, 112, 1, 0, 3, 232, 1, 9, 1, 11, 184, 1, 9, 2, 9, 196, 1, 6, 9, 84, 1, 6, 0, 1, 1,
 			5, 1, 5, 1, 5, 1, 6, 78, 32, 1},
-		// a re-arm whose new key (4 305 024 µs, slot 1026) lands in the same
-		// bucket one rotation later than the one it waits in (slot 2), applied
-		// while that bucket drains; beside it a re-arm beyond the span, a
-		// stopped timer and an untouched one in the same bucket
+		// re-arms about 4.3 s ahead of timers due within 12 ms, beside a
+		// stopped timer and an untouched one due at the same time
 		{10, 0, 39, 16, 1, 10, 0, 42, 248, 1, 0, 41, 4, 1, 10, 1, 46, 224, 1, 93, 0, 131, 97,
 			1, 93, 1, 132, 208, 1, 9, 2, 0, 40, 1, 6, 46, 224, 1, 5, 1, 0, 0, 100, 1, 5, 1, 5, 1,
 			5, 1, 5, 1},
-		// timers beyond the span (4.4 s, from a callback and from a re-arm at
-		// the heap's root) that come into range: once the clock has moved on
-		// 0.53 s, timers keyed just before and after them wait in the wheel
+		// timers 4.4 s ahead, from a callback and from a re-arm at the heap's
+		// root; once the clock has moved on 0.53 s, timers keyed just before
+		// and after them
 		{3, 17, 48, 0, 1, 10, 0, 3, 232, 1, 93, 0, 134, 71, 1, 6, 7, 208, 1, 6, 255, 255, 1, 6,
 			255, 255, 1, 6, 255, 255, 1, 6, 255, 255, 1, 6, 255, 255, 1, 6, 255, 255, 1, 6, 255,
 			255, 1, 6, 255, 255, 1, 3, 15, 34, 0, 1, 10, 1, 0, 3, 1, 93, 1, 118, 55, 1, 5, 1, 5,
 			1, 5, 1, 5, 1, 5, 1, 5, 1},
-		// a wheel that empties, an idle gap of 1024 s, and a wheel filled
-		// afresh: new timers and re-arms, refused and a rotation on
+		// a queue that empties, an idle gap of 1024 s, and a queue filled
+		// afresh: new timers and re-arms
 		{10, 0, 19, 136, 1, 10, 1, 35, 40, 1, 0, 78, 32, 1, 9, 0, 117, 48, 1, 6, 255, 255, 1,
 			3, 3, 232, 10, 1, 5, 1, 10, 2, 19, 136, 1, 9, 0, 0, 100, 1, 93, 1, 128, 232, 1, 6,
 			255, 255, 1, 6, 255, 255, 1, 6, 255, 255, 1, 10, 3, 35, 40, 1, 5, 1, 5, 1, 5, 1},
-		// timers in buckets — one re-armed, one stopped, one re-armed a
-		// rotation on — for a checkpoint: the fork seeds cut this script in
-		// the middle, after the first half arms them and before the second
-		// drains their slots
+		// timers — one re-armed, one stopped, one re-armed 4.3 s on — for a
+		// checkpoint: the fork seeds cut this script in the middle, after
+		// the first half arms them and before the second fires them
 		{10, 0, 19, 136, 1, 10, 1, 35, 40, 1, 10, 2, 50, 200, 1, 10, 3, 117, 48, 1, 0, 66, 104,
 			1, 9, 0, 78, 32, 1, 4, 2, 1, 93, 3, 131, 97, 1, 9, 1, 35, 40, 1, 6, 50, 200, 1, 10, 1,
 			31, 64, 1, 10, 2, 46, 224, 1, 0, 11, 184, 1, 6, 255, 255, 1, 5, 1, 5, 1, 5, 1, 5, 1,
 			5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1},
+		// two slots of one table and a message due at one instant, the message's
+		// sequence number between the slots'; a third slot, set last and due
+		// earlier, fires first, so the table's event is re-keyed to the first of
+		// the tied slots after the message was sent (table_slots_tie_a_message)
+		{12, 0, 0, 0, 100, 1, 8, 0, 100, 1, 1, 12, 0, 1, 0, 100, 1, 12, 0, 2, 0, 50, 1, 6, 0,
+			200, 1, 5, 1},
+		// a Set below the key the table's event is queued under: deeper in the
+		// heap, where the event is abandoned for a new one, with a timer between
+		// the two keys; then at the heap's root, where it is re-keyed in place,
+		// again with a timer between (table_set_below_queued_key)
+		{12, 0, 0, 1, 244, 1, 0, 0, 100, 1, 0, 1, 44, 1, 12, 0, 1, 0, 200, 1, 6, 2, 88, 1, 12,
+			1, 1, 1, 44, 1, 12, 1, 2, 0, 100, 1, 0, 0, 150, 1, 6, 1, 244, 1, 5, 1},
+		// Clear of the least slot, and of the next least once the clock has
+		// moved (table_clear_least_slot)
+		{12, 0, 0, 0, 100, 1, 12, 0, 1, 0, 200, 1, 12, 0, 2, 0, 150, 1, 13, 0, 0, 1, 6, 0, 120,
+			1, 13, 0, 2, 1, 6, 1, 44, 1, 5, 1},
+		// a slot that expires while its table's owner is down: suppressed but
+		// counted; beside it a slot of another owner's table due at the same
+		// instant, and a Set after the recovery (table_expiry_owner_down)
+		{12, 0, 0, 0, 100, 1, 12, 1, 1, 0, 100, 1, 11, 1, 1, 6, 0, 200, 1, 11, 1, 1, 12, 0, 2,
+			0, 50, 1, 5, 1, 5, 1},
+		// Sets by a crashed owner, which draw nothing and leave the slots clear,
+		// among a message to it; a Set after the recovery
+		// (table_set_by_crashed_owner)
+		{11, 2, 1, 12, 1, 0, 0, 100, 1, 12, 1, 3, 0, 50, 1, 8, 0, 100, 2, 1, 11, 2, 1, 6, 0,
+			200, 1, 12, 1, 1, 0, 10, 1, 5, 1, 5, 1},
+		// the callbacks of both tables' last slots, due at one instant with a
+		// timer, each set its own table's first slot again
+		// (table_callback_sets_own_table)
+		{12, 0, 3, 0, 100, 1, 12, 1, 3, 0, 100, 1, 0, 0, 100, 1, 6, 0, 200, 1, 5, 1, 5, 1},
+		// tables with slots set, one pushed back and waiting to be re-keyed, for
+		// a checkpoint: the fork seeds cut this script in the middle, before
+		// Sets below the queued key, a Clear and the expiries
+		// (table_snapshot_restore_pending)
+		{12, 0, 0, 0, 100, 1, 12, 0, 1, 0, 200, 1, 12, 1, 2, 0, 150, 1, 12, 0, 0, 1, 44, 1, 0,
+			0, 120, 1, 12, 0, 2, 0, 50, 1, 13, 1, 2, 1, 6, 0, 250, 1, 12, 1, 0, 0, 10, 1, 5, 1, 5,
+			1},
 	}
 }
 

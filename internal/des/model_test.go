@@ -24,12 +24,16 @@ type sched interface {
 	Fanout(from ident.ID, payload any, recv []Receiver)
 	after(d time.Duration, owner ident.ID, fn func()) timer
 	at(t time.Duration, fn func()) timer
+	deadlines(owner ident.ID, n int, fire func(slot int)) deadlines
 }
 
-// timer is a handle a script may stop or re-arm.
-type timer interface {
-	Stop() bool
-	Reset(d time.Duration) bool
+// timer is a handle a script may stop.
+type timer interface{ Stop() bool }
+
+// deadlines is a deadline table a script may set and clear.
+type deadlines interface {
+	Set(slot int, d time.Duration)
+	Clear(slot int)
 }
 
 // kernelSched is the kernel as a sched.
@@ -40,6 +44,10 @@ func (k kernelSched) after(d time.Duration, owner ident.ID, fn func()) timer {
 }
 
 func (k kernelSched) at(t time.Duration, fn func()) timer { return k.At(t, fn) }
+
+func (k kernelSched) deadlines(owner ident.ID, n int, fire func(slot int)) deadlines {
+	return k.Deadlines(owner, n, fire)
+}
 
 // onKernel and onModel build the two schedulers a script runs on, seeded 1
 // and reporting to sink.
@@ -55,8 +63,9 @@ func onModel(sink *testSink) sched {
 
 // model is the reference scheduler: every pending event in one slice, and
 // each step fires the one with the least (at, seq), found by linear scan. A
-// Fanout is the k Sends it stands for and a Reset is Stop + After, so none of
-// the kernel's timer wheel, heap, fan-out nodes or lazy re-keying is in it.
+// Fanout is the k Sends it stands for and a deadline table is a timer per
+// slot, set by Stop + After, so none of the kernel's heap, fan-out nodes,
+// tables or lazy re-keying is in it.
 // It draws sequence numbers and random numbers as the kernel does, so the two
 // run a script to the same fire order, Now() and Steps(). Its Pending()
 // counts live events only: it has no stopped events to reclaim.
@@ -166,11 +175,32 @@ func (t *modelTimer) Stop() bool {
 	return true
 }
 
-// Reset is Stop followed by After with the callback and owner the timer has.
-func (t *modelTimer) Reset(d time.Duration) bool {
-	if !t.Stop() {
-		return false
+func (m *model) deadlines(owner ident.ID, n int, fire func(slot int)) deadlines {
+	return &modelTable{m: m, owner: owner, fire: fire, slots: make([]*modelTimer, n)}
+}
+
+// modelTable is a deadline table as the timers it stands for: one per slot,
+// the one its last Set armed.
+type modelTable struct {
+	m     *model
+	owner ident.ID
+	fire  func(slot int)
+	slots []*modelTimer
+}
+
+// Set is Stop and After, where After is the network model's: a process that
+// is down arms nothing.
+func (t *modelTable) Set(slot int, d time.Duration) {
+	t.Clear(slot)
+	if t.owner != ident.Nil && !t.m.sink.Alive(t.owner) {
+		return
 	}
-	t.e = t.m.add(t.m.in(d), &modelEvent{fn: t.e.fn, owner: t.e.owner})
-	return true
+	t.slots[slot] = t.m.after(d, t.owner, func() { t.fire(slot) }).(*modelTimer)
+}
+
+func (t *modelTable) Clear(slot int) {
+	if tm := t.slots[slot]; tm != nil {
+		tm.Stop()
+		t.slots[slot] = nil
+	}
 }

@@ -11,19 +11,16 @@ import (
 
 // queue_bench_test.go: microbenchmarks for the kernel's hot paths, the des
 // rows of the layer ledger (docs/BENCHMARKS.md). The two Queue ones
-// (`go test -bench 'Queue' -benchmem ./internal/des`) stress the timer path —
-// wheel and heap — without re-arms: a standing population of tens of
-// thousands of near-term timers, each filed into a bucket and drained into
-// the heap a slot before it fires, and Stop/reap churn, whose stopped timers
-// are reclaimed when their slot drains or at the heap's root. Each is timed
-// from a steady state: the slab, the heap, the buckets and the pool they are
-// recycled through have grown before the timer starts.
+// (`go test -bench 'Queue' -benchmem ./internal/des`) stress the timer path
+// without re-arms: a standing population of tens of thousands of near-term
+// timers in the heap, and Stop/reap churn, whose stopped timers are
+// reclaimed at the heap's root. Each is timed from a steady state: the slab
+// and the heap have grown before the timer starts.
 
 // BenchmarkQueueDenseHorizon measures steady-state churn with a large
 // standing population of near-term timers: every fired event reschedules
-// itself up to 10 ms ahead, so each Step is one pop from the heap, one bucket
-// append (a push, when the new key falls in the current slot), and its share
-// of draining ~27k timers a slot into the heap.
+// itself up to 10 ms ahead, so each Step is one pop from the heap and one
+// push into it.
 func BenchmarkQueueDenseHorizon(b *testing.B) {
 	b.ReportAllocs()
 	s := New(1)
@@ -35,7 +32,7 @@ func BenchmarkQueueDenseHorizon(b *testing.B) {
 	for k := 0; k < standing; k++ {
 		reschedule()
 	}
-	s.RunUntil(20 * time.Millisecond) // two horizons: the heap and the buckets at full size
+	s.RunUntil(20 * time.Millisecond) // two horizons: the heap at full size
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Step()
@@ -118,42 +115,48 @@ func BenchmarkQueueStopReapChurn(b *testing.B) {
 }
 
 // BenchmarkRearm is the des row of the layer ledger (docs/BENCHMARKS.md):
-// the per-peer timeout of the timer-based detectors. A standing population
-// of 16k timeouts of Θ = 2Δ, each pushed back once per Δ as the clock
-// advances — by Stop + After, as before Timer.Reset, or in place. One op is
-// one re-arm plus its share of the queue work the clock's advance brings
-// (reclaiming stopped events, re-filing re-armed ones as their slot drains).
-// The first eight Δ are not timed: by then every timeout has been re-armed
-// eight times, and the slab and the wheel's buckets hold what they hold in
-// steady state.
+// the per-peer timeout of a timer-based monitor of 127 peers, Θ = 2Δ, each
+// pushed back once per Δ as the clock advances — always the least one, the
+// timeout re-armed longest ago. "table" sets a slot of one deadline table,
+// "stop+after" stops a timer per peer and arms a new one. One op is one
+// re-arm plus its share of the queue work the clock's advance brings
+// (re-keying the table's event, reclaiming stopped timers). The first eight
+// Δ are not timed.
 func BenchmarkRearm(b *testing.B) {
 	const (
-		standing = 1 << 14
+		peers    = 127
 		interval = time.Second
 		timeout  = 2 * interval
 	)
-	for _, reset := range []bool{false, true} {
+	for _, table := range []bool{true, false} {
 		name := "stop+after"
-		if reset {
-			name = "reset"
+		if table {
+			name = "table"
 		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			s := New(1)
 			fn := func() { b.Fatal("a timeout expired") }
-			timers := make([]*Timer, standing)
+			d := s.Deadlines(ident.Nil, peers, func(int) { fn() })
+			timers := make([]*Timer, peers)
 			for k := range timers {
-				timers[k] = s.After(timeout, fn)
+				if table {
+					d.Set(k, timeout)
+				} else {
+					timers[k] = s.After(timeout, fn)
+				}
 			}
 			rearm := func(i int) {
-				s.RunUntil(s.Now() + interval/standing)
-				k := i % standing
-				if !reset || !timers[k].Reset(timeout) {
+				s.RunUntil(s.Now() + interval/peers)
+				k := i % peers
+				if table {
+					d.Set(k, timeout)
+				} else {
 					timers[k].Stop()
 					timers[k] = s.After(timeout, fn)
 				}
 			}
-			for i := 0; i < 8*standing; i++ {
+			for i := 0; i < 8*peers; i++ {
 				rearm(i)
 			}
 			b.ResetTimer()

@@ -5,11 +5,15 @@ import (
 	"testing"
 	"time"
 
+	"asyncfd/internal/ident"
 	"asyncfd/internal/raceflag"
 )
 
-// reset_test.go pins Timer.Reset case by case; the differential harness
-// (fuzz_test.go) holds it to Stop + After on random scripts.
+// reset_test.go pins the deadline table (deadlines.go) case by case: a slot
+// re-set, pushed back or pulled forward, cleared, set while its owner is
+// down, set from its own callback and across a checkpoint. The differential
+// harness (fuzz_test.go) holds the table to a timer per slot, stopped and
+// armed anew, on random scripts.
 
 const ms = time.Millisecond
 
@@ -21,6 +25,14 @@ type fireLog struct {
 
 func (l *fireLog) fn(name string) func() {
 	return func() { l.got = append(l.got, fmt.Sprintf("%s@%v", name, l.s.Now())) }
+}
+
+// table returns a table of n slots owned by owner whose expiries are logged
+// as "name<slot>@time".
+func (l *fireLog) table(name string, owner ident.ID, n int) *Deadlines {
+	return l.s.Deadlines(owner, n, func(slot int) {
+		l.got = append(l.got, fmt.Sprintf("%s%d@%v", name, slot, l.s.Now()))
+	})
 }
 
 func (l *fireLog) want(t *testing.T, want ...string) {
@@ -36,163 +48,161 @@ func newFireLog() *fireLog {
 	return &fireLog{s: s}
 }
 
+// TestResetPushesBack: a slot set again fires at its new time only, and
+// counts once in Pending however often it is set; pulled forward below the
+// key the table's event is queued under, it still fires on time.
 func TestResetPushesBack(t *testing.T) {
 	l := newFireLog()
 	s := l.s
-	tm := s.After(2*ms, l.fn("t"))
+	d := l.table("d", 1, 2)
+	d.Set(0, 2*ms)
 	s.After(3*ms, l.fn("a"))
 	s.RunUntil(ms)
-	if !tm.Reset(4 * ms) { // now due at 5ms
-		t.Fatal("Reset of a pending timer = false")
-	}
+	d.Set(0, 4*ms) // now due at 5ms
 	if s.Pending() != 2 {
-		t.Errorf("Pending = %d, want 2: a re-armed timer counts once", s.Pending())
+		t.Errorf("Pending = %d, want 2: a slot set twice counts once", s.Pending())
 	}
 	s.RunUntil(3 * ms)
 	l.want(t, "a@3ms")
-	// Pushed back again, then pulled forward: still no earlier than the
-	// key the event is queued under (5ms by now).
-	if !tm.Reset(5*ms) || !tm.Reset(2*ms) {
-		t.Fatal("Reset to a time at or after the queued key = false")
-	}
+	// Pushed back again, then pulled forward below the 5ms the table's
+	// event waits under, and below a timer it must then precede.
+	d.Set(0, 5*ms)
+	s.After(ms, l.fn("b"))
+	d.Set(0, 0)
 	s.Run()
-	l.want(t, "a@3ms", "t@5ms")
-	if s.Steps() != 2 || s.Pending() != 0 {
-		t.Errorf("Steps = %d, Pending = %d, want 2 and 0", s.Steps(), s.Pending())
+	l.want(t, "a@3ms", "d0@3ms", "b@4ms")
+	if s.Steps() != 3 || s.Pending() != 0 {
+		t.Errorf("Steps = %d, Pending = %d, want 3 and 0", s.Steps(), s.Pending())
 	}
 }
 
+// TestResetRefusals: a Set by an owner that is down draws nothing and leaves
+// the slot clear, so nothing fires for it, and the sequence numbers of what
+// follows are those of a run without the Set. An expiry while the owner is
+// down is suppressed but counted.
 func TestResetRefusals(t *testing.T) {
 	l := newFireLog()
 	s := l.s
-	fired := s.After(ms, l.fn("fired"))
-	stopped := s.After(5*ms, l.fn("stopped"))
-	early := s.After(5*ms, l.fn("early"))
-	s.RunUntil(2 * ms)
-	stopped.Stop()
-	if fired.Reset(ms) {
-		t.Error("Reset after the timer fired = true")
-	}
-	if stopped.Reset(ms) {
-		t.Error("Reset after Stop = true")
-	}
-	if early.Reset(2 * ms) { // 4ms < the 5ms it is queued under
-		t.Error("Reset to before the queued key = true")
+	sink := s.sink.(*testSink)
+	d := l.table("d", 1, 3)
+	d.Set(0, ms)
+	d.Set(1, 2*ms)
+	s.RunUntil(ms / 2)
+	sink.down.Add(1)
+	seq := s.seq
+	d.Set(1, 5*ms) // refused: slot 1 is cleared
+	d.Set(2, 5*ms) // refused: slot 2 stays clear
+	if s.seq != seq || s.Pending() != 1 {
+		t.Errorf("Sets by a crashed owner drew %d sequence numbers and left %d pending, want 0 and 1", s.seq-seq, s.Pending())
 	}
 	s.Run()
-	l.want(t, "fired@1ms", "early@5ms") // the refusals changed nothing
+	l.want(t) // slot 0 expired while its owner was down
+	if s.Steps() != 1 || s.Pending() != 0 {
+		t.Errorf("Steps = %d, Pending = %d, want 1 (the suppressed expiry) and 0", s.Steps(), s.Pending())
+	}
+	sink.down.Remove(1)
+	d.Set(2, ms)
+	s.Run()
+	l.want(t, "d2@2ms")
 }
 
+// TestStopAfterReset: Clear ends a set slot, the least one included, and the
+// table's abandoned event is reclaimed when it surfaces; a cleared table
+// costs nothing pending.
 func TestStopAfterReset(t *testing.T) {
 	l := newFireLog()
-	tm := l.s.After(ms, l.fn("t"))
-	tm.Reset(2 * ms)
-	if !tm.Stop() || tm.Stop() || tm.Reset(ms) {
-		t.Error("Stop of a re-armed timer must report true once, and end it")
-	}
+	d := l.table("d", ident.Nil, 3)
+	d.Set(0, ms)
+	d.Set(1, 2*ms)
+	d.Set(2, 3*ms)
+	d.Clear(0) // the least slot
+	d.Clear(0) // already clear
+	l.s.RunUntil(2 * ms)
+	l.want(t, "d1@2ms")
+	d.Clear(2)
 	l.s.Run()
-	l.want(t)
-	if l.s.Pending() != 0 {
-		t.Errorf("Pending = %d after the stopped timer surfaced", l.s.Pending())
+	l.want(t, "d1@2ms")
+	if l.s.Pending() != 0 || len(l.s.heap) != 0 {
+		t.Errorf("Pending = %d, %d queued after the cleared table surfaced", l.s.Pending(), len(l.s.heap))
 	}
 }
 
-// TestResetDueNow re-arms a timer due at the current instant: like Stop +
-// After(0) it goes behind everything already scheduled for the instant.
+// TestResetDueNow sets a slot due at the current instant, from its own
+// table's callback: like Stop + After(0) it goes behind everything already
+// scheduled for the instant, and the re-keyed table event fires its slots
+// in key order.
 func TestResetDueNow(t *testing.T) {
 	l := newFireLog()
 	s := l.s
-	s.After(ms, func() {
-		tm := s.After(0, l.fn("t"))
-		s.After(0, l.fn("a"))
-		if !tm.Reset(0) {
-			t.Error("Reset(0) of a timer due now = false")
+	var d *Deadlines
+	d = s.Deadlines(ident.Nil, 2, func(slot int) {
+		l.got = append(l.got, fmt.Sprintf("d%d@%v", slot, s.Now()))
+		if len(l.got) == 1 {
+			s.After(0, l.fn("a"))
+			d.Set(0, 0)
+			s.After(0, l.fn("b"))
+			d.Set(1, 0)
 		}
-		s.After(0, l.fn("b"))
 	})
+	d.Set(1, 2*ms)
+	d.Set(0, ms)
 	s.Run()
-	l.want(t, "a@1ms", "t@1ms", "b@1ms")
+	l.want(t, "d0@1ms", "a@1ms", "d0@1ms", "b@1ms", "d1@1ms")
 }
 
-// TestResetSurvivesRestore: the re-arm is on the event, so a checkpoint
-// taken between Reset and the re-keying replays it, and a Reset made after
-// the checkpoint is rolled back with the rest.
+// TestResetSurvivesRestore: a table's slots are kernel state, so a
+// checkpoint replays them, and Sets made after it are rolled back with the
+// rest.
 func TestResetSurvivesRestore(t *testing.T) {
 	l := newFireLog()
 	s := l.s
-	tm := s.After(2*ms, l.fn("t"))
+	d := l.table("d", 1, 2)
+	d.Set(0, 2*ms)
 	s.After(3*ms, l.fn("a"))
-	tm.Reset(4 * ms)
+	d.Set(0, 4*ms)
 	snap := s.Snapshot()
-	tm.Reset(6 * ms)
+	d.Set(0, 6*ms)
+	d.Set(1, ms)
 	s.Run()
-	l.want(t, "a@3ms", "t@6ms")
+	l.want(t, "d1@1ms", "a@3ms", "d0@6ms")
 	for round := 0; round < 2; round++ {
 		l.got = nil
 		s.Restore(snap)
 		s.Run()
-		l.want(t, "a@3ms", "t@4ms")
+		l.want(t, "a@3ms", "d0@4ms")
 	}
 }
 
-// TestResetRefiledAtDrain: a timer re-armed while it waits in the wheel is
-// filed under its new key when its slot drains — into the new key's bucket,
-// without passing through the heap.
-func TestResetRefiledAtDrain(t *testing.T) {
-	l := newFireLog()
-	s := l.s
-	tm := s.After(10*ms, l.fn("t")) // slot 2
-	if !tm.Reset(3 * time.Second) {
-		t.Fatal("Reset of a pending timer = false")
-	}
-	s.RunUntil(2 << wheelShift) // slot 2's start: the slot drains
-	if b := s.wheel[(3*time.Second>>wheelShift)&(wheelSlots-1)]; len(s.heap) != 0 || s.wheeled != 1 || len(b) != 1 {
-		t.Fatalf("after the drain: %d in the heap, %d in the wheel, %d in the 3 s bucket; want 0, 1, 1",
-			len(s.heap), s.wheeled, len(b))
-	}
-	s.Run()
-	l.want(t, "t@3s")
-}
-
-// TestAllocsRearmDrain locks the re-arm path of the timer wheel: a pending
-// timeout pushed back in place, and the drain of a slot whose timeouts were
-// all pushed back — each filed under its new key into a later bucket —
-// allocate nothing once the buckets and their pool have grown. None of the
-// re-armed timeouts passes through the heap.
+// TestAllocsRearmDrain locks the re-arm path of the table: pushing back the
+// least slot of a 127-slot table, as a heartbeat does to its sender's
+// deadline, and running the clock over the table's re-keyed event allocate
+// nothing, and the table holds one kernel event throughout.
 func TestAllocsRearmDrain(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race runtime allocates")
 	}
 	const (
-		peers   = 1024
-		perSlot = 8 // re-arms per slot: each timeout every 128 slots, about 0.54 s
+		peers   = 127
 		timeout = 2 * time.Second
-		slot    = time.Duration(1) << wheelShift
 	)
 	s := New(1)
-	fn := func() { t.Fatal("a timeout expired") }
-	timers := make([]*Timer, peers)
-	for k := range timers {
-		timers[k] = s.After(timeout, fn)
+	d := s.Deadlines(ident.Nil, peers, func(int) { t.Fatal("a timeout expired") })
+	for k := 0; k < peers; k++ {
+		d.Set(k, timeout)
 	}
 	next := 0
 	step := func() {
-		for j := 0; j < perSlot; j++ {
-			if !timers[next%peers].Reset(timeout) {
-				t.Fatal("Reset of a pending timeout = false")
-			}
-			next++
-		}
-		s.RunUntil(s.Now() + slot)
+		d.Set(next%peers, timeout)
+		next++
+		s.RunUntil(s.Now() + timeout/peers/2)
 	}
-	for i := 0; i < 2*wheelSlots; i++ { // two rotations
+	for i := 0; i < 4*peers; i++ {
 		step()
 	}
 	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
-		t.Errorf("%d re-arms and a slot's drain: %v allocations, want 0", perSlot, allocs)
+		t.Errorf("a re-arm and the clock's advance: %v allocations, want 0", allocs)
 	}
-	if s.Pending() != peers || s.wheeled != peers || len(s.heap) != 0 {
-		t.Errorf("Pending %d, %d in the wheel, %d in the heap: want every one of %d timeouts in the wheel",
-			s.Pending(), s.wheeled, len(s.heap), peers)
+	if s.Pending() != peers || len(s.heap) != 1 {
+		t.Errorf("Pending %d, %d in the heap: want %d slots behind one event", s.Pending(), len(s.heap), peers)
 	}
 }

@@ -21,12 +21,13 @@ package des
 // forward, which is exact because every top-level Rand() draw maps to a fixed
 // number of source calls.
 //
-// Caveat: Timer handles created AFTER a snapshot was taken must not be used
-// — stopped or Reset — after restoring it. Restore rewinds slot generations,
-// so such a handle can alias an unrelated event scheduled by the rolled-back
-// run. Handles that existed when the snapshot was taken remain valid across
-// Restore, and a Reset made after the snapshot is rolled back with the rest:
-// the re-arm lives on the event, not in the handle.
+// Caveat: Timer and Deadlines handles created AFTER a snapshot was taken must
+// not be used — stopped, set or cleared — after restoring it. Restore rewinds
+// slot generations and the table list, so such a handle can alias an
+// unrelated event or table of the rolled-back run. Handles that existed when
+// the snapshot was taken remain valid across Restore, and a Set or Clear made
+// after the snapshot is rolled back with the rest: a table's slots live in
+// the kernel's state, not in the handle.
 
 import "math/rand"
 
@@ -87,35 +88,17 @@ type Snapshot struct{ st state }
 // copyTo makes dst a copy of s that shares no mutable storage with it, reusing
 // what dst already has: the slab's array, the fan-out side table and its item
 // storage (a Restore runs once per replicate, and reallocating the arena every
-// time dominated fork cost at large n), the free list, the wheel's buckets and
-// the heap. spare is the pool a bucket that dst has no storage for takes some
-// from: the restored simulator's, or nil for a checkpoint, whose buckets are
-// sized to what they hold.
-func (s *state) copyTo(dst *state, spare *[][]int32) {
-	events, fans, free, wheel, heap, gen := dst.events, dst.fans, dst.free, dst.wheel, dst.heap, dst.stream.gen
+// time dominated fork cost at large n), the free list, the deadline tables and
+// the heap.
+func (s *state) copyTo(dst *state) {
+	events, fans, free, tables, heap, gen := dst.events, dst.fans, dst.free, dst.tables, dst.heap, dst.stream.gen
 	*dst = *s
 	dst.events = append(events[:0], s.events...)
 	dst.fans = copyFans(fans, s.fans)
 	dst.free = append(free[:0], s.free...)
-	dst.wheel = copyWheel(wheel, s.wheel, spare)
+	dst.tables = copyTables(tables, s.tables)
 	dst.heap = append(heap[:0], s.heap...)
 	dst.stream.rebind(gen)
-}
-
-// copyWheel copies the buckets src into dst's, reusing each bucket's storage
-// or taking some from spare (nil: exactly sized), and returns dst.
-func copyWheel(dst, src [][]int32, spare *[][]int32) [][]int32 {
-	if len(dst) != len(src) {
-		dst = make([][]int32, len(src))
-	}
-	for k, b := range src {
-		d := dst[k]
-		if d == nil && len(b) > 0 && spare != nil {
-			d = takeBucket(spare)
-		}
-		dst[k] = append(d[:0], b...)
-	}
-	return dst
 }
 
 // copyFans copies the side table src into dst's storage where capacity
@@ -150,14 +133,13 @@ func copyFans(dst, src []fan) []fan {
 // Snapshot captures the simulator's complete state.
 func (s *Simulator) Snapshot() *Snapshot {
 	snap := new(Snapshot)
-	s.state.copyTo(&snap.st, nil)
+	s.state.copyTo(&snap.st)
 	return snap
 }
 
 // Restore rolls the simulator back to the checkpoint, in place. The same
-// checkpoint can be restored repeatedly; the itemFree pool is left alone, and
-// a wheel bucket the simulator has no storage for takes it from bucketFree. The
+// checkpoint can be restored repeatedly; the itemFree pool is left alone. The
 // random stream resumes at the captured position, with the replay deferred
 // until the stream is next read — so a restore immediately followed by Reseed
 // pays nothing for the checkpoint's draws.
-func (s *Simulator) Restore(snap *Snapshot) { snap.st.copyTo(&s.state, &s.bucketFree) }
+func (s *Simulator) Restore(snap *Snapshot) { snap.st.copyTo(&s.state) }

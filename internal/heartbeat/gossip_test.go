@@ -10,6 +10,7 @@ import (
 	"asyncfd/internal/ident"
 	"asyncfd/internal/netsim"
 	"asyncfd/internal/node"
+	"asyncfd/internal/raceflag"
 	"asyncfd/internal/trace"
 )
 
@@ -224,4 +225,46 @@ func runGossipScript(t *testing.T, data []byte) {
 // is replayed by plain go test.
 func FuzzGossipMatchesReference(f *testing.F) {
 	f.Fuzz(runGossipScript)
+}
+
+// TestAllocsGossipInterval counts the heap allocations of one heartbeat
+// interval of 14 gossip nodes on a circulant of degree 6 under exponential
+// delays, against the node GossipNode replaced (reference_test.go) on the
+// same network: a node's tick allocates the heartbeat's box, the vector's
+// copy and the vector message's box, and its poll and tick re-arm slots of
+// its deadline table, which allocate nothing, where the replaced node's two
+// timers allocated a handle each.
+func TestAllocsGossipInterval(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race runtime allocates")
+	}
+	const n = 14
+	s := gossipScript{n: n, interval: 100 * time.Millisecond, timeout: 400 * time.Millisecond,
+		delay: netsim.Exponential{Mean: 20 * time.Millisecond}, neighbors: make([]ident.Set, n), start: make([]time.Duration, n)}
+	for i := range n {
+		for d := 1; d <= 3; d++ {
+			s.neighbors[i].Add(ident.ID((i + d) % n))
+			s.neighbors[i].Add(ident.ID((i - d + n) % n))
+		}
+	}
+	interval := func(r *gossipRig) float64 {
+		for range 20 {
+			r.sim.RunUntil(r.sim.Now() + s.interval)
+		}
+		return testing.AllocsPerRun(50, func() { r.sim.RunUntil(r.sim.Now() + s.interval) })
+	}
+	got := interval(newGossipRig(s, func(env node.Env, sink fd.SuspicionSink) gossiper {
+		g, err := NewGossipNode(env, Config{Self: env.Self(), Peers: ident.FullSet(n), Interval: s.interval, Timeout: s.timeout, Sink: sink})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}))
+	want := interval(newGossipRig(s, func(env node.Env, sink fd.SuspicionSink) gossiper {
+		return newRefGossipNode(env, n, s.interval, s.timeout, sink)
+	}))
+	t.Logf("one interval of %d nodes: GossipNode %v allocations, the node it replaced %v", n, got, want)
+	if got != 3*n || got > want {
+		t.Errorf("one interval of %d nodes: %v allocations, want %d, and at most the replaced node's %v", n, got, 3*n, want)
+	}
 }

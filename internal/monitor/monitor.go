@@ -3,10 +3,13 @@
 // (fixed timeout, φ-accrual, Chen NFD-E) all broadcast a sequence-numbered
 // heartbeat every Δ and keep, per monitored peer, an opinion that a heartbeat
 // refreshes and silence erodes. Node owns everything they share — the sender
-// tick, the peer table, the suspicion flags and their deadline timers or poll,
-// the sink, crash-recovery and the warm-fork checkpoint (one state value, one
+// tick, the peer table, the suspicion flags and their deadlines or poll, the
+// sink, crash-recovery and the warm-fork checkpoint (one state value, one
 // copyTo run in both directions) — and is generic over the per-peer Rule that
-// makes a kind a kind. The rules are the Estimator
+// makes a kind a kind. Its timeouts are one node.Deadlines table: a slot per
+// peer's deadline, one for the beat and one for the poll, so that neither a
+// heartbeat pushing a deadline back nor a tick or a poll re-arming itself
+// makes a handle, a closure or, on the simulator, a kernel event. The rules are the Estimator
 // types of internal/heartbeat, internal/phiaccrual and internal/chen, whose
 // constructors fill this package's Config; nothing here knows which one it
 // runs. The gossip detector (heartbeat.GossipNode) is one more user: the
@@ -35,7 +38,7 @@ type Message struct {
 // Every method that takes in a sighting returns the deadline it leaves
 // behind: the instant from which continued silence means suspicion. A rule
 // with no closed-form deadline (φ) returns 0 and is run with Config.Poll
-// set — the Node then arms no deadlines and asks Suspected on every poll.
+// set — the Node then sets no deadlines and asks Suspected on every poll.
 type Rule[R any] interface {
 	*R
 	// Prime begins monitoring at now: the start counts as a sighting, so
@@ -63,20 +66,19 @@ type Config struct {
 	Peers ident.Set
 	// Interval is the heartbeat period Δ.
 	Interval time.Duration
-	// Poll, if positive, makes the monitor polled: no deadline timers, and
-	// every peer's Suspected is asked every Poll.
+	// Poll, if positive, makes the monitor polled: no deadlines, and every
+	// peer's Suspected is asked every Poll.
 	Poll time.Duration
 	// Sink, if set, receives timestamped suspicion transitions.
 	Sink fd.SuspicionSink
 }
 
-// peer is one monitored process. Records are pointer targets that never move,
-// so a pending deadline callback and the checkpoint's Restore see the same
-// one. The id and the flag come last, to share a word: one record per
-// (observer, subject) pair is the bulk of a run's detector state.
+// peer is one monitored process. Its deadline is the slot of the node's
+// table numbered as the record is in recs. The id and the flag come last, to
+// share a word: one record per (observer, subject) pair is the bulk of a
+// run's detector state.
 type peer[R any] struct {
 	rule      R
-	deadline  node.Timer
 	id        ident.ID
 	suspected bool
 }
@@ -84,24 +86,22 @@ type peer[R any] struct {
 // Node is a heartbeat-family detector node. It holds no lock: like every
 // node, it is called only in its runtime's callback context (node.Env).
 type Node[R any, PR Rule[R]] struct {
-	env  node.Env                //fdlint:allow clonefields immutable wiring, set once at construction
-	cfg  Config                  //fdlint:allow clonefields immutable config, set once at construction
-	byID node.DenseMap[*peer[R]] //fdlint:allow clonefields immutable index into recs, built at construction
-	// tickFn and scanFn are tick and scan, bound once so that re-arming the
-	// beat and the poll makes no method value.
-	tickFn func() //fdlint:allow clonefields immutable binding, set once at construction
-	scanFn func() //fdlint:allow clonefields immutable binding, set once at construction
+	env node.Env //fdlint:allow clonefields immutable wiring, set once at construction
+	cfg Config   //fdlint:allow clonefields immutable config, set once at construction
+	// byID maps a peer's id to its index in recs, plus one: zero is absent.
+	byID node.DenseMap[int32] //fdlint:allow clonefields immutable index into recs, built at construction
+	// clock is the node's timeouts: slot i < len(recs) is recs[i]'s
+	// deadline, then the beat and the poll. What it has set is the
+	// runtime's state (the kernel's, on the simulator), checkpointed there.
+	clock node.Deadlines //fdlint:allow clonefields immutable handle; the runtime checkpoints what is set
 	state[R, PR]
 }
 
 // state is everything about a Node a run changes, and so the node.Cloneable
 // checkpoint: Snapshot and Restore are copyTo run in the two directions.
-// Timer handles are shared by value with the live node — they are immutable,
-// and the paired kernel snapshot rewinds slot generations so one captured in a
-// checkpoint is pending again after Restore.
 type state[R any, PR Rule[R]] struct {
 	// recs holds the peers in ascending id — the order of every loop below,
-	// because same-instant timers fire in arming order and same-instant
+	// because same-instant deadlines fire in arming order and same-instant
 	// transitions are traced in emission order, and runs of one seed must
 	// produce identical bytes. Node.byID indexes into it.
 	recs []peer[R]
@@ -110,13 +110,11 @@ type state[R any, PR Rule[R]] struct {
 	// restarted sender, so it doubles as an incarnation number.
 	seq     uint64
 	stopped bool
-	beat    node.Timer
-	poll    node.Timer
 }
 
-// copyTo makes dst a copy of s whose rules share no storage with s's. Records
-// dst already has are overwritten in place: a live node's pending deadline
-// callbacks hold pointers to them.
+// copyTo makes dst a copy of s whose rules share no storage with s's.
+// Records dst already has are overwritten in place, reusing their rules'
+// storage.
 func (s *state[R, PR]) copyTo(dst *state[R, PR]) {
 	recs := dst.recs
 	if len(recs) != len(s.recs) {
@@ -144,18 +142,22 @@ func New[R any, PR Rule[R]](env node.Env, cfg Config, proto R) *Node[R, PR] {
 		return true
 	})
 	for i := range n.recs {
-		n.byID.Put(n.recs[i].id, &n.recs[i])
+		n.byID.Put(n.recs[i].id, int32(i+1))
 	}
-	n.tickFn, n.scanFn = n.tick, n.scan
+	n.clock = env.Deadlines(len(n.recs)+2, n.expire)
 	return n
 }
+
+// beatSlot and pollSlot are the clock's slots of the node's own beat and
+// poll, after the peers' deadlines.
+func (n *Node[R, PR]) beatSlot() int { return len(n.recs) }
+func (n *Node[R, PR]) pollSlot() int { return len(n.recs) + 1 }
 
 // Start begins heartbeating and monitoring.
 func (n *Node[R, PR]) Start() {
 	now := n.env.Now()
 	for i := range n.recs {
-		p := &n.recs[i]
-		n.arm(p, PR(&p.rule).Prime(now)-now)
+		n.arm(i, PR(&n.recs[i].rule).Prime(now)-now)
 	}
 	n.tick()
 	n.scan()
@@ -167,18 +169,15 @@ func (n *Node[R, PR]) Start() {
 // peers' heartbeats clear them. What the restart means for the estimate is
 // the rule's business.
 func (n *Node[R, PR]) Restart(fresh bool) {
-	stopTimer(n.beat)
-	stopTimer(n.poll)
 	n.stopped = false
 	now := n.env.Now()
 	for i := range n.recs {
 		p := &n.recs[i]
-		stopTimer(p.deadline)
 		if fresh && p.suspected {
 			p.suspected = false
 			n.emit(p.id, false)
 		}
-		n.arm(p, PR(&p.rule).Resume(fresh, now)-now)
+		n.arm(i, PR(&p.rule).Resume(fresh, now)-now)
 	}
 	n.tick()
 	n.scan()
@@ -187,16 +186,25 @@ func (n *Node[R, PR]) Restart(fresh bool) {
 // Stop halts heartbeating and monitoring.
 func (n *Node[R, PR]) Stop() {
 	n.stopped = true
-	stopTimer(n.beat)
-	stopTimer(n.poll)
-	for i := range n.recs {
-		stopTimer(n.recs[i].deadline)
+	for slot := 0; slot <= n.pollSlot(); slot++ {
+		n.clock.Clear(slot)
 	}
 }
 
-func stopTimer(t node.Timer) {
-	if t != nil {
-		t.Stop()
+// expire is the clock's callback: the beat, the poll, or a peer's deadline,
+// which suspects the peer — it fires at the deadline itself, where the
+// rules' own Suspected is still false.
+func (n *Node[R, PR]) expire(slot int) {
+	switch slot {
+	case n.beatSlot():
+		n.tick()
+	case n.pollSlot():
+		n.scan()
+	default:
+		if p := &n.recs[slot]; !n.stopped && !p.suspected {
+			p.suspected = true
+			n.emit(p.id, true)
+		}
 	}
 }
 
@@ -206,7 +214,7 @@ func (n *Node[R, PR]) tick() {
 	}
 	n.seq++
 	n.env.Broadcast(Message{From: n.env.Self(), Seq: n.seq})
-	n.beat = n.env.After(n.cfg.Interval, n.tickFn)
+	n.clock.Set(n.beatSlot(), n.cfg.Interval)
 }
 
 // scan is the poll of a polled monitor. Trust comes back on a heartbeat,
@@ -223,31 +231,19 @@ func (n *Node[R, PR]) scan() {
 			n.emit(p.id, true)
 		}
 	}
-	n.poll = n.env.After(n.cfg.Poll, n.scanFn)
+	n.clock.Set(n.pollSlot(), n.cfg.Poll)
 }
 
-// arm moves p's suspicion timer to wait from now (a polled monitor has none).
-// A pending one is pushed in place, which is what every heartbeat from a
-// trusted peer does; the timer firing — at the deadline itself, where the
-// rules' own Suspected is still false — is what suspects.
-func (n *Node[R, PR]) arm(p *peer[R], wait time.Duration) {
-	if n.cfg.Poll > 0 {
-		return
+// arm sets recs[i]'s deadline to wait from now (a polled monitor has none):
+// every heartbeat from a trusted peer pushes it back.
+func (n *Node[R, PR]) arm(i int, wait time.Duration) {
+	if n.cfg.Poll <= 0 {
+		n.clock.Set(i, wait)
 	}
-	if p.deadline != nil {
-		if p.deadline.Reset(wait) {
-			return
-		}
-		p.deadline.Stop()
-	}
-	p.deadline = n.env.After(wait, func() {
-		if n.stopped || p.suspected {
-			return
-		}
-		p.suspected = true
-		n.emit(p.id, true)
-	})
 }
+
+// peer returns the index in recs of the peer id, or -1.
+func (n *Node[R, PR]) peer(id ident.ID) int { return int(n.byID.Get(id)) - 1 }
 
 // Deliver implements node.Handler.
 func (n *Node[R, PR]) Deliver(from ident.ID, payload any) {
@@ -255,11 +251,11 @@ func (n *Node[R, PR]) Deliver(from ident.ID, payload any) {
 	if !ok {
 		return
 	}
-	p := n.byID.Get(from)
-	if p == nil || n.stopped {
+	i := n.peer(from)
+	if i < 0 || n.stopped {
 		return
 	}
-	now := n.env.Now()
+	p, now := &n.recs[i], n.env.Now()
 	deadline, ok := PR(&p.rule).Beat(m.Seq, now, p.suspected)
 	if !ok {
 		return
@@ -268,7 +264,7 @@ func (n *Node[R, PR]) Deliver(from ident.ID, payload any) {
 		p.suspected = false
 		n.emit(from, false)
 	}
-	n.arm(p, deadline-now)
+	n.arm(i, deadline-now)
 }
 
 func (n *Node[R, PR]) emit(subject ident.ID, suspected bool) {
@@ -302,18 +298,18 @@ func (n *Node[R, PR]) Suspects() ident.Set {
 
 // IsSuspected implements fd.Detector.
 func (n *Node[R, PR]) IsSuspected(id ident.ID) bool {
-	p := n.byID.Get(id)
-	return p != nil && p.suspected
+	i := n.peer(id)
+	return i >= 0 && n.recs[i].suspected
 }
 
 // Peek runs fn on the rule the node keeps for id, at the node's current
 // time, and reports whether id is monitored. It is how a kind exposes a
 // diagnostic of its rule (φ) without the runtime knowing it.
 func (n *Node[R, PR]) Peek(id ident.ID, fn func(rule PR, now time.Duration)) bool {
-	p := n.byID.Get(id)
-	if p == nil {
+	i := n.peer(id)
+	if i < 0 {
 		return false
 	}
-	fn(&p.rule, n.env.Now())
+	fn(&n.recs[i].rule, n.env.Now())
 	return true
 }

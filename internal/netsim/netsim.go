@@ -23,22 +23,23 @@
 //   - Broadcast fans out over a precomputed per-node neighbor list, rebuilt
 //     lazily only when the topology epoch changes (AddNode/SetNeighbors).
 //     No full-mesh ident.Set is ever materialized per message.
-//   - Messages and timers are handed to the kernel as data, not closures: a
-//     unicast is one typed event (from, to, payload), a broadcast one fan-out
-//     node holding the shared (from, payload) and a pointer-free item per
-//     admitted receiver, sorted by delivery time once and merged with the
-//     other broadcasts in flight through the kernel's event heap, a timer
-//     an (owner, callback) pair. The network
-//     registers itself with its simulator as the des.Sink those events come
-//     back to — Deliver at delivery time, Alive when an owned timer comes
-//     due — so the send path allocates nothing per receiver.
+//   - Messages and deadlines are handed to the kernel as data, not
+//     closures: a unicast is one typed event (from, to, payload), a
+//     broadcast one fan-out node holding the shared (from, payload) and a
+//     pointer-free item per admitted receiver, sorted by delivery time once
+//     and merged with the other broadcasts in flight through the kernel's
+//     event heap, a process's timeouts one deadline table, a timer an
+//     (owner, callback) pair. The network registers itself with its
+//     simulator as the des.Sink those events come back to — Deliver at
+//     delivery time, Alive when an owned timer or deadline comes due — so
+//     the send path allocates nothing per receiver.
 //   - Who may talk to whom is kept in plain arrays indexed by process id:
 //     each partition layer is one island number per process, and admitting
 //     a message compares its two ends' numbers layer by layer, one
 //     comparison per active partition.
-//   - Timers armed by an already-crashed process are dropped at arm time
-//     (the callback is suppressed at fire time anyway), so long downtimes
-//     no longer fill the kernel queue with dead weight.
+//   - Timers and deadlines armed by an already-crashed process are dropped
+//     at arm time (the callback is suppressed at fire time anyway), so long
+//     downtimes no longer fill the kernel queue with dead weight.
 //
 // # Checkpoints
 //
@@ -426,12 +427,10 @@ type Env struct {
 var _ node.Env = (*Env)(nil)
 
 // deadTimer is the handle returned for timers dropped at arm time (armed by
-// an already-crashed process): never pending, Stop and Reset always false.
+// an already-crashed process): never pending, Stop always false.
 type deadTimer struct{}
 
 func (deadTimer) Stop() bool { return false }
-
-func (deadTimer) Reset(time.Duration) bool { return false }
 
 // Self implements node.Env.
 func (e *Env) Self() ident.ID { return e.id }
@@ -451,6 +450,14 @@ func (e *Env) After(d time.Duration, fn func()) node.Timer {
 		return deadTimer{}
 	}
 	return e.net.sim.AfterOwned(d, e.id, fn)
+}
+
+// Deadlines implements node.Env with the kernel's deadline table, owned by
+// the process: a slot set while the process is crashed is dropped at once,
+// as After drops a timer, and one that comes due while it is crashed is
+// suppressed (des.Deadlines).
+func (e *Env) Deadlines(n int, fire func(slot int)) node.Deadlines {
+	return e.net.sim.Deadlines(e.id, n, fire)
 }
 
 // Send implements node.Env.

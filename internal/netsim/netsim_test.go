@@ -326,33 +326,27 @@ func TestTimerArmedBeforeCrash(t *testing.T) {
 	}
 }
 
-// TestEnvTimerReset: a pending timer is re-armed in place, and a re-arm by a
-// crashed process is refused like its After is — Stop + After then drops the
-// timer for good, where re-arming it would have let it fire after a recovery.
+// TestEnvTimerReset: a slot of a process's deadline table set again fires at
+// its new time only, and a Set by a crashed process is refused like its
+// After is — the slot is cleared for good, where keeping it would have let it
+// fire after a recovery.
 func TestEnvTimerReset(t *testing.T) {
 	sim, net, _, envs := newNet(t, 1, 2, Constant{})
 	var fired []time.Duration
-	tm := envs[1].After(2*time.Millisecond, func() { fired = append(fired, sim.Now()) })
-	sim.At(time.Millisecond, func() {
-		if !tm.Reset(3 * time.Millisecond) {
-			t.Error("Reset of a pending timer = false")
-		}
-	})
+	d := envs[1].Deadlines(1, func(int) { fired = append(fired, sim.Now()) })
+	d.Set(0, 2*time.Millisecond)
+	sim.At(time.Millisecond, func() { d.Set(0, 3*time.Millisecond) })
 	sim.At(3*time.Millisecond, func() {
 		net.Crash(1)
-		if tm.Reset(5 * time.Millisecond) {
-			t.Error("Reset by a crashed process = true")
-		}
-		if (deadTimer{}).Reset(time.Millisecond) {
-			t.Error("Reset of a dead timer = true")
-		}
+		d.Set(0, 5*time.Millisecond)
 	})
+	sim.At(6*time.Millisecond, func() { net.Recover(1) })
 	sim.Run()
 	if len(fired) != 0 {
-		t.Errorf("fired at %v: due at 4ms, when the owner was down", fired)
+		t.Errorf("fired at %v: re-set to 4ms and then cleared by a Set while crashed", fired)
 	}
-	if sim.Pending() != 0 {
-		t.Errorf("Pending = %d", sim.Pending())
+	if sim.Pending() != 0 || sim.Steps() != 3 {
+		t.Errorf("Pending = %d, Steps = %d; want 0 and the three fault events", sim.Pending(), sim.Steps())
 	}
 }
 

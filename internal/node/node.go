@@ -12,22 +12,26 @@ import (
 	"asyncfd/internal/ident"
 )
 
-// Timer is a cancelable, re-armable scheduled callback.
+// Timer is a cancelable scheduled callback.
 type Timer interface {
 	// Stop cancels the callback if it has not fired, reporting whether it
 	// was still pending.
 	Stop() bool
-	// Reset re-arms a still-pending timer to fire d from now with the
-	// callback it was armed with, and reports whether it did. False means
-	// nothing changed and the caller must Stop and arm a new timer with
-	// After: that is always the answer once the timer has fired or was
-	// stopped, and a runtime may give it for a pending timer too whenever
-	// re-arming in place does not suit it (the simulator's kernel cannot
-	// move a timer earlier than the key it is queued under). A true Reset
-	// is indistinguishable from Stop followed by After with the same
-	// callback; it exists so that a timeout pushed back on every heartbeat
-	// costs neither a new handle nor a new closure.
-	Reset(d time.Duration) bool
+}
+
+// Deadlines is a table of timeouts of one process, numbered 0 to n−1, each a
+// slot that is set or clear: the one timeout per monitored peer of a
+// heartbeat monitor, say, which every heartbeat pushes back. Set and Clear
+// behave exactly like Stop and After on a timer per slot, so a table is what
+// n timers would be, made once: re-arming a slot costs no handle, no closure
+// and, on the simulator, no kernel event of its own.
+type Deadlines interface {
+	// Set arms slot to expire d from now, replacing the time it had if it
+	// was set. When it expires the table's callback runs with the slot,
+	// subject to the process being alive then, and the slot is clear again.
+	Set(slot int, d time.Duration)
+	// Clear disarms slot if it is set.
+	Clear(slot int)
 }
 
 // Env is the world as seen by one process: its identity, a clock, a
@@ -49,6 +53,9 @@ type Env interface {
 	// After schedules fn to run after d, subject to the process being
 	// alive when it fires.
 	After(d time.Duration, fn func()) Timer
+	// Deadlines returns a table of n clear slots whose expiries call fire
+	// with the slot, on the same terms as After's callbacks.
+	Deadlines(n int, fire func(slot int)) Deadlines
 	// Send transmits payload to one process.
 	Send(to ident.ID, payload any)
 	// Broadcast transmits payload to every neighbor (every other process
@@ -65,7 +72,9 @@ type Env interface {
 // scheduled closures and in-flight deliveries captured the live instance, so
 // replication rewinds it rather than building a second one. A snapshot must
 // survive any number of Restores, and timer handles it carries stay valid
-// because the kernel snapshot rewinds slot generations in lockstep.
+// because the kernel snapshot rewinds slot generations in lockstep. What a
+// Deadlines table has set is the kernel's state, not the runtime's: the
+// kernel snapshot holds it.
 //
 // The shape every implementation in this repository has: the runtime keeps
 // what a run changes in one state struct, embedded beside its wiring and

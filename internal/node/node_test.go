@@ -38,9 +38,6 @@ func (f *fakeTimer) Stop() bool {
 	return was
 }
 
-// Reset is the answer that is always legal: the callback already ran.
-func (f *fakeTimer) Reset(time.Duration) bool { return false }
-
 func (e *fakeEnv) Self() ident.ID     { return e.id }
 func (e *fakeEnv) Now() time.Duration { return e.now }
 func (e *fakeEnv) After(d time.Duration, fn func()) Timer {
@@ -48,6 +45,24 @@ func (e *fakeEnv) After(d time.Duration, fn func()) Timer {
 	fn()
 	return &fakeTimer{}
 }
+func (e *fakeEnv) Deadlines(n int, fire func(slot int)) Deadlines {
+	return &fakeDeadlines{env: e, fire: fire}
+}
+
+// fakeDeadlines runs a Set slot's callback synchronously, as fakeEnv runs
+// After's.
+type fakeDeadlines struct {
+	env  *fakeEnv
+	fire func(slot int)
+}
+
+func (d *fakeDeadlines) Set(slot int, after time.Duration) {
+	d.env.now += after
+	d.fire(slot)
+}
+
+func (d *fakeDeadlines) Clear(int) {}
+
 func (e *fakeEnv) Send(to ident.ID, payload any) {
 	if e.sent == nil {
 		e.sent = make(map[ident.ID]any)
@@ -74,6 +89,11 @@ func TestEnvContract(t *testing.T) {
 	}
 	if tm.Stop() {
 		t.Error("second Stop = true")
+	}
+	var fired []int
+	env.Deadlines(2, func(slot int) { fired = append(fired, slot) }).Set(1, time.Second)
+	if len(fired) != 1 || fired[0] != 1 || env.Now() != 2*time.Second {
+		t.Errorf("Deadlines slot 1 set for 1s: fired %v, Now = %v", fired, env.Now())
 	}
 	env.Send(1, "a")
 	env.Broadcast("b")

@@ -545,13 +545,12 @@ func (t *Transport) After(d time.Duration, fn func()) node.Timer {
 		}
 		fn()
 	})
-	return &tcpTimer{t: tm, release: release, done: t.done}
+	return &tcpTimer{t: tm, release: release}
 }
 
 type tcpTimer struct {
 	t       *time.Timer
 	release func()
-	done    <-chan struct{} // the transport's: closed by Close
 }
 
 func (t *tcpTimer) Stop() bool {
@@ -562,28 +561,74 @@ func (t *tcpTimer) Stop() bool {
 	return stopped
 }
 
-// Reset implements node.Timer: a timer that time.Timer.Stop still catches is
-// re-armed, keeping its hold on the WaitGroup for the callback that now runs
-// later. Once the transport has closed (Close waits for every pending timer)
-// or the callback is on its way, the answer is false.
-func (t *tcpTimer) Reset(d time.Duration) bool {
-	select {
-	case <-t.done:
-		return false
-	default:
-	}
-	if !t.t.Stop() {
-		return false
-	}
-	t.t.Reset(d)
-	return true
-}
-
 type deadTimer struct{}
 
 func (deadTimer) Stop() bool { return false }
 
-func (deadTimer) Reset(time.Duration) bool { return false }
+// Deadlines implements node.Env with one time.Timer per set slot, armed by
+// After: its callback runs on the same terms as After's (under the deliver
+// mutex, never after Close has returned). A Set or Clear stops the slot's
+// timer; one that Stop no longer catches — its callback is on its way — is
+// told apart by the slot's generation, which every Set and Clear bumps, and
+// does nothing.
+func (t *Transport) Deadlines(n int, fire func(slot int)) node.Deadlines {
+	return &deadlines{t: t, fire: fire, slots: make([]deadlineSlot, n)}
+}
+
+type deadlines struct {
+	t    *Transport
+	fire func(slot int)
+
+	mu    sync.Mutex // guards slots: Set and Clear may race a callback under ConcurrentDeliver
+	slots []deadlineSlot
+}
+
+type deadlineSlot struct {
+	tm  node.Timer // pending while the slot is set, nil once clear
+	gen uint64
+}
+
+// clear stops slot k's timer and retires the callback it was armed with.
+// d.mu is held.
+func (d *deadlines) clear(k int) *deadlineSlot {
+	s := &d.slots[k]
+	if s.tm != nil {
+		s.tm.Stop()
+		s.tm = nil
+	}
+	s.gen++
+	return s
+}
+
+func (d *deadlines) Set(slot int, after time.Duration) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	s := d.clear(slot)
+	gen := s.gen
+	s.tm = d.t.After(after, func() { d.expire(slot, gen) })
+}
+
+func (d *deadlines) Clear(slot int) {
+	d.mu.Lock()
+	d.clear(slot)
+	d.mu.Unlock()
+}
+
+// expire runs slot's callback if the Set that armed it, generation gen, is
+// still the slot's last word.
+func (d *deadlines) expire(slot int, gen uint64) {
+	d.mu.Lock()
+	s := &d.slots[slot]
+	live := s.gen == gen
+	if live {
+		s.tm = nil
+		s.gen++
+	}
+	d.mu.Unlock()
+	if live {
+		d.fire(slot)
+	}
+}
 
 // Send implements node.Env: best-effort asynchronous transmission. The call
 // never blocks on the network — frames are queued to the peer's writer

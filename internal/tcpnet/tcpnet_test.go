@@ -123,36 +123,109 @@ func TestTimerAndClose(t *testing.T) {
 		t.Fatal("timer did not fire")
 	}
 	tm := a.After(time.Hour, func() { t.Error("must not fire") })
-	if !tm.Reset(2 * time.Hour) {
-		t.Error("Reset pending = false")
-	}
 	if !tm.Stop() {
 		t.Error("Stop pending = false")
 	}
-	if tm.Reset(time.Millisecond) {
-		t.Error("Reset after Stop = true")
+	if tm.Stop() {
+		t.Error("second Stop = true")
 	}
-	rearmed := make(chan struct{})
-	if !a.After(time.Hour, func() { close(rearmed) }).Reset(time.Millisecond) {
-		t.Error("Reset to an earlier time = false")
-	}
-	select {
-	case <-rearmed:
-	case <-time.After(time.Second):
-		t.Fatal("re-armed timer did not fire")
-	}
-	pending := a.After(20*time.Millisecond, func() {})
 	if err := a.Close(); err != nil {
 		t.Errorf("Close: %v", err)
-	}
-	if pending.Reset(time.Hour) {
-		t.Error("Reset on a closed transport = true: Close would wait for it")
 	}
 	if err := a.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
 	}
 	if a.After(time.Millisecond, func() {}).Stop() {
 		t.Error("After on closed transport returned live timer")
+	}
+}
+
+// TestDeadlines: a slot set again fires once, at its new time; a cleared one
+// never; and a slot set from its own callback fires again.
+func TestDeadlines(t *testing.T) {
+	a, err := New(Config{Self: 0, ListenAddr: "127.0.0.1:0", Handler: newCollector()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	fired := make(chan int, 8)
+	var d node.Deadlines
+	again := true
+	d = a.Deadlines(3, func(slot int) {
+		fired <- slot
+		if slot == 2 && again {
+			again = false
+			d.Set(2, time.Millisecond)
+		}
+	})
+	a.Do(func() {
+		d.Set(0, time.Hour)
+		d.Set(0, time.Millisecond) // pulled forward
+		d.Set(1, time.Millisecond)
+		d.Clear(1)
+		d.Set(2, 5*time.Millisecond)
+	})
+	var got []int
+	for len(got) < 3 {
+		select {
+		case slot := <-fired:
+			got = append(got, slot)
+		case <-time.After(2 * time.Second):
+			t.Fatalf("fired %v, want slots 0, 2 and 2 again", got)
+		}
+	}
+	if got[0] != 0 || got[1] != 2 || got[2] != 2 {
+		t.Errorf("fired %v, want [0 2 2]", got)
+	}
+	select {
+	case slot := <-fired:
+		t.Errorf("slot %d fired again", slot)
+	case <-time.After(20 * time.Millisecond):
+	}
+}
+
+// TestDeadlinesRaceClose sets and clears slots from other goroutines while
+// Close runs: under -race nothing is reported, and no callback runs after
+// Close has returned.
+func TestDeadlinesRaceClose(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		a, err := New(Config{Self: 0, ListenAddr: "127.0.0.1:0", Handler: newCollector()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var closed, late atomic.Bool
+		d := a.Deadlines(4, func(int) {
+			if closed.Load() {
+				late.Store(true)
+			}
+		})
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					slot := (g + i) % 4
+					a.Do(func() {
+						if i%3 == 2 {
+							d.Clear(slot)
+						} else {
+							d.Set(slot, time.Duration(i%4)*100*time.Microsecond)
+						}
+					})
+				}
+			}(g)
+		}
+		time.Sleep(time.Duration(round%5) * 200 * time.Microsecond)
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+		closed.Store(true)
+		wg.Wait()
+		time.Sleep(2 * time.Millisecond) // any slot set after Close would be due by now
+		if late.Load() {
+			t.Fatal("a deadline callback ran after Close returned")
+		}
 	}
 }
 

@@ -13,10 +13,10 @@
 // simulator's send → queue → deliver → re-arm path allocates nothing.
 //
 // The kernel is built for throughput. Events live in a slab recycled through
-// a free list, one 64-byte node — a cache line — each: the node's key, the
-// key of a pending re-key, the payload (a timer's callback is carried there,
-// as a func()), the endpoints, the slot's generation, the kind and two
-// flags. A surfacing and a fire each read that one line. A fan-out's
+// a free list, one 48-byte node each: the node's key, the payload (a timer's
+// callback is carried there, as a func()), the endpoints, the slot's
+// generation, the kind and the stopped flag. A surfacing and a fire each
+// read that node. A fan-out's
 // deliveries are kept beside the slab, in its slot's entry of a side table
 // (state.fans), which only fan-outs read. In steady state a message, a
 // fan-out and a deadline allocate nothing; arming a timer still allocates
@@ -33,18 +33,22 @@
 // same heap.
 //
 // A deadline table (Deadlines) is the timeouts of one process — a
-// heartbeat monitor's one per peer, its beat and its poll — as one indexed
-// min-heap of per-slot (at, seq) keys (state.tables), and one kernel event
-// that rides the table's least key. Set and Clear behave exactly like Stop
-// and After on a timer per slot: a Set draws the sequence number After would
-// have drawn, an expiry is one step, suppressed but counted while the owner
-// is down, and a Set while the owner is down draws nothing and leaves the
-// slot clear. A slot pushed back, which is what every heartbeat does to its
-// sender's deadline, costs a sift in the table; the table's event is re-keyed
-// lazily (event.newAt/newSeq), when its old key surfaces at the root, and
-// only a Set below the key it is queued under moves it in the kernel's heap.
-// The package's differential tests hold the kernel to a reference scheduler
-// that finds each next event by linear scan and runs each slot as a timer.
+// heartbeat monitor's one per peer, its beat and its poll — as per-slot
+// (at, seq) keys (state.tables) behind one kernel event. Set and Clear
+// behave exactly like Stop and After on a timer per slot: a Set draws the
+// sequence number After would have drawn, an expiry is one step, suppressed
+// but counted while the owner is down, and a Set while the owner is down
+// draws nothing and leaves the slot clear. A table keeps its slots in two
+// parts: the run, a linked list in key order that a Set not below its last
+// key joins at the end, which is what every heartbeat does to its sender's
+// deadline; and the side heap, an indexed min-heap, for every other Set.
+// The table records the key its event is queued under, never after its
+// least: only a Set below that record moves the event in the kernel's heap,
+// and the event takes the table's least key when it surfaces at the root.
+// So a push-back is an unlink and an append, and touches neither the slab
+// nor the kernel's heap. The package's differential tests hold the kernel
+// to a reference scheduler that finds each next event by linear scan and
+// runs each slot as a timer.
 //
 // Everything a run changes lives in one value, state; a checkpoint
 // (Snapshot/Restore, snapshot.go) is a copy of it, made by the one function
@@ -89,26 +93,21 @@ const (
 // addressed by index and recycled through a free list; gen invalidates stale
 // Timer handles when a slot is reused. For fan-out nodes, (at, seq) always
 // hold the key of the earliest undelivered item, and a fan-out node is never
-// stopped or re-keyed. An event is 64 bytes, one cache line on the platforms
-// that have them: what a surfacing and a fire read of it is here, and a
-// fan-out's items are in the slot's fan, beside the slab.
+// stopped. A table's event is queued under a key whose time and slot its
+// table records, and takes the table's least key when it surfaces, if that
+// slot has been taken since. An event is 48 bytes:
+// what a surfacing and a fire read of it is here, a fan-out's items are in
+// the slot's fan, beside the slab, and a table's keys in its table.
 type event struct {
 	at  time.Duration
 	seq uint64
 	// payload is a message's payload, or a timer's callback as a func().
 	payload any
-	// newAt/newSeq, when rekey is set, is the key a table's event really
-	// fires under — its table's least key — applied when (at, seq), the key
-	// it is queued under and never later than the real one, surfaces at the
-	// heap's root.
-	newAt   time.Duration
-	newSeq  uint64
 	from    ident.ID
 	to      ident.ID
 	gen     uint32
 	kind    eventKind
 	stopped bool
-	rekey   bool
 }
 
 // fan is a fan-out node's deliveries: the side-table entry (state.fans) of
@@ -201,8 +200,8 @@ type state struct {
 
 	// heap is a binary min-heap, by (at, seq), of every queued event. Every
 	// event fires from its root. Entries are keyed by the key the event is
-	// queued under, which a stopped or re-keyed event keeps until it
-	// surfaces at the root. A fan-out node is a sorted run of deliveries,
+	// queued under, which a stopped event, or a table's event whose table's
+	// least key has moved on, keeps until it surfaces at the root. A fan-out node is a sorted run of deliveries,
 	// so it holds one entry however many deliveries remain, re-keyed at its
 	// next receiver; a deadline table holds one entry however many slots are
 	// set.
@@ -540,11 +539,11 @@ func b2i(b bool) int {
 
 // popDue returns the live event with the smallest (at, seq) key if it fires
 // at or before limit, or noEvent. The heap's root is brought to a live event
-// first: a stopped event is reclaimed and a table's re-keyed event takes the
-// key it really fires under, sifted down in place, exactly when it surfaces,
-// so neither Stop nor Set searches the heap. A timer or unicast is popped
-// before it fires; a fan-out node or a table's event stays at the root for
-// fire to re-key in place.
+// first: a stopped event is reclaimed and a table's event queued under a key
+// before its table's least takes that least key (settle), sifted down in
+// place, exactly when it surfaces, so neither Stop nor Set searches the
+// heap. A timer or unicast is popped before it fires; a fan-out node or a
+// table's event stays at the root for fire to re-key in place.
 func (s *Simulator) popDue(limit time.Duration) int32 {
 	for len(s.heap) > 0 {
 		i := s.heap[0].i
@@ -555,10 +554,7 @@ func (s *Simulator) popDue(limit time.Duration) int32 {
 				s.pending--
 			}
 			s.release(i)
-		} else if e.rekey {
-			e.at, e.seq, e.rekey = e.newAt, e.newSeq, false
-			s.down(entry{at: e.at, seq: e.seq, i: i})
-		} else {
+		} else if e.kind != evTable || !s.settle(i) {
 			break
 		}
 	}

@@ -16,12 +16,15 @@ import (
 // -fuzztime budget on every push; the committed seed corpus
 // (testdata/fuzz/FuzzForkEquivalence) covers snapshot points amid same-instant
 // ties, stopped timers, far-horizon timers, fan-outs, re-armed timers, and
-// deadline tables with slots set, pushed back and not yet re-keyed.
+// deadline tables with slots set, pushed back and not yet re-keyed, in the
+// run and in the side heap.
 
 // assertForkEquivalence runs prefix+suffix three ways on the kernel: plain
 // (reference), with a snapshot taken between prefix and suffix (must not
 // perturb anything), and replayed from the restored snapshot (must reproduce
-// the post-snapshot trace byte for byte, twice).
+// the post-snapshot trace byte for byte, twice). A fresh kernel restored
+// from the snapshot must hold the same structure as the one restored in
+// place.
 func assertForkEquivalence(t *testing.T, prefix, suffix []byte) {
 	t.Helper()
 
@@ -55,6 +58,15 @@ func assertForkEquivalence(t *testing.T, prefix, suffix []byte) {
 		h.eventID = nEvents
 		h.sink.down = down.Clone()
 		s.Restore(snap)
+		if round == 0 {
+			// A fresh kernel restored from the checkpoint — a child, with no
+			// storage to reuse — holds the same structure.
+			child := New(0)
+			child.Restore(snap)
+			if got, want := structuralFingerprint(child), structuralFingerprint(s.Simulator); got != want {
+				t.Fatalf("a child restored from the checkpoint differs:\n%s\nthe restored kernel:\n%s", got, want)
+			}
+		}
 		h.interp(suffix)
 		h.drain()
 		if d := firstDivergence(replay, tail); d != "" {

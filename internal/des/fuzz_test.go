@@ -22,7 +22,9 @@ import (
 // earlier-moving timers, RunUntil stopping between events, an idle gap; and
 // for the tables, slots and a message tied at one instant, a Set below the
 // key the table's event is queued under, a Clear of the least slot, expiries
-// and Sets while the owner is down, and a callback that sets its own table.
+// and Sets while the owner is down, a callback that sets its own table, Sets
+// below the run's tail, a slot that moves from the side heap back to the
+// run, and a Clear of the run's head while the side heap's root is next.
 // CI runs the target with a short -fuzztime budget on every push.
 
 // scriptTimer is a timer a script may later stop or re-arm: the handle and
@@ -386,6 +388,29 @@ func queueScriptSeeds() [][]byte {
 		{12, 0, 0, 0, 100, 1, 12, 0, 1, 0, 200, 1, 12, 1, 2, 0, 150, 1, 12, 0, 0, 1, 44, 1, 0,
 			0, 120, 1, 12, 0, 2, 0, 50, 1, 13, 1, 2, 1, 6, 0, 250, 1, 12, 1, 0, 0, 10, 1, 5, 1, 5,
 			1},
+		// Sets below the run's tail, which go to the side heap and fire before
+		// the run's slots; then one past the tail, which joins the run
+		// (table_set_below_run_tail)
+		{12, 0, 0, 0, 200, 1, 12, 0, 1, 0, 100, 1, 12, 0, 2, 0, 150, 1, 12, 0, 3, 0, 250, 1, 6,
+			0, 180, 1, 5, 1, 5, 1},
+		// a slot that moves from the side heap back to the run; once the
+		// clock has moved, a slot set into the side heap below the key the
+		// table's event was re-keyed to (table_side_heap_back_to_run)
+		{12, 0, 0, 0, 100, 1, 12, 0, 1, 0, 50, 1, 12, 0, 1, 0, 200, 1, 12, 0, 2, 0, 150, 1, 6,
+			0, 120, 1, 12, 0, 0, 0, 10, 1, 5, 1, 5, 1, 5, 1},
+		// a Clear of the run's head, the least slot, while the side heap's root
+		// is next: the table's event, queued under the cleared key, is re-keyed
+		// to the side heap's root when it surfaces, after a timer due between
+		// the two (table_clear_run_head_side_next)
+		{12, 0, 0, 0, 100, 1, 12, 0, 1, 0, 200, 1, 12, 0, 2, 0, 150, 1, 13, 0, 0, 1, 0, 0, 140,
+			1, 6, 0, 160, 1, 5, 1, 5, 1},
+		// both tables with slots in the run, the highest linked slot among
+		// them, and in the side heap, for a checkpoint: the fork seeds cut this
+		// script in the middle, before Sets into both parts, a Clear of the
+		// run's head and the expiries (table_run_and_side_checkpoint)
+		{12, 0, 0, 0, 100, 1, 12, 0, 3, 0, 200, 1, 12, 0, 1, 0, 150, 1, 12, 1, 2, 0, 80, 1, 12,
+			1, 0, 0, 40, 1, 5, 1, 12, 0, 2, 0, 120, 1, 12, 0, 1, 0, 250, 1, 13, 0, 0, 1, 6, 0, 210,
+			1, 12, 1, 2, 0, 5, 1, 5, 1, 5, 1, 5, 1},
 	}
 }
 

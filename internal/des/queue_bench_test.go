@@ -118,42 +118,49 @@ func BenchmarkQueueStopReapChurn(b *testing.B) {
 // the per-peer timeout of a timer-based monitor of 127 peers, Θ = 2Δ, each
 // pushed back once per Δ as the clock advances — always the least one, the
 // timeout re-armed longest ago. "table" sets a slot of one deadline table,
-// "stop+after" stops a timer per peer and arms a new one. One op is one
-// re-arm plus its share of the queue work the clock's advance brings
-// (re-keying the table's event, reclaiming stopped timers). The first eight
-// Δ are not timed.
+// which appends it to the table's run; "table-jitter" draws each timeout
+// from a seeded ±Δ/8 around 2Δ, so that a share of the Sets land below the
+// run's tail, in the side heap; "stop+after" stops a timer per peer and arms
+// a new one. One op is one re-arm plus its share of the queue work the
+// clock's advance brings (re-keying the table's event, reclaiming stopped
+// timers). The first eight Δ are not timed.
 func BenchmarkRearm(b *testing.B) {
 	const (
 		peers    = 127
 		interval = time.Second
 		timeout  = 2 * interval
 	)
-	for _, table := range []bool{true, false} {
-		name := "stop+after"
-		if table {
-			name = "table"
-		}
-		b.Run(name, func(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	jitter := make([]time.Duration, 1<<12)
+	for j := range jitter {
+		jitter[j] = time.Duration(r.Int63n(int64(interval/4))) - interval/8
+	}
+	for _, variant := range []string{"table", "table-jitter", "stop+after"} {
+		b.Run(variant, func(b *testing.B) {
 			b.ReportAllocs()
 			s := New(1)
 			fn := func() { b.Fatal("a timeout expired") }
 			d := s.Deadlines(ident.Nil, peers, func(int) { fn() })
 			timers := make([]*Timer, peers)
+			wait := func(int) time.Duration { return timeout }
+			if variant == "table-jitter" {
+				wait = func(i int) time.Duration { return timeout + jitter[i%len(jitter)] }
+			}
 			for k := range timers {
-				if table {
-					d.Set(k, timeout)
-				} else {
+				if variant == "stop+after" {
 					timers[k] = s.After(timeout, fn)
+				} else {
+					d.Set(k, wait(k))
 				}
 			}
 			rearm := func(i int) {
 				s.RunUntil(s.Now() + interval/peers)
 				k := i % peers
-				if table {
-					d.Set(k, timeout)
-				} else {
+				if variant == "stop+after" {
 					timers[k].Stop()
 					timers[k] = s.After(timeout, fn)
+				} else {
+					d.Set(k, wait(i))
 				}
 			}
 			for i := 0; i < 8*peers; i++ {

@@ -2,6 +2,7 @@ package des
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,10 +11,10 @@ import (
 )
 
 // reset_test.go pins the deadline table (deadlines.go) case by case: a slot
-// re-set, pushed back or pulled forward, cleared, set while its owner is
-// down, set from its own callback and across a checkpoint. The differential
-// harness (fuzz_test.go) holds the table to a timer per slot, stopped and
-// armed anew, on random scripts.
+// re-set, pushed back or pulled forward, set below the run's tail, cleared,
+// set while its owner is down, set from its own callback and across a
+// checkpoint. The differential harness (fuzz_test.go) holds the table to a
+// timer per slot, stopped and armed anew, on random scripts.
 
 const ms = time.Millisecond
 
@@ -204,5 +205,75 @@ func TestAllocsRearmDrain(t *testing.T) {
 	}
 	if s.Pending() != peers || len(s.heap) != 1 {
 		t.Errorf("Pending %d, %d in the heap: want %d slots behind one event", s.Pending(), len(s.heap), peers)
+	}
+}
+
+// TestPushBackLeavesKernel: pushing back the least slot of a 127-slot table
+// again and again, as heartbeats do, is an unlink and an append in the run.
+// The kernel's heap and the table's slab event are left as they were, the
+// event still queued under the first slot's key, and nothing is allocated.
+func TestPushBackLeavesKernel(t *testing.T) {
+	const (
+		peers   = 127
+		timeout = 2 * time.Second
+	)
+	s := New(1)
+	d := s.Deadlines(ident.Nil, peers, func(int) { t.Fatal("a timeout expired") })
+	for k := 0; k < peers; k++ {
+		d.Set(k, timeout)
+	}
+	s.After(timeout/2, func() {})
+	tb := &s.tables[d.t]
+	heap, ev := slices.Clone(s.heap), s.events[tb.ev]
+	pushBack := func() { d.Set(int(tb.least().i), timeout) }
+	for i := 0; i < 3*peers; i++ {
+		pushBack()
+	}
+	allocs := testing.AllocsPerRun(100, pushBack)
+	if !raceflag.Enabled && allocs != 0 {
+		t.Errorf("a push-back: %v allocations, want 0", allocs)
+	}
+	if !slices.Equal(s.heap, heap) || s.events[tb.ev] != ev {
+		t.Errorf("pushing back moved the kernel: heap %v, event %+v; was %v, %+v", s.heap, s.events[tb.ev], heap, ev)
+	}
+	if len(tb.heap) != 0 || s.Pending() != peers+1 {
+		t.Errorf("%d slots in the side heap, Pending %d: want every slot in the run and %d pending", len(tb.heap), s.Pending(), peers+1)
+	}
+	checkSlabInvariants(t, "after the push-backs", s)
+}
+
+// TestOutOfOrderSetFiresInKeyOrder: slots set below the run's tail go to the
+// side heap, and every slot fires in (at, seq) order wherever it is kept:
+// same-instant slots, and a timer tied with them, in the order they were
+// set, across the run and the side heap, after a Clear and again from a
+// checkpoint.
+func TestOutOfOrderSetFiresInKeyOrder(t *testing.T) {
+	l := newFireLog()
+	s := l.s
+	d := l.table("d", 1, 8)
+	d.Set(0, 5*ms) // run
+	d.Set(1, 3*ms) // below the run's tail: the side heap
+	d.Set(2, 3*ms) // tied with slot 1, set after it
+	d.Set(3, 7*ms) // run
+	d.Set(4, ms)   // the least, in the side heap
+	d.Set(5, 5*ms) // tied with slot 0 in the run, set after it
+	s.After(3*ms, l.fn("a"))
+	d.Set(6, 3*ms) // tied with slots 1 and 2 and the timer, set after them
+	d.Clear(2)
+	d.Set(7, 9*ms) // run
+	d.Set(7, 6*ms) // back into the side heap
+	if tb := &s.tables[d.t]; tb.run() != " 0(5000000,0) 3(7000000,3)" || len(tb.heap) != 5 {
+		t.Fatalf("run [%s], %d in the side heap: want slots 0 and 3 in the run, five in the side heap", tb.run(), len(tb.heap))
+	}
+	checkSlabInvariants(t, "before the checkpoint", s)
+	snap := s.Snapshot()
+	for round := 0; round < 3; round++ {
+		l.got = nil
+		if round > 0 {
+			s.Restore(snap)
+		}
+		s.Run()
+		l.want(t, "d4@1ms", "d1@3ms", "a@3ms", "d6@3ms", "d0@5ms", "d5@5ms", "d7@6ms", "d3@7ms")
+		checkSlabInvariants(t, "drained", s)
 	}
 }

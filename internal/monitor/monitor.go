@@ -6,15 +6,17 @@
 // tick, the peer table, the suspicion flags and their deadlines or poll, the
 // sink, crash-recovery and the warm-fork checkpoint (one state value, one
 // copyTo run in both directions) — and is generic over the per-peer Rule that
-// makes a kind a kind. Its timeouts are one node.Deadlines table: a slot per
-// peer's deadline, one for the beat and one for the poll, so that neither a
-// heartbeat pushing a deadline back nor a tick or a poll re-arming itself
-// makes a handle, a closure or, on the simulator, a kernel event. The rules are the Estimator
-// types of internal/heartbeat, internal/phiaccrual and internal/chen, whose
-// constructors fill this package's Config; nothing here knows which one it
-// runs. The gossip detector (heartbeat.GossipNode) is one more user: the
-// fixed-timeout rule, polled, behind a relay that sends the heartbeat as a
-// vector of counters and hands the runtime each counter that rose.
+// makes a kind a kind. Its timeouts are one node.Deadlines table: the beat
+// in slot 0, the poll in slot 1 and a slot per peer's deadline after them
+// (a polled node, φ, sets only the first two), so that neither a heartbeat
+// pushing a deadline back nor a tick or a poll re-arming itself makes a
+// handle, a closure or, on the simulator, a kernel event. The rules are the
+// Estimator types of internal/heartbeat, internal/phiaccrual and
+// internal/chen, whose constructors fill this package's Config; nothing here
+// knows which one it runs. The gossip detector (heartbeat.GossipNode) is one
+// more user: the fixed-timeout rule, polled, behind a relay that sends the
+// heartbeat as a vector of counters and hands the runtime each counter that
+// rose.
 package monitor
 
 import (
@@ -74,9 +76,9 @@ type Config struct {
 }
 
 // peer is one monitored process. Its deadline is the slot of the node's
-// table numbered as the record is in recs. The id and the flag come last, to
-// share a word: one record per (observer, subject) pair is the bulk of a
-// run's detector state.
+// table numbered peerSlot plus its index in recs. The id and the flag come
+// last, to share a word: one record per (observer, subject) pair is the bulk
+// of a run's detector state.
 type peer[R any] struct {
 	rule      R
 	id        ident.ID
@@ -90,9 +92,11 @@ type Node[R any, PR Rule[R]] struct {
 	cfg Config   //fdlint:allow clonefields immutable config, set once at construction
 	// byID maps a peer's id to its index in recs, plus one: zero is absent.
 	byID node.DenseMap[int32] //fdlint:allow clonefields immutable index into recs, built at construction
-	// clock is the node's timeouts: slot i < len(recs) is recs[i]'s
-	// deadline, then the beat and the poll. What it has set is the
-	// runtime's state (the kernel's, on the simulator), checkpointed there.
+	// clock is the node's timeouts: slot 0 is the beat, slot 1 the poll,
+	// and slot peerSlot+i recs[i]'s deadline, so a polled node, which sets
+	// no deadline, uses only the table's first two slots. What it has set
+	// is the runtime's state (the kernel's, on the simulator), checkpointed
+	// there.
 	clock node.Deadlines //fdlint:allow clonefields immutable handle; the runtime checkpoints what is set
 	state[R, PR]
 }
@@ -144,14 +148,17 @@ func New[R any, PR Rule[R]](env node.Env, cfg Config, proto R) *Node[R, PR] {
 	for i := range n.recs {
 		n.byID.Put(n.recs[i].id, int32(i+1))
 	}
-	n.clock = env.Deadlines(len(n.recs)+2, n.expire)
+	n.clock = env.Deadlines(peerSlot+len(n.recs), n.expire)
 	return n
 }
 
-// beatSlot and pollSlot are the clock's slots of the node's own beat and
-// poll, after the peers' deadlines.
-func (n *Node[R, PR]) beatSlot() int { return len(n.recs) }
-func (n *Node[R, PR]) pollSlot() int { return len(n.recs) + 1 }
+// The clock's slots: the node's own beat and poll, then the peers'
+// deadlines from peerSlot on.
+const (
+	beatSlot = iota
+	pollSlot
+	peerSlot
+)
 
 // Start begins heartbeating and monitoring.
 func (n *Node[R, PR]) Start() {
@@ -186,7 +193,7 @@ func (n *Node[R, PR]) Restart(fresh bool) {
 // Stop halts heartbeating and monitoring.
 func (n *Node[R, PR]) Stop() {
 	n.stopped = true
-	for slot := 0; slot <= n.pollSlot(); slot++ {
+	for slot := range len(n.recs) + peerSlot {
 		n.clock.Clear(slot)
 	}
 }
@@ -196,12 +203,12 @@ func (n *Node[R, PR]) Stop() {
 // rules' own Suspected is still false.
 func (n *Node[R, PR]) expire(slot int) {
 	switch slot {
-	case n.beatSlot():
+	case beatSlot:
 		n.tick()
-	case n.pollSlot():
+	case pollSlot:
 		n.scan()
 	default:
-		if p := &n.recs[slot]; !n.stopped && !p.suspected {
+		if p := &n.recs[slot-peerSlot]; !n.stopped && !p.suspected {
 			p.suspected = true
 			n.emit(p.id, true)
 		}
@@ -214,7 +221,7 @@ func (n *Node[R, PR]) tick() {
 	}
 	n.seq++
 	n.env.Broadcast(Message{From: n.env.Self(), Seq: n.seq})
-	n.clock.Set(n.beatSlot(), n.cfg.Interval)
+	n.clock.Set(beatSlot, n.cfg.Interval)
 }
 
 // scan is the poll of a polled monitor. Trust comes back on a heartbeat,
@@ -231,14 +238,14 @@ func (n *Node[R, PR]) scan() {
 			n.emit(p.id, true)
 		}
 	}
-	n.clock.Set(n.pollSlot(), n.cfg.Poll)
+	n.clock.Set(pollSlot, n.cfg.Poll)
 }
 
 // arm sets recs[i]'s deadline to wait from now (a polled monitor has none):
 // every heartbeat from a trusted peer pushes it back.
 func (n *Node[R, PR]) arm(i int, wait time.Duration) {
 	if n.cfg.Poll <= 0 {
-		n.clock.Set(i, wait)
+		n.clock.Set(peerSlot+i, wait)
 	}
 }
 

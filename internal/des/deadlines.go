@@ -16,7 +16,10 @@ import (
 // linked list of slots in key order: a Set whose key is not below the run's
 // last is an unlink and an append. Every other Set goes into the side heap,
 // an indexed min-heap, so no Set costs more than O(log n). The table's least
-// key is the lesser of the run's head and the side heap's root.
+// key is the lesser of the run's head and the side heap's root. The run pays
+// only while most Sets join it: a slot moving between the two parts costs a
+// sift and an unlink or an append, more than one heap's single sift
+// (BenchmarkSetShares counts the shares in the benchmark workloads' cells).
 //
 // The table's kernel event waits under a key never later than the table's
 // least, whose time and slot the table records: a Set moves the event only
@@ -135,6 +138,9 @@ func (d *Deadlines) Set(slot int, after time.Duration) {
 		t.heap = append(t.heap, entry{})
 		t.up(len(t.heap)-1, k)
 	}
+	if setTally != nil {
+		setTally[b2i(t.links[k.i].next == inHeap)]++
+	}
 	switch {
 	case t.ev == noEvent:
 		s.queueTable(d.t, k)
@@ -142,6 +148,11 @@ func (d *Deadlines) Set(slot int, after time.Duration) {
 		s.pullForward(d.t, k)
 	}
 }
+
+// setTally, while a test sets it (export_test.go), counts the Sets of every
+// table by the part they join: [0] the run, [1] the side heap. The run pays
+// off only while most Sets join it; this is how that share is counted.
+var setTally *[2]int64
 
 // Clear disarms slot if it is set. Only the table's last slot abandons its
 // event: with slots left, the event's key is still not after the least.

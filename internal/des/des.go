@@ -15,12 +15,13 @@
 // The kernel is built for throughput. Events live in a slab recycled through
 // a free list, one 48-byte node each: the node's key, the payload (a timer's
 // callback is carried there, as a func()), the endpoints, the slot's
-// generation, the kind and the stopped flag. A surfacing and a fire each
-// read that node. A fan-out's
-// deliveries are kept beside the slab, in its slot's entry of a side table
-// (state.fans), which only fan-outs read. In steady state a message, a
-// fan-out and a deadline allocate nothing; arming a timer still allocates
-// its 16-byte *Timer handle.
+// generation, the kind and the stopped flag. A surfacing and a fire read
+// nothing of an event beyond its node, though at 48 bytes every other node
+// straddles two cache lines. A fan-out's deliveries are kept beside the
+// slab, in its slot's entry of a side table (state.fans), which only
+// fan-outs read. In steady state a message, a fan-out and a deadline
+// allocate nothing; arming a timer still allocates its 16-byte *Timer
+// handle.
 //
 // Every event waits in one binary min-heap keyed inline by (at, seq)
 // (state.heap), so a sift compares entries without reading the slab, and
@@ -95,9 +96,9 @@ const (
 // hold the key of the earliest undelivered item, and a fan-out node is never
 // stopped. A table's event is queued under a key whose time and slot its
 // table records, and takes the table's least key when it surfaces, if that
-// slot has been taken since. An event is 48 bytes:
-// what a surfacing and a fire read of it is here, a fan-out's items are in
-// the slot's fan, beside the slab, and a table's keys in its table.
+// slot has been taken since. An event is 48 bytes: what a surfacing and a
+// fire read of it is here, a fan-out's items are in the slot's fan, beside
+// the slab, and a table's keys in its table.
 type event struct {
 	at  time.Duration
 	seq uint64

@@ -11,15 +11,16 @@ import (
 // pushed back on every heartbeat, plus its own beat and poll; as timers,
 // each of those would be a slab event, a handle and a closure.
 //
-// A slot pushed back by a heartbeat goes from about the least key to about
-// the greatest, so the set slots are kept in two parts. The run is a doubly
-// linked list of slots in key order: a Set whose key is not below the run's
-// last is an unlink and an append. Every other Set goes into the side heap,
-// an indexed min-heap, so no Set costs more than O(log n). The table's least
-// key is the lesser of the run's head and the side heap's root. The run pays
-// only while most Sets join it: a slot moving between the two parts costs a
-// sift and an unlink or an append, more than one heap's single sift
-// (BenchmarkSetShares counts the shares in the benchmark workloads' cells).
+// A table keeps its set slots in one doubly linked list in (at, seq) order,
+// so its least key is the list's head. A Set links its slot after every key
+// whose time is not later than its own, which is all there is to compare:
+// the new key's sequence number is the table's newest. A key not below the
+// tail links at the tail and a key below the head at the head, each at once;
+// any other is placed by walking back from the tail. A slot pushed back by a
+// heartbeat goes from about the least key to about the greatest, so a
+// push-back is an unlink and a link at the tail, O(1); a key that lands
+// further back pays one step per later key it walks past (BenchmarkSetShares
+// counts the walks in the benchmark workloads' cells).
 //
 // The table's kernel event waits under a key never later than the table's
 // least, whose time and slot the table records: a Set moves the event only
@@ -28,25 +29,23 @@ import (
 // heap's root (popDue). A push-back reads neither the slab nor the kernel's
 // heap.
 
-// A slot's state is its link. In the run, next is the next slot in key
-// order, noSlot at the tail, and prev the previous one, noSlot at the head.
-// Otherwise next marks the slot clear or in the side heap, where prev is
-// its index.
+// A slot's state is its link. While the slot is set, next is the next slot
+// in key order, noSlot at the tail, and prev the previous one, noSlot at the
+// head; next is slotClear while it is clear.
 const (
 	noSlot    = int32(-1)
 	slotClear = int32(-2)
-	inHeap    = int32(-3)
 )
 
-// link is one slot's state: its key while it is in the run, and its place.
+// link is one slot's state: its key while it is set, and its place.
 type link struct {
 	at         time.Duration
 	seq        uint64
 	prev, next int32
 }
 
-// linked reports whether the slot is in the run.
-func (l *link) linked() bool { return l.next >= noSlot }
+// linked reports whether the slot is set.
+func (l *link) linked() bool { return l.next != slotClear }
 
 // table is one deadline table's state, kept in state.tables so that a
 // checkpoint copies it with the rest.
@@ -59,10 +58,8 @@ type table struct {
 	// as a polled monitor's peers are not, keeps (and checkpoints) nothing
 	// for them.
 	links []link
-	// heap is the side heap, by (at, seq); entry.i is the slot.
-	heap []entry
-	// n is the number of slots; head and tail are the run's ends, noSlot
-	// while it is empty.
+	// n is the number of slots; head and tail are the list's ends, noSlot
+	// while no slot is set.
 	n, head, tail int32
 	// ev is the table's event in the slab, noEvent while no slot is set.
 	// at is the time of the key it is queued under in the kernel's heap,
@@ -99,7 +96,7 @@ func (s *Simulator) Deadlines(owner ident.ID, n int, fire func(slot int)) *Deadl
 // nothing, as the network model arms no timers for a crashed process.
 //
 // The new key's sequence number is the newest of the table's, so it is
-// below another key exactly when its time is earlier: that is all the tail
+// below another key exactly when its time is earlier: that is all the list
 // and the event's recorded key are compared on.
 func (d *Deadlines) Set(slot int, after time.Duration) {
 	s := d.s
@@ -116,30 +113,34 @@ func (d *Deadlines) Set(slot int, after time.Duration) {
 	if slot >= len(t.links) {
 		t.grow(slot + 1)
 	}
-	j := int32(-1) // the slot's index in the side heap
-	switch l := &t.links[slot]; l.next {
-	case slotClear:
-		s.pending++
-	case inHeap:
-		j = l.prev
-	default:
+	if t.links[slot].linked() {
 		t.unlink(k.i)
+	} else {
+		s.pending++
 	}
-	switch {
-	case t.tail == noSlot || k.at >= t.links[t.tail].at:
-		if j >= 0 {
-			t.remove(int(j))
-		}
-		t.append(k)
-	case j >= 0:
-		t.fix(int(j), k) // from the side heap into it again: one sift
-	default:
-		t.links[k.i].next = inHeap
-		t.heap = append(t.heap, entry{})
-		t.up(len(t.heap)-1, k)
+	// Link the slot after every key whose time is not later than k's: at the
+	// tail at once unless k is below it (seek). Written out here: as a
+	// function of its own it does not inline, and the call costs a push-back
+	// about a tenth (BenchmarkRearm/table).
+	prev, walked := t.tail, 0
+	if prev != noSlot && k.at < t.links[prev].at {
+		prev, walked = t.seek(k.at)
 	}
+	next := t.head
+	if prev != noSlot {
+		next = t.links[prev].next
+		t.links[prev].next = k.i
+	} else {
+		t.head = k.i
+	}
+	if next != noSlot {
+		t.links[next].prev = k.i
+	} else {
+		t.tail = k.i
+	}
+	t.links[k.i] = link{at: k.at, seq: k.seq, prev: prev, next: next}
 	if setTally != nil {
-		setTally[b2i(t.links[k.i].next == inHeap)]++
+		setTally(walked)
 	}
 	switch {
 	case t.ev == noEvent:
@@ -149,10 +150,10 @@ func (d *Deadlines) Set(slot int, after time.Duration) {
 	}
 }
 
-// setTally, while a test sets it (export_test.go), counts the Sets of every
-// table by the part they join: [0] the run, [1] the side heap. The run pays
-// off only while most Sets join it; this is how that share is counted.
-var setTally *[2]int64
+// setTally, while a test sets it (export_test.go), is called by every Set
+// with the number of slots it walked past. A push-back is O(1) only while
+// walks are short; this is how they are counted.
+var setTally func(walked int)
 
 // Clear disarms slot if it is set. Only the table's last slot abandons its
 // event: with slots left, the event's key is still not after the least.
@@ -163,29 +164,21 @@ func (d *Deadlines) Clear(slot int) {
 		return
 	}
 	s.pending--
-	if t.head == noSlot && len(t.heap) == 0 {
+	if t.head == noSlot {
 		s.events[t.ev].stopped = true
 		t.ev = noEvent
 	}
 }
 
-// take clears slot, from the run or the side heap, and reports whether it
-// was set.
+// take clears slot and reports whether it was set.
 func (t *table) take(slot int32) bool {
 	if slot == t.slot {
 		t.slot = noSlot
 	}
-	if int(slot) >= len(t.links) {
+	if int(slot) >= len(t.links) || !t.links[slot].linked() {
 		return false
 	}
-	switch l := &t.links[slot]; l.next {
-	case slotClear:
-		return false
-	case inHeap:
-		t.remove(int(l.prev))
-	default:
-		t.unlink(slot)
-	}
+	t.unlink(slot)
 	return true
 }
 
@@ -202,17 +195,6 @@ func (t *table) grow(n int) {
 	for k := old; k < n; k++ {
 		t.links[k] = link{next: slotClear}
 	}
-}
-
-// least returns the table's least key, which must exist, with its slot.
-func (t *table) least() entry {
-	if h := t.head; h != noSlot {
-		k := entry{at: t.links[h].at, seq: t.links[h].seq, i: h}
-		if len(t.heap) == 0 || k.less(&t.heap[0]) {
-			return k
-		}
-	}
-	return t.heap[0]
 }
 
 // queueTable queues a new event for table ti under k's key.
@@ -252,10 +234,10 @@ func (s *Simulator) settle(i int32) bool {
 	if t.slot != noSlot {
 		return false
 	}
-	k := t.least()
-	e.at, e.seq = k.at, k.seq
-	t.slot, t.at = k.i, k.at
-	s.down(entry{at: k.at, seq: k.seq, i: i})
+	h := &t.links[t.head]
+	e.at, e.seq = h.at, h.seq
+	t.slot, t.at = t.head, h.at
+	s.down(entry{at: h.at, seq: h.seq, i: i})
 	return true
 }
 
@@ -270,7 +252,7 @@ func (s *Simulator) expire(i int32) {
 	t := &s.tables[e.from]
 	slot := t.slot
 	t.take(slot)
-	if t.head == noSlot && len(t.heap) == 0 {
+	if t.head == noSlot {
 		s.pop()
 		s.release(i)
 		t.ev = noEvent
@@ -280,19 +262,22 @@ func (s *Simulator) expire(i int32) {
 	}
 }
 
-// append links k's slot, which links reaches, at the run's end under k's
-// key.
-func (t *table) append(k entry) {
-	t.links[k.i] = link{at: k.at, seq: k.seq, prev: t.tail, next: noSlot}
-	if t.tail == noSlot {
-		t.head = k.i
-	} else {
-		t.links[t.tail].next = k.i
+// seek returns the last slot whose time is not later than at, which is below
+// the tail's, and how many slots it walked past from the tail to find it:
+// noSlot and none if at is below the head's.
+func (t *table) seek(at time.Duration) (prev int32, walked int) {
+	if at < t.links[t.head].at {
+		return noSlot, 0
 	}
-	t.tail = k.i
+	prev = t.tail
+	for t.links[prev].at > at { // stops at the head at the latest
+		prev = t.links[prev].prev
+		walked++
+	}
+	return prev, walked
 }
 
-// unlink takes slot out of the run and marks it clear.
+// unlink takes slot out of the list and marks it clear.
 func (t *table) unlink(slot int32) {
 	l := &t.links[slot]
 	if l.prev == noSlot {
@@ -308,61 +293,6 @@ func (t *table) unlink(slot int32) {
 	l.next = slotClear
 }
 
-// fix gives the side-heap entry at index j the key k, for the same slot or
-// the one moved there by remove, and restores heap order.
-func (t *table) fix(j int, k entry) {
-	if j > 0 && k.less(&t.heap[(j-1)/2]) {
-		t.up(j, k)
-	} else {
-		t.down(j, k)
-	}
-}
-
-// up sifts k from side-heap index j towards the root.
-func (t *table) up(j int, k entry) {
-	h := t.heap
-	for j > 0 {
-		p := (j - 1) / 2
-		if !k.less(&h[p]) {
-			break
-		}
-		h[j] = h[p]
-		t.links[h[j].i].prev = int32(j)
-		j = p
-	}
-	h[j] = k
-	t.links[k.i].prev = int32(j)
-}
-
-// down places k, a key no earlier than the one it replaces at side-heap
-// index j. The entry moved there by remove came from the heap's end, so it
-// usually belongs among the leaves: the hole at j is walked down to a leaf
-// along the lesser children first, one comparison a level, and k sifted up
-// from there, which is at most a step or two (Floyd's bottom-up sift).
-func (t *table) down(j int, k entry) {
-	h, links := t.heap, t.links
-	for c := 2*j + 1; c < len(h); c = 2*j + 1 {
-		if r := c + 1; r < len(h) {
-			c += b2i(h[r].less(&h[c]))
-		}
-		h[j] = h[c]
-		links[h[j].i].prev = int32(j)
-		j = c
-	}
-	t.up(j, k)
-}
-
-// remove takes the slot at side-heap index j out and marks it clear.
-func (t *table) remove(j int) {
-	n := len(t.heap) - 1
-	t.links[t.heap[j].i].next = slotClear
-	last := t.heap[n]
-	t.heap = t.heap[:n]
-	if j < n {
-		t.fix(j, last)
-	}
-}
-
 // copyTables copies the tables src into dst's, reusing each table's storage,
 // and returns dst. A table's links are copied as far as they reach, the
 // highest slot ever set.
@@ -372,10 +302,9 @@ func copyTables(dst, src []table) []table {
 	}
 	dst = dst[:len(src)]
 	for k := range src {
-		links, heap := dst[k].links, dst[k].heap
+		links := dst[k].links
 		dst[k] = src[k]
 		dst[k].links = append(links[:0], src[k].links...)
-		dst[k].heap = append(heap[:0], src[k].heap...)
 	}
 	return dst
 }

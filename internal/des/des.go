@@ -39,17 +39,18 @@
 // behave exactly like Stop and After on a timer per slot: a Set draws the
 // sequence number After would have drawn, an expiry is one step, suppressed
 // but counted while the owner is down, and a Set while the owner is down
-// draws nothing and leaves the slot clear. A table keeps its slots in two
-// parts: the run, a linked list in key order that a Set not below its last
-// key joins at the end, which is what every heartbeat does to its sender's
-// deadline; and the side heap, an indexed min-heap, for every other Set.
-// The table records the key its event is queued under, never after its
-// least: only a Set below that record moves the event in the kernel's heap,
-// and the event takes the table's least key when it surfaces at the root.
-// So a push-back is an unlink and an append, and touches neither the slab
-// nor the kernel's heap. The package's differential tests hold the kernel
-// to a reference scheduler that finds each next event by linear scan and
-// runs each slot as a timer.
+// draws nothing and leaves the slot clear. A table keeps its set slots in
+// one doubly linked list in key order: a Set links its slot after every key
+// whose time is not later than its own, at the tail at once if it is not
+// below the tail (a heartbeat pushing back its sender's deadline), at the
+// head at once if it is below the head, and otherwise after a walk back
+// from the tail. The table records the key its event is queued under, never
+// after its least: only a Set below that record moves the event in the
+// kernel's heap, and the event takes the table's least key, the list's
+// head, when it surfaces at the root. So a push-back is an unlink and a link
+// at the tail, and touches neither the slab nor the kernel's heap. The
+// package's differential tests hold the kernel to a reference scheduler
+// that finds each next event by linear scan and runs each slot as a timer.
 //
 // Everything a run changes lives in one value, state; a checkpoint
 // (Snapshot/Restore, snapshot.go) is a copy of it, made by the one function

@@ -104,77 +104,62 @@ func slabViolation(s *Simulator) string {
 }
 
 // tableViolation returns the first inconsistency of deadline table tb, or
-// "": links past the table's slots; a run out of key order, with a broken
-// back link or an end that is not one, or reaching a slot whose state does
-// not mark it linked; a slot marked linked that is not in the run; a side
-// heap out of order, or disagreeing with its slots' states; or an event
-// that is not queued live under the time the table records, or under a key
-// after the table's least (or is queued while no slot is set), or a
-// recorded slot that does not hold the key the event is queued under.
+// "": links past the table's slots; a list out of key order, with a broken
+// back link or an end that is not one, or reaching a slot whose state marks
+// it clear; a slot marked set that the list does not reach, or one in no
+// state; or an event that is not queued live under the time the table
+// records, or under a key after the table's least (or is queued while no
+// slot is set), or a recorded slot that does not hold the key the event is
+// queued under.
 func tableViolation(s *Simulator, tb *table, queued map[int32]bool) string {
 	if len(tb.links) > int(tb.n) {
 		return fmt.Sprintf("%d links for %d slots", len(tb.links), tb.n)
 	}
-	run, prev := 0, noSlot
+	listed, prev := 0, noSlot
 	for slot := tb.head; slot != noSlot; slot = tb.links[slot].next {
 		switch {
 		case slot < 0 || int(slot) >= len(tb.links):
-			return fmt.Sprintf("the run reaches slot %d, past its %d links", slot, len(tb.links))
-		case run > len(tb.links):
-			return "the run loops"
+			return fmt.Sprintf("the list reaches slot %d, past its %d links", slot, len(tb.links))
+		case listed > len(tb.links):
+			return "the list loops"
 		case !tb.links[slot].linked():
-			return fmt.Sprintf("slot %d is in the run but its state is next=%d", slot, tb.links[slot].next)
+			return fmt.Sprintf("slot %d is in the list but its state is next=%d", slot, tb.links[slot].next)
 		case tb.links[slot].prev != prev:
 			return fmt.Sprintf("slot %d links back to %d, not %d", slot, tb.links[slot].prev, prev)
 		}
 		if prev != noSlot {
 			a, b := tb.links[prev], tb.links[slot]
 			if ka, kb := (entry{at: a.at, seq: a.seq}), (entry{at: b.at, seq: b.seq}); !ka.less(&kb) {
-				return fmt.Sprintf("the run holds slot %d (%v, %d) after slot %d (%v, %d)", slot, b.at, b.seq, prev, a.at, a.seq)
+				return fmt.Sprintf("the list holds slot %d (%v, %d) after slot %d (%v, %d)", slot, b.at, b.seq, prev, a.at, a.seq)
 			}
 		}
-		run++
+		listed++
 		prev = slot
 	}
 	if tb.tail != prev {
-		return fmt.Sprintf("the run ends at slot %d, its tail is %d", prev, tb.tail)
+		return fmt.Sprintf("the list ends at slot %d, its tail is %d", prev, tb.tail)
 	}
-	linked, inSide := 0, 0
 	for slot, l := range tb.links {
-		switch {
-		case l.linked():
-			linked++
-		case l.next == slotClear:
-		case l.next != inHeap:
+		if l.next < slotClear {
 			return fmt.Sprintf("slot %d is in no state: next=%d", slot, l.next)
-		case l.prev < 0 || int(l.prev) >= len(tb.heap) || tb.heap[l.prev].i != int32(slot):
-			return fmt.Sprintf("slot %d is at side-heap index %d, which holds another", slot, l.prev)
-		default:
-			inSide++
 		}
 	}
-	if linked != run || inSide != len(tb.heap) {
-		return fmt.Sprintf("%d slots marked linked and %d in the side heap, the run holds %d and the side heap %d",
-			linked, inSide, run, len(tb.heap))
-	}
-	for j := 1; j < len(tb.heap); j++ {
-		if tb.heap[j].less(&tb.heap[(j-1)/2]) {
-			return fmt.Sprintf("side-heap entry %d sorts before its parent", j)
-		}
+	if set := tb.set(); set != listed {
+		return fmt.Sprintf("%d slots marked set, the list holds %d", set, listed)
 	}
 	switch {
-	case tb.set() == 0 && tb.ev != noEvent:
+	case listed == 0 && tb.ev != noEvent:
 		return fmt.Sprintf("no slot is set but event %d is", tb.ev)
-	case tb.set() == 0:
+	case listed == 0:
 	case tb.ev == noEvent || !queued[tb.ev] || s.events[tb.ev].stopped:
 		return fmt.Sprintf("slots are set but no live event is queued (%d)", tb.ev)
 	default:
-		e, least := &s.events[tb.ev], tb.least()
+		e, least := &s.events[tb.ev], tb.links[tb.head]
 		if e.at != tb.at {
 			return fmt.Sprintf("event queued at (%v, %d), the table records %v", e.at, e.seq, tb.at)
 		}
-		if least.less(&entry{at: e.at, seq: e.seq}) {
-			return fmt.Sprintf("event queued at (%v, %d), after the least slot %d (%v, %d)", e.at, e.seq, least.i, least.at, least.seq)
+		if kl, ke := (entry{at: least.at, seq: least.seq}), (entry{at: e.at, seq: e.seq}); kl.less(&ke) {
+			return fmt.Sprintf("event queued at (%v, %d), after the least slot %d (%v, %d)", e.at, e.seq, tb.head, least.at, least.seq)
 		}
 		if k, ok := tb.keyOf(tb.slot); tb.slot != noSlot && (!ok || k.at != e.at || k.seq != e.seq) {
 			return fmt.Sprintf("event queued at (%v, %d), but the table records slot %d, keyed (%v, %d) (set: %v)", e.at, e.seq, tb.slot, k.at, k.seq, ok)
@@ -185,29 +170,24 @@ func tableViolation(s *Simulator, tb *table, queued map[int32]bool) string {
 
 // keyOf returns slot's key and whether it is set.
 func (t *table) keyOf(slot int32) (entry, bool) {
-	if slot < 0 || int(slot) >= len(t.links) {
+	if slot < 0 || int(slot) >= len(t.links) || !t.links[slot].linked() {
 		return entry{}, false
 	}
-	switch l := t.links[slot]; {
-	case l.linked():
-		return entry{at: l.at, seq: l.seq, i: slot}, true
-	case l.next == inHeap:
-		return t.heap[l.prev], true
-	}
-	return entry{}, false
+	l := t.links[slot]
+	return entry{at: l.at, seq: l.seq, i: slot}, true
 }
 
 // set is the number of the table's slots that are set.
 func (t *table) set() int {
-	n := len(t.heap)
+	n := 0
 	for _, l := range t.links {
 		n += b2i(l.linked())
 	}
 	return n
 }
 
-// run renders the run as slot(at,seq) in order.
-func (t *table) run() string {
+// order renders the list as slot(at,seq) in order.
+func (t *table) order() string {
 	var b strings.Builder
 	for slot := t.head; slot != noSlot; slot = t.links[slot].next {
 		fmt.Fprintf(&b, " %d(%d,%d)", slot, t.links[slot].at, t.links[slot].seq)
@@ -231,8 +211,8 @@ func structuralFingerprint(s *Simulator) string {
 		s.now, s.seq, s.stepped, s.pending, s.stream.seed, s.stream.draws)
 	fmt.Fprintf(&b, "free=%v heap=%v\n", s.free, s.heap)
 	for k, tb := range s.tables {
-		fmt.Fprintf(&b, "table%d owner=%d n=%d ev=%d queued=%d slot=%d run=[%s] tail=%d heap=%v links=%v\n",
-			k, tb.owner, tb.n, tb.ev, tb.at, tb.slot, tb.run(), tb.tail, tb.heap, tb.links)
+		fmt.Fprintf(&b, "table%d owner=%d n=%d ev=%d queued=%d slot=%d list=[%s] tail=%d links=%v\n",
+			k, tb.owner, tb.n, tb.ev, tb.at, tb.slot, tb.order(), tb.tail, tb.links)
 	}
 	for i, e := range s.events {
 		fmt.Fprintf(&b, "ev%d at=%d seq=%d gen=%d stopped=%v kind=%d %d->%d payload=%v\n",
@@ -246,9 +226,9 @@ func structuralFingerprint(s *Simulator) string {
 
 // loadSim builds a simulator mid-run with every structural feature present:
 // recycled free slots, events due at the current instant, stopped entries,
-// messages and fan-out nodes, far-horizon timers, and a deadline table with
-// slots in its run and in its side heap, whose event waits to be re-keyed
-// beside one it abandoned.
+// messages and fan-out nodes, far-horizon timers, and a deadline table
+// holding a slot linked after a walk from the tail and one linked at the
+// head, whose event waits to be re-keyed beside one it abandoned.
 func loadSim() (s *Simulator, fired *int, stopped int) {
 	s, _ = newSunk(7)
 	fired = new(int)
@@ -265,10 +245,11 @@ func loadSim() (s *Simulator, fired *int, stopped int) {
 	}
 	s.Fanout(9, deliver, recv)
 	s.Send(40*time.Millisecond, 9, 1, deliver)
-	table := s.Deadlines(2, 3, func(int) { *fired++ })
+	table := s.Deadlines(2, 4, func(int) { *fired++ })
 	table.Set(0, 20*time.Millisecond)
 	table.Set(1, 30*time.Millisecond)
-	table.Set(0, 50*time.Millisecond) // pushed back to the run's tail: re-keyed where it surfaces
+	table.Set(0, 50*time.Millisecond) // pushed back to the tail: re-keyed where it surfaces
+	table.Set(3, 40*time.Millisecond) // walks back past slot 0
 	stop := s.After(4500*time.Microsecond, bump)
 	s.RunUntil(2 * time.Millisecond) // recycle a few slots onto the free list
 	// Stopped events stay on Pending()'s count until the kernel reaps them.
@@ -278,7 +259,7 @@ func loadSim() (s *Simulator, fired *int, stopped int) {
 		}
 	}
 	s.After(0, bump)               // due at the current instant
-	table.Set(2, time.Millisecond) // below the run's tail, into the side heap, and before the table's queued key, not at the root: abandoned
+	table.Set(2, time.Millisecond) // below the head, linked there, and before the table's queued key, not at the root: abandoned
 	s.Fanout(9, deliver, []Receiver{{D: 0, To: 1}, {D: time.Millisecond, To: 2}})
 	return s, fired, stopped
 }
@@ -289,8 +270,8 @@ func loadSim() (s *Simulator, fired *int, stopped int) {
 // structural fingerprint, and the parent then drains its own schedule.
 func TestForkCloneInvariants(t *testing.T) {
 	parent, parentFired, parentStopped := loadSim()
-	if tb := &parent.tables[0]; tb.head == noSlot || len(tb.heap) == 0 {
-		t.Fatalf("the loaded table has run [%s] and %d slots in its side heap, want both parts in use", tb.run(), len(tb.heap))
+	if got := parent.tables[0].order(); got != " 2(3000000,22) 1(30000000,17) 3(40000000,19) 0(50000000,18)" {
+		t.Fatalf("the loaded table holds [%s], want slot 2 linked at the head and slot 3 walked in before slot 0", got)
 	}
 	child := forkOf(parent)
 	checkSlabInvariants(t, "parent", parent)

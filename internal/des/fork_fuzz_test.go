@@ -16,8 +16,8 @@ import (
 // -fuzztime budget on every push; the committed seed corpus
 // (testdata/fuzz/FuzzForkEquivalence) covers snapshot points amid same-instant
 // ties, stopped timers, far-horizon timers, fan-outs, re-armed timers, and
-// deadline tables with slots set, pushed back and not yet re-keyed, in the
-// run and in the side heap.
+// deadline tables with slots set, pushed back and not yet re-keyed, linked
+// at the tail, after a walk and at the head.
 
 // assertForkEquivalence runs prefix+suffix three ways on the kernel: plain
 // (reference), with a snapshot taken between prefix and suffix (must not

@@ -23,8 +23,9 @@ import (
 // for the tables, slots and a message tied at one instant, a Set below the
 // key the table's event is queued under, a Clear of the least slot, expiries
 // and Sets while the owner is down, a callback that sets its own table, Sets
-// below the run's tail, a slot that moves from the side heap back to the
-// run, and a Clear of the run's head while the side heap's root is next.
+// that walk back from the tail, across keys of equal time among others, or
+// link at the head, while the table's event is queued under an older key
+// among others, and a Clear of the head.
 // CI runs the target with a short -fuzztime budget on every push.
 
 // scriptTimer is a timer a script may later stop or re-arm: the handle and
@@ -388,29 +389,42 @@ func queueScriptSeeds() [][]byte {
 		{12, 0, 0, 0, 100, 1, 12, 0, 1, 0, 200, 1, 12, 1, 2, 0, 150, 1, 12, 0, 0, 1, 44, 1, 0,
 			0, 120, 1, 12, 0, 2, 0, 50, 1, 13, 1, 2, 1, 6, 0, 250, 1, 12, 1, 0, 0, 10, 1, 5, 1, 5,
 			1},
-		// Sets below the run's tail, which go to the side heap and fire before
-		// the run's slots; then one past the tail, which joins the run
-		// (table_set_below_run_tail)
+		// Sets out of key order, at the head and after a walk back from the
+		// tail, which fire before the slots set earlier; then one past the
+		// tail (table_set_below_run_tail)
 		{12, 0, 0, 0, 200, 1, 12, 0, 1, 0, 100, 1, 12, 0, 2, 0, 150, 1, 12, 0, 3, 0, 250, 1, 6,
 			0, 180, 1, 5, 1, 5, 1},
-		// a slot that moves from the side heap back to the run; once the
-		// clock has moved, a slot set into the side heap below the key the
-		// table's event was re-keyed to (table_side_heap_back_to_run)
+		// a slot set at the head and then past the tail; once the clock has
+		// moved, a slot set at the head below the key the table's event was
+		// re-keyed to (table_side_heap_back_to_run)
 		{12, 0, 0, 0, 100, 1, 12, 0, 1, 0, 50, 1, 12, 0, 1, 0, 200, 1, 12, 0, 2, 0, 150, 1, 6,
 			0, 120, 1, 12, 0, 0, 0, 10, 1, 5, 1, 5, 1, 5, 1},
-		// a Clear of the run's head, the least slot, while the side heap's root
-		// is next: the table's event, queued under the cleared key, is re-keyed
-		// to the side heap's root when it surfaces, after a timer due between
+		// a Clear of the head, the least slot, while a slot linked after a
+		// walk is next: the table's event, queued under the cleared key, is
+		// re-keyed to that slot when it surfaces, after a timer due between
 		// the two (table_clear_run_head_side_next)
 		{12, 0, 0, 0, 100, 1, 12, 0, 1, 0, 200, 1, 12, 0, 2, 0, 150, 1, 13, 0, 0, 1, 0, 0, 140,
 			1, 6, 0, 160, 1, 5, 1, 5, 1},
-		// both tables with slots in the run, the highest linked slot among
-		// them, and in the side heap, for a checkpoint: the fork seeds cut this
-		// script in the middle, before Sets into both parts, a Clear of the
-		// run's head and the expiries (table_run_and_side_checkpoint)
+		// both tables with slots linked at the tail, the highest set slot
+		// among them, after a walk and at the head, for a checkpoint: the fork
+		// seeds cut this script in the middle, before more Sets out of order,
+		// a Clear of the head and the expiries (table_run_and_side_checkpoint)
 		{12, 0, 0, 0, 100, 1, 12, 0, 3, 0, 200, 1, 12, 0, 1, 0, 150, 1, 12, 1, 2, 0, 80, 1, 12,
 			1, 0, 0, 40, 1, 5, 1, 12, 0, 2, 0, 120, 1, 12, 0, 1, 0, 250, 1, 13, 0, 0, 1, 6, 0, 210,
 			1, 12, 1, 2, 0, 5, 1, 5, 1, 5, 1, 5, 1},
+		// a walk back from the tail across keys of equal time: the slot stops
+		// after the last of them, set before it, and all fire in the order
+		// they were set, tied with a timer; then a slot set again walks
+		// back to its place among them (table_walk_across_equal_times)
+		{12, 0, 0, 0, 200, 1, 12, 0, 1, 0, 200, 1, 12, 0, 2, 1, 44, 1, 12, 0, 3, 0, 200, 1, 0, 0,
+			200, 1, 12, 0, 1, 0, 200, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1},
+		// a Set at the head while the table's event is queued under the key of
+		// a slot pushed back since, an older key below the new one: the event
+		// is not moved and takes the head's key when it surfaces; then a Set
+		// tied in time with the new head, which links after it
+		// (table_head_insert_older_queued_key)
+		{12, 0, 0, 0, 100, 1, 12, 0, 1, 0, 200, 1, 12, 0, 0, 1, 44, 1, 12, 0, 2, 0, 150, 1, 12, 0,
+			3, 0, 150, 1, 6, 0, 0, 1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1},
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // reset_test.go pins the deadline table (deadlines.go) case by case: a slot
-// re-set, pushed back or pulled forward, set below the run's tail, cleared,
+// re-set, pushed back or pulled forward, set out of key order, cleared,
 // set while its owner is down, set from its own callback and across a
 // checkpoint. The differential harness (fuzz_test.go) holds the table to a
 // timer per slot, stopped and armed anew, on random scripts.
@@ -208,10 +208,18 @@ func TestAllocsRearmDrain(t *testing.T) {
 	}
 }
 
+// countWalks makes every Set add the slots it walks past to *walked until
+// the test ends.
+func countWalks(t *testing.T, walked *int) {
+	setTally = func(w int) { *walked += w }
+	t.Cleanup(func() { setTally = nil })
+}
+
 // TestPushBackLeavesKernel: pushing back the least slot of a 127-slot table
-// again and again, as heartbeats do, is an unlink and an append in the run.
-// The kernel's heap and the table's slab event are left as they were, the
-// event still queued under the first slot's key, and nothing is allocated.
+// again and again, as heartbeats do, is an unlink and a link at the tail,
+// walking past nothing. The kernel's heap and the table's slab event are
+// left as they were, the event still queued under the first slot's key, and
+// nothing is allocated.
 func TestPushBackLeavesKernel(t *testing.T) {
 	const (
 		peers   = 127
@@ -225,7 +233,9 @@ func TestPushBackLeavesKernel(t *testing.T) {
 	s.After(timeout/2, func() {})
 	tb := &s.tables[d.t]
 	heap, ev := slices.Clone(s.heap), s.events[tb.ev]
-	pushBack := func() { d.Set(int(tb.least().i), timeout) }
+	walked := 0
+	countWalks(t, &walked)
+	pushBack := func() { d.Set(int(tb.head), timeout) }
 	for i := 0; i < 3*peers; i++ {
 		pushBack()
 	}
@@ -236,34 +246,72 @@ func TestPushBackLeavesKernel(t *testing.T) {
 	if !slices.Equal(s.heap, heap) || s.events[tb.ev] != ev {
 		t.Errorf("pushing back moved the kernel: heap %v, event %+v; was %v, %+v", s.heap, s.events[tb.ev], heap, ev)
 	}
-	if len(tb.heap) != 0 || s.Pending() != peers+1 {
-		t.Errorf("%d slots in the side heap, Pending %d: want every slot in the run and %d pending", len(tb.heap), s.Pending(), peers+1)
+	if walked != 0 || s.Pending() != peers+1 {
+		t.Errorf("the push-backs walked past %d slots, Pending %d: want none walked and %d pending", walked, s.Pending(), peers+1)
 	}
 	checkSlabInvariants(t, "after the push-backs", s)
 }
 
-// TestOutOfOrderSetFiresInKeyOrder: slots set below the run's tail go to the
-// side heap, and every slot fires in (at, seq) order wherever it is kept:
-// same-instant slots, and a timer tied with them, in the order they were
-// set, across the run and the side heap, after a Clear and again from a
-// checkpoint.
+// TestSetBelowHeadWalksNothing: a monitor's beat, due Δ from now, set again
+// and again below 127 peers' deadlines Θ = 2Δ from now, links at the head at
+// once, walking past none of them. Its key is the one the table's event is
+// queued under, so the kernel's heap and the event are left as they were,
+// and nothing is allocated.
+func TestSetBelowHeadWalksNothing(t *testing.T) {
+	const (
+		peers    = 127
+		interval = time.Second
+	)
+	s := New(1)
+	d := s.Deadlines(ident.Nil, peers+1, func(int) { t.Fatal("a timeout expired") })
+	for k := 1; k <= peers; k++ {
+		d.Set(k, 2*interval)
+	}
+	d.Set(0, interval)
+	s.After(interval/2, func() {})
+	tb := &s.tables[d.t]
+	heap, ev := slices.Clone(s.heap), s.events[tb.ev]
+	walked := 0
+	countWalks(t, &walked)
+	beat := func() { d.Set(0, interval) }
+	for i := 0; i < 3*peers; i++ {
+		beat()
+	}
+	allocs := testing.AllocsPerRun(100, beat)
+	if !raceflag.Enabled && allocs != 0 {
+		t.Errorf("a beat: %v allocations, want 0", allocs)
+	}
+	if !slices.Equal(s.heap, heap) || s.events[tb.ev] != ev {
+		t.Errorf("setting the beat moved the kernel: heap %v, event %+v; was %v, %+v", s.heap, s.events[tb.ev], heap, ev)
+	}
+	if walked != 0 || tb.head != 0 || tb.tail != peers {
+		t.Errorf("the beats walked past %d slots; head %d, tail %d: want none walked, the beat at the head and the last peer at the tail", walked, tb.head, tb.tail)
+	}
+	checkSlabInvariants(t, "after the beats", s)
+}
+
+// TestOutOfOrderSetFiresInKeyOrder: slots set out of key order are linked
+// after a walk from the tail or at the head, and every slot fires in
+// (at, seq) order: same-instant slots, and a timer tied with them, in the
+// order they were set, after a Clear and again from a checkpoint.
 func TestOutOfOrderSetFiresInKeyOrder(t *testing.T) {
 	l := newFireLog()
 	s := l.s
 	d := l.table("d", 1, 8)
-	d.Set(0, 5*ms) // run
-	d.Set(1, 3*ms) // below the run's tail: the side heap
-	d.Set(2, 3*ms) // tied with slot 1, set after it
-	d.Set(3, 7*ms) // run
-	d.Set(4, ms)   // the least, in the side heap
-	d.Set(5, 5*ms) // tied with slot 0 in the run, set after it
+	d.Set(0, 5*ms) // the first key
+	d.Set(1, 3*ms) // below the head: linked there
+	d.Set(2, 3*ms) // tied with slot 1, set after it: walks back to it
+	d.Set(3, 7*ms) // the tail
+	d.Set(4, ms)   // the least: linked at the head
+	d.Set(5, 5*ms) // tied with slot 0, set after it
 	s.After(3*ms, l.fn("a"))
 	d.Set(6, 3*ms) // tied with slots 1 and 2 and the timer, set after them
 	d.Clear(2)
-	d.Set(7, 9*ms) // run
-	d.Set(7, 6*ms) // back into the side heap
-	if tb := &s.tables[d.t]; tb.run() != " 0(5000000,0) 3(7000000,3)" || len(tb.heap) != 5 {
-		t.Fatalf("run [%s], %d in the side heap: want slots 0 and 3 in the run, five in the side heap", tb.run(), len(tb.heap))
+	d.Set(7, 9*ms) // the tail
+	d.Set(7, 6*ms) // back before slot 3
+	want := " 4(1000000,4) 1(3000000,1) 6(3000000,7) 0(5000000,0) 5(5000000,5) 7(6000000,9) 3(7000000,3)"
+	if got := s.tables[d.t].order(); got != want {
+		t.Fatalf("the list holds [%s], want [%s]", got, want)
 	}
 	checkSlabInvariants(t, "before the checkpoint", s)
 	snap := s.Snapshot()

@@ -9,12 +9,14 @@ import (
 	"asyncfd/internal/scenario"
 )
 
-// BenchmarkSetShares counts where the deadline tables' Sets go in the two
-// simulated benchmark workloads of bench/workloads: the share that joins a
-// table's run, an unlink and an append, against the share that goes to its
-// side heap, a sift. Every cell whose detector keeps a table (monitor.Node:
-// heartbeat, φ and NFD-E; the async detector arms none) runs at full size
-// and seed 1, as the benchmark runs it, and reports its shares:
+// BenchmarkSetShares counts how far the deadline tables' Sets walk in the
+// two simulated benchmark workloads of bench/workloads. A Set links its slot
+// at the tail or the head of its table's list at once, and anywhere else
+// after walking back from the tail past every later key. Every cell whose
+// detector keeps a table (monitor.Node: heartbeat, φ and NFD-E; the async
+// detector arms none) runs at full size and seed 1, as the benchmark runs
+// it, and reports the share of Sets that walk, the mean slots walked per
+// Set and the longest walk:
 //
 //	go test -run '^$' -bench SetShares -benchtime 1x ./internal/des
 //
@@ -42,17 +44,23 @@ func BenchmarkSetShares(b *testing.B) {
 					key += "/" + v.Name
 				}
 				b.Run(key, func(b *testing.B) {
-					var tally [2]int64
-					des.CountSets(&tally)
+					var sets, walks, walked, longest int
+					des.CountSets(func(w int) {
+						sets++
+						walks += min(w, 1)
+						walked += w
+						longest = max(longest, w)
+					})
 					defer des.CountSets(nil)
 					for i := 0; i < b.N; i++ {
 						if _, err := exp.ScenarioTable(&cell, exp.Options{Seed: 1, Parallel: 1}); err != nil {
 							b.Fatal(err)
 						}
 					}
-					sets := float64(tally[0] + tally[1])
-					b.ReportMetric(sets/float64(b.N), "sets/op")
-					b.ReportMetric(100*float64(tally[0])/sets, "%run")
+					b.ReportMetric(float64(sets)/float64(b.N), "sets/op")
+					b.ReportMetric(100*float64(walks)/float64(sets), "%walk")
+					b.ReportMetric(float64(walked)/float64(sets), "walked/set")
+					b.ReportMetric(float64(longest), "longest")
 				})
 			}
 		}

@@ -112,8 +112,11 @@ type roundState struct {
 // called only in its runtime's callback context (node.Env), and so is the
 // detector it consults.
 type Node struct {
-	env     node.Env
-	cfg     Config
+	env node.Env
+	cfg Config
+	// poll is a one-slot deadline table: the next consultation of the
+	// detector, set while the participant waits for its round's coordinator.
+	poll    node.Deadlines
 	started bool
 
 	est Value
@@ -121,7 +124,6 @@ type Node struct {
 
 	round    uint64 // participant's current round (1-based)
 	resolved bool   // phase 3 of the current round resolved
-	poll     node.Timer
 
 	rounds map[uint64]*roundState
 
@@ -136,7 +138,9 @@ func NewNode(env node.Env, cfg Config) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Node{env: env, cfg: cfg, rounds: make(map[uint64]*roundState)}, nil
+	n := &Node{env: env, cfg: cfg, rounds: make(map[uint64]*roundState)}
+	n.poll = env.Deadlines(1, n.consult)
+	return n, nil
 }
 
 // majority returns ⌈(n+1)/2⌉.
@@ -193,37 +197,30 @@ func (n *Node) startRound(r uint64) {
 		n.adopt(r, st.proposal)
 		return
 	}
-	n.armPoll(r)
+	n.poll.Set(0, pollInterval)
 }
 
 // pollInterval is how often the detector is re-consulted while waiting for a
 // coordinator.
 const pollInterval = 5 * time.Millisecond
 
-// armPoll schedules the next failure-detector consultation for the
-// round-r coordinator wait.
-func (n *Node) armPoll(r uint64) {
-	n.poll = n.env.After(pollInterval, func() {
-		if n.decided || n.round != r || n.resolved {
-			return
-		}
-		if n.cfg.Detector.IsSuspected(n.coord(r)) {
-			// Phase 3, suspicion branch: give up on this coordinator.
-			n.resolved = true
-			n.startRound(r + 1)
-			return
-		}
-		n.armPoll(r)
-	})
+// consult is the poll's callback: the failure detector is asked about the
+// current round's coordinator, whose proposal has not come. The poll is set
+// only while that wait lasts.
+func (n *Node) consult(int) {
+	if n.cfg.Detector.IsSuspected(n.coord(n.round)) {
+		// Phase 3, suspicion branch: give up on this coordinator.
+		n.resolved = true
+		n.startRound(n.round + 1)
+		return
+	}
+	n.poll.Set(0, pollInterval)
 }
 
 // adopt executes the phase-3 adoption branch for round r.
 func (n *Node) adopt(r uint64, v Value) {
 	n.resolved = true
-	if n.poll != nil {
-		n.poll.Stop()
-		n.poll = nil
-	}
+	n.poll.Clear(0)
 	n.est = v
 	n.ts = r
 	ack := AckMsg{From: n.cfg.Self, Round: r}
@@ -286,10 +283,7 @@ func (n *Node) decide(v Value) {
 	}
 	n.decided = true
 	n.decision = v
-	if n.poll != nil {
-		n.poll.Stop()
-		n.poll = nil
-	}
+	n.poll.Clear(0)
 	n.env.Broadcast(DecideMsg{From: n.cfg.Self, Value: v})
 	if n.cfg.OnDecide != nil {
 		n.cfg.OnDecide(v)

@@ -12,6 +12,7 @@ import (
 	"asyncfd/internal/fd"
 	"asyncfd/internal/ident"
 	"asyncfd/internal/netsim"
+	"asyncfd/internal/raceflag"
 )
 
 // fakeFD is a settable failure detector for unit tests.
@@ -389,5 +390,31 @@ func TestQuickConsensusRandomized(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAllocsConsensusPoll locks the coordinator wait at no allocation a poll:
+// at n=3 only p1 proposes, so coordinator p0 never gathers the majority of
+// estimates it needs to propose, and p1, whose detector trusts p0, consults
+// it once every pollInterval, setting the poll's one slot again each time.
+func TestAllocsConsensusPoll(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race runtime allocates")
+	}
+	c := newConsensusCluster(t, 1, 3, 1, netsim.Constant{D: time.Millisecond})
+	c.sim.At(0, func() { c.nodes[1].Propose(7) })
+	c.sim.RunUntil(time.Second)
+	steps := c.sim.Steps()
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, func() { c.sim.RunUntil(c.sim.Now() + pollInterval) })
+	// AllocsPerRun makes one more call than it measures.
+	if got := c.sim.Steps() - steps; got != runs+1 {
+		t.Fatalf("%d steps in %d poll intervals, want one each", got, runs+1)
+	}
+	if r := c.nodes[1].round; r != 1 || len(c.decisions) != 0 {
+		t.Fatalf("p1 in round %d with %d decisions, want round 1 and none", r, len(c.decisions))
+	}
+	if allocs != 0 {
+		t.Errorf("one poll: %v allocations, want 0", allocs)
 	}
 }

@@ -38,30 +38,40 @@ type NodeConfig struct {
 // Node drives the time-free detector protocol on a runtime environment: it
 // owns the query rounds of task T1 and answers queries per task T2. Node holds
 // no lock: like every node, it is called only in its runtime's callback
-// context (node.Env), which makes T1 and T2 atomic steps of one process.
+// context (node.Env), which makes T1 and T2 atomic steps of one process. Its
+// pauses (Window, Interval) and its rebroadcast are the two slots of one
+// deadline table, clock; it arms no timer.
 type Node struct {
 	env node.Env   //fdlint:allow clonefields immutable wiring, set once at construction
 	cfg NodeConfig //fdlint:allow clonefields immutable config, set once at construction
-	// finishFn and nextFn are finishRound and nextRound, bound once so that
-	// arming a round's two timers makes no method value.
-	finishFn func() //fdlint:allow clonefields immutable binding, set once at construction
-	nextFn   func() //fdlint:allow clonefields immutable binding, set once at construction
+	// clock is the node's timeouts: roundSlot ends the open round or starts
+	// the next, rebroadcastSlot sends the open round's query again. What it
+	// has set is the runtime's state (the kernel's, on the simulator),
+	// checkpointed there.
+	clock node.Deadlines //fdlint:allow clonefields immutable handle; the runtime checkpoints what is set
 	nodeState
 }
 
+// The clock's slots.
+const (
+	// roundSlot is set while the round is open with its quorum met (Window)
+	// and after it ends (Interval).
+	roundSlot = iota
+	// rebroadcastSlot is set while the round is open and its quorum unmet,
+	// if Rebroadcast is positive.
+	rebroadcastSlot
+)
+
 // nodeState is everything about a Node a run changes: the protocol state
-// machine, held by value — the nodeObserver binding and every pending
-// round-closure closure reference the Node, never the Detector — and the
-// runtime's timers and round counter. It is the node.Cloneable checkpoint:
-// Snapshot and Restore are copyTo run in the two directions. Timer handles are
-// shared by value with the live node — they are immutable, and the paired
-// kernel snapshot rewinds slot generations so one captured in a checkpoint is
-// pending again after Restore.
+// machine, held by value — the nodeObserver binding and the clock's callback
+// reference the Node, never the Detector — the open round's query and the
+// round counter. It is the node.Cloneable checkpoint: Snapshot and Restore
+// are copyTo run in the two directions. The query's entry slices are shared:
+// no one writes to a query once it is sent.
 type nodeState struct {
 	det     Detector
+	query   Query // the open round's, kept to be rebroadcast
 	stopped bool
-	pending node.Timer // end-of-round or next-round timer
-	requery node.Timer // optional rebroadcast timer
 	rounds  uint64
 }
 
@@ -82,7 +92,7 @@ func NewNode(env node.Env, cfg NodeConfig) (*Node, error) {
 		return nil, fmt.Errorf("core: env identity %v != detector identity %v", env.Self(), cfg.Detector.Self)
 	}
 	n := &Node{env: env, cfg: cfg}
-	n.finishFn, n.nextFn = n.finishRound, n.nextRound
+	n.clock = env.Deadlines(2, n.expire)
 	detCfg := cfg.Detector
 	detCfg.Observer = (*nodeObserver)(n)
 	det, err := NewDetector(detCfg)
@@ -126,11 +136,7 @@ func (n *Node) Start() {
 // it above any received suspicion tag (task T2), so the restarted process
 // can still clear stale suspicions of itself.
 func (n *Node) Restart(fresh bool) {
-	if n.pending != nil {
-		n.pending.Stop()
-		n.pending = nil
-	}
-	n.stopRequery()
+	n.clear()
 	n.stopped = false
 	if fresh {
 		if n.cfg.Sink != nil {
@@ -160,18 +166,12 @@ func (n *Node) Restart(fresh bool) {
 // shutdown of live clusters graceful.
 func (n *Node) Stop() {
 	n.stopped = true
-	if n.pending != nil {
-		n.pending.Stop()
-		n.pending = nil
-	}
-	n.stopRequery()
+	n.clear()
 }
 
-func (n *Node) stopRequery() {
-	if n.requery != nil {
-		n.requery.Stop()
-		n.requery = nil
-	}
+func (n *Node) clear() {
+	n.clock.Clear(roundSlot)
+	n.clock.Clear(rebroadcastSlot)
 }
 
 // Suspects implements fd.Detector.
@@ -209,7 +209,10 @@ func (n *Node) Deliver(from ident.ID, payload any) {
 		resp := n.det.HandleQuery(m)
 		n.env.Send(from, resp)
 	case Response:
-		if n.det.HandleResponse(m) {
+		// A response after the quorum still counts (HandleResponse), but
+		// the round's end is set already.
+		met := n.det.QuorumMet()
+		if n.det.HandleResponse(m) && !met {
 			n.maybeCloseRound()
 		}
 	}
@@ -219,47 +222,37 @@ func (n *Node) startRound() {
 	if n.stopped {
 		return
 	}
-	n.pending = nil
-	q := n.det.BeginRound()
-	n.env.Broadcast(q)
-	n.armRequery(q)
+	n.query = n.det.BeginRound()
+	n.env.Broadcast(n.query)
+	if n.cfg.Rebroadcast > 0 {
+		n.clock.Set(rebroadcastSlot, n.cfg.Rebroadcast)
+	}
 	n.maybeCloseRound() // quorum of 1 (own response) is possible
 }
 
-// armRequery schedules a rebroadcast of q while its quorum is unmet.
-func (n *Node) armRequery(q Query) {
-	if n.cfg.Rebroadcast <= 0 {
-		return
-	}
-	n.requery = n.env.After(n.cfg.Rebroadcast, func() {
-		if n.stopped || !n.det.RoundOpen() || n.det.Round() != q.Round || n.det.QuorumMet() {
-			return
-		}
-		n.env.Broadcast(q)
-		n.armRequery(q)
-	})
-}
-
-// maybeCloseRound arms the end-of-round step once the quorum is met.
+// maybeCloseRound sets the end of the round once its quorum is met, and
+// stops the rebroadcast.
 func (n *Node) maybeCloseRound() {
-	if n.stopped || !n.det.RoundOpen() || !n.det.QuorumMet() || n.pending != nil {
+	if n.stopped || !n.det.QuorumMet() {
 		return
 	}
-	n.stopRequery()
-	n.pending = n.env.After(n.cfg.Window, n.finishFn)
+	n.clock.Clear(rebroadcastSlot)
+	n.clock.Set(roundSlot, n.cfg.Window)
 }
 
-func (n *Node) finishRound() {
-	if n.stopped {
-		return
+// expire is the clock's callback. The round slot ends the open round, whose
+// quorum was met when it was set, or, once the round has ended, starts the
+// next; the rebroadcast slot sends the open round's query again.
+func (n *Node) expire(slot int) {
+	switch {
+	case slot == rebroadcastSlot:
+		n.env.Broadcast(n.query)
+		n.clock.Set(rebroadcastSlot, n.cfg.Rebroadcast)
+	case n.det.RoundOpen():
+		n.det.EndRound()
+		n.rounds++
+		n.clock.Set(roundSlot, n.cfg.Interval)
+	default:
+		n.startRound()
 	}
-	n.det.EndRound() // the round was open with its quorum met when this was armed
-	n.rounds++
-	n.pending = n.env.After(n.cfg.Interval, n.nextFn)
-}
-
-// nextRound ends the pause after a round: the next query goes out.
-func (n *Node) nextRound() {
-	n.pending = nil
-	n.startRound()
 }

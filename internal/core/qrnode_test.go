@@ -21,20 +21,31 @@ type simCluster struct {
 
 func newSimCluster(t *testing.T, seed int64, n, f int, delay netsim.DelayModel, window, interval time.Duration) *simCluster {
 	t.Helper()
+	c := buildSimCluster(t, seed, delay, NodeConfig{
+		Detector: Config{Membership: KnownMembership, N: n, F: f},
+		Window:   window,
+		Interval: interval,
+	})
+	for _, nd := range c.nodes {
+		nd.Start()
+	}
+	return c
+}
+
+// buildSimCluster wires cfg.Detector.N nodes, each configured as cfg with its
+// own identity and the cluster's log as its sink, and starts none of them.
+func buildSimCluster(t *testing.T, seed int64, delay netsim.DelayModel, cfg NodeConfig) *simCluster {
+	t.Helper()
 	c := &simCluster{
 		sim: des.New(seed),
 		log: &trace.Log{},
 	}
 	c.net = netsim.New(c.sim, netsim.Config{Delay: delay})
-	c.nodes = make([]*Node, n)
-	for i := 0; i < n; i++ {
+	c.nodes = make([]*Node, cfg.Detector.N)
+	cfg.Sink = c.log
+	for i := range c.nodes {
 		id := ident.ID(i)
-		cfg := NodeConfig{
-			Detector: Config{Self: id, Membership: KnownMembership, N: n, F: f},
-			Window:   window,
-			Interval: interval,
-			Sink:     c.log,
-		}
+		cfg.Detector.Self = id
 		// Two-phase registration: the env needs the handler, the node needs
 		// the env.
 		var nd *Node
@@ -45,9 +56,6 @@ func newSimCluster(t *testing.T, seed int64, n, f int, delay netsim.DelayModel, 
 		}
 		nd = node
 		c.nodes[i] = node
-	}
-	for _, nd := range c.nodes {
-		nd.Start()
 	}
 	return c
 }
@@ -235,9 +243,9 @@ func TestTwoProcessCluster(t *testing.T) {
 
 // TestAllocsNodeRound locks the runtime's share of a round: at n=2, f=1 each
 // process runs one round per 15 ms (its own response is the quorum), and a
-// round allocates its query's box, the box of its response to the other's
-// query, and the handles of its two timers (end of round, next round) — no
-// closure, since finishRound and nextRound are bound once, at construction.
+// round allocates its query's box and the box of its response to the other's
+// query. Its two pauses (end of round, next round) are Sets of one deadline
+// slot: no handle, no closure.
 func TestAllocsNodeRound(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race runtime allocates")
@@ -251,9 +259,85 @@ func TestAllocsNodeRound(t *testing.T) {
 	if got := c.nodes[0].rounds + c.nodes[1].rounds - rounds; got != 2*(runs+1) {
 		t.Fatalf("%d rounds in %d periods of 15 ms, want two a period", got, runs+1)
 	}
-	if allocs != 8 {
-		t.Errorf("two rounds: %v allocations, want 8", allocs)
+	if allocs != 4 {
+		t.Errorf("two rounds: %v allocations, want 4", allocs)
 	}
+}
+
+// TestNodeRebroadcastsUntilQuorum drives the rebroadcast slot. At n=3, f=0
+// the quorum is all three, and a partition cuts p2 off, so p0's round cannot
+// close. Only p0 runs rounds; p1 and p2 just answer. A query to p2 is handed
+// to the network and dropped, so each of p0's broadcasts is three sends:
+// two queries and p1's response.
+func TestNodeRebroadcastsUntilQuorum(t *testing.T) {
+	const every = 50 * time.Millisecond
+	const rtt, window, interval = 2 * time.Millisecond, 5 * time.Millisecond, 100 * time.Millisecond
+	c := buildSimCluster(t, 1, netsim.Constant{D: rtt / 2}, NodeConfig{
+		Detector:    Config{N: 3, F: 0},
+		Window:      window,
+		Interval:    interval,
+		Rebroadcast: every,
+	})
+	p0 := c.nodes[0]
+	c.net.Partition([]ident.ID{0, 1}, []ident.ID{2})
+	p0.Start()
+	sent := func() int64 { return c.net.Stats().Sent }
+	// check runs to at, between two of p0's broadcasts, when nothing is in
+	// flight, and checks what was sent since the last check and what the
+	// kernel holds: the node's set slots and nothing else.
+	var last int64
+	check := func(at time.Duration, wantSent int64, wantPending int) {
+		t.Helper()
+		c.run(at)
+		if got := sent() - last; got != wantSent {
+			t.Errorf("at %v: %d sends since the last check, want %d", at, got, wantSent)
+		}
+		last = sent()
+		if got := c.sim.Pending(); got != wantPending {
+			t.Errorf("at %v: %d pending in the kernel, want %d", at, got, wantPending)
+		}
+	}
+	check(every/2, 3, 1)
+	for k := 1; k <= 4; k++ {
+		check(every/2+time.Duration(k)*every, 3, 1) // one rebroadcast a period
+	}
+	if p0.rounds != 0 {
+		t.Fatalf("p0 ended %d rounds without its quorum", p0.rounds)
+	}
+
+	// A persisted restart abandons the open round and starts a new one,
+	// which rebroadcasts on its own schedule: the old round's slot, due
+	// every/2 from now, is gone.
+	p0.Restart(false)
+	check(c.sim.Now()+every/2, 3, 1)
+	check(c.sim.Now()+every, 3, 1)
+
+	// Stopped, p0 keeps no slot and sends nothing.
+	p0.Stop()
+	check(c.sim.Now(), 0, 0)
+	check(c.sim.Now()+4*every, 0, 0)
+
+	// Restarted after a Stop, it starts a round as well.
+	restart := c.sim.Now()
+	p0.Restart(false)
+	check(restart+every/2, 3, 1)
+
+	// Healed, the next rebroadcast reaches p2 and the round closes; from then
+	// on every round meets its quorum at its responses, a round trip after
+	// its query, so nothing is rebroadcast: a round is four sends, two
+	// queries and two responses, and between rounds the kernel holds the
+	// round slot alone.
+	c.net.Heal()
+	end := restart + every + rtt + window // the end of the restarted round
+	for k := 0; k <= 5; k++ {
+		check(end+interval/2+time.Duration(k)*(rtt+window+interval), 4, 1)
+		if want := uint64(k + 1); p0.rounds != want {
+			t.Fatalf("p0 ended %d rounds after the heal, want %d", p0.rounds, want)
+		}
+	}
+
+	p0.Stop()
+	check(c.sim.Now(), 0, 0)
 }
 
 func BenchmarkClusterSecond(b *testing.B) {

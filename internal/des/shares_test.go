@@ -12,11 +12,11 @@ import (
 // BenchmarkSetShares counts how far the deadline tables' Sets walk in the
 // two simulated benchmark workloads of bench/workloads. A Set links its slot
 // at the tail or the head of its table's list at once, and anywhere else
-// after walking back from the tail past every later key. Every cell whose
-// detector keeps a table (monitor.Node: heartbeat, φ and NFD-E; the async
-// detector arms none) runs at full size and seed 1, as the benchmark runs
-// it, and reports the share of Sets that walk, the mean slots walked per
-// Set and the longest walk:
+// after walking back from the tail past every later key. Every cell's
+// detector keeps tables (monitor.Node for heartbeat, φ and NFD-E; core.Node
+// two slots, which cannot walk) and runs at full size and seed 1, as the
+// benchmark runs it, and reports the share of Sets that walk, the mean
+// slots walked per Set and the longest walk:
 //
 //	go test -run '^$' -bench SetShares -benchtime 1x ./internal/des
 //
@@ -33,9 +33,6 @@ func BenchmarkSetShares(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, kind := range sc.Cluster.Detectors {
-			if kind == "async" {
-				continue
-			}
 			for _, v := range sc.Variants {
 				cell := *sc
 				cell.Cluster.Detectors, cell.Variants = []string{kind}, []scenario.Variant{v}

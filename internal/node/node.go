@@ -67,13 +67,13 @@ type Env interface {
 // Cloneable is the checkpoint contract a detector runtime implements to
 // support warmup forking (see internal/des's Snapshot/Restore): Snapshot
 // deep-copies the runtime's mutable state — per-pair estimator windows,
-// suspicion sets, pending timer handles — into an opaque value, and Restore
-// rolls the SAME runtime instance back to it, in place. In-place matters:
-// scheduled closures and in-flight deliveries captured the live instance, so
-// replication rewinds it rather than building a second one. A snapshot must
-// survive any number of Restores, and timer handles it carries stay valid
-// because the kernel snapshot rewinds slot generations in lockstep. What a
-// Deadlines table has set is the kernel's state, not the runtime's: the
+// suspicion sets, round counters — into an opaque value, and Restore rolls
+// the SAME runtime instance back to it, in place. In-place matters: a
+// Deadlines table's callback and in-flight deliveries captured the live
+// instance, so replication rewinds it rather than building a second one. A
+// snapshot must survive any number of Restores. No runtime that implements
+// Cloneable keeps a Timer: its timeouts are slots of a Deadlines table, and
+// what a table has set is the kernel's state, not the runtime's, so the
 // kernel snapshot holds it.
 //
 // The shape every implementation in this repository has: the runtime keeps

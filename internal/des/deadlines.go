@@ -3,6 +3,7 @@ package des
 import (
 	"time"
 
+	"asyncfd/internal/deadline"
 	"asyncfd/internal/ident"
 )
 
@@ -11,16 +12,12 @@ import (
 // pushed back on every heartbeat, plus its own beat and poll; as timers,
 // each of those would be a slab event, a handle and a closure.
 //
-// A table keeps its set slots in one doubly linked list in (at, seq) order,
-// so its least key is the list's head. A Set links its slot after every key
-// whose time is not later than its own, which is all there is to compare:
-// the new key's sequence number is the table's newest. A key not below the
-// tail links at the tail and a key below the head at the head, each at once;
-// any other is placed by walking back from the tail. A slot pushed back by a
-// heartbeat goes from about the least key to about the greatest, so a
-// push-back is an unlink and a link at the tail, O(1); a key that lands
-// further back pays one step per later key it walks past (BenchmarkSetShares
-// counts the walks in the benchmark workloads' cells).
+// A table keeps its set slots in a deadline.List, in (at, seq) order, so its
+// least key is the list's head and a push-back is an unlink and a link at
+// the tail, O(1); a key that lands further back pays one step per later key
+// it walks past (BenchmarkSetShares counts the walks in the benchmark
+// workloads' cells). The kernel's part is the rest: the sequence numbers,
+// the owner's liveness and the event that rides the head.
 //
 // The table's kernel event waits under a key never later than the table's
 // least, whose time and slot the table records: a Set moves the event only
@@ -29,43 +26,19 @@ import (
 // heap's root (popDue). A push-back reads neither the slab nor the kernel's
 // heap.
 
-// A slot's state is its link. While the slot is set, next is the next slot
-// in key order, noSlot at the tail, and prev the previous one, noSlot at the
-// head; next is slotClear while it is clear.
-const (
-	noSlot    = int32(-1)
-	slotClear = int32(-2)
-)
-
-// link is one slot's state: its key while it is set, and its place.
-type link struct {
-	at         time.Duration
-	seq        uint64
-	prev, next int32
-}
-
-// linked reports whether the slot is set.
-func (l *link) linked() bool { return l.next != slotClear }
-
 // table is one deadline table's state, kept in state.tables so that a
 // checkpoint copies it with the rest.
 type table struct {
 	// fire is called with the slot that expired. Checkpoints share it, as
 	// they share a timer's callback.
 	fire func(slot int)
-	// links holds the slots' states as far as the highest slot ever set;
-	// the slots past it are clear. A table whose high slots are never set,
-	// as a polled monitor's peers are not, keeps (and checkpoints) nothing
-	// for them.
-	links []link
-	// n is the number of slots; head and tail are the list's ends, noSlot
-	// while no slot is set.
-	n, head, tail int32
+	// list holds the set slots' keys.
+	list deadline.List
 	// ev is the table's event in the slab, noEvent while no slot is set.
 	// at is the time of the key it is queued under in the kernel's heap,
 	// a key never later than the table's least, and slot the slot that
-	// held that key: noSlot once it is taken (set anew, cleared or expired),
-	// and while it is not, that key is the table's least.
+	// held that key: deadline.None once it is taken (set anew, cleared or
+	// expired), and while it is not, that key is the table's least.
 	ev, slot int32
 	at       time.Duration
 	owner    ident.ID
@@ -85,7 +58,7 @@ type Deadlines struct {
 // slot calls fire with its index if owner is alive then, and is one step
 // either way (ident.Nil: nobody, always alive).
 func (s *Simulator) Deadlines(owner ident.ID, n int, fire func(slot int)) *Deadlines {
-	s.tables = append(s.tables, table{fire: fire, n: int32(n), head: noSlot, tail: noSlot, ev: noEvent, slot: noSlot, owner: owner})
+	s.tables = append(s.tables, table{fire: fire, list: deadline.NewList(n), ev: noEvent, slot: deadline.None, owner: owner})
 	return &Deadlines{s: s, t: int32(len(s.tables) - 1)}
 }
 
@@ -107,38 +80,16 @@ func (d *Deadlines) Set(slot int, after time.Duration) {
 	}
 	k := entry{at: s.clampAt(after), seq: s.seq, i: int32(slot)}
 	s.seq++
-	if k.i == t.slot {
-		t.slot = noSlot
+	if k.i == t.slot { // t.take written out: as a call it does not inline
+		t.slot = deadline.None
 	}
-	if slot >= len(t.links) {
-		t.grow(slot + 1)
-	}
-	if t.links[slot].linked() {
-		t.unlink(k.i)
-	} else {
+	if !t.list.Take(k.i) {
 		s.pending++
 	}
-	// Link the slot after every key whose time is not later than k's: at the
-	// tail at once unless k is below it (seek). Written out here: as a
-	// function of its own it does not inline, and the call costs a push-back
-	// about a tenth (BenchmarkRearm/table).
-	prev, walked := t.tail, 0
-	if prev != noSlot && k.at < t.links[prev].at {
-		prev, walked = t.seek(k.at)
+	walked := 0
+	if !t.list.LinkAtTail(k.i, k.at, k.seq) {
+		walked = t.list.Link(k.i, k.at, k.seq)
 	}
-	next := t.head
-	if prev != noSlot {
-		next = t.links[prev].next
-		t.links[prev].next = k.i
-	} else {
-		t.head = k.i
-	}
-	if next != noSlot {
-		t.links[next].prev = k.i
-	} else {
-		t.tail = k.i
-	}
-	t.links[k.i] = link{at: k.at, seq: k.seq, prev: prev, next: next}
 	if setTally != nil {
 		setTally(walked)
 	}
@@ -164,7 +115,7 @@ func (d *Deadlines) Clear(slot int) {
 		return
 	}
 	s.pending--
-	if t.head == noSlot {
+	if t.list.Head() == deadline.None {
 		s.events[t.ev].stopped = true
 		t.ev = noEvent
 	}
@@ -173,28 +124,9 @@ func (d *Deadlines) Clear(slot int) {
 // take clears slot and reports whether it was set.
 func (t *table) take(slot int32) bool {
 	if slot == t.slot {
-		t.slot = noSlot
+		t.slot = deadline.None
 	}
-	if int(slot) >= len(t.links) || !t.links[slot].linked() {
-		return false
-	}
-	t.unlink(slot)
-	return true
-}
-
-// grow extends links to n slots, the new ones clear, reallocating them at
-// twice what they held, at most at one per slot.
-func (t *table) grow(n int) {
-	if n > cap(t.links) {
-		links := make([]link, len(t.links), min(int(t.n), max(n, 2*cap(t.links))))
-		copy(links, t.links)
-		t.links = links
-	}
-	old := len(t.links)
-	t.links = t.links[:n]
-	for k := old; k < n; k++ {
-		t.links[k] = link{next: slotClear}
-	}
+	return t.list.Take(slot)
 }
 
 // queueTable queues a new event for table ti under k's key.
@@ -231,13 +163,13 @@ func (s *Simulator) pullForward(ti int32, k entry) {
 func (s *Simulator) settle(i int32) bool {
 	e := &s.events[i]
 	t := &s.tables[e.from]
-	if t.slot != noSlot {
+	if t.slot != deadline.None {
 		return false
 	}
-	h := &t.links[t.head]
-	e.at, e.seq = h.at, h.seq
-	t.slot, t.at = t.head, h.at
-	s.down(entry{at: h.at, seq: h.seq, i: i})
+	head := t.list.Head()
+	e.at, e.seq = t.list.Key(head)
+	t.slot, t.at = head, e.at
+	s.down(entry{at: e.at, seq: e.seq, i: i})
 	return true
 }
 
@@ -252,7 +184,7 @@ func (s *Simulator) expire(i int32) {
 	t := &s.tables[e.from]
 	slot := t.slot
 	t.take(slot)
-	if t.head == noSlot {
+	if t.list.Head() == deadline.None {
 		s.pop()
 		s.release(i)
 		t.ev = noEvent
@@ -262,49 +194,18 @@ func (s *Simulator) expire(i int32) {
 	}
 }
 
-// seek returns the last slot whose time is not later than at, which is below
-// the tail's, and how many slots it walked past from the tail to find it:
-// noSlot and none if at is below the head's.
-func (t *table) seek(at time.Duration) (prev int32, walked int) {
-	if at < t.links[t.head].at {
-		return noSlot, 0
-	}
-	prev = t.tail
-	for t.links[prev].at > at { // stops at the head at the latest
-		prev = t.links[prev].prev
-		walked++
-	}
-	return prev, walked
-}
-
-// unlink takes slot out of the list and marks it clear.
-func (t *table) unlink(slot int32) {
-	l := &t.links[slot]
-	if l.prev == noSlot {
-		t.head = l.next
-	} else {
-		t.links[l.prev].next = l.next
-	}
-	if l.next == noSlot {
-		t.tail = l.prev
-	} else {
-		t.links[l.next].prev = l.prev
-	}
-	l.next = slotClear
-}
-
 // copyTables copies the tables src into dst's, reusing each table's storage,
-// and returns dst. A table's links are copied as far as they reach, the
-// highest slot ever set.
+// and returns dst.
 func copyTables(dst, src []table) []table {
 	if cap(dst) < len(src) {
 		dst = append(dst[:cap(dst)], make([]table, len(src)-cap(dst))...)
 	}
 	dst = dst[:len(src)]
 	for k := range src {
-		links := dst[k].links
+		list := dst[k].list
 		dst[k] = src[k]
-		dst[k].links = append(links[:0], src[k].links...)
+		list.Copy(&src[k].list)
+		dst[k].list = list
 	}
 	return dst
 }

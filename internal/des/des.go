@@ -40,7 +40,8 @@
 // sequence number After would have drawn, an expiry is one step, suppressed
 // but counted while the owner is down, and a Set while the owner is down
 // draws nothing and leaves the slot clear. A table keeps its set slots in
-// one doubly linked list in key order: a Set links its slot after every key
+// one doubly linked list in key order (a deadline.List, the list the TCP
+// runtime keeps its tables in too): a Set links its slot after every key
 // whose time is not later than its own, at the tail at once if it is not
 // below the tail (a heartbeat pushing back its sender's deadline), at the
 // head at once if it is below the head, and otherwise after a walk back
@@ -360,7 +361,8 @@ func (s *Simulator) Send(d time.Duration, from, to ident.ID, payload any) {
 
 const (
 	// fanKeyIdxBits is how much of a packed fan-out sort key holds the
-	// receiver's position; the delay takes the rest.
+	// receiver's position; the delay takes the rest. It is whole bytes, so
+	// radixSort's passes over the delay start at a byte.
 	fanKeyIdxBits = 16
 	fanKeyMaxD    = time.Duration(1) << (63 - fanKeyIdxBits)
 	// fanRadixMin is the fan-out width from which the packed keys are radix
@@ -456,17 +458,20 @@ func insertionSort(keys []uint64) {
 	}
 }
 
-// radixSort sorts keys, none of which has a bit outside span, by a
-// least-significant-digit radix sort over bytes, ping-ponging between keys
-// and the kernel's radix scratch; it returns whichever holds the result. A
-// byte that is zero in span — the unused high bits of the receiver index,
-// say — costs no pass.
+// radixSort sorts Fanout's packed keys, none of which has a bit outside
+// span, by a least-significant-digit radix sort over the bytes of their
+// delays, ping-ponging between keys and the kernel's radix scratch; it
+// returns whichever holds the result. The receiver index below
+// fanKeyIdxBits takes no pass: the keys come in receiver order and every
+// pass is stable, so keys with equal delays keep that order, which is the
+// order a pass over the index bytes would give them. A delay byte that is
+// zero in span costs no pass either.
 func (s *Simulator) radixSort(keys []uint64, span uint64) []uint64 {
 	if cap(s.radix) < len(keys) {
 		s.radix = make([]uint64, len(keys))
 	}
 	src, dst := keys, s.radix[:len(keys)]
-	for shift := uint(0); span>>shift != 0; shift += 8 {
+	for shift := uint(fanKeyIdxBits); span>>shift != 0; shift += 8 {
 		if byte(span>>shift) == 0 {
 			continue
 		}

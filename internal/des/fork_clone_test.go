@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"asyncfd/internal/deadline"
 	"asyncfd/internal/ident"
 )
 
@@ -103,65 +104,28 @@ func slabViolation(s *Simulator) string {
 	return ""
 }
 
-// tableViolation returns the first inconsistency of deadline table tb, or
-// "": links past the table's slots; a list out of key order, with a broken
-// back link or an end that is not one, or reaching a slot whose state marks
-// it clear; a slot marked set that the list does not reach, or one in no
-// state; or an event that is not queued live under the time the table
-// records, or under a key after the table's least (or is queued while no
-// slot is set), or a recorded slot that does not hold the key the event is
-// queued under.
+// tableViolation returns the first inconsistency of deadline table tb's
+// kernel part, or "": an event that is not queued live under the time the
+// table records, or under a key after the table's least (or is queued while
+// no slot is set), or a recorded slot that does not hold the key the event
+// is queued under. The list's own structure is internal/deadline's to check.
 func tableViolation(s *Simulator, tb *table, queued map[int32]bool) string {
-	if len(tb.links) > int(tb.n) {
-		return fmt.Sprintf("%d links for %d slots", len(tb.links), tb.n)
-	}
-	listed, prev := 0, noSlot
-	for slot := tb.head; slot != noSlot; slot = tb.links[slot].next {
-		switch {
-		case slot < 0 || int(slot) >= len(tb.links):
-			return fmt.Sprintf("the list reaches slot %d, past its %d links", slot, len(tb.links))
-		case listed > len(tb.links):
-			return "the list loops"
-		case !tb.links[slot].linked():
-			return fmt.Sprintf("slot %d is in the list but its state is next=%d", slot, tb.links[slot].next)
-		case tb.links[slot].prev != prev:
-			return fmt.Sprintf("slot %d links back to %d, not %d", slot, tb.links[slot].prev, prev)
-		}
-		if prev != noSlot {
-			a, b := tb.links[prev], tb.links[slot]
-			if ka, kb := (entry{at: a.at, seq: a.seq}), (entry{at: b.at, seq: b.seq}); !ka.less(&kb) {
-				return fmt.Sprintf("the list holds slot %d (%v, %d) after slot %d (%v, %d)", slot, b.at, b.seq, prev, a.at, a.seq)
-			}
-		}
-		listed++
-		prev = slot
-	}
-	if tb.tail != prev {
-		return fmt.Sprintf("the list ends at slot %d, its tail is %d", prev, tb.tail)
-	}
-	for slot, l := range tb.links {
-		if l.next < slotClear {
-			return fmt.Sprintf("slot %d is in no state: next=%d", slot, l.next)
-		}
-	}
-	if set := tb.set(); set != listed {
-		return fmt.Sprintf("%d slots marked set, the list holds %d", set, listed)
-	}
+	keys := tb.keys()
 	switch {
-	case listed == 0 && tb.ev != noEvent:
+	case len(keys) == 0 && tb.ev != noEvent:
 		return fmt.Sprintf("no slot is set but event %d is", tb.ev)
-	case listed == 0:
+	case len(keys) == 0:
 	case tb.ev == noEvent || !queued[tb.ev] || s.events[tb.ev].stopped:
 		return fmt.Sprintf("slots are set but no live event is queued (%d)", tb.ev)
 	default:
-		e, least := &s.events[tb.ev], tb.links[tb.head]
+		e, least := &s.events[tb.ev], keys[0]
 		if e.at != tb.at {
 			return fmt.Sprintf("event queued at (%v, %d), the table records %v", e.at, e.seq, tb.at)
 		}
-		if kl, ke := (entry{at: least.at, seq: least.seq}), (entry{at: e.at, seq: e.seq}); kl.less(&ke) {
-			return fmt.Sprintf("event queued at (%v, %d), after the least slot %d (%v, %d)", e.at, e.seq, tb.head, least.at, least.seq)
+		if ke := (entry{at: e.at, seq: e.seq}); least.less(&ke) {
+			return fmt.Sprintf("event queued at (%v, %d), after the least slot %d (%v, %d)", e.at, e.seq, least.i, least.at, least.seq)
 		}
-		if k, ok := tb.keyOf(tb.slot); tb.slot != noSlot && (!ok || k.at != e.at || k.seq != e.seq) {
+		if k, ok := tb.keyOf(tb.slot); tb.slot != deadline.None && (!ok || k.at != e.at || k.seq != e.seq) {
 			return fmt.Sprintf("event queued at (%v, %d), but the table records slot %d, keyed (%v, %d) (set: %v)", e.at, e.seq, tb.slot, k.at, k.seq, ok)
 		}
 	}
@@ -170,27 +134,38 @@ func tableViolation(s *Simulator, tb *table, queued map[int32]bool) string {
 
 // keyOf returns slot's key and whether it is set.
 func (t *table) keyOf(slot int32) (entry, bool) {
-	if slot < 0 || int(slot) >= len(t.links) || !t.links[slot].linked() {
-		return entry{}, false
+	for _, k := range t.keys() {
+		if k.i == slot {
+			return k, true
+		}
 	}
-	l := t.links[slot]
-	return entry{at: l.at, seq: l.seq, i: slot}, true
+	return entry{}, false
+}
+
+// keys returns the table's set slots with their keys, in the list's order,
+// taking them from the head of a copy of it.
+func (t *table) keys() []entry {
+	var c deadline.List
+	c.Copy(&t.list)
+	var out []entry
+	for slot := c.Head(); slot != deadline.None; slot = c.Head() {
+		at, seq := c.Key(slot)
+		if !c.Take(slot) {
+			break
+		}
+		out = append(out, entry{at: at, seq: seq, i: slot})
+	}
+	return out
 }
 
 // set is the number of the table's slots that are set.
-func (t *table) set() int {
-	n := 0
-	for _, l := range t.links {
-		n += b2i(l.linked())
-	}
-	return n
-}
+func (t *table) set() int { return len(t.keys()) }
 
 // order renders the list as slot(at,seq) in order.
 func (t *table) order() string {
 	var b strings.Builder
-	for slot := t.head; slot != noSlot; slot = t.links[slot].next {
-		fmt.Fprintf(&b, " %d(%d,%d)", slot, t.links[slot].at, t.links[slot].seq)
+	for _, k := range t.keys() {
+		fmt.Fprintf(&b, " %d(%d,%d)", k.i, k.at, k.seq)
 	}
 	return b.String()
 }
@@ -211,8 +186,8 @@ func structuralFingerprint(s *Simulator) string {
 		s.now, s.seq, s.stepped, s.pending, s.stream.seed, s.stream.draws)
 	fmt.Fprintf(&b, "free=%v heap=%v\n", s.free, s.heap)
 	for k, tb := range s.tables {
-		fmt.Fprintf(&b, "table%d owner=%d n=%d ev=%d queued=%d slot=%d list=[%s] tail=%d links=%v\n",
-			k, tb.owner, tb.n, tb.ev, tb.at, tb.slot, tb.order(), tb.tail, tb.links)
+		fmt.Fprintf(&b, "table%d owner=%d ev=%d queued=%d slot=%d list=%v\n",
+			k, tb.owner, tb.ev, tb.at, tb.slot, tb.list)
 	}
 	for i, e := range s.events {
 		fmt.Fprintf(&b, "ev%d at=%d seq=%d gen=%d stopped=%v kind=%d %d->%d payload=%v\n",

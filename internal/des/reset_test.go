@@ -235,7 +235,7 @@ func TestPushBackLeavesKernel(t *testing.T) {
 	heap, ev := slices.Clone(s.heap), s.events[tb.ev]
 	walked := 0
 	countWalks(t, &walked)
-	pushBack := func() { d.Set(int(tb.head), timeout) }
+	pushBack := func() { d.Set(int(tb.list.Head()), timeout) }
 	for i := 0; i < 3*peers; i++ {
 		pushBack()
 	}
@@ -284,8 +284,8 @@ func TestSetBelowHeadWalksNothing(t *testing.T) {
 	if !slices.Equal(s.heap, heap) || s.events[tb.ev] != ev {
 		t.Errorf("setting the beat moved the kernel: heap %v, event %+v; was %v, %+v", s.heap, s.events[tb.ev], heap, ev)
 	}
-	if walked != 0 || tb.head != 0 || tb.tail != peers {
-		t.Errorf("the beats walked past %d slots; head %d, tail %d: want none walked, the beat at the head and the last peer at the tail", walked, tb.head, tb.tail)
+	if keys := tb.keys(); walked != 0 || keys[0].i != 0 || keys[len(keys)-1].i != peers {
+		t.Errorf("the beats walked past %d slots; head %d, tail %d: want none walked, the beat at the head and the last peer at the tail", walked, keys[0].i, keys[len(keys)-1].i)
 	}
 	checkSlabInvariants(t, "after the beats", s)
 }

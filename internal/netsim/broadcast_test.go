@@ -182,6 +182,42 @@ func TestAllocsSendPath(t *testing.T) {
 	}
 }
 
+// TestAllocsBroadcastAfterRestore locks the fan-out cache across
+// checkpoints: a Restore invalidates every node's cached fan-out but keeps
+// its storage, so once every node has broadcast after a first Restore, a
+// broadcast by every node after a second allocates nothing beyond the
+// Restore itself (it rebuilt every list in fresh storage before).
+func TestAllocsBroadcastAfterRestore(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race runtime allocates")
+	}
+	const n = 128
+	sim, net, _ := meshOf(n)
+	envs := make([]*Env, n)
+	for i := range envs {
+		envs[i] = net.Env(ident.ID(i))
+	}
+	var payload any = "q"
+	broadcastAll := func() {
+		for _, env := range envs {
+			env.Broadcast(payload)
+		}
+		sim.Run()
+	}
+	snap := net.Snapshot()
+	broadcastAll()
+	net.Restore(snap)
+	broadcastAll()
+	restore := testing.AllocsPerRun(10, func() { net.Restore(snap) })
+	both := testing.AllocsPerRun(10, func() {
+		net.Restore(snap)
+		broadcastAll()
+	})
+	if both != restore {
+		t.Errorf("a broadcast by each of %d nodes after a Restore: %v allocations, want 0", n, both-restore)
+	}
+}
+
 // BenchmarkBroadcast is the netsim row of the layer ledger
 // (docs/BENCHMARKS.md): one broadcast admitted, queued and delivered to
 // silent handlers, by degree; "partitioned" is degree 127 under one

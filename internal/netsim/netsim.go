@@ -52,6 +52,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"asyncfd/internal/des"
@@ -112,7 +113,8 @@ type state struct {
 	restricted ident.Set
 	neighbors  []ident.Set
 	// topoEpoch stamps the current topology generation; AddNode and
-	// SetNeighbors bump it, invalidating every cached fan-out list.
+	// SetNeighbors bump it, invalidating every cached fan-out list. It
+	// starts above staleEpoch.
 	topoEpoch uint64
 	// partitions is the LIFO stack of partition layers, each one island
 	// number per process id (see island); a message passes iff every layer
@@ -132,7 +134,7 @@ type Network struct {
 	loss LossModel //fdlint:allow clonefields immutable, derived from cfg at construction
 	// fanout caches per-node broadcast fan-out lists, rebuilt lazily when
 	// their epoch stamp is stale.
-	//fdlint:allow clonefields derived cache; Restore invalidates it wholesale and rebuilds lazily
+	//fdlint:allow clonefields derived cache; Restore invalidates every entry and rebuilds lazily
 	fanout []fanoutEntry
 	// bcast is the broadcast fan-out scratch buffer, reused across
 	// Broadcast calls (Fanout reads it synchronously, and the kernel pools
@@ -148,7 +150,7 @@ func New(sim *des.Simulator, cfg Config) *Network {
 	if cfg.Delay == nil {
 		panic("netsim: Config.Delay is required")
 	}
-	n := &Network{state: state{topoEpoch: 1}, sim: sim, cfg: cfg}
+	n := &Network{state: state{topoEpoch: staleEpoch + 1}, sim: sim, cfg: cfg}
 	n.loss, _ = cfg.Delay.(LossModel)
 	sim.SetSink((*sink)(n))
 	return n
@@ -353,14 +355,22 @@ func (n *Network) Snapshot() *Snapshot {
 // Restore rolls the network back to the checkpoint, in place (the kernel
 // delivers its pending messages to this Network, its registered sink, so
 // replication rewinds it rather than building a second one). The same
-// snapshot restores any number of times. The fan-out cache is invalidated
-// wholesale: rebuilds are lazy, deterministic functions of the restored
-// topology, so behavior is unchanged and stale epoch stamps from the
-// rolled-back run can never validate against post-restore topologies.
+// snapshot restores any number of times. Every fan-out cache entry is
+// invalidated, its list storage kept for the lazy rebuild: the restored
+// epoch may equal one an entry was stamped with after the checkpoint, under
+// another topology, so each entry takes staleEpoch, which topoEpoch never
+// takes.
 func (n *Network) Restore(snap *Snapshot) {
 	snap.st.copyTo(&n.state)
-	n.fanout = make([]fanoutEntry, len(n.handlers))
+	n.fanout = slices.Grow(n.fanout, max(0, len(n.handlers)-len(n.fanout)))[:len(n.handlers)]
+	for i := range n.fanout {
+		n.fanout[i].epoch = staleEpoch
+	}
 }
+
+// staleEpoch is the epoch of a fan-out cache entry that must be rebuilt:
+// topoEpoch starts above it and only grows.
+const staleEpoch = 0
 
 // send is the single unicast transmission path. When a neighborhood is
 // configured for the sender, point-to-point sends outside it are dropped

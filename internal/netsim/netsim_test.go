@@ -483,6 +483,42 @@ func TestBroadcastFanoutTracksTopologyChanges(t *testing.T) {
 	}
 }
 
+// TestBroadcastFanoutAfterRestore: a Restore rolls the cached fan-out lists
+// back with the topology, also when the restored epoch equals the one a
+// list was cached at after the checkpoint under another neighbourhood, and
+// the partition layers restored with it cut what they cut.
+func TestBroadcastFanoutAfterRestore(t *testing.T) {
+	sim, net, boxes, envs := newNet(t, 1, 4, Constant{})
+	mesh := net.Snapshot()
+	net.SetNeighbors(0, ident.SetOf(1))
+	envs[0].Broadcast("a") // caches {1} at the epoch after the checkpoint's
+	sim.Run()
+	net.Restore(mesh)
+	net.SetNeighbors(0, ident.SetOf(2)) // that epoch again, another neighbourhood
+	envs[0].Broadcast("b")
+	sim.Run()
+	net.Restore(mesh)
+	envs[0].Broadcast("c") // the full mesh
+	sim.Run()
+	net.Partition([]ident.ID{0, 3})
+	parted := net.Snapshot()
+	net.Heal()
+	envs[0].Broadcast("d")
+	sim.Run()
+	net.Restore(parted)
+	envs[0].Broadcast("e") // cut off from 1 and 2
+	sim.Run()
+	for id, want := range []string{"", "acd", "bcd", "cde"} {
+		got := ""
+		for _, m := range boxes[id].got {
+			got += m.payload.(string)
+		}
+		if got != want {
+			t.Errorf("node %d got %q, want %q", id, got, want)
+		}
+	}
+}
+
 // --- Delay model tests ---
 
 func TestConstantDelay(t *testing.T) {

@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"asyncfd/internal/deadline"
 	"asyncfd/internal/ident"
 	"asyncfd/internal/node"
 	"asyncfd/internal/wire"
@@ -139,9 +140,12 @@ type Transport struct {
 	writes         atomic.Uint64
 	framesRejected atomic.Uint64
 
-	done    chan struct{}
-	wg      sync.WaitGroup
-	pending sync.WaitGroup
+	// tables is the register of the deadline tables whose timers are set
+	// (After's too), for Close to stop.
+	tables map[*deadlines]struct{}
+
+	done chan struct{}
+	wg   sync.WaitGroup
 }
 
 var _ node.Env = (*Transport)(nil)
@@ -171,6 +175,7 @@ func New(cfg Config) (*Transport, error) {
 		peers:   make(map[ident.ID]*peer),
 		conns:   make(map[net.Conn]struct{}),
 		inbound: make(map[net.Conn]struct{}),
+		tables:  make(map[*deadlines]struct{}),
 		dial:    dialTCP,
 		done:    make(chan struct{}),
 	}
@@ -207,9 +212,12 @@ func (t *Transport) Stats() Stats {
 	}
 }
 
-// Close tears the endpoint down and joins all goroutines. It must not be
-// called from inside a callback (Deliver or a function scheduled by After):
-// it waits for that callback to return.
+// Close tears the endpoint down and joins all goroutines. It stops every
+// deadline table's timer (and After's), so it returns without waiting out
+// timeouts still set; a timer callback already running is waited for, and
+// none fires a slot after Close has returned. It must not be called from
+// inside a callback (Deliver, a deadline's fire or a function scheduled by
+// After): it waits for that callback to return.
 func (t *Transport) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -225,17 +233,15 @@ func (t *Transport) Close() error {
 	for c := range t.inbound {
 		c.Close()
 	}
-	peers := make([]*peer, 0, len(t.peers))
 	for _, p := range t.peers {
-		peers = append(peers, p)
-	}
-	t.mu.Unlock()
-	for _, p := range peers {
 		p.mu.Lock()
 		p.queue = nil
 		p.mu.Unlock()
 	}
-	t.pending.Wait()
+	for d := range t.tables {
+		d.timer.Stop()
+	}
+	t.mu.Unlock()
 	t.wg.Wait()
 	return err
 }
@@ -520,113 +526,114 @@ func (t *Transport) Self() ident.ID { return t.cfg.Self }
 // Now implements node.Env.
 func (t *Transport) Now() time.Duration { return time.Since(t.start) }
 
-// After implements node.Env. The callback runs under the same mutex as
-// Handler.Deliver (unless ConcurrentDeliver), so a node's timers and
-// deliveries never run at once.
-func (t *Transport) After(d time.Duration, fn func()) node.Timer {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return deadTimer{}
-	}
-	t.pending.Add(1)
-	var once sync.Once
-	release := func() { once.Do(func() { t.pending.Done() }) }
-	tm := time.AfterFunc(d, func() {
-		defer release()
-		select {
-		case <-t.done:
-			return
-		default:
-		}
-		if !t.cfg.ConcurrentDeliver {
-			t.deliver.Lock()
-			defer t.deliver.Unlock()
-		}
-		fn()
-	})
-	return &tcpTimer{t: tm, release: release}
+// After implements node.Env as a deadline table of one slot, which fires
+// on the same terms as any table's (see Deadlines).
+func (t *Transport) After(after time.Duration, fn func()) node.Timer {
+	d := t.Deadlines(1, func(int) { fn() }).(*deadlines)
+	d.Set(0, after)
+	return timer{d}
 }
 
-type tcpTimer struct {
-	t       *time.Timer
-	release func()
-}
+// timer is After's table as a node.Timer.
+type timer struct{ d *deadlines }
 
-func (t *tcpTimer) Stop() bool {
-	stopped := t.t.Stop()
-	if stopped {
-		t.release()
-	}
-	return stopped
-}
+// Stop implements node.Timer.
+func (tm timer) Stop() bool { return tm.d.take(0) }
 
-type deadTimer struct{}
-
-func (deadTimer) Stop() bool { return false }
-
-// Deadlines implements node.Env with one time.Timer per set slot, armed by
-// After: its callback runs on the same terms as After's (under the deliver
-// mutex, never after Close has returned). A Set or Clear stops the slot's
-// timer; one that Stop no longer catches — its callback is on its way — is
-// told apart by the slot's generation, which every Set and Clear bumps, and
-// does nothing.
+// Deadlines implements node.Env. A table keeps its set slots in a
+// deadline.List, in (at, seq) order, behind one time.Timer set for a time
+// never later than the least key's: only a Set whose key becomes the least
+// resets the timer, so a push-back is an unlink and a link at the tail. The
+// timer's callback fires every slot due when it begins, in key order, under
+// the deliver mutex (unless ConcurrentDeliver), then sets the timer for the
+// least key left. A timer comes due early when its slot was pushed back or
+// cleared since, and is then set again or, with no slot left, not: as a
+// kernel event on the simulator, it is not taken back. While set, the timer
+// is in the transport's register, so that Close stops it.
 func (t *Transport) Deadlines(n int, fire func(slot int)) node.Deadlines {
-	return &deadlines{t: t, fire: fire, slots: make([]deadlineSlot, n)}
+	d := &deadlines{t: t, fire: fire, list: deadline.NewList(n)}
+	d.timer = time.AfterFunc(math.MaxInt64, d.expire)
+	d.timer.Stop()
+	return d
 }
 
 type deadlines struct {
-	t    *Transport
-	fire func(slot int)
+	t     *Transport
+	fire  func(slot int)
+	timer *time.Timer
 
-	mu    sync.Mutex // guards slots: Set and Clear may race a callback under ConcurrentDeliver
-	slots []deadlineSlot
-}
-
-type deadlineSlot struct {
-	tm  node.Timer // pending while the slot is set, nil once clear
-	gen uint64
-}
-
-// clear stops slot k's timer and retires the callback it was armed with.
-// d.mu is held.
-func (d *deadlines) clear(k int) *deadlineSlot {
-	s := &d.slots[k]
-	if s.tm != nil {
-		s.tm.Stop()
-		s.tm = nil
-	}
-	s.gen++
-	return s
+	mu   sync.Mutex // guards the rest: Set and Clear may race the callback under ConcurrentDeliver
+	list deadline.List
+	seq  uint64
 }
 
 func (d *deadlines) Set(slot int, after time.Duration) {
+	select {
+	case <-d.t.done:
+		return // closed: no slot is set again
+	default:
+	}
+	at := d.t.Now() + max(after, 0)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	s := d.clear(slot)
-	gen := s.gen
-	s.tm = d.t.After(after, func() { d.expire(slot, gen) })
-}
-
-func (d *deadlines) Clear(slot int) {
-	d.mu.Lock()
-	d.clear(slot)
-	d.mu.Unlock()
-}
-
-// expire runs slot's callback if the Set that armed it, generation gen, is
-// still the slot's last word.
-func (d *deadlines) expire(slot int, gen uint64) {
-	d.mu.Lock()
-	s := &d.slots[slot]
-	live := s.gen == gen
-	if live {
-		s.tm = nil
-		s.gen++
+	d.list.Take(int32(slot))
+	d.list.Link(int32(slot), at, d.seq)
+	d.seq++
+	if d.list.Head() == int32(slot) {
+		d.arm(at)
 	}
-	d.mu.Unlock()
-	if live {
-		d.fire(slot)
+}
+
+func (d *deadlines) Clear(slot int) { d.take(int32(slot)) }
+
+// take clears slot and reports whether it was set.
+func (d *deadlines) take(slot int32) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.list.Take(slot)
+}
+
+// arm sets the timer for at and enters the table in the register, unless
+// Close has begun. d.mu is held.
+func (d *deadlines) arm(at time.Duration) {
+	t := d.t
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.closed {
+		t.tables[d] = struct{}{}
+		d.timer.Reset(at - t.Now())
+	}
+}
+
+// expire is the timer's callback. Once Close has begun it does nothing;
+// before, Close waits for it.
+func (d *deadlines) expire() {
+	t := d.t
+	t.mu.Lock()
+	delete(t.tables, d) // until arm sets the timer again
+	if t.closed {
+		t.mu.Unlock()
+		return
+	}
+	t.wg.Add(1)
+	t.mu.Unlock()
+	defer t.wg.Done()
+	if !t.cfg.ConcurrentDeliver {
+		t.deliver.Lock()
+		defer t.deliver.Unlock()
+	}
+	now := t.Now()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for head := d.list.Head(); head != deadline.None; head = d.list.Head() {
+		if at, _ := d.list.Key(head); at > now {
+			d.arm(at)
+			return
+		}
+		d.list.Take(head)
+		d.mu.Unlock()
+		d.fire(int(head))
+		d.mu.Lock()
 	}
 }
 

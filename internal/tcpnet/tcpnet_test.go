@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/rand"
 	"net"
 	"os"
 	"sync"
@@ -19,6 +20,7 @@ import (
 	"asyncfd/internal/ident"
 	"asyncfd/internal/node"
 	"asyncfd/internal/phiaccrual"
+	"asyncfd/internal/raceflag"
 	"asyncfd/internal/wire"
 )
 
@@ -226,6 +228,106 @@ func TestDeadlinesRaceClose(t *testing.T) {
 		if late.Load() {
 			t.Fatal("a deadline callback ran after Close returned")
 		}
+	}
+}
+
+// TestCloseStopsFarTimeouts: Close returns at once while a deadline slot or
+// an After is set an hour out, and neither fires after it has returned.
+func TestCloseStopsFarTimeouts(t *testing.T) {
+	for _, far := range []string{"a slot", "an After"} {
+		a, err := New(Config{Self: 0, ListenAddr: "127.0.0.1:0", Handler: newCollector()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if far == "a slot" {
+			d := a.Deadlines(2, func(int) { t.Error("a slot fired") })
+			a.Do(func() {
+				d.Set(0, time.Millisecond)
+				d.Clear(0)
+				d.Set(1, time.Hour)
+			})
+		} else {
+			a.After(time.Hour, func() { t.Error("the After fired") })
+		}
+		start := time.Now()
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(start); took > 100*time.Millisecond {
+			t.Errorf("with %s an hour out, Close took %v, want within 100ms", far, took)
+		}
+		time.Sleep(5 * time.Millisecond) // the cleared slot's time has passed
+	}
+}
+
+// BenchmarkDeadlinesSet is the tcpnet row of the layer ledger
+// (docs/BENCHMARKS.md): a table of 1 024 slots an hour out, each pushed back
+// in turn, as a heartbeat monitor of 1 024 peers pushes back the deadline of
+// the peer it heard from. "push-back" sets the slot set longest ago, which
+// links it at the tail of the table's list; "jitter" adds to each time a
+// seeded ±Δ/8 around an advance of Δ per turn of the 1 024 slots (Δ = 1 s),
+// as BenchmarkRearm/table-jitter in internal/des does, so that most Sets land
+// below the tail and walk back past the keys later than theirs. No slot
+// falls due while it runs.
+func BenchmarkDeadlinesSet(b *testing.B) {
+	const (
+		slots    = 1024
+		interval = time.Second
+	)
+	r := rand.New(rand.NewSource(1))
+	jitter := make([]time.Duration, 1<<12)
+	for j := range jitter {
+		jitter[j] = time.Duration(r.Int63n(int64(interval/4))) - interval/8
+	}
+	for _, variant := range []string{"push-back", "jitter"} {
+		b.Run(variant, func(b *testing.B) {
+			b.ReportAllocs()
+			a, err := New(Config{Self: 0, ListenAddr: "127.0.0.1:0", Handler: newCollector()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer a.Close()
+			d := a.Deadlines(slots, func(int) { b.Error("a slot fired") })
+			wait := func(int) time.Duration { return time.Hour }
+			if variant == "jitter" {
+				wait = func(i int) time.Duration {
+					return time.Hour + time.Duration(i)*interval/slots + jitter[i%len(jitter)]
+				}
+			}
+			for i := 0; i < 8*slots; i++ {
+				d.Set(i%slots, wait(i))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.Set(i%slots, wait(8*slots+i))
+			}
+		})
+	}
+}
+
+// TestAllocsDeadlinesSet locks the push-back: setting again the slot of a
+// table set longest ago allocates nothing.
+func TestAllocsDeadlinesSet(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race runtime allocates")
+	}
+	a, err := New(Config{Self: 0, ListenAddr: "127.0.0.1:0", Handler: newCollector()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	const slots = 1024
+	d := a.Deadlines(slots, func(int) { t.Error("a slot fired") })
+	i := 0
+	pushBack := func() {
+		d.Set(i%slots, time.Hour)
+		i++
+	}
+	for i < 2*slots {
+		pushBack()
+	}
+	if allocs := testing.AllocsPerRun(1000, pushBack); allocs != 0 {
+		t.Errorf("a push-back: %v allocations, want 0", allocs)
 	}
 }
 

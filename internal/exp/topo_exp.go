@@ -9,7 +9,7 @@ package exp
 // counted): every process monitors only its neighborhood, so per-process
 // cost is driven by connectivity degree, not by n — exactly the property the
 // sweep measures. Cells at n=1024–4096 are tractable because both sides of
-// the pipeline are sparse: netsim's per-node fan-out lists and per-process
+// the pipeline are sparse: netsim's neighbourhood lists and per-process
 // island arrays keep simulation cost degree-proportional, and qos.Fold
 // turns metric extraction into one accumulator pass over the trace instead
 // of an O(n²·E) rescan.

@@ -182,11 +182,11 @@ func TestAllocsSendPath(t *testing.T) {
 	}
 }
 
-// TestAllocsBroadcastAfterRestore locks the fan-out cache across
-// checkpoints: a Restore invalidates every node's cached fan-out but keeps
-// its storage, so once every node has broadcast after a first Restore, a
-// broadcast by every node after a second allocates nothing beyond the
-// Restore itself (it rebuilt every list in fresh storage before).
+// TestAllocsBroadcastAfterRestore locks the broadcast path across
+// checkpoints at zero: once every node has broadcast after a first Restore,
+// a broadcast by every node after a second allocates nothing beyond the
+// Restore itself — the fan-out walks the restored topology where it lies,
+// and nothing is rebuilt.
 func TestAllocsBroadcastAfterRestore(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race runtime allocates")
@@ -218,26 +218,51 @@ func TestAllocsBroadcastAfterRestore(t *testing.T) {
 	}
 }
 
+// sparseRange builds an n = 4096 mesh with sim_sparse_topo's degree:
+// process 0's neighbourhood is the 10 ids 400, 800, ..., 4000.
+func sparseRange() (*des.Simulator, *Network, *Env) {
+	sim, net, env := meshOf(4096)
+	var nb ident.Set
+	for id := ident.ID(400); id <= 4000; id += 400 {
+		nb.Add(id)
+	}
+	net.SetNeighbors(0, nb)
+	return sim, net, env
+}
+
 // BenchmarkBroadcast is the netsim row of the layer ledger
 // (docs/BENCHMARKS.md): one broadcast admitted, queued and delivered to
 // silent handlers, by degree; "partitioned" is degree 127 under one
-// partition layer that cuts the 64 highest ids off the sender's island.
+// partition layer that cuts the 64 highest ids off the sender's island;
+// "restricted" is a sender with 10 neighbours among 4096 processes, and
+// "send-in-range" one unicast from it to its last neighbour.
 func BenchmarkBroadcast(b *testing.B) {
-	run := func(b *testing.B, deg int, partitioned bool) {
-		sim, net, env := meshOf(deg + 1)
-		if partitioned {
-			halve(net, deg+1)
-		}
-		var payload any = "q"
+	var payload any = "q"
+	run := func(b *testing.B, sim *des.Simulator, op func()) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			env.Broadcast(payload)
+			op()
 			sim.Run()
 		}
 	}
 	for _, deg := range []int{8, 127} {
-		b.Run(fmt.Sprintf("deg=%d", deg), func(b *testing.B) { run(b, deg, false) })
+		b.Run(fmt.Sprintf("deg=%d", deg), func(b *testing.B) {
+			sim, _, env := meshOf(deg + 1)
+			run(b, sim, func() { env.Broadcast(payload) })
+		})
 	}
-	b.Run("partitioned", func(b *testing.B) { run(b, 127, true) })
+	b.Run("partitioned", func(b *testing.B) {
+		sim, net, env := meshOf(128)
+		halve(net, 128)
+		run(b, sim, func() { env.Broadcast(payload) })
+	})
+	b.Run("restricted", func(b *testing.B) {
+		sim, _, env := sparseRange()
+		run(b, sim, func() { env.Broadcast(payload) })
+	})
+	b.Run("send-in-range", func(b *testing.B) {
+		sim, net, _ := sparseRange()
+		run(b, sim, func() { net.send(0, 4000, payload) })
+	})
 }

@@ -20,9 +20,11 @@
 // connectivity degree, never on the cluster size n — the property that
 // makes the n=1024–4096 topology sweeps (experiment LT) tractable:
 //
-//   - Broadcast fans out over a precomputed per-node neighbor list, rebuilt
-//     lazily only when the topology epoch changes (AddNode/SetNeighbors).
-//     No full-mesh ident.Set is ever materialized per message.
+//   - A restricted neighbourhood is one ascending id list, self excluded,
+//     built once by SetNeighbors and never written in place: Broadcast walks
+//     it, and a unicast finds its receiver in it by binary search. In the
+//     full mesh Broadcast walks the registered handlers, whose count is then
+//     the sender's degree. No ident.Set is materialized per message.
 //   - Messages and deadlines are handed to the kernel as data, not
 //     closures: a unicast is one typed event (from, to, payload), a
 //     broadcast one fan-out node holding the shared (from, payload) and a
@@ -47,7 +49,7 @@
 // partition stack, the counters — is one value, state, made of slices and
 // sets indexed by process id; Snapshot/Restore are one copy of it
 // (state.copyTo) in the two directions, slice by slice, and it holds no map.
-// The fan-out cache and scratch buffers sit outside it and are rebuilt.
+// The broadcast scratch buffer sits outside it.
 package netsim
 
 import (
@@ -89,13 +91,6 @@ func island(layer []int32, id ident.ID) int32 {
 	return 0
 }
 
-// fanoutEntry is one node's cached broadcast fan-out list (ascending ID
-// order, self excluded), valid for the topology epoch it was built at.
-type fanoutEntry struct {
-	epoch uint64
-	ids   []ident.ID
-}
-
 // state is everything about a Network that a run changes — who is registered,
 // who is down, who may talk to whom, the traffic counters — and so everything
 // a checkpoint holds: Snapshot and Restore are state.copyTo run in the two
@@ -108,17 +103,15 @@ type state struct {
 	crashed  ident.Set
 	// restricted holds the ids with a neighbourhood; neighbors[id] is that
 	// neighbourhood, to which id's broadcasts and sends are restricted
-	// (extension topologies). An id outside restricted is in the full
-	// mesh; one in it with an empty set reaches no one.
+	// (extension topologies), as an ascending list with id left out. An id
+	// outside restricted is in the full mesh; one in it with an empty list
+	// reaches no one. A list is never written once stored.
 	restricted ident.Set
-	neighbors  []ident.Set
-	// topoEpoch stamps the current topology generation; AddNode and
-	// SetNeighbors bump it, invalidating every cached fan-out list. It
-	// starts above staleEpoch.
-	topoEpoch uint64
+	neighbors  [][]ident.ID
 	// partitions is the LIFO stack of partition layers, each one island
 	// number per process id (see island); a message passes iff every layer
-	// puts its two ends on the same island.
+	// puts its two ends on the same island. A layer is never written once
+	// pushed.
 	partitions [][]int32
 	stats      Stats
 }
@@ -132,10 +125,6 @@ type Network struct {
 	cfg Config         //fdlint:allow clonefields immutable config, set once at construction
 	// loss is cfg.Delay when that decides loss too, resolved once.
 	loss LossModel //fdlint:allow clonefields immutable, derived from cfg at construction
-	// fanout caches per-node broadcast fan-out lists, rebuilt lazily when
-	// their epoch stamp is stale.
-	//fdlint:allow clonefields derived cache; Restore invalidates every entry and rebuilds lazily
-	fanout []fanoutEntry
 	// bcast is the broadcast fan-out scratch buffer, reused across
 	// Broadcast calls (Fanout reads it synchronously, and the kernel pools
 	// the per-node item storage itself), so steady-state gossip stops
@@ -150,7 +139,7 @@ func New(sim *des.Simulator, cfg Config) *Network {
 	if cfg.Delay == nil {
 		panic("netsim: Config.Delay is required")
 	}
-	n := &Network{state: state{topoEpoch: staleEpoch + 1}, sim: sim, cfg: cfg}
+	n := &Network{sim: sim, cfg: cfg}
 	n.loss, _ = cfg.Delay.(LossModel)
 	sim.SetSink((*sink)(n))
 	return n
@@ -182,10 +171,8 @@ func (n *Network) AddNode(id ident.ID, h node.Handler) *Env {
 	}
 	for int(id) >= len(n.handlers) {
 		n.handlers = append(n.handlers, nil)
-		n.fanout = append(n.fanout, fanoutEntry{})
 	}
 	n.handlers[id] = h
-	n.topoEpoch++ // full-mesh fan-out lists must now include id
 	return &Env{net: n, id: id}
 }
 
@@ -195,17 +182,6 @@ func (n *Network) Env(id ident.ID) *Env {
 		panic(fmt.Sprintf("netsim: unknown node %v", id))
 	}
 	return &Env{net: n, id: id}
-}
-
-// Nodes returns the registered process identities.
-func (n *Network) Nodes() ident.Set {
-	s := ident.NewSet(len(n.handlers))
-	for i, h := range n.handlers {
-		if h != nil {
-			s.Add(ident.ID(i))
-		}
-	}
-	return s
 }
 
 // Crash marks id as crashed: it stops sending, receiving and firing timers.
@@ -223,55 +199,40 @@ func (n *Network) Recover(id ident.ID) { n.crashed.Remove(id) }
 // SetNeighbors restricts id's outgoing traffic to the given set (used by the
 // partial-connectivity extension). It does not make links symmetric; callers
 // model radio ranges by setting both directions. An empty set silences id's
-// sends and broadcasts, unlike the full mesh every id starts in.
+// sends and broadcasts, unlike the full mesh every id starts in. Unregistered
+// ids stay in the neighbourhood: sending to them counts as traffic and
+// delivers to nobody.
 func (n *Network) SetNeighbors(id ident.ID, neighbors ident.Set) {
 	for int(id) >= len(n.neighbors) {
-		n.neighbors = append(n.neighbors, ident.Set{})
+		n.neighbors = append(n.neighbors, nil)
 	}
-	n.neighbors[id] = neighbors.Clone()
+	ids := make([]ident.ID, 0, neighbors.Len())
+	neighbors.ForEach(func(to ident.ID) bool {
+		if to != id {
+			ids = append(ids, to)
+		}
+		return true
+	})
+	n.neighbors[id] = ids
 	n.restricted.Add(id)
-	n.topoEpoch++
 }
 
 // Neighbors returns the broadcast set for id: its configured neighborhood,
 // or every other registered node in the default full mesh.
 func (n *Network) Neighbors(id ident.ID) ident.Set {
+	var out ident.Set
 	if n.restricted.Has(id) {
-		out := n.neighbors[id].Clone()
-		out.Remove(id)
+		for _, to := range n.neighbors[id] {
+			out.Add(to)
+		}
 		return out
 	}
-	out := n.Nodes()
-	out.Remove(id)
-	return out
-}
-
-// fanoutFor returns id's broadcast fan-out list (ascending ID order, self
-// excluded), rebuilding the cached copy if the topology changed since it was
-// built. Unregistered neighbor ids stay in the list — sending to them counts
-// as traffic and delivers to nobody, exactly as an explicit Send would.
-func (n *Network) fanoutFor(id ident.ID) []ident.ID {
-	fe := &n.fanout[id]
-	if fe.epoch == n.topoEpoch {
-		return fe.ids
-	}
-	ids := fe.ids[:0]
-	if n.restricted.Has(id) {
-		n.neighbors[id].ForEach(func(to ident.ID) bool {
-			if to != id {
-				ids = append(ids, to)
-			}
-			return true
-		})
-	} else {
-		for i, h := range n.handlers {
-			if h != nil && ident.ID(i) != id {
-				ids = append(ids, ident.ID(i))
-			}
+	for i, h := range n.handlers {
+		if h != nil && ident.ID(i) != id {
+			out.Add(ident.ID(i))
 		}
 	}
-	fe.ids, fe.epoch = ids, n.topoEpoch
-	return ids
+	return out
 }
 
 // Partition splits the cluster into islands: a message is dropped unless its
@@ -329,20 +290,16 @@ type Snapshot struct{ st state }
 // copyTo makes dst a copy of s that shares no mutable storage with it,
 // reusing dst's handler, neighbourhood and partition-stack arrays. Handler
 // identities are shared by reference (the detector runtimes checkpoint their
-// own state); crash set, neighbourhoods and partition layers are deep-copied.
+// own state), and so are neighbourhood lists and partition layers, which are
+// never written once stored; the crash and restricted sets are deep-copied.
 func (s *state) copyTo(dst *state) {
-	handlers, neighbors, partitions := dst.handlers, dst.neighbors[:0], dst.partitions[:0]
+	handlers, neighbors, partitions := dst.handlers, dst.neighbors, dst.partitions
 	*dst = *s
 	dst.handlers = append(handlers[:0], s.handlers...)
 	dst.crashed = s.crashed.Clone()
 	dst.restricted = s.restricted.Clone()
-	for _, nb := range s.neighbors {
-		neighbors = append(neighbors, nb.Clone())
-	}
-	for _, layer := range s.partitions {
-		partitions = append(partitions, append([]int32(nil), layer...))
-	}
-	dst.neighbors, dst.partitions = neighbors, partitions
+	dst.neighbors = append(neighbors[:0], s.neighbors...)
+	dst.partitions = append(partitions[:0], s.partitions...)
 }
 
 // Snapshot captures the network's mutable state.
@@ -355,22 +312,8 @@ func (n *Network) Snapshot() *Snapshot {
 // Restore rolls the network back to the checkpoint, in place (the kernel
 // delivers its pending messages to this Network, its registered sink, so
 // replication rewinds it rather than building a second one). The same
-// snapshot restores any number of times. Every fan-out cache entry is
-// invalidated, its list storage kept for the lazy rebuild: the restored
-// epoch may equal one an entry was stamped with after the checkpoint, under
-// another topology, so each entry takes staleEpoch, which topoEpoch never
-// takes.
-func (n *Network) Restore(snap *Snapshot) {
-	snap.st.copyTo(&n.state)
-	n.fanout = slices.Grow(n.fanout, max(0, len(n.handlers)-len(n.fanout)))[:len(n.handlers)]
-	for i := range n.fanout {
-		n.fanout[i].epoch = staleEpoch
-	}
-}
-
-// staleEpoch is the epoch of a fan-out cache entry that must be rebuilt:
-// topoEpoch starts above it and only grows.
-const staleEpoch = 0
+// snapshot restores any number of times.
+func (n *Network) Restore(snap *Snapshot) { snap.st.copyTo(&n.state) }
 
 // send is the single unicast transmission path. When a neighborhood is
 // configured for the sender, point-to-point sends outside it are dropped
@@ -380,8 +323,10 @@ func (n *Network) send(from, to ident.ID, payload any) {
 	if n.crashed.Has(from) || from == to {
 		return
 	}
-	if n.restricted.Has(from) && !n.neighbors[from].Has(to) {
-		return
+	if n.restricted.Has(from) {
+		if _, in := slices.BinarySearch(n.neighbors[from], to); !in {
+			return
+		}
 	}
 	delay, ok := n.admit(from, to, payload)
 	if !ok {
@@ -475,20 +420,32 @@ func (e *Env) Send(to ident.ID, payload any) { e.net.send(e.id, to, payload) }
 
 // Broadcast implements node.Env: one message per neighbor, each with an
 // independent delay (models per-link radio/unicast fan-out). The fan-out
-// iterates the sender's precomputed neighbor list — cost proportional to its
-// degree, not to n — and is handed to the kernel as a single fan-out node:
-// one scheduling operation instead of one queue insertion per neighbor, with
-// delivery order identical to per-neighbor sends.
+// walks the sender's neighbourhood list, or in the full mesh the registered
+// handlers, in ascending id order — cost proportional to its degree, not to
+// n — and is handed to the kernel as a single fan-out node: one scheduling
+// operation instead of one queue insertion per neighbor, with delivery order
+// identical to per-neighbor sends.
 func (e *Env) Broadcast(payload any) {
-	n := e.net
-	if n.crashed.Has(e.id) {
+	n, from := e.net, e.id
+	if n.crashed.Has(from) {
 		return
 	}
 	recv := n.bcast[:0]
-	from := e.id
-	for _, to := range n.fanoutFor(from) {
-		if delay, ok := n.admit(from, to, payload); ok {
-			recv = append(recv, des.Receiver{D: delay, To: to})
+	if n.restricted.Has(from) {
+		for _, to := range n.neighbors[from] {
+			if delay, ok := n.admit(from, to, payload); ok {
+				recv = append(recv, des.Receiver{D: delay, To: to})
+			}
+		}
+	} else {
+		for i, h := range n.handlers {
+			to := ident.ID(i)
+			if h == nil || to == from {
+				continue
+			}
+			if delay, ok := n.admit(from, to, payload); ok {
+				recv = append(recv, des.Receiver{D: delay, To: to})
+			}
 		}
 	}
 	n.sim.Fanout(from, payload, recv)

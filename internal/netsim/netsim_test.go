@@ -454,11 +454,13 @@ func TestPartitionCoversLateNodes(t *testing.T) {
 	}
 }
 
+// TestBroadcastFanoutTracksTopologyChanges: a broadcast reaches the
+// receivers of the topology in force when it is sent — in the full mesh a
+// node added after an earlier broadcast, and after each SetNeighbors the
+// neighbourhood it set, also one that takes a receiver back.
 func TestBroadcastFanoutTracksTopologyChanges(t *testing.T) {
-	// The cached fan-out lists must be invalidated by SetNeighbors and by
-	// AddNode (the full-mesh fan-out grows with the membership).
 	sim, net, boxes, envs := newNet(t, 1, 3, Constant{})
-	envs[0].Broadcast("a") // caches 0's full-mesh fan-out {1, 2}
+	envs[0].Broadcast("a") // the full mesh {1, 2}
 	late := &inbox{sim: sim}
 	net.AddNode(3, late)
 	envs[0].Broadcast("b")
@@ -483,18 +485,19 @@ func TestBroadcastFanoutTracksTopologyChanges(t *testing.T) {
 	}
 }
 
-// TestBroadcastFanoutAfterRestore: a Restore rolls the cached fan-out lists
-// back with the topology, also when the restored epoch equals the one a
-// list was cached at after the checkpoint under another neighbourhood, and
-// the partition layers restored with it cut what they cut.
+// TestBroadcastFanoutAfterRestore: a broadcast after a Restore reaches the
+// restored topology's receivers — the full mesh again after neighbourhoods
+// set since the checkpoint, a neighbourhood set anew after a Restore in
+// place of one set before it, and only its island under a restored
+// partition layer.
 func TestBroadcastFanoutAfterRestore(t *testing.T) {
 	sim, net, boxes, envs := newNet(t, 1, 4, Constant{})
 	mesh := net.Snapshot()
 	net.SetNeighbors(0, ident.SetOf(1))
-	envs[0].Broadcast("a") // caches {1} at the epoch after the checkpoint's
+	envs[0].Broadcast("a") // reaches {1}
 	sim.Run()
 	net.Restore(mesh)
-	net.SetNeighbors(0, ident.SetOf(2)) // that epoch again, another neighbourhood
+	net.SetNeighbors(0, ident.SetOf(2)) // the same step again, another neighbourhood
 	envs[0].Broadcast("b")
 	sim.Run()
 	net.Restore(mesh)

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"asyncfd/internal/des"
 	"asyncfd/internal/ident"
+	"asyncfd/internal/raceflag"
 	"asyncfd/internal/trace"
 )
 
@@ -38,7 +40,7 @@ func lossySeries(t *testing.T) *trace.DelaySeries {
 // fingerprint of the run.
 func driveReplay(t *testing.T, seed int64, series *trace.DelaySeries) []string {
 	t.Helper()
-	sim, _, boxes, envs := newNet(t, seed, 4, Replay{Series: series})
+	sim, _, boxes, envs := newNet(t, seed, 4, NewReplay(series, 4))
 	for tick := time.Duration(0); tick < 5*time.Second; tick += 100 * time.Millisecond {
 		tick := tick
 		sim.At(tick, func() {
@@ -96,7 +98,7 @@ func TestReplaySeedIndependent(t *testing.T) {
 
 func TestReplayDropsLossSamples(t *testing.T) {
 	series := lossySeries(t)
-	sim, net, _, envs := newNet(t, 1, 4, Replay{Series: series})
+	sim, net, _, envs := newNet(t, 1, 4, NewReplay(series, 4))
 	for tick := time.Duration(0); tick < 10*time.Second; tick += 100 * time.Millisecond {
 		sim.At(tick, func() {
 			for i, env := range envs {
@@ -126,7 +128,7 @@ func TestReplayConsumesNoRNGDraws(t *testing.T) {
 	// second with the same seed. If replay (or its loss decisions) consumed
 	// any RNG draws the streams would have diverged.
 	series := lossySeries(t)
-	sim, _, _, envs := newNet(t, 42, 3, Replay{Series: series})
+	sim, _, _, envs := newNet(t, 42, 3, NewReplay(series, 3))
 	for tick := time.Duration(0); tick < 5*time.Second; tick += 50 * time.Millisecond {
 		sim.At(tick, func() {
 			for i, env := range envs {
@@ -154,7 +156,7 @@ func TestReplaySnapshotRestoreIdentical(t *testing.T) {
 	// deliver identically.
 	series := lossySeries(t)
 	run := func() []string {
-		sim, net, boxes, envs := newNet(t, 5, 4, Replay{Series: series})
+		sim, net, boxes, envs := newNet(t, 5, 4, NewReplay(series, 4))
 		for tick := time.Duration(0); tick < 6*time.Second; tick += 100 * time.Millisecond {
 			tick := tick
 			sim.At(tick, func() {
@@ -219,7 +221,7 @@ func TestReplayDirectionsDecorrelated(t *testing.T) {
 	// The two directions of a link hash to different phases, so their delay
 	// sequences should differ somewhere over a long window.
 	series := lossySeries(t)
-	r := Replay{Series: series}
+	r := NewReplay(series, 2)
 	for tick := time.Duration(0); tick < 10*time.Second; tick += 100 * time.Millisecond {
 		if r.Delay(nil, 0, 1, tick) != r.Delay(nil, 1, 0, tick) {
 			return
@@ -232,7 +234,7 @@ func TestReplayDirectionsDecorrelated(t *testing.T) {
 // two ids' little-endian bytes: the inlined loop may not move a single link
 // to another slice of the trace.
 func TestLinkPhaseIsFNV1a(t *testing.T) {
-	p := Replay{Series: &trace.DelaySeries{Span: 20480 * time.Millisecond}}
+	const span = 20480 * time.Millisecond
 	ids := []ident.ID{0, 1, 2, 31, 127, 255, 256, 65535, 1 << 20, math.MaxInt32, ident.Nil}
 	for _, from := range ids {
 		for _, to := range ids {
@@ -241,17 +243,85 @@ func TestLinkPhaseIsFNV1a(t *testing.T) {
 			binary.LittleEndian.PutUint32(buf[4:], uint32(to))
 			h := fnv.New64a()
 			h.Write(buf[:])
-			want := time.Duration(h.Sum64() % uint64(p.Series.Span))
-			if got := p.linkPhase(from, to); got != want {
+			want := time.Duration(h.Sum64() % uint64(span))
+			if got := linkPhase(span, from, to); got != want {
 				t.Errorf("linkPhase(%v, %v) = %v, hash/fnv gives %v", from, to, got, want)
 			}
 		}
 	}
 }
 
+// TestReplayTableIsLinkPhase checks every ordered pair's entry of the phase
+// table against linkPhase, at sizes on both sides of a power of two, and the
+// delay a send on the link plays back against the series read at that
+// phase.
+func TestReplayTableIsLinkPhase(t *testing.T) {
+	series := lossySeries(t)
+	for _, n := range []int{1, 2, 32, 33} {
+		p := NewReplay(series, n)
+		if len(p.phase) != n*n {
+			t.Fatalf("n=%d: table holds %d phases, want %d", n, len(p.phase), n*n)
+		}
+		now := 1234 * time.Millisecond
+		for from := ident.ID(0); int(from) < n; from++ {
+			for to := ident.ID(0); int(to) < n; to++ {
+				want := linkPhase(series.Span, from, to)
+				if got := p.phase[int(from)*n+int(to)]; got != want {
+					t.Fatalf("n=%d: phase[%v->%v] = %v, linkPhase gives %v", n, from, to, got, want)
+				}
+				wd, wok := series.OneWay(now + want)
+				if d, ok := p.DelayLoss(nil, from, to, now); d != wd || ok != wok {
+					t.Fatalf("n=%d: DelayLoss(%v->%v) = %v, %v, the series at the link's phase gives %v, %v", n, from, to, d, ok, wd, wok)
+				}
+			}
+		}
+	}
+}
+
+// TestReplayPanicsOutsideCluster: a link with an end outside [0, n) has no
+// phase, and the panic names the link and n.
+func TestReplayPanicsOutsideCluster(t *testing.T) {
+	p := NewReplay(lossySeries(t), 4)
+	for _, link := range [][2]ident.ID{{4, 0}, {0, 4}, {ident.Nil, 1}, {2, ident.Nil}, {5, 5}} {
+		want := fmt.Sprintf("link %v->%v is outside the cluster of n=4", link[0], link[1])
+		for name, send := range map[string]func(){
+			"Delay":     func() { p.Delay(nil, link[0], link[1], 0) },
+			"DelayLoss": func() { p.DelayLoss(nil, link[0], link[1], 0) },
+		} {
+			func() {
+				defer func() {
+					msg := fmt.Sprint(recover())
+					if !strings.Contains(msg, want) {
+						t.Errorf("%s(%v->%v) panicked with %q, want it to name %q", name, link[0], link[1], msg, want)
+					}
+				}()
+				send()
+			}()
+		}
+	}
+}
+
+// TestAllocsReplayDelayLoss pins a replayed send's delay draw at zero
+// allocations: one read of the phase table, one of the series' index.
+func TestAllocsReplayDelayLoss(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race runtime allocates")
+	}
+	p := NewReplay(lossySeries(t), 32)
+	p.DelayLoss(nil, 0, 1, 0) // build the series' index outside the measurement
+	i := 0
+	if got := testing.AllocsPerRun(1000, func() {
+		p.DelayLoss(nil, ident.ID(i&31), ident.ID(i>>5&31), time.Duration(i)*time.Millisecond)
+		i++
+	}); got != 0 {
+		t.Errorf("DelayLoss allocates %v times per call, want 0", got)
+	}
+}
+
 // BenchmarkReplayDelayLoss is the trace-model row of the layer ledger
 // (docs/BENCHMARKS.md): what one send pays the delay model under the churn
-// workload's replayed trace — the link's phase and the series lookup.
+// workload's replayed trace — the link's phase and the series lookup. Its
+// ids span 0..31, the churn workload's n = 32.
 func BenchmarkReplayDelayLoss(b *testing.B) {
 	series, err := trace.Synthetic(trace.SyntheticConfig{
 		Seed: 3, Count: 4096, Tick: 5 * time.Millisecond,
@@ -260,7 +330,7 @@ func BenchmarkReplayDelayLoss(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := Replay{Series: series}
+	p := NewReplay(series, 32)
 	var sink time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -221,8 +221,10 @@ func (u union[A]) pick(c cursor, tag string) (a A, ok bool) {
 }
 
 // env is what an alternative may consult beyond its own fields: the cluster
-// size ids are checked against, the horizon, and the metric streams claimed
-// so far.
+// size ids are checked against (and a replayed trace sizes its phase table
+// by), the horizon, and the metric streams claimed so far. The topology
+// program, which has no single cluster size, compiles its delay model with
+// a nil env.
 type env struct {
 	n       int
 	horizon time.Duration
@@ -492,7 +494,7 @@ func (d *doc) clusterSpec() ClusterSpec {
 	})
 	spec := ClusterSpec{
 		N: cl.N, F: cl.F, Detectors: cl.Detectors,
-		Delay:        compileUnion(delayModels, c.at("delay"), cl.Delay, nil),
+		Delay:        compileUnion(delayModels, c.at("delay"), cl.Delay, &env{n: cl.N}),
 		Window:       c.dur("window_us", cl.WindowUS),
 		Interval:     c.dur("interval_us", cl.IntervalUS),
 		Rebroadcast:  c.dur("rebroadcast_us", cl.RebroadcastUS),
@@ -569,7 +571,15 @@ func paretoDelay(c cursor, raw json.RawMessage, _ *env) netsim.DelayModel {
 	return m
 }
 
-func traceDelay(c cursor, raw json.RawMessage, _ *env) netsim.DelayModel {
+// traceDelay compiles a replayed trace for a cluster of e.n processes. The
+// replay holds a phase for every ordered pair of processes, 8·n² bytes: 8 MiB
+// at maxClusterN, but 512 MiB at the topology program's maxTopologyN, so
+// that program (nil e) refuses the model.
+func traceDelay(c cursor, raw json.RawMessage, e *env) netsim.DelayModel {
+	if !c.at("model").check(e != nil, "the topology program does not replay traces "+
+		"(a replay holds 8·n² bytes of link phases, %d MiB at n = %d)", 8*maxTopologyN*maxTopologyN>>20, maxTopologyN) {
+		return nil
+	}
 	var r struct {
 		Model     string          `json:"model"`
 		Series    json.RawMessage `json:"series,omitempty"`
@@ -584,7 +594,10 @@ func traceDelay(c cursor, raw json.RawMessage, _ *env) netsim.DelayModel {
 		if err != nil {
 			c.at("series").failf("%v", err)
 		}
-		return netsim.Replay{Series: series}
+		if !c.ok() {
+			return nil // n may be the value that failed its check
+		}
+		return netsim.NewReplay(series, e.n)
 	}
 	var s struct {
 		Seed    int64   `json:"seed"`
@@ -609,8 +622,9 @@ func traceDelay(c cursor, raw json.RawMessage, _ *env) netsim.DelayModel {
 	series, err := trace.Synthetic(cfg)
 	if err != nil {
 		c.failf("%v", err)
+		return nil
 	}
-	return netsim.Replay{Series: series}
+	return netsim.NewReplay(series, e.n)
 }
 
 // ---------------------------------------------------------------------------

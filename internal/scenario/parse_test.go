@@ -1,12 +1,14 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"asyncfd/internal/faults"
 	"asyncfd/internal/netsim"
+	"asyncfd/internal/trace"
 )
 
 // clusterDoc is a complete, valid cluster-program scenario exercising
@@ -242,24 +244,31 @@ func TestParseTraceDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, ok := sc.Cluster.Delay.(netsim.Replay)
-	if !ok {
-		t.Fatalf("delay model %T, want Replay", sc.Cluster.Delay)
+	series, err := trace.Synthetic(trace.SyntheticConfig{
+		Seed: 7, Count: 100, Tick: 50 * time.Millisecond, Base: time.Millisecond,
+		Scale: 2 * time.Millisecond, Alpha: 1.2, Cap: 80 * time.Millisecond, LossRate: 0.05,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rep.Series == nil || len(rep.Series.Samples) != 100 {
-		t.Errorf("synthetic series wrong: %+v", rep.Series)
+	if want := netsim.NewReplay(series, 4); !reflect.DeepEqual(sc.Cluster.Delay, want) {
+		t.Errorf("synthetic replay = %+v, want %+v", sc.Cluster.Delay, want)
 	}
 	// Inline series form.
+	const inline = `{"schema": "asyncfd-trace/v1", "span_us": 2000000, "samples": [{"at_us": 0, "rtt_us": 1400}, {"at_us": 1000000, "rtt_us": 2600, "loss": true}]}`
 	doc2 := strings.Replace(doc,
 		`{"model": "trace", "synthetic": {"seed": 7, "count": 100, "tick_us": 50000, "base_us": 1000, "scale_us": 2000, "alpha": 1.2, "cap_us": 80000, "loss": 0.05}}`,
-		`{"model": "trace", "series": {"schema": "asyncfd-trace/v1", "span_us": 2000000, "samples": [{"at_us": 0, "rtt_us": 1400}, {"at_us": 1000000, "rtt_us": 2600, "loss": true}]}}`, 1)
+		`{"model": "trace", "series": `+inline+`}`, 1)
 	sc2, err := Parse([]byte(doc2), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2 := sc2.Cluster.Delay.(netsim.Replay)
-	if len(rep2.Series.Samples) != 2 || rep2.Series.Span != 2*time.Second {
-		t.Errorf("inline series wrong: %+v", rep2.Series)
+	series2, err := trace.ParseDelaySeries([]byte(inline))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := netsim.NewReplay(series2, 4); !reflect.DeepEqual(sc2.Cluster.Delay, want) {
+		t.Errorf("inline replay = %+v, want %+v", sc2.Cluster.Delay, want)
 	}
 }
 

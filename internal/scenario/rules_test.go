@@ -274,6 +274,7 @@ func ruleCases() []errCase {
 	topo("detectors missing", `"detectors": ["heartbeat"],`, ``, "cluster.detectors")
 	topo("two detectors", `["heartbeat"]`, `["heartbeat", "async"]`, "cluster.detectors")
 	topo("delay defect", `"d_us": 1000`, `"d_us": -1000`, "cluster.delay.d_us")
+	topo("trace delay", `{"model": "constant", "d_us": 1000}`, `{"model": "trace", "synthetic": `+synth+`}`, "cluster.delay.model")
 	topo("horizon negative", `"horizon_us": 30000000`, `"horizon_us": -1`, "measure.horizon_us")
 	topo("horizon missing", `"horizon_us": 30000000,`, ``, "measure.horizon_us")
 	topo("topologies missing", `"topologies": ["ring", "grid"],`, ``, "measure.topologies")

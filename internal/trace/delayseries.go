@@ -4,11 +4,14 @@ package trace
 // subsystem: a DelaySeries is a timestamped sequence of RTT/loss samples —
 // captured from a real network or generated synthetically — that
 // internal/netsim's Replay delay model plays back deterministically per
-// link instead of drawing from a parametric distribution. Replay asks
-// OneWay, which answers from an index built once per series: one packed
-// delay per bucket of the span, searched only where a sample falls inside
-// a bucket. The JSON form ("asyncfd-trace/v1") can be embedded inline in an
-// asyncfd-scenario/v1 config; see docs/BENCHMARKS.md, "Scenario configs".
+// link instead of drawing from a parametric distribution. Replay adds the
+// link's phase, read from a table it builds once per cluster, to the send
+// time and asks OneWay, which answers from an index built once per series:
+// one packed delay per bucket of the span, searched only where a sample
+// falls inside a bucket. The JSON form ("asyncfd-trace/v1") can be embedded
+// inline in an asyncfd-scenario/v1 config of the cluster or consensus
+// program (the topology program refuses it); see docs/BENCHMARKS.md,
+// "Scenario configs".
 
 import (
 	"bytes"

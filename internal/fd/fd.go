@@ -42,8 +42,13 @@ type Restartable interface {
 }
 
 // SuspicionSink receives timestamped suspicion transitions from detector
-// implementations. Implementations of the sink must be safe for concurrent
-// use when driven by the live runtime.
+// implementations. A runtime calls its sink one call at a time, each at or
+// after the instant of the last: the simulator by its kernel clock, a TCP
+// transport by serializing its node's callbacks, liveshard.Service under its
+// output lock (so a call must not call back into the service). A sink
+// shared by several runtimes (nodes on separate transports) is called
+// concurrently, on clocks of their own, and must order its input itself;
+// trace.Log does not.
 type SuspicionSink interface {
 	// OnSuspicion records that observer started (suspected=true) or
 	// stopped (suspected=false) suspecting subject at time at.

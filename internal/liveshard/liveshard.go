@@ -7,7 +7,7 @@
 // peer — heartbeat.Estimator or phiaccrual.Estimator, the same rule objects
 // the simulator nodes run inside internal/monitor), so the per-heartbeat hot
 // path takes no locks at all; cross-shard coordination
-// exists only at the edges (the ingest queues in, the suspicion sink out).
+// exists only at the edges (the ingest queues in, one output lock out).
 // Ingest queues are bounded with a drop-oldest policy under overload: a
 // heartbeat that cannot be enqueued evicts the oldest queued event first,
 // because the freshest sighting is the one that matters to a failure
@@ -15,9 +15,11 @@
 // backpressure the transport into exactly the head-of-line stalls the
 // sharding exists to remove. Drops are counted, never silent.
 //
-// Suspicion transitions are emitted to an fd.SuspicionSink with worker-side
-// timestamps, so the live service plugs into the same trace/qos pipeline as
-// the simulator (Chen-style detection and mistake metrics over a real run).
+// Suspicion transitions are stamped and emitted to an fd.SuspicionSink under
+// that one lock, so the sink sees one call at a time in time order, as the
+// simulator's kernel clock gives it, and the live service plugs into the
+// same trace/qos pipeline (Chen-style detection and mistake metrics over a
+// real run).
 package liveshard
 
 import (
@@ -59,8 +61,11 @@ type Config struct {
 	// now (required). Called once per peer during Start, one call at a
 	// time, by the worker that will own the peer.
 	NewEstimator func(peer ident.ID, now time.Duration) PeerEstimator
-	// Sink, if set, receives suspicion transitions with worker-side
-	// timestamps. It must be safe for concurrent use (trace.Log is).
+	// Sink, if set, receives suspicion transitions: one call at a time,
+	// each stamped with the service clock at or after the last, so a
+	// trace.Log can be the sink. A call must not call back into the
+	// service, and a sink that is not safe for concurrent use is read after
+	// Close.
 	Sink fd.SuspicionSink
 }
 
@@ -97,6 +102,11 @@ type Service struct {
 	shards []*shard
 	done   chan struct{}
 	wg     sync.WaitGroup
+
+	// out orders what the workers emit: a transition updates suspected,
+	// reads the clock and calls the sink under it.
+	out       sync.Mutex
+	suspected ident.Set
 }
 
 // New builds a service. NewEstimator is required.
@@ -240,19 +250,14 @@ var _ fd.Detector = (*Service)(nil)
 
 // IsSuspected reports whether peer is currently suspected.
 func (s *Service) IsSuspected(peer ident.ID) bool {
-	sh := s.shardOf(peer)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.suspected.Has(peer)
+	s.out.Lock()
+	defer s.out.Unlock()
+	return s.suspected.Has(peer)
 }
 
 // Suspects returns the set of currently suspected peers.
 func (s *Service) Suspects() ident.Set {
-	var out ident.Set
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		out.Union(sh.suspected)
-		sh.mu.Unlock()
-	}
-	return out
+	s.out.Lock()
+	defer s.out.Unlock()
+	return s.suspected.Clone()
 }

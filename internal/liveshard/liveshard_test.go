@@ -2,6 +2,7 @@ package liveshard
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -86,7 +87,7 @@ func TestStartPrimesEachEstimatorAtItsOwnConstruction(t *testing.T) {
 }
 
 // TestSuspicionEndToEnd: silent peers get suspected, resumed heartbeats
-// restore trust, transitions reach the sink.
+// restore trust, transitions reach the sink, which is read after Close.
 func TestSuspicionEndToEnd(t *testing.T) {
 	log := &trace.Log{}
 	s, err := New(Config{
@@ -147,6 +148,7 @@ func TestSuspicionEndToEnd(t *testing.T) {
 	close(resurrect)
 	close(stop)
 	wg.Wait()
+	s.Close()
 
 	// The sink saw both transitions with the monitor's identity.
 	events := log.Events()
@@ -481,5 +483,192 @@ func TestPhiOutOfOrderSightings(t *testing.T) {
 	}
 	if peer.wrongs != 0 {
 		t.Errorf("%d of %d scans answered differently from the rule evaluated in full", peer.wrongs, peer.scans)
+	}
+}
+
+// transitions holds a log a service's sink wrote to the sink's contract and
+// returns it per subject: instants never decrease, every event is the
+// service's, and a subject's events alternate, a suspicion first, so none
+// is lost or doubled.
+func transitions(t *testing.T, log *trace.Log, self ident.ID) map[ident.ID][]trace.Event {
+	t.Helper()
+	per := map[ident.ID][]trace.Event{}
+	var last time.Duration
+	log.Each(func(e trace.Event) bool {
+		if e.At < last || e.Observer != self {
+			t.Fatalf("event %v after one at %v, or not observed by %v", e, last, self)
+		}
+		last = e.At
+		evs := per[e.Subject]
+		if e.Suspected != (len(evs)%2 == 0) {
+			t.Fatalf("%v follows %d events of %v: transitions lost or doubled", e, len(evs), e.Subject)
+		}
+		per[e.Subject] = append(evs, e)
+		return true
+	})
+	return per
+}
+
+// silenceEstimator suspects its peer from the first scan after the test
+// sets silent until the peer is next sighted, and never again.
+type silenceEstimator struct {
+	silent  *atomic.Bool
+	sighted bool // the worker's own
+}
+
+func (e *silenceEstimator) Observe(time.Duration)        { e.sighted = true }
+func (e *silenceEstimator) Suspected(time.Duration) bool { return e.silent.Load() && !e.sighted }
+
+// TestMassTransitionsLogInOrder: eight workers suspect all their peers at
+// one scan, then trust them all again as one burst of sightings lands, each
+// worker emitting to one unlocked trace.Log. Under -race, the sink is called
+// one call at a time; the log holds every suspicion, then every trust, in
+// time order, one event per transition.
+func TestMassTransitionsLogInOrder(t *testing.T) {
+	const peers = 1024
+	var silent atomic.Bool
+	log := &trace.Log{}
+	s, err := New(Config{
+		Self:         peers,
+		Shards:       8,
+		QueueLen:     peers,
+		ScanInterval: time.Millisecond,
+		NewEstimator: func(ident.ID, time.Duration) PeerEstimator { return &silenceEstimator{silent: &silent} },
+		Sink:         log,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ids := make([]ident.ID, peers)
+	for i := range ids {
+		ids[i] = ident.ID(i)
+	}
+	s.AddPeers(ids...)
+	s.Start()
+	silent.Store(true)
+	waitFor(t, 10*time.Second, func() bool { return s.Suspects().Len() == peers })
+	for _, id := range ids {
+		s.Observe(id)
+	}
+	waitFor(t, 10*time.Second, func() bool { return s.Suspects().Len() == 0 })
+	s.Close()
+
+	per := transitions(t, log, peers)
+	if len(per) != peers || log.Len() != 2*peers {
+		t.Fatalf("%d events about %d peers, want one suspicion and one trust of each of %d", log.Len(), len(per), peers)
+	}
+	for i, e := range log.Events() {
+		if e.Suspected != (i < peers) {
+			t.Fatalf("event %d is %v: a trust before the last suspicion, or a suspicion after the first trust", i, e)
+		}
+	}
+}
+
+// spinEstimator is a heartbeat estimator whose Observe takes a couple of
+// microseconds more, so that producers on every core outrun the workers.
+type spinEstimator struct{ *heartbeat.Estimator }
+
+func (e spinEstimator) Observe(at time.Duration) {
+	for t0 := time.Now(); time.Since(t0) < 2*time.Microsecond; {
+	}
+	e.Estimator.Observe(at)
+}
+
+// TestOverloadDetectsSilentCohort: four producers offer sightings of 48
+// live peers, and of ids nobody registered, far faster than four workers
+// with queues of 8 fold them, while 16 registered peers stay silent. Under
+// that sustained drop-oldest overload every silent peer is suspected within
+// 500 ms past its timeout, no queue holds more than its bound, every
+// unregistered sighting is counted as one, every registered one is folded
+// or counted as dropped once the producers stop and the queues drain, and
+// the log stays in time order.
+func TestOverloadDetectsSilentCohort(t *testing.T) {
+	const (
+		shards, queue  = 4, 8
+		live, cohort   = 48, 16
+		timeout, bound = 50 * time.Millisecond, 500 * time.Millisecond
+	)
+	log := &trace.Log{}
+	s, err := New(Config{
+		Self:         1 << 10,
+		Shards:       shards,
+		QueueLen:     queue,
+		ScanInterval: 2 * time.Millisecond,
+		NewEstimator: func(_ ident.ID, now time.Duration) PeerEstimator {
+			return spinEstimator{heartbeat.NewEstimator(timeout, now)}
+		},
+		Sink: log,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for id := ident.ID(0); id < live+cohort; id++ {
+		s.AddPeers(id)
+	}
+	s.Start()
+	started := s.Now() // every estimator was primed by now
+
+	var offered, unregistered atomic.Uint64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if id := ident.ID(i % (live + 8)); id < live {
+					s.Observe(id)
+					offered.Add(1)
+				} else {
+					s.Observe(1000 + id)
+					unregistered.Add(1)
+				}
+			}
+		}(g)
+	}
+	detected := func() bool {
+		for id := ident.ID(live); id < live+cohort; id++ {
+			if !s.IsSuspected(id) {
+				return false
+			}
+		}
+		return true
+	}
+	backlog := 0
+	waitFor(t, 10*time.Second, func() bool {
+		backlog = max(backlog, s.Stats().QueueLen)
+		return detected()
+	})
+	close(stop)
+	wg.Wait()
+	waitFor(t, 10*time.Second, func() bool { return s.Stats().QueueLen == 0 })
+	s.Close()
+
+	st := s.Stats()
+	if st.DroppedOldest == 0 {
+		t.Fatalf("no queued sighting was evicted (%+v): the overload is too weak", st)
+	}
+	if backlog > shards*queue {
+		t.Errorf("%d sightings queued, bound %d", backlog, shards*queue)
+	}
+	if st.Unregistered != unregistered.Load() {
+		t.Errorf("Unregistered = %d, %d offered", st.Unregistered, unregistered.Load())
+	}
+	if got := st.Processed + st.DroppedOldest + st.DroppedNewest; got != offered.Load() {
+		t.Errorf("processed %d + dropped %d oldest + %d newest = %d, %d registered sightings offered",
+			st.Processed, st.DroppedOldest, st.DroppedNewest, got, offered.Load())
+	}
+	per := transitions(t, log, 1<<10)
+	for id := ident.ID(live); id < live+cohort; id++ {
+		if evs := per[id]; len(evs) == 0 || evs[0].At > started+timeout+bound {
+			t.Errorf("silent %v: transitions %v, want a suspicion by %v", id, evs, started+timeout+bound)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package liveshard
 
 import (
 	"math/bits"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -25,12 +24,6 @@ type shard struct {
 	// Owned by the worker goroutine (no locking).
 	peers   node.DenseMap[*peerRec]
 	peerIDs []ident.ID
-
-	// suspected mirrors the workers' transition decisions for cross-shard
-	// readers (IsSuspected/Suspects); guarded by mu, written only on
-	// transitions.
-	mu        sync.Mutex
-	suspected ident.Set
 
 	processed     atomic.Uint64
 	droppedOldest atomic.Uint64
@@ -98,19 +91,22 @@ func (sh *shard) scan() {
 	sh.scans.Add(1)
 }
 
-// transition flips one peer's suspicion state, mirrors it for cross-shard
-// readers and emits to the sink.
+// transition flips one peer's suspicion state and, under the service's
+// output lock, publishes it to IsSuspected and Suspects and emits it to the
+// sink stamped with the clock read there: the workers' transitions reach
+// the sink one at a time, in time order.
 func (sh *shard) transition(rec *peerRec, suspected bool) {
 	rec.suspected = suspected
-	sh.mu.Lock()
+	s := sh.svc
+	s.out.Lock()
+	defer s.out.Unlock()
 	if suspected {
-		sh.suspected.Add(rec.id)
+		s.suspected.Add(rec.id)
 	} else {
-		sh.suspected.Remove(rec.id)
+		s.suspected.Remove(rec.id)
 	}
-	sh.mu.Unlock()
-	if sink := sh.svc.cfg.Sink; sink != nil {
-		sink.OnSuspicion(sh.svc.Now(), sh.svc.cfg.Self, rec.id, suspected)
+	if s.cfg.Sink != nil {
+		s.cfg.Sink.OnSuspicion(s.Now(), s.cfg.Self, rec.id, suspected)
 	}
 }
 

@@ -1,8 +1,10 @@
 package qos
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,14 +13,20 @@ import (
 )
 
 // randomTrace builds a synthetic suspicion log: random transitions (with
-// duplicates, interleavings, and out-of-order recording) over n processes.
+// duplicates and interleavings) over n processes, drawn at random instants
+// and recorded in time order, ties in the order drawn.
 func randomTrace(r *rand.Rand, n, events int) *trace.Log {
-	l := &trace.Log{}
-	for i := 0; i < events; i++ {
+	evs := make([]trace.Event, events)
+	for i := range evs {
 		at := time.Duration(r.Int63n(int64(20 * time.Second)))
 		obs := ident.ID(r.Intn(n))
 		subj := ident.ID(r.Intn(n))
-		l.OnSuspicion(at, obs, subj, r.Intn(2) == 0)
+		evs[i] = trace.Event{At: at, Observer: obs, Subject: subj, Suspected: r.Intn(2) == 0}
+	}
+	slices.SortStableFunc(evs, func(a, b trace.Event) int { return cmp.Compare(a.At, b.At) })
+	l := &trace.Log{}
+	for _, e := range evs {
+		l.Append(e)
 	}
 	return l
 }
@@ -48,8 +56,6 @@ func randomTruth(r *rand.Rand, n int) *GroundTruth {
 // TestJudgeDifferential proves every metric byte-identical to the legacy
 // sort+rescan implementation on randomized traces, folded alone, inside one
 // fold of all nine metrics, and through the Judge where it has a method.
-// randomTrace records out of time order, so the log's insert of an earlier
-// event is exercised too.
 func TestJudgeDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	horizon := 20 * time.Second

@@ -177,14 +177,14 @@ func TestTrustRestorationTimes(t *testing.T) {
 	g.Crash(3, sec(10))
 	g.Recover(3, sec(20))
 	// Observer 0: suspects during downtime, restores 1.5s after recovery.
-	l.OnSuspicion(sec(11), 0, 3, true)
-	l.OnSuspicion(sec(21)+500*time.Millisecond, 0, 3, false)
 	// Observer 1: suspected and already restored before the recovery (a
 	// flap): not suspecting at the recovery instant → not counted.
-	l.OnSuspicion(sec(12), 1, 3, true)
-	l.OnSuspicion(sec(15), 1, 3, false)
 	// Observer 2: suspects and never restores → missing.
+	l.OnSuspicion(sec(11), 0, 3, true)
+	l.OnSuspicion(sec(12), 1, 3, true)
 	l.OnSuspicion(sec(13), 2, 3, true)
+	l.OnSuspicion(sec(15), 1, 3, false)
+	l.OnSuspicion(sec(21)+500*time.Millisecond, 0, 3, false)
 
 	st := JudgeFrom(l).TrustRestorationTimes(&g, 3, ident.SetOf(0, 1, 2), 0)
 	if st.Count != 1 || st.Missing != 1 {
@@ -205,14 +205,14 @@ func TestReconvergence(t *testing.T) {
 	l := &trace.Log{}
 	var g GroundTruth
 	members := ident.SetOf(0, 1, 2)
-	// Partition-era suspicions, healed at t=20s.
-	l.OnSuspicion(sec(16), 0, 1, true)
-	l.OnSuspicion(sec(22), 0, 1, false) // settles 2s after heal
-	l.OnSuspicion(sec(17), 1, 0, true)
-	l.OnSuspicion(sec(21), 1, 0, false) // settles 1s after heal
 	// An episode fully over before the heal must not count.
 	l.OnSuspicion(sec(5), 2, 0, true)
 	l.OnSuspicion(sec(6), 2, 0, false)
+	// Partition-era suspicions, healed at t=20s.
+	l.OnSuspicion(sec(16), 0, 1, true)
+	l.OnSuspicion(sec(17), 1, 0, true)
+	l.OnSuspicion(sec(21), 1, 0, false) // settles 1s after heal
+	l.OnSuspicion(sec(22), 0, 1, false) // settles 2s after heal
 	settle, clean := JudgeFrom(l).Reconvergence(&g, members, sec(20))
 	if !clean || settle != sec(2) {
 		t.Errorf("settle=%v clean=%v, want 2s clean", settle, clean)
@@ -258,9 +258,9 @@ func TestDetectionTimesBasic(t *testing.T) {
 	l := &trace.Log{}
 	var g GroundTruth
 	g.Crash(3, sec(10))
-	// Observer 0 detects at 12s, observer 1 at 11s, observer 2 never.
-	l.OnSuspicion(sec(12), 0, 3, true)
+	// Observer 1 detects at 11s, observer 0 at 12s, observer 2 never.
 	l.OnSuspicion(sec(11), 1, 3, true)
+	l.OnSuspicion(sec(12), 0, 3, true)
 	st := JudgeFrom(l).DetectionTimes(&g, 3, ident.SetOf(0, 1, 2))
 	if st.Count != 2 || st.Missing != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -333,8 +333,8 @@ func TestMistakes(t *testing.T) {
 	l.OnSuspicion(sec(1), 0, 1, true)
 	l.OnSuspicion(sec(3), 0, 1, false)
 	l.OnSuspicion(sec(5), 2, 1, true)
-	l.OnSuspicion(sec(9), 2, 1, false)
 	l.OnSuspicion(sec(8), 0, 2, true)
+	l.OnSuspicion(sec(9), 2, 1, false)
 	st := JudgeFrom(l).Mistakes(&g, members, sec(10))
 	if st.Count != 2 || st.Unresolved != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -352,9 +352,9 @@ func TestMistakesExcludeTrueSuspicions(t *testing.T) {
 	l := &trace.Log{}
 	var g GroundTruth
 	g.Crash(1, sec(5))
-	l.OnSuspicion(sec(6), 0, 1, true) // true detection, not a mistake
 	l.OnSuspicion(sec(2), 0, 1, true) // started before crash → mistake even though 1 crashes later
 	l.OnSuspicion(sec(3), 0, 1, false)
+	l.OnSuspicion(sec(6), 0, 1, true) // true detection, not a mistake
 	st := JudgeFrom(l).Mistakes(&g, ident.SetOf(0, 1), sec(10))
 	if st.Count != 1 {
 		t.Errorf("Count = %d, want 1 (pre-crash episode only)", st.Count)

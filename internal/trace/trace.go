@@ -8,9 +8,7 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"asyncfd/internal/fd"
@@ -58,8 +56,7 @@ type record struct {
 
 // block is what a chunk keeps per 64 events: their flags, bit j%64 the flag
 // of the chunk's event j, and the base their narrow offsets count from, the
-// instant of the event that filled the block's first slot when the log
-// reached it.
+// instant of the block's first event.
 type block struct {
 	suspected uint64
 	base      time.Duration
@@ -80,18 +77,20 @@ type chunk struct {
 }
 
 // Log accumulates events in time order: events at the same instant keep the
-// order they were recorded in. It is safe for concurrent use and implements
-// fd.SuspicionSink. The zero value is ready to use.
+// order they were recorded in. It implements fd.SuspicionSink. The zero value
+// is ready to use.
 //
-// An event at or after the last one appends; in simulation the kernel clock
-// makes that the only case. An earlier event (racing live shards, tests) is
-// inserted after every event at or before its instant. Storage is a list of
-// fixed chunks, so growth allocates one chunk and copies nothing. A chunk
-// keeps an event in 8 bytes while its ids fit 16 bits and its instant lies
-// within ±2³¹ ns of its block's base, and in 16 bytes from the first event
-// that does not (see chunk); every event reads back exactly either way.
+// A Log has one writer: it takes one call at a time, each at or after the
+// instant of the last, and an earlier one panics. In simulation the kernel
+// clock orders every call; liveshard.Service stamps and emits its
+// transitions under one lock. A Log is not safe for concurrent use, so a
+// live log is read once its writer has stopped (after Service.Close).
+// Storage is a list of fixed chunks, so growth allocates one chunk and
+// copies nothing. A chunk keeps an event in 8 bytes while its ids fit 16
+// bits and its instant lies within ±2³¹ ns of its block's base, and in 16
+// bytes from the first event that does not (see chunk); every event reads
+// back exactly either way.
 type Log struct {
-	mu     sync.Mutex
 	chunks []*chunk
 	n      int
 	last   time.Duration // the instant of event n-1
@@ -104,13 +103,11 @@ func (l *Log) OnSuspicion(at time.Duration, observer, subject ident.ID, suspecte
 	l.Append(Event{At: at, Observer: observer, Subject: subject, Suspected: suspected})
 }
 
-// Append records an event, as OnSuspicion does.
+// Append records an event, as OnSuspicion does. It panics if e is earlier
+// than the last event.
 func (l *Log) Append(e Event) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.n > 0 && e.At < l.last {
-		l.insert(e)
-		return
+		panic(fmt.Sprintf("trace: event at %v appended after one at %v", e.At, l.last))
 	}
 	c, j := l.open(e.At)
 	c.put(j, e)
@@ -133,19 +130,6 @@ func (l *Log) open(at time.Duration) (*chunk, int) {
 	return c, j
 }
 
-// insert records e, earlier than the last event, after every event at or
-// before its instant, shifting the later ones up a slot.
-func (l *Log) insert(e Event) {
-	// The first event later than e: everything before it is at or before
-	// e's instant.
-	pos := sort.Search(l.n, func(i int) bool { return l.get(i).At > e.At })
-	l.open(l.last)
-	for i := l.n - 1; i > pos; i-- {
-		l.set(i, l.get(i-1))
-	}
-	l.set(pos, e)
-}
-
 // get returns event i.
 func (l *Log) get(i int) Event {
 	c, j := l.chunks[i/chunkLen], i%chunkLen
@@ -161,14 +145,9 @@ func (l *Log) get(i int) Event {
 	return e
 }
 
-// set stores e as event i.
-func (l *Log) set(i int, e Event) {
-	l.chunks[i/chunkLen].put(i%chunkLen, e)
-}
-
 // put stores e as the chunk's event j, flag bit included: a slot may still
-// hold the bit of an event truncated or shifted away. An event a narrow
-// chunk cannot hold widens it.
+// hold the bit of an event truncated away. An event a narrow chunk cannot
+// hold widens it.
 func (c *chunk) put(j int, e Event) {
 	b := &c.blocks[j/64]
 	if off := e.At - b.base; c.wide == nil && off == time.Duration(int32(off)) && uint32(e.Observer|e.Subject) < 1<<16 {
@@ -222,17 +201,10 @@ func (c *chunk) each(m int, fn func(Event) bool) bool {
 }
 
 // Len returns the number of recorded events.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
-}
+func (l *Log) Len() int { return l.n }
 
-// Each calls fn with every event in time order until fn returns false. It
-// holds the log's lock throughout, so fn must not call back into the log.
+// Each calls fn with every event in time order until fn returns false.
 func (l *Log) Each(fn func(Event) bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	for i, c := range l.chunks {
 		if !c.each(min(l.n-i*chunkLen, chunkLen), fn) {
 			return
@@ -251,21 +223,13 @@ func (l *Log) Events() []Event {
 }
 
 // Mark returns the current log length, a checkpoint for TruncateTo — the
-// trace half of the simulation snapshot/fork primitive. (Mark, TruncateTo)
-// rolls the log back exactly when nothing recorded after the mark is earlier
-// than the last event before it, which the kernel clock guarantees in
-// simulation; otherwise an earlier event is inserted before the mark and
-// the truncation keeps it.
-func (l *Log) Mark() int {
-	return l.Len()
-}
+// trace half of the simulation snapshot/fork primitive.
+func (l *Log) Mark() int { return l.n }
 
 // TruncateTo drops every event past the checkpoint mark: whole chunks past
 // it are released and the last one kept is trimmed, as wide as it was. Marks
 // beyond the current length are a no-op.
 func (l *Log) TruncateTo(mark int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if mark < 0 || mark >= l.n {
 		return
 	}

@@ -8,12 +8,15 @@
 // through Transport.Do.
 //
 // The send path is built so that no peer can stall another: every peer has
-// its own bounded outbound queue drained by a per-connection writer
-// goroutine that coalesces queued frames into a single Write, and dialing
-// happens asynchronously on a dedicated goroutine — Send never blocks on
-// the network. Under overload (a peer that stops reading, a down peer being
-// redialed) frames are dropped, oldest first, and counted; the asynchronous
-// model makes no delivery promises and the detectors retry every period.
+// its own bounded outbound queue and one sender goroutine, started by
+// AddPeer, that owns the peer's connection until Close. It dials when it has
+// frames and no connection, and writes all queued frames in one Write; Send
+// only queues, so it never blocks on the network. Under overload (a peer
+// that stops reading, a down peer inside its redial backoff) frames are
+// dropped and counted: every frame Send or Broadcast queues ends in
+// Stats.FramesSent or Stats.FramesDropped by the time Close returns. The
+// asynchronous model makes no delivery promises and the detectors retry
+// every period.
 package tcpnet
 
 import (
@@ -74,24 +77,12 @@ type Config struct {
 	redialBackoff time.Duration
 }
 
-// peerState is the connection lifecycle of one registered peer.
-type peerState int
-
-const (
-	stateIdle peerState = iota
-	stateConnecting
-	stateConnected
-)
-
-// peer is the per-peer outbound endpoint: address, connection lifecycle and
-// the bounded frame queue its writer goroutine drains.
+// peer is the per-peer outbound endpoint: address, the bounded frame queue
+// its sender goroutine drains, and the redial backoff.
 type peer struct {
-	id   ident.ID
-	addr string
-
 	mu       sync.Mutex
-	state    peerState
-	conn     net.Conn // non-nil iff state == stateConnected
+	addr     string
+	conn     net.Conn // the sender's connection, nil while it has none (closed by Close)
 	queue    [][]byte // pending frames, oldest first
 	lastFail time.Time
 	wake     chan struct{} // cap-1 signal: the queue became non-empty
@@ -103,7 +94,8 @@ type Stats struct {
 	// writes may carry many frames each).
 	FramesSent uint64
 	// FramesDropped counts frames dropped on the send path: queue
-	// overflow, dial failure, redial backoff, unknown/closed peer.
+	// overflow, dial failure, failed write, redial backoff, unknown peer,
+	// and the queue Close discards or a send after it.
 	FramesDropped uint64
 	// Dials and DialFails count asynchronous dial attempts and failures.
 	Dials, DialFails uint64
@@ -123,7 +115,6 @@ type Transport struct {
 
 	mu      sync.Mutex
 	peers   map[ident.ID]*peer
-	conns   map[net.Conn]struct{} // live outgoing connections (closed on Close)
 	inbound map[net.Conn]struct{} // accepted connections (closed on Close)
 	closed  bool
 
@@ -173,7 +164,6 @@ func New(cfg Config) (*Transport, error) {
 		ln:      ln,
 		start:   time.Now(),
 		peers:   make(map[ident.ID]*peer),
-		conns:   make(map[net.Conn]struct{}),
 		inbound: make(map[net.Conn]struct{}),
 		tables:  make(map[*deadlines]struct{}),
 		dial:    dialTCP,
@@ -187,17 +177,25 @@ func New(cfg Config) (*Transport, error) {
 // Addr returns the bound listen address.
 func (t *Transport) Addr() string { return t.ln.Addr().String() }
 
-// AddPeer registers the address of another process.
+// AddPeer registers the address of another process and starts the peer's
+// sender goroutine; registering it again changes the address its next dial
+// uses. After Close it does nothing.
 func (t *Transport) AddPeer(id ident.ID, addr string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.closed {
+		return
+	}
 	if p, ok := t.peers[id]; ok {
 		p.mu.Lock()
 		p.addr = addr
 		p.mu.Unlock()
 		return
 	}
-	t.peers[id] = &peer{id: id, addr: addr, wake: make(chan struct{}, 1)}
+	p := &peer{addr: addr, wake: make(chan struct{}, 1)}
+	t.peers[id] = p
+	t.wg.Add(1)
+	go t.sender(p)
 }
 
 // Stats returns cumulative transport counters.
@@ -227,15 +225,16 @@ func (t *Transport) Close() error {
 	t.closed = true
 	close(t.done)
 	err := t.ln.Close()
-	for c := range t.conns {
-		c.Close()
-	}
 	for c := range t.inbound {
 		c.Close()
 	}
 	for _, p := range t.peers {
 		p.mu.Lock()
+		t.framesDropped.Add(uint64(len(p.queue)))
 		p.queue = nil
+		if p.conn != nil {
+			p.conn.Close()
+		}
 		p.mu.Unlock()
 	}
 	for d := range t.tables {
@@ -310,10 +309,8 @@ func (t *Transport) readLoop(conn net.Conn) {
 			t.framesRejected.Add(1) // asynchronous links may be attacked
 			continue
 		}
-		select {
-		case <-t.done:
+		if t.isClosed() {
 			return
-		default:
 		}
 		if t.cfg.ConcurrentDeliver {
 			t.cfg.Handler.Deliver(from, payload)
@@ -365,159 +362,113 @@ func writeFrame(w io.Writer, frame []byte) error {
 	return err
 }
 
-// enqueue queues one encoded frame for peer p, starting a dial if the peer
-// has no connection. It never blocks on the network: a full queue drops the
-// oldest frame, a peer inside its redial backoff drops the new one.
+// enqueue queues one encoded frame for peer p and wakes its sender. It never
+// blocks on the network: after Close or inside the redial backoff the new
+// frame is dropped, and a full queue drops its oldest.
 func (t *Transport) enqueue(p *peer, frame []byte) {
 	p.mu.Lock()
-	switch p.state {
-	case stateConnected, stateConnecting:
-		if len(p.queue) >= t.cfg.SendQueue {
-			p.queue = p.queue[1:]
-			t.framesDropped.Add(1)
-		}
-		p.queue = append(p.queue, frame)
-		if p.state == stateConnected {
-			signal(p.wake)
-		}
-		p.mu.Unlock()
-	case stateIdle:
-		if !p.lastFail.IsZero() && time.Since(p.lastFail) < t.cfg.redialBackoff {
-			p.mu.Unlock()
-			t.framesDropped.Add(1)
-			return
-		}
-		p.state = stateConnecting
-		p.queue = append(p.queue[:0], frame)
-		p.mu.Unlock()
-		// Spawn the dialer under t.mu so Close's wg.Wait cannot race the
-		// Add; if the transport closed meanwhile, roll the state back.
-		t.mu.Lock()
-		if t.closed {
-			t.mu.Unlock()
-			p.mu.Lock()
-			p.state = stateIdle
-			p.queue = nil
-			p.mu.Unlock()
-			t.framesDropped.Add(1)
-			return
-		}
-		t.wg.Add(1)
-		t.mu.Unlock()
-		go t.dialPeer(p)
+	defer p.mu.Unlock()
+	if t.isClosed() || (!p.lastFail.IsZero() && time.Since(p.lastFail) < t.cfg.redialBackoff) {
+		t.framesDropped.Add(1)
+		return
 	}
-}
-
-// signal makes a non-blocking send on a cap-1 wake channel.
-func signal(ch chan struct{}) {
+	if len(p.queue) >= t.cfg.SendQueue {
+		p.queue = p.queue[1:]
+		t.framesDropped.Add(1)
+	}
+	p.queue = append(p.queue, frame)
 	select {
-	case ch <- struct{}{}:
+	case p.wake <- struct{}{}:
 	default:
 	}
 }
 
-// dialPeer runs one asynchronous dial attempt for p and, on success, hands
-// the connection to a writer goroutine. Frames queued while connecting are
-// flushed by the writer; a failed dial drops them.
-func (t *Transport) dialPeer(p *peer) {
+// isClosed reports whether Close has begun.
+func (t *Transport) isClosed() bool {
+	select {
+	case <-t.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// sender is p's sender goroutine, the one owner of p's outbound connection
+// from AddPeer until Close. Woken by a queued frame, it takes the whole
+// queue, dials first if it has no connection (frames queued meanwhile wait
+// for the next batch), and writes the batch in one Write, until the queue
+// is empty. A failed dial or write drops the batch and the queue and starts
+// the redial backoff.
+func (t *Transport) sender(p *peer) {
 	defer t.wg.Done()
+	var c net.Conn
+	buf := make([]byte, 0, 16<<10)
+	for {
+		select {
+		case <-p.wake:
+		case <-t.done:
+			return
+		}
+		for {
+			p.mu.Lock()
+			batch := p.queue
+			p.queue = nil
+			p.mu.Unlock()
+			if len(batch) == 0 {
+				break
+			}
+			if c == nil {
+				c = t.connect(p)
+			}
+			if c != nil {
+				buf = buf[:0]
+				for _, f := range batch {
+					buf = appendFrame(buf, f)
+				}
+				if _, err := c.Write(buf); err == nil {
+					t.framesSent.Add(uint64(len(batch)))
+					t.writes.Add(1)
+					continue
+				}
+				c.Close()
+				c = nil
+			}
+			p.mu.Lock()
+			p.conn = nil
+			p.lastFail = time.Now()
+			t.framesDropped.Add(uint64(len(batch) + len(p.queue)))
+			p.queue = nil
+			p.mu.Unlock()
+		}
+	}
+}
+
+// connect dials p and sends the hello. It returns nil if either fails or
+// Close began meanwhile; otherwise the connection is also p.conn, for Close
+// to close.
+func (t *Transport) connect(p *peer) net.Conn {
 	t.dials.Add(1)
 	p.mu.Lock()
 	addr := p.addr
 	p.mu.Unlock()
 	c, err := t.dial(addr)
 	if err == nil {
-		hello := binary.AppendUvarint(nil, uint64(t.cfg.Self))
-		if herr := writeFrame(c, hello); herr != nil {
+		if err = writeFrame(c, binary.AppendUvarint(nil, uint64(t.cfg.Self))); err != nil {
 			c.Close()
-			c, err = nil, herr
 		}
 	}
 	if err != nil {
 		t.dialFails.Add(1)
-		p.mu.Lock()
-		p.state = stateIdle
-		p.lastFail = time.Now()
-		t.framesDropped.Add(uint64(len(p.queue)))
-		p.queue = nil
-		p.mu.Unlock()
-		return
+		return nil
 	}
-	// Register the connection; if Close ran while dialing, fold back.
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if t.isClosed() {
 		c.Close()
-		p.mu.Lock()
-		p.state = stateIdle
-		p.queue = nil
-		p.mu.Unlock()
-		return
+		return nil
 	}
-	t.conns[c] = struct{}{}
-	t.wg.Add(1)
-	t.mu.Unlock()
-	p.mu.Lock()
-	p.state = stateConnected
 	p.conn = c
-	p.mu.Unlock()
-	go t.writeLoop(p, c)
-}
-
-// writeLoop drains p's queue over c, coalescing all queued frames into one
-// buffer per kernel write. It exits when the connection is replaced or
-// fails, or the transport closes.
-func (t *Transport) writeLoop(p *peer, c net.Conn) {
-	defer t.wg.Done()
-	defer func() {
-		t.mu.Lock()
-		delete(t.conns, c)
-		t.mu.Unlock()
-	}()
-	buf := make([]byte, 0, 16<<10)
-	for {
-		p.mu.Lock()
-		if p.conn != c {
-			p.mu.Unlock()
-			return
-		}
-		batch := p.queue
-		p.queue = nil
-		p.mu.Unlock()
-		if len(batch) == 0 {
-			select {
-			case <-p.wake:
-				continue
-			case <-t.done:
-				return
-			}
-		}
-		buf = buf[:0]
-		for _, f := range batch {
-			buf = appendFrame(buf, f)
-		}
-		if _, err := c.Write(buf); err != nil {
-			t.dropConn(p, c)
-			return
-		}
-		t.framesSent.Add(uint64(len(batch)))
-		t.writes.Add(1)
-	}
-}
-
-// dropConn retires a failed connection: the peer goes back to idle (with a
-// redial backoff) and its queued frames are dropped.
-func (t *Transport) dropConn(p *peer, c net.Conn) {
-	p.mu.Lock()
-	if p.conn == c {
-		p.conn = nil
-		p.state = stateIdle
-		p.lastFail = time.Now()
-		t.framesDropped.Add(uint64(len(p.queue)))
-		p.queue = nil
-	}
-	p.mu.Unlock()
-	c.Close()
+	return c
 }
 
 // Self implements node.Env.
@@ -568,10 +519,8 @@ type deadlines struct {
 }
 
 func (d *deadlines) Set(slot int, after time.Duration) {
-	select {
-	case <-d.t.done:
-		return // closed: no slot is set again
-	default:
+	if d.t.isClosed() {
+		return // no slot is set again
 	}
 	at := d.t.Now() + max(after, 0)
 	d.mu.Lock()
@@ -638,8 +587,8 @@ func (d *deadlines) expire() {
 }
 
 // Send implements node.Env: best-effort asynchronous transmission. The call
-// never blocks on the network — frames are queued to the peer's writer
-// goroutine (dialing asynchronously if needed) and dropped under overload
+// never blocks on the network — frames are queued to the peer's sender
+// goroutine (which dials if it has no connection) and dropped under overload
 // (the asynchronous model makes no delivery-time promises; the detector
 // tolerates it and the next round retries).
 func (t *Transport) Send(to ident.ID, payload any) {
@@ -654,10 +603,6 @@ func (t *Transport) Send(to ident.ID, payload any) {
 // encode-once Broadcast; the frame must not be mutated afterwards).
 func (t *Transport) sendFrame(to ident.ID, frame []byte) {
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return
-	}
 	p, ok := t.peers[to]
 	t.mu.Unlock()
 	if !ok {

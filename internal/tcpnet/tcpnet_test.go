@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -372,7 +373,7 @@ func bigPayload() heartbeat.VectorMessage {
 // TestStalledPeerDoesNotBlockHealthySends is the regression test for the
 // head-of-line blocking bug: with the old single global write mutex, one
 // peer that stopped reading froze sends to every other peer. Now each
-// connection has its own writer goroutine and bounded queue, so sends to
+// peer has its own sender goroutine and bounded queue, so sends to
 // the stalled peer drop while sends to healthy peers flow.
 func TestStalledPeerDoesNotBlockHealthySends(t *testing.T) {
 	colB := newCollector()
@@ -527,8 +528,9 @@ func TestCloseDuringDial(t *testing.T) {
 	a.Send(1, heartbeat.Message{From: 0, Seq: 99})
 }
 
-// TestWriteAfterDropConn races sends against a connection being dropped
-// out from under them (run under -race in CI).
+// TestWriteAfterDropConn races sends against a connection closed out from
+// under them (run under -race in CI): the sender's write fails, and the peer
+// must be redialed.
 func TestWriteAfterDropConn(t *testing.T) {
 	colB := newCollector()
 	a, err := New(Config{Self: 0, ListenAddr: "127.0.0.1:0", Handler: newCollector(), redialBackoff: time.Millisecond})
@@ -540,6 +542,7 @@ func TestWriteAfterDropConn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer b.Close()
 	a.AddPeer(1, b.Addr())
 
 	a.Send(1, heartbeat.Message{From: 0, Seq: 1})
@@ -549,8 +552,8 @@ func TestWriteAfterDropConn(t *testing.T) {
 		t.Fatal("initial delivery timed out")
 	}
 
-	// Drop the connection out from under a burst of concurrent sends; the
-	// race detector guards the write-after-dropConn interleavings, and the
+	// Close the connection out from under a burst of concurrent sends; the
+	// race detector guards the write-after-close interleavings, and the
 	// peer must recover (redial) so a marker message still gets through.
 	a.mu.Lock()
 	p := a.peers[1]
@@ -569,7 +572,7 @@ func TestWriteAfterDropConn(t *testing.T) {
 			a.Send(1, heartbeat.Message{From: 0, Seq: uint64(i) + 2})
 		}
 	}()
-	a.dropConn(p, c)
+	c.Close()
 	wg.Wait()
 	// After the drop and its 1ms backoff, a fresh send must redial and land.
 	waitFor(t, 5*time.Second, func() bool {
@@ -583,6 +586,197 @@ func TestWriteAfterDropConn(t *testing.T) {
 		}
 		return false
 	})
+	if s := a.Stats(); s.Dials < 2 {
+		t.Errorf("Dials = %d after the connection was closed, want a redial", s.Dials)
+	}
+}
+
+// TestReconnectStorm closes and reopens receivers, each reopened one on a new
+// port and registered again with AddPeer, while goroutines Send and Broadcast
+// to them and to receivers that stay up; then the sender closes while they
+// still send. Every frame handed to Send or Broadcast ends in FramesSent or
+// FramesDropped by the time Close and the sends have returned; every reopened
+// receiver is dialed again; the receivers that stay up get frames; and no
+// goroutine is left once every endpoint is closed (run by CI under -race
+// -count=20, because the interleavings of a write failing, a dial and Close
+// show only in some schedules).
+func TestReconnectStorm(t *testing.T) {
+	const (
+		flapping = 3 // p1..p3 are closed and reopened
+		steady   = 2 // p4, p5 stay up
+		rounds   = 8 // reopenings of each flapping receiver
+		senders  = 4
+	)
+	baseline := runtime.NumGoroutine()
+	a, err := New(Config{Self: 0, ListenAddr: "127.0.0.1:0", Handler: newCollector(), SendQueue: 16, redialBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	receivers := make([]*Transport, 1+flapping+steady)
+	cols := make([]*collector, len(receivers))
+	open := func(id int) {
+		cols[id] = newCollector()
+		r, err := New(Config{Self: ident.ID(id), ListenAddr: "127.0.0.1:0", Handler: cols[id]})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		receivers[id] = r
+		a.AddPeer(ident.ID(id), r.Addr())
+	}
+	for id := 1; id < len(receivers); id++ {
+		open(id)
+	}
+
+	var stop atomic.Bool
+	var queued atomic.Uint64
+	var sendWG sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		sendWG.Add(1)
+		go func(g int) {
+			defer sendWG.Done()
+			r := rand.New(rand.NewSource(int64(g)))
+			for seq := uint64(0); !stop.Load(); seq++ {
+				if seq%8 == 0 {
+					a.Broadcast(heartbeat.Message{From: 0, Seq: seq})
+					queued.Add(uint64(len(receivers) - 1))
+				} else {
+					a.Send(ident.ID(1+r.Intn(len(receivers)-1)), heartbeat.Message{From: 0, Seq: seq})
+					queued.Add(1)
+				}
+				if seq%16 == 15 {
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+		}(g)
+	}
+
+	// Each flapping receiver is closed and reopened in its own goroutine, and
+	// each reopening waits for a frame to land on the new endpoint: a dial.
+	var stormWG sync.WaitGroup
+	for id := 1; id <= flapping; id++ {
+		stormWG.Add(1)
+		go func(id int) {
+			defer stormWG.Done()
+			for i := 0; i < rounds; i++ {
+				receivers[id].Close()
+				open(id)
+				deadline := time.Now().Add(5 * time.Second)
+				for cols[id].len() == 0 {
+					if time.Now().After(deadline) {
+						t.Errorf("p%d reopened (round %d) got no frame within 5s", id, i)
+						return
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}(id)
+	}
+	stormWG.Wait()
+
+	if err := a.Close(); err != nil { // the senders are still sending
+		t.Error(err)
+	}
+	stop.Store(true)
+	sendWG.Wait()
+	s := a.Stats()
+	if got, want := s.FramesSent+s.FramesDropped, queued.Load(); got != want {
+		t.Errorf("FramesSent %d + FramesDropped %d = %d, want the %d frames queued", s.FramesSent, s.FramesDropped, got, want)
+	}
+	if s.Dials < flapping*rounds {
+		t.Errorf("Dials = %d over %d reconnects", s.Dials, flapping*rounds)
+	}
+	for id := flapping + 1; id < len(receivers); id++ {
+		if cols[id].len() == 0 {
+			t.Errorf("p%d stayed up and got no frame", id)
+		}
+	}
+	for _, r := range receivers[1:] {
+		r.Close()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the test", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestAddPeerAfterClose: AddPeer on a closed transport starts no sender
+// goroutine, and a send to the peer is counted as dropped.
+func TestAddPeerAfterClose(t *testing.T) {
+	a, err := New(Config{Self: 0, ListenAddr: "127.0.0.1:0", Handler: newCollector()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.AddPeer(1, "203.0.113.1:9")
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for id := ident.ID(2); id < 10; id++ {
+		a.AddPeer(id, "203.0.113.1:9")
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines after AddPeer on a closed transport, %d before", after, before)
+	}
+	a.Send(1, heartbeat.Message{From: 0, Seq: 1})
+	if s := a.Stats(); s.FramesSent+s.FramesDropped != 1 {
+		t.Errorf("a send after Close: FramesSent %d + FramesDropped %d, want 1", s.FramesSent, s.FramesDropped)
+	}
+}
+
+// BenchmarkLoopback is the tcpnet row of the layer ledger for the send path
+// (docs/BENCHMARKS.md): heartbeat frames from one transport to another over
+// one loopback connection, through Send, the sender goroutine's coalesced
+// Write, and the receiver's read loop and decode. The producer keeps at most
+// a queue's worth of frames in flight, so none is dropped; ns/frame is the
+// time from the first Send to the last delivery, per frame, and frames/write
+// the coalescing the sender achieved.
+func BenchmarkLoopback(b *testing.B) {
+	b.ReportAllocs()
+	inflight := make(chan struct{}, DefaultSendQueue) // a semaphore: a slot per frame not yet delivered
+	rx, err := New(Config{Self: 1, ListenAddr: "127.0.0.1:0", Handler: node.HandlerFunc(func(ident.ID, any) { <-inflight })})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rx.Close()
+	tx, err := New(Config{Self: 0, ListenAddr: "127.0.0.1:0", Handler: newCollector()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer tx.Close()
+	tx.AddPeer(1, rx.Addr())
+	send := func(seq uint64) {
+		inflight <- struct{}{}
+		tx.Send(1, heartbeat.Message{From: 0, Seq: seq})
+	}
+	drain := func() {
+		for i := 0; i < cap(inflight); i++ {
+			inflight <- struct{}{}
+		}
+		for i := 0; i < cap(inflight); i++ {
+			<-inflight
+		}
+	}
+	send(0) // dial before the clock starts
+	drain()
+	s0 := tx.Stats()
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		send(uint64(i) + 1)
+	}
+	drain()
+	elapsed := time.Since(start)
+	b.StopTimer()
+	s := tx.Stats()
+	if s.FramesDropped != s0.FramesDropped {
+		b.Fatalf("%d frames dropped", s.FramesDropped-s0.FramesDropped)
+	}
+	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N), "ns/frame")
+	b.ReportMetric(float64(s.FramesSent-s0.FramesSent)/float64(s.Writes-s0.Writes), "frames/write")
 }
 
 // TestDuplicateInboundHello: two inbound connections claiming the same peer

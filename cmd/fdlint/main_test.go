@@ -12,10 +12,10 @@ func TestListPrintsSuite(t *testing.T) {
 		t.Fatalf("run(-list) = %d, stderr: %s", code, errb.String())
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("-list printed %d analyzers, want 4:\n%s", len(lines), out.String())
+	if len(lines) != 5 {
+		t.Fatalf("-list printed %d analyzers, want 5:\n%s", len(lines), out.String())
 	}
-	for _, want := range []string{"maprange", "walltime", "clonefields", "rngdiscipline"} {
+	for _, want := range []string{"maprange", "walltime", "clonefields", "rngdiscipline", "timefree"} {
 		if !strings.Contains(out.String(), want+": ") {
 			t.Errorf("-list output missing analyzer %q", want)
 		}

@@ -59,10 +59,9 @@
 package des
 
 import (
-	"cmp"
 	"math"
+	"math/bits"
 	"math/rand"
-	"slices"
 	"time"
 
 	"asyncfd/internal/ident"
@@ -224,11 +223,13 @@ type Simulator struct {
 	// steady-state broadcasts reuse storage instead of allocating.
 	//fdlint:allow clonefields recycling pool: spare capacity only, never semantics
 	itemFree [][]fanItem
-	// keys and radix are Fanout's sort scratch.
+	// fanIn holds a Fanout's deliveries in receiver order while deal sorts
+	// them into the node's items, and is then the scratch a bucket is dealt
+	// again from; fanEnd is a stack of the deals' bucket bounds.
 	//fdlint:allow clonefields scratch buffer; contents are dead between Fanout calls
-	keys []uint64
+	fanIn []fanItem
 	//fdlint:allow clonefields scratch buffer; contents are dead between Fanout calls
-	radix []uint64
+	fanEnd []int32
 }
 
 // New returns a simulator whose random source is seeded with seed; a run is
@@ -359,82 +360,27 @@ func (s *Simulator) Send(d time.Duration, from, to ident.ID, payload any) {
 	s.schedule(i, s.clampAt(d), 1)
 }
 
-const (
-	// fanKeyIdxBits is how much of a packed fan-out sort key holds the
-	// receiver's position; the delay takes the rest. It is whole bytes, so
-	// radixSort's passes over the delay start at a byte.
-	fanKeyIdxBits = 16
-	fanKeyMaxD    = time.Duration(1) << (63 - fanKeyIdxBits)
-	// fanRadixMin is the fan-out width from which the packed keys are radix
-	// sorted; below it an insertion sort is cheaper than the radix's
-	// per-digit count tables.
-	fanRadixMin = 64
-)
-
 // Fanout schedules one message to every receiver — a broadcast — as a single
 // kernel node. The node is kept sorted by delivery time and always carries
 // the key of its earliest undelivered item: a k-receiver broadcast costs one
-// slab slot, one sort and one heap entry, and each delivery one re-key of
-// that entry. Delivery order is exactly that of k individual Send calls
-// issued in slice order. recv is read synchronously and may be reused by the
-// caller.
+// slab slot, one bucket sort (deal; the same routine at every k) and one heap
+// entry, and each delivery one re-key of that entry. Delivery order is
+// exactly that of k individual Send calls issued in slice order: the items
+// are in (at, idx) order, a total one, the stable-by-at permutation, so
+// equal delivery times keep slice order, which with the node's block of
+// consecutive seqs is Send-by-Send FIFO. recv is read synchronously, into a
+// kernel-owned buffer the deal starts from, and may be reused by the caller.
 func (s *Simulator) Fanout(from ident.ID, payload any, recv []Receiver) {
-	switch len(recv) {
-	case 0:
-		return
-	case 1:
-		s.Send(recv[0].D, from, recv[0].To, payload)
+	if len(recv) == 0 {
 		return
 	}
-	items := s.takeItems(len(recv))
-	// Ordering by (at, idx) — a total order, since idx is the receiver's
-	// position in recv — is the stable-by-at permutation: equal delivery
-	// times keep slice order, which combined with the block of consecutive
-	// seqs preserves Send-by-Send FIFO semantics. When every delay and the
-	// fan-out width fit, that order is the numeric order of
-	// (delay − least delay)<<16 | idx, and sorting plain integers is several
-	// times cheaper than sorting items through a comparator. The keys are
-	// unique, so every correct sort gives the same permutation.
-	packed := len(recv) <= 1<<fanKeyIdxBits && s.now <= math.MaxInt64-fanKeyMaxD
-	keys := s.keys[:0]
-	dmin := fanKeyMaxD
+	in := s.fanIn[:0]
 	for k, r := range recv {
-		d := max(r.D, 0)
-		if d >= fanKeyMaxD {
-			packed = false
-			break
-		}
-		dmin = min(dmin, d)
-		keys = append(keys, uint64(d)<<fanKeyIdxBits|uint64(k))
+		in = append(in, fanItem{at: s.clampAt(r.D), to: r.To, idx: int32(k)})
 	}
-	s.keys = keys[:0]
-	if packed {
-		var span uint64 // every bit set in some key
-		for j := range keys {
-			keys[j] -= uint64(dmin) << fanKeyIdxBits
-			span |= keys[j]
-		}
-		if len(keys) >= fanRadixMin {
-			keys = s.radixSort(keys, span)
-		} else {
-			insertionSort(keys)
-		}
-		at0 := s.now + dmin
-		for j, key := range keys {
-			k := int32(key & (1<<fanKeyIdxBits - 1))
-			items[j] = fanItem{at: at0 + time.Duration(key>>fanKeyIdxBits), to: recv[k].To, idx: k}
-		}
-	} else {
-		for k, r := range recv {
-			items[k] = fanItem{at: s.clampAt(r.D), to: r.To, idx: int32(k)}
-		}
-		slices.SortFunc(items, func(a, b fanItem) int {
-			if a.at != b.at {
-				return cmp.Compare(a.at, b.at)
-			}
-			return cmp.Compare(a.idx, b.idx)
-		})
-	}
+	s.fanIn = in
+	items := s.takeItems(len(in))
+	s.deal(items, in)
 	i := s.alloc()
 	if n := int(i) + 1; n > len(s.fans) {
 		s.fans = append(s.fans, make([]fan, n-len(s.fans))...)
@@ -445,53 +391,68 @@ func (s *Simulator) Fanout(from ident.ID, payload any, recv []Receiver) {
 	s.schedule(i, items[0].at, len(items))
 }
 
-// insertionSort sorts keys in place. On the few dozen keys of a fan-out
-// below fanRadixMin it beats slices.Sort, which pays for its partitioning
-// on every call.
-func insertionSort(keys []uint64) {
-	for i := 1; i < len(keys); i++ {
-		k, j := keys[i], i
-		for ; j > 0 && keys[j-1] > k; j-- {
-			keys[j] = keys[j-1]
-		}
-		keys[j] = k
-	}
-}
+// fanLeaf is the largest bucket deal puts in order by insertion alone. An
+// insertion sort of k deliveries shifts about k²/4 of them, so a larger
+// bucket is dealt again; at 16 the second deals cost more than the shifts
+// they saved (docs/BENCHMARKS.md, "PR 57").
+const fanLeaf = 32
 
-// radixSort sorts Fanout's packed keys, none of which has a bit outside
-// span, by a least-significant-digit radix sort over the bytes of their
-// delays, ping-ponging between keys and the kernel's radix scratch; it
-// returns whichever holds the result. The receiver index below
-// fanKeyIdxBits takes no pass: the keys come in receiver order and every
-// pass is stable, so keys with equal delays keep that order, which is the
-// order a pass over the index bytes would give them. A delay byte that is
-// zero in span costs no pass either.
-func (s *Simulator) radixSort(keys []uint64, span uint64) []uint64 {
-	if cap(s.radix) < len(keys) {
-		s.radix = make([]uint64, len(keys))
+// deal writes src, whose equal instants are in idx order, into dst, which is
+// as long, in (at, idx) order. It deals src in that order into len(src)
+// buckets of equal width between its earliest and its latest instant. A
+// bucket of more than fanLeaf deliveries that is not the whole of src is
+// dealt again the same way, from its stretch of src, which the first deal
+// has freed; an insertion sort orders any other bucket by time alone. So
+// one delivery far past the rest costs a second deal, not an insertion sort
+// of the whole broadcast.
+func (s *Simulator) deal(dst, src []fanItem) {
+	lo, hi := src[0].at, src[0].at
+	for _, it := range src[1:] {
+		lo, hi = min(lo, it.at), max(hi, it.at)
 	}
-	src, dst := keys, s.radix[:len(keys)]
-	for shift := uint(fanKeyIdxBits); span>>shift != 0; shift += 8 {
-		if byte(span>>shift) == 0 {
-			continue
-		}
-		var count [256]int32
-		for _, k := range src {
-			count[byte(k>>shift)]++
-		}
-		var sum int32
-		for b, c := range count {
-			count[b] = sum
-			sum += c
-		}
-		for _, k := range src {
-			b := byte(k >> shift)
-			dst[count[b]] = k
-			count[b]++
-		}
-		src, dst = dst, src
+	// A delivery's bucket is the high word of (at−lo)·m, with m = n·2⁶⁴/w
+	// rounded down and w > hi−lo, so it is below n and never decreases
+	// with at. w is at least n+1, which keeps m in a word. end[b+1] first
+	// counts bucket b; the running sum makes end[b] the bucket's start, and
+	// the deal its end. end is this call's frame on the fanEnd stack: a
+	// nested deal may move the stack, and end goes on reading the old array,
+	// whose frame nothing writes any more.
+	n := uint64(len(src))
+	m, _ := bits.Div64(n, 0, max(uint64(hi-lo), n)+1)
+	base := len(s.fanEnd)
+	s.fanEnd = append(s.fanEnd, make([]int32, n+1)...)
+	end := s.fanEnd[base:]
+	for _, it := range src {
+		b, _ := bits.Mul64(uint64(it.at-lo), m)
+		end[b+1]++
 	}
-	return src
+	var sum int32
+	for b, c := range end {
+		sum += c
+		end[b] = sum
+	}
+	for _, it := range src {
+		b, _ := bits.Mul64(uint64(it.at-lo), m)
+		dst[end[b]] = it
+		end[b]++
+	}
+	var start int32
+	for _, stop := range end[:n] {
+		if size := stop - start; size > fanLeaf && size < int32(n) {
+			copy(src[start:stop], dst[start:stop])
+			s.deal(dst[start:stop], src[start:stop])
+		} else {
+			for j := start + 1; j < stop; j++ {
+				x, k := dst[j], j
+				for ; k > start && dst[k-1].at > x.at; k-- {
+					dst[k] = dst[k-1]
+				}
+				dst[k] = x
+			}
+		}
+		start = stop
+	}
+	s.fanEnd = s.fanEnd[:base]
 }
 
 // push adds event i to the heap under its current key.

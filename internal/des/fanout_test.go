@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"asyncfd/internal/ident"
+	"asyncfd/internal/raceflag"
 )
 
 // testSink is the Sink of the kernel's own tests. A message's payload is a
@@ -94,13 +95,13 @@ func mix64(x uint64) uint64 {
 }
 
 // fanReceivers builds a broadcast of the given width whose delays, drawn
-// from seed, take one of the shapes the sort paths treat differently.
+// from seed, take one of the shapes the sort's buckets treat differently.
 func fanReceivers(width int, mode, seed byte) []Receiver {
 	recv := make([]Receiver, width)
 	for j := range recv {
 		x := mix64(uint64(seed)<<32 | uint64(j))
 		var d time.Duration
-		switch mode % 6 {
+		switch mode % 8 {
 		case 0: // all tied
 			d = time.Duration(seed%4) * time.Millisecond
 		case 1: // all due now
@@ -110,15 +111,23 @@ func fanReceivers(width int, mode, seed byte) []Receiver {
 			d = 500*time.Microsecond + time.Duration(x%(4<<20))
 		case 4: // a few distinct values: ties inside a spread
 			d = time.Duration(x%4) * 250 * time.Microsecond
-		case 5: // the comparator: some beyond a packed key, and the largest
-			// Duration, which overflows the clock once it has left 0
+		case 5: // far delays: some past 2⁴⁷ ns, and the largest Duration,
+			// which overflows the clock once it has left 0
 			d = time.Duration(x % (1 << 20))
 			if j%7 == 3 {
-				d = fanKeyMaxD + time.Duration(x%1000)
+				d = 1<<47 + time.Duration(x%1000)
 			}
 			if j == width-1 {
 				d = time.Duration(math.MaxInt64)
 			}
+		case 6: // one delivery an hour past the rest, which all share bucket 0
+			d = 500*time.Microsecond + time.Duration(x%(4<<20))
+			if j == int(seed)%width {
+				d += time.Hour
+			}
+		case 7: // the earliest and the latest instant only: the bottom and the
+			// top bucket, each holding ties
+			d = time.Duration(x%2) * time.Millisecond
 		}
 		recv[j] = Receiver{D: d, To: ident.ID(j)}
 	}
@@ -205,10 +214,10 @@ func fanDivergence(data []byte) string {
 // FuzzFanoutMatchesSend holds a Fanout to the k Sends it stands for: the
 // same deliveries in the same order at the same instants, interleaved the
 // same way with timers and unicasts, and the same Now/Steps/Pending at every
-// mark — across both sort paths and the radix cutover, tied, zero,
-// negative and unpackable delays, broadcasts issued from inside deliveries,
-// and checkpoints taken and restored mid-drain. Seeds mirror the committed
-// corpus.
+// mark — across widths from 2 to 300; tied, zero, negative and far delays;
+// ties inside a spread; a lone far delivery; broadcasts sent from inside
+// deliveries; and checkpoints taken and restored mid-drain. Seeds mirror the
+// committed corpus.
 func FuzzFanoutMatchesSend(f *testing.F) {
 	for _, seed := range fanScriptSeeds() {
 		f.Add(seed)
@@ -229,7 +238,7 @@ func fanScriptSeeds() [][]byte {
 	return [][]byte{
 		// every delay shape at width 127, drained to the end
 		{0, 0, 125, 0, 1, 0, 0, 125, 1, 2, 0, 0, 125, 2, 3, 0, 0, 125, 3, 4, 0, 0, 125, 4, 5, 0, 0, 125, 5, 6},
-		// both sides of the radix cutover, and the widest script broadcast
+		// widths 4, 31, 63 and 64, and the widest script broadcast, 300
 		{0, 0, 2, 3, 7, 0, 0, 29, 3, 8, 0, 0, 61, 3, 9, 0, 0, 62, 3, 10, 0, 1, 42, 3, 11, 4, 0, 40},
 		// six narrow broadcasts on four shared instants: ties between nodes
 		{0, 0, 4, 4, 1, 0, 0, 4, 4, 2, 0, 0, 4, 4, 3, 0, 0, 4, 4, 4, 0, 0, 4, 4, 5, 0, 0, 4, 4, 6},
@@ -239,8 +248,22 @@ func fanScriptSeeds() [][]byte {
 		{1, 0, 0, 0, 0, 20, 1, 0, 1, 0, 0, 0, 3, 0, 0, 90, 0, 7, 3, 3, 4, 0, 10},
 		// checkpoints mid-drain: before any delivery, between two, after all
 		{0, 0, 125, 3, 12, 5, 0, 0, 4, 3, 232, 5, 3, 32, 0, 0, 60, 4, 13, 4, 1, 0, 5, 0, 200, 5, 255, 255},
-		// unpackable delays mid-run, then a checkpoint before they come due
+		// far delays mid-run, then a checkpoint before they come due
 		{0, 0, 125, 5, 14, 4, 7, 208, 0, 0, 9, 5, 15, 5, 39, 16, 4, 39, 16},
+		// one delivery an hour out, so every other one shares bucket 0: at
+		// widths 127, 31 and 2, before and after the clock moves
+		{0, 0, 125, 6, 1, 0, 0, 29, 6, 2, 0, 0, 0, 6, 3, 4, 3, 232, 0, 0, 125, 6, 4, 0, 0, 29, 6, 5, 3, 3},
+		// the latest delivery on the top bucket, ties at both ends: widths 2,
+		// 3, 31, 127 and 300
+		{0, 0, 0, 7, 1, 0, 0, 1, 7, 2, 0, 0, 29, 7, 3, 0, 0, 125, 7, 4, 0, 1, 42, 7, 5, 3, 4, 0, 10},
+		// width 2, tied and untied, in every shape
+		{0, 0, 0, 0, 1, 0, 0, 0, 1, 2, 0, 0, 0, 2, 3, 0, 0, 0, 3, 4, 0, 0, 0, 4, 5, 0, 0, 0, 5, 6, 0, 0, 0, 6, 7, 0, 0, 0, 7, 8},
+		// ties inside a spread: four instants over widths 5, 31, 127 and 300,
+		// and negative delays tied at now among small positive ones
+		{0, 0, 3, 4, 9, 0, 0, 29, 4, 10, 0, 0, 125, 4, 11, 0, 1, 42, 4, 12, 4, 0, 100, 0, 0, 125, 2, 13, 0, 0, 29, 2, 14},
+		// delays past 2⁴⁷ ns and math.MaxInt64 at widths 2, 8, 31 and 127,
+		// at 0 and once the clock has left it
+		{0, 0, 0, 5, 1, 0, 0, 6, 5, 2, 0, 0, 29, 5, 3, 0, 0, 125, 5, 4, 4, 0, 50, 0, 0, 6, 5, 5, 0, 0, 125, 5, 6, 3, 3, 3},
 	}
 }
 
@@ -254,8 +277,8 @@ func TestFanoutMatchesSend(t *testing.T) {
 	}
 }
 
-// TestFanoutOverflowingDelay pins the clamp both sort paths share with
-// After: a delay that overflows the clock delivers at the current instant.
+// TestFanoutOverflowingDelay pins the clamp Fanout shares with After: a
+// delay that overflows the clock delivers at the current instant.
 func TestFanoutOverflowingDelay(t *testing.T) {
 	s, _ := newSunk(1)
 	s.RunUntil(time.Hour)
@@ -265,6 +288,38 @@ func TestFanoutOverflowingDelay(t *testing.T) {
 	s.RunUntil(time.Hour)
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("delivered at the current instant: %v, want [1 2]", got)
+	}
+}
+
+// TestAllocsFanout locks the broadcast path at zero allocations once the
+// kernel's sort buffers, its item pool and its slab have grown: broadcasts 1,
+// 2, 31 and 127 wide under continuous delays, one whose deliveries all tie
+// and one with a lone far delivery (a bucket dealt twice), each sorted,
+// queued and delivered.
+func TestAllocsFanout(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race runtime allocates")
+	}
+	s := New(1)
+	s.SetSink(&countingSink{})
+	shapes := [][]Receiver{
+		fanReceivers(1, 3, 6),
+		fanReceivers(2, 3, 1),
+		fanReceivers(31, 3, 2),
+		fanReceivers(127, 3, 3),
+		fanReceivers(127, 0, 4), // all tied
+		fanReceivers(127, 6, 5), // one delivery an hour past the rest
+	}
+	var payload any = "q"
+	round := func() {
+		for _, recv := range shapes {
+			s.Fanout(0, payload, recv)
+		}
+		s.Run()
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("a round of broadcasts: %v allocations, want 0", allocs)
 	}
 }
 

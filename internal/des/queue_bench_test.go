@@ -1,7 +1,6 @@
 package des
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -53,11 +52,22 @@ func (k *countingSink) Alive(ident.ID) bool { return true }
 // nodes are in flight — the k-way merge a broadcast-heavy run is. The delays
 // come from a table drawn beforehand, so the timed loop is the kernel's:
 // sorting each broadcast's receivers, merging the nodes, delivering. One op
-// is one delivery.
+// is one delivery. The outlier rows add 200 ms to one receiver of every
+// broadcast, in turn, so that every other delivery falls in the same bucket
+// of the sort's first deal.
 func BenchmarkFanoutMesh(b *testing.B) {
 	const period = 4 * time.Millisecond
-	for _, n := range []int{32, 128} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		n    int
+		far  time.Duration
+	}{
+		{"n=32", 32, 0}, {"n=128", 128, 0},
+		{"outlier_n=32", 32, 200 * time.Millisecond},
+		{"outlier_n=128", 128, 200 * time.Millisecond},
+	} {
+		n := c.n
+		b.Run(c.name, func(b *testing.B) {
 			s := New(1)
 			k := &countingSink{}
 			s.SetSink(k)
@@ -68,7 +78,7 @@ func BenchmarkFanoutMesh(b *testing.B) {
 			}
 			recv := make([]Receiver, n-1)
 			var payload any = "q"
-			next := 0
+			next, round := 0, 0
 			for p := 0; p < n; p++ {
 				var tick func()
 				tick = func() {
@@ -76,12 +86,14 @@ func BenchmarkFanoutMesh(b *testing.B) {
 						recv[j] = Receiver{D: delays[next%len(delays)], To: ident.ID(j)}
 						next++
 					}
+					recv[round%len(recv)].D += c.far
+					round++
 					s.Fanout(ident.ID(p), payload, recv)
 					s.After(period, tick)
 				}
 				s.After(period*time.Duration(p)/time.Duration(n), tick)
 			}
-			s.RunUntil(20 * period) // warm the slab, the item pool and the heap
+			s.RunUntil(c.far + 20*period) // warm the slab, the item pool and the heap
 			b.ReportAllocs()
 			b.ResetTimer()
 			for k.delivered = 0; k.delivered < b.N; {

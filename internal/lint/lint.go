@@ -21,6 +21,9 @@
 //     cannot sit outside a warm-fork checkpoint unremarked.
 //   - rngdiscipline: no rand.New/rand.NewSource construction outside
 //     internal/des, whose counting source is what makes snapshots replayable.
+//   - timefree: the paper's detector rule (internal/core but its round
+//     runtime, qrnode.go, and internal/core/tagset) imports neither time nor
+//     internal/node, so "no timers" is a check, not a comment.
 //
 // Each analyzer honors a `//fdlint:allow <analyzer> <reason>` annotation on
 // the flagged line or the line above it (clonefields: in the field's own doc
@@ -43,6 +46,7 @@ func Analyzers() []*analysis.Analyzer {
 		WallTime,
 		CloneFields,
 		RNGDiscipline,
+		TimeFree,
 	}
 }
 
@@ -53,6 +57,7 @@ const (
 	wallTimeName      = "walltime"
 	cloneFieldsName   = "clonefields"
 	rngDisciplineName = "rngdiscipline"
+	timeFreeName      = "timefree"
 )
 
 // selectorPkg returns the *types.PkgName if sel.X names an imported package.
